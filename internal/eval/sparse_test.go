@@ -63,12 +63,13 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			continue
 		}
 		db := randomGraph(t, r, 2+r.Intn(4))
-		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
+		dsink, ssink := &traceSink{}, &traceSink{}
+		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1, Tracer: dsink.record})
 		if err != nil {
 			t.Fatalf("dense(%s): %v", q, err)
 		}
 
-		sparse, _, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1})
+		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1, Tracer: ssink.record})
 		if err != nil {
 			if strings.Contains(err.Error(), "sparse backend:") {
 				continue // outside the sparse fragment (GFP/PFP, negative fix body)
@@ -78,6 +79,17 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		kept++
 		if !sparse.Equal(dense) {
 			t.Fatalf("sparse disagrees on %s:\nsparse %v\ndense  %v\n%s", q, sparse, dense, db)
+		}
+		// One stage loop over two representations: the same plan must take the
+		// same stages with the same per-stage tuple counts on both. (The
+		// acyclic fast path runs no stage loop at all.)
+		if sst.AcyclicFastPath == 0 {
+			if sst.FixIterations != dst.FixIterations {
+				t.Fatalf("%s: sparse took %d stages, dense %d", q, sst.FixIterations, dst.FixIterations)
+			}
+			if ds, ss := pinTrace(dsink.snapshot()), pinTrace(ssink.snapshot()); ds != ss {
+				t.Fatalf("%s: stage sequences differ\ndense  %s\nsparse %s", q, ds, ss)
+			}
 		}
 
 		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1})
