@@ -21,7 +21,10 @@ all: vet test build
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
 # byte-identical to direct ones, drives a short bvqload run (non-zero
 # routed queries, zero 5xx), and kills a replica mid-load to prove
-# eviction + retry keeps failures off the client.
+# eviction + retry keeps failures off the client. The benchmark module
+# (bench/, a nested module the root build never sees) is vetted and tested
+# too: it imports the eval plan API directly, so a signature drift there
+# must fail here, not in the next benchmark run.
 check: docs
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -30,6 +33,8 @@ check: docs
 	$(GO) test -count=1 -run 'TestSparseLargeDomainTC' ./internal/eval/
 	$(GO) test -count=1 -run 'TestMetricsDocumented' ./internal/server/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	./scripts/stream_smoke.sh
 	./scripts/fleet_smoke.sh
 

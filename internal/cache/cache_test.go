@@ -136,13 +136,14 @@ func TestFlightCoalesces(t *testing.T) {
 	f := NewFlight[int]()
 	const workers = 16
 	var calls atomic.Int64
-	var leaders atomic.Int64
+	var leaders, started atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			started.Add(1)
 			v, shared, err := f.Do(context.Background(), "k", func() (int, error) {
 				calls.Add(1)
 				<-release // hold the call open so everyone piles up
@@ -156,10 +157,13 @@ func TestFlightCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the leader is inside fn, then let everyone observe it.
-	for f.InFlight() == 0 {
+	// Wait until the leader is inside fn and every worker has reached Do (a
+	// worker that arrived after the release would lead a flight of its own),
+	// with a grace period for the last ones to join the flight.
+	for f.InFlight() == 0 || started.Load() < workers {
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(20 * time.Millisecond)
 	close(release)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {

@@ -98,15 +98,16 @@ func cardOf(db *database.Database) func(string) int {
 // state lives in the evaluation, so concurrent calls with the same plan are
 // safe.
 //
-// The backend route is chosen here. Dense is the historical engine and the
-// default for every feasible small space; sparse (with the acyclic-join
-// fast path) is how queries beyond relation.MaxDenseBits — the n^k wall —
-// evaluate at all. BackendAuto also runs a hybrid: a feasible-but-large
-// dense evaluation whose recursion-free low-density subtrees are computed
-// sparsely and cylindrified once at their boundary (Stats.RepSwitches).
+// The backend route is chosen here (routePlan). Dense is the historical
+// engine and the default for every feasible small space; sparse (with the
+// acyclic-join fast path) is how queries beyond relation.MaxDenseBits — the
+// n^k wall — evaluate at all. BackendAuto also runs a hybrid: a
+// feasible-but-large dense evaluation whose recursion-free low-density
+// subtrees are computed sparsely and cylindrified once at their boundary
+// (Stats.RepSwitches).
 func EvalPlanContext(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	ans, st, _, err := evalPlanRouted(ctx, p, db, opts, nil, false)
-	return ans, st, err
+	res, err := evalPlan(ctx, p, db, opts, nil, false, false)
+	return res.set, res.stats, err
 }
 
 // validatePlanRun is the shared entry validation of every plan evaluation.
@@ -123,136 +124,156 @@ func validatePlanRun(ctx context.Context, p *plan.Plan, db *database.Database, o
 	return checkCtx(ctx)
 }
 
-// evalPlanRouted validates, routes and runs a plan evaluation. Dense routes
-// thread the maintenance seed/capture through (maintain.go); sparse routes
-// return no state — maintenance is a dense-route optimization.
-func evalPlanRouted(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, seed *MaintState, capture bool) (*relation.Set, *Stats, *MaintState, error) {
+// planResult is the outcome of one routed plan evaluation: the answer in the
+// form the calling API asked for (set, or enum when streaming), the run's
+// Stats — partial on error — and the maintenance state a capturing dense run
+// of a maintainable plan leaves.
+type planResult struct {
+	set   *relation.Set
+	enum  Enumerator
+	stats *Stats
+	state *MaintState
+}
+
+// route is the backend decision for one (plan, database, options) triple.
+type route struct {
+	// name is "dense", "hybrid" or "sparse"; empty means the query is
+	// unevaluable under these options, and err says why.
+	name string
+	err  error
+	den  *plan.Density
+	// frontier is den when dense runs of this route evaluate den's
+	// sparse-labeled subtrees sparsely (hybrid), nil for pure dense.
+	frontier *plan.Density
+	// fallback marks an auto-chosen sparse route over a feasible space: a
+	// sparse-budget overrun means the density estimate was wrong, and the
+	// plan is rerun dense rather than failing a query dense can answer.
+	fallback bool
+}
+
+// routePlan computes the route every plan-evaluation entry point takes —
+// materializing, streaming and explain alike — without evaluating anything.
+func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
+	den := p.Density(db.Size(), cardOf(db))
+	rt := route{den: den}
+	switch backendOf(opts) {
+	case BackendDense:
+		// Forced dense is pure dense; an infeasible space fails with the
+		// dense-space error itself.
+		if _, rt.err = relation.NewSpace(len(p.Vars), db.Size()); rt.err == nil {
+			rt.name = "dense"
+		}
+	case BackendSparse:
+		if den.SparseOK {
+			rt.name = "sparse"
+		} else {
+			rt.err = fmt.Errorf("eval: sparse backend: %s", den.Blocker)
+		}
+	default:
+		switch {
+		case den.SpaceFeasible:
+			rt.name = "dense"
+			if den.HasSparseFrontier() {
+				rt.name, rt.frontier = "hybrid", den
+			}
+			if den.PreferSparse() {
+				rt.name, rt.fallback = "sparse", true
+			}
+		case den.SparseOK:
+			rt.name = "sparse"
+		default:
+			rt.err = fmt.Errorf("eval: dense space %d^%d exceeds %d bits and sparse evaluation is unavailable: %s",
+				db.Size(), len(p.Vars), relation.MaxDenseBits, den.Blocker)
+		}
+	}
+	return rt
+}
+
+// evalPlan validates, routes and runs a plan evaluation. Dense routes thread
+// the maintenance seed/capture through (maintain.go); sparse routes return no
+// state — maintenance is a dense-route optimization.
+func evalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, seed *MaintState, capture, stream bool) (planResult, error) {
 	if err := validatePlanRun(ctx, p, db, opts); err != nil {
-		return nil, nil, nil, err
+		return planResult{}, err
 	}
-	den := p.Density(db.Size(), cardOf(db))
-	switch backendOf(opts) {
-	case BackendDense:
-		return evalPlanDenseMaint(ctx, p, db, opts, nil, seed, capture)
-	case BackendSparse:
-		if !den.SparseOK {
-			return nil, nil, nil, fmt.Errorf("eval: sparse backend: %s", den.Blocker)
-		}
-		ans, st, err := evalPlanSparse(ctx, p, db, opts, den)
-		return ans, st, nil, err
-	default:
-		if !den.SpaceFeasible {
-			if !den.SparseOK {
-				return nil, nil, nil, fmt.Errorf("eval: dense space %d^%d exceeds %d bits and sparse evaluation is unavailable: %s",
-					db.Size(), len(p.Vars), relation.MaxDenseBits, den.Blocker)
-			}
-			ans, st, err := evalPlanSparse(ctx, p, db, opts, den)
-			return ans, st, nil, err
-		}
-		if den.PreferSparse() {
-			ans, st, err := evalPlanSparse(ctx, p, db, opts, den)
-			if err != nil && errors.Is(err, ErrSparseBudget) {
-				// The density estimate was wrong — the space is feasible, so
-				// rerun dense rather than failing a query dense could answer.
-				return evalPlanDenseMaint(ctx, p, db, opts, hybridDensity(den), seed, capture)
-			}
-			return ans, st, nil, err
-		}
-		return evalPlanDenseMaint(ctx, p, db, opts, hybridDensity(den), seed, capture)
+	rt := routePlan(p, db, opts)
+	if rt.err != nil {
+		return planResult{}, rt.err
 	}
+	if rt.name == "sparse" {
+		res, err := runSparse(ctx, p, db, opts, rt.den, stream)
+		if !rt.fallback || !errors.Is(err, ErrSparseBudget) {
+			return res, err
+		}
+	}
+	return runDense(ctx, p, db, opts, rt.frontier, seed, capture, stream)
 }
 
-// ExplainRoute reports the backend route evalPlanRouted would take for this
-// plan against this database — "dense", "sparse", or "hybrid" — together
-// with the density analysis behind the decision, without evaluating
-// anything. The route is the planned one: a sparse run may still be served
-// by the Yannakakis fast path (visible post-run as Stats.AcyclicFastPath),
-// and a sparse-budget overrun under BackendAuto falls back to dense. The
-// empty route means the query is unevaluable (dense space infeasible and
-// sparse unavailable, or a forced backend that cannot run it).
+// ExplainRoute reports the backend route evalPlan would take for this plan
+// against this database — "dense", "sparse", or "hybrid" — together with the
+// density analysis behind the decision, without evaluating anything. The
+// route is the planned one: a sparse run may still be served by the
+// Yannakakis fast path (visible post-run as Stats.AcyclicFastPath), and a
+// sparse-budget overrun under BackendAuto falls back to dense. The empty
+// route means the query is unevaluable (dense space infeasible and sparse
+// unavailable, or a forced backend that cannot run it).
 func ExplainRoute(p *plan.Plan, db *database.Database, opts *Options) (*plan.Density, string) {
-	den := p.Density(db.Size(), cardOf(db))
-	denseRoute := func() string {
-		if hybridDensity(den) != nil {
-			return "hybrid"
-		}
-		return "dense"
-	}
-	switch backendOf(opts) {
-	case BackendDense:
-		if !den.SpaceFeasible {
-			return den, ""
-		}
-		return den, "dense"
-	case BackendSparse:
-		if !den.SparseOK {
-			return den, ""
-		}
-		return den, "sparse"
-	default:
-		if !den.SpaceFeasible {
-			if !den.SparseOK {
-				return den, ""
-			}
-			return den, "sparse"
-		}
-		if den.PreferSparse() {
-			return den, "sparse"
-		}
-		return den, denseRoute()
-	}
+	rt := routePlan(p, db, opts)
+	return rt.den, rt.name
 }
 
-// hybridDensity returns den when it labels a sparse frontier for the dense
-// executor, nil otherwise (pure dense run, zero overhead).
-func hybridDensity(den *plan.Density) *plan.Density {
-	if den.HasSparseFrontier() {
-		return den
-	}
-	return nil
-}
-
-// evalPlanSparse evaluates the whole plan sparsely: first the Yannakakis
-// fast path for acyclic conjunctive queries (no k-dimensional intermediate
-// at all), then the general sval executor.
-func evalPlanSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density) (*relation.Set, *Stats, error) {
+// runSparse evaluates the whole plan sparsely: first the Yannakakis route for
+// acyclic conjunctive queries (no k-dimensional intermediate at all), then
+// the plan executor over the sparse algebra.
+func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stream bool) (planResult, error) {
 	stats := &Stats{}
-	if ans, ok, err := tryAcyclicFast(ctx, p, db, stats); ok {
-		return ans, stats, err
+	if res, ok, err := tryAcyclic(ctx, p, db, stats, stream); ok {
+		return res, err
 	}
-	r := newSpRun(ctx, p, db, opts, den, stats)
-	sv, err := r.evalNode(p.Root)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := r.materialize(sv, p.HeadAxes)
-	if err != nil {
-		return nil, stats, err
-	}
-	return out.ToSet(), stats, nil
+	return newSparseRun(ctx, p, db, opts, den, stats).answer(stream)
 }
 
-// tryAcyclicFast recognizes the plan's query as an acyclic conjunctive
-// query and evaluates it by the Yannakakis semijoin pipeline, whose
-// intermediates never exceed the join-tree node arities — the §1 route
-// around the n^k wall for the fragment where it applies. Returns ok=false
-// (and no error) when the query is outside the fragment or cyclic, letting
-// the caller fall through to the general sparse executor.
-func tryAcyclicFast(ctx context.Context, p *plan.Plan, db *database.Database, stats *Stats) (*relation.Set, bool, error) {
+// tryAcyclic recognizes the plan's query as an acyclic conjunctive query and
+// answers it from the Yannakakis semijoin reduction, whose intermediates
+// never exceed the join-tree node arities — the §1 route around the n^k wall
+// for the fragment where it applies. Materializing and streaming are two
+// algorithms over the same reduction: the bulk pipeline joins bottom-up into
+// one Set, the enumerator (yannCursor) delivers answers group by group without
+// building the product. Returns ok=false (and no error) when the query is
+// outside the fragment or cyclic, letting the caller fall through to the
+// general sparse executor.
+func tryAcyclic(ctx context.Context, p *plan.Plan, db *database.Database, stats *Stats, stream bool) (planResult, bool, error) {
+	res := planResult{stats: stats}
 	cq, ok := queryopt.FromQuery(p.Query)
 	if !ok {
-		return nil, false, nil
+		return res, false, nil
 	}
-	ans, qst, err := queryopt.EvalYannakakisContext(ctx, cq, db)
-	if err != nil {
-		if errors.Is(err, queryopt.ErrCyclic) {
-			return nil, false, nil
+	var err error
+	var qst *queryopt.Stats
+	if stream {
+		var inner *queryopt.Enum
+		if inner, qst, err = queryopt.EnumYannakakis(ctx, cq, db); err == nil {
+			// The enumerator's queryopt.Stats is live while it runs: fold it into
+			// the eval counters exactly once, when enumeration finishes.
+			en := newCursorEnum(ctx, yannCursor{inner}, stats)
+			en.done = func() error { stats.foldAcyclic(qst); return inner.Err() }
+			res.enum = en
 		}
-		return nil, true, err
+	} else if res.set, qst, err = queryopt.EvalYannakakisContext(ctx, cq, db); err == nil {
+		stats.foldAcyclic(qst)
 	}
-	stats.addAcyclicFastPath(1)
-	stats.addSubformulaEvals(int64(qst.Operations))
-	stats.addTuplesTouched(int64(qst.TuplesTouched))
-	stats.observe(qst.MaxIntermediateArity, qst.MaxIntermediateTuples)
-	return ans, true, nil
+	if errors.Is(err, queryopt.ErrCyclic) {
+		return res, false, nil
+	}
+	if err == nil {
+		stats.addAcyclicFastPath(1)
+	}
+	return res, true, err
+}
+
+// foldAcyclic charges a finished Yannakakis run's work to the eval counters.
+func (s *Stats) foldAcyclic(qst *queryopt.Stats) {
+	s.addSubformulaEvals(int64(qst.Operations))
+	s.addTuplesTouched(int64(qst.TuplesTouched))
+	s.observe(qst.MaxIntermediateArity, qst.MaxIntermediateTuples)
 }

@@ -89,6 +89,32 @@ type atomCache struct {
 	m  map[string]*relation.Dense
 }
 
+// master returns the shared cylindrified form of the database atom
+// name(args) over sp, building it on first use. Masters are never mutated:
+// readers either copy them (BottomUp) or treat them as un-owned (the plan
+// executor's dense algebra).
+func (ac *atomCache) master(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
+	rel, err := db.Rel(name)
+	if err != nil {
+		return nil, err
+	}
+	key := atomKey(name, args)
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	if m, ok := ac.m[key]; ok {
+		return m, nil
+	}
+	m, err := sp.FromAtom(rel, args)
+	if err != nil {
+		return nil, err
+	}
+	if ac.m == nil {
+		ac.m = make(map[string]*relation.Dense)
+	}
+	ac.m[key] = m
+	return m, nil
+}
+
 // spaceCache shares the per-arity extended spaces (and with them their
 // scratch pools and diagonal/template caches) across all fixpoint visits and
 // sweep workers of one evaluation.
@@ -277,27 +303,12 @@ func (c *buCtx) evalAtom(g logic.Atom) (*relation.Dense, error) {
 		}
 		return c.sp.FromAtom(br.set, append(args, pax...))
 	}
-	rel, err := c.db.Rel(g.Rel)
+	// Database atoms are immutable for the whole evaluation: cylindrify once
+	// per (relation, argument-axes) and hand out pooled copies.
+	master, err := c.atoms.master(c.sp, c.db, g.Rel, args)
 	if err != nil {
 		return nil, err
 	}
-	// Database atoms are immutable for the whole evaluation: cylindrify once
-	// per (relation, argument-axes) and hand out pooled copies.
-	key := atomKey(g.Rel, args)
-	c.atoms.mu.Lock()
-	master, ok := c.atoms.m[key]
-	if !ok {
-		master, err = c.sp.FromAtom(rel, args)
-		if err != nil {
-			c.atoms.mu.Unlock()
-			return nil, err
-		}
-		if c.atoms.m == nil {
-			c.atoms.m = make(map[string]*relation.Dense)
-		}
-		c.atoms.m[key] = master
-	}
-	c.atoms.mu.Unlock()
 	return master.Clone(), nil
 }
 
@@ -417,14 +428,7 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 // sweep regardless of scheduling.
 func (c *buCtx) evalPFP(g logic.Fix, params []logic.Var, varAxes, paramAxes []int) (*relation.Dense, error) {
 	m := len(g.Vars)
-	budget := DefaultPFPBudget
-	mode := CycleHash
-	if c.opts != nil {
-		if c.opts.PFPBudget > 0 {
-			budget = c.opts.PFPBudget
-		}
-		mode = c.opts.PFPCycle
-	}
+	budget, mode := pfpLimits(c.opts)
 	msp, err := c.spaces.space(m)
 	if err != nil {
 		return nil, err

@@ -3,10 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/database"
 	"repro/internal/logic"
@@ -15,8 +12,9 @@ import (
 )
 
 // Compiled evaluates a query through a compiled plan (internal/plan): the
-// body is lowered once to a hash-consed DAG of dense-relation operators, and
-// fixpoint iteration becomes incremental re-evaluation of that DAG.
+// body is lowered once to a hash-consed DAG of relation operators, and
+// fixpoint iteration becomes incremental re-evaluation of that DAG by the
+// plan executor (executor.go) over the dense or the sparse algebra.
 //
 // Three mechanisms make it faster than BottomUp while returning byte-identical
 // answers on every admitted fragment (FO, FP, IFP, PFP):
@@ -63,60 +61,27 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 	return EvalPlanContext(ctx, p, db, opts)
 }
 
-// evalPlanDense runs the dense full-width engine. Callers (EvalPlanContext)
-// have already validated the query; den, when non-nil, labels recursion-free
-// low-density subtrees the run evaluates sparsely and cylindrifies at their
-// boundary (the hybrid frontier).
-func evalPlanDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density) (*relation.Set, *Stats, error) {
-	ans, st, _, err := evalPlanDenseMaint(ctx, p, db, opts, den, nil, false)
-	return ans, st, err
-}
-
-// evalPlanDenseMaint is evalPlanDense threading delta-restart maintenance
-// (maintain.go): seed, when non-nil, provides previous fixpoint stages the
-// seedable binders restart from; capture, when set on a maintainable plan,
-// records each seedable binder's final stage into the returned MaintState.
-func evalPlanDenseMaint(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, seed *MaintState, capture bool) (*relation.Set, *Stats, *MaintState, error) {
-	h, st, state, err := evalPlanDenseHead(ctx, p, db, opts, den, seed, capture)
-	if err != nil {
-		return nil, st, nil, err
+// runDense evaluates the (already validated) plan over the dense algebra.
+// frontier, when non-nil, labels recursion-free low-density subtrees the run
+// evaluates sparsely and cylindrifies at their boundary (the hybrid route).
+// seed, when non-nil, provides previous fixpoint stages the seedable binders
+// restart from; capture, on a maintainable plan, records each seedable
+// binder's final stage into the result's MaintState (maintain.go).
+func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, frontier *plan.Density, seed *MaintState, capture, stream bool) (planResult, error) {
+	// One space per arity up to the full width, widest first so an infeasible
+	// query fails naming its full-width space; the narrower stage and head
+	// spaces are feasible whenever that one is.
+	spaces := make([]*relation.Space, len(p.Vars)+1)
+	for k := len(p.Vars); k >= 0; k-- {
+		var err error
+		if spaces[k], err = relation.NewSpace(k, db.Size()); err != nil {
+			return planResult{}, err
+		}
 	}
-	out := h.ToSet()
-	h.Release()
-	return out, st, state, nil
-}
-
-// evalPlanDenseHead is the dense engine's core: it evaluates the plan and
-// returns the answer as a Dense relation over the head space (arity
-// len(HeadAxes), always feasible since the full-width space was), leaving
-// the decode-to-tuples step to the caller. The materializing path converts
-// it to a Set; the streaming path hands it to a relation.DenseCursor, which
-// decodes set bits lazily. The caller owns the returned Dense and must
-// Release it. Head variables are distinct (logic.Query.Validate), so the
-// word-parallel ProjectAt dedup path always applies — this is the same
-// extraction Dense.Project performs, split before the tuple decode.
-func evalPlanDenseHead(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, seed *MaintState, capture bool) (*relation.Dense, *Stats, *MaintState, error) {
-	sp, err := relation.NewSpace(len(p.Vars), db.Size())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	r := &cpRun{
-		ctx:     ctx,
-		p:       p,
-		db:      db,
-		sp:      sp,
-		den:     den,
-		stats:   &Stats{},
-		opts:    opts,
-		atoms:   &atomCache{},
-		spaces:  &spaceCache{n: db.Size()},
-		val:     make([]*relation.Dense, len(p.Nodes)),
-		valid:   make([]bool, len(p.Nodes)),
-		owned:   make([]bool, len(p.Nodes)),
-		valCnt:  make([]int, len(p.Nodes)),
-		deltas:  make([]*relation.Dense, len(p.Nodes)),
-		binding: make([]*relation.Dense, p.NumBinders),
-		prof:    profileOf(opts),
+	alg := &denseAlg{db: db, sp: spaces[len(p.Vars)], spaces: spaces, atoms: &atomCache{}}
+	r := newRun[*relation.Dense](ctx, p, db, opts, alg, &Stats{}, p.DeltaOK)
+	if frontier != nil {
+		r.frontier = hybridFrontier(r, alg.sp, frontier)
 	}
 	if seed != nil {
 		r.seed = seed.stages
@@ -127,750 +92,191 @@ func evalPlanDenseHead(ctx context.Context, p *plan.Plan, db *database.Database,
 	if par := parallelism(opts); par > 1 {
 		r.sem = make(chan struct{}, par-1)
 	}
-	d, err := r.evalNode(p.Root)
-	if err != nil {
-		return nil, r.stats, nil, err
-	}
-	var state *MaintState
-	if r.captured != nil {
-		state = &MaintState{stages: r.captured}
-	}
-	hsp, err := relation.NewSpace(len(p.HeadAxes), db.Size())
-	if err != nil {
-		return nil, r.stats, nil, err
-	}
-	return d.ProjectAt(hsp, p.HeadAxes, nil, nil), r.stats, state, nil
+	return r.answer(stream)
 }
 
-// cpRun is one evaluation of a compiled plan. The PFP parameter sweep forks
-// one run per worker: val/valid/binding are per-run, everything else is
-// shared (immutable or internally synchronized).
-type cpRun struct {
-	ctx    context.Context
-	p      *plan.Plan
-	db     *database.Database
+// hybridFrontier serves the nodes den labels NodeSparse: each is a
+// recursion-free subtree handed whole to a run over the sparse algebra and
+// cylindrified once into the full-width space — one representation switch
+// (Stats.RepSwitches) at the subtree boundary instead of a dense kernel per
+// node. A negative sval is complemented after the switch (¬cyl(R) is the
+// correct widening of a complement block). A subtree that overruns the sparse
+// budget — the density estimate was wrong — falls through to the dense
+// kernels. Frontier nodes are hoisted, hence computed before any PFP fork or
+// stage wave starts; the lock makes sharing the sub-run safe regardless.
+func hybridFrontier(r *run[*relation.Dense], sp *relation.Space, den *plan.Density) func(int) (*relation.Dense, bool, error) {
+	var mu sync.Mutex
+	sub := newSparseRun(r.ctx, r.p, r.db, r.opts, den, r.stats)
+	return func(n int) (*relation.Dense, bool, error) {
+		if den.Mode[n] != plan.NodeSparse {
+			return nil, false, nil
+		}
+		mu.Lock()
+		sv, err := sub.evalNode(n)
+		mu.Unlock()
+		if err != nil {
+			if errors.Is(err, ErrSparseBudget) {
+				err = nil
+			}
+			return nil, false, err
+		}
+		d, err := sp.FromSparse(sv.rel, sv.sup)
+		if err != nil {
+			return nil, false, err
+		}
+		if sv.neg {
+			d.Complement()
+		}
+		r.stats.addRepSwitches(1)
+		return d, true, nil
+	}
+}
+
+// denseAlg is the dense algebra: node values are nᵏ-bit bitmaps over the
+// plan's full-width space, stages bitmaps over the run's narrower spaces, all
+// drawn from and released to the spaces' scratch pools. Word-parallel kernels
+// do the connectives; the delta rules use relation/delta.go's changed-word
+// kernels in place.
+type denseAlg struct {
+	db *database.Database
+	// sp is the full-width space; spaces[k] the k-ary one, each with its own
+	// scratch pool shared by every fixpoint visit and sweep worker of the run.
 	sp     *relation.Space
-	stats  *Stats
-	opts   *Options
+	spaces []*relation.Space
 	atoms  *atomCache
-	spaces *spaceCache
-	// den, when non-nil, labels the hybrid sparse frontier (plan.Density
-	// Mode); sprun is the lazily created sparse evaluator serving it.
-	den   *plan.Density
-	sprun *spRun
-	// sem holds the extra-worker tokens for the wave scheduler; nil means
-	// fully serial (Parallelism 1, and inside PFP sweep workers).
-	sem chan struct{}
-
-	// Per-node DAG cache. val[n] is node n's dense value over the full-width
-	// space; valid[n] marks it current; owned[n] marks it releasable by this
-	// run (false for atom-cache masters and fork-inherited values, which must
-	// never be mutated or released). valCnt[n] is val[n]'s tuple count,
-	// maintained incrementally by delta passes.
-	val    []*relation.Dense
-	valid  []bool
-	owned  []bool
-	valCnt []int
-	// deltas[n] is node n's delta during one semi-naive pass (nil = empty).
-	deltas []*relation.Dense
-	// binding[b] is binder b's current stage (extended arity for LFP/GFP/IFP,
-	// recursion-tuple arity for PFP).
-	binding []*relation.Dense
-	// seed[b], when non-nil, is a previous snapshot's final stage for a
-	// seedable binder: its LFP/IFP loop restarts from it instead of from ∅
-	// (delta-restart maintenance, maintain.go). captured, when allocated,
-	// receives each seedable binder's final stage as a sparse set.
-	seed     []*relation.Set
-	captured []*relation.Set
-	// prof, when non-nil, accumulates per-node eval counts and wall time for
-	// explain mode. Timing is inclusive of on-demand child computation: the
-	// wave scheduler computes nodes in topological order, so for stage work
-	// inclusive ≈ self; only first-touch cold descents overlap.
-	prof *PlanProfile
 }
 
-// fork returns a run for a PFP sweep worker: independent node cache and
-// bindings over the shared plan, database, stats and caches. Inherited values
-// are not owned — the parent may still read them — and nested evaluation
-// inside a worker is serial, mirroring BottomUp's fork.
-func (r *cpRun) fork() *cpRun {
-	return &cpRun{
-		ctx:     r.ctx,
-		p:       r.p,
-		db:      r.db,
-		sp:      r.sp,
-		stats:   r.stats,
-		opts:    r.opts,
-		atoms:   r.atoms,
-		spaces:  r.spaces,
-		den:     r.den,
-		sem:     nil,
-		val:     append([]*relation.Dense(nil), r.val...),
-		valid:   append([]bool(nil), r.valid...),
-		owned:   make([]bool, len(r.owned)),
-		valCnt:  append([]int(nil), r.valCnt...),
-		deltas:  make([]*relation.Dense, len(r.deltas)),
-		binding: append([]*relation.Dense(nil), r.binding...),
-		prof:    r.prof,
-	}
+// atom returns the shared cylindrified master for a database atom (see
+// atomCache). Database atoms are immutable for the whole run, so unlike
+// BottomUp's per-visit copy the node caches the master itself — un-owned:
+// never mutated, never released by the run.
+func (a *denseAlg) atom(name string, args []int) (*relation.Dense, bool, error) {
+	m, err := a.atoms.master(a.sp, a.db, name, args)
+	return m, false, err
 }
 
-// evalNode returns node n's value, computing it if the cached value is not
-// current. The returned relation is owned by the node cache: callers must
-// not mutate or release it.
-func (r *cpRun) evalNode(n int) (*relation.Dense, error) {
-	if r.valid[n] {
-		return r.val[n], nil
-	}
-	var t0 time.Time
-	if r.prof != nil {
-		t0 = time.Now()
-	}
-	d, owned, err := r.computeNode(n)
-	if r.prof != nil {
-		r.prof.observe(n, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	cnt := d.Count()
-	r.stats.addSubformulaEvals(1)
-	r.stats.observe(r.sp.Arity(), cnt)
-	r.setVal(n, d, owned, cnt)
-	return d, nil
+func (a *denseAlg) stageAtom(stage *relation.Dense, axes []int) (*relation.Dense, error) {
+	return a.sp.FromDenseAtom(stage, axes)
 }
 
-func (r *cpRun) setVal(n int, d *relation.Dense, owned bool, cnt int) {
-	if r.owned[n] && r.val[n] != nil && r.val[n] != d {
-		r.val[n].Release()
+func (a *denseAlg) eq(l, r int) (*relation.Dense, error) { return a.sp.Diagonal(l, r), nil }
+
+func (a *denseAlg) constant(truth bool) (*relation.Dense, error) {
+	if truth {
+		return a.sp.Full(), nil
 	}
-	r.val[n] = d
-	r.owned[n] = owned
-	r.valid[n] = true
-	r.valCnt[n] = cnt
+	return a.sp.Empty(), nil
 }
 
-// invalidate marks node n for re-evaluation, recycling an owned value.
-func (r *cpRun) invalidate(n int) {
-	if !r.valid[n] {
-		return
-	}
-	r.valid[n] = false
-	if r.owned[n] {
-		r.val[n].Release()
-	}
-	r.val[n] = nil
-	r.owned[n] = false
+func (a *denseAlg) not(x *relation.Dense) (*relation.Dense, error) {
+	out := x.Clone()
+	out.Complement()
+	return out, nil
 }
 
-func (r *cpRun) computeNode(n int) (*relation.Dense, bool, error) {
-	if r.den != nil && r.den.Mode[n] == plan.NodeSparse {
-		d, err := r.sparseFrontier(n)
-		if err == nil {
-			return d, true, nil
-		}
-		if !errors.Is(err, ErrSparseBudget) {
-			return nil, false, err
-		}
-		// The density estimate was wrong for this subtree: fall through to
-		// the dense kernels (the space is feasible — hybrid mode requires it).
-	}
-	nd := &r.p.Nodes[n]
-	switch nd.Op {
-	case plan.OpAtom:
-		if nd.Binder >= 0 {
-			d, err := r.sp.FromDenseAtom(r.binding[nd.Binder], r.p.AtomAxes(n))
-			return d, true, err
-		}
-		// Database atoms are immutable for the whole run: the node caches the
-		// atomCache master itself (never mutated, never released by this run).
-		d, err := r.cachedAtom(nd.Rel, nd.Args)
-		return d, false, err
-	case plan.OpEq:
-		return r.sp.Diagonal(nd.L, nd.R), true, nil
-	case plan.OpConst:
-		if nd.Truth {
-			return r.sp.Full(), true, nil
-		}
-		return r.sp.Empty(), true, nil
-	case plan.OpNot:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, false, err
-		}
-		out := kv.Clone()
-		out.Complement()
-		return out, true, nil
-	case plan.OpAnd, plan.OpOr:
-		lv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, false, err
-		}
-		rv, err := r.evalNode(nd.Kids[1])
-		if err != nil {
-			return nil, false, err
-		}
-		out := lv.Clone()
-		if nd.Op == plan.OpAnd {
-			out.IntersectWith(rv)
-		} else {
-			out.UnionWith(rv)
-		}
-		return out, true, nil
-	case plan.OpExists:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, false, err
-		}
-		return kv.ExistsAxis(nd.Axis), true, nil
-	case plan.OpForall:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, false, err
-		}
-		return kv.ForallAxis(nd.Axis), true, nil
-	case plan.OpFix:
-		d, err := r.evalFix(n)
-		return d, true, err
-	default:
-		return nil, false, fmt.Errorf("eval: unknown plan op %d", nd.Op)
-	}
+func (a *denseAlg) and(x, y *relation.Dense) (*relation.Dense, error) {
+	out := x.Clone()
+	out.IntersectWith(y)
+	return out, nil
 }
 
-// sparseFrontier evaluates a Mode-labeled recursion-free subtree with the
-// sparse executor and cylindrifies the result into the full-width space —
-// one representation switch at the subtree boundary instead of a dense
-// kernel per node. A negative sval is complemented densely after the switch
-// (¬cyl(R) is the correct widening of a complement block).
-func (r *cpRun) sparseFrontier(n int) (*relation.Dense, error) {
-	if r.sprun == nil {
-		r.sprun = newSpRun(r.ctx, r.p, r.db, r.opts, r.den, r.stats)
-	}
-	sv, err := r.sprun.evalNode(n)
-	if err != nil {
-		return nil, err
-	}
-	d, err := r.sp.FromSparse(sv.rel, sv.sup)
-	if err != nil {
-		return nil, err
-	}
-	if sv.neg {
-		d.Complement()
-	}
-	r.stats.addRepSwitches(1)
-	return d, nil
+func (a *denseAlg) or(x, y *relation.Dense) (*relation.Dense, error) {
+	out := x.Clone()
+	out.UnionWith(y)
+	return out, nil
 }
 
-// cachedAtom returns the shared cylindrified master for a database atom (see
-// atomCache); unlike BottomUp's per-visit copy, the compiled engine reads the
-// master directly — node values are never mutated.
-func (r *cpRun) cachedAtom(relName string, args []int) (*relation.Dense, error) {
-	rel, err := r.db.Rel(relName)
-	if err != nil {
-		return nil, err
-	}
-	key := atomKey(relName, args)
-	r.atoms.mu.Lock()
-	defer r.atoms.mu.Unlock()
-	if master, ok := r.atoms.m[key]; ok {
-		return master, nil
-	}
-	master, err := r.sp.FromAtom(rel, args)
-	if err != nil {
-		return nil, err
-	}
-	if r.atoms.m == nil {
-		r.atoms.m = make(map[string]*relation.Dense)
-	}
-	r.atoms.m[key] = master
-	return master, nil
+func (a *denseAlg) exists(x *relation.Dense, axis int) (*relation.Dense, error) {
+	return x.ExistsAxis(axis), nil
 }
 
-// evalFix runs the stage loop for a fixpoint node, mirroring BottomUp's loop
-// structure exactly (same initial stage, same extraction, same convergence
-// test) so stage sequences — and answers — are identical; only the per-stage
-// work is incremental.
-func (r *cpRun) evalFix(n int) (*relation.Dense, error) {
-	fx := r.p.Nodes[n].Fix
-	if fx.Op == logic.PFP {
-		return r.evalPFP(n)
-	}
-	b := fx.Binder
-	esp, err := r.spaces.space(fx.ExtArity)
-	if err != nil {
-		return nil, err
-	}
-	// Hoisted frontier: everything the stage loop reads but never recomputes
-	// is made current once, before iterating.
-	for _, m := range r.p.PreEval[b] {
-		if _, err := r.evalNode(m); err != nil {
-			return nil, err
-		}
-	}
-	var cur *relation.Dense
-	switch {
-	case fx.Op == logic.GFP:
-		cur = esp.Full()
-	case r.seed != nil && b < len(r.seed) && r.seed[b] != nil:
-		// Delta-restart maintenance: resume the increasing chain from the
-		// previous snapshot's fixpoint instead of from ∅ (maintain.go). The
-		// first iteration is a full stage against the new database; later
-		// stages run semi-naive on whatever the delta added.
-		cur, err = r.seed[b].ToDense(esp)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		cur = esp.Empty()
-	}
-	var delta *relation.Dense // non-nil once the semi-naive regime is active
-	fail := func(err error) (*relation.Dense, error) {
-		cur.Release()
-		if delta != nil {
-			delta.Release()
-		}
-		r.binding[b] = nil
-		return nil, err
-	}
-	tr := tracerOf(r.opts)
-	var stage, prevCount int
-	if tr != nil {
-		prevCount = cur.Count()
-	}
-	trace := func(start time.Time, tuples int) {
-		stage++
-		tr(TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
-			Stage: stage, Tuples: tuples, Delta: tuples - prevCount, Elapsed: time.Since(start)})
-		prevCount = tuples
-	}
-	for {
-		if err := checkCtx(r.ctx); err != nil {
-			return fail(err)
-		}
-		r.stats.addFixIterations(1)
-		r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
-		r.binding[b] = cur
-		var stageStart time.Time
-		if tr != nil {
-			stageStart = time.Now()
-		}
-
-		if delta != nil {
-			// Semi-naive stage: push ΔS through the dirty nodes.
-			r.stats.addDeltaTuples(int64(delta.Count()))
-			nd, err := r.deltaStage(b, delta, esp)
-			if err != nil {
-				return fail(err)
-			}
-			if nd == nil || nd.IsEmpty() {
-				if nd != nil {
-					nd.Release()
-				}
-				delta.Release()
-				if tr != nil {
-					trace(stageStart, prevCount) // converging stage: delta 0
-				}
-				break // body gained nothing: cur is the fixpoint
-			}
-			cur.UnionWith(nd)
-			delta.Release()
-			delta = nd
-			if tr != nil {
-				trace(stageStart, prevCount+nd.Count())
-			}
-			continue
-		}
-
-		// Full stage: re-evaluate the dirty nodes against the new binding.
-		for _, d := range r.p.Dirty[b] {
-			r.invalidate(d)
-		}
-		if err := r.evalStage(b); err != nil {
-			return fail(err)
-		}
-		next := r.val[fx.Body].ProjectAt(esp, fx.ExtCols, nil, nil)
-		if fx.Op == logic.IFP {
-			// Inflationary stages: S_{i+1} = S_i ∪ φ(S_i).
-			next.UnionWith(cur)
-		}
-		if tr != nil {
-			trace(stageStart, next.Count())
-		}
-		if next.Equal(cur) {
-			next.Release()
-			break
-		}
-		if r.p.DeltaOK[b] {
-			delta = next.Clone()
-			delta.DifferenceWith(cur)
-		}
-		cur.Release()
-		cur = next
-	}
-	if r.captured != nil && r.p.Maint.Seeded[b] {
-		// Seedable binders are hoisted, so this runs exactly once per
-		// evaluation: keep the final stage as the maintenance state.
-		r.captured[b] = cur.ToSet()
-	}
-	axes := make([]int, 0, len(fx.ArgAxes)+len(fx.ParamAxes))
-	axes = append(axes, fx.ArgAxes...)
-	axes = append(axes, fx.ParamAxes...)
-	res, err := r.sp.FromDenseAtom(cur, axes)
-	cur.Release()
-	r.binding[b] = nil
-	return res, err
+func (a *denseAlg) forall(x *relation.Dense, axis int) (*relation.Dense, error) {
+	return x.ForallAxis(axis), nil
 }
 
-// deltaStage applies one semi-naive pass for binder b: deltaExt is ΔS in the
-// extended stage space, and every dirty node's value is updated in place by
-// unioning in its delta, computed from its children's deltas with the
-// per-connective rules
-//
-//	Δ S(x̄)    = FromDenseAtom(ΔS)                    (recursion atom)
-//	Δ (φ ∨ ψ) = Δφ ∪ Δψ
-//	Δ (φ ∧ ψ) = (Δφ ∩ ψ_new) ∪ (φ_new ∩ Δψ)
-//	Δ (∃x φ)  = ∃x Δφ
-//	Δ (∀x φ)  = ∀x φ_new \ old                        (recomputed, then diffed)
-//
-// each tightened by the node's old value, so deltas stay thin and every
-// union is driven by sparse changed-word kernels. Soundness needs exactly
-// the plan's DeltaOK condition: stages grow monotonically and all dirty
-// operators distribute over ∪ (∀ is handled by recomputation). Returns the
-// body's delta projected to the stage space and tightened against the
-// current stage, nil when nothing changed.
-func (r *cpRun) deltaStage(b int, deltaExt *relation.Dense, esp *relation.Space) (*relation.Dense, error) {
-	p := r.p
-	fx := p.Nodes[p.FixOf[b]].Fix
-	sched := p.Sched[b] // equals Dirty[b]: DeltaOK forbids covered subtrees
-	defer func() {
-		for _, n := range sched {
-			if r.deltas[n] != nil {
-				r.deltas[n].Release()
-				r.deltas[n] = nil
-			}
-		}
-	}()
-	for _, n := range sched {
-		nd := &p.Nodes[n]
-		var t0 time.Time
-		if r.prof != nil {
-			t0 = time.Now()
-		}
-		var dv *relation.Dense
-		switch nd.Op {
-		case plan.OpAtom:
-			var err error
-			dv, err = r.sp.FromDenseAtom(deltaExt, p.AtomAxes(n))
-			if err != nil {
-				return nil, err
-			}
-		case plan.OpOr:
-			dv = r.sp.Empty()
-			for _, k := range nd.Kids {
-				if dk := r.deltas[k]; dk != nil {
-					dv.UnionSparse(dk)
-				}
-			}
-		case plan.OpAnd:
-			dv = r.sp.Empty()
-			l, rr := nd.Kids[0], nd.Kids[1]
-			if dl := r.deltas[l]; dl != nil {
-				dv.UnionAndSparse(dl, r.val[rr])
-			}
-			if dr := r.deltas[rr]; dr != nil {
-				dv.UnionAndSparse(dr, r.val[l])
-			}
-		case plan.OpExists:
-			dk := r.deltas[nd.Kids[0]]
-			if dk == nil {
-				continue
-			}
-			dv = dk.ExistsAxisSparse(nd.Axis)
-		case plan.OpForall:
-			if r.deltas[nd.Kids[0]] == nil {
-				continue // child unchanged ⇒ ∀-value unchanged
-			}
-			dv = r.val[nd.Kids[0]].ForallAxis(nd.Axis)
-		default:
-			return nil, fmt.Errorf("eval: op %d in a delta pass (plan bug)", nd.Op)
-		}
-		added := dv.DifferenceSparse(r.val[n])
-		if added == 0 {
-			if r.prof != nil {
-				r.prof.observe(n, time.Since(t0))
-			}
-			dv.Release()
-			continue
-		}
-		if !r.owned[n] {
-			// Fork-inherited value: copy before the in-place union.
-			r.val[n] = r.val[n].Clone()
-			r.owned[n] = true
-		}
-		r.val[n].UnionSparse(dv)
-		r.valCnt[n] += added
-		r.stats.addSubformulaEvals(1)
-		r.stats.observe(r.sp.Arity(), r.valCnt[n])
-		if r.prof != nil {
-			r.prof.observe(n, time.Since(t0))
-		}
-		r.deltas[n] = dv
+func (a *denseAlg) deltaOr(_, dl, dr *relation.Dense) (*relation.Dense, error) {
+	dv := a.sp.Empty()
+	if dl != nil {
+		dv.UnionSparse(dl)
 	}
-	dB := r.deltas[fx.Body]
-	if dB == nil {
-		return nil, nil
+	if dr != nil {
+		dv.UnionSparse(dr)
 	}
-	nd := dB.ProjectAt(esp, fx.ExtCols, nil, nil)
-	nd.DifferenceWith(r.binding[b])
-	return nd, nil
+	return dv, nil
 }
 
-// evalStage fully re-evaluates binder b's dirty nodes (after invalidation),
-// in parallel topological waves when the plan has concurrent work and worker
-// tokens are available, serially otherwise. Both paths compute exactly the
-// same node set, so every Stats counter is schedule-independent.
-func (r *cpRun) evalStage(b int) error {
-	if r.sem != nil {
-		for _, level := range r.p.SchedLevels[b] {
-			if len(level) > 1 {
-				return r.evalStageWaves(b)
-			}
-		}
+func (a *denseAlg) deltaAnd(dl, r, dr, l *relation.Dense) (*relation.Dense, error) {
+	dv := a.sp.Empty()
+	if dl != nil {
+		dv.UnionAndSparse(dl, r)
 	}
-	_, err := r.evalNode(r.p.Nodes[r.p.FixOf[b]].Fix.Body)
-	return err
+	if dr != nil {
+		dv.UnionAndSparse(dr, l)
+	}
+	return dv, nil
 }
 
-// evalStageWaves executes the stage's topological waves: nodes within one
-// wave read only earlier waves or the (already current) hoisted frontier, so
-// they evaluate concurrently with no shared writes — every node slot is
-// written by exactly one task, and all cross-task reads are ordered by the
-// wave barrier.
-func (r *cpRun) evalStageWaves(b int) error {
-	for _, level := range r.p.SchedLevels[b] {
-		extra := 0
-		if len(level) > 1 {
-		acquire:
-			for extra < len(level)-1 {
-				select {
-				case r.sem <- struct{}{}:
-					extra++
-				default:
-					break acquire
-				}
-			}
-		}
-		if extra == 0 {
-			for _, n := range level {
-				if _, err := r.evalNode(n); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		var (
-			next     int64
-			mu       sync.Mutex
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		work := func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(level) {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				if _, err := r.evalNode(level[i]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}
-		wg.Add(extra + 1)
-		for w := 0; w < extra; w++ {
-			go work()
-		}
-		work()
-		wg.Wait()
-		for k := 0; k < extra; k++ {
-			<-r.sem
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
+func (a *denseAlg) deltaExists(dk *relation.Dense, axis int) (*relation.Dense, error) {
+	return dk.ExistsAxisSparse(axis), nil
 }
 
-// evalPFP mirrors BottomUp's per-parameter-assignment sweep (same worker
-// pool, same disjoint-section merge, same cycle detection via pfpHash /
-// pfpBrent), with the plan's hoisted frontier shared across all assignments
-// and all stages — it is evaluated exactly once here.
-func (r *cpRun) evalPFP(n int) (*relation.Dense, error) {
-	fx := r.p.Nodes[n].Fix
-	b := fx.Binder
-	m := len(fx.VarAxes)
-	budget := DefaultPFPBudget
-	mode := CycleHash
-	if r.opts != nil {
-		if r.opts.PFPBudget > 0 {
-			budget = r.opts.PFPBudget
-		}
-		mode = r.opts.PFPCycle
-	}
-	msp, err := r.spaces.space(m)
-	if err != nil {
-		return nil, err
-	}
-	esp, err := r.spaces.space(fx.ExtArity)
-	if err != nil {
-		return nil, err
-	}
-	for _, mm := range r.p.PreEval[b] {
-		if _, err := r.evalNode(mm); err != nil {
-			return nil, err
-		}
-	}
-	if len(fx.ParamAxes) == 0 {
-		limit, err := r.pfpRun(n, msp, nil, mode, budget)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.sp.FromDenseAtom(limit, fx.ArgAxes)
-		limit.Release()
-		return res, err
-	}
+func (a *denseAlg) clone(x *relation.Dense) *relation.Dense { return x.Clone() }
 
-	dn := r.db.Size()
-	nAssign := 1
-	np := 1
-	for range fx.ParamAxes {
-		nAssign *= dn
-		np *= dn
-	}
-	out := esp.Empty()
-	merge := func(limit *relation.Dense, assign []int) {
-		base := 0
-		for j := range assign {
-			base += assign[j] * esp.Stride(m+j)
-		}
-		limit.ForEachIndex(func(idx int) {
-			out.AddIndex(base + idx*np)
-		})
-		limit.Release()
-	}
-
-	workers := parallelism(r.opts)
-	if workers > nAssign {
-		workers = nAssign
-	}
-	if workers <= 1 {
-		assign := make([]int, len(fx.ParamAxes))
-		for a := 0; a < nAssign; a++ {
-			decodeAssign(a, dn, assign)
-			limit, err := r.pfpRun(n, msp, assign, mode, budget)
-			if err != nil {
-				out.Release()
-				return nil, err
-			}
-			merge(limit, assign)
-		}
-	} else {
-		var (
-			mu       sync.Mutex
-			firstErr error
-			next     int64
-			stop     int32
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wr := r.fork()
-			wg.Add(1)
-			go func(wr *cpRun) {
-				defer wg.Done()
-				assign := make([]int, len(fx.ParamAxes))
-				for {
-					if atomic.LoadInt32(&stop) != 0 {
-						return
-					}
-					a := int(atomic.AddInt64(&next, 1)) - 1
-					if a >= nAssign {
-						return
-					}
-					decodeAssign(a, dn, assign)
-					limit, err := wr.pfpRun(n, msp, assign, mode, budget)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						atomic.StoreInt32(&stop, 1)
-						mu.Unlock()
-						return
-					}
-					merge(limit, assign)
-					mu.Unlock()
-				}
-			}(wr)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			out.Release()
-			return nil, firstErr
-		}
-	}
-	res, err := r.sp.FromDenseAtom(out, append(append(make([]int, 0, m+len(fx.ParamAxes)), fx.ArgAxes...), fx.ParamAxes...))
-	out.Release()
-	return res, err
+func (a *denseAlg) union(x, y *relation.Dense) *relation.Dense {
+	x.UnionSparse(y)
+	return x
 }
 
-// pfpRun runs the partial-fixpoint iteration for one parameter assignment
-// over the compiled DAG, reusing the cycle detectors shared with BottomUp.
-func (r *cpRun) pfpRun(n int, msp *relation.Space, assign []int, mode CycleMode, budget int) (*relation.Dense, error) {
-	fx := r.p.Nodes[n].Fix
-	b := fx.Binder
-	tr := tracerOf(r.opts)
-	var stage int
-	step := func(s *relation.Dense) (*relation.Dense, error) {
-		if err := checkCtx(r.ctx); err != nil {
-			return nil, err
-		}
-		r.stats.addFixIterations(1)
-		r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
-		r.binding[b] = s
-		var stageStart time.Time
-		if tr != nil {
-			stageStart = time.Now()
-		}
-		for _, d := range r.p.Dirty[b] {
-			r.invalidate(d)
-		}
-		if err := r.evalStage(b); err != nil {
-			return nil, err
-		}
-		next := r.val[fx.Body].ProjectAt(msp, fx.VarAxes, fx.ParamAxes, assign)
-		if tr != nil {
-			stage++
-			nc := next.Count()
-			tr(TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
-				Stage: stage, Tuples: nc, Delta: nc - s.Count(), Elapsed: time.Since(stageStart)})
-		}
-		return next, nil
-	}
-	defer func() { r.binding[b] = nil }()
+func (a *denseAlg) minus(x, y *relation.Dense) (*relation.Dense, int) {
+	return x, x.DifferenceSparse(y)
+}
+
+func (a *denseAlg) equal(x, y *relation.Dense) bool { return x.Equal(y) }
+
+func (a *denseAlg) empty(arity int) (*relation.Dense, error) { return a.spaces[arity].Empty(), nil }
+func (a *denseAlg) full(arity int) (*relation.Dense, error)  { return a.spaces[arity].Full(), nil }
+
+func (a *denseAlg) fromSet(s *relation.Set, arity int) (*relation.Dense, error) {
+	return s.ToDense(a.spaces[arity])
+}
+
+// project is relation.Dense.ProjectAt into the run's space of arity
+// len(cols): word-parallel when the source is dense, a bit walk when it is a
+// thin delta.
+func (a *denseAlg) project(v *relation.Dense, cols, pinned, pinnedVals []int) (*relation.Dense, error) {
+	return v.ProjectAt(a.spaces[len(cols)], cols, pinned, pinnedVals), nil
+}
+
+func (a *denseAlg) toSet(v *relation.Dense) *relation.Set { return v.ToSet() }
+
+// cursor decodes set bits lazily; the cursor owns v and returns its bitmap
+// to the space pool on Close.
+func (a *denseAlg) cursor(v *relation.Dense) cursor { return relation.NewDenseCursor(v, true) }
+
+func (a *denseAlg) pfpLimit(step func(*relation.Dense) (*relation.Dense, error), arity int, opts *Options) (*relation.Dense, error) {
+	budget, mode := pfpLimits(opts)
 	if mode == CycleBrent {
-		return pfpBrent(step, msp, budget)
+		return pfpBrent(step, a.spaces[arity], budget)
 	}
-	return pfpHash(step, msp, budget)
+	return pfpHash(step, a.spaces[arity], budget)
 }
+
+// mergeParams: every stride of out's space over the recursion-tuple axes is
+// the limit space's stride scaled by n^|ȳ|, so a limit index maps into the
+// assignment's parameter section by one multiply-add.
+func (a *denseAlg) mergeParams(out, limit *relation.Dense, assign []int) {
+	esp, m := out.Space(), limit.Space().Arity()
+	base, np := 0, 1
+	for j, v := range assign {
+		base += v * esp.Stride(m+j)
+		np *= esp.Domain()
+	}
+	limit.ForEachIndex(func(idx int) { out.AddIndex(base + idx*np) })
+	limit.Release()
+}
+
+func (a *denseAlg) count(v *relation.Dense) int      { return v.Count() }
+func (a *denseAlg) arity(v *relation.Dense) int      { return v.Space().Arity() }
+func (a *denseAlg) touched(int) int64                { return 0 }
+func (a *denseAlg) check(int, *relation.Dense) error { return nil }
+func (a *denseAlg) release(v *relation.Dense)        { v.Release() }

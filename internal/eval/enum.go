@@ -2,8 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/database"
 	"repro/internal/plan"
@@ -48,8 +46,9 @@ type Enumerator interface {
 // within this many Next calls.
 const ctxCheckEvery = 1024
 
-// cursor is the shape shared by relation.DenseCursor, relation.SparseCursor
-// and setCursor.
+// cursor is the shape shared by relation.DenseCursor, relation.SparseCursor,
+// setCursor and yannCursor. Count is the exact answer cardinality, negative
+// when knowing it would mean running the enumeration to the end.
 type cursor interface {
 	Next() (relation.Tuple, bool)
 	Skip(n int) int
@@ -57,13 +56,16 @@ type cursor interface {
 	Close()
 }
 
-// cursorEnum adapts a relation cursor into an Enumerator: it meters
-// streamed/skipped tuples into Stats and polls the context every
-// ctxCheckEvery tuples.
+// cursorEnum adapts a cursor into an Enumerator: it meters streamed/skipped
+// tuples into Stats and polls the context every ctxCheckEvery tuples.
 type cursorEnum struct {
-	ctx        context.Context
-	c          cursor
-	stats      *Stats
+	ctx   context.Context
+	c     cursor
+	stats *Stats
+	// done, when non-nil, runs once when enumeration finishes (exhaustion,
+	// error or Close): a cursor over a live computation settles its accounts
+	// and reports how it ended.
+	done       func() error
 	err        error
 	sinceCheck int
 	closed     bool
@@ -71,6 +73,15 @@ type cursorEnum struct {
 
 func newCursorEnum(ctx context.Context, c cursor, stats *Stats) *cursorEnum {
 	return &cursorEnum{ctx: ctx, c: c, stats: stats}
+}
+
+func (e *cursorEnum) finish() {
+	if e.done != nil {
+		if err := e.done(); e.err == nil {
+			e.err = err
+		}
+		e.done = nil
+	}
 }
 
 func (e *cursorEnum) Next() (relation.Tuple, bool) {
@@ -87,6 +98,7 @@ func (e *cursorEnum) Next() (relation.Tuple, bool) {
 	}
 	t, ok := e.c.Next()
 	if !ok {
+		e.finish()
 		return nil, false
 	}
 	e.stats.addTuplesStreamed(1)
@@ -98,6 +110,9 @@ func (e *cursorEnum) Skip(n int) int {
 		return 0
 	}
 	k := e.c.Skip(n)
+	if k < n {
+		e.finish()
+	}
 	e.stats.addTuplesSkipped(int64(k))
 	return k
 }
@@ -106,7 +121,8 @@ func (e *cursorEnum) Count() (int, bool) {
 	if e.closed {
 		return 0, false
 	}
-	return e.c.Count(), true
+	n := e.c.Count()
+	return max(n, 0), n >= 0
 }
 
 func (e *cursorEnum) Err() error { return e.err }
@@ -114,6 +130,7 @@ func (e *cursorEnum) Err() error { return e.err }
 func (e *cursorEnum) Close() {
 	if !e.closed {
 		e.closed = true
+		e.finish()
 		e.c.Close()
 	}
 }
@@ -136,10 +153,7 @@ func (c *setCursor) Next() (relation.Tuple, bool) {
 }
 
 func (c *setCursor) Skip(n int) int {
-	rem := len(c.tuples) - c.i
-	if n > rem {
-		n = rem
-	}
+	n = min(n, len(c.tuples)-c.i)
 	c.i += n
 	return n
 }
@@ -155,77 +169,28 @@ func NewSetEnumerator(ctx context.Context, s *relation.Set, stats *Stats) Enumer
 	return newCursorEnum(ctx, &setCursor{tuples: s.Tuples()}, stats)
 }
 
-// yannEnum adapts the queryopt streaming enumerator. Its queryopt.Stats is
-// live during enumeration; the adapter folds it into the eval Stats exactly
-// once, when enumeration finishes (exhaustion, error or Close) — mirroring
-// what tryAcyclicFast reports for a materialized run.
-type yannEnum struct {
-	ctx    context.Context
-	inner  *queryopt.Enum
-	stats  *Stats
-	qst    *queryopt.Stats
-	err    error
-	folded bool
-	closed bool
-}
+// yannCursor is the queryopt streaming enumerator as a cursor: the
+// Yannakakis group decomposition delivers answers without ever counting them
+// all, and skips by enumerating.
+type yannCursor struct{ inner *queryopt.Enum }
 
-func (e *yannEnum) fold() {
-	if e.folded {
-		return
-	}
-	e.folded = true
-	e.stats.addSubformulaEvals(int64(e.qst.Operations))
-	e.stats.addTuplesTouched(int64(e.qst.TuplesTouched))
-	e.stats.observe(e.qst.MaxIntermediateArity, e.qst.MaxIntermediateTuples)
-}
+func (c yannCursor) Next() (relation.Tuple, bool) { return c.inner.Next() }
+func (c yannCursor) Count() int                   { return -1 }
+func (c yannCursor) Close()                       { c.inner.Close() }
 
-func (e *yannEnum) Next() (relation.Tuple, bool) {
-	if e.err != nil || e.closed {
-		return nil, false
-	}
-	t, ok := e.inner.Next()
-	if !ok {
-		e.err = e.inner.Err()
-		e.fold()
-		return nil, false
-	}
-	e.stats.addTuplesStreamed(1)
-	return t, true
-}
-
-func (e *yannEnum) Skip(n int) int {
-	skipped := 0
-	for skipped < n {
-		if e.err != nil || e.closed {
-			break
+func (c yannCursor) Skip(n int) int {
+	for k := 0; k < n; k++ {
+		if _, ok := c.inner.Next(); !ok {
+			return k
 		}
-		if _, ok := e.inner.Next(); !ok {
-			e.err = e.inner.Err()
-			e.fold()
-			break
-		}
-		skipped++
 	}
-	e.stats.addTuplesSkipped(int64(skipped))
-	return skipped
-}
-
-// Count is unknown for the streaming acyclic route: the group decomposition
-// delivers answers without ever counting them all.
-func (e *yannEnum) Count() (int, bool) { return 0, false }
-
-func (e *yannEnum) Err() error { return e.err }
-
-func (e *yannEnum) Close() {
-	if !e.closed {
-		e.closed = true
-		e.fold()
-		e.inner.Close()
-	}
+	return n
 }
 
 // EvalPlanEnum evaluates a compiled plan and returns a streaming enumerator
-// over the answer, routed by backend exactly like EvalPlanContext:
+// over the answer, routed by backend exactly like EvalPlanContext — it is the
+// same evaluation (evalPlan) ending in a cursor over the head value instead
+// of its materialization:
 //
 //   - dense routes run the full evaluation, project the root onto the head
 //     space word-parallel, and stream by decoding set bits lazily
@@ -241,8 +206,8 @@ func (e *yannEnum) Close() {
 // The returned Stats is live while the enumerator runs; read it only after
 // Close. Callers must Close the enumerator on every path.
 func EvalPlanEnum(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, error) {
-	en, st, _, err := evalPlanEnumRouted(ctx, p, db, opts, false)
-	return en, st, err
+	res, err := evalPlan(ctx, p, db, opts, nil, false, true)
+	return res.enum, res.stats, err
 }
 
 // EvalPlanEnumCapture is EvalPlanEnum capturing maintenance state on
@@ -250,92 +215,6 @@ func EvalPlanEnum(ctx context.Context, p *plan.Plan, db *database.Database, opts
 // register cache entries that survive database churn exactly like
 // EvalPlanCapture results.
 func EvalPlanEnumCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, *MaintState, error) {
-	return evalPlanEnumRouted(ctx, p, db, opts, true)
-}
-
-// evalPlanEnumRouted mirrors evalPlanRouted's backend routing (including the
-// auto-mode sparse-budget fallback to dense) for the enumeration API.
-func evalPlanEnumRouted(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, capture bool) (Enumerator, *Stats, *MaintState, error) {
-	if err := validatePlanRun(ctx, p, db, opts); err != nil {
-		return nil, nil, nil, err
-	}
-	den := p.Density(db.Size(), cardOf(db))
-	switch backendOf(opts) {
-	case BackendDense:
-		return enumPlanDense(ctx, p, db, opts, nil, capture)
-	case BackendSparse:
-		if !den.SparseOK {
-			return nil, nil, nil, fmt.Errorf("eval: sparse backend: %s", den.Blocker)
-		}
-		en, st, err := enumPlanSparse(ctx, p, db, opts, den)
-		return en, st, nil, err
-	default:
-		if !den.SpaceFeasible {
-			if !den.SparseOK {
-				return nil, nil, nil, fmt.Errorf("eval: dense space %d^%d exceeds %d bits and sparse evaluation is unavailable: %s",
-					db.Size(), len(p.Vars), relation.MaxDenseBits, den.Blocker)
-			}
-			en, st, err := enumPlanSparse(ctx, p, db, opts, den)
-			return en, st, nil, err
-		}
-		if den.PreferSparse() {
-			en, st, err := enumPlanSparse(ctx, p, db, opts, den)
-			if err != nil && errors.Is(err, ErrSparseBudget) {
-				return enumPlanDense(ctx, p, db, opts, hybridDensity(den), capture)
-			}
-			return en, st, nil, err
-		}
-		return enumPlanDense(ctx, p, db, opts, hybridDensity(den), capture)
-	}
-}
-
-// enumPlanDense runs the dense engine to its head-space denotation and
-// wraps it in a lazy bit-decoding cursor. The cursor owns the head Dense:
-// Close returns its bitmap to the space pool.
-func enumPlanDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, capture bool) (Enumerator, *Stats, *MaintState, error) {
-	h, st, state, err := evalPlanDenseHead(ctx, p, db, opts, den, nil, capture)
-	if err != nil {
-		return nil, st, nil, err
-	}
-	return newCursorEnum(ctx, relation.NewDenseCursor(h, true), st), st, state, nil
-}
-
-// enumPlanSparse mirrors evalPlanSparse: the acyclic fast path streams
-// through queryopt.Enum; the general sval route materializes the head codes
-// (sorted, deduplicated) and streams them without converting to a Set.
-func enumPlanSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density) (Enumerator, *Stats, error) {
-	stats := &Stats{}
-	if en, ok, err := tryAcyclicEnum(ctx, p, db, stats); ok {
-		return en, stats, err
-	}
-	r := newSpRun(ctx, p, db, opts, den, stats)
-	sv, err := r.evalNode(p.Root)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := r.materialize(sv, p.HeadAxes)
-	if err != nil {
-		return nil, stats, err
-	}
-	return newCursorEnum(ctx, relation.NewSparseCursor(out), stats), stats, nil
-}
-
-// tryAcyclicEnum is tryAcyclicFast for the streaming API: acyclic ∃∧-CQs
-// are recognized and enumerated from the semijoin-reduced relations with
-// per-group delay; anything else falls through (ok=false) to the general
-// sparse executor.
-func tryAcyclicEnum(ctx context.Context, p *plan.Plan, db *database.Database, stats *Stats) (Enumerator, bool, error) {
-	cq, ok := queryopt.FromQuery(p.Query)
-	if !ok {
-		return nil, false, nil
-	}
-	inner, qst, err := queryopt.EnumYannakakis(ctx, cq, db)
-	if err != nil {
-		if errors.Is(err, queryopt.ErrCyclic) {
-			return nil, false, nil
-		}
-		return nil, true, err
-	}
-	stats.addAcyclicFastPath(1)
-	return &yannEnum{ctx: ctx, inner: inner, stats: stats, qst: qst}, true, nil
+	res, err := evalPlan(ctx, p, db, opts, nil, true, true)
+	return res.enum, res.stats, res.state, err
 }

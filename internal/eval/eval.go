@@ -92,10 +92,10 @@ type Options struct {
 	// answers, so it is excluded from result-cache keys.
 	Tracer Tracer
 	// Profile, when non-nil, receives per-plan-node execution counters from
-	// the Compiled engine (both the dense and sparse executors): evaluation
+	// the Compiled engine (the plan executor, over either algebra): evaluation
 	// counts and cumulative wall time per DAG node, the data behind the
-	// server's explain mode. A nil Profile is zero-cost — the executors
-	// hoist the nil check like they do for Tracer. Profile never changes
+	// server's explain mode. A nil Profile is zero-cost — the executor
+	// hoists the nil check like it does for Tracer. Profile never changes
 	// answers, so it is excluded from result-cache keys. Tree-walking
 	// engines have no plan nodes and ignore it.
 	Profile *PlanProfile
@@ -130,7 +130,7 @@ type TraceEvent struct {
 	// re-evaluation that produced it.
 	Elapsed time.Duration
 	// Binder is the plan binder id this fixpoint run belongs to for the
-	// Compiled engine (dense and sparse executors), so a trace consumer can
+	// Compiled engine (on every backend route), so a trace consumer can
 	// attach stage work to the exact plan.FixInfo it iterated. The
 	// tree-walking engines (bottomup, monotone) have no plan and report -1.
 	Binder int
@@ -195,6 +195,18 @@ func parallelism(opts *Options) int {
 
 // DefaultPFPBudget bounds PFP stage counts when Options.PFPBudget is zero.
 const DefaultPFPBudget = 1 << 20
+
+// pfpLimits resolves the PFP stage budget and cycle detector of opts.
+func pfpLimits(opts *Options) (budget int, mode CycleMode) {
+	budget = DefaultPFPBudget
+	if opts != nil {
+		mode = opts.PFPCycle
+		if opts.PFPBudget > 0 {
+			budget = opts.PFPBudget
+		}
+	}
+	return budget, mode
+}
 
 // checkCtx reports the context's error, wrapped for the eval layer. The
 // evaluators call it at iteration boundaries only — one check per fixpoint

@@ -1,0 +1,698 @@
+package eval
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/database"
+	"repro/internal/logic"
+	"repro/internal/plan"
+	"repro/internal/relation"
+)
+
+// The plan executor is one scheduler over one relation algebra. Vardi's
+// Thm 4.1 reads a bounded-variable query as an expression over a single
+// finite algebra of k-ary relations, and Prop. 3.1 / Thm 3.5 evaluate it by
+// one bottom-up stage loop: run is that loop, written once, and algebra is
+// the carrier it is parameterised by. Everything about the plan lives in run
+// (node cache, invalidation, op dispatch, stage loops, semi-naive regime,
+// maintenance seeding and capture, PFP sweep, waves, profiling, tracing,
+// cancellation); everything about the representation lives in an algebra:
+// dense nᵏ-bit bitmaps over pooled Spaces (compiled.go) or sorted tuple
+// blocks over a node's support axes (sparse.go).
+
+// algebra is the representation half of the executor. V is the value type,
+// for a plan node's denotation and for a fixpoint stage (a relation over the
+// binder's own, narrower space) alike; the zero V means "no value" (an empty
+// delta, an unbound stage).
+//
+// Ownership follows the dense discipline, the stricter of the two: a value
+// an op returns belongs to the caller, an op that consumes an argument may
+// reuse its storage (the caller continues with the result only), and release
+// hands storage back. Sparse values are immutable heap blocks, so the sparse
+// algebra consumes nothing and its release is a no-op.
+type algebra[V comparable] interface {
+	// atom is the database atom rel(args). owned=false marks a shared master
+	// the scheduler must neither mutate nor release.
+	atom(rel string, args []int) (v V, owned bool, err error)
+	// stageAtom reads a stage — or a stage delta, the Δ S(x̄) rule — through a
+	// recursion atom's axes.
+	stageAtom(stage V, axes []int) (V, error)
+	eq(l, r int) (V, error)
+	constant(truth bool) (V, error)
+	not(a V) (V, error)
+	and(a, b V) (V, error)
+	or(a, b V) (V, error)
+	exists(a V, axis int) (V, error)
+	forall(a V, axis int) (V, error)
+
+	// The semi-naive delta rules (run.deltaStage; Δ∀ is forall on the new
+	// child value, ΔS is stageAtom). One of dl, dr may be the zero V. old is
+	// the node's current value, l and r the children's.
+	deltaOr(old, dl, dr V) (V, error)
+	deltaAnd(dl, r, dr, l V) (V, error)
+	deltaExists(dk V, axis int) (V, error)
+
+	clone(a V) V
+	// union is a ∪ b, consuming a.
+	union(a, b V) V
+	// minus is a \ b, consuming a, with the result's tuple count.
+	minus(a, b V) (V, int)
+	equal(a, b V) bool
+
+	// Stage spaces: relations of the given arity over the domain.
+	empty(arity int) (V, error)
+	full(arity int) (V, error)
+	fromSet(s *relation.Set, arity int) (V, error)
+	// project maps a node value onto the columns cols (a stage or the head
+	// space), the axes pinned fixed to pinnedVals (PFP parameters).
+	project(v V, cols, pinned, pinnedVals []int) (V, error)
+	toSet(v V) *relation.Set
+	// cursor streams v in canonical order; closing it releases v.
+	cursor(v V) cursor
+	// pfpLimit iterates step from ∅ to the partial fixpoint (∅ on a cycle)
+	// under opts' stage budget and cycle detector.
+	pfpLimit(step func(V) (V, error), arity int, opts *Options) (V, error)
+	// mergeParams adds limit, consuming it, to out's section for assign.
+	mergeParams(out, limit V, assign []int)
+
+	// count and arity are what v reports to Stats; touched is the
+	// Stats.TuplesTouched charge for writing that many tuples.
+	count(v V) int
+	arity(v V) int
+	touched(tuples int) int64
+	// check asserts node n's fresh value against the algebra's static analysis.
+	check(n int, v V) error
+	release(v V)
+}
+
+// errStagesOnly is an algebra without top-down or partial stages refusing
+// GFP/PFP (plan.Density.SparseOK, the routing gate, keeps such plans away).
+var errStagesOnly = errors.New("eval: sparse backend cannot evaluate gfp/pfp fixpoints (bottom-up stages only)")
+
+// run is one evaluation of a compiled plan over one algebra. The PFP sweep
+// forks one run per worker: val/valid/binding are per-run, everything else
+// is shared (immutable or internally synchronized).
+type run[V comparable] struct {
+	ctx   context.Context
+	p     *plan.Plan
+	db    *database.Database
+	alg   algebra[V]
+	stats *Stats
+	opts  *Options
+	// deltaOK[b] admits binder b to the semi-naive regime under this algebra.
+	deltaOK []bool
+	// sem holds the extra-worker tokens for the wave scheduler; nil means
+	// fully serial (Parallelism 1, sparse runs, and inside PFP sweep workers).
+	sem chan struct{}
+	// frontier, when non-nil, may serve a node whole from another
+	// representation (the hybrid route); ok=false falls through to the ops.
+	frontier func(n int) (v V, ok bool, err error)
+
+	// Per-node DAG cache. val[n] is node n's value; valid[n] marks it current;
+	// owned[n] marks it releasable by this run (false for shared atom masters
+	// and fork-inherited values, which must never be mutated or released).
+	// valCnt[n] is val[n]'s tuple count, maintained incrementally by delta
+	// passes.
+	val    []V
+	valid  []bool
+	owned  []bool
+	valCnt []int
+	// deltas[n] is node n's delta during one semi-naive pass (zero = empty).
+	deltas []V
+	// binding[b] is binder b's current stage (extended arity for LFP/GFP/IFP,
+	// recursion-tuple arity for PFP).
+	binding []V
+	// seed[b], when non-nil, is a previous snapshot's final stage for a
+	// seedable binder: its LFP/IFP loop restarts from it instead of from ∅
+	// (delta-restart maintenance, maintain.go). captured, when allocated,
+	// receives each seedable binder's final stage as a tuple set.
+	seed     []*relation.Set
+	captured []*relation.Set
+	// prof, when non-nil, accumulates per-node eval counts and wall time for
+	// explain mode. Timing is inclusive of on-demand child computation: the
+	// wave scheduler computes nodes in topological order, so for stage work
+	// inclusive ≈ self; only first-touch cold descents overlap.
+	prof *PlanProfile
+}
+
+func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, alg algebra[V], stats *Stats, deltaOK []bool) *run[V] {
+	return &run[V]{
+		ctx: ctx, p: p, db: db, alg: alg, stats: stats, opts: opts, deltaOK: deltaOK,
+		val:     make([]V, len(p.Nodes)),
+		valid:   make([]bool, len(p.Nodes)),
+		owned:   make([]bool, len(p.Nodes)),
+		valCnt:  make([]int, len(p.Nodes)),
+		deltas:  make([]V, len(p.Nodes)),
+		binding: make([]V, p.NumBinders),
+		prof:    profileOf(opts),
+	}
+}
+
+// fork returns a run for a PFP sweep worker: independent node cache and
+// bindings over the shared plan, database, stats and algebra. Inherited
+// values are not owned — the parent may still read them — and nested
+// evaluation inside a worker is serial.
+func (r *run[V]) fork() *run[V] {
+	w := *r
+	w.sem, w.seed, w.captured = nil, nil, nil
+	w.val = append([]V(nil), r.val...)
+	w.valid = append([]bool(nil), r.valid...)
+	w.owned = make([]bool, len(r.owned))
+	w.valCnt = append([]int(nil), r.valCnt...)
+	w.deltas = make([]V, len(r.deltas))
+	w.binding = append([]V(nil), r.binding...)
+	return &w
+}
+
+// answer runs the plan to its head value — the root projected onto the
+// (distinct, by logic.Query.Validate) head columns — and wraps it for the API
+// that asked: enumeration is a cursor over it, materialization its toSet.
+func (r *run[V]) answer(stream bool) (planResult, error) {
+	res := planResult{stats: r.stats}
+	root, err := r.evalNode(r.p.Root)
+	if err != nil {
+		return res, err
+	}
+	h, err := r.alg.project(root, r.p.HeadAxes, nil, nil)
+	if err != nil {
+		return res, err
+	}
+	if r.captured != nil {
+		res.state = &MaintState{stages: r.captured}
+	}
+	if stream {
+		res.enum = newCursorEnum(r.ctx, r.alg.cursor(h), r.stats)
+	} else {
+		res.set = r.alg.toSet(h)
+		r.alg.release(h)
+	}
+	return res, nil
+}
+
+// evalNode returns node n's value, computing it if the cached value is not
+// current. The returned value is owned by the node cache: callers must not
+// mutate or release it.
+func (r *run[V]) evalNode(n int) (V, error) {
+	if r.valid[n] {
+		return r.val[n], nil
+	}
+	t0 := r.profStart()
+	v, owned, err := r.computeNode(n)
+	r.profEnd(n, t0)
+	if err == nil {
+		err = r.alg.check(n, v)
+	}
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	cnt := r.alg.count(v)
+	r.observe(v, cnt, cnt)
+	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, owned, true, cnt
+	return v, nil
+}
+
+// profStart and profEnd time one computation of node n for explain mode;
+// both are free when no profile was asked for.
+func (r *run[V]) profStart() (t0 time.Time) {
+	if r.prof != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func (r *run[V]) profEnd(n int, t0 time.Time) {
+	if r.prof != nil {
+		r.prof.observe(n, time.Since(t0))
+	}
+}
+
+// observe charges one node construction to Stats: v now holds cnt tuples,
+// written of them new.
+func (r *run[V]) observe(v V, cnt, written int) {
+	r.stats.addSubformulaEvals(1)
+	if t := r.alg.touched(written); t != 0 {
+		r.stats.addTuplesTouched(t)
+	}
+	r.stats.observe(r.alg.arity(v), cnt)
+}
+
+// invalidate marks node n for re-evaluation, recycling an owned value.
+func (r *run[V]) invalidate(n int) {
+	if !r.valid[n] {
+		return
+	}
+	r.valid[n] = false
+	if r.owned[n] {
+		r.alg.release(r.val[n])
+	}
+	var zero V
+	r.val[n], r.owned[n] = zero, false
+}
+
+func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
+	var zero V
+	if r.frontier != nil {
+		if v, ok, err := r.frontier(n); ok || err != nil {
+			return v, true, err
+		}
+	}
+	nd := &r.p.Nodes[n]
+	var kids [2]V
+	if nd.Op != plan.OpFix {
+		for i, k := range nd.Kids {
+			if kids[i], err = r.evalNode(k); err != nil {
+				return zero, false, err
+			}
+		}
+	}
+	switch nd.Op {
+	case plan.OpAtom:
+		if nd.Binder < 0 {
+			return r.alg.atom(nd.Rel, nd.Args)
+		}
+		stage := r.binding[nd.Binder]
+		if stage == zero {
+			return zero, false, fmt.Errorf("eval: internal: recursion atom %s outside its fixpoint", nd.Rel)
+		}
+		v, err = r.alg.stageAtom(stage, r.p.AtomAxes(n))
+	case plan.OpEq:
+		v, err = r.alg.eq(nd.L, nd.R)
+	case plan.OpConst:
+		v, err = r.alg.constant(nd.Truth)
+	case plan.OpNot:
+		v, err = r.alg.not(kids[0])
+	case plan.OpAnd:
+		v, err = r.alg.and(kids[0], kids[1])
+	case plan.OpOr:
+		v, err = r.alg.or(kids[0], kids[1])
+	case plan.OpExists:
+		v, err = r.alg.exists(kids[0], nd.Axis)
+	case plan.OpForall:
+		v, err = r.alg.forall(kids[0], nd.Axis)
+	case plan.OpFix:
+		// Hoisted frontier: everything the stage loop reads but never
+		// recomputes is made current once, before iterating.
+		for _, m := range r.p.PreEval[nd.Fix.Binder] {
+			if _, err := r.evalNode(m); err != nil {
+				return zero, false, err
+			}
+		}
+		if nd.Fix.Op == logic.PFP {
+			v, err = r.evalPFP(nd.Fix)
+		} else {
+			v, err = r.evalFix(nd.Fix)
+		}
+	default:
+		err = fmt.Errorf("eval: unknown plan op %d", nd.Op)
+	}
+	return v, true, err
+}
+
+// stageEvent is the TraceEvent of one completed stage of fx.
+func stageEvent(fx *plan.FixInfo, stage, tuples, delta int, start time.Time) TraceEvent {
+	return TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
+		Stage: stage, Tuples: tuples, Delta: delta, Elapsed: time.Since(start)}
+}
+
+// beginStage is every fixpoint operator's stage-boundary prologue: the
+// cancellation check, the per-stage counters, binding the stage to read, and
+// (traced runs only) the stage's start time.
+func (r *run[V]) beginStage(b int, stage V) (start time.Time, err error) {
+	if err := checkCtx(r.ctx); err != nil {
+		return start, err
+	}
+	r.stats.addFixIterations(1)
+	r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
+	r.binding[b] = stage
+	if tracerOf(r.opts) != nil {
+		start = time.Now()
+	}
+	return start, nil
+}
+
+// evalFix runs the LFP/GFP/IFP stage loop for a fixpoint node, mirroring
+// BottomUp's loop structure exactly (same initial stage, same extraction,
+// same convergence test) so stage sequences — and answers — are identical;
+// only the per-stage work is incremental.
+func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
+	var zero V
+	b := fx.Binder
+	var cur V
+	var err error
+	switch {
+	case fx.Op == logic.GFP:
+		cur, err = r.alg.full(fx.ExtArity)
+	case b < len(r.seed) && r.seed[b] != nil:
+		// Delta-restart maintenance: resume the increasing chain from the
+		// previous snapshot's fixpoint instead of from ∅ (maintain.go). The
+		// first iteration is a full stage against the new database; later
+		// stages run semi-naive on whatever the delta added.
+		cur, err = r.alg.fromSet(r.seed[b], fx.ExtArity)
+	default:
+		cur, err = r.alg.empty(fx.ExtArity)
+	}
+	if err != nil {
+		return zero, err
+	}
+	var delta V // non-zero once the semi-naive regime is active
+	var deltaCnt int
+	fail := func(err error) (V, error) {
+		r.alg.release(cur)
+		if delta != zero {
+			r.alg.release(delta)
+		}
+		r.binding[b] = zero
+		return zero, err
+	}
+	tr := tracerOf(r.opts)
+	var stage, prevCount int
+	if tr != nil {
+		prevCount = r.alg.count(cur)
+	}
+	trace := func(start time.Time, tuples int) {
+		stage++
+		tr(stageEvent(fx, stage, tuples, tuples-prevCount, start))
+		prevCount = tuples
+	}
+	for {
+		stageStart, err := r.beginStage(b, cur)
+		if err != nil {
+			return fail(err)
+		}
+
+		if delta != zero {
+			// Semi-naive stage: push ΔS through the dirty nodes.
+			r.stats.addDeltaTuples(int64(deltaCnt))
+			nd, ndCnt, err := r.deltaStage(fx, delta)
+			if err != nil {
+				return fail(err)
+			}
+			r.alg.release(delta)
+			delta, deltaCnt = nd, ndCnt
+			if ndCnt == 0 {
+				if tr != nil {
+					trace(stageStart, prevCount) // converging stage: delta 0
+				}
+				break // body gained nothing: cur is the fixpoint
+			}
+			cur = r.alg.union(cur, nd)
+			if tr != nil {
+				trace(stageStart, prevCount+ndCnt)
+			}
+			continue
+		}
+
+		// Full stage: re-evaluate the dirty nodes against the new binding.
+		if err := r.evalStage(b); err != nil {
+			return fail(err)
+		}
+		next, err := r.alg.project(r.val[fx.Body], fx.ExtCols, nil, nil)
+		if err != nil {
+			return fail(err)
+		}
+		if fx.Op == logic.IFP {
+			// Inflationary stages: S_{i+1} = S_i ∪ φ(S_i).
+			next = r.alg.union(next, cur)
+		}
+		if tr != nil {
+			trace(stageStart, r.alg.count(next))
+		}
+		if r.alg.equal(next, cur) {
+			r.alg.release(next)
+			break
+		}
+		if r.deltaOK[b] {
+			delta, deltaCnt = r.alg.minus(r.alg.clone(next), cur)
+		}
+		r.alg.release(cur)
+		cur = next
+	}
+	if delta != zero {
+		r.alg.release(delta)
+	}
+	if r.captured != nil && r.p.Maint.Seeded[b] {
+		// Seedable binders are hoisted, so this runs exactly once per
+		// evaluation: keep the final stage as the maintenance state.
+		r.captured[b] = r.alg.toSet(cur)
+	}
+	r.binding[b] = zero
+	return r.fixResult(fx, cur)
+}
+
+// deltaStage applies one semi-naive pass for fx's binder: deltaExt is ΔS in
+// the extended stage space, and every dirty node's value is updated by
+// unioning in its delta, computed from its children's deltas with the
+// per-connective rules
+//
+//	Δ S(x̄)    = stageAtom(ΔS)                         (recursion atom)
+//	Δ (φ ∨ ψ) = Δφ ∪ Δψ
+//	Δ (φ ∧ ψ) = (Δφ ∩ ψ_new) ∪ (φ_new ∩ Δψ)
+//	Δ (∃x φ)  = ∃x Δφ
+//	Δ (∀x φ)  = ∀x φ_new \ old                        (recomputed, then diffed)
+//
+// each tightened by the node's old value, so deltas stay thin. Soundness
+// needs exactly the admissibility the run's deltaOK records: stages grow
+// monotonically and all dirty operators distribute over ∪ (∀ is handled by
+// recomputation). Returns the body's delta projected to the stage space and
+// tightened against the current stage, with its tuple count (zero V, 0 when
+// nothing changed).
+func (r *run[V]) deltaStage(fx *plan.FixInfo, deltaExt V) (V, int, error) {
+	var zero V
+	p := r.p
+	sched := p.Sched[fx.Binder] // equals Dirty[b]: deltaOK forbids covered subtrees
+	defer func() {
+		for _, n := range sched {
+			if r.deltas[n] != zero {
+				r.alg.release(r.deltas[n])
+				r.deltas[n] = zero
+			}
+		}
+	}()
+	for _, n := range sched {
+		nd := &p.Nodes[n]
+		var dk [2]V
+		changed := nd.Op == plan.OpAtom
+		for i, k := range nd.Kids {
+			dk[i] = r.deltas[k]
+			changed = changed || dk[i] != zero
+		}
+		if !changed {
+			continue // children unchanged ⇒ value unchanged
+		}
+		t0 := r.profStart()
+		var dv V
+		var err error
+		switch nd.Op {
+		case plan.OpAtom:
+			dv, err = r.alg.stageAtom(deltaExt, p.AtomAxes(n))
+		case plan.OpOr:
+			dv, err = r.alg.deltaOr(r.val[n], dk[0], dk[1])
+		case plan.OpAnd:
+			dv, err = r.alg.deltaAnd(dk[0], r.val[nd.Kids[1]], dk[1], r.val[nd.Kids[0]])
+		case plan.OpExists:
+			dv, err = r.alg.deltaExists(dk[0], nd.Axis)
+		case plan.OpForall:
+			dv, err = r.alg.forall(r.val[nd.Kids[0]], nd.Axis)
+		default:
+			err = fmt.Errorf("eval: op %d in a delta pass (plan bug)", nd.Op)
+		}
+		if err != nil {
+			return zero, 0, err
+		}
+		dv, added := r.alg.minus(dv, r.val[n])
+		if added == 0 {
+			r.alg.release(dv)
+		} else {
+			if !r.owned[n] {
+				// Fork-inherited value: copy before the in-place union.
+				r.val[n], r.owned[n] = r.alg.clone(r.val[n]), true
+			}
+			r.val[n] = r.alg.union(r.val[n], dv)
+			r.valCnt[n] += added
+			r.observe(r.val[n], r.valCnt[n], added)
+			r.deltas[n] = dv
+		}
+		r.profEnd(n, t0)
+	}
+	dB := r.deltas[fx.Body]
+	if dB == zero {
+		return zero, 0, nil
+	}
+	nd, err := r.alg.project(dB, fx.ExtCols, nil, nil)
+	if err != nil {
+		return zero, 0, err
+	}
+	nd, cnt := r.alg.minus(nd, r.binding[fx.Binder])
+	return nd, cnt, nil
+}
+
+// evalStage fully re-evaluates binder b's dirty nodes against the current
+// binding, in parallel topological waves when the plan has concurrent work
+// and worker tokens are available, serially otherwise. Nodes within one wave
+// read only earlier waves or the (already current) hoisted frontier: every
+// node slot is written by exactly one task, and cross-task reads are ordered
+// by the wave barrier. Both paths compute exactly the same node set, so every
+// Stats counter is schedule-independent.
+func (r *run[V]) evalStage(b int) error {
+	for _, d := range r.p.Dirty[b] {
+		r.invalidate(d)
+	}
+	concurrent := false
+	if r.sem != nil {
+		for _, level := range r.p.SchedLevels[b] {
+			concurrent = concurrent || len(level) > 1
+		}
+	}
+	if !concurrent {
+		_, err := r.evalNode(r.p.Nodes[r.p.FixOf[b]].Fix.Body)
+		return err
+	}
+	for _, level := range r.p.SchedLevels[b] {
+		extra := 0
+	acquire:
+		for extra < len(level)-1 {
+			select {
+			case r.sem <- struct{}{}:
+				extra++
+			default:
+				break acquire
+			}
+		}
+		err := forEachParallel(len(level), extra+1, func(_, i int) error {
+			_, err := r.evalNode(level[i])
+			return err
+		})
+		for ; extra > 0; extra-- {
+			<-r.sem
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forEachParallel calls fn(w, i) for every i in [0, n) from workers
+// goroutines (worker 0 is the caller's), stopping at the first error.
+func forEachParallel(n, workers int, fn func(w, i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		once     sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	work := func(w int) {
+		defer wg.Done()
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(w, i); err != nil {
+				once.Do(func() { firstErr = err })
+				stop.Store(true)
+			}
+		}
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	wg.Wait()
+	return firstErr
+}
+
+// fixResult reads a finished fixpoint's final stage, consuming it, through
+// the application's argument (and parameter) axes.
+func (r *run[V]) fixResult(fx *plan.FixInfo, stage V) (V, error) {
+	axes := make([]int, 0, len(fx.ArgAxes)+len(fx.ParamAxes))
+	axes = append(append(axes, fx.ArgAxes...), fx.ParamAxes...)
+	res, err := r.alg.stageAtom(stage, axes)
+	r.alg.release(stage)
+	return res, err
+}
+
+// evalPFP mirrors BottomUp's per-parameter-assignment sweep (same disjoint-
+// section merge, same cycle detection), with the plan's hoisted frontier
+// shared across all assignments and stages. The n^|ȳ| runs are independent,
+// so with Parallelism > 1 they are swept by forked runs. A parameterless PFP
+// is the sweep of its one (empty) assignment.
+func (r *run[V]) evalPFP(fx *plan.FixInfo) (V, error) {
+	var zero V
+	out, err := r.alg.empty(fx.ExtArity)
+	if err != nil {
+		return zero, err
+	}
+	dn := r.db.Size()
+	nAssign := 1
+	for range fx.ParamAxes {
+		nAssign *= dn
+	}
+	runs := []*run[V]{r}
+	if workers := min(parallelism(r.opts), nAssign); workers > 1 {
+		runs = runs[:0]
+		for w := 0; w < workers; w++ {
+			runs = append(runs, r.fork())
+		}
+	}
+	var mu sync.Mutex
+	err = forEachParallel(nAssign, len(runs), func(w, a int) error {
+		assign := make([]int, len(fx.ParamAxes))
+		decodeAssign(a, dn, assign)
+		limit, err := runs[w].pfpRun(fx, assign)
+		if err == nil {
+			mu.Lock()
+			r.alg.mergeParams(out, limit, assign)
+			mu.Unlock()
+		}
+		return err
+	})
+	if err != nil {
+		r.alg.release(out)
+		return zero, err
+	}
+	return r.fixResult(fx, out)
+}
+
+// pfpRun runs the partial-fixpoint iteration for one parameter assignment
+// over the compiled DAG.
+func (r *run[V]) pfpRun(fx *plan.FixInfo, assign []int) (V, error) {
+	var zero V
+	b := fx.Binder
+	tr := tracerOf(r.opts)
+	var stage int
+	step := func(s V) (V, error) {
+		stageStart, err := r.beginStage(b, s)
+		if err != nil {
+			return zero, err
+		}
+		if err := r.evalStage(b); err != nil {
+			return zero, err
+		}
+		next, err := r.alg.project(r.val[fx.Body], fx.VarAxes, fx.ParamAxes, assign)
+		if err == nil && tr != nil {
+			stage++
+			nc := r.alg.count(next)
+			tr(stageEvent(fx, stage, nc, nc-r.alg.count(s), stageStart))
+		}
+		return next, err
+	}
+	defer func() { r.binding[b] = zero }()
+	return r.alg.pfpLimit(step, len(fx.VarAxes), r.opts)
+}

@@ -79,7 +79,8 @@ func CanMaintain(p *plan.Plan, d *database.Delta) bool {
 // plan has seedable binders; callers treat a nil state as "not maintainable,
 // recompute on change".
 func EvalPlanCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, *MaintState, error) {
-	return evalPlanRouted(ctx, p, db, opts, nil, true)
+	res, err := evalPlan(ctx, p, db, opts, nil, true, false)
+	return res.set, res.stats, res.state, err
 }
 
 // EvalPlanMaintained re-evaluates p against a successor snapshot by
@@ -105,14 +106,15 @@ func EvalPlanMaintained(ctx context.Context, p *plan.Plan, db *database.Database
 	if err := validatePlanRun(ctx, p, db, opts); err != nil {
 		return nil, nil, nil, err
 	}
-	den := p.Density(db.Size(), cardOf(db))
-	if !den.SpaceFeasible {
+	// The dense leg of the auto route, hybrid frontier included.
+	rt := routePlan(p, db, nil)
+	if !rt.den.SpaceFeasible {
 		return nil, nil, nil, fmt.Errorf("eval: dense space %d^%d exceeds %d bits; maintenance requires the dense route",
 			db.Size(), len(p.Vars), relation.MaxDenseBits)
 	}
-	ans, st, state, err := evalPlanDenseMaint(ctx, p, db, opts, hybridDensity(den), prev, true)
-	if err == nil && st != nil {
-		st.MaintainedFromDelta = 1
+	res, err := runDense(ctx, p, db, opts, rt.frontier, prev, true, false)
+	if err == nil {
+		res.stats.MaintainedFromDelta = 1
 	}
-	return ans, st, state, err
+	return res.set, res.stats, res.state, err
 }

@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/database"
-	"repro/internal/logic"
 	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
-// The sparse executor evaluates a compiled plan without ever materializing
-// the full nᵏ-point space. Each plan node's value is an sval: a sorted
+// The sparse algebra lets the plan executor evaluate a compiled plan without
+// ever materializing the full nᵏ-point space. Each plan node's value is an
+// sval: a sorted
 // tuple-code block (relation.Sparse) over exactly the node's support axes —
 // the axes its value actually constrains — plus a polarity flag. A node that
 // is cylindric in an axis simply omits it, so the cylinders that dominate
@@ -22,7 +21,7 @@ import (
 // complement block with neg set, so complements are deferred until (and
 // unless) a boundary forces them.
 //
-// The algebra below is closed over polarity:
+// The connective table is closed over polarity:
 //
 //	pos ∧ pos  = natural join            pos ∨ pos  = widened union
 //	pos ∧ ¬b   = antijoin (widened a)    ¬a ∨ ¬b    = ¬(widened intersect)
@@ -44,172 +43,193 @@ type sval struct {
 	neg bool
 }
 
-// spRun is one sparse evaluation of a compiled plan. It mirrors cpRun's
-// node-cache discipline (val/valid, per-binder bindings, dirty invalidation,
-// semi-naive deltas) with svals in place of dense bitmaps. Evaluation is
-// serial: sparse stage work is tuple-bound, not word-bound, so the wave
-// scheduler's parallel speedup does not carry over.
-type spRun struct {
-	ctx    context.Context
-	p      *plan.Plan
+// sparseAlg is the sparse algebra: node values are svals, stages svals over
+// the stage space's own positions 0..arity−1. Blocks are immutable heap
+// values (no pool), so nothing is consumed and release is a no-op. Only
+// bottom-up stages exist: GFP's full initial stage and PFP's per-parameter
+// projection would complement whole stage spaces, so those ops return
+// errStagesOnly (plan.Density.SparseOK keeps such plans on the dense route).
+type sparseAlg struct {
 	db     *database.Database
 	n      int
-	den    *plan.Density
-	stats  *Stats
-	opts   *Options
 	budget int
-
-	val   []*sval
-	valid []bool
-	// sdelta[n] is node n's delta during one semi-naive pass (nil = empty).
-	sdelta []*sval
-	// binding[b] is binder b's current stage, columns in ExtCols order.
-	binding []*relation.Sparse
-	// prof, when non-nil, accumulates per-node eval counts and wall time for
-	// explain mode (inclusive of on-demand child computation, as in cpRun).
-	prof *PlanProfile
+	// den is the static support/polarity analysis every computed value is
+	// asserted against.
+	den *plan.Density
 }
 
-func newSpRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *spRun {
-	return &spRun{
-		ctx:     ctx,
-		p:       p,
-		db:      db,
-		n:       db.Size(),
-		den:     den,
-		stats:   stats,
-		opts:    opts,
-		budget:  sparseBudget(opts),
-		val:     make([]*sval, len(p.Nodes)),
-		valid:   make([]bool, len(p.Nodes)),
-		sdelta:  make([]*sval, len(p.Nodes)),
-		binding: make([]*relation.Sparse, p.NumBinders),
-		prof:    profileOf(opts),
-	}
+// newSparseRun is the plan executor over the sparse algebra. It gets no
+// worker tokens — sparse stage work is tuple-bound, not word-bound, so the
+// wave scheduler's speedup does not carry over — and its semi-naive regime
+// additionally needs an all-positive dirty region (Density.DeltaSparse).
+func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *run[*sval] {
+	alg := &sparseAlg{db: db, n: db.Size(), budget: sparseBudget(opts), den: den}
+	return newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse)
 }
 
-func (r *spRun) overBudget(what string, need float64) error {
-	return fmt.Errorf("eval: %w: %s needs ~%.3g tuples, budget %d (raise Options.SparseBudget)",
-		ErrSparseBudget, what, need, r.budget)
+// stageAxes is the support of a stage (or head) value: its own positions
+// (supports are 64-bit masks, so no space is wider than 64).
+func stageAxes(arity int) []int { return stagePositions[:arity:arity] }
+
+var stagePositions = func() (p [64]int) {
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}()
+
+// stageSval wraps a block over a stage (or head) space as a value.
+func stageSval(rel *relation.Sparse) *sval {
+	return &sval{sup: stageAxes(rel.Arity()), rel: rel}
 }
 
-// evalNode returns node n's sparse value, computing it if the cached value
-// is not current. Returned svals are owned by the cache and immutable.
-func (r *spRun) evalNode(nid int) (*sval, error) {
-	if r.valid[nid] {
-		return r.val[nid], nil
+func (sa *sparseAlg) atom(name string, args []int) (*sval, bool, error) {
+	rel, err := sa.db.Rel(name)
+	if err != nil {
+		return nil, false, err
 	}
-	var t0 time.Time
-	if r.prof != nil {
-		t0 = time.Now()
+	sv, err := sa.svalFromTuples(args, rel.ForEach)
+	return sv, true, err
+}
+
+func (sa *sparseAlg) stageAtom(stage *sval, axes []int) (*sval, error) {
+	return sa.svalFromTuples(axes, stage.rel.ForEach)
+}
+
+// eq is the equality value { (v, v) } over two distinct axes.
+func (sa *sparseAlg) eq(l, r int) (*sval, error) {
+	if l == r {
+		return sa.constant(true)
 	}
-	sv, err := r.computeNode(nid)
-	if r.prof != nil {
-		r.prof.observe(nid, time.Since(t0))
-	}
+	bld, err := relation.NewSparseBuilder(2, sa.n)
 	if err != nil {
 		return nil, err
 	}
-	if got, want := maskOfAxes(sv.sup), r.den.Support[nid]; got != want || sv.neg != r.den.Neg[nid] {
-		return nil, fmt.Errorf("eval: internal: node %d support %b/neg=%v, analysis says %b/neg=%v",
-			nid, got, sv.neg, want, r.den.Neg[nid])
+	for v := 0; v < sa.n; v++ {
+		bld.AddCode(uint64(v)*uint64(sa.n) + uint64(v))
 	}
-	cnt := sv.rel.Count()
-	r.stats.addSubformulaEvals(1)
-	r.stats.addTuplesTouched(int64(cnt))
-	r.stats.observe(len(sv.sup), cnt)
-	r.val[nid] = sv
-	r.valid[nid] = true
-	return sv, nil
+	return &sval{sup: []int{min(l, r), max(l, r)}, rel: bld.Build()}, nil
 }
 
-// invalidate marks node n for re-evaluation. Sparse blocks are plain heap
-// values (no pool), so dropping the reference is the whole discipline.
-func (r *spRun) invalidate(nid int) {
-	r.valid[nid] = false
-	r.val[nid] = nil
+func (sa *sparseAlg) not(x *sval) (*sval, error) {
+	return &sval{sup: x.sup, rel: x.rel, neg: !x.neg}, nil
 }
 
-func (r *spRun) computeNode(nid int) (*sval, error) {
-	nd := &r.p.Nodes[nid]
-	switch nd.Op {
-	case plan.OpAtom:
-		if nd.Binder >= 0 {
-			stage := r.binding[nd.Binder]
-			if stage == nil {
-				return nil, fmt.Errorf("eval: internal: recursion atom %s outside its fixpoint", nd.Rel)
-			}
-			return r.svalFromTuples(r.p.AtomAxes(nid), sparseIter(stage))
+func (sa *sparseAlg) exists(x *sval, axis int) (*sval, error) { return quantSv(x, axis, false), nil }
+func (sa *sparseAlg) forall(x *sval, axis int) (*sval, error) { return quantSv(x, axis, true), nil }
+
+// The delta rules run only on all-positive dirty regions, so blocks combine
+// by plain union (nil is the empty delta); kid deltas are widened to the
+// node's support.
+func (sa *sparseAlg) deltaOr(old, dl, dr *sval) (*sval, error) {
+	var dv *sval
+	for _, dk := range []*sval{dl, dr} {
+		if dk == nil {
+			continue
 		}
-		rel, err := r.db.Rel(nd.Rel)
+		wk, err := sa.widenTo(dk, old.sup)
 		if err != nil {
 			return nil, err
 		}
-		return r.svalFromTuples(nd.Args, rel.ForEach)
-	case plan.OpEq:
-		if nd.L == nd.R {
-			return r.unitSval(true)
-		}
-		return r.diagSval(nd.L, nd.R)
-	case plan.OpConst:
-		return r.unitSval(nd.Truth)
-	case plan.OpNot:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		return &sval{sup: kv.sup, rel: kv.rel, neg: !kv.neg}, nil
-	case plan.OpAnd:
-		lv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r.evalNode(nd.Kids[1])
-		if err != nil {
-			return nil, err
-		}
-		return r.andSv(lv, rv)
-	case plan.OpOr:
-		lv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r.evalNode(nd.Kids[1])
-		if err != nil {
-			return nil, err
-		}
-		return r.orSv(lv, rv)
-	case plan.OpExists:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		return r.quantSv(kv, nd.Axis, false), nil
-	case plan.OpForall:
-		kv, err := r.evalNode(nd.Kids[0])
-		if err != nil {
-			return nil, err
-		}
-		return r.forallSv(kv, nd.Axis), nil
-	case plan.OpFix:
-		return r.evalFix(nid)
-	default:
-		return nil, fmt.Errorf("eval: unknown plan op %d", nd.Op)
+		dv = sa.union(dv, wk)
 	}
+	return dv, nil
+}
+
+func (sa *sparseAlg) deltaAnd(dl, r, dr, l *sval) (*sval, error) {
+	var dv *sval
+	for _, side := range [][2]*sval{{dl, r}, {dr, l}} {
+		if side[0] == nil {
+			continue
+		}
+		j, err := sa.joinSv(side[0], side[1])
+		if err != nil {
+			return nil, err
+		}
+		dv = sa.union(dv, j)
+	}
+	return dv, nil
+}
+
+func (sa *sparseAlg) deltaExists(dk *sval, axis int) (*sval, error) { return sa.exists(dk, axis) }
+
+func (sa *sparseAlg) clone(x *sval) *sval { return x }
+
+func (sa *sparseAlg) union(x, y *sval) *sval {
+	if x == nil {
+		return y
+	}
+	return &sval{sup: x.sup, rel: x.rel.Union(y.rel)}
+}
+
+func (sa *sparseAlg) minus(x, y *sval) (*sval, int) {
+	d := x.rel.Difference(y.rel)
+	return &sval{sup: x.sup, rel: d}, d.Count()
+}
+
+func (sa *sparseAlg) equal(x, y *sval) bool { return x.rel.Equal(y.rel) }
+
+func (sa *sparseAlg) empty(arity int) (*sval, error) {
+	return sa.fromSet(relation.NewSet(arity), arity)
+}
+
+func (sa *sparseAlg) full(int) (*sval, error) { return nil, errStagesOnly }
+
+func (sa *sparseAlg) fromSet(s *relation.Set, arity int) (*sval, error) {
+	return sa.svalFromTuples(stageAxes(arity), s.ForEach)
+}
+
+// project materializes sv over cols — the one place deferred complements are
+// forced (see materialize).
+func (sa *sparseAlg) project(sv *sval, cols, pinned, _ []int) (*sval, error) {
+	if len(pinned) > 0 {
+		return nil, errStagesOnly
+	}
+	rel, err := sa.materialize(sv, cols)
+	if err != nil {
+		return nil, err
+	}
+	return stageSval(rel), nil
+}
+
+func (sa *sparseAlg) toSet(v *sval) *relation.Set { return v.rel.ToSet() }
+
+// cursor streams the sorted, deduplicated head codes directly, skipping the
+// Set round-trip.
+func (sa *sparseAlg) cursor(v *sval) cursor { return relation.NewSparseCursor(v.rel) }
+
+func (sa *sparseAlg) pfpLimit(func(*sval) (*sval, error), int, *Options) (*sval, error) {
+	return nil, errStagesOnly
+}
+
+func (sa *sparseAlg) mergeParams(_, _ *sval, _ []int) {}
+
+func (sa *sparseAlg) count(v *sval) int        { return v.rel.Count() }
+func (sa *sparseAlg) arity(v *sval) int        { return len(v.sup) }
+func (sa *sparseAlg) touched(tuples int) int64 { return int64(tuples) }
+func (sa *sparseAlg) release(*sval)            {}
+
+func (sa *sparseAlg) check(n int, sv *sval) error {
+	if got, want := maskOfAxes(sv.sup), sa.den.Support[n]; got != want || sv.neg != sa.den.Neg[n] {
+		return fmt.Errorf("eval: internal: node %d support %b/neg=%v, analysis says %b/neg=%v",
+			n, got, sv.neg, want, sa.den.Neg[n])
+	}
+	return nil
+}
+
+func (sa *sparseAlg) overBudget(what string, need float64) error {
+	return fmt.Errorf("eval: %w: %s needs ~%.3g tuples, budget %d (raise Options.SparseBudget)",
+		ErrSparseBudget, what, need, sa.budget)
 }
 
 // svalFromTuples builds a positive sval from a tuple stream whose column i
 // carries axis axes[i]. Repeated axes select the diagonal: tuples whose
 // repeated positions disagree are dropped, and each axis is stored once.
-func (r *spRun) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sval, error) {
+func (sa *sparseAlg) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sval, error) {
 	sup := distinctSortedAxes(axes)
-	bld, err := relation.NewSparseBuilder(len(sup), r.n)
+	bld, err := relation.NewSparseBuilder(len(sup), sa.n)
 	if err != nil {
 		return nil, err
-	}
-	posOf := make(map[int]int, len(sup))
-	for i, ax := range sup {
-		posOf[ax] = i
 	}
 	buf := make(relation.Tuple, len(sup))
 	var ferr error
@@ -221,7 +241,7 @@ func (r *spRun) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sv
 			buf[i] = -1
 		}
 		for i, ax := range axes {
-			j := posOf[ax]
+			j := slices.Index(sup, ax)
 			if buf[j] >= 0 && buf[j] != t[i] {
 				return // diagonal selection: repeated axis disagrees
 			}
@@ -231,8 +251,8 @@ func (r *spRun) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sv
 			ferr = err
 			return
 		}
-		if bld.Len() > r.budget {
-			ferr = r.overBudget("atom materialization", float64(bld.Len()))
+		if bld.Len() > sa.budget {
+			ferr = sa.overBudget("atom materialization", float64(bld.Len()))
 		}
 	})
 	if ferr != nil {
@@ -241,49 +261,27 @@ func (r *spRun) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sv
 	return &sval{sup: sup, rel: bld.Build()}, nil
 }
 
-// unitSval is the 0-ary truth value: full (one empty tuple) or empty.
-func (r *spRun) unitSval(truth bool) (*sval, error) {
-	if !truth {
-		s, err := relation.NewSparse(0, r.n)
-		if err != nil {
-			return nil, err
-		}
-		return &sval{sup: nil, rel: s}, nil
+// constant is the 0-ary truth value: full (one empty tuple) or empty.
+func (sa *sparseAlg) constant(truth bool) (*sval, error) {
+	var tuples []relation.Tuple
+	if truth {
+		tuples = []relation.Tuple{{}}
 	}
-	s, err := relation.SparseOf(0, r.n, relation.Tuple{})
-	if err != nil {
-		return nil, err
-	}
-	return &sval{sup: nil, rel: s}, nil
-}
-
-// diagSval is the equality value { (v, v) } over two distinct axes.
-func (r *spRun) diagSval(a1, a2 int) (*sval, error) {
-	bld, err := relation.NewSparseBuilder(2, r.n)
-	if err != nil {
-		return nil, err
-	}
-	for v := 0; v < r.n; v++ {
-		bld.AddCode(uint64(v)*uint64(r.n) + uint64(v))
-	}
-	lo, hi := a1, a2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return &sval{sup: []int{lo, hi}, rel: bld.Build()}, nil
+	s, err := relation.SparseOf(0, sa.n, tuples...)
+	return &sval{rel: s}, err
 }
 
 // widenTo inserts cylinder axes so sv's support becomes target (a sorted
 // superset of sv.sup). Each inserted axis multiplies the block by n, so the
 // projected size is budget-checked up front.
-func (r *spRun) widenTo(sv *sval, target []int) (*sval, error) {
+func (sa *sparseAlg) widenTo(sv *sval, target []int) (*sval, error) {
 	if len(target) == len(sv.sup) {
 		return sv, nil
 	}
 	miss := len(target) - len(sv.sup)
-	need := float64(sv.rel.Count()) * math.Pow(float64(r.n), float64(miss))
-	if need > float64(r.budget) {
-		return nil, r.overBudget("widening", need)
+	need := float64(sv.rel.Count()) * math.Pow(float64(sa.n), float64(miss))
+	if need > float64(sa.budget) {
+		return nil, sa.overBudget("widening", need)
 	}
 	rel := sv.rel
 	j := 0
@@ -304,46 +302,40 @@ func (r *spRun) widenTo(sv *sval, target []int) (*sval, error) {
 	return &sval{sup: target, rel: rel, neg: sv.neg}, nil
 }
 
-// andSv evaluates conjunction by polarity.
-func (r *spRun) andSv(a, b *sval) (*sval, error) {
-	switch {
-	case !a.neg && !b.neg:
-		return r.joinSv(a, b)
-	case a.neg && b.neg:
-		// ¬a ∧ ¬b = ¬(a ∨ b): the stored block is the widened union.
-		sup := mergeAxes(a.sup, b.sup)
-		wa, err := r.widenTo(a, sup)
-		if err != nil {
-			return nil, err
-		}
-		wb, err := r.widenTo(b, sup)
-		if err != nil {
-			return nil, err
-		}
-		return &sval{sup: sup, rel: wa.rel.Union(wb.rel), neg: true}, nil
-	case a.neg:
-		a, b = b, a
-		fallthrough
-	default:
-		// pos ∧ ¬neg: widen the positive side over the union support, then
-		// antijoin against the negative block (no widening of the block).
-		sup := mergeAxes(a.sup, b.sup)
-		wa, err := r.widenTo(a, sup)
-		if err != nil {
-			return nil, err
-		}
-		return r.filterSv(wa, b, false)
+// and evaluates conjunction by polarity.
+func (sa *sparseAlg) and(a, b *sval) (*sval, error) {
+	if !a.neg && !b.neg {
+		return sa.joinSv(a, b)
 	}
-}
-
-// orSv evaluates disjunction by polarity.
-func (r *spRun) orSv(a, b *sval) (*sval, error) {
+	if a.neg && !b.neg {
+		a, b = b, a
+	}
 	sup := mergeAxes(a.sup, b.sup)
-	wa, err := r.widenTo(a, sup)
+	wa, err := sa.widenTo(a, sup)
 	if err != nil {
 		return nil, err
 	}
-	wb, err := r.widenTo(b, sup)
+	if !a.neg {
+		// pos ∧ ¬b: the positive side, widened over the union support,
+		// antijoined against the negative block (which is not widened).
+		return sa.filterSv(wa, b, false)
+	}
+	// ¬a ∧ ¬b = ¬(a ∨ b): the stored block is the widened union.
+	wb, err := sa.widenTo(b, sup)
+	if err != nil {
+		return nil, err
+	}
+	return &sval{sup: sup, rel: wa.rel.Union(wb.rel), neg: true}, nil
+}
+
+// or evaluates disjunction by polarity.
+func (sa *sparseAlg) or(a, b *sval) (*sval, error) {
+	sup := mergeAxes(a.sup, b.sup)
+	wa, err := sa.widenTo(a, sup)
+	if err != nil {
+		return nil, err
+	}
+	wb, err := sa.widenTo(b, sup)
 	if err != nil {
 		return nil, err
 	}
@@ -363,32 +355,32 @@ func (r *spRun) orSv(a, b *sval) (*sval, error) {
 }
 
 // joinSv is the natural join of two positive svals on their shared axes.
-func (r *spRun) joinSv(a, b *sval) (*sval, error) {
-	if axesEqual(a.sup, b.sup) {
+func (sa *sparseAlg) joinSv(a, b *sval) (*sval, error) {
+	if slices.Equal(a.sup, b.sup) {
 		return &sval{sup: a.sup, rel: a.rel.Intersect(b.rel)}, nil
 	}
 	if containsAxes(a.sup, b.sup) {
-		return r.filterSv(a, b, true)
+		return sa.filterSv(a, b, true)
 	}
 	if containsAxes(b.sup, a.sup) {
-		return r.filterSv(b, a, true)
+		return sa.filterSv(b, a, true)
 	}
-	return r.hashJoin(a, b)
+	return sa.hashJoin(a, b)
 }
 
 // filterSv is the (anti-)semijoin: keep the tuples of a whose projection
 // onto f's support is in (keep) or not in (!keep) f's block. Requires
 // f.sup ⊆ a.sup. The result reuses a's codes, so no budget check is needed.
-func (r *spRun) filterSv(a, f *sval, keep bool) (*sval, error) {
+func (sa *sparseAlg) filterSv(a, f *sval, keep bool) (*sval, error) {
 	pos := make([]int, len(f.sup))
 	for i, ax := range f.sup {
-		p := axesIndex(a.sup, ax)
+		p := slices.Index(a.sup, ax)
 		if p < 0 {
 			return nil, fmt.Errorf("eval: internal: filter axis %d outside support %v", ax, a.sup)
 		}
 		pos[i] = p
 	}
-	bld, err := relation.NewSparseBuilder(len(a.sup), r.n)
+	bld, err := relation.NewSparseBuilder(len(a.sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +400,7 @@ func (r *spRun) filterSv(a, f *sval, keep bool) (*sval, error) {
 
 // hashJoin joins two positive svals with genuinely incomparable supports:
 // index the smaller side by its shared-axes key, probe with the larger.
-func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
+func (sa *sparseAlg) hashJoin(a, b *sval) (*sval, error) {
 	sup := mergeAxes(a.sup, b.sup)
 	shared := sharedAxes(a.sup, b.sup)
 	small, big := a, b
@@ -421,7 +413,7 @@ func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
 	s := uint64(1)
 	for i := len(shared) - 1; i >= 0; i-- {
 		kst[i] = s
-		s *= uint64(r.n)
+		s *= uint64(sa.n)
 	}
 	keyOf := func(t relation.Tuple, pos []int) uint64 {
 		var key uint64
@@ -433,8 +425,8 @@ func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
 	sPos := make([]int, len(shared))
 	bPos := make([]int, len(shared))
 	for i, ax := range shared {
-		sPos[i] = axesIndex(small.sup, ax)
-		bPos[i] = axesIndex(big.sup, ax)
+		sPos[i] = slices.Index(small.sup, ax)
+		bPos[i] = slices.Index(big.sup, ax)
 	}
 	idx := make(map[uint64][]uint64, small.rel.Count())
 	sbuf := make(relation.Tuple, len(small.sup))
@@ -447,10 +439,10 @@ func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
 	fromBig := make([]int, len(sup))
 	fromSmall := make([]int, len(sup))
 	for i, ax := range sup {
-		fromBig[i] = axesIndex(big.sup, ax)
-		fromSmall[i] = axesIndex(small.sup, ax)
+		fromBig[i] = slices.Index(big.sup, ax)
+		fromSmall[i] = slices.Index(small.sup, ax)
 	}
-	bld, err := relation.NewSparseBuilder(len(sup), r.n)
+	bld, err := relation.NewSparseBuilder(len(sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
@@ -482,8 +474,8 @@ func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
 				ferr = err
 				return
 			}
-			if bld.Len() > r.budget {
-				ferr = r.overBudget("join", float64(bld.Len()))
+			if bld.Len() > sa.budget {
+				ferr = sa.overBudget("join", float64(bld.Len()))
 				return
 			}
 		}
@@ -496,17 +488,12 @@ func (r *spRun) hashJoin(a, b *sval) (*sval, error) {
 
 // quantSv applies ∃ or ∀ on one axis. An axis outside the support is a
 // no-op: the value is cylindric there and the domain is nonempty.
-func (r *spRun) quantSv(kv *sval, axis int, forall bool) *sval {
-	i := axesIndex(kv.sup, axis)
+func quantSv(kv *sval, axis int, forall bool) *sval {
+	i := slices.Index(kv.sup, axis)
 	if i < 0 {
 		return kv
 	}
-	rest := make([]int, 0, len(kv.sup)-1)
-	for _, ax := range kv.sup {
-		if ax != axis {
-			rest = append(rest, ax)
-		}
-	}
+	rest := slices.Delete(slices.Clone(kv.sup), i, i+1)
 	// Under negative polarity the quantifiers swap roles on the stored
 	// block: ∃x ¬φ = ¬∀x φ and ∀x ¬φ = ¬∃x φ.
 	if forall != kv.neg {
@@ -515,253 +502,45 @@ func (r *spRun) quantSv(kv *sval, axis int, forall bool) *sval {
 	return &sval{sup: rest, rel: kv.rel.DropAxis(i), neg: kv.neg}
 }
 
-func (r *spRun) forallSv(kv *sval, axis int) *sval { return r.quantSv(kv, axis, true) }
-
 // materialize turns an sval into a plain positive Sparse with the given
 // distinct columns (in the given order). cols must cover the support; the
 // remaining columns become cylinders. A negative sval is complemented here —
 // the one place deferred complements are forced — under the budget.
-func (r *spRun) materialize(sv *sval, cols []int) (*relation.Sparse, error) {
-	sorted := append([]int(nil), cols...)
-	sort.Ints(sorted)
+func (sa *sparseAlg) materialize(sv *sval, cols []int) (*relation.Sparse, error) {
+	sorted := slices.Clone(cols)
+	slices.Sort(sorted)
 	if !containsAxes(sorted, sv.sup) {
 		return nil, fmt.Errorf("eval: internal: materialization columns %v do not cover support %v", cols, sv.sup)
 	}
-	w, err := r.widenTo(sv, sorted)
+	w, err := sa.widenTo(sv, sorted)
 	if err != nil {
 		return nil, err
 	}
 	rel := w.rel
 	if sv.neg {
 		need := float64(rel.SpaceSize()) - float64(rel.Count())
-		if need > float64(r.budget) {
-			return nil, r.overBudget("complement", need)
+		if need > float64(sa.budget) {
+			return nil, sa.overBudget("complement", need)
 		}
 		rel = rel.Complement()
 	}
-	if axesEqual(cols, sorted) {
+	if slices.Equal(cols, sorted) {
 		return rel, nil
 	}
 	proj := make([]int, len(cols))
 	for i, c := range cols {
-		proj[i] = axesIndex(w.sup, c)
+		proj[i] = slices.Index(w.sup, c)
 	}
 	return rel.Project(proj), nil
-}
-
-// evalFix runs the sparse stage loop for an LFP/IFP node, mirroring the
-// dense evalFix stage-for-stage (same initial stage, same extraction, same
-// convergence test) so the stage sequences — and answers — are identical.
-func (r *spRun) evalFix(nid int) (*sval, error) {
-	fx := r.p.Nodes[nid].Fix
-	if fx.Op != logic.LFP && fx.Op != logic.IFP {
-		return nil, fmt.Errorf("eval: sparse backend cannot evaluate %s fixpoint %s (bottom-up stages only)", fx.Op, fx.Rel)
-	}
-	b := fx.Binder
-	for _, m := range r.p.PreEval[b] {
-		if _, err := r.evalNode(m); err != nil {
-			return nil, err
-		}
-	}
-	cur, err := relation.NewSparse(fx.ExtArity, r.n)
-	if err != nil {
-		return nil, err
-	}
-	var delta *relation.Sparse // non-nil once the semi-naive regime is active
-	fail := func(err error) (*sval, error) {
-		r.binding[b] = nil
-		return nil, err
-	}
-	tr := tracerOf(r.opts)
-	var stage, prevCount int
-	trace := func(start time.Time, tuples int) {
-		stage++
-		tr(TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
-			Stage: stage, Tuples: tuples, Delta: tuples - prevCount, Elapsed: time.Since(start)})
-		prevCount = tuples
-	}
-	for {
-		if err := checkCtx(r.ctx); err != nil {
-			return fail(err)
-		}
-		r.stats.addFixIterations(1)
-		r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
-		r.binding[b] = cur
-		var stageStart time.Time
-		if tr != nil {
-			stageStart = time.Now()
-		}
-
-		if delta != nil {
-			r.stats.addDeltaTuples(int64(delta.Count()))
-			nd, err := r.deltaStage(b, delta)
-			if err != nil {
-				return fail(err)
-			}
-			if nd == nil || nd.IsEmpty() {
-				if tr != nil {
-					trace(stageStart, prevCount) // converging stage: delta 0
-				}
-				break
-			}
-			cur = cur.Union(nd)
-			delta = nd
-			if tr != nil {
-				trace(stageStart, cur.Count())
-			}
-			continue
-		}
-
-		for _, d := range r.p.Dirty[b] {
-			r.invalidate(d)
-		}
-		bodySv, err := r.evalNode(fx.Body)
-		if err != nil {
-			return fail(err)
-		}
-		next, err := r.materialize(bodySv, fx.ExtCols)
-		if err != nil {
-			return fail(err)
-		}
-		if fx.Op == logic.IFP {
-			next = next.Union(cur)
-		}
-		if tr != nil {
-			trace(stageStart, next.Count())
-		}
-		if next.Equal(cur) {
-			break
-		}
-		if r.den.DeltaSparse[b] {
-			delta = next.Difference(cur)
-		}
-		cur = next
-	}
-	r.binding[b] = nil
-	axes := make([]int, 0, len(fx.ArgAxes)+len(fx.ParamAxes))
-	axes = append(axes, fx.ArgAxes...)
-	axes = append(axes, fx.ParamAxes...)
-	return r.svalFromTuples(axes, sparseIter(cur))
-}
-
-// deltaStage applies one sparse semi-naive pass for binder b, the sval
-// analogue of cpRun.deltaStage: push ΔS through the dirty nodes with the
-// per-connective delta rules, tighten each node's delta against its current
-// value, and return the body delta in stage space minus the current stage.
-// Admissibility is the plan's DeltaOK plus all-positive polarity on the
-// dirty region (plan.Density.DeltaSparse).
-func (r *spRun) deltaStage(b int, deltaExt *relation.Sparse) (*relation.Sparse, error) {
-	p := r.p
-	fx := p.Nodes[p.FixOf[b]].Fix
-	sched := p.Sched[b]
-	defer func() {
-		for _, nn := range sched {
-			r.sdelta[nn] = nil
-		}
-	}()
-	for _, nn := range sched {
-		nd := &p.Nodes[nn]
-		var dv *sval
-		var err error
-		switch nd.Op {
-		case plan.OpAtom:
-			dv, err = r.svalFromTuples(p.AtomAxes(nn), sparseIter(deltaExt))
-			if err != nil {
-				return nil, err
-			}
-		case plan.OpOr:
-			sup := axesOfMask(r.den.Support[nn])
-			for _, kid := range nd.Kids {
-				dk := r.sdelta[kid]
-				if dk == nil {
-					continue
-				}
-				wk, err := r.widenTo(dk, sup)
-				if err != nil {
-					return nil, err
-				}
-				if dv == nil {
-					dv = wk
-				} else {
-					dv = &sval{sup: sup, rel: dv.rel.Union(wk.rel)}
-				}
-			}
-		case plan.OpAnd:
-			l, rr := nd.Kids[0], nd.Kids[1]
-			if dl := r.sdelta[l]; dl != nil {
-				dv, err = r.joinSv(dl, r.val[rr])
-				if err != nil {
-					return nil, err
-				}
-			}
-			if dr := r.sdelta[rr]; dr != nil {
-				j, err := r.joinSv(r.val[l], dr)
-				if err != nil {
-					return nil, err
-				}
-				if dv == nil {
-					dv = j
-				} else {
-					dv = &sval{sup: dv.sup, rel: dv.rel.Union(j.rel)}
-				}
-			}
-		case plan.OpExists:
-			dk := r.sdelta[nd.Kids[0]]
-			if dk == nil {
-				continue
-			}
-			dv = r.quantSv(dk, nd.Axis, false)
-		case plan.OpForall:
-			if r.sdelta[nd.Kids[0]] == nil {
-				continue // child unchanged ⇒ ∀-value unchanged
-			}
-			dv = r.quantSv(r.val[nd.Kids[0]], nd.Axis, true)
-		default:
-			return nil, fmt.Errorf("eval: op %d in a sparse delta pass (plan bug)", nd.Op)
-		}
-		if dv == nil {
-			continue
-		}
-		added := dv.rel.Difference(r.val[nn].rel)
-		if added.IsEmpty() {
-			continue
-		}
-		r.val[nn] = &sval{sup: r.val[nn].sup, rel: r.val[nn].rel.Union(added)}
-		r.stats.addSubformulaEvals(1)
-		r.stats.addTuplesTouched(int64(added.Count()))
-		r.stats.observe(len(r.val[nn].sup), r.val[nn].rel.Count())
-		r.sdelta[nn] = &sval{sup: r.val[nn].sup, rel: added}
-	}
-	dB := r.sdelta[fx.Body]
-	if dB == nil {
-		return nil, nil
-	}
-	next, err := r.materialize(dB, fx.ExtCols)
-	if err != nil {
-		return nil, err
-	}
-	return next.Difference(r.binding[b]), nil
-}
-
-// sparseIter adapts a Sparse to the tuple-stream shape svalFromTuples takes.
-func sparseIter(s *relation.Sparse) func(func(relation.Tuple)) {
-	return s.ForEach
 }
 
 // Axis-list helpers. Supports are small (≤ the query width), so linear scans
 // beat any clever structure.
 
 func distinctSortedAxes(axes []int) []int {
-	out := append([]int(nil), axes...)
-	sort.Ints(out)
-	j := 0
-	for i, ax := range out {
-		if i == 0 || ax != out[j-1] {
-			out[j] = ax
-			j++
-		}
-	}
-	return out[:j]
+	out := slices.Clone(axes)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func maskOfAxes(axes []int) uint64 {
@@ -772,83 +551,30 @@ func maskOfAxes(axes []int) uint64 {
 	return m
 }
 
-func axesOfMask(m uint64) []int {
-	var out []int
-	for ax := 0; m != 0; ax++ {
-		if m&1 != 0 {
-			out = append(out, ax)
-		}
-		m >>= 1
-	}
-	return out
-}
-
+// mergeAxes is the sorted union of two sorted axis lists; sharedAxes their
+// sorted intersection.
 func mergeAxes(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func sharedAxes(a, b []int) []int {
 	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	for _, ax := range a {
+		if slices.Contains(b, ax) {
+			out = append(out, ax)
 		}
 	}
 	return out
 }
 
-func axesIndex(axes []int, axis int) int {
-	for i, ax := range axes {
-		if ax == axis {
-			return i
-		}
-	}
-	return -1
-}
-
-func axesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+// containsAxes reports inner ⊆ outer.
+func containsAxes(outer, inner []int) bool {
+	for _, ax := range inner {
+		if !slices.Contains(outer, ax) {
 			return false
 		}
 	}
 	return true
-}
-
-func containsAxes(outer, inner []int) bool {
-	j := 0
-	for _, ax := range outer {
-		if j < len(inner) && inner[j] == ax {
-			j++
-		}
-	}
-	return j == len(inner)
 }

@@ -803,17 +803,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// coalesced followers and answered 500. The deferred slot and
 			// gauge releases above still run, so a panicking query leaks
 			// nothing.
-			defer func() {
-				if p := recover(); p != nil {
-					s.metrics.panics.Inc()
-					s.logger.LogAttrs(ctx, slog.LevelError, "evaluator panic",
-						slog.String("request_id", reqID),
-						slog.String("query", req.Query),
-						slog.Any("panic", p))
-					err = fmt.Errorf("%w: %v", errEvalPanic, p)
-					out = evalOutcome{err: err}
-				}
-			}()
+			defer s.containPanic(ctx, "evaluator panic", reqID, req.Query, &err)
 			if s.testHookBeforeEval != nil {
 				s.testHookBeforeEval()
 			}
@@ -843,40 +833,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			// Fold this run's work — complete or partial — into the
 			// aggregate gauges before anything is shared or cached.
-			if st != nil {
-				s.subformulaEvals.Add(st.SubformulaEvals)
-				s.fixIterations.Add(st.FixIterations)
-				s.tuplesTouched.Add(st.TuplesTouched)
-				s.repSwitches.Add(st.RepSwitches)
-				s.acyclicFast.Add(st.AcyclicFastPath)
-			}
+			s.foldEvalStats(st)
 			if eerr == nil && !req.NoCache {
-				tracked := &cache.Tracked{
-					Key:    key,
-					Engine: engineName,
-					Query:  req.Query,
-					// A sanitized copy: the key-relevant fields only, never
-					// the live request Options (whose Tracer must not outlive
-					// this run).
-					Opts: &eval.Options{MaxWidth: opts.MaxWidth, Backend: opts.Backend,
-						PFPBudget: opts.PFPBudget, PFPCycle: opts.PFPCycle, SparseBudget: opts.SparseBudget},
-				}
-				if pl.Prepared != nil && pl.Prepared.Maint != nil {
-					// The footprint is a property of the query, so it lets
-					// results from ANY engine ride out disjoint deltas;
-					// maintenance state is captured by compiled runs only.
-					tracked.Footprint = pl.Prepared.Maint.Rels
-					if engine == bvq.EngineCompiled {
-						tracked.Plan = pl.Prepared
-						tracked.State = mstate // nil when the run took a sparse route
-					}
-				}
-				s.storeResult(nd, snap, key, cache.Result{Answer: ans, Stats: st}, tracked)
+				s.storeResult(nd, snap, key, cache.Result{Answer: ans, Stats: st},
+					trackedResult(key, engine, engineName, req.Query, opts, pl, mstate))
 			}
 			return evalOutcome{answer: ans, stats: st, err: eerr}, eerr
 		}
 		if direct {
-			out, _ = run()
+			out, err = run()
 		} else {
 			var shared bool
 			out, shared, err = s.flight.Do(ctx, key, run)
@@ -884,11 +849,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				resp.Coalesced = true
 				s.coalesced.Add(1)
 			}
-			// A follower abandoned by its own context gets a bare ctx error
-			// with no outcome; fold it into the same error path.
-			if out.err == nil && err != nil {
-				out.err = err
-			}
+		}
+		// A contained panic, or a follower abandoned by its own context,
+		// yields a bare error with no outcome; fold it into the same error
+		// path.
+		if out.err == nil && err != nil {
+			out.err = err
 		}
 	}
 	if out.err != nil {
@@ -939,6 +905,59 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// containPanic contains an evaluator panic on the goroutine that defers it
+// (directly — recover only sees a panic from the deferred function itself):
+// the panic is counted, logged under what, and stored in *errp as an
+// errEvalPanic, so the request fails with a 500 (or an error trailer) instead
+// of taking the daemon down.
+func (s *Server) containPanic(ctx context.Context, what, reqID, query string, errp *error) {
+	if p := recover(); p != nil {
+		s.metrics.panics.Inc()
+		s.logger.LogAttrs(ctx, slog.LevelError, what,
+			slog.String("request_id", reqID),
+			slog.String("query", query),
+			slog.Any("panic", p))
+		*errp = fmt.Errorf("%w: %v", errEvalPanic, p)
+	}
+}
+
+// foldEvalStats adds one fresh run's work — complete or partial — to the
+// aggregate /stats counters. st is nil when the run never started.
+func (s *Server) foldEvalStats(st *eval.Stats) {
+	if st == nil {
+		return
+	}
+	s.subformulaEvals.Add(st.SubformulaEvals)
+	s.fixIterations.Add(st.FixIterations)
+	s.tuplesTouched.Add(st.TuplesTouched)
+	s.repSwitches.Add(st.RepSwitches)
+	s.acyclicFast.Add(st.AcyclicFastPath)
+}
+
+// trackedResult is the churn-index registration of one freshly evaluated
+// result, JSON or streamed. Opts is a sanitized copy — the key-relevant
+// fields only, never the live request Options, whose Tracer must not outlive
+// the run. The footprint is a property of the query, so it lets results from
+// ANY engine ride out disjoint deltas; maintenance state is captured by
+// compiled runs only (mstate is nil when the run took a sparse route).
+func trackedResult(key string, engine bvq.Engine, engineName, query string, opts *eval.Options, pl cache.Plan, mstate *eval.MaintState) *cache.Tracked {
+	tracked := &cache.Tracked{
+		Key:    key,
+		Engine: engineName,
+		Query:  query,
+		Opts: &eval.Options{MaxWidth: opts.MaxWidth, Backend: opts.Backend,
+			PFPBudget: opts.PFPBudget, PFPCycle: opts.PFPCycle, SparseBudget: opts.SparseBudget},
+	}
+	if pl.Prepared != nil && pl.Prepared.Maint != nil {
+		tracked.Footprint = pl.Prepared.Maint.Rels
+		if engine == bvq.EngineCompiled {
+			tracked.Plan = pl.Prepared
+			tracked.State = mstate
+		}
+	}
+	return tracked
 }
 
 // retryAfterValue renders one shed response's Retry-After header: the

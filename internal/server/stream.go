@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"log/slog"
 	"net/http"
 	"time"
 
@@ -105,7 +103,10 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	var fullCount int
 
 	if !req.NoCache {
-		if hit, ok := s.results.Get(key); ok {
+		clsp := root.Start(trace.SpanCacheLookup)
+		hit, ok := s.results.Get(key)
+		clsp.End()
+		if ok {
 			resp.ResultCached = true
 			// The cached Stats are shared with other requests: stream meters
 			// (tuples streamed/skipped) must not be written into them, so the
@@ -136,16 +137,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 		opts.Tracer = chainTracers(opts.Tracer, trace.Stages(esp))
 		var eerr error
 		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					s.metrics.panics.Inc()
-					s.logger.LogAttrs(ctx, slog.LevelError, "evaluator panic",
-						slog.String("request_id", reqID),
-						slog.String("query", req.Query),
-						slog.Any("panic", p))
-					eerr = fmt.Errorf("%w: %v", errEvalPanic, p)
-				}
-			}()
+			defer s.containPanic(ctx, "evaluator panic", reqID, req.Query, &eerr)
 			if s.testHookBeforeEval != nil {
 				s.testHookBeforeEval()
 			}
@@ -168,11 +160,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	defer func() {
 		if runStats != nil {
 			en.Close()
-			s.subformulaEvals.Add(runStats.SubformulaEvals)
-			s.fixIterations.Add(runStats.FixIterations)
-			s.tuplesTouched.Add(runStats.TuplesTouched)
-			s.repSwitches.Add(runStats.RepSwitches)
-			s.acyclicFast.Add(runStats.AcyclicFastPath)
+			s.foldEvalStats(runStats)
 		}
 	}()
 
@@ -239,16 +227,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	disconnected := false
 	var drainPanic error
 	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				s.metrics.panics.Inc()
-				s.logger.LogAttrs(ctx, slog.LevelError, "stream drain panic",
-					slog.String("request_id", reqID),
-					slog.String("query", req.Query),
-					slog.Any("panic", p))
-				drainPanic = fmt.Errorf("%w: %v", errEvalPanic, p)
-			}
-		}()
+		defer s.containPanic(ctx, "stream drain panic", reqID, req.Query, &drainPanic)
 		if req.Offset > 0 {
 			skipped = int64(en.Skip(req.Offset))
 		}
@@ -316,21 +295,8 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 		fullCount, countKnown = int(skipped+streamed), true
 	}
 	if collect != nil && exhausted {
-		tracked := &cache.Tracked{
-			Key:    key,
-			Engine: engineName,
-			Query:  req.Query,
-			Opts: &eval.Options{MaxWidth: opts.MaxWidth, Backend: opts.Backend,
-				PFPBudget: opts.PFPBudget, PFPCycle: opts.PFPCycle, SparseBudget: opts.SparseBudget},
-		}
-		if pl.Prepared != nil && pl.Prepared.Maint != nil {
-			tracked.Footprint = pl.Prepared.Maint.Rels
-			if engine == bvq.EngineCompiled {
-				tracked.Plan = pl.Prepared
-				tracked.State = mstate
-			}
-		}
-		s.storeResult(nd, snap, key, cache.Result{Answer: collect, Stats: runStats}, tracked)
+		s.storeResult(nd, snap, key, cache.Result{Answer: collect, Stats: runStats},
+			trackedResult(key, engine, engineName, req.Query, opts, pl, mstate))
 	}
 
 	en.Close() // fold acyclic-route stats before the trailer reads them

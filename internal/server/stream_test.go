@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/database"
+	"repro/internal/trace"
 )
 
 // postStream posts a streamed /query and splits the NDJSON response into
@@ -204,6 +205,36 @@ func TestStreamCachedAndCaches(t *testing.T) {
 	// cache still holds exactly one (full) entry.
 	if s.results.Len() != 1 {
 		t.Fatalf("cache size %d after windowed stream, want 1", s.results.Len())
+	}
+}
+
+// TestStreamCacheLookupSpan pins the stream path's result-cache read inside
+// a cache_lookup span, like the JSON path's: without it
+// bvqd_stage_seconds{stage="cache_lookup"} and the slow-log spans= summary
+// silently exclude streams.
+func TestStreamCacheLookupSpan(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceBufferSize: 16})
+	postStream(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "compiled", Stream: true})
+	var list struct {
+		Traces []struct {
+			TraceID string `json:"trace_id"`
+		} `json:"traces"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/traces", &list); code != http.StatusOK || len(list.Traces) != 1 {
+		t.Fatalf("/debug/traces: status %d, %d traces, want the one stream's trace", code, len(list.Traces))
+	}
+	var v trace.View
+	if code := getJSON(t, ts.URL+"/debug/traces/"+list.Traces[0].TraceID, &v); code != http.StatusOK {
+		t.Fatalf("trace detail status %d", code)
+	}
+	names := map[string]bool{}
+	for _, sp := range v.Spans {
+		names[sp.Name] = true
+	}
+	for _, want := range []string{trace.SpanCacheLookup, trace.SpanAdmission, trace.SpanEval, trace.SpanStreamDrain} {
+		if !names[want] {
+			t.Fatalf("stream trace missing span %q; got %v", want, names)
+		}
 	}
 }
 

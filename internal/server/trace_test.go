@@ -238,6 +238,40 @@ func TestExplainMode(t *testing.T) {
 		t.Fatalf("binder 0 ran no fixpoint stages: %+v", b)
 	}
 
+	// The profile counts semi-naive passes on every route: a dirty node (not
+	// hoisted, re-evaluated as the fixpoint advances) of this multi-stage LFP
+	// is evaluated more than once, and the sparse route — the same stage loop
+	// over another representation — reports exactly the dense route's counts.
+	dirtyEvals := func(backend string) map[int]int64 {
+		t.Helper()
+		code, resp, eresp := postQuery(t, ts, QueryRequest{
+			Database: "graph", Query: reachLFP, Engine: "compiled", Backend: backend, Explain: true})
+		if code != http.StatusOK || resp.Explain == nil {
+			t.Fatalf("explain backend=%s: status %d error %q", backend, code, eresp.Error)
+		}
+		if resp.Explain.Route != backend {
+			t.Fatalf("explain backend=%s took route %q", backend, resp.Explain.Route)
+		}
+		evals := map[int]int64{}
+		for _, n := range resp.Explain.Nodes {
+			if !n.Hoisted && n.Op != "fix" {
+				evals[n.ID] = n.Evals
+			}
+		}
+		return evals
+	}
+	denseEvals, sparseEvals := dirtyEvals("dense"), dirtyEvals("sparse")
+	multi := false
+	for id, de := range denseEvals {
+		if se := sparseEvals[id]; se != de {
+			t.Errorf("dirty node %d: sparse route reports %d evals, dense %d", id, se, de)
+		}
+		multi = multi || de > 1
+	}
+	if !multi {
+		t.Fatalf("no dirty node was evaluated more than once: %v", denseEvals)
+	}
+
 	// Explain results never come from or land in the result cache.
 	if resp.ResultCached {
 		t.Fatal("explain response claims a cached result")
