@@ -1,0 +1,301 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/database"
+	"repro/internal/metrics"
+	"repro/internal/trace"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt from this run")
+
+const goldenPath = "testdata/wire_golden.txt"
+
+// goldenStep is one request of the wire script: the body is raw JSON, so the
+// script can send what no QueryRequest value marshals to.
+type goldenStep struct {
+	name, path, body string
+}
+
+const (
+	oneHop     = "(x). exists y. E(x, y)"
+	boolQuery  = "(). exists x. P(x)"
+	chainReach = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
+)
+
+func queryStep(name, fields string) goldenStep {
+	return goldenStep{name: name, path: "/query", body: "{" + fields + "}"}
+}
+
+func q(db, query string) string {
+	return fmt.Sprintf(`"database":%q,"query":%q`, db, query)
+}
+
+// goldenScript is the fixed request sequence whose every response byte is
+// pinned: each way a /query can be served, every rejection of the
+// validation ladder, and an update that carries, maintains and invalidates.
+var goldenScript = []goldenStep{
+	queryStep("json miss", q("graph", twoHop)),
+	queryStep("json hit", q("graph", twoHop)),
+	queryStep("json limit+offset on a hit", q("graph", twoHop)+`,"limit":1,"offset":1`),
+	queryStep("json indices", q("graph", twoHop)+`,"indices":true`),
+	queryStep("json offset past the end", q("graph", twoHop)+`,"offset":99`),
+	queryStep("json boolean", q("graph", boolQuery)),
+	queryStep("json no_cache", q("graph", twoHop)+`,"no_cache":true`),
+	queryStep("trace lfp bottomup", q("graph", reachLFP)+`,"engine":"bottomup","trace":true`),
+	queryStep("trace lfp compiled", q("graph", reachLFP)+`,"engine":"compiled","trace":true`),
+	queryStep("explain dense", q("graph", reachLFP)+`,"engine":"compiled","backend":"dense","explain":true`),
+	queryStep("explain sparse", q("graph", reachLFP)+`,"engine":"compiled","backend":"sparse","explain":true`),
+	queryStep("stream miss", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
+	queryStep("stream hit", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
+	queryStep("stream window on a hit", q("graph", twoHop)+`,"stream":true,"limit":1,"offset":1`),
+	queryStep("stream limit on the acyclic route", q("graph", twoHop)+`,"engine":"compiled","backend":"sparse","stream":true,"limit":1`),
+	queryStep("stream boolean", q("graph", boolQuery)+`,"engine":"compiled","stream":true`),
+	queryStep("stream no_cache", q("graph", oneHop)+`,"engine":"compiled","stream":true,"no_cache":true`),
+
+	{name: "400 malformed json", path: "/query", body: `{"database":`},
+	queryStep("400 unknown field", q("graph", twoHop)+`,"bogus":1`),
+	queryStep("400 negative parallelism", q("graph", twoHop)+`,"parallelism":-1`),
+	queryStep("400 negative max_width", q("graph", twoHop)+`,"max_width":-1`),
+	queryStep("400 negative timeout_ms", q("graph", twoHop)+`,"timeout_ms":-1`),
+	queryStep("400 negative limit", q("graph", twoHop)+`,"limit":-1`),
+	queryStep("400 negative offset", q("graph", twoHop)+`,"offset":-1`),
+	queryStep("400 stream+trace", q("graph", twoHop)+`,"stream":true,"trace":true`),
+	queryStep("400 stream+explain", q("graph", twoHop)+`,"stream":true,"explain":true`),
+	queryStep("404 unknown database", q("nope", twoHop)),
+	queryStep("400 unknown engine", q("graph", twoHop)+`,"engine":"warp"`),
+	queryStep("400 unknown backend", q("graph", twoHop)+`,"engine":"compiled","backend":"columnar"`),
+	queryStep("400 backend without compiled", q("graph", twoHop)+`,"backend":"sparse"`),
+	queryStep("400 explain without compiled", q("graph", twoHop)+`,"explain":true`),
+	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")),
+	queryStep("400 width over bound", q("graph", twoHop)+`,"max_width":2`),
+	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")),
+
+	queryStep("chain reach compiled", q("chain", chainReach)+`,"engine":"compiled"`),
+	queryStep("chain P compiled", q("chain", "(x). P(x)")+`,"engine":"compiled"`),
+	queryStep("chain reach bottomup", q("chain", chainReach)+`,"engine":"bottomup"`),
+	{name: "update carries, maintains, invalidates", path: "/db/chain/update",
+		body: `{"updates":[{"relation":"E","insert":[[3,4]]}]}`},
+	queryStep("chain reach compiled, maintained hit", q("chain", chainReach)+`,"engine":"compiled"`),
+	{name: "update noop", path: "/db/chain/update",
+		body: `{"updates":[{"relation":"E","insert":[[3,4]]}]}`},
+	{name: "update 409", path: "/db/chain/update",
+		body: `{"updates":[{"relation":"E","delete":[[1,2]]}],"base_version":7}`},
+}
+
+// Per-run values: wall times, identifiers minted from the clock or the
+// random source. busy_us/wall_us are omitempty integers, so they are removed
+// with their comma rather than zeroed.
+var goldenNormalizers = []struct {
+	re   *regexp.Regexp
+	with string
+}{
+	{regexp.MustCompile(`"(elapsed_ms|elapsed_us)":[0-9.e+-]+`), `"$1":0`},
+	{regexp.MustCompile(`"(request_id|trace_id)":"[^"]*"`), `"$1":"-"`},
+	{regexp.MustCompile(`,"(busy_us|wall_us)":[0-9]+`), ``},
+}
+
+func normalizeGolden(b []byte) []byte {
+	for _, n := range goldenNormalizers {
+		b = n.re.ReplaceAll(b, []byte(n.with))
+	}
+	return b
+}
+
+func httpGet(t testing.TB, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	return raw
+}
+
+// runGoldenScript plays goldenScript against a fresh server and returns the
+// normalized transcript of every response.
+func runGoldenScript(t testing.TB) (*httptest.Server, []byte) {
+	t.Helper()
+	_, ts := newTestServer(t, Config{
+		Databases:       map[string]*database.Database{"graph": graphDB(t), "chain": chainDB(t)},
+		TraceBufferSize: 64,
+	})
+	var out bytes.Buffer
+	traceIDs := map[string]string{}
+	for _, st := range goldenScript {
+		resp, err := http.Post(ts.URL+st.path, "application/json", strings.NewReader(st.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probe struct {
+			TraceID string `json:"trace_id"`
+		}
+		if json.Unmarshal(raw, &probe) == nil && probe.TraceID != "" {
+			traceIDs[st.name] = probe.TraceID
+		}
+		fmt.Fprintf(&out, "## %s\nPOST %s %s\n-> %d %s\n%s\n", st.name, st.path, st.body,
+			resp.StatusCode, resp.Header.Get("Content-Type"), normalizeGolden(raw))
+	}
+
+	// The span tree of one LFP evaluation: shape and fixpoint counters, not
+	// times.
+	var v trace.View
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/debug/traces/"+traceIDs["trace lfp compiled"]), &v); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "## span tree of \"trace lfp compiled\"\n")
+	for _, sp := range v.Spans {
+		parent := "-"
+		if sp.Parent >= 0 {
+			parent = v.Spans[sp.Parent].Name
+		}
+		fmt.Fprintf(&out, "%s <- %s", sp.Name, parent)
+		if sp.Name == trace.SpanFixpoint {
+			fmt.Fprintf(&out, " %v stages=%d tuples=%d delta_tuples=%d", sp.Attrs, sp.Stages, sp.Tuples, sp.DeltaTuples)
+		}
+		out.WriteByte('\n')
+	}
+
+	var stats map[string]any
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	delete(stats, "uptime_seconds")
+	delete(stats, "build")
+	sj, err := json.MarshalIndent(stats, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "\n## /stats\n%s\n\n## /metrics\n", sj)
+
+	// Family metadata and every sample a clock does not decide: histogram
+	// buckets and sums, and the uptime gauge, are left out.
+	for _, line := range strings.Split(string(httpGet(t, ts.URL+"/metrics")), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if line == "" || strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") ||
+			name == "bvqd_uptime_seconds" {
+			continue
+		}
+		out.WriteString(line + "\n")
+	}
+	return ts, out.Bytes()
+}
+
+// TestWireGolden pins the bytes bvqd puts on the wire: response bodies,
+// status codes and content types of the whole script, then the counters the
+// script leaves behind in /stats and /metrics and the span tree of a traced
+// fixpoint. Regenerate with -update only when a wire change is intended.
+func TestWireGolden(t *testing.T) {
+	_, got := runGoldenScript(t)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("wire differs from %s at line %d:\n got: %s\nwant: %s", goldenPath, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("wire differs from %s in length: got %d lines, want %d", goldenPath, len(gl), len(wl))
+}
+
+// TestStatsMatchesMetrics checks that /stats and /metrics agree wherever
+// they report the same scalar, after a script that moves most of them.
+func TestStatsMatchesMetrics(t *testing.T) {
+	ts, _ := runGoldenScript(t)
+	var st StatsResponse
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/stats"), &st); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParseText(bytes.NewReader(httpGet(t, ts.URL+"/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]float64{} // unlabelled samples, and per-family sums of labelled counters
+	for _, f := range fams {
+		if f.Type == "histogram" {
+			continue
+		}
+		for _, s := range f.Samples {
+			scraped[f.Name] += s.Value
+		}
+	}
+	for name, want := range map[string]int64{
+		"bvqd_queries_total":                st.Queries,
+		"bvqd_errors_total":                 st.Errors,
+		"bvqd_timeouts_total":               st.Timeouts,
+		"bvqd_shed_total":                   st.Shed,
+		"bvqd_panics_recovered_total":       st.Panics,
+		"bvqd_slow_queries_total":           st.SlowQueries,
+		"bvqd_coalesced_total":              st.Coalesced,
+		"bvqd_streams_total":                st.Streams,
+		"bvqd_stream_disconnects_total":     st.StreamDisconnects,
+		"bvqd_evals_in_flight":              st.InFlight.Evals,
+		"bvqd_queue_depth":                  st.InFlight.Queued,
+		"bvqd_plan_cache_size":              int64(st.PlanCache.Size),
+		"bvqd_plan_cache_hits_total":        st.PlanCache.Hits,
+		"bvqd_plan_cache_misses_total":      st.PlanCache.Misses,
+		"bvqd_plan_cache_evictions_total":   st.PlanCache.Evictions,
+		"bvqd_result_cache_size":            int64(st.ResultCache.Size),
+		"bvqd_result_cache_hits_total":      st.ResultCache.Hits,
+		"bvqd_result_cache_misses_total":    st.ResultCache.Misses,
+		"bvqd_result_cache_evictions_total": st.ResultCache.Evictions,
+		"bvqd_updates_total":                st.Churn.Updates,
+		"bvqd_carried_results_total":        st.Churn.Carried,
+		"bvqd_maintained_results_total":     st.Churn.Maintained,
+		"bvqd_cache_invalidations_total":    st.Churn.Invalidated,
+		"bvqd_eval_subformula_evals_total":  st.Eval.SubformulaEvals,
+		"bvqd_eval_fix_iterations_total":    st.Eval.FixIterations,
+		"bvqd_eval_tuples_touched_total":    st.Eval.TuplesTouched,
+		"bvqd_eval_rep_switches_total":      st.Eval.RepSwitches,
+		"bvqd_eval_acyclic_fastpath_total":  st.Eval.AcyclicFastPath,
+	} {
+		got, ok := scraped[name]
+		if !ok {
+			t.Errorf("%s: not on /metrics", name)
+		} else if int64(got) != want {
+			t.Errorf("%s = %v on /metrics, %d on /stats", name, got, want)
+		}
+	}
+	if st.Queries == 0 || st.Errors == 0 || st.Streams == 0 || st.Churn.Updates == 0 ||
+		st.Churn.Carried == 0 || st.Churn.Maintained == 0 || st.Churn.Invalidated == 0 || st.Eval.FixIterations == 0 {
+		t.Fatalf("the script left a compared counter at zero, so its agreement shows nothing: %+v", st)
+	}
+}
