@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet docs race bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep examples cover clean check serve
+.PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep examples cover clean check serve
 
 all: vet test build
 
@@ -24,9 +24,12 @@ all: vet test build
 # eviction + retry keeps failures off the client. The benchmark module
 # (bench/, a nested module the root build never sees) is vetted and tested
 # too: it imports the eval plan API directly, so a signature drift there
-# must fail here, not in the next benchmark run.
+# must fail here, not in the next benchmark run. internal/trace is held to
+# a leaf of the import graph (any tier may record spans without linking the
+# evaluator), and the gate ends by printing the size report (loc).
 check: docs
 	$(GO) vet ./...
+	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/server/ ./internal/cache/ ./internal/metrics/
 	$(GO) test -race -count=1 -run 'TestDifferential|TestCompiled|TestChurn|TestMaintain|TestUpdate|TestEnum|TestStream' ./internal/eval/ ./internal/server/
@@ -37,6 +40,7 @@ check: docs
 	$(GO) -C bench test ./...
 	./scripts/stream_smoke.sh
 	./scripts/fleet_smoke.sh
+	./scripts/loc.sh
 
 build:
 	$(GO) build ./...
@@ -65,6 +69,11 @@ docs:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints non-test Go lines per package and in total, outside bench/ —
+# the figure ROADMAP re-anchors quote.
+loc:
+	./scripts/loc.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

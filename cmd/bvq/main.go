@@ -37,7 +37,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"repro"
 	"repro/internal/eval"
@@ -109,24 +108,33 @@ func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream 
 		}
 		return emit(stdout, verdict)
 	}
-	tuples := ans.Tuples()
-	if offset > 0 {
-		if offset >= len(tuples) {
-			tuples = nil
-		} else {
-			tuples = tuples[offset:]
-		}
-	}
-	if limit > 0 && limit < len(tuples) {
-		tuples = tuples[:limit]
-	}
-	for _, t := range tuples {
-		if err := emit(stdout, renderLine(t, db, showIdx)); err != nil {
-			return err
-		}
+	en := eval.NewSetEnumerator(context.Background(), ans, nil)
+	defer en.Close()
+	if _, _, _, err := printWindow(en, db, showIdx, limit, offset, stdout); err != nil {
+		return err
 	}
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
 	return nil
+}
+
+// printWindow prints en's OFFSET/LIMIT window, one tuple per line. It
+// reports the tuples skipped and printed, and whether the answer ran out
+// before the limit did.
+func printWindow(en eval.Enumerator, db *bvq.Database, showIdx bool, limit, offset int, stdout io.Writer) (skipped, printed int, exhausted bool, err error) {
+	if offset > 0 {
+		skipped = en.Skip(offset)
+	}
+	for limit == 0 || printed < limit {
+		t, ok := en.Next()
+		if !ok {
+			return skipped, printed, true, en.Err()
+		}
+		if err := emit(stdout, renderLine(t, db, showIdx)); err != nil {
+			return skipped, printed, false, err
+		}
+		printed++
+	}
+	return skipped, printed, false, nil
 }
 
 // loadInputs reads and parses the database file and the query text (inline
@@ -158,7 +166,7 @@ func loadInputs(dbPath, query, qFile string) (*bvq.Database, bvq.Query, error) {
 }
 
 // runExplain compiles the query, executes it on the compiled engine with a
-// per-node profile and a fixpoint tracer attached, and prints the annotated
+// per-node profile and the stage fold attached, and prints the annotated
 // plan tree — the CLI twin of the server's "explain": true request mode.
 func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr io.Writer) error {
 	if stream {
@@ -172,31 +180,8 @@ func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr 
 	if err != nil {
 		return err
 	}
-	var mu sync.Mutex
-	binders := map[int]*struct{ stages, delta, ns int64 }{}
-	opts := &eval.Options{
-		MaxWidth: k,
-		Profile:  eval.NewPlanProfile(p.NumNodes()),
-		Tracer: func(ev eval.TraceEvent) {
-			if ev.Binder < 0 {
-				return
-			}
-			mu.Lock()
-			a := binders[ev.Binder]
-			if a == nil {
-				a = &struct{ stages, delta, ns int64 }{}
-				binders[ev.Binder] = a
-			}
-			a.stages++
-			if ev.Delta < 0 {
-				a.delta -= int64(ev.Delta)
-			} else {
-				a.delta += int64(ev.Delta)
-			}
-			a.ns += ev.Elapsed.Nanoseconds()
-			mu.Unlock()
-		},
-	}
+	fold := eval.NewStageFold(0)
+	opts := &eval.Options{MaxWidth: k, Profile: eval.NewPlanProfile(p.NumNodes()), Tracer: fold.Observe}
 	den, route := eval.ExplainRoute(p, db, opts)
 	ans, st, err := eval.EvalPlanContext(context.Background(), p, db, opts)
 	if err != nil {
@@ -208,8 +193,8 @@ func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr 
 	}
 	ex.Route = route
 	ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
-	for b, a := range binders {
-		ex.AttachBinderStages(b, a.stages, a.delta, a.ns)
+	for _, fx := range fold.Fix {
+		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds())
 	}
 	ex.Render(stdout)
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
@@ -236,26 +221,8 @@ func runStream(q bvq.Query, db *bvq.Database, eng bvq.Engine, opts *bvq.Options,
 		return emit(stdout, verdict)
 	}
 	cnt, cntOK := en.Count()
-	skipped := 0
-	if offset > 0 {
-		skipped = en.Skip(offset)
-	}
-	printed := 0
-	exhausted := true
-	for limit == 0 || printed < limit {
-		t, ok := en.Next()
-		if !ok {
-			break
-		}
-		if err := emit(stdout, renderLine(t, db, showIdx)); err != nil {
-			return err
-		}
-		printed++
-		if limit > 0 && printed == limit {
-			exhausted = false
-		}
-	}
-	if err := en.Err(); err != nil {
+	skipped, printed, exhausted, err := printWindow(en, db, showIdx, limit, offset, stdout)
+	if err != nil {
 		return err
 	}
 	if !cntOK && exhausted {

@@ -227,58 +227,59 @@ func checkCtx(ctx context.Context) error {
 // Stats reports work done by an evaluation. Counters are updated through
 // atomic operations — the parallel PFP sweep increments them from several
 // worker goroutines at once — so the fields are plain int64s that are only
-// safe to read after the evaluation returns.
+// safe to read after the evaluation returns. The json tags are bvqd's wire
+// form of the statistics (server.StatsJSON is this type).
 type Stats struct {
 	// SubformulaEvals counts dense-relation constructions (one per
 	// subformula visit, including re-visits inside fixpoint iterations).
-	SubformulaEvals int64
+	SubformulaEvals int64 `json:"subformula_evals"`
 	// FixIterations counts fixpoint stages across all fixpoint operators.
-	FixIterations int64
+	FixIterations int64 `json:"fix_iterations"`
 	// MaxIntermediateArity is the largest arity of any intermediate
 	// relation (always the query width for BottomUp; per-subformula for
 	// Algebra).
-	MaxIntermediateArity int64
+	MaxIntermediateArity int64 `json:"max_intermediate_arity"`
 	// MaxIntermediateTuples is the largest tuple count of any intermediate
 	// relation.
-	MaxIntermediateTuples int64
+	MaxIntermediateTuples int64 `json:"max_intermediate_tuples"`
 	// NodesReused counts plan-node values served from the Compiled engine's
 	// DAG cache instead of being recomputed: per fixpoint stage, the size of
 	// the hoisted frontier the stage read without re-evaluating (work the
 	// tree-walking evaluators would redo every iteration). Zero for other
 	// engines. The counter is schedule-independent: it depends only on the
 	// plan and the iteration counts, never on Options.Parallelism.
-	NodesReused int64
+	NodesReused int64 `json:"nodes_reused,omitempty"`
 	// DeltaTuples counts tuples pushed through recursion-relation deltas by
 	// the Compiled engine's semi-naive stages — the per-stage |ΔS| sum. A
 	// value well below FixIterations × |S| is the semi-naive win made
 	// visible. Zero for other engines and for fixpoints evaluated without
 	// delta propagation (GFP, PFP, non-monotone dirty sets).
-	DeltaTuples int64
+	DeltaTuples int64 `json:"delta_tuples,omitempty"`
 	// TuplesTouched counts tuples written by sparse operations: the summed
 	// block sizes of sparse node evaluations, delta updates, and Yannakakis
 	// intermediates. The sparse analogue of dense word work; zero for pure
 	// dense runs.
-	TuplesTouched int64
+	TuplesTouched int64 `json:"tuples_touched,omitempty"`
 	// RepSwitches counts representation conversions: sparse subtree results
 	// cylindrified into the dense space at a hybrid frontier boundary.
-	RepSwitches int64
+	RepSwitches int64 `json:"rep_switches,omitempty"`
 	// AcyclicFastPath is 1 when the query was answered by the Yannakakis
 	// semijoin pipeline (acyclic conjunctive query under the sparse
 	// backend), 0 otherwise.
-	AcyclicFastPath int64
+	AcyclicFastPath int64 `json:"acyclic_fast_path,omitempty"`
 	// MaintainedFromDelta is 1 when this evaluation restarted its fixpoint
 	// stage loops from a previous snapshot's fixpoints (EvalPlanMaintained)
 	// instead of recomputing from scratch, 0 otherwise. Aggregated by bvqd it
 	// counts answers maintained incrementally across database updates.
-	MaintainedFromDelta int64
+	MaintainedFromDelta int64 `json:"maintained_from_delta,omitempty"`
 	// TuplesStreamed counts answer tuples actually decoded and delivered by
 	// an Enumerator (enum.go); zero for materializing evaluations, whose
 	// extraction is not tuple-metered.
-	TuplesStreamed int64
+	TuplesStreamed int64 `json:"tuples_streamed,omitempty"`
 	// TuplesSkipped counts answer tuples an Enumerator skipped without
 	// decoding (OFFSET seeks; for the dense cursor these cost popcounts, not
 	// decodes).
-	TuplesSkipped int64
+	TuplesSkipped int64 `json:"tuples_skipped,omitempty"`
 }
 
 func (s *Stats) addSubformulaEvals(d int64) {

@@ -314,8 +314,8 @@ func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
 	return v, true, err
 }
 
-// stageEvent is the TraceEvent of one completed stage of fx.
-func stageEvent(fx *plan.FixInfo, stage, tuples, delta int, start time.Time) TraceEvent {
+// fixEvent is the TraceEvent of one completed stage of fx.
+func fixEvent(fx *plan.FixInfo, stage, tuples, delta int, start time.Time) TraceEvent {
 	return TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
 		Stage: stage, Tuples: tuples, Delta: delta, Elapsed: time.Since(start)}
 }
@@ -377,7 +377,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 	}
 	trace := func(start time.Time, tuples int) {
 		stage++
-		tr(stageEvent(fx, stage, tuples, tuples-prevCount, start))
+		tr(fixEvent(fx, stage, tuples, tuples-prevCount, start))
 		prevCount = tuples
 	}
 	for {
@@ -689,7 +689,7 @@ func (r *run[V]) pfpRun(fx *plan.FixInfo, assign []int) (V, error) {
 		if err == nil && tr != nil {
 			stage++
 			nc := r.alg.count(next)
-			tr(stageEvent(fx, stage, nc, nc-r.alg.count(s), stageStart))
+			tr(fixEvent(fx, stage, nc, nc-r.alg.count(s), stageStart))
 		}
 		return next, err
 	}

@@ -186,3 +186,76 @@ func TestTracerNilIsIgnored(t *testing.T) {
 		t.Fatalf("tracer changed stats: %+v vs %+v", stTraced, stPlain)
 	}
 }
+
+// TestStageFoldParallelMatchesSerial feeds the fold from the parallel PFP
+// sweep — four workers reporting stages of one fixpoint at once, the -race
+// fodder — and checks its totals are the serial run's: the fold keys the
+// compiled engine's events by binder and the plan-less engines' by (engine,
+// relation, op), and either way the sweep's events land in one entry.
+func TestStageFoldParallelMatchesSerial(t *testing.T) {
+	db := lineGraph(t, 7)
+	q := paramReachPFP()
+	for _, engine := range []string{"bottomup", "compiled"} {
+		t.Run(engine, func(t *testing.T) {
+			run := func(parallelism int) (FixStages, *Stats) {
+				t.Helper()
+				fold := NewStageFold(0)
+				opts := &Options{Parallelism: parallelism, Tracer: fold.Observe}
+				var st *Stats
+				var err error
+				if engine == "bottomup" {
+					_, st, err = BottomUpStats(q, db, opts)
+				} else {
+					_, st, err = CompiledStats(q, db, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				fix := fold.Fix
+				if len(fix) != 1 {
+					t.Fatalf("Parallelism=%d: %d fixpoints folded, want the one PFP: %+v", parallelism, len(fix), fix)
+				}
+				if len(fold.Log) != 0 || fold.Truncated {
+					t.Fatalf("a fold without a log kept %d events (truncated=%v)", len(fold.Log), fold.Truncated)
+				}
+				return fix[0], st
+			}
+			serial, st := run(1)
+			if serial.Engine != engine || serial.Fixpoint != "S" || serial.Op != "pfp" || serial.First.IsZero() {
+				t.Fatalf("fixpoint identity = %+v", serial)
+			}
+			if (serial.Binder >= 0) != (engine == "compiled") {
+				t.Fatalf("binder = %d for engine %s", serial.Binder, engine)
+			}
+			if serial.Stages == 0 || serial.Stages != st.FixIterations {
+				t.Fatalf("stages = %d, FixIterations = %d", serial.Stages, st.FixIterations)
+			}
+			par, _ := run(4)
+			if par.Stages != serial.Stages || par.DeltaTuples != serial.DeltaTuples {
+				t.Fatalf("parallel totals stages=%d Σ|Δ|=%d, serial stages=%d Σ|Δ|=%d",
+					par.Stages, par.DeltaTuples, serial.Stages, serial.DeltaTuples)
+			}
+		})
+	}
+}
+
+// TestStageFoldLogCap checks the raw event log: in arrival order, cut at its
+// cap with the truncation flagged, while the totals keep counting.
+func TestStageFoldLogCap(t *testing.T) {
+	fold := NewStageFold(3)
+	if _, _, err := BottomUpStats(traceReachQuery(), traceDB(t), &Options{Tracer: fold.Observe}); err != nil {
+		t.Fatal(err)
+	}
+	events, truncated := fold.Log, fold.Truncated
+	if len(events) != 3 || !truncated {
+		t.Fatalf("log holds %d events (truncated=%v), want 3 and the flag", len(events), truncated)
+	}
+	for i, ev := range events {
+		if ev.Stage != i+1 {
+			t.Fatalf("event %d is stage %d", i, ev.Stage)
+		}
+	}
+	if fix := fold.Fix; len(fix) != 1 || fix[0].Stages <= 3 || fix[0].Tuples != 5 || fix[0].DeltaTuples != 5 {
+		t.Fatalf("totals = %+v, want every stage of the 5-element reach folded", fix)
+	}
+}

@@ -245,6 +245,17 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
+// Sum returns the total over every label value.
+func (v *CounterVec) Sum() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var n int64
+	for _, c := range v.kids {
+		n += c.Value()
+	}
+	return n
+}
+
 func (v *CounterVec) sortedKeys() []string {
 	keys := make([]string, 0, len(v.kids))
 	for k := range v.kids {

@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/plan"
 	"repro/internal/trace"
@@ -98,17 +96,17 @@ func clientRequestID(r *http.Request) string {
 	return id
 }
 
-// cacheOutcome labels how a request's answer was produced, for slow-query
+// cacheOutcome labels how the request's answer was produced, for slow-query
 // logs: "hit" (result cache), "coalesced" (rode another request's
 // evaluation), "bypass" (trace/explain/no_cache forced a fresh run), "miss"
 // (evaluated and eligible for caching).
-func cacheOutcome(resp *QueryResponse, direct bool) string {
+func (q *query) cacheOutcome() string {
 	switch {
-	case resp.ResultCached:
+	case q.cached:
 		return "hit"
-	case resp.Coalesced:
+	case q.coalesced:
 		return "coalesced"
-	case direct:
+	case q.direct:
 		return "bypass"
 	default:
 		return "miss"
@@ -145,55 +143,21 @@ func topSpans(v trace.View, k int) string {
 	return strings.Join(parts, ",")
 }
 
-// chainTracers composes tracers, dropping nil members; nil when none are
-// live, so the engines' "tracer == nil means disabled" fast path still
-// applies to untraced requests.
-func chainTracers(ts ...eval.Tracer) eval.Tracer {
-	live := ts[:0:0]
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(ev eval.TraceEvent) {
-		for _, t := range live {
-			t(ev)
-		}
-	}
-}
-
-// binderAgg accumulates one binder's fixpoint work for explain mode.
-type binderAgg struct {
-	stages int64
-	delta  int64 // summed |Δ| across semi-naive passes
-	ns     int64 // busy time inside stage work
-}
-
 // buildExplain assembles the explain payload for one executed request: the
 // plan DAG with density annotations, the backend route (refined to "acyclic"
 // when the run's stats show the Yannakakis fast path answered it), the
-// per-node profile and the per-binder stage totals.
-func (s *Server) buildExplain(p *plan.Plan, db *database.Database, opts *eval.Options,
-	st *eval.Stats, binders map[int]*binderAgg, mu *sync.Mutex) *plan.Explain {
-	den, route := eval.ExplainRoute(p, db, opts)
+// per-node profile and the per-binder stage totals of the run's fold.
+func buildExplain(q *query, st *eval.Stats) *plan.Explain {
+	p := q.pl.Prepared
+	den, route := eval.ExplainRoute(p, q.snap.db, &q.opts)
 	ex := p.Explain(den)
 	if st != nil && st.AcyclicFastPath > 0 {
 		route = "acyclic"
 	}
 	ex.Route = route
-	if opts.Profile != nil {
-		ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
+	ex.AttachProfile(q.opts.Profile.Evals, q.opts.Profile.NS)
+	for _, fx := range q.fold.Fix {
+		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds())
 	}
-	mu.Lock()
-	for b, a := range binders {
-		ex.AttachBinderStages(b, a.stages, a.delta, a.ns)
-	}
-	mu.Unlock()
 	return ex
 }

@@ -6,25 +6,28 @@ import (
 	"repro/internal/metrics"
 )
 
-// serverMetrics is the Prometheus-facing view of the server. Counters that
-// already exist as atomics on Server (kept for the JSON /stats endpoint) are
-// exposed through func-backed collectors read at scrape time — one source of
-// truth, no double bookkeeping. Only the instruments with no /stats
-// counterpart (latency histograms, shed, recovered panics, slow queries,
-// per-status responses) are first-class metrics.
+// serverMetrics is the server's one counter store: every plain count is a
+// registry instrument, bumped where the event happens and read by both
+// /metrics and /stats (Server.Stats). Func-backed collectors remain only for
+// state another component owns — cache counters, limiter depth, the flight
+// recorder, uptime.
 type serverMetrics struct {
 	registry *metrics.Registry
 	latency  *metrics.HistogramVec // bvqd_query_latency_seconds{engine}
-	shed     *metrics.Counter      // bvqd_shed_total
-	panics   *metrics.Counter      // bvqd_panics_recovered_total
-	slow     *metrics.Counter      // bvqd_slow_queries_total
 	statuses *metrics.CounterVec   // bvqd_responses_total{code}
 	backends *metrics.CounterVec   // bvqd_queries_by_backend_total{backend}
 	stages   *metrics.HistogramVec // bvqd_stage_seconds{stage}
 
-	updates       *metrics.Counter    // bvqd_updates_total
-	maintained    *metrics.Counter    // bvqd_maintained_results_total
-	invalidations *metrics.CounterVec // bvqd_cache_invalidations_total{reason}
+	queries, errors, timeouts, shed, panics, slow *metrics.Counter
+	coalesced, streams, streamDisconnects         *metrics.Counter
+	requestsInFlight, evalsInFlight               *metrics.Gauge
+
+	// Aggregate engine work over all fresh and maintenance runs, partial
+	// ones included (foldEvalStats).
+	subformulaEvals, fixIterations, tuplesTouched, repSwitches, acyclicFast *metrics.Counter
+
+	updates, carried, maintained *metrics.Counter
+	invalidations                *metrics.CounterVec // bvqd_cache_invalidations_total{reason}
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -34,12 +37,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latency: r.NewHistogramVec("bvqd_query_latency_seconds",
 			"End-to-end /query handling latency by evaluation engine.",
 			"engine", metrics.DefBuckets),
-		shed: r.NewCounter("bvqd_shed_total",
-			"Requests shed with 429 by the admission controller."),
-		panics: r.NewCounter("bvqd_panics_recovered_total",
-			"Evaluator panics recovered and converted to 500 responses."),
-		slow: r.NewCounter("bvqd_slow_queries_total",
-			"Requests slower than the slow-query threshold."),
 		statuses: r.NewCounterVec("bvqd_responses_total",
 			"Responses to /query by HTTP status code.", "code"),
 		backends: r.NewCounterVec("bvqd_queries_by_backend_total",
@@ -47,35 +44,51 @@ func newServerMetrics(s *Server) *serverMetrics {
 		stages: r.NewHistogramVec("bvqd_stage_seconds",
 			"Per-stage request latency (admission_wait, cache_lookup, compile, eval, fixpoint, extract, stream_drain), sampled at the flight-recorder rate.",
 			"stage", metrics.DefBuckets),
+
+		queries: r.NewCounter("bvqd_queries_total",
+			"Requests received on /query."),
+		errors: r.NewCounter("bvqd_errors_total",
+			"Requests answered with a 4xx or 5xx status."),
+		timeouts: r.NewCounter("bvqd_timeouts_total",
+			"Requests answered 504 after their evaluation deadline fired."),
+		shed: r.NewCounter("bvqd_shed_total",
+			"Requests shed with 429 by the admission controller."),
+		panics: r.NewCounter("bvqd_panics_recovered_total",
+			"Evaluator panics recovered and converted to 500 responses."),
+		slow: r.NewCounter("bvqd_slow_queries_total",
+			"Requests slower than the slow-query threshold."),
+		coalesced: r.NewCounter("bvqd_coalesced_total",
+			"Requests served by another request's in-flight evaluation."),
+		streams: r.NewCounter("bvqd_streams_total",
+			"Requests answered as NDJSON streams."),
+		streamDisconnects: r.NewCounter("bvqd_stream_disconnects_total",
+			"NDJSON streams cut mid-answer by a client disconnect."),
+		requestsInFlight: r.NewGauge("bvqd_requests_in_flight",
+			"/query requests currently being handled."),
+		evalsInFlight: r.NewGauge("bvqd_evals_in_flight",
+			"Evaluations currently running (after dedup and admission)."),
+
+		subformulaEvals: r.NewCounter("bvqd_eval_subformula_evals_total",
+			"Subformula evaluations across all runs, including partial ones."),
+		fixIterations: r.NewCounter("bvqd_eval_fix_iterations_total",
+			"Fixpoint stages across all runs, including partial ones."),
+		tuplesTouched: r.NewCounter("bvqd_eval_tuples_touched_total",
+			"Tuples written by sparse-backend operations across all runs."),
+		repSwitches: r.NewCounter("bvqd_eval_rep_switches_total",
+			"Sparse→dense conversions at the hybrid frontier across all runs."),
+		acyclicFast: r.NewCounter("bvqd_eval_acyclic_fastpath_total",
+			"Queries answered by the Yannakakis acyclic-join fast path."),
+
 		updates: r.NewCounter("bvqd_updates_total",
 			"Effective database updates applied via /db/{name}/update."),
+		carried: r.NewCounter("bvqd_carried_results_total",
+			"Cached results rekeyed unchanged because their footprint missed the delta."),
 		maintained: r.NewCounter("bvqd_maintained_results_total",
 			"Cached results incrementally maintained from an update delta."),
 		invalidations: r.NewCounterVec("bvqd_cache_invalidations_total",
 			"Cached results dropped during update triage, by reason.", "reason"),
 	}
 
-	r.NewCounterFunc("bvqd_carried_results_total",
-		"Cached results rekeyed unchanged because their footprint missed the delta.",
-		s.carriedResults.Load)
-
-	r.NewCounterFunc("bvqd_queries_total",
-		"Requests received on /query.", s.queries.Load)
-	r.NewCounterFunc("bvqd_errors_total",
-		"Requests answered with a 4xx or 5xx status.", s.errorsN.Load)
-	r.NewCounterFunc("bvqd_timeouts_total",
-		"Requests answered 504 after their evaluation deadline fired.", s.timeouts.Load)
-	r.NewCounterFunc("bvqd_coalesced_total",
-		"Requests served by another request's in-flight evaluation.", s.coalesced.Load)
-	r.NewCounterFunc("bvqd_streams_total",
-		"Requests answered as NDJSON streams.", s.streams.Load)
-	r.NewCounterFunc("bvqd_stream_disconnects_total",
-		"NDJSON streams cut mid-answer by a client disconnect.", s.streamDisconnects.Load)
-
-	r.NewGaugeFunc("bvqd_requests_in_flight",
-		"/query requests currently being handled.", s.requestsInFlight.Load)
-	r.NewGaugeFunc("bvqd_evals_in_flight",
-		"Evaluations currently running (after dedup and admission).", s.evalsInFlight.Load)
 	r.NewGaugeFunc("bvqd_queue_depth",
 		"Requests waiting for an evaluation slot.", s.limiter.queueDepth)
 	r.NewGaugeFunc("bvqd_eval_slots_in_use",
@@ -105,22 +118,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("bvqd_result_cache_size",
 		"Entries currently in the result cache.",
 		func() int64 { return int64(s.results.Len()) })
-
-	r.NewCounterFunc("bvqd_eval_subformula_evals_total",
-		"Subformula evaluations across all runs, including partial ones.",
-		s.subformulaEvals.Load)
-	r.NewCounterFunc("bvqd_eval_fix_iterations_total",
-		"Fixpoint stages across all runs, including partial ones.",
-		s.fixIterations.Load)
-	r.NewCounterFunc("bvqd_eval_tuples_touched_total",
-		"Tuples written by sparse-backend operations across all runs.",
-		s.tuplesTouched.Load)
-	r.NewCounterFunc("bvqd_eval_rep_switches_total",
-		"Sparse→dense conversions at the hybrid frontier across all runs.",
-		s.repSwitches.Load)
-	r.NewCounterFunc("bvqd_eval_acyclic_fastpath_total",
-		"Queries answered by the Yannakakis acyclic-join fast path.",
-		s.acyclicFast.Load)
 
 	r.NewCounterFunc("bvqd_traces_recorded_total",
 		"Finished request traces filed with the flight recorder.",

@@ -1,0 +1,540 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"strconv"
+	"time"
+
+	"repro"
+	"repro/internal/cache"
+	"repro/internal/eval"
+	"repro/internal/relation"
+	"repro/internal/trace"
+)
+
+// query is one /query request on its way through the pipeline. resolve fills
+// everything down to direct; the steps after it only read those fields and
+// record how the request was served in the last group, which finish reports.
+type query struct {
+	req   QueryRequest
+	reqID string
+	start time.Time
+	// lt is the lifecycle trace, built for 1 in TraceSample requests when the
+	// flight recorder is on. Untraced requests never allocate a span — lt and
+	// root are nil and every method on them is a no-op.
+	lt   *trace.Trace
+	root *trace.Span
+
+	ctx    context.Context // the request's context under its deadline
+	cancel context.CancelFunc
+	nd     *namedDB
+	// snap is pinned by one atomic load: concurrent updates swap the pointer
+	// but never touch the snapshot value, so evaluation, cache key and answer
+	// rendering are consistent.
+	snap        *dbSnap
+	engine      bvq.Engine
+	engineName  string
+	backendName string
+	wireBackend string // backendName when the request named a backend: the responses' echo
+	pl          cache.Plan
+	planCached  bool
+	opts        eval.Options
+	key         string
+	// direct: the request runs its own evaluation — no cache read, no
+	// coalescing. A traced or explained answer must come with this run's
+	// trace and profile, not someone else's (or none).
+	direct bool
+
+	fold      *eval.StageFold // the fresh run's stage observer, when anything reads it
+	status    int
+	cached    bool // served from the result cache
+	coalesced bool // served by another request's evaluation
+}
+
+// evalOutcome is what lookup or one evaluation produces; a JSON run's is
+// shared between coalesced requests, including the partial statistics of a
+// cancelled run. Exactly one of answer and enum is set on success; the
+// writers read either through enumerator.
+type evalOutcome struct {
+	answer *bvq.Relation   // materialized: a JSON run's answer, or a cache hit's
+	enum   eval.Enumerator // a stream run's live enumerator
+	stats  *eval.Stats
+	mstate *eval.MaintState // compiled dense runs: what delta-restart maintenance resumes from
+	err    error
+}
+
+// enumerator returns the answer as the one currency both writers window: the
+// stream run's live enumerator, or a set enumerator (sorting once, into the
+// canonical order) over a materialized answer. The caller closes it.
+func (out evalOutcome) enumerator(ctx context.Context) eval.Enumerator {
+	if out.enum != nil {
+		return out.enum
+	}
+	return eval.NewSetEnumerator(ctx, out.answer, nil)
+}
+
+// handleQuery is the /query pipeline: resolve the request, look the answer
+// up, evaluate it if that missed, write it, and (deferred) finish with the
+// metrics, trace and slow-log epilogue.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	q := s.begin(w, r)
+	defer s.finish(r, q)
+	if code, err := s.resolve(w, r, q); err != nil {
+		q.status = code
+		s.fail(w, code, err, nil, q.reqID)
+		return
+	}
+	defer q.cancel()
+	if q.req.Stream {
+		s.metrics.streams.Inc()
+	}
+
+	out := s.lookup(q)
+	switch {
+	case q.cached:
+	case q.req.Stream:
+		// A stream's run is over when its drain is: on the acyclic route
+		// evaluation interleaves with delivery, so the slot is held until
+		// the handler returns.
+		var settle func()
+		out, settle = s.evaluate(q, enumerate)
+		defer settle()
+	default:
+		out = s.evaluateShared(q)
+	}
+	if out.err != nil {
+		s.rejectEval(w, q, out)
+		return
+	}
+	if q.req.Stream {
+		s.writeStream(w, r, q, out)
+	} else {
+		s.writeAnswer(w, q, out)
+	}
+}
+
+// begin counts the request, settles its ID and starts its lifecycle trace,
+// continuing the client's W3C trace when it sent a traceparent header (so a
+// front tier can stitch fleet-wide traces).
+func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
+	q := &query{start: time.Now(), status: http.StatusOK, cancel: func() {}}
+	s.metrics.queries.Inc()
+	s.metrics.requestsInFlight.Add(1)
+	seq := s.reqSeq.Add(1)
+	q.reqID = clientRequestID(r)
+	if q.reqID == "" {
+		q.reqID = fmt.Sprintf("%08x", seq)
+	}
+	w.Header().Set("X-Request-Id", q.reqID)
+	if s.recorder != nil && seq%s.sample == 0 {
+		traceID, _, ok := trace.ParseTraceparent(r.Header.Get("traceparent"))
+		if !ok {
+			traceID = trace.NewTraceID()
+		}
+		q.lt = trace.New(traceID, q.start)
+		q.root = q.lt.Root()
+		q.root.Annotate("request_id", q.reqID)
+		w.Header().Set("traceparent", trace.FormatTraceparent(traceID, trace.NewSpanID()))
+	}
+	return q
+}
+
+// resolve turns the request body into everything evaluation needs: decoded
+// and validated fields, the pinned snapshot, engine and backend, the plan
+// (under the compile span), the deadline, the options and the cache key. Its
+// error is the 400 or 404 to answer.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int, error) {
+	req := &q.req
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	}
+	// Validate numeric wire fields up front: a negative value is always a
+	// client bug, and letting it through would select unintended semantics
+	// (e.g. a negative width bound disabling the Lᵏ check).
+	switch {
+	case req.Parallelism < 0:
+		return http.StatusBadRequest, fmt.Errorf("invalid parallelism %d: must be ≥ 0 (0 means GOMAXPROCS)", req.Parallelism)
+	case req.MaxWidth < 0:
+		return http.StatusBadRequest, fmt.Errorf("invalid max_width %d: must be ≥ 0 (0 means unbounded)", req.MaxWidth)
+	case req.TimeoutMS < 0:
+		return http.StatusBadRequest, fmt.Errorf("invalid timeout_ms %d: must be ≥ 0 (0 means the server default)", req.TimeoutMS)
+	case req.Limit < 0:
+		return http.StatusBadRequest, fmt.Errorf("invalid limit %d: must be ≥ 0 (0 means all tuples)", req.Limit)
+	case req.Offset < 0:
+		return http.StatusBadRequest, fmt.Errorf("invalid offset %d: must be ≥ 0", req.Offset)
+	case req.Stream && req.Trace:
+		return http.StatusBadRequest, fmt.Errorf("trace is not supported with stream: the trace belongs to the JSON response body")
+	case req.Stream && req.Explain:
+		return http.StatusBadRequest, fmt.Errorf("explain is not supported with stream: the plan profile belongs to the JSON response body")
+	}
+	nd, ok := s.dbs[req.Database]
+	if !ok {
+		return http.StatusNotFound, fmt.Errorf("unknown database %q", req.Database)
+	}
+	q.nd, q.snap = nd, nd.snap.Load()
+	q.engineName = req.Engine
+	if q.engineName == "" {
+		q.engineName = bvq.EngineBottomUp.String()
+	}
+	var err error
+	if q.engine, err = bvq.EngineByName(q.engineName); err != nil {
+		return http.StatusBadRequest, err
+	}
+	backend, err := eval.BackendByName(req.Backend)
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	if backend != eval.BackendAuto && q.engine != bvq.EngineCompiled {
+		return http.StatusBadRequest, fmt.Errorf("backend %q requires the compiled engine (got %q)", backend, q.engineName)
+	}
+	if req.Explain && q.engine != bvq.EngineCompiled {
+		return http.StatusBadRequest, fmt.Errorf("explain requires the compiled engine (got %q): only compiled queries have a plan DAG", q.engineName)
+	}
+	q.backendName = backend.String()
+	if req.Backend != "" {
+		q.wireBackend = q.backendName
+	}
+	s.metrics.backends.With(q.backendName).Inc()
+	csp := q.root.Start(trace.SpanCompile)
+	q.pl, q.planCached, err = s.plans.Load(req.Query)
+	csp.End()
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	if req.Explain && q.pl.Prepared == nil {
+		return http.StatusBadRequest, fmt.Errorf("explain: query is outside the compilable fragment (no plan DAG)")
+	}
+	if req.MaxWidth > 0 && q.pl.Width > req.MaxWidth {
+		return http.StatusBadRequest, fmt.Errorf("query width %d exceeds bound k=%d", q.pl.Width, req.MaxWidth)
+	}
+
+	q.ctx = r.Context()
+	timeout := s.defaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	if s.maxTimeout > 0 && (timeout == 0 || timeout > s.maxTimeout) {
+		timeout = s.maxTimeout
+	}
+	if timeout > 0 {
+		q.ctx, q.cancel = context.WithTimeout(q.ctx, timeout)
+	}
+	q.opts = eval.Options{MaxWidth: req.MaxWidth, Parallelism: req.Parallelism, Backend: backend}
+	if req.Explain {
+		q.opts.Profile = eval.NewPlanProfile(q.pl.Prepared.NumNodes())
+	}
+	// Neither observer hook changes answers, so both are excluded from the
+	// result key: traced and untraced runs share cache entries.
+	q.key = cache.ResultKey(q.snap.fp, q.engineName, &q.opts, req.Query)
+	q.direct = req.NoCache || req.Trace || req.Explain
+	return 0, nil
+}
+
+// lookup is the one result-cache read; q.cached reports a hit. Streams read
+// the cache like JSON requests do; only a direct request skips it.
+func (s *Server) lookup(q *query) evalOutcome {
+	if q.direct {
+		return evalOutcome{}
+	}
+	sp := q.root.Start(trace.SpanCacheLookup)
+	hit, ok := s.results.Get(q.key)
+	sp.End()
+	q.cached = ok
+	// The cached Stats are shared with other requests: the enumerator over a
+	// hit runs unmetered, and the wire reports the original run's stats.
+	return evalOutcome{answer: hit.Answer, stats: hit.Stats}
+}
+
+// materialize is the JSON engine call: the whole answer as a relation. The
+// compiled engine reuses the DAG plan prepared when the query entered the
+// plan cache and captures maintenance state alongside the answer; a nil
+// Prepared (non-compilable fragment) takes the generic path, which recompiles
+// and surfaces the real error.
+func materialize(q *query) (out evalOutcome) {
+	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
+		out.answer, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
+	} else {
+		out.answer, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+	}
+	return out
+}
+
+// enumerate is the stream engine call: an enumerator, so a LIMIT-k stream
+// stops the extraction — and on the acyclic fast path the evaluation itself
+// — after k tuples.
+func enumerate(q *query) (out evalOutcome) {
+	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
+		out.enum, out.stats, out.mstate, out.err = eval.EvalPlanEnumCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
+	} else {
+		out.enum, out.stats, out.err = bvq.EvalEnumContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+	}
+	return out
+}
+
+// evaluate is the one fresh-evaluation sequence, for JSON and streams alike:
+// take an evaluation slot (or join the bounded wait queue — overload sheds
+// with errOverloaded → 429, a deadline firing while queued is the usual 504),
+// raise the in-flight gauge, open the eval span, attach the stage observer,
+// and run call panic-contained. The returned settle ends the run — it folds
+// the work, complete or partial, into the aggregate counters and gives gauge
+// and slot back — and is the caller's to invoke when the run is over: at
+// once for a materialized answer, after the drain for a stream.
+func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutcome, settle func()) {
+	asp := q.root.Start(trace.SpanAdmission)
+	err := s.limiter.acquire(q.ctx)
+	asp.End()
+	if err != nil {
+		return evalOutcome{err: err}, func() {}
+	}
+	s.metrics.evalsInFlight.Add(1)
+	// For a stream the eval span covers enumerator construction; the drain
+	// span carries what the enumerator computes while delivering.
+	esp := q.root.Start(trace.SpanEval)
+	// At most one observer per request, and only when something will read
+	// it: the response's trace, explain's binder totals, or a live span. An
+	// unobserved run keeps a nil Tracer and the engines skip the hook.
+	if q.req.Trace || q.req.Explain || esp != nil {
+		logCap := 0
+		if q.req.Trace {
+			logCap = maxTraceEvents
+		}
+		q.fold = eval.NewStageFold(logCap)
+		q.opts.Tracer = q.fold.Observe
+	}
+	func() {
+		// A panic becomes an error — shared with coalesced followers,
+		// answered 500. Slot and gauge are still returned by settle.
+		defer s.containPanic(q.ctx, "evaluator panic", q.reqID, q.req.Query, &out.err)
+		if s.testHookBeforeEval != nil {
+			s.testHookBeforeEval()
+		}
+		out = call(q)
+		if esp == nil {
+			return
+		}
+		// The call has returned, so its workers are done and the fold is
+		// quiescent: one child span per fixpoint, busy time as duration —
+		// what feeds bvqd_stage_seconds{stage="fixpoint"}, partial runs
+		// included.
+		for _, fx := range q.fold.Fix {
+			esp.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
+				[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
+				trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
+		}
+	}()
+	esp.End()
+	return out, func() {
+		if out.enum != nil {
+			out.enum.Close() // the acyclic route folds its counters on Close
+		}
+		s.foldEvalStats(out.stats)
+		s.metrics.evalsInFlight.Add(-1)
+		s.limiter.release()
+	}
+}
+
+// keep stores a fresh run's complete answer in the result cache and registers
+// it with the churn index, unless the request opted out of caching. The
+// registration's Opts is a sanitized copy — the key-relevant fields only,
+// never the live request Options, whose Tracer must not outlive the run. The
+// footprint is a property of the query, so it lets results from ANY engine
+// ride out disjoint deltas; maintenance state is captured by compiled runs
+// only (mstate is nil when the run took a sparse route).
+func (s *Server) keep(q *query, out evalOutcome, full *relation.Set) {
+	if q.req.NoCache {
+		return
+	}
+	tracked := &cache.Tracked{
+		Key:    q.key,
+		Engine: q.engineName,
+		Query:  q.req.Query,
+		Opts: &eval.Options{MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
+			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget},
+	}
+	if p := q.pl.Prepared; p != nil && p.Maint != nil {
+		tracked.Footprint = p.Maint.Rels
+		if q.engine == bvq.EngineCompiled {
+			tracked.Plan = p
+			tracked.State = out.mstate
+		}
+	}
+	s.storeResult(q.nd, q.snap, q.key, cache.Result{Answer: full, Stats: out.stats}, tracked)
+}
+
+// evaluateShared runs a JSON request's evaluation and settles it at once.
+// Unless the request is direct, concurrent identical requests coalesce on
+// the cache key: one leader evaluates, the rest share its outcome.
+func (s *Server) evaluateShared(q *query) evalOutcome {
+	run := func() (evalOutcome, error) {
+		out, settle := s.evaluate(q, materialize)
+		settle()
+		if out.err == nil {
+			s.keep(q, out, out.answer)
+		}
+		return out, out.err
+	}
+	if q.direct {
+		out, _ := run()
+		return out
+	}
+	out, shared, err := s.flight.Do(q.ctx, q.key, run)
+	if shared {
+		q.coalesced = true
+		s.metrics.coalesced.Inc()
+	}
+	// A follower abandoned by its own context gets a bare error and no
+	// outcome; fold it into the same error path.
+	if out.err == nil {
+		out.err = err
+	}
+	return out
+}
+
+// windowed is the progress of one OFFSET/LIMIT pass over an enumerator — the
+// windowing both writers share. It is a value the caller owns so the counts
+// survive a panic out of the enumerator or the row callback.
+type windowed struct {
+	skipped, delivered int64
+	limited            bool // the limit, not the end of the answer, stopped the pass
+}
+
+// drain seeks past offset tuples, then hands each tuple to row until the
+// answer ends, limit rows are delivered (0: no limit) or row reports false.
+func (wd *windowed) drain(en eval.Enumerator, offset, limit int, row func(relation.Tuple) bool) {
+	if offset > 0 {
+		wd.skipped = int64(en.Skip(offset))
+	}
+	for {
+		if limit > 0 && wd.delivered >= int64(limit) {
+			wd.limited = true
+			return
+		}
+		t, ok := en.Next()
+		if !ok || !row(t) {
+			return
+		}
+		wd.delivered++
+	}
+}
+
+// writeAnswer is the JSON writer: the windowed answer rendered into one
+// QueryResponse body.
+func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
+	resp := QueryResponse{
+		RequestID:    q.reqID,
+		Database:     q.req.Database,
+		Engine:       q.engineName,
+		Backend:      q.wireBackend,
+		Width:        q.pl.Width,
+		Arity:        q.pl.Query.Arity(),
+		PlanCached:   q.planCached,
+		ResultCached: q.cached,
+		Coalesced:    q.coalesced,
+		Stats:        out.stats,
+		TraceID:      q.lt.ID(),
+	}
+	if q.req.Explain {
+		resp.Explain = buildExplain(q, out.stats)
+	}
+	xsp := q.root.Start(trace.SpanExtract)
+	en := out.enumerator(q.ctx)
+	defer en.Close()
+	// Count is always the FULL answer cardinality — limit/offset window the
+	// answer field only, so a paging client never loses the total.
+	resp.Count, _ = en.Count()
+	if resp.Arity == 0 {
+		truth := resp.Count > 0
+		resp.Truth = &truth
+		resp.Answer = [][]int{}
+	} else {
+		n := max(resp.Count-q.req.Offset, 0)
+		if q.req.Limit > 0 {
+			n = min(n, q.req.Limit)
+		}
+		resp.Answer = make([][]int, 0, n)
+		var wd windowed
+		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool {
+			resp.Answer = append(resp.Answer, renderTuple(t, q.snap.db, q.req.Indices))
+			return true
+		})
+	}
+	xsp.End()
+	if err := en.Err(); err != nil {
+		// The deadline fired while the answer was being rendered.
+		s.rejectEval(w, q, evalOutcome{stats: out.stats, err: err})
+		return
+	}
+	if q.req.Trace {
+		resp.Trace = make([]TraceStageJSON, len(q.fold.Log))
+		for i, ev := range q.fold.Log {
+			resp.Trace[i] = TraceStageJSON{Engine: ev.Engine, Fixpoint: ev.Fixpoint, Op: ev.Op, Stage: ev.Stage,
+				Tuples: ev.Tuples, Delta: ev.Delta, ElapsedUS: float64(ev.Elapsed.Nanoseconds()) / 1000}
+		}
+		resp.TraceTruncated = q.fold.Truncated
+	}
+	resp.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// rejectEval answers a failed evaluation. A 504 carries the partial work the
+// engine had done when the deadline fired; a stream that failed before its
+// first byte has always carried the run's statistics whatever the status.
+func (s *Server) rejectEval(w http.ResponseWriter, q *query, out evalOutcome) {
+	q.status = s.evalErrorCode(w, out.err)
+	var partial *StatsJSON
+	if q.status == http.StatusGatewayTimeout || q.req.Stream {
+		partial = out.stats
+	}
+	s.fail(w, q.status, out.err, partial, q.reqID)
+}
+
+// finish is the request epilogue: latency and status metrics, the lifecycle
+// trace filed with the flight recorder (kept when shed, failed or slow), and
+// the slow-query log line.
+func (s *Server) finish(r *http.Request, q *query) {
+	defer s.metrics.requestsInFlight.Add(-1)
+	elapsed := time.Since(q.start)
+	s.metrics.observe(q.engineName, q.status, elapsed)
+	slow := s.slowQuery > 0 && elapsed >= s.slowQuery
+	if q.lt != nil {
+		q.root.Annotate("database", q.req.Database)
+		q.root.Annotate("engine", q.engineName)
+		q.root.Annotate("status", strconv.Itoa(q.status))
+		switch {
+		case q.status == http.StatusTooManyRequests:
+			q.lt.Keep("shed")
+		case q.status >= http.StatusInternalServerError:
+			q.lt.Keep("error")
+		case slow:
+			q.lt.Keep("slow")
+		}
+		q.lt.Close(time.Now())
+		s.recordTrace(q.lt)
+	}
+	if !slow {
+		return
+	}
+	s.metrics.slow.Inc()
+	attrs := []slog.Attr{
+		slog.String("request_id", q.reqID),
+		slog.String("database", q.req.Database),
+		slog.String("engine", q.engineName),
+		slog.String("backend", q.backendName),
+		slog.String("cache", q.cacheOutcome()),
+		slog.String("query", q.req.Query),
+		slog.Int("status", q.status),
+		slog.Float64("elapsed_ms", float64(elapsed.Microseconds())/1000),
+	}
+	if q.lt != nil {
+		attrs = append(attrs,
+			slog.String("trace_id", q.lt.ID()),
+			slog.String("spans", topSpans(q.lt.View(), 3)))
+	}
+	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query", attrs...)
+}

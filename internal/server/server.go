@@ -59,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/cache"
 	"repro/internal/database"
 	"repro/internal/eval"
@@ -163,28 +162,6 @@ type Server struct {
 
 	reqSeq atomic.Int64 // request-ID sequence
 
-	queries   atomic.Int64 // requests to /query
-	errorsN   atomic.Int64 // requests answered 4xx/5xx
-	timeouts  atomic.Int64 // requests answered 504
-	coalesced atomic.Int64 // requests served by another request's evaluation
-
-	streams           atomic.Int64 // streamed (NDJSON) /query requests
-	streamDisconnects atomic.Int64 // streams cut by a client disconnect mid-answer
-
-	requestsInFlight atomic.Int64 // /query requests currently being handled
-	evalsInFlight    atomic.Int64 // evaluations currently running (post-dedup)
-
-	subformulaEvals atomic.Int64 // aggregate engine work, incl. partial runs
-	fixIterations   atomic.Int64
-	tuplesTouched   atomic.Int64 // sparse-backend tuple work across all runs
-	repSwitches     atomic.Int64 // sparse→dense hybrid-frontier conversions
-	acyclicFast     atomic.Int64 // queries answered by the Yannakakis fast path
-
-	updates            atomic.Int64 // effective updates accepted on /db/{name}/update
-	carriedResults     atomic.Int64 // cached results rekeyed across updates untouched
-	maintainedResults  atomic.Int64 // cached results re-derived by delta-restart
-	invalidatedResults atomic.Int64 // cached results dropped by updates
-
 	// testHookBeforeEval, when set, runs inside the evaluation closure after
 	// admission, before the engine. Tests use it to inject panics and to
 	// hold evaluation slots open.
@@ -212,14 +189,6 @@ type namedDB struct {
 type dbSnap struct {
 	db *database.Database
 	fp uint64
-}
-
-// evalOutcome is what one evaluation produces — shared between coalesced
-// requests, including the partial statistics of a cancelled run.
-type evalOutcome struct {
-	answer *bvq.Relation
-	stats  *eval.Stats
-	err    error
 }
 
 // New validates cfg and returns a Server.
@@ -317,11 +286,9 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 		defer func() {
 			if p := recover(); p != nil {
 				s.metrics.panics.Inc()
-				s.errorsN.Add(1)
 				s.logger.LogAttrs(r.Context(), slog.LevelError, "handler panic",
 					slog.String("path", r.URL.Path), slog.Any("panic", p))
-				writeJSON(w, http.StatusInternalServerError,
-					ErrorResponse{Error: fmt.Sprintf("internal error: %v", p)})
+				s.fail(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p), nil, "")
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -453,459 +420,9 @@ type ErrorResponse struct {
 	Stats *StatsJSON `json:"stats,omitempty"`
 }
 
-// StatsJSON mirrors eval.Stats in the wire format.
-type StatsJSON struct {
-	SubformulaEvals       int64 `json:"subformula_evals"`
-	FixIterations         int64 `json:"fix_iterations"`
-	MaxIntermediateArity  int64 `json:"max_intermediate_arity"`
-	MaxIntermediateTuples int64 `json:"max_intermediate_tuples"`
-	// NodesReused and DeltaTuples are reported by the compiled engine only:
-	// plan-cache reads served without recomputation, and tuples pushed
-	// through semi-naive stage deltas.
-	NodesReused int64 `json:"nodes_reused,omitempty"`
-	DeltaTuples int64 `json:"delta_tuples,omitempty"`
-	// TuplesTouched, RepSwitches and AcyclicFastPath are reported by the
-	// compiled engine's sparse backend: tuples written by sparse operations,
-	// sparse→dense conversions at the hybrid frontier, and whether the
-	// Yannakakis acyclic-join pipeline answered the query.
-	TuplesTouched   int64 `json:"tuples_touched,omitempty"`
-	RepSwitches     int64 `json:"rep_switches,omitempty"`
-	AcyclicFastPath int64 `json:"acyclic_fast_path,omitempty"`
-	// MaintainedFromDelta is 1 when the run that produced this answer was a
-	// delta-restart maintenance run (the cached result was re-derived after
-	// an update rather than recomputed from scratch).
-	MaintainedFromDelta int64 `json:"maintained_from_delta,omitempty"`
-	// TuplesStreamed and TuplesSkipped are reported by streamed (or
-	// windowed) evaluations: answer tuples decoded and delivered, and
-	// tuples skipped without decoding by OFFSET seeks.
-	TuplesStreamed int64 `json:"tuples_streamed,omitempty"`
-	TuplesSkipped  int64 `json:"tuples_skipped,omitempty"`
-}
-
-func statsJSON(st *eval.Stats) *StatsJSON {
-	if st == nil {
-		return nil
-	}
-	return &StatsJSON{
-		SubformulaEvals:       st.SubformulaEvals,
-		FixIterations:         st.FixIterations,
-		MaxIntermediateArity:  st.MaxIntermediateArity,
-		MaxIntermediateTuples: st.MaxIntermediateTuples,
-		NodesReused:           st.NodesReused,
-		DeltaTuples:           st.DeltaTuples,
-		TuplesTouched:         st.TuplesTouched,
-		RepSwitches:           st.RepSwitches,
-		AcyclicFastPath:       st.AcyclicFastPath,
-		MaintainedFromDelta:   st.MaintainedFromDelta,
-		TuplesStreamed:        st.TuplesStreamed,
-		TuplesSkipped:         st.TuplesSkipped,
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.queries.Add(1)
-	s.requestsInFlight.Add(1)
-	defer s.requestsInFlight.Add(-1)
-
-	seq := s.reqSeq.Add(1)
-	reqID := clientRequestID(r)
-	if reqID == "" {
-		reqID = fmt.Sprintf("%08x", seq)
-	}
-	w.Header().Set("X-Request-Id", reqID)
-
-	// Lifecycle trace: built for 1 in TraceSample requests when the flight
-	// recorder is on, continuing the client's W3C trace when it sent a
-	// traceparent header (so a front tier can stitch fleet-wide traces).
-	// Untraced requests never allocate a span — every *trace.Span method is
-	// a nil no-op.
-	var lt *trace.Trace
-	var root *trace.Span
-	if s.recorder != nil && seq%s.sample == 0 {
-		traceID, _, ok := trace.ParseTraceparent(r.Header.Get("traceparent"))
-		if !ok {
-			traceID = trace.NewTraceID()
-		}
-		lt = trace.New(traceID, start)
-		root = lt.Root()
-		root.Annotate("request_id", reqID)
-		w.Header().Set("traceparent", trace.FormatTraceparent(traceID, trace.NewSpanID()))
-	}
-
-	var req QueryRequest
-	var engineName, backendName string
-	var resp QueryResponse
-	direct := false
-	status := http.StatusOK
-	defer func() {
-		elapsed := time.Since(start)
-		s.metrics.observe(engineName, status, elapsed)
-		slow := s.slowQuery > 0 && elapsed >= s.slowQuery
-		if lt != nil {
-			root.Annotate("database", req.Database)
-			root.Annotate("engine", engineName)
-			root.Annotate("status", strconv.Itoa(status))
-			switch {
-			case status == http.StatusTooManyRequests:
-				lt.Keep("shed")
-			case status >= http.StatusInternalServerError:
-				lt.Keep("error")
-			case slow:
-				lt.Keep("slow")
-			}
-			lt.Close(time.Now())
-			s.recordTrace(lt)
-		}
-		if slow {
-			s.metrics.slow.Inc()
-			attrs := []slog.Attr{
-				slog.String("request_id", reqID),
-				slog.String("database", req.Database),
-				slog.String("engine", engineName),
-				slog.String("backend", backendName),
-				slog.String("cache", cacheOutcome(&resp, direct)),
-				slog.String("query", req.Query),
-				slog.Int("status", status),
-				slog.Float64("elapsed_ms", float64(elapsed.Microseconds())/1000),
-			}
-			if lt != nil {
-				attrs = append(attrs,
-					slog.String("trace_id", lt.ID()),
-					slog.String("spans", topSpans(lt.View(), 3)))
-			}
-			s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query", attrs...)
-		}
-	}()
-	fail := func(code int, err error, partial *StatsJSON) {
-		status = code
-		s.fail(w, code, err, partial, reqID)
-	}
-
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), nil)
-		return
-	}
-	// Validate numeric wire fields up front: a negative value is always a
-	// client bug, and letting it through would select unintended semantics
-	// (e.g. a negative width bound disabling the Lᵏ check).
-	if req.Parallelism < 0 {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("invalid parallelism %d: must be ≥ 0 (0 means GOMAXPROCS)", req.Parallelism), nil)
-		return
-	}
-	if req.MaxWidth < 0 {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("invalid max_width %d: must be ≥ 0 (0 means unbounded)", req.MaxWidth), nil)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("invalid timeout_ms %d: must be ≥ 0 (0 means the server default)", req.TimeoutMS), nil)
-		return
-	}
-	if req.Limit < 0 {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("invalid limit %d: must be ≥ 0 (0 means all tuples)", req.Limit), nil)
-		return
-	}
-	if req.Offset < 0 {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("invalid offset %d: must be ≥ 0", req.Offset), nil)
-		return
-	}
-	if req.Stream && req.Trace {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("trace is not supported with stream: the trace belongs to the JSON response body"), nil)
-		return
-	}
-	if req.Stream && req.Explain {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("explain is not supported with stream: the plan profile belongs to the JSON response body"), nil)
-		return
-	}
-	nd, ok := s.dbs[req.Database]
-	if !ok {
-		fail(http.StatusNotFound, fmt.Errorf("unknown database %q", req.Database), nil)
-		return
-	}
-	// One atomic load pins this request's snapshot: concurrent updates swap
-	// the pointer but never touch the snapshot value itself, so everything
-	// below — evaluation, cache keys, answer rendering — is consistent.
-	snap := nd.snap.Load()
-	engineName = req.Engine
-	if engineName == "" {
-		engineName = bvq.EngineBottomUp.String()
-	}
-	engine, err := bvq.EngineByName(engineName)
-	if err != nil {
-		fail(http.StatusBadRequest, err, nil)
-		return
-	}
-	backend, err := eval.BackendByName(req.Backend)
-	if err != nil {
-		fail(http.StatusBadRequest, err, nil)
-		return
-	}
-	if backend != eval.BackendAuto && engine != bvq.EngineCompiled {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("backend %q requires the compiled engine (got %q)", backend, engineName), nil)
-		return
-	}
-	if req.Explain && engine != bvq.EngineCompiled {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("explain requires the compiled engine (got %q): only compiled queries have a plan DAG", engineName), nil)
-		return
-	}
-	backendName = backend.String()
-	s.metrics.backends.With(backendName).Inc()
-	csp := root.Start(trace.SpanCompile)
-	pl, planCached, err := s.plans.Load(req.Query)
-	csp.End()
-	if err != nil {
-		fail(http.StatusBadRequest, err, nil)
-		return
-	}
-	if req.Explain && pl.Prepared == nil {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("explain: query is outside the compilable fragment (no plan DAG)"), nil)
-		return
-	}
-	if req.MaxWidth > 0 && pl.Width > req.MaxWidth {
-		fail(http.StatusBadRequest,
-			fmt.Errorf("query width %d exceeds bound k=%d", pl.Width, req.MaxWidth), nil)
-		return
-	}
-
-	ctx := r.Context()
-	timeout := s.defaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if s.maxTimeout > 0 && (timeout == 0 || timeout > s.maxTimeout) {
-		timeout = s.maxTimeout
-	}
-	if timeout > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	opts := &eval.Options{MaxWidth: req.MaxWidth, Parallelism: req.Parallelism, Backend: backend}
-	var traceMu sync.Mutex
-	var traceEvents []TraceStageJSON
-	var traceTruncated bool
-	var reqTracer eval.Tracer
-	if req.Trace {
-		reqTracer = func(ev eval.TraceEvent) {
-			traceMu.Lock()
-			if len(traceEvents) < maxTraceEvents {
-				traceEvents = append(traceEvents, TraceStageJSON{
-					Engine:    ev.Engine,
-					Fixpoint:  ev.Fixpoint,
-					Op:        ev.Op,
-					Stage:     ev.Stage,
-					Tuples:    ev.Tuples,
-					Delta:     ev.Delta,
-					ElapsedUS: float64(ev.Elapsed.Nanoseconds()) / 1000,
-				})
-			} else {
-				traceTruncated = true
-			}
-			traceMu.Unlock()
-		}
-	}
-	// Explain collects per-binder stage totals through the same tracer hook
-	// and a per-node profile through eval.Options.Profile. Neither changes
-	// answers, so both are excluded from the result key — but an explained
-	// request evaluates fresh anyway (direct below).
-	var binderMu sync.Mutex
-	var binderStats map[int]*binderAgg
-	var explainTracer eval.Tracer
-	if req.Explain {
-		binderStats = make(map[int]*binderAgg)
-		explainTracer = func(ev eval.TraceEvent) {
-			if ev.Binder < 0 {
-				return
-			}
-			binderMu.Lock()
-			a := binderStats[ev.Binder]
-			if a == nil {
-				a = &binderAgg{}
-				binderStats[ev.Binder] = a
-			}
-			a.stages++
-			if d := ev.Delta; d >= 0 {
-				a.delta += int64(d)
-			} else {
-				a.delta -= int64(d)
-			}
-			a.ns += ev.Elapsed.Nanoseconds()
-			binderMu.Unlock()
-		}
-		opts.Profile = eval.NewPlanProfile(pl.Prepared.NumNodes())
-	}
-	opts.Tracer = chainTracers(reqTracer, explainTracer)
-	// The tracer is excluded from the result key (it never changes the
-	// answer), so traced and untraced runs share cache entries.
-	key := cache.ResultKey(snap.fp, engineName, opts, req.Query)
-
-	resp = QueryResponse{
-		RequestID:  reqID,
-		Database:   req.Database,
-		Engine:     engineName,
-		Width:      pl.Width,
-		Arity:      pl.Query.Arity(),
-		PlanCached: planCached,
-		TraceID:    lt.ID(),
-	}
-	if req.Backend != "" {
-		resp.Backend = backendName
-	}
-
-	if req.Stream {
-		status = s.streamQuery(ctx, w, r, &req, nd, snap, pl, engine, engineName, opts, key, &resp, start, root)
-		return
-	}
-
-	// A traced or explained request must run the evaluation itself: a cache
-	// read or a coalesced ride-along would return an answer with someone
-	// else's (or no) trace and profile.
-	direct = req.NoCache || req.Trace || req.Explain
-
-	var out evalOutcome
-	if !direct {
-		clsp := root.Start(trace.SpanCacheLookup)
-		hit, ok := s.results.Get(key)
-		clsp.End()
-		if ok {
-			resp.ResultCached = true
-			out = evalOutcome{answer: hit.Answer, stats: hit.Stats}
-		}
-	}
-	if !resp.ResultCached {
-		run := func() (out evalOutcome, err error) {
-			// Admission: take an evaluation slot or join the bounded wait
-			// queue; overload sheds with errOverloaded → 429, and a deadline
-			// firing while queued surfaces as the usual 504.
-			asp := root.Start(trace.SpanAdmission)
-			if aerr := s.limiter.acquire(ctx); aerr != nil {
-				asp.End()
-				return evalOutcome{err: aerr}, aerr
-			}
-			asp.End()
-			defer s.limiter.release()
-			s.evalsInFlight.Add(1)
-			defer s.evalsInFlight.Add(-1)
-			// Contain evaluator panics: convert to an error shared with any
-			// coalesced followers and answered 500. The deferred slot and
-			// gauge releases above still run, so a panicking query leaks
-			// nothing.
-			defer s.containPanic(ctx, "evaluator panic", reqID, req.Query, &err)
-			if s.testHookBeforeEval != nil {
-				s.testHookBeforeEval()
-			}
-			// The compiled engine reuses the DAG plan prepared when the
-			// query entered the plan cache — compilation is amortized the
-			// same way parsing is. A nil Prepared (non-compilable fragment)
-			// falls through to the generic path, which recompiles and
-			// surfaces the real error.
-			var ans *bvq.Relation
-			var st *eval.Stats
-			var mstate *eval.MaintState
-			var eerr error
-			// The eval span folds fixpoint-stage events into per-fixpoint
-			// child spans; chainTracers drops nil members, so an untraced
-			// request keeps a nil Tracer and the engines skip the hook.
-			esp := root.Start(trace.SpanEval)
-			opts.Tracer = chainTracers(reqTracer, explainTracer, trace.Stages(esp))
-			defer esp.End()
-			if engine == bvq.EngineCompiled && pl.Prepared != nil {
-				// Capture maintenance state alongside the answer: if an
-				// update later touches this query's footprint, the cached
-				// result can be re-derived by delta-restart instead of being
-				// dropped (update.go).
-				ans, st, mstate, eerr = eval.EvalPlanCapture(ctx, pl.Prepared, snap.db, opts)
-			} else {
-				ans, st, eerr = bvq.EvalStatsContext(ctx, pl.Query, snap.db, engine, opts)
-			}
-			// Fold this run's work — complete or partial — into the
-			// aggregate gauges before anything is shared or cached.
-			s.foldEvalStats(st)
-			if eerr == nil && !req.NoCache {
-				s.storeResult(nd, snap, key, cache.Result{Answer: ans, Stats: st},
-					trackedResult(key, engine, engineName, req.Query, opts, pl, mstate))
-			}
-			return evalOutcome{answer: ans, stats: st, err: eerr}, eerr
-		}
-		if direct {
-			out, err = run()
-		} else {
-			var shared bool
-			out, shared, err = s.flight.Do(ctx, key, run)
-			if shared {
-				resp.Coalesced = true
-				s.coalesced.Add(1)
-			}
-		}
-		// A contained panic, or a follower abandoned by its own context,
-		// yields a bare error with no outcome; fold it into the same error
-		// path.
-		if out.err == nil && err != nil {
-			out.err = err
-		}
-	}
-	if out.err != nil {
-		code := s.evalErrorCode(w, out.err)
-		var partial *StatsJSON
-		if code == http.StatusGatewayTimeout {
-			partial = statsJSON(out.stats)
-		}
-		fail(code, out.err, partial)
-		return
-	}
-
-	resp.Stats = statsJSON(out.stats)
-	if req.Explain {
-		resp.Explain = s.buildExplain(pl.Prepared, snap.db, opts, out.stats, binderStats, &binderMu)
-	}
-	// Count is always the FULL answer cardinality — limit/offset window the
-	// answer field only, so a paging client never loses the total.
-	resp.Count = out.answer.Len()
-	xsp := root.Start(trace.SpanExtract)
-	if resp.Arity == 0 {
-		truth := out.answer.Len() > 0
-		resp.Truth = &truth
-		resp.Answer = [][]int{}
-	} else {
-		tuples := out.answer.Tuples() // canonical sorted order: deterministic bodies
-		if req.Offset > 0 {
-			if req.Offset >= len(tuples) {
-				tuples = nil
-			} else {
-				tuples = tuples[req.Offset:]
-			}
-		}
-		if req.Limit > 0 && req.Limit < len(tuples) {
-			tuples = tuples[:req.Limit]
-		}
-		resp.Answer = make([][]int, len(tuples))
-		for i, t := range tuples {
-			resp.Answer[i] = renderTuple(t, snap.db, req.Indices)
-		}
-	}
-	xsp.End()
-	if req.Trace {
-		traceMu.Lock()
-		resp.Trace = traceEvents
-		resp.TraceTruncated = traceTruncated
-		traceMu.Unlock()
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
-}
+// StatsJSON is the wire form of an evaluation's work statistics: eval.Stats
+// itself, whose json tags are the field names.
+type StatsJSON = eval.Stats
 
 // containPanic contains an evaluator panic on the goroutine that defers it
 // (directly — recover only sees a panic from the deferred function itself):
@@ -923,41 +440,18 @@ func (s *Server) containPanic(ctx context.Context, what, reqID, query string, er
 	}
 }
 
-// foldEvalStats adds one fresh run's work — complete or partial — to the
-// aggregate /stats counters. st is nil when the run never started.
+// foldEvalStats adds one run's work — a fresh evaluation's or a maintenance
+// run's, complete or partial — to the aggregate counters. st is nil when the
+// run never started.
 func (s *Server) foldEvalStats(st *eval.Stats) {
 	if st == nil {
 		return
 	}
-	s.subformulaEvals.Add(st.SubformulaEvals)
-	s.fixIterations.Add(st.FixIterations)
-	s.tuplesTouched.Add(st.TuplesTouched)
-	s.repSwitches.Add(st.RepSwitches)
-	s.acyclicFast.Add(st.AcyclicFastPath)
-}
-
-// trackedResult is the churn-index registration of one freshly evaluated
-// result, JSON or streamed. Opts is a sanitized copy — the key-relevant
-// fields only, never the live request Options, whose Tracer must not outlive
-// the run. The footprint is a property of the query, so it lets results from
-// ANY engine ride out disjoint deltas; maintenance state is captured by
-// compiled runs only (mstate is nil when the run took a sparse route).
-func trackedResult(key string, engine bvq.Engine, engineName, query string, opts *eval.Options, pl cache.Plan, mstate *eval.MaintState) *cache.Tracked {
-	tracked := &cache.Tracked{
-		Key:    key,
-		Engine: engineName,
-		Query:  query,
-		Opts: &eval.Options{MaxWidth: opts.MaxWidth, Backend: opts.Backend,
-			PFPBudget: opts.PFPBudget, PFPCycle: opts.PFPCycle, SparseBudget: opts.SparseBudget},
-	}
-	if pl.Prepared != nil && pl.Prepared.Maint != nil {
-		tracked.Footprint = pl.Prepared.Maint.Rels
-		if engine == bvq.EngineCompiled {
-			tracked.Plan = pl.Prepared
-			tracked.State = mstate
-		}
-	}
-	return tracked
+	s.metrics.subformulaEvals.Add(st.SubformulaEvals)
+	s.metrics.fixIterations.Add(st.FixIterations)
+	s.metrics.tuplesTouched.Add(st.TuplesTouched)
+	s.metrics.repSwitches.Add(st.RepSwitches)
+	s.metrics.acyclicFast.Add(st.AcyclicFastPath)
 }
 
 // retryAfterValue renders one shed response's Retry-After header: the
@@ -987,7 +481,7 @@ func (s *Server) evalErrorCode(w http.ResponseWriter, err error) int {
 		if errors.Is(err, errQueueTimeout) {
 			w.Header().Set("Retry-After", s.retryAfterValue())
 		}
-		s.timeouts.Add(1)
+		s.metrics.timeouts.Inc()
 		return http.StatusGatewayTimeout
 	case errors.Is(err, errEvalPanic) || errors.Is(err, cache.ErrPanicked):
 		return http.StatusInternalServerError
@@ -998,7 +492,7 @@ func (s *Server) evalErrorCode(w http.ResponseWriter, err error) int {
 
 // fail writes an error response and counts it.
 func (s *Server) fail(w http.ResponseWriter, code int, err error, partial *StatsJSON, reqID string) {
-	s.errorsN.Add(1)
+	s.metrics.errors.Inc()
 	writeJSON(w, code, ErrorResponse{Error: err.Error(), RequestID: reqID, Stats: partial})
 }
 
@@ -1098,8 +592,10 @@ type AggregateEvalStats struct {
 	AcyclicFastPath int64 `json:"acyclic_fast_path"`
 }
 
-// Stats returns a snapshot of the server's counters.
+// Stats returns a snapshot of the server's counters, read from the same
+// registry instruments /metrics renders.
 func (s *Server) Stats() StatsResponse {
+	m := s.metrics
 	ph, pm, pe := s.plans.Counters()
 	rh, rm, re := s.results.Counters()
 	dbs := make(map[string]DBStats, len(s.dbs))
@@ -1118,34 +614,34 @@ func (s *Server) Stats() StatsResponse {
 		UptimeSeconds:     time.Since(s.start).Seconds(),
 		Build:             buildInfo(),
 		Databases:         dbs,
-		Queries:           s.queries.Load(),
-		Errors:            s.errorsN.Load(),
-		Timeouts:          s.timeouts.Load(),
-		Shed:              s.metrics.shed.Value(),
-		Panics:            s.metrics.panics.Value(),
-		SlowQueries:       s.metrics.slow.Value(),
-		Coalesced:         s.coalesced.Load(),
-		Streams:           s.streams.Load(),
-		StreamDisconnects: s.streamDisconnects.Load(),
+		Queries:           m.queries.Value(),
+		Errors:            m.errors.Value(),
+		Timeouts:          m.timeouts.Value(),
+		Shed:              m.shed.Value(),
+		Panics:            m.panics.Value(),
+		SlowQueries:       m.slow.Value(),
+		Coalesced:         m.coalesced.Value(),
+		Streams:           m.streams.Value(),
+		StreamDisconnects: m.streamDisconnects.Value(),
 		InFlight: InFlightStats{
-			Requests: s.requestsInFlight.Load(),
-			Evals:    s.evalsInFlight.Load(),
+			Requests: m.requestsInFlight.Value(),
+			Evals:    m.evalsInFlight.Value(),
 			Queued:   s.limiter.queueDepth(),
 		},
 		PlanCache:   CacheStats{Size: s.plans.Len(), Hits: ph, Misses: pm, Evictions: pe},
 		ResultCache: CacheStats{Size: s.results.Len(), Hits: rh, Misses: rm, Evictions: re},
 		Churn: ChurnStats{
-			Updates:     s.updates.Load(),
-			Carried:     s.carriedResults.Load(),
-			Maintained:  s.maintainedResults.Load(),
-			Invalidated: s.invalidatedResults.Load(),
+			Updates:     m.updates.Value(),
+			Carried:     m.carried.Value(),
+			Maintained:  m.maintained.Value(),
+			Invalidated: m.invalidations.Sum(),
 		},
 		Eval: AggregateEvalStats{
-			SubformulaEvals: s.subformulaEvals.Load(),
-			FixIterations:   s.fixIterations.Load(),
-			TuplesTouched:   s.tuplesTouched.Load(),
-			RepSwitches:     s.repSwitches.Load(),
-			AcyclicFastPath: s.acyclicFast.Load(),
+			SubformulaEvals: m.subformulaEvals.Value(),
+			FixIterations:   m.fixIterations.Value(),
+			TuplesTouched:   m.tuplesTouched.Value(),
+			RepSwitches:     m.repSwitches.Value(),
+			AcyclicFastPath: m.acyclicFast.Value(),
 		},
 	}
 }

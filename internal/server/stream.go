@@ -7,10 +7,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro"
-	"repro/internal/cache"
 	"repro/internal/database"
-	"repro/internal/eval"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
@@ -66,108 +63,24 @@ func renderTuple(t relation.Tuple, db *database.Database, indices bool) []int {
 	return row
 }
 
-// streamQuery answers one /query request as an NDJSON stream: header line,
-// one line per answer tuple flushed as it decodes, trailer line with the
-// final statistics. It returns the request's status for the metrics defer.
+// writeStream is the NDJSON writer: header line, one line per answer tuple
+// flushed as it decodes, trailer line with the final statistics.
 //
-// Streams evaluate through the enumeration API, so a LIMIT-k stream stops
-// the extraction — and on the acyclic fast path the evaluation itself —
-// after k tuples, holding per-request memory at O(k + stage relations)
-// instead of O(|answer|). Errors before the first byte are ordinary JSON
-// error responses with the usual status codes; once the header is out the
-// status is committed, and failures surface in the trailer (deadline) or as
-// a counted disconnect (client gone, no trailer).
-//
-// Streams bypass single-flight coalescing — each holds its own admission
-// slot for its whole lifetime, since on the streaming acyclic route the
-// evaluation is interleaved with delivery — but they still read the result
-// cache, and an un-windowed stream that runs to exhaustion still stores its
-// answer and registers its churn footprint exactly like a JSON request.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http.Request,
-	req *QueryRequest, nd *namedDB, snap *dbSnap, pl cache.Plan,
-	engine bvq.Engine, engineName string, opts *eval.Options, key string,
-	resp *QueryResponse, start time.Time, root *trace.Span) (status int) {
-
-	s.streams.Add(1)
-	reqID := resp.RequestID
-	fail := func(code int, err error, partial *StatsJSON) int {
-		s.fail(w, code, err, partial, reqID)
-		return code
-	}
-
-	var en eval.Enumerator
-	var runStats *eval.Stats  // live stats of a fresh run (nil on cache hits)
-	var dispStats *eval.Stats // stats reported in the trailer
-	var mstate *eval.MaintState
-	var countKnown bool
-	var fullCount int
-
-	if !req.NoCache {
-		clsp := root.Start(trace.SpanCacheLookup)
-		hit, ok := s.results.Get(key)
-		clsp.End()
-		if ok {
-			resp.ResultCached = true
-			// The cached Stats are shared with other requests: stream meters
-			// (tuples streamed/skipped) must not be written into them, so the
-			// set enumerator runs unmetered and the trailer reports the
-			// original run's stats, like the JSON path does.
-			en = eval.NewSetEnumerator(ctx, hit.Answer, nil)
-			dispStats = hit.Stats
-			fullCount, countKnown = hit.Answer.Len(), true
-		}
-	}
-
-	if en == nil {
-		// Fresh evaluation: admission first, like the JSON path's run().
-		asp := root.Start(trace.SpanAdmission)
-		if aerr := s.limiter.acquire(ctx); aerr != nil {
-			asp.End()
-			return fail(s.evalErrorCode(w, aerr), aerr, nil)
-		}
-		asp.End()
-		defer s.limiter.release()
-		s.evalsInFlight.Add(1)
-		defer s.evalsInFlight.Add(-1)
-
-		// The eval span covers enumerator construction only: on streaming
-		// routes (notably the acyclic pipeline) evaluation interleaves with
-		// delivery, so the drain span below carries that cost.
-		esp := root.Start(trace.SpanEval)
-		opts.Tracer = chainTracers(opts.Tracer, trace.Stages(esp))
-		var eerr error
-		func() {
-			defer s.containPanic(ctx, "evaluator panic", reqID, req.Query, &eerr)
-			if s.testHookBeforeEval != nil {
-				s.testHookBeforeEval()
-			}
-			if engine == bvq.EngineCompiled && pl.Prepared != nil {
-				en, runStats, mstate, eerr = eval.EvalPlanEnumCapture(ctx, pl.Prepared, snap.db, opts)
-			} else {
-				en, runStats, eerr = bvq.EvalEnumContext(ctx, pl.Query, snap.db, engine, opts)
-			}
-		}()
-		esp.End()
-		if eerr != nil {
-			return fail(s.evalErrorCode(w, eerr), eerr, statsJSON(runStats))
-		}
-		dispStats = runStats
-		fullCount, countKnown = en.Count()
-	}
+// The 200 is committed with the header, so later failures surface in the
+// trailer (the server's deadline, a contained panic) or as a counted
+// disconnect (client gone, no trailer). An un-windowed stream of a fresh run
+// that reaches the end has decoded the whole answer anyway and keeps it, so
+// the result cache and the churn index see streamed evaluations too;
+// windowed streams do not — their point is not to pay O(|answer|).
+func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
+	fresh := out.enum != nil
+	en := out.enumerator(q.ctx)
 	defer en.Close()
-	// Fold a fresh run's work into the aggregate gauges once the stream is
-	// over (Close first: the acyclic route folds its own counters there).
-	defer func() {
-		if runStats != nil {
-			en.Close()
-			s.foldEvalStats(runStats)
-		}
-	}()
+	arity := q.pl.Query.Arity()
+	fullCount, countKnown := en.Count()
 
-	// First byte: from here on the 200 is committed.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	status = http.StatusOK
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
@@ -178,34 +91,30 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	enc.SetEscapeHTML(false)
 
 	hdr := StreamHeader{
-		RequestID:    reqID,
-		Database:     resp.Database,
-		Engine:       engineName,
-		Backend:      resp.Backend,
-		Width:        resp.Width,
-		Arity:        resp.Arity,
-		Limit:        req.Limit,
-		Offset:       req.Offset,
-		PlanCached:   resp.PlanCached,
-		ResultCached: resp.ResultCached,
+		RequestID:    q.reqID,
+		Database:     q.req.Database,
+		Engine:       q.engineName,
+		Backend:      q.wireBackend,
+		Width:        q.pl.Width,
+		Arity:        arity,
+		Limit:        q.req.Limit,
+		Offset:       q.req.Offset,
+		PlanCached:   q.planCached,
+		ResultCached: q.cached,
 	}
 	if countKnown {
 		c := fullCount
 		hdr.Count = &c
 	}
 	if err := enc.Encode(hdr); err != nil {
-		s.streamDisconnects.Add(1)
-		return status
+		s.metrics.streamDisconnects.Inc()
+		return
 	}
 	flush()
 
-	// An un-windowed, uncached stream that runs to the end has decoded the
-	// whole answer anyway — collect it so the result cache and the churn
-	// index see streamed evaluations too. Windowed streams skip this: their
-	// point is not to pay O(|answer|).
 	var collect *relation.Set
-	if runStats != nil && !req.NoCache && req.Limit == 0 && req.Offset == 0 {
-		collect = relation.NewSet(resp.Arity)
+	if fresh && !q.req.NoCache && q.req.Limit == 0 && q.req.Offset == 0 {
+		collect = relation.NewSet(arity)
 	}
 
 	// The drain span covers seek, decode and delivery — on streaming routes
@@ -219,46 +128,34 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	// stop, indistinguishable from truncation; the contract (and what the
 	// router's truncation detection relies on) is that every server-side
 	// death mid-stream ends with an error trailer.
-	dsp := root.Start(trace.SpanStreamDrain)
+	dsp := q.root.Start(trace.SpanStreamDrain)
 	defer dsp.End()
-	skipped := int64(0)
-	streamed := int64(0)
-	limited := false
+	var wd windowed
 	disconnected := false
 	var drainPanic error
 	func() {
-		defer s.containPanic(ctx, "stream drain panic", reqID, req.Query, &drainPanic)
-		if req.Offset > 0 {
-			skipped = int64(en.Skip(req.Offset))
-		}
-		for {
-			if req.Limit > 0 && streamed >= int64(req.Limit) {
-				limited = true
-				return
-			}
-			t, ok := en.Next()
-			if !ok {
-				return
-			}
+		defer s.containPanic(q.ctx, "stream drain panic", q.reqID, q.req.Query, &drainPanic)
+		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool {
 			if collect != nil {
 				collect.Add(t)
 			}
 			if s.testHookOnStreamRow != nil {
-				s.testHookOnStreamRow(int(streamed))
+				s.testHookOnStreamRow(int(wd.delivered))
 			}
-			if err := enc.Encode(renderTuple(t, snap.db, req.Indices)); err != nil {
+			if err := enc.Encode(renderTuple(t, q.snap.db, q.req.Indices)); err != nil {
 				disconnected = true
-				return
+				return false
 			}
-			streamed++
 			flush()
-		}
+			return true
+		})
 	}()
 	if disconnected {
-		s.streamDisconnects.Add(1)
-		return status
+		s.metrics.streamDisconnects.Inc()
+		return
 	}
 
+	trailer := StreamTrailer{Trailer: true, Streamed: wd.delivered, Skipped: wd.skipped, Stats: out.stats}
 	err := en.Err()
 	if err == nil {
 		err = drainPanic
@@ -266,59 +163,37 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away: nobody is reading, so no trailer — just
-			// count the cut and release the slot promptly (the deferred
-			// release runs on return).
-			s.streamDisconnects.Add(1)
-			return status
+			// count the cut.
+			s.metrics.streamDisconnects.Inc()
+			return
 		}
 		// The server's own deadline — or a contained drain panic — cut the
 		// stream: the status line is long gone, so report it in the trailer.
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.timeouts.Add(1)
+			s.metrics.timeouts.Inc()
 		}
-		en.Close() // fold acyclic-route stats before reading them
-		_ = enc.Encode(StreamTrailer{
-			Trailer:   true,
-			Streamed:  streamed,
-			Skipped:   skipped,
-			Stats:     statsJSON(dispStats),
-			Error:     err.Error(),
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		})
-		flush()
-		return status
-	}
-
-	exhausted := !limited
-	if exhausted && !countKnown {
-		// Draining a non-counting route to the end IS a count.
-		fullCount, countKnown = int(skipped+streamed), true
-	}
-	if collect != nil && exhausted {
-		s.storeResult(nd, snap, key, cache.Result{Answer: collect, Stats: runStats},
-			trackedResult(key, engine, engineName, req.Query, opts, pl, mstate))
-	}
-
-	en.Close() // fold acyclic-route stats before the trailer reads them
-	trailer := StreamTrailer{
-		Trailer:   true,
-		Streamed:  streamed,
-		Skipped:   skipped,
-		Stats:     statsJSON(dispStats),
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	if countKnown {
-		c := fullCount
-		trailer.Count = &c
-		if resp.Arity == 0 {
-			truth := fullCount > 0
-			trailer.Truth = &truth
+		trailer.Error = err.Error()
+	} else {
+		if !wd.limited && !countKnown {
+			// Draining a non-counting route to the end IS a count.
+			fullCount, countKnown = int(wd.skipped+wd.delivered), true
+		}
+		if countKnown {
+			trailer.Count = &fullCount
+			if arity == 0 {
+				truth := fullCount > 0
+				trailer.Truth = &truth
+			}
+		}
+		if collect != nil && !wd.limited {
+			s.keep(q, out, collect)
 		}
 	}
-	if err := enc.Encode(trailer); err != nil {
-		s.streamDisconnects.Add(1)
-		return status
+	en.Close() // the acyclic route folds its stats here, before the trailer reads them
+	trailer.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
+	if enc.Encode(trailer) != nil {
+		s.metrics.streamDisconnects.Inc()
+		return
 	}
 	flush()
-	return status
 }

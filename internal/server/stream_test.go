@@ -286,7 +286,7 @@ func TestStreamDisconnectReleasesSlot(t *testing.T) {
 	}
 	// The cut is counted as a disconnect, and not as an error.
 	deadline = time.Now().Add(5 * time.Second)
-	for s.streamDisconnects.Load() == 0 {
+	for s.metrics.streamDisconnects.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stream disconnect never counted")
 		}

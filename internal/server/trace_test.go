@@ -187,6 +187,17 @@ func TestSlowQueryLogFields(t *testing.T) {
 	if rec["cache"] != "hit" {
 		t.Fatalf("cache = %v on repeat request, want hit", rec["cache"])
 	}
+
+	// An uncached stream never reads the cache: bypass, like no_cache on the
+	// JSON path — not the "miss" of a run eligible for caching.
+	buf.Reset()
+	postStream(t, ts, QueryRequest{Database: "graph", Query: reachLFP, Engine: "compiled", Stream: true, NoCache: true})
+	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["cache"] != "bypass" {
+		t.Fatalf("cache = %v on a no_cache stream, want bypass", rec["cache"])
+	}
 }
 
 func TestVersionEndpoint(t *testing.T) {

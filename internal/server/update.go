@@ -150,7 +150,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// any query can mint a key against it — no cold-cache window.
 	nd.snap.Store(newSnap)
 
-	s.updates.Add(1)
 	s.metrics.updates.Inc()
 	resp.Fingerprint = fmt.Sprintf("%016x", newSnap.fp)
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -232,7 +231,6 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 	tracked := s.index.Rotate(nd.name, newSnap.fp)
 	drop := func(t *cache.Tracked, reason string) {
 		s.results.Remove(t.Key)
-		s.invalidatedResults.Add(1)
 		s.metrics.invalidations.With(reason).Inc()
 		out.Invalidated++
 	}
@@ -248,7 +246,7 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 			t.Key = cache.ResultKey(newSnap.fp, t.Engine, t.Opts, t.Query)
 			s.results.Put(t.Key, res)
 			s.index.Register(nd.name, newSnap.fp, t)
-			s.carriedResults.Add(1)
+			s.metrics.carried.Inc()
 			out.Carried++
 			continue
 		}
@@ -272,16 +270,12 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 			drop(t, "maintenance_failed")
 			continue
 		}
-		if st != nil {
-			s.subformulaEvals.Add(st.SubformulaEvals)
-			s.fixIterations.Add(st.FixIterations)
-		}
+		s.foldEvalStats(st)
 		s.results.Remove(t.Key)
 		t.Key = cache.ResultKey(newSnap.fp, t.Engine, t.Opts, t.Query)
 		t.State = state
 		s.results.Put(t.Key, cache.Result{Answer: ans, Stats: st})
 		s.index.Register(nd.name, newSnap.fp, t)
-		s.maintainedResults.Add(1)
 		s.metrics.maintained.Inc()
 		out.Maintained++
 	}

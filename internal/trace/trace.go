@@ -17,13 +17,17 @@
 //     allocating, so untraced requests pay one pointer compare per
 //     instrumentation point and nothing else.
 //
-//   - Safe under concurrency. The compiled engine's parallel wave scheduler
-//     and the PFP parameter sweep fire stage events from several goroutines
-//     at once; all span mutation is serialized on the owning Trace's mutex.
+//   - Safe under concurrency. All span mutation is serialized on the owning
+//     Trace's mutex.
 //
-//   - Closed means closed. After Trace.Close, span starts, ends, stage
-//     events and annotations are dropped — a late goroutine cannot mutate a
-//     trace the flight recorder has already published.
+//   - Closed means closed. After Trace.Close, span starts, ends, added
+//     children and annotations are dropped — a late goroutine cannot mutate
+//     a trace the flight recorder has already published.
+//
+//   - A leaf. The package imports nothing else of this repository, so any
+//     tier (the router included) can record spans without linking the
+//     evaluator; work measured elsewhere enters as a finished child span
+//     (Span.AddChild).
 //
 // Trace IDs follow the W3C trace-context format (32 lowercase hex chars)
 // so a future bvqrouter can stitch fleet-wide traces: ParseTraceparent and
@@ -36,8 +40,6 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
-
-	"repro/internal/eval"
 )
 
 // Span names used by the bvqd request lifecycle. The stage-latency
@@ -70,24 +72,23 @@ type Trace struct {
 // Span.Start and mutated only through methods, all of which lock the owning
 // trace. A nil *Span drops every call.
 type Span struct {
-	t      *Trace
-	id     int
-	parent int // -1 for the root
-	name   string
-	start  time.Time
-	ended  bool
-	dur    time.Duration
-	attrs  []Attr
+	t        *Trace
+	id       int
+	parent   int // -1 for the root
+	name     string
+	start    time.Time
+	ended    bool
+	dur      time.Duration
+	attrs    []Attr
+	counters Counters
+}
 
-	// Fixpoint aggregation (spans created by the Stages adapter): one span
-	// per (engine, fixpoint, op) under the eval span, folding every stage
-	// event — including the parallel PFP sweep's — into counters. dur is
-	// busy time (summed stage Elapsed), not wall time: concurrent sweep
-	// workers overlap, so wall time is not well defined per fixpoint.
-	stages      int64
-	tuples      int // last reported stage size
-	deltaTuples int64
-	fixKids     map[string]*Span
+// Counters are the work totals a span added by AddChild may carry; bvqd's
+// fixpoint spans report their stage count, final stage size and summed |Δ|.
+type Counters struct {
+	Stages      int64 `json:"stages,omitempty"`
+	Tuples      int   `json:"tuples,omitempty"`
+	DeltaTuples int64 `json:"delta_tuples,omitempty"`
 }
 
 // Attr is one key/value annotation on a span.
@@ -135,8 +136,8 @@ func (t *Trace) Keep(reason string) {
 }
 
 // Close finishes the trace: the root span and every still-open child end at
-// now, and all further mutation — span starts, ends, annotations, stage
-// events — is dropped. Close is idempotent.
+// now, and all further mutation — span starts, ends, annotations, added
+// children — is dropped. Close is idempotent.
 func (t *Trace) Close(now time.Time) {
 	if t == nil {
 		return
@@ -218,10 +219,11 @@ func (s *Span) Duration() time.Duration {
 	return time.Since(s.start)
 }
 
-// stageEvent folds one fixpoint stage into the per-(engine, fixpoint, op)
-// child span of s, creating it on first use. Runs under the trace mutex —
-// cheap enough for the stage-boundary contract of eval.Options.Tracer.
-func (s *Span) stageEvent(ev eval.TraceEvent) {
+// AddChild records an already finished child span under s: work measured
+// outside the span model — a fixpoint's stages, folded by the evaluator —
+// with its start, its duration (busy time, where workers overlapped) and
+// its counters.
+func (s *Span) AddChild(name string, start time.Time, dur time.Duration, attrs []Attr, c Counters) {
 	if s == nil {
 		return
 	}
@@ -231,42 +233,8 @@ func (s *Span) stageEvent(ev eval.TraceEvent) {
 	if t.closed {
 		return
 	}
-	key := ev.Engine + "|" + ev.Fixpoint + "|" + ev.Op
-	fs, ok := s.fixKids[key]
-	if !ok {
-		fs = &Span{t: t, id: len(t.spans), parent: s.id, name: SpanFixpoint, start: time.Now()}
-		fs.attrs = []Attr{
-			{Key: "engine", Value: ev.Engine},
-			{Key: "fixpoint", Value: ev.Fixpoint},
-			{Key: "op", Value: ev.Op},
-		}
-		fs.ended = true // dur is maintained as busy time below
-		t.spans = append(t.spans, fs)
-		if s.fixKids == nil {
-			s.fixKids = make(map[string]*Span)
-		}
-		s.fixKids[key] = fs
-	}
-	fs.stages++
-	fs.tuples = ev.Tuples
-	if d := ev.Delta; d >= 0 {
-		fs.deltaTuples += int64(d)
-	} else {
-		fs.deltaTuples -= int64(d)
-	}
-	fs.dur += ev.Elapsed
-}
-
-// Stages returns an eval.Tracer that folds per-stage events into
-// per-fixpoint child spans of span. The tracer is safe for concurrent use
-// (the parallel PFP sweep and the wave scheduler fire it from several
-// workers). A nil span returns a nil tracer, which eval treats as tracing
-// disabled — the zero-cost path.
-func Stages(span *Span) eval.Tracer {
-	if span == nil {
-		return nil
-	}
-	return span.stageEvent
+	t.spans = append(t.spans, &Span{t: t, id: len(t.spans), parent: s.id, name: name,
+		start: start, ended: true, dur: dur, attrs: attrs, counters: c})
 }
 
 // SpanView is the immutable JSON form of one span, snapshotted by
@@ -278,10 +246,7 @@ type SpanView struct {
 	StartUS float64 `json:"start_us"`
 	DurUS   float64 `json:"dur_us"`
 	Attrs   []Attr  `json:"attrs,omitempty"`
-	// Fixpoint spans only: stage count, final stage size, summed |Δ|.
-	Stages      int64 `json:"stages,omitempty"`
-	Tuples      int   `json:"tuples,omitempty"`
-	DeltaTuples int64 `json:"delta_tuples,omitempty"`
+	Counters
 }
 
 // View is the immutable JSON form of a whole trace.
@@ -318,24 +283,29 @@ func (t *Trace) View() View {
 			dur = end.Sub(s.start)
 		}
 		v.Spans[i] = SpanView{
-			ID:          s.id,
-			Parent:      s.parent,
-			Name:        s.name,
-			StartUS:     float64(s.start.Sub(t.start).Nanoseconds()) / 1000,
-			DurUS:       float64(dur.Nanoseconds()) / 1000,
-			Attrs:       append([]Attr(nil), s.attrs...),
-			Stages:      s.stages,
-			Tuples:      s.tuples,
-			DeltaTuples: s.deltaTuples,
+			ID:       s.id,
+			Parent:   s.parent,
+			Name:     s.name,
+			StartUS:  float64(s.start.Sub(t.start).Nanoseconds()) / 1000,
+			DurUS:    float64(dur.Nanoseconds()) / 1000,
+			Attrs:    append([]Attr(nil), s.attrs...),
+			Counters: s.counters,
 		}
 	}
 	return v
 }
 
 // NewTraceID returns a fresh W3C trace ID: 16 random bytes, lowercase hex.
-func NewTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
+func NewTraceID() string { return randomHex(16) }
+
+// NewSpanID returns a fresh W3C parent/span ID: 8 random bytes, hex.
+func NewSpanID() string { return randomHex(8) }
+
+// randomHex returns n ≤ 16 random bytes as hex.
+func randomHex(n int) string {
+	var buf [16]byte
+	b := buf[:n]
+	if _, err := rand.Read(b); err != nil {
 		// crypto/rand never fails on supported platforms; degrade to a
 		// time-derived ID rather than panicking in a serving path.
 		now := time.Now().UnixNano()
@@ -343,19 +313,7 @@ func NewTraceID() string {
 			b[i] = byte(now >> (8 * i))
 		}
 	}
-	return hex.EncodeToString(b[:])
-}
-
-// NewSpanID returns a fresh W3C parent/span ID: 8 random bytes, hex.
-func NewSpanID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		now := time.Now().UnixNano()
-		for i := 0; i < 8; i++ {
-			b[i] = byte(now >> (8 * i))
-		}
-	}
-	return hex.EncodeToString(b[:])
+	return hex.EncodeToString(b)
 }
 
 // ParseTraceparent extracts the trace ID and parent span ID from a W3C

@@ -33,9 +33,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	if d := kid.Duration(); d != 0 {
 		t.Fatalf("nil span duration = %v", d)
 	}
-	if tracer := trace.Stages(root); tracer != nil {
-		t.Fatal("Stages(nil) != nil — eval would pay the tracing cost")
-	}
+	kid.AddChild(trace.SpanFixpoint, time.Now(), time.Millisecond, nil, trace.Counters{Stages: 1})
 	tr.Keep("slow")
 	tr.Close(time.Now())
 	if v := tr.View(); v.TraceID != "" || len(v.Spans) != 0 {
@@ -47,16 +45,15 @@ func TestCloseDropsLateMutation(t *testing.T) {
 	tr := trace.New(trace.NewTraceID(), time.Now())
 	root := tr.Root()
 	ev := root.Start(trace.SpanEval)
-	tracer := trace.Stages(ev)
 	tr.Close(time.Now())
 
-	// Everything after Close must be dropped: no new spans, no stage
-	// events, no annotations.
+	// Everything after Close must be dropped: no new spans, no added
+	// children, no annotations.
 	before := len(tr.View().Spans)
 	if s := root.Start("late"); s != nil {
 		t.Fatal("Start after Close returned a live span")
 	}
-	tracer(eval.TraceEvent{Engine: "compiled", Fixpoint: "T", Op: "lfp", Stage: 1, Tuples: 3, Delta: 3})
+	ev.AddChild(trace.SpanFixpoint, time.Now(), time.Millisecond, nil, trace.Counters{Stages: 1, Tuples: 3, DeltaTuples: 3})
 	root.Annotate("late", "x")
 	v := tr.View()
 	if len(v.Spans) != before {
@@ -64,7 +61,7 @@ func TestCloseDropsLateMutation(t *testing.T) {
 	}
 	for _, s := range v.Spans {
 		if s.Stages != 0 {
-			t.Fatalf("stage event recorded after Close: %+v", s)
+			t.Fatalf("child span added after Close: %+v", s)
 		}
 		for _, a := range s.Attrs {
 			if a.Key == "late" {
@@ -101,9 +98,9 @@ func pfpDB(t *testing.T, n int) *database.Database {
 }
 
 // TestSpanTreeUnderParallelEval drives the compiled engine's parallel paths
-// (the wave scheduler and the PFP parameter sweep) with a live tracer and
-// asserts the finished span tree is well formed. Run under -race this is the
-// concurrency regression test for the span model.
+// (the wave scheduler and the PFP parameter sweep) with the stage fold
+// attached, adds the folded fixpoints as child spans the way bvqd does, and
+// asserts the finished span tree is well formed.
 func TestSpanTreeUnderParallelEval(t *testing.T) {
 	db := pfpDB(t, 24)
 	queries := map[string]logic.Query{
@@ -125,11 +122,17 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 			}
 			tr := trace.New(trace.NewTraceID(), time.Now())
 			ev := tr.Root().Start(trace.SpanEval)
-			opts := &eval.Options{Parallelism: 4, Tracer: trace.Stages(ev)}
+			fold := eval.NewStageFold(0)
+			opts := &eval.Options{Parallelism: 4, Tracer: fold.Observe}
 			if _, _, err := eval.EvalPlanContext(context.Background(), p, db, opts); err != nil {
 				t.Fatal(err)
 			}
 			ev.End()
+			for _, fx := range fold.Fix {
+				ev.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
+					[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
+					trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
+			}
 			tr.Close(time.Now())
 			v := tr.View()
 			if len(v.Spans) < 3 { // request, eval, >=1 fixpoint
@@ -175,21 +178,19 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 	}
 }
 
-// TestStageEventsConcurrent hammers one tracer from many goroutines while
-// the trace closes midway — the recorder-publish race the package guards
-// against. Only meaningful under -race.
+// TestStageEventsConcurrent adds child spans to one span from many
+// goroutines at once. Only meaningful under -race.
 func TestStageEventsConcurrent(t *testing.T) {
 	tr := trace.New(trace.NewTraceID(), time.Now())
 	ev := tr.Root().Start(trace.SpanEval)
-	tracer := trace.Stages(ev)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tracer(eval.TraceEvent{Engine: "compiled", Fixpoint: "T", Op: "lfp",
-					Stage: i, Tuples: i, Delta: 1, Binder: 0})
+				ev.AddChild(trace.SpanFixpoint, time.Now(), time.Microsecond, nil,
+					trace.Counters{Stages: 1, Tuples: i, DeltaTuples: 1})
 			}
 		}(g)
 	}
