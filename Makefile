@@ -16,7 +16,9 @@ all: vet test build
 # there is visible by name, the metrics-documentation lint so the
 # OPERATIONS.md family reference cannot drift from what the server
 # registers, a single-iteration benchmark smoke pass so the benchmarks
-# themselves cannot rot, a curl-level NDJSON smoke against a live bvqd so
+# themselves cannot rot (the server's pair is a cached 4,096-row answer read
+# as JSON and drained as NDJSON over loopback), five seconds of the row
+# encoder's fuzz target against encoding/json, a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
 # byte-identical to direct ones, drives a short bvqload run (non-zero
@@ -35,7 +37,8 @@ check: docs
 	$(GO) test -race -count=1 -run 'TestDifferential|TestCompiled|TestChurn|TestMaintain|TestUpdate|TestEnum|TestStream' ./internal/eval/ ./internal/server/
 	$(GO) test -count=1 -run 'TestSparseLargeDomainTC' ./internal/eval/
 	$(GO) test -count=1 -run 'TestMetricsDocumented' ./internal/server/
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	./scripts/stream_smoke.sh

@@ -261,7 +261,7 @@ func EvalEnumContext(ctx context.Context, q Query, db *Database, engine Engine, 
 	if err != nil {
 		return nil, st, err
 	}
-	return eval.NewSetEnumerator(ctx, ans, st), st, nil
+	return eval.NewEnumerator(ctx, ans, st), st, nil
 }
 
 // Holds evaluates a sentence (a Boolean query) with the given engine.

@@ -108,7 +108,7 @@ func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream 
 		}
 		return emit(stdout, verdict)
 	}
-	en := eval.NewSetEnumerator(context.Background(), ans, nil)
+	en := eval.NewEnumerator(context.Background(), ans, nil)
 	defer en.Close()
 	if _, _, _, err := printWindow(en, db, showIdx, limit, offset, stdout); err != nil {
 		return err

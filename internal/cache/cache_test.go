@@ -115,6 +115,39 @@ func TestResultKeyDistinguishesAnswersOnly(t *testing.T) {
 	}
 }
 
+// TestResultKeyFormat pins the hand-appended key byte for byte, against
+// literals and against the fmt.Sprintf it replaced.
+func TestResultKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		fp     uint64
+		engine string
+		opts   *eval.Options
+		text   string
+		want   string
+	}{
+		{0, "bottomup", nil, "", "0000000000000000|bottomup|0|0|0|auto|0|"},
+		{0xdeadbeef, "compiled", &eval.Options{}, "(x). P(x)", "00000000deadbeef|compiled|0|0|0|auto|0|(x). P(x)"},
+		{^uint64(0), "naive", &eval.Options{MaxWidth: 3, PFPBudget: 1 << 20, PFPCycle: eval.CycleBrent,
+			Backend: eval.BackendSparse, SparseBudget: 5_000_000, Parallelism: 8},
+			"(x, y). E(x, y) | x = y", "ffffffffffffffff|naive|3|1048576|1|sparse|5000000|(x, y). E(x, y) | x = y"},
+		{0x0123456789abcdef, "compiled", &eval.Options{MaxWidth: -1, Backend: eval.BackendDense}, "ünï|çode",
+			"0123456789abcdef|compiled|-1|0|0|dense|0|ünï|çode"},
+	} {
+		got := ResultKey(tc.fp, tc.engine, tc.opts, tc.text)
+		if got != tc.want {
+			t.Errorf("ResultKey(%#x, %q, %+v, %q) = %q, want %q", tc.fp, tc.engine, tc.opts, tc.text, got, tc.want)
+		}
+		var o eval.Options
+		if tc.opts != nil {
+			o = *tc.opts
+		}
+		if old := fmt.Sprintf("%016x|%s|%d|%d|%d|%s|%d|%s", tc.fp, tc.engine, o.MaxWidth, o.PFPBudget,
+			o.PFPCycle, o.Backend, o.SparseBudget, tc.text); got != old {
+			t.Errorf("ResultKey = %q, the old format gives %q", got, old)
+		}
+	}
+}
+
 func TestFingerprintStableAndContentSensitive(t *testing.T) {
 	build := func() *database.Database {
 		return database.NewBuilder().Domain(3, 5, 7).Relation("E", 2).Add("E", 3, 5).Add("E", 5, 7).MustBuild()

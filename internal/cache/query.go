@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/eval"
 	"repro/internal/logic"
@@ -59,10 +59,11 @@ func (c *PlanCache) Len() int { return c.lru.Len() }
 // Counters returns cumulative hit, miss and eviction counts.
 func (c *PlanCache) Counters() (hits, misses, evictions int64) { return c.lru.Counters() }
 
-// Result is a finished evaluation: the (immutable, shared) answer relation
-// and the work statistics of the run that produced it.
+// Result is a finished evaluation: the (immutable, shared) answer and the
+// work statistics of the run that produced it. bvqd stores answers compacted
+// (relation.Compact): a hit then opens a cursor without sorting.
 type Result struct {
-	Answer *relation.Set
+	Answer relation.View
 	Stats  *eval.Stats // nil for engines that do not report statistics
 }
 
@@ -70,7 +71,7 @@ type Result struct {
 // rests on two invariants: database snapshots are immutable values — a tuple
 // update produces a new snapshot with a new fingerprint (database.Apply), so
 // the fingerprint pins the content — and every engine is deterministic (so
-// the first answer is the only answer). Cached Answer sets must be treated as
+// the first answer is the only answer). Cached Answers must be treated as
 // read-only by all consumers.
 type ResultCache struct {
 	lru *LRU[Result]
@@ -100,13 +101,22 @@ func (c *ResultCache) Counters() (hits, misses, evictions int64) { return c.lru.
 // cached Stats describe one run's representation choices, and serving a
 // dense run's statistics to a backend=sparse request would misreport.
 func ResultKey(fingerprint uint64, engine string, opts *eval.Options, queryText string) string {
-	var maxWidth, budget, sparseBudget int
-	var cycle eval.CycleMode
-	var backend eval.Backend
+	var o eval.Options
 	if opts != nil {
-		maxWidth, budget, cycle = opts.MaxWidth, opts.PFPBudget, opts.PFPCycle
-		backend, sparseBudget = opts.Backend, opts.SparseBudget
+		o = *opts
 	}
-	return fmt.Sprintf("%016x|%s|%d|%d|%d|%s|%d|%s",
-		fingerprint, engine, maxWidth, budget, cycle, backend, sparseBudget, queryText)
+	// "%016x|%s|%d|%d|%d|%s|%d|%s", appended into one sized buffer: the key
+	// is built on every request, hits included.
+	bk := o.Backend.String()
+	b := make([]byte, 0, 16+len(engine)+len(bk)+len(queryText)+32)
+	hex := strconv.AppendUint(make([]byte, 0, 16), fingerprint, 16)
+	b = append(append(b, "0000000000000000"[len(hex):]...), hex...)
+	b = append(append(b, '|'), engine...)
+	for _, v := range [...]int{o.MaxWidth, o.PFPBudget, int(o.PFPCycle)} {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
+	}
+	b = append(append(b, '|'), bk...)
+	b = strconv.AppendInt(append(b, '|'), int64(o.SparseBudget), 10)
+	b = append(append(b, '|'), queryText...)
+	return string(b)
 }

@@ -251,7 +251,7 @@ func (a *denseAlg) toSet(v *relation.Dense) *relation.Set { return v.ToSet() }
 
 // cursor decodes set bits lazily; the cursor owns v and returns its bitmap
 // to the space pool on Close.
-func (a *denseAlg) cursor(v *relation.Dense) cursor { return relation.NewDenseCursor(v, true) }
+func (a *denseAlg) cursor(v *relation.Dense) relation.Cursor { return relation.NewDenseCursor(v, true) }
 
 func (a *denseAlg) pfpLimit(step func(*relation.Dense) (*relation.Dense, error), arity int, opts *Options) (*relation.Dense, error) {
 	budget, mode := pfpLimits(opts)

@@ -46,21 +46,11 @@ type Enumerator interface {
 // within this many Next calls.
 const ctxCheckEvery = 1024
 
-// cursor is the shape shared by relation.DenseCursor, relation.SparseCursor,
-// setCursor and yannCursor. Count is the exact answer cardinality, negative
-// when knowing it would mean running the enumeration to the end.
-type cursor interface {
-	Next() (relation.Tuple, bool)
-	Skip(n int) int
-	Count() int
-	Close()
-}
-
 // cursorEnum adapts a cursor into an Enumerator: it meters streamed/skipped
 // tuples into Stats and polls the context every ctxCheckEvery tuples.
 type cursorEnum struct {
 	ctx   context.Context
-	c     cursor
+	c     relation.Cursor
 	stats *Stats
 	// done, when non-nil, runs once when enumeration finishes (exhaustion,
 	// error or Close): a cursor over a live computation settles its accounts
@@ -71,7 +61,7 @@ type cursorEnum struct {
 	closed     bool
 }
 
-func newCursorEnum(ctx context.Context, c cursor, stats *Stats) *cursorEnum {
+func newCursorEnum(ctx context.Context, c relation.Cursor, stats *Stats) *cursorEnum {
 	return &cursorEnum{ctx: ctx, c: c, stats: stats}
 }
 
@@ -135,38 +125,12 @@ func (e *cursorEnum) Close() {
 	}
 }
 
-// setCursor walks a materialized Set in canonical order. It backs
-// NewSetEnumerator — the adapter that gives tree-walking engines and cached
-// results the same streaming surface.
-type setCursor struct {
-	tuples []relation.Tuple
-	i      int
-}
-
-func (c *setCursor) Next() (relation.Tuple, bool) {
-	if c.i >= len(c.tuples) {
-		return nil, false
-	}
-	t := c.tuples[c.i]
-	c.i++
-	return t, true
-}
-
-func (c *setCursor) Skip(n int) int {
-	n = min(n, len(c.tuples)-c.i)
-	c.i += n
-	return n
-}
-
-func (c *setCursor) Count() int { return len(c.tuples) }
-func (c *setCursor) Close()     { c.tuples = nil }
-
-// NewSetEnumerator wraps an already-materialized answer Set as an
-// Enumerator (sorting its tuples once). This is how cached results serve
-// windowed/streaming requests and how the tree-walking engines — which are
-// inherently materializing — satisfy the enumeration API. stats may be nil.
-func NewSetEnumerator(ctx context.Context, s *relation.Set, stats *Stats) Enumerator {
-	return newCursorEnum(ctx, &setCursor{tuples: s.Tuples()}, stats)
+// NewEnumerator is the Enumerator over an already-finished answer: a cached
+// result, or what a materializing engine returned. A compact view
+// (*relation.Sparse) opens in O(1); a *relation.Set sorts its tuples first.
+// stats may be nil.
+func NewEnumerator(ctx context.Context, v relation.View, stats *Stats) Enumerator {
+	return newCursorEnum(ctx, v.Cursor(), stats)
 }
 
 // yannCursor is the queryopt streaming enumerator as a cursor: the

@@ -73,7 +73,7 @@ type algebra[V comparable] interface {
 	project(v V, cols, pinned, pinnedVals []int) (V, error)
 	toSet(v V) *relation.Set
 	// cursor streams v in canonical order; closing it releases v.
-	cursor(v V) cursor
+	cursor(v V) relation.Cursor
 	// pfpLimit iterates step from ∅ to the partial fixpoint (∅ on a cycle)
 	// under opts' stage budget and cycle detector.
 	pfpLimit(step func(V) (V, error), arity int, opts *Options) (V, error)

@@ -196,7 +196,7 @@ func (sa *sparseAlg) toSet(v *sval) *relation.Set { return v.rel.ToSet() }
 
 // cursor streams the sorted, deduplicated head codes directly, skipping the
 // Set round-trip.
-func (sa *sparseAlg) cursor(v *sval) cursor { return relation.NewSparseCursor(v.rel) }
+func (sa *sparseAlg) cursor(v *sval) relation.Cursor { return v.rel.Cursor() }
 
 func (sa *sparseAlg) pfpLimit(func(*sval) (*sval, error), int, *Options) (*sval, error) {
 	return nil, errStagesOnly

@@ -12,6 +12,58 @@ import "repro/internal/bitset"
 // Cursors are single-goroutine values: the Tuple returned by Next is reused
 // across calls, so callers that retain tuples must clone them.
 
+// Cursor is one pass over a relation in canonical order. Skip advances past
+// up to n tuples and returns how many it did; Count is the whole relation's
+// exact size, negative when only running the pass to the end would tell.
+type Cursor interface {
+	Next() (Tuple, bool)
+	Skip(n int) int
+	Count() int
+	Close()
+}
+
+// View is a finished, immutable relation that hands out cursors: the form in
+// which an answer is cached and served. *Sparse opens one in O(1); *Set
+// sorts its tuples for each.
+type View interface{ Cursor() Cursor }
+
+// Compact returns the tuples of s, all components in [0, n), as the cheapest
+// View of them: sorted row-major codes (*Sparse, 8 B/tuple, nothing left to
+// do per cursor) when nᵏ fits MaxSparseCode, and s itself when it does not.
+func Compact(s *Set, n int) View {
+	if sp, err := SparseFromSet(s, n); err == nil {
+		return sp
+	}
+	return s
+}
+
+// setCursor walks the sorted tuples of a Set.
+type setCursor struct {
+	tuples []Tuple
+	i      int
+}
+
+// Cursor returns a cursor over a sorted copy of the set's tuples.
+func (s *Set) Cursor() Cursor { return &setCursor{tuples: s.Tuples()} }
+
+func (c *setCursor) Next() (Tuple, bool) {
+	if c.i >= len(c.tuples) {
+		return nil, false
+	}
+	t := c.tuples[c.i]
+	c.i++
+	return t, true
+}
+
+func (c *setCursor) Skip(n int) int {
+	n = min(n, len(c.tuples)-c.i)
+	c.i += n
+	return n
+}
+
+func (c *setCursor) Count() int { return len(c.tuples) }
+func (c *setCursor) Close()     { c.tuples = nil }
+
 // DenseCursor enumerates the tuples of a Dense relation lazily, decoding one
 // set bit per Next call. Skip advances over whole 64-bit words by popcount
 // without decoding the bits it discards, so seeking to OFFSET costs
@@ -65,10 +117,8 @@ type SparseCursor struct {
 	buf Tuple
 }
 
-// NewSparseCursor returns a cursor over s.
-func NewSparseCursor(s *Sparse) *SparseCursor {
-	return &SparseCursor{s: s, buf: make(Tuple, s.k)}
-}
+// Cursor returns a cursor over s.
+func (s *Sparse) Cursor() Cursor { return &SparseCursor{s: s, buf: make(Tuple, s.k)} }
 
 // Next returns the next tuple in ascending code (lexicographic) order. The
 // returned tuple is reused by subsequent calls.

@@ -26,7 +26,7 @@ func TestCursorOrderIdentity(t *testing.T) {
 			t.Fatalf("k=%d n=%d: dense Count=%d, want %d", k, n, dc.Count(), len(want))
 		}
 
-		sc := NewSparseCursor(d.ToSparse())
+		sc := d.ToSparse().Cursor()
 		var gotSparse []Tuple
 		for tp, ok := sc.Next(); ok; tp, ok = sc.Next() {
 			gotSparse = append(gotSparse, append(Tuple(nil), tp...))
@@ -66,7 +66,7 @@ func TestCursorSkipEquivalence(t *testing.T) {
 		if got := dc.Skip(k); got != wantSkip {
 			t.Fatalf("dense Skip(%d) = %d, want %d", k, got, wantSkip)
 		}
-		sc := NewSparseCursor(d.ToSparse())
+		sc := d.ToSparse().Cursor()
 		if got := sc.Skip(k); got != wantSkip {
 			t.Fatalf("sparse Skip(%d) = %d, want %d", k, got, wantSkip)
 		}
@@ -112,4 +112,58 @@ func TestDenseCursorCloseReleases(t *testing.T) {
 	if !d2.Contains(Tuple{3, 4}) {
 		t.Fatal("non-owning Close released the relation")
 	}
+}
+
+// TestCompactView pins the cached-answer currency: for random sets the
+// compact view is the sorted-code form and its cursor agrees with
+// Set.Tuples() on order, Skip and Count; a shape whose code space NewSparse
+// refuses stays the Set it was, served through the sorting cursor.
+func TestCompactView(t *testing.T) {
+	check := func(v View, want []Tuple, skip int) {
+		t.Helper()
+		c := v.Cursor()
+		defer c.Close()
+		if c.Count() != len(want) {
+			t.Fatalf("Count = %d, want %d", c.Count(), len(want))
+		}
+		if got := c.Skip(skip); got != min(skip, len(want)) {
+			t.Fatalf("Skip(%d) = %d with %d tuples", skip, got, len(want))
+		}
+		for i := min(skip, len(want)); i < len(want); i++ {
+			if tp, ok := c.Next(); !ok || !tp.Equal(want[i]) {
+				t.Fatalf("after Skip(%d), tuple %d = %v (%v), want %v", skip, i, tp, ok, want[i])
+			}
+		}
+		if tp, ok := c.Next(); ok {
+			t.Fatalf("cursor yielded %v past the end", tp)
+		}
+		if c.Count() != len(want) {
+			t.Fatalf("Count moved with the position: %d, want %d", c.Count(), len(want))
+		}
+	}
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		k, n := r.Intn(4), 1+r.Intn(9)
+		set := NewSet(k)
+		for i := r.Intn(40); i > 0; i-- {
+			tp := make(Tuple, k)
+			for j := range tp {
+				tp[j] = r.Intn(n)
+			}
+			set.Add(tp)
+		}
+		v := Compact(set, n)
+		if _, ok := v.(*Sparse); !ok {
+			t.Fatalf("k=%d n=%d: Compact returned %T, want *Sparse", k, n, v)
+		}
+		check(v, set.Tuples(), r.Intn(set.Len()+3))
+	}
+
+	// 3 axes of 2²¹ points: 2⁶³ codes, beyond MaxSparseCode.
+	wide := SetOf(3, Tuple{1 << 20, 0, 5}, Tuple{0, 1<<21 - 1, 2}, Tuple{0, 1, 2})
+	v := Compact(wide, 1<<21)
+	if v != View(wide) {
+		t.Fatalf("wide shape: Compact returned %T, want the Set itself", v)
+	}
+	check(v, wide.Tuples(), 1)
 }

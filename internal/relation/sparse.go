@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -132,10 +133,10 @@ func sparseFromCodes(k, n int, stride []uint64, codes []uint64) *Sparse {
 
 // canon sorts and deduplicates the code block in place.
 func (s *Sparse) canon() {
-	if len(s.codes) < 2 {
-		return
+	if s.sorted() {
+		return // a block collected in cursor order is already canonical
 	}
-	sort.Slice(s.codes, func(i, j int) bool { return s.codes[i] < s.codes[j] })
+	slices.Sort(s.codes)
 	w := 1
 	for i := 1; i < len(s.codes); i++ {
 		if s.codes[i] != s.codes[w-1] {
@@ -146,7 +147,7 @@ func (s *Sparse) canon() {
 	s.codes = s.codes[:w]
 }
 
-// sorted reports whether codes are strictly ascending (debug invariant).
+// sorted reports whether codes are strictly ascending: already canonical.
 func (s *Sparse) sorted() bool {
 	for i := 1; i < len(s.codes); i++ {
 		if s.codes[i] <= s.codes[i-1] {
@@ -215,8 +216,9 @@ func (s *Sparse) DecodeInto(code uint64, dst Tuple) Tuple {
 	if dst == nil {
 		dst = make(Tuple, s.k)
 	}
-	for i := 0; i < s.k; i++ {
-		dst[i] = int((code / s.stride[i]) % uint64(s.n))
+	n := uint64(s.n)
+	for i := s.k - 1; i >= 0; i-- {
+		dst[i], code = int(code%n), code/n // one division per component
 	}
 	return dst
 }

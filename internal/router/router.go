@@ -94,6 +94,11 @@ type Router struct {
 	healthDone chan struct{}
 }
 
+// upstreamIdleConns is how many idle connections the fallback client keeps
+// per replica: above the caller count of any sane deployment, so a steady
+// load re-dials nothing.
+const upstreamIdleConns = 256
+
 // New validates cfg and returns a running Router (its health loop started
 // when HealthInterval > 0). All replicas start healthy; the first failed
 // probe round or forwarding error corrects that.
@@ -119,7 +124,12 @@ func New(cfg Config) (*Router, error) {
 		rt.maxRetryWait = 3 * time.Second
 	}
 	if rt.client == nil {
-		rt.client = &http.Client{Timeout: 5 * time.Minute}
+		// The default transport keeps 2 idle connections per host: with more
+		// callers than that on one replica, hops keep re-dialling.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = upstreamIdleConns
+		tr.MaxIdleConns = 0 // no cap across replicas beyond the per-replica one
+		rt.client = &http.Client{Timeout: 5 * time.Minute, Transport: tr}
 	}
 	if rt.logger == nil {
 		rt.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -626,34 +636,41 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []b
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
+	// Lines are relayed as they are read and flushed whenever the upstream
+	// has nothing more buffered: a replica that flushed a row sees it go
+	// straight out, and a burst of rows costs one downstream write, not one
+	// per line.
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	var lastLine []byte
+	sawTrailer := false // the last complete line was a trailer
 	endedMidLine := false
 	var readErr error
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
 		if len(line) > 0 {
 			if _, werr := w.Write(line); werr != nil {
 				return // downstream client gone; nothing to repair
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			// A piece that continues an over-long line is no line of its own.
+			whole := !endedMidLine
 			endedMidLine = line[len(line)-1] != '\n'
-			lastLine = append(lastLine[:0], line...)
+			if !endedMidLine {
+				trimmed := bytes.TrimSpace(line)
+				sawTrailer = whole && len(trimmed) > 0 && trimmed[0] == '{' &&
+					bytes.Contains(trimmed, []byte(`"trailer":true`))
+			}
 		}
-		if err != nil {
+		if err != nil && err != bufio.ErrBufferFull {
 			if err != io.EOF {
 				readErr = err
 			}
 			break
 		}
+		if flusher != nil && br.Buffered() == 0 {
+			flusher.Flush()
+		}
 	}
-	trimmed := bytes.TrimSpace(lastLine)
-	sawTrailer := !endedMidLine && len(trimmed) > 0 && trimmed[0] == '{' &&
-		bytes.Contains(trimmed, []byte(`"trailer":true`))
-	if readErr == nil && sawTrailer {
-		return // clean end: the replica's own trailer closed the stream
+	if readErr == nil && sawTrailer && !endedMidLine {
+		return // clean end (returning flushes): the replica's own trailer closed the stream
 	}
 	// The upstream died mid-stream without its trailer (crash, connection
 	// cut). Repair the framing so the client still gets the promised

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,6 +158,52 @@ func TestAllReplicasShedRelays429(t *testing.T) {
 	}
 	if rt.metrics.shedRelays.Value() != 1 {
 		t.Fatalf("shed relays = %d, want 1", rt.metrics.shedRelays.Value())
+	}
+}
+
+// TestUpstreamConnectionsReused pins the fallback client's transport. More
+// callers than net/http's default of two idle connections per host hop in
+// rounds — all in flight together, then all idle together — and must find
+// their connections again instead of re-dialling every round.
+func TestUpstreamConnectionsReused(t *testing.T) {
+	const callers, rounds = 6, 20
+	var dials, hopsSeen atomic.Int32
+	replica := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold the hop until every caller of its round is in flight.
+		round := (hopsSeen.Add(1) + callers - 1) / callers
+		for hopsSeen.Load() < round*callers {
+			time.Sleep(100 * time.Microsecond)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"answer":[]}`)
+	}))
+	replica.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	replica.Start()
+	defer replica.Close()
+	rt, _ := newTestRouter(t, Config{Replicas: []string{replica.URL}})
+
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query",
+					strings.NewReader(`{"database":"graph","query":"(x, y). E(x, y)"}`)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("hop answered %d: %s", rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := dials.Load(); got > callers {
+		t.Fatalf("%d callers × %d rounds opened %d upstream connections, want at most %d", callers, rounds, got, callers)
 	}
 }
 

@@ -1,0 +1,190 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/database"
+)
+
+const allEdges = "(x, y). E(x, y)"
+
+// hitServer serves the complete graph on n nodes with the n²-row answer of
+// allEdges already in the result cache.
+func hitServer(tb testing.TB, n int) (*Server, string) {
+	tb.Helper()
+	s, ts := newTestServer(tb, Config{Databases: map[string]*database.Database{"big": streamBench(tb, n)}})
+	if code, resp, _ := postQuery(tb, ts, QueryRequest{Database: "big", Query: allEdges}); code != http.StatusOK || resp.Count != n*n {
+		tb.Fatalf("warming the cache: status %d, count %d", code, resp.Count)
+	}
+	return s, ts.URL + "/query"
+}
+
+// benchmarkHit drains one cached 4,096-row answer per iteration over a real
+// loopback connection.
+func benchmarkHit(b *testing.B, stream bool) {
+	_, url := hitServer(b, 64)
+	body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges, Stream: stream})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n < 4096*5 {
+			b.Fatalf("status %d, %d bytes, err %v", resp.StatusCode, n, err)
+		}
+	}
+}
+
+func BenchmarkHitJSON(b *testing.B)   { benchmarkHit(b, false) }
+func BenchmarkHitStream(b *testing.B) { benchmarkHit(b, true) }
+
+// TestHitAllocsIndependentOfAnswerSize pins the hit path's shape: a cached
+// answer is walked by a cursor and rendered into a pooled buffer, so a
+// 4,096-row hit allocates what a 16-row one does, up to the recorder growing
+// its body.
+func TestHitAllocsIndependentOfAnswerSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		s, _ := hitServer(t, n)
+		h := s.Handler()
+		body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges})
+		return testing.AllocsPerRun(50, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(64)
+	t.Logf("allocations per cached JSON hit: %.0f for 16 rows, %.0f for 4096", small, large)
+	if large-small > 8 || large > 150 {
+		t.Fatalf("a 4096-row hit allocates %.0f times, a 16-row one %.0f: want them within 8, and under 150", large, small)
+	}
+}
+
+// flushCounter is a recorder that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+// TestStreamDeliveryContract pins what the NDJSON writer flushes when: the
+// header and the first row at once — a client has both in hand while the
+// server is still held before row 2 — and the rest in a number of flushes
+// bounded by the answer's bytes and the drain's duration, not its rows.
+func TestStreamDeliveryContract(t *testing.T) {
+	s, url := hitServer(t, 64)
+	body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges, Stream: true})
+
+	atRow2, release := make(chan struct{}), make(chan struct{})
+	s.testHookOnStreamRow = func(row int) {
+		if row == 1 {
+			close(atRow2)
+			<-release
+		}
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	<-atRow2
+	first := make(chan string)
+	br := bufio.NewReader(resp.Body)
+	go func() {
+		hdr, _ := br.ReadString('\n')
+		row, _ := br.ReadString('\n')
+		first <- hdr + row
+	}()
+	select {
+	case got := <-first:
+		if !strings.HasPrefix(got, `{"request_id":`) || !strings.HasSuffix(got, "}\n[0,0]\n") {
+			t.Fatalf("held before row 2, the client has %q; want the header and row 1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held before row 2, the client has not received the header and row 1")
+	}
+	close(release)
+	rest, err := io.ReadAll(br)
+	if err != nil || bytes.Count(rest, []byte("\n")) != 4096 { // 4095 rows and the trailer
+		t.Fatalf("rest of the stream: %d lines, err %v", bytes.Count(rest, []byte("\n")), err)
+	}
+
+	s, _ = hitServer(t, 64) // a server without the hook
+	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	start := time.Now()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	// Header, first row, trailer; one per full buffer; one per age period.
+	bound := 3 + rec.Body.Len()/streamFlushBytes + int(time.Since(start)/streamFlushAge)
+	if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != 4098 || rec.flushes > bound {
+		t.Fatalf("a cached 4096-row drain wrote %d lines in %d flushes; want 4098 lines in at most %d", lines, rec.flushes, bound)
+	}
+}
+
+// TestChurnServesCompactAnswers checks the two ways an update puts a compact
+// answer into the cache — carrying an untouched entry over, maintaining a
+// touched one — against a recompute: JSON, a window of it, and the stream
+// agree row for row.
+func TestChurnServesCompactAnswers(t *testing.T) {
+	db, err := database.Parse(`
+domain = {1, 2, 3, 4, 5, 6, 7, 8, 9}
+E/2 = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)}
+F/2 = {(9, 8), (8, 7), (7, 6), (6, 5), (8, 5), (5, 9)}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": db}})
+	const (
+		closure = "(x, y). [lfp T(x, y). E(x, y) | exists z. (E(x, z) & T(z, y))](x, y)"
+		twoHopF = "(x, y). exists z. F(x, z) & F(z, y)"
+	)
+	query := func(req QueryRequest) QueryResponse {
+		t.Helper()
+		req.Database, req.Engine = "g", "compiled"
+		code, resp, bad := postQuery(t, ts, req)
+		if code != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", req, code, bad.Error)
+		}
+		return resp
+	}
+	query(QueryRequest{Query: closure})
+	query(QueryRequest{Query: twoHopF})
+	code, up, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{6, 8}, {7, 1}}}}})
+	if code != http.StatusOK || up.Cache.Carried != 1 || up.Cache.Maintained != 1 {
+		t.Fatalf("update: status %d, triage %+v, err %q", code, up.Cache, bad.Error)
+	}
+	for _, text := range []string{closure, twoHopF} {
+		want := query(QueryRequest{Query: text, NoCache: true})
+		if len(want.Answer) < 7 {
+			t.Fatalf("%s: recompute has only %d rows", text, len(want.Answer))
+		}
+		hit := query(QueryRequest{Query: text})
+		if !hit.ResultCached || !reflect.DeepEqual(hit.Answer, want.Answer) || hit.Count != want.Count {
+			t.Errorf("%s: cached=%v\n hit       %v\n recompute %v", text, hit.ResultCached, hit.Answer, want.Answer)
+		}
+		win := query(QueryRequest{Query: text, Offset: 2, Limit: 5})
+		if !win.ResultCached || !reflect.DeepEqual(win.Answer, want.Answer[2:7]) || win.Count != want.Count {
+			t.Errorf("%s: window 2+5 of the hit %v, of the recompute %v", text, win.Answer, want.Answer[2:7])
+		}
+		hdr, rows, trailer := postStream(t, ts, QueryRequest{Database: "g", Engine: "compiled", Query: text, Stream: true})
+		if !hdr.ResultCached || !reflect.DeepEqual(rows, want.Answer) || trailer.Count == nil || *trailer.Count != want.Count {
+			t.Errorf("%s: cached=%v\n stream    %v\n recompute %v", text, hdr.ResultCached, rows, want.Answer)
+		}
+	}
+}

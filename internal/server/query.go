@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -60,7 +61,7 @@ type query struct {
 // cancelled run. Exactly one of answer and enum is set on success; the
 // writers read either through enumerator.
 type evalOutcome struct {
-	answer *bvq.Relation   // materialized: a JSON run's answer, or a cache hit's
+	answer relation.View   // finished: a JSON run's answer or a cache hit's, compacted
 	enum   eval.Enumerator // a stream run's live enumerator
 	stats  *eval.Stats
 	mstate *eval.MaintState // compiled dense runs: what delta-restart maintenance resumes from
@@ -68,13 +69,13 @@ type evalOutcome struct {
 }
 
 // enumerator returns the answer as the one currency both writers window: the
-// stream run's live enumerator, or a set enumerator (sorting once, into the
-// canonical order) over a materialized answer. The caller closes it.
+// stream run's live enumerator, or a cursor over the finished answer — which
+// was sorted once, when it was compacted. The caller closes it.
 func (out evalOutcome) enumerator(ctx context.Context) eval.Enumerator {
 	if out.enum != nil {
 		return out.enum
 	}
-	return eval.NewSetEnumerator(ctx, out.answer, nil)
+	return eval.NewEnumerator(ctx, out.answer, nil)
 }
 
 // handleQuery is the /query pipeline: resolve the request, look the answer
@@ -127,7 +128,8 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
 	seq := s.reqSeq.Add(1)
 	q.reqID = clientRequestID(r)
 	if q.reqID == "" {
-		q.reqID = fmt.Sprintf("%08x", seq)
+		hex := strconv.AppendInt(make([]byte, 0, 16), seq, 16) // "%08x"
+		q.reqID = "00000000"[:max(8-len(hex), 0)] + string(hex)
 	}
 	w.Header().Set("X-Request-Id", q.reqID)
 	if s.recorder != nil && seq%s.sample == 0 {
@@ -251,16 +253,21 @@ func (s *Server) lookup(q *query) evalOutcome {
 	return evalOutcome{answer: hit.Answer, stats: hit.Stats}
 }
 
-// materialize is the JSON engine call: the whole answer as a relation. The
+// materialize is the JSON engine call: the whole answer as a relation,
+// compacted on the spot into the form it is cached and served in. The
 // compiled engine reuses the DAG plan prepared when the query entered the
 // plan cache and captures maintenance state alongside the answer; a nil
 // Prepared (non-compilable fragment) takes the generic path, which recompiles
 // and surfaces the real error.
 func materialize(q *query) (out evalOutcome) {
+	var set *relation.Set
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		out.answer, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
+		set, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
 	} else {
-		out.answer, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+		set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+	}
+	if out.err == nil {
+		out.answer = relation.Compact(set, q.snap.db.Size())
 	}
 	return out
 }
@@ -346,7 +353,7 @@ func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutc
 // footprint is a property of the query, so it lets results from ANY engine
 // ride out disjoint deltas; maintenance state is captured by compiled runs
 // only (mstate is nil when the run took a sparse route).
-func (s *Server) keep(q *query, out evalOutcome, full *relation.Set) {
+func (s *Server) keep(q *query, out evalOutcome, full relation.View) {
 	if q.req.NoCache {
 		return
 	}
@@ -433,6 +440,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		Backend:      q.wireBackend,
 		Width:        q.pl.Width,
 		Arity:        q.pl.Query.Arity(),
+		Answer:       [][]int{}, // the rows are rendered apart and spliced in
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
 		Coalesced:    q.coalesced,
@@ -448,21 +456,14 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 	// Count is always the FULL answer cardinality — limit/offset window the
 	// answer field only, so a paging client never loses the total.
 	resp.Count, _ = en.Count()
+	bp := rowBufs.Get().(*[]byte)
+	defer rowBufs.Put(bp)
 	if resp.Arity == 0 {
 		truth := resp.Count > 0
 		resp.Truth = &truth
-		resp.Answer = [][]int{}
+		*bp = append((*bp)[:0], "[]"...)
 	} else {
-		n := max(resp.Count-q.req.Offset, 0)
-		if q.req.Limit > 0 {
-			n = min(n, q.req.Limit)
-		}
-		resp.Answer = make([][]int, 0, n)
-		var wd windowed
-		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool {
-			resp.Answer = append(resp.Answer, renderTuple(t, q.snap.db, q.req.Indices))
-			return true
-		})
+		*bp = appendRows((*bp)[:0], en, q.req.Offset, q.req.Limit, q.rowValue())
 	}
 	xsp.End()
 	if err := en.Err(); err != nil {
@@ -479,7 +480,38 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		resp.TraceTruncated = q.fold.Truncated
 	}
 	resp.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+
+	// The envelope goes through encoding/json with an empty answer array, and
+	// the rendered rows take that array's place: `"answer":[]` is the field's
+	// only unescaped spelling, and a string value before it (request ID,
+	// database name) can only hold it with its quotes escaped.
+	var env bytes.Buffer
+	enc := json.NewEncoder(&env)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(resp) // wire structs into memory: cannot fail
+	const field = `"answer":`
+	cut := bytes.Index(env.Bytes(), []byte(field+"[]")) + len(field)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The client is gone if a write fails; nothing to do.
+	_, _ = w.Write(env.Bytes()[:cut])
+	_, _ = w.Write(*bp)
+	_, _ = w.Write(env.Bytes()[cut+len("[]"):])
+}
+
+// appendRows appends the offset/limit window of en as a JSON array of rows,
+// byte for byte encoding/json's rendering of the same [][]int.
+func appendRows(b []byte, en eval.Enumerator, offset, limit int, value func(int) int) []byte {
+	b = append(b, '[')
+	var wd windowed
+	wd.drain(en, offset, limit, func(t relation.Tuple) bool {
+		if wd.delivered > 0 {
+			b = append(b, ',')
+		}
+		b = appendRow(b, t, value)
+		return true
+	})
+	return append(b, ']')
 }
 
 // rejectEval answers a failed evaluation. A 504 carries the partial work the

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/database"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
@@ -49,22 +51,74 @@ type StreamTrailer struct {
 	ElapsedMS float64    `json:"elapsed_ms"`
 }
 
-// renderTuple maps one answer tuple to its wire row (raw domain values, or
-// indices when the request asked for them).
-func renderTuple(t relation.Tuple, db *database.Database, indices bool) []int {
-	row := make([]int, len(t))
+// appendRow appends one answer tuple as its wire row — the JSON array of its
+// components' values, or of the components themselves (domain indices) when
+// value is nil — byte for byte what encoding/json renders for the same []int.
+func appendRow(b []byte, t relation.Tuple, value func(int) int) []byte {
+	b = append(b, '[')
 	for j, v := range t {
-		if indices {
-			row[j] = v
-		} else {
-			row[j] = db.Value(v)
+		if j > 0 {
+			b = append(b, ',')
 		}
+		if value != nil {
+			v = value(v)
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return row
+	return append(b, ']')
 }
 
-// writeStream is the NDJSON writer: header line, one line per answer tuple
-// flushed as it decodes, trailer line with the final statistics.
+// rowValue is appendRow's value for this request: nil when it asked for
+// indices, else the snapshot's domain values.
+func (q *query) rowValue() func(int) int {
+	if q.req.Indices {
+		return nil
+	}
+	return q.snap.db.Value
+}
+
+// rowBufs pools the buffers both writers render rows into.
+var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// The NDJSON delivery contract: the header line and the first row are each
+// flushed the moment they exist, so time to first row is the engine's; every
+// later line waits until streamFlushBytes are pending or a row arrives more
+// than streamFlushAge after the last flush; the trailer flushes what is left.
+// A fast drain costs a write per 32 KiB instead of one per row, and a slow
+// one still delivers each row as it is found.
+const (
+	streamFlushBytes = 32 << 10
+	streamFlushAge   = 5 * time.Millisecond
+)
+
+// lineBuffer is the NDJSON writer's pending output under that contract.
+type lineBuffer struct {
+	w     http.ResponseWriter
+	buf   []byte
+	aged  atomic.Bool // streamFlushAge has passed since the last flush
+	timer *time.Timer // sets aged; armed by every flush
+}
+
+// flush sends the pending lines to the client; it fails when the client is gone.
+func (lb *lineBuffer) flush() error {
+	_, err := lb.w.Write(lb.buf)
+	lb.buf = lb.buf[:0]
+	if f, ok := lb.w.(http.Flusher); ok && err == nil {
+		f.Flush()
+	}
+	lb.aged.Store(false)
+	lb.timer.Reset(streamFlushAge)
+	return err
+}
+
+// Write appends to the pending output: the header and trailer encoder's sink.
+func (lb *lineBuffer) Write(p []byte) (int, error) {
+	lb.buf = append(lb.buf, p...)
+	return len(p), nil
+}
+
+// writeStream is the NDJSON writer: header line, one line per answer tuple,
+// trailer line with the final statistics, delivered under the contract above.
 //
 // The 200 is committed with the header, so later failures surface in the
 // trailer (the server's deadline, a contained panic) or as a counted
@@ -81,14 +135,16 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	bp := rowBufs.Get().(*[]byte)
+	lb := &lineBuffer{w: w, buf: (*bp)[:0]}
+	lb.timer = time.AfterFunc(streamFlushAge, func() { lb.aged.Store(true) })
+	enc := json.NewEncoder(lb)
 	enc.SetEscapeHTML(false)
+	defer func() {
+		lb.timer.Stop()
+		*bp = lb.buf
+		rowBufs.Put(bp)
+	}()
 
 	hdr := StreamHeader{
 		RequestID:    q.reqID,
@@ -106,11 +162,11 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		c := fullCount
 		hdr.Count = &c
 	}
-	if err := enc.Encode(hdr); err != nil {
+	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail
+	if lb.flush() != nil {
 		s.metrics.streamDisconnects.Inc()
 		return
 	}
-	flush()
 
 	var collect *relation.Set
 	if fresh && !q.req.NoCache && q.req.Limit == 0 && q.req.Offset == 0 {
@@ -131,6 +187,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	dsp := q.root.Start(trace.SpanStreamDrain)
 	defer dsp.End()
 	var wd windowed
+	value := q.rowValue()
 	disconnected := false
 	var drainPanic error
 	func() {
@@ -142,12 +199,11 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 			if s.testHookOnStreamRow != nil {
 				s.testHookOnStreamRow(int(wd.delivered))
 			}
-			if err := enc.Encode(renderTuple(t, q.snap.db, q.req.Indices)); err != nil {
-				disconnected = true
-				return false
+			lb.buf = append(appendRow(lb.buf, t, value), '\n')
+			if wd.delivered == 0 || len(lb.buf) >= streamFlushBytes || lb.aged.Load() {
+				disconnected = lb.flush() != nil
 			}
-			flush()
-			return true
+			return !disconnected
 		})
 	}()
 	if disconnected {
@@ -186,14 +242,13 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 			}
 		}
 		if collect != nil && !wd.limited {
-			s.keep(q, out, collect)
+			s.keep(q, out, relation.Compact(collect, q.snap.db.Size()))
 		}
 	}
 	en.Close() // the acyclic route folds its stats here, before the trailer reads them
 	trailer.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
-	if enc.Encode(trailer) != nil {
+	_ = enc.Encode(trailer)
+	if lb.flush() != nil {
 		s.metrics.streamDisconnects.Inc()
-		return
 	}
-	flush()
 }

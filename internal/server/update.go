@@ -274,7 +274,7 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 		s.results.Remove(t.Key)
 		t.Key = cache.ResultKey(newSnap.fp, t.Engine, t.Opts, t.Query)
 		t.State = state
-		s.results.Put(t.Key, cache.Result{Answer: ans, Stats: st})
+		s.results.Put(t.Key, cache.Result{Answer: relation.Compact(ans, newSnap.db.Size()), Stats: st})
 		s.index.Register(nd.name, newSnap.fp, t)
 		s.metrics.maintained.Inc()
 		out.Maintained++
