@@ -18,7 +18,8 @@ all: vet test build
 # registers, a single-iteration benchmark smoke pass so the benchmarks
 # themselves cannot rot (the server's pair is a cached 4,096-row answer read
 # as JSON and drained as NDJSON over loopback), five seconds of the row
-# encoder's fuzz target against encoding/json, a curl-level NDJSON smoke against a live bvqd so
+# encoder's fuzz target against encoding/json and of the node-key target
+# (equal closed-node keys, equal values), a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
 # byte-identical to direct ones, drives a short bvqload run (non-zero
@@ -26,7 +27,10 @@ all: vet test build
 # eviction + retry keeps failures off the client. The benchmark module
 # (bench/, a nested module the root build never sees) is vetted and tested
 # too: it imports the eval plan API directly, so a signature drift there
-# must fail here, not in the next benchmark run. internal/trace is held to
+# must fail here, not in the next benchmark run; its -selfcheck boots the real
+# binaries twice per workload and fails unless the server counters repeat, so
+# anything that makes serving depend on more than the request sequence (an
+# address in a cache key, say) stops here. internal/trace is held to
 # a leaf of the import graph (any tier may record spans without linking the
 # evaluator), and the gate ends by printing the size report (loc).
 check: docs
@@ -39,8 +43,10 @@ check: docs
 	$(GO) test -count=1 -run 'TestMetricsDocumented' ./internal/server/
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+	$(GO) -C bench run repro/bench -selfcheck
 	./scripts/stream_smoke.sh
 	./scripts/fleet_smoke.sh
 	./scripts/loc.sh

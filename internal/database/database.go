@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/relation"
 )
@@ -30,12 +31,12 @@ type Database struct {
 	rels   map[string]*relation.Set
 
 	// Snapshot lineage (mutate.go): version counts effective Apply steps
-	// since Build; fp is the precomputed chained fingerprint of a mutated
-	// snapshot (fpKnown marks it valid — built databases hash their encoding
-	// on demand instead).
+	// since Build; fp is set once under fpOnce: by Apply to a mutated snapshot's
+	// chained fingerprint, by a built database's first Fingerprint call.
 	version uint64
 	fp      uint64
-	fpKnown bool
+	fpOnce  sync.Once
+	relIDs  map[string]RelID // per relation, see RelID
 }
 
 // Builder assembles a Database. Tuples are given in raw domain values; the
@@ -137,6 +138,7 @@ func (b *Builder) Build() (*Database, error) {
 		names:  append([]string(nil), b.names...),
 		arity:  make(map[string]int, len(b.arity)),
 		rels:   make(map[string]*relation.Set, len(b.arity)),
+		relIDs: make(map[string]RelID, len(b.arity)),
 	}
 	for i, v := range dom {
 		db.idx[v] = i
@@ -151,7 +153,7 @@ func (b *Builder) Build() (*Database, error) {
 			}
 			set.Add(nt)
 		}
-		db.rels[name] = set
+		db.rels[name], db.relIDs[name] = set, contentID(set)
 	}
 	return db, nil
 }

@@ -62,16 +62,16 @@ func (db *Database) EncodedLen() int { return len(db.Encode()) }
 // precomputed lineage fingerprint instead (see mutate.go) — equal
 // fingerprints imply equal content either way.
 func (db *Database) Fingerprint() uint64 {
-	if db.fpKnown {
-		return db.fp
-	}
-	h := fnv.New64a()
-	for _, name := range db.names {
-		a, _ := db.Arity(name)
-		fmt.Fprintf(h, "%s/%d;", name, a)
-	}
-	io.WriteString(h, db.Encode())
-	return h.Sum64()
+	db.fpOnce.Do(func() {
+		h := fnv.New64a()
+		for _, name := range db.names {
+			a, _ := db.Arity(name)
+			fmt.Fprintf(h, "%s/%d;", name, a)
+		}
+		io.WriteString(h, db.Encode())
+		db.fp = h.Sum64()
+	})
+	return db.fp
 }
 
 // RelDecl names one positional relation of a standard encoding.

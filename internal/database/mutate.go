@@ -20,6 +20,7 @@
 package database
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -203,19 +204,30 @@ func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
 		names:   db.names,
 		arity:   db.arity,
 		rels:    make(map[string]*relation.Set, len(db.rels)),
+		relIDs:  make(map[string]RelID, len(db.rels)),
 		version: db.version + 1,
 	}
 	for name, r := range db.rels {
-		next.rels[name] = r
+		next.rels[name], next.relIDs[name] = r, db.relIDs[name]
 	}
 	for name, rd := range delta.Rels {
 		next.rels[name] = db.rels[name].ApplyDelta(rd.Ins, rd.Del)
+		next.relIDs[name] = contentID(next.rels[name])
 	}
 	delta.Version = next.version
-	next.fp = lineageFingerprint(db.Fingerprint(), next.version, delta)
-	next.fpKnown = true
+	next.fpOnce.Do(func() { next.fp = lineageFingerprint(db.Fingerprint(), next.version, delta) })
 	return next, delta, nil
 }
+
+// RelID is the content identity of one relation, a SHA-256 over its sorted
+// tuples: equal IDs mean equal relations, in any snapshot or lineage. Apply
+// rehashes only what its delta changes (eval.NodeStore keys values by it).
+type RelID [sha256.Size]byte
+
+// RelID returns the named relation's content identity, zero if undeclared.
+func (db *Database) RelID(name string) RelID { return db.relIDs[name] }
+
+func contentID(r *relation.Set) RelID { return sha256.Sum256([]byte(r.String())) }
 
 // lineageFingerprint chains the parent fingerprint with the canonical delta
 // encoding. Equal fingerprints still imply equal content (same base, same

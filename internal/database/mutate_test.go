@@ -172,3 +172,49 @@ func TestApplyFingerprintLineage(t *testing.T) {
 		t.Fatalf("chained update: fp %x vs %x, version %d", b.Fingerprint(), a1.Fingerprint(), b.Version())
 	}
 }
+
+// TestRelIDFollowsContent: a relation's identity is its content's — carried
+// over by an Apply that leaves the relation alone, new when its tuples change,
+// the old one again when they change back, and equal across lineages.
+func TestRelIDFollowsContent(t *testing.T) {
+	db := twoRelDB(t)
+	if db.RelID("E") == db.RelID("P") || db.RelID("E") == (RelID{}) || db.RelID("nope") != (RelID{}) {
+		t.Fatal("identities must tell relations apart and be zero for undeclared names")
+	}
+	ins, _, err := db.Apply([]Update{{Relation: "E", Insert: []relation.Tuple{{2, 3}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.RelID("P") != db.RelID("P") || ins.RelID("E") == db.RelID("E") {
+		t.Fatal("Apply must keep P's identity and change E's")
+	}
+	back, _, err := ins.Apply([]Update{{Relation: "E", Delete: []relation.Tuple{{2, 3}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.RelID("E") != db.RelID("E") || back.Fingerprint() == db.Fingerprint() {
+		t.Fatal("equal content must have equal identity, whatever the lineage fingerprint says")
+	}
+	if twoRelDB(t).RelID("E") != db.RelID("E") {
+		t.Fatal("identity differs between two builds of the same relation")
+	}
+}
+
+// TestFingerprintOnce: a built database hashes its encoding once, from any
+// number of goroutines (run under -race).
+func TestFingerprintOnce(t *testing.T) {
+	db := twoRelDB(t)
+	got := make(chan uint64, 8)
+	for i := 0; i < cap(got); i++ {
+		go func() { got <- db.Fingerprint() }()
+	}
+	want := twoRelDB(t).Fingerprint()
+	for i := 0; i < cap(got); i++ {
+		if fp := <-got; fp != want {
+			t.Fatalf("fingerprint %016x, want %016x", fp, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { db.Fingerprint() }); n != 0 {
+		t.Fatalf("a repeated Fingerprint call allocates %v times: it re-hashed the encoding", n)
+	}
+}

@@ -230,7 +230,7 @@ func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 	if res, ok, err := tryAcyclic(ctx, p, db, stats, stream); ok {
 		return res, err
 	}
-	return newSparseRun(ctx, p, db, opts, den, stats).answer(stream)
+	return newSparseRun(ctx, p, db, opts, den, stats).answer(stream, false)
 }
 
 // tryAcyclic recognizes the plan's query as an acyclic conjunctive query and

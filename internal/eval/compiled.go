@@ -70,29 +70,33 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, frontier *plan.Density, seed *MaintState, capture, stream bool) (planResult, error) {
 	// One space per arity up to the full width, widest first so an infeasible
 	// query fails naming its full-width space; the narrower stage and head
-	// spaces are feasible whenever that one is.
-	spaces := make([]*relation.Space, len(p.Vars)+1)
+	// spaces are feasible whenever that one is. A node store interns them; a
+	// run left with a space of its own shares no values, which would pin it.
+	alg := &denseAlg{db: db, spaces: make([]*relation.Space, len(p.Vars)+1)}
+	r := newRun[*relation.Dense](ctx, p, db, opts, alg, &Stats{}, p.DeltaOK, "d")
 	for k := len(p.Vars); k >= 0; k-- {
+		var interned bool
 		var err error
-		if spaces[k], err = relation.NewSpace(k, db.Size()); err != nil {
+		if alg.spaces[k], interned, err = r.store.space(k, db.Size()); err != nil {
 			return planResult{}, err
+		} else if !interned {
+			r.store = nil
 		}
 	}
-	alg := &denseAlg{db: db, sp: spaces[len(p.Vars)], spaces: spaces, atoms: &atomCache{}}
-	r := newRun[*relation.Dense](ctx, p, db, opts, alg, &Stats{}, p.DeltaOK)
+	alg.sp = alg.spaces[len(p.Vars)]
 	if frontier != nil {
 		r.frontier = hybridFrontier(r, alg.sp, frontier)
 	}
 	if seed != nil {
 		r.seed = seed.stages
 	}
-	if capture && p.Maint != nil && p.Maint.OK {
-		r.captured = make([]*relation.Set, p.NumBinders)
+	if capture = capture && p.Maint != nil && p.Maint.OK; capture && r.captured == nil {
+		r.captured = make([]*relation.Sparse, p.NumBinders)
 	}
 	if par := parallelism(opts); par > 1 {
 		r.sem = make(chan struct{}, par-1)
 	}
-	return r.answer(stream)
+	return r.answer(stream, capture)
 }
 
 // hybridFrontier serves the nodes den labels NodeSparse: each is a
@@ -143,16 +147,15 @@ type denseAlg struct {
 	// scratch pool shared by every fixpoint visit and sweep worker of the run.
 	sp     *relation.Space
 	spaces []*relation.Space
-	atoms  *atomCache
 }
 
-// atom returns the shared cylindrified master for a database atom (see
-// atomCache). Database atoms are immutable for the whole run, so unlike
-// BottomUp's per-visit copy the node caches the master itself — un-owned:
-// never mutated, never released by the run.
-func (a *denseAlg) atom(name string, args []int) (*relation.Dense, bool, error) {
-	m, err := a.atoms.master(a.sp, a.db, name, args)
-	return m, false, err
+// atom cylindrifies a database atom; the (hash-consed) node is its memo.
+func (a *denseAlg) atom(name string, args []int) (*relation.Dense, error) {
+	rel, err := a.db.Rel(name)
+	if err != nil {
+		return nil, err
+	}
+	return a.sp.FromAtom(rel, args)
 }
 
 func (a *denseAlg) stageAtom(stage *relation.Dense, axes []int) (*relation.Dense, error) {
@@ -236,9 +239,11 @@ func (a *denseAlg) equal(x, y *relation.Dense) bool { return x.Equal(y) }
 func (a *denseAlg) empty(arity int) (*relation.Dense, error) { return a.spaces[arity].Empty(), nil }
 func (a *denseAlg) full(arity int) (*relation.Dense, error)  { return a.spaces[arity].Full(), nil }
 
-func (a *denseAlg) fromSet(s *relation.Set, arity int) (*relation.Dense, error) {
+func (a *denseAlg) fromStage(s *relation.Sparse, arity int) (*relation.Dense, error) {
 	return s.ToDense(a.spaces[arity])
 }
+
+func (a *denseAlg) stageOf(v *relation.Dense) *relation.Sparse { return v.ToSparse() }
 
 // project is relation.Dense.ProjectAt into the run's space of arity
 // len(cols): word-parallel when the source is dense, a bit walk when it is a
@@ -278,5 +283,6 @@ func (a *denseAlg) mergeParams(out, limit *relation.Dense, assign []int) {
 func (a *denseAlg) count(v *relation.Dense) int      { return v.Count() }
 func (a *denseAlg) arity(v *relation.Dense) int      { return v.Space().Arity() }
 func (a *denseAlg) touched(int) int64                { return 0 }
+func (a *denseAlg) bytes(v *relation.Dense) int64    { return int64(v.Space().Size()+7) / 8 }
 func (a *denseAlg) check(int, *relation.Dense) error { return nil }
 func (a *denseAlg) release(v *relation.Dense)        { v.Release() }

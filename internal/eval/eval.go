@@ -99,6 +99,8 @@ type Options struct {
 	// answers, so it is excluded from result-cache keys. Tree-walking
 	// engines have no plan nodes and ignore it.
 	Profile *PlanProfile
+	// Nodes, when non-nil, shares closed node values between Compiled runs.
+	Nodes *NodeStore
 }
 
 // Tracer is the stage-boundary observation hook of Options. See
@@ -280,6 +282,8 @@ type Stats struct {
 	// decoding (OFFSET seeks; for the dense cursor these cost popcounts, not
 	// decodes).
 	TuplesSkipped int64 `json:"tuples_skipped,omitempty"`
+	// NodesShared counts the node values taken from Options.Nodes, not computed.
+	NodesShared int64 `json:"nodes_shared,omitempty"`
 }
 
 func (s *Stats) addSubformulaEvals(d int64) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +37,8 @@ import (
 // hands storage back. Sparse values are immutable heap blocks, so the sparse
 // algebra consumes nothing and its release is a no-op.
 type algebra[V comparable] interface {
-	// atom is the database atom rel(args). owned=false marks a shared master
-	// the scheduler must neither mutate nor release.
-	atom(rel string, args []int) (v V, owned bool, err error)
+	// atom is the database atom rel(args).
+	atom(rel string, args []int) (V, error)
 	// stageAtom reads a stage — or a stage delta, the Δ S(x̄) rule — through a
 	// recursion atom's axes.
 	stageAtom(stage V, axes []int) (V, error)
@@ -67,7 +67,9 @@ type algebra[V comparable] interface {
 	// Stage spaces: relations of the given arity over the domain.
 	empty(arity int) (V, error)
 	full(arity int) (V, error)
-	fromSet(s *relation.Set, arity int) (V, error)
+	// fromStage and stageOf convert a stage from and to sorted tuple codes.
+	fromStage(s *relation.Sparse, arity int) (V, error)
+	stageOf(v V) *relation.Sparse
 	// project maps a node value onto the columns cols (a stage or the head
 	// space), the axes pinned fixed to pinnedVals (PFP parameters).
 	project(v V, cols, pinned, pinnedVals []int) (V, error)
@@ -81,10 +83,12 @@ type algebra[V comparable] interface {
 	mergeParams(out, limit V, assign []int)
 
 	// count and arity are what v reports to Stats; touched is the
-	// Stats.TuplesTouched charge for writing that many tuples.
+	// Stats.TuplesTouched charge for writing that many tuples; bytes is v's
+	// size in a NodeStore.
 	count(v V) int
 	arity(v V) int
 	touched(tuples int) int64
+	bytes(v V) int64
 	// check asserts node n's fresh value against the algebra's static analysis.
 	check(n int, v V) error
 	release(v V)
@@ -114,8 +118,8 @@ type run[V comparable] struct {
 	frontier func(n int) (v V, ok bool, err error)
 
 	// Per-node DAG cache. val[n] is node n's value; valid[n] marks it current;
-	// owned[n] marks it releasable by this run (false for shared atom masters
-	// and fork-inherited values, which must never be mutated or released).
+	// owned[n] marks it releasable by this run (false for values the node
+	// store has seen and fork-inherited ones, never to be mutated or released).
 	// valCnt[n] is val[n]'s tuple count, maintained incrementally by delta
 	// passes.
 	val    []V
@@ -130,9 +134,13 @@ type run[V comparable] struct {
 	// seed[b], when non-nil, is a previous snapshot's final stage for a
 	// seedable binder: its LFP/IFP loop restarts from it instead of from ∅
 	// (delta-restart maintenance, maintain.go). captured, when allocated,
-	// receives each seedable binder's final stage as a tuple set.
-	seed     []*relation.Set
-	captured []*relation.Set
+	// receives each seedable binder's final stage, for the run's MaintState
+	// and for the fix node's store entry.
+	seed     []*relation.Sparse
+	captured []*relation.Sparse
+	// store, when non-nil, shares closed-node values across runs; prefix keys the algebra and domain.
+	store  *NodeStore
+	prefix string
 	// prof, when non-nil, accumulates per-node eval counts and wall time for
 	// explain mode. Timing is inclusive of on-demand child computation: the
 	// wave scheduler computes nodes in topological order, so for stage work
@@ -140,8 +148,8 @@ type run[V comparable] struct {
 	prof *PlanProfile
 }
 
-func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, alg algebra[V], stats *Stats, deltaOK []bool) *run[V] {
-	return &run[V]{
+func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, alg algebra[V], stats *Stats, deltaOK []bool, kind string) *run[V] {
+	r := &run[V]{
 		ctx: ctx, p: p, db: db, alg: alg, stats: stats, opts: opts, deltaOK: deltaOK,
 		val:     make([]V, len(p.Nodes)),
 		valid:   make([]bool, len(p.Nodes)),
@@ -151,6 +159,11 @@ func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Databa
 		binding: make([]V, p.NumBinders),
 		prof:    profileOf(opts),
 	}
+	if opts != nil && opts.Nodes != nil {
+		r.store, r.prefix = opts.Nodes, kind+strconv.Itoa(db.Size())+"|"
+		r.captured = make([]*relation.Sparse, p.NumBinders)
+	}
+	return r
 }
 
 // fork returns a run for a PFP sweep worker: independent node cache and
@@ -159,7 +172,7 @@ func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Databa
 // evaluation inside a worker is serial.
 func (r *run[V]) fork() *run[V] {
 	w := *r
-	w.sem, w.seed, w.captured = nil, nil, nil
+	w.sem, w.seed, w.captured, w.store = nil, nil, nil, nil
 	w.val = append([]V(nil), r.val...)
 	w.valid = append([]bool(nil), r.valid...)
 	w.owned = make([]bool, len(r.owned))
@@ -172,7 +185,7 @@ func (r *run[V]) fork() *run[V] {
 // answer runs the plan to its head value — the root projected onto the
 // (distinct, by logic.Query.Validate) head columns — and wraps it for the API
 // that asked: enumeration is a cursor over it, materialization its toSet.
-func (r *run[V]) answer(stream bool) (planResult, error) {
+func (r *run[V]) answer(stream, capture bool) (planResult, error) {
 	res := planResult{stats: r.stats}
 	root, err := r.evalNode(r.p.Root)
 	if err != nil {
@@ -182,7 +195,7 @@ func (r *run[V]) answer(stream bool) (planResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if r.captured != nil {
+	if capture {
 		res.state = &MaintState{stages: r.captured}
 	}
 	if stream {
@@ -201,8 +214,20 @@ func (r *run[V]) evalNode(n int) (V, error) {
 	if r.valid[n] {
 		return r.val[n], nil
 	}
+	key, fx := r.storeKey(n), r.p.Nodes[n].Fix
+	if key != "" {
+		stored, stage := r.store.get(key)
+		if v, ok := stored.(V); ok {
+			if fx != nil {
+				r.captured[fx.Binder] = stage
+			}
+			atomic.AddInt64(&r.stats.NodesShared, 1)
+			r.val[n], r.valid[n] = v, true // not owned; a closed node's count is never read
+			return v, nil
+		}
+	}
 	t0 := r.profStart()
-	v, owned, err := r.computeNode(n)
+	v, err := r.computeNode(n)
 	r.profEnd(n, t0)
 	if err == nil {
 		err = r.alg.check(n, v)
@@ -211,10 +236,33 @@ func (r *run[V]) evalNode(n int) (V, error) {
 		var zero V
 		return zero, err
 	}
+	if key != "" {
+		var stage *relation.Sparse // a seedable fixpoint's: what a capturing run that hits will need
+		if fx != nil {
+			stage = r.captured[fx.Binder]
+		}
+		r.store.put(key, v, stage, r.alg.bytes(v))
+	}
 	cnt := r.alg.count(v)
 	r.observe(v, cnt, cnt)
-	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, owned, true, cnt
+	// A value the store has seen is frozen, kept or not: this run does not own it.
+	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, key == "", true, cnt
 	return v, nil
+}
+
+// storeKey returns node n's NodeStore key — prefix, structure, identities of
+// the relations read — or "" for a node the run does not share; the root is one.
+func (r *run[V]) storeKey(n int) string {
+	c := r.p.Closed[n]
+	if r.store == nil || c == nil || n == r.p.Root {
+		return ""
+	}
+	key := append([]byte(r.prefix), c.Key[:]...)
+	for _, name := range c.Rels {
+		id := r.db.RelID(name)
+		key = append(key, id[:]...)
+	}
+	return string(key)
 }
 
 // profStart and profEnd time one computation of node n for explain mode;
@@ -255,11 +303,11 @@ func (r *run[V]) invalidate(n int) {
 	r.val[n], r.owned[n] = zero, false
 }
 
-func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
+func (r *run[V]) computeNode(n int) (v V, err error) {
 	var zero V
 	if r.frontier != nil {
 		if v, ok, err := r.frontier(n); ok || err != nil {
-			return v, true, err
+			return v, err
 		}
 	}
 	nd := &r.p.Nodes[n]
@@ -267,7 +315,7 @@ func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
 	if nd.Op != plan.OpFix {
 		for i, k := range nd.Kids {
 			if kids[i], err = r.evalNode(k); err != nil {
-				return zero, false, err
+				return zero, err
 			}
 		}
 	}
@@ -278,7 +326,7 @@ func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
 		}
 		stage := r.binding[nd.Binder]
 		if stage == zero {
-			return zero, false, fmt.Errorf("eval: internal: recursion atom %s outside its fixpoint", nd.Rel)
+			return zero, fmt.Errorf("eval: internal: recursion atom %s outside its fixpoint", nd.Rel)
 		}
 		v, err = r.alg.stageAtom(stage, r.p.AtomAxes(n))
 	case plan.OpEq:
@@ -300,7 +348,7 @@ func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
 		// recomputes is made current once, before iterating.
 		for _, m := range r.p.PreEval[nd.Fix.Binder] {
 			if _, err := r.evalNode(m); err != nil {
-				return zero, false, err
+				return zero, err
 			}
 		}
 		if nd.Fix.Op == logic.PFP {
@@ -311,7 +359,7 @@ func (r *run[V]) computeNode(n int) (v V, owned bool, err error) {
 	default:
 		err = fmt.Errorf("eval: unknown plan op %d", nd.Op)
 	}
-	return v, true, err
+	return v, err
 }
 
 // fixEvent is the TraceEvent of one completed stage of fx.
@@ -353,7 +401,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 		// previous snapshot's fixpoint instead of from ∅ (maintain.go). The
 		// first iteration is a full stage against the new database; later
 		// stages run semi-naive on whatever the delta added.
-		cur, err = r.alg.fromSet(r.seed[b], fx.ExtArity)
+		cur, err = r.alg.fromStage(r.seed[b], fx.ExtArity)
 	default:
 		cur, err = r.alg.empty(fx.ExtArity)
 	}
@@ -439,7 +487,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 	if r.captured != nil && r.p.Maint.Seeded[b] {
 		// Seedable binders are hoisted, so this runs exactly once per
 		// evaluation: keep the final stage as the maintenance state.
-		r.captured[b] = r.alg.toSet(cur)
+		r.captured[b] = r.alg.stageOf(cur)
 	}
 	r.binding[b] = zero
 	return r.fixResult(fx, cur)

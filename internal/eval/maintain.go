@@ -19,19 +19,19 @@ import (
 // usual, so the first stage of each seeded loop re-derives exactly what the
 // delta adds; stages after it run semi-naive on the (usually tiny) growth.
 //
-// The maintained state is deliberately small: one sparse tuple set per
-// seedable binder (the final fixpoint stage), never the full DAG of n^k-bit
-// node values. Maintenance is a dense-route optimization; sparse and hybrid
-// runs return no state and fall back to recomputation after a relevant delta.
+// The maintained state is deliberately small: one block of sorted tuple codes
+// per seedable binder (the final fixpoint stage, 8 bytes a tuple), never the
+// full DAG of n^k-bit node values. Maintenance is a dense-route optimization;
+// sparse runs return no state and fall back to recomputation after a delta.
 
 // MaintState is the reusable state captured from one dense evaluation of a
-// maintainable plan: the final stage of every seedable binder, as sparse
-// tuple sets in the extended stage arity. It is immutable after capture and
+// maintainable plan: the final stage of every seedable binder, as sorted
+// tuple codes in the extended stage arity. It is immutable after capture and
 // may be shared across goroutines; it is only meaningful for the exact
 // (plan, database snapshot) pair it was captured from, or a successor
 // snapshot reached through deltas admitted by CanMaintain.
 type MaintState struct {
-	stages []*relation.Set // indexed by binder; nil for unseeded binders
+	stages []*relation.Sparse // indexed by binder; nil for unseeded binders
 }
 
 // Tuples returns the total tuple count of the maintained state — the
@@ -43,7 +43,7 @@ func (s *MaintState) Tuples() int {
 	n := 0
 	for _, st := range s.stages {
 		if st != nil {
-			n += st.Len()
+			n += st.Count()
 		}
 	}
 	return n

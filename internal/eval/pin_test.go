@@ -209,66 +209,66 @@ func TestPinnedWork(t *testing.T) {
 // pinnedWork is the recorded table, keyed by case name.
 var pinnedWork = map[string]pinned{
 	"tc-line12/dense": {
-		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:66 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:66 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:11+11 2:21+10 3:30+9 4:38+8 5:45+7 6:51+6 7:56+5 8:60+4 9:63+3 10:65+2 11:66+1 12:66+0"},
 	"tc-line12/sparse": {
-		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:66 NodesReused:24 DeltaTuples:66 TuplesTouched:330 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:66 NodesReused:24 DeltaTuples:66 TuplesTouched:330 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:11+11 2:21+10 3:30+9 4:38+8 5:45+7 6:51+6 7:56+5 8:60+4 9:63+3 10:65+2 11:66+1 12:66+0"},
 	"tc-line12/auto": {
-		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:66 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:66 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:11+11 2:21+10 3:30+9 4:38+8 5:45+7 6:51+6 7:56+5 8:60+4 9:63+3 10:65+2 11:66+1 12:66+0"},
 	"tc-line30-maintained/dense": {
-		"{SubformulaEvals:58 FixIterations:14 MaxIntermediateArity:3 MaxIntermediateTuples:15780 NodesReused:28 DeltaTuples:91 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:1 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:58 FixIterations:14 MaxIntermediateArity:3 MaxIntermediateTuples:15780 NodesReused:28 DeltaTuples:91 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:1 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:448+13 2:460+12 3:471+11 4:481+10 5:490+9 6:498+8 7:505+7 8:511+6 9:516+5 10:520+4 11:523+3 12:525+2 13:526+1 14:526+0"},
 	"reach-line8/dense": {
-		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:3 MaxIntermediateTuples:512 NodesReused:27 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:3 MaxIntermediateTuples:512 NodesReused:27 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/lfp 1:1+1 2:2+1 3:3+1 4:4+1 5:5+1 6:6+1 7:7+1 8:8+1 9:8+0"},
 	"reach-line8/sparse": {
-		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:2 MaxIntermediateTuples:8 NodesReused:27 DeltaTuples:8 TuplesTouched:70 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:2 MaxIntermediateTuples:8 NodesReused:27 DeltaTuples:8 TuplesTouched:70 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/lfp 1:1+1 2:2+1 3:3+1 4:4+1 5:5+1 6:6+1 7:7+1 8:8+1 9:8+0"},
 	"tc-ifp-forest/dense": {
-		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:8 DeltaTuples:18 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:8 DeltaTuples:18 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/ifp 1:9+9 2:15+6 3:18+3 4:18+0"},
 	"tc-ifp-forest/sparse": {
-		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:18 NodesReused:8 DeltaTuples:18 TuplesTouched:90 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:18 NodesReused:8 DeltaTuples:18 TuplesTouched:90 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/ifp 1:9+9 2:15+6 3:18+3 4:18+0"},
 	"ifp-neg-forest/dense": {
-		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:2 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:2 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/ifp 1:3+3 2:3+0"},
 	"ifp-neg-forest/sparse": {
-		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:1 MaxIntermediateTuples:3 NodesReused:2 DeltaTuples:0 TuplesTouched:15 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:1 MaxIntermediateTuples:3 NodesReused:2 DeltaTuples:0 TuplesTouched:15 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/ifp 1:3+3 2:3+0"},
 	"gfp-forest/dense": {
-		"{SubformulaEvals:25 FixIterations:5 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:10 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:25 FixIterations:5 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:10 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/gfp 1:9-3 2:6-3 3:3-3 4:0-3 5:0+0"},
 	"nested-gfp-lfp-line8/auto": {
-		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:8+8 2:8+0 | S/gfp 1:8+0"},
 	"pfp-param-forest/dense": {
-		"{SubformulaEvals:46 FixIterations:6 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:18 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:46 FixIterations:6 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:18 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0"},
 	"pfp-counter-ordered6/auto": {
-		"{SubformulaEvals:837 FixIterations:64 MaxIntermediateArity:2 MaxIntermediateTuples:36 NodesReused:256 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:837 FixIterations:64 MaxIntermediateArity:2 MaxIntermediateTuples:36 NodesReused:256 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/pfp 1:1+1 2:1+0 3:2+1 4:1-1 5:2+1 6:2+0 7:3+1 8:1-2 9:2+1 10:2+0 11:3+1 12:2-1 13:3+1 14:3+0 15:4+1 16:1-3 17:2+1 18:2+0 19:3+1 20:2-1 21:3+1 22:3+0 23:4+1 24:2-2 25:3+1 26:3+0 27:4+1 28:3-1 29:4+1 30:4+0 31:5+1 32:1-4 33:2+1 34:2+0 35:3+1 36:2-1 37:3+1 38:3+0 39:4+1 40:2-2 41:3+1 42:3+0 43:4+1 44:3-1 45:4+1 46:4+0 47:5+1 48:2-3 49:3+1 50:3+0 51:4+1 52:3-1 53:4+1 54:4+0 55:5+1 56:3-2 57:4+1 58:4+0 59:5+1 60:4-1 61:5+1 62:5+0 63:6+1 64:0-6"},
 	"two-hop-forest/sparse-acyclic": {
-		"{SubformulaEvals:6 FixIterations:0 MaxIntermediateArity:3 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:42 RepSwitches:0 AcyclicFastPath:1 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:6 FixIterations:0 MaxIntermediateArity:3 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:42 RepSwitches:0 AcyclicFastPath:1 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		""},
 	"fo-neg-forest/sparse": {
-		"{SubformulaEvals:5 FixIterations:0 MaxIntermediateArity:2 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:39 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:5 FixIterations:0 MaxIntermediateArity:2 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:39 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		""},
 	"stream-tc-forest/dense": {
-		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:8 DeltaTuples:18 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:15 TuplesSkipped:3}",
+		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:8 DeltaTuples:18 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:15 TuplesSkipped:3 NodesShared:0}",
 		"T/lfp 1:9+9 2:15+6 3:18+3 4:18+0"},
 	"stream-tc-forest/sparse": {
-		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:18 NodesReused:8 DeltaTuples:18 TuplesTouched:90 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:15 TuplesSkipped:3}",
+		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:18 NodesReused:8 DeltaTuples:18 TuplesTouched:90 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:15 TuplesSkipped:3 NodesShared:0}",
 		"T/lfp 1:9+9 2:15+6 3:18+3 4:18+0"},
 	"stream-two-hop-forest/sparse-acyclic": {
-		"{SubformulaEvals:16 FixIterations:0 MaxIntermediateArity:3 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:42 RepSwitches:0 AcyclicFastPath:1 MaintainedFromDelta:0 TuplesStreamed:4 TuplesSkipped:2}",
+		"{SubformulaEvals:16 FixIterations:0 MaxIntermediateArity:3 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:42 RepSwitches:0 AcyclicFastPath:1 MaintainedFromDelta:0 TuplesStreamed:4 TuplesSkipped:2 NodesShared:0}",
 		""},
 	"tc-forest200/auto-hybrid": {
-		"{SubformulaEvals:41 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:180000 NodesReused:20 DeltaTuples:900 TuplesTouched:4500 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:41 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:180000 NodesReused:20 DeltaTuples:900 TuplesTouched:4500 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:180+180 2:340+160 3:480+140 4:600+120 5:700+100 6:780+80 7:840+60 8:880+40 9:900+20 10:900+0"},
 	"tc-forest410/auto-budget-fallback": {
-		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:756450 NodesReused:20 DeltaTuples:1845 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0}",
+		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:756450 NodesReused:20 DeltaTuples:1845 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:369+369 2:697+328 3:984+287 4:1230+246 5:1435+205 6:1599+164 7:1722+123 8:1804+82 9:1845+41 10:1845+0"},
 }

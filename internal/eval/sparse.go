@@ -64,7 +64,7 @@ type sparseAlg struct {
 // additionally needs an all-positive dirty region (Density.DeltaSparse).
 func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *run[*sval] {
 	alg := &sparseAlg{db: db, n: db.Size(), budget: sparseBudget(opts), den: den}
-	return newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse)
+	return newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse, "s")
 }
 
 // stageAxes is the support of a stage (or head) value: its own positions
@@ -83,13 +83,12 @@ func stageSval(rel *relation.Sparse) *sval {
 	return &sval{sup: stageAxes(rel.Arity()), rel: rel}
 }
 
-func (sa *sparseAlg) atom(name string, args []int) (*sval, bool, error) {
+func (sa *sparseAlg) atom(name string, args []int) (*sval, error) {
 	rel, err := sa.db.Rel(name)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	sv, err := sa.svalFromTuples(args, rel.ForEach)
-	return sv, true, err
+	return sa.svalFromTuples(args, rel.ForEach)
 }
 
 func (sa *sparseAlg) stageAtom(stage *sval, axes []int) (*sval, error) {
@@ -170,14 +169,14 @@ func (sa *sparseAlg) minus(x, y *sval) (*sval, int) {
 func (sa *sparseAlg) equal(x, y *sval) bool { return x.rel.Equal(y.rel) }
 
 func (sa *sparseAlg) empty(arity int) (*sval, error) {
-	return sa.fromSet(relation.NewSet(arity), arity)
+	rel, err := relation.NewSparse(arity, sa.n)
+	return stageSval(rel), err
 }
 
 func (sa *sparseAlg) full(int) (*sval, error) { return nil, errStagesOnly }
 
-func (sa *sparseAlg) fromSet(s *relation.Set, arity int) (*sval, error) {
-	return sa.svalFromTuples(stageAxes(arity), s.ForEach)
-}
+func (sa *sparseAlg) fromStage(s *relation.Sparse, _ int) (*sval, error) { return stageSval(s), nil }
+func (sa *sparseAlg) stageOf(v *sval) *relation.Sparse                   { return v.rel }
 
 // project materializes sv over cols — the one place deferred complements are
 // forced (see materialize).
@@ -207,6 +206,7 @@ func (sa *sparseAlg) mergeParams(_, _ *sval, _ []int) {}
 func (sa *sparseAlg) count(v *sval) int        { return v.rel.Count() }
 func (sa *sparseAlg) arity(v *sval) int        { return len(v.sup) }
 func (sa *sparseAlg) touched(tuples int) int64 { return int64(tuples) }
+func (sa *sparseAlg) bytes(v *sval) int64      { return 8*int64(v.rel.Count()+len(v.sup)) + 64 }
 func (sa *sparseAlg) release(*sval)            {}
 
 func (sa *sparseAlg) check(n int, sv *sval) error {

@@ -182,6 +182,9 @@ type Plan struct {
 	// polarity safety.
 	Maint *MaintInfo
 
+	// Closed[n] is set for the nodes whose values evaluations share (closed.go).
+	Closed []*Closed
+
 	// CSEHits counts hash-cons hits during compilation: subformula
 	// occurrences that were folded onto an existing node.
 	CSEHits int
@@ -629,6 +632,7 @@ func (p *Plan) analyze() {
 		}
 	}
 	p.Maint = p.maintInfo()
+	p.closeNodes()
 }
 
 func sortedKeys(m map[int]bool) []int {

@@ -216,8 +216,8 @@ func (s *Stats) observe(r *relation.Set) {
 	}
 }
 
-// atomRel materializes an atom over its distinct variables (sorted),
-// selecting rows consistent with repeated variables.
+// atomRel returns an atom's relation over its distinct variables: the
+// database's own (read-only) when none repeats, else the consistent rows.
 func atomRel(db *database.Database, a Atom) ([]logic.Var, *relation.Set, error) {
 	rel, err := db.Rel(a.Rel)
 	if err != nil {
@@ -233,6 +233,9 @@ func atomRel(db *database.Database, a Atom) ([]logic.Var, *relation.Set, error) 
 			seen[v] = true
 			vars = append(vars, v)
 		}
+	}
+	if len(vars) == len(a.Vars) {
+		return a.Vars, rel, nil
 	}
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
 	cur := rel

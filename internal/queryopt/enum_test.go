@@ -100,6 +100,7 @@ func TestEnumMatchesYannakakis(t *testing.T) {
 			arities[a.Rel] = len(a.Vars)
 		}
 		db := randomCQDB(r, relNames, arities)
+		before := db.String()
 		want, _, err := EvalYannakakis(q, db)
 		if err != nil {
 			t.Fatalf("trial %d: materialized: %v (query %+v)", trial, err, q)
@@ -117,6 +118,11 @@ func TestEnumMatchesYannakakis(t *testing.T) {
 			t.Fatalf("trial %d: enum error: %v", trial, en.Err())
 		}
 		en.Close()
+		// Atoms without a repeated variable run on the database's own
+		// relations: both pipelines must only read them.
+		if db.String() != before {
+			t.Fatalf("trial %d: a Yannakakis run changed the database (query %+v)\nbefore %s\nafter  %s", trial, q, before, db)
+		}
 		if len(got) != len(wantTuples) {
 			t.Fatalf("trial %d: enum yielded %d tuples, want %d (query %+v)", trial, len(got), len(wantTuples), q)
 		}

@@ -149,7 +149,7 @@ func topSpans(v trace.View, k int) string {
 // per-node profile and the per-binder stage totals of the run's fold.
 func buildExplain(q *query, st *eval.Stats) *plan.Explain {
 	p := q.pl.Prepared
-	den, route := eval.ExplainRoute(p, q.snap.db, &q.opts)
+	den, route := eval.ExplainRoute(p, q.snap, &q.opts)
 	ex := p.Explain(den)
 	if st != nil && st.AcyclicFastPath > 0 {
 		route = "acyclic"

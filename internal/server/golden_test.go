@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/database"
+	"repro/internal/eval"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -92,6 +93,14 @@ var goldenScript = []goldenStep{
 		body: `{"updates":[{"relation":"E","insert":[[3,4]]}]}`},
 	{name: "update 409", path: "/db/chain/update",
 		body: `{"updates":[{"relation":"E","delete":[[1,2]]}],"base_version":7}`},
+
+	// Three texts over one closed sub-plan: the node cache is offered it,
+	// admits it, serves it; the update then retires what reads E.
+	queryStep("shared sub-plan, offered", q("chain", "(x, y). P(x) & (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
+	queryStep("shared sub-plan, admitted", q("chain", "(x, y). P(y) & (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
+	queryStep("shared sub-plan, hit", q("chain", "(x, y). E(x, y) | (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
+	{name: "update invalidates shared sub-plans", path: "/db/chain/update",
+		body: `{"updates":[{"relation":"E","insert":[[4,5]]}]}`},
 }
 
 // Per-run values: wall times, identifiers minted from the clock or the
@@ -133,10 +142,15 @@ func httpGet(t testing.TB, url string) []byte {
 // runGoldenScript plays goldenScript against a fresh server and returns the
 // normalized transcript of every response.
 func runGoldenScript(t testing.TB) (*httptest.Server, []byte) {
+	return runGoldenScriptWith(t, 0)
+}
+
+func runGoldenScriptWith(t testing.TB, nodeCacheMiB int) (*httptest.Server, []byte) {
 	t.Helper()
 	_, ts := newTestServer(t, Config{
 		Databases:       map[string]*database.Database{"graph": graphDB(t), "chain": chainDB(t)},
 		TraceBufferSize: 64,
+		NodeCacheMiB:    nodeCacheMiB,
 	})
 	var out bytes.Buffer
 	traceIDs := map[string]string{}
@@ -236,6 +250,38 @@ func TestWireGolden(t *testing.T) {
 	t.Fatalf("wire differs from %s in length: got %d lines, want %d", goldenPath, len(gl), len(wl))
 }
 
+// TestWireWithoutNodeCache plays the script with sub-plan sharing disabled.
+// Sharing may only move the work a run reports: apart from the stats objects,
+// every response is the one the sharing server gives, no run reports a shared
+// node, and /stats shows an idle node cache.
+func TestWireWithoutNodeCache(t *testing.T) {
+	_, on := runGoldenScript(t)
+	ts, off := runGoldenScriptWith(t, -1)
+	responses := func(transcript []byte) string {
+		head, _, _ := bytes.Cut(transcript, []byte("## span tree"))
+		return string(regexp.MustCompile(`"stats":\{[^}]*\}`).ReplaceAll(head, []byte(`"stats":{}`)))
+	}
+	if got, want := responses(off), responses(on); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs beyond its stats:\n off: %s\n  on: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("transcripts differ in length: %d lines off, %d on", len(gl), len(wl))
+	}
+	if bytes.Contains(off, []byte("nodes_shared")) || !bytes.Contains(on, []byte(`"nodes_shared":1`)) {
+		t.Fatal("nodes_shared must appear exactly when a run took a node from the cache")
+	}
+	var st StatsResponse
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/stats"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.NodeCache != (eval.NodeStoreStats{}) {
+		t.Fatalf("disabled node cache reports %+v", st.NodeCache)
+	}
+}
+
 // TestStatsMatchesMetrics checks that /stats and /metrics agree wherever
 // they report the same scalar, after a script that moves most of them.
 func TestStatsMatchesMetrics(t *testing.T) {
@@ -286,6 +332,13 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		"bvqd_eval_tuples_touched_total":    st.Eval.TuplesTouched,
 		"bvqd_eval_rep_switches_total":      st.Eval.RepSwitches,
 		"bvqd_eval_acyclic_fastpath_total":  st.Eval.AcyclicFastPath,
+		"bvqd_node_cache_hits_total":        st.NodeCache.Hits,
+		"bvqd_node_cache_misses_total":      st.NodeCache.Misses,
+		"bvqd_node_cache_admitted_total":    st.NodeCache.Admitted,
+		"bvqd_node_cache_evictions_total":   st.NodeCache.Evictions,
+		"bvqd_node_cache_invalidated_total": st.NodeCache.Invalidated,
+		"bvqd_node_cache_entries":           st.NodeCache.Entries,
+		"bvqd_node_cache_bytes":             st.NodeCache.Bytes,
 	} {
 		got, ok := scraped[name]
 		if !ok {
@@ -295,7 +348,8 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		}
 	}
 	if st.Queries == 0 || st.Errors == 0 || st.Streams == 0 || st.Churn.Updates == 0 ||
-		st.Churn.Carried == 0 || st.Churn.Maintained == 0 || st.Churn.Invalidated == 0 || st.Eval.FixIterations == 0 {
+		st.Churn.Carried == 0 || st.Churn.Maintained == 0 || st.Churn.Invalidated == 0 || st.Eval.FixIterations == 0 ||
+		st.NodeCache.Hits == 0 || st.NodeCache.Invalidated == 0 || st.NodeCache.Bytes == 0 {
 		t.Fatalf("the script left a compared counter at zero, so its agreement shows nothing: %+v", st)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/cache"
+	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/relation"
 	"repro/internal/trace"
@@ -36,7 +37,7 @@ type query struct {
 	// snap is pinned by one atomic load: concurrent updates swap the pointer
 	// but never touch the snapshot value, so evaluation, cache key and answer
 	// rendering are consistent.
-	snap        *dbSnap
+	snap        *database.Database
 	engine      bvq.Engine
 	engineName  string
 	backendName string
@@ -52,8 +53,9 @@ type query struct {
 
 	fold      *eval.StageFold // the fresh run's stage observer, when anything reads it
 	status    int
-	cached    bool // served from the result cache
-	coalesced bool // served by another request's evaluation
+	cached    bool  // served from the result cache
+	coalesced bool  // served by another request's evaluation
+	shared    int64 // closed sub-plan values the fresh run took from the node cache
 }
 
 // evalOutcome is what lookup or one evaluation produces; a JSON run's is
@@ -233,8 +235,10 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	}
 	// Neither observer hook changes answers, so both are excluded from the
 	// result key: traced and untraced runs share cache entries.
-	q.key = cache.ResultKey(q.snap.fp, q.engineName, &q.opts, req.Query)
-	q.direct = req.NoCache || req.Trace || req.Explain
+	q.key = cache.ResultKey(q.snap.Fingerprint(), q.engineName, &q.opts, req.Query)
+	if q.direct = req.NoCache || req.Trace || req.Explain; !q.direct {
+		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
+	}
 	return 0, nil
 }
 
@@ -262,12 +266,12 @@ func (s *Server) lookup(q *query) evalOutcome {
 func materialize(q *query) (out evalOutcome) {
 	var set *relation.Set
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		set, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
+		set, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap, &q.opts)
 	} else {
-		set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+		set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
 	}
 	if out.err == nil {
-		out.answer = relation.Compact(set, q.snap.db.Size())
+		out.answer = relation.Compact(set, q.snap.Size())
 	}
 	return out
 }
@@ -277,9 +281,9 @@ func materialize(q *query) (out evalOutcome) {
 // — after k tuples.
 func enumerate(q *query) (out evalOutcome) {
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		out.enum, out.stats, out.mstate, out.err = eval.EvalPlanEnumCapture(q.ctx, q.pl.Prepared, q.snap.db, &q.opts)
+		out.enum, out.stats, out.mstate, out.err = eval.EvalPlanEnumCapture(q.ctx, q.pl.Prepared, q.snap, &q.opts)
 	} else {
-		out.enum, out.stats, out.err = bvq.EvalEnumContext(q.ctx, q.pl.Query, q.snap.db, q.engine, &q.opts)
+		out.enum, out.stats, out.err = bvq.EvalEnumContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
 	}
 	return out
 }
@@ -322,6 +326,10 @@ func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutc
 			s.testHookBeforeEval()
 		}
 		out = call(q)
+		if out.stats != nil && out.stats.NodesShared > 0 {
+			q.shared = out.stats.NodesShared
+			esp.Annotate("nodes_shared", strconv.FormatInt(q.shared, 10))
+		}
 		if esp == nil {
 			return
 		}
@@ -559,6 +567,7 @@ func (s *Server) finish(r *http.Request, q *query) {
 		slog.String("engine", q.engineName),
 		slog.String("backend", q.backendName),
 		slog.String("cache", q.cacheOutcome()),
+		slog.Int64("nodes_shared", q.shared),
 		slog.String("query", q.req.Query),
 		slog.Int("status", q.status),
 		slog.Float64("elapsed_ms", float64(elapsed.Microseconds())/1000),

@@ -45,6 +45,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,6 +78,9 @@ type Config struct {
 	// ResultCacheSize bounds the result cache (entries). 0 means
 	// DefaultResultCacheSize; negative disables result caching.
 	ResultCacheSize int
+	// NodeCacheMiB bounds the closed sub-plan values compiled evaluations share
+	// (eval.NodeStore). 0 means DefaultNodeCacheMiB; negative disables sharing.
+	NodeCacheMiB int
 	// DefaultTimeout applies when a request does not set timeout_ms.
 	// 0 means no default deadline.
 	DefaultTimeout time.Duration
@@ -128,6 +132,7 @@ type Config struct {
 const (
 	DefaultPlanCacheSize   = 1024
 	DefaultResultCacheSize = 4096
+	DefaultNodeCacheMiB    = 64
 )
 
 // maxTraceEvents caps the per-request trace a traced evaluation may return:
@@ -145,6 +150,7 @@ type Server struct {
 	dbs      map[string]*namedDB
 	plans    *cache.PlanCache
 	results  *cache.ResultCache
+	nodes    *eval.NodeStore // nil: sub-plan sharing disabled
 	index    *cache.Index
 	flight   *cache.Flight[evalOutcome]
 	limiter  *limiter
@@ -182,13 +188,7 @@ type Server struct {
 type namedDB struct {
 	name string
 	mu   sync.Mutex
-	snap atomic.Pointer[dbSnap]
-}
-
-// dbSnap pairs a snapshot with its fingerprint (computed once per swap).
-type dbSnap struct {
-	db *database.Database
-	fp uint64
+	snap atomic.Pointer[database.Database]
 }
 
 // New validates cfg and returns a Server.
@@ -223,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 		dbs:              make(map[string]*namedDB, len(cfg.Databases)),
 		plans:            cache.NewPlanCache(max(planSize, 0)),
 		results:          cache.NewResultCache(max(resultSize, 0)),
+		nodes:            eval.NewNodeStore(int64(cmp.Or(cfg.NodeCacheMiB, DefaultNodeCacheMiB)) << 20),
 		index:            cache.NewIndex(max(resultSize, 0)),
 		flight:           cache.NewFlight[evalOutcome](),
 		limiter:          newLimiter(cfg.MaxConcurrentEvals, cfg.MaxEvalQueue),
@@ -250,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: invalid database entry %q", name)
 		}
 		nd := &namedDB{name: name}
-		nd.snap.Store(&dbSnap{db: db, fp: db.Fingerprint()})
+		nd.snap.Store(db)
 		s.dbs[name] = nd
 		// Pin the churn index to the initial snapshot so registrations from
 		// evals that straddle an update are rejected by generation, not just
@@ -524,13 +525,14 @@ type StatsResponse struct {
 	// Streams counts /query requests answered as NDJSON streams;
 	// StreamDisconnects counts those cut mid-answer by the client going
 	// away (a disconnect is not an error: it is not counted in Errors).
-	Streams           int64              `json:"streams"`
-	StreamDisconnects int64              `json:"stream_disconnects"`
-	InFlight          InFlightStats      `json:"in_flight"`
-	PlanCache         CacheStats         `json:"plan_cache"`
-	ResultCache       CacheStats         `json:"result_cache"`
-	Churn             ChurnStats         `json:"churn"`
-	Eval              AggregateEvalStats `json:"eval"`
+	Streams           int64               `json:"streams"`
+	StreamDisconnects int64               `json:"stream_disconnects"`
+	InFlight          InFlightStats       `json:"in_flight"`
+	PlanCache         CacheStats          `json:"plan_cache"`
+	ResultCache       CacheStats          `json:"result_cache"`
+	NodeCache         eval.NodeStoreStats `json:"node_cache"` // all zero when disabled
+	Churn             ChurnStats          `json:"churn"`
+	Eval              AggregateEvalStats  `json:"eval"`
 }
 
 // ChurnStats reports how updates and the result cache interact: per cached
@@ -601,13 +603,13 @@ func (s *Server) Stats() StatsResponse {
 	dbs := make(map[string]DBStats, len(s.dbs))
 	for name, nd := range s.dbs {
 		snap := nd.snap.Load()
-		rels := snap.db.Names()
+		rels := snap.Names()
 		sort.Strings(rels)
 		dbs[name] = DBStats{
-			DomainSize:  snap.db.Size(),
+			DomainSize:  snap.Size(),
 			Relations:   rels,
-			Fingerprint: fmt.Sprintf("%016x", snap.fp),
-			Version:     snap.db.Version(),
+			Fingerprint: fmt.Sprintf("%016x", snap.Fingerprint()),
+			Version:     snap.Version(),
 		}
 	}
 	return StatsResponse{
@@ -630,6 +632,7 @@ func (s *Server) Stats() StatsResponse {
 		},
 		PlanCache:   CacheStats{Size: s.plans.Len(), Hits: ph, Misses: pm, Evictions: pe},
 		ResultCache: CacheStats{Size: s.results.Len(), Hits: rh, Misses: rm, Evictions: re},
+		NodeCache:   s.nodes.Stats(),
 		Churn: ChurnStats{
 			Updates:     m.updates.Value(),
 			Carried:     m.carried.Value(),

@@ -74,7 +74,7 @@ func (q *query) rowValue() func(int) int {
 	if q.req.Indices {
 		return nil
 	}
-	return q.snap.db.Value
+	return q.snap.Value
 }
 
 // rowBufs pools the buffers both writers render rows into.
@@ -242,7 +242,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 			}
 		}
 		if collect != nil && !wd.limited {
-			s.keep(q, out, relation.Compact(collect, q.snap.db.Size()))
+			s.keep(q, out, relation.Compact(collect, q.snap.Size()))
 		}
 	}
 	en.Close() // the acyclic route folds its stats here, before the trailer reads them

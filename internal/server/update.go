@@ -104,7 +104,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Validate against the current snapshot. Signature, domain and index map
 	// are fixed per lineage, so a concurrent update cannot un-validate what
 	// passes here.
-	ups, err := convertUpdates(nd.snap.Load().db, req.Updates, req.Indices)
+	ups, err := convertUpdates(nd.snap.Load(), req.Updates, req.Indices)
 	if err != nil {
 		fail(http.StatusBadRequest, err)
 		return
@@ -115,12 +115,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	snap := nd.snap.Load()
-	if req.BaseVersion != nil && *req.BaseVersion != snap.db.Version() {
+	if req.BaseVersion != nil && *req.BaseVersion != snap.Version() {
 		fail(http.StatusConflict, fmt.Errorf("base_version %d does not match current version %d",
-			*req.BaseVersion, snap.db.Version()))
+			*req.BaseVersion, snap.Version()))
 		return
 	}
-	next, delta, err := snap.db.Apply(ups)
+	next, delta, err := snap.Apply(ups)
 	if err != nil {
 		// Unreachable after convertUpdates, kept as a guard.
 		fail(http.StatusBadRequest, err)
@@ -137,21 +137,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	resp.Inserted, resp.Deleted = delta.Counts()
 	if delta.Empty() {
 		resp.Noop = true
-		resp.Fingerprint = fmt.Sprintf("%016x", snap.fp)
+		resp.Fingerprint = fmt.Sprintf("%016x", snap.Fingerprint())
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 		s.metrics.statuses.With("200").Inc()
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 
-	newSnap := &dbSnap{db: next, fp: next.Fingerprint()}
-	resp.Cache = s.triageResults(r, nd, newSnap, delta)
+	s.nodes.Invalidate(snap, resp.Relations)
+	resp.Cache = s.triageResults(r, nd, next, delta)
 	// Swap last: the cache for the new fingerprint is fully populated before
 	// any query can mint a key against it — no cold-cache window.
-	nd.snap.Store(newSnap)
+	nd.snap.Store(next)
 
 	s.metrics.updates.Inc()
-	resp.Fingerprint = fmt.Sprintf("%016x", newSnap.fp)
+	resp.Fingerprint = fmt.Sprintf("%016x", next.Fingerprint())
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	s.metrics.statuses.With("200").Inc()
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "database updated",
@@ -221,14 +221,14 @@ func convertUpdates(db *database.Database, entries []UpdateEntry, indices bool) 
 // triageResults walks every tracked result of nd and decides its fate under
 // delta, populating the cache for the new snapshot BEFORE it is swapped in.
 // Called with nd.mu held.
-func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, delta *database.Delta) UpdateCacheJSON {
+func (s *Server) triageResults(r *http.Request, nd *namedDB, next *database.Database, delta *database.Delta) UpdateCacheJSON {
 	var out UpdateCacheJSON
 	changed := delta.Relations()
 	// Rotate takes the tracked entries and advances the index's generation in
 	// one atomic step: from here the index rejects registrations minted
 	// against the outgoing fingerprint — the stale-result guard for evals
 	// racing this update (and the next one).
-	tracked := s.index.Rotate(nd.name, newSnap.fp)
+	tracked := s.index.Rotate(nd.name, next.Fingerprint())
 	drop := func(t *cache.Tracked, reason string) {
 		s.results.Remove(t.Key)
 		s.metrics.invalidations.With(reason).Inc()
@@ -243,9 +243,9 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 			// Untouched footprint: the answer is provably unchanged, move the
 			// entry to the new fingerprint.
 			s.results.Remove(t.Key)
-			t.Key = cache.ResultKey(newSnap.fp, t.Engine, t.Opts, t.Query)
+			t.Key = cache.ResultKey(next.Fingerprint(), t.Engine, t.Opts, t.Query)
 			s.results.Put(t.Key, res)
-			s.index.Register(nd.name, newSnap.fp, t)
+			s.index.Register(nd.name, next.Fingerprint(), t)
 			s.metrics.carried.Inc()
 			out.Carried++
 			continue
@@ -265,17 +265,19 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 		// Eager delta-restart maintenance against the new snapshot, while
 		// queries still run on the old one: the maintained answer is in the
 		// cache before the swap, so the entry never goes cold.
-		ans, st, state, err := eval.EvalPlanMaintained(r.Context(), t.Plan, newSnap.db, t.Opts, t.State)
+		opts := *t.Opts
+		opts.Nodes = s.nodes
+		ans, st, state, err := eval.EvalPlanMaintained(r.Context(), t.Plan, next, &opts, t.State)
 		if err != nil {
 			drop(t, "maintenance_failed")
 			continue
 		}
 		s.foldEvalStats(st)
 		s.results.Remove(t.Key)
-		t.Key = cache.ResultKey(newSnap.fp, t.Engine, t.Opts, t.Query)
+		t.Key = cache.ResultKey(next.Fingerprint(), t.Engine, t.Opts, t.Query)
 		t.State = state
-		s.results.Put(t.Key, cache.Result{Answer: relation.Compact(ans, newSnap.db.Size()), Stats: st})
-		s.index.Register(nd.name, newSnap.fp, t)
+		s.results.Put(t.Key, cache.Result{Answer: relation.Compact(ans, next.Size()), Stats: st})
+		s.index.Register(nd.name, next.Fingerprint(), t)
 		s.metrics.maintained.Inc()
 		out.Maintained++
 	}
@@ -286,12 +288,12 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, newSnap *dbSnap, de
 // unless the database snapshot moved on while the evaluation ran — a stale
 // entry must not enter the index, where the next update would carry or
 // maintain it from a baseline that missed a delta.
-func (s *Server) storeResult(nd *namedDB, snap *dbSnap, key string, res cache.Result, t *cache.Tracked) {
+func (s *Server) storeResult(nd *namedDB, snap *database.Database, key string, res cache.Result, t *cache.Tracked) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.snap.Load().fp != snap.fp {
+	if nd.snap.Load() != snap {
 		return // superseded mid-evaluation; the key is already unreachable
 	}
 	s.results.Put(key, res)
-	s.index.Register(nd.name, snap.fp, t)
+	s.index.Register(nd.name, snap.Fingerprint(), t)
 }
