@@ -16,7 +16,7 @@
 // Usage:
 //
 //	bvqd -db graph=examples/data/graph.db [-db corp=examples/data/corporate.db] \
-//	     [-addr :8080] [-ordered] [-plan-cache 1024] [-result-cache 4096] [-node-cache-mib 64] \
+//	     [-addr :8080] [-ordered] [-plan-cache 1024] [-result-cache 4096] \
 //	     [-default-timeout 10s] [-max-timeout 60s] \
 //	     [-max-concurrent 8] [-max-queue 16] [-retry-after 1s] \
 //	     [-slow-query 1s] [-pprof localhost:6060]
@@ -36,7 +36,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -86,7 +85,6 @@ func main() {
 		ordered        = flag.Bool("ordered", false, "augment every database with the built-in linear order (enables PTIME-complete FP queries over ordered structures)")
 		planCache      = flag.Int("plan-cache", server.DefaultPlanCacheSize, "plan cache capacity in entries (negative disables)")
 		resultCache    = flag.Int("result-cache", server.DefaultResultCacheSize, "result cache capacity in entries (negative disables)")
-		nodeCache      = flag.Int("node-cache-mib", server.DefaultNodeCacheMiB, "byte budget, in MiB, of the closed sub-plan values compiled evaluations share across requests (0 disables)")
 		defaultTimeout = flag.Duration("default-timeout", 10*time.Second, "evaluation deadline for requests that do not set timeout_ms (0: none)")
 		maxTimeout     = flag.Duration("max-timeout", time.Minute, "upper clamp on per-request deadlines (0: none)")
 		maxConcurrent  = flag.Int("max-concurrent", 0, "max evaluations running at once (0: unlimited)")
@@ -104,7 +102,6 @@ func main() {
 	cfg := server.Config{
 		PlanCacheSize:      *planCache,
 		ResultCacheSize:    *resultCache,
-		NodeCacheMiB:       cmp.Or(*nodeCache, -1), // Config spells "disabled" negative
 		DefaultTimeout:     *defaultTimeout,
 		MaxTimeout:         *maxTimeout,
 		MaxConcurrentEvals: *maxConcurrent,

@@ -21,9 +21,11 @@ package database
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"sort"
 
 	"repro/internal/relation"
@@ -203,31 +205,52 @@ func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
 		idx:     db.idx,
 		names:   db.names,
 		arity:   db.arity,
-		rels:    make(map[string]*relation.Set, len(db.rels)),
-		relIDs:  make(map[string]RelID, len(db.rels)),
+		rels:    maps.Clone(db.rels),
+		relIDs:  maps.Clone(db.relIDs),
 		version: db.version + 1,
-	}
-	for name, r := range db.rels {
-		next.rels[name], next.relIDs[name] = r, db.relIDs[name]
 	}
 	for name, rd := range delta.Rels {
 		next.rels[name] = db.rels[name].ApplyDelta(rd.Ins, rd.Del)
-		next.relIDs[name] = contentID(next.rels[name])
+		next.relIDs[name] = db.relIDs[name].shift(rd.Ins, false).shift(rd.Del, true)
 	}
 	delta.Version = next.version
 	next.fpOnce.Do(func() { next.fp = lineageFingerprint(db.Fingerprint(), next.version, delta) })
 	return next, delta, nil
 }
 
-// RelID is the content identity of one relation, a SHA-256 over its sorted
-// tuples: equal IDs mean equal relations, in any snapshot or lineage. Apply
-// rehashes only what its delta changes (eval.NodeStore keys values by it).
+// RelID is the content identity of one relation: the hash of its arity plus, in four 64-bit
+// lanes, the SHA-256 of each tuple. Equal relations have equal IDs in any snapshot or lineage;
+// unequal ones differ unless 256 bits collide (by accident never; a crafted update stream is not
+// defended against). Apply moves an ID by its delta alone; eval.NodeStore keys values by it.
 type RelID [sha256.Size]byte
 
 // RelID returns the named relation's content identity, zero if undeclared.
 func (db *Database) RelID(name string) RelID { return db.relIDs[name] }
 
-func contentID(r *relation.Set) RelID { return sha256.Sum256([]byte(r.String())) }
+func contentID(r *relation.Set) RelID {
+	id := RelID(sha256.Sum256([]byte{byte(r.Arity())}))
+	r.ForEach(func(t relation.Tuple) { id = id.shift([]relation.Tuple{t}, false) })
+	return id
+}
+
+// shift adds (subtracts, if sub) the hashes of ts, tuples the relation lacks (holds).
+func (id RelID) shift(ts []relation.Tuple, sub bool) RelID {
+	for _, t := range ts {
+		buf := make([]byte, 0, 64)
+		for _, v := range t {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
+		h := sha256.Sum256(buf)
+		for i := 0; i < len(id); i += 8 {
+			a, b := binary.LittleEndian.Uint64(id[i:]), binary.LittleEndian.Uint64(h[i:])
+			if sub {
+				b = -b
+			}
+			binary.LittleEndian.PutUint64(id[i:], a+b)
+		}
+	}
+	return id
+}
 
 // lineageFingerprint chains the parent fingerprint with the canonical delta
 // encoding. Equal fingerprints still imply equal content (same base, same

@@ -198,6 +198,18 @@ func TestRelIDFollowsContent(t *testing.T) {
 	if twoRelDB(t).RelID("E") != db.RelID("E") {
 		t.Fatal("identity differs between two builds of the same relation")
 	}
+	// Apply moves the identity by the delta; it must land where a hash of the
+	// whole relation does, whatever mix of inserts and deletes got it there.
+	mixed, _, err := ins.Apply([]Update{{Relation: "E", Insert: []relation.Tuple{{3, 0}, {2, 3}}, Delete: []relation.Tuple{{0, 1}, {3, 3}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := mixed.Rel("E"); e.Len() != 3 || mixed.RelID("E") != contentID(e) || mixed.RelID("E") == ins.RelID("E") {
+		t.Fatal("the identity Apply carried is not the identity of the content")
+	}
+	if contentID(relation.NewSet(1)) == contentID(relation.NewSet(2)) {
+		t.Fatal("empty relations of different arity share an identity")
+	}
 }
 
 // TestFingerprintOnce: a built database hashes its encoding once, from any

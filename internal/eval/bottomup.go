@@ -91,8 +91,7 @@ type atomCache struct {
 
 // master returns the shared cylindrified form of the database atom
 // name(args) over sp, building it on first use. Masters are never mutated:
-// readers either copy them (BottomUp) or treat them as un-owned (the plan
-// executor's dense algebra).
+// readers copy them.
 func (ac *atomCache) master(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
 	rel, err := db.Rel(name)
 	if err != nil {

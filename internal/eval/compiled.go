@@ -75,9 +75,8 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 	alg := &denseAlg{db: db, spaces: make([]*relation.Space, len(p.Vars)+1)}
 	r := newRun[*relation.Dense](ctx, p, db, opts, alg, &Stats{}, p.DeltaOK, "d")
 	for k := len(p.Vars); k >= 0; k-- {
-		var interned bool
-		var err error
-		if alg.spaces[k], interned, err = r.store.space(k, db.Size()); err != nil {
+		sp, interned, err := r.store.space(k, db.Size())
+		if alg.spaces[k] = sp; err != nil {
 			return planResult{}, err
 		} else if !interned {
 			r.store = nil

@@ -236,17 +236,14 @@ func (r *run[V]) evalNode(n int) (V, error) {
 		var zero V
 		return zero, err
 	}
-	if key != "" {
-		var stage *relation.Sparse // a seedable fixpoint's: what a capturing run that hits will need
-		if fx != nil {
-			stage = r.captured[fx.Binder]
-		}
-		r.store.put(key, v, stage, r.alg.bytes(v))
+	var stage *relation.Sparse // a seedable fixpoint's: what a capturing run that hits will need
+	if key != "" && fx != nil {
+		stage = r.captured[fx.Binder]
 	}
 	cnt := r.alg.count(v)
 	r.observe(v, cnt, cnt)
-	// A value the store has seen is frozen, kept or not: this run does not own it.
-	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, key == "", true, cnt
+	owned := key == "" || !r.store.put(key, v, stage, r.alg.bytes(v)) // kept is frozen; refused stays this run's to release
+	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, owned, true, cnt
 	return v, nil
 }
 

@@ -46,11 +46,8 @@ type storeEntry struct {
 
 const seenMax, entryOverhead = 8192, 128
 
-// NewNodeStore returns a store of at most budget bytes, nil if that is none.
+// NewNodeStore returns a store of at most budget bytes.
 func NewNodeStore(budget int64) *NodeStore {
-	if budget <= 0 {
-		return nil
-	}
 	return &NodeStore{budget: budget, ll: list.New(), items: map[string]*list.Element{},
 		seen: map[string]struct{}{}, spaces: map[[2]int]*relation.Space{}}
 }
@@ -70,27 +67,28 @@ func (s *NodeStore) get(key string) (any, *relation.Sparse) {
 	return e.val, e.stage
 }
 
-// put offers val (of that size) and its stage, if any: kept on the key's second offer, if under budget/8.
-func (s *NodeStore) put(key string, val any, stage *relation.Sparse, bytes int64) {
+// put offers val (of that size) and its stage, if any; kept, it reports, on the key's second offer if under budget/8.
+func (s *NodeStore) put(key string, val any, stage *relation.Sparse, bytes int64) bool {
 	if bytes += int64(len(key)) + entryOverhead; stage != nil {
 		bytes += 8 * int64(stage.Count())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.items[key]; ok || bytes > s.budget/8 {
-		return
+		return false
 	}
 	if _, ok := s.seen[key]; !ok {
 		if len(s.seen) >= seenMax {
 			clear(s.seen)
 		}
 		s.seen[key] = struct{}{}
-		return
+		return false
 	}
 	delete(s.seen, key)
 	s.items[key] = s.ll.PushFront(&storeEntry{key, val, stage, bytes})
 	s.st.Admitted++
 	s.charge(bytes)
+	return true
 }
 
 // charge adds bytes and evicts to the budget; Spaces hold half of it at most.

@@ -279,18 +279,18 @@ func TestNodeStoreAccounting(t *testing.T) {
 			t.Fatalf("stats %+v, want %+v", got, want)
 		}
 	}
-	s.put("a", 1, nil, 800)
-	if held("a") != nil {
+	if s.put("a", 1, nil, 800) || held("a") != nil {
 		t.Fatal("a value was kept on its first offer")
 	}
-	s.put("a", 1, nil, 800)
-	s.put("a", 2, nil, 800) // already held: the first value stays
-	if held("a") != 1 {
-		t.Fatal("a value was not kept on its second offer")
+	kept := s.put("a", 1, nil, 800)
+	if again := s.put("a", 2, nil, 800); !kept || again || held("a") != 1 { // already held: the first value stays
+		t.Fatal("a value was not kept on its second offer, or was replaced on its third")
 	}
 	check(NodeStoreStats{Hits: 1, Misses: 1, Admitted: 1, Entries: 1, Bytes: size("a", 800)})
 	for i := 0; i < 2; i++ {
-		s.put("big", 0, nil, budget/8)
+		if s.put("big", 0, nil, budget/8) {
+			t.Fatal("a value over an eighth of the budget was kept")
+		}
 	}
 	check(NodeStoreStats{Hits: 1, Misses: 1, Admitted: 1, Entries: 1, Bytes: size("a", 800)})
 	// A stage is charged with its value: 8 bytes a tuple.
@@ -342,8 +342,8 @@ func TestNodeStoreAccounting(t *testing.T) {
 	if _, interned, err := (*NodeStore)(nil).space(3, 8); err != nil || interned {
 		t.Fatal("the nil store interns nothing")
 	}
-	if (*NodeStore)(nil).Stats() != (NodeStoreStats{}) || NewNodeStore(0) != nil {
-		t.Fatal("a store without a budget must be the nil store")
+	if (*NodeStore)(nil).Stats() != (NodeStoreStats{}) {
+		t.Fatal("the nil store has counted something")
 	}
 }
 
@@ -373,6 +373,45 @@ func TestStoredValuesStayFrozen(t *testing.T) {
 	}
 	if st := store.Stats(); st.Evictions == 0 || len(copies) < 20 {
 		t.Fatalf("nothing was evicted (%+v) or too few values were watched (%d)", st, len(copies))
+	}
+}
+
+// TestRefusedValuesStayOwned checks that a run gives up only what the store
+// took: a closed node's value the store refused (first offer) is the run's to
+// release to its Space pool, the one it kept (second offer) is not.
+func TestRefusedValuesStayOwned(t *testing.T) {
+	db := twoRelDB(t)
+	q, err := parser.ParseQuery("(x, y). A(y, x) & (exists z. (A(x, z) & B(z, y)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewNodeStore(1 << 20)
+	for pass, wantOwned := range []bool{true, false} {
+		spaces := make([]*relation.Space, len(p.Vars)+1)
+		for k := range spaces {
+			spaces[k] = relation.MustSpace(k, db.Size())
+		}
+		alg := &denseAlg{db: db, sp: spaces[len(p.Vars)], spaces: spaces}
+		r := newRun[*relation.Dense](context.Background(), p, db, &Options{Parallelism: 1, Nodes: store}, alg, &Stats{}, p.DeltaOK, "d")
+		shared := 0
+		for n, c := range p.Closed {
+			if c == nil || n == p.Root {
+				continue
+			}
+			if _, err := r.evalNode(n); err != nil {
+				t.Fatal(err)
+			}
+			if shared++; r.owned[n] != wantOwned {
+				t.Fatalf("pass %d: node %d owned = %v, want %v", pass, n, r.owned[n], wantOwned)
+			}
+		}
+		if shared == 0 {
+			t.Fatal("the plan has no shared node")
+		}
 	}
 }
 

@@ -216,8 +216,8 @@ func (s *Stats) observe(r *relation.Set) {
 	}
 }
 
-// atomRel returns an atom's relation over its distinct variables: the
-// database's own (read-only) when none repeats, else the consistent rows.
+// atomRel returns an atom's relation over its distinct variables: the database's own (read-only,
+// columns in atom order) when none repeats, else the atom's consistent rows over the sorted variables.
 func atomRel(db *database.Database, a Atom) ([]logic.Var, *relation.Set, error) {
 	rel, err := db.Rel(a.Rel)
 	if err != nil {

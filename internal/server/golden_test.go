@@ -142,16 +142,20 @@ func httpGet(t testing.TB, url string) []byte {
 // runGoldenScript plays goldenScript against a fresh server and returns the
 // normalized transcript of every response.
 func runGoldenScript(t testing.TB) (*httptest.Server, []byte) {
-	return runGoldenScriptWith(t, 0)
+	return runGoldenScriptWith(t, true)
 }
 
-func runGoldenScriptWith(t testing.TB, nodeCacheMiB int) (*httptest.Server, []byte) {
+// runGoldenScriptWith plays the script with or without the node store; a
+// server without one is what the engine API gives every caller of eval.
+func runGoldenScriptWith(t testing.TB, share bool) (*httptest.Server, []byte) {
 	t.Helper()
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Databases:       map[string]*database.Database{"graph": graphDB(t), "chain": chainDB(t)},
 		TraceBufferSize: 64,
-		NodeCacheMiB:    nodeCacheMiB,
 	})
+	if !share {
+		s.nodes = nil // before the first request: no run has read it yet
+	}
 	var out bytes.Buffer
 	traceIDs := map[string]string{}
 	for _, st := range goldenScript {
@@ -256,7 +260,7 @@ func TestWireGolden(t *testing.T) {
 // node, and /stats shows an idle node cache.
 func TestWireWithoutNodeCache(t *testing.T) {
 	_, on := runGoldenScript(t)
-	ts, off := runGoldenScriptWith(t, -1)
+	ts, off := runGoldenScriptWith(t, false)
 	responses := func(transcript []byte) string {
 		head, _, _ := bytes.Cut(transcript, []byte("## span tree"))
 		return string(regexp.MustCompile(`"stats":\{[^}]*\}`).ReplaceAll(head, []byte(`"stats":{}`)))

@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/metrics"
 )
 
@@ -120,21 +119,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Entries currently in the result cache.",
 		func() int64 { return int64(s.results.Len()) })
 
-	for _, m := range []struct {
-		register   func(name, help string, fn func() int64)
-		name, help string
-		get        func(eval.NodeStoreStats) int64
-	}{
-		{r.NewCounterFunc, "bvqd_node_cache_hits_total", "Closed sub-plan values taken from the node cache instead of computed.", func(st eval.NodeStoreStats) int64 { return st.Hits }},
-		{r.NewCounterFunc, "bvqd_node_cache_misses_total", "Node cache lookups that fell through to computing the node.", func(st eval.NodeStoreStats) int64 { return st.Misses }},
-		{r.NewCounterFunc, "bvqd_node_cache_admitted_total", "Values the node cache kept: offered a second time and small enough.", func(st eval.NodeStoreStats) int64 { return st.Admitted }},
-		{r.NewCounterFunc, "bvqd_node_cache_evictions_total", "Node cache entries displaced by the byte budget.", func(st eval.NodeStoreStats) int64 { return st.Evictions }},
-		{r.NewCounterFunc, "bvqd_node_cache_invalidated_total", "Node cache entries dropped because an update changed a relation they read.", func(st eval.NodeStoreStats) int64 { return st.Invalidated }},
-		{r.NewGaugeFunc, "bvqd_node_cache_entries", "Values currently in the node cache.", func(st eval.NodeStoreStats) int64 { return st.Entries }},
-		{r.NewGaugeFunc, "bvqd_node_cache_bytes", "Bytes the node cache currently charges against -node-cache-mib.", func(st eval.NodeStoreStats) int64 { return st.Bytes }},
-	} {
-		m.register(m.name, m.help, func() int64 { return m.get(s.nodes.Stats()) })
-	}
+	r.NewCounterFunc("bvqd_node_cache_hits_total", "Closed sub-plan values taken from the node cache instead of computed.", func() int64 { return s.nodes.Stats().Hits })
+	r.NewCounterFunc("bvqd_node_cache_misses_total", "Node cache lookups that fell through to computing the node.", func() int64 { return s.nodes.Stats().Misses })
+	r.NewCounterFunc("bvqd_node_cache_admitted_total", "Values the node cache kept: offered a second time and small enough.", func() int64 { return s.nodes.Stats().Admitted })
+	r.NewCounterFunc("bvqd_node_cache_evictions_total", "Node cache entries displaced by the byte budget.", func() int64 { return s.nodes.Stats().Evictions })
+	r.NewCounterFunc("bvqd_node_cache_invalidated_total", "Node cache entries dropped because an update changed a relation they read.", func() int64 { return s.nodes.Stats().Invalidated })
+	r.NewGaugeFunc("bvqd_node_cache_entries", "Values currently in the node cache.", func() int64 { return s.nodes.Stats().Entries })
+	r.NewGaugeFunc("bvqd_node_cache_bytes", "Bytes the node cache currently charges against its budget.", func() int64 { return s.nodes.Stats().Bytes })
 
 	r.NewCounterFunc("bvqd_traces_recorded_total",
 		"Finished request traces filed with the flight recorder.",

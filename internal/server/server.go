@@ -45,7 +45,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,9 +77,6 @@ type Config struct {
 	// ResultCacheSize bounds the result cache (entries). 0 means
 	// DefaultResultCacheSize; negative disables result caching.
 	ResultCacheSize int
-	// NodeCacheMiB bounds the closed sub-plan values compiled evaluations share
-	// (eval.NodeStore). 0 means DefaultNodeCacheMiB; negative disables sharing.
-	NodeCacheMiB int
 	// DefaultTimeout applies when a request does not set timeout_ms.
 	// 0 means no default deadline.
 	DefaultTimeout time.Duration
@@ -132,7 +128,7 @@ type Config struct {
 const (
 	DefaultPlanCacheSize   = 1024
 	DefaultResultCacheSize = 4096
-	DefaultNodeCacheMiB    = 64
+	nodeCacheBytes         = 64 << 20 // the server's one eval.NodeStore; no flag until two deployments need two budgets
 )
 
 // maxTraceEvents caps the per-request trace a traced evaluation may return:
@@ -150,7 +146,7 @@ type Server struct {
 	dbs      map[string]*namedDB
 	plans    *cache.PlanCache
 	results  *cache.ResultCache
-	nodes    *eval.NodeStore // nil: sub-plan sharing disabled
+	nodes    *eval.NodeStore // nil (tests only): no sub-plan sharing
 	index    *cache.Index
 	flight   *cache.Flight[evalOutcome]
 	limiter  *limiter
@@ -223,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 		dbs:              make(map[string]*namedDB, len(cfg.Databases)),
 		plans:            cache.NewPlanCache(max(planSize, 0)),
 		results:          cache.NewResultCache(max(resultSize, 0)),
-		nodes:            eval.NewNodeStore(int64(cmp.Or(cfg.NodeCacheMiB, DefaultNodeCacheMiB)) << 20),
+		nodes:            eval.NewNodeStore(nodeCacheBytes),
 		index:            cache.NewIndex(max(resultSize, 0)),
 		flight:           cache.NewFlight[evalOutcome](),
 		limiter:          newLimiter(cfg.MaxConcurrentEvals, cfg.MaxEvalQueue),
@@ -530,7 +526,7 @@ type StatsResponse struct {
 	InFlight          InFlightStats       `json:"in_flight"`
 	PlanCache         CacheStats          `json:"plan_cache"`
 	ResultCache       CacheStats          `json:"result_cache"`
-	NodeCache         eval.NodeStoreStats `json:"node_cache"` // all zero when disabled
+	NodeCache         eval.NodeStoreStats `json:"node_cache"`
 	Churn             ChurnStats          `json:"churn"`
 	Eval              AggregateEvalStats  `json:"eval"`
 }
