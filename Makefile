@@ -1,4 +1,6 @@
 GO ?= go
+# The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
+LOC_CEILING = 27724
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep examples cover clean check serve
 
@@ -18,8 +20,10 @@ all: vet test build
 # registers, a single-iteration benchmark smoke pass so the benchmarks
 # themselves cannot rot (the server's pair is a cached 4,096-row answer read
 # as JSON and drained as NDJSON over loopback), five seconds of the row
-# encoder's fuzz target against encoding/json and of the node-key target
-# (equal closed-node keys, equal values), a curl-level NDJSON smoke against a live bvqd so
+# encoder's fuzz target against encoding/json, of the node-key target
+# (equal closed-node keys, equal values) and of the minimisation target (a
+# conjunctive query through plan.Compile answers as the naive oracle does),
+# a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
 # byte-identical to direct ones, drives a short bvqload run (non-zero
@@ -32,7 +36,8 @@ all: vet test build
 # anything that makes serving depend on more than the request sequence (an
 # address in a cache key, say) stops here. internal/trace is held to
 # a leaf of the import graph (any tier may record spans without linking the
-# evaluator), and the gate ends by printing the size report (loc).
+# evaluator), and the gate ends with the size report (loc), which fails above
+# LOC_CEILING: the non-test line count is a gate, not a figure in prose.
 check: docs
 	$(GO) vet ./...
 	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }
@@ -44,12 +49,13 @@ check: docs
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
+	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck
 	./scripts/stream_smoke.sh
 	./scripts/fleet_smoke.sh
-	./scripts/loc.sh
+	./scripts/loc.sh $(LOC_CEILING)
 
 build:
 	$(GO) build ./...
@@ -102,7 +108,7 @@ bench-sparse:
 
 # bench-stream emits the streaming-enumeration records (JSON Lines):
 # time-to-first-tuple, LIMIT-k latency and peak heap for the streamed
-# acyclic route next to the materialized baseline, on the large-answer
+# sparse route next to the materialized baseline, on the large-answer
 # two-hop scenario up to n = 10,000. EXPERIMENTS.md quotes a run.
 bench-stream:
 	$(GO) run ./cmd/bvqbench -stream

@@ -240,15 +240,16 @@ func EvalStatsContext(ctx context.Context, q Query, db *Database, engine Engine,
 type Enumerator = eval.Enumerator
 
 // EvalEnumContext evaluates q and returns a streaming enumerator over its
-// answer. EngineCompiled streams natively — dense denotations decode their
-// answer bits lazily, the sparse executor streams sorted head codes, and
-// acyclic ∃∧-CQs enumerate from Yannakakis semijoin-reduced relations
-// without materializing the product. The other engines materialize as usual
-// and stream the finished answer; either way the tuple sequence is
-// byte-identical to EvalStatsContext's Answer.Tuples().
+// answer. EngineCompiled evaluates to its compact head value and streams
+// from that — dense denotations decode their answer bits lazily, the sparse
+// executor streams sorted head codes. The other engines materialize as usual
+// and stream the finished answer; either way the evaluation has run in full
+// before the first tuple, the enumerator knows its Count, and the tuple
+// sequence is byte-identical to EvalStatsContext's Answer.Tuples().
 //
-// The returned Stats (nil for engines that do not report them) is live
-// while the enumerator runs; read it only after Close.
+// The returned Stats (nil for engines that do not report them) is final
+// except for the streamed/skipped tuple counts, which move as the enumerator
+// is consumed.
 func EvalEnumContext(ctx context.Context, q Query, db *Database, engine Engine, opts *Options) (Enumerator, *Stats, error) {
 	if engine == EngineCompiled {
 		p, err := plan.Compile(q)
@@ -319,8 +320,9 @@ type (
 // MinimizeWidth rewrites an acyclic conjunctive query into bounded-variable
 // first-order form — the paper's §5 "variable minimization" methodology.
 // The returned width is the number of distinct variables of the rewritten
-// query; evaluating it with EngineBottomUp keeps every intermediate result
-// at that arity.
+// query, which keeps the head's names and order; evaluating it keeps every
+// intermediate result at that arity. EngineCompiled applies the rewrite
+// itself to every acyclic conjunctive query whose width it lowers.
 func MinimizeWidth(q *ConjunctiveQuery) (Query, int, error) {
 	return queryopt.MinimizeWidth(q)
 }

@@ -17,17 +17,18 @@
 // its width is at most k — the Lᵏ membership check.
 //
 // With -stream, the answer is produced through the streaming enumeration
-// API: tuples print as they decode, and with -limit the evaluation stops
-// extracting after the window instead of materializing the full answer —
-// on the compiled engine's acyclic fast path, without ever building the
-// product. -limit/-offset also window the answer without -stream (the
-// window is cut after materialization there).
+// API: the query is evaluated to its compact head value, tuples print as they
+// decode, and with -limit the decoding stops after the window instead of
+// materializing the full answer. -limit/-offset also window the answer
+// without -stream (the window is cut after materialization there).
 //
 // With -explain, the query is compiled and executed on the compiled engine
 // and the annotated plan DAG is printed instead of the answer: per node the
 // operator, evaluation count and cumulative wall time; per fixpoint binder
 // the stages run and delta tuples; plus the density decision and the
-// backend route the evaluator picked (dense, sparse, hybrid, acyclic).
+// backend route the evaluator picked (dense, sparse, hybrid). An acyclic
+// conjunctive query written with more variables than it needs shows the
+// minimised plan that ran ("minimized: width 8 → 3").
 package main
 
 import (
@@ -110,7 +111,7 @@ func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream 
 	}
 	en := eval.NewEnumerator(context.Background(), ans, nil)
 	defer en.Close()
-	if _, _, _, err := printWindow(en, db, showIdx, limit, offset, stdout); err != nil {
+	if _, _, err := printWindow(en, db, showIdx, limit, offset, stdout); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
@@ -118,23 +119,22 @@ func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream 
 }
 
 // printWindow prints en's OFFSET/LIMIT window, one tuple per line. It
-// reports the tuples skipped and printed, and whether the answer ran out
-// before the limit did.
-func printWindow(en eval.Enumerator, db *bvq.Database, showIdx bool, limit, offset int, stdout io.Writer) (skipped, printed int, exhausted bool, err error) {
+// reports the tuples skipped and printed.
+func printWindow(en eval.Enumerator, db *bvq.Database, showIdx bool, limit, offset int, stdout io.Writer) (skipped, printed int, err error) {
 	if offset > 0 {
 		skipped = en.Skip(offset)
 	}
 	for limit == 0 || printed < limit {
 		t, ok := en.Next()
 		if !ok {
-			return skipped, printed, true, en.Err()
+			return skipped, printed, en.Err()
 		}
 		if err := emit(stdout, renderLine(t, db, showIdx)); err != nil {
-			return skipped, printed, false, err
+			return skipped, printed, err
 		}
 		printed++
 	}
-	return skipped, printed, false, nil
+	return skipped, printed, nil
 }
 
 // loadInputs reads and parses the database file and the query text (inline
@@ -183,14 +183,11 @@ func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr 
 	fold := eval.NewStageFold(0)
 	opts := &eval.Options{MaxWidth: k, Profile: eval.NewPlanProfile(p.NumNodes()), Tracer: fold.Observe}
 	den, route := eval.ExplainRoute(p, db, opts)
-	ans, st, err := eval.EvalPlanContext(context.Background(), p, db, opts)
+	ans, _, err := eval.EvalPlanContext(context.Background(), p, db, opts)
 	if err != nil {
 		return err
 	}
 	ex := p.Explain(den)
-	if st != nil && st.AcyclicFastPath > 0 {
-		route = "acyclic"
-	}
 	ex.Route = route
 	ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
 	for _, fx := range fold.Fix {
@@ -201,9 +198,9 @@ func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr 
 	return nil
 }
 
-// runStream prints the answer through the enumeration API: constant memory
-// in the answer size, tuples printed as they decode, and LIMIT stopping the
-// extraction (on the acyclic fast path, the evaluation) early.
+// runStream prints the answer through the enumeration API: tuples printed as
+// they decode from the compact head value, and LIMIT stopping the extraction
+// early.
 func runStream(q bvq.Query, db *bvq.Database, eng bvq.Engine, opts *bvq.Options, stats, showIdx bool, limit, offset int, stdout, stderr io.Writer) error {
 	en, st, err := bvq.EvalEnumContext(context.Background(), q, db, eng, opts)
 	if err != nil {
@@ -220,23 +217,15 @@ func runStream(q bvq.Query, db *bvq.Database, eng bvq.Engine, opts *bvq.Options,
 		}
 		return emit(stdout, verdict)
 	}
-	cnt, cntOK := en.Count()
-	skipped, printed, exhausted, err := printWindow(en, db, showIdx, limit, offset, stdout)
+	cnt, _ := en.Count()
+	skipped, printed, err := printWindow(en, db, showIdx, limit, offset, stdout)
 	if err != nil {
 		return err
 	}
-	if !cntOK && exhausted {
-		cnt, cntOK = skipped+printed, true
-	}
-	en.Close() // fold acyclic-route stats before printing them
 	if stats {
 		printStats(stderr, eng, q, db, st)
 	}
-	if cntOK {
-		fmt.Fprintf(stderr, "%d tuple(s), %d streamed, %d skipped\n", cnt, printed, skipped)
-	} else {
-		fmt.Fprintf(stderr, "%d streamed, %d skipped\n", printed, skipped)
-	}
+	fmt.Fprintf(stderr, "%d tuple(s), %d streamed, %d skipped\n", cnt, printed, skipped)
 	return nil
 }
 

@@ -149,6 +149,9 @@ func TestRunStream(t *testing.T) {
 	if got := strings.TrimSpace(out.String()); got != "(20, 40)" {
 		t.Fatalf("windowed stream stdout = %q", got)
 	}
+	if !strings.Contains(errw.String(), "2 tuple(s), 1 streamed, 1 skipped") {
+		t.Fatalf("windowed stream stderr = %q", errw.String())
+	}
 	// Boolean stream.
 	out.Reset()
 	if err := run(db, "(). exists x. P(x)", "", "compiled", 0, false, false, true, 0, 0, &out, &errw); err != nil {
@@ -156,6 +159,24 @@ func TestRunStream(t *testing.T) {
 	}
 	if strings.TrimSpace(out.String()) != "true" {
 		t.Fatalf("boolean stream = %q", out.String())
+	}
+}
+
+// TestRunExplain pins -explain on a 3-hop chain written with four variables:
+// the tree is the minimised width-3 plan that ran, with its per-node profile.
+func TestRunExplain(t *testing.T) {
+	var out, errw strings.Builder
+	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", 0, false, &out, &errw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"minimized: width 4 → 3\n", "width 3 · domain 4", "route dense", "1 evals"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("explain output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if errw.String() != "1 tuple(s)\n" {
+		t.Fatalf("explain stderr = %q", errw.String())
 	}
 }
 

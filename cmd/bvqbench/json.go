@@ -362,8 +362,8 @@ func backendRecords(bench, dbName string, n int, q logic.Query, db *database.Dat
 	return recs
 }
 
-// twoHopQuery is the acyclic path CQ (x, y) ← ∃z. E(x,z) ∧ E(z,y): the
-// Yannakakis fast-path workload.
+// twoHopQuery is the acyclic path CQ (x, y) ← ∃z. E(x,z) ∧ E(z,y), already
+// written with the three variables it needs.
 func twoHopQuery() logic.Query {
 	return logic.MustQuery([]logic.Var{"x", "y"},
 		logic.Exists(logic.And(logic.R("E", "x", "z"), logic.R("E", "z", "y")), "z"))

@@ -12,7 +12,7 @@
 //
 // With -stream the tool emits the streaming-enumeration records instead
 // (see stream.go): time-to-first-tuple, LIMIT-k latency and peak heap for
-// the streamed acyclic route next to the materialized baseline, on a
+// the streamed sparse route next to the materialized baseline, on a
 // large-answer two-hop scenario up to n = 10,000.
 //
 // With -scrape the tool instead fetches a running bvqd's /metrics endpoint,

@@ -14,18 +14,18 @@ import (
 // runStreamBench is the -stream mode: the streaming-enumeration story on a
 // large-answer acyclic query, as JSON Lines records. The scenario is the
 // two-hop join over a random sparse digraph with expected out-degree 8 —
-// its answer has ~n·64 tuples, so at n = 10,000 the materialized route
-// builds a sixty-thousand-tuple set before the first tuple can leave,
-// while the streaming acyclic route emits tuple one right after the
-// Yannakakis semijoin reduction (O(edges) work, O(stage relations) memory).
+// its answer has ~n·100 tuples, so at n = 10,000 the materialized route
+// builds a million-tuple set before the first tuple can leave, while the
+// streamed route stops at the sorted head codes (8 B/tuple) and decodes
+// tuple one from them.
 //
 // Three streamed modes ride next to the materialized baseline:
 //
 //	materialize   full EvalPlanContext — ns/op is also its time-to-first-
 //	              tuple, since nothing leaves before the set is complete
 //	stream-ttft   EvalPlanEnum + one Next: time-to-first-tuple
-//	stream-limit  EvalPlanEnum + Next×k (LIMIT-k pushdown): the whole
-//	              request at answer-independent cost and memory
+//	stream-limit  EvalPlanEnum + Next×k (LIMIT-k): the whole request
+//	              without decoding more than k tuples
 //	stream-drain  EvalPlanEnum drained to exhaustion — throughput check,
 //	              cross-checked tuple-for-tuple count against materialize
 //
@@ -45,9 +45,9 @@ func streamRecords(quick bool) []Record {
 		sizes = []int{500, 2000}
 	}
 	const limitK = 64
-	// degree 10 puts ~n·100 tuples in the answer over only ~n·10 edges: the
-	// materialized route pays for the answer, the streamed route for the
-	// edges, so the gap between them is the point of the benchmark.
+	// degree 10 puts ~n·100 tuples in the answer over only ~n·10 edges: both
+	// routes pay for the join, only the materialized one for a Set of the
+	// answer, so the gap between them is the point of the benchmark.
 	const degree = 10.0
 	q := twoHopQuery()
 	p, err := plan.Compile(q)
@@ -78,7 +78,7 @@ func streamRecords(quick bool) []Record {
 		recs = append(recs, rec)
 
 		// Time-to-first-tuple through the enumeration API: enumerator
-		// construction (the semijoin reduction) plus one Next.
+		// construction (the evaluation to the head codes) plus one Next.
 		ns, reps = measure(func() {
 			en, _, err := eval.EvalPlanEnum(ctx, p, db, opts)
 			die(err)
@@ -98,8 +98,8 @@ func streamRecords(quick bool) []Record {
 		})
 		recs = append(recs, rec)
 
-		// LIMIT-k pushdown: the extraction stops after k tuples, so both the
-		// latency and the peak heap are independent of the answer size.
+		// LIMIT-k: the extraction stops after k tuples; latency and peak heap
+		// are the evaluation's, with no decoded answer on top.
 		drainK := func() {
 			en, _, err := eval.EvalPlanEnum(ctx, p, db, opts)
 			die(err)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/plan"
-	"repro/internal/queryopt"
 	"repro/internal/relation"
 )
 
@@ -25,10 +24,9 @@ const (
 	// BackendDense forces the full-width nᵏ-bit engine; queries whose space
 	// exceeds relation.MaxDenseBits fail with the dense-space error.
 	BackendDense
-	// BackendSparse forces the sorted tuple-block engine (with the acyclic
-	// Yannakakis fast path); queries outside the sparse-evaluable fragment
-	// (GFP/PFP, negatively represented fixpoint bodies) fail with a typed
-	// explanation.
+	// BackendSparse forces the sorted tuple-block engine; queries outside the
+	// sparse-evaluable fragment (GFP/PFP, negatively represented fixpoint
+	// bodies) fail with a typed explanation.
 	BackendSparse
 )
 
@@ -99,9 +97,9 @@ func cardOf(db *database.Database) func(string) int {
 // safe.
 //
 // The backend route is chosen here (routePlan). Dense is the historical
-// engine and the default for every feasible small space; sparse (with the
-// acyclic-join fast path) is how queries beyond relation.MaxDenseBits — the
-// n^k wall — evaluate at all. BackendAuto also runs a hybrid: a
+// engine and the default for every feasible small space; sparse is how
+// queries beyond relation.MaxDenseBits — the n^k wall — evaluate at all.
+// BackendAuto also runs a hybrid: a
 // feasible-but-large dense evaluation whose recursion-free low-density
 // subtrees are computed sparsely and cylindrified once at their boundary
 // (Stats.RepSwitches).
@@ -201,7 +199,7 @@ func evalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 		return planResult{}, rt.err
 	}
 	if rt.name == "sparse" {
-		res, err := runSparse(ctx, p, db, opts, rt.den, stream)
+		res, err := newSparseRun(ctx, p, db, opts, rt.den, &Stats{}).answer(stream, false)
 		if !rt.fallback || !errors.Is(err, ErrSparseBudget) {
 			return res, err
 		}
@@ -212,68 +210,11 @@ func evalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 // ExplainRoute reports the backend route evalPlan would take for this plan
 // against this database — "dense", "sparse", or "hybrid" — together with the
 // density analysis behind the decision, without evaluating anything. The
-// route is the planned one: a sparse run may still be served by the
-// Yannakakis fast path (visible post-run as Stats.AcyclicFastPath), and a
-// sparse-budget overrun under BackendAuto falls back to dense. The empty
+// route is the planned one: a sparse-budget overrun under BackendAuto falls
+// back to dense. The empty
 // route means the query is unevaluable (dense space infeasible and sparse
 // unavailable, or a forced backend that cannot run it).
 func ExplainRoute(p *plan.Plan, db *database.Database, opts *Options) (*plan.Density, string) {
 	rt := routePlan(p, db, opts)
 	return rt.den, rt.name
-}
-
-// runSparse evaluates the whole plan sparsely: first the Yannakakis route for
-// acyclic conjunctive queries (no k-dimensional intermediate at all), then
-// the plan executor over the sparse algebra.
-func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stream bool) (planResult, error) {
-	stats := &Stats{}
-	if res, ok, err := tryAcyclic(ctx, p, db, stats, stream); ok {
-		return res, err
-	}
-	return newSparseRun(ctx, p, db, opts, den, stats).answer(stream, false)
-}
-
-// tryAcyclic recognizes the plan's query as an acyclic conjunctive query and
-// answers it from the Yannakakis semijoin reduction, whose intermediates
-// never exceed the join-tree node arities — the §1 route around the n^k wall
-// for the fragment where it applies. Materializing and streaming are two
-// algorithms over the same reduction: the bulk pipeline joins bottom-up into
-// one Set, the enumerator (yannCursor) delivers answers group by group without
-// building the product. Returns ok=false (and no error) when the query is
-// outside the fragment or cyclic, letting the caller fall through to the
-// general sparse executor.
-func tryAcyclic(ctx context.Context, p *plan.Plan, db *database.Database, stats *Stats, stream bool) (planResult, bool, error) {
-	res := planResult{stats: stats}
-	cq, ok := queryopt.FromQuery(p.Query)
-	if !ok {
-		return res, false, nil
-	}
-	var err error
-	var qst *queryopt.Stats
-	if stream {
-		var inner *queryopt.Enum
-		if inner, qst, err = queryopt.EnumYannakakis(ctx, cq, db); err == nil {
-			// The enumerator's queryopt.Stats is live while it runs: fold it into
-			// the eval counters exactly once, when enumeration finishes.
-			en := newCursorEnum(ctx, yannCursor{inner}, stats)
-			en.done = func() error { stats.foldAcyclic(qst); return inner.Err() }
-			res.enum = en
-		}
-	} else if res.set, qst, err = queryopt.EvalYannakakisContext(ctx, cq, db); err == nil {
-		stats.foldAcyclic(qst)
-	}
-	if errors.Is(err, queryopt.ErrCyclic) {
-		return res, false, nil
-	}
-	if err == nil {
-		stats.addAcyclicFastPath(1)
-	}
-	return res, true, err
-}
-
-// foldAcyclic charges a finished Yannakakis run's work to the eval counters.
-func (s *Stats) foldAcyclic(qst *queryopt.Stats) {
-	s.addSubformulaEvals(int64(qst.Operations))
-	s.addTuplesTouched(int64(qst.TuplesTouched))
-	s.observe(qst.MaxIntermediateArity, qst.MaxIntermediateTuples)
 }

@@ -5,17 +5,16 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/plan"
-	"repro/internal/queryopt"
 	"repro/internal/relation"
 )
 
 // Enumerator streams a query answer one tuple at a time, in the canonical
 // Set.Tuples (lexicographic) order regardless of which backend produced it.
 // It is the evaluation stack's iterator API: callers pull tuples instead of
-// receiving a materialized Set, so LIMIT-k requests stop the extraction (and
-// on the acyclic fast path, the evaluation itself) after k tuples, and
-// per-request memory stays proportional to the window plus the engine's
-// stage relations rather than to |answer|.
+// receiving a materialized Set, so LIMIT-k requests stop the extraction after
+// k tuples — the evaluation itself always runs to its head value — and
+// per-request memory stays proportional to the window plus the compact head
+// value rather than to |answer| decoded tuples.
 //
 // Contract:
 //   - Next returns the next tuple; the Tuple is reused across calls, so
@@ -24,12 +23,11 @@ import (
 //   - Skip advances past up to n tuples without decoding them where the
 //     representation allows (word popcounts on dense bitmaps, an index jump
 //     on sparse code blocks) and returns how many were actually skipped.
-//   - Count reports the exact full answer cardinality when it is known
-//     cheaply (dense popcount, sparse length, materialized sets); ok=false
-//     when knowing it would require running the enumeration to the end (the
-//     streaming acyclic route).
-//   - Close releases engine resources (pooled bitmaps, group state) and is
-//     idempotent. Callers must Close every enumerator, on every path.
+//   - Count reports the exact full answer cardinality (dense popcount, sparse
+//     length, materialized sets), whatever has been consumed; ok=false only
+//     once the enumerator is closed.
+//   - Close releases engine resources (pooled bitmaps) and is idempotent.
+//     Callers must Close every enumerator, on every path.
 //
 // Enumerators are single-goroutine values, like the relation cursors they
 // wrap.
@@ -49,13 +47,9 @@ const ctxCheckEvery = 1024
 // cursorEnum adapts a cursor into an Enumerator: it meters streamed/skipped
 // tuples into Stats and polls the context every ctxCheckEvery tuples.
 type cursorEnum struct {
-	ctx   context.Context
-	c     relation.Cursor
-	stats *Stats
-	// done, when non-nil, runs once when enumeration finishes (exhaustion,
-	// error or Close): a cursor over a live computation settles its accounts
-	// and reports how it ended.
-	done       func() error
+	ctx        context.Context
+	c          relation.Cursor
+	stats      *Stats
 	err        error
 	sinceCheck int
 	closed     bool
@@ -63,15 +57,6 @@ type cursorEnum struct {
 
 func newCursorEnum(ctx context.Context, c relation.Cursor, stats *Stats) *cursorEnum {
 	return &cursorEnum{ctx: ctx, c: c, stats: stats}
-}
-
-func (e *cursorEnum) finish() {
-	if e.done != nil {
-		if err := e.done(); e.err == nil {
-			e.err = err
-		}
-		e.done = nil
-	}
 }
 
 func (e *cursorEnum) Next() (relation.Tuple, bool) {
@@ -88,7 +73,6 @@ func (e *cursorEnum) Next() (relation.Tuple, bool) {
 	}
 	t, ok := e.c.Next()
 	if !ok {
-		e.finish()
 		return nil, false
 	}
 	e.stats.addTuplesStreamed(1)
@@ -100,9 +84,6 @@ func (e *cursorEnum) Skip(n int) int {
 		return 0
 	}
 	k := e.c.Skip(n)
-	if k < n {
-		e.finish()
-	}
 	e.stats.addTuplesSkipped(int64(k))
 	return k
 }
@@ -111,8 +92,7 @@ func (e *cursorEnum) Count() (int, bool) {
 	if e.closed {
 		return 0, false
 	}
-	n := e.c.Count()
-	return max(n, 0), n >= 0
+	return e.c.Count(), true
 }
 
 func (e *cursorEnum) Err() error { return e.err }
@@ -120,7 +100,6 @@ func (e *cursorEnum) Err() error { return e.err }
 func (e *cursorEnum) Close() {
 	if !e.closed {
 		e.closed = true
-		e.finish()
 		e.c.Close()
 	}
 }
@@ -133,24 +112,6 @@ func NewEnumerator(ctx context.Context, v relation.View, stats *Stats) Enumerato
 	return newCursorEnum(ctx, v.Cursor(), stats)
 }
 
-// yannCursor is the queryopt streaming enumerator as a cursor: the
-// Yannakakis group decomposition delivers answers without ever counting them
-// all, and skips by enumerating.
-type yannCursor struct{ inner *queryopt.Enum }
-
-func (c yannCursor) Next() (relation.Tuple, bool) { return c.inner.Next() }
-func (c yannCursor) Count() int                   { return -1 }
-func (c yannCursor) Close()                       { c.inner.Close() }
-
-func (c yannCursor) Skip(n int) int {
-	for k := 0; k < n; k++ {
-		if _, ok := c.inner.Next(); !ok {
-			return k
-		}
-	}
-	return n
-}
-
 // EvalPlanEnum evaluates a compiled plan and returns a streaming enumerator
 // over the answer, routed by backend exactly like EvalPlanContext — it is the
 // same evaluation (evalPlan) ending in a cursor over the head value instead
@@ -160,15 +121,12 @@ func (c yannCursor) Skip(n int) int {
 //     space word-parallel, and stream by decoding set bits lazily
 //     (relation.DenseCursor) — extraction, PR 3's dominant cost on large
 //     answers, is deferred and windowed;
-//   - the general sparse route streams the materialized head codes directly
-//     (relation.SparseCursor), skipping the Set round-trip;
-//   - the queryopt-recognized acyclic ∃∧-CQ route streams from the
-//     Yannakakis semijoin-reduced relations without building the product at
-//     all (queryopt.Enum) — preprocessing linear in the database, answers
-//     delivered group by group.
+//   - the sparse route streams the materialized head codes directly
+//     (relation.SparseCursor), skipping the Set round-trip.
 //
-// The returned Stats is live while the enumerator runs; read it only after
-// Close. Callers must Close the enumerator on every path.
+// The returned Stats is final except for the streamed/skipped tuple counters,
+// which the enumerator meters as it is consumed. Callers must Close the
+// enumerator on every path.
 func EvalPlanEnum(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, error) {
 	res, err := evalPlan(ctx, p, db, opts, nil, false, true)
 	return res.enum, res.stats, err

@@ -1,8 +1,7 @@
 // Streaming differential: for random FP/IFP formulas over random databases,
 // draining an Enumerator must reproduce the materialized answer
 // byte-identically — same tuples, same (lexicographic) order — on every
-// backend route, including the Yannakakis streaming fast path, and
-// mid-stream cancellation must stop the stream with a reported error.
+// backend route, and mid-stream cancellation must stop the stream with a reported error.
 package eval
 
 import (
@@ -13,6 +12,7 @@ import (
 	"repro/internal/database"
 	"repro/internal/logic"
 	"repro/internal/plan"
+	"repro/internal/queryopt"
 	"repro/internal/relation"
 )
 
@@ -174,35 +174,48 @@ func TestEnumCancellationMidStream(t *testing.T) {
 	}
 }
 
-// TestEnumAcyclicFastPath pins that the sparse enumerator actually takes the
-// streaming Yannakakis route for an acyclic ∃∧-CQ (Count unknown, fast-path
-// counter set) and still matches the dense materialized answer.
+// TestEnumAcyclicFastPath: every open enumerator reports its Count — there
+// is no route left that streams without knowing the answer's size — on a
+// width-minimal 2-hop CQ and on a 4-hop chain written with five variables,
+// which compiles to its minimised width-3 plan (Stats.AcyclicFastPath).
 func TestEnumAcyclicFastPath(t *testing.T) {
 	db := completeGraph(t, 12)
-	p, err := plan.Compile(twoHop(t))
+	chain, err := queryopt.ChainCQ(4).ToFO()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en, st, err := EvalPlanEnum(context.Background(), p, db, &Options{Backend: BackendSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := en.Count(); ok {
-		t.Fatal("streaming acyclic route reported a Count; expected unknown")
-	}
-	got := drainEnum(t, en)
-	en.Close()
-	if st.AcyclicFastPath == 0 {
-		t.Fatal("AcyclicFastPath not taken for 2-hop CQ")
-	}
-	if st.TuplesStreamed != int64(len(got)) {
-		t.Fatalf("TuplesStreamed=%d, want %d", st.TuplesStreamed, len(got))
-	}
-	if !sameTuples(got, want.Tuples()) {
-		t.Fatalf("acyclic stream diverged from dense answer")
+	for _, q := range []logic.Query{twoHop(t), chain} {
+		p, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []Backend{BackendAuto, BackendDense, BackendSparse} {
+			en, st, err := EvalPlanEnum(context.Background(), p, db, &Options{Backend: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			en.Skip(5)
+			if n, ok := en.Count(); !ok || n != want.Len() {
+				t.Fatalf("%s backend %s: Count = %d, %v; want %d", q, b, n, ok, want.Len())
+			}
+			got := drainEnum(t, en)
+			en.Close()
+			if _, ok := en.Count(); ok {
+				t.Fatalf("%s backend %s: closed enumerator reported a Count", q, b)
+			}
+			if minimized := p.MinimizedFrom > 0; (st.AcyclicFastPath == 1) != minimized {
+				t.Fatalf("%s backend %s: AcyclicFastPath = %d, plan minimized: %v", q, b, st.AcyclicFastPath, minimized)
+			}
+			if st.TuplesStreamed != int64(len(got)) || st.TuplesSkipped != 5 {
+				t.Fatalf("streamed %d skipped %d, want %d and 5", st.TuplesStreamed, st.TuplesSkipped, len(got))
+			}
+			if !sameTuples(got, want.Tuples()[5:]) {
+				t.Fatalf("%s backend %s: stream diverged from the dense answer", q, b)
+			}
+		}
 	}
 }

@@ -258,16 +258,15 @@ type Stats struct {
 	// delta propagation (GFP, PFP, non-monotone dirty sets).
 	DeltaTuples int64 `json:"delta_tuples,omitempty"`
 	// TuplesTouched counts tuples written by sparse operations: the summed
-	// block sizes of sparse node evaluations, delta updates, and Yannakakis
-	// intermediates. The sparse analogue of dense word work; zero for pure
-	// dense runs.
+	// block sizes of sparse node evaluations and delta updates. The sparse
+	// analogue of dense word work; zero for pure dense runs.
 	TuplesTouched int64 `json:"tuples_touched,omitempty"`
 	// RepSwitches counts representation conversions: sparse subtree results
 	// cylindrified into the dense space at a hybrid frontier boundary.
 	RepSwitches int64 `json:"rep_switches,omitempty"`
-	// AcyclicFastPath is 1 when the query was answered by the Yannakakis
-	// semijoin pipeline (acyclic conjunctive query under the sparse
-	// backend), 0 otherwise.
+	// AcyclicFastPath is 1 when the plan that ran is an acyclic conjunctive
+	// query lowered from its variable-minimised form (plan.MinimizedFrom),
+	// 0 otherwise. The name is the wire's.
 	AcyclicFastPath int64 `json:"acyclic_fast_path,omitempty"`
 	// MaintainedFromDelta is 1 when this evaluation restarted its fixpoint
 	// stage loops from a previous snapshot's fixpoints (EvalPlanMaintained)
@@ -319,12 +318,6 @@ func (s *Stats) addTuplesTouched(d int64) {
 func (s *Stats) addRepSwitches(d int64) {
 	if s != nil {
 		atomic.AddInt64(&s.RepSwitches, d)
-	}
-}
-
-func (s *Stats) addAcyclicFastPath(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.AcyclicFastPath, d)
 	}
 }
 

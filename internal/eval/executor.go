@@ -198,6 +198,9 @@ func (r *run[V]) answer(stream, capture bool) (planResult, error) {
 	if capture {
 		res.state = &MaintState{stages: r.captured}
 	}
+	if r.p.MinimizedFrom > 0 {
+		r.stats.AcyclicFastPath = 1
+	}
 	if stream {
 		res.enum = newCursorEnum(r.ctx, r.alg.cursor(h), r.stats)
 	} else {

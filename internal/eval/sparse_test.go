@@ -1,6 +1,7 @@
 // Differential testing of the sparse backend: the dense engine is the
 // oracle, and every admitted query must come back byte-identical through
-// the sval executor, the Yannakakis fast path, and the hybrid frontier.
+// the sval executor and the hybrid frontier; conjunctive queries are checked
+// against Yannakakis and the naive oracle as well (checkMinimizeRewrite).
 // The large-domain tests drive the whole point of the backend — a k=3 query
 // over n=10,000, whose dense space (10¹² bits) is two orders of magnitude
 // past relation.MaxDenseBits — under an explicit peak-memory ceiling.
@@ -19,7 +20,9 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/plan"
+	"repro/internal/queryopt"
 	"repro/internal/relation"
 )
 
@@ -81,15 +84,12 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			t.Fatalf("sparse disagrees on %s:\nsparse %v\ndense  %v\n%s", q, sparse, dense, db)
 		}
 		// One stage loop over two representations: the same plan must take the
-		// same stages with the same per-stage tuple counts on both. (The
-		// acyclic fast path runs no stage loop at all.)
-		if sst.AcyclicFastPath == 0 {
-			if sst.FixIterations != dst.FixIterations {
-				t.Fatalf("%s: sparse took %d stages, dense %d", q, sst.FixIterations, dst.FixIterations)
-			}
-			if ds, ss := pinTrace(dsink.snapshot()), pinTrace(ssink.snapshot()); ds != ss {
-				t.Fatalf("%s: stage sequences differ\ndense  %s\nsparse %s", q, ds, ss)
-			}
+		// same stages with the same per-stage tuple counts on both.
+		if sst.FixIterations != dst.FixIterations {
+			t.Fatalf("%s: sparse took %d stages, dense %d", q, sst.FixIterations, dst.FixIterations)
+		}
+		if ds, ss := pinTrace(dsink.snapshot()), pinTrace(ssink.snapshot()); ds != ss {
+			t.Fatalf("%s: stage sequences differ\ndense  %s\nsparse %s", q, ds, ss)
 		}
 
 		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1})
@@ -108,82 +108,184 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 	}
 }
 
-// TestAcyclicFastPathDifferential runs random tree-shaped (hence acyclic)
-// conjunctive queries through the sparse backend, which must route them via
-// Yannakakis and agree with the dense engine exactly.
+// treeCQ draws a random tree-shaped (hence acyclic) conjunctive query over E
+// and P, written flat with one variable per tree node: width 3 to 8.
+func treeCQ(r *rand.Rand) logic.Query {
+	m := 2 + r.Intn(6)
+	vars := make([]logic.Var, m+1)
+	for i := range vars {
+		vars[i] = logic.Var(fmt.Sprintf("a%d", i))
+	}
+	var conj []logic.Formula
+	for i := 1; i <= m; i++ {
+		conj = append(conj, logic.R("E", vars[r.Intn(i)], vars[i]))
+	}
+	if r.Intn(2) == 0 {
+		conj = append(conj, logic.R("P", vars[r.Intn(m+1)]))
+	}
+	var head, bound []logic.Var
+	for _, v := range vars {
+		if r.Intn(3) == 0 {
+			head = append(head, v)
+		} else {
+			bound = append(bound, v)
+		}
+	}
+	if len(head) == 0 {
+		head, bound = []logic.Var{vars[0]}, bound[1:]
+	}
+	return logic.MustQuery(head, logic.Exists(logic.And(conj...), bound...))
+}
+
+// checkMinimizeRewrite is the differential of plan.Compile's §5 rewrite on
+// one conjunctive query: the plan is minimised exactly when
+// queryopt.MinimizeWidth finds a smaller width, and every backend of the one
+// executor returns what Yannakakis and the naive oracle return for the text
+// as written. It returns the plan.
+func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *plan.Plan {
+	t.Helper()
+	cq, ok := queryopt.FromQuery(q)
+	if !ok {
+		t.Fatalf("%s: not recognised as a conjunctive query", q)
+	}
+	p, err := plan.Compile(q)
+	if err != nil {
+		t.Fatalf("compile(%s): %v", q, err)
+	}
+	wantFrom := 0
+	if _, width, err := queryopt.MinimizeWidth(cq); err == nil && width < q.Width() {
+		wantFrom = q.Width()
+	}
+	if p.MinimizedFrom != wantFrom {
+		t.Fatalf("%s: MinimizedFrom = %d, want %d", q, p.MinimizedFrom, wantFrom)
+	}
+	want, err := Naive(q, db)
+	if err != nil {
+		t.Fatalf("naive(%s): %v", q, err)
+	}
+	if yan, _, err := queryopt.EvalYannakakis(cq, db); err == nil && !yan.Equal(want) {
+		t.Fatalf("Yannakakis disagrees with naive on %s:\n%v\n%v\n%s", q, yan, want, db)
+	} else if err != nil && !errors.Is(err, queryopt.ErrCyclic) {
+		t.Fatalf("yannakakis(%s): %v", q, err)
+	}
+	for _, b := range []Backend{BackendAuto, BackendDense, BackendSparse} {
+		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s(%s): %v", b, q, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s disagrees with naive on %s (minimized from %d):\ngot  %v\nwant %v\n%s", b, q, p.MinimizedFrom, got, want, db)
+		}
+		if (st.AcyclicFastPath == 1) != (wantFrom > 0) {
+			t.Fatalf("%s(%s): AcyclicFastPath = %d, MinimizedFrom = %d", b, q, st.AcyclicFastPath, wantFrom)
+		}
+	}
+	return p
+}
+
+// TestAcyclicFastPathDifferential runs random tree-shaped conjunctive queries
+// of width 3–8 through checkMinimizeRewrite. The domain shrinks as the width
+// grows so that the naive oracle's n^width assignments stay a few thousand.
 func TestAcyclicFastPathDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
+	minimized := 0
 	for trial := 0; trial < 80; trial++ {
-		m := 2 + r.Intn(4)
-		vars := make([]logic.Var, m+1)
-		for i := range vars {
-			vars[i] = logic.Var(fmt.Sprintf("a%d", i))
+		q := treeCQ(r)
+		n := 3 + r.Intn(5)
+		if q.Width() > 5 {
+			n = 2 + r.Intn(2)
 		}
-		var conj []logic.Formula
-		for i := 1; i <= m; i++ {
-			conj = append(conj, logic.R("E", vars[r.Intn(i)], vars[i]))
+		if checkMinimizeRewrite(t, q, randomGraph(t, r, n)).MinimizedFrom > 0 {
+			minimized++
 		}
-		if r.Intn(2) == 0 {
-			conj = append(conj, logic.R("P", vars[r.Intn(m+1)]))
-		}
-		var head, bound []logic.Var
-		for _, v := range vars {
-			if r.Intn(3) == 0 {
-				head = append(head, v)
-			} else {
-				bound = append(bound, v)
-			}
-		}
-		if len(head) == 0 {
-			head, bound = []logic.Var{vars[0]}, bound[1:]
-		}
-		q := logic.MustQuery(head, logic.Exists(logic.And(conj...), bound...))
-		db := randomGraph(t, r, 3+r.Intn(5))
-
-		dense, _, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("dense(%s): %v", q, err)
-		}
-		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("sparse(%s): %v", q, err)
-		}
-		if sst.AcyclicFastPath != 1 {
-			t.Fatalf("%s: acyclic CQ not routed through Yannakakis (stats %+v)", q, sst)
-		}
-		if !sparse.Equal(dense) {
-			t.Fatalf("fast path disagrees on %s:\nsparse %v\ndense  %v\n%s", q, sparse, dense, db)
-		}
+	}
+	if minimized < 10 || minimized > 70 {
+		t.Fatalf("%d of 80 queries minimised: the generator no longer covers both sides", minimized)
 	}
 }
 
+// FuzzMinimizeWidth: CQ minimisation preserves answers. Any text the CQ
+// recognizer accepts — acyclic or not, minimal or not — goes through
+// checkMinimizeRewrite on a small random database. The seed corpus is
+// treeCQ's.
+func FuzzMinimizeWidth(f *testing.F) {
+	r := rand.New(rand.NewSource(229))
+	for i := 0; i < 24; i++ {
+		f.Add(treeCQ(r).String(), int64(i))
+	}
+	f.Add("(x, y). exists z. exists w. (E(x, z) & (z = w & E(w, y)))", int64(1))
+	f.Add("(x). exists y. exists z. (E(x, y) & (E(y, z) & E(z, x)))", int64(2))
+	f.Fuzz(func(t *testing.T, text string, seed int64) {
+		q, err := parser.ParseQuery(text)
+		if err != nil || q.Width() > 8 {
+			return
+		}
+		if _, ok := queryopt.FromQuery(q); !ok {
+			return
+		}
+		r := rand.New(rand.NewSource(seed))
+		db := randomGraph(t, r, 2+r.Intn(2))
+		if q.Validate(signatureOf(db)) != nil {
+			return
+		}
+		checkMinimizeRewrite(t, q, db)
+	})
+}
+
 // TestFromQueryEqualities pins the equality-unification corners of the CQ
-// recognizer: a bound=head equality is compiled away onto the fast path; a
-// head=head equality is rejected and the query still answers correctly
-// through the general sparse executor.
+// recognizer under the rewrite: a bound=head equality is compiled away, so a
+// width-3 text runs as its width-2 minimised plan; a head=head equality is
+// rejected and the query keeps the plan it was written with.
 func TestFromQueryEqualities(t *testing.T) {
 	db := lineDB(6)
 	unified := logic.MustQuery([]logic.Var{"x", "y"},
 		logic.Exists(logic.And(logic.R("E", "x", "z"), logic.Equal("z", "y")), "z"))
 	rejected := logic.MustQuery([]logic.Var{"x", "y"},
 		logic.And(logic.Equal("x", "y"), logic.R("E", "x", "x")))
-	for _, tc := range []struct {
-		q    logic.Query
-		fast int64
-	}{{unified, 1}, {rejected, 0}} {
-		dense, _, err := CompiledStats(tc.q, db, &Options{Backend: BackendDense})
+	if p := checkMinimizeRewrite(t, unified, db); p.MinimizedFrom != 3 || len(p.Vars) != 2 {
+		t.Fatalf("%s: minimized from %d to %d, want 3 to 2", unified, p.MinimizedFrom, len(p.Vars))
+	}
+	if _, ok := queryopt.FromQuery(rejected); ok {
+		t.Fatalf("%s: recognised as a flat conjunctive query", rejected)
+	}
+	dense, dst, err := CompiledStats(rejected, db, &Options{Backend: BackendDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, sst, err := CompiledStats(rejected, db, &Options{Backend: BackendSparse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sparse.Equal(dense) || dst.AcyclicFastPath+sst.AcyclicFastPath != 0 {
+		t.Fatalf("%s: sparse %v, dense %v, stats %+v %+v", rejected, sparse, dense, sst, dst)
+	}
+}
+
+// TestAcyclicBeyondSparseCodeLimit: a 7-hop chain written with eight
+// variables over 2,000 elements has no sparse code space (2000⁸ > 2⁶²) and no
+// dense one; its minimised width-3 plan has both a sparse route and an
+// answer, which must be Yannakakis's.
+func TestAcyclicBeyondSparseCodeLimit(t *testing.T) {
+	db := forestDB(2000, 10)
+	cq := queryopt.ChainCQ(7)
+	q, err := cq.ToFO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := queryopt.EvalYannakakis(cq, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 600 { // 200 paths on 10 nodes: 3 pairs at distance 7 each
+		t.Fatalf("oracle found %d pairs, want 600", want.Len())
+	}
+	for _, b := range []Backend{BackendAuto, BackendSparse} {
+		got, st, err := CompiledStats(q, db, &Options{Backend: b})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", b, err)
 		}
-		sparse, sst, err := CompiledStats(tc.q, db, &Options{Backend: BackendSparse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sst.AcyclicFastPath != tc.fast {
-			t.Fatalf("%s: AcyclicFastPath = %d, want %d", tc.q, sst.AcyclicFastPath, tc.fast)
-		}
-		if !sparse.Equal(dense) {
-			t.Fatalf("%s: sparse %v, dense %v", tc.q, sparse, dense)
+		if !got.Equal(want) || st.AcyclicFastPath != 1 {
+			t.Fatalf("%s: %d tuples, want %d; stats %+v", b, got.Len(), want.Len(), st)
 		}
 	}
 }

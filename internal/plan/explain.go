@@ -15,9 +15,12 @@ import (
 // stage counts from the trace events. It is the payload of the server's
 // "explain": true mode and of bvq -explain.
 type Explain struct {
-	Query  string `json:"query"`
-	Width  int    `json:"width"`
-	Domain int    `json:"domain"`
+	Query string `json:"query"`
+	// Width is the width of the DAG below; MinimizedFrom, when set, the larger
+	// width of Query as written (Plan.MinimizedFrom).
+	Width         int `json:"width"`
+	MinimizedFrom int `json:"minimized_from,omitempty"`
+	Domain        int `json:"domain"`
 
 	NumNodes int `json:"num_nodes"`
 	Hoisted  int `json:"hoisted_nodes"`
@@ -25,8 +28,7 @@ type Explain struct {
 	Root     int `json:"root"`
 
 	// Route is the backend route the evaluator picks for this plan against
-	// this domain ("dense", "sparse", "hybrid"; "acyclic" once execution
-	// confirms the Yannakakis fast path served it; empty = unevaluable).
+	// this domain ("dense", "sparse", "hybrid"; empty = unevaluable).
 	Route         string  `json:"route,omitempty"`
 	SpaceFeasible bool    `json:"space_feasible"`
 	SparseOK      bool    `json:"sparse_ok"`
@@ -184,12 +186,13 @@ func supportVars(p *Plan, mask uint64) string {
 // the database size den was computed for (0 when unknown).
 func (p *Plan) Explain(den *Density) *Explain {
 	ex := &Explain{
-		Query:    p.Query.String(),
-		Width:    len(p.Vars),
-		NumNodes: p.NumNodes(),
-		Hoisted:  p.HoistedNodes(),
-		CSEHits:  p.CSEHits,
-		Root:     p.Root,
+		Query:         p.Query.String(),
+		Width:         len(p.Vars),
+		MinimizedFrom: p.MinimizedFrom,
+		NumNodes:      p.NumNodes(),
+		Hoisted:       p.HoistedNodes(),
+		CSEHits:       p.CSEHits,
+		Root:          p.Root,
 	}
 	if p.Maint != nil {
 		ex.Maintainable = p.Maint.OK
@@ -286,6 +289,9 @@ func (ex *Explain) AttachBinderStages(binder int, stages, deltaTuples, busyNS in
 // the DAG size.
 func (ex *Explain) Render(w io.Writer) {
 	fmt.Fprintf(w, "query: %s\n", ex.Query)
+	if ex.MinimizedFrom > 0 {
+		fmt.Fprintf(w, "minimized: width %d → %d\n", ex.MinimizedFrom, ex.Width)
+	}
 	fmt.Fprintf(w, "width %d", ex.Width)
 	if ex.Domain > 0 {
 		fmt.Fprintf(w, " · domain %d", ex.Domain)

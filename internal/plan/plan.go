@@ -40,6 +40,7 @@ import (
 	"strings"
 
 	"repro/internal/logic"
+	"repro/internal/queryopt"
 )
 
 // Op enumerates the DAG node kinds.
@@ -130,7 +131,12 @@ type FixInfo struct {
 type Plan struct {
 	// Query is the source query (validated against the database at run time).
 	Query logic.Query
-	// Vars is the axis order (Query.Vars()); HeadAxes the answer projection.
+	// MinimizedFrom, when non-zero, is Query's width: the plan is an acyclic
+	// ∃∧-conjunctive query lowered from its variable-minimised form (minimize),
+	// and len(Vars) is the smaller width that form needs.
+	MinimizedFrom int
+	// Vars is the axis order (the lowered query's Vars()); HeadAxes the answer
+	// projection.
 	Vars     []logic.Var
 	HeadAxes []int
 
@@ -229,11 +235,15 @@ type compiler struct {
 
 // Compile lowers q's body to a DAG. The body is first brought to negation
 // normal form (second-order quantifiers are rejected — like eval.BottomUp,
-// the compiled engine evaluates FO, FP, IFP and PFP only).
+// the compiled engine evaluates FO, FP, IFP and PFP only). An acyclic
+// ∃∧-conjunctive query is lowered from its variable-minimised form when that
+// is narrower than the text (minimize).
 func Compile(q logic.Query) (*Plan, error) {
 	if err := q.Validate(nil); err != nil {
 		return nil, err
 	}
+	written := q
+	q, minimizedFrom := minimize(q)
 	body, err := logic.NNF(q.Body)
 	if err != nil {
 		return nil, err
@@ -265,7 +275,7 @@ func Compile(q logic.Query) (*Plan, error) {
 	}
 
 	p := &Plan{
-		Query:      q,
+		Query:      written,
 		Vars:       vars,
 		Nodes:      c.nodes,
 		Root:       root,
@@ -274,12 +284,31 @@ func Compile(q logic.Query) (*Plan, error) {
 		Deps:       c.deps,
 		CSEHits:    c.hits,
 	}
+	p.MinimizedFrom = minimizedFrom
 	p.HeadAxes = make([]int, len(q.Head))
 	for i, v := range q.Head {
 		p.HeadAxes[i] = c.axes[v]
 	}
 	p.analyze()
 	return p, nil
+}
+
+// minimize is the paper's §5 "variable minimization as a query optimization
+// methodology" as a compile-time rewrite: an acyclic ∃∧-conjunctive query is
+// a bounded-variable query in disguise, and queryopt.MinimizeWidth writes it
+// with the fewest variables its join tree allows, head names and order kept.
+// The rewrite is taken only when it lowers the width — a width-minimal text
+// keeps the plan its author wrote, whose association the rewrite would
+// replace by join-tree order for no smaller space. It returns the query to
+// lower and, when that is the rewrite, the written width (Plan.MinimizedFrom).
+func minimize(q logic.Query) (logic.Query, int) {
+	if cq, ok := queryopt.FromQuery(q); ok {
+		written := q.Width()
+		if m, width, err := queryopt.MinimizeWidth(cq); err == nil && width < written {
+			return m, written
+		}
+	}
+	return q, 0
 }
 
 func (c *compiler) axis(v logic.Var) (int, error) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/queryopt"
 )
 
 // tcQuery is the transitive-closure staple: T(x,y) ≡ E(x,y) ∨ ∃z(E(x,z) ∧ T(z,y)).
@@ -231,5 +232,51 @@ func TestCompileMaxBinders(t *testing.T) {
 	_, err := Compile(logic.MustQuery([]logic.Var{"x"}, f))
 	if err == nil || !strings.Contains(err.Error(), "binders") {
 		t.Fatalf("err = %v, want MaxBinders rejection", err)
+	}
+}
+
+// TestCompileMinimizesAcyclicCQ: an acyclic ∃∧-CQ written wider than its join
+// tree needs is lowered from its minimised form — head names and order kept,
+// the written query kept — and a text that is already minimal, cyclic, or
+// outside the flat ∃∧ form compiles exactly as written.
+func TestCompileMinimizesAcyclicCQ(t *testing.T) {
+	chain, err := queryopt.ChainCQ(7).ToFO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.MinimizedFrom != 8 || len(p.Vars) != 3 || p.Vars[0] != "v0" || p.Vars[1] != "v7" {
+		t.Fatalf("7-hop chain: minimized from %d, axes %v", p.MinimizedFrom, p.Vars)
+	}
+	if p.Query.Width() != 8 || len(p.HeadAxes) != 2 || p.HeadAxes[0] != 0 || p.HeadAxes[1] != 1 {
+		t.Fatalf("7-hop chain: Query width %d, head axes %v", p.Query.Width(), p.HeadAxes)
+	}
+	var tree strings.Builder
+	p.Explain(nil).Render(&tree)
+	if !strings.Contains(tree.String(), "minimized: width 8 → 3\n") {
+		t.Fatalf("rendered explain:\n%s", tree.String())
+	}
+
+	x, y, z := logic.Var("x"), logic.Var("y"), logic.Var("z")
+	for name, q := range map[string]logic.Query{
+		"two-hop (minimal)": logic.MustQuery([]logic.Var{x, y},
+			logic.Exists(logic.And(logic.R("E", x, z), logic.R("E", z, y)), z)),
+		"triangle (cyclic)": logic.MustQuery([]logic.Var{x},
+			logic.Exists(logic.And(logic.R("E", x, y), logic.And(logic.R("E", y, z), logic.R("E", z, x))), y, z)),
+		"three-hop (rebinds x)": logic.MustQuery([]logic.Var{x, y},
+			logic.Exists(logic.And(logic.R("E", x, z),
+				logic.Exists(logic.And(logic.R("E", z, x), logic.R("E", x, y)), x)), z)),
+		"tc (fixpoint)": tcQuery(t),
+	} {
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.MinimizedFrom != 0 || len(p.Vars) != q.Width() {
+			t.Errorf("%s: minimized from %d, %d axes for width %d", name, p.MinimizedFrom, len(p.Vars), q.Width())
+		}
 	}
 }

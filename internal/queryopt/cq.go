@@ -199,15 +199,10 @@ type Stats struct {
 	MaxIntermediateArity  int
 	MaxIntermediateTuples int
 	Operations            int
-	// TuplesTouched sums the sizes of all intermediate results — the total
-	// tuple work of the execution, which the acyclic fast path reports up
-	// into eval.Stats.TuplesTouched.
-	TuplesTouched int
 }
 
 func (s *Stats) observe(r *relation.Set) {
 	s.Operations++
-	s.TuplesTouched += r.Len()
 	if r.Arity() > s.MaxIntermediateArity {
 		s.MaxIntermediateArity = r.Arity()
 	}

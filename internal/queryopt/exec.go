@@ -1,7 +1,6 @@
 package queryopt
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/database"
@@ -72,16 +71,8 @@ func EvalNaive(q *CQ, db *database.Database) (*relation.Set, *Stats, error) {
 // exceeds that arity — acyclic joins evaluate without large intermediate
 // results, which is the paper's §1 observation.
 func EvalYannakakis(q *CQ, db *database.Database) (*relation.Set, *Stats, error) {
-	return EvalYannakakisContext(context.Background(), q, db)
-}
-
-// EvalYannakakisContext is EvalYannakakis honoring a context: cancellation
-// is checked between pipeline phases (atom materialization, each semijoin
-// pass, the bottom-up join), the same stage-boundary discipline as the eval
-// engines, so answers stay deterministic under cancellation.
-func EvalYannakakisContext(ctx context.Context, q *CQ, db *database.Database) (*relation.Set, *Stats, error) {
 	st := &Stats{}
-	r, err := reduce(ctx, q, db, st)
+	r, err := reduce(q, db, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,13 +86,9 @@ func EvalYannakakisContext(ctx context.Context, q *CQ, db *database.Database) (*
 	return out, st, nil
 }
 
-// reduced is the preprocessing result shared by the materializing executor
-// and the streaming enumerator: the join tree with every atom relation
-// semijoin-reduced both ways. After full reduction the relations are
-// globally consistent — every tuple of every relation participates in at
-// least one answer, and the projection of any relation onto a variable set
-// it covers equals the answer's projection — which is the property the
-// enumerator's group decomposition relies on.
+// reduced is the join tree with every atom relation semijoin-reduced both
+// ways. After full reduction the relations are globally consistent: every
+// tuple of every relation participates in at least one answer.
 type reduced struct {
 	q        *CQ
 	jt       *JoinTree
@@ -116,26 +103,10 @@ type reduced struct {
 // reduce materializes the atoms and runs the two semijoin passes of the
 // Yannakakis full reducer over the query's join tree. It fails with
 // ErrCyclic (wrapped by BuildJoinTree) on cyclic queries.
-func reduce(ctx context.Context, q *CQ, db *database.Database, st *Stats) (*reduced, error) {
+func reduce(q *CQ, db *database.Database, st *Stats) (*reduced, error) {
 	jt, err := q.BuildJoinTree()
 	if err != nil {
 		return nil, err
-	}
-	return reduceTree(ctx, q, jt, db, st)
-}
-
-// reduceTree is reduce over a caller-supplied join tree (the enumerator
-// re-roots the GYO tree before reducing; re-rooting preserves the join-tree
-// property, which is undirected).
-func reduceTree(ctx context.Context, q *CQ, jt *JoinTree, db *database.Database, st *Stats) (*reduced, error) {
-	checkCtx := func() error {
-		if ctx == nil {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("queryopt: cancelled: %w", err)
-		}
-		return nil
 	}
 	n := len(q.Atoms)
 	r := &reduced{
@@ -148,16 +119,12 @@ func reduceTree(ctx context.Context, q *CQ, jt *JoinTree, db *database.Database,
 		headMemo: make([]map[logic.Var]bool, n),
 		st:       st,
 	}
-	var err error
 	for i, a := range q.Atoms {
 		r.vars[i], r.rels[i], err = atomRel(db, a)
 		if err != nil {
 			return nil, err
 		}
 		st.observe(r.rels[i])
-	}
-	if err := checkCtx(); err != nil {
-		return nil, err
 	}
 	// Upward semijoin pass: in ear-removal order, parent ⋉ child.
 	for _, e := range jt.Order {
@@ -168,9 +135,6 @@ func reduceTree(ctx context.Context, q *CQ, jt *JoinTree, db *database.Database,
 		r.rels[p] = r.rels[p].Semijoin(r.rels[e], r.shared(p, e))
 		st.observe(r.rels[p])
 	}
-	if err := checkCtx(); err != nil {
-		return nil, err
-	}
 	// Downward pass: reverse order, child ⋉ parent.
 	for i := len(jt.Order) - 1; i >= 0; i-- {
 		e := jt.Order[i]
@@ -180,9 +144,6 @@ func reduceTree(ctx context.Context, q *CQ, jt *JoinTree, db *database.Database,
 		}
 		r.rels[e] = r.rels[e].Semijoin(r.rels[p], r.shared(e, p))
 		st.observe(r.rels[e])
-	}
-	if err := checkCtx(); err != nil {
-		return nil, err
 	}
 	for e, p := range jt.Parent {
 		if p >= 0 {
@@ -229,10 +190,10 @@ func (r *reduced) subtreeHead(i int) map[logic.Var]bool {
 	return out
 }
 
-// joinKeep is the project-join operator shared by solve and the streaming
-// group solver: join cur with the child result under the shared-variable
-// conditions, then keep one column per variable in cur's vars ∪ the child
-// subtree's head variables (duplicate join columns are never stored).
+// joinKeep is solve's project-join operator: join cur with the child result
+// under the shared-variable conditions, then keep one column per variable in
+// cur's vars ∪ the child subtree's head variables (duplicate join columns
+// are never stored).
 func (r *reduced) joinKeep(curVars []logic.Var, cur *relation.Set, c int, cvars []logic.Var, crel *relation.Set) ([]logic.Var, *relation.Set) {
 	var on []relation.JoinOn
 	for ai, v := range curVars {

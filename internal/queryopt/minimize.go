@@ -13,8 +13,9 @@ import (
 // acyclic queries.
 //
 // The construction walks the GYO join tree top-down. At each node it
-// allocates names for the node's fresh variables from a fixed pool,
-// reusing — by deliberate shadowing — any name that is not *live*:
+// allocates names for the node's fresh variables from a fixed pool — the
+// query's own variables, head first, so the head keeps its names and order —
+// reusing, by deliberate shadowing, any name that is not *live*:
 // a name is live if it carries an interface variable (shared with the rest
 // of the query, which by the running-intersection property always passes
 // through the current node) or a head variable of the current subtree.
@@ -103,13 +104,20 @@ func MinimizeWidth(q *CQ) (logic.Query, int, error) {
 		return out
 	}
 
-	// Pool allocation.
+	// Pool allocation. A name is handed out only while every earlier one
+	// carries a distinct variable of q, so the pool never runs dry.
+	pool := append([]logic.Var(nil), q.Head...)
+	for _, x := range q.Vars() {
+		if !head[x] {
+			pool = append(pool, x)
+		}
+	}
 	width := 0
 	poolName := func(i int) logic.Var {
 		if i+1 > width {
 			width = i + 1
 		}
-		return logic.Var(fmt.Sprintf("m%d", i))
+		return pool[i]
 	}
 
 	var build func(v int, assign map[logic.Var]logic.Var) (logic.Formula, error)
@@ -170,16 +178,14 @@ func MinimizeWidth(q *CQ) (logic.Query, int, error) {
 
 	// Head variables get the first pool names, fixed for the whole query.
 	topAssign := make(map[logic.Var]logic.Var, len(q.Head))
-	headNames := make([]logic.Var, len(q.Head))
 	for i, h := range q.Head {
-		headNames[i] = poolName(i)
-		topAssign[h] = headNames[i]
+		topAssign[h] = poolName(i)
 	}
 	body, err := build(jt.Root, topAssign)
 	if err != nil {
 		return logic.Query{}, 0, err
 	}
-	out, err := logic.NewQuery(headNames, body)
+	out, err := logic.NewQuery(q.Head, body)
 	if err != nil {
 		return logic.Query{}, 0, err
 	}

@@ -34,6 +34,9 @@ func TestMinimizeWidthChain(t *testing.T) {
 		if minimized.Width() != width {
 			t.Fatalf("reported width %d, actual %d", width, minimized.Width())
 		}
+		if h := minimized.Head; len(h) != 2 || h[0] != q.Head[0] || h[1] != q.Head[1] {
+			t.Fatalf("m=%d: head %v, want the written head %v", m, h, q.Head)
+		}
 		want, _, err := EvalYannakakis(q, db)
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import "repro/internal/bitset"
 
 // Cursor is one pass over a relation in canonical order. Skip advances past
 // up to n tuples and returns how many it did; Count is the whole relation's
-// exact size, negative when only running the pass to the end would tell.
+// exact size.
 type Cursor interface {
 	Next() (Tuple, bool)
 	Skip(n int) int

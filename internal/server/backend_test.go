@@ -40,13 +40,10 @@ func TestBackendRouting(t *testing.T) {
 			}
 		}
 	}
-	// twoHop is an acyclic CQ: the sparse backend must answer it through
-	// Yannakakis and say so in the statistics.
-	if sparse.Stats == nil || sparse.Stats.AcyclicFastPath != 1 {
-		t.Fatalf("sparse stats missing the fast-path marker: %+v", sparse.Stats)
-	}
-	if sparse.Stats.TuplesTouched == 0 {
-		t.Fatalf("sparse stats report zero tuples touched: %+v", sparse.Stats)
+	// Only the sparse algebra writes tuples; twoHop is width-minimal, so its
+	// plan is the one it was written with.
+	if sparse.Stats == nil || sparse.Stats.TuplesTouched == 0 || sparse.Stats.AcyclicFastPath != 0 {
+		t.Fatalf("sparse stats: %+v", sparse.Stats)
 	}
 	// An unadorned request must not echo a backend (wire compatibility).
 	code, auto, _ := postQuery(t, ts, QueryRequest{
@@ -109,7 +106,7 @@ func TestBackendCacheIsolation(t *testing.T) {
 	if cross.ResultCached {
 		t.Fatal("sparse request served a dense run's cache entry")
 	}
-	if cross.Stats == nil || cross.Stats.AcyclicFastPath != 1 {
+	if cross.Stats == nil || cross.Stats.TuplesTouched == 0 {
 		t.Fatalf("sparse request got non-sparse stats: %+v", cross.Stats)
 	}
 }
@@ -119,8 +116,10 @@ func TestBackendCacheIsolation(t *testing.T) {
 func TestBackendObservability(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
+	// A 3-hop chain written with four variables runs as its width-3
+	// minimised plan, which is what acyclic_fast_path counts.
 	postQuery(t, ts, QueryRequest{
-		Database: "graph", Query: twoHop, Engine: "compiled", Backend: "sparse"})
+		Database: "graph", Query: "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", Engine: "compiled", Backend: "sparse"})
 	st := s.Stats()
 	if st.Eval.TuplesTouched == 0 {
 		t.Fatalf("aggregate tuples_touched is zero after a sparse run: %+v", st.Eval)

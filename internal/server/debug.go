@@ -144,16 +144,12 @@ func topSpans(v trace.View, k int) string {
 }
 
 // buildExplain assembles the explain payload for one executed request: the
-// plan DAG with density annotations, the backend route (refined to "acyclic"
-// when the run's stats show the Yannakakis fast path answered it), the
-// per-node profile and the per-binder stage totals of the run's fold.
-func buildExplain(q *query, st *eval.Stats) *plan.Explain {
+// plan DAG with density annotations, the backend route, the per-node profile
+// and the per-binder stage totals of the run's fold.
+func buildExplain(q *query) *plan.Explain {
 	p := q.pl.Prepared
 	den, route := eval.ExplainRoute(p, q.snap, &q.opts)
 	ex := p.Explain(den)
-	if st != nil && st.AcyclicFastPath > 0 {
-		route = "acyclic"
-	}
 	ex.Route = route
 	ex.AttachProfile(q.opts.Profile.Evals, q.opts.Profile.NS)
 	for _, fx := range q.fold.Fix {

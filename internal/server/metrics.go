@@ -77,7 +77,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		repSwitches: r.NewCounter("bvqd_eval_rep_switches_total",
 			"Sparse→dense conversions at the hybrid frontier across all runs."),
 		acyclicFast: r.NewCounter("bvqd_eval_acyclic_fastpath_total",
-			"Queries answered by the Yannakakis acyclic-join fast path."),
+			"Evaluations whose plan is an acyclic conjunctive query compiled from its variable-minimised form."),
 
 		updates: r.NewCounter("bvqd_updates_total",
 			"Effective database updates applied via /db/{name}/update."),

@@ -100,9 +100,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case q.cached:
 	case q.req.Stream:
-		// A stream's run is over when its drain is: on the acyclic route
-		// evaluation interleaves with delivery, so the slot is held until
-		// the handler returns.
+		// A stream's run is over when its drain is: the head value it
+		// decodes rows from lives that long, so the slot is held until the
+		// handler returns.
 		var settle func()
 		out, settle = s.evaluate(q, enumerate)
 		defer settle()
@@ -277,8 +277,7 @@ func materialize(q *query) (out evalOutcome) {
 }
 
 // enumerate is the stream engine call: an enumerator, so a LIMIT-k stream
-// stops the extraction — and on the acyclic fast path the evaluation itself
-// — after k tuples.
+// stops the extraction after k tuples.
 func enumerate(q *query) (out evalOutcome) {
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
 		out.enum, out.stats, out.mstate, out.err = eval.EvalPlanEnumCapture(q.ctx, q.pl.Prepared, q.snap, &q.opts)
@@ -345,9 +344,6 @@ func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutc
 	}()
 	esp.End()
 	return out, func() {
-		if out.enum != nil {
-			out.enum.Close() // the acyclic route folds its counters on Close
-		}
 		s.foldEvalStats(out.stats)
 		s.metrics.evalsInFlight.Add(-1)
 		s.limiter.release()
@@ -456,7 +452,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		TraceID:      q.lt.ID(),
 	}
 	if q.req.Explain {
-		resp.Explain = buildExplain(q, out.stats)
+		resp.Explain = buildExplain(q)
 	}
 	xsp := q.root.Start(trace.SpanExtract)
 	en := out.enumerator(q.ctx)

@@ -303,9 +303,9 @@ type QueryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Backend selects the compiled engine's relation representation: auto
 	// (default — the density heuristic picks), dense (force the full-width
-	// nᵏ bitmap engine) or sparse (force sorted tuple blocks with the
-	// acyclic Yannakakis fast path). Only the compiled engine understands
-	// backends; any other engine with a non-auto backend is a 400.
+	// nᵏ bitmap engine) or sparse (force sorted tuple blocks). Only the
+	// compiled engine understands backends; any other engine with a non-auto
+	// backend is a 400.
 	Backend string `json:"backend,omitempty"`
 	// MaxWidth rejects queries of width > MaxWidth (the Lᵏ membership
 	// check). 0 means unbounded; negative is a 400.
@@ -331,15 +331,13 @@ type QueryRequest struct {
 	// Stream switches the response to NDJSON (application/x-ndjson): a
 	// header line, one line per answer tuple flushed as it decodes, and a
 	// trailer line with the final statistics. Streamed requests evaluate
-	// through the enumeration API — on the compiled engine, a LIMIT-k
-	// stream stops the extraction (and, on the acyclic fast path, the
-	// evaluation itself) after k tuples. Streams bypass single-flight
-	// coalescing but still read the result cache; trace is not supported
-	// with stream.
+	// through the enumeration API: a LIMIT-k stream stops the extraction
+	// after k tuples. Streams bypass single-flight coalescing but still read
+	// the result cache; trace is not supported with stream.
 	Stream bool `json:"stream,omitempty"`
 	// Limit caps how many answer tuples are returned (after Offset).
 	// 0 means all. The JSON response's count field (and the stream
-	// trailer's, when known) always reports the FULL answer cardinality,
+	// header's and trailer's) always reports the FULL answer cardinality,
 	// not the window's size. Limit and Offset are excluded from result-cache
 	// keys, so a cached full result serves any windowed request.
 	Limit int `json:"limit,omitempty"`
@@ -580,8 +578,9 @@ type CacheStats struct {
 
 // AggregateEvalStats accumulates engine work across all evaluations,
 // including the partial work of cancelled runs. The last three fields are
-// sparse-backend work: tuples written by sparse operations, hybrid-frontier
-// representation conversions, and queries answered by the acyclic fast path.
+// tuples written by sparse operations, hybrid-frontier representation
+// conversions, and runs of variable-minimised acyclic conjunctive queries
+// (eval.Stats.AcyclicFastPath).
 type AggregateEvalStats struct {
 	SubformulaEvals int64 `json:"subformula_evals"`
 	FixIterations   int64 `json:"fix_iterations"`

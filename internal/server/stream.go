@@ -15,10 +15,9 @@ import (
 )
 
 // StreamHeader is the first NDJSON line of a streamed /query response. It
-// carries everything known before the first tuple; count is present only
-// when the full cardinality is known up front (a cached result, or an
-// enumerator whose backing representation counts in O(1) — the streaming
-// acyclic route does not).
+// carries everything known before the first tuple, the full answer
+// cardinality included: every evaluation ends in a head value that counts
+// (a popcount, a length), whatever window the stream then delivers.
 type StreamHeader struct {
 	RequestID string `json:"request_id"`
 	Database  string `json:"database"`
@@ -26,7 +25,7 @@ type StreamHeader struct {
 	Backend   string `json:"backend,omitempty"`
 	Width     int    `json:"width"`
 	Arity     int    `json:"arity"`
-	Count     *int   `json:"count,omitempty"`
+	Count     int    `json:"count"`
 	// Limit and Offset echo the request's window.
 	Limit        int  `json:"limit,omitempty"`
 	Offset       int  `json:"offset,omitempty"`
@@ -35,11 +34,10 @@ type StreamHeader struct {
 }
 
 // StreamTrailer is the last NDJSON line of a streamed /query response. Like
-// the JSON response's count, Count is the FULL answer cardinality — known
-// up front on counting routes, or by exhaustion when the stream ran to the
-// end un-limited; omitted when a LIMIT stopped a non-counting route early.
-// A stream cut by the server's own deadline ends with Error set; a stream
-// cut by the client disconnecting ends with no trailer at all.
+// the JSON response's count, Count is the FULL answer cardinality, whatever
+// the window; it and Truth are omitted only beside Error. A stream cut by
+// the server's own deadline ends with Error set; a stream cut by the client
+// disconnecting ends with no trailer at all.
 type StreamTrailer struct {
 	Trailer   bool       `json:"trailer"`
 	Count     *int       `json:"count,omitempty"`
@@ -131,7 +129,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	en := out.enumerator(q.ctx)
 	defer en.Close()
 	arity := q.pl.Query.Arity()
-	fullCount, countKnown := en.Count()
+	fullCount, _ := en.Count()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -153,14 +151,11 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		Backend:      q.wireBackend,
 		Width:        q.pl.Width,
 		Arity:        arity,
+		Count:        fullCount,
 		Limit:        q.req.Limit,
 		Offset:       q.req.Offset,
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
-	}
-	if countKnown {
-		c := fullCount
-		hdr.Count = &c
 	}
 	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail
 	if lb.flush() != nil {
@@ -230,22 +225,15 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		}
 		trailer.Error = err.Error()
 	} else {
-		if !wd.limited && !countKnown {
-			// Draining a non-counting route to the end IS a count.
-			fullCount, countKnown = int(wd.skipped+wd.delivered), true
-		}
-		if countKnown {
-			trailer.Count = &fullCount
-			if arity == 0 {
-				truth := fullCount > 0
-				trailer.Truth = &truth
-			}
+		trailer.Count = &fullCount
+		if arity == 0 {
+			truth := fullCount > 0
+			trailer.Truth = &truth
 		}
 		if collect != nil && !wd.limited {
 			s.keep(q, out, relation.Compact(collect, q.snap.Size()))
 		}
 	}
-	en.Close() // the acyclic route folds its stats here, before the trailer reads them
 	trailer.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
 	_ = enc.Encode(trailer)
 	if lb.flush() != nil {

@@ -294,6 +294,43 @@ func TestExplainMode(t *testing.T) {
 	}
 }
 
+// TestExplainConjunctiveQuery: explain shows the DAG that ran. A sparse-backend
+// 2-hop CQ profiles every node of the plan it prints, under a route name the
+// router knows; a chain written with more variables than it needs is shown as
+// its minimised plan, and its answer is the 3-hop answer.
+func TestExplainConjunctiveQuery(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const chain3 = "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)"
+	for _, tc := range []struct {
+		query         string
+		width, from   int
+		count, answer int
+	}{{twoHop, 3, 0, 2, 30}, {chain3, 3, 4, 1, 40}} {
+		code, resp, eresp := postQuery(t, ts, QueryRequest{
+			Database: "graph", Query: tc.query, Engine: "compiled", Backend: "sparse", Explain: true})
+		if code != http.StatusOK || resp.Explain == nil {
+			t.Fatalf("%s: status %d error %q", tc.query, code, eresp.Error)
+		}
+		ex := resp.Explain
+		if ex.Route != "sparse" || ex.Width != tc.width || ex.MinimizedFrom != tc.from || resp.Width != max(tc.width, tc.from) {
+			t.Fatalf("%s: route %q width %d minimized_from %d, response width %d", tc.query, ex.Route, ex.Width, ex.MinimizedFrom, resp.Width)
+		}
+		for _, n := range ex.Nodes {
+			if n.Evals != 1 {
+				t.Fatalf("%s: node %d (%s) reports %d evals, want 1", tc.query, n.ID, n.Label, n.Evals)
+			}
+		}
+		if resp.Count != tc.count || resp.Answer[0][0] != 10 || resp.Answer[0][1] != tc.answer {
+			t.Fatalf("%s: count %d answer %v", tc.query, resp.Count, resp.Answer)
+		}
+		var tree strings.Builder
+		ex.Render(&tree)
+		if got := strings.Contains(tree.String(), "minimized: width 4 → 3\n"); got != (tc.from > 0) {
+			t.Fatalf("%s: rendered tree:\n%s", tc.query, tree.String())
+		}
+	}
+}
+
 func TestExplainRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, _, eresp := postQuery(t, ts, QueryRequest{

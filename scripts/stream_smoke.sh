@@ -5,8 +5,9 @@
 # and checks the wire format end to end: the application/x-ndjson content
 # type, the header line, one line per answer tuple, the trailer line, the
 # full-count contract under limit/offset windowing (count is the FULL
-# cardinality, the window only selects which rows are sent), the cached
-# re-serve of a stored stream, and the bvqd_streams_total metric.
+# cardinality, the window only selects which rows are sent, and a limit
+# stream's header already carries it), the cached re-serve of a stored
+# stream, and the bvqd_streams_total metric.
 #
 # `make smoke-stream` runs this; `make check` runs it as part of the gate.
 set -euo pipefail
@@ -64,6 +65,13 @@ tail -1 "$TMP/win.ndjson" | grep -q '"skipped":1' || fail "windowed trailer skip
 wfull=$(tail -1 "$TMP/win.ndjson" | sed 's/.*"count"://; s/[,}].*//')
 [ "$wfull" -eq "$full" ] || fail "windowed count $wfull, want full cardinality $full"
 
+# A limit stream of a fresh sparse-backend run: every evaluation ends in a
+# head value that counts, so the header carries the full count before row 1.
+lreq='{"database":"graph","query":"(x, y). exists z. E(x, z) & E(z, y)","engine":"compiled","backend":"sparse","stream":true,"limit":1,"no_cache":true}'
+curl -fsS -H 'Content-Type: application/json' -d "$lreq" "$BASE/query" >"$TMP/lim.ndjson"
+head -1 "$TMP/lim.ndjson" | grep -q '"result_cached":false' || fail "no_cache limit stream served from the result cache"
+head -1 "$TMP/lim.ndjson" | grep -q "\"count\":$full," || fail "limit stream header lacks the full count $full: $(head -1 "$TMP/lim.ndjson")"
+
 curl -fsS "$BASE/metrics" | grep -q '^bvqd_streams_total' || fail "bvqd_streams_total missing from /metrics"
 
-echo "stream smoke: ok ($rows rows, full count $full, windowed count matches, metrics exposed)"
+echo "stream smoke: ok ($rows rows, full count $full, windowed count matches, limit header counts, metrics exposed)"
