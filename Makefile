@@ -1,6 +1,6 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27724
+LOC_CEILING = 27601
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep examples cover clean check serve
 
@@ -11,7 +11,10 @@ all: vet test build
 # compiled engine's wave scheduler, the bvqd single-flight path and the
 # update/maintenance path make -race meaningful), the differential
 # harnesses — including the randomized churn differential, which drives
-# hundreds of mutation steps through delta-restart maintenance, and the
+# hundreds of mutation steps through delta-restart maintenance, its wire-level
+# twin (TestChurnWireDifferential: three served databases, every cached answer
+# against its no_cache recompute after every update), the straddling-evaluation
+# tests of the result cache's stale-baseline guard (TestUpdateStraddling*), and the
 # streaming differential, which checks ~200 random formulas enumerate
 # byte-identically to their materialized answers across backends and
 # engines — the compiled scheduler called out by name so a regression
@@ -21,8 +24,10 @@ all: vet test build
 # themselves cannot rot (the server's pair is a cached 4,096-row answer read
 # as JSON and drained as NDJSON over loopback), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
-# (equal closed-node keys, equal values) and of the minimisation target (a
-# conjunctive query through plan.Compile answers as the naive oracle does),
+# (equal closed-node keys, equal values), of the minimisation target (a
+# conjunctive query through plan.Compile answers as the naive oracle does)
+# and of the /update body target (a rejection names a field, an accepted
+# body lands where database.Apply takes a model),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -50,6 +55,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
+	$(GO) test -run=NONE -fuzz=FuzzUpdateBody -fuzztime=5s ./internal/server/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

@@ -5,13 +5,14 @@
 //   - PlanCache — parsed, width-computed query ASTs keyed by query text, so
 //     a repeated query never pays parse+width cost twice (the "amortize
 //     preprocessing" discipline of the constant-delay line of work);
-//   - ResultCache — evaluation answers keyed by (database fingerprint,
-//     engine, options, query text); sound because database snapshots are
-//     immutable values (tuple updates create new snapshots with new
-//     fingerprints — database.Apply) and every engine is deterministic;
-//   - Index — churn tracking: which live results depend on which relations,
-//     so an update carries, maintains or invalidates entries instead of
-//     flushing the cache (churn.go);
+//   - ResultCache — evaluation answers keyed by (the content the query
+//     read, engine, options, query text); sound because a query's value is a
+//     function of the domain and of the relations occurring in it
+//     (database.ContentID) and every engine is deterministic. The one rule
+//     under updates: a key names the content it read; an update removes or
+//     re-derives what read the retired content. An entry whose footprint an
+//     update misses keeps its key and is carried by doing nothing — the
+//     preprocessing stays valid, it is not re-filed;
 //   - Flight — single-flight deduplication, so concurrent identical
 //     requests share one evaluation instead of racing n copies.
 //
@@ -89,8 +90,8 @@ func (l *LRU[V]) Put(key string, val V) {
 }
 
 // Remove deletes key from the cache, reporting whether it was present.
-// Removals are not evictions: the entry is being invalidated or rekeyed by
-// the caller, not displaced by capacity pressure.
+// Removals are not evictions: the entry is being invalidated by the caller,
+// not displaced by capacity pressure.
 func (l *LRU[V]) Remove(key string) bool {
 	if l.max <= 0 {
 		return false
@@ -104,6 +105,23 @@ func (l *LRU[V]) Remove(key string) bool {
 	l.ll.Remove(el)
 	delete(l.items, key)
 	return true
+}
+
+// Each calls fn on every entry for which keep holds, most recently used first.
+// The entries are copied under the lock and fn runs outside it, so fn may call
+// back into the cache; nothing is counted and no entry changes place.
+func (l *LRU[V]) Each(keep func(V) bool, fn func(key string, val V)) {
+	l.mu.Lock()
+	var picked []lruEntry[V]
+	for el := l.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*lruEntry[V]); keep(e.val) {
+			picked = append(picked, *e)
+		}
+	}
+	l.mu.Unlock()
+	for _, e := range picked {
+		fn(e.key, e.val)
+	}
 }
 
 // Len returns the current number of entries.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/eval"
@@ -22,6 +23,16 @@ type Plan struct {
 	// query lies outside the compilable fragment — the compiled engine then
 	// recompiles per request and surfaces the real error.
 	Prepared *plan.Plan
+}
+
+// Footprint returns the database relations the query reads, nil when it has
+// no compiled plan and the footprint is unknown: the argument of the
+// database.ContentID that result keys hold.
+func (p Plan) Footprint() []string {
+	if p.Prepared == nil {
+		return nil
+	}
+	return p.Prepared.Maint.Rels
 }
 
 // PlanCache memoizes parse + width computation, keyed by the exact query
@@ -61,17 +72,46 @@ func (c *PlanCache) Counters() (hits, misses, evictions int64) { return c.lru.Co
 
 // Result is a finished evaluation: the (immutable, shared) answer and the
 // work statistics of the run that produced it. bvqd stores answers compacted
-// (relation.Compact): a hit then opens a cursor without sorting.
+// (relation.Compact): a hit then opens a cursor without sorting. The fields
+// after Stats are what an update needs to decide the entry's fate; a Result
+// that names no DB is no update's to decide and leaves by eviction alone.
 type Result struct {
 	Answer relation.View
 	Stats  *eval.Stats // nil for engines that do not report statistics
+	// DB names the served database whose evaluation stored the entry: its
+	// updates are the ones that triage it.
+	DB string
+	// Footprint lists the database relations the answer depends on — the
+	// ones whose content the key names. nil means unknown (no compiled plan:
+	// the key names the whole database), and every delta overlaps it.
+	Footprint []string
+	// Baseline, set by compiled dense runs, enables delta-restart maintenance.
+	Baseline *Baseline
+}
+
+// Baseline is what delta-restart maintenance resumes a cached answer from:
+// the compiled plan, the eval.MaintState its run captured, and the
+// answer-affecting options that went into the key (never a request's live
+// Options: a tracer must not outlive its run).
+type Baseline struct {
+	Plan  *plan.Plan
+	State *eval.MaintState
+	Opts  eval.Options
+}
+
+// Overlaps reports whether the footprint holds one of the changed relations.
+// An unknown footprint overlaps everything.
+func (r *Result) Overlaps(changed []string) bool {
+	return r.Footprint == nil || slices.ContainsFunc(changed, func(rel string) bool {
+		return slices.Contains(r.Footprint, rel)
+	})
 }
 
 // ResultCache memoizes evaluation results keyed by ResultKey. Soundness
-// rests on two invariants: database snapshots are immutable values — a tuple
-// update produces a new snapshot with a new fingerprint (database.Apply), so
-// the fingerprint pins the content — and every engine is deterministic (so
-// the first answer is the only answer). Cached Answers must be treated as
+// rests on two invariants: the key's content component identifies everything
+// of the database the query can read (database.ContentID, which no update
+// can make mean something else), and every engine is deterministic (so the
+// first answer is the only answer). Cached Answers must be treated as
 // read-only by all consumers.
 type ResultCache struct {
 	lru *LRU[Result]
@@ -86,6 +126,15 @@ func (c *ResultCache) Get(key string) (Result, bool) { return c.lru.Get(key) }
 // Put stores a result under key.
 func (c *ResultCache) Put(key string, r Result) { c.lru.Put(key, r) }
 
+// Remove deletes the result stored under key, reporting whether it existed.
+func (c *ResultCache) Remove(key string) bool { return c.lru.Remove(key) }
+
+// Each calls fn on every live result db stored (LRU.Each: a copy, no counter
+// and no recency moves).
+func (c *ResultCache) Each(db string, fn func(key string, r Result)) {
+	c.lru.Each(func(r Result) bool { return r.DB == db }, fn)
+}
+
 // Len returns the number of cached results.
 func (c *ResultCache) Len() int { return c.lru.Len() }
 
@@ -93,14 +142,15 @@ func (c *ResultCache) Len() int { return c.lru.Len() }
 func (c *ResultCache) Counters() (hits, misses, evictions int64) { return c.lru.Counters() }
 
 // ResultKey builds the canonical result-cache key from everything that can
-// change an answer: the database content (fingerprint), the engine, the
-// answer-affecting options, and the query text. Options.Parallelism is
-// deliberately excluded — the parallel PFP sweep's merge is deterministic,
-// so requests differing only in worker count share one cache line. The
-// relation backend IS included even though backends agree on answers: the
-// cached Stats describe one run's representation choices, and serving a
-// dense run's statistics to a backend=sparse request would misreport.
-func ResultKey(fingerprint uint64, engine string, opts *eval.Options, queryText string) string {
+// change an answer: the content the query reads (database.ContentID of its
+// footprint), the engine, the answer-affecting options, and the query text.
+// Options.Parallelism is deliberately excluded — the parallel PFP sweep's
+// merge is deterministic, so requests differing only in worker count share
+// one cache line. The relation backend IS included even though backends
+// agree on answers: the cached Stats describe one run's representation
+// choices, and serving a dense run's statistics to a backend=sparse request
+// would misreport.
+func ResultKey(content uint64, engine string, opts *eval.Options, queryText string) string {
 	var o eval.Options
 	if opts != nil {
 		o = *opts
@@ -109,9 +159,7 @@ func ResultKey(fingerprint uint64, engine string, opts *eval.Options, queryText 
 	// is built on every request, hits included.
 	bk := o.Backend.String()
 	b := make([]byte, 0, 16+len(engine)+len(bk)+len(queryText)+32)
-	hex := strconv.AppendUint(make([]byte, 0, 16), fingerprint, 16)
-	b = append(append(b, "0000000000000000"[len(hex):]...), hex...)
-	b = append(append(b, '|'), engine...)
+	b = append(append(appendContent(b, content), '|'), engine...)
 	for _, v := range [...]int{o.MaxWidth, o.PFPBudget, int(o.PFPCycle)} {
 		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
 	}
@@ -119,4 +167,16 @@ func ResultKey(fingerprint uint64, engine string, opts *eval.Options, queryText 
 	b = strconv.AppendInt(append(b, '|'), int64(o.SparseBudget), 10)
 	b = append(append(b, '|'), queryText...)
 	return string(b)
+}
+
+// WithContent returns key with its content component replaced: the key the
+// same request mints against a snapshot whose footprint content is content.
+func WithContent(key string, content uint64) string {
+	return string(append(appendContent(make([]byte, 0, len(key)), content), key[16:]...))
+}
+
+// appendContent appends "%016x" of content.
+func appendContent(b []byte, content uint64) []byte {
+	hex := strconv.AppendUint(make([]byte, 0, 16), content, 16)
+	return append(append(b, "0000000000000000"[len(hex):]...), hex...)
 }

@@ -1,0 +1,103 @@
+package cache
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/eval"
+)
+
+// TestResultCacheEach: the update path's walk sees exactly the live entries one
+// database stored, may remove and store from inside it, and is invisible to
+// the counters and to the eviction order — a triage is not a read.
+func TestResultCacheEach(t *testing.T) {
+	c := NewResultCache(3)
+	c.Put("a1", Result{DB: "a"})
+	c.Put("b1", Result{DB: "b"})
+	c.Put("a2", Result{DB: "a"})
+	var seen []string
+	c.Each("a", func(key string, r Result) {
+		seen = append(seen, key)
+		if r.DB != "a" {
+			t.Errorf("%s: entry of database %q in a's walk", key, r.DB)
+		}
+		if key == "a2" { // the lock is not held: the walk may edit the cache
+			c.Remove(key)
+			c.Put("a3", r)
+		}
+	})
+	if want := []string{"a2", "a1"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("walk saw %v, want %v (most recent first, the entry stored meanwhile not among them)", seen, want)
+	}
+	if h, m, e := c.Counters(); h != 0 || m != 0 || e != 0 {
+		t.Fatalf("the walk counted: hits %d misses %d evictions %d", h, m, e)
+	}
+	// a1 is the oldest entry and the walk must have left it there: the next
+	// Put evicts it, not b1.
+	c.Put("b2", Result{DB: "b"})
+	if _, ok := c.Get("a1"); ok {
+		t.Fatal("the walk refreshed a1's recency")
+	}
+	if _, ok := c.Get("b1"); !ok {
+		t.Fatal("b1 was evicted in a1's place")
+	}
+	c.Each("nobody", func(string, Result) { t.Fatal("walk over a database that stored nothing") })
+	NewResultCache(0).Each("a", func(string, Result) { t.Fatal("walk over a disabled cache") })
+}
+
+// TestWithContent: replacing the content component gives the key ResultKey
+// mints for that content, and comparing a key with itself re-minted says
+// whether it names that content.
+func TestWithContent(t *testing.T) {
+	opts := &eval.Options{MaxWidth: 3, Backend: eval.BackendSparse}
+	const text = "(x, y). E(x, y) | x = y"
+	old := ResultKey(0xdeadbeef, "compiled", opts, text)
+	for _, content := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
+		if got, want := WithContent(old, content), ResultKey(content, "compiled", opts, text); got != want {
+			t.Errorf("WithContent(%q, %#x) = %q, want %q", old, content, got, want)
+		}
+	}
+	if WithContent(old, 0xdeadbeef) != old || WithContent(old, 0xdeadbeee) == old {
+		t.Fatal("a key must equal itself re-minted for its own content and no other")
+	}
+}
+
+func TestResultOverlaps(t *testing.T) {
+	for _, tc := range []struct {
+		footprint, changed []string
+		want               bool
+	}{
+		{nil, []string{"E"}, true}, // unknown: everything overlaps
+		{nil, nil, true},
+		{[]string{}, []string{"E"}, false}, // known and empty: nothing does
+		{[]string{"E", "P"}, []string{"F"}, false},
+		{[]string{"E", "P"}, []string{"A", "P"}, true},
+		{[]string{"P"}, nil, false},
+	} {
+		if got := (&Result{Footprint: tc.footprint}).Overlaps(tc.changed); got != tc.want {
+			t.Errorf("footprint %v, changed %v: overlaps = %v, want %v", tc.footprint, tc.changed, got, tc.want)
+		}
+	}
+}
+
+// TestPlanFootprint: a compiled query's footprint is the relations it names,
+// a query with none has the empty one, and only a query without a plan has
+// none at all.
+func TestPlanFootprint(t *testing.T) {
+	pc := NewPlanCache(8)
+	for text, want := range map[string][]string{
+		"(x, y). exists z. E(x, z) & (P(z) | E(z, y))": {"E", "P"},
+		"(x, y). x = y": {},
+	} {
+		p, _, err := pc.Load(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Footprint(); got == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: footprint %v, want %v", text, got, want)
+		}
+	}
+	if (Plan{}).Footprint() != nil {
+		t.Fatal("a query without a compiled plan has an unknown footprint")
+	}
+}

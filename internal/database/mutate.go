@@ -227,6 +227,33 @@ type RelID [sha256.Size]byte
 // RelID returns the named relation's content identity, zero if undeclared.
 func (db *Database) RelID(name string) RelID { return db.relIDs[name] }
 
+// ContentID is the identity of what a query reading exactly the relations rels
+// sees of db: a 64-bit FNV-1a fold of the domain size and each relation's name
+// and RelID. Snapshots of any lineage, of any database, that agree there get one
+// ID, and a query's value (§2.1–2.2: a function of D and the Rᵢ occurring in it)
+// is then the same on both; bvqd keys cached answers by it. A nil rels — the
+// footprint is unknown — falls back to Fingerprint, which reads everything.
+func (db *Database) ContentID(rels []string) uint64 {
+	if rels == nil {
+		return db.Fingerprint()
+	}
+	h := uint64(14695981039346656037)
+	fold := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
+	for i := 0; i < 64; i += 8 {
+		fold(byte(len(db.domain) >> i))
+	}
+	for _, name := range rels {
+		for i := 0; i < len(name); i++ {
+			fold(name[i])
+		}
+		fold(0) // ends the name; the ID after it has one length
+		for _, b := range db.relIDs[name] {
+			fold(b)
+		}
+	}
+	return h
+}
+
 func contentID(r *relation.Set) RelID {
 	id := RelID(sha256.Sum256([]byte{byte(r.Arity())}))
 	r.ForEach(func(t relation.Tuple) { id = id.shift([]relation.Tuple{t}, false) })

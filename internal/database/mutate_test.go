@@ -230,3 +230,81 @@ func TestFingerprintOnce(t *testing.T) {
 		t.Fatalf("a repeated Fingerprint call allocates %v times: it re-hashed the encoding", n)
 	}
 }
+
+// TestContentID: the identity of what a query reads is the content's, not the
+// lineage's — equal when the footprint's relations and the domain size are,
+// whatever happened elsewhere or on the way, and different as soon as one of
+// them is not.
+func TestContentID(t *testing.T) {
+	apply := func(db *Database, ups ...Update) *Database {
+		t.Helper()
+		next, _, err := db.Apply(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	insE := Update{Relation: "E", Insert: []relation.Tuple{{2, 3}}}
+	delE := Update{Relation: "E", Delete: []relation.Tuple{{2, 3}}}
+	insP := Update{Relation: "P", Insert: []relation.Tuple{{2}}}
+	db := twoRelDB(t)
+	e, p, both := []string{"E"}, []string{"P"}, []string{"E", "P"}
+
+	if db.ContentID(nil) != db.Fingerprint() {
+		t.Fatal("an unknown footprint must fall back to the fingerprint")
+	}
+	if db.ContentID([]string{}) == db.Fingerprint() || db.ContentID([]string{}) == db.ContentID(e) {
+		t.Fatal("the empty footprint is a footprint: the domain size alone")
+	}
+	// Insert then delete: another lineage, the same content.
+	back := apply(apply(db, insE), delE)
+	if back.Fingerprint() == db.Fingerprint() || back.ContentID(both) != db.ContentID(both) {
+		t.Fatal("insert-then-delete must return to the content's identity on a new lineage")
+	}
+	// Two orders of commuting updates.
+	ep, pe := apply(apply(db, insE), insP), apply(apply(db, insP), insE)
+	if ep.Fingerprint() == pe.Fingerprint() || ep.ContentID(both) != pe.ContentID(both) {
+		t.Fatal("commuting updates must reach one identity in either order")
+	}
+	// Any changed footprint relation moves it; a change outside does not.
+	onE := apply(db, insE)
+	if onE.ContentID(e) == db.ContentID(e) || onE.ContentID(both) == db.ContentID(both) {
+		t.Fatal("a changed footprint relation must change the identity")
+	}
+	if onE.ContentID(p) != db.ContentID(p) {
+		t.Fatal("a change outside the footprint must not change the identity")
+	}
+	if n := testing.AllocsPerRun(10, func() { db.ContentID(both) }); n != 0 {
+		t.Fatalf("ContentID allocates %v times on the request path", n)
+	}
+
+	build := func(n int, a, b []int) *Database {
+		t.Helper()
+		bl := NewBuilder().Relation("A", 1).Relation("B", 1)
+		for v := 0; v < n; v++ {
+			bl.Domain(v)
+		}
+		for _, v := range a {
+			bl.Add("A", v)
+		}
+		for _, v := range b {
+			bl.Add("B", v)
+		}
+		out, err := bl.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ab := []string{"A", "B"}
+	base := build(4, []int{0}, []int{1, 2})
+	if build(4, []int{0}, []int{1, 2}).ContentID(ab) != base.ContentID(ab) {
+		t.Fatal("two builds of one content differ")
+	}
+	if build(5, []int{0}, []int{1, 2}).ContentID(ab) == base.ContentID(ab) {
+		t.Fatal("the domain size is part of what a query reads")
+	}
+	if build(4, []int{1, 2}, []int{0}).ContentID(ab) == base.ContentID(ab) {
+		t.Fatal("swapped contents of two relations share an identity: names must be folded in")
+	}
+}

@@ -82,7 +82,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		updates: r.NewCounter("bvqd_updates_total",
 			"Effective database updates applied via /db/{name}/update."),
 		carried: r.NewCounter("bvqd_carried_results_total",
-			"Cached results rekeyed unchanged because their footprint missed the delta."),
+			"Cached results left valid in place because their footprint missed the delta."),
 		maintained: r.NewCounter("bvqd_maintained_results_total",
 			"Cached results incrementally maintained from an update delta."),
 		invalidations: r.NewCounterVec("bvqd_cache_invalidations_total",

@@ -234,8 +234,10 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		q.opts.Profile = eval.NewPlanProfile(q.pl.Prepared.NumNodes())
 	}
 	// Neither observer hook changes answers, so both are excluded from the
-	// result key: traced and untraced runs share cache entries.
-	q.key = cache.ResultKey(q.snap.Fingerprint(), q.engineName, &q.opts, req.Query)
+	// result key: traced and untraced runs share cache entries. The key names
+	// the content of the relations the query reads, so a snapshot that differs
+	// elsewhere mints the same key.
+	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint()), q.engineName, &q.opts, req.Query)
 	if q.direct = req.NoCache || req.Trace || req.Explain; !q.direct {
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
 	}
@@ -350,32 +352,25 @@ func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutc
 	}
 }
 
-// keep stores a fresh run's complete answer in the result cache and registers
-// it with the churn index, unless the request opted out of caching. The
-// registration's Opts is a sanitized copy — the key-relevant fields only,
-// never the live request Options, whose Tracer must not outlive the run. The
-// footprint is a property of the query, so it lets results from ANY engine
-// ride out disjoint deltas; maintenance state is captured by compiled runs
-// only (mstate is nil when the run took a sparse route).
+// keep stores a fresh run's complete answer in the result cache with what an
+// update of its database needs to triage it, unless the request opted out of
+// caching. No lock and no check that q.snap is still current: the key names
+// the content the run read, so the entry is right whenever that content is
+// asked for again and unreachable otherwise. The footprint is a property of
+// the query, so results from ANY engine ride out disjoint deltas; maintenance
+// state is captured by compiled runs of a prepared plan only, and not by those
+// that took a sparse route.
 func (s *Server) keep(q *query, out evalOutcome, full relation.View) {
 	if q.req.NoCache {
 		return
 	}
-	tracked := &cache.Tracked{
-		Key:    q.key,
-		Engine: q.engineName,
-		Query:  q.req.Query,
-		Opts: &eval.Options{MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
-			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget},
+	res := cache.Result{Answer: full, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint()}
+	if out.mstate != nil {
+		res.Baseline = &cache.Baseline{Plan: q.pl.Prepared, State: out.mstate, Opts: eval.Options{
+			MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
+			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget}}
 	}
-	if p := q.pl.Prepared; p != nil && p.Maint != nil {
-		tracked.Footprint = p.Maint.Rels
-		if q.engine == bvq.EngineCompiled {
-			tracked.Plan = p
-			tracked.State = out.mstate
-		}
-	}
-	s.storeResult(q.nd, q.snap, q.key, cache.Result{Answer: full, Stats: out.stats}, tracked)
+	s.results.Put(q.key, res)
 }
 
 // evaluateShared runs a JSON request's evaluation and settles it at once.

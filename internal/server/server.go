@@ -147,7 +147,6 @@ type Server struct {
 	plans    *cache.PlanCache
 	results  *cache.ResultCache
 	nodes    *eval.NodeStore // nil (tests only): no sub-plan sharing
-	index    *cache.Index
 	flight   *cache.Flight[evalOutcome]
 	limiter  *limiter
 	metrics  *serverMetrics
@@ -177,10 +176,12 @@ type Server struct {
 // namedDB is one served database lineage. Queries load the current snapshot
 // once (an atomic pointer read) and evaluate against it for their whole
 // lifetime — an update concurrently swapping the pointer never disturbs them
-// (MVCC snapshot isolation, database.Apply). mu serializes updates and result
-// registration: a result computed against a superseded snapshot must not
-// enter the cache or the churn index, where a later update would wrongly
-// carry it forward.
+// (MVCC snapshot isolation, database.Apply). mu serializes updates with each
+// other and nothing else. Storing a result takes no lock, because a result key
+// names the content the query read and an update removes or re-derives what
+// read the retired content: a result computed against a superseded snapshot
+// is filed under that snapshot's content, where it is right whenever that
+// content returns and out of reach until then.
 type namedDB struct {
 	name string
 	mu   sync.Mutex
@@ -220,7 +221,6 @@ func New(cfg Config) (*Server, error) {
 		plans:            cache.NewPlanCache(max(planSize, 0)),
 		results:          cache.NewResultCache(max(resultSize, 0)),
 		nodes:            eval.NewNodeStore(nodeCacheBytes),
-		index:            cache.NewIndex(max(resultSize, 0)),
 		flight:           cache.NewFlight[evalOutcome](),
 		limiter:          newLimiter(cfg.MaxConcurrentEvals, cfg.MaxEvalQueue),
 		logger:           logger,
@@ -249,10 +249,6 @@ func New(cfg Config) (*Server, error) {
 		nd := &namedDB{name: name}
 		nd.snap.Store(db)
 		s.dbs[name] = nd
-		// Pin the churn index to the initial snapshot so registrations from
-		// evals that straddle an update are rejected by generation, not just
-		// by the update path's own fingerprint check.
-		s.index.Advance(name, db.Fingerprint())
 	}
 	// Last: the metric collectors close over the fields initialized above.
 	s.metrics = newServerMetrics(s)
@@ -536,8 +532,8 @@ type ChurnStats struct {
 	// Updates counts effective updates accepted on /db/{name}/update
 	// (no-ops excluded).
 	Updates int64 `json:"updates"`
-	// Carried counts results rekeyed to a new snapshot untouched because
-	// their dependency footprint was disjoint from the delta.
+	// Carried counts results left in place, key and all, because their
+	// dependency footprint was disjoint from the delta.
 	Carried int64 `json:"carried"`
 	// Maintained counts results re-derived by delta-restart maintenance
 	// instead of being dropped.

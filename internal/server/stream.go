@@ -122,7 +122,7 @@ func (lb *lineBuffer) Write(p []byte) (int, error) {
 // trailer (the server's deadline, a contained panic) or as a counted
 // disconnect (client gone, no trailer). An un-windowed stream of a fresh run
 // that reaches the end has decoded the whole answer anyway and keeps it, so
-// the result cache and the churn index see streamed evaluations too;
+// the result cache and update triage see streamed evaluations too;
 // windowed streams do not — their point is not to pay O(|answer|).
 func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
 	fresh := out.enum != nil

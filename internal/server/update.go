@@ -43,8 +43,9 @@ type UpdateResponse struct {
 	// equal (with Noop set) when the batch changed nothing effectively.
 	FromVersion uint64 `json:"from_version"`
 	Version     uint64 `json:"version"`
-	// Fingerprint is the new snapshot's content fingerprint — the value
-	// /query result-cache keys are minted against.
+	// Fingerprint is the new snapshot's lineage fingerprint: it identifies
+	// the snapshot (equal fingerprints, equal content). Result-cache keys are
+	// minted against the content of the relations a query reads instead.
 	Fingerprint string `json:"fingerprint"`
 	Noop        bool   `json:"noop,omitempty"`
 	// Relations lists the effectively changed relations; Inserted/Deleted
@@ -57,9 +58,9 @@ type UpdateResponse struct {
 	ElapsedMS float64         `json:"elapsed_ms"`
 }
 
-// UpdateCacheJSON is the per-update result-cache triage: every tracked entry
-// was carried (footprint disjoint from the delta), maintained (re-derived by
-// delta-restart) or invalidated (dropped).
+// UpdateCacheJSON is the per-update result-cache triage: every live entry the
+// database stored was carried (footprint disjoint from the delta, left in
+// place), maintained (re-derived by delta-restart) or invalidated (dropped).
 type UpdateCacheJSON struct {
 	Carried     int `json:"carried"`
 	Maintained  int `json:"maintained"`
@@ -72,7 +73,7 @@ type UpdateCacheJSON struct {
 // (database.Apply), triage the result cache against the delta, and only then
 // swap the snapshot pointer — queries admitted before the swap finish on the
 // old snapshot, queries after it see the new one, and nobody ever observes a
-// half-updated cache for the new fingerprint.
+// half-updated cache for the new content.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID := fmt.Sprintf("%08x", s.reqSeq.Add(1))
@@ -110,8 +111,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The snapshot lock serializes updates with each other and with result
-	// registration: the triage below reasons about exactly one delta.
+	// The snapshot lock serializes updates with each other: the triage below
+	// reasons about exactly one delta.
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	snap := nd.snap.Load()
@@ -145,9 +146,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.nodes.Invalidate(snap, resp.Relations)
-	resp.Cache = s.triageResults(r, nd, next, delta)
-	// Swap last: the cache for the new fingerprint is fully populated before
-	// any query can mint a key against it — no cold-cache window.
+	resp.Cache = s.triageResults(r, nd, snap, next, delta)
+	// Swap last: the cache for the new content is fully populated before any
+	// query can mint a key against it — no cold-cache window.
 	nd.snap.Store(next)
 
 	s.metrics.updates.Inc()
@@ -218,82 +219,57 @@ func convertUpdates(db *database.Database, entries []UpdateEntry, indices bool) 
 	return out, nil
 }
 
-// triageResults walks every tracked result of nd and decides its fate under
-// delta, populating the cache for the new snapshot BEFORE it is swapped in.
-// Called with nd.mu held.
-func (s *Server) triageResults(r *http.Request, nd *namedDB, next *database.Database, delta *database.Delta) UpdateCacheJSON {
+// triageResults decides the fate under delta of every live result nd stored,
+// populating the cache for the new snapshot BEFORE it is swapped in. A result
+// key names the content of the query's footprint, so an entry the delta
+// misses keeps a valid key and is carried by being left alone; one it hits is
+// removed, and re-derived under next's key when delta-restart maintenance
+// applies. Called with nd.mu held.
+func (s *Server) triageResults(r *http.Request, nd *namedDB, snap, next *database.Database, delta *database.Delta) UpdateCacheJSON {
 	var out UpdateCacheJSON
 	changed := delta.Relations()
-	// Rotate takes the tracked entries and advances the index's generation in
-	// one atomic step: from here the index rejects registrations minted
-	// against the outgoing fingerprint — the stale-result guard for evals
-	// racing this update (and the next one).
-	tracked := s.index.Rotate(nd.name, next.Fingerprint())
-	drop := func(t *cache.Tracked, reason string) {
-		s.results.Remove(t.Key)
-		s.metrics.invalidations.With(reason).Inc()
-		out.Invalidated++
-	}
-	for _, t := range tracked {
-		res, live := s.results.Get(t.Key)
-		if !live {
-			continue // evicted since registration: nothing to triage
-		}
-		if !t.Overlaps(changed) {
-			// Untouched footprint: the answer is provably unchanged, move the
-			// entry to the new fingerprint.
-			s.results.Remove(t.Key)
-			t.Key = cache.ResultKey(next.Fingerprint(), t.Engine, t.Opts, t.Query)
-			s.results.Put(t.Key, res)
-			s.index.Register(nd.name, next.Fingerprint(), t)
+	s.results.Each(nd.name, func(key string, res cache.Result) {
+		if !res.Overlaps(changed) {
 			s.metrics.carried.Inc()
 			out.Carried++
-			continue
+			return
 		}
-		if t.Plan == nil || t.State == nil {
-			reason := "no_plan"
-			if t.Footprint == nil {
-				reason = "unknown_footprint"
+		s.results.Remove(key)
+		base, reason := res.Baseline, ""
+		switch {
+		case res.Footprint == nil:
+			reason = "unknown_footprint"
+		case base == nil:
+			reason = "no_plan"
+		case !eval.CanMaintain(base.Plan, delta):
+			reason = "delta_polarity"
+		case key != cache.WithContent(key, snap.ContentID(res.Footprint)):
+			// The whole stale-baseline guard: the entry was computed against
+			// other content than the outgoing snapshot's (an evaluation that
+			// straddled an earlier update), so delta does not lead from its
+			// state to next.
+			reason = "stale_baseline"
+		default:
+			// Eager delta-restart maintenance against the new snapshot, while
+			// queries still run on the old one: the maintained answer is in the
+			// cache before the swap, so the entry never goes cold.
+			opts := base.Opts
+			opts.Nodes = s.nodes
+			ans, st, state, err := eval.EvalPlanMaintained(r.Context(), base.Plan, next, &opts, base.State)
+			if err != nil {
+				reason = "maintenance_failed"
+				break
 			}
-			drop(t, reason)
-			continue
+			s.foldEvalStats(st)
+			res.Answer, res.Stats = relation.Compact(ans, next.Size()), st
+			res.Baseline = &cache.Baseline{Plan: base.Plan, State: state, Opts: base.Opts}
+			s.results.Put(cache.WithContent(key, next.ContentID(res.Footprint)), res)
+			s.metrics.maintained.Inc()
+			out.Maintained++
+			return
 		}
-		if !eval.CanMaintain(t.Plan, delta) {
-			drop(t, "delta_polarity")
-			continue
-		}
-		// Eager delta-restart maintenance against the new snapshot, while
-		// queries still run on the old one: the maintained answer is in the
-		// cache before the swap, so the entry never goes cold.
-		opts := *t.Opts
-		opts.Nodes = s.nodes
-		ans, st, state, err := eval.EvalPlanMaintained(r.Context(), t.Plan, next, &opts, t.State)
-		if err != nil {
-			drop(t, "maintenance_failed")
-			continue
-		}
-		s.foldEvalStats(st)
-		s.results.Remove(t.Key)
-		t.Key = cache.ResultKey(next.Fingerprint(), t.Engine, t.Opts, t.Query)
-		t.State = state
-		s.results.Put(t.Key, cache.Result{Answer: relation.Compact(ans, next.Size()), Stats: st})
-		s.index.Register(nd.name, next.Fingerprint(), t)
-		s.metrics.maintained.Inc()
-		out.Maintained++
-	}
+		s.metrics.invalidations.With(reason).Inc()
+		out.Invalidated++
+	})
 	return out
-}
-
-// storeResult caches a finished evaluation and registers its churn tracking,
-// unless the database snapshot moved on while the evaluation ran — a stale
-// entry must not enter the index, where the next update would carry or
-// maintain it from a baseline that missed a delta.
-func (s *Server) storeResult(nd *namedDB, snap *database.Database, key string, res cache.Result, t *cache.Tracked) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.snap.Load() != snap {
-		return // superseded mid-evaluation; the key is already unreachable
-	}
-	s.results.Put(key, res)
-	s.index.Register(nd.name, snap.Fingerprint(), t)
 }
