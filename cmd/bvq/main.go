@@ -182,18 +182,11 @@ func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr 
 	}
 	fold := eval.NewStageFold(0)
 	opts := &eval.Options{MaxWidth: k, Profile: eval.NewPlanProfile(p.NumNodes()), Tracer: fold.Observe}
-	den, route := eval.ExplainRoute(p, db, opts)
 	ans, _, err := eval.EvalPlanContext(context.Background(), p, db, opts)
 	if err != nil {
 		return err
 	}
-	ex := p.Explain(den)
-	ex.Route = route
-	ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
-	for _, fx := range fold.Fix {
-		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds())
-	}
-	ex.Render(stdout)
+	eval.Explain(p, db, opts, fold).Render(stdout)
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
 	return nil
 }

@@ -16,10 +16,11 @@ import (
 type Backend int
 
 const (
-	// BackendAuto picks per query: dense kernels for feasible hot spaces,
-	// the sparse executor when the space is infeasible or the density
-	// analysis says tuples are far cheaper than bits, and a hybrid in
-	// between (dense fixpoints over a sparsely evaluated frontier).
+	// BackendAuto picks per query by modelled cost (plan.Density): the sparse
+	// executor when the space is infeasible or tuples are expected cheaper than
+	// bits, the dense kernels otherwise, over a sparsely evaluated frontier
+	// where that is cheaper (hybrid) — and hands a fixpoint's stage loop to the
+	// other representation when its observed stages show the choice wrong.
 	BackendAuto Backend = iota
 	// BackendDense forces the full-width nᵏ-bit engine; queries whose space
 	// exceeds relation.MaxDenseBits fail with the dense-space error.
@@ -59,7 +60,8 @@ func BackendByName(name string) (Backend, error) {
 // ErrSparseBudget is wrapped by errors reporting that a sparse evaluation
 // would materialize more tuples than Options.SparseBudget allows — the
 // sparse analogue of the dense MaxDenseBits guard. Under BackendAuto with a
-// feasible dense space the engine falls back to dense instead of failing.
+// feasible dense space the engine continues on the dense route instead of
+// failing.
 var ErrSparseBudget = errors.New("sparse materialization budget exceeded")
 
 // DefaultSparseBudget bounds the tuple count of any single sparse
@@ -94,15 +96,8 @@ func cardOf(db *database.Database) func(string) int {
 // EvalPlanContext evaluates a compiled plan against db. The plan is
 // immutable and may be shared across evaluations and databases; all run
 // state lives in the evaluation, so concurrent calls with the same plan are
-// safe.
-//
-// The backend route is chosen here (routePlan). Dense is the historical
-// engine and the default for every feasible small space; sparse is how
-// queries beyond relation.MaxDenseBits — the n^k wall — evaluate at all.
-// BackendAuto also runs a hybrid: a
-// feasible-but-large dense evaluation whose recursion-free low-density
-// subtrees are computed sparsely and cylindrified once at their boundary
-// (Stats.RepSwitches).
+// safe. The backend route is chosen by routePlan, as for every other plan
+// evaluation entry point.
 func EvalPlanContext(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	res, err := evalPlan(ctx, p, db, opts, nil, false, false)
 	return res.set, res.stats, err
@@ -124,8 +119,8 @@ func validatePlanRun(ctx context.Context, p *plan.Plan, db *database.Database, o
 
 // planResult is the outcome of one routed plan evaluation: the answer in the
 // form the calling API asked for (set, or enum when streaming), the run's
-// Stats — partial on error — and the maintenance state a capturing dense run
-// of a maintainable plan leaves.
+// Stats — partial on error — and the maintenance state a capturing run of a
+// maintainable plan leaves.
 type planResult struct {
 	set   *relation.Set
 	enum  Enumerator
@@ -140,17 +135,14 @@ type route struct {
 	name string
 	err  error
 	den  *plan.Density
-	// frontier is den when dense runs of this route evaluate den's
-	// sparse-labeled subtrees sparsely (hybrid), nil for pure dense.
-	frontier *plan.Density
-	// fallback marks an auto-chosen sparse route over a feasible space: a
-	// sparse-budget overrun means the density estimate was wrong, and the
-	// plan is rerun dense rather than failing a query dense can answer.
-	fallback bool
+	// free marks a route auto chose by cost with the other one feasible: the
+	// evaluation may leave it (evalRoute).
+	free bool
 }
 
 // routePlan computes the route every plan-evaluation entry point takes —
-// materializing, streaming and explain alike — without evaluating anything.
+// materializing, streaming, explain, capture and maintenance alike — without
+// evaluating anything. Auto takes the route plan.Density models cheaper.
 func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
 	den := p.Density(db.Size(), cardOf(db))
 	rt := route{den: den}
@@ -168,17 +160,12 @@ func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
 			rt.err = fmt.Errorf("eval: sparse backend: %s", den.Blocker)
 		}
 	default:
+		rt.free = den.SpaceFeasible && den.SparseOK
 		switch {
-		case den.SpaceFeasible:
-			rt.name = "dense"
-			if den.HasSparseFrontier() {
-				rt.name, rt.frontier = "hybrid", den
-			}
-			if den.PreferSparse() {
-				rt.name, rt.fallback = "sparse", true
-			}
-		case den.SparseOK:
+		case den.SparseOK && (!den.SpaceFeasible || den.SparseCost < den.DenseCost):
 			rt.name = "sparse"
+		case den.SpaceFeasible:
+			rt = rt.dense()
 		default:
 			rt.err = fmt.Errorf("eval: dense space %d^%d exceeds %d bits and sparse evaluation is unavailable: %s",
 				db.Size(), len(p.Vars), relation.MaxDenseBits, den.Blocker)
@@ -187,34 +174,124 @@ func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
 	return rt
 }
 
-// evalPlan validates, routes and runs a plan evaluation. Dense routes thread
-// the maintenance seed/capture through (maintain.go); sparse routes return no
-// state — maintenance is a dense-route optimization.
+// dense is auto's dense route: over the sparse frontier den labels, if any.
+func (rt route) dense() route {
+	if rt.name = "dense"; rt.den.Frontier {
+		rt.name = "hybrid"
+	}
+	return rt
+}
+
+// handOffScale multiplies the price of a hand-off: 1 outside tests.
+var handOffScale = 1.0
+
+// handOffs is what makes a wrong estimate cheap: the state by which the runs
+// of one free-routed evaluation tell that a seedable fixpoint's loop is on the
+// wrong representation. After every stage the run adds to the binder's regret
+// what the stage is modelled to have cost here beyond what it would have cost
+// there, given the size and delta it has just seen (plan.LoopCost); once that
+// exceeds the price of moving, the loop stops at the stage boundary and the
+// evaluation restarts on the other route seeded with the stage. Whatever the
+// stages turn out to be, that costs at most about twice the better route plus
+// one move; a binder moves at most once per direction.
+type handOffs struct {
+	den    *plan.Density
+	regret []float64
+	moved  [2][]bool // [0]: to sparse, [1]: to dense
+}
+
+// due reports whether binder b's loop, having completed a stage of count
+// tuples, delta of them new, on the sparse or the dense algebra, now moves to
+// the other: a true answer is final for the direction.
+func (h *handOffs) due(b int, sparse bool, count, delta int) bool {
+	lc := &h.den.Loop[b]
+	dir, excess, price := 0, lc.DenseStage-lc.SparseNS(count, delta), lc.ToSparse+lc.SparseDelta*float64(count)
+	if sparse {
+		dir, excess, price = 1, -excess, lc.ToDense
+	}
+	if h.moved[dir][b] {
+		return false
+	}
+	if h.regret[b] = max(0, h.regret[b]+excess); h.regret[b] > handOffScale*price {
+		h.moved[dir][b], h.regret[b] = true, 0
+	}
+	return h.moved[dir][b]
+}
+
+// handOff is the error by which a run moves the evaluation to the other route.
+type handOff struct{ seed *MaintState }
+
+func (*handOff) Error() string { return "eval: internal: stage loop handed to the other backend" }
+
+// evalPlan validates, routes and runs a plan evaluation; evalRoute is the part
+// after the decision. seed and capture are delta-restart maintenance's
+// (maintain.go), on either route. A free route is left on a hand-off, or on a
+// sparse-budget overrun where no stage boundary can repair the estimate — the
+// plan is rerun dense rather than failing a query dense can answer; either way
+// the abandoned work stays in the Stats and counts one RepSwitches.
 func evalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, seed *MaintState, capture, stream bool) (planResult, error) {
 	if err := validatePlanRun(ctx, p, db, opts); err != nil {
 		return planResult{}, err
 	}
-	rt := routePlan(p, db, opts)
+	return evalRoute(ctx, p, db, opts, routePlan(p, db, opts), seed, capture, stream)
+}
+
+func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, seed *MaintState, capture, stream bool) (planResult, error) {
 	if rt.err != nil {
 		return planResult{}, rt.err
 	}
-	if rt.name == "sparse" {
-		res, err := newSparseRun(ctx, p, db, opts, rt.den, &Stats{}).answer(stream, false)
-		if !rt.fallback || !errors.Is(err, ErrSparseBudget) {
+	stats := &Stats{}
+	var ho *handOffs
+	if rt.free {
+		ho = &handOffs{den: rt.den, regret: make([]float64, p.NumBinders)}
+		ho.moved[0], ho.moved[1] = make([]bool, p.NumBinders), make([]bool, p.NumBinders)
+	}
+	for {
+		var res planResult
+		var err error
+		if rt.name == "sparse" {
+			res, err = runSparse(ctx, p, db, opts, rt.den, stats, ho, seed, capture, stream)
+		} else {
+			res, err = runDense(ctx, p, db, opts, rt, stats, ho, seed, capture, stream)
+		}
+		var h *handOff
+		switch {
+		case errors.As(err, &h):
+			seed = h.seed
+			if rt.name != "sparse" {
+				rt.name = "sparse"
+			} else {
+				rt = rt.dense()
+			}
+		case rt.free && rt.name == "sparse" && errors.Is(err, ErrSparseBudget):
+			rt, ho = rt.dense(), nil
+		default:
 			return res, err
 		}
+		stats.addRepSwitches(1)
 	}
-	return runDense(ctx, p, db, opts, rt.frontier, seed, capture, stream)
 }
 
-// ExplainRoute reports the backend route evalPlan would take for this plan
-// against this database — "dense", "sparse", or "hybrid" — together with the
-// density analysis behind the decision, without evaluating anything. The
-// route is the planned one: a sparse-budget overrun under BackendAuto falls
-// back to dense. The empty
-// route means the query is unevaluable (dense space infeasible and sparse
-// unavailable, or a forced backend that cannot run it).
+// ExplainRoute reports the route evalPlan would take for this plan against
+// this database — "dense", "sparse" or "hybrid"; empty when unevaluable — with
+// the analysis behind it (DenseCost and SparseCost are the totals compared),
+// without evaluating anything. A run may leave the route (Stats.RepSwitches).
 func ExplainRoute(p *plan.Plan, db *database.Database, opts *Options) (*plan.Density, string) {
 	rt := routePlan(p, db, opts)
 	return rt.den, rt.name
+}
+
+// Explain is the annotated plan of one evaluation of p against db under opts:
+// the DAG with the density analysis, the route and the two modelled costs it
+// was chosen by and — after a run with opts.Profile and fold.Observe installed
+// — the per-node profile and the per-binder stage totals, hand-offs included.
+func Explain(p *plan.Plan, db *database.Database, opts *Options, fold *StageFold) *plan.Explain {
+	den, route := ExplainRoute(p, db, opts)
+	ex := p.Explain(den)
+	ex.Route = route
+	ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
+	for _, fx := range fold.Fix {
+		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds(), fx.HandOff)
+	}
+	return ex
 }

@@ -61,39 +61,30 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 	return EvalPlanContext(ctx, p, db, opts)
 }
 
-// runDense evaluates the (already validated) plan over the dense algebra.
-// frontier, when non-nil, labels recursion-free low-density subtrees the run
-// evaluates sparsely and cylindrifies at their boundary (the hybrid route).
-// seed, when non-nil, provides previous fixpoint stages the seedable binders
-// restart from; capture, on a maintainable plan, records each seedable
-// binder's final stage into the result's MaintState (maintain.go).
-func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, frontier *plan.Density, seed *MaintState, capture, stream bool) (planResult, error) {
+// runDense evaluates the (already validated) plan over the dense algebra; on
+// the hybrid route, over the sparse frontier rt.den labels (hybridFrontier).
+func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, stats *Stats, ho *handOffs, seed *MaintState, capture, stream bool) (planResult, error) {
 	// One space per arity up to the full width, widest first so an infeasible
 	// query fails naming its full-width space; the narrower stage and head
 	// spaces are feasible whenever that one is. A node store interns them; a
 	// run left with a space of its own shares no values, which would pin it.
 	alg := &denseAlg{db: db, spaces: make([]*relation.Space, len(p.Vars)+1)}
-	r := newRun[*relation.Dense](ctx, p, db, opts, alg, &Stats{}, p.DeltaOK, "d")
+	r := newRun[*relation.Dense](ctx, p, db, opts, alg, stats, p.DeltaOK, "d")
 	for k := len(p.Vars); k >= 0; k-- {
 		sp, interned, err := r.store.space(k, db.Size())
 		if alg.spaces[k] = sp; err != nil {
-			return planResult{}, err
+			return planResult{stats: stats}, err
 		} else if !interned {
 			r.store = nil
 		}
 	}
 	alg.sp = alg.spaces[len(p.Vars)]
-	if frontier != nil {
-		r.frontier = hybridFrontier(r, alg.sp, frontier)
-	}
-	if seed != nil {
-		r.seed = seed.stages
-	}
-	if capture = capture && p.Maint != nil && p.Maint.OK; capture && r.captured == nil {
-		r.captured = make([]*relation.Sparse, p.NumBinders)
-	}
 	if par := parallelism(opts); par > 1 {
 		r.sem = make(chan struct{}, par-1)
+	}
+	capture = r.start(ho, seed, capture)
+	if rt.name == "hybrid" {
+		r.frontier = hybridFrontier(r, alg.sp, rt.den)
 	}
 	return r.answer(stream, capture)
 }
@@ -102,14 +93,17 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 // recursion-free subtree handed whole to a run over the sparse algebra and
 // cylindrified once into the full-width space — one representation switch
 // (Stats.RepSwitches) at the subtree boundary instead of a dense kernel per
-// node. A negative sval is complemented after the switch (¬cyl(R) is the
-// correct widening of a complement block). A subtree that overruns the sparse
-// budget — the density estimate was wrong — falls through to the dense
-// kernels. Frontier nodes are hoisted, hence computed before any PFP fork or
-// stage wave starts; the lock makes sharing the sub-run safe regardless.
+// node. A negative sval is complemented
+// after the conversion (¬cyl(R) is the correct widening of a complement
+// block). A subtree that overruns the sparse budget — the estimate was wrong —
+// falls through to the dense kernels. A labelled subtree may be a whole closed
+// fixpoint: the sub-run shares the run's seeds and captures, so maintenance
+// follows it there. Frontier nodes are hoisted, hence computed before any PFP
+// fork or stage wave starts; the lock makes sharing the sub-run safe regardless.
 func hybridFrontier(r *run[*relation.Dense], sp *relation.Space, den *plan.Density) func(int) (*relation.Dense, bool, error) {
 	var mu sync.Mutex
 	sub := newSparseRun(r.ctx, r.p, r.db, r.opts, den, r.stats)
+	sub.seed, sub.captured = r.seed, r.captured
 	return func(n int) (*relation.Dense, bool, error) {
 		if den.Mode[n] != plan.NodeSparse {
 			return nil, false, nil

@@ -132,10 +132,9 @@ func EvalPlanEnum(ctx context.Context, p *plan.Plan, db *database.Database, opts
 	return res.enum, res.stats, err
 }
 
-// EvalPlanEnumCapture is EvalPlanEnum capturing maintenance state on
-// maintainable dense routes (nil otherwise), so streamed evaluations can
-// register cache entries that survive database churn exactly like
-// EvalPlanCapture results.
+// EvalPlanEnumCapture is EvalPlanEnum capturing maintenance state (nil for a
+// plan without seedable binders), so streamed evaluations can register cache
+// entries that survive database churn exactly like EvalPlanCapture results.
 func EvalPlanEnumCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, *MaintState, error) {
 	res, err := evalPlan(ctx, p, db, opts, nil, true, true)
 	return res.enum, res.stats, res.state, err

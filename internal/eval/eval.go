@@ -72,8 +72,8 @@ type Options struct {
 	// SparseBudget caps the tuple count of any single sparse materialization
 	// (join result, widening, complement, stage). 0 means
 	// DefaultSparseBudget. Exceeding it fails with ErrSparseBudget, except
-	// under BackendAuto with a feasible dense space, where the engine falls
-	// back to dense evaluation.
+	// under BackendAuto with a feasible dense space, where the engine
+	// continues on the dense route.
 	SparseBudget int
 	// Parallelism bounds the number of worker goroutines the PFP evaluator
 	// uses for its per-parameter-assignment sweep (the n^|ȳ| independent
@@ -136,6 +136,9 @@ type TraceEvent struct {
 	// attach stage work to the exact plan.FixInfo it iterated. The
 	// tree-walking engines (bottomup, monotone) have no plan and report -1.
 	Binder int
+	// HandOff marks the stage after which the Compiled engine moved the loop
+	// to the other backend: the next stage is reported by that one's run.
+	HandOff bool
 }
 
 // tracerOf resolves the Options.Tracer hook (nil Options means no tracing).
@@ -261,8 +264,10 @@ type Stats struct {
 	// block sizes of sparse node evaluations and delta updates. The sparse
 	// analogue of dense word work; zero for pure dense runs.
 	TuplesTouched int64 `json:"tuples_touched,omitempty"`
-	// RepSwitches counts representation conversions: sparse subtree results
-	// cylindrified into the dense space at a hybrid frontier boundary.
+	// RepSwitches counts changes of representation inside one auto-routed
+	// evaluation: a fixpoint's stage loop handed to the other backend at a
+	// stage boundary, a sparse attempt rerun dense after a budget overrun, and
+	// sparse subtree results cylindrified at a hybrid frontier boundary.
 	RepSwitches int64 `json:"rep_switches,omitempty"`
 	// AcyclicFastPath is 1 when the plan that ran is an acyclic conjunctive
 	// query lowered from its variable-minimised form (plan.MinimizedFrom),

@@ -131,13 +131,17 @@ type run[V comparable] struct {
 	// binding[b] is binder b's current stage (extended arity for LFP/GFP/IFP,
 	// recursion-tuple arity for PFP).
 	binding []V
-	// seed[b], when non-nil, is a previous snapshot's final stage for a
-	// seedable binder: its LFP/IFP loop restarts from it instead of from ∅
-	// (delta-restart maintenance, maintain.go). captured, when allocated,
-	// receives each seedable binder's final stage, for the run's MaintState
-	// and for the fix node's store entry.
-	seed     []*relation.Sparse
+	// seed, when non-nil, holds stages seedable binders restart from instead
+	// of from ∅: a previous snapshot's fixpoints (maintain.go) or the stage this
+	// evaluation's previous run handed off at. captured, when allocated,
+	// receives each seedable binder's final stage: for the run's MaintState,
+	// the fix node's store entry, a hand-off's seed. ho, when non-nil, lets the
+	// run hand such a loop to the other algebra (backend.go); sparse says which
+	// algebra this one is.
+	seed     *MaintState
 	captured []*relation.Sparse
+	ho       *handOffs
+	sparse   bool
 	// store, when non-nil, shares closed-node values across runs; prefix keys the algebra and domain.
 	store  *NodeStore
 	prefix string
@@ -166,13 +170,24 @@ func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Databa
 	return r
 }
 
+// start installs a top-level run's hand-off state, seed and capture request,
+// and returns whether the run captures: a maintainable plan's only.
+func (r *run[V]) start(ho *handOffs, seed *MaintState, capture bool) bool {
+	r.ho, r.seed = ho, seed
+	capture = capture && r.p.Maint != nil && r.p.Maint.OK
+	if (capture || ho != nil) && r.captured == nil {
+		r.captured = make([]*relation.Sparse, r.p.NumBinders)
+	}
+	return capture
+}
+
 // fork returns a run for a PFP sweep worker: independent node cache and
 // bindings over the shared plan, database, stats and algebra. Inherited
 // values are not owned — the parent may still read them — and nested
 // evaluation inside a worker is serial.
 func (r *run[V]) fork() *run[V] {
 	w := *r
-	w.sem, w.seed, w.captured, w.store = nil, nil, nil, nil
+	w.sem, w.seed, w.captured, w.store, w.ho = nil, nil, nil, nil, nil
 	w.val = append([]V(nil), r.val...)
 	w.valid = append([]bool(nil), r.valid...)
 	w.owned = make([]bool, len(r.owned))
@@ -393,24 +408,33 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 	b := fx.Binder
 	var cur V
 	var err error
-	switch {
+	var stage int // completed stages: a hand-off's seed carries on where it left
+	switch seed, at := r.seed.from(b); {
 	case fx.Op == logic.GFP:
 		cur, err = r.alg.full(fx.ExtArity)
-	case b < len(r.seed) && r.seed[b] != nil:
-		// Delta-restart maintenance: resume the increasing chain from the
-		// previous snapshot's fixpoint instead of from ∅ (maintain.go). The
-		// first iteration is a full stage against the new database; later
-		// stages run semi-naive on whatever the delta added.
-		cur, err = r.alg.fromStage(r.seed[b], fx.ExtArity)
+	case seed != nil:
+		// Seeded restart: resume the increasing chain from a stage reached
+		// before — the previous snapshot's fixpoint (maintain.go) or where the
+		// other algebra left this loop. The first iteration is a full stage
+		// against the database; later ones run semi-naive on what it added.
+		cur, err = r.alg.fromStage(seed, fx.ExtArity)
+		stage = at
 	default:
 		cur, err = r.alg.empty(fx.ExtArity)
 	}
 	if err != nil {
 		return zero, err
 	}
+	// watch: the loop may be handed to the other algebra at a stage boundary.
+	watch := r.ho != nil && r.p.Maint.Seeded[b]
 	var delta V // non-zero once the semi-naive regime is active
 	var deltaCnt int
 	fail := func(err error) (V, error) {
+		if watch && errors.Is(err, ErrSparseBudget) && !r.ho.moved[1][b] {
+			// The stage that overran is abandoned; the last whole one is kept.
+			r.ho.moved[1][b] = true
+			err = r.handOff(b, cur, stage)
+		}
 		r.alg.release(cur)
 		if delta != zero {
 			r.alg.release(delta)
@@ -419,14 +443,22 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 		return zero, err
 	}
 	tr := tracerOf(r.opts)
-	var stage, prevCount int
-	if tr != nil {
-		prevCount = r.alg.count(cur)
+	var count int // cur's size, kept when someone looks
+	if tr != nil || watch {
+		count = r.alg.count(cur)
 	}
-	trace := func(start time.Time, tuples int) {
+	// staged closes a stage that left the binding at tuples: it reports it, and
+	// says whether the loop now moves to the other algebra.
+	staged := func(start time.Time, tuples int) bool {
 		stage++
-		tr(fixEvent(fx, stage, tuples, tuples-prevCount, start))
-		prevCount = tuples
+		moves := watch && tuples != count && r.ho.due(b, r.sparse, tuples, tuples-count)
+		if tr != nil {
+			ev := fixEvent(fx, stage, tuples, tuples-count, start)
+			ev.HandOff = moves
+			tr(ev)
+		}
+		count = tuples
+		return moves
 	}
 	for {
 		stageStart, err := r.beginStage(b, cur)
@@ -444,14 +476,12 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 			r.alg.release(delta)
 			delta, deltaCnt = nd, ndCnt
 			if ndCnt == 0 {
-				if tr != nil {
-					trace(stageStart, prevCount) // converging stage: delta 0
-				}
-				break // body gained nothing: cur is the fixpoint
+				staged(stageStart, count) // converging stage: delta 0
+				break                     // body gained nothing: cur is the fixpoint
 			}
 			cur = r.alg.union(cur, nd)
-			if tr != nil {
-				trace(stageStart, prevCount+ndCnt)
+			if staged(stageStart, count+ndCnt) {
+				return fail(r.handOff(b, cur, stage))
 			}
 			continue
 		}
@@ -468,9 +498,11 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 			// Inflationary stages: S_{i+1} = S_i ∪ φ(S_i).
 			next = r.alg.union(next, cur)
 		}
-		if tr != nil {
-			trace(stageStart, r.alg.count(next))
+		nextCnt := count
+		if tr != nil || watch {
+			nextCnt = r.alg.count(next)
 		}
+		moves := staged(stageStart, nextCnt)
 		if r.alg.equal(next, cur) {
 			r.alg.release(next)
 			break
@@ -479,7 +511,9 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 			delta, deltaCnt = r.alg.minus(r.alg.clone(next), cur)
 		}
 		r.alg.release(cur)
-		cur = next
+		if cur = next; moves {
+			return fail(r.handOff(b, cur, stage))
+		}
 	}
 	if delta != zero {
 		r.alg.release(delta)
@@ -491,6 +525,21 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 	}
 	r.binding[b] = zero
 	return r.fixResult(fx, cur)
+}
+
+// handOff is the error that moves the evaluation to the other route with
+// binder b's loop resuming after its stage-th stage, cur: the seed is that
+// stage, the final stages of the seedable binders this run has finished, and
+// whatever the run itself was seeded with for the others.
+func (r *run[V]) handOff(b int, cur V, stage int) error {
+	seed := &MaintState{stages: make([]*relation.Sparse, r.p.NumBinders), at: make([]int, r.p.NumBinders)}
+	for i := range seed.stages {
+		if seed.stages[i] = r.captured[i]; seed.stages[i] == nil {
+			seed.stages[i], _ = r.seed.from(i)
+		}
+	}
+	seed.stages[b], seed.at[b] = r.alg.stageOf(cur), stage
+	return &handOff{seed}
 }
 
 // deltaStage applies one semi-naive pass for fx's binder: deltaExt is ΔS in

@@ -20,11 +20,11 @@ import (
 // delta adds; stages after it run semi-naive on the (usually tiny) growth.
 //
 // The maintained state is deliberately small: one block of sorted tuple codes
-// per seedable binder (the final fixpoint stage, 8 bytes a tuple), never the
-// full DAG of n^k-bit node values. Maintenance is a dense-route optimization;
-// sparse runs return no state and fall back to recomputation after a delta.
+// per seedable binder (the final fixpoint stage, 8 bytes a tuple). Sorted
+// codes are no algebra's own form, so a state captured on one route seeds a
+// run on the other: maintenance is routed like any other evaluation.
 
-// MaintState is the reusable state captured from one dense evaluation of a
+// MaintState is the reusable state captured from one evaluation of a
 // maintainable plan: the final stage of every seedable binder, as sorted
 // tuple codes in the extended stage arity. It is immutable after capture and
 // may be shared across goroutines; it is only meaningful for the exact
@@ -32,6 +32,21 @@ import (
 // snapshot reached through deltas admitted by CanMaintain.
 type MaintState struct {
 	stages []*relation.Sparse // indexed by binder; nil for unseeded binders
+	// at, in the seed of a hand-off only, is how many stages of each binder's
+	// loop ran before the stage it resumes from.
+	at []int
+}
+
+// from returns the stage binder b restarts from, nil for none, and the number
+// of stages of its loop that already ran.
+func (s *MaintState) from(b int) (*relation.Sparse, int) {
+	switch {
+	case s == nil || b >= len(s.stages):
+		return nil, 0
+	case s.at == nil:
+		return s.stages[b], 0
+	}
+	return s.stages[b], s.at[b]
 }
 
 // Tuples returns the total tuple count of the maintained state — the
@@ -75,9 +90,8 @@ func CanMaintain(p *plan.Plan, d *database.Delta) bool {
 }
 
 // EvalPlanCapture is EvalPlanContext additionally capturing maintenance
-// state. The state is non-nil only when the run took the dense route and the
-// plan has seedable binders; callers treat a nil state as "not maintainable,
-// recompute on change".
+// state, on whichever route the evaluation takes: nil exactly when the plan
+// has no seedable binders ("not maintainable, recompute on change").
 func EvalPlanCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, *MaintState, error) {
 	res, err := evalPlan(ctx, p, db, opts, nil, true, false)
 	return res.set, res.stats, res.state, err
@@ -88,11 +102,7 @@ func EvalPlanCapture(ctx context.Context, p *plan.Plan, db *database.Database, o
 // EvalPlanMaintained) returned for the parent snapshot, and the caller has
 // checked CanMaintain for the connecting delta. The answer is byte-identical
 // to a from-scratch evaluation; Stats.MaintainedFromDelta is 1 and a fresh
-// state for the new snapshot is returned.
-//
-// Maintenance runs dense regardless of Options.Backend routing — that is the
-// route the state was captured on — so it fails if the plan's space is dense-
-// infeasible (callers fall back to plain recomputation).
+// state for the new snapshot is returned. It is routed like any evaluation.
 func EvalPlanMaintained(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, prev *MaintState) (*relation.Set, *Stats, *MaintState, error) {
 	if p.Maint == nil || !p.Maint.OK {
 		return nil, nil, nil, fmt.Errorf("eval: plan has no seedable fixpoints, cannot maintain")
@@ -103,16 +113,7 @@ func EvalPlanMaintained(ctx context.Context, p *plan.Plan, db *database.Database
 	if len(prev.stages) != p.NumBinders {
 		return nil, nil, nil, fmt.Errorf("eval: maintenance state has %d binders, plan has %d", len(prev.stages), p.NumBinders)
 	}
-	if err := validatePlanRun(ctx, p, db, opts); err != nil {
-		return nil, nil, nil, err
-	}
-	// The dense leg of the auto route, hybrid frontier included.
-	rt := routePlan(p, db, nil)
-	if !rt.den.SpaceFeasible {
-		return nil, nil, nil, fmt.Errorf("eval: dense space %d^%d exceeds %d bits; maintenance requires the dense route",
-			db.Size(), len(p.Vars), relation.MaxDenseBits)
-	}
-	res, err := runDense(ctx, p, db, opts, rt.frontier, prev, true, false)
+	res, err := evalPlan(ctx, p, db, opts, prev, true, false)
 	if err == nil {
 		res.stats.MaintainedFromDelta = 1
 	}

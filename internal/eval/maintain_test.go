@@ -191,7 +191,10 @@ func TestMaintainNegatedAtomDelete(t *testing.T) {
 // TestChurnDifferentialMaintained is the randomized churn harness: a stream
 // of ≥200 tuple-level updates against maintained evaluation, differentially
 // checked for byte-identical answers against from-scratch dense, sparse and
-// auto runs at every step. It runs under -race in `make check`.
+// auto runs at every step. The maintaining run alternates between the forced
+// dense and the forced sparse route, step by step and query by query, so that
+// every state is captured on one route and seeds the other. It runs under
+// -race in `make check`.
 func TestChurnDifferentialMaintained(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(7))
@@ -242,8 +245,9 @@ func TestChurnDifferentialMaintained(t *testing.T) {
 
 		for qi, q := range qs {
 			var got *relation.Set
+			routeOpts := []*Options{denseOpts, {Backend: BackendSparse}}[(step+qi)%2]
 			if q.state != nil && CanMaintain(q.p, delta) {
-				ans, st, state, err := EvalPlanMaintained(ctx, q.p, db, denseOpts, q.state)
+				ans, st, state, err := EvalPlanMaintained(ctx, q.p, db, routeOpts, q.state)
 				if err != nil {
 					t.Fatalf("step %d query %d: maintain: %v", step, qi, err)
 				}
@@ -253,9 +257,12 @@ func TestChurnDifferentialMaintained(t *testing.T) {
 				got, q.state = ans, state
 				maintainedRuns++
 			} else {
-				ans, _, state, err := EvalPlanCapture(ctx, q.p, db, denseOpts)
+				ans, _, state, err := EvalPlanCapture(ctx, q.p, db, routeOpts)
 				if err != nil {
 					t.Fatalf("step %d query %d: recompute: %v", step, qi, err)
+				}
+				if state == nil {
+					t.Fatalf("step %d query %d: no state captured on the %s route", step, qi, routeOpts.Backend)
 				}
 				got, q.state = ans, state
 			}

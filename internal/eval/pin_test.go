@@ -162,11 +162,15 @@ func pinCases(t *testing.T) []pinCase {
 		{name: "stream-tc-forest/dense", run: pinStream(tcQuery(), forest, 3), opts: dense},
 		{name: "stream-tc-forest/sparse", run: pinStream(tcQuery(), forest, 3), opts: sparse},
 		{name: "stream-two-hop-forest/sparse", run: pinStream(twoHop, forest, 2), opts: sparse},
-		// 200³ bits with a sparse edge set is hybrid territory: dense stages
-		// over a sparsely evaluated, once-cylindrified frontier.
-		{name: "tc-forest200/auto-hybrid", run: pinEval(tcQuery(), forestDB(200, 10)), opts: auto},
-		// 410³ ≥ 2²⁶ bits: auto prefers the sparse executor, the tiny budget
-		// overruns, and the run falls back to (hybrid) dense.
+		// 200³ bits with a sparse edge set: auto takes the all-sparse route.
+		{name: "tc-forest200/auto", run: pinEval(tcQuery(), forestDB(200, 10)), opts: auto},
+		// A GFP has no sparse route; at 200³ bits its recursion-free two-hop is
+		// hybrid territory: dense stages over a sparsely evaluated,
+		// once-cylindrified frontier.
+		{name: "gfp-two-hop-forest200/auto-hybrid", run: pinEval(gfpTwoHop(), forestDB(200, 10)), opts: auto},
+		// auto takes the sparse route, the tiny budget overruns inside the
+		// stage loop, and the loop is handed to the dense algebra from its last
+		// whole stage.
 		{name: "tc-forest410/auto-budget-fallback", run: pinEval(tcQuery(), forestDB(410, 10)),
 			opts: Options{Parallelism: 1, SparseBudget: 100}},
 	}
@@ -215,7 +219,7 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:66 NodesReused:24 DeltaTuples:66 TuplesTouched:330 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:11+11 2:21+10 3:30+9 4:38+8 5:45+7 6:51+6 7:56+5 8:60+4 9:63+3 10:65+2 11:66+1 12:66+0"},
 	"tc-line12/auto": {
-		"{SubformulaEvals:48 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:66 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:50 FixIterations:12 MaxIntermediateArity:3 MaxIntermediateTuples:792 NodesReused:24 DeltaTuples:62 TuplesTouched:236 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:11+11 2:21+10 3:30+9 4:38+8 5:45+7 6:51+6 7:56+5 8:60+4 9:63+3 10:65+2 11:66+1 12:66+0"},
 	"tc-line30-maintained/dense": {
 		"{SubformulaEvals:58 FixIterations:14 MaxIntermediateArity:3 MaxIntermediateTuples:15780 NodesReused:28 DeltaTuples:91 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:1 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
@@ -242,7 +246,7 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:25 FixIterations:5 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:10 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/gfp 1:9-3 2:6-3 3:3-3 4:0-3 5:0+0"},
 	"nested-gfp-lfp-line8/auto": {
-		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:14 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:14 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:8+8 2:8+0 | S/gfp 1:8+0"},
 	"pfp-param-forest/dense": {
 		"{SubformulaEvals:46 FixIterations:6 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:18 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
@@ -265,10 +269,13 @@ var pinnedWork = map[string]pinned{
 	"stream-two-hop-forest/sparse": {
 		"{SubformulaEvals:4 FixIterations:0 MaxIntermediateArity:3 MaxIntermediateTuples:9 NodesReused:0 DeltaTuples:0 TuplesTouched:30 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:4 TuplesSkipped:2 NodesShared:0}",
 		""},
-	"tc-forest200/auto-hybrid": {
-		"{SubformulaEvals:41 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:180000 NodesReused:20 DeltaTuples:900 TuplesTouched:4500 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+	"tc-forest200/auto": {
+		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:900 NodesReused:20 DeltaTuples:900 TuplesTouched:4500 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:180+180 2:340+160 3:480+140 4:600+120 5:700+100 6:780+80 7:840+60 8:880+40 9:900+20 10:900+0"},
+	"gfp-two-hop-forest200/auto-hybrid": {
+		"{SubformulaEvals:37 FixIterations:6 MaxIntermediateArity:3 MaxIntermediateTuples:8000000 NodesReused:12 DeltaTuples:0 TuplesTouched:680 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"S/gfp 1:160-40 2:120-40 3:80-40 4:40-40 5:0-40 6:0+0"},
 	"tc-forest410/auto-budget-fallback": {
-		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:756450 NodesReused:20 DeltaTuples:1845 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:756450 NodesReused:20 DeltaTuples:1845 TuplesTouched:0 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:369+369 2:697+328 3:984+287 4:1230+246 5:1435+205 6:1599+164 7:1722+123 8:1804+82 9:1845+41 10:1845+0"},
 }

@@ -31,8 +31,8 @@ import (
 //
 // Widening (inserting a cylinder axis) and complementing multiply block
 // sizes, so both are guarded by Options.SparseBudget; exceeding it returns
-// ErrSparseBudget, which the auto backend treats as "the density estimate
-// was wrong — fall back to dense" whenever the dense space is feasible.
+// ErrSparseBudget, which the auto backend treats as "the estimate was wrong —
+// continue dense" whenever the dense space is feasible.
 type sval struct {
 	// sup lists the support axes, strictly ascending.
 	sup []int
@@ -64,7 +64,15 @@ type sparseAlg struct {
 // additionally needs an all-positive dirty region (Density.DeltaSparse).
 func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *run[*sval] {
 	alg := &sparseAlg{db: db, n: db.Size(), budget: sparseBudget(opts), den: den}
-	return newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse, "s")
+	r := newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse, "s")
+	r.sparse = true
+	return r
+}
+
+// runSparse is runDense's twin: the whole plan over the sparse algebra.
+func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture, stream bool) (planResult, error) {
+	r := newSparseRun(ctx, p, db, opts, den, stats)
+	return r.answer(stream, r.start(ho, seed, capture))
 }
 
 // stageAxes is the support of a stage (or head) value: its own positions

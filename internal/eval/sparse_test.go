@@ -49,9 +49,10 @@ func lineDB(n int) *database.Database {
 }
 
 // TestDifferentialSparseVsDense pins the forced-sparse route byte-identical
-// to the forced-dense route on random FP/IFP formulas, and the auto route
-// byte-identical to dense — including Stats — on small spaces, where the
-// density heuristic must never change established behavior.
+// to the forced-dense route on random FP/IFP formulas, stage sequences
+// included, and the auto route — whichever of the two it takes, and wherever
+// it hands a loop from one to the other — to the same answers and the same
+// final stage of every fixpoint.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	g := &diffGen{r: r}
@@ -92,15 +93,22 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			t.Fatalf("%s: stage sequences differ\ndense  %s\nsparse %s", q, ds, ss)
 		}
 
-		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1})
+		asink := &traceSink{}
+		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1, Tracer: asink.record})
 		if err != nil {
 			t.Fatalf("auto(%s): %v", q, err)
 		}
 		if !auto.Equal(dense) {
 			t.Fatalf("auto disagrees with dense on %s", q)
 		}
-		if *ast != *dst {
-			t.Fatalf("auto stats diverged from dense on a small space: %s\nauto  %+v\ndense %+v", q, ast, dst)
+		want, have := finalStages(dsink.snapshot()), finalStages(asink.snapshot())
+		for binder, tuples := range want {
+			if have[binder] != tuples {
+				t.Fatalf("%s: auto ends binder %d at %d tuples, dense at %d", q, binder, have[binder], tuples)
+			}
+		}
+		if as := pinTrace(asink.snapshot()); ast.RepSwitches == 0 && as != pinTrace(dsink.snapshot()) {
+			t.Fatalf("%s: auto never left its route, yet its stage sequence differs from dense's\nauto  %s", q, as)
 		}
 	}
 	if kept < trials/8 {
@@ -388,20 +396,29 @@ func TestSparseLargeDomainTC(t *testing.T) {
 	probe(0, 9999, false)
 }
 
-// TestHybridFrontierMatchesDense drives the auto backend on a feasible but
-// large space (200³ bits > hybridMinBits) with a sparse edge set: the run
-// must label a sparse frontier, convert at its boundary (RepSwitches), and
+// gfpTwoHop is "x starts an infinite walk of two-hop steps": a GFP over a
+// recursion-free join.
+func gfpTwoHop() logic.Query {
+	twoHop := logic.Exists(logic.And(logic.R("E", "x", "y"), logic.R("E", "y", "z")), "y")
+	return logic.MustQuery([]logic.Var{"y"},
+		logic.Gfp("S", []logic.Var{"x"},
+			logic.Exists(logic.And(twoHop, logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"), "y"))
+}
+
+// TestHybridFrontierMatchesDense drives the auto backend on a plan with no
+// sparse route (a GFP) over a space large enough that its recursion-free
+// two-hop subtree is modelled cheaper as tuples than as 200³-bit kernels: the
+// run must label a sparse frontier, convert at its boundary (RepSwitches), and
 // agree with pure dense exactly.
 func TestHybridFrontierMatchesDense(t *testing.T) {
 	db := forestDB(200, 10)
-	q := tcQuerySparse()
+	q := gfpTwoHop()
 	p, err := plan.Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	den := p.Density(db.Size(), cardOf(db))
-	if !den.SpaceFeasible || !den.HasSparseFrontier() {
-		t.Fatalf("200^3 with a sparse edge set should be hybrid territory: %+v", den)
+	if den, route := ExplainRoute(p, db, nil); route != "hybrid" || den.SparseOK {
+		t.Fatalf("a GFP over a sparse two-hop at 200^3 should be hybrid territory: route %q, %+v", route, den)
 	}
 
 	dense, _, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
@@ -458,8 +475,9 @@ func TestSparseCancellation(t *testing.T) {
 }
 
 // TestSparseBudgetFallsBackToDense forces a tiny budget on a feasible space:
-// the explicit sparse backend must fail with ErrSparseBudget, while auto
-// silently reruns dense and still answers.
+// the explicit sparse backend must fail with ErrSparseBudget, while auto —
+// on the dense route from the start or after a sparse attempt
+// (TestAbandonedRunStatsFolded) — still answers.
 func TestSparseBudgetFallsBackToDense(t *testing.T) {
 	db := randomGraph(t, rand.New(rand.NewSource(5)), 6)
 	// ¬E forces a complement whose block exceeds a budget of 2 tuples.

@@ -12,6 +12,7 @@ type FixStages struct {
 	Stages               int64
 	Tuples               int   // the last stage's size
 	DeltaTuples          int64 // Σ|Δ| over the stages
+	HandOff              int   // the last stage a hand-off followed; 0 for none
 	// Busy is the summed stage Elapsed, not wall time: concurrent sweep
 	// workers overlap. First is when the first stage was reported.
 	Busy  time.Duration
@@ -75,4 +76,7 @@ func (f *StageFold) Observe(ev TraceEvent) {
 	fx.Tuples = ev.Tuples
 	fx.DeltaTuples += int64(max(ev.Delta, -ev.Delta))
 	fx.Busy += ev.Elapsed
+	if ev.HandOff {
+		fx.HandOff = ev.Stage
+	}
 }

@@ -47,8 +47,30 @@ func TestDensitySupportsAndFeasibility(t *testing.T) {
 	if !small.SpaceFeasible {
 		t.Fatalf("16^3 must be dense-feasible")
 	}
-	if small.HasSparseFrontier() || small.PreferSparse() {
-		t.Fatalf("small spaces must stay fully dense")
+	if small.Frontier {
+		t.Fatalf("a plan with an all-sparse route is not offered a frontier")
+	}
+	if small.DenseCost <= 0 || small.SparseCost <= 0 || len(small.Loop) != 1 || small.Loop[0].Stages < 2 {
+		t.Fatalf("TC at n=16 must be priced on both routes, over a loop of several stages: %+v", small)
+	}
+}
+
+// TestDensityTinySpacesStayDense: what keeps a four-word space dense is the
+// cost formula itself — a node there is a handful of word operations, cheaper
+// than any tuple — not a size floor; and the same formula sends the same query
+// sparse once the space is large and the data is not.
+func TestDensityTinySpacesStayDense(t *testing.T) {
+	q := logic.MustQuery([]logic.Var{"x"}, logic.Exists(logic.And(logic.R("E", "x", "y"), logic.R("P", "y")), "y"))
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := func(rel string) int { return map[string]int{"E": 48, "P": 4}[rel] }
+	if d := p.Density(16, card); d.DenseCost >= d.SparseCost {
+		t.Fatalf("n=16, k=2 (four words): dense %.0f ns must undercut sparse %.0f ns", d.DenseCost, d.SparseCost)
+	}
+	if d := p.Density(2048, card); d.DenseCost <= d.SparseCost {
+		t.Fatalf("n=2048, k=2 with 48 edges: sparse %.0f ns must undercut dense %.0f ns", d.SparseCost, d.DenseCost)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -28,8 +27,12 @@ type Explain struct {
 	Root     int `json:"root"`
 
 	// Route is the backend route the evaluator picks for this plan against
-	// this domain ("dense", "sparse", "hybrid"; empty = unevaluable).
+	// this domain ("dense", "sparse", "hybrid"; empty = unevaluable);
+	// DenseCostNS and SparseCostNS the two modelled times it was picked by
+	// (Density.DenseCost, SparseCost; no sparse figure without a sparse route).
 	Route         string  `json:"route,omitempty"`
+	DenseCostNS   float64 `json:"dense_cost_ns,omitempty"`
+	SparseCostNS  float64 `json:"sparse_cost_ns,omitempty"`
 	SpaceFeasible bool    `json:"space_feasible"`
 	SparseOK      bool    `json:"sparse_ok"`
 	Blocker       string  `json:"sparse_blocker,omitempty"`
@@ -67,6 +70,9 @@ type ExplainBinder struct {
 	Stages      int64 `json:"stages,omitempty"`
 	DeltaTuples int64 `json:"delta_tuples,omitempty"`
 	BusyUS      int64 `json:"busy_us,omitempty"`
+	// HandOffStage is the stage after which the run moved the loop to the
+	// other backend (the last such stage; 0: it stayed where it started).
+	HandOffStage int `json:"hand_off_stage,omitempty"`
 }
 
 // ExplainNode is one annotated DAG node.
@@ -204,6 +210,9 @@ func (p *Plan) Explain(den *Density) *Explain {
 		ex.SparseOK = den.SparseOK
 		ex.Blocker = den.Blocker
 		ex.RootEst = den.RootEst
+		if ex.DenseCostNS = den.DenseCost; den.SparseOK {
+			ex.SparseCostNS = den.SparseCost
+		}
 	}
 	ex.Nodes = make([]ExplainNode, len(p.Nodes))
 	for id := range p.Nodes {
@@ -272,14 +281,16 @@ func (ex *Explain) AttachProfile(evals, ns []int64) {
 }
 
 // AttachBinderStages adds one binder's execution totals (from trace stage
-// events): fixpoint stages run, summed |delta| tuples, busy nanoseconds.
-func (ex *Explain) AttachBinderStages(binder int, stages, deltaTuples, busyNS int64) {
+// events): fixpoint stages run, summed |delta| tuples, busy nanoseconds, and
+// the stage a hand-off followed (0: none).
+func (ex *Explain) AttachBinderStages(binder int, stages, deltaTuples, busyNS int64, handOff int) {
 	if binder < 0 || binder >= len(ex.Binders) {
 		return
 	}
 	ex.Binders[binder].Stages += stages
 	ex.Binders[binder].DeltaTuples += deltaTuples
 	ex.Binders[binder].BusyUS += busyNS / 1e3
+	ex.Binders[binder].HandOffStage = max(ex.Binders[binder].HandOffStage, handOff)
 	ex.Executed = true
 }
 
@@ -299,6 +310,11 @@ func (ex *Explain) Render(w io.Writer) {
 	fmt.Fprintf(w, " · %d nodes (%d hoisted, %d cse hits)", ex.NumNodes, ex.Hoisted, ex.CSEHits)
 	if ex.Route != "" {
 		fmt.Fprintf(w, " · route %s", ex.Route)
+	}
+	if ex.SparseCostNS > 0 {
+		fmt.Fprintf(w, " (model: dense %.3gus, sparse %.3gus)", ex.DenseCostNS/1e3, ex.SparseCostNS/1e3)
+	} else if ex.DenseCostNS > 0 {
+		fmt.Fprintf(w, " (model: dense %.3gus)", ex.DenseCostNS/1e3)
 	}
 	if ex.Maintainable {
 		fmt.Fprintf(w, " · maintainable")
@@ -320,6 +336,9 @@ func (ex *Explain) Render(w io.Writer) {
 		}
 		if ex.Executed && b.Stages > 0 {
 			fmt.Fprintf(w, " · %d stages, %d delta tuples, %dus busy", b.Stages, b.DeltaTuples, b.BusyUS)
+		}
+		if b.HandOffStage > 0 {
+			fmt.Fprintf(w, " · handed to the other backend after stage %d", b.HandOffStage)
 		}
 		fmt.Fprintln(w)
 	}
@@ -377,23 +396,4 @@ func (ex *Explain) nodeLine(id int) string {
 		line += "  [" + strings.Join(ann, " · ") + "]"
 	}
 	return line
-}
-
-// TopNodes returns up to k node ids ordered by descending wall time — the
-// hot list the server folds into slow-query logs. Zero-eval nodes are
-// skipped.
-func (ex *Explain) TopNodes(k int) []int {
-	ids := make([]int, 0, len(ex.Nodes))
-	for i := range ex.Nodes {
-		if ex.Nodes[i].Evals > 0 {
-			ids = append(ids, i)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return ex.Nodes[ids[a]].WallUS > ex.Nodes[ids[b]].WallUS
-	})
-	if len(ids) > k {
-		ids = ids[:k]
-	}
-	return ids
 }

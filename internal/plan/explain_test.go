@@ -88,9 +88,9 @@ func TestExplainAttachProfile(t *testing.T) {
 		}
 	}
 	ex.AttachProfile(evals, ns)
-	ex.AttachBinderStages(0, 4, 123, 2_000_000)
-	ex.AttachBinderStages(0, 2, 7, 1_000_000)
-	ex.AttachBinderStages(99, 1, 1, 1) // out of range: ignored
+	ex.AttachBinderStages(0, 4, 123, 2_000_000, 0)
+	ex.AttachBinderStages(0, 2, 7, 1_000_000, 0)
+	ex.AttachBinderStages(99, 1, 1, 1, 0) // out of range: ignored
 	if !ex.Executed {
 		t.Fatal("Executed = false after AttachProfile")
 	}
@@ -100,9 +100,8 @@ func TestExplainAttachProfile(t *testing.T) {
 	if b := ex.Binders[0]; b.Stages != 6 || b.DeltaTuples != 130 || b.BusyUS != 3000 {
 		t.Fatalf("binder totals = %+v, want stages 6, delta 130, busy 3000us", b)
 	}
-	top := ex.TopNodes(1)
-	if len(top) != 1 || top[0] != hot {
-		t.Fatalf("TopNodes(1) = %v, want [%d]", top, hot)
+	if n := ex.Nodes[hot]; n.Evals != 7 || n.WallUS != 9000 {
+		t.Fatalf("node %d = %+v, want 7 evals over 9000us", hot, n)
 	}
 }
 

@@ -144,16 +144,8 @@ func topSpans(v trace.View, k int) string {
 }
 
 // buildExplain assembles the explain payload for one executed request: the
-// plan DAG with density annotations, the backend route, the per-node profile
-// and the per-binder stage totals of the run's fold.
+// plan DAG with density annotations, the backend route and its two modelled
+// costs, the per-node profile and the per-binder stage totals of the run's fold.
 func buildExplain(q *query) *plan.Explain {
-	p := q.pl.Prepared
-	den, route := eval.ExplainRoute(p, q.snap, &q.opts)
-	ex := p.Explain(den)
-	ex.Route = route
-	ex.AttachProfile(q.opts.Profile.Evals, q.opts.Profile.NS)
-	for _, fx := range q.fold.Fix {
-		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds())
-	}
-	return ex
+	return eval.Explain(q.pl.Prepared, q.snap, &q.opts, q.fold)
 }

@@ -298,8 +298,8 @@ type QueryRequest struct {
 	// monotone, eso, certified, compiled). Empty means bottomup.
 	Engine string `json:"engine,omitempty"`
 	// Backend selects the compiled engine's relation representation: auto
-	// (default — the density heuristic picks), dense (force the full-width
-	// nᵏ bitmap engine) or sparse (force sorted tuple blocks). Only the
+	// (default — the cheaper route by plan.Density's cost model), dense (force
+	// the full-width nᵏ bitmap engine) or sparse (force sorted tuple blocks). Only the
 	// compiled engine understands backends; any other engine with a non-auto
 	// backend is a 400.
 	Backend string `json:"backend,omitempty"`
