@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -210,8 +211,8 @@ func (p *Plan) Explain(den *Density) *Explain {
 		ex.SparseOK = den.SparseOK
 		ex.Blocker = den.Blocker
 		ex.RootEst = den.RootEst
-		if ex.DenseCostNS = den.DenseCost; den.SparseOK {
-			ex.SparseCostNS = den.SparseCost
+		if ex.DenseCostNS = math.Round(den.DenseCost); den.SparseOK {
+			ex.SparseCostNS = math.Round(den.SparseCost)
 		}
 	}
 	ex.Nodes = make([]ExplainNode, len(p.Nodes))
