@@ -163,14 +163,15 @@ func TestRunStream(t *testing.T) {
 }
 
 // TestRunExplain pins -explain on a 3-hop chain written with four variables:
-// the tree is the minimised width-3 plan that ran, with its per-node profile.
+// the tree is the minimised width-3 plan that ran, with its per-node profile,
+// the route it took and the two modelled costs the route was chosen by.
 func TestRunExplain(t *testing.T) {
 	var out, errw strings.Builder
 	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", 0, false, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"minimized: width 4 → 3\n", "width 3 · domain 4", "route dense", "1 evals"} {
+	for _, want := range []string{"minimized: width 4 → 3\n", "width 3 · domain 4", "route sparse (model: dense ", ", sparse ", "1 evals"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("explain output lacks %q:\n%s", want, out.String())
 		}

@@ -3,8 +3,8 @@
 // cost coefficients of plan.Density are fitted on and as a table test that
 // holds every benchmark family to a route by name.
 //
-//	go test ./internal/eval -run TestCrossoverSweep -crossover.sweep > CROSSOVER_22.jsonl
-//	go test ./internal/eval -run TestCrossoverFit -crossover.fit CROSSOVER_22.jsonl -v
+//	go test ./internal/eval -run TestCrossoverSweep -crossover.sweep -v | grep '^{' > CROSSOVER_22.jsonl
+//	go test ./internal/eval -run TestCrossoverFit -crossover.fit $PWD/CROSSOVER_22.jsonl -v
 //
 // (`make crossover`). The sweep runs every cell on the forced dense, the forced
 // sparse and the auto route, cross-checks their answer sizes (the answers

@@ -43,12 +43,12 @@ func startOn(t *testing.T, name string, p *plan.Plan, db *database.Database, opt
 	return evalRoute(context.Background(), p, db, opts, rt, nil, false, false)
 }
 
-// TestForcedHandOff starts a transitive closure over a near-complete graph on
+// TestDifferentialHandOff starts a transitive closure over a near-complete graph on
 // the sparse route and a reachability over a path on the dense one — the wrong
 // route each — with the hand-off price lowered: the loop must move once, at a
 // stage boundary, and the other algebra must continue the stage sequence where
 // it stopped, to the byte-identical answer.
-func TestForcedHandOff(t *testing.T) {
+func TestDifferentialHandOff(t *testing.T) {
 	b := database.NewBuilder().Relation("E", 2).Relation("P", 1)
 	for i := 0; i < 12; i++ {
 		b.Domain(i)
@@ -110,12 +110,12 @@ func TestForcedHandOff(t *testing.T) {
 	}
 }
 
-// TestAbandonedRunStatsFolded: a free sparse run that overruns its budget
+// TestDifferentialAbandonedRunStats: a free sparse run that overruns its budget
 // outside any stage loop is rerun dense, and what it did before giving up —
 // node constructions, tuples touched — stays in the Stats, with the switch
 // counted; a run that overruns inside a seedable loop hands the loop over from
 // its last whole stage instead of starting again from ∅.
-func TestAbandonedRunStatsFolded(t *testing.T) {
+func TestDifferentialAbandonedRunStats(t *testing.T) {
 	db := randomGraph(t, rand.New(rand.NewSource(5)), 9)
 	twoHop := logic.MustQuery([]logic.Var{"x", "y"},
 		logic.Exists(logic.And(logic.R("E", "x", "z"), logic.R("E", "z", "y")), "z"))

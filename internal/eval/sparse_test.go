@@ -477,7 +477,7 @@ func TestSparseCancellation(t *testing.T) {
 // TestSparseBudgetFallsBackToDense forces a tiny budget on a feasible space:
 // the explicit sparse backend must fail with ErrSparseBudget, while auto —
 // on the dense route from the start or after a sparse attempt
-// (TestAbandonedRunStatsFolded) — still answers.
+// (TestDifferentialAbandonedRunStats) — still answers.
 func TestSparseBudgetFallsBackToDense(t *testing.T) {
 	db := randomGraph(t, rand.New(rand.NewSource(5)), 6)
 	// ¬E forces a complement whose block exceeds a budget of 2 tuples.
