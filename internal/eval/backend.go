@@ -242,7 +242,7 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 	}
 	stats := &Stats{}
 	var ho *handOffs
-	if rt.free {
+	if rt.free && p.Maint.OK { // nothing to watch without a seedable loop
 		ho = &handOffs{den: rt.den, regret: make([]float64, p.NumBinders)}
 		ho.moved[0], ho.moved[1] = make([]bool, p.NumBinders), make([]bool, p.NumBinders)
 	}

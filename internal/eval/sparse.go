@@ -218,7 +218,7 @@ func (sa *sparseAlg) bytes(v *sval) int64      { return 8*int64(v.rel.Count()+le
 func (sa *sparseAlg) release(*sval)            {}
 
 func (sa *sparseAlg) check(n int, sv *sval) error {
-	if got, want := maskOfAxes(sv.sup), sa.den.Support[n]; got != want || sv.neg != sa.den.Neg[n] {
+	if got, want := plan.AxisMask(sv.sup), sa.den.Support[n]; got != want || sv.neg != sa.den.Neg[n] {
 		return fmt.Errorf("eval: internal: node %d support %b/neg=%v, analysis says %b/neg=%v",
 			n, got, sv.neg, want, sa.den.Neg[n])
 	}
@@ -549,14 +549,6 @@ func distinctSortedAxes(axes []int) []int {
 	out := slices.Clone(axes)
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-func maskOfAxes(axes []int) uint64 {
-	var m uint64
-	for _, ax := range axes {
-		m |= 1 << uint(ax)
-	}
-	return m
 }
 
 // mergeAxes is the sorted union of two sorted axis lists; sharedAxes their

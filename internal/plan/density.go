@@ -182,10 +182,7 @@ func (d *Density) node(id int) {
 		if nd.Binder >= 0 {
 			axes = p.AtomAxes(id)
 		}
-		var sup uint64
-		for _, a := range axes {
-			sup |= 1 << uint(a)
-		}
+		sup := AxisMask(axes)
 		d.Support[id] = sup
 		if nd.Binder >= 0 {
 			est = d.stage[nd.Binder]
@@ -279,14 +276,7 @@ func (d *Density) node(id int) {
 // less than one tuple; and prices the loop on either route.
 func (d *Density) fix(id int, fx *FixInfo) {
 	p, b := d.p, fx.Binder
-	var sup uint64
-	for _, a := range fx.ArgAxes {
-		sup |= 1 << uint(a)
-	}
-	for _, a := range fx.ParamAxes {
-		sup |= 1 << uint(a)
-	}
-	d.Support[id] = sup
+	d.Support[id] = AxisMask(fx.ArgAxes) | AxisMask(fx.ParamAxes)
 	ok := d.capable[fx.Body]
 	if fx.Op != logic.LFP && fx.Op != logic.IFP {
 		ok = false
@@ -295,6 +285,11 @@ func (d *Density) fix(id int, fx *FixInfo) {
 	if d.Neg[fx.Body] {
 		ok = false
 		d.block(fmt.Sprintf("fixpoint %s body is negatively represented; stage extraction would complement every stage", fx.Rel))
+	}
+	if d.Support[fx.Body]&^AxisMask(fx.ExtCols) != 0 {
+		// An enclosing binder's parameters, read through its recursion atoms.
+		ok = false
+		d.block(fmt.Sprintf("fixpoint %s body constrains axes outside its stage columns", fx.Rel))
 	}
 	d.capable[id] = ok
 
@@ -386,22 +381,32 @@ func (d *Density) fix(id int, fx *FixInfo) {
 	}
 }
 
-// route totals the two routes and labels the dense run's sparse frontier.
-// sub[n] is the cost of the subtree under a recursion-free node (shared nodes
-// counted per parent: the labels need the comparison, not the total).
+// route totals the two routes and labels the dense run's sparse frontier by
+// subtree cost (shared nodes counted per parent: labels need the comparison).
 func (d *Density) route() {
 	p := d.p
-	subDense, subSparse := make([]float64, len(p.Nodes)), make([]float64, len(p.Nodes))
-	// convert is what cylindrifying a sparse value of node id into the dense
-	// space costs: what a dense atom of its size would.
-	convert := func(id int) float64 {
-		return Cost{1, d.words, d.Est[id] * d.pow(d.K-bits.OnesCount64(d.Support[id]))}.NS(DenseCoef)
+	// The totals: the root projected onto the head columns, and every
+	// recursion-free node once (the others are charged to their fixpoint's loop).
+	d.DenseFeat, d.SparseFeat = Cost{1, d.words, 0}, Cost{1, d.RootEst, 0}
+	for id := range p.Nodes {
+		if p.Deps[id] == 0 {
+			d.DenseFeat, d.SparseFeat = d.DenseFeat.plus(d.dense[id]), d.SparseFeat.plus(d.sparse[id])
+		}
 	}
+	d.DenseCost, d.SparseCost = d.DenseFeat.NS(DenseCoef), d.SparseFeat.NS(SparseCoef)
+	// A plan with an all-sparse route is not offered the frontier: a third
+	// alternative within the model's error only adds ways to choose wrong.
+	if d.SparseOK {
+		return
+	}
+	if d.SparseCost = math.Inf(1); !d.SpaceFeasible {
+		return
+	}
+	subDense, subSparse := make([]float64, len(p.Nodes)), make([]float64, len(p.Nodes))
 	for id := range p.Nodes {
 		if p.Deps[id] != 0 {
-			continue // constructed inside a fixpoint's loop, and charged there
+			continue
 		}
-		d.DenseFeat, d.SparseFeat = d.DenseFeat.plus(d.dense[id]), d.SparseFeat.plus(d.sparse[id])
 		subDense[id], subSparse[id] = d.dense[id].NS(DenseCoef), d.sparse[id].NS(SparseCoef)
 		kids := p.Nodes[id].Kids
 		if fx := p.Nodes[id].Fix; fx != nil {
@@ -411,20 +416,20 @@ func (d *Density) route() {
 			subDense[id] += subDense[kid]
 			subSparse[id] += subSparse[kid]
 		}
-		// A plan with an all-sparse route is not offered the frontier: a third
-		// alternative within the model's error of the other two only adds ways
-		// to choose wrong (EXPERIMENTS.md "PR 22").
-		if d.SpaceFeasible && !d.SparseOK && d.capable[id] && subSparse[id]+convert(id) < subDense[id] {
+		// Cylindrifying a sparse value costs what a dense atom of its size would.
+		convert := Cost{1, d.words, d.Est[id] * d.pow(d.K-bits.OnesCount64(d.Support[id]))}.NS(DenseCoef)
+		if d.capable[id] && subSparse[id]+convert < subDense[id] {
 			d.Mode[id], d.Frontier = NodeSparse, true
 		}
 	}
-	// The root is projected onto the head columns on either route.
-	d.DenseFeat = d.DenseFeat.plus(Cost{1, d.words, 0})
-	d.SparseFeat = d.SparseFeat.plus(Cost{1, d.RootEst, 0})
-	d.DenseCost, d.SparseCost = d.DenseFeat.NS(DenseCoef), d.SparseFeat.NS(SparseCoef)
-	if !d.SparseOK {
-		d.SparseCost = math.Inf(1)
+}
+
+// AxisMask is the bitmask of a list of axes.
+func AxisMask(axes []int) (m uint64) {
+	for _, a := range axes {
+		m |= 1 << uint(a)
 	}
+	return m
 }
 
 // feasiblePow reports nᵏ ≤ limit without overflowing.
