@@ -1,6 +1,6 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27751
+LOC_CEILING = 27848
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
 
@@ -45,10 +45,6 @@ all: vet test build
 # a leaf of the import graph (any tier may record spans without linking the
 # evaluator), and the gate ends with the size report (loc), which fails above
 # LOC_CEILING: the non-test line count is a gate, not a figure in prose.
-# bench's TestLayerTimings is skipped until a [benchmark] PR updates it: it
-# asserts that churn-direct's replayed misses yield eval.dense_ms samples, and
-# since PR 22 every one of them takes the sparse route (they yield
-# eval.sparse_ms); bench/ is not this PR's to edit.
 check: docs
 	$(GO) vet ./...
 	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }
@@ -64,7 +60,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzUpdateBody -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
 	$(GO) -C bench vet ./...
-	$(GO) -C bench test -skip '^TestLayerTimings$$' ./...
+	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck
 	./scripts/stream_smoke.sh
 	./scripts/fleet_smoke.sh

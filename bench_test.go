@@ -563,10 +563,9 @@ func wideChain(b *testing.B, m int) logic.Query {
 // ---- KERNELS: word-parallel dense-relation microbenchmarks ----
 //
 // The quantifier kernels are the inner loop of every bottom-up evaluation:
-// one ExistsAxis/ForallAxis per quantifier per subformula visit: the
-// word-parallel fold (block path for stride ≥ 64, masked-word path below).
-// The bit-level reference oracle it was compared against (EXPERIMENTS.md)
-// lives with the property tests that use it.
+// one ExistsAxis/ForallAxis per quantifier per subformula visit. The word/
+// ref pairs compare the word-parallel fold (block path for stride ≥ 64,
+// masked-word path below) against the bit-level reference oracle.
 
 func randomDenseBench(sp *relation.Space, seed int64) *relation.Dense {
 	r := rand.New(rand.NewSource(seed))
@@ -589,6 +588,11 @@ func BenchmarkDenseExistsAxis(b *testing.B) {
 					d.ExistsAxis(axis).Release()
 				}
 			})
+			b.Run(fmt.Sprintf("ref/%d^%d/axis=%d", sh.n, sh.k, axis), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.ExistsAxisRef(axis).Release()
+				}
+			})
 		}
 	}
 }
@@ -601,6 +605,11 @@ func BenchmarkDenseForallAxis(b *testing.B) {
 			b.Run(fmt.Sprintf("word/%d^%d/axis=%d", sh.n, sh.k, axis), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					d.ForallAxis(axis).Release()
+				}
+			})
+			b.Run(fmt.Sprintf("ref/%d^%d/axis=%d", sh.n, sh.k, axis), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.ForallAxisRef(axis).Release()
 				}
 			})
 		}

@@ -171,11 +171,13 @@ func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Databa
 }
 
 // start installs a top-level run's hand-off state, seed and capture request,
-// and returns whether the run captures: a maintainable plan's only.
+// and returns whether the run captures: a maintainable plan's only. A run that
+// may hand off but does not capture keeps no stages for the hand-off: that
+// would cost every loop that stays put a stageOf for the one that moves.
 func (r *run[V]) start(ho *handOffs, seed *MaintState, capture bool) bool {
 	r.ho, r.seed = ho, seed
 	capture = capture && r.p.Maint != nil && r.p.Maint.OK
-	if (capture || ho != nil) && r.captured == nil {
+	if capture && r.captured == nil {
 		r.captured = make([]*relation.Sparse, r.p.NumBinders)
 	}
 	return capture
@@ -529,12 +531,16 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 
 // handOff is the error that moves the evaluation to the other route with
 // binder b's loop resuming after its stage-th stage, cur: the seed is that
-// stage, the final stages of the seedable binders this run has finished, and
-// whatever the run itself was seeded with for the others.
+// stage, the final stages of the seedable binders this run has finished — where
+// it kept them (a capturing or node-sharing run; any other reruns those loops
+// from what it was seeded with) — and the run's own seed for the others.
 func (r *run[V]) handOff(b int, cur V, stage int) error {
 	seed := &MaintState{stages: make([]*relation.Sparse, r.p.NumBinders), at: make([]int, r.p.NumBinders)}
 	for i := range seed.stages {
-		if seed.stages[i] = r.captured[i]; seed.stages[i] == nil {
+		if r.captured != nil {
+			seed.stages[i] = r.captured[i]
+		}
+		if seed.stages[i] == nil {
 			seed.stages[i], _ = r.seed.from(i)
 		}
 	}

@@ -42,7 +42,8 @@ var (
 )
 
 // simStages bounds the stages the sizing pass runs one fixpoint for, simBudget
-// the node estimates of all of them (nested fixpoints multiply).
+// the node estimates of all of them (nested fixpoints multiply): past it a
+// fixpoint is sized by its first stage.
 const simStages, simBudget = 64, 4096
 
 // Density is the per-node representation analysis of a plan against one
@@ -312,7 +313,7 @@ func (d *Density) fix(id int, fx *FixInfo) {
 	lc := &d.Loop[b]
 	*lc = LoopCost{}
 	var sumCount float64
-	for lc.Stages < simStages && d.budget > 0 {
+	for lc.Stages < simStages && (d.budget > 0 || lc.Stages == 0) {
 		d.stage[b] = cur
 		for _, n := range p.Dirty[b] {
 			d.node(n)

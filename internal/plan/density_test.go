@@ -116,3 +116,48 @@ func TestDensityNegationPolarity(t *testing.T) {
 		t.Fatalf("negated atom must carry negative polarity")
 	}
 }
+
+// TestDensityNestedFixpointsPastBudget: five fixpoints, each reading the one
+// around it, multiply the sizing pass's stage loops past simBudget, and the
+// outermost body has one more after them. That one comes up with no budget
+// left and is sized by one stage, not by none — a loop of no stages would
+// price the fixpoint at one node on both routes.
+func TestDensityNestedFixpointsPastBudget(t *testing.T) {
+	reach := func(rel string, from logic.Formula) logic.Formula {
+		return logic.Lfp(rel, []logic.Var{"x"}, logic.Or(from, logic.Exists(logic.And(logic.R("E", "x", "y"),
+			logic.Exists(logic.And(logic.Equal("x", "y"), logic.R(rel, "x")), "x")), "y")), "x")
+	}
+	rels := []string{"P", "A", "B", "C", "D", "F"} // each fixpoint starts from the relation before it
+	var f logic.Formula
+	for i := len(rels) - 1; i > 0; i-- {
+		from := logic.Formula(logic.R(rels[i-1], "x"))
+		if i < len(rels)-1 {
+			from = logic.Or(from, f)
+		}
+		if i == 1 {
+			from = logic.Or(from, reach("G", logic.R("A", "x")))
+		}
+		f = reach(rels[i], from)
+	}
+	p, err := Compile(logic.MustQuery([]logic.Var{"x"}, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	den := p.Density(4096, func(rel string) int {
+		if rel == "P" {
+			return 8
+		}
+		return 4500
+	})
+	if den.budget > 0 {
+		t.Fatalf("the sizing pass must run out of budget here: %d left", den.budget)
+	}
+	for b, lc := range den.Loop {
+		if lc.Stages < 1 || lc.DenseStage <= 0 || lc.SparseStage <= 0 {
+			t.Errorf("binder %d is priced over no stage: %+v", b, lc)
+		}
+	}
+	if !(den.SparseCost > 0 && den.SparseCost < den.DenseCost) {
+		t.Errorf("reachability over 4096 nodes of out-degree 1.1 must be priced sparse: dense %g, sparse %g", den.DenseCost, den.SparseCost)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sort"
 	"strings"
 )
 
@@ -397,4 +398,23 @@ func (ex *Explain) nodeLine(id int) string {
 		line += "  [" + strings.Join(ann, " · ") + "]"
 	}
 	return line
+}
+
+// TopNodes returns up to k node ids ordered by descending wall time — the
+// hot list the server folds into slow-query logs. Zero-eval nodes are
+// skipped.
+func (ex *Explain) TopNodes(k int) []int {
+	ids := make([]int, 0, len(ex.Nodes))
+	for i := range ex.Nodes {
+		if ex.Nodes[i].Evals > 0 {
+			ids = append(ids, i)
+		}
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		return ex.Nodes[ids[a]].WallUS > ex.Nodes[ids[b]].WallUS
+	})
+	if len(ids) > k {
+		ids = ids[:k]
+	}
+	return ids
 }

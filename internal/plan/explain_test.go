@@ -100,8 +100,9 @@ func TestExplainAttachProfile(t *testing.T) {
 	if b := ex.Binders[0]; b.Stages != 6 || b.DeltaTuples != 130 || b.BusyUS != 3000 {
 		t.Fatalf("binder totals = %+v, want stages 6, delta 130, busy 3000us", b)
 	}
-	if n := ex.Nodes[hot]; n.Evals != 7 || n.WallUS != 9000 {
-		t.Fatalf("node %d = %+v, want 7 evals over 9000us", hot, n)
+	top := ex.TopNodes(1)
+	if len(top) != 1 || top[0] != hot {
+		t.Fatalf("TopNodes(1) = %v, want [%d]", top, hot)
 	}
 }
 

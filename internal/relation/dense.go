@@ -492,6 +492,65 @@ func (sp *Space) orBroadcastDoubling(dst, acc *bitset.Set, s int) {
 	sp.putBits(tmp)
 }
 
+// ExistsAxisRef is the bit-level reference implementation of ExistsAxis,
+// kept as the correctness oracle for the word-parallel kernel.
+func (d *Dense) ExistsAxisRef(i int) *Dense {
+	d.sp.checkAxis(i)
+	res := d.sp.Empty()
+	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
+		return res
+	}
+	stride := d.sp.stride[i]
+	seen := d.sp.getBits()
+	seen.ClearAll()
+	d.bits.ForEach(func(idx int) {
+		base := idx - d.sp.Coord(idx, i)*stride
+		if seen.Test(base) {
+			return
+		}
+		seen.Set(base)
+		for v := 0; v < d.sp.n; v++ {
+			res.bits.Set(base + v*stride)
+		}
+	})
+	d.sp.putBits(seen)
+	return res
+}
+
+// ForallAxisRef is the bit-level reference implementation of ForallAxis,
+// kept as the correctness oracle for the word-parallel kernel.
+func (d *Dense) ForallAxisRef(i int) *Dense {
+	d.sp.checkAxis(i)
+	res := d.sp.Empty()
+	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
+		return res
+	}
+	stride := d.sp.stride[i]
+	seen := d.sp.getBits()
+	seen.ClearAll()
+	d.bits.ForEach(func(idx int) {
+		base := idx - d.sp.Coord(idx, i)*stride
+		if seen.Test(base) {
+			return
+		}
+		seen.Set(base)
+		all := true
+		for v := 0; v < d.sp.n; v++ {
+			if !d.bits.Test(base + v*stride) {
+				all = false
+				break
+			}
+		}
+		if all {
+			for v := 0; v < d.sp.n; v++ {
+				res.bits.Set(base + v*stride)
+			}
+		}
+	})
+	d.sp.putBits(seen)
+	return res
+}
+
 // ProjectAt computes, over the target space esp (arity len(cols), same
 // domain), the dense relation
 //

@@ -233,61 +233,3 @@ func TestReleaseRecyclesCleanly(t *testing.T) {
 	}
 	f.Release()
 }
-
-// ExistsAxisRef is the bit-level reference implementation of ExistsAxis: the
-// correctness oracle of the word-parallel kernel.
-func (d *Dense) ExistsAxisRef(i int) *Dense {
-	d.sp.checkAxis(i)
-	res := d.sp.Empty()
-	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
-		return res
-	}
-	stride := d.sp.stride[i]
-	seen := d.sp.getBits()
-	seen.ClearAll()
-	d.bits.ForEach(func(idx int) {
-		base := idx - d.sp.Coord(idx, i)*stride
-		if seen.Test(base) {
-			return
-		}
-		seen.Set(base)
-		for v := 0; v < d.sp.n; v++ {
-			res.bits.Set(base + v*stride)
-		}
-	})
-	d.sp.putBits(seen)
-	return res
-}
-
-// ForallAxisRef is the bit-level reference implementation of ForallAxis.
-func (d *Dense) ForallAxisRef(i int) *Dense {
-	d.sp.checkAxis(i)
-	res := d.sp.Empty()
-	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
-		return res
-	}
-	stride := d.sp.stride[i]
-	seen := d.sp.getBits()
-	seen.ClearAll()
-	d.bits.ForEach(func(idx int) {
-		base := idx - d.sp.Coord(idx, i)*stride
-		if seen.Test(base) {
-			return
-		}
-		seen.Set(base)
-		all := true
-		for v := 0; v < d.sp.n; v++ {
-			if !d.bits.Test(base + v*stride) {
-				all = false
-				break
-			}
-		}
-		if all {
-			for v := 0; v < d.sp.n; v++ {
-				res.bits.Set(base + v*stride)
-			}
-		}
-	})
-	d.sp.putBits(seen)
-	return res
-}

@@ -210,6 +210,20 @@ func (s *Set) SelectEq(i, j int) *Set {
 	return out
 }
 
+// SelectConst returns { t ∈ s | t_i = v }.
+func (s *Set) SelectConst(i, v int) *Set {
+	if i < 0 || i >= s.arity {
+		panic(fmt.Sprintf("relation: selection column %d out of arity %d", i, s.arity))
+	}
+	out := NewSet(s.arity)
+	for k, t := range s.m {
+		if t[i] == v {
+			out.m[k] = t
+		}
+	}
+	return out
+}
+
 // JoinOn is one equality condition of an equijoin: left column = right column.
 type JoinOn struct {
 	Left, Right int

@@ -91,6 +91,10 @@ func TestProjectProductSelect(t *testing.T) {
 	if !sel.Equal(SetOf(2, Tuple{1, 1})) {
 		t.Fatalf("SelectEq = %v", sel)
 	}
+	sc := s.SelectConst(0, 1)
+	if !sc.Equal(SetOf(2, Tuple{1, 2}, Tuple{1, 4})) {
+		t.Fatalf("SelectConst = %v", sc)
+	}
 }
 
 func TestJoin(t *testing.T) {

@@ -78,12 +78,10 @@ func (q *query) rowValue() func(int) int {
 // rowBufs pools the buffers both writers render rows into.
 var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// The NDJSON delivery contract: the header line leaves with the first row, in
-// one write the moment that row exists (the evaluation is over by then), so
-// time to first row is the engine's and costs one wake-up of the client, not
-// two; every later line waits until streamFlushBytes are pending or a row
-// arrives more than streamFlushAge after the last flush; the trailer flushes
-// what is left — the header too, when there was no row.
+// The NDJSON delivery contract: the header line and the first row are each
+// flushed the moment they exist, so time to first row is the engine's; every
+// later line waits until streamFlushBytes are pending or a row arrives more
+// than streamFlushAge after the last flush; the trailer flushes what is left.
 // A fast drain costs a write per 32 KiB instead of one per row, and a slow
 // one still delivers each row as it is found.
 const (
@@ -160,6 +158,10 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		ResultCached: q.cached,
 	}
 	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail
+	if lb.flush() != nil {
+		s.metrics.streamDisconnects.Inc()
+		return
+	}
 
 	var collect *relation.Set
 	if fresh && !q.req.NoCache && q.req.Limit == 0 && q.req.Offset == 0 {
