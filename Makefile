@@ -1,6 +1,6 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27848
+LOC_CEILING = 28244
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
 
@@ -22,7 +22,9 @@ all: vet test build
 # OPERATIONS.md family reference cannot drift from what the server
 # registers, a single-iteration benchmark smoke pass so the benchmarks
 # themselves cannot rot (the server's pair is a cached 4,096-row answer read
-# as JSON and drained as NDJSON over loopback), five seconds of the row
+# as JSON and drained as NDJSON over loopback; eval's BenchmarkSparseFix is the
+# sparse stage loop whose allocations TestSparseFixAllocs holds down; the
+# router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
 # conjunctive query through plan.Compile answers as the naive oracle does)
@@ -53,7 +55,7 @@ check: docs
 	$(GO) test -race -count=1 -run 'TestDifferential|TestCompiled|TestChurn|TestMaintain|TestUpdate|TestEnum|TestStream' ./internal/eval/ ./internal/server/
 	$(GO) test -count=1 -run 'TestSparseLargeDomainTC' ./internal/eval/
 	$(GO) test -count=1 -run 'TestMetricsDocumented' ./internal/server/
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/ ./internal/router/
 	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/

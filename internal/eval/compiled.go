@@ -201,7 +201,7 @@ func (a *denseAlg) deltaOr(_, dl, dr *relation.Dense) (*relation.Dense, error) {
 	return dv, nil
 }
 
-func (a *denseAlg) deltaAnd(dl, r, dr, l *relation.Dense) (*relation.Dense, error) {
+func (a *denseAlg) deltaAnd(dl, r, dr, l *relation.Dense, _, _ bool) (*relation.Dense, error) {
 	dv := a.sp.Empty()
 	if dl != nil {
 		dv.UnionAndSparse(dl, r)
@@ -276,6 +276,6 @@ func (a *denseAlg) mergeParams(out, limit *relation.Dense, assign []int) {
 func (a *denseAlg) count(v *relation.Dense) int      { return v.Count() }
 func (a *denseAlg) arity(v *relation.Dense) int      { return v.Space().Arity() }
 func (a *denseAlg) touched(int) int64                { return 0 }
-func (a *denseAlg) bytes(v *relation.Dense) int64    { return int64(v.Space().Size()+7) / 8 }
+func (a *denseAlg) freeze(v *relation.Dense) int64   { return int64(v.Space().Size()+7) / 8 }
 func (a *denseAlg) check(int, *relation.Dense) error { return nil }
 func (a *denseAlg) release(v *relation.Dense)        { v.Release() }

@@ -31,11 +31,12 @@ import (
 // binder's own, narrower space) alike; the zero V means "no value" (an empty
 // delta, an unbound stage).
 //
-// Ownership follows the dense discipline, the stricter of the two: a value
-// an op returns belongs to the caller, an op that consumes an argument may
-// reuse its storage (the caller continues with the result only), and release
-// hands storage back. Sparse values are immutable heap blocks, so the sparse
-// algebra consumes nothing and its release is a no-op.
+// Ownership is one discipline for both: a value an op returns belongs to the
+// caller, an op that consumes an argument may reuse its storage (the caller
+// continues with the result only), and release hands storage back — to a
+// Space's bitmap pool, to a sparse run's free list of blocks. What the run
+// does not own (owned[n] false: the node store has seen it, or a fork
+// inherited it) it neither consumes nor releases, and clones before writing.
 type algebra[V comparable] interface {
 	// atom is the database atom rel(args).
 	atom(rel string, args []int) (V, error)
@@ -54,7 +55,9 @@ type algebra[V comparable] interface {
 	// child value, ΔS is stageAtom). One of dl, dr may be the zero V. old is
 	// the node's current value, l and r the children's.
 	deltaOr(old, dl, dr V) (V, error)
-	deltaAnd(dl, r, dr, l V) (V, error)
+	// rFixed and lFixed say that r and l are no dirty node's: the same value in
+	// every stage of the loop, so what an algebra derives from one may be kept.
+	deltaAnd(dl, r, dr, l V, rFixed, lFixed bool) (V, error)
 	deltaExists(dk V, axis int) (V, error)
 
 	clone(a V) V
@@ -67,7 +70,8 @@ type algebra[V comparable] interface {
 	// Stage spaces: relations of the given arity over the domain.
 	empty(arity int) (V, error)
 	full(arity int) (V, error)
-	// fromStage and stageOf convert a stage from and to sorted tuple codes.
+	// fromStage and stageOf convert a stage from and to sorted tuple codes,
+	// which outlive the run: v stays readable, and is never written again.
 	fromStage(s *relation.Sparse, arity int) (V, error)
 	stageOf(v V) *relation.Sparse
 	// project maps a node value onto the columns cols (a stage or the head
@@ -83,12 +87,13 @@ type algebra[V comparable] interface {
 	mergeParams(out, limit V, assign []int)
 
 	// count and arity are what v reports to Stats; touched is the
-	// Stats.TuplesTouched charge for writing that many tuples; bytes is v's
-	// size in a NodeStore.
+	// Stats.TuplesTouched charge for writing that many tuples.
 	count(v V) int
 	arity(v V) int
 	touched(tuples int) int64
-	bytes(v V) int64
+	// freeze readies v for the NodeStore, where other runs read it, and returns
+	// its size there.
+	freeze(v V) int64
 	// check asserts node n's fresh value against the algebra's static analysis.
 	check(n int, v V) error
 	release(v V)
@@ -262,7 +267,7 @@ func (r *run[V]) evalNode(n int) (V, error) {
 	}
 	cnt := r.alg.count(v)
 	r.observe(v, cnt, cnt)
-	owned := key == "" || !r.store.put(key, v, stage, r.alg.bytes(v)) // kept is frozen; refused stays this run's to release
+	owned := key == "" || !r.store.put(key, v, stage, r.alg.freeze(v)) // kept is frozen; refused stays this run's to release
 	r.val[n], r.owned[n], r.valid[n], r.valCnt[n] = v, owned, true, cnt
 	return v, nil
 }
@@ -569,6 +574,7 @@ func (r *run[V]) deltaStage(fx *plan.FixInfo, deltaExt V) (V, int, error) {
 	var zero V
 	p := r.p
 	sched := p.Sched[fx.Binder] // equals Dirty[b]: deltaOK forbids covered subtrees
+	fixed := func(k int) bool { return p.Deps[k]&(1<<uint(fx.Binder)) == 0 }
 	defer func() {
 		for _, n := range sched {
 			if r.deltas[n] != zero {
@@ -597,7 +603,8 @@ func (r *run[V]) deltaStage(fx *plan.FixInfo, deltaExt V) (V, int, error) {
 		case plan.OpOr:
 			dv, err = r.alg.deltaOr(r.val[n], dk[0], dk[1])
 		case plan.OpAnd:
-			dv, err = r.alg.deltaAnd(dk[0], r.val[nd.Kids[1]], dk[1], r.val[nd.Kids[0]])
+			l, rt := nd.Kids[0], nd.Kids[1]
+			dv, err = r.alg.deltaAnd(dk[0], r.val[rt], dk[1], r.val[l], fixed(rt), fixed(l))
 		case plan.OpExists:
 			dv, err = r.alg.deltaExists(dk[0], nd.Axis)
 		case plan.OpForall:

@@ -27,7 +27,7 @@ func tcIFP() logic.Query {
 	return logic.MustQuery([]logic.Var{"x", "y"}, body)
 }
 
-func mustCompile(t *testing.T, q logic.Query) *plan.Plan {
+func mustCompile(t testing.TB, q logic.Query) *plan.Plan {
 	t.Helper()
 	p, err := plan.Compile(q)
 	if err != nil {

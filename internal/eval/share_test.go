@@ -264,6 +264,63 @@ func TestSharedStoreConcurrent(t *testing.T) {
 	if st := store.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Bytes > 16<<10 {
 		t.Fatalf("the store was not exercised: %+v", st)
 	}
+
+	// Two runs at once extend forks of one stored closure: each restarts the
+	// loop from the stage the store holds, on a successor snapshot that adds an
+	// edge, and unions what that derives — in a block of its own. The stored
+	// blocks must come out byte for byte what they were.
+	tc, err := parser.ParseQuery("(x, y). P(x) & [lfp T(x, y). E(x, y) | (exists z. (E(x, z) & T(z, y)))](x, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, tdb, ctx := mustCompile(t, tc), forestDB(40, 8), context.Background()
+	big := NewNodeStore(1 << 20)
+	var state *MaintState
+	for pass := 0; pass < 3; pass++ {
+		_, st, ms, err := EvalPlanCapture(ctx, p, tdb, &Options{Backend: BackendSparse, Nodes: big})
+		if err != nil || (pass == 2 && st.NodesShared == 0) {
+			t.Fatalf("pass %d: %v, %+v", pass, err, st)
+		}
+		state = ms
+	}
+	held := map[*relation.Sparse]*relation.Sparse{}
+	for el := big.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*storeEntry)
+		held[e.val.(*sval).rel] = e.val.(*sval).rel.Clone()
+		if e.stage != nil {
+			held[e.stage] = e.stage.Clone()
+		}
+	}
+	if len(held) == 0 || held[state.stages[0]] == nil {
+		t.Fatalf("the closure's stage is not the store's: %d blocks held", len(held))
+	}
+	for w, edge := range []relation.Tuple{{7, 8}, {15, 16}} {
+		wg.Add(1)
+		go func(w int, edge relation.Tuple) {
+			defer wg.Done()
+			next, delta, err := tdb.Apply([]database.Update{{Relation: "E", Insert: []relation.Tuple{edge}}})
+			if err != nil || !CanMaintain(p, delta) {
+				t.Errorf("worker %d: %v", w, err)
+				return
+			}
+			want, _, err := EvalPlanContext(ctx, p, next, &Options{Backend: BackendDense, Parallelism: 1})
+			for i := 0; i < 20 && err == nil; i++ {
+				var got *relation.Set
+				if got, _, _, err = EvalPlanMaintained(ctx, p, next, &Options{Backend: BackendSparse, Nodes: big}, state); err == nil && !got.Equal(want) {
+					t.Errorf("worker %d: maintained closure has %d pairs, want %d", w, got.Len(), want.Len())
+				}
+			}
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+			}
+		}(w, edge)
+	}
+	wg.Wait()
+	for rel, was := range held {
+		if !rel.Equal(was) || rel.Cap() != was.Count() {
+			t.Fatalf("a stored block changed under the runs that forked it: %d tuples in room for %d, was %d", rel.Count(), rel.Cap(), was.Count())
+		}
+	}
 }
 
 // TestNodeStoreAccounting pins the store's policy on a fixed sequence:
@@ -346,6 +403,39 @@ func TestNodeStoreAccounting(t *testing.T) {
 	}
 	if (*NodeStore)(nil).Stats() != (NodeStoreStats{}) {
 		t.Fatal("the nil store has counted something")
+	}
+
+	// What a sparse run leaves in a store is charged for what it occupies: a
+	// value grown in place has room to spare until it is frozen, and a block
+	// kept with that room would hold up to twice the bytes the budget counts.
+	q, err := parser.ParseQuery("(x, y). S(x) & [lfp T(x, y). E(x, y) | (exists z. (E(x, z) & T(z, y)))](x, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewNodeStore(1 << 20)
+	for _, c := range sparseFixCases(t)[:2] { // forest and out-degree 3
+		for pass := 0; pass < 2; pass++ {
+			if _, _, _, err := EvalPlanCapture(context.Background(), mustCompile(t, q), c.db, &Options{Backend: BackendSparse, Nodes: store}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fixpoints := 0
+	for el := store.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*storeEntry)
+		sv := e.val.(*sval)
+		occupied := 8 * int64(sv.rel.Cap())
+		if e.stage != nil {
+			fixpoints++
+			occupied += 8 * int64(e.stage.Cap())
+		}
+		if e.bytes < occupied || !sv.shared || sv.rel.Cap() != sv.rel.Count() {
+			t.Fatalf("an entry charged %d bytes occupies %d (%d tuples in room for %d), shared %v",
+				e.bytes, occupied, sv.rel.Count(), sv.rel.Cap(), sv.shared)
+		}
+	}
+	if fixpoints != 2 {
+		t.Fatalf("%d fixpoints with their stages were stored, want one per database", fixpoints)
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -41,22 +42,39 @@ type sval struct {
 	// neg marks that rel is the complement block: the value contains exactly
 	// the tuples whose sup-projection is NOT in rel.
 	neg bool
+	// shared marks rel as held by someone besides this value — another value an
+	// op passed the block through to (alias), the node store, a captured stage,
+	// a seed — and so never again written or released. An unshared value is its
+	// one holder's: union and minus, which consume it, work in its block, and
+	// release recycles that.
+	shared bool
 }
 
 // sparseAlg is the sparse algebra: node values are svals, stages svals over
-// the stage space's own positions 0..arity−1. Blocks are immutable heap
-// values (no pool), so nothing is consumed and release is a no-op. Only
-// bottom-up stages exist: GFP's full initial stage and PFP's per-parameter
-// projection would complement whole stage spaces, so those ops return
-// errStagesOnly (plan.Density.SparseOK keeps such plans on the dense route).
+// the stage space's own positions 0..arity−1. It honours the executor's
+// ownership contract block by block: an op returns a value in a block of its
+// own, drawn from the run's free list (blocks), or — where it has nothing to
+// compute — an alias, which marks both values shared. Only bottom-up stages
+// exist: GFP's full initial stage and PFP's per-parameter projection would
+// complement whole stage spaces, so those ops return errStagesOnly
+// (plan.Density.SparseOK keeps such plans on the dense route). A run is serial,
+// so neither the free list nor the index cache is locked.
 type sparseAlg struct {
 	db     *database.Database
 	n      int
 	budget int
 	// den is the static support/polarity analysis every computed value is
 	// asserted against.
-	den *plan.Density
+	den    *plan.Density
+	blocks relation.Blocks
+	// index holds, per operand a stage loop leaves fixed, the join layouts
+	// built for it (joinIndex): once per loop, not once per stage.
+	index map[*sval][]*joinIndex
 }
+
+// poisonReleased makes every sparse run poison the blocks it releases
+// (relation.Blocks.Poison); the package's tests run with it set.
+var poisonReleased = false
 
 // newSparseRun is the plan executor over the sparse algebra. It gets no
 // worker tokens — sparse stage work is tuple-bound, not word-bound, so the
@@ -64,6 +82,9 @@ type sparseAlg struct {
 // additionally needs an all-positive dirty region (Density.DeltaSparse).
 func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *run[*sval] {
 	alg := &sparseAlg{db: db, n: db.Size(), budget: sparseBudget(opts), den: den}
+	if poisonReleased {
+		alg.blocks.Poison()
+	}
 	r := newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse, "s")
 	r.sparse = true
 	return r
@@ -91,6 +112,16 @@ func stageSval(rel *relation.Sparse) *sval {
 	return &sval{sup: stageAxes(rel.Arity()), rel: rel}
 }
 
+// alias returns a second value on x's block, for an op that passes its
+// argument through; both are shared from here on. A frozen x is marked
+// already, so that a value other runs read is never written.
+func alias(x *sval) *sval {
+	if !x.shared {
+		x.shared = true
+	}
+	return &sval{sup: x.sup, rel: x.rel, neg: x.neg, shared: true}
+}
+
 func (sa *sparseAlg) atom(name string, args []int) (*sval, error) {
 	rel, err := sa.db.Rel(name)
 	if err != nil {
@@ -99,7 +130,14 @@ func (sa *sparseAlg) atom(name string, args []int) (*sval, error) {
 	return sa.svalFromTuples(args, rel.ForEach)
 }
 
+// stageAtom read through strictly ascending axes keeps columns and order: the
+// stage's own block, no tuple decoded, encoded or sorted.
 func (sa *sparseAlg) stageAtom(stage *sval, axes []int) (*sval, error) {
+	if ascending(axes) {
+		v := alias(stage)
+		v.sup = axes
+		return v, nil
+	}
 	return sa.svalFromTuples(axes, stage.rel.ForEach)
 }
 
@@ -108,7 +146,7 @@ func (sa *sparseAlg) eq(l, r int) (*sval, error) {
 	if l == r {
 		return sa.constant(true)
 	}
-	bld, err := relation.NewSparseBuilder(2, sa.n)
+	bld, err := sa.blocks.Builder(2, sa.n)
 	if err != nil {
 		return nil, err
 	}
@@ -119,15 +157,16 @@ func (sa *sparseAlg) eq(l, r int) (*sval, error) {
 }
 
 func (sa *sparseAlg) not(x *sval) (*sval, error) {
-	return &sval{sup: x.sup, rel: x.rel, neg: !x.neg}, nil
+	v := alias(x)
+	v.neg = !x.neg
+	return v, nil
 }
 
-func (sa *sparseAlg) exists(x *sval, axis int) (*sval, error) { return quantSv(x, axis, false), nil }
-func (sa *sparseAlg) forall(x *sval, axis int) (*sval, error) { return quantSv(x, axis, true), nil }
+func (sa *sparseAlg) exists(x *sval, axis int) (*sval, error) { return sa.quantSv(x, axis, false), nil }
+func (sa *sparseAlg) forall(x *sval, axis int) (*sval, error) { return sa.quantSv(x, axis, true), nil }
 
 // The delta rules run only on all-positive dirty regions, so blocks combine
-// by plain union (nil is the empty delta); kid deltas are widened to the
-// node's support.
+// by plain union; kid deltas are widened to the node's support.
 func (sa *sparseAlg) deltaOr(old, dl, dr *sval) (*sval, error) {
 	var dv *sval
 	for _, dk := range []*sval{dl, dr} {
@@ -138,53 +177,108 @@ func (sa *sparseAlg) deltaOr(old, dl, dr *sval) (*sval, error) {
 		if err != nil {
 			return nil, err
 		}
-		dv = sa.union(dv, wk)
+		dv = sa.gather(dv, wk, wk != dk)
 	}
 	return dv, nil
 }
 
-func (sa *sparseAlg) deltaAnd(dl, r, dr, l *sval) (*sval, error) {
+// deltaAnd probes a side the loop leaves fixed with the other's delta alone.
+func (sa *sparseAlg) deltaAnd(dl, r, dr, l *sval, rFixed, lFixed bool) (*sval, error) {
 	var dv *sval
-	for _, side := range [][2]*sval{{dl, r}, {dr, l}} {
-		if side[0] == nil {
+	for _, side := range []struct {
+		d, other *sval
+		fixed    bool
+	}{{dl, r, rFixed}, {dr, l, lFixed}} {
+		if side.d == nil {
 			continue
 		}
-		j, err := sa.joinSv(side[0], side[1])
+		j, err := sa.joinSv(side.d, side.other, side.fixed)
 		if err != nil {
 			return nil, err
 		}
-		dv = sa.union(dv, j)
+		dv = sa.gather(dv, j, true)
 	}
 	return dv, nil
+}
+
+// gather adds y to dv, a delta being put together (nil: nothing yet), and
+// returns it: a value of the caller's own. made says that y is one too.
+func (sa *sparseAlg) gather(dv, y *sval, made bool) *sval {
+	switch {
+	case dv == nil && made:
+		return y
+	case dv == nil:
+		return alias(y)
+	}
+	dv = sa.union(dv, y)
+	if made {
+		sa.release(y)
+	}
+	return dv
 }
 
 func (sa *sparseAlg) deltaExists(dk *sval, axis int) (*sval, error) { return sa.exists(dk, axis) }
 
-func (sa *sparseAlg) clone(x *sval) *sval { return x }
+// clone copies on write: the value it returns is shared, so the union or minus
+// that consumes it works in a block of its own. x is not marked — it may be a
+// frozen value other runs read — which is sound because the executor clones
+// only what it does not write while the clone lives.
+func (sa *sparseAlg) clone(x *sval) *sval {
+	return &sval{sup: x.sup, rel: x.rel, neg: x.neg, shared: true}
+}
 
 func (sa *sparseAlg) union(x, y *sval) *sval {
-	if x == nil {
-		return y
+	delete(sa.index, x)
+	if rel := sa.blocks.Accumulate(x.rel, y.rel, !x.shared); rel != x.rel {
+		return &sval{sup: x.sup, rel: rel}
 	}
-	return &sval{sup: x.sup, rel: x.rel.Union(y.rel)}
+	return x
 }
 
 func (sa *sparseAlg) minus(x, y *sval) (*sval, int) {
-	d := x.rel.Difference(y.rel)
-	return &sval{sup: x.sup, rel: d}, d.Count()
+	if x.shared {
+		x = &sval{sup: x.sup, rel: sa.blocks.Difference(x.rel, y.rel)}
+	} else {
+		x.rel.Subtract(y.rel)
+	}
+	return x, x.rel.Count()
 }
 
 func (sa *sparseAlg) equal(x, y *sval) bool { return x.rel.Equal(y.rel) }
 
 func (sa *sparseAlg) empty(arity int) (*sval, error) {
-	rel, err := relation.NewSparse(arity, sa.n)
-	return stageSval(rel), err
+	rel, err := sa.blocks.Empty(arity, sa.n)
+	if err != nil {
+		return nil, err
+	}
+	return stageSval(rel), nil
 }
 
 func (sa *sparseAlg) full(int) (*sval, error) { return nil, errStagesOnly }
 
-func (sa *sparseAlg) fromStage(s *relation.Sparse, _ int) (*sval, error) { return stageSval(s), nil }
-func (sa *sparseAlg) stageOf(v *sval) *relation.Sparse                   { return v.rel }
+// fromStage wraps a seed: a block a MaintState, a cache or the store holds.
+func (sa *sparseAlg) fromStage(s *relation.Sparse, _ int) (*sval, error) {
+	v := stageSval(s)
+	v.shared = true
+	return v, nil
+}
+
+// stageOf hands v's block out of the run, frozen.
+func (sa *sparseAlg) stageOf(v *sval) *relation.Sparse {
+	sa.freeze(v)
+	return v.rel
+}
+
+// freeze is what happens to a value before anything outside the run sees it
+// (the node store, a MaintState, a hand-off's seed): it is shared from now on
+// and clipped to its length, so that what is held is what is charged, 8 bytes a
+// tuple. Nothing frozen has room to spare, hence no frozen block is written
+// here: a block with room is this run's, whoever aliases it.
+func (sa *sparseAlg) freeze(v *sval) int64 {
+	sa.blocks.Clip(v.rel)
+	v.shared = true // v is a value this run made: no other run reads its header yet
+	return 8*int64(v.rel.Cap()+len(v.sup)) + 64
+}
 
 // project materializes sv over cols — the one place deferred complements are
 // forced (see materialize).
@@ -195,6 +289,11 @@ func (sa *sparseAlg) project(sv *sval, cols, pinned, _ []int) (*sval, error) {
 	rel, err := sa.materialize(sv, cols)
 	if err != nil {
 		return nil, err
+	}
+	if rel == sv.rel { // positive, over exactly its support in order
+		v := alias(sv)
+		v.sup = stageAxes(rel.Arity())
+		return v, nil
 	}
 	return stageSval(rel), nil
 }
@@ -214,8 +313,13 @@ func (sa *sparseAlg) mergeParams(_, _ *sval, _ []int) {}
 func (sa *sparseAlg) count(v *sval) int        { return v.rel.Count() }
 func (sa *sparseAlg) arity(v *sval) int        { return len(v.sup) }
 func (sa *sparseAlg) touched(tuples int) int64 { return int64(tuples) }
-func (sa *sparseAlg) bytes(v *sval) int64      { return 8*int64(v.rel.Count()+len(v.sup)) + 64 }
-func (sa *sparseAlg) release(*sval)            {}
+
+// release recycles the block of a value nobody shares.
+func (sa *sparseAlg) release(v *sval) {
+	if delete(sa.index, v); !v.shared {
+		sa.blocks.Release(v.rel)
+	}
+}
 
 func (sa *sparseAlg) check(n int, sv *sval) error {
 	if got, want := plan.AxisMask(sv.sup), sa.den.Support[n]; got != want || sv.neg != sa.den.Neg[n] {
@@ -235,11 +339,15 @@ func (sa *sparseAlg) overBudget(what string, need float64) error {
 // repeated positions disagree are dropped, and each axis is stored once.
 func (sa *sparseAlg) svalFromTuples(axes []int, each func(func(relation.Tuple))) (*sval, error) {
 	sup := distinctSortedAxes(axes)
-	bld, err := relation.NewSparseBuilder(len(sup), sa.n)
+	bld, err := sa.blocks.Builder(len(sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
 	buf := make(relation.Tuple, len(sup))
+	col := make([]int, len(axes)) // col[i]: where axes[i] sits in sup
+	for i, ax := range axes {
+		col[i] = slices.Index(sup, ax)
+	}
 	var ferr error
 	each(func(t relation.Tuple) {
 		if ferr != nil {
@@ -248,8 +356,7 @@ func (sa *sparseAlg) svalFromTuples(axes []int, each func(func(relation.Tuple)))
 		for i := range buf {
 			buf[i] = -1
 		}
-		for i, ax := range axes {
-			j := slices.Index(sup, ax)
+		for i, j := range col {
 			if buf[j] >= 0 && buf[j] != t[i] {
 				return // diagonal selection: repeated axis disagrees
 			}
@@ -281,7 +388,8 @@ func (sa *sparseAlg) constant(truth bool) (*sval, error) {
 
 // widenTo inserts cylinder axes so sv's support becomes target (a sorted
 // superset of sv.sup). Each inserted axis multiplies the block by n, so the
-// projected size is budget-checked up front.
+// projected size is budget-checked up front. On an equal support the result is
+// sv itself, not a value of the caller's: see drop.
 func (sa *sparseAlg) widenTo(sv *sval, target []int) (*sval, error) {
 	if len(target) == len(sv.sup) {
 		return sv, nil
@@ -298,11 +406,14 @@ func (sa *sparseAlg) widenTo(sv *sval, target []int) (*sval, error) {
 			j++
 			continue
 		}
-		var err error
-		rel, err = rel.CrossAxis(i)
+		wide, err := sa.blocks.CrossAxis(rel, i)
 		if err != nil {
 			return nil, err
 		}
+		if rel != sv.rel {
+			sa.blocks.Release(rel)
+		}
+		rel = wide
 	}
 	if j != len(sv.sup) {
 		return nil, fmt.Errorf("eval: internal: widening target %v does not cover support %v", target, sv.sup)
@@ -313,7 +424,7 @@ func (sa *sparseAlg) widenTo(sv *sval, target []int) (*sval, error) {
 // and evaluates conjunction by polarity.
 func (sa *sparseAlg) and(a, b *sval) (*sval, error) {
 	if !a.neg && !b.neg {
-		return sa.joinSv(a, b)
+		return sa.joinSv(a, b, false)
 	}
 	if a.neg && !b.neg {
 		a, b = b, a
@@ -323,6 +434,7 @@ func (sa *sparseAlg) and(a, b *sval) (*sval, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sa.drop(wa, a)
 	if !a.neg {
 		// pos ∧ ¬b: the positive side, widened over the union support,
 		// antijoined against the negative block (which is not widened).
@@ -333,7 +445,15 @@ func (sa *sparseAlg) and(a, b *sval) (*sval, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sa.drop(wb, b)
 	return &sval{sup: sup, rel: wa.rel.Union(wb.rel), neg: true}, nil
+}
+
+// drop releases w, widenTo's result for sv, if widening made it.
+func (sa *sparseAlg) drop(w, sv *sval) {
+	if w != sv {
+		sa.release(w)
+	}
 }
 
 // or evaluates disjunction by polarity.
@@ -343,37 +463,46 @@ func (sa *sparseAlg) or(a, b *sval) (*sval, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sa.drop(wa, a)
 	wb, err := sa.widenTo(b, sup)
 	if err != nil {
 		return nil, err
 	}
+	defer sa.drop(wb, b)
 	switch {
 	case !a.neg && !b.neg:
 		return &sval{sup: sup, rel: wa.rel.Union(wb.rel)}, nil
 	case a.neg && b.neg:
 		// ¬a ∨ ¬b = ¬(a ∧ b).
-		return &sval{sup: sup, rel: wa.rel.Intersect(wb.rel), neg: true}, nil
+		return &sval{sup: sup, rel: sa.blocks.Intersect(wa.rel, wb.rel), neg: true}, nil
 	case a.neg:
 		// ¬a ∨ b = ¬(a \ b).
-		return &sval{sup: sup, rel: wa.rel.Difference(wb.rel), neg: true}, nil
+		return &sval{sup: sup, rel: sa.blocks.Difference(wa.rel, wb.rel), neg: true}, nil
 	default:
 		// a ∨ ¬b = ¬(b \ a).
-		return &sval{sup: sup, rel: wb.rel.Difference(wa.rel), neg: true}, nil
+		return &sval{sup: sup, rel: sa.blocks.Difference(wb.rel, wa.rel), neg: true}, nil
 	}
 }
 
 // joinSv is the natural join of two positive svals on their shared axes.
-func (sa *sparseAlg) joinSv(a, b *sval) (*sval, error) {
-	if slices.Equal(a.sup, b.sup) {
-		return &sval{sup: a.sup, rel: a.rel.Intersect(b.rel)}, nil
-	}
-	if containsAxes(a.sup, b.sup) {
+// bFixed says that b stays what it is for a whole stage loop, in which a is a
+// delta: then b is laid out for probing once (indexOf) and never walked again.
+func (sa *sparseAlg) joinSv(a, b *sval, bFixed bool) (*sval, error) {
+	switch {
+	case slices.Equal(a.sup, b.sup):
+		return &sval{sup: a.sup, rel: sa.blocks.Intersect(a.rel, b.rel)}, nil
+	case containsAxes(a.sup, b.sup):
 		return sa.filterSv(a, b, true)
-	}
-	if containsAxes(b.sup, a.sup) {
+	case bFixed:
+		return sa.probe(a, sa.indexOf(b, a.sup))
+	case containsAxes(b.sup, a.sup):
 		return sa.filterSv(b, a, true)
 	}
-	return sa.hashJoin(a, b)
+	// Incomparable supports: index the smaller side, probe with the larger.
+	if a.rel.Count() < b.rel.Count() {
+		a, b = b, a
+	}
+	return sa.probe(a, sa.newIndex(b, a.sup))
 }
 
 // filterSv is the (anti-)semijoin: keep the tuples of a whose projection
@@ -388,7 +517,7 @@ func (sa *sparseAlg) filterSv(a, f *sval, keep bool) (*sval, error) {
 		}
 		pos[i] = p
 	}
-	bld, err := relation.NewSparseBuilder(len(a.sup), sa.n)
+	bld, err := sa.blocks.Builder(len(a.sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
@@ -406,100 +535,131 @@ func (sa *sparseAlg) filterSv(a, f *sval, keep bool) (*sval, error) {
 	return &sval{sup: a.sup, rel: bld.Build()}, nil
 }
 
-// hashJoin joins two positive svals with genuinely incomparable supports:
-// index the smaller side by its shared-axes key, probe with the larger.
-func (sa *sparseAlg) hashJoin(a, b *sval) (*sval, error) {
-	sup := mergeAxes(a.sup, b.sup)
-	shared := sharedAxes(a.sup, b.sup)
-	small, big := a, b
-	if small.rel.Count() > big.rel.Count() {
-		small, big = big, small
-	}
-	// Key codec: base-n packing of the shared axes (⊆ the full width, so the
-	// key fits uint64 whenever full-width codes do).
-	kst := make([]uint64, len(shared))
-	s := uint64(1)
-	for i := len(shared) - 1; i >= 0; i-- {
-		kst[i] = s
-		s *= uint64(sa.n)
-	}
-	keyOf := func(t relation.Tuple, pos []int) uint64 {
-		var key uint64
-		for i, p := range pos {
-			key += uint64(t[p]) * kst[i]
-		}
-		return key
-	}
-	sPos := make([]int, len(shared))
-	bPos := make([]int, len(shared))
-	for i, ax := range shared {
-		sPos[i] = slices.Index(small.sup, ax)
-		bPos[i] = slices.Index(big.sup, ax)
-	}
-	idx := make(map[uint64][]uint64, small.rel.Count())
-	sbuf := make(relation.Tuple, len(small.sup))
-	small.rel.ForEachCode(func(c uint64) {
-		small.rel.DecodeInto(c, sbuf)
-		k := keyOf(sbuf, sPos)
-		idx[k] = append(idx[k], c)
-	})
+// joinIndex is one side of a natural join laid out for the other to probe: its
+// tuples sorted by key — the shared axes, packed base n — as runs keys[i] ↦
+// add[off[i]:off[i+1]], where add is what a tuple's own axes contribute to the
+// code of an output tuple; the prober's contribute the rest, the shared axes
+// included. No Go map, and nothing of the side is decoded again per probe.
+type joinIndex struct {
+	probe uint64 // AxisMask of the probing support: with the side, all the layout depends on
+	sup   []int  // the output support
+	// pKey[c], pOut[c]: the weight of the digit in the prober's column c in the
+	// key and in the output code.
+	pKey, pOut []uint64
+	keys, add  []uint64
+	off        []int
+}
 
-	fromBig := make([]int, len(sup))
-	fromSmall := make([]int, len(sup))
-	for i, ax := range sup {
-		fromBig[i] = slices.Index(big.sup, ax)
-		fromSmall[i] = slices.Index(small.sup, ax)
+// indexOf returns side's layout for probes over the support probe, built on
+// first use. union and release forget a value's layouts.
+func (sa *sparseAlg) indexOf(side *sval, probe []int) *joinIndex {
+	mask := plan.AxisMask(probe)
+	for _, ix := range sa.index[side] {
+		if ix.probe == mask {
+			return ix
+		}
 	}
-	bld, err := relation.NewSparseBuilder(len(sup), sa.n)
+	if sa.index == nil {
+		sa.index = map[*sval][]*joinIndex{}
+	}
+	ix := sa.newIndex(side, probe)
+	sa.index[side] = append(sa.index[side], ix)
+	return ix
+}
+
+// newIndex lays side out. An output code space that does not fit uint64 only
+// wraps the weights here: probe's builder is what refuses the shape.
+func (sa *sparseAlg) newIndex(side *sval, probe []int) *joinIndex {
+	ix := &joinIndex{probe: plan.AxisMask(probe), sup: mergeAxes(probe, side.sup)}
+	shared := sharedAxes(probe, side.sup)
+	ix.pKey, ix.pOut = sa.weights(probe, shared), sa.weights(probe, ix.sup)
+	sKey, sOut := sa.weights(side.sup, shared), sa.weights(side.sup, ix.sup)
+	type entry struct{ key, add uint64 }
+	entries := make([]entry, 0, side.rel.Count())
+	n := uint64(sa.n)
+	side.rel.ForEachCode(func(c uint64) {
+		var e entry
+		for col := len(sKey) - 1; col >= 0; col-- {
+			d := c % n
+			if c /= n; sKey[col] != 0 {
+				e.key += d * sKey[col]
+			} else {
+				e.add += d * sOut[col]
+			}
+		}
+		entries = append(entries, e)
+	})
+	slices.SortFunc(entries, func(x, y entry) int {
+		return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.add, y.add))
+	})
+	ix.add = make([]uint64, len(entries))
+	for i, e := range entries {
+		if i == 0 || e.key != entries[i-1].key {
+			ix.keys, ix.off = append(ix.keys, e.key), append(ix.off, i)
+		}
+		ix.add[i] = e.add
+	}
+	ix.off = append(ix.off, len(entries))
+	return ix
+}
+
+// weights returns, per axis of axes, the weight of its digit in a base-n code
+// over the axis list within: 0 for an axis not in it.
+func (sa *sparseAlg) weights(axes, within []int) []uint64 {
+	out := make([]uint64, len(axes))
+	for i, ax := range axes {
+		if p := slices.Index(within, ax); p >= 0 {
+			out[i] = 1
+			for range within[p+1:] {
+				out[i] *= uint64(sa.n)
+			}
+		}
+	}
+	return out
+}
+
+// probe joins a with the side ix lays out.
+func (sa *sparseAlg) probe(a *sval, ix *joinIndex) (*sval, error) {
+	bld, err := sa.blocks.Builder(len(ix.sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
-	out := make(relation.Tuple, len(sup))
-	bbuf := make(relation.Tuple, len(big.sup))
+	n := uint64(sa.n)
 	var ferr error
-	big.rel.ForEachCode(func(c uint64) {
+	a.rel.ForEachCode(func(c uint64) {
 		if ferr != nil {
 			return
 		}
-		big.rel.DecodeInto(c, bbuf)
-		matches := idx[keyOf(bbuf, bPos)]
-		if len(matches) == 0 {
+		var key, base uint64
+		for col := len(ix.pKey) - 1; col >= 0; col-- {
+			d := c % n
+			c /= n
+			key += d * ix.pKey[col]
+			base += d * ix.pOut[col]
+		}
+		i, ok := slices.BinarySearch(ix.keys, key)
+		if !ok {
 			return
 		}
-		for i := range out {
-			if fromBig[i] >= 0 {
-				out[i] = bbuf[fromBig[i]]
-			}
+		for _, add := range ix.add[ix.off[i]:ix.off[i+1]] {
+			bld.AddCode(base + add)
 		}
-		for _, sc := range matches {
-			small.rel.DecodeInto(sc, sbuf)
-			for i := range out {
-				if fromBig[i] < 0 {
-					out[i] = sbuf[fromSmall[i]]
-				}
-			}
-			if err := bld.Add(out); err != nil {
-				ferr = err
-				return
-			}
-			if bld.Len() > sa.budget {
-				ferr = sa.overBudget("join", float64(bld.Len()))
-				return
-			}
+		if bld.Len() > sa.budget {
+			ferr = sa.overBudget("join", float64(bld.Len()))
 		}
 	})
 	if ferr != nil {
 		return nil, ferr
 	}
-	return &sval{sup: sup, rel: bld.Build()}, nil
+	return &sval{sup: ix.sup, rel: bld.Build()}, nil
 }
 
 // quantSv applies ∃ or ∀ on one axis. An axis outside the support is a
 // no-op: the value is cylindric there and the domain is nonempty.
-func quantSv(kv *sval, axis int, forall bool) *sval {
+func (sa *sparseAlg) quantSv(kv *sval, axis int, forall bool) *sval {
 	i := slices.Index(kv.sup, axis)
 	if i < 0 {
-		return kv
+		return alias(kv)
 	}
 	rest := slices.Delete(slices.Clone(kv.sup), i, i+1)
 	// Under negative polarity the quantifiers swap roles on the stored
@@ -507,13 +667,14 @@ func quantSv(kv *sval, axis int, forall bool) *sval {
 	if forall != kv.neg {
 		return &sval{sup: rest, rel: kv.rel.AllAxis(i), neg: kv.neg}
 	}
-	return &sval{sup: rest, rel: kv.rel.DropAxis(i), neg: kv.neg}
+	return &sval{sup: rest, rel: sa.blocks.DropAxis(kv.rel, i), neg: kv.neg}
 }
 
 // materialize turns an sval into a plain positive Sparse with the given
 // distinct columns (in the given order). cols must cover the support; the
 // remaining columns become cylinders. A negative sval is complemented here —
-// the one place deferred complements are forced — under the budget.
+// the one place deferred complements are forced — under the budget. A positive
+// one over exactly cols is returned as it is: sv.rel, for project to alias.
 func (sa *sparseAlg) materialize(sv *sval, cols []int) (*relation.Sparse, error) {
 	sorted := slices.Clone(cols)
 	slices.Sort(sorted)
@@ -524,13 +685,14 @@ func (sa *sparseAlg) materialize(sv *sval, cols []int) (*relation.Sparse, error)
 	if err != nil {
 		return nil, err
 	}
-	rel := w.rel
+	rel := w.rel // sv's own block still, if there was nothing to widen
 	if sv.neg {
 		need := float64(rel.SpaceSize()) - float64(rel.Count())
 		if need > float64(sa.budget) {
 			return nil, sa.overBudget("complement", need)
 		}
 		rel = rel.Complement()
+		sa.drop(w, sv)
 	}
 	if slices.Equal(cols, sorted) {
 		return rel, nil
@@ -539,11 +701,25 @@ func (sa *sparseAlg) materialize(sv *sval, cols []int) (*relation.Sparse, error)
 	for i, c := range cols {
 		proj[i] = slices.Index(w.sup, c)
 	}
-	return rel.Project(proj), nil
+	out := rel.Project(proj)
+	if rel != sv.rel {
+		sa.blocks.Release(rel)
+	}
+	return out, nil
 }
 
 // Axis-list helpers. Supports are small (≤ the query width), so linear scans
 // beat any clever structure.
+
+// ascending reports whether axes are strictly ascending: a support as written.
+func ascending(axes []int) bool {
+	for i := 1; i < len(axes); i++ {
+		if axes[i] <= axes[i-1] {
+			return false
+		}
+	}
+	return true
+}
 
 func distinctSortedAxes(axes []int) []int {
 	out := slices.Clone(axes)

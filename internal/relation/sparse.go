@@ -21,8 +21,10 @@ const MaxSparseCode = uint64(1) << 62
 //
 // The sorted-block layout gives logarithmic membership, linear merge-union
 // and merge-difference, and a galloping intersection that degrades gracefully
-// when one operand is much smaller than the other. All operations return new
-// relations; a Sparse is immutable after construction.
+// when one operand is much smaller than the other. The operators return new
+// relations and a Sparse is immutable once it is shared; the two that work in
+// place, Subtract and Blocks.Accumulate, are for the one holder of a relation
+// nobody else has seen (eval's sparse algebra keeps that bit).
 type Sparse struct {
 	k, n   int
 	stride []uint64 // stride[i] = n^{k−1−i}
@@ -61,13 +63,7 @@ func sparseShape(k, n int) ([]uint64, error) {
 
 // NewSparse returns the empty k-ary sparse relation over a domain of n
 // elements. It fails only if the code space nᵏ does not fit MaxSparseCode.
-func NewSparse(k, n int) (*Sparse, error) {
-	stride, err := sparseShape(k, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Sparse{k: k, n: n, stride: stride}, nil
-}
+func NewSparse(k, n int) (*Sparse, error) { return (*Blocks)(nil).Empty(k, n) }
 
 // MustSparse is NewSparse for statically valid shapes; it panics on error.
 func MustSparse(k, n int) *Sparse {
@@ -165,6 +161,9 @@ func (s *Sparse) Domain() int { return s.n }
 
 // Count returns the number of tuples.
 func (s *Sparse) Count() int { return len(s.codes) }
+
+// Cap returns the number of tuples s's block has room for: what it occupies.
+func (s *Sparse) Cap() int { return cap(s.codes) }
 
 // IsEmpty reports whether the relation has no tuples.
 func (s *Sparse) IsEmpty() bool { return len(s.codes) == 0 }
@@ -298,15 +297,18 @@ const gallopRatio = 16
 // gallops: each code of the small side is located in the large side by binary
 // search over the remaining suffix, an O(small · log large) bound that beats
 // the linear merge exactly when the skew is large.
-func (s *Sparse) Intersect(o *Sparse) *Sparse {
+func (s *Sparse) Intersect(o *Sparse) *Sparse { return (*Blocks)(nil).Intersect(s, o) }
+
+// Intersect is s.Intersect(o) into a recycled block.
+func (bl *Blocks) Intersect(s, o *Sparse) *Sparse {
 	s.mustMatch(o)
 	a, b := s.codes, o.codes
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	out := make([]uint64, 0, len(a))
+	out := bl.get(len(a))
 	if len(a) == 0 {
-		return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+		return s.like(out)
 	}
 	if len(b)/len(a) >= gallopRatio {
 		lo := 0
@@ -322,7 +324,7 @@ func (s *Sparse) Intersect(o *Sparse) *Sparse {
 				break
 			}
 		}
-		return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+		return s.like(out)
 	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -337,20 +339,22 @@ func (s *Sparse) Intersect(o *Sparse) *Sparse {
 			j++
 		}
 	}
-	return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+	return s.like(out)
+}
+
+// like wraps codes, canonical already, as a relation of s's shape.
+func (s *Sparse) like(codes []uint64) *Sparse {
+	return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: codes}
 }
 
 // Union returns s ∪ o by a linear merge of the two sorted blocks.
 func (s *Sparse) Union(o *Sparse) *Sparse {
 	s.mustMatch(o)
-	a, b := s.codes, o.codes
-	if len(a) == 0 {
-		return o.Clone()
-	}
-	if len(b) == 0 {
-		return s.Clone()
-	}
-	out := make([]uint64, 0, len(a)+len(b))
+	return s.like(merge(make([]uint64, 0, len(s.codes)+len(o.codes)), s.codes, o.codes))
+}
+
+// merge appends a ∪ b to out, which neither overlaps.
+func merge(out, a, b []uint64) []uint64 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -366,19 +370,97 @@ func (s *Sparse) Union(o *Sparse) *Sparse {
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+	return append(append(out, a[i:]...), b[j:]...)
+}
+
+// Accumulate returns s ∪ o for a caller that goes on growing the result, and
+// consumes s. An s the caller owns — no other holder, owned says — takes o into
+// its own block, merged from the back, so that a union costs new memory for o's
+// tuples and not for s's; where that block is too short, or s is not the
+// caller's to write, the union is merged forwards into a block of twice its
+// size (and an owned s's block recycled), which happens O(log) times as a value
+// grows.
+func (bl *Blocks) Accumulate(s, o *Sparse, owned bool) *Sparse {
+	s.mustMatch(o)
+	a, b := s.codes, o.codes
+	if len(b) == 0 && owned {
+		return s
+	}
+	if !owned || cap(a) < len(a)+len(b) || overlaps(a, b) {
+		out := merge(bl.get(2*(len(a)+len(b))), a, b)
+		if !owned {
+			return s.like(out)
+		}
+		bl.Release(s)
+		s.codes = out
+		return s
+	}
+	// a[:i] is unmerged, a[w:] merged; every code of a above b[j] moves up past
+	// it in one copy, found by galloping down from i.
+	i, w := len(a), len(a)+len(b)
+	a = a[:w]
+	for j := len(b) - 1; j >= 0; j-- {
+		p := upperBack(a[:i], b[j])
+		w -= i - p
+		copy(a[w:], a[p:i])
+		if i = p; i > 0 && a[i-1] == b[j] {
+			continue // in both: a's own copy is kept
+		}
+		w--
+		a[w] = b[j]
+	}
+	if w > i { // duplicates left a gap
+		a = a[:i+copy(a[i:], a[w:])]
+	}
+	s.codes = a
+	return s
+}
+
+// upperBack returns the number of codes of a that are ≤ c, galloping down from
+// the top: O(log d) for an answer d below len(a).
+func upperBack(a []uint64, c uint64) int {
+	lo, hi := len(a)-1, len(a) // a[hi:] > c; a[lo] ≤ c once the gallop stops, or lo < 0
+	for step := 1; lo >= 0 && a[lo] > c; step <<= 1 {
+		hi, lo = lo, lo-step
+	}
+	lo = max(lo, -1)
+	for hi-lo > 1 {
+		if m := (lo + hi) >> 1; a[m] > c {
+			hi = m
+		} else {
+			lo = m
+		}
+	}
+	return hi
+}
+
+// overlaps reports whether a and b share a backing array (the test math/big
+// uses: slices of one array end at one address unless capped on purpose).
+func overlaps(a, b []uint64) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Difference returns s \ o. A much larger o is probed by galloping search
 // instead of merged.
-func (s *Sparse) Difference(o *Sparse) *Sparse {
+func (s *Sparse) Difference(o *Sparse) *Sparse { return (*Blocks)(nil).Difference(s, o) }
+
+// Difference is s.Difference(o) into a recycled block.
+func (bl *Blocks) Difference(s, o *Sparse) *Sparse {
 	s.mustMatch(o)
-	a, b := s.codes, o.codes
-	out := make([]uint64, 0, len(a))
+	return s.like(subtract(bl.get(len(s.codes)), s.codes, o.codes))
+}
+
+// Subtract removes o's tuples from s in place, for the one holder of s.
+func (s *Sparse) Subtract(o *Sparse) {
+	s.mustMatch(o)
+	s.codes = subtract(s.codes[:0], s.codes, o.codes)
+}
+
+// subtract appends a \ b to out: a fresh block, or a[:0] — a write never
+// passes the read it follows.
+func subtract(out, a, b []uint64) []uint64 {
 	if len(a) == 0 || len(b) == 0 {
-		return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: append(out, a...)}
+		return append(out, a...)
 	}
 	if len(b)/(len(a)+1) >= gallopRatio {
 		lo := 0
@@ -389,7 +471,7 @@ func (s *Sparse) Difference(o *Sparse) *Sparse {
 			}
 			lo = i
 		}
-		return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+		return out
 	}
 	i, j := 0, 0
 	for i < len(a) {
@@ -397,15 +479,14 @@ func (s *Sparse) Difference(o *Sparse) *Sparse {
 			j++
 		}
 		if j >= len(b) {
-			out = append(out, a[i:]...)
-			break
+			return append(out, a[i:]...)
 		}
 		if b[j] != a[i] {
 			out = append(out, a[i])
 		}
 		i++
 	}
-	return &Sparse{k: s.k, n: s.n, stride: s.stride, codes: out}
+	return out
 }
 
 // Project returns the projection onto the given columns, in order; columns
@@ -438,21 +519,21 @@ func (s *Sparse) Project(cols []int) *Sparse {
 // DropAxis existentially projects axis i away: the (k−1)-ary relation
 // { (t₀,…,t_{i−1},t_{i+1},…) | t ∈ s }. It is the per-axis projection the
 // sparse evaluator uses for ∃xᵢ.
-func (s *Sparse) DropAxis(i int) *Sparse {
+func (s *Sparse) DropAxis(i int) *Sparse { return (*Blocks)(nil).DropAxis(s, i) }
+
+// DropAxis is s.DropAxis(i) into a recycled block.
+func (bl *Blocks) DropAxis(s *Sparse, i int) *Sparse {
 	if i < 0 || i >= s.k {
 		panic(fmt.Sprintf("relation: axis %d out of arity %d", i, s.k))
 	}
-	stride, err := sparseShape(s.k-1, s.n)
-	if err != nil {
-		panic(err)
-	}
 	si := s.stride[i]
 	block := si * uint64(s.n)
-	out := make([]uint64, len(s.codes))
-	for idx, c := range s.codes {
-		out[idx] = (c/block)*si + c%si
+	out := bl.get(len(s.codes))
+	for _, c := range s.codes {
+		out = append(out, (c/block)*si+c%si)
 	}
-	return sparseFromCodes(s.k-1, s.n, stride, out)
+	// The strides of one axis fewer are this table's tail.
+	return sparseFromCodes(s.k-1, s.n, s.stride[1:], out)
 }
 
 // AllAxis universally projects axis i away: the (k−1)-ary relation of groups
@@ -464,10 +545,7 @@ func (s *Sparse) AllAxis(i int) *Sparse {
 	if i < 0 || i >= s.k {
 		panic(fmt.Sprintf("relation: axis %d out of arity %d", i, s.k))
 	}
-	stride, err := sparseShape(s.k-1, s.n)
-	if err != nil {
-		panic(err)
-	}
+	stride := s.stride[1:]
 	if s.n == 0 {
 		// Vacuous ∀ over an empty domain: every residue qualifies, but there
 		// are no codes at all; the empty result matches the dense convention.
@@ -498,11 +576,14 @@ func (s *Sparse) AllAxis(i int) *Sparse {
 // pos (0 ≤ pos ≤ k): every tuple is replaced by its n extensions. This is the
 // cylinder materialization at sparse representation boundaries; the result
 // has n·Count() tuples, so callers budget-check before widening.
-func (s *Sparse) CrossAxis(pos int) (*Sparse, error) {
+func (s *Sparse) CrossAxis(pos int) (*Sparse, error) { return (*Blocks)(nil).CrossAxis(s, pos) }
+
+// CrossAxis is s.CrossAxis(pos) into a recycled block.
+func (bl *Blocks) CrossAxis(s *Sparse, pos int) (*Sparse, error) {
 	if pos < 0 || pos > s.k {
 		panic(fmt.Sprintf("relation: insert position %d out of arity %d", pos, s.k))
 	}
-	stride, err := sparseShape(s.k+1, s.n)
+	stride, err := bl.shape(s.k+1, s.n)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +594,7 @@ func (s *Sparse) CrossAxis(pos int) (*Sparse, error) {
 	for i := s.k - 1; i >= pos; i-- {
 		below *= uint64(s.n)
 	}
-	out := make([]uint64, 0, len(s.codes)*s.n)
+	out := bl.get(len(s.codes) * s.n)
 	for _, c := range s.codes {
 		hi, lo := c/below, c%below
 		base := hi * below * uint64(s.n)
@@ -609,17 +690,18 @@ func (s *Sparse) String() string { return s.ToSet().String() }
 // SparseBuilder accumulates tuples for a Sparse relation; Build canonicalizes
 // once, so bulk construction costs one sort instead of per-insert ordering.
 type SparseBuilder struct {
-	s *Sparse
+	s  *Sparse
+	bl *Blocks
 }
 
-// NewSparseBuilder starts building a k-ary sparse relation over a domain of
-// n elements.
-func NewSparseBuilder(k, n int) (*SparseBuilder, error) {
-	s, err := NewSparse(k, n)
+// Builder starts building a k-ary sparse relation over a domain of n elements,
+// growing through recycled blocks.
+func (bl *Blocks) Builder(k, n int) (*SparseBuilder, error) {
+	s, err := bl.Empty(k, n)
 	if err != nil {
 		return nil, err
 	}
-	return &SparseBuilder{s: s}, nil
+	return &SparseBuilder{s: s, bl: bl}, nil
 }
 
 // Add appends a tuple, validating its components.
@@ -628,12 +710,18 @@ func (b *SparseBuilder) Add(t Tuple) error {
 	if err != nil {
 		return err
 	}
-	b.s.codes = append(b.s.codes, c)
+	b.AddCode(c)
 	return nil
 }
 
 // AddCode appends a raw tuple code the caller has already validated.
-func (b *SparseBuilder) AddCode(c uint64) { b.s.codes = append(b.s.codes, c) }
+func (b *SparseBuilder) AddCode(c uint64) {
+	if old := b.s.codes; b.bl != nil && len(old) == cap(old) {
+		b.s.codes = append(b.bl.get(max(8, 2*len(old))), old...)
+		b.bl.put(old)
+	}
+	b.s.codes = append(b.s.codes, c)
+}
 
 // Len returns the number of codes added so far (before deduplication).
 func (b *SparseBuilder) Len() int { return len(b.s.codes) }

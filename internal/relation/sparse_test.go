@@ -272,3 +272,140 @@ func TestFromSparseScratchBalance(t *testing.T) {
 		t.Fatalf("error paths moved scratch balance to %d, want %d", got, base)
 	}
 }
+
+// randomBlock draws a canonical relation of about size tuples over (k, n) in
+// a block with room to spare.
+func randomBlock(r *rand.Rand, k, n, size, room int) *Sparse {
+	s := MustSparse(k, n)
+	s.codes = make([]uint64, 0, size+room)
+	for i := 0; i < size; i++ {
+		s.codes = append(s.codes, uint64(r.Int63n(int64(s.SpaceSize()))))
+	}
+	s.canon()
+	return s
+}
+
+// TestAccumulateMatchesUnion holds the in-place union to the copying one, its
+// oracle, on random blocks: with and without room (growth past capacity),
+// owned and not, empty operands, operands with tuples in common, an operand
+// that is the receiver and one that is a window of the receiver's own backing
+// array — and checks what the contract promises about storage: an owned
+// receiver with room keeps its block, a receiver that is not owned is left
+// exactly as it was.
+func TestAccumulateMatchesUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for iter := 0; iter < 3000; iter++ {
+		k, n := 1+r.Intn(3), 2+r.Intn(12)
+		bl := &Blocks{}
+		if iter%2 == 0 {
+			bl.Poison()
+		}
+		a := randomBlock(r, k, n, r.Intn(40), r.Intn(3)*r.Intn(60))
+		var b *Sparse
+		switch r.Intn(6) {
+		case 0:
+			b = MustSparse(k, n)
+		case 1:
+			b = a // the receiver itself
+		case 2: // a window of the receiver's backing array
+			lo := r.Intn(len(a.codes) + 1)
+			b = a.like(a.codes[lo : lo+r.Intn(len(a.codes)-lo+1)])
+		default:
+			b = randomBlock(r, k, n, r.Intn(40), 0)
+			if r.Intn(2) == 0 { // thin and overlapping: a few of a's own tuples
+				for i := 0; i < len(a.codes); i += 1 + r.Intn(5) {
+					b.codes = append(b.codes, a.codes[i])
+				}
+				b.canon()
+			}
+		}
+		want := a.Union(b)
+		before, array, owned := a.Clone(), a.codes[:cap(a.codes)], r.Intn(2) == 0
+		room := cap(a.codes) >= len(a.codes)+len(b.codes) && !overlaps(a.codes, b.codes)
+		bWas := b.Clone()
+		got := bl.Accumulate(a, b, owned)
+		if !got.sorted() || !got.Equal(want) {
+			t.Fatalf("iter %d: Accumulate(%v, %v, owned=%v) = %v, want %v", iter, before, bWas, owned, got, want)
+		}
+		switch {
+		case !owned && (!a.Equal(before) || got == a):
+			t.Fatalf("iter %d: a receiver that is not the caller's was written: %v, was %v", iter, a, before)
+		case owned && room && (got != a || (len(a.codes) > 0 && &a.codes[0] != &array[0])):
+			t.Fatalf("iter %d: an owned receiver with room for %d more did not keep its block", iter, len(b.codes))
+		case owned && got != a:
+			t.Fatalf("iter %d: an owned receiver was not consumed", iter)
+		}
+		if b != a && !overlaps(array, b.codes) && !b.Equal(bWas) {
+			t.Fatalf("iter %d: the operand was written", iter)
+		}
+	}
+}
+
+// TestSubtractMatchesDifference: the in-place difference against the copying
+// one, both merge branches, and the blocks Difference draws are recycled ones.
+func TestSubtractMatchesDifference(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	for iter := 0; iter < 2000; iter++ {
+		k, n := 1+r.Intn(3), 2+r.Intn(12)
+		a := randomBlock(r, k, n, r.Intn(60), r.Intn(8))
+		b := randomBlock(r, k, n, r.Intn(3)*r.Intn(400), 0) // often ≥ 16x: the galloping branch
+		want := a.Difference(b)
+		bl := &Blocks{}
+		spare := a.like(make([]uint64, 1, max(1, len(a.codes))))
+		array := spare.codes
+		bl.Release(spare)
+		if got := bl.Difference(a, b); !got.Equal(want) || (len(a.codes) > 0 && &got.codes[:1][0] != &array[0]) {
+			t.Fatalf("iter %d: Blocks.Difference = %v in a block of %d, want %v in the released one", iter, got, cap(got.codes), want)
+		}
+		if a.Subtract(b); !a.sorted() || !a.Equal(want) {
+			t.Fatalf("iter %d: Subtract left %v, want %v", iter, a, want)
+		}
+	}
+}
+
+// TestBlocksRecycle pins the free list: a released block comes back for a
+// request it is long enough for, is overwritten when poisoned, Clip leaves
+// exactly the length and recycles the rest, a builder grows through released
+// blocks, and a nil *Blocks is the plain heap.
+func TestBlocksRecycle(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	bl := &Blocks{}
+	bl.Poison()
+	s := randomBlock(r, 2, 16, 100, 28)
+	array, n := s.codes[:cap(s.codes)], s.Count()
+	want := s.Clone()
+	bl.Clip(s)
+	if cap(s.codes) != n || !s.Equal(want) {
+		t.Fatalf("Clip left capacity %d for %d tuples", cap(s.codes), n)
+	}
+	if array[0] != ^uint64(0) || array[len(array)-1] != ^uint64(0) {
+		t.Fatal("the block Clip recycled was not poisoned")
+	}
+	if got := bl.get(len(array) + 1); cap(got) != len(array)+1 {
+		t.Fatalf("a request longer than the recycled block got capacity %d", cap(got))
+	}
+	b, err := bl.Builder(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 70; i++ {
+		b.AddCode(uint64(255 - i))
+	}
+	if built := b.Build(); &built.codes[:1][0] != &array[0] || built.Count() != 70 || !built.sorted() {
+		t.Fatalf("a builder of 70 codes did not end up in the recycled block of %d", len(array))
+	}
+	e1, _ := bl.Empty(3, 16)
+	e2, _ := bl.Empty(3, 16)
+	if &e1.stride[0] != &e2.stride[0] {
+		t.Fatal("two relations of one shape do not share a stride table")
+	}
+	var none *Blocks
+	none.Release(s)
+	none.Clip(s)
+	if e, err := none.Empty(2, 16); err != nil || !s.Equal(want) || len(none.get(5)) != 0 || e.Count() != 0 {
+		t.Fatalf("the nil allocator: %v", err)
+	}
+	if _, err := bl.Empty(3, 1<<30); err == nil {
+		t.Fatal("a shape beyond MaxSparseCode was accepted")
+	}
+}

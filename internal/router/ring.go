@@ -13,7 +13,7 @@ package router
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -28,12 +28,14 @@ const DefaultVnodes = 128
 // same members agree on every assignment, and removing a member only moves
 // the keys that member owned (minimal movement).
 type Ring struct {
-	points []ringPoint // sorted by hash
+	points  []ringPoint // sorted by hash
+	members int         // distinct ones: a full preference list is that long
 }
 
 type ringPoint struct {
 	hash   uint64
 	member string
+	id     int // the member's index at construction: an integer to compare
 }
 
 // NewRing builds a ring with vnodes points per member (vnodes <= 0 means
@@ -44,9 +46,12 @@ func NewRing(vnodes int, members []string) *Ring {
 		vnodes = DefaultVnodes
 	}
 	r := &Ring{points: make([]ringPoint, 0, vnodes*len(members))}
-	for _, m := range members {
+	distinct := slices.Clone(members)
+	slices.Sort(distinct)
+	r.members = len(slices.Compact(distinct))
+	for id, m := range members {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", m, v)), member: m})
+			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", m, v)), member: m, id: id})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -63,29 +68,32 @@ func NewRing(vnodes int, members []string) *Ring {
 // Lookup returns up to n distinct members in preference order for key: the
 // first owns the key; the rest are the fallbacks a router walks when the
 // owner sheds or fails. n <= 0 returns every member, in preference order.
-func (r *Ring) Lookup(key string, n int) []string {
-	if len(r.points) == 0 {
-		return nil
-	}
+func (r *Ring) Lookup(key string, n int) []string { return r.AppendLookup(nil, key, n) }
+
+// AppendLookup is Lookup appending to dst, so that a caller with a buffer —
+// the router has one request's on its stack — allocates nothing. A fleet is a
+// handful of members: a scan of those already collected is the duplicate test.
+func (r *Ring) AppendLookup(dst []string, key string, n int) []string {
 	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	var out []string
-	seen := make(map[string]bool)
-	for range r.points {
+	if n <= 0 || n > r.members {
+		n = r.members // every member: the walk ends with the last, not with the ring
+	}
+	// A member's points sit in runs (FNV-1a spreads a trailing "#v" thinly), so
+	// most steps end at the comparison with the point before.
+	for from, last := len(dst), -1; len(dst)-from < n; i++ {
 		if i == len(r.points) {
 			i = 0
 		}
-		m := r.points[i].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-			if n > 0 && len(out) == n {
-				break
-			}
+		p := &r.points[i]
+		if p.id == last {
+			continue
 		}
-		i++
+		if last = p.id; !slices.Contains(dst[from:], p.member) {
+			dst = append(dst, p.member)
+		}
 	}
-	return out
+	return dst
 }
 
 // Owner returns the single preferred member for key ("" on an empty ring).
@@ -97,10 +105,13 @@ func (r *Ring) Owner(key string) string {
 	return own[0]
 }
 
+// hash64 is FNV-1a (hash/fnv's New64a) over the string's bytes, in place.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // QueryKey is the ring key for one query: the database name and the query

@@ -222,9 +222,10 @@ func (rt *Router) healthyCount() int64 {
 // candidates resolves the full preference list for key against the current
 // ring, as live member handles.
 func (rt *Router) candidates(key string) []*member {
-	ring := rt.ring.Load()
-	var out []*member
-	for _, url := range ring.Lookup(key, 0) {
+	var urls [8]string // more members than that spill to the heap
+	order := rt.ring.Load().AppendLookup(urls[:0], key, 0)
+	out := make([]*member, 0, len(order))
+	for _, url := range order {
 		if m := rt.byURL[url]; m != nil {
 			out = append(out, m)
 		}
@@ -640,7 +641,12 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []b
 	// has nothing more buffered: a replica that flushed a row sees it go
 	// straight out, and a burst of rows costs one downstream write, not one
 	// per line.
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	br := streamReaders.Get().(*bufio.Reader)
+	br.Reset(resp.Body)
+	defer func() {
+		br.Reset(nil) // a pooled reader must not pin the response it last read
+		streamReaders.Put(br)
+	}()
 	sawTrailer := false // the last complete line was a trailer
 	endedMidLine := false
 	var readErr error
@@ -696,6 +702,10 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []b
 		flusher.Flush()
 	}
 }
+
+// streamReaders recycles forwardStream's 64 KiB line buffers: one a stream
+// was the largest single allocation of a routed drain.
+var streamReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
 // sortedURLs returns member URLs in configuration order (stable output for
 // responses and tests).

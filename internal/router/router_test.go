@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -547,5 +548,34 @@ func TestMetricsAggregateParsesAndSums(t *testing.T) {
 	}
 	if !bytes.Contains(text, []byte("bvqrouter_requests_total")) {
 		t.Fatal("router families missing from /metrics")
+	}
+}
+
+// TestRingHashIsFNV1a holds the in-place hash to hash/fnv's, which placed
+// every key before it: a router of this build and one of the last agree.
+func TestRingHashIsFNV1a(t *testing.T) {
+	for _, k := range append(ringKeys(200), "", "r1#0", "http://127.0.0.1:18081#127") {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := hash64(k), h.Sum64(); got != want {
+			t.Fatalf("hash64(%q) = %#x, FNV-1a says %#x", k, got, want)
+		}
+	}
+}
+
+// BenchmarkRingLookup is a request's ring work: the full preference list of a
+// three-member fleet into the caller's buffer, at no allocation.
+func BenchmarkRingLookup(b *testing.B) {
+	ring := NewRing(0, []string{"http://127.0.0.1:18081", "http://127.0.0.1:18082", "http://127.0.0.1:18083"})
+	keys := ringKeys(64)
+	var buf [8]string
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if got := ring.AppendLookup(buf[:0], keys[i%len(keys)], 0); len(got) != 3 {
+			b.Fatalf("preference list %v", got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ring.AppendLookup(buf[:0], keys[0], 0) }); allocs != 0 {
+		b.Fatalf("a ring lookup allocates %v times, want 0", allocs)
 	}
 }
