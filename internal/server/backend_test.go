@@ -67,7 +67,7 @@ func TestBackendValidation(t *testing.T) {
 		t.Fatalf("unknown backend error %q", bad.Error)
 	}
 
-	for _, engine := range []string{"", "bottomup", "naive"} {
+	for _, engine := range []string{"bottomup", "naive"} {
 		code, _, bad := postQuery(t, ts, QueryRequest{
 			Database: "graph", Query: twoHop, Engine: engine, Backend: "sparse"})
 		if code != http.StatusBadRequest {

@@ -47,20 +47,20 @@ func q(db, query string) string {
 // pinned: each way a /query can be served, every rejection of the
 // validation ladder, and an update that carries, maintains and invalidates.
 var goldenScript = []goldenStep{
-	queryStep("json miss", q("graph", twoHop)),
-	queryStep("json hit", q("graph", twoHop)),
-	queryStep("json limit+offset on a hit", q("graph", twoHop)+`,"limit":1,"offset":1`),
-	queryStep("json indices", q("graph", twoHop)+`,"indices":true`),
-	queryStep("json offset past the end", q("graph", twoHop)+`,"offset":99`),
-	queryStep("json boolean", q("graph", boolQuery)),
-	queryStep("json no_cache", q("graph", twoHop)+`,"no_cache":true`),
+	queryStep("json miss", q("graph", twoHop)+`,"engine":"bottomup"`),
+	queryStep("json hit", q("graph", twoHop)+`,"engine":"bottomup"`),
+	queryStep("json limit+offset on a hit", q("graph", twoHop)+`,"engine":"bottomup","limit":1,"offset":1`),
+	queryStep("json indices", q("graph", twoHop)+`,"engine":"bottomup","indices":true`),
+	queryStep("json offset past the end", q("graph", twoHop)+`,"engine":"bottomup","offset":99`),
+	queryStep("json boolean", q("graph", boolQuery)+`,"engine":"bottomup"`),
+	queryStep("json no_cache", q("graph", twoHop)+`,"engine":"bottomup","no_cache":true`),
 	queryStep("trace lfp bottomup", q("graph", reachLFP)+`,"engine":"bottomup","trace":true`),
 	queryStep("trace lfp compiled", q("graph", reachLFP)+`,"engine":"compiled","trace":true`),
 	queryStep("explain dense", q("graph", reachLFP)+`,"engine":"compiled","backend":"dense","explain":true`),
 	queryStep("explain sparse", q("graph", reachLFP)+`,"engine":"compiled","backend":"sparse","explain":true`),
 	queryStep("stream miss", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
 	queryStep("stream hit", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
-	queryStep("stream window on a hit", q("graph", twoHop)+`,"stream":true,"limit":1,"offset":1`),
+	queryStep("stream window on a hit", q("graph", twoHop)+`,"engine":"bottomup","stream":true,"limit":1,"offset":1`),
 	queryStep("stream limit on the acyclic route", q("graph", twoHop)+`,"engine":"compiled","backend":"sparse","stream":true,"limit":1`),
 	queryStep("stream boolean", q("graph", boolQuery)+`,"engine":"compiled","stream":true`),
 	queryStep("stream no_cache", q("graph", oneHop)+`,"engine":"compiled","stream":true,"no_cache":true`),
@@ -77,11 +77,11 @@ var goldenScript = []goldenStep{
 	queryStep("404 unknown database", q("nope", twoHop)),
 	queryStep("400 unknown engine", q("graph", twoHop)+`,"engine":"warp"`),
 	queryStep("400 unknown backend", q("graph", twoHop)+`,"engine":"compiled","backend":"columnar"`),
-	queryStep("400 backend without compiled", q("graph", twoHop)+`,"backend":"sparse"`),
-	queryStep("400 explain without compiled", q("graph", twoHop)+`,"explain":true`),
-	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")),
-	queryStep("400 width over bound", q("graph", twoHop)+`,"max_width":2`),
-	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")),
+	queryStep("400 backend without compiled", q("graph", twoHop)+`,"engine":"bottomup","backend":"sparse"`),
+	queryStep("400 explain without compiled", q("graph", twoHop)+`,"engine":"bottomup","explain":true`),
+	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")+`,"engine":"bottomup"`),
+	queryStep("400 width over bound", q("graph", twoHop)+`,"engine":"bottomup","max_width":2`),
+	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")+`,"engine":"bottomup"`),
 
 	queryStep("chain reach compiled", q("chain", chainReach)+`,"engine":"compiled"`),
 	queryStep("chain P compiled", q("chain", "(x). P(x)")+`,"engine":"compiled"`),

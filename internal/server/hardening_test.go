@@ -111,9 +111,9 @@ func TestTimeoutCountsAsErrorAndTimeout(t *testing.T) {
 // the JSON /stats counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop})
-	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop}) // result-cache hit
-	postQuery(t, ts, QueryRequest{Database: "nope", Query: twoHop})  // 404
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"})
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"}) // result-cache hit
+	postQuery(t, ts, QueryRequest{Database: "nope", Query: twoHop})                      // 404
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -342,7 +342,7 @@ func TestQueryTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	reach := "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
 
-	code, traced, errResp := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Trace: true})
+	code, traced, errResp := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup", Trace: true})
 	if code != http.StatusOK {
 		t.Fatalf("traced request: %d (%s)", code, errResp.Error)
 	}
@@ -369,7 +369,7 @@ func TestQueryTrace(t *testing.T) {
 
 	// The traced run stored its result: an untraced repeat is a cache hit
 	// and carries no trace.
-	code, repeat, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach})
+	code, repeat, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup"})
 	if code != http.StatusOK || !repeat.ResultCached {
 		t.Fatalf("untraced repeat not served from cache: %d %+v", code, repeat)
 	}
@@ -379,7 +379,7 @@ func TestQueryTrace(t *testing.T) {
 
 	// A second traced request evaluates fresh again — its trace must be its
 	// own, not the cached answer's absence of one.
-	code, retraced, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Trace: true})
+	code, retraced, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup", Trace: true})
 	if code != http.StatusOK || retraced.ResultCached || len(retraced.Trace) == 0 {
 		t.Fatalf("re-traced request: %d %+v", code, retraced)
 	}
