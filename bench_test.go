@@ -27,6 +27,7 @@ package bvq
 //	         variable-minimized chain queries).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -187,13 +188,13 @@ func BenchmarkT2FP_ShrinkVerify(b *testing.B) {
 	q := shrinkingNuMu()
 	for _, n := range []int{8, 16, 24} {
 		db := workload.LineGraph(n)
-		cert, _, err := eval.FindCertificate(q, db)
+		cert, _, err := eval.FindCertificate(context.Background(), q, db)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.VerifyCertificate(q, db, cert); err != nil {
+				if _, err := eval.VerifyCertificate(context.Background(), q, db, cert); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +208,7 @@ func BenchmarkT2FP_FindCertificate(b *testing.B) {
 		q := alternating(d)
 		b.Run(fmt.Sprintf("depth=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.FindCertificate(q, db); err != nil {
+				if _, _, err := eval.FindCertificate(context.Background(), q, db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -219,13 +220,13 @@ func BenchmarkT2FP_Verify(b *testing.B) {
 	db := workload.CycleGraph(6)
 	for _, d := range []int{1, 2, 3} {
 		q := alternating(d)
-		cert, _, err := eval.FindCertificate(q, db)
+		cert, _, err := eval.FindCertificate(context.Background(), q, db)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("depth=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.VerifyCertificate(q, db, cert); err != nil {
+				if _, err := eval.VerifyCertificate(context.Background(), q, db, cert); err != nil {
 					b.Fatal(err)
 				}
 			}

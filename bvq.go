@@ -14,10 +14,15 @@
 //     (ParseQuery / ParseFormula);
 //   - evaluation engines: EngineBottomUp (the Prop. 3.1 bounded-variable
 //     algorithm for FO/FP/PFP), EngineNaive (the generic exponential-time
-//     baseline), EngineAlgebra (free-variable relational algebra, FO only),
-//     EngineMonotone (the alternation-free l·nᵏ fast path), EngineESO
-//     (Lemma 3.6 arity reduction + grounding + SAT), EngineCompiled
-//     (hash-consed query plans with hoisting and semi-naive fixpoints);
+//     baseline), EngineMonotone (the alternation-free l·nᵏ fast path),
+//     EngineESO (Lemma 3.6 arity reduction + grounding + SAT),
+//     EngineCertified (the Theorem 3.5 prover/verifier pair),
+//     EngineCompiled (hash-consed query plans with hoisting and semi-naive
+//     fixpoints — what bvqd and the bvq command run unless told otherwise).
+//     EngineBottomUp, EngineMonotone and EngineCertified are one formula
+//     walker under three rules for a fixpoint that is reached again: start
+//     over (n^{kl} stages), resume where it stopped (l·nᵏ), or take the next
+//     element of a guessed chain and check it (NP ∩ co-NP);
 //   - Theorem 3.5 certificates: FindCertificate / VerifyCertificate /
 //     NegateQuery realize the NP ∩ co-NP bound for FPᵏ.
 //
@@ -107,9 +112,6 @@ const (
 	// EngineNaive is the generic assignment-recursion baseline (all four
 	// languages; ESO by capped enumeration). Exponential time, trusted.
 	EngineNaive
-	// EngineAlgebra evaluates FO by classical relational algebra over each
-	// subformula's free variables (the §1 intermediate-arity story).
-	EngineAlgebra
 	// EngineMonotone is the alternation-free FP fast path (l·nᵏ).
 	EngineMonotone
 	// EngineESO evaluates prenex existential second-order queries via the
@@ -133,8 +135,6 @@ func (e Engine) String() string {
 		return "bottomup"
 	case EngineNaive:
 		return "naive"
-	case EngineAlgebra:
-		return "algebra"
 	case EngineMonotone:
 		return "monotone"
 	case EngineESO:
@@ -149,12 +149,12 @@ func (e Engine) String() string {
 
 // EngineByName resolves an engine name as used by the CLI.
 func EngineByName(name string) (Engine, error) {
-	for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineAlgebra, EngineMonotone, EngineESO, EngineCertified, EngineCompiled} {
+	for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineMonotone, EngineESO, EngineCertified, EngineCompiled} {
 		if e.String() == name {
 			return e, nil
 		}
 	}
-	return 0, fmt.Errorf("bvq: unknown engine %q (want bottomup, naive, algebra, monotone, eso, certified or compiled)", name)
+	return 0, fmt.Errorf("bvq: unknown engine %q (want bottomup, naive, monotone, eso, certified or compiled)", name)
 }
 
 // Eval evaluates q against db with the selected engine. The answer is a
@@ -168,10 +168,10 @@ func Eval(q Query, db *Database, engine Engine) (*Relation, error) {
 
 // EvalContext is Eval honoring a context: cancellation and deadlines are
 // observed at iteration boundaries (between fixpoint stages for
-// EngineBottomUp/EngineMonotone, between head assignments and fixpoint
-// stages for EngineNaive, between relational operations for EngineAlgebra,
-// and between the prover and verifier passes for EngineCertified), so a
-// returned answer is always byte-identical to an uncancelled run. When the
+// EngineBottomUp, EngineMonotone, EngineCompiled and both passes of
+// EngineCertified, between head assignments and fixpoint stages for
+// EngineNaive; EngineESO only before it starts), so a returned answer is
+// always byte-identical to an uncancelled run. When the
 // context fires, the error wraps ctx.Err(); test for it with
 // errors.Is(err, context.DeadlineExceeded) or context.Canceled.
 func EvalContext(ctx context.Context, q Query, db *Database, engine Engine) (*Relation, error) {
@@ -196,8 +196,6 @@ func EvalStatsContext(ctx context.Context, q Query, db *Database, engine Engine,
 	case EngineNaive:
 		ans, err := eval.NaiveContext(ctx, q, db)
 		return ans, nil, err
-	case EngineAlgebra:
-		return eval.AlgebraContext(ctx, q, db)
 	case EngineMonotone:
 		return eval.MonotoneContext(ctx, q, db, opts)
 	case EngineCompiled:
@@ -211,19 +209,13 @@ func EvalStatsContext(ctx context.Context, q Query, db *Database, engine Engine,
 		ans, err := eso.Eval(q, db)
 		return ans, nil, err
 	case EngineCertified:
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("bvq: cancelled: %w", err)
-		}
-		cert, res, err := eval.FindCertificate(q, db)
+		cert, res, err := eval.FindCertificate(ctx, q, db)
 		if err != nil {
-			return nil, nil, err
+			return nil, certStats(res), err
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("bvq: cancelled: %w", err)
-		}
-		ver, err := eval.VerifyCertificate(q, db, cert)
+		ver, err := eval.VerifyCertificate(ctx, q, db, cert)
 		if err != nil {
-			return nil, nil, err
+			return nil, certStats(ver), err
 		}
 		if !ver.Answer.Equal(res.Answer) {
 			return nil, nil, fmt.Errorf("bvq: verifier answer differs from prover answer")
@@ -232,6 +224,14 @@ func EvalStatsContext(ctx context.Context, q Query, db *Database, engine Engine,
 	default:
 		return nil, nil, fmt.Errorf("bvq: unknown engine %d", engine)
 	}
+}
+
+// certStats is the partial reading a failed prover or verifier pass leaves.
+func certStats(res *eval.CertResult) *Stats {
+	if res == nil {
+		return nil
+	}
+	return &res.Stats
 }
 
 // Enumerator streams a query answer one tuple at a time in the canonical
@@ -287,7 +287,7 @@ func HoldsContext(ctx context.Context, f Formula, db *Database, engine Engine) (
 // FindCertificate proves q's answer and emits a Theorem 3.5 certificate:
 // one increasing chain of under-approximations per greatest-fixpoint node.
 func FindCertificate(q Query, db *Database) (*Certificate, *Relation, error) {
-	cert, res, err := eval.FindCertificate(q, db)
+	cert, res, err := eval.FindCertificate(context.Background(), q, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -299,7 +299,7 @@ func FindCertificate(q Query, db *Database) (*Certificate, *Relation, error) {
 // l·nᵏ fixpoint stages. The returned answer is always a subset of the true
 // answer, and equals it for certificates from FindCertificate.
 func VerifyCertificate(q Query, db *Database, cert *Certificate) (*Relation, error) {
-	res, err := eval.VerifyCertificate(q, db, cert)
+	res, err := eval.VerifyCertificate(context.Background(), q, db, cert)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestFacadeEvalEngines(t *testing.T) {
 		t.Fatalf("Width = %d", Width(q))
 	}
 	var answers []*Relation
-	for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineAlgebra, EngineMonotone} {
+	for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineCompiled, EngineMonotone} {
 		ans, err := Eval(q, db, e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
@@ -120,13 +120,15 @@ func TestFacadeHoldsAndEngineNames(t *testing.T) {
 	if !h {
 		t.Fatal("∃x P(x) should hold")
 	}
-	for _, name := range []string{"bottomup", "naive", "algebra", "monotone", "eso", "certified"} {
+	for _, name := range []string{"bottomup", "naive", "monotone", "eso", "certified", "compiled"} {
 		if _, err := EngineByName(name); err != nil {
 			t.Errorf("EngineByName(%q): %v", name, err)
 		}
 	}
-	if _, err := EngineByName("nope"); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, name := range []string{"nope", "algebra"} {
+		if _, err := EngineByName(name); err == nil {
+			t.Fatalf("unknown engine %q accepted", name)
+		}
 	}
 }
 

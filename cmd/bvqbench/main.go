@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -283,10 +284,10 @@ func t2fp() {
 			naiveIters = st.FixIterations
 			ans1 = a
 		})
-		cert, _, err := eval.FindCertificate(q, db)
+		cert, _, err := eval.FindCertificate(context.Background(), q, db)
 		die(err)
 		tv := timeIt(func() {
-			res, err := eval.VerifyCertificate(q, db, cert)
+			res, err := eval.VerifyCertificate(context.Background(), q, db, cert)
 			die(err)
 			verifyIters = res.Stats.FixIterations
 			ans2 = res.Answer
@@ -382,7 +383,7 @@ func t2ifp() {
 		outf("   %-4d %12s %12s %8v\n", n,
 			tl.Round(time.Microsecond), ti.Round(time.Microsecond), agree)
 	}
-	if _, _, err := eval.FindCertificate(ifpQ, workload.LineGraph(8)); err == nil {
+	if _, _, err := eval.FindCertificate(context.Background(), ifpQ, workload.LineGraph(8)); err == nil {
 		die(fmt.Errorf("T2-IFP: certificate prover accepted an ifp query"))
 	}
 	outln("   shape: ifp tracks lfp on positive bodies; the Theorem 3.5 prover")
@@ -613,10 +614,10 @@ func t3fp() {
 			die(err)
 			ans1 = a
 		})
-		cert, _, err := eval.FindCertificate(q, db)
+		cert, _, err := eval.FindCertificate(context.Background(), q, db)
 		die(err)
 		tv = timeIt(func() {
-			res, err := eval.VerifyCertificate(q, db, cert)
+			res, err := eval.VerifyCertificate(context.Background(), q, db, cert)
 			die(err)
 			ans2 = res.Answer
 		})

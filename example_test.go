@@ -143,7 +143,7 @@ func ExampleVerifyCertificate() {
 }
 
 func ExampleEngineByName() {
-	for _, name := range []string{"bottomup", "naive", "algebra", "monotone", "eso", "certified"} {
+	for _, name := range []string{"bottomup", "naive", "monotone", "eso", "certified", "compiled"} {
 		e, err := bvq.EngineByName(name)
 		if err != nil {
 			log.Fatal(err)
@@ -155,10 +155,10 @@ func ExampleEngineByName() {
 	// Output:
 	// bottomup
 	// naive
-	// algebra
 	// monotone
 	// eso
 	// certified
+	// compiled
 	// true
 }
 

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nQuery: %s  (width %d)\n", q, bvq.Width(q))
-	for _, engine := range []bvq.Engine{bvq.EngineBottomUp, bvq.EngineNaive, bvq.EngineAlgebra} {
+	for _, engine := range []bvq.Engine{bvq.EngineCompiled, bvq.EngineBottomUp, bvq.EngineNaive} {
 		ans, err := bvq.Eval(q, db, engine)
 		if err != nil {
 			log.Fatal(err)

@@ -57,7 +57,7 @@ func TestPipelineTextToAnswerAllEngines(t *testing.T) {
 			t.Fatalf("re-parse of %q: %v", q.String(), err)
 		}
 		var answers []*Relation
-		for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineAlgebra, EngineMonotone} {
+		for _, e := range []Engine{EngineBottomUp, EngineNaive, EngineCompiled, EngineMonotone} {
 			ans, err := Eval(reparsed, db, e)
 			if err != nil {
 				t.Fatalf("%v on %s: %v", e, q, err)

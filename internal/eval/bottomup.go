@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,48 +36,12 @@ func BottomUpStats(q logic.Query, db *database.Database, opts *Options) (*relati
 // Stats hold the work completed so far (a partial reading; the answer is
 // nil).
 func BottomUpContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	if err := q.Validate(signatureOf(db)); err != nil {
-		return nil, nil, err
-	}
-	if err := checkDomain(db); err != nil {
-		return nil, nil, err
-	}
-	if err := checkWidth(q, opts); err != nil {
-		return nil, nil, err
-	}
-	// Quantifier-free and FO bodies have no fixpoint boundaries, so check
-	// once up front: an already-expired context never starts evaluating.
-	if err := checkCtx(ctx); err != nil {
-		return nil, nil, err
-	}
-	vars := q.Vars()
-	sp, err := relation.NewSpace(len(vars), db.Size())
+	c, err := newWalker(ctx, q, db, opts, "bottomup", restart)
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &buCtx{
-		ctx:    ctx,
-		db:     db,
-		sp:     sp,
-		axes:   make(map[logic.Var]int, len(vars)),
-		env:    newEnv(),
-		stats:  &Stats{},
-		opts:   opts,
-		atoms:  &atomCache{},
-		spaces: &spaceCache{n: db.Size()},
-	}
-	for i, v := range vars {
-		c.axes[v] = i
-	}
-	d, err := c.eval(q.Body)
-	if err != nil {
-		return nil, c.stats, err
-	}
-	head := make([]int, len(q.Head))
-	for i, v := range q.Head {
-		head[i] = c.axes[v]
-	}
-	return d.Project(head), c.stats, nil
+	ans, err := c.answer(q.Head, q.Body)
+	return ans, c.stats, err
 }
 
 // atomCache memoizes the cylindrified dense form of database atoms, keyed by
@@ -140,9 +105,31 @@ func (sc *spaceCache) space(arity int) (*relation.Space, error) {
 	return sp, nil
 }
 
-// buCtx carries the evaluation state of one BottomUp run. The parallel PFP
-// sweep forks one context per worker: env is per-context, everything else is
-// shared (and either immutable or internally synchronized).
+// fixRule is what a fixpoint occurrence does when the walker reaches it
+// again because an enclosing fixpoint advanced a stage. It is the one thing
+// the paper's three upper bounds for FPᵏ differ in, and the one thing the
+// entry points choose.
+type fixRule int
+
+const (
+	// restart iterates every visit from ∅ (µ, IFP) or Dᵏ (ν): Prop 3.1, up
+	// to n^{kl} stages at nesting depth l. BottomUp.
+	restart fixRule = iota
+	// resume continues a visit from the stage the occurrence's previous visit
+	// stopped at, folding it into every new stage so the chain stays
+	// monotone: Lemma 3.4 / footnote 5, l·nᵏ stages, sound where the
+	// environment only moves one way. Monotone.
+	resume
+	// certify is resume at µ; a ν occurrence takes the next element of its
+	// certificate chain and checks Lemma 3.3 (evalGfp): Thm 3.5.
+	// FindCertificate and VerifyCertificate.
+	certify
+)
+
+// buCtx is the one dense formula walker: the evaluation state of a BottomUp,
+// Monotone, FindCertificate or VerifyCertificate run. The parallel PFP sweep
+// forks one context per worker: env and path are per-context, everything
+// else is shared (and either immutable or internally synchronized).
 type buCtx struct {
 	ctx    context.Context
 	db     *database.Database
@@ -153,28 +140,115 @@ type buCtx struct {
 	opts   *Options
 	atoms  *atomCache
 	spaces *spaceCache
+	engine string // TraceEvent.Engine of the entry point that built the walker
+	rule   fixRule
+	// path names the occurrence being evaluated: "r" extended by ".l"/".r"
+	// (binary), ".n" (negation), ".q" (quantifier) or ".b" (fixpoint body)
+	// per step down. Certificate.Chains is keyed by it.
+	path []byte
+	// memo holds, under resume and certify, the stage each fixpoint
+	// occurrence stopped at, between its visits; it owns those stages. Keys
+	// MUST identify the *occurrence*, not its text: two sibling fixpoints can
+	// have byte-identical bodies yet evaluate under different environments
+	// (e.g. the same recursion-relation name bound by different enclosing
+	// operators), and replaying one's stages as the other's would silently
+	// corrupt the answer. A key is therefore the path, unique per occurrence
+	// by construction, with the bound relation's name and extended arity
+	// appended as a tripwire so that any future change that drops position
+	// from the key still cannot collide occurrences that bind different
+	// relations. TestMonotoneMemoNoCrossOccurrenceReplay is the regression
+	// test for this invariant.
+	memo map[string]*relation.Dense
+	// The certify rule's ν state: the chains being recorded (prove) or
+	// replayed, and how many times each ν occurrence has been visited.
+	cert   *Certificate
+	prove  bool
+	cursor map[string]int
+}
+
+// newWalker admits q against db — signature, nonempty domain, the width
+// bound of opts, a context that has not already fired (quantifier-free and FO
+// bodies have no fixpoint boundary to notice it at) — and returns the walker
+// that evaluates bodies over q's variables under rule.
+func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *Options, engine string, rule fixRule) (*buCtx, error) {
+	if err := q.Validate(signatureOf(db)); err != nil {
+		return nil, err
+	}
+	if err := checkDomain(db); err != nil {
+		return nil, err
+	}
+	if err := checkWidth(q, opts); err != nil {
+		return nil, err
+	}
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
+	vars := q.Vars()
+	sp, err := relation.NewSpace(len(vars), db.Size())
+	if err != nil {
+		return nil, err
+	}
+	c := &buCtx{
+		ctx:    ctx,
+		db:     db,
+		sp:     sp,
+		axes:   make(map[logic.Var]int, len(vars)),
+		env:    newEnv(),
+		stats:  &Stats{},
+		opts:   opts,
+		atoms:  &atomCache{},
+		spaces: &spaceCache{n: db.Size()},
+		engine: engine,
+		rule:   rule,
+		path:   []byte("r"),
+	}
+	if rule != restart {
+		c.memo = make(map[string]*relation.Dense)
+	}
+	for i, v := range vars {
+		c.axes[v] = i
+	}
+	return c, nil
+}
+
+// answer evaluates body and projects its denotation onto head. Whatever the
+// outcome, what the walker's caches own by then — atom masters, the stages in
+// the memo — goes back to the pools: a finished walk leaves no scratch out.
+func (c *buCtx) answer(head []logic.Var, body logic.Formula) (*relation.Set, error) {
+	defer func() {
+		for _, d := range c.atoms.m {
+			d.Release()
+		}
+		for _, d := range c.memo {
+			d.Release()
+		}
+	}()
+	d, err := c.eval(body)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Release()
+	cols, err := c.axesOf(head)
+	if err != nil {
+		return nil, err
+	}
+	return d.Project(cols), nil
 }
 
 // fork returns a context for a PFP sweep worker: an independent environment
-// snapshot over the shared database, space, stats and caches. Nested
-// fixpoints inside a worker evaluate serially.
+// snapshot and path over the shared database, space, stats and caches.
+// Nested fixpoints inside a worker evaluate serially.
 func (c *buCtx) fork() *buCtx {
 	var o Options
 	if c.opts != nil {
 		o = *c.opts
 	}
 	o.Parallelism = 1
-	return &buCtx{
-		ctx:    c.ctx,
-		db:     c.db,
-		sp:     c.sp,
-		axes:   c.axes,
-		env:    c.env.clone(),
-		stats:  c.stats,
-		opts:   &o,
-		atoms:  c.atoms,
-		spaces: c.spaces,
-	}
+	wc := *c
+	wc.env = c.env.clone()
+	wc.opts = &o
+	wc.path = append([]byte(nil), c.path...)
+	return &wc
 }
 
 func (c *buCtx) axis(v logic.Var) (int, error) {
@@ -209,6 +283,14 @@ func (c *buCtx) eval(f logic.Formula) (*relation.Dense, error) {
 	return d, nil
 }
 
+// child is eval one step down the occurrence path.
+func (c *buCtx) child(step byte, f logic.Formula) (*relation.Dense, error) {
+	c.path = append(c.path, '.', step)
+	d, err := c.eval(f)
+	c.path = c.path[:len(c.path)-2]
+	return d, err
+}
+
 func (c *buCtx) evalNode(f logic.Formula) (*relation.Dense, error) {
 	switch g := f.(type) {
 	case logic.Atom:
@@ -229,19 +311,20 @@ func (c *buCtx) evalNode(f logic.Formula) (*relation.Dense, error) {
 		}
 		return c.sp.Empty(), nil
 	case logic.Not:
-		d, err := c.eval(g.F)
+		d, err := c.child('n', g.F)
 		if err != nil {
 			return nil, err
 		}
 		d.Complement()
 		return d, nil
 	case logic.Binary:
-		l, err := c.eval(g.L)
+		l, err := c.child('l', g.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.eval(g.R)
+		r, err := c.child('r', g.R)
 		if err != nil {
+			l.Release()
 			return nil, err
 		}
 		switch g.Op {
@@ -259,7 +342,7 @@ func (c *buCtx) evalNode(f logic.Formula) (*relation.Dense, error) {
 		r.Release()
 		return l, nil
 	case logic.Quant:
-		d, err := c.eval(g.F)
+		d, err := c.child('q', g.F)
 		if err != nil {
 			return nil, err
 		}
@@ -290,17 +373,14 @@ func (c *buCtx) evalAtom(g logic.Atom) (*relation.Dense, error) {
 		return nil, err
 	}
 	if br, ok := c.env.rels[g.Rel]; ok {
-		if len(g.Args) != br.arity()-len(br.params) {
-			return nil, fmt.Errorf("eval: %s used with %d arguments, bound with arity %d", g.Rel, len(g.Args), br.arity()-len(br.params))
+		if m := br.dense.Space().Arity() - len(br.params); len(g.Args) != m {
+			return nil, fmt.Errorf("eval: %s used with %d arguments, bound with arity %d", g.Rel, len(g.Args), m)
 		}
 		pax, err := c.axesOf(br.params)
 		if err != nil {
 			return nil, err
 		}
-		if br.dense != nil {
-			return c.sp.FromDenseAtom(br.dense, append(args, pax...))
-		}
-		return c.sp.FromAtom(br.set, append(args, pax...))
+		return c.sp.FromDenseAtom(br.dense, append(args, pax...))
 	}
 	// Database atoms are immutable for the whole evaluation: cylindrify once
 	// per (relation, argument-axes) and hand out pooled copies.
@@ -330,7 +410,8 @@ func atomKey(rel string, args []int) string {
 // divergence. All stage relations stay dense: each stage is extracted from
 // the body denotation with a word-parallel ProjectAt and re-enters the next
 // stage's atoms through FromDenseAtom, never materializing sparse tuple
-// sets.
+// sets. Where the stage loop of an LFP/GFP/IFP occurrence starts is the
+// walker's rule.
 func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 	params := fixParams(g)
 	varAxes, err := c.axesOf(g.Vars)
@@ -346,28 +427,60 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 		return nil, err
 	}
 	extCols := append(append([]int(nil), varAxes...), paramAxes...)
+	out := append(argAxes, paramAxes...)
 
 	if g.Op == logic.PFP {
 		limit, err := c.evalPFP(g, params, varAxes, paramAxes)
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.sp.FromDenseAtom(limit, append(argAxes, paramAxes...))
+		res, err := c.sp.FromDenseAtom(limit, out)
 		limit.Release()
 		return res, err
 	}
 
-	ext := len(g.Vars) + len(params)
-	esp, err := c.spaces.space(ext)
+	esp, err := c.spaces.space(len(extCols))
 	if err != nil {
 		return nil, err
 	}
-	var cur *relation.Dense
-	if g.Op == logic.GFP {
-		cur = esp.Full()
-	} else {
-		cur = esp.Empty()
+	if c.rule == certify && g.Op == logic.GFP {
+		return c.evalGfp(g, params, esp, extCols, out)
 	}
+	var key string
+	var cur *relation.Dense
+	if c.rule != restart {
+		// This visit owns the remembered stage until it hands its limit back.
+		key = string(c.path) + "|" + g.Rel + "/" + strconv.Itoa(esp.Arity())
+		cur = c.memo[key]
+		delete(c.memo, key)
+	}
+	if cur == nil {
+		if g.Op == logic.GFP {
+			cur = esp.Full()
+		} else {
+			cur = esp.Empty()
+		}
+	}
+	if cur, err = c.stages(g, params, esp, extCols, cur); err != nil {
+		return nil, err
+	}
+	res, err := c.sp.FromDenseAtom(cur, out)
+	if c.rule == restart {
+		cur.Release()
+	} else {
+		c.memo[key] = cur
+	}
+	return res, err
+}
+
+// stages runs the stage loop of the LFP/GFP/IFP occurrence g from cur, which
+// it consumes, to its limit over esp, which the caller owns. Under any rule
+// but restart the previous stage is folded into the next one: an occurrence
+// that resumes sees a different operator on each visit, and the fold is what
+// keeps its chain increasing (µ, Lemma 3.4) or decreasing (ν). A lone IFP is
+// safe under resume — Monotone's alternation check rejects IFP nested in or
+// around other fixpoints, so it is never visited twice.
+func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, extCols []int, cur *relation.Dense) (*relation.Dense, error) {
 	restore := c.env.bind(g.Rel, boundRel{dense: cur, params: params})
 	defer restore()
 	// Stage tracing state lives entirely behind the nil check: an untraced
@@ -388,35 +501,35 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 			stageStart = time.Now()
 		}
 		c.env.rels[g.Rel] = boundRel{dense: cur, params: params}
-		body, err := c.eval(g.Body)
+		body, err := c.child('b', g.Body)
 		if err != nil {
+			cur.Release()
 			return nil, err
 		}
 		next := body.ProjectAt(esp, extCols, nil, nil)
 		body.Release()
-		if g.Op == logic.IFP {
-			// Inflationary stages: S_{i+1} = S_i ∪ φ(S_i); converge within
-			// n^ext steps with no positivity requirement.
+		if g.Op == logic.GFP && c.rule != restart {
+			next.IntersectWith(cur)
+		} else if g.Op == logic.IFP || c.rule != restart {
+			// Inflationary stages, S_{i+1} = S_i ∪ φ(S_i), converge within
+			// n^ext steps with no positivity requirement; a resumed µ chain is
+			// kept increasing the same way.
 			next.UnionWith(cur)
 		}
 		if tr != nil {
 			stage++
 			n := next.Count()
-			tr(TraceEvent{Engine: "bottomup", Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
+			tr(TraceEvent{Engine: c.engine, Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
 				Stage: stage, Tuples: n, Delta: n - prevCount, Elapsed: time.Since(stageStart)})
 			prevCount = n
 		}
 		if next.Equal(cur) {
 			next.Release()
-			break
+			return cur, nil
 		}
-		c.env.rels[g.Rel] = boundRel{dense: next, params: params}
 		cur.Release()
 		cur = next
 	}
-	res, err := c.sp.FromDenseAtom(cur, append(argAxes, paramAxes...))
-	cur.Release()
-	return res, err
 }
 
 // evalPFP computes the partial fixpoint per parameter assignment and returns
@@ -552,7 +665,7 @@ func (c *buCtx) pfpOne(g logic.Fix, msp *relation.Space, varAxes, paramAxes, ass
 			stageStart = time.Now()
 		}
 		restore := c.env.bind(g.Rel, boundRel{dense: s})
-		body, err := c.eval(g.Body)
+		body, err := c.child('b', g.Body)
 		restore()
 		if err != nil {
 			return nil, err
@@ -562,7 +675,7 @@ func (c *buCtx) pfpOne(g logic.Fix, msp *relation.Space, varAxes, paramAxes, ass
 		if tr != nil {
 			stage++
 			n := next.Count()
-			tr(TraceEvent{Engine: "bottomup", Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
+			tr(TraceEvent{Engine: c.engine, Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
 				Stage: stage, Tuples: n, Delta: n - s.Count(), Elapsed: time.Since(stageStart)})
 		}
 		return next, nil
@@ -645,16 +758,6 @@ func fixParams(g logic.Fix) []logic.Var {
 		delete(free, v)
 	}
 	return logic.SortedVars(free)
-}
-
-// fullSet returns the set of all arity-tuples over the database domain.
-func (c *buCtx) fullSet(arity int) *relation.Set {
-	out := relation.NewSet(arity)
-	forEachAssignment(c.db.Size(), arity, func(t []int) bool {
-		out.Add(t)
-		return true
-	})
-	return out
 }
 
 // forEachAssignment enumerates all n^m assignments, calling fn with a reused

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/database"
@@ -9,8 +10,9 @@ import (
 )
 
 // This file implements Theorem 3.5: the combined complexity of FPᵏ is in
-// NP ∩ co-NP. The algorithm approximates least AND greatest fixpoints from
-// below (Lemmas 3.3 and 3.4):
+// NP ∩ co-NP. It is the formula walker of bottomup.go under the certify rule,
+// which approximates least AND greatest fixpoints from below (Lemmas 3.3 and
+// 3.4):
 //
 //   - Lemma 3.3: a ∈ gfp(f) iff there is a post-fixpoint Q (Q ⊆ f′(Q) for
 //     some monotone f′ ⊑ f) with a ∈ Q. The certificate *guesses* Q; the
@@ -18,11 +20,11 @@ import (
 //
 //   - Lemma 3.4: a ∈ lfp(f) iff a ∈ ⋃ Qᵢ for an increasing chain
 //     Q₀ = ∅, Qᵢ = fᵢ(Q_{i−1}) with monotone f₁ ⊑ f₂ ⊑ … ⊑ f. The chain
-//     need not be guessed: the verifier *computes* it, warm-starting each
-//     least fixpoint from its previous value whenever the evaluation
-//     context has grown (the fᵢ of the lemma are the body operators with
-//     the current, growing under-approximations of the guessed gfp nodes
-//     plugged in).
+//     need not be guessed: the verifier *computes* it — the walker's resume
+//     rule, each least fixpoint continuing from its previous value whenever
+//     the evaluation context has grown (the fᵢ of the lemma are the body
+//     operators with the current, growing under-approximations of the
+//     guessed gfp nodes plugged in).
 //
 // Every re-evaluation in the run happens under a non-decreasing environment
 // (outer lfp stages grow; guessed gfp chains grow), so each fixpoint node's
@@ -72,23 +74,16 @@ type CertResult struct {
 // The body is normalized to NNF first (Verify does the same). Only the FP
 // fragment is supported. The prover computes each greatest fixpoint exactly
 // (paying the nested-iteration price); the certificate it emits lets Verify
-// redo the evaluation with l·nᵏ cheap stages.
-func FindCertificate(q logic.Query, db *database.Database) (*Certificate, *CertResult, error) {
-	c, body, err := newCertCtx(q, db)
+// redo the evaluation with l·nᵏ cheap stages. The context is checked once per
+// fixpoint stage; when it fires the error wraps ctx.Err() and the result
+// holds the Stats of the work done so far and no answer.
+func FindCertificate(ctx context.Context, q logic.Query, db *database.Database) (*Certificate, *CertResult, error) {
+	cert := &Certificate{Chains: make(map[string][]*relation.Set)}
+	res, err := certified(ctx, q, db, cert, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, res, err
 	}
-	c.mode = certFind
-	c.cert = &Certificate{Chains: make(map[string][]*relation.Set)}
-	d, err := c.eval(body, "r")
-	if err != nil {
-		return nil, nil, err
-	}
-	head := make([]int, len(q.Head))
-	for i, v := range q.Head {
-		head[i] = c.axes[v]
-	}
-	return c.cert, &CertResult{Answer: d.Project(head), Stats: *c.stats}, nil
+	return cert, res, nil
 }
 
 // VerifyCertificate replays the evaluation of q using the guessed gfp chains
@@ -96,26 +91,29 @@ func FindCertificate(q logic.Query, db *database.Database) (*Certificate, *CertR
 // success it returns the certified answer, which is guaranteed to be a
 // subset of the true answer (and equals it for certificates produced by
 // FindCertificate). A tampered certificate fails either a chain check or
-// the final comparison made by the caller.
-func VerifyCertificate(q logic.Query, db *database.Database, cert *Certificate) (*CertResult, error) {
-	c, body, err := newCertCtx(q, db)
+// the final comparison made by the caller. The context is honored as by
+// FindCertificate.
+func VerifyCertificate(ctx context.Context, q logic.Query, db *database.Database, cert *Certificate) (*CertResult, error) {
+	if err := cert.checkChainsIncreasing(); err != nil {
+		return nil, err
+	}
+	return certified(ctx, q, db, cert, false)
+}
+
+// certified runs the walker under the certify rule, recording ν chains into
+// cert (prove) or replaying them from it.
+func certified(ctx context.Context, q logic.Query, db *database.Database, cert *Certificate, prove bool) (*CertResult, error) {
+	c, err := newWalker(ctx, q, db, nil, "certified", certify)
 	if err != nil {
 		return nil, err
 	}
-	c.mode = certVerify
-	c.cert = cert
-	if err := c.checkChainsIncreasing(); err != nil {
-		return nil, err
-	}
-	d, err := c.eval(body, "r")
+	body, err := positiveBody(q, false, "certificates apply to FP queries")
 	if err != nil {
 		return nil, err
 	}
-	head := make([]int, len(q.Head))
-	for i, v := range q.Head {
-		head[i] = c.axes[v]
-	}
-	return &CertResult{Answer: d.Project(head), Stats: *c.stats}, nil
+	c.cert, c.prove, c.cursor = cert, prove, make(map[string]int)
+	ans, err := c.answer(q.Head, body)
+	return &CertResult{Answer: ans, Stats: *c.stats}, err
 }
 
 // NegateQuery returns the query whose answer is the complement of q's:
@@ -129,69 +127,11 @@ func NegateQuery(q logic.Query) (logic.Query, error) {
 	return logic.NewQuery(q.Head, body)
 }
 
-type certMode int
-
-const (
-	certFind certMode = iota
-	certVerify
-)
-
-type certCtx struct {
-	db    *database.Database
-	sp    *relation.Space
-	axes  map[logic.Var]int
-	env   *env
-	stats *Stats
-	mode  certMode
-	cert  *Certificate
-	// cursor counts evaluations of each gfp node; memo warm-starts each lfp
-	// node.
-	cursor map[string]int
-	memo   map[string]*relation.Set
-}
-
-func newCertCtx(q logic.Query, db *database.Database) (*certCtx, logic.Formula, error) {
-	if err := q.Validate(signatureOf(db)); err != nil {
-		return nil, nil, err
-	}
-	if err := checkDomain(db); err != nil {
-		return nil, nil, err
-	}
-	body, err := logic.NNF(q.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fr := logic.Classify(body); fr != logic.FragFO && fr != logic.FragFP {
-		return nil, nil, fmt.Errorf("eval: certificates apply to FP queries, got %v", fr)
-	}
-	if err := logic.Validate(body, nil); err != nil {
-		return nil, nil, err
-	}
-	vars := q.Vars()
-	sp, err := relation.NewSpace(len(vars), db.Size())
-	if err != nil {
-		return nil, nil, err
-	}
-	c := &certCtx{
-		db:     db,
-		sp:     sp,
-		axes:   make(map[logic.Var]int, len(vars)),
-		env:    newEnv(),
-		stats:  &Stats{},
-		cursor: make(map[string]int),
-		memo:   make(map[string]*relation.Set),
-	}
-	for i, v := range vars {
-		c.axes[v] = i
-	}
-	return c, body, nil
-}
-
-func (c *certCtx) checkChainsIncreasing() error {
-	if c.cert == nil || c.cert.Chains == nil {
+func (cert *Certificate) checkChainsIncreasing() error {
+	if cert == nil || cert.Chains == nil {
 		return fmt.Errorf("eval: nil certificate")
 	}
-	for path, chain := range c.cert.Chains {
+	for path, chain := range cert.Chains {
 		if len(chain) == 0 {
 			return fmt.Errorf("eval: empty chain at %s", path)
 		}
@@ -204,138 +144,32 @@ func (c *certCtx) checkChainsIncreasing() error {
 	return nil
 }
 
-func (c *certCtx) axesOf(vs []logic.Var) []int {
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = c.axes[v]
+// evalGfp is the certify rule at a greatest fixpoint occurrence: the verifier
+// takes the next element of the occurrence's guessed chain and checks the
+// Lemma 3.3 post-fixpoint condition; the prover computes the true fixpoint —
+// the restart rule, applied to this occurrence and everything under it, no
+// certificate state touched — records it on the chain, and then performs the
+// same mirror check so both modes advance inner occurrences identically.
+// Chain elements cross into and out of the stage space here, as sets.
+func (c *buCtx) evalGfp(g logic.Fix, params []logic.Var, esp *relation.Space, extCols, out []int) (*relation.Dense, error) {
+	if err := checkCtx(c.ctx); err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// eval computes the certified under-approximate denotation of f. The path
-// argument names f's position in the tree, so both modes agree on node
-// identity.
-func (c *certCtx) eval(f logic.Formula, path string) (*relation.Dense, error) {
-	c.stats.addSubformulaEvals(1)
-	switch g := f.(type) {
-	case logic.Atom:
-		if br, ok := c.env.rels[g.Rel]; ok {
-			return c.sp.FromAtom(br.set, append(c.axesOf(g.Args), c.axesOf(br.params)...))
-		}
-		rel, err := c.db.Rel(g.Rel)
-		if err != nil {
-			return nil, err
-		}
-		return c.sp.FromAtom(rel, c.axesOf(g.Args))
-	case logic.Eq:
-		return c.sp.Diagonal(c.axes[g.L], c.axes[g.R]), nil
-	case logic.Truth:
-		if g.Value {
-			return c.sp.Full(), nil
-		}
-		return c.sp.Empty(), nil
-	case logic.Not:
-		// NNF: negation only over atoms/equalities, which are exact.
-		d, err := c.eval(g.F, path+".n")
-		if err != nil {
-			return nil, err
-		}
-		d.Complement()
-		return d, nil
-	case logic.Binary:
-		l, err := c.eval(g.L, path+".l")
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.eval(g.R, path+".r")
-		if err != nil {
-			return nil, err
-		}
-		switch g.Op {
-		case logic.AndOp:
-			l.IntersectWith(r)
-		case logic.OrOp:
-			l.UnionWith(r)
-		default:
-			return nil, fmt.Errorf("eval: %v connective survived NNF", g.Op)
-		}
-		return l, nil
-	case logic.Quant:
-		d, err := c.eval(g.F, path+".q")
-		if err != nil {
-			return nil, err
-		}
-		if g.Kind == logic.ExistsQ {
-			return d.ExistsAxis(c.axes[g.V]), nil
-		}
-		return d.ForallAxis(c.axes[g.V]), nil
-	case logic.Fix:
-		switch g.Op {
-		case logic.LFP:
-			return c.evalLfp(g, path)
-		case logic.GFP:
-			return c.evalGfp(g, path)
-		default:
-			return nil, fmt.Errorf("eval: certificates do not cover PFP")
-		}
-	default:
-		return nil, fmt.Errorf("eval: certificates do not cover %T", f)
-	}
-}
-
-// evalLfp computes a least fixpoint by the Lemma 3.4 chain, warm-starting
-// from the node's value at its previous evaluation (sound because every
-// re-evaluation happens under a non-decreasing environment).
-func (c *certCtx) evalLfp(g logic.Fix, path string) (*relation.Dense, error) {
-	params := fixParams(g)
-	ext := len(g.Vars) + len(params)
-	extCols := append(c.axesOf(g.Vars), c.axesOf(params)...)
-	cur := c.memo[path]
-	if cur == nil {
-		cur = relation.NewSet(ext)
-	}
-	restore := c.env.bind(g.Rel, boundRel{set: cur, params: params})
-	defer restore()
-	for {
-		c.stats.addFixIterations(1)
-		c.env.rels[g.Rel] = boundRel{set: cur, params: params}
-		body, err := c.eval(g.Body, path+".b")
-		if err != nil {
-			return nil, err
-		}
-		next := body.Project(extCols)
-		// Lemma 3.4 chains are increasing: fold in the previous stage.
-		next = next.Union(cur)
-		if next.Equal(cur) {
-			break
-		}
-		cur = next
-	}
-	c.memo[path] = cur
-	return c.sp.FromAtom(cur, append(c.axesOf(g.Args), c.axesOf(params)...))
-}
-
-// evalGfp handles a greatest fixpoint node: the verifier takes the next
-// element of the node's guessed chain and checks the Lemma 3.3 post-fixpoint
-// condition; the prover computes the true fixpoint (via a throwaway exact
-// sub-evaluation), records it on the chain, and then performs the same
-// mirror check so both modes advance inner nodes identically.
-func (c *certCtx) evalGfp(g logic.Fix, path string) (*relation.Dense, error) {
-	params := fixParams(g)
-	extCols := append(c.axesOf(g.Vars), c.axesOf(params)...)
+	path := string(c.path)
 	n := c.cursor[path]
 	c.cursor[path] = n + 1
 
-	var q *relation.Set
-	switch c.mode {
-	case certFind:
-		val, err := c.exactGfp(g, params, extCols)
+	var q *relation.Dense
+	if c.prove {
+		c.rule = restart
+		val, err := c.stages(g, params, esp, extCols, esp.Full())
+		c.rule = certify
 		if err != nil {
 			return nil, err
 		}
-		c.cert.Chains[path] = append(c.cert.Chains[path], val)
+		c.cert.Chains[path] = append(c.cert.Chains[path], val.ToSet())
 		q = val
-	case certVerify:
+	} else {
 		chain := c.cert.Chains[path]
 		if len(chain) == 0 {
 			return nil, fmt.Errorf("eval: certificate has no chain for gfp node %s", path)
@@ -343,47 +177,35 @@ func (c *certCtx) evalGfp(g logic.Fix, path string) (*relation.Dense, error) {
 		if n >= len(chain) {
 			n = len(chain) - 1
 		}
-		q = chain[n]
-		if q.Arity() != len(g.Vars)+len(params) {
-			return nil, fmt.Errorf("eval: chain at %s has arity %d, want %d", path, q.Arity(), len(g.Vars)+len(params))
+		if chain[n].Arity() != esp.Arity() {
+			return nil, fmt.Errorf("eval: chain at %s has arity %d, want %d", path, chain[n].Arity(), esp.Arity())
+		}
+		cols := make([]int, esp.Arity())
+		for i := range cols {
+			cols[i] = i
+		}
+		var err error
+		if q, err = esp.FromAtom(chain[n], cols); err != nil {
+			return nil, err
 		}
 	}
+	defer q.Release()
 
 	// Mirror check (Lemma 3.3): Q ⊆ f′(Q), evaluated with the certified
 	// under-approximations of everything inside the body.
-	restore := c.env.bind(g.Rel, boundRel{set: q, params: params})
+	restore := c.env.bind(g.Rel, boundRel{dense: q, params: params})
 	c.stats.addFixIterations(1)
-	body, err := c.eval(g.Body, path+".b")
+	body, err := c.child('b', g.Body)
 	restore()
 	if err != nil {
 		return nil, err
 	}
-	if !q.SubsetOf(body.Project(extCols)) {
+	image := body.ProjectAt(esp, extCols, nil, nil)
+	body.Release()
+	post := q.SubsetOf(image)
+	image.Release()
+	if !post {
 		return nil, fmt.Errorf("eval: post-fixpoint check failed for gfp node %s", path)
 	}
-	return c.sp.FromAtom(q, append(c.axesOf(g.Args), c.axesOf(params)...))
-}
-
-// exactGfp computes the true greatest fixpoint of g under the current
-// environment with a plain nested Kleene iteration (no certificate state
-// touched). This is prover-side work only.
-func (c *certCtx) exactGfp(g logic.Fix, params []logic.Var, extCols []int) (*relation.Set, error) {
-	sub := &buCtx{db: c.db, sp: c.sp, axes: c.axes, env: c.env, stats: c.stats, opts: nil,
-		atoms: &atomCache{}, spaces: &spaceCache{n: c.db.Size()}}
-	ext := len(g.Vars) + len(params)
-	cur := sub.fullSet(ext)
-	restore := c.env.bind(g.Rel, boundRel{set: cur, params: params})
-	defer restore()
-	for {
-		c.env.rels[g.Rel] = boundRel{set: cur, params: params}
-		body, err := sub.eval(g.Body)
-		if err != nil {
-			return nil, err
-		}
-		next := body.Project(extCols)
-		if next.Equal(cur) {
-			return cur, nil
-		}
-		cur = next
-	}
+	return c.sp.FromDenseAtom(q, out)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,10 +35,8 @@ func TestContextExpiredBeforeEval(t *testing.T) {
 	if _, _, err := MonotoneContext(ctx, q, db, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MonotoneContext after cancel: err = %v, want context.Canceled", err)
 	}
-	fo := logic.MustQuery([]logic.Var{"x", "y"},
-		logic.Exists(logic.And(logic.R("E", "x", "z"), logic.R("E", "z", "y")), "z"))
-	if _, _, err := AlgebraContext(ctx, fo, db); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AlgebraContext after cancel: err = %v, want context.Canceled", err)
+	if _, _, err := FindCertificate(ctx, q, db); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindCertificate after cancel: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -110,5 +109,53 @@ func TestContextAnswerUnchanged(t *testing.T) {
 	}
 	if pst.FixIterations != cst.FixIterations || pst.SubformulaEvals != cst.SubformulaEvals {
 		t.Fatalf("stats differ: %+v vs %+v", pst, cst)
+	}
+}
+
+// firesAfter is a context whose Err turns context.Canceled after a set number
+// of checks: the walker checks once on admission and once per stage, so this
+// cancels inside a fixpoint deterministically.
+type firesAfter struct {
+	context.Context
+	left *int32
+}
+
+func cancelAfter(checks int32) firesAfter {
+	return firesAfter{Context: context.Background(), left: &checks}
+}
+
+func (c firesAfter) Err() error {
+	if atomic.AddInt32(c.left, -1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCertifiedCancelsInsideFixpoint is the bug the shared walker fixes: the
+// prover and the verifier used to run to completion whatever the context
+// said. Cancelled inside a fixpoint they stop at the next stage boundary with
+// the work done so far.
+func TestCertifiedCancelsInsideFixpoint(t *testing.T) {
+	q := logic.MustQuery([]logic.Var{"x"}, alternatingFormula(3))
+	db := lineGraph(t, 12)
+	cert, full, err := FindCertificate(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const checks = 5 // one on admission, four stages
+	c, res, err := FindCertificate(cancelAfter(checks), q, db)
+	if !errors.Is(err, context.Canceled) || c != nil {
+		t.Fatalf("prover: cert %v, err %v, want context.Canceled", c, err)
+	}
+	if res == nil || res.Answer != nil || res.Stats.FixIterations == 0 || res.Stats.FixIterations >= checks ||
+		res.Stats.FixIterations >= full.Stats.FixIterations {
+		t.Fatalf("prover: partial result %+v (a full run takes %d stages)", res, full.Stats.FixIterations)
+	}
+	ver, err := VerifyCertificate(cancelAfter(checks), q, db, cert)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("verifier: err %v, want context.Canceled", err)
+	}
+	if ver == nil || ver.Answer != nil || ver.Stats.FixIterations == 0 || ver.Stats.FixIterations >= checks {
+		t.Fatalf("verifier: partial result %+v", ver)
 	}
 }

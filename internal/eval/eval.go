@@ -7,6 +7,13 @@
 //     FPᵏ (fixpoint iteration with bounded-arity recursion relations) and
 //     PFPᵏ (Theorem 3.8, with cycle detection for divergence).
 //
+//   - Monotone, FindCertificate and VerifyCertificate — the same formula
+//     walker (buCtx, bottomup.go) under the two other answers to "what does a
+//     fixpoint occurrence do when it is reached again": resume where it
+//     stopped (Lemma 3.4 / footnote 5, l·nᵏ stages instead of n^{kl}), or take
+//     the next element of a guessed chain and check Lemma 3.3 (Theorem 3.5,
+//     NP ∩ co-NP for FPᵏ; certificate.go).
+//
 //   - Naive — the generic environment-recursion algorithm: the textbook
 //     PSPACE procedure whose running time is exponential in quantifier
 //     nesting. It is the paper's "unbounded" baseline and, being obviously
@@ -14,13 +21,8 @@
 //     It also evaluates ESO by enumerating the quantified relations (the
 //     exponential guess of §3.3), guarded by a size cap.
 //
-//   - Algebra — classical relational-algebra evaluation where each
-//     subformula is computed over exactly its free variables. Its
-//     intermediate arity equals the subformula's free-variable count, which
-//     is what blows up on unbounded-width queries (§1's motivating example).
-//
-// The Theorem 3.5 certificate machinery (NP∩co-NP for FPᵏ) is in
-// certificate.go of this package.
+//   - Compiled — the plan executor (executor.go) over hash-consed DAG plans,
+//     on dense bitmaps or sorted sparse blocks: what bvqd serves with.
 package eval
 
 import (
@@ -65,9 +67,10 @@ type Options struct {
 	// PFPCycle selects the convergence detector.
 	PFPCycle CycleMode
 	// Backend selects the relation representation for the Compiled engine:
-	// auto (the zero value), dense, or sparse. Tree-walking engines ignore
-	// it — they are inherently full-width dense. It participates in result
-	// cache keys (different backends may report different Stats).
+	// auto (the zero value), dense, or sparse. The formula walker (BottomUp,
+	// Monotone, the certificate pair) ignores it — it is inherently
+	// full-width dense. It participates in result cache keys (different
+	// backends may report different Stats).
 	Backend Backend
 	// SparseBudget caps the tuple count of any single sparse materialization
 	// (join result, widening, complement, stage). 0 means
@@ -96,8 +99,8 @@ type Options struct {
 	// counts and cumulative wall time per DAG node, the data behind the
 	// server's explain mode. A nil Profile is zero-cost — the executor
 	// hoists the nil check like it does for Tracer. Profile never changes
-	// answers, so it is excluded from result-cache keys. Tree-walking
-	// engines have no plan nodes and ignore it.
+	// answers, so it is excluded from result-cache keys. The formula walker
+	// has no plan nodes and ignores it.
 	Profile *PlanProfile
 	// Nodes, when non-nil, shares closed node values between Compiled runs.
 	Nodes *NodeStore
@@ -133,8 +136,8 @@ type TraceEvent struct {
 	Elapsed time.Duration
 	// Binder is the plan binder id this fixpoint run belongs to for the
 	// Compiled engine (on every backend route), so a trace consumer can
-	// attach stage work to the exact plan.FixInfo it iterated. The
-	// tree-walking engines (bottomup, monotone) have no plan and report -1.
+	// attach stage work to the exact plan.FixInfo it iterated. The formula
+	// walker (bottomup, monotone) has no plan and reports -1.
 	Binder int
 	// HandOff marks the stage after which the Compiled engine moved the loop
 	// to the other backend: the next stage is reported by that one's run.
@@ -241,8 +244,8 @@ type Stats struct {
 	// FixIterations counts fixpoint stages across all fixpoint operators.
 	FixIterations int64 `json:"fix_iterations"`
 	// MaxIntermediateArity is the largest arity of any intermediate
-	// relation (always the query width for BottomUp; per-subformula for
-	// Algebra).
+	// relation: the query width for the formula walker, the widest support
+	// for a sparse Compiled run.
 	MaxIntermediateArity int64 `json:"max_intermediate_arity"`
 	// MaxIntermediateTuples is the largest tuple count of any intermediate
 	// relation.
@@ -250,7 +253,7 @@ type Stats struct {
 	// NodesReused counts plan-node values served from the Compiled engine's
 	// DAG cache instead of being recomputed: per fixpoint stage, the size of
 	// the hoisted frontier the stage read without re-evaluating (work the
-	// tree-walking evaluators would redo every iteration). Zero for other
+	// formula walker redoes every iteration). Zero for other
 	// engines. The counter is schedule-independent: it depends only on the
 	// plan and the iteration counts, never on Options.Parallelism.
 	NodesReused int64 `json:"nodes_reused,omitempty"`
@@ -361,22 +364,12 @@ func atomicMax(p *int64, v int64) {
 // boundRel is an interpreted relation symbol: a database relation
 // (params nil) or a recursion relation extended with its parameter
 // variables (the free individual variables of the fixpoint body). The value
-// is either a sparse set or a dense relation; the dense form is what the
-// bottom-up fixpoint evaluators bind, so stage relations never round-trip
-// through sparse tuple sets.
+// is either a sparse set (Naive) or a dense relation (the formula walker, so
+// its stage relations never round-trip through sparse tuple sets).
 type boundRel struct {
 	set    *relation.Set
 	dense  *relation.Dense
 	params []logic.Var
-}
-
-// arity returns the bound relation's extended arity (recursion tuple plus
-// parameters).
-func (br boundRel) arity() int {
-	if br.dense != nil {
-		return br.dense.Space().Arity()
-	}
-	return br.set.Arity()
 }
 
 // env maps bound relation symbols to their current values, with scoping.

@@ -137,15 +137,8 @@ func TestCrossValidateFOEvaluators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Naive(%s): %v", q, err)
 		}
-		al, err := Algebra(q, db)
-		if err != nil {
-			t.Fatalf("Algebra(%s): %v", q, err)
-		}
 		if !bu.Equal(nv) {
 			t.Fatalf("BottomUp %v != Naive %v on %s\n%s", bu, nv, q, db)
-		}
-		if !al.Equal(nv) {
-			t.Fatalf("Algebra %v != Naive %v on %s\n%s", al, nv, q, db)
 		}
 	}
 }
@@ -467,20 +460,20 @@ func TestNaiveSOCapRefusesLargeSearch(t *testing.T) {
 	}
 }
 
-func TestAlgebraStatsArities(t *testing.T) {
+func TestBottomUpStatsArities(t *testing.T) {
 	db := lineGraph(t, 4)
-	// x,y,z,w chain: intermediate arity must reach 4 under Algebra...
+	// x,y,z,w chain: every intermediate has the query's width, 4...
 	f := logic.Exists(logic.And(logic.R("E", "x", "y"),
 		logic.And(logic.R("E", "y", "z"), logic.R("E", "z", "w"))), "y", "z", "w")
 	q := logic.MustQuery([]logic.Var{"x"}, f)
-	_, st, err := AlgebraStats(q, db)
+	_, st, err := BottomUpStats(q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxIntermediateArity < 4 {
-		t.Fatalf("algebra max arity = %d, want ≥ 4", st.MaxIntermediateArity)
+	if st.MaxIntermediateArity != 4 {
+		t.Fatalf("bottom-up max arity = %d, want 4", st.MaxIntermediateArity)
 	}
-	// ...while the width-3 rewrite stays at 3 under BottomUp.
+	// ...while the width-3 rewrite of the same path stays at 3.
 	q3 := logic.MustQuery([]logic.Var{"x"}, logic.Exists(pathFormula(3), "y"))
 	_, st3, err := BottomUpStats(q3, db, nil)
 	if err != nil {
@@ -488,15 +481,6 @@ func TestAlgebraStatsArities(t *testing.T) {
 	}
 	if st3.MaxIntermediateArity != 3 {
 		t.Fatalf("bottom-up max arity = %d, want 3", st3.MaxIntermediateArity)
-	}
-}
-
-func TestAlgebraRejectsFixpoints(t *testing.T) {
-	db := lineGraph(t, 3)
-	q := logic.MustQuery([]logic.Var{"u"},
-		logic.Lfp("S", []logic.Var{"x"}, logic.Or(logic.R("P", "x"), logic.R("S", "x")), "u"))
-	if _, err := Algebra(q, db); err == nil {
-		t.Fatal("Algebra accepted a fixpoint")
 	}
 }
 
@@ -511,9 +495,6 @@ func TestEmptyDomainRejected(t *testing.T) {
 	}
 	if _, err := Naive(q, db); err == nil {
 		t.Fatal("Naive accepted an empty domain")
-	}
-	if _, err := Algebra(q, db); err == nil {
-		t.Fatal("Algebra accepted an empty domain")
 	}
 }
 

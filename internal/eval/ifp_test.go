@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestIFPClassificationAndCertificates(t *testing.T) {
 	// must reject it.
 	db := lineGraph(t, 3)
 	q := logic.MustQuery([]logic.Var{"u"}, f)
-	if _, _, err := FindCertificate(q, db); err == nil {
+	if _, _, err := FindCertificate(context.Background(), q, db); err == nil {
 		t.Fatal("certificates accepted an IFP query")
 	}
 	// A lone IFP is fine under Monotone; so is a *closed* IFP nested under

@@ -3,8 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"time"
 
 	"repro/internal/database"
 	"repro/internal/logic"
@@ -33,9 +31,8 @@ func Monotone(q logic.Query, db *database.Database) (*relation.Set, error) {
 	return ans, err
 }
 
-// MonotoneStats is Monotone with options and work statistics. Monotone
-// honors only the observation knobs of Options (Tracer); width bounds and
-// PFP settings do not apply to its fragment.
+// MonotoneStats is Monotone with options and work statistics. Of Options it
+// honors the width bound and the Tracer; its fragment has no PFP.
 func MonotoneStats(q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	return MonotoneContext(context.Background(), q, db, opts)
 }
@@ -44,195 +41,35 @@ func MonotoneStats(q logic.Query, db *database.Database, opts *Options) (*relati
 // checked once per fixpoint iteration, like BottomUpContext. On cancellation
 // the returned Stats hold the work completed so far.
 func MonotoneContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	if err := q.Validate(signatureOf(db)); err != nil {
-		return nil, nil, err
-	}
-	if err := checkDomain(db); err != nil {
-		return nil, nil, err
-	}
-	// FO bodies never reach a fixpoint boundary; check once up front so an
-	// already-expired context never starts evaluating.
-	if err := checkCtx(ctx); err != nil {
-		return nil, nil, err
-	}
-	body, err := logic.NNF(q.Body)
+	c, err := newWalker(ctx, q, db, opts, "monotone", resume)
 	if err != nil {
 		return nil, nil, err
 	}
-	if fr := logic.Classify(body); fr != logic.FragFO && fr != logic.FragFP && fr != logic.FragIFP {
-		return nil, nil, fmt.Errorf("eval: Monotone evaluates FP/IFP only, got %v", fr)
-	}
-	if err := logic.Validate(body, nil); err != nil {
+	body, err := positiveBody(q, true, "Monotone evaluates FP/IFP only")
+	if err != nil {
 		return nil, nil, err
 	}
 	if d := logic.DependentAlternationDepth(body); d > 1 {
 		return nil, nil, fmt.Errorf("eval: Monotone requires a (dependently) alternation-free formula, alternation depth is %d", d)
 	}
-	vars := q.Vars()
-	sp, err := relation.NewSpace(len(vars), db.Size())
+	ans, err := c.answer(q.Head, body)
+	return ans, c.stats, err
+}
+
+// positiveBody returns q's body in negation normal form, which is what lets a
+// fixpoint occurrence resume: every recursion relation occurs positively, so
+// a stage chain that only grows (or only shrinks) stays one. The body must be
+// FO or FP — or IFP where ifp says so; what names the caller in the refusal.
+func positiveBody(q logic.Query, ifp bool, what string) (logic.Formula, error) {
+	body, err := logic.NNF(q.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c := &monoCtx{ctx: ctx, db: db, sp: sp, axes: make(map[logic.Var]int, len(vars)), env: newEnv(), stats: &Stats{}, opts: opts, memo: make(map[string]*relation.Set)}
-	for i, v := range vars {
-		c.axes[v] = i
+	if fr := logic.Classify(body); fr != logic.FragFO && fr != logic.FragFP && !(ifp && fr == logic.FragIFP) {
+		return nil, fmt.Errorf("eval: %s, got %v", what, fr)
 	}
-	d, err := c.eval(body, "r")
-	if err != nil {
-		return nil, c.stats, err
+	if err := logic.Validate(body, nil); err != nil {
+		return nil, err
 	}
-	head := make([]int, len(q.Head))
-	for i, v := range q.Head {
-		head[i] = c.axes[v]
-	}
-	return d.Project(head), c.stats, nil
-}
-
-type monoCtx struct {
-	ctx   context.Context
-	db    *database.Database
-	sp    *relation.Space
-	axes  map[logic.Var]int
-	env   *env
-	stats *Stats
-	opts  *Options
-	// memo warm-starts fixpoints across re-evaluations. Keys MUST identify
-	// the fixpoint's *occurrence*, not its text: two sibling fixpoints can
-	// have byte-identical bodies yet evaluate under different environments
-	// (e.g. the same recursion-relation name bound by different enclosing
-	// operators), and replaying one's stages as the other's would silently
-	// corrupt the answer. Keys are therefore structural paths from the root
-	// ("r" extended with ".l"/".r"/".n"/".q"/".b" per step), which are unique
-	// per occurrence by construction; the bound relation's name and extended
-	// arity are appended as a tripwire so that any future change that drops
-	// position from the key still cannot collide occurrences that bind
-	// different relations. TestMonotoneMemoNoCrossOccurrenceReplay is the
-	// regression test for this invariant.
-	memo map[string]*relation.Set
-}
-
-func (c *monoCtx) axesOf(vs []logic.Var) []int {
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = c.axes[v]
-	}
-	return out
-}
-
-func (c *monoCtx) eval(f logic.Formula, path string) (*relation.Dense, error) {
-	c.stats.addSubformulaEvals(1)
-	switch g := f.(type) {
-	case logic.Atom:
-		if br, ok := c.env.rels[g.Rel]; ok {
-			return c.sp.FromAtom(br.set, append(c.axesOf(g.Args), c.axesOf(br.params)...))
-		}
-		rel, err := c.db.Rel(g.Rel)
-		if err != nil {
-			return nil, err
-		}
-		return c.sp.FromAtom(rel, c.axesOf(g.Args))
-	case logic.Eq:
-		return c.sp.Diagonal(c.axes[g.L], c.axes[g.R]), nil
-	case logic.Truth:
-		if g.Value {
-			return c.sp.Full(), nil
-		}
-		return c.sp.Empty(), nil
-	case logic.Not:
-		d, err := c.eval(g.F, path+".n")
-		if err != nil {
-			return nil, err
-		}
-		d.Complement()
-		return d, nil
-	case logic.Binary:
-		l, err := c.eval(g.L, path+".l")
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.eval(g.R, path+".r")
-		if err != nil {
-			return nil, err
-		}
-		switch g.Op {
-		case logic.AndOp:
-			l.IntersectWith(r)
-		case logic.OrOp:
-			l.UnionWith(r)
-		default:
-			return nil, fmt.Errorf("eval: %v connective survived NNF", g.Op)
-		}
-		return l, nil
-	case logic.Quant:
-		d, err := c.eval(g.F, path+".q")
-		if err != nil {
-			return nil, err
-		}
-		if g.Kind == logic.ExistsQ {
-			return d.ExistsAxis(c.axes[g.V]), nil
-		}
-		return d.ForallAxis(c.axes[g.V]), nil
-	case logic.Fix:
-		return c.evalFix(g, path)
-	default:
-		return nil, fmt.Errorf("eval: Monotone does not support %T", f)
-	}
-}
-
-func (c *monoCtx) evalFix(g logic.Fix, path string) (*relation.Dense, error) {
-	if g.Op != logic.LFP && g.Op != logic.GFP && g.Op != logic.IFP {
-		return nil, fmt.Errorf("eval: Monotone does not support %s", g.Op)
-	}
-	params := fixParams(g)
-	ext := len(g.Vars) + len(params)
-	extCols := append(c.axesOf(g.Vars), c.axesOf(params)...)
-	key := path + "|" + g.Rel + "/" + strconv.Itoa(ext)
-	cur := c.memo[key]
-	if cur == nil {
-		if g.Op == logic.GFP {
-			cur = (&buCtx{db: c.db, sp: c.sp}).fullSet(ext)
-		} else {
-			cur = relation.NewSet(ext)
-		}
-	}
-	restore := c.env.bind(g.Rel, boundRel{set: cur, params: params})
-	defer restore()
-	tr := tracerOf(c.opts)
-	var stage int
-	for {
-		if err := checkCtx(c.ctx); err != nil {
-			return nil, err
-		}
-		c.stats.addFixIterations(1)
-		var stageStart time.Time
-		if tr != nil {
-			stageStart = time.Now()
-		}
-		c.env.rels[g.Rel] = boundRel{set: cur, params: params}
-		body, err := c.eval(g.Body, path+".b")
-		if err != nil {
-			return nil, err
-		}
-		next := body.Project(extCols)
-		if g.Op == logic.GFP {
-			next = next.Intersect(cur) // keep the chain decreasing
-		} else {
-			// LFP: keep the Lemma 3.4 chain increasing. IFP: inflationary
-			// by definition. (A lone IFP is safe here — the alternation
-			// check rejects IFP nested in or around other fixpoints, so it
-			// is never re-evaluated and the memo is never reused.)
-			next = next.Union(cur)
-		}
-		if tr != nil {
-			stage++
-			tr(TraceEvent{Engine: "monotone", Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
-				Stage: stage, Tuples: next.Len(), Delta: next.Len() - cur.Len(), Elapsed: time.Since(stageStart)})
-		}
-		if next.Equal(cur) {
-			break
-		}
-		cur = next
-	}
-	c.memo[key] = cur
-	return c.sp.FromAtom(cur, append(c.axesOf(g.Args), c.axesOf(params)...))
+	return body, nil
 }

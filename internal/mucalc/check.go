@@ -1,6 +1,7 @@
 package mucalc
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -270,11 +271,11 @@ func CheckCertified(k *Kripke, f Formula) (*bitset.Set, *eval.Certificate, error
 	if err != nil {
 		return nil, nil, err
 	}
-	cert, res, err := eval.FindCertificate(q, db)
+	cert, res, err := eval.FindCertificate(context.Background(), q, db)
 	if err != nil {
 		return nil, nil, err
 	}
-	ver, err := eval.VerifyCertificate(q, db, cert)
+	ver, err := eval.VerifyCertificate(context.Background(), q, db, cert)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -294,8 +294,8 @@ type QueryRequest struct {
 	Database string `json:"database"`
 	// Query is the query text, e.g. "(x, y). exists z. E(x, z) & E(z, y)".
 	Query string `json:"query"`
-	// Engine selects the evaluation algorithm (bottomup, naive, algebra,
-	// monotone, eso, certified, compiled). Empty means bottomup.
+	// Engine selects the evaluation algorithm (bottomup, naive, monotone,
+	// eso, certified, compiled). Empty means bottomup.
 	Engine string `json:"engine,omitempty"`
 	// Backend selects the compiled engine's relation representation: auto
 	// (default — the cheaper route by plan.Density's cost model), dense (force

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/database"
+	"repro/internal/workload"
 )
 
 // graphDB is the four-element path 10→20→30→40 with P = {10}.
@@ -275,33 +276,51 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestDeadlineReturns504 sends the 2^16-stage counter run with a 50ms
-// deadline: the server must answer 504 well before the full run would
-// finish, carrying the partial iteration count the engine had reached.
+// tcText is transitive closure at width 3: one stage per path length, each a
+// pass over n³ bits.
+const tcText = `(x, y). [lfp T(x, y). E(x, y) | (exists z. E(x, z) & (exists x. x = z & T(x, y)))](x, y)`
+
+// TestDeadlineReturns504 sends runs far longer than their deadline — the
+// 2^16-stage counter on the default engine, and transitive closure of a
+// 128-node line through the certified engine, whose prover used to run to
+// completion whatever the deadline said: the server must answer 504 well
+// before the full run would finish, carrying the partial iteration count the
+// engine had reached, with the evaluation slot given back.
 func TestDeadlineReturns504(t *testing.T) {
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{
-		"ord": orderedDB(t, 16),
+		"ord":  orderedDB(t, 16),
+		"line": workload.LineGraph(128),
 	}})
-	start := time.Now()
-	code, _, errResp := postQuery(t, ts, QueryRequest{Database: "ord", Query: counterText, TimeoutMS: 50})
-	elapsed := time.Since(start)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s)", code, errResp.Error)
-	}
-	if errResp.Stats == nil || errResp.Stats.FixIterations == 0 {
-		t.Fatalf("missing partial stats: %+v", errResp.Stats)
-	}
-	// The full run takes ~500ms; cancellation at a stage boundary must come
-	// back far sooner (generous bound for loaded CI machines).
-	if elapsed > 5*time.Second {
-		t.Fatalf("504 took %v", elapsed)
-	}
-	st := getStats(t, ts)
-	if st.Timeouts != 1 {
-		t.Fatalf("timeout counter = %d", st.Timeouts)
-	}
-	if st.Eval.FixIterations == 0 {
-		t.Fatal("partial work not folded into aggregate counters")
+	for i, req := range []QueryRequest{
+		{Database: "ord", Query: counterText, TimeoutMS: 50},
+		{Database: "line", Query: tcText, Engine: "certified", TimeoutMS: 20},
+	} {
+		start := time.Now()
+		code, _, errResp := postQuery(t, ts, req)
+		elapsed := time.Since(start)
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d (%s)", req.Engine, code, errResp.Error)
+		}
+		// The closure takes 128 stages: a run stopped at a stage boundary
+		// reports fewer.
+		if errResp.Stats == nil || errResp.Stats.FixIterations == 0 || (req.Engine == "certified" && errResp.Stats.FixIterations >= 128) {
+			t.Fatalf("%s: missing partial stats: %+v", req.Engine, errResp.Stats)
+		}
+		// The full runs take ~500ms; cancellation at a stage boundary must come
+		// back far sooner (generous bound for loaded CI machines).
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s: 504 took %v", req.Engine, elapsed)
+		}
+		st := getStats(t, ts)
+		if st.Timeouts != int64(i+1) {
+			t.Fatalf("%s: timeout counter = %d", req.Engine, st.Timeouts)
+		}
+		if st.InFlight.Evals != 0 {
+			t.Fatalf("%s: %d evaluation slots still held after the 504", req.Engine, st.InFlight.Evals)
+		}
+		if st.Eval.FixIterations == 0 {
+			t.Fatal("partial work not folded into aggregate counters")
+		}
 	}
 }
 

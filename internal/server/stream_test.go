@@ -77,7 +77,7 @@ func postStream(t testing.TB, ts *httptest.Server, req QueryRequest) (StreamHead
 // served query admits, with matching full counts in the trailer.
 func TestStreamMatchesJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, engine := range []string{"bottomup", "naive", "algebra", "monotone", "compiled"} {
+	for _, engine := range []string{"bottomup", "naive", "monotone", "compiled"} {
 		code, want, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: engine, NoCache: true})
 		if code != http.StatusOK {
 			t.Fatalf("%s: JSON status %d", engine, code)
