@@ -50,7 +50,7 @@ func main() {
 		dbPath  = flag.String("db", "", "database file (textual format); required")
 		query   = flag.String("query", "", "query text '(x, y). formula'; required unless -query-file")
 		qFile   = flag.String("query-file", "", "file containing the query")
-		engine  = flag.String("engine", "bottomup", "engine: bottomup, naive, monotone, eso, certified, compiled")
+		engine  = flag.String("engine", "compiled", "engine: bottomup, naive, monotone, eso, certified, compiled")
 		k       = flag.Int("k", 0, "reject queries of width > k (0: no bound)")
 		stats   = flag.Bool("stats", false, "print evaluation statistics to stderr")
 		showIdx = flag.Bool("indices", false, "print domain indices instead of raw values")

@@ -78,11 +78,16 @@ func TestBackendValidation(t *testing.T) {
 		}
 	}
 
-	// backend=auto is the default and valid everywhere.
-	code, _, _ = postQuery(t, ts, QueryRequest{
-		Database: "graph", Query: twoHop, Backend: "auto"})
-	if code != http.StatusOK {
-		t.Fatalf("backend auto on the default engine: status %d", code)
+	// backend=auto is the default and valid everywhere; a request that names
+	// no engine gets the compiled one, so it may name any backend.
+	for _, req := range []QueryRequest{
+		{Database: "graph", Query: twoHop, Engine: "bottomup", Backend: "auto"},
+		{Database: "graph", Query: twoHop, Backend: "sparse"},
+	} {
+		code, ok, bad := postQuery(t, ts, req)
+		if code != http.StatusOK || (req.Engine == "" && ok.Engine != "compiled") {
+			t.Fatalf("%+v: status %d, engine %q (%s)", req, code, ok.Engine, bad.Error)
+		}
 	}
 }
 

@@ -101,6 +101,11 @@ var goldenScript = []goldenStep{
 	queryStep("shared sub-plan, hit", q("chain", "(x, y). E(x, y) | (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
 	{name: "update invalidates shared sub-plans", path: "/db/chain/update",
 		body: `{"updates":[{"relation":"E","insert":[[4,5]]}]}`},
+
+	// No engine named: the serving default answers.
+	queryStep("default engine, json miss", q("graph", "(y). exists x. E(x, y)")),
+	queryStep("default engine, json hit", q("graph", "(y). exists x. E(x, y)")),
+	queryStep("default engine, stream", q("graph", boolQuery)+`,"stream":true,"no_cache":true`),
 }
 
 // Per-run values: wall times, identifiers minted from the clock or the

@@ -184,7 +184,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	q.nd, q.snap = nd, nd.snap.Load()
 	q.engineName = req.Engine
 	if q.engineName == "" {
-		q.engineName = bvq.EngineBottomUp.String()
+		q.engineName = bvq.EngineCompiled.String()
 	}
 	var err error
 	if q.engine, err = bvq.EngineByName(q.engineName); err != nil {

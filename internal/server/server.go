@@ -295,7 +295,7 @@ type QueryRequest struct {
 	// Query is the query text, e.g. "(x, y). exists z. E(x, z) & E(z, y)".
 	Query string `json:"query"`
 	// Engine selects the evaluation algorithm (bottomup, naive, monotone,
-	// eso, certified, compiled). Empty means bottomup.
+	// eso, certified, compiled). Empty means compiled.
 	Engine string `json:"engine,omitempty"`
 	// Backend selects the compiled engine's relation representation: auto
 	// (default — the cheaper route by plan.Density's cost model), dense (force

@@ -16,6 +16,9 @@
 #      health-probe eviction, ring rebalance and transparent retries —
 #      zero client-visible 5xx.
 #
+# bvqload names no engine, so every load here — the capacity table included —
+# runs on bvqd's default, the compiled engine: the numbers are serving's.
+#
 # `make fleet-smoke` runs this; CI runs it after `make check`.
 set -euo pipefail
 

@@ -7,7 +7,8 @@
 # full-count contract under limit/offset windowing (count is the FULL
 # cardinality, the window only selects which rows are sent, and a limit
 # stream's header already carries it), the cached re-serve of a stored
-# stream, and the bvqd_streams_total metric.
+# stream, and the bvqd_streams_total metric. The streams name no engine, so
+# they run on bvqd's default — the compiled engine, what serving uses.
 #
 # `make smoke-stream` runs this; `make check` runs it as part of the gate.
 set -euo pipefail
@@ -72,6 +73,8 @@ curl -fsS -H 'Content-Type: application/json' -d "$lreq" "$BASE/query" >"$TMP/li
 head -1 "$TMP/lim.ndjson" | grep -q '"result_cached":false' || fail "no_cache limit stream served from the result cache"
 head -1 "$TMP/lim.ndjson" | grep -q "\"count\":$full," || fail "limit stream header lacks the full count $full: $(head -1 "$TMP/lim.ndjson")"
 
-curl -fsS "$BASE/metrics" | grep -q '^bvqd_streams_total' || fail "bvqd_streams_total missing from /metrics"
+# Into a file first: grep -q leaving early would fail curl under pipefail.
+curl -fsS "$BASE/metrics" >"$TMP/metrics.txt"
+grep -q '^bvqd_streams_total' "$TMP/metrics.txt" || fail "bvqd_streams_total missing from /metrics"
 
 echo "stream smoke: ok ($rows rows, full count $full, windowed count matches, limit header counts, metrics exposed)"
