@@ -29,9 +29,10 @@ all: vet test build
 # (equal closed-node keys, equal values), of the minimisation target (a
 # conjunctive query through plan.Compile answers as the naive oracle does)
 # of the /update body target (a rejection names a field, an accepted
-# body lands where database.Apply takes a model) and of the auto-route target
+# body lands where database.Apply takes a model), of the auto-route target
 # (dense ≡ auto ≡ sparse whatever route the cost model takes and wherever a
-# stage loop is handed from one backend to the other),
+# stage loop is handed from one backend to the other) and of the parser target
+# (no input panics, an accepted text prints to one that parses to the same print),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -61,6 +62,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateBody -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
+	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

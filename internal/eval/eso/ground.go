@@ -2,7 +2,6 @@ package eso
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/database"
@@ -326,12 +325,4 @@ func EvalStats(q logic.Query, db *database.Database) (*relation.Set, *Stats, err
 		return nil, nil, err
 	}
 	return out, &worst, nil
-}
-
-// SortedCells returns the grounding's cells in a deterministic order, for
-// tests and debugging.
-func (g *Grounding) SortedCells() []Cell {
-	out := append([]Cell(nil), g.Cells[1:]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }

@@ -190,3 +190,29 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseQuery holds the parser to its printer on arbitrary text: no input
+// panics, and a text it accepts prints to one that parses to the same print.
+// The seeds are TestRoundTripProperty's generator; the six fixpoint and
+// second-order shapes are the corpus in testdata/fuzz/FuzzParseQuery.
+func FuzzParseQuery(f *testing.F) {
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 32; i++ {
+		g := randFormula(r, 4)
+		f.Add(logic.Query{Head: logic.SortedVars(logic.FreeVars(g)), Body: g}.String())
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := ParseQuery(text)
+		if err != nil {
+			return
+		}
+		printed := q.String()
+		again, err := ParseQuery(printed)
+		if err != nil {
+			t.Fatalf("%q is accepted and prints %q, which is not: %v", text, printed, err)
+		}
+		if again.String() != printed {
+			t.Fatalf("%q prints %q, which prints %q", text, printed, again.String())
+		}
+	})
+}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -706,14 +705,3 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []b
 // streamReaders recycles forwardStream's 64 KiB line buffers: one a stream
 // was the largest single allocation of a routed drain.
 var streamReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
-
-// sortedURLs returns member URLs in configuration order (stable output for
-// responses and tests).
-func (rt *Router) sortedURLs(ms []*member) []string {
-	out := make([]string, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, m.url)
-	}
-	sort.Strings(out)
-	return out
-}
