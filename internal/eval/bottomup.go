@@ -201,9 +201,7 @@ func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *
 		engine: engine,
 		rule:   rule,
 		path:   []byte("r"),
-	}
-	if rule != restart {
-		c.memo = make(map[string]*relation.Dense)
+		memo:   make(map[string]*relation.Dense),
 	}
 	for i, v := range vars {
 		c.axes[v] = i
