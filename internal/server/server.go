@@ -14,10 +14,12 @@
 //   - concurrent identical requests, coalesced by single-flight dedup so a
 //     thundering herd costs one evaluation.
 //
-// Every request carries its own engine, parallelism and deadline; deadlines
-// are enforced by context cancellation at fixpoint-stage boundaries (see
-// eval.BottomUpContext), so a timed-out request returns within one stage of
-// its deadline with the partial work statistics it accumulated.
+// Every request carries its own engine (the compiled one unless it says
+// otherwise), parallelism and deadline; deadlines are enforced by context
+// cancellation at fixpoint-stage boundaries — the plan executor's stage loop,
+// the formula walker's (eval.BottomUpContext) under each of its three rules —
+// so a timed-out request returns within one stage of its deadline with the
+// partial work statistics it accumulated.
 //
 // Sustained traffic gets three more layers (see OPERATIONS.md):
 //
