@@ -21,15 +21,18 @@ all: vet test build
 # there is visible by name, the metrics-documentation lint so the
 # OPERATIONS.md family reference cannot drift from what the server
 # registers, a single-iteration benchmark smoke pass so the benchmarks
-# themselves cannot rot (the server's pair is a cached 4,096-row answer read
-# as JSON and drained as NDJSON over loopback; eval's BenchmarkSparseFix is the
-# sparse stage loop whose allocations TestSparseFixAllocs holds down; the
+# themselves cannot rot (the server's pairs are a cached 4,096-row answer and a
+# no_cache 15,000-row closure, each read as JSON and drained as NDJSON over
+# loopback; eval's BenchmarkSparseFix is the sparse stage loop whose allocations
+# TestSparseFixAllocs holds down, BenchmarkPlanAnswer the engine half of a miss; the
 # router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
 # conjunctive query through plan.Compile answers as the naive oracle does)
 # of the /update body target (a rejection names a field, an accepted
-# body lands where database.Apply takes a model), of the auto-route target
+# body lands where database.Apply takes a model), of the /query body target (a
+# rejection names a field, an accepted body's JSON rows are its NDJSON rows),
+# of the auto-route target
 # (dense ≡ auto ≡ sparse whatever route the cost model takes and wherever a
 # stage loop is handed from one backend to the other) and of the parser target
 # (no input panics, an accepted text prints to one that parses to the same print),
@@ -61,6 +64,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateBody -fuzztime=5s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
 	$(GO) -C bench vet ./...

@@ -93,14 +93,67 @@ func cardOf(db *database.Database) func(string) int {
 	}
 }
 
-// EvalPlanContext evaluates a compiled plan against db. The plan is
-// immutable and may be shared across evaluations and databases; all run
-// state lives in the evaluation, so concurrent calls with the same plan are
-// safe. The backend route is chosen by routePlan, as for every other plan
-// evaluation entry point.
+// EvalPlan is the one plan evaluation: it validates, routes (routePlan) and
+// runs p against db, and returns the answer in the form the executor leaves
+// it — the root projected onto the head as a relation.View, the sparse
+// route's sorted head codes (*relation.Sparse) or the dense route's head
+// bitmap (*relation.Dense, decoded lazily by its cursors) — which is final,
+// immutable and readable by any number of cursors. Every other EvalPlan*
+// function is this one with a conversion at its boundary (View → Set, View →
+// Enumerator). The plan is immutable and may be shared across evaluations
+// and databases; all run state lives in the evaluation, so concurrent calls
+// with the same plan are safe.
+//
+// prev and capture are delta-restart maintenance's (maintain.go), on either
+// route. A non-nil prev — the state a capturing evaluation returned for the
+// parent snapshot, the caller having checked CanMaintain for the connecting
+// delta — restarts each seedable fixpoint from its previous final stage
+// instead of from ∅; the answer is byte-identical to a from-scratch
+// evaluation and Stats.MaintainedFromDelta is 1. capture asks for the state
+// this evaluation leaves: nil exactly when the plan has no seedable binders
+// ("not maintainable, recompute on change"). The Stats are partial on an
+// evaluation error and nil on a validation error.
+//
+// A route auto chose freely is left on a hand-off, or on a sparse-budget
+// overrun where no stage boundary can repair the estimate — the plan is rerun
+// dense rather than failing a query dense can answer; either way the abandoned
+// work stays in the Stats and counts one RepSwitches.
+func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, prev *MaintState, capture bool) (relation.View, *Stats, *MaintState, error) {
+	if prev != nil {
+		if p.Maint == nil || !p.Maint.OK {
+			return nil, nil, nil, fmt.Errorf("eval: plan has no seedable fixpoints, cannot maintain")
+		}
+		if len(prev.stages) != p.NumBinders {
+			return nil, nil, nil, fmt.Errorf("eval: maintenance state has %d binders, plan has %d", len(prev.stages), p.NumBinders)
+		}
+	}
+	if err := validatePlanRun(ctx, p, db, opts); err != nil {
+		return nil, nil, nil, err
+	}
+	res, err := evalRoute(ctx, p, db, opts, routePlan(p, db, opts), prev, capture)
+	if err == nil && prev != nil {
+		res.stats.MaintainedFromDelta = 1
+	}
+	return res.head, res.stats, res.state, err
+}
+
+// toSet is the View → Set conversion at the boundary of the materializing
+// entry points, for the two forms a head has; a failed evaluation's nil View
+// is a nil Set.
+func toSet(v relation.View) *relation.Set {
+	switch h := v.(type) {
+	case *relation.Sparse:
+		return h.ToSet()
+	case *relation.Dense:
+		return h.ToSet()
+	}
+	return nil
+}
+
+// EvalPlanContext is EvalPlan with the answer materialized as a Set.
 func EvalPlanContext(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	res, err := evalPlan(ctx, p, db, opts, nil, false, false)
-	return res.set, res.stats, err
+	v, stats, _, err := EvalPlan(ctx, p, db, opts, nil, false)
+	return toSet(v), stats, err
 }
 
 // validatePlanRun is the shared entry validation of every plan evaluation.
@@ -117,13 +170,11 @@ func validatePlanRun(ctx context.Context, p *plan.Plan, db *database.Database, o
 	return checkCtx(ctx)
 }
 
-// planResult is the outcome of one routed plan evaluation: the answer in the
-// form the calling API asked for (set, or enum when streaming), the run's
-// Stats — partial on error — and the maintenance state a capturing run of a
-// maintainable plan leaves.
+// planResult is the outcome of one routed plan evaluation: the answer (nil on
+// error), the run's Stats — partial on error — and the maintenance state a
+// capturing run of a maintainable plan leaves.
 type planResult struct {
-	set   *relation.Set
-	enum  Enumerator
+	head  relation.View
 	stats *Stats
 	state *MaintState
 }
@@ -140,9 +191,8 @@ type route struct {
 	free bool
 }
 
-// routePlan computes the route every plan-evaluation entry point takes —
-// materializing, streaming, explain, capture and maintenance alike — without
-// evaluating anything. Auto takes the route plan.Density models cheaper.
+// routePlan computes the route a plan evaluation takes — explain's too —
+// without evaluating anything. Auto takes the route plan.Density models cheaper.
 func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
 	den := p.Density(db.Size(), cardOf(db))
 	rt := route{den: den}
@@ -223,20 +273,8 @@ type handOff struct{ seed *MaintState }
 
 func (*handOff) Error() string { return "eval: internal: stage loop handed to the other backend" }
 
-// evalPlan validates, routes and runs a plan evaluation; evalRoute is the part
-// after the decision. seed and capture are delta-restart maintenance's
-// (maintain.go), on either route. A free route is left on a hand-off, or on a
-// sparse-budget overrun where no stage boundary can repair the estimate — the
-// plan is rerun dense rather than failing a query dense can answer; either way
-// the abandoned work stays in the Stats and counts one RepSwitches.
-func evalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, seed *MaintState, capture, stream bool) (planResult, error) {
-	if err := validatePlanRun(ctx, p, db, opts); err != nil {
-		return planResult{}, err
-	}
-	return evalRoute(ctx, p, db, opts, routePlan(p, db, opts), seed, capture, stream)
-}
-
-func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, seed *MaintState, capture, stream bool) (planResult, error) {
+// evalRoute is EvalPlan after validation and the routing decision.
+func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, seed *MaintState, capture bool) (planResult, error) {
 	if rt.err != nil {
 		return planResult{}, rt.err
 	}
@@ -250,9 +288,9 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 		var res planResult
 		var err error
 		if rt.name == "sparse" {
-			res, err = runSparse(ctx, p, db, opts, rt.den, stats, ho, seed, capture, stream)
+			res, err = runSparse(ctx, p, db, opts, rt.den, stats, ho, seed, capture)
 		} else {
-			res, err = runDense(ctx, p, db, opts, rt, stats, ho, seed, capture, stream)
+			res, err = runDense(ctx, p, db, opts, rt, stats, ho, seed, capture)
 		}
 		var h *handOff
 		switch {
@@ -272,7 +310,7 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 	}
 }
 
-// ExplainRoute reports the route evalPlan would take for this plan against
+// ExplainRoute reports the route EvalPlan would take for this plan against
 // this database — "dense", "sparse" or "hybrid"; empty when unevaluable — with
 // the analysis behind it (DenseCost and SparseCost are the totals compared),
 // without evaluating anything. A run may leave the route (Stats.RepSwitches).

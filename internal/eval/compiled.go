@@ -63,7 +63,7 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 
 // runDense evaluates the (already validated) plan over the dense algebra; on
 // the hybrid route, over the sparse frontier rt.den labels (hybridFrontier).
-func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, stats *Stats, ho *handOffs, seed *MaintState, capture, stream bool) (planResult, error) {
+func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
 	// One space per arity up to the full width, widest first so an infeasible
 	// query fails naming its full-width space; the narrower stage and head
 	// spaces are feasible whenever that one is. A node store interns them; a
@@ -86,7 +86,7 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 	if rt.name == "hybrid" {
 		r.frontier = hybridFrontier(r, alg.sp, rt.den)
 	}
-	return r.answer(stream, capture)
+	return r.answer(capture)
 }
 
 // hybridFrontier serves the nodes den labels NodeSparse: each is a
@@ -245,11 +245,10 @@ func (a *denseAlg) project(v *relation.Dense, cols, pinned, pinnedVals []int) (*
 	return v.ProjectAt(a.spaces[len(cols)], cols, pinned, pinnedVals), nil
 }
 
-func (a *denseAlg) toSet(v *relation.Dense) *relation.Set { return v.ToSet() }
-
-// cursor decodes set bits lazily; the cursor owns v and returns its bitmap
-// to the space pool on Close.
-func (a *denseAlg) cursor(v *relation.Dense) relation.Cursor { return relation.NewDenseCursor(v, true) }
+// head is the head bitmap itself: its cursors decode set bits lazily, so a
+// windowed read pays for its window, and the bitmap is the collector's from
+// here on (never returned to the space pool: its readers outlive the run).
+func (a *denseAlg) head(v *relation.Dense) relation.View { return v }
 
 func (a *denseAlg) pfpLimit(step func(*relation.Dense) (*relation.Dense, error), arity int, opts *Options) (*relation.Dense, error) {
 	budget, mode := pfpLimits(opts)

@@ -26,8 +26,8 @@ import (
 //   - Count reports the exact full answer cardinality (dense popcount, sparse
 //     length, materialized sets), whatever has been consumed; ok=false only
 //     once the enumerator is closed.
-//   - Close releases engine resources (pooled bitmaps) and is idempotent.
-//     Callers must Close every enumerator, on every path.
+//   - Close ends the pass and is idempotent; the answer it read stays as it
+//     was. Callers must Close every enumerator, on every path.
 //
 // Enumerators are single-goroutine values, like the relation cursors they
 // wrap.
@@ -53,10 +53,6 @@ type cursorEnum struct {
 	err        error
 	sinceCheck int
 	closed     bool
-}
-
-func newCursorEnum(ctx context.Context, c relation.Cursor, stats *Stats) *cursorEnum {
-	return &cursorEnum{ctx: ctx, c: c, stats: stats}
 }
 
 func (e *cursorEnum) Next() (relation.Tuple, bool) {
@@ -104,38 +100,27 @@ func (e *cursorEnum) Close() {
 	}
 }
 
-// NewEnumerator is the Enumerator over an already-finished answer: a cached
-// result, or what a materializing engine returned. A compact view
-// (*relation.Sparse) opens in O(1); a *relation.Set sorts its tuples first.
-// stats may be nil.
+// NewEnumerator is the Enumerator over a finished answer: what EvalPlan
+// returned, a kept result, an exhibit engine's Set. A compact view
+// (*relation.Sparse) and a head bitmap (*relation.Dense) open in O(1); a
+// *relation.Set sorts its tuples first. stats may be nil: nothing is metered.
 func NewEnumerator(ctx context.Context, v relation.View, stats *Stats) Enumerator {
-	return newCursorEnum(ctx, v.Cursor(), stats)
+	return &cursorEnum{ctx: ctx, c: v.Cursor(), stats: stats}
 }
 
-// EvalPlanEnum evaluates a compiled plan and returns a streaming enumerator
-// over the answer, routed by backend exactly like EvalPlanContext — it is the
-// same evaluation (evalPlan) ending in a cursor over the head value instead
-// of its materialization:
-//
-//   - dense routes run the full evaluation, project the root onto the head
-//     space word-parallel, and stream by decoding set bits lazily
-//     (relation.DenseCursor) — extraction, PR 3's dominant cost on large
-//     answers, is deferred and windowed;
-//   - the sparse route streams the materialized head codes directly
-//     (relation.SparseCursor), skipping the Set round-trip.
+// EvalPlanEnum is EvalPlan with the answer behind a metering enumerator: the
+// evaluation has run in full, and what is deferred — and windowed — is the
+// extraction. A dense head decodes its set bits as they are asked for
+// (relation.DenseCursor; extraction was PR 3's dominant cost on large
+// answers), a sparse head's sorted codes are walked in place.
 //
 // The returned Stats is final except for the streamed/skipped tuple counters,
 // which the enumerator meters as it is consumed. Callers must Close the
 // enumerator on every path.
 func EvalPlanEnum(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, error) {
-	res, err := evalPlan(ctx, p, db, opts, nil, false, true)
-	return res.enum, res.stats, err
-}
-
-// EvalPlanEnumCapture is EvalPlanEnum capturing maintenance state (nil for a
-// plan without seedable binders), so streamed evaluations can register cache
-// entries that survive database churn exactly like EvalPlanCapture results.
-func EvalPlanEnumCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (Enumerator, *Stats, *MaintState, error) {
-	res, err := evalPlan(ctx, p, db, opts, nil, true, true)
-	return res.enum, res.stats, res.state, err
+	v, stats, _, err := EvalPlan(ctx, p, db, opts, nil, false)
+	if err != nil {
+		return nil, stats, err
+	}
+	return NewEnumerator(ctx, v, stats), stats, nil
 }

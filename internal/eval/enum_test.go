@@ -7,6 +7,7 @@ package eval
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/database"
@@ -37,11 +38,47 @@ func sameTuples(a, b []relation.Tuple) bool {
 	return true
 }
 
+// checkView holds a finished answer, in whatever form its producer left it, to
+// the tuples want: through two cursors open at once — one read to the end, one
+// through a random offset/limit window — and again in its compact form.
+func checkView(t *testing.T, what string, r *rand.Rand, v relation.View, n int, want []relation.Tuple) {
+	t.Helper()
+	for _, v := range []relation.View{v, relation.Compact(v, n)} {
+		all, win := NewEnumerator(context.Background(), v, nil), NewEnumerator(context.Background(), v, nil)
+		off, lim := r.Intn(len(want)+2), r.Intn(len(want)+2)
+		if sk := win.Skip(off); sk != min(off, len(want)) {
+			t.Fatalf("%s as %T: Skip(%d) = %d of %d tuples", what, v, off, sk, len(want))
+		}
+		var got []relation.Tuple
+		for len(got) < lim {
+			tp, ok := win.Next()
+			if !ok {
+				break
+			}
+			got = append(got, tp.Clone())
+		}
+		lo := min(off, len(want))
+		if hi := min(lo+lim, len(want)); !sameTuples(got, want[lo:hi]) {
+			t.Fatalf("%s as %T: window %d+%d = %v, want %v", what, v, off, lim, got, want[lo:hi])
+		}
+		if cnt, ok := all.Count(); !ok || cnt != len(want) {
+			t.Fatalf("%s as %T: Count = %d, want %d", what, v, cnt, len(want))
+		}
+		if got := drainEnum(t, all); !sameTuples(got, want) {
+			t.Fatalf("%s as %T: %v, want %v", what, v, got, want)
+		}
+		all.Close()
+		win.Close()
+	}
+}
+
 // TestEnumStreamedMatchesMaterialized is the core guarantee of the
 // enumeration API: for 200 random formulas × {dense, sparse, auto}, the
 // streamed concatenation equals EvalPlanContext's answer exactly, a
-// Skip(k) enumerator yields exactly the suffix, and the two paths agree on
-// which evaluations fail.
+// Skip(k) enumerator yields exactly the suffix, the two paths agree on which
+// evaluations fail — and both are one form: EvalPlan's View, read through
+// random windows as it stands and compacted, is that answer, and so is the
+// naive engine's Set.
 func TestEnumStreamedMatchesMaterialized(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	g := &diffGen{r: r}
@@ -62,17 +99,27 @@ func TestEnumStreamedMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", q, err)
 		}
+		oracle, err := Naive(q, db)
+		if err != nil {
+			t.Fatalf("naive %s: %v", q, err)
+		}
+		checkView(t, "naive "+q.String(), r, oracle, db.Size(), oracle.Tuples())
 		for _, b := range backends {
 			opts := &Options{Backend: b}
 			want, _, wantErr := EvalPlanContext(context.Background(), p, db, opts)
 			en, _, enErr := EvalPlanEnum(context.Background(), p, db, opts)
-			if (wantErr == nil) != (enErr == nil) {
-				t.Fatalf("%s backend %d: materialized err=%v, enum err=%v", q, b, wantErr, enErr)
+			view, _, _, viewErr := EvalPlan(context.Background(), p, db, opts, nil, true)
+			if (wantErr == nil) != (enErr == nil) || (wantErr == nil) != (viewErr == nil) {
+				t.Fatalf("%s backend %d: materialized err=%v, enum err=%v, view err=%v", q, b, wantErr, enErr, viewErr)
 			}
 			if wantErr != nil {
 				continue
 			}
 			wantTuples := want.Tuples()
+			if !want.Equal(oracle) {
+				t.Fatalf("%s backend %d: %v, naive has %v", q, b, wantTuples, oracle.Tuples())
+			}
+			checkView(t, q.String()+" backend "+b.String(), r, view, db.Size(), wantTuples)
 			if cnt, ok := en.Count(); ok && cnt != len(wantTuples) {
 				t.Fatalf("%s backend %d: Count=%d, want %d", q, b, cnt, len(wantTuples))
 			}
@@ -217,5 +264,117 @@ func TestEnumAcyclicFastPath(t *testing.T) {
 				t.Fatalf("%s backend %s: stream diverged from the dense answer", q, b)
 			}
 		}
+	}
+}
+
+// TestAnswerViewEveryRoute reads EvalPlan's View on the routes random formulas
+// over small databases do not reach: the hybrid route, a stage loop handed to
+// the other algebra mid-loop in each direction, and a delta restart on each
+// backend. Whatever produced the head, it is the forced-dense answer.
+func TestAnswerViewEveryRoute(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	ctx := context.Background()
+	reference := func(p *plan.Plan, db *database.Database) []relation.Tuple {
+		t.Helper()
+		ref, _, err := EvalPlanContext(ctx, p, db, &Options{Backend: BackendDense, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref.Tuples()
+	}
+
+	forest := forestDB(200, 10)
+	p := mustCompile(t, gfpTwoHop())
+	if _, route := ExplainRoute(p, forest, nil); route != "hybrid" {
+		t.Fatalf("gfp over a two-hop on a 200-node forest routes %q, want hybrid", route)
+	}
+	v, st, _, err := EvalPlan(ctx, p, forest, &Options{Parallelism: 1}, nil, true)
+	if err != nil || st.RepSwitches == 0 {
+		t.Fatalf("hybrid run: err %v, stats %+v", err, st)
+	}
+	checkView(t, "hybrid", r, v, forest.Size(), reference(p, forest))
+
+	b := database.NewBuilder().Relation("E", 2).Relation("P", 1)
+	for i := 0; i < 12; i++ {
+		b.Domain(i)
+		for j := 0; j < 12; j++ {
+			if (i+2*j)%7 != 0 {
+				b.Add("E", i, j)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		start string
+		q     logic.Query
+		db    *database.Database
+	}{{"sparse", tcQuery(), b.MustBuild()}, {"dense", reachQuery(), lineDB(24)}} {
+		p := mustCompile(t, tc.q)
+		var res planResult
+		withHandOffScale(0, func() { res, err = startOn(t, tc.start, p, tc.db, &Options{Parallelism: 1}) })
+		if err != nil || res.stats.RepSwitches != 1 {
+			t.Fatalf("started %s: err %v, stats %+v, want one hand-off", tc.start, err, res.stats)
+		}
+		checkView(t, "handed off from "+tc.start, r, res.head, tc.db.Size(), reference(p, tc.db))
+	}
+
+	p = mustCompile(t, tcQuery())
+	line := lineDB(16)
+	next, delta, err := line.Apply([]database.Update{{Relation: "E", Insert: []relation.Tuple{{15, 3}, {7, 0}}}})
+	if err != nil || !CanMaintain(p, delta) {
+		t.Fatalf("apply: %v, maintainable %v", err, CanMaintain(p, delta))
+	}
+	for _, backend := range []Backend{BackendDense, BackendSparse} {
+		opts := &Options{Backend: backend, Parallelism: 1}
+		_, _, state, err := EvalPlan(ctx, p, line, opts, nil, true)
+		if err != nil || state == nil {
+			t.Fatalf("%s: capture: %v, state %v", backend, err, state)
+		}
+		v, st, _, err := EvalPlan(ctx, p, next, opts, state, true)
+		if err != nil || st.MaintainedFromDelta != 1 {
+			t.Fatalf("%s: restart: %v, stats %+v", backend, err, st)
+		}
+		checkView(t, "maintained on "+backend.String(), r, v, next.Size(), reference(p, next))
+	}
+}
+
+// planAnswer is the engine half of a bvqd miss, store-less: the closure of a
+// forest of 16-node paths on n nodes to its head, with maintenance state, then
+// the form the result cache keeps.
+func planAnswer(t testing.TB, p *plan.Plan, db *database.Database) relation.View {
+	v, _, _, err := EvalPlan(context.Background(), p, db, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return relation.Compact(v, db.Size())
+}
+
+// BenchmarkPlanAnswer prices planAnswer at 480 and at 15,000 answer tuples.
+func BenchmarkPlanAnswer(b *testing.B) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = false // TestMain's: time spent overwriting is not the engine's
+	p := mustCompile(b, tcQuery())
+	for _, n := range []int{64, 2000} {
+		db := forestDB(n, 16)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				planAnswer(b, p, db)
+			}
+		})
+	}
+}
+
+// TestPlanAnswerAllocsIndependentOfAnswerSize is the gate beside it: the head
+// leaves the executor as the sorted codes it already is, so 15,000 answer
+// tuples cost a few hundred allocations more than 480 (longer blocks, doubled
+// more often), not two each — 30,666 an evaluation when the answer went
+// through a Set (EXPERIMENTS.md "PR 25").
+func TestPlanAnswerAllocsIndependentOfAnswerSize(t *testing.T) {
+	p, few, many := mustCompile(t, tcQuery()), forestDB(64, 16), forestDB(2000, 16)
+	small, _ := allocsPerRun(10, func() { planAnswer(t, p, few) })
+	large, _ := allocsPerRun(10, func() { planAnswer(t, p, many) })
+	t.Logf("allocations per evaluation: %.0f for 480 tuples, %.0f for 15000", small, large)
+	if large > 1000+small {
+		t.Fatalf("15000 answer tuples cost %.0f allocations, 480 cost %.0f: want them within 1000", large, small)
 	}
 }

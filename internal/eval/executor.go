@@ -77,9 +77,9 @@ type algebra[V comparable] interface {
 	// project maps a node value onto the columns cols (a stage or the head
 	// space), the axes pinned fixed to pinnedVals (PFP parameters).
 	project(v V, cols, pinned, pinnedVals []int) (V, error)
-	toSet(v V) *relation.Set
-	// cursor streams v in canonical order; closing it releases v.
-	cursor(v V) relation.Cursor
+	// head is v, the root projected onto the head columns, as the answer that
+	// outlives the run: a View in canonical order that nothing writes again.
+	head(v V) relation.View
 	// pfpLimit iterates step from ∅ to the partial fixpoint (∅ on a cycle)
 	// under opts' stage budget and cycle detector.
 	pfpLimit(step func(V) (V, error), arity int, opts *Options) (V, error)
@@ -205,9 +205,10 @@ func (r *run[V]) fork() *run[V] {
 }
 
 // answer runs the plan to its head value — the root projected onto the
-// (distinct, by logic.Query.Validate) head columns — and wraps it for the API
-// that asked: enumeration is a cursor over it, materialization its toSet.
-func (r *run[V]) answer(stream, capture bool) (planResult, error) {
+// (distinct, by logic.Query.Validate) head columns — and hands it out as the
+// View every caller reads the answer from (Prop. 3.1: the answer is a
+// projection of the root's k-ary relation).
+func (r *run[V]) answer(capture bool) (planResult, error) {
 	res := planResult{stats: r.stats}
 	root, err := r.evalNode(r.p.Root)
 	if err != nil {
@@ -223,12 +224,7 @@ func (r *run[V]) answer(stream, capture bool) (planResult, error) {
 	if r.p.MinimizedFrom > 0 {
 		r.stats.AcyclicFastPath = 1
 	}
-	if stream {
-		res.enum = newCursorEnum(r.ctx, r.alg.cursor(h), r.stats)
-	} else {
-		res.set = r.alg.toSet(h)
-		r.alg.release(h)
-	}
+	res.head = r.alg.head(h)
 	return res, nil
 }
 

@@ -40,7 +40,7 @@ func startOn(t *testing.T, name string, p *plan.Plan, db *database.Database, opt
 		t.Fatalf("%s: only one route is feasible", p.Query)
 	}
 	rt.name = name
-	return evalRoute(context.Background(), p, db, opts, rt, nil, false, false)
+	return evalRoute(context.Background(), p, db, opts, rt, nil, false)
 }
 
 // TestDifferentialHandOff starts a transitive closure over a near-complete graph on
@@ -84,8 +84,8 @@ func TestDifferentialHandOff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.set.String() != ref.String() {
-				t.Fatalf("answer differs from dense:\n got %s\nwant %s", res.set, ref)
+			if toSet(res.head).String() != ref.String() {
+				t.Fatalf("answer differs from dense:\n got %s\nwant %s", toSet(res.head), ref)
 			}
 			if res.stats.RepSwitches != 1 || res.stats.FixIterations != rst.FixIterations {
 				t.Fatalf("RepSwitches = %d, want 1; %d stages, dense took %d", res.stats.RepSwitches, res.stats.FixIterations, rst.FixIterations)
@@ -135,8 +135,8 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := res.stats
-			if res.set.String() != ref.String() || st.RepSwitches != 1 {
-				t.Fatalf("answer equal: %v, RepSwitches %d (want 1)", res.set.String() == ref.String(), st.RepSwitches)
+			if toSet(res.head).String() != ref.String() || st.RepSwitches != 1 {
+				t.Fatalf("answer equal: %v, RepSwitches %d (want 1)", toSet(res.head).String() == ref.String(), st.RepSwitches)
 			}
 			if st.TuplesTouched == 0 || st.SubformulaEvals <= dst.SubformulaEvals {
 				t.Fatalf("the abandoned sparse attempt left no trace: %+v (dense alone: %+v)", st, dst)

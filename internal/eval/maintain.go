@@ -91,31 +91,20 @@ func CanMaintain(p *plan.Plan, d *database.Delta) bool {
 
 // EvalPlanCapture is EvalPlanContext additionally capturing maintenance
 // state, on whichever route the evaluation takes: nil exactly when the plan
-// has no seedable binders ("not maintainable, recompute on change").
+// has no seedable binders.
 func EvalPlanCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, *MaintState, error) {
-	res, err := evalPlan(ctx, p, db, opts, nil, true, false)
-	return res.set, res.stats, res.state, err
+	v, stats, state, err := EvalPlan(ctx, p, db, opts, nil, true)
+	return toSet(v), stats, state, err
 }
 
-// EvalPlanMaintained re-evaluates p against a successor snapshot by
-// delta-restart: prev is the state EvalPlanCapture (or a previous
-// EvalPlanMaintained) returned for the parent snapshot, and the caller has
-// checked CanMaintain for the connecting delta. The answer is byte-identical
-// to a from-scratch evaluation; Stats.MaintainedFromDelta is 1 and a fresh
-// state for the new snapshot is returned. It is routed like any evaluation.
+// EvalPlanMaintained is EvalPlan restarted from prev — the state
+// EvalPlanCapture (or a previous EvalPlanMaintained) returned for the parent
+// snapshot — with the answer materialized as a Set and a fresh state for the
+// new snapshot.
 func EvalPlanMaintained(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, prev *MaintState) (*relation.Set, *Stats, *MaintState, error) {
-	if p.Maint == nil || !p.Maint.OK {
-		return nil, nil, nil, fmt.Errorf("eval: plan has no seedable fixpoints, cannot maintain")
-	}
 	if prev == nil {
 		return nil, nil, nil, fmt.Errorf("eval: no maintenance state to restart from")
 	}
-	if len(prev.stages) != p.NumBinders {
-		return nil, nil, nil, fmt.Errorf("eval: maintenance state has %d binders, plan has %d", len(prev.stages), p.NumBinders)
-	}
-	res, err := evalPlan(ctx, p, db, opts, prev, true, false)
-	if err == nil {
-		res.stats.MaintainedFromDelta = 1
-	}
-	return res.set, res.stats, res.state, err
+	v, stats, state, err := EvalPlan(ctx, p, db, opts, prev, true)
+	return toSet(v), stats, state, err
 }

@@ -91,9 +91,9 @@ func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts
 }
 
 // runSparse is runDense's twin: the whole plan over the sparse algebra.
-func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture, stream bool) (planResult, error) {
+func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
 	r := newSparseRun(ctx, p, db, opts, den, stats)
-	return r.answer(stream, r.start(ho, seed, capture))
+	return r.answer(r.start(ho, seed, capture))
 }
 
 // stageAxes is the support of a stage (or head) value: its own positions
@@ -298,11 +298,9 @@ func (sa *sparseAlg) project(sv *sval, cols, pinned, _ []int) (*sval, error) {
 	return stageSval(rel), nil
 }
 
-func (sa *sparseAlg) toSet(v *sval) *relation.Set { return v.rel.ToSet() }
-
-// cursor streams the sorted, deduplicated head codes directly, skipping the
-// Set round-trip.
-func (sa *sparseAlg) cursor(v *sval) relation.Cursor { return v.rel.Cursor() }
+// head is the sorted, deduplicated head codes as they are, frozen like any
+// block that leaves the run.
+func (sa *sparseAlg) head(v *sval) relation.View { return sa.stageOf(v) }
 
 func (sa *sparseAlg) pfpLimit(func(*sval) (*sval, error), int, *Options) (*sval, error) {
 	return nil, errStagesOnly

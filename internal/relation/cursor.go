@@ -22,19 +22,27 @@ type Cursor interface {
 	Close()
 }
 
-// View is a finished, immutable relation that hands out cursors: the form in
-// which an answer is cached and served. *Sparse opens one in O(1); *Set
-// sorts its tuples for each.
+// View is a finished, immutable relation that hands out cursors: the one form
+// an answer has from the executor's head to the wire. *Sparse opens a cursor in
+// O(1), *Dense decodes its set bits lazily, *Set sorts its tuples for each;
+// any number of cursors may read one View at once.
 type View interface{ Cursor() Cursor }
 
-// Compact returns the tuples of s, all components in [0, n), as the cheapest
-// View of them: sorted row-major codes (*Sparse, 8 B/tuple, nothing left to
-// do per cursor) when nᵏ fits MaxSparseCode, and s itself when it does not.
-func Compact(s *Set, n int) View {
-	if sp, err := SparseFromSet(s, n); err == nil {
-		return sp
+// Compact returns v, all components in [0, n), in the form an answer is kept
+// in: sorted row-major codes (*Sparse, 8 B/tuple, nothing left to do per
+// cursor). A *Sparse is that already; a *Dense takes one ascending scan of its
+// bitmap; a *Set is encoded and sorted when nᵏ fits MaxSparseCode, and stays
+// the Set it is when it does not.
+func Compact(v View, n int) View {
+	switch v := v.(type) {
+	case *Dense:
+		return v.ToSparse()
+	case *Set:
+		if sp, err := SparseFromSet(v, n); err == nil {
+			return sp
+		}
 	}
-	return s
+	return v
 }
 
 // setCursor walks the sorted tuples of a Set.
@@ -72,14 +80,12 @@ type DenseCursor struct {
 	d   *Dense
 	bc  bitset.Cursor
 	buf Tuple
-	own bool // Close releases d back to its space's pool
 }
 
-// NewDenseCursor returns a cursor over d. If own is true, Close releases d
-// back to its space's scratch pool; pass own=true exactly when the caller
-// transfers its reference to the cursor.
-func NewDenseCursor(d *Dense, own bool) *DenseCursor {
-	return &DenseCursor{d: d, bc: d.bits.Cursor(), buf: make(Tuple, d.sp.k), own: own}
+// Cursor returns a cursor over d, which it only reads: d must not be written
+// or released while a cursor is open, and is otherwise left to the collector.
+func (d *Dense) Cursor() Cursor {
+	return &DenseCursor{d: d, bc: d.bits.Cursor(), buf: make(Tuple, d.sp.k)}
 }
 
 // Next returns the next tuple in ascending index (lexicographic) order. The
@@ -99,15 +105,8 @@ func (c *DenseCursor) Skip(n int) int { return c.bc.Skip(n) }
 // (independent of cursor position) — a word-parallel popcount.
 func (c *DenseCursor) Count() int { return c.d.Count() }
 
-// Close releases the underlying Dense if the cursor owns it. Safe to call
-// more than once.
-func (c *DenseCursor) Close() {
-	if c.own && c.d != nil && c.d.bits != nil {
-		c.d.Release()
-	}
-	c.d = nil
-	c.bc = bitset.Cursor{}
-}
+// Close detaches the cursor from the relation, which stays as it was.
+func (c *DenseCursor) Close() { c.bc = bitset.Cursor{} }
 
 // SparseCursor enumerates the tuples of a Sparse relation by walking its
 // sorted code slice. Skip is O(1): a slice index jump.
@@ -123,7 +122,7 @@ func (s *Sparse) Cursor() Cursor { return &SparseCursor{s: s, buf: make(Tuple, s
 // Next returns the next tuple in ascending code (lexicographic) order. The
 // returned tuple is reused by subsequent calls.
 func (c *SparseCursor) Next() (Tuple, bool) {
-	if c.s == nil || c.i >= len(c.s.codes) {
+	if c.i >= len(c.s.codes) {
 		return nil, false
 	}
 	t := c.s.DecodeInto(c.s.codes[c.i], c.buf)
@@ -133,25 +132,14 @@ func (c *SparseCursor) Next() (Tuple, bool) {
 
 // Skip advances past up to n tuples and returns how many were skipped.
 func (c *SparseCursor) Skip(n int) int {
-	if c.s == nil {
-		return 0
-	}
-	rem := len(c.s.codes) - c.i
-	if n > rem {
-		n = rem
-	}
+	n = min(n, len(c.s.codes)-c.i)
 	c.i += n
 	return n
 }
 
 // Count returns the exact number of tuples in the underlying relation.
-func (c *SparseCursor) Count() int {
-	if c.s == nil {
-		return 0
-	}
-	return len(c.s.codes)
-}
+func (c *SparseCursor) Count() int { return len(c.s.codes) }
 
-// Close detaches the cursor. Sparse relations are plain heap values, so
-// there is nothing to release; Close exists for interface symmetry.
-func (c *SparseCursor) Close() { c.s = nil }
+// Close ends the pass. Sparse relations are plain heap values, so there is
+// nothing to release.
+func (c *SparseCursor) Close() { c.i = len(c.s.codes) }

@@ -17,7 +17,7 @@ func TestCursorOrderIdentity(t *testing.T) {
 		d := randomDense(r, sp)
 		want := d.ToSet().Tuples()
 
-		dc := NewDenseCursor(d, false)
+		dc := d.Cursor()
 		var gotDense []Tuple
 		for tp, ok := dc.Next(); ok; tp, ok = dc.Next() {
 			gotDense = append(gotDense, append(Tuple(nil), tp...))
@@ -62,7 +62,7 @@ func TestCursorSkipEquivalence(t *testing.T) {
 			wantSkip = len(all)
 		}
 
-		dc := NewDenseCursor(d, false)
+		dc := d.Cursor()
 		if got := dc.Skip(k); got != wantSkip {
 			t.Fatalf("dense Skip(%d) = %d, want %d", k, got, wantSkip)
 		}
@@ -87,37 +87,42 @@ func TestCursorSkipEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseCursorCloseReleases checks that an owning cursor returns its
-// bitmap to the space pool on Close, and that Close is idempotent.
-func TestDenseCursorCloseReleases(t *testing.T) {
+// TestDenseViewSharedByCursors pins what lets an executor's dense head be an
+// answer as it stands: a Dense is a View, any number of cursors read it at
+// once, each from its own position, and closing one leaves the relation — and
+// the others — as they were.
+func TestDenseViewSharedByCursors(t *testing.T) {
 	sp := MustSpace(2, 8)
-	before := sp.ScratchOutstanding()
 	d := sp.Empty()
 	d.Add(Tuple{1, 2})
-	c := NewDenseCursor(d, true)
-	if tp, ok := c.Next(); !ok || !tp.Equal(Tuple{1, 2}) {
-		t.Fatalf("Next = %v, %v", tp, ok)
+	d.Add(Tuple{3, 4})
+	var v View = d
+	c1, c2 := v.Cursor(), v.Cursor()
+	if tp, ok := c1.Next(); !ok || !tp.Equal(Tuple{1, 2}) {
+		t.Fatalf("first cursor: Next = %v, %v", tp, ok)
 	}
-	c.Close()
-	c.Close()
-	if got := sp.ScratchOutstanding(); got != before {
-		t.Fatalf("ScratchOutstanding after Close = %d, want %d", got, before)
+	c1.Close()
+	c1.Close()
+	if tp, ok := c1.Next(); ok {
+		t.Fatalf("closed cursor yielded %v", tp)
 	}
-	// A non-owning cursor must leave the relation alive.
-	d2 := sp.Empty()
-	defer d2.Release()
-	d2.Add(Tuple{3, 4})
-	c2 := NewDenseCursor(d2, false)
-	c2.Close()
-	if !d2.Contains(Tuple{3, 4}) {
-		t.Fatal("non-owning Close released the relation")
+	for _, want := range []Tuple{{1, 2}, {3, 4}} {
+		if tp, ok := c2.Next(); !ok || !tp.Equal(want) {
+			t.Fatalf("second cursor: Next = %v, %v, want %v", tp, ok, want)
+		}
+	}
+	if c2.Count() != 2 || !d.Contains(Tuple{3, 4}) {
+		t.Fatal("closing a cursor changed the relation")
 	}
 }
 
-// TestCompactView pins the cached-answer currency: for random sets the
-// compact view is the sorted-code form and its cursor agrees with
-// Set.Tuples() on order, Skip and Count; a shape whose code space NewSparse
-// refuses stays the Set it was, served through the sorting cursor.
+// TestCompactView pins the kept-answer currency: for random relations in each
+// of the three forms an answer arrives in — the Set of an exhibit engine, the
+// dense executor's head bitmap, the sparse executor's head codes — the compact
+// view is the sorted-code form (the codes themselves when it was that already)
+// and its cursor agrees with Set.Tuples() on order, Skip and Count; a shape
+// whose code space NewSparse refuses stays the Set it was, served through the
+// sorting cursor.
 func TestCompactView(t *testing.T) {
 	check := func(v View, want []Tuple, skip int) {
 		t.Helper()
@@ -152,11 +157,22 @@ func TestCompactView(t *testing.T) {
 			}
 			set.Add(tp)
 		}
-		v := Compact(set, n)
-		if _, ok := v.(*Sparse); !ok {
-			t.Fatalf("k=%d n=%d: Compact returned %T, want *Sparse", k, n, v)
+		dense, err := set.ToDense(MustSpace(k, n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		check(v, set.Tuples(), r.Intn(set.Len()+3))
+		sparse := dense.ToSparse()
+		for _, in := range []View{set, dense, sparse} {
+			v := Compact(in, n)
+			if _, ok := v.(*Sparse); !ok {
+				t.Fatalf("k=%d n=%d: Compact(%T) returned %T, want *Sparse", k, n, in, v)
+			}
+			check(in, set.Tuples(), r.Intn(set.Len()+3))
+			check(v, set.Tuples(), r.Intn(set.Len()+3))
+		}
+		if Compact(sparse, n) != View(sparse) {
+			t.Fatalf("k=%d n=%d: Compact copied codes that were compact already", k, n)
+		}
 	}
 
 	// 3 axes of 2²¹ points: 2⁶³ codes, beyond MaxSparseCode.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/database"
+	"repro/internal/workload"
 )
 
 const allEdges = "(x, y). E(x, y)"
@@ -72,6 +73,67 @@ func TestHitAllocsIndependentOfAnswerSize(t *testing.T) {
 	t.Logf("allocations per cached JSON hit: %.0f for 16 rows, %.0f for 4096", small, large)
 	if large-small > 8 || large > 150 {
 		t.Fatalf("a 4096-row hit allocates %.0f times, a 16-row one %.0f: want them within 8, and under 150", large, small)
+	}
+}
+
+const closure = "(x, y). [lfp T(x, y). E(x, y) | exists z. (E(x, z) & T(z, y))](x, y)"
+
+// missServer serves a forest of 16-node paths on n nodes, whose transitive
+// closure — 120 pairs a path — is what a miss evaluates: sparse-routed, the
+// serving benchmark's churn family.
+func missServer(tb testing.TB, n int) (*Server, string) {
+	tb.Helper()
+	s, ts := newTestServer(tb, Config{Databases: map[string]*database.Database{"forest": workload.ForestGraph(n, 16)}})
+	return s, ts.URL + "/query"
+}
+
+// benchmarkMiss evaluates and drains one 15,000-row closure per iteration over
+// a real loopback connection: no_cache, so every iteration is the whole miss.
+func benchmarkMiss(b *testing.B, stream bool) {
+	_, url := missServer(b, 2000)
+	body, _ := json.Marshal(QueryRequest{Database: "forest", Query: closure, Stream: stream, NoCache: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n < 15000*5 {
+			b.Fatalf("status %d, %d bytes, err %v", resp.StatusCode, n, err)
+		}
+	}
+}
+
+func BenchmarkMissJSON(b *testing.B)   { benchmarkMiss(b, false) }
+func BenchmarkMissStream(b *testing.B) { benchmarkMiss(b, true) }
+
+// TestMissAllocsIndependentOfAnswerSize pins the miss path's shape, JSON and
+// NDJSON: the executor's head is the answer — no tuple of it is decoded into a
+// map on the way to the writer — so a 15,000-row miss allocates a few hundred
+// times more than a 480-row one (longer stage loops' blocks, the recorder
+// growing its body), not twice per row.
+func TestMissAllocsIndependentOfAnswerSize(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		allocs := func(n int) float64 {
+			s, _ := missServer(t, n)
+			h := s.Handler()
+			body, _ := json.Marshal(QueryRequest{Database: "forest", Query: closure, Stream: stream, NoCache: true})
+			return testing.AllocsPerRun(10, func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK || rec.Body.Len() < n/16*120*5 {
+					t.Fatalf("status %d, %d bytes", rec.Code, rec.Body.Len())
+				}
+			})
+		}
+		small, large := allocs(64), allocs(2000)
+		t.Logf("stream=%v: allocations per miss: %.0f for 480 rows, %.0f for 15000", stream, small, large)
+		if large-small > 1000 {
+			t.Errorf("stream=%v: a 15000-row miss allocates %.0f times, a 480-row one %.0f: want them within 1000 (0.07 a row)", stream, large, small)
+		}
 	}
 }
 
@@ -150,10 +212,7 @@ F/2 = {(9, 8), (8, 7), (7, 6), (6, 5), (8, 5), (5, 9)}
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": db}})
-	const (
-		closure = "(x, y). [lfp T(x, y). E(x, y) | exists z. (E(x, z) & T(z, y))](x, y)"
-		twoHopF = "(x, y). exists z. F(x, z) & F(z, y)"
-	)
+	const twoHopF = "(x, y). exists z. F(x, z) & F(z, y)"
 	query := func(req QueryRequest) QueryResponse {
 		t.Helper()
 		req.Database, req.Engine = "g", "compiled"

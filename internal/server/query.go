@@ -58,31 +58,22 @@ type query struct {
 	shared    int64 // closed sub-plan values the fresh run took from the node cache
 }
 
-// evalOutcome is what lookup or one evaluation produces; a JSON run's is
-// shared between coalesced requests, including the partial statistics of a
-// cancelled run. Exactly one of answer and enum is set on success; the
-// writers read either through enumerator.
+// evalOutcome is what lookup or one evaluation produces, shared between
+// coalesced requests — the partial statistics of a cancelled run included.
+// answer is the whole answer in the one form both writers window and the
+// cache keeps, whoever produced it: the executor's head as it stands, its
+// compacted form once kept, an exhibit engine's Set.
 type evalOutcome struct {
-	answer relation.View   // finished: a JSON run's answer or a cache hit's, compacted
-	enum   eval.Enumerator // a stream run's live enumerator
+	answer relation.View
 	stats  *eval.Stats
-	mstate *eval.MaintState // compiled dense runs: what delta-restart maintenance resumes from
+	mstate *eval.MaintState // compiled runs of a maintainable plan: what delta-restart maintenance resumes from
 	err    error
-}
-
-// enumerator returns the answer as the one currency both writers window: the
-// stream run's live enumerator, or a cursor over the finished answer — which
-// was sorted once, when it was compacted. The caller closes it.
-func (out evalOutcome) enumerator(ctx context.Context) eval.Enumerator {
-	if out.enum != nil {
-		return out.enum
-	}
-	return eval.NewEnumerator(ctx, out.answer, nil)
 }
 
 // handleQuery is the /query pipeline: resolve the request, look the answer
 // up, evaluate it if that missed, write it, and (deferred) finish with the
-// metrics, trace and slow-log epilogue.
+// metrics, trace and slow-log epilogue. JSON and NDJSON requests differ in the
+// last step alone: how the writer renders the cursor it opens on the answer.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := s.begin(w, r)
 	defer s.finish(r, q)
@@ -97,16 +88,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	out := s.lookup(q)
-	switch {
-	case q.cached:
-	case q.req.Stream:
-		// A stream's run is over when its drain is: the head value it
-		// decodes rows from lives that long, so the slot is held until the
-		// handler returns.
-		var settle func()
-		out, settle = s.evaluate(q, enumerate)
-		defer settle()
-	default:
+	if !q.cached {
 		out = s.evaluateShared(q)
 	}
 	if out.err != nil {
@@ -254,60 +236,52 @@ func (s *Server) lookup(q *query) evalOutcome {
 	hit, ok := s.results.Get(q.key)
 	sp.End()
 	q.cached = ok
-	// The cached Stats are shared with other requests: the enumerator over a
-	// hit runs unmetered, and the wire reports the original run's stats.
+	// The cached Stats are shared with other requests: the wire reports the
+	// original run's.
 	return evalOutcome{answer: hit.Answer, stats: hit.Stats}
 }
 
-// materialize is the JSON engine call: the whole answer as a relation,
-// compacted on the spot into the form it is cached and served in. The
-// compiled engine reuses the DAG plan prepared when the query entered the
-// plan cache and captures maintenance state alongside the answer; a nil
-// Prepared (non-compilable fragment) takes the generic path, which recompiles
-// and surfaces the real error.
-func materialize(q *query) (out evalOutcome) {
-	var set *relation.Set
+// answer is the engine call: the whole answer as a View. The compiled engine
+// reuses the DAG plan prepared when the query entered the plan cache, hands
+// back the executor's head as it stands and captures maintenance state beside
+// it; a nil Prepared (non-compilable fragment) takes the generic path, which
+// recompiles and surfaces the real error, and so do the exhibit engines, whose
+// answer is a Set.
+func answer(q *query) (out evalOutcome) {
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		set, out.stats, out.mstate, out.err = eval.EvalPlanCapture(q.ctx, q.pl.Prepared, q.snap, &q.opts)
-	} else {
-		set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
+		out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, nil, true)
+		return out
 	}
-	if out.err == nil {
-		out.answer = relation.Compact(set, q.snap.Size())
+	set, stats, err := bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
+	if out.stats, out.err = stats, err; err == nil {
+		out.answer = set
 	}
 	return out
 }
 
-// enumerate is the stream engine call: an enumerator, so a LIMIT-k stream
-// stops the extraction after k tuples.
-func enumerate(q *query) (out evalOutcome) {
-	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		out.enum, out.stats, out.mstate, out.err = eval.EvalPlanEnumCapture(q.ctx, q.pl.Prepared, q.snap, &q.opts)
-	} else {
-		out.enum, out.stats, out.err = bvq.EvalEnumContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
-	}
-	return out
-}
-
-// evaluate is the one fresh-evaluation sequence, for JSON and streams alike:
+// evaluate is the one fresh evaluation, whatever will be written from it:
 // take an evaluation slot (or join the bounded wait queue — overload sheds
 // with errOverloaded → 429, a deadline firing while queued is the usual 504),
 // raise the in-flight gauge, open the eval span, attach the stage observer,
-// and run call panic-contained. The returned settle ends the run — it folds
-// the work, complete or partial, into the aggregate counters and gives gauge
-// and slot back — and is the caller's to invoke when the run is over: at
-// once for a materialized answer, after the drain for a stream.
-func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutcome, settle func()) {
+// run the engine panic-contained, and settle: the work, complete or partial,
+// is folded into the aggregate counters and gauge and slot go back when the
+// engine returns — the answer is whole by then, so nobody's reading of it
+// holds either.
+func (s *Server) evaluate(q *query) (out evalOutcome) {
 	asp := q.root.Start(trace.SpanAdmission)
 	err := s.limiter.acquire(q.ctx)
 	asp.End()
 	if err != nil {
-		return evalOutcome{err: err}, func() {}
+		return evalOutcome{err: err}
 	}
 	s.metrics.evalsInFlight.Add(1)
-	// For a stream the eval span covers enumerator construction; the drain
-	// span carries what the enumerator computes while delivering.
 	esp := q.root.Start(trace.SpanEval)
+	defer func() {
+		esp.End()
+		s.foldEvalStats(out.stats)
+		s.metrics.evalsInFlight.Add(-1)
+		s.limiter.release()
+	}()
 	// At most one observer per request, and only when something will read
 	// it: the response's trace, explain's binder totals, or a live span. An
 	// unobserved run keeps a nil Tracer and the engines skip the hook.
@@ -319,69 +293,73 @@ func (s *Server) evaluate(q *query, call func(*query) evalOutcome) (out evalOutc
 		q.fold = eval.NewStageFold(logCap)
 		q.opts.Tracer = q.fold.Observe
 	}
-	func() {
-		// A panic becomes an error — shared with coalesced followers,
-		// answered 500. Slot and gauge are still returned by settle.
-		defer s.containPanic(q.ctx, "evaluator panic", q.reqID, q.req.Query, &out.err)
-		if s.testHookBeforeEval != nil {
-			s.testHookBeforeEval()
-		}
-		out = call(q)
-		if out.stats != nil && out.stats.NodesShared > 0 {
-			q.shared = out.stats.NodesShared
-			esp.Annotate("nodes_shared", strconv.FormatInt(q.shared, 10))
-		}
-		if esp == nil {
-			return
-		}
-		// The call has returned, so its workers are done and the fold is
-		// quiescent: one child span per fixpoint, busy time as duration —
-		// what feeds bvqd_stage_seconds{stage="fixpoint"}, partial runs
-		// included.
-		for _, fx := range q.fold.Fix {
-			esp.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
-				[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
-				trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
-		}
-	}()
-	esp.End()
-	return out, func() {
-		s.foldEvalStats(out.stats)
-		s.metrics.evalsInFlight.Add(-1)
-		s.limiter.release()
+	// A panic becomes an error — shared with coalesced followers, answered
+	// 500. Slot and gauge still go back.
+	defer s.containPanic(q.ctx, "evaluator panic", q.reqID, q.req.Query, &out.err)
+	if s.testHookBeforeEval != nil {
+		s.testHookBeforeEval()
 	}
+	out = answer(q)
+	if out.stats != nil && out.stats.NodesShared > 0 {
+		q.shared = out.stats.NodesShared
+		esp.Annotate("nodes_shared", strconv.FormatInt(q.shared, 10))
+	}
+	if esp == nil {
+		return out
+	}
+	// The call has returned, so its workers are done and the fold is
+	// quiescent: one child span per fixpoint, busy time as duration — what
+	// feeds bvqd_stage_seconds{stage="fixpoint"}, partial runs included.
+	for _, fx := range q.fold.Fix {
+		esp.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
+			[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
+			trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
+	}
+	return out
 }
 
-// keep stores a fresh run's complete answer in the result cache with what an
-// update of its database needs to triage it, unless the request opted out of
-// caching. No lock and no check that q.snap is still current: the key names
-// the content the run read, so the entry is right whenever that content is
-// asked for again and unreachable otherwise. The footprint is a property of
-// the query, so results from ANY engine ride out disjoint deltas; maintenance
-// state is captured by compiled runs of a prepared plan only, and not by those
-// that took a sparse route.
-func (s *Server) keep(q *query, out evalOutcome, full relation.View) {
-	if q.req.NoCache {
-		return
+// store puts res, its answer compacted over a domain of n elements, in the
+// result cache under key, and returns the answer as kept: the one place an
+// answer takes its cached form, for a fresh run and a maintained entry alike.
+func (s *Server) store(key string, res cache.Result, n int) relation.View {
+	res.Answer = relation.Compact(res.Answer, n)
+	s.results.Put(key, res)
+	return res.Answer
+}
+
+// keep stores a fresh run's answer in the result cache with what an update of
+// its database needs to triage it, and returns the outcome with the answer in
+// its kept form. Two requests keep nothing: one that opted out of caching, and
+// a windowed stream, whose point is not to pay O(|answer|) — its cursor
+// decodes the window from the head as it stands. No lock and no check that
+// q.snap is still current: the key names the content the run read, so the
+// entry is right whenever that content is asked for again and unreachable
+// otherwise. The footprint is a property of the query, so results from ANY
+// engine ride out disjoint deltas; maintenance state is captured by compiled
+// runs of a prepared plan only.
+func (s *Server) keep(q *query, out evalOutcome) evalOutcome {
+	if q.req.NoCache || q.req.Stream && (q.req.Limit > 0 || q.req.Offset > 0) {
+		return out
 	}
-	res := cache.Result{Answer: full, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint()}
+	res := cache.Result{Answer: out.answer, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint()}
 	if out.mstate != nil {
 		res.Baseline = &cache.Baseline{Plan: q.pl.Prepared, State: out.mstate, Opts: eval.Options{
 			MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
 			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget}}
 	}
-	s.results.Put(q.key, res)
+	out.answer = s.store(q.key, res, q.snap.Size())
+	return out
 }
 
-// evaluateShared runs a JSON request's evaluation and settles it at once.
-// Unless the request is direct, concurrent identical requests coalesce on
-// the cache key: one leader evaluates, the rest share its outcome.
+// evaluateShared is a miss, JSON or NDJSON: evaluate, keep. Unless the request
+// is direct, concurrent identical requests coalesce on the cache key: one
+// leader evaluates, the rest share its outcome — answer, statistics and all —
+// and each opens its own cursor on it.
 func (s *Server) evaluateShared(q *query) evalOutcome {
 	run := func() (evalOutcome, error) {
-		out, settle := s.evaluate(q, materialize)
-		settle()
+		out := s.evaluate(q)
 		if out.err == nil {
-			s.keep(q, out, out.answer)
+			out = s.keep(q, out)
 		}
 		return out, out.err
 	}
@@ -405,10 +383,7 @@ func (s *Server) evaluateShared(q *query) evalOutcome {
 // windowed is the progress of one OFFSET/LIMIT pass over an enumerator — the
 // windowing both writers share. It is a value the caller owns so the counts
 // survive a panic out of the enumerator or the row callback.
-type windowed struct {
-	skipped, delivered int64
-	limited            bool // the limit, not the end of the answer, stopped the pass
-}
+type windowed struct{ skipped, delivered int64 }
 
 // drain seeks past offset tuples, then hands each tuple to row until the
 // answer ends, limit rows are delivered (0: no limit) or row reports false.
@@ -418,7 +393,6 @@ func (wd *windowed) drain(en eval.Enumerator, offset, limit int, row func(relati
 	}
 	for {
 		if limit > 0 && wd.delivered >= int64(limit) {
-			wd.limited = true
 			return
 		}
 		t, ok := en.Next()
@@ -450,7 +424,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		resp.Explain = buildExplain(q)
 	}
 	xsp := q.root.Start(trace.SpanExtract)
-	en := out.enumerator(q.ctx)
+	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
 	// Count is always the FULL answer cardinality — limit/offset window the
 	// answer field only, so a paging client never loses the total.

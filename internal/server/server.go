@@ -11,8 +11,8 @@
 //   - whole evaluations, memoized in an LRU result cache keyed by
 //     (database fingerprint, engine, options, query text) — sound because
 //     database snapshots are immutable values and engines deterministic;
-//   - concurrent identical requests, coalesced by single-flight dedup so a
-//     thundering herd costs one evaluation.
+//   - concurrent identical requests, JSON and streamed alike, coalesced by
+//     single-flight dedup so a thundering herd costs one evaluation.
 //
 // Every request carries its own engine (the compiled one unless it says
 // otherwise), parallelism and deadline; deadlines are enforced by context
@@ -328,10 +328,11 @@ type QueryRequest struct {
 	Indices bool `json:"indices,omitempty"`
 	// Stream switches the response to NDJSON (application/x-ndjson): a
 	// header line, one line per answer tuple flushed as it decodes, and a
-	// trailer line with the final statistics. Streamed requests evaluate
-	// through the enumeration API: a LIMIT-k stream stops the extraction
-	// after k tuples. Streams bypass single-flight coalescing but still read
-	// the result cache; trace is not supported with stream.
+	// trailer line with the final statistics. A stream is looked up,
+	// coalesced and evaluated exactly like a JSON request; only the
+	// extraction differs: a LIMIT-k stream decodes k tuples, and a windowed
+	// stream that had to evaluate keeps nothing in the result cache. Trace is
+	// not supported with stream.
 	Stream bool `json:"stream,omitempty"`
 	// Limit caps how many answer tuples are returned (after Offset).
 	// 0 means all. The JSON response's count field (and the stream

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
@@ -79,7 +80,8 @@ func (q *query) rowValue() func(int) int {
 var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // The NDJSON delivery contract: the header line and the first row are each
-// flushed the moment they exist, so time to first row is the engine's; every
+// flushed the moment they exist — the evaluation is over by then, so time to
+// first row is the engine's plus one decode; every
 // later line waits until streamFlushBytes are pending or a row arrives more
 // than streamFlushAge after the last flush; the trailer flushes what is left.
 // A fast drain costs a write per 32 KiB instead of one per row, and a slow
@@ -120,13 +122,12 @@ func (lb *lineBuffer) Write(p []byte) (int, error) {
 //
 // The 200 is committed with the header, so later failures surface in the
 // trailer (the server's deadline, a contained panic) or as a counted
-// disconnect (client gone, no trailer). An un-windowed stream of a fresh run
-// that reaches the end has decoded the whole answer anyway and keeps it, so
-// the result cache and update triage see streamed evaluations too;
-// windowed streams do not — their point is not to pay O(|answer|).
+// disconnect (client gone, no trailer). The answer is whole before the header
+// is written — evaluated, settled and, unless the stream is windowed, kept —
+// so the drain only decodes: a window costs its window, whatever it reads
+// from (a hit's codes, a leader's head, the head a follower shares).
 func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
-	fresh := out.enum != nil
-	en := out.enumerator(q.ctx)
+	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
 	arity := q.pl.Query.Arity()
 	fullCount, _ := en.Count()
@@ -163,22 +164,17 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		return
 	}
 
-	var collect *relation.Set
-	if fresh && !q.req.NoCache && q.req.Limit == 0 && q.req.Offset == 0 {
-		collect = relation.NewSet(arity)
-	}
-
-	// The drain span covers seek, decode and delivery — on streaming routes
-	// this is where evaluation work actually happens. Ended by the deferred
-	// trace Close when a disconnect returns early.
+	// The drain span covers seek, decode and delivery: extraction, the one
+	// part of answering that the window bounds. Ended by the deferred trace
+	// Close when a disconnect returns early.
 	//
-	// The whole drain runs panic-contained: on streaming routes the engine
-	// executes inside Next/Skip, so a backend failure here surfaces as a
-	// panic AFTER the first byte — past the point where recoverPanics could
-	// still write a JSON error. Without the recover the response would just
-	// stop, indistinguishable from truncation; the contract (and what the
-	// router's truncation detection relies on) is that every server-side
-	// death mid-stream ends with an error trailer.
+	// The whole drain runs panic-contained: no engine executes inside
+	// Next/Skip, but a cursor's decode still does, and a failure there
+	// surfaces as a panic AFTER the first byte — past the point where
+	// recoverPanics could still write a JSON error. Without the recover the
+	// response would just stop, indistinguishable from truncation; the
+	// contract (and what the router's truncation detection relies on) is that
+	// every server-side death mid-stream ends with an error trailer.
 	dsp := q.root.Start(trace.SpanStreamDrain)
 	defer dsp.End()
 	var wd windowed
@@ -188,9 +184,6 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	func() {
 		defer s.containPanic(q.ctx, "stream drain panic", q.reqID, q.req.Query, &drainPanic)
 		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool {
-			if collect != nil {
-				collect.Add(t)
-			}
 			if s.testHookOnStreamRow != nil {
 				s.testHookOnStreamRow(int(wd.delivered))
 			}
@@ -207,6 +200,13 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	}
 
 	trailer := StreamTrailer{Trailer: true, Streamed: wd.delivered, Skipped: wd.skipped, Stats: out.stats}
+	if out.stats != nil && !q.cached && !q.coalesced {
+		// The run was this request's, so its statistics carry this drain; a
+		// copy does, because the run's own are the cache's and the followers'.
+		st := *out.stats
+		st.TuplesStreamed, st.TuplesSkipped = wd.delivered, wd.skipped
+		trailer.Stats = &st
+	}
 	err := en.Err()
 	if err == nil {
 		err = drainPanic
@@ -229,9 +229,6 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		if arity == 0 {
 			truth := fullCount > 0
 			trailer.Truth = &truth
-		}
-		if collect != nil && !wd.limited {
-			s.keep(q, out, relation.Compact(collect, q.snap.Size()))
 		}
 	}
 	trailer.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000

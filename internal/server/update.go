@@ -255,15 +255,15 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, snap, next *databas
 			// cache before the swap, so the entry never goes cold.
 			opts := base.Opts
 			opts.Nodes = s.nodes
-			ans, st, state, err := eval.EvalPlanMaintained(r.Context(), base.Plan, next, &opts, base.State)
+			ans, st, state, err := eval.EvalPlan(r.Context(), base.Plan, next, &opts, base.State, true)
 			if err != nil {
 				reason = "maintenance_failed"
 				break
 			}
 			s.foldEvalStats(st)
-			res.Answer, res.Stats = relation.Compact(ans, next.Size()), st
+			res.Answer, res.Stats = ans, st
 			res.Baseline = &cache.Baseline{Plan: base.Plan, State: state, Opts: base.Opts}
-			s.results.Put(cache.WithContent(key, next.ContentID(res.Footprint)), res)
+			s.store(cache.WithContent(key, next.ContentID(res.Footprint)), res, next.Size())
 			s.metrics.maintained.Inc()
 			out.Maintained++
 			return
