@@ -113,11 +113,6 @@ func cardOf(db *database.Database) func(string) int {
 // this evaluation leaves: nil exactly when the plan has no seedable binders
 // ("not maintainable, recompute on change"). The Stats are partial on an
 // evaluation error and nil on a validation error.
-//
-// A route auto chose freely is left on a hand-off, or on a sparse-budget
-// overrun where no stage boundary can repair the estimate — the plan is rerun
-// dense rather than failing a query dense can answer; either way the abandoned
-// work stays in the Stats and counts one RepSwitches.
 func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, prev *MaintState, capture bool) (relation.View, *Stats, *MaintState, error) {
 	if prev != nil {
 		if p.Maint == nil || !p.Maint.OK {
@@ -137,10 +132,10 @@ func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 	return res.head, res.stats, res.state, err
 }
 
-// toSet is the View → Set conversion at the boundary of the materializing
+// setOf is the View → Set conversion at the boundary of the materializing
 // entry points, for the two forms a head has; a failed evaluation's nil View
 // is a nil Set.
-func toSet(v relation.View) *relation.Set {
+func setOf(v relation.View) *relation.Set {
 	switch h := v.(type) {
 	case *relation.Sparse:
 		return h.ToSet()
@@ -153,7 +148,7 @@ func toSet(v relation.View) *relation.Set {
 // EvalPlanContext is EvalPlan with the answer materialized as a Set.
 func EvalPlanContext(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	v, stats, _, err := EvalPlan(ctx, p, db, opts, nil, false)
-	return toSet(v), stats, err
+	return setOf(v), stats, err
 }
 
 // validatePlanRun is the shared entry validation of every plan evaluation.
@@ -273,7 +268,11 @@ type handOff struct{ seed *MaintState }
 
 func (*handOff) Error() string { return "eval: internal: stage loop handed to the other backend" }
 
-// evalRoute is EvalPlan after validation and the routing decision.
+// evalRoute is EvalPlan after validation and the routing decision. A route auto
+// chose freely is left on a hand-off, or on a sparse-budget overrun where no
+// stage boundary can repair the estimate — the plan is rerun dense rather than
+// failing a query dense can answer; either way the abandoned work stays in the
+// Stats and counts one RepSwitches.
 func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, seed *MaintState, capture bool) (planResult, error) {
 	if rt.err != nil {
 		return planResult{}, rt.err

@@ -93,12 +93,7 @@ func (e *cursorEnum) Count() (int, bool) {
 
 func (e *cursorEnum) Err() error { return e.err }
 
-func (e *cursorEnum) Close() {
-	if !e.closed {
-		e.closed = true
-		e.c.Close()
-	}
-}
+func (e *cursorEnum) Close() { e.closed = true }
 
 // NewEnumerator is the Enumerator over a finished answer: what EvalPlan
 // returned, a kept result, an exhibit engine's Set. A compact view

@@ -84,8 +84,8 @@ func TestDifferentialHandOff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if toSet(res.head).String() != ref.String() {
-				t.Fatalf("answer differs from dense:\n got %s\nwant %s", toSet(res.head), ref)
+			if setOf(res.head).String() != ref.String() {
+				t.Fatalf("answer differs from dense:\n got %s\nwant %s", setOf(res.head), ref)
 			}
 			if res.stats.RepSwitches != 1 || res.stats.FixIterations != rst.FixIterations {
 				t.Fatalf("RepSwitches = %d, want 1; %d stages, dense took %d", res.stats.RepSwitches, res.stats.FixIterations, rst.FixIterations)
@@ -135,8 +135,8 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := res.stats
-			if toSet(res.head).String() != ref.String() || st.RepSwitches != 1 {
-				t.Fatalf("answer equal: %v, RepSwitches %d (want 1)", toSet(res.head).String() == ref.String(), st.RepSwitches)
+			if setOf(res.head).String() != ref.String() || st.RepSwitches != 1 {
+				t.Fatalf("answer equal: %v, RepSwitches %d (want 1)", setOf(res.head).String() == ref.String(), st.RepSwitches)
 			}
 			if st.TuplesTouched == 0 || st.SubformulaEvals <= dst.SubformulaEvals {
 				t.Fatalf("the abandoned sparse attempt left no trace: %+v (dense alone: %+v)", st, dst)

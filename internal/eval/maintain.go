@@ -94,7 +94,7 @@ func CanMaintain(p *plan.Plan, d *database.Delta) bool {
 // has no seedable binders.
 func EvalPlanCapture(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, *MaintState, error) {
 	v, stats, state, err := EvalPlan(ctx, p, db, opts, nil, true)
-	return toSet(v), stats, state, err
+	return setOf(v), stats, state, err
 }
 
 // EvalPlanMaintained is EvalPlan restarted from prev — the state
@@ -106,5 +106,5 @@ func EvalPlanMaintained(ctx context.Context, p *plan.Plan, db *database.Database
 		return nil, nil, nil, fmt.Errorf("eval: no maintenance state to restart from")
 	}
 	v, stats, state, err := EvalPlan(ctx, p, db, opts, prev, true)
-	return toSet(v), stats, state, err
+	return setOf(v), stats, state, err
 }

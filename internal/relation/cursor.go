@@ -14,12 +14,12 @@ import "repro/internal/bitset"
 
 // Cursor is one pass over a relation in canonical order. Skip advances past
 // up to n tuples and returns how many it did; Count is the whole relation's
-// exact size.
+// exact size. A cursor only reads its relation and holds nothing of it that
+// would have to be given back: one that is done with is dropped.
 type Cursor interface {
 	Next() (Tuple, bool)
 	Skip(n int) int
 	Count() int
-	Close()
 }
 
 // View is a finished, immutable relation that hands out cursors: the one form
@@ -70,7 +70,6 @@ func (c *setCursor) Skip(n int) int {
 }
 
 func (c *setCursor) Count() int { return len(c.tuples) }
-func (c *setCursor) Close()     { c.tuples = nil }
 
 // DenseCursor enumerates the tuples of a Dense relation lazily, decoding one
 // set bit per Next call. Skip advances over whole 64-bit words by popcount
@@ -105,9 +104,6 @@ func (c *DenseCursor) Skip(n int) int { return c.bc.Skip(n) }
 // (independent of cursor position) — a word-parallel popcount.
 func (c *DenseCursor) Count() int { return c.d.Count() }
 
-// Close detaches the cursor from the relation, which stays as it was.
-func (c *DenseCursor) Close() { c.bc = bitset.Cursor{} }
-
 // SparseCursor enumerates the tuples of a Sparse relation by walking its
 // sorted code slice. Skip is O(1): a slice index jump.
 type SparseCursor struct {
@@ -139,7 +135,3 @@ func (c *SparseCursor) Skip(n int) int {
 
 // Count returns the exact number of tuples in the underlying relation.
 func (c *SparseCursor) Count() int { return len(c.s.codes) }
-
-// Close ends the pass. Sparse relations are plain heap values, so there is
-// nothing to release.
-func (c *SparseCursor) Close() { c.i = len(c.s.codes) }

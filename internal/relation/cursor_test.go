@@ -89,8 +89,8 @@ func TestCursorSkipEquivalence(t *testing.T) {
 
 // TestDenseViewSharedByCursors pins what lets an executor's dense head be an
 // answer as it stands: a Dense is a View, any number of cursors read it at
-// once, each from its own position, and closing one leaves the relation — and
-// the others — as they were.
+// once, each from its own position, and one dropped half way leaves the
+// relation — and the others — as they were.
 func TestDenseViewSharedByCursors(t *testing.T) {
 	sp := MustSpace(2, 8)
 	d := sp.Empty()
@@ -101,18 +101,14 @@ func TestDenseViewSharedByCursors(t *testing.T) {
 	if tp, ok := c1.Next(); !ok || !tp.Equal(Tuple{1, 2}) {
 		t.Fatalf("first cursor: Next = %v, %v", tp, ok)
 	}
-	c1.Close()
-	c1.Close()
-	if tp, ok := c1.Next(); ok {
-		t.Fatalf("closed cursor yielded %v", tp)
-	}
+	// c1 is dropped half way: nothing to give back, nothing the other sees.
 	for _, want := range []Tuple{{1, 2}, {3, 4}} {
 		if tp, ok := c2.Next(); !ok || !tp.Equal(want) {
 			t.Fatalf("second cursor: Next = %v, %v, want %v", tp, ok, want)
 		}
 	}
 	if c2.Count() != 2 || !d.Contains(Tuple{3, 4}) {
-		t.Fatal("closing a cursor changed the relation")
+		t.Fatal("a cursor changed the relation")
 	}
 }
 
@@ -127,7 +123,6 @@ func TestCompactView(t *testing.T) {
 	check := func(v View, want []Tuple, skip int) {
 		t.Helper()
 		c := v.Cursor()
-		defer c.Close()
 		if c.Count() != len(want) {
 			t.Fatalf("Count = %d, want %d", c.Count(), len(want))
 		}

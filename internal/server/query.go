@@ -241,20 +241,21 @@ func (s *Server) lookup(q *query) evalOutcome {
 	return evalOutcome{answer: hit.Answer, stats: hit.Stats}
 }
 
-// answer is the engine call: the whole answer as a View. The compiled engine
-// reuses the DAG plan prepared when the query entered the plan cache, hands
+// engineCall is the one engine call: the whole answer as a View. The compiled
+// engine reuses the DAG plan prepared when the query entered the plan cache, hands
 // back the executor's head as it stands and captures maintenance state beside
 // it; a nil Prepared (non-compilable fragment) takes the generic path, which
 // recompiles and surfaces the real error, and so do the exhibit engines, whose
 // answer is a Set.
-func answer(q *query) (out evalOutcome) {
+func engineCall(q *query) (out evalOutcome) {
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
 		out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, nil, true)
 		return out
 	}
-	set, stats, err := bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
-	if out.stats, out.err = stats, err; err == nil {
-		out.answer = set
+	var set *relation.Set
+	set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
+	if out.err == nil {
+		out.answer = set // not before: a nil *Set is not a nil View
 	}
 	return out
 }
@@ -299,7 +300,7 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	if s.testHookBeforeEval != nil {
 		s.testHookBeforeEval()
 	}
-	out = answer(q)
+	out = engineCall(q)
 	if out.stats != nil && out.stats.NodesShared > 0 {
 		q.shared = out.stats.NodesShared
 		esp.Annotate("nodes_shared", strconv.FormatInt(q.shared, 10))
@@ -328,8 +329,7 @@ func (s *Server) store(key string, res cache.Result, n int) relation.View {
 }
 
 // keep stores a fresh run's answer in the result cache with what an update of
-// its database needs to triage it, and returns the outcome with the answer in
-// its kept form. Two requests keep nothing: one that opted out of caching, and
+// its database needs to triage it, and returns the answer in its kept form. Two requests keep nothing: one that opted out of caching, and
 // a windowed stream, whose point is not to pay O(|answer|) — its cursor
 // decodes the window from the head as it stands. No lock and no check that
 // q.snap is still current: the key names the content the run read, so the
@@ -337,9 +337,9 @@ func (s *Server) store(key string, res cache.Result, n int) relation.View {
 // otherwise. The footprint is a property of the query, so results from ANY
 // engine ride out disjoint deltas; maintenance state is captured by compiled
 // runs of a prepared plan only.
-func (s *Server) keep(q *query, out evalOutcome) evalOutcome {
+func (s *Server) keep(q *query, out evalOutcome) relation.View {
 	if q.req.NoCache || q.req.Stream && (q.req.Limit > 0 || q.req.Offset > 0) {
-		return out
+		return out.answer
 	}
 	res := cache.Result{Answer: out.answer, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint()}
 	if out.mstate != nil {
@@ -347,8 +347,7 @@ func (s *Server) keep(q *query, out evalOutcome) evalOutcome {
 			MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
 			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget}}
 	}
-	out.answer = s.store(q.key, res, q.snap.Size())
-	return out
+	return s.store(q.key, res, q.snap.Size())
 }
 
 // evaluateShared is a miss, JSON or NDJSON: evaluate, keep. Unless the request
@@ -359,7 +358,7 @@ func (s *Server) evaluateShared(q *query) evalOutcome {
 	run := func() (evalOutcome, error) {
 		out := s.evaluate(q)
 		if out.err == nil {
-			out = s.keep(q, out)
+			out.answer = s.keep(q, out)
 		}
 		return out, out.err
 	}

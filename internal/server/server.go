@@ -38,7 +38,7 @@
 // new snapshot while in-flight queries finish against the old one. The
 // update path triages the result cache by dependency footprint — carrying
 // disjoint entries to the new fingerprint, re-deriving maintainable ones by
-// delta-restart (eval.EvalPlanMaintained), dropping the rest — and never
+// delta-restart (eval.EvalPlan from the entry's state), dropping the rest — and never
 // touches the plan cache, which is keyed by query text alone (update.go).
 //
 // Endpoints: POST /query (JSON in/out), POST /db/{name}/update (tuple-level
