@@ -1,6 +1,6 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27593
+LOC_CEILING = 27652
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
 
@@ -24,7 +24,9 @@ all: vet test build
 # themselves cannot rot (the server's pairs are a cached 4,096-row answer and a
 # no_cache 15,000-row closure, each read as JSON and drained as NDJSON over
 # loopback; eval's BenchmarkSparseFix is the sparse stage loop whose allocations
-# TestSparseFixAllocs holds down, BenchmarkPlanAnswer the engine half of a miss; the
+# TestSparseFixAllocs holds down, BenchmarkPlanAnswer the engine half of a miss,
+# BenchmarkFilteredHop miss-direct's sparse texts over a warm node store, relation's
+# BenchmarkSemijoin the kernel under them beside the loop it replaced; the
 # router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
@@ -34,8 +36,10 @@ all: vet test build
 # rejection names a field, an accepted body's JSON rows are its NDJSON rows),
 # of the auto-route target
 # (dense ≡ auto ≡ sparse whatever route the cost model takes and wherever a
-# stage loop is handed from one backend to the other) and of the parser target
-# (no input panics, an accepted text prints to one that parses to the same print),
+# stage loop is handed from one backend to the other), of the parser target
+# (no input panics, an accepted text prints to one that parses to the same print)
+# and of the semijoin target (relation.Blocks.Semijoin against the decode-and-look-up
+# loop it replaced, every column subset, both polarities, operands untouched),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -67,6 +71,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
+	$(GO) test -run=NONE -fuzz=FuzzSemijoin -fuzztime=5s ./internal/relation/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

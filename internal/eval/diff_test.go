@@ -21,6 +21,8 @@ import (
 type diffGen struct {
 	r    *rand.Rand
 	next int // fresh recursion-relation counter
+	// filters adds the (anti-)semijoin shapes of filtered to formula's draw.
+	filters bool
 }
 
 var diffVars = []logic.Var{"x", "y", "z"}
@@ -48,7 +50,11 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 		return g.leaf(recs)
 	}
 	sub := func() logic.Formula { return g.formula(depth-1, recs) }
-	switch g.r.Intn(9) {
+	cases := 9
+	if g.filters {
+		cases = 11
+	}
+	switch g.r.Intn(cases) {
 	case 0:
 		return logic.And(sub(), sub())
 	case 1:
@@ -62,16 +68,86 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 		return logic.Neg(g.leaf(nil))
 	case 5, 6:
 		return g.fixpoint(depth-1, recs)
+	case 9:
+		return g.filtered(recs)
+	case 10:
+		return g.filteredClosure()
 	default:
 		return logic.And(sub(), g.leaf(recs))
 	}
 }
 
+// filtered emits a conjunct over all three variables under a filter on one of
+// them or on two — the leading, a middle or the trailing axes of its support —
+// positive or, off the recursion relations, negated: the sparse algebra's
+// semijoin and antijoin, by ranges and by keys. Inside a fixpoint body a
+// recursion relation may be the filter, sit in the conjunct, or both, so that a
+// semi-naive stage meets the shape with a delta on either side (deltaAnd →
+// joinSv → filterSv).
+func (g *diffGen) filtered(recs []string) logic.Formula {
+	v := g.r.Perm(3)
+	a, b, c := diffVars[v[0]], diffVars[v[1]], diffVars[v[2]]
+	wide := logic.And(logic.R("E", a, b), logic.R("E", b, c))
+	if len(recs) > 0 && g.r.Intn(2) == 0 {
+		wide = logic.And(logic.R(recs[g.r.Intn(len(recs))], g.v()), wide)
+	}
+	filter, stored := logic.Formula(logic.R("P", g.v())), true
+	switch pick := g.r.Intn(4); {
+	case pick == 0:
+		filter = logic.R("E", a, c) // {a, c} is any two of the three axes
+	case pick == 1 && len(recs) > 0:
+		filter, stored = logic.R(recs[g.r.Intn(len(recs))], g.v()), false
+	}
+	if stored && g.r.Intn(3) == 0 {
+		filter = logic.Neg(filter)
+	}
+	if g.r.Intn(2) == 0 {
+		return logic.And(wide, filter)
+	}
+	return logic.And(filter, wide)
+}
+
+// filteredClosure emits a transitive closure whose step is filtered inside the
+// body: T(x, y) ← E(x, y) ∨ ∃z (step(x, z, y) ∧ filter). A stored filter,
+// unary or binary on any of the step's axes, meets each stage's delta of the
+// step (deltaAnd → joinSv → filterSv, the delta the filtered side); ∃x T(x, y)
+// as the filter grows with the stages itself, so the step is filtered by a
+// delta as well; a negated one takes the body off the semi-naive regime and the
+// antijoin runs once a stage.
+func (g *diffGen) filteredClosure() logic.Formula {
+	name := g.fresh("T")
+	x, y, z := diffVars[0], diffVars[1], diffVars[2]
+	step := logic.And(logic.R("E", x, z), logic.R(name, z, y))
+	if g.r.Intn(2) == 0 {
+		step = logic.And(logic.R(name, x, z), logic.R("E", z, y))
+	}
+	filter, stored := logic.Formula(logic.R("P", g.v())), true
+	switch g.r.Intn(4) {
+	case 0:
+		filter, stored = logic.Exists(logic.R(name, x, y), x), false
+	case 1:
+		filter = logic.R("E", g.v(), g.v())
+	}
+	if stored && g.r.Intn(3) == 0 {
+		filter = logic.Neg(filter)
+	}
+	body := logic.And(step, filter)
+	if g.r.Intn(2) == 0 {
+		body = logic.And(filter, step)
+	}
+	return logic.Lfp(name, []logic.Var{x, y}, logic.Or(logic.R("E", x, y), logic.Exists(body, z)), x, y)
+}
+
+// fresh names a recursion relation no other binder of this generator has.
+func (g *diffGen) fresh(prefix string) string {
+	g.next++
+	return prefix + string(rune('a'+(g.next-1)%26)) + string(rune('a'+((g.next-1)/26)%26))
+}
+
 // fixpoint wraps a generated body in a fresh LFP/GFP/IFP binder. The body is
 // seeded with S(v) ∨ … so the recursion relation is actually read.
 func (g *diffGen) fixpoint(depth int, recs []string) logic.Formula {
-	name := "S" + string(rune('a'+g.next%26)) + string(rune('a'+(g.next/26)%26))
-	g.next++
+	name := g.fresh("S")
 	rv := g.v()
 	inner := g.formula(depth, append(append([]string(nil), recs...), name))
 	var body logic.Formula

@@ -153,7 +153,7 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 // answers and, fixpoint by fixpoint, equal final stages.
 func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	r := rand.New(rand.NewSource(seed))
-	f := (&diffGen{r: r}).formula(3, nil)
+	f := (&diffGen{r: r, filters: true}).formula(3, nil)
 	if logic.Validate(f, nil) != nil {
 		return
 	}
@@ -197,7 +197,9 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 // algebra, the answer is dense's. The price scale is drawn from the input, so
 // hand-offs fire at the first stage, never, and in between.
 func FuzzAutoRoute(f *testing.F) {
-	for seed := int64(0); seed < 24; seed++ {
+	// Seeds 49, 64, 85, 113 and 115 draw a closure whose semi-naive stages
+	// filter a delta (diffGen.filteredClosure).
+	for seed := int64(0); seed < 120; seed++ {
 		f.Add(seed, uint8(seed))
 	}
 	scales := []float64{-1, 0, 0.05, 0.5, 1, 4, 64, 1e12}

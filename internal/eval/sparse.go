@@ -507,30 +507,13 @@ func (sa *sparseAlg) joinSv(a, b *sval, bFixed bool) (*sval, error) {
 // onto f's support is in (keep) or not in (!keep) f's block. Requires
 // f.sup ⊆ a.sup. The result reuses a's codes, so no budget check is needed.
 func (sa *sparseAlg) filterSv(a, f *sval, keep bool) (*sval, error) {
-	pos := make([]int, len(f.sup))
+	cols := make([]int, len(f.sup))
 	for i, ax := range f.sup {
-		p := slices.Index(a.sup, ax)
-		if p < 0 {
+		if cols[i] = slices.Index(a.sup, ax); cols[i] < 0 {
 			return nil, fmt.Errorf("eval: internal: filter axis %d outside support %v", ax, a.sup)
 		}
-		pos[i] = p
 	}
-	bld, err := sa.blocks.Builder(len(a.sup), sa.n)
-	if err != nil {
-		return nil, err
-	}
-	abuf := make(relation.Tuple, len(a.sup))
-	fbuf := make(relation.Tuple, len(f.sup))
-	a.rel.ForEachCode(func(c uint64) {
-		a.rel.DecodeInto(c, abuf)
-		for i, p := range pos {
-			fbuf[i] = abuf[p]
-		}
-		if f.rel.Contains(fbuf) == keep {
-			bld.AddCode(c)
-		}
-	})
-	return &sval{sup: a.sup, rel: bld.Build()}, nil
+	return &sval{sup: a.sup, rel: sa.blocks.Semijoin(a.rel, f.rel, cols, keep)}, nil
 }
 
 // joinIndex is one side of a natural join laid out for the other to probe: its

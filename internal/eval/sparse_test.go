@@ -55,7 +55,7 @@ func lineDB(n int) *database.Database {
 // final stage of every fixpoint.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
-	g := &diffGen{r: r}
+	g := &diffGen{r: r, filters: true}
 	trials, kept := 400, 0
 	for trial := 0; trial < trials; trial++ {
 		f := g.formula(3, nil)
@@ -113,6 +113,61 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 	}
 	if kept < trials/8 {
 		t.Fatalf("generator kept only %d/%d formulas in the sparse fragment; tighten it", kept, trials)
+	}
+}
+
+// TestFilteredShapesVsNaive holds the texts the serving benchmark's miss-direct
+// sends down the sparse route — a set on the source, the target or the middle
+// node of a 2-hop path, on the source of a 3-hop one, and fo-neg's edge without
+// a 2-hop path — to the naive oracle by name, on every backend, store-less and
+// through a node store as bvqd runs them (the third pass filters the stored
+// path body).
+func TestFilteredShapesVsNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(131))
+	const n = 11
+	b := database.NewBuilder().Relation("E0", 2).Relation("E1", 2).Relation("E2", 2).Relation("S0", 1)
+	for i := 0; i < n; i++ {
+		b.Domain(i)
+		for _, e := range []string{"E0", "E1", "E2"} {
+			for _, j := range r.Perm(n)[:3] {
+				b.Add(e, i, j)
+			}
+		}
+	}
+	b.Add("S0", 2).Add("S0", 3).Add("S0", n-1)
+	db := b.MustBuild()
+	for _, c := range []struct{ name, text string }{
+		{"hop2+src", "(x, y). S0(x) & (exists z. (E0(x, z) & E1(z, y)))"},
+		{"hop2+dst", "(x, y). S0(y) & (exists z. (E0(x, z) & E1(z, y)))"},
+		{"hop2+mid", "(x, y). exists z. (E0(x, z) & S0(z) & E1(z, y))"},
+		{"hop3+src", "(x, y). S0(x) & (exists z. (E0(x, z) & (exists x. (E1(z, x) & (E2(x, y))))))"},
+		{"fo-neg", "(x, y). E0(x, y) & !(exists z. (E1(x, z) & E2(z, y)))"},
+		{"fo-neg-alt", "(x, y). (exists z. (E0(x, z) & E1(z, y))) & !E2(x, y)"},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Naive(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || want.Len() == n*n {
+			t.Fatalf("%s: a trivial answer of %d tuples checks nothing", c.name, want.Len())
+		}
+		p := mustCompile(t, q)
+		for _, backend := range []Backend{BackendSparse, BackendAuto, BackendDense} {
+			store := NewNodeStore(1 << 20)
+			for pass, nodes := range []*NodeStore{nil, store, store, store} {
+				got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Parallelism: 1, Nodes: nodes})
+				if err != nil {
+					t.Fatalf("%s, %s, pass %d: %v", c.name, backend, pass, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s, %s, pass %d:\n got %v\nwant %v", c.name, backend, pass, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -82,6 +82,65 @@ func BenchmarkSparseFix(b *testing.B) {
 	}
 }
 
+// BenchmarkFilteredHop prices miss-direct's sparse texts as bvqd runs them: a
+// unary filter on the source, the target or the middle node of a 2-hop path and
+// on the source of a 3-hop one, over 2,000 elements of out-degree 3 (6,000
+// edges, 18,000 and 54,000 paths, 21 filter tuples), through a warm node store.
+// What reads the filter is dropped from it before every run, as a text with a
+// filter of its own finds it: the edge atoms and the path body come from the
+// store, the filter and what is above it are computed. Store-less the 4 ms
+// join hides the filter.
+func BenchmarkFilteredHop(b *testing.B) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = false // TestMain's: time spent overwriting is not the engine's
+	// workload.SparseDigraph(1, 2000, 3), which this package cannot import.
+	r := rand.New(rand.NewSource(1))
+	bld := database.NewBuilder().Relation("E", 2).Relation("P", 1)
+	for i := 0; i < 2000; i++ {
+		bld.Domain(i)
+	}
+	for e := 0; e < 6000; e++ {
+		if u, v := r.Intn(2000), r.Intn(2000); u != v {
+			bld.Add("E", u, v)
+		}
+	}
+	for i := 0; i < 2000; i += 97 {
+		bld.Add("P", i)
+	}
+	db := bld.MustBuild()
+	for _, c := range []struct{ name, text string }{
+		{"hop2+src", "(x, y). P(x) & (exists z. (E(x, z) & E(z, y)))"},
+		{"hop2+dst", "(x, y). P(y) & (exists z. (E(x, z) & E(z, y)))"},
+		{"hop2+mid", "(x, y). exists z. (E(x, z) & P(z) & E(z, y))"},
+		{"hop3+src", "(x, y). P(x) & (exists z. (E(x, z) & (exists x. (E(z, x) & (E(x, y))))))"},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, opts := mustCompile(b, q), &Options{Nodes: NewNodeStore(64 << 20)}
+		eval := func() *Stats {
+			opts.Nodes.Invalidate(db, []string{"P"})
+			_, st, _, err := EvalPlan(context.Background(), p, db, opts, nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		eval()
+		eval() // the second offer of a value is the one the store keeps
+		if st := eval(); st.NodesShared == 0 {
+			b.Fatalf("%s: the third run took nothing from the store: %+v", c.name, st)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eval()
+			}
+		})
+	}
+}
+
 // TestSparseFixAllocs is the allocation gate beside BenchmarkSparseFix: the
 // ceilings are what PR 23 reached plus a tenth (EXPERIMENTS.md "PR 23" has the
 // parent's figures: 1684 allocations and 308 KB on tc/forest). An evaluation
