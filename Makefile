@@ -25,9 +25,11 @@ all: vet test build
 # no_cache 15,000-row closure, each read as JSON and drained as NDJSON over
 # loopback; eval's BenchmarkSparseFix is the sparse stage loop whose allocations
 # TestSparseFixAllocs holds down, BenchmarkPlanAnswer the engine half of a miss,
-# BenchmarkFilteredHop miss-direct's sparse texts over a warm node store, relation's
-# BenchmarkSemijoin the kernel under them beside the loop it replaced; the
-# router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
+# BenchmarkFilteredHop miss-direct's sparse texts over a warm node store and
+# BenchmarkDenseFamilies its dense ones, relation's BenchmarkSemijoin the kernel
+# under the first beside the loop it replaced and BenchmarkAxisKernels the
+# quantifier, stage-extraction and cylinder operators under the second on 64³;
+# the router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
 # conjunctive query through plan.Compile answers as the naive oracle does)
@@ -37,9 +39,12 @@ all: vet test build
 # of the auto-route target
 # (dense ≡ auto ≡ sparse whatever route the cost model takes and wherever a
 # stage loop is handed from one backend to the other), of the parser target
-# (no input panics, an accepted text prints to one that parses to the same print)
-# and of the semijoin target (relation.Blocks.Semijoin against the decode-and-look-up
-# loop it replaced, every column subset, both polarities, operands untouched),
+# (no input panics, an accepted text prints to one that parses to the same print),
+# of the semijoin target (relation.Blocks.Semijoin against the decode-and-look-up
+# loop it replaced, every column subset, both polarities, operands untouched)
+# and of the axis-kernel target (ExistsAxis/ForallAxis against the bit-level
+# references, ProjectAt and the From*Atom cylinders against enumeration, shape,
+# density, axis and operator from the input, operands untouched, results trimmed),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -72,6 +77,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
 	$(GO) test -run=NONE -fuzz=FuzzSemijoin -fuzztime=5s ./internal/relation/
+	$(GO) test -run=NONE -fuzz=FuzzAxisKernels -fuzztime=5s ./internal/relation/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

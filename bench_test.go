@@ -565,8 +565,9 @@ func wideChain(b *testing.B, m int) logic.Query {
 //
 // The quantifier kernels are the inner loop of every bottom-up evaluation:
 // one ExistsAxis/ForallAxis per quantifier per subformula visit. The word/
-// ref pairs compare the word-parallel fold (block path for stride ≥ 64,
-// masked-word path below) against the bit-level reference oracle.
+// ref pairs compare the word-parallel fold and broadcast (bitset.Quantify)
+// against the bit-level reference oracle; internal/relation's
+// BenchmarkAxisKernels has the serving benchmark's own 64³.
 
 func randomDenseBench(sp *relation.Space, seed int64) *relation.Dense {
 	r := rand.New(rand.NewSource(seed))

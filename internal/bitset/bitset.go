@@ -97,6 +97,18 @@ func (s *Set) Count() int {
 	return c
 }
 
+// CountBelow reports whether fewer than limit bits are set, without counting
+// past the word that reaches it.
+func (s *Set) CountBelow(limit int) bool {
+	c := 0
+	for _, w := range s.words {
+		if c += bits.OnesCount64(w); c >= limit {
+			return false
+		}
+	}
+	return c < limit
+}
+
 // Any reports whether at least one bit is set.
 func (s *Set) Any() bool {
 	for _, w := range s.words {

@@ -2,14 +2,14 @@ package bitset
 
 import "fmt"
 
-// This file holds the word-parallel range and strided-fold kernels backing
-// the dense-relation quantifier elimination of Proposition 3.1. All kernels
-// operate on bit ranges at arbitrary (not necessarily word-aligned) offsets
-// and touch 64 bits per step: a range op reads each destination word once,
-// gathers the matching 64 source bits with at most two shifted loads, and
-// applies the Boolean op under a mask for the partial first and last words.
+// This file holds the range kernel under the axis kernels of axis.go, for
+// slabs wider than a word that do not start on one. It works on bit ranges at
+// arbitrary offsets and touches 64 bits per step: each destination word is
+// read once, the matching 64 source bits gathered with at most two shifted
+// loads, and the Boolean op applied under a mask for the partial first and
+// last words.
 
-// range kernels share one core, selected by opcode.
+// The range ops share one core, selected by opcode.
 const (
 	opOr = iota
 	opAnd
@@ -100,65 +100,6 @@ func (s *Set) rangeOp(t *Set, dstOff, srcOff, length, op int) {
 	}
 }
 
-// OrRange sets s[dstOff+i] |= t[srcOff+i] for i in [0, length).
-func (s *Set) OrRange(t *Set, dstOff, srcOff, length int) {
-	s.rangeOp(t, dstOff, srcOff, length, opOr)
-}
-
-// AndRange sets s[dstOff+i] &= t[srcOff+i] for i in [0, length).
-func (s *Set) AndRange(t *Set, dstOff, srcOff, length int) {
-	s.rangeOp(t, dstOff, srcOff, length, opAnd)
-}
-
-// CopyRange sets s[dstOff+i] = t[srcOff+i] for i in [0, length).
-func (s *Set) CopyRange(t *Set, dstOff, srcOff, length int) {
-	s.rangeOp(t, dstOff, srcOff, length, opCopy)
-}
-
-// SetRange sets every bit in [off, off+length).
-func (s *Set) SetRange(off, length int) {
-	s.checkRange(off, length, "set")
-	pos := 0
-	for pos < length {
-		i := off + pos
-		wi := i / wordBits
-		bit := uint(i % wordBits)
-		chunk := wordBits - int(bit)
-		if chunk > length-pos {
-			chunk = length - pos
-		}
-		s.words[wi] |= (^uint64(0) >> uint(wordBits-chunk)) << bit
-		pos += chunk
-	}
-}
-
-// Fetch64 returns the 64 bits of s starting at bit position off, in the low
-// bits of the result; positions at or beyond the capacity read as zero. It
-// is the read half of the register-block kernels.
-func (s *Set) Fetch64(off int) uint64 { return s.fetch64(off) }
-
-// StoreRange overwrites the length bits at off (length ≤ 64) with the low
-// length bits of w: the write half of fetch64, for kernels that fold a whole
-// block inside one register.
-func (s *Set) StoreRange(off, length int, w uint64) {
-	s.checkRange(off, length, "store")
-	if length == 0 {
-		return
-	}
-	if length > wordBits {
-		panic(fmt.Sprintf("bitset: store of %d bits exceeds one word", length))
-	}
-	wi := off / wordBits
-	sh := uint(off % wordBits)
-	mask := ^uint64(0) >> uint(wordBits-length)
-	w &= mask
-	s.words[wi] = s.words[wi]&^(mask<<sh) | w<<sh
-	if spill := int(sh) + length - wordBits; spill > 0 {
-		hiMask := ^uint64(0) >> uint(wordBits-spill)
-		s.words[wi+1] = s.words[wi+1]&^hiMask | w>>(uint(wordBits)-sh)
-	}
-}
-
 // OrNot sets s to ¬s ∪ t: the fused implication kernel (s → t as a single
 // pass instead of Not followed by Or).
 func (s *Set) OrNot(t *Set) {
@@ -167,31 +108,4 @@ func (s *Set) OrNot(t *Set) {
 		s.words[i] = ^s.words[i] | w
 	}
 	s.trim()
-}
-
-// OrFoldStride folds count strided source slabs into one destination slab:
-// s[dstOff .. dstOff+span) |= t[srcOff+v·stride .. +span) for v in [0, count).
-// It is the ∃-quantifier fold over one axis of a dense relation whose slabs
-// are span bits wide.
-func (s *Set) OrFoldStride(t *Set, dstOff, srcOff, stride, span, count int) {
-	for v := 0; v < count; v++ {
-		s.rangeOp(t, dstOff, srcOff+v*stride, span, opOr)
-	}
-}
-
-// AndFoldStride is OrFoldStride with intersection: the ∀-quantifier fold.
-func (s *Set) AndFoldStride(t *Set, dstOff, srcOff, stride, span, count int) {
-	for v := 0; v < count; v++ {
-		s.rangeOp(t, dstOff, srcOff+v*stride, span, opAnd)
-	}
-}
-
-// OrBroadcastStride replicates one source slab across count strided
-// destination slabs: s[dstOff+v·stride .. +span) |= t[srcOff .. +span) for v
-// in [0, count). s and t may be the same set when the source slab precedes
-// every destination slab (the cylindrification step of a quantifier fold).
-func (s *Set) OrBroadcastStride(t *Set, dstOff, srcOff, stride, span, count int) {
-	for v := 0; v < count; v++ {
-		s.rangeOp(t, dstOff+v*stride, srcOff, span, opOr)
-	}
 }

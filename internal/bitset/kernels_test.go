@@ -51,37 +51,11 @@ func TestRangeKernelsAgainstBitLoop(t *testing.T) {
 						want.Clear(dstOff + i)
 					}
 				}
-				switch op {
-				case "or":
-					dst.OrRange(src, dstOff, srcOff, length)
-				case "and":
-					dst.AndRange(src, dstOff, srcOff, length)
-				case "copy":
-					dst.CopyRange(src, dstOff, srcOff, length)
-				}
+				dst.rangeOp(src, dstOff, srcOff, length, map[string]int{"or": opOr, "and": opAnd, "copy": opCopy}[op])
 				if !dst.Equal(want) {
 					t.Fatalf("n=%d %s dstOff=%d srcOff=%d len=%d:\n got %v\nwant %v",
 						n, op, dstOff, srcOff, length, dst, want)
 				}
-			}
-		}
-	}
-}
-
-func TestSetRange(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 9, 64, 65, 130, 321} {
-		for trial := 0; trial < 30; trial++ {
-			length := r.Intn(n + 1)
-			off := r.Intn(n - length + 1)
-			s := randomDensitySet(r, n, 0.3)
-			want := s.Clone()
-			for i := 0; i < length; i++ {
-				want.Set(off + i)
-			}
-			s.SetRange(off, length)
-			if !s.Equal(want) {
-				t.Fatalf("n=%d off=%d len=%d: got %v want %v", n, off, length, s, want)
 			}
 		}
 	}
@@ -106,55 +80,109 @@ func TestOrNot(t *testing.T) {
 	}
 }
 
+// TestFoldAndBroadcastStride checks the axis kernels — Fold (∨ and ∧), Select,
+// Broadcast and Quantify — bit by bit on one shape per loop they have: slabs
+// of whole words, wider than a word and unaligned, a block that is one word,
+// blocks of whole words with slabs tiling a word, blocks tiling a word (also
+// in a set shorter than a word), and slabs and blocks that tile nothing.
 func TestFoldAndBroadcastStride(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	// Shapes chosen to exercise span<64, span=64 aligned, span>64 unaligned.
-	shapes := []struct{ span, stride, count int }{
-		{1, 1, 5}, {3, 3, 4}, {9, 9, 9}, {64, 64, 4}, {70, 70, 3}, {128, 128, 2},
+	shapes := []struct{ s, n, blocks int }{
+		{128, 4, 3}, {64, 64, 2}, {70, 3, 2}, {100, 100, 2},
+		{1, 64, 70}, {1, 256, 5}, {16, 16, 5}, {8, 8, 9}, {32, 2, 3},
+		{1, 16, 9}, {1, 2, 7}, {4, 4, 3}, {2, 8, 1},
+		{1, 5, 13}, {1, 40, 7}, {1, 100, 3}, {3, 3, 3}, {9, 9, 9}, {40, 40, 3}, {10, 7, 2}, {1, 1, 67}, {5, 1, 13},
 	}
 	for _, sh := range shapes {
-		n := sh.stride*sh.count + sh.span
-		src := randomDensitySet(r, n, 0.4)
-
-		or := New(n)
-		or.OrFoldStride(src, 0, 0, sh.stride, sh.span, sh.count)
-		and := Full(n)
-		and.AndFoldStride(src, 0, 0, sh.stride, sh.span, sh.count)
-		for i := 0; i < sh.span; i++ {
-			anyBit, allBit := false, true
-			for v := 0; v < sh.count; v++ {
-				b := src.Test(v*sh.stride + i)
-				anyBit = anyBit || b
-				allBit = allBit && b
-			}
-			if or.Test(i) != anyBit {
-				t.Fatalf("%+v: or-fold bit %d = %v, want %v", sh, i, or.Test(i), anyBit)
-			}
-			if and.Test(i) != allBit {
-				t.Fatalf("%+v: and-fold bit %d = %v, want %v", sh, i, and.Test(i), allBit)
-			}
-		}
-
-		dst := New(n)
-		dst.OrBroadcastStride(src, 0, 0, sh.stride, sh.span, sh.count)
-		for v := 0; v < sh.count; v++ {
-			for i := 0; i < sh.span; i++ {
-				if dst.Test(v*sh.stride+i) != src.Test(i) {
-					t.Fatalf("%+v: broadcast slab %d bit %d mismatch", sh, v, i)
+		for _, p := range []float64{0.03, 0.5, 0.97} {
+			wide := randomDensitySet(r, sh.s*sh.n*sh.blocks, p)
+			keep := wide.Clone()
+			at := func(b, v, i int) int { return (b*sh.n+v)*sh.s + i }
+			for _, and := range []bool{false, true} {
+				narrow, tmp := randomDensitySet(r, sh.s*sh.blocks, 0.5), randomDensitySet(r, sh.s*sh.blocks, 0.5)
+				quant := randomDensitySet(r, wide.Len(), 0.5)
+				narrow.Fold(wide, sh.s, sh.n, and)
+				quant.Quantify(wide, tmp, sh.s, sh.n, and)
+				for b := 0; b < sh.blocks; b++ {
+					for i := 0; i < sh.s; i++ {
+						want := and
+						for v := 0; v < sh.n; v++ {
+							if wide.Test(at(b, v, i)) != and {
+								want = !and
+							}
+						}
+						if narrow.Test(b*sh.s+i) != want {
+							t.Fatalf("%+v p=%g and=%v: fold bit %d of block %d = %v", sh, p, and, i, b, !want)
+						}
+						for v := 0; v < sh.n; v++ {
+							if quant.Test(at(b, v, i)) != want {
+								t.Fatalf("%+v p=%g and=%v: quantify bit %d of slab %d of block %d = %v", sh, p, and, i, v, b, !want)
+							}
+						}
+					}
 				}
+				if c := narrow.Count() * sh.n; quant.Count() != c {
+					t.Fatalf("%+v p=%g and=%v: stray bits: fold holds %d, quantify %d", sh, p, and, c, quant.Count())
+				}
+			}
+			narrow := randomDensitySet(r, sh.s*sh.blocks, 0.5)
+			v := r.Intn(sh.n)
+			narrow.Select(wide, sh.s, sh.n, v)
+			back := randomDensitySet(r, wide.Len(), 0.5)
+			back.Broadcast(narrow, sh.s, sh.n)
+			for b := 0; b < sh.blocks; b++ {
+				for i := 0; i < sh.s; i++ {
+					if narrow.Test(b*sh.s+i) != wide.Test(at(b, v, i)) {
+						t.Fatalf("%+v p=%g: select of slab %d, bit %d of block %d wrong", sh, p, v, i, b)
+					}
+					for u := 0; u < sh.n; u++ {
+						if back.Test(at(b, u, i)) != narrow.Test(b*sh.s+i) {
+							t.Fatalf("%+v p=%g: broadcast slab %d bit %d of block %d wrong", sh, p, u, i, b)
+						}
+					}
+				}
+			}
+			if back.Count() != narrow.Count()*sh.n || !wide.Equal(keep) {
+				t.Fatalf("%+v p=%g: stray bits after broadcast, or the source was written", sh, p)
 			}
 		}
 	}
 }
 
+// TestAxisKernelsRejectBadShapes: each kernel validates its shape once per
+// call and panics on a bad one.
+func TestAxisKernelsRejectBadShapes(t *testing.T) {
+	wide, narrow := New(64), New(16)
+	for name, call := range map[string]func(){
+		"fold: sizes":      func() { narrow.Fold(wide, 4, 3, false) },
+		"fold: slab":       func() { narrow.Fold(wide, 3, 4, false) },
+		"fold: zero":       func() { narrow.Fold(wide, 0, 4, false) },
+		"select: value":    func() { narrow.Select(wide, 4, 4, 4) },
+		"broadcast: sizes": func() { wide.Broadcast(narrow, 4, 5) },
+		"quantify: dst":    func() { New(32).Quantify(wide, narrow, 4, 4, false) },
+		"quantify: tmp":    func() { wide.Quantify(wide.Clone(), New(8), 4, 4, false) },
+		"quantify: wide":   func() { New(256).Quantify(New(256), New(8), 16, 16, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestRangeOpSelfAliasing(t *testing.T) {
-	// A broadcast from a set into itself (source slab before destinations)
-	// must behave as if the source were snapshotted: the fold/broadcast pair
-	// used by the quantifier kernels relies on this.
+	// A range or-ed from a set into itself, the source before every
+	// destination, must behave as if the source were snapshotted.
 	s := New(192)
 	s.Set(0)
 	s.Set(5)
-	s.OrBroadcastStride(s, 9, 0, 9, 9, 20)
+	for v := 1; v <= 20; v++ {
+		s.rangeOp(s, v*9, 0, 9, opOr)
+	}
 	for v := 0; v < 21; v++ {
 		if !s.Test(v*9) || !s.Test(v*9+5) {
 			t.Fatalf("slab %d missing broadcast bits: %v", v, s)

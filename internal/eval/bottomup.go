@@ -686,10 +686,20 @@ func (c *buCtx) pfpOne(g logic.Fix, msp *relation.Space, varAxes, paramAxes, ass
 
 // pfpHash iterates step from ∅, remembering a hash of every stage; the run
 // is eventually periodic, and the partial fixpoint is the repeated value if
-// the period is 1, the empty relation otherwise (§2.2).
-func pfpHash(step func(*relation.Dense) (*relation.Dense, error), msp *relation.Space, budget int) (*relation.Dense, error) {
+// the period is 1, the empty relation otherwise (§2.2). Every remembered stage
+// but the limit goes back to the space's pool on the way out.
+func pfpHash(step func(*relation.Dense) (*relation.Dense, error), msp *relation.Space, budget int) (limit *relation.Dense, err error) {
 	cur := msp.Empty()
 	seen := map[uint64][]*relation.Dense{cur.Hash(): {cur}}
+	defer func() {
+		for _, stages := range seen {
+			for _, d := range stages {
+				if d != limit {
+					d.Release()
+				}
+			}
+		}
+	}()
 	for i := 0; i < budget; i++ {
 		next, err := step(cur)
 		if err != nil {
@@ -715,31 +725,39 @@ func pfpHash(step func(*relation.Dense) (*relation.Dense, error), msp *relation.
 }
 
 // pfpBrent is pfpHash with Brent's cycle-finding algorithm: it keeps only
-// two stages live at a time, at the cost of re-running the operator.
-func pfpBrent(step func(*relation.Dense) (*relation.Dense, error), msp *relation.Space, budget int) (*relation.Dense, error) {
+// two stages live at a time, at the cost of re-running the operator, and
+// releases each as it drops it.
+func pfpBrent(step func(*relation.Dense) (*relation.Dense, error), msp *relation.Space, budget int) (limit *relation.Dense, err error) {
 	// Find the cycle length lam with Brent's power-of-two windows.
 	power, lam := 1, 1
 	tortoise := msp.Empty()
 	hare, err := step(tortoise)
-	if err != nil {
-		return nil, err
-	}
-	steps := 1
-	for !tortoise.Equal(hare) {
+	defer func() {
+		for _, d := range []*relation.Dense{tortoise, hare} {
+			if d != limit {
+				d.Release()
+			}
+		}
+	}()
+	for steps := 1; err == nil && !tortoise.Equal(hare); {
 		if power == lam {
+			tortoise.Release()
 			tortoise = hare
 			power *= 2
 			lam = 0
 		}
-		hare, err = step(hare)
-		if err != nil {
-			return nil, err
+		prev := hare
+		hare, err = step(prev)
+		if prev != tortoise {
+			prev.Release()
 		}
 		lam++
-		steps++
-		if steps > budget {
+		if steps++; err == nil && steps > budget {
 			return nil, fmt.Errorf("eval: pfp run exceeded %d stages: %w", budget, ErrBudget)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if lam == 1 {
 		// Period 1: the run converges, and hare is the limit.

@@ -398,3 +398,50 @@ var pinnedRoutes = []routePin{
 	{"gfp-live", "line128", "hybrid"},
 	{"mu-fp2", "kripke16", "dense"},
 }
+
+// BenchmarkDenseFamilies prices miss-direct's dense texts as bvqd runs them, on
+// the shape of its dense databases (64 nodes, out-degree 4, a source set of
+// two) through a warm node store: what reads S0 is dropped from the store
+// before every run, as a text with a set of its own finds it, so the edge
+// atoms (and hop4's unfiltered path) come from the store and every quantifier,
+// stage extraction and stage cylinder above them is computed. reach, the same
+// closure as reach-pfp on the route the cost model gives an LFP, is the line
+// to read reach-pfp against.
+func BenchmarkDenseFamilies(b *testing.B) {
+	db := familyGraph("deg4", 64, 1)
+	for _, c := range []struct{ name, text string }{
+		{"reach-pfp", "(u). [pfp R(x). S0(x) | (exists z. (E0(z, x) & (exists x. (x = z & R(x)))))](u)"},
+		{"gfp-live+src", "(u). [gfp T(x). !S0(x) & (exists y. (E0(x, y) & (exists x. (x = y & T(x)))))](u)"},
+		{"hop4+dst", "(x, y). S0(y) & (exists z. (E0(x, z) & (exists x. (E1(z, x) & (exists z. (E2(x, z) & (E0(z, y)))))))) "},
+		{"reach", "(u). [lfp R(x). S0(x) | (exists z. (E0(z, x) & (exists x. (x = z & R(x)))))](u)"},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := plan.Compile(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := &eval.Options{Nodes: eval.NewNodeStore(64 << 20)}
+		run := func() *eval.Stats {
+			opts.Nodes.Invalidate(db, []string{"S0"})
+			_, st, _, err := eval.EvalPlan(context.Background(), p, db, opts, nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		run()
+		run() // the second offer of a value is the one the store keeps
+		if st := run(); st.NodesShared == 0 {
+			b.Fatalf("%s: the third run took nothing from the store: %+v", c.name, st)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

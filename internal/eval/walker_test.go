@@ -214,3 +214,69 @@ func TestCertificateChainKeys(t *testing.T) {
 		t.Fatalf("prover %v, verifier %v (err %v), bottomup %v", res.Answer, ver, err, want)
 	}
 }
+
+// TestPFPStagesReturnToPool: a partial-fixpoint run gives every stage it
+// remembered (pfpHash) or dropped (pfpBrent) back to the space's pool,
+// whichever way it ends — converged, periodic, over budget or on a failed
+// step — so the balance is back at its start once the limit is released.
+func TestPFPStagesReturnToPool(t *testing.T) {
+	msp := relation.MustSpace(1, 8)
+	stepOf := func(next func(idx int, s *relation.Dense) bool, failAt int) func(*relation.Dense) (*relation.Dense, error) {
+		calls := 0
+		return func(s *relation.Dense) (*relation.Dense, error) {
+			if calls++; calls == failAt {
+				return nil, context.Canceled
+			}
+			out := msp.Empty()
+			for idx := 0; idx < msp.Size(); idx++ {
+				if next(idx, s) {
+					out.AddIndex(idx)
+				}
+			}
+			return out, nil
+		}
+	}
+	grow := func(idx int, s *relation.Dense) bool { return idx <= s.Count() && idx < 5 }         // ∅, {0}, …, {0..4}: converges
+	flipAll := func(idx int, s *relation.Dense) bool { return !s.Contains(relation.Tuple{idx}) } // ∅, D, ∅: period 2
+	counter := func(idx int, s *relation.Dense) bool {                                           // binary increment: 2⁸ stages
+		for lower := 0; lower < idx; lower++ {
+			if !s.Contains(relation.Tuple{lower}) {
+				return s.Contains(relation.Tuple{idx})
+			}
+		}
+		return !s.Contains(relation.Tuple{idx})
+	}
+	cases := []struct {
+		name      string
+		next      func(int, *relation.Dense) bool
+		failAt    int
+		budget    int
+		wantCount int // of the limit; −1 for an error
+	}{
+		{"converged", grow, 0, 100, 5},
+		{"period 2", flipAll, 0, 100, 0},
+		{"over budget", counter, 0, 20, -1},
+		{"failed step", counter, 7, 100, -1},
+		{"failed first step", grow, 1, 100, -1},
+	}
+	for _, tc := range cases {
+		for name, run := range map[string]func(func(*relation.Dense) (*relation.Dense, error), *relation.Space, int) (*relation.Dense, error){
+			"hash": pfpHash, "brent": pfpBrent,
+		} {
+			before := msp.ScratchOutstanding()
+			limit, err := run(stepOf(tc.next, tc.failAt), msp, tc.budget)
+			if (err != nil) != (tc.wantCount < 0) {
+				t.Fatalf("%s/%s: err = %v", tc.name, name, err)
+			}
+			if err == nil {
+				if limit.Count() != tc.wantCount {
+					t.Fatalf("%s/%s: limit has %d tuples, want %d", tc.name, name, limit.Count(), tc.wantCount)
+				}
+				limit.Release()
+			}
+			if after := msp.ScratchOutstanding(); after != before {
+				t.Errorf("%s/%s: scratch balance %d → %d", tc.name, name, before, after)
+			}
+		}
+	}
+}

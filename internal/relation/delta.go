@@ -37,14 +37,8 @@ func (d *Dense) DifferenceSparse(o *Dense) int {
 // result is identical to ExistsAxis at every density.
 func (d *Dense) ExistsAxisSparse(i int) *Dense {
 	d.sp.checkAxis(i)
-	cnt := d.Count()
-	// Bit-level cost is O(cnt·n) set bits; the word-parallel fold touches
-	// O(size/64 · log n) words. Cross over when the former is clearly smaller.
-	if cnt*d.sp.n*8 < d.sp.size {
+	if d.thin() {
 		res := d.sp.Empty()
-		if cnt == 0 {
-			return res
-		}
 		stride := d.sp.stride[i]
 		n := d.sp.n
 		d.bits.ForEach(func(idx int) {

@@ -58,60 +58,81 @@ func (d *Dense) Release() {
 	d.bits = nil
 }
 
-// atomAdder sets, for each database tuple consistent with an argument
-// pattern, the cylinder of points it denotes. The scratch buffers are shared
-// across tuples of one cylindrification.
-type atomAdder struct {
-	d    *Dense
-	args []int
-	free []int // axes not mentioned in args, ascending
-	seen []int
-	base Tuple
+// cylinder builds the denotation of an atom R(x_{args[0]}, …) in a space:
+// one representative bit per source tuple over the mentioned axes alone (rep),
+// then a broadcast of that bitmap over each unmentioned axis, innermost first,
+// so every pass but the last writes a space smaller than the result.
+type cylinder struct {
+	sp    *Space
+	chain []*Space // chain[j] is sp with j axes fewer; rep is of the last
+	free  []int    // unmentioned axes, innermost first
+	args  []int
+	step  []int // step[a]: index stride of a mentioned axis a within rep
+	seen  []int
+	rep   *bitset.Set // arbitrary contents until the caller clears or fills it
 }
 
-func newAtomAdder(d *Dense, args []int) *atomAdder {
-	sp := d.sp
-	mentioned := make([]bool, sp.k)
+// newCylinder validates an argument pattern for a relation of the given arity
+// against the space and draws the representative bitmap from its pool.
+func (sp *Space) newCylinder(args []int, arity int) (*cylinder, error) {
+	if len(args) != arity {
+		return nil, fmt.Errorf("relation: atom has %d arguments for relation of arity %d", len(args), arity)
+	}
+	c := &cylinder{sp: sp, chain: []*Space{sp}, args: args, step: make([]int, sp.k), seen: make([]int, sp.k)}
 	for _, a := range args {
-		mentioned[a] = true
+		if a < 0 || a >= sp.k {
+			return nil, fmt.Errorf("relation: atom argument refers to variable %d outside width %d", a, sp.k)
+		}
+		c.step[a] = 1
 	}
-	var free []int
-	for i := 0; i < sp.k; i++ {
-		if !mentioned[i] {
-			free = append(free, i)
+	stride := 1
+	for a := sp.k - 1; a >= 0; a-- {
+		if c.step[a] == 0 {
+			c.free = append(c.free, a)
+			c.chain = append(c.chain, c.chain[len(c.free)-1].lower())
+		} else {
+			c.step[a] = stride
+			stride *= sp.n
 		}
 	}
-	return &atomAdder{
-		d:    d,
-		args: args,
-		free: free,
-		seen: make([]int, sp.k),
-		base: make(Tuple, sp.k),
-	}
+	c.rep = c.chain[len(c.free)].getBits()
+	return c, nil
 }
 
-// add records tuple t. It reports an error only for components outside the
-// domain (possible for stored database tuples).
-func (aa *atomAdder) add(t Tuple) error {
-	sp := aa.d.sp
-	for i := range aa.base {
-		aa.base[i] = 0
-		aa.seen[i] = -1
+// add records tuple t, whose components lie in the domain. A tuple that
+// disagrees with a repeated argument — (1,2) under R(x,x) — adds nothing.
+func (c *cylinder) add(t Tuple) {
+	for i := range c.seen {
+		c.seen[i] = -1
 	}
-	for pos, a := range aa.args {
+	idx := 0
+	for pos, a := range c.args {
 		v := t[pos]
-		if v < 0 || v >= sp.n {
-			return fmt.Errorf("relation: stored tuple %v outside domain of size %d", t, sp.n)
+		if c.seen[a] < 0 {
+			c.seen[a] = v
+			idx += v * c.step[a]
+		} else if c.seen[a] != v {
+			return
 		}
-		if aa.seen[a] >= 0 && aa.seen[a] != v {
-			return nil // pattern like R(x,x) and tuple (1,2): contributes nothing
-		}
-		aa.seen[a] = v
-		aa.base[a] = v
 	}
-	aa.d.setCylinder(sp.Encode(aa.base), aa.free, 0)
-	return nil
+	c.rep.Set(idx)
 }
+
+// finish broadcasts the representative bitmap over the free axes and returns
+// the relation.
+func (c *cylinder) finish() *Dense {
+	rep, f := c.rep, len(c.free)
+	for j, a := range c.free {
+		next := c.chain[f-j-1].getBits()
+		next.Broadcast(rep, c.sp.stride[a], c.sp.n)
+		c.chain[f-j].putBits(rep)
+		rep = next
+	}
+	return &Dense{sp: c.sp, bits: rep}
+}
+
+// drop gives the representative bitmap back without building the relation.
+func (c *cylinder) drop() { c.chain[len(c.free)].putBits(c.rep) }
 
 // FromAtom cylindrifies a stored database relation into this space:
 // the result contains every point t of Dᵏ such that
@@ -120,83 +141,61 @@ func (aa *atomAdder) add(t Tuple) error {
 // the denotation of an atomic formula R(x_{args[0]+1}, …) under the
 // full-width evaluation of Proposition 3.1.
 func (sp *Space) FromAtom(rel *Set, args []int) (*Dense, error) {
-	if len(args) != rel.Arity() {
-		return nil, fmt.Errorf("relation: atom has %d arguments for relation of arity %d", len(args), rel.Arity())
-	}
-	for _, a := range args {
-		if a < 0 || a >= sp.k {
-			return nil, fmt.Errorf("relation: atom argument refers to variable %d outside width %d", a, sp.k)
-		}
-	}
-	d := sp.Empty()
-	if sp.size == 0 {
-		return d, nil
-	}
-	aa := newAtomAdder(d, args)
-	var err error
-	rel.ForEach(func(t Tuple) {
-		if err != nil {
-			return
-		}
-		err = aa.add(t)
-	})
+	c, err := sp.newCylinder(args, rel.Arity())
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	if sp.size == 0 {
+		c.drop()
+		return sp.Empty(), nil
+	}
+	c.rep.ClearAll()
+	rel.ForEach(func(t Tuple) {
+		for _, v := range t {
+			if err == nil && (v < 0 || v >= sp.n) {
+				err = fmt.Errorf("relation: stored tuple %v outside domain of size %d", t, sp.n)
+			}
+		}
+		if err == nil {
+			c.add(t)
+		}
+	})
+	if err != nil {
+		c.drop()
+		return nil, err
+	}
+	return c.finish(), nil
 }
 
 // FromDenseAtom is FromAtom for a dense source relation: the result contains
 // every point t of Dᵏ with (t_{args[0]}, …, t_{args[m−1]}) ∈ src, where m is
 // src's arity. It is how a dense fixpoint stage is re-interpreted as an
-// atomic subformula without materializing a sparse tuple set.
+// atomic subformula without materializing a sparse tuple set: when the
+// arguments are distinct axes in ascending order the stage's own bitmap is
+// the representative one and no tuple is decoded at all.
 func (sp *Space) FromDenseAtom(src *Dense, args []int) (*Dense, error) {
-	if len(args) != src.sp.k {
-		return nil, fmt.Errorf("relation: atom has %d arguments for relation of arity %d", len(args), src.sp.k)
-	}
 	if src.sp.n != sp.n {
 		return nil, fmt.Errorf("relation: domain mismatch %d vs %d", src.sp.n, sp.n)
 	}
-	for _, a := range args {
-		if a < 0 || a >= sp.k {
-			return nil, fmt.Errorf("relation: atom argument refers to variable %d outside width %d", a, sp.k)
-		}
-	}
-	d := sp.Empty()
-	if sp.size == 0 {
-		return d, nil
-	}
-	aa := newAtomAdder(d, args)
-	var err error
-	src.ForEach(func(t Tuple) {
-		if err != nil {
-			return
-		}
-		err = aa.add(t)
-	})
+	c, err := sp.newCylinder(args, src.sp.k)
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
-}
-
-// setCylinder sets every point that agrees with the point at idx outside the
-// free axes (free is ascending). A trailing stride-1 axis is set as one
-// contiguous word-parallel range.
-func (d *Dense) setCylinder(idx int, free []int, fi int) {
-	if fi == len(free) {
-		d.bits.Set(idx)
-		return
+	if sp.size == 0 {
+		c.drop()
+		return sp.Empty(), nil
 	}
-	axis := free[fi]
-	if fi == len(free)-1 && d.sp.stride[axis] == 1 {
-		d.bits.SetRange(idx, d.sp.n)
-		return
+	ascending := true
+	for i := 1; i < len(args); i++ {
+		ascending = ascending && args[i-1] < args[i]
 	}
-	s := d.sp.stride[axis]
-	for v := 0; v < d.sp.n; v++ {
-		d.setCylinder(idx+v*s, free, fi+1)
+	if ascending {
+		c.rep.Copy(src.bits)
+	} else {
+		c.rep.ClearAll()
+		src.ForEach(c.add)
 	}
+	return c.finish(), nil
 }
 
 func (sp *Space) checkAxis(i int) {
@@ -299,197 +298,32 @@ func (d *Dense) Hash() uint64 { return d.bits.Hash() }
 
 // ExistsAxis returns { t | ∃v. t[i←v] ∈ d }: the denotation of ∃x_{i+1} φ
 // under full-width evaluation. The result is cylindric in axis i.
-//
-// The index space factors along axis i into blocks of stride·n contiguous
-// indices, each made of n slabs of stride indices (one per axis value), so
-// the quantifier is a word-parallel fold of the n slabs followed by a
-// broadcast of the folded slab back over the block — no individual bits are
-// touched. ExistsAxisRef is the bit-level reference oracle.
-func (d *Dense) ExistsAxis(i int) *Dense {
-	d.sp.checkAxis(i)
-	res := d.sp.Empty()
-	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
-		return res
-	}
-	d.sp.existsAxisInto(res.bits, d.bits, i)
-	return res
-}
+// ExistsAxisRef is the bit-level reference oracle.
+func (d *Dense) ExistsAxis(i int) *Dense { return d.quantAxis(i, false) }
 
 // ForallAxis returns { t | ∀v. t[i←v] ∈ d }: the denotation of ∀x_{i+1} φ.
-// The result is cylindric in axis i. See ExistsAxis for the kernel shape;
-// ForallAxisRef is the bit-level reference oracle.
-func (d *Dense) ForallAxis(i int) *Dense {
-	d.sp.checkAxis(i)
-	res := d.sp.Empty()
-	if d.sp.size == 0 || d.sp.n == 0 || d.bits.None() {
-		return res // n ≥ 1, so ∀ fails everywhere on an empty relation
+// The result is cylindric in axis i. ForallAxisRef is the bit-level
+// reference oracle.
+func (d *Dense) ForallAxis(i int) *Dense { return d.quantAxis(i, true) }
+
+// quantAxis quantifies axis i away and back. The index space factors along
+// the axis into blocks of stride·n contiguous indices, each made of n slabs
+// of stride indices (one per axis value), so the quantifier is the fold of
+// the n slabs of every block into the space without the axis, followed by
+// the broadcast of each folded slab back over its block: nᵏ bits read once,
+// nᵏ written once, no individual bit touched (bitset.Quantify).
+func (d *Dense) quantAxis(i int, forall bool) *Dense {
+	sp := d.sp
+	sp.checkAxis(i)
+	if sp.size == 0 || d.bits.None() {
+		return sp.Empty() // n ≥ 1, so ∀ fails everywhere on an empty relation
 	}
-	d.sp.forallAxisInto(res.bits, d.bits, i)
+	low := sp.lower()
+	folded := low.getBits()
+	res := &Dense{sp: sp, bits: sp.getBits()}
+	res.bits.Quantify(d.bits, folded, sp.stride[i], sp.n, forall)
+	low.putBits(folded)
 	return res
-}
-
-// existsAxisInto computes the ∃-fold of src along axis i into dst, which
-// must be cleared. For slabs of ≥ 64 bits the fold runs block-local over
-// word ranges; narrower slabs use the masked-word path: a log-shift doubling
-// fold over the whole bitmap, a slab-template mask, and a doubling
-// broadcast — O(log n) full-width passes, every step still 64 bits wide.
-func (sp *Space) existsAxisInto(dst, src *bitset.Set, i int) {
-	n, s, size := sp.n, sp.stride[i], sp.size
-	if n == 1 {
-		dst.Copy(src)
-		return
-	}
-	if s*n <= 64 {
-		sp.axisFoldRegister(dst, src, i, false)
-		return
-	}
-	if s >= 64 {
-		block := s * n
-		for b := 0; b+block <= size; b += block {
-			dst.OrFoldStride(src, b, b, s, s, n)
-			dst.OrBroadcastStride(dst, b+s, b, s, s, n-1)
-		}
-		return
-	}
-	// Fold by window doubling: after the m-th step acc[p] = OR of the m
-	// slabs src[p+j·s], j < m (a forward self-overlapping shift, exact
-	// because rangeOp ahead-reads see pre-pass contents). The remainder step
-	// overlap-ORs window [n−m, n), which is idempotent for ∨.
-	acc := sp.getBits()
-	acc.Copy(src)
-	m := 1
-	for m*2 <= n {
-		acc.OrRange(acc, 0, m*s, size-m*s)
-		m *= 2
-	}
-	if m < n {
-		acc.OrRange(acc, 0, (n-m)*s, size-(n-m)*s)
-	}
-	acc.And(sp.slabTemplate(i))
-	sp.orBroadcastDoubling(dst, acc, s)
-	sp.putBits(acc)
-}
-
-// forallAxisInto is existsAxisInto with an ∀-fold (intersection); the
-// overlap remainder is idempotent for ∧ as well.
-func (sp *Space) forallAxisInto(dst, src *bitset.Set, i int) {
-	n, s, size := sp.n, sp.stride[i], sp.size
-	if n == 1 {
-		dst.Copy(src)
-		return
-	}
-	if s*n <= 64 {
-		sp.axisFoldRegister(dst, src, i, true)
-		return
-	}
-	if s >= 64 {
-		block := s * n
-		for b := 0; b+block <= size; b += block {
-			dst.CopyRange(src, b, b, s)
-			dst.AndFoldStride(src, b, b+s, s, s, n-1)
-			dst.OrBroadcastStride(dst, b+s, b, s, s, n-1)
-		}
-		return
-	}
-	acc := sp.getBits()
-	acc.Copy(src)
-	m := 1
-	for m*2 <= n {
-		acc.AndRange(acc, 0, m*s, size-m*s)
-		m *= 2
-	}
-	if m < n {
-		acc.AndRange(acc, 0, (n-m)*s, size-(n-m)*s)
-	}
-	acc.And(sp.slabTemplate(i))
-	sp.orBroadcastDoubling(dst, acc, s)
-	sp.putBits(acc)
-}
-
-// axisFoldRegister quantifies axis i when a whole block (s·n bits) fits in
-// one 64-bit register: fetch the block, fold the n slabs with in-register
-// shift doubling, mask the folded slab, broadcast it back with shift
-// doubling, and store — a handful of register ops per block, no bitmap-wide
-// passes at all. This is the common case for the innermost axis (stride 1)
-// of small-domain spaces.
-func (sp *Space) axisFoldRegister(dst, src *bitset.Set, i int, forall bool) {
-	n, s, size := sp.n, sp.stride[i], sp.size
-	block := s * n
-	// When several blocks tile one word, fold them all in the same register:
-	// shifts do carry bits across block boundaries, but the folded slab of
-	// each block only ever reads offsets inside its own block (the doubling
-	// windows never exceed n−1 slabs), so the leakage lands outside every
-	// position that survives the template mask.
-	window := block
-	if 64%block == 0 {
-		window = 64
-	}
-	sMask := ^uint64(0) >> uint(64-s)
-	tmplMask := uint64(0)
-	for off := 0; off+block <= window; off += block {
-		tmplMask |= sMask << uint(off)
-	}
-	for b := 0; b < size; b += window {
-		length := window
-		if b+length > size {
-			length = size - b // a multiple of block: blocks tile the space
-		}
-		lenMask := ^uint64(0) >> uint(64-length)
-		w := src.Fetch64(b)
-		if forall {
-			// Out-of-range bits must be neutral (1) for the ∧-fold.
-			w |= ^lenMask
-		} else {
-			w &= lenMask
-		}
-		m := 1
-		for m*2 <= n {
-			if forall {
-				w &= w >> uint(m*s)
-			} else {
-				w |= w >> uint(m*s)
-			}
-			m *= 2
-		}
-		if m < n {
-			if forall {
-				w &= w >> uint((n-m)*s)
-			} else {
-				w |= w >> uint((n-m)*s)
-			}
-		}
-		w &= tmplMask
-		for cov := 1; cov < n; {
-			t := cov
-			if t > n-cov {
-				t = n - cov
-			}
-			w |= w << uint(t*s)
-			cov += t
-		}
-		dst.StoreRange(b, length, w)
-	}
-}
-
-// orBroadcastDoubling writes into dst the union of acc shifted up by v·s for
-// v in [0, n): the cylindrification step of the masked-word quantifier path,
-// where acc holds one folded slab per block (slab-template positions only).
-// The backward shift cannot run in place — ascending words would chain — so
-// each doubling step goes through a scratch snapshot.
-func (sp *Space) orBroadcastDoubling(dst, acc *bitset.Set, s int) {
-	n, size := sp.n, sp.size
-	dst.Copy(acc)
-	tmp := sp.getBits()
-	for cov := 1; cov < n; {
-		t := cov
-		if t > n-cov {
-			t = n - cov
-		}
-		tmp.Copy(dst)
-		dst.OrRange(tmp, t*s, 0, size-t*s)
-		cov += t
-	}
-	sp.putBits(tmp)
 }
 
 // ExistsAxisRef is the bit-level reference implementation of ExistsAxis,
@@ -561,6 +395,12 @@ func (d *Dense) ForallAxisRef(i int) *Dense {
 // extraction of the bottom-up evaluators); pinning fixes parameter axes to
 // one assignment, as the per-assignment PFP sweep requires. cols and pinned
 // must be disjoint lists of distinct axes.
+//
+// Each axis outside cols is folded away into a space without it, outermost
+// first (a pinned axis keeps one slab, any other the union of its n): the
+// first pass reads nᵏ bits and writes nᵏ⁻¹, the next reads those and writes
+// nᵏ⁻², and so on. When cols is ascending the last pass writes the result;
+// otherwise a bit gather permutes the nᵐ points that are left.
 func (d *Dense) ProjectAt(esp *Space, cols []int, pinned []int, pinnedVals []int) *Dense {
 	sp := d.sp
 	if len(cols) != esp.k || esp.n != sp.n {
@@ -570,35 +410,40 @@ func (d *Dense) ProjectAt(esp *Space, cols []int, pinned []int, pinnedVals []int
 	if len(pinned) != len(pinnedVals) {
 		panic(fmt.Sprintf("relation: %d pinned axes with %d values", len(pinned), len(pinnedVals)))
 	}
-	kept := make([]bool, sp.k)
-	for _, c := range cols {
+	const kept, folded = -2, -1 // else the value the axis is pinned to
+	role := make([]int, sp.k)
+	for a := range role {
+		role[a] = folded
+	}
+	ascending := true
+	for j, c := range cols {
 		sp.checkAxis(c)
-		if kept[c] {
+		if role[c] == kept {
 			panic(fmt.Sprintf("relation: duplicate projection axis %d", c))
 		}
-		kept[c] = true
+		role[c] = kept
+		ascending = ascending && (j == 0 || cols[j-1] < c)
 	}
-	base := 0
 	for j, p := range pinned {
 		sp.checkAxis(p)
-		if kept[p] {
+		if role[p] != folded {
 			panic(fmt.Sprintf("relation: axis %d both projected and pinned", p))
 		}
-		kept[p] = true
-		base += pinnedVals[j] * sp.stride[p]
+		if v := pinnedVals[j]; v < 0 || v >= sp.n {
+			panic(fmt.Sprintf("relation: axis %d pinned to %d outside domain of size %d", p, v, sp.n))
+		}
+		role[p] = pinnedVals[j]
 	}
 
-	out := esp.Empty()
 	if esp.size == 0 || sp.size == 0 {
-		return out
+		return esp.Empty()
 	}
 
 	// Sparse path: when the source holds few tuples (a semi-naive stage
-	// delta, typically), one pass over its set bits beats materializing an
-	// ExistsAxis intermediate per dropped axis. The threshold mirrors
-	// ExistsAxisSparse: the bit-walk costs ~cnt coordinate extractions per
-	// axis against one full-bitmap pass per fold.
-	if cnt := d.bits.Count(); cnt*sp.n*8 < sp.size {
+	// delta, typically), one pass over its set bits beats folding every
+	// dropped axis.
+	if d.thin() {
+		out := esp.Empty()
 		d.bits.ForEach(func(idx int) {
 			for j, p := range pinned {
 				if sp.Coord(idx, p) != pinnedVals[j] {
@@ -614,84 +459,82 @@ func (d *Dense) ProjectAt(esp *Space, cols []int, pinned []int, pinnedVals []int
 		return out
 	}
 
-	// Quantify away the dropped axes, then gather the kept coordinates.
-	tmp, owned := d, false
+	// cur is d with the axes before a folded away, a bitmap of csp; every
+	// axis after a is still there, so a's stride is what it is in sp.
+	out := &Dense{sp: esp, bits: esp.getBits()}
+	cur, csp, left := d.bits, sp, sp.k-len(cols)
 	for a := 0; a < sp.k; a++ {
-		if kept[a] {
+		if role[a] == kept {
 			continue
 		}
-		next := tmp.ExistsAxis(a)
-		if owned {
-			tmp.Release()
+		low := csp.lower()
+		next := out.bits
+		if left--; left > 0 || !ascending {
+			next = low.getBits()
 		}
-		tmp, owned = next, true
-	}
-
-	m := len(cols)
-	if m == 0 {
-		if tmp.bits.Test(base) {
-			out.bits.Set(0)
+		if role[a] == folded {
+			next.Fold(cur, sp.stride[a], sp.n, false)
+		} else {
+			next.Select(cur, sp.stride[a], sp.n, role[a])
 		}
-		if owned {
-			tmp.Release()
+		if cur != d.bits {
+			csp.putBits(cur)
 		}
-		return out
+		cur, csp = next, low
 	}
-
-	n := sp.n
-	strides := make([]int, m)
-	for j, c := range cols {
-		strides[j] = sp.stride[c]
-	}
-	if strides[m-1] == 1 {
-		// The innermost projected axis is the source's innermost axis: each
-		// output row of n bits is one contiguous source range.
-		digits := make([]int, m-1)
-		srcIdx, outIdx := base, 0
-		for {
-			out.bits.CopyRange(tmp.bits, outIdx, srcIdx, n)
-			outIdx += n
-			j := m - 2
-			for ; j >= 0; j-- {
-				digits[j]++
-				srcIdx += strides[j]
-				if digits[j] < n {
-					break
+	switch {
+	case cur == d.bits && ascending:
+		out.bits.Copy(cur)
+	case !ascending:
+		// cur holds the kept axes in ascending order: read it in cols order.
+		strides := make([]int, len(cols))
+		for j, c := range cols {
+			strides[j] = 1
+			for _, o := range cols {
+				if o > c {
+					strides[j] *= sp.n
 				}
-				digits[j] = 0
-				srcIdx -= n * strides[j]
-			}
-			if j < 0 {
-				break
 			}
 		}
-	} else {
-		digits := make([]int, m)
-		srcIdx, outIdx := base, 0
-		for {
-			if tmp.bits.Test(srcIdx) {
-				out.bits.Set(outIdx)
-			}
-			outIdx++
-			j := m - 1
-			for ; j >= 0; j-- {
-				digits[j]++
-				srcIdx += strides[j]
-				if digits[j] < n {
-					break
-				}
-				digits[j] = 0
-				srcIdx -= n * strides[j]
-			}
-			if j < 0 {
-				break
-			}
+		gather(out.bits, cur, strides, sp.n)
+		if cur != d.bits {
+			csp.putBits(cur)
 		}
-	}
-	if owned {
-		tmp.Release()
 	}
 	return out
+}
+
+// gather sets dst, nᵐ bits, to src read in another axis order: the dst point
+// (t₀, …, t_{m−1}) is the src bit at index Σ tⱼ·strides[j].
+func gather(dst, src *bitset.Set, strides []int, n int) {
+	dst.ClearAll()
+	digits := make([]int, len(strides))
+	for srcIdx, outIdx := 0, 0; ; outIdx++ {
+		if src.Test(srcIdx) {
+			dst.Set(outIdx)
+		}
+		j := len(digits) - 1
+		for ; j >= 0; j-- {
+			digits[j]++
+			srcIdx += strides[j]
+			if digits[j] < n {
+				break
+			}
+			digits[j] = 0
+			srcIdx -= n * strides[j]
+		}
+		if j < 0 {
+			return
+		}
+	}
+}
+
+// thin reports whether d holds so few tuples that a walk over its set bits,
+// about n operations each, beats a word-parallel pass over the space: count ·
+// n · 8 < size, the count stopping at the threshold.
+func (d *Dense) thin() bool {
+	per := 8 * max(d.sp.n, 1)
+	return d.bits.CountBelow((d.sp.size + per - 1) / per)
 }
 
 // Project returns the sparse set { (t_{cols[0]}, …, t_{cols[m−1]}) | t ∈ d },

@@ -43,10 +43,11 @@ type Space struct {
 	// subformulas inside fixpoint bodies cost a word-copy, not a decode of
 	// every point.
 	diag map[[2]int]*bitset.Set
-	// tmpl caches, per axis, the slab-template mask { p | p mod (stride·n)
-	// < stride }: the positions holding the folded slab of each block in the
-	// masked-word quantifier path.
-	tmpl []*bitset.Set
+
+	// low is the space with one axis fewer over the same domain, built on
+	// first use: where the fold of an axis lands and its broadcast starts,
+	// with a scratch pool of its own.
+	low atomic.Pointer[Space]
 }
 
 // NewSpace returns the space of k-ary relations over a domain of n elements.
@@ -147,6 +148,14 @@ func (sp *Space) SameShape(other *Space) bool {
 	return sp.k == other.k && sp.n == other.n
 }
 
+// lower returns the space of arity k−1 over the same domain (k ≥ 1).
+func (sp *Space) lower() *Space {
+	if sp.low.Load() == nil {
+		sp.low.CompareAndSwap(nil, MustSpace(sp.k-1, sp.n))
+	}
+	return sp.low.Load()
+}
+
 // getBits returns an nᵏ-bit set with arbitrary contents, recycled from the
 // space's scratch pool when possible.
 func (sp *Space) getBits() *bitset.Set {
@@ -192,27 +201,5 @@ func (sp *Space) diagonalMask(i, j int) *bitset.Set {
 		}
 	}
 	sp.diag[key] = m
-	return m
-}
-
-// slabTemplate returns the cached mask of slab positions for axis i: the
-// bits p with p mod (stride·n) < stride. The returned set is shared and must
-// not be mutated.
-func (sp *Space) slabTemplate(i int) *bitset.Set {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.tmpl == nil {
-		sp.tmpl = make([]*bitset.Set, sp.k)
-	}
-	if sp.tmpl[i] != nil {
-		return sp.tmpl[i]
-	}
-	m := bitset.New(sp.size)
-	s := sp.stride[i]
-	block := s * sp.n
-	for b := 0; b+s <= sp.size; b += block {
-		m.SetRange(b, s)
-	}
-	sp.tmpl[i] = m
 	return m
 }

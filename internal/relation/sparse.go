@@ -729,35 +729,26 @@ func (d *Dense) ToSparse() *Sparse {
 
 // FromSparse cylindrifies a sparse relation into this full-width space: the
 // result contains every point t with (t_{args[0]}, …, t_{args[m−1]}) ∈ src —
-// the dense side of a sparse→dense conversion node. Errors release the
-// partially built bitmap back to the space's scratch pool before returning.
+// the dense side of a sparse→dense conversion node.
 func (sp *Space) FromSparse(src *Sparse, args []int) (*Dense, error) {
-	if len(args) != src.Arity() {
-		return nil, fmt.Errorf("relation: atom has %d arguments for relation of arity %d", len(args), src.Arity())
-	}
 	if src.Domain() != sp.Domain() {
 		return nil, fmt.Errorf("relation: domain mismatch %d vs %d", src.Domain(), sp.Domain())
 	}
-	for _, a := range args {
-		if a < 0 || a >= sp.k {
-			return nil, fmt.Errorf("relation: atom argument refers to variable %d outside width %d", a, sp.k)
-		}
+	c, err := sp.newCylinder(args, src.Arity())
+	if err != nil {
+		return nil, err
 	}
-	d := sp.Empty()
 	if sp.size == 0 {
-		return d, nil
+		c.drop()
+		return sp.Empty(), nil
 	}
-	aa := newAtomAdder(d, args)
-	var err error
+	c.rep.ClearAll()
 	t := make(Tuple, src.Arity())
-	for _, c := range src.codes {
-		src.DecodeInto(c, t)
-		if err = aa.add(t); err != nil {
-			d.Release()
-			return nil, err
-		}
+	for _, code := range src.codes {
+		src.DecodeInto(code, t)
+		c.add(t)
 	}
-	return d, nil
+	return c.finish(), nil
 }
 
 // String renders the relation like Set.String, for tests and debugging.
