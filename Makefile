@@ -28,7 +28,9 @@ all: vet test build
 # BenchmarkFilteredHop miss-direct's sparse texts over a warm node store and
 # BenchmarkDenseFamilies its dense ones, relation's BenchmarkSemijoin the kernel
 # under the first beside the loop it replaced and BenchmarkAxisKernels the
-# quantifier, stage-extraction and cylinder operators under the second on 64³;
+# quantifier, stage-extraction and cylinder operators under the second on 64³,
+# database's BenchmarkDatabaseParse and BenchmarkDatabaseApply a load into
+# stored form and a one-edge update of an 18,000-tuple graph;
 # the router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
@@ -42,9 +44,13 @@ all: vet test build
 # (no input panics, an accepted text prints to one that parses to the same print),
 # of the semijoin target (relation.Blocks.Semijoin against the decode-and-look-up
 # loop it replaced, every column subset, both polarities, operands untouched)
-# and of the axis-kernel target (ExistsAxis/ForallAxis against the bit-level
+# of the axis-kernel target (ExistsAxis/ForallAxis against the bit-level
 # references, ProjectAt and the From*Atom cylinders against enumeration, shape,
-# density, axis and operator from the input, operands untouched, results trimmed),
+# density, axis and operator from the input, operands untouched, results trimmed)
+# and of the database-text target (Parse and DecodeEncoded never panic, what
+# either accepts prints to text that reads back with equal fingerprint, RelIDs and
+# stored codes, Apply stores what a build of the new content stores and an update
+# followed by its inverse restores both),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -68,7 +74,7 @@ check: docs
 	$(GO) test -race -count=1 -run 'TestDifferential|TestCompiled|TestChurn|TestMaintain|TestUpdate|TestEnum|TestStream' ./internal/eval/ ./internal/server/
 	$(GO) test -count=1 -run 'TestSparseLargeDomainTC' ./internal/eval/
 	$(GO) test -count=1 -run 'TestMetricsDocumented' ./internal/server/
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/server/ ./internal/router/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/eval/ ./internal/relation/ ./internal/bitset/ ./internal/database/ ./internal/server/ ./internal/router/
 	$(GO) test -run=NONE -fuzz=FuzzAppendRows -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzNodeKey -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
@@ -78,6 +84,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
 	$(GO) test -run=NONE -fuzz=FuzzSemijoin -fuzztime=5s ./internal/relation/
 	$(GO) test -run=NONE -fuzz=FuzzAxisKernels -fuzztime=5s ./internal/relation/
+	$(GO) test -run=NONE -fuzz=FuzzDatabaseText -fuzztime=5s ./internal/database/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

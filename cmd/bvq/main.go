@@ -26,7 +26,7 @@
 // and the annotated plan DAG is printed instead of the answer: per node the
 // operator, evaluation count and cumulative wall time; per fixpoint binder
 // the stages run and delta tuples; plus the density decision and the
-// backend route the evaluator picked (dense, sparse, hybrid). An acyclic
+// backend route the evaluator picked (dense or sparse). An acyclic
 // conjunctive query written with more variables than it needs shows the
 // minimised plan that ran ("minimized: width 8 → 3").
 package main

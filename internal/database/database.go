@@ -28,7 +28,7 @@ type Database struct {
 	idx    map[int]int    // value → index in domain
 	names  []string       // relation names in declaration order
 	arity  map[string]int // relation name → arity
-	rels   map[string]*relation.Set
+	rels   map[string]*stored
 
 	// Snapshot lineage (mutate.go): version counts effective Apply steps
 	// since Build; fp is set once under fpOnce: by Apply to a mutated snapshot's
@@ -37,6 +37,52 @@ type Database struct {
 	fp      uint64
 	fpOnce  sync.Once
 	relIDs  map[string]RelID // per relation, see RelID
+}
+
+// stored is one relation of a snapshot, shared — never copied, never written —
+// by every snapshot whose updates left it alone. codes is the stored form:
+// sorted row-major codes over the domain indices, the currency of the
+// evaluators and the wire (the sorted relation is its own index). Only a
+// relation whose nᵃʳⁱᵗʸ has no code space (relation.MaxSparseCode) is kept as
+// the Set it was given as. Evaluations alias the block (eval's sparse atoms):
+// it is exactly as long as its codes, as relation.SparseOf and ApplyDelta
+// leave it, so that nothing that clips a block with room ever rewrites it.
+type stored struct {
+	codes *relation.Sparse
+	once  sync.Once     // guards set where codes is the stored form
+	set   *relation.Set // codes' tuples, built by the first Rel
+}
+
+// tuples is what reads a stored relation in either form.
+type tuples interface {
+	Arity() int
+	Contains(relation.Tuple) bool
+	ForEach(func(relation.Tuple))
+}
+
+func (st *stored) tuples() tuples {
+	if st.codes != nil {
+		return st.codes
+	}
+	return st.set
+}
+
+// newStored puts tuples over 0..n−1 in stored form.
+func newStored(arity, n int, ts []relation.Tuple) *stored {
+	codes, err := relation.SparseOf(arity, n, ts...)
+	if err != nil { // the components are in range, so it is the shape that has no code space
+		return &stored{set: relation.SetOf(arity, ts...)}
+	}
+	return &stored{codes: codes}
+}
+
+// apply returns a new stored relation equal to (st \ del) ∪ ins.
+func (st *stored) apply(ins, del []relation.Tuple) (*stored, error) {
+	if st.codes == nil {
+		return &stored{set: st.set.ApplyDelta(ins, del)}, nil
+	}
+	codes, err := st.codes.ApplyDelta(ins, del)
+	return &stored{codes: codes}, err
 }
 
 // Builder assembles a Database. Tuples are given in raw domain values; the
@@ -137,7 +183,7 @@ func (b *Builder) Build() (*Database, error) {
 		idx:    make(map[int]int, len(dom)),
 		names:  append([]string(nil), b.names...),
 		arity:  make(map[string]int, len(b.arity)),
-		rels:   make(map[string]*relation.Set, len(b.arity)),
+		rels:   make(map[string]*stored, len(b.arity)),
 		relIDs: make(map[string]RelID, len(b.arity)),
 	}
 	for i, v := range dom {
@@ -145,15 +191,14 @@ func (b *Builder) Build() (*Database, error) {
 	}
 	for name, a := range b.arity {
 		db.arity[name] = a
-		set := relation.NewSet(a)
-		for _, t := range b.tuples[name] {
-			nt := make(relation.Tuple, len(t))
+		ts, flat := make([]relation.Tuple, len(b.tuples[name])), make(relation.Tuple, a*len(b.tuples[name]))
+		for j, t := range b.tuples[name] {
+			ts[j] = flat[j*a : (j+1)*a]
 			for i, v := range t {
-				nt[i] = db.idx[v]
+				ts[j][i] = db.idx[v]
 			}
-			set.Add(nt)
 		}
-		db.rels[name], db.relIDs[name] = set, contentID(set)
+		db.put(name, newStored(a, len(dom), ts))
 	}
 	return db, nil
 }
@@ -201,30 +246,81 @@ func (db *Database) Arity(name string) (int, error) {
 	return a, nil
 }
 
-// Rel returns the named relation over domain indices 0..n−1. The returned
-// set must not be mutated.
-func (db *Database) Rel(name string) (*relation.Set, error) {
-	r, ok := db.rels[name]
+// put installs a relation and the content identity it has.
+func (db *Database) put(name string, st *stored) {
+	db.rels[name], db.relIDs[name] = st, contentID(st.tuples())
+}
+
+// Codes returns the named relation as it is stored: sorted row-major codes
+// over domain indices 0..n−1, shared by every snapshot and evaluation that
+// reads it and never to be written. It is nil for a relation whose nᵃʳⁱᵗʸ has
+// no code space (relation.MaxSparseCode), which only Rel reads.
+func (db *Database) Codes(name string) (*relation.Sparse, error) {
+	st, ok := db.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("database: no relation %s", name)
 	}
-	return r, nil
+	return st.codes, nil
+}
+
+// Card returns the named relation's tuple count, 0 if undeclared.
+func (db *Database) Card(name string) int {
+	switch st := db.rels[name]; {
+	case st == nil:
+		return 0
+	case st.codes != nil:
+		return st.codes.Count()
+	default:
+		return st.set.Len()
+	}
+}
+
+// Rel returns the named relation over domain indices 0..n−1 as a tuple set,
+// for the engines that walk tuples: built from the stored codes on first
+// call, once per stored relation whatever snapshots share it. The returned
+// set must not be mutated.
+func (db *Database) Rel(name string) (*relation.Set, error) {
+	st, ok := db.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("database: no relation %s", name)
+	}
+	st.once.Do(func() {
+		if st.codes != nil {
+			st.set = st.codes.ToSet()
+		}
+	})
+	return st.set, nil
+}
+
+// eachValue calls fn on every tuple of a declared relation in raw domain
+// values, in canonical order: the domain is sorted, so the stored order is
+// that order. The tuple is reused across calls.
+func (db *Database) eachValue(name string, fn func(relation.Tuple)) {
+	var vt relation.Tuple
+	emit := func(t relation.Tuple) {
+		vt = append(vt[:0], t...)
+		for i, x := range vt {
+			vt[i] = db.domain[x]
+		}
+		fn(vt)
+	}
+	if st := db.rels[name]; st.codes != nil {
+		st.codes.ForEach(emit)
+	} else {
+		for _, t := range st.set.Tuples() {
+			emit(t)
+		}
+	}
 }
 
 // RelValues returns the named relation with tuples in raw domain values.
 func (db *Database) RelValues(name string) (*relation.Set, error) {
-	r, err := db.Rel(name)
+	a, err := db.Arity(name)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.NewSet(r.Arity())
-	r.ForEach(func(t relation.Tuple) {
-		vt := make(relation.Tuple, len(t))
-		for i, x := range t {
-			vt[i] = db.domain[x]
-		}
-		out.Add(vt)
-	})
+	out := relation.NewSet(a)
+	db.eachValue(name, out.Add)
 	return out, nil
 }
 
@@ -236,16 +332,16 @@ func (db *Database) Nontrivial() bool {
 	if len(db.domain) < 2 {
 		return false
 	}
-	for name, r := range db.rels {
-		k := db.arity[name]
-		if k < 1 || r.Len() == 0 {
+	for name, k := range db.arity {
+		card := db.Card(name)
+		if k < 1 || card == 0 {
 			continue
 		}
 		full := 1
 		for i := 0; i < k; i++ {
 			full *= len(db.domain)
 		}
-		if r.Len() != full {
+		if card != full {
 			return true
 		}
 	}
@@ -264,14 +360,12 @@ func (db *Database) String() string {
 	}
 	sb.WriteString("}\n")
 	for _, name := range db.names {
-		rel, _ := db.RelValues(name)
 		fmt.Fprintf(&sb, "%s/%d = {", name, db.arity[name])
-		for i, t := range rel.Tuples() {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(t.String())
-		}
+		sep := ""
+		db.eachValue(name, func(t relation.Tuple) {
+			sb.WriteString(sep + t.String())
+			sep = ", "
+		})
 		sb.WriteString("}\n")
 	}
 	return sb.String()

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/relation"
 )
 
 // Encode renders the database in the paper's "standard encoding" (§2.1):
@@ -31,12 +33,10 @@ func (db *Database) Encode() string {
 	for _, name := range db.names {
 		sb.WriteByte(',')
 		sb.WriteByte('{')
-		rel, _ := db.RelValues(name)
-		for i, t := range rel.Tuples() {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteByte('<')
+		sep := "<"
+		db.eachValue(name, func(t relation.Tuple) {
+			sb.WriteString(sep)
+			sep = ",<"
 			for j, v := range t {
 				if j > 0 {
 					sb.WriteByte(',')
@@ -44,7 +44,7 @@ func (db *Database) Encode() string {
 				sb.WriteString(strconv.FormatInt(int64(v), 2))
 			}
 			sb.WriteByte('>')
-		}
+		})
 		sb.WriteByte('}')
 	}
 	sb.WriteByte(')')

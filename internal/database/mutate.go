@@ -167,7 +167,7 @@ func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
 		names[name] = true
 	}
 	for name := range names {
-		cur := db.rels[name]
+		cur := db.rels[name].tuples()
 		var rd RelDelta
 		if ins := insSets[name]; ins != nil {
 			ins.ForEach(func(t relation.Tuple) {
@@ -210,7 +210,10 @@ func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
 		version: db.version + 1,
 	}
 	for name, rd := range delta.Rels {
-		next.rels[name] = db.rels[name].ApplyDelta(rd.Ins, rd.Del)
+		var err error
+		if next.rels[name], err = db.rels[name].apply(rd.Ins, rd.Del); err != nil {
+			return nil, nil, err
+		}
 		next.relIDs[name] = db.relIDs[name].shift(rd.Ins, false).shift(rd.Del, true)
 	}
 	delta.Version = next.version
@@ -254,7 +257,7 @@ func (db *Database) ContentID(rels []string) uint64 {
 	return h
 }
 
-func contentID(r *relation.Set) RelID {
+func contentID(r tuples) RelID {
 	id := RelID(sha256.Sum256([]byte{byte(r.Arity())}))
 	r.ForEach(func(t relation.Tuple) { id = id.shift([]relation.Tuple{t}, false) })
 	return id

@@ -2,6 +2,8 @@ package database
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -23,37 +25,39 @@ const (
 // (Immerman 1986, Vardi 1982, Abiteboul–Vianu 1989) — order is what lets
 // fixpoint queries count, as the parity example in the tests shows.
 func (db *Database) WithOrder() (*Database, error) {
-	for _, name := range []string{OrderLess, OrderSucc, OrderFirst, OrderLast} {
+	order := []string{OrderLess, OrderSucc, OrderFirst, OrderLast}
+	for _, name := range order {
 		if db.HasRelation(name) {
 			return nil, fmt.Errorf("database: relation %s already exists", name)
 		}
 	}
-	b := NewBuilder()
-	for _, v := range db.domain {
-		b.Domain(v)
+	// The domain does not change, so db's relations are shared as they are
+	// stored (identities included) and only the four new ones are built.
+	next := &Database{
+		domain: db.domain,
+		idx:    db.idx,
+		names:  slices.Concat(db.names, order),
+		arity:  maps.Clone(db.arity),
+		rels:   maps.Clone(db.rels),
+		relIDs: maps.Clone(db.relIDs),
 	}
-	for _, name := range db.names {
-		a := db.arity[name]
-		b.Relation(name, a)
-		rel, err := db.RelValues(name)
-		if err != nil {
-			return nil, err
-		}
-		rel.ForEach(func(t relation.Tuple) { b.Add(name, t...) })
-	}
-	b.Relation(OrderLess, 2).Relation(OrderSucc, 2).Relation(OrderFirst, 1).Relation(OrderLast, 1)
 	n := len(db.domain)
+	var less, succ, first, last []relation.Tuple
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			b.Add(OrderLess, db.domain[i], db.domain[j])
+			less = append(less, relation.Tuple{i, j})
 		}
 		if i+1 < n {
-			b.Add(OrderSucc, db.domain[i], db.domain[i+1])
+			succ = append(succ, relation.Tuple{i, i + 1})
 		}
 	}
 	if n > 0 {
-		b.Add(OrderFirst, db.domain[0])
-		b.Add(OrderLast, db.domain[n-1])
+		first, last = []relation.Tuple{{0}}, []relation.Tuple{{n - 1}}
 	}
-	return b.Build()
+	for i, ts := range [][]relation.Tuple{less, succ, first, last} {
+		a := 2 - i/2
+		next.arity[order[i]] = a
+		next.put(order[i], newStored(a, n, ts))
+	}
+	return next, nil
 }

@@ -18,9 +18,8 @@ type Backend int
 const (
 	// BackendAuto picks per query by modelled cost (plan.Density): the sparse
 	// executor when the space is infeasible or tuples are expected cheaper than
-	// bits, the dense kernels otherwise, over a sparsely evaluated frontier
-	// where that is cheaper (hybrid) — and hands a fixpoint's stage loop to the
-	// other representation when its observed stages show the choice wrong.
+	// bits, the dense kernels otherwise — and hands a fixpoint's stage loop to
+	// the other representation when its observed stages show the choice wrong.
 	BackendAuto Backend = iota
 	// BackendDense forces the full-width nᵏ-bit engine; queries whose space
 	// exceeds relation.MaxDenseBits fail with the dense-space error.
@@ -83,15 +82,7 @@ func backendOf(opts *Options) Backend {
 }
 
 // cardOf adapts a database to the plan.Density cardinality callback.
-func cardOf(db *database.Database) func(string) int {
-	return func(name string) int {
-		rel, err := db.Rel(name)
-		if err != nil {
-			return 0
-		}
-		return rel.Len()
-	}
-}
+func cardOf(db *database.Database) func(string) int { return db.Card }
 
 // EvalPlan is the one plan evaluation: it validates, routes (routePlan) and
 // runs p against db, and returns the answer in the form the executor leaves
@@ -176,8 +167,8 @@ type planResult struct {
 
 // route is the backend decision for one (plan, database, options) triple.
 type route struct {
-	// name is "dense", "hybrid" or "sparse"; empty means the query is
-	// unevaluable under these options, and err says why.
+	// name is "dense" or "sparse": the one algebra the run is over. Empty means
+	// the query is unevaluable under these options, and err says why.
 	name string
 	err  error
 	den  *plan.Density
@@ -210,19 +201,11 @@ func routePlan(p *plan.Plan, db *database.Database, opts *Options) route {
 		case den.SparseOK && (!den.SpaceFeasible || den.SparseCost < den.DenseCost):
 			rt.name = "sparse"
 		case den.SpaceFeasible:
-			rt = rt.dense()
+			rt.name = "dense"
 		default:
 			rt.err = fmt.Errorf("eval: dense space %d^%d exceeds %d bits and sparse evaluation is unavailable: %s",
 				db.Size(), len(p.Vars), relation.MaxDenseBits, den.Blocker)
 		}
-	}
-	return rt
-}
-
-// dense is auto's dense route: over the sparse frontier den labels, if any.
-func (rt route) dense() route {
-	if rt.name = "dense"; rt.den.Frontier {
-		rt.name = "hybrid"
 	}
 	return rt
 }
@@ -289,7 +272,7 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 		if rt.name == "sparse" {
 			res, err = runSparse(ctx, p, db, opts, rt.den, stats, ho, seed, capture)
 		} else {
-			res, err = runDense(ctx, p, db, opts, rt, stats, ho, seed, capture)
+			res, err = runDense(ctx, p, db, opts, stats, ho, seed, capture)
 		}
 		var h *handOff
 		switch {
@@ -298,10 +281,10 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 			if rt.name != "sparse" {
 				rt.name = "sparse"
 			} else {
-				rt = rt.dense()
+				rt.name = "dense"
 			}
 		case rt.free && rt.name == "sparse" && errors.Is(err, ErrSparseBudget):
-			rt, ho = rt.dense(), nil
+			rt.name, ho = "dense", nil
 		default:
 			return res, err
 		}
@@ -310,7 +293,7 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 }
 
 // ExplainRoute reports the route EvalPlan would take for this plan against
-// this database — "dense", "sparse" or "hybrid"; empty when unevaluable — with
+// this database — "dense" or "sparse"; empty when unevaluable — with
 // the analysis behind it (DenseCost and SparseCost are the totals compared),
 // without evaluating anything. A run may leave the route (Stats.RepSwitches).
 func ExplainRoute(p *plan.Plan, db *database.Database, opts *Options) (*plan.Density, string) {

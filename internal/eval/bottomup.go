@@ -58,17 +58,13 @@ type atomCache struct {
 // name(args) over sp, building it on first use. Masters are never mutated:
 // readers copy them.
 func (ac *atomCache) master(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
-	rel, err := db.Rel(name)
-	if err != nil {
-		return nil, err
-	}
 	key := atomKey(name, args)
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if m, ok := ac.m[key]; ok {
 		return m, nil
 	}
-	m, err := sp.FromAtom(rel, args)
+	m, err := denseAtom(sp, db, name, args)
 	if err != nil {
 		return nil, err
 	}

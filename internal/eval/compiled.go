@@ -2,8 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
-	"sync"
 
 	"repro/internal/database"
 	"repro/internal/logic"
@@ -61,9 +59,8 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 	return EvalPlanContext(ctx, p, db, opts)
 }
 
-// runDense evaluates the (already validated) plan over the dense algebra; on
-// the hybrid route, over the sparse frontier rt.den labels (hybridFrontier).
-func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, rt route, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
+// runDense evaluates the (already validated) plan over the dense algebra.
+func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
 	// One space per arity up to the full width, widest first so an infeasible
 	// query fails naming its full-width space; the narrower stage and head
 	// spaces are feasible whenever that one is. A node store interns them; a
@@ -82,51 +79,26 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 	if par := parallelism(opts); par > 1 {
 		r.sem = make(chan struct{}, par-1)
 	}
-	capture = r.start(ho, seed, capture)
-	if rt.name == "hybrid" {
-		r.frontier = hybridFrontier(r, alg.sp, rt.den)
-	}
-	return r.answer(capture)
+	return r.answer(r.start(ho, seed, capture))
 }
 
-// hybridFrontier serves the nodes den labels NodeSparse: each is a
-// recursion-free subtree handed whole to a run over the sparse algebra and
-// cylindrified once into the full-width space — one representation switch
-// (Stats.RepSwitches) at the subtree boundary instead of a dense kernel per
-// node. A negative sval is complemented
-// after the conversion (¬cyl(R) is the correct widening of a complement
-// block). A subtree that overruns the sparse budget — the estimate was wrong —
-// falls through to the dense kernels. A labelled subtree may be a whole closed
-// fixpoint: the sub-run shares the run's seeds and captures, so maintenance
-// follows it there. Frontier nodes are hoisted, hence computed before any PFP
-// fork or stage wave starts; the lock makes sharing the sub-run safe regardless.
-func hybridFrontier(r *run[*relation.Dense], sp *relation.Space, den *plan.Density) func(int) (*relation.Dense, bool, error) {
-	var mu sync.Mutex
-	sub := newSparseRun(r.ctx, r.p, r.db, r.opts, den, r.stats)
-	sub.seed, sub.captured = r.seed, r.captured
-	return func(n int) (*relation.Dense, bool, error) {
-		if den.Mode[n] != plan.NodeSparse {
-			return nil, false, nil
-		}
-		mu.Lock()
-		sv, err := sub.evalNode(n)
-		mu.Unlock()
-		if err != nil {
-			if errors.Is(err, ErrSparseBudget) {
-				err = nil
-			}
-			return nil, false, err
-		}
-		d, err := sp.FromSparse(sv.rel, sv.sup)
-		if err != nil {
-			return nil, false, err
-		}
-		if sv.neg {
-			d.Complement()
-		}
-		r.stats.addRepSwitches(1)
-		return d, true, nil
+// denseAtom cylindrifies the database atom name(args) into sp: the stored
+// codes decoded once — a sparse value made dense, the one place a relation
+// changes representation on the way in. A relation without a code space is
+// read through its Set.
+func denseAtom(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
+	codes, err := db.Codes(name)
+	if err != nil {
+		return nil, err
 	}
+	if codes != nil {
+		return sp.FromSparse(codes, args)
+	}
+	rel, err := db.Rel(name)
+	if err != nil {
+		return nil, err
+	}
+	return sp.FromAtom(rel, args)
 }
 
 // denseAlg is the dense algebra: node values are nᵏ-bit bitmaps over the
@@ -144,11 +116,7 @@ type denseAlg struct {
 
 // atom cylindrifies a database atom; the (hash-consed) node is its memo.
 func (a *denseAlg) atom(name string, args []int) (*relation.Dense, error) {
-	rel, err := a.db.Rel(name)
-	if err != nil {
-		return nil, err
-	}
-	return a.sp.FromAtom(rel, args)
+	return denseAtom(a.sp, a.db, name, args)
 }
 
 func (a *denseAlg) stageAtom(stage *relation.Dense, axes []int) (*relation.Dense, error) {

@@ -268,9 +268,10 @@ func TestEnumAcyclicFastPath(t *testing.T) {
 }
 
 // TestAnswerViewEveryRoute reads EvalPlan's View on the routes random formulas
-// over small databases do not reach: the hybrid route, a stage loop handed to
-// the other algebra mid-loop in each direction, and a delta restart on each
-// backend. Whatever produced the head, it is the forced-dense answer.
+// over small databases do not reach: auto on a dense-only plan at 200³ (held
+// to the formula walker's answer), a stage loop handed to the other algebra
+// mid-loop in each direction, and a delta restart on each backend. Whatever
+// produced the head, it is the forced-dense answer.
 func TestAnswerViewEveryRoute(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ctx := context.Background()
@@ -285,14 +286,18 @@ func TestAnswerViewEveryRoute(t *testing.T) {
 
 	forest := forestDB(200, 10)
 	p := mustCompile(t, gfpTwoHop())
-	if _, route := ExplainRoute(p, forest, nil); route != "hybrid" {
-		t.Fatalf("gfp over a two-hop on a 200-node forest routes %q, want hybrid", route)
+	if _, route := ExplainRoute(p, forest, nil); route != "dense" {
+		t.Fatalf("gfp over a two-hop on a 200-node forest routes %q, want dense", route)
 	}
 	v, st, _, err := EvalPlan(ctx, p, forest, &Options{Parallelism: 1}, nil, true)
-	if err != nil || st.RepSwitches == 0 {
-		t.Fatalf("hybrid run: err %v, stats %+v", err, st)
+	if err != nil || st.RepSwitches != 0 {
+		t.Fatalf("auto run of a dense-only plan: err %v, stats %+v", err, st)
 	}
-	checkView(t, "hybrid", r, v, forest.Size(), reference(p, forest))
+	walked, err := BottomUp(p.Query, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkView(t, "auto, dense-only", r, v, forest.Size(), walked.Tuples())
 
 	b := database.NewBuilder().Relation("E", 2).Relation("P", 1)
 	for i := 0; i < 12; i++ {

@@ -269,8 +269,7 @@ type Stats struct {
 	TuplesTouched int64 `json:"tuples_touched,omitempty"`
 	// RepSwitches counts changes of representation inside one auto-routed
 	// evaluation: a fixpoint's stage loop handed to the other backend at a
-	// stage boundary, a sparse attempt rerun dense after a budget overrun, and
-	// sparse subtree results cylindrified at a hybrid frontier boundary.
+	// stage boundary, and a sparse attempt rerun dense after a budget overrun.
 	RepSwitches int64 `json:"rep_switches,omitempty"`
 	// AcyclicFastPath is 1 when the plan that ran is an acyclic conjunctive
 	// query lowered from its variable-minimised form (plan.MinimizedFrom),

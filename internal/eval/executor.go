@@ -118,10 +118,6 @@ type run[V comparable] struct {
 	// sem holds the extra-worker tokens for the wave scheduler; nil means
 	// fully serial (Parallelism 1, sparse runs, and inside PFP sweep workers).
 	sem chan struct{}
-	// frontier, when non-nil, may serve a node whole from another
-	// representation (the hybrid route); ok=false falls through to the ops.
-	frontier func(n int) (v V, ok bool, err error)
-
 	// Per-node DAG cache. val[n] is node n's value; valid[n] marks it current;
 	// owned[n] marks it releasable by this run (false for values the node
 	// store has seen and fork-inherited ones, never to be mutated or released).
@@ -323,11 +319,6 @@ func (r *run[V]) invalidate(n int) {
 
 func (r *run[V]) computeNode(n int) (v V, err error) {
 	var zero V
-	if r.frontier != nil {
-		if v, ok, err := r.frontier(n); ok || err != nil {
-			return v, err
-		}
-	}
 	nd := &r.p.Nodes[n]
 	var kids [2]V
 	if nd.Op != plan.OpFix {

@@ -164,10 +164,9 @@ func pinCases(t *testing.T) []pinCase {
 		{name: "stream-two-hop-forest/sparse", run: pinStream(twoHop, forest, 2), opts: sparse},
 		// 200³ bits with a sparse edge set: auto takes the all-sparse route.
 		{name: "tc-forest200/auto", run: pinEval(tcQuery(), forestDB(200, 10)), opts: auto},
-		// A GFP has no sparse route; at 200³ bits its recursion-free two-hop is
-		// hybrid territory: dense stages over a sparsely evaluated,
-		// once-cylindrified frontier.
-		{name: "gfp-two-hop-forest200/auto-hybrid", run: pinEval(gfpTwoHop(), forestDB(200, 10)), opts: auto},
+		// A GFP has no sparse route: auto is the dense run, 200³ bits a node, the
+		// recursion-free two-hop included (a sparse frontier until PR 28).
+		{name: "gfp-two-hop-forest200/auto", run: pinEval(gfpTwoHop(), forestDB(200, 10)), opts: auto},
 		// auto takes the sparse route, the tiny budget overruns inside the
 		// stage loop, and the loop is handed to the dense algebra from its last
 		// whole stage.
@@ -246,7 +245,7 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:25 FixIterations:5 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:10 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/gfp 1:9-3 2:6-3 3:3-3 4:0-3 5:0+0"},
 	"nested-gfp-lfp-line8/auto": {
-		"{SubformulaEvals:14 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:14 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:8+8 2:8+0 | S/gfp 1:8+0"},
 	"pfp-param-forest/dense": {
 		"{SubformulaEvals:46 FixIterations:6 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:18 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
@@ -272,8 +271,8 @@ var pinnedWork = map[string]pinned{
 	"tc-forest200/auto": {
 		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:900 NodesReused:20 DeltaTuples:900 TuplesTouched:4500 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:180+180 2:340+160 3:480+140 4:600+120 5:700+100 6:780+80 7:840+60 8:880+40 9:900+20 10:900+0"},
-	"gfp-two-hop-forest200/auto-hybrid": {
-		"{SubformulaEvals:37 FixIterations:6 MaxIntermediateArity:3 MaxIntermediateTuples:8000000 NodesReused:12 DeltaTuples:0 TuplesTouched:680 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+	"gfp-two-hop-forest200/auto": {
+		"{SubformulaEvals:36 FixIterations:6 MaxIntermediateArity:3 MaxIntermediateTuples:8000000 NodesReused:12 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/gfp 1:160-40 2:120-40 3:80-40 4:40-40 5:0-40 6:0+0"},
 	"tc-forest410/auto-budget-fallback": {
 		"{SubformulaEvals:40 FixIterations:10 MaxIntermediateArity:3 MaxIntermediateTuples:756450 NodesReused:20 DeltaTuples:1845 TuplesTouched:0 RepSwitches:1 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",

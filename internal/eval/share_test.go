@@ -76,19 +76,19 @@ func TestDifferentialSharedStore(t *testing.T) {
 	}
 }
 
-// TestSharedStoreHybrid drives the hybrid route through a store: a dense run
-// whose sparse-labeled closed subtrees — here a whole least fixpoint under a
-// root the sparse algebra cannot take — come from a sparse sub-run and are
-// cylindrified at the boundary. Both runs share: the
-// third pass takes the dense forms from the store and converts nothing.
-func TestSharedStoreHybrid(t *testing.T) {
+// TestSharedStoreDenseOnly drives a plan the sparse algebra cannot take — a
+// whole least fixpoint under a GFP conjunct, which the hybrid frontier used to
+// hand to a sparse sub-run — through a store on the auto route: every pass
+// agrees with the formula walker, and the third takes its closed subtrees from
+// the store.
+func TestSharedStoreDenseOnly(t *testing.T) {
 	q, err := parser.ParseQuery("(x, y). [gfp S(x). (exists y. E(x, y)) & S(x)](x) & " +
 		"[lfp T(x, y). E(x, y) | (exists z. (E(x, z) & T(z, y)))](x, y)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := forestDB(200, 10)
-	want, _, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
+	want, err := BottomUp(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestSharedStoreHybrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("pass %d: hybrid run through the store disagrees with dense", pass)
+			t.Fatalf("pass %d: auto run through the store disagrees with bottomup", pass)
 		}
-		if pass == 0 && st.RepSwitches == 0 {
-			t.Fatalf("not the hybrid route: %+v", st)
+		if st.RepSwitches != 0 || st.TuplesTouched != 0 {
+			t.Fatalf("pass %d left the dense algebra: %+v", pass, st)
 		}
-		if pass == 2 && (st.NodesShared < 2 || st.RepSwitches != 0 || st.TuplesTouched != 0) {
-			t.Fatalf("third pass recomputed its frontier: %+v", st)
+		if pass == 2 && st.NodesShared < 2 {
+			t.Fatalf("third pass recomputed its closed subtrees: %+v", st)
 		}
 	}
 }

@@ -76,23 +76,18 @@ type sparseAlg struct {
 // (relation.Blocks.Poison); the package's tests run with it set.
 var poisonReleased = false
 
-// newSparseRun is the plan executor over the sparse algebra. It gets no
-// worker tokens — sparse stage work is tuple-bound, not word-bound, so the
-// wave scheduler's speedup does not carry over — and its semi-naive regime
-// additionally needs an all-positive dirty region (Density.DeltaSparse).
-func newSparseRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats) *run[*sval] {
+// runSparse is runDense's twin: the whole plan over the sparse algebra. The
+// run gets no worker tokens — sparse stage work is tuple-bound, not
+// word-bound, so the wave scheduler's speedup does not carry over — and its
+// semi-naive regime additionally needs an all-positive dirty region
+// (Density.DeltaSparse).
+func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
 	alg := &sparseAlg{db: db, n: db.Size(), budget: sparseBudget(opts), den: den}
 	if poisonReleased {
 		alg.blocks.Poison()
 	}
 	r := newRun[*sval](ctx, p, db, opts, alg, stats, den.DeltaSparse, "s")
 	r.sparse = true
-	return r
-}
-
-// runSparse is runDense's twin: the whole plan over the sparse algebra.
-func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
-	r := newSparseRun(ctx, p, db, opts, den, stats)
 	return r.answer(r.start(ho, seed, capture))
 }
 
@@ -122,12 +117,26 @@ func alias(x *sval) *sval {
 	return &sval{sup: x.sup, rel: x.rel, neg: x.neg, shared: true}
 }
 
+// atom read through strictly ascending arguments is the stored block itself,
+// shared with the database and every run on it: never written, never
+// released. Any other pattern selects and permutes the decoded codes.
 func (sa *sparseAlg) atom(name string, args []int) (*sval, error) {
-	rel, err := sa.db.Rel(name)
-	if err != nil {
+	codes, err := sa.db.Codes(name)
+	switch {
+	case err != nil:
 		return nil, err
+	case codes == nil: // no code space at this arity: repeated arguments, or the builder refuses
+		rel, err := sa.db.Rel(name)
+		if err != nil {
+			return nil, err
+		}
+		return sa.svalFromTuples(args, rel.ForEach)
+	case !ascending(args):
+		return sa.svalFromTuples(args, codes.ForEach)
+	case codes.Count() > sa.budget:
+		return nil, sa.overBudget("atom materialization", float64(codes.Count()))
 	}
-	return sa.svalFromTuples(args, rel.ForEach)
+	return &sval{sup: args, rel: codes, shared: true}, nil
 }
 
 // stageAtom read through strictly ascending axes keeps columns and order: the

@@ -460,35 +460,37 @@ func gfpTwoHop() logic.Query {
 			logic.Exists(logic.And(twoHop, logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"), "y"))
 }
 
-// TestHybridFrontierMatchesDense drives the auto backend on a plan with no
+// TestGfpTwoHopDenseMatchesBottomUp drives the auto backend on a plan with no
 // sparse route (a GFP) over a space large enough that its recursion-free
-// two-hop subtree is modelled cheaper as tuples than as 200³-bit kernels: the
-// run must label a sparse frontier, convert at its boundary (RepSwitches), and
-// agree with pure dense exactly.
-func TestHybridFrontierMatchesDense(t *testing.T) {
+// two-hop subtree is modelled cheaper as tuples than as 200³-bit kernels —
+// what the hybrid frontier was for. One run is over one algebra: auto is the
+// dense run, and both agree with the formula walker exactly.
+func TestGfpTwoHopDenseMatchesBottomUp(t *testing.T) {
 	db := forestDB(200, 10)
 	q := gfpTwoHop()
 	p, err := plan.Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if den, route := ExplainRoute(p, db, nil); route != "hybrid" || den.SparseOK {
-		t.Fatalf("a GFP over a sparse two-hop at 200^3 should be hybrid territory: route %q, %+v", route, den)
+	if den, route := ExplainRoute(p, db, nil); route != "dense" || den.SparseOK {
+		t.Fatalf("a GFP at 200^3 has the dense route only: route %q, %+v", route, den)
 	}
 
-	dense, _, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
+	want, err := BottomUp(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !auto.Equal(dense) {
-		t.Fatalf("hybrid run disagrees with dense: %d vs %d tuples", auto.Len(), dense.Len())
-	}
-	if ast.RepSwitches == 0 {
-		t.Fatalf("hybrid run performed no representation switches (stats %+v)", ast)
+	for _, backend := range []Backend{BackendDense, BackendAuto} {
+		got, st, err := CompiledStats(q, db, &Options{Backend: backend, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s run disagrees with bottomup: %d vs %d tuples", backend, got.Len(), want.Len())
+		}
+		if st.RepSwitches != 0 || st.TuplesTouched != 0 {
+			t.Fatalf("%s run left the dense algebra (stats %+v)", backend, st)
+		}
 	}
 }
 

@@ -9,16 +9,6 @@ import (
 	"repro/internal/relation"
 )
 
-// NodeBackend is the representation a plan node's value is materialized in.
-type NodeBackend int8
-
-const (
-	// NodeDense is the full-width nᵏ-bit bitmap with word-parallel kernels.
-	NodeDense NodeBackend = iota
-	// NodeSparse is the sorted tuple-code block over the node's support axes.
-	NodeSparse
-)
-
 // Cost is what a route's running time is modelled as linear in: the node
 // values constructed and two volumes. Densely: the words the kernels pass over
 // (nᵏ/64 per node whatever it holds) and the bits atoms set cylindrifying
@@ -49,8 +39,8 @@ const simStages, simBudget = 64, 4096
 // Density is the per-node representation analysis of a plan against one
 // domain size: which axes each node's value constrains (its support), how
 // many tuples it is expected to hold, whether it can be evaluated sparsely at
-// all, what either representation is modelled to cost, and so which one each
-// node and the whole run should take. A plan is domain-independent; Density is
+// all, and what either representation is modelled to cost, and so which one the
+// run should take. A plan is domain-independent; Density is
 // the per-run sizing pass, rerun on every evaluation: linear in the plan but
 // for the fixpoints, whose stage loops it runs over the estimates.
 type Density struct {
@@ -69,12 +59,6 @@ type Density struct {
 	// Est[n] is the estimated stored-block size (tuples) of node n's sparse
 	// value; for a node inside a fixpoint, at the fixpoint's last stage.
 	Est []float64
-	// Mode[n] is the representation a dense run uses for node n: NodeSparse
-	// for a recursion-free subtree modelled cheaper evaluated sparsely and
-	// cylindrified once at its root than by the dense kernels (Frontier: there
-	// is one). Only plans without an all-sparse route are labelled.
-	Mode     []NodeBackend
-	Frontier bool
 
 	// SparseOK reports that every node is sparse-evaluable, so the all-sparse
 	// executor can run the plan; Blocker names the first obstruction otherwise.
@@ -84,7 +68,7 @@ type Density struct {
 
 	// DenseCost and SparseCost are the modelled times, in nanoseconds, of the
 	// all-dense and of the all-sparse route (+Inf without one): the products of
-	// DenseFeat and SparseFeat. A labelled frontier only lowers the dense one.
+	// DenseFeat and SparseFeat.
 	DenseCost, SparseCost float64
 	DenseFeat, SparseFeat Cost
 
@@ -131,7 +115,7 @@ func (p *Plan) Density(n int, card func(rel string) int) *Density {
 	d := &Density{
 		N: n, K: k, p: p, card: card, budget: simBudget, SparseOK: true,
 		Support: make([]uint64, nodes), Neg: make([]bool, nodes), Est: make([]float64, nodes),
-		Mode: make([]NodeBackend, nodes), capable: make([]bool, nodes), work: make([]float64, nodes),
+		capable: make([]bool, nodes), work: make([]float64, nodes),
 		dense: make([]Cost, nodes), sparse: make([]Cost, nodes),
 		stage: make([]float64, p.NumBinders), Loop: make([]LoopCost, p.NumBinders),
 		DeltaSparse: make([]bool, p.NumBinders),
@@ -382,46 +366,19 @@ func (d *Density) fix(id int, fx *FixInfo) {
 	}
 }
 
-// route totals the two routes and labels the dense run's sparse frontier by
-// subtree cost (shared nodes counted per parent: labels need the comparison).
+// route totals the two routes: the root projected onto the head columns, and
+// every recursion-free node once (the others are charged to their fixpoint's
+// loop).
 func (d *Density) route() {
-	p := d.p
-	// The totals: the root projected onto the head columns, and every
-	// recursion-free node once (the others are charged to their fixpoint's loop).
 	d.DenseFeat, d.SparseFeat = Cost{1, d.words, 0}, Cost{1, d.RootEst, 0}
-	for id := range p.Nodes {
-		if p.Deps[id] == 0 {
+	for id := range d.p.Nodes {
+		if d.p.Deps[id] == 0 {
 			d.DenseFeat, d.SparseFeat = d.DenseFeat.plus(d.dense[id]), d.SparseFeat.plus(d.sparse[id])
 		}
 	}
 	d.DenseCost, d.SparseCost = d.DenseFeat.NS(DenseCoef), d.SparseFeat.NS(SparseCoef)
-	// A plan with an all-sparse route is not offered the frontier: a third
-	// alternative within the model's error only adds ways to choose wrong.
-	if d.SparseOK {
-		return
-	}
-	if d.SparseCost = math.Inf(1); !d.SpaceFeasible {
-		return
-	}
-	subDense, subSparse := make([]float64, len(p.Nodes)), make([]float64, len(p.Nodes))
-	for id := range p.Nodes {
-		if p.Deps[id] != 0 {
-			continue
-		}
-		subDense[id], subSparse[id] = d.dense[id].NS(DenseCoef), d.sparse[id].NS(SparseCoef)
-		kids := p.Nodes[id].Kids
-		if fx := p.Nodes[id].Fix; fx != nil {
-			kids = p.PreEval[fx.Binder]
-		}
-		for _, kid := range kids {
-			subDense[id] += subDense[kid]
-			subSparse[id] += subSparse[kid]
-		}
-		// Cylindrifying a sparse value costs what a dense atom of its size would.
-		convert := Cost{1, d.words, d.Est[id] * d.pow(d.K-bits.OnesCount64(d.Support[id]))}.NS(DenseCoef)
-		if d.capable[id] && subSparse[id]+convert < subDense[id] {
-			d.Mode[id], d.Frontier = NodeSparse, true
-		}
+	if !d.SparseOK {
+		d.SparseCost = math.Inf(1)
 	}
 }
 

@@ -47,9 +47,6 @@ func TestDensitySupportsAndFeasibility(t *testing.T) {
 	if !small.SpaceFeasible {
 		t.Fatalf("16^3 must be dense-feasible")
 	}
-	if small.Frontier {
-		t.Fatalf("a plan with an all-sparse route is not offered a frontier")
-	}
 	if small.DenseCost <= 0 || small.SparseCost <= 0 || len(small.Loop) != 1 || small.Loop[0].Stages < 2 {
 		t.Fatalf("TC at n=16 must be priced on both routes, over a loop of several stages: %+v", small)
 	}

@@ -29,7 +29,7 @@ type Explain struct {
 	Root     int `json:"root"`
 
 	// Route is the backend route the evaluator picks for this plan against
-	// this domain ("dense", "sparse", "hybrid"; empty = unevaluable);
+	// this domain ("dense" or "sparse"; empty = unevaluable);
 	// DenseCostNS and SparseCostNS the two modelled times it was picked by
 	// (Density.DenseCost, SparseCost; no sparse figure without a sparse route).
 	Route         string  `json:"route,omitempty"`
@@ -88,10 +88,9 @@ type ExplainNode struct {
 	Binder int `json:"binder"`
 	// Hoisted: recursion-free, evaluated once per query.
 	Hoisted bool `json:"hoisted"`
-	// Density annotations (when the analysis was supplied): the hybrid
-	// executor's representation choice, negative-complement polarity, the
-	// support axes as variable names, and the tuple estimate.
-	Mode    string  `json:"mode,omitempty"`
+	// Density annotations (when the analysis was supplied): the sparse
+	// algebra's negative-complement polarity, the support axes as variable
+	// names, and the tuple estimate.
 	Neg     bool    `json:"neg,omitempty"`
 	Support string  `json:"support,omitempty"`
 	Est     float64 `json:"tuple_estimate,omitempty"`
@@ -234,11 +233,6 @@ func (p *Plan) Explain(den *Density) *Explain {
 			en.Binder = nd.Fix.Binder
 		}
 		if den != nil {
-			if den.Mode[id] == NodeSparse {
-				en.Mode = "sparse"
-			} else {
-				en.Mode = "dense"
-			}
 			en.Neg = den.Neg[id]
 			en.Support = supportVars(p, den.Support[id])
 			en.Est = den.Est[id]
@@ -370,22 +364,12 @@ func (ex *Explain) renderNode(w io.Writer, id int, prefix string, last bool, see
 }
 
 // nodeLine formats one node's tree line: id, label and the bracketed
-// annotations (hoisting, sparse mode, estimate, profile).
+// annotations (hoisting, estimate, profile).
 func (ex *Explain) nodeLine(id int) string {
 	n := &ex.Nodes[id]
 	var ann []string
 	if n.Hoisted {
 		ann = append(ann, "hoisted")
-	}
-	if n.Mode == "sparse" {
-		s := "sparse"
-		if n.Neg {
-			s += "¬"
-		}
-		if n.Support != "" {
-			s += "{" + n.Support + "}"
-		}
-		ann = append(ann, s)
 	}
 	if n.Est >= 1 {
 		ann = append(ann, fmt.Sprintf("~%.3g tuples", n.Est))

@@ -7,6 +7,8 @@ package relation
 // appearing in both lists ends up present — the update semantics documented
 // on database.Database.Apply.
 
+import "slices"
+
 // ApplyDelta returns a new set equal to (s \ del) ∪ ins. The receiver is not
 // modified — database snapshots share unchanged relations, so mutation must
 // be copy-on-write — and the returned set shares tuple storage with s and
@@ -36,8 +38,9 @@ func (d *Dense) ApplyTuples(ins, del []Tuple) {
 }
 
 // ApplyDelta returns a new sparse relation equal to (s \ del) ∪ ins, built
-// by two sorted-code merges. The receiver is unchanged; errors report tuples
-// outside the relation's k/n shape.
+// by two sorted-code merges into a block of exactly its length (SparseOf's
+// form: a database stores both). The receiver is unchanged; errors report
+// tuples outside the relation's k/n shape.
 func (s *Sparse) ApplyDelta(ins, del []Tuple) (*Sparse, error) {
 	delRel, err := SparseOf(s.k, s.n, del...)
 	if err != nil {
@@ -47,5 +50,7 @@ func (s *Sparse) ApplyDelta(ins, del []Tuple) (*Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Difference(delRel).Union(insRel), nil
+	out := s.Difference(delRel).Union(insRel)
+	out.codes = slices.Clip(out.codes)
+	return out, nil
 }

@@ -30,14 +30,15 @@ func SetOf(arity int, tuples ...Tuple) *Set {
 	return s
 }
 
+// tupleKey is the map key of t: every component whole, 8 bytes each — a Set
+// holds raw domain values (database.RelValues) as well as domain indices.
 func tupleKey(t Tuple) string {
 	var b strings.Builder
-	b.Grow(len(t) * 4)
+	b.Grow(len(t) * 8)
 	for _, v := range t {
-		b.WriteByte(byte(v >> 24))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v))
+		for shift := 56; shift >= 0; shift -= 8 {
+			b.WriteByte(byte(v >> shift))
+		}
 	}
 	return b.String()
 }

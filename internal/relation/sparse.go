@@ -39,6 +39,9 @@ func sparseShape(k, n int) ([]uint64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("relation: negative domain size %d", n)
 	}
+	if k > 62 { // what n ≥ 2 allows; over n ≤ 1 a declared arity would otherwise size the table below
+		return nil, fmt.Errorf("relation: sparse arity %d exceeds 62", k)
+	}
 	size := uint64(1)
 	for i := 0; i < k; i++ {
 		if n == 0 {
@@ -74,7 +77,8 @@ func MustSparse(k, n int) *Sparse {
 	return s
 }
 
-// SparseOf builds a sparse relation from explicit tuples.
+// SparseOf builds a sparse relation from explicit tuples, in a block of
+// exactly its length: one safe to share, which nothing clips or grows into.
 func SparseOf(k, n int, tuples ...Tuple) (*Sparse, error) {
 	s, err := NewSparse(k, n)
 	if err != nil {
@@ -89,6 +93,7 @@ func SparseOf(k, n int, tuples ...Tuple) (*Sparse, error) {
 		s.codes = append(s.codes, c)
 	}
 	s.canon()
+	s.codes = slices.Clip(s.codes)
 	return s, nil
 }
 

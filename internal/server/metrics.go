@@ -75,7 +75,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		tuplesTouched: r.NewCounter("bvqd_eval_tuples_touched_total",
 			"Tuples written by sparse-backend operations across all runs."),
 		repSwitches: r.NewCounter("bvqd_eval_rep_switches_total",
-			"Changes of representation inside auto-backend runs: stage loops handed to the other backend at a stage boundary, sparse attempts continued dense after a budget overrun, sparse subtrees cylindrified at a hybrid frontier."),
+			"Changes of representation inside auto-backend runs: stage loops handed to the other backend at a stage boundary, sparse attempts continued dense after a budget overrun."),
 		acyclicFast: r.NewCounter("bvqd_eval_acyclic_fastpath_total",
 			"Evaluations whose plan is an acyclic conjunctive query compiled from its variable-minimised form."),
 
