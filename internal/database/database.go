@@ -363,7 +363,8 @@ func (db *Database) String() string {
 		fmt.Fprintf(&sb, "%s/%d = {", name, db.arity[name])
 		sep := ""
 		db.eachValue(name, func(t relation.Tuple) {
-			sb.WriteString(sep + t.String())
+			sb.WriteString(sep)
+			sb.WriteString(t.String())
 			sep = ", "
 		})
 		sb.WriteString("}\n")

@@ -39,10 +39,10 @@ const simStages, simBudget = 64, 4096
 // Density is the per-node representation analysis of a plan against one
 // domain size: which axes each node's value constrains (its support), how
 // many tuples it is expected to hold, whether it can be evaluated sparsely at
-// all, and what either representation is modelled to cost, and so which one the
-// run should take. A plan is domain-independent; Density is
-// the per-run sizing pass, rerun on every evaluation: linear in the plan but
-// for the fixpoints, whose stage loops it runs over the estimates.
+// all, and what either representation is modelled to cost — so which one the
+// run should take. A plan is domain-independent; Density is the per-run sizing
+// pass, rerun on every evaluation: linear in the plan but for the fixpoints,
+// whose stage loops it runs over the estimates.
 type Density struct {
 	// N is the domain size the analysis was computed for; K the plan width.
 	N, K int
@@ -134,7 +134,18 @@ func (p *Plan) Density(n int, card func(rel string) int) *Density {
 		d.block("plan contains a node without a sparse kernel")
 	}
 	d.RootEst = d.Est[p.Root]
-	d.route()
+	// The two routes' totals: the root projected onto the head columns, and every
+	// recursion-free node once (the others are charged to their fixpoint's loop).
+	d.DenseFeat, d.SparseFeat = Cost{1, d.words, 0}, Cost{1, d.RootEst, 0}
+	for id := range p.Nodes {
+		if p.Deps[id] == 0 {
+			d.DenseFeat, d.SparseFeat = d.DenseFeat.plus(d.dense[id]), d.SparseFeat.plus(d.sparse[id])
+		}
+	}
+	d.DenseCost, d.SparseCost = d.DenseFeat.NS(DenseCoef), d.SparseFeat.NS(SparseCoef)
+	if !d.SparseOK {
+		d.SparseCost = math.Inf(1)
+	}
 	return d
 }
 
@@ -363,22 +374,6 @@ func (d *Density) fix(id int, fx *FixInfo) {
 	if delta {
 		d.sparse[id][1] += perDelta
 		d.sparse[id][2] += perCount / final * sumCount
-	}
-}
-
-// route totals the two routes: the root projected onto the head columns, and
-// every recursion-free node once (the others are charged to their fixpoint's
-// loop).
-func (d *Density) route() {
-	d.DenseFeat, d.SparseFeat = Cost{1, d.words, 0}, Cost{1, d.RootEst, 0}
-	for id := range d.p.Nodes {
-		if d.p.Deps[id] == 0 {
-			d.DenseFeat, d.SparseFeat = d.DenseFeat.plus(d.dense[id]), d.SparseFeat.plus(d.sparse[id])
-		}
-	}
-	d.DenseCost, d.SparseCost = d.DenseFeat.NS(DenseCoef), d.SparseFeat.NS(SparseCoef)
-	if !d.SparseOK {
-		d.SparseCost = math.Inf(1)
 	}
 }
 
