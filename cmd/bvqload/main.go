@@ -352,8 +352,8 @@ func doUpdate(client *http.Client, cfg *config, tl *tally, toggle *atomic.Int64)
 	}
 }
 
-// scrapeMetrics GETs /metrics and indexes samples by name and label set.
-func scrapeMetrics(client *http.Client, target string) (map[string]map[string]float64, error) {
+// scrapeMetrics GETs and parses /metrics.
+func scrapeMetrics(client *http.Client, target string) ([]metrics.Family, error) {
 	resp, err := client.Get(target + "/metrics")
 	if err != nil {
 		return nil, err
@@ -363,35 +363,22 @@ func scrapeMetrics(client *http.Client, target string) (map[string]map[string]fl
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("/metrics: %s", resp.Status)
 	}
-	fams, err := metrics.ParseText(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]float64)
-	for _, f := range fams {
-		for _, s := range f.Samples {
-			bySeries := out[s.Name]
-			if bySeries == nil {
-				bySeries = make(map[string]float64)
-				out[s.Name] = bySeries
-			}
-			bySeries[labelKey(s.Labels)] += s.Value
-		}
-	}
-	return out, nil
+	return metrics.ParseText(resp.Body)
 }
 
-func labelKey(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
+// totals sums the samples called name by the value of their le label ("" for
+// samples without one): a counter's total over its label sets, or a
+// histogram's cumulative bucket counts over its children.
+func totals(fams []metrics.Family, name string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == name {
+				out[s.Labels["le"]] += s.Value
+			}
+		}
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s,", k, labels[k])
-	}
-	return b.String()
+	return out
 }
 
 type serverReport struct {
@@ -408,33 +395,30 @@ type serverReport struct {
 // bvqd_query_latency_seconds family: bucket deltas summed across label
 // sets (engines; replicas too when scraping a router aggregate), then
 // interpolated like histogram_quantile.
-func serverDelta(before, after map[string]map[string]float64) *serverReport {
-	sumDelta := func(name string) float64 {
-		total := 0.0
-		for key, v := range after[name] {
-			total += v - before[name][key]
+func serverDelta(before, after []metrics.Family) *serverReport {
+	delta := func(name string) map[string]float64 {
+		d, was := totals(after, name), totals(before, name)
+		for le := range d {
+			d[le] -= was[le]
 		}
-		return total
+		return d
 	}
 	rep := &serverReport{
-		Queries:  sumDelta("bvqd_queries_total"),
-		Shed:     sumDelta("bvqd_shed_total"),
-		Timeouts: sumDelta("bvqd_timeouts_total"),
-		Errors:   sumDelta("bvqd_errors_total"),
+		Queries:  delta("bvqd_queries_total")[""],
+		Shed:     delta("bvqd_shed_total")[""],
+		Timeouts: delta("bvqd_timeouts_total")[""],
+		Errors:   delta("bvqd_errors_total")[""],
 	}
 
 	// Collapse bucket series to cumulative counts per le bound.
 	byLE := make(map[float64]float64)
-	var infDelta float64
-	for key, v := range after["bvqd_query_latency_seconds_bucket"] {
-		delta := v - before["bvqd_query_latency_seconds_bucket"][key]
-		le := leOf(key)
-		if math.IsInf(le, 1) {
-			infDelta += delta
-		} else if !math.IsNaN(le) {
-			byLE[le] += delta
+	for le, d := range delta("bvqd_query_latency_seconds_bucket") {
+		if b, err := strconv.ParseFloat(le, 64); err == nil && !math.IsNaN(b) {
+			byLE[b] += d
 		}
 	}
+	infDelta := byLE[math.Inf(1)]
+	delete(byLE, math.Inf(1))
 	bounds := make([]float64, 0, len(byLE))
 	for b := range byLE {
 		bounds = append(bounds, b)
@@ -451,23 +435,6 @@ func serverDelta(before, after map[string]map[string]float64) *serverReport {
 		rep.P99MS = p * 1000
 	}
 	return rep
-}
-
-// leOf extracts the le bound from a labelKey-encoded label set.
-func leOf(key string) float64 {
-	for _, part := range strings.Split(key, ",") {
-		if rest, ok := strings.CutPrefix(part, "le="); ok {
-			if rest == "+Inf" {
-				return math.Inf(1)
-			}
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				return math.NaN()
-			}
-			return v
-		}
-	}
-	return math.NaN()
 }
 
 type report struct {

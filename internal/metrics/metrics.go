@@ -17,9 +17,10 @@
 //
 // All instruments are safe for concurrent use. Registration happens at
 // construction time and panics on a duplicate family name — wiring bugs
-// should fail at startup, not at scrape time. ParseText (parse.go) is the
-// matching reader, used by the exposition-format tests and the bvqbench
-// -scrape mode.
+// should fail at startup, not at scrape time. WriteText is the one writer of
+// the format and ParseText (parse.go) the matching reader, used by the
+// exposition-format tests, bvqbench -scrape and bvqload; Merge sums parsed
+// expositions into the router's fleet page.
 package metrics
 
 import (
@@ -343,20 +344,32 @@ func (r *Registry) Families() []string {
 	return names
 }
 
-// WriteTo renders every registered family in Prometheus text format,
-// families sorted by name, each preceded by its # HELP and # TYPE lines.
+// WriteTo renders every registered family through WriteText, families
+// sorted by name.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	copy(fams, r.order)
+	regs := make([]*family, len(r.order))
+	copy(regs, r.order)
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	sort.Slice(regs, func(i, j int) bool { return regs[i].name < regs[j].name })
+	fams := make([]Family, len(regs))
+	for i, f := range regs {
+		fams[i] = Family{Name: f.name, Help: f.help, Type: f.typ, Samples: f.collect()}
+	}
+	return WriteText(w, fams)
+}
 
+// WriteText renders families in Prometheus text format, in the order given:
+// each family's # HELP and # TYPE lines, then its samples. It is the one
+// writer of the format — Registry.WriteTo and the router's fleet page both
+// end here — and what ParseText accepts it writes back as the same families.
+func WriteText(w io.Writer, fams []Family) (int64, error) {
 	var b strings.Builder
 	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.collect() {
+		b.WriteString("# HELP " + f.Name + " ")
+		b.WriteString(escapeHelp(f.Help))
+		b.WriteString("\n# TYPE " + f.Name + " " + f.Type + "\n")
+		for _, s := range f.Samples {
 			b.WriteString(s.Name)
 			writeLabels(&b, s.Labels)
 			b.WriteByte(' ')
@@ -368,10 +381,53 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// Merge adds several expositions into one, as a fleet total: families in
+// first-seen order with the help and type they were first seen with, and
+// samples with the same name and label set summed, in first-seen order.
+// Counters and gauges add; histogram buckets add bucket-wise, which is exact
+// when every input uses the same bounds.
+func Merge(sets ...[]Family) []Family {
+	var out []Family
+	famAt := make(map[string]int)
+	type series struct {
+		fam int
+		id  string // sample name and labelKey
+	}
+	sampleAt := make(map[series]int)
+	for _, fams := range sets {
+		for _, f := range fams {
+			i, ok := famAt[f.Name]
+			if !ok {
+				i = len(out)
+				famAt[f.Name] = i
+				out = append(out, Family{Name: f.Name, Help: f.Help, Type: f.Type})
+			}
+			for _, s := range f.Samples {
+				key := series{i, s.Name + labelKey(s.Labels)}
+				if j, ok := sampleAt[key]; ok {
+					out[i].Samples[j].Value += s.Value
+				} else {
+					sampleAt[key] = len(out[i].Samples)
+					out[i].Samples = append(out[i].Samples, s)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // ServeHTTP exposes the registry as a Prometheus scrape target.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = r.WriteTo(w) // the scraper is gone if this fails; nothing to do
+}
+
+// labelKey is a label set as writeLabels writes it, {k="v",...} with the
+// names sorted and the values escaped: equal exactly when the sets are.
+func labelKey(labels map[string]string) string {
+	var b strings.Builder
+	writeLabels(&b, labels)
+	return b.String()
 }
 
 func writeLabels(b *strings.Builder, labels map[string]string) {

@@ -248,3 +248,55 @@ func sampleValue(t *testing.T, fams []Family, sample string, labels map[string]s
 	t.Fatalf("sample %s%v not found", sample, labels)
 	return 0
 }
+
+// TestParseKeepsSeriesThatJoinAlike: a label value may hold the separators
+// of another label set's rendering; the two are still different series.
+func TestParseKeepsSeriesThatJoinAlike(t *testing.T) {
+	fams, err := ParseText(strings.NewReader("# HELP a x\n# TYPE a counter\na{x=\"1,y=2\"} 1\na{x=\"1\",y=\"2\"} 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fams[0].Samples); n != 2 {
+		t.Fatalf("%d samples, want 2", n)
+	}
+	if got := Merge(fams, fams)[0].Samples; len(got) != 2 || got[0].Value != 2 || got[1].Value != 2 {
+		t.Fatalf("merged %+v, want the two series kept apart and doubled", got)
+	}
+}
+
+// TestMergeSumsInFirstSeenOrder: families and series come out in the order
+// they were first seen, metadata from their first appearance, values summed.
+func TestMergeSumsInFirstSeenOrder(t *testing.T) {
+	a := []Family{
+		{Name: "q_total", Help: "first", Type: "counter", Samples: []Sample{{Name: "q_total", Value: 2}}},
+		{Name: "r_total", Help: "r", Type: "counter", Samples: []Sample{
+			{Name: "r_total", Labels: map[string]string{"code": "200"}, Value: 1},
+		}},
+	}
+	b := []Family{
+		{Name: "r_total", Help: "r", Type: "counter", Samples: []Sample{
+			{Name: "r_total", Labels: map[string]string{"code": "500"}, Value: 4},
+			{Name: "r_total", Labels: map[string]string{"code": "200"}, Value: 0.5},
+		}},
+		{Name: "s", Help: "only here", Type: "gauge", Samples: []Sample{{Name: "s", Value: 1e6}}},
+		{Name: "q_total", Help: "second", Type: "counter", Samples: []Sample{{Name: "q_total", Value: 3}}},
+	}
+	var out strings.Builder
+	if _, err := WriteText(&out, Merge(a, b)); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP q_total first
+# TYPE q_total counter
+q_total 5
+# HELP r_total r
+# TYPE r_total counter
+r_total{code="200"} 1.5
+r_total{code="500"} 4
+# HELP s only here
+# TYPE s gauge
+s 1e+06
+`
+	if out.String() != want {
+		t.Fatalf("got\n%s\nwant\n%s", out.String(), want)
+	}
+}

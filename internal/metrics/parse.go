@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Family is one parsed metric family: its metadata and every sample line
-// that belongs to it.
+// Family is one metric family: its metadata (Help unescaped) and every
+// sample line that belongs to it, as ParseText reads and WriteText writes it.
 type Family struct {
 	Name    string
 	Help    string
@@ -32,7 +32,7 @@ type Family struct {
 //     ending at +Inf) and agree with _count.
 //
 // It is the verifier behind the /metrics tests and the reader behind
-// bvqbench -scrape.
+// bvqbench -scrape, bvqload and the router's fleet page.
 func ParseText(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -58,7 +58,8 @@ func ParseText(r io.Reader) ([]Family, error) {
 			if seenFam[name] {
 				return nil, fmt.Errorf("line %d: duplicate metric family %q", lineNo, name)
 			}
-			pendingHelp, pendingHelpText = name, help
+			// A CRLF line loses one \r to the scanner; the help text loses the rest.
+			pendingHelp, pendingHelpText = name, helpUnescaper.Replace(strings.TrimRight(help, "\r"))
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -94,9 +95,9 @@ func ParseText(r io.Reader) ([]Family, error) {
 		if !sampleBelongs(s.Name, cur.Name, cur.Type) {
 			return nil, fmt.Errorf("line %d: sample %s under family %s", lineNo, s.Name, cur.Name)
 		}
-		id := s.Name + "|" + labelKey(s.Labels)
+		id := s.Name + labelKey(s.Labels)
 		if seenSample[id] {
-			return nil, fmt.Errorf("line %d: duplicate sample %s{%s}", lineNo, s.Name, labelKey(s.Labels))
+			return nil, fmt.Errorf("line %d: duplicate sample %s", lineNo, id)
 		}
 		seenSample[id] = true
 		cur.Samples = append(cur.Samples, s)
@@ -116,6 +117,9 @@ func ParseText(r io.Reader) ([]Family, error) {
 	}
 	return fams, nil
 }
+
+// helpUnescaper undoes escapeHelp; a backslash before any other byte stays.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
 
 func sampleBelongs(sample, fam, typ string) bool {
 	if sample == fam {
@@ -175,10 +179,10 @@ func checkHistogram(f *Family) error {
 	}
 	for key, g := range groups {
 		if !g.haveInf {
-			return fmt.Errorf("%s{%s}: no le=\"+Inf\" bucket", f.Name, key)
+			return fmt.Errorf("%s%s: no le=\"+Inf\" bucket", f.Name, key)
 		}
 		if g.inf != g.count {
-			return fmt.Errorf("%s{%s}: +Inf bucket %g != count %g", f.Name, key, g.inf, g.count)
+			return fmt.Errorf("%s%s: +Inf bucket %g != count %g", f.Name, key, g.inf, g.count)
 		}
 	}
 	return nil
@@ -288,30 +292,4 @@ func isNameChar(c byte, first bool) bool {
 		return !first
 	}
 	return false
-}
-
-func labelKey(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	// insertion sort: label sets are tiny
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
-	}
-	return b.String()
 }

@@ -295,10 +295,20 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusServiceUnavailable, "no healthy replicas")
 		return
 	}
-	if probe.Stream {
-		rt.forwardStream(w, r, body, cands)
-	} else {
-		rt.forwardJSON(w, r, body, cands)
+	served, resp := rt.forward(r, body, cands, !probe.Stream)
+	switch {
+	case resp == nil && r.Context().Err() != nil:
+		// The client is gone: nobody to answer.
+	case resp == nil:
+		rt.metrics.unrouted.Inc()
+		failJSON(w, http.StatusBadGateway, "no replica could serve the %s (tried %d)", route, len(cands))
+	case probe.Stream && resp.StatusCode == http.StatusOK:
+		rt.relayStream(w, resp, served)
+	default:
+		if resp.StatusCode == http.StatusTooManyRequests {
+			rt.metrics.shedRelays.Inc()
+		}
+		rt.relay(w, resp, served)
 	}
 	rt.metrics.latency.With(route).Observe(time.Since(start).Seconds())
 }
@@ -435,42 +445,24 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 	}
 }
 
-// relay copies an upstream response to the client, tagging which replica
-// served it.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
-	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.Header().Set("X-Bvqrouter-Replica", m.url)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// shedCapture is a fully read 429 kept as the answer of last resort when
-// every replica sheds.
-type shedCapture struct {
-	m      *member
-	header http.Header
-	body   []byte
-}
-
-// forwardJSON walks the preference list with per-replica cooldowns,
-// hedging, and bounded waiting for the earliest cooldown to expire. The
-// first non-shed response is relayed verbatim (replica errors are
-// authoritative: a 400 or 504 retried elsewhere would give the same
-// answer). If every pass sheds, the last 429 is relayed so the client sees
-// the fleet's own backpressure contract.
-func (rt *Router) forwardJSON(w http.ResponseWriter, r *http.Request, body []byte, cands []*member) {
+// forward walks a key's preference list. A member out of the ring is
+// skipped, one cooling down after a shed is passed over (its cooldown bounds
+// the wait before the next pass), a transport error moves down the list. It
+// returns the first answer that is not a 429 — replica errors are
+// authoritative: a 400 or 504 retried elsewhere would give the same answer —
+// or, if every pass shed, the last 429, read into memory, so the client sees
+// the fleet's own backpressure contract. A nil response means the client went
+// away or no replica could be reached. With hedge set an attempt races the
+// next available member after the hedge delay; a stream passes false, since
+// its first byte commits it to one replica.
+func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge bool) (*member, *http.Response) {
 	ctx := r.Context()
-	var shed *shedCapture
+	var shed *http.Response
+	var shedBy *member
 	for pass := 0; pass <= rt.retries; pass++ {
 		wait := time.Duration(-1)
 		shedThisPass := false
-		for i := 0; i < len(cands); i++ {
-			m := cands[i]
+		for i, m := range cands {
 			if !m.healthy.Load() {
 				continue
 			}
@@ -481,7 +473,7 @@ func (rt *Router) forwardJSON(w http.ResponseWriter, r *http.Request, body []byt
 				continue
 			}
 			var backup *member
-			for j := i + 1; j < len(cands); j++ {
+			for j := i + 1; hedge && j < len(cands); j++ {
 				if cands[j].healthy.Load() && cands[j].cooling() == 0 {
 					backup = cands[j]
 					break
@@ -493,20 +485,18 @@ func (rt *Router) forwardJSON(w http.ResponseWriter, r *http.Request, body []byt
 			served, resp, err := rt.hedgedDo(ctx, m, backup, "/query", body, r.Header)
 			if err != nil {
 				if ctx.Err() != nil {
-					return // client gone
+					return nil, nil
 				}
 				continue // members already evicted; move down the list
 			}
-			if resp.StatusCode == http.StatusTooManyRequests {
-				coolFromRetryAfter(served, resp)
-				capBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				resp.Body.Close()
-				shed = &shedCapture{m: served, header: resp.Header, body: capBody}
-				shedThisPass = true
-				continue
+			if resp.StatusCode != http.StatusTooManyRequests {
+				return served, resp
 			}
-			rt.relay(w, resp, served)
-			return
+			coolFromRetryAfter(served, resp)
+			captured, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+			resp.Body.Close()
+			resp.Body = io.NopCloser(bytes.NewReader(captured))
+			shed, shedBy, shedThisPass = resp, served, true
 		}
 		// Another pass is worth it only if something shed this pass or a
 		// cooldown is still ticking — and only if the wait fits the cap.
@@ -520,120 +510,40 @@ func (rt *Router) forwardJSON(w http.ResponseWriter, r *http.Request, body []byt
 			select {
 			case <-time.After(wait + time.Millisecond):
 			case <-ctx.Done():
-				return
+				return nil, nil
 			}
 		}
 	}
-	if shed != nil {
-		rt.metrics.shedRelays.Inc()
-		for _, k := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
-			if v := shed.header.Get(k); v != "" {
-				w.Header().Set(k, v)
-			}
-		}
-		w.Header().Set("X-Bvqrouter-Replica", shed.m.url)
-		w.WriteHeader(http.StatusTooManyRequests)
-		_, _ = w.Write(shed.body)
-		return
-	}
-	rt.metrics.unrouted.Inc()
-	failJSON(w, http.StatusBadGateway, "no replica could serve the query (tried %d)", len(cands))
+	return shedBy, shed
 }
 
-// forwardStream relays an NDJSON stream byte-for-byte. Pre-first-byte
-// failures (transport errors, sheds) walk the preference list exactly like
-// JSON requests; once the upstream 200 header is relayed the stream is
-// committed to one replica, and an upstream death mid-stream is repaired
-// by appending the error trailer the contract promises — the downstream
-// client must never have to distinguish truncation from completion on its
-// own.
-func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []byte, cands []*member) {
-	ctx := r.Context()
-	var shed *shedCapture
-	var resp *http.Response
-	var served *member
-	for pass := 0; pass <= rt.retries && resp == nil; pass++ {
-		wait := time.Duration(-1)
-		shedThisPass := false
-		for i := 0; i < len(cands); i++ {
-			m := cands[i]
-			if !m.healthy.Load() {
-				continue
-			}
-			if d := m.cooling(); d > 0 {
-				if wait < 0 || d < wait {
-					wait = d
-				}
-				continue
-			}
-			if pass > 0 || i > 0 {
-				rt.metrics.retries.Inc()
-			}
-			up, err := rt.do(ctx, m, "/query", body, r.Header)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				continue
-			}
-			if up.StatusCode == http.StatusTooManyRequests {
-				coolFromRetryAfter(m, up)
-				capBody, _ := io.ReadAll(io.LimitReader(up.Body, 1<<16))
-				up.Body.Close()
-				shed = &shedCapture{m: m, header: up.Header, body: capBody}
-				shedThisPass = true
-				continue
-			}
-			resp, served = up, m
-			break
-		}
-		if resp != nil {
-			break
-		}
-		if !shedThisPass && wait < 0 {
-			break
-		}
-		if wait > 0 && (rt.maxRetryWait < 0 || wait > rt.maxRetryWait) {
-			break
-		}
-		if wait > 0 {
-			select {
-			case <-time.After(wait + time.Millisecond):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-	if resp == nil {
-		if shed != nil {
-			rt.metrics.shedRelays.Inc()
-			for _, k := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
-				if v := shed.header.Get(k); v != "" {
-					w.Header().Set(k, v)
-				}
-			}
-			w.Header().Set("X-Bvqrouter-Replica", shed.m.url)
-			w.WriteHeader(http.StatusTooManyRequests)
-			_, _ = w.Write(shed.body)
-			return
-		}
-		rt.metrics.unrouted.Inc()
-		failJSON(w, http.StatusBadGateway, "no replica could serve the stream (tried %d)", len(cands))
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Pre-stream JSON error from the replica: authoritative, relay.
-		rt.relay(w, resp, served)
-		return
-	}
-	for _, k := range []string{"Content-Type", "X-Request-Id"} {
+// writeHeader starts a relayed response: the upstream's status and the
+// headers a client reads, tagged with the replica that served it.
+func writeHeader(w http.ResponseWriter, resp *http.Response, m *member) {
+	for _, k := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
 	}
-	w.Header().Set("X-Bvqrouter-Replica", served.url)
-	w.WriteHeader(http.StatusOK)
+	w.Header().Set("X-Bvqrouter-Replica", m.url)
+	w.WriteHeader(resp.StatusCode)
+}
+
+// relay copies an upstream response — an answer, a replica's error, a shed —
+// to the client as it came.
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
+	defer resp.Body.Close()
+	writeHeader(w, resp, m)
+	_, _ = io.Copy(w, resp.Body)
+}
+
+// relayStream relays a 200 NDJSON stream byte-for-byte: the stream is
+// committed to its replica, and an upstream death mid-stream is repaired by
+// appending the error trailer the contract promises — the downstream client
+// must never have to distinguish truncation from completion on its own.
+func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, served *member) {
+	defer resp.Body.Close()
+	writeHeader(w, resp, served)
 	flusher, _ := w.(http.Flusher)
 
 	// Lines are relayed as they are read and flushed whenever the upstream
@@ -702,6 +612,6 @@ func (rt *Router) forwardStream(w http.ResponseWriter, r *http.Request, body []b
 	}
 }
 
-// streamReaders recycles forwardStream's 64 KiB line buffers: one a stream
+// streamReaders recycles relayStream's 64 KiB line buffers: one a stream
 // was the largest single allocation of a routed drain.
 var streamReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}

@@ -382,6 +382,36 @@ func TestUpdateFanoutAggregatesVersions(t *testing.T) {
 	}
 }
 
+// TestUpdateFanoutEscapesDatabaseName: the database name is a path segment
+// on the way to every replica, so whatever escaping brought it to the
+// router takes it on to the replica.
+func TestUpdateFanoutEscapesDatabaseName(t *testing.T) {
+	seen := make(chan string, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /db/{name}/update", func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.PathValue("name")
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"version":2,"fingerprint":"00000000000000aa"}`)
+	})
+	replica := httptest.NewServer(mux)
+	defer replica.Close()
+	_, ts := newTestRouter(t, Config{Replicas: []string{replica.URL}})
+	for _, c := range [][2]string{{"graph", "graph"}, {"x%3Fy", "x?y"}, {"a%2Fb", "a/b"}, {"p%25q", "p%q"}, {"a%20b", "a b"}} {
+		escaped, name := c[0], c[1]
+		resp, body := postJSON(t, ts.URL+"/db/"+escaped+"/update", `{"updates":[{"relation":"E","insert":[[3,0]]}]}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (body %s)", escaped, resp.StatusCode, body)
+		}
+		if got := <-seen; got != name {
+			t.Fatalf("%s: the replica was asked to update %q, want %q", escaped, got, name)
+		}
+		var agg updateAggregate
+		if err := json.Unmarshal(body, &agg); err != nil || agg.Database != name {
+			t.Fatalf("%s: aggregate %s names database %q, want %q", escaped, body, agg.Database, name)
+		}
+	}
+}
+
 func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
