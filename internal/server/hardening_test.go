@@ -201,6 +201,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestBogusEnginesLabelledUnknown: engine names a client makes up do not
+// become label values. After 200 distinct ones the latency family holds the
+// engines that served and "unknown", nothing else.
+func TestBogusEnginesLabelledUnknown(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"})
+	for i := 0; i < 200; i++ {
+		postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "warp" + strconv.Itoa(i)})
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == "bvqd_query_latency_seconds_count" {
+				counts[s.Labels["engine"]] = s.Value
+			}
+		}
+	}
+	if len(counts) != 2 || counts["bottomup"] != 1 || counts["unknown"] != 200 {
+		t.Fatalf("latency observations by engine %v, want bottomup 1 and unknown 200", counts)
+	}
+}
+
 // TestSaturationSheds429 is the overload drill: one evaluation slot, a
 // one-deep wait queue, and six simultaneous uncacheable requests while the
 // only slot is wedged open. The excess must shed with 429 + Retry-After,

@@ -147,7 +147,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // observe records one finished /query request: latency under the resolved
-// engine name and the response status.
+// engine name and the response status. A request rejected before its engine
+// resolved — a bad body, an unknown database or engine name — is labelled
+// "unknown": the client's string is no label value, or every misspelling
+// would add a histogram child for the life of the process.
 func (m *serverMetrics) observe(engine string, status int, elapsed time.Duration) {
 	if engine == "" {
 		engine = "unknown"

@@ -39,7 +39,7 @@ type query struct {
 	// rendering are consistent.
 	snap        *database.Database
 	engine      bvq.Engine
-	engineName  string
+	engineName  string // "" until the engine resolves
 	backendName string
 	wireBackend string // backendName when the request named a backend: the responses' echo
 	pl          cache.Plan
@@ -164,14 +164,15 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		return http.StatusNotFound, fmt.Errorf("unknown database %q", req.Database)
 	}
 	q.nd, q.snap = nd, nd.snap.Load()
-	q.engineName = req.Engine
-	if q.engineName == "" {
-		q.engineName = bvq.EngineCompiled.String()
+	name := req.Engine
+	if name == "" {
+		name = bvq.EngineCompiled.String()
 	}
 	var err error
-	if q.engine, err = bvq.EngineByName(q.engineName); err != nil {
+	if q.engine, err = bvq.EngineByName(name); err != nil {
 		return http.StatusBadRequest, err
 	}
+	q.engineName = name
 	backend, err := eval.BackendByName(req.Backend)
 	if err != nil {
 		return http.StatusBadRequest, err
