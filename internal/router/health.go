@@ -37,11 +37,11 @@ func (rt *Router) healthLoop(interval time.Duration, threshold int) {
 	}
 }
 
-type probeError string
+type memberError string
 
-func (e probeError) Error() string { return string(e) }
+func (e memberError) Error() string { return string(e) }
 
-const errProbeFailed = probeError("health probes failed")
+const errProbeFailed = memberError("health probes failed")
 
 // probe reports whether one /healthz round-trip succeeded.
 func (rt *Router) probe(m *member, timeout time.Duration) bool {
