@@ -1,6 +1,6 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27723
+LOC_CEILING = 27574
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
 
@@ -47,10 +47,14 @@ all: vet test build
 # of the axis-kernel target (ExistsAxis/ForallAxis against the bit-level
 # references, ProjectAt and the From*Atom cylinders against enumeration, shape,
 # density, axis and operator from the input, operands untouched, results trimmed)
-# and of the database-text target (Parse and DecodeEncoded never panic, what
+# of the database-text target (Parse and DecodeEncoded never panic, what
 # either accepts prints to text that reads back with equal fingerprint, RelIDs and
 # stored codes, Apply stores what a build of the new content stores and an update
-# followed by its inverse restores both),
+# followed by its inverse restores both), of the exposition target (ParseText never
+# panics, what it accepts WriteText writes back to the same families, a registry
+# with any label values writes text that parses) and of the stream-relay target
+# (the router passes upstream NDJSON bytes through exactly and appends one
+# trailer exactly when the upstream did not close the stream with its own),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -85,6 +89,8 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzSemijoin -fuzztime=5s ./internal/relation/
 	$(GO) test -run=NONE -fuzz=FuzzAxisKernels -fuzztime=5s ./internal/relation/
 	$(GO) test -run=NONE -fuzz=FuzzDatabaseText -fuzztime=5s ./internal/database/
+	$(GO) test -run=NONE -fuzz=FuzzParseText -fuzztime=5s ./internal/metrics/
+	$(GO) test -run=NONE -fuzz=FuzzStreamRelay -fuzztime=5s ./internal/router/
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck
