@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro"
 	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/logic"
@@ -216,10 +217,12 @@ func engineRecords(bench, dbName string, n int, q logic.Query, db *database.Data
 	var recs []Record
 	baseline := -1
 	for _, name := range engines {
+		engine, err := bvq.EngineByName(name)
+		die(err)
 		var tuples int
 		var st *eval.Stats
 		nsPerOp, reps := measure(func() {
-			a, s, err := evalByName(name, q, db)
+			a, s, err := bvq.EvalStats(q, db, engine, nil)
 			die(err)
 			tuples = a.Len()
 			st = s
@@ -232,24 +235,12 @@ func engineRecords(bench, dbName string, n int, q logic.Query, db *database.Data
 		rec := Record{Bench: bench, Engine: name, Query: q.String(), DB: dbName, N: n,
 			Reps: reps, NsPerOp: nsPerOp, Answer: tuples, Stats: toStatsJSON(st)}
 		rec.PeakHeapBytes, rec.AllocBytes = measureMem(func() {
-			_, _, err := evalByName(name, q, db)
+			_, _, err := bvq.EvalStats(q, db, engine, nil)
 			die(err)
 		})
 		recs = append(recs, rec)
 	}
 	return recs
-}
-
-func evalByName(name string, q logic.Query, db *database.Database) (*relation.Set, *eval.Stats, error) {
-	switch name {
-	case "bottomup":
-		return eval.BottomUpStats(q, db, nil)
-	case "compiled":
-		return eval.CompiledStats(q, db, nil)
-	case "monotone":
-		return eval.MonotoneStats(q, db, nil)
-	}
-	return nil, nil, fmt.Errorf("bvqbench: unknown engine %q", name)
 }
 
 // tcQuery is binary transitive closure T(x,y) ≡ E(x,y) ∨ ∃z(E(x,z) ∧

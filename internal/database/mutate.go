@@ -76,16 +76,6 @@ func (d *Delta) Relations() []string {
 	return out
 }
 
-// InsertOnly reports whether the delta removes nothing.
-func (d *Delta) InsertOnly() bool {
-	for _, rd := range d.Rels {
-		if len(rd.Del) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Counts returns the total number of effectively inserted and deleted tuples.
 func (d *Delta) Counts() (ins, del int) {
 	for _, rd := range d.Rels {

@@ -69,9 +69,6 @@ func TestApplySnapshot(t *testing.T) {
 	if len(rd.Del) != 1 {
 		t.Fatalf("delta del = %v", rd.Del)
 	}
-	if delta.InsertOnly() {
-		t.Fatalf("delta with a delete reported InsertOnly")
-	}
 	if ins, del := delta.Counts(); ins != 1 || del != 1 {
 		t.Fatalf("Counts = %d,%d", ins, del)
 	}

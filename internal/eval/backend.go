@@ -113,7 +113,7 @@ func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 			return nil, nil, nil, fmt.Errorf("eval: maintenance state has %d binders, plan has %d", len(prev.stages), p.NumBinders)
 		}
 	}
-	if err := validatePlanRun(ctx, p, db, opts); err != nil {
+	if err := validateRun(ctx, p.Query, db, opts); err != nil {
 		return nil, nil, nil, err
 	}
 	res, err := evalRoute(ctx, p, db, opts, routePlan(p, db, opts), prev, capture)
@@ -140,20 +140,6 @@ func setOf(v relation.View) *relation.Set {
 func EvalPlanContext(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	v, stats, _, err := EvalPlan(ctx, p, db, opts, nil, false)
 	return setOf(v), stats, err
-}
-
-// validatePlanRun is the shared entry validation of every plan evaluation.
-func validatePlanRun(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) error {
-	if err := p.Query.Validate(signatureOf(db)); err != nil {
-		return err
-	}
-	if err := checkDomain(db); err != nil {
-		return err
-	}
-	if err := checkWidth(p.Query, opts); err != nil {
-		return err
-	}
-	return checkCtx(ctx)
 }
 
 // planResult is the outcome of one routed plan evaluation: the answer (nil on

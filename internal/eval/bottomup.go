@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/database"
@@ -55,16 +54,16 @@ type atomCache struct {
 }
 
 // master returns the shared cylindrified form of the database atom
-// name(args) over sp, building it on first use. Masters are never mutated:
-// readers copy them.
-func (ac *atomCache) master(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
+// name(args), building it through alg on first use. Masters are never
+// mutated: readers copy them.
+func (ac *atomCache) master(alg *denseAlg, name string, args []int) (*relation.Dense, error) {
 	key := atomKey(name, args)
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if m, ok := ac.m[key]; ok {
 		return m, nil
 	}
-	m, err := denseAtom(sp, db, name, args)
+	m, err := alg.atom(name, args)
 	if err != nil {
 		return nil, err
 	}
@@ -73,32 +72,6 @@ func (ac *atomCache) master(sp *relation.Space, db *database.Database, name stri
 	}
 	ac.m[key] = m
 	return m, nil
-}
-
-// spaceCache shares the per-arity extended spaces (and with them their
-// scratch pools and diagonal/template caches) across all fixpoint visits and
-// sweep workers of one evaluation.
-type spaceCache struct {
-	mu sync.Mutex
-	n  int
-	m  map[int]*relation.Space
-}
-
-func (sc *spaceCache) space(arity int) (*relation.Space, error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sp, ok := sc.m[arity]; ok {
-		return sp, nil
-	}
-	sp, err := relation.NewSpace(arity, sc.n)
-	if err != nil {
-		return nil, err
-	}
-	if sc.m == nil {
-		sc.m = make(map[int]*relation.Space)
-	}
-	sc.m[arity] = sp
-	return sp, nil
 }
 
 // fixRule is what a fixpoint occurrence does when the walker reaches it
@@ -123,19 +96,20 @@ const (
 )
 
 // buCtx is the one dense formula walker: the evaluation state of a BottomUp,
-// Monotone, FindCertificate or VerifyCertificate run. The parallel PFP sweep
-// forks one context per worker: env and path are per-context, everything
-// else is shared (and either immutable or internally synchronized).
+// Monotone, FindCertificate or VerifyCertificate run. It evaluates over the
+// executor's dense algebra — its spaces, its PFP merge and cycle detectors —
+// and keeps what is its own: the rules, the occurrence paths, the memo, the
+// atom masters and the certificate chains. The parallel PFP sweep forks one
+// context per worker: env and path are per-context, everything else is shared
+// (and either immutable or internally synchronized).
 type buCtx struct {
 	ctx    context.Context
-	db     *database.Database
-	sp     *relation.Space
+	alg    *denseAlg // alg.sp is the full-width space every subformula denotes in
 	axes   map[logic.Var]int
 	env    *env
 	stats  *Stats
 	opts   *Options
 	atoms  *atomCache
-	spaces *spaceCache
 	engine string // TraceEvent.Engine of the entry point that built the walker
 	rule   fixRule
 	// path names the occurrence being evaluated: "r" extended by ".l"/".r"
@@ -162,38 +136,25 @@ type buCtx struct {
 	cursor map[string]int
 }
 
-// newWalker admits q against db — signature, nonempty domain, the width
-// bound of opts, a context that has not already fired (quantifier-free and FO
-// bodies have no fixpoint boundary to notice it at) — and returns the walker
-// that evaluates bodies over q's variables under rule.
+// newWalker admits q against db (validateRun) and returns the walker that
+// evaluates bodies over q's variables under rule, on spaces of its own.
 func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *Options, engine string, rule fixRule) (*buCtx, error) {
-	if err := q.Validate(signatureOf(db)); err != nil {
-		return nil, err
-	}
-	if err := checkDomain(db); err != nil {
-		return nil, err
-	}
-	if err := checkWidth(q, opts); err != nil {
-		return nil, err
-	}
-	if err := checkCtx(ctx); err != nil {
+	if err := validateRun(ctx, q, db, opts); err != nil {
 		return nil, err
 	}
 	vars := q.Vars()
-	sp, err := relation.NewSpace(len(vars), db.Size())
+	alg, _, err := newDenseAlg(db, len(vars), nil)
 	if err != nil {
 		return nil, err
 	}
 	c := &buCtx{
 		ctx:    ctx,
-		db:     db,
-		sp:     sp,
+		alg:    alg,
 		axes:   make(map[logic.Var]int, len(vars)),
 		env:    newEnv(),
 		stats:  &Stats{},
 		opts:   opts,
 		atoms:  &atomCache{},
-		spaces: &spaceCache{n: db.Size()},
 		engine: engine,
 		rule:   rule,
 		path:   []byte("r"),
@@ -205,9 +166,10 @@ func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *
 	return c, nil
 }
 
-// answer evaluates body and projects its denotation onto head. Whatever the
-// outcome, what the walker's caches own by then — atom masters, the stages in
-// the memo — goes back to the pools: a finished walk leaves no scratch out.
+// answer evaluates body and projects its denotation onto the (distinct, by
+// logic.Query.Validate) head columns. Whatever the outcome, what the walker's
+// caches own by then — atom masters, the stages in the memo — goes back to
+// the pools: a finished walk leaves no scratch out.
 func (c *buCtx) answer(head []logic.Var, body logic.Formula) (*relation.Set, error) {
 	defer func() {
 		for _, d := range c.atoms.m {
@@ -217,20 +179,25 @@ func (c *buCtx) answer(head []logic.Var, body logic.Formula) (*relation.Set, err
 			d.Release()
 		}
 	}()
-	d, err := c.eval(body)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
 	cols, err := c.axesOf(head)
 	if err != nil {
 		return nil, err
 	}
-	return d.Project(cols), nil
+	d, err := c.eval(body)
+	if err != nil {
+		return nil, err
+	}
+	h, err := c.alg.project(d, cols, nil, nil)
+	d.Release()
+	if err != nil {
+		return nil, err
+	}
+	defer h.Release()
+	return h.ToSet(), nil
 }
 
 // fork returns a context for a PFP sweep worker: an independent environment
-// snapshot and path over the shared database, space, stats and caches.
+// snapshot and path over the shared algebra, stats and caches.
 // Nested fixpoints inside a worker evaluate serially.
 func (c *buCtx) fork() *buCtx {
 	var o Options
@@ -273,7 +240,7 @@ func (c *buCtx) eval(f logic.Formula) (*relation.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.stats.observe(c.sp.Arity(), d.Count())
+	c.stats.observe(c.alg.sp.Arity(), d.Count())
 	return d, nil
 }
 
@@ -298,12 +265,9 @@ func (c *buCtx) evalNode(f logic.Formula) (*relation.Dense, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.sp.Diagonal(la, ra), nil
+		return c.alg.eq(la, ra)
 	case logic.Truth:
-		if g.Value {
-			return c.sp.Full(), nil
-		}
-		return c.sp.Empty(), nil
+		return c.alg.constant(g.Value)
 	case logic.Not:
 		d, err := c.child('n', g.F)
 		if err != nil {
@@ -374,11 +338,11 @@ func (c *buCtx) evalAtom(g logic.Atom) (*relation.Dense, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.sp.FromDenseAtom(br.dense, append(args, pax...))
+		return c.alg.stageAtom(br.dense, append(args, pax...))
 	}
 	// Database atoms are immutable for the whole evaluation: cylindrify once
 	// per (relation, argument-axes) and hand out pooled copies.
-	master, err := c.atoms.master(c.sp, c.db, g.Rel, args)
+	master, err := c.atoms.master(c.alg, g.Rel, args)
 	if err != nil {
 		return nil, err
 	}
@@ -424,19 +388,16 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 	out := append(argAxes, paramAxes...)
 
 	if g.Op == logic.PFP {
-		limit, err := c.evalPFP(g, params, varAxes, paramAxes)
+		limit, err := c.evalPFP(g, varAxes, paramAxes)
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.sp.FromDenseAtom(limit, out)
+		res, err := c.alg.stageAtom(limit, out)
 		limit.Release()
 		return res, err
 	}
 
-	esp, err := c.spaces.space(len(extCols))
-	if err != nil {
-		return nil, err
-	}
+	esp := c.alg.spaces[len(extCols)]
 	if c.rule == certify && g.Op == logic.GFP {
 		return c.evalGfp(g, params, esp, extCols, out)
 	}
@@ -458,7 +419,7 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 	if cur, err = c.stages(g, params, esp, extCols, cur); err != nil {
 		return nil, err
 	}
-	res, err := c.sp.FromDenseAtom(cur, out)
+	res, err := c.alg.stageAtom(cur, out)
 	if c.rule == restart {
 		cur.Release()
 	} else {
@@ -468,7 +429,7 @@ func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
 }
 
 // stages runs the stage loop of the LFP/GFP/IFP occurrence g from cur, which
-// it consumes, to its limit over esp, which the caller owns. Under any rule
+// it consumes, to its limit over esp, the stage space. Under any rule
 // but restart the previous stage is folded into the next one: an occurrence
 // that resumes sees a different operator on each visit, and the fold is what
 // keeps its chain increasing (µ, Lemma 3.4) or decreasing (ν). A lone IFP is
@@ -513,8 +474,7 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 		if tr != nil {
 			stage++
 			n := next.Count()
-			tr(TraceEvent{Engine: c.engine, Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
-				Stage: stage, Tuples: n, Delta: n - prevCount, Elapsed: time.Since(stageStart)})
+			tr(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-prevCount, stageStart))
 			prevCount = n
 		}
 		if next.Equal(cur) {
@@ -527,126 +487,24 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 }
 
 // evalPFP computes the partial fixpoint per parameter assignment and returns
-// the union as an extended (|x̄|+|ȳ|)-ary dense relation. The n^|ȳ| runs are
-// independent, so with Parallelism > 1 they are swept by a worker pool; the
-// per-assignment limits land in disjoint parameter sections of the output,
-// making the result — and every Stats counter — identical to the serial
-// sweep regardless of scheduling.
-func (c *buCtx) evalPFP(g logic.Fix, params []logic.Var, varAxes, paramAxes []int) (*relation.Dense, error) {
-	m := len(g.Vars)
-	budget, mode := pfpLimits(c.opts)
-	msp, err := c.spaces.space(m)
+// the union as an extended (|x̄|+|ȳ|)-ary dense relation: the executor's
+// sweep (sweepPFP), a sweep worker being a forked walker.
+func (c *buCtx) evalPFP(g logic.Fix, varAxes, paramAxes []int) (*relation.Dense, error) {
+	out := c.alg.spaces[len(varAxes)+len(paramAxes)].Empty()
+	err := sweepPFP(c.alg, out, c, c.fork, c.alg.db.Size(), len(paramAxes), c.opts, func(w *buCtx, assign []int) (*relation.Dense, error) {
+		return w.pfpOne(g, varAxes, paramAxes, assign)
+	})
 	if err != nil {
+		out.Release()
 		return nil, err
-	}
-	esp, err := c.spaces.space(m + len(params))
-	if err != nil {
-		return nil, err
-	}
-	if len(params) == 0 {
-		// No parameters: the single run's limit is the answer (msp == esp).
-		return c.pfpOne(g, msp, varAxes, paramAxes, nil, mode, budget)
-	}
-
-	n := c.db.Size()
-	nAssign := 1
-	for range params {
-		nAssign *= n
-	}
-	out := esp.Empty()
-
-	// Every esp stride over the var axes is the msp stride scaled by n^|ȳ|,
-	// so a limit index maps into the output's parameter section by one
-	// multiply-add: idx ↦ base + idx·n^|ȳ|.
-	np := 1
-	for range params {
-		np *= n
-	}
-	merge := func(limit *relation.Dense, assign []int) {
-		base := 0
-		for j := range assign {
-			base += assign[j] * esp.Stride(m+j)
-		}
-		limit.ForEachIndex(func(idx int) {
-			out.AddIndex(base + idx*np)
-		})
-		limit.Release()
-	}
-
-	workers := parallelism(c.opts)
-	if workers > nAssign {
-		workers = nAssign
-	}
-	if workers <= 1 {
-		assign := make([]int, len(params))
-		for a := 0; a < nAssign; a++ {
-			decodeAssign(a, n, assign)
-			limit, err := c.pfpOne(g, msp, varAxes, paramAxes, assign, mode, budget)
-			if err != nil {
-				return nil, err
-			}
-			merge(limit, assign)
-		}
-		return out, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		next     int64
-		stop     int32
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wc := c.fork()
-		wg.Add(1)
-		go func(wc *buCtx) {
-			defer wg.Done()
-			assign := make([]int, len(params))
-			for {
-				if atomic.LoadInt32(&stop) != 0 {
-					return
-				}
-				a := int(atomic.AddInt64(&next, 1)) - 1
-				if a >= nAssign {
-					return
-				}
-				decodeAssign(a, n, assign)
-				limit, err := wc.pfpOne(g, msp, varAxes, paramAxes, assign, mode, budget)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					atomic.StoreInt32(&stop, 1)
-					mu.Unlock()
-					return
-				}
-				merge(limit, assign)
-				mu.Unlock()
-			}
-		}(wc)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
-}
-
-// decodeAssign writes the a-th parameter assignment (row-major, first
-// parameter most significant — the forEachAssignment order) into buf.
-func decodeAssign(a, n int, buf []int) {
-	for j := len(buf) - 1; j >= 0; j-- {
-		buf[j] = a % n
-		a /= n
-	}
 }
 
 // pfpOne runs the partial-fixpoint iteration for one parameter assignment
 // and returns the limit as an m-ary dense relation (empty if the run is
 // periodic with period > 1, per §2.2).
-func (c *buCtx) pfpOne(g logic.Fix, msp *relation.Space, varAxes, paramAxes, assign []int, mode CycleMode, budget int) (*relation.Dense, error) {
+func (c *buCtx) pfpOne(g logic.Fix, varAxes, paramAxes, assign []int) (*relation.Dense, error) {
 	tr := tracerOf(c.opts)
 	var stage int
 	step := func(s *relation.Dense) (*relation.Dense, error) {
@@ -664,20 +522,16 @@ func (c *buCtx) pfpOne(g logic.Fix, msp *relation.Space, varAxes, paramAxes, ass
 		if err != nil {
 			return nil, err
 		}
-		next := body.ProjectAt(msp, varAxes, paramAxes, assign)
+		next, err := c.alg.project(body, varAxes, paramAxes, assign)
 		body.Release()
-		if tr != nil {
+		if err == nil && tr != nil {
 			stage++
 			n := next.Count()
-			tr(TraceEvent{Engine: c.engine, Fixpoint: g.Rel, Op: g.Op.String(), Binder: -1,
-				Stage: stage, Tuples: n, Delta: n - s.Count(), Elapsed: time.Since(stageStart)})
+			tr(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-s.Count(), stageStart))
 		}
-		return next, nil
+		return next, err
 	}
-	if mode == CycleBrent {
-		return pfpBrent(step, msp, budget)
-	}
-	return pfpHash(step, msp, budget)
+	return c.alg.pfpLimit(step, len(varAxes), c.opts)
 }
 
 // pfpHash iterates step from ∅, remembering a hash of every stage; the run

@@ -207,5 +207,5 @@ func (c *buCtx) evalGfp(g logic.Fix, params []logic.Var, esp *relation.Space, ex
 	if !post {
 		return nil, fmt.Errorf("eval: post-fixpoint check failed for gfp node %s", path)
 	}
-	return c.sp.FromDenseAtom(q, out)
+	return c.alg.stageAtom(q, out)
 }

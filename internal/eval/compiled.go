@@ -61,51 +61,23 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 
 // runDense evaluates the (already validated) plan over the dense algebra.
 func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
-	// One space per arity up to the full width, widest first so an infeasible
-	// query fails naming its full-width space; the narrower stage and head
-	// spaces are feasible whenever that one is. A node store interns them; a
-	// run left with a space of its own shares no values, which would pin it.
-	alg := &denseAlg{db: db, spaces: make([]*relation.Space, len(p.Vars)+1)}
-	r := newRun[*relation.Dense](ctx, p, db, opts, alg, stats, p.DeltaOK, "d")
-	for k := len(p.Vars); k >= 0; k-- {
-		sp, interned, err := r.store.space(k, db.Size())
-		if alg.spaces[k] = sp; err != nil {
-			return planResult{stats: stats}, err
-		} else if !interned {
-			r.store = nil
-		}
+	r := newRun[*relation.Dense](ctx, p, db, opts, nil, stats, p.DeltaOK, "d")
+	alg, store, err := newDenseAlg(db, len(p.Vars), r.store)
+	if err != nil {
+		return planResult{stats: stats}, err
 	}
-	alg.sp = alg.spaces[len(p.Vars)]
+	r.alg, r.store = alg, store
 	if par := parallelism(opts); par > 1 {
 		r.sem = make(chan struct{}, par-1)
 	}
 	return r.answer(r.start(ho, seed, capture))
 }
 
-// denseAtom cylindrifies the database atom name(args) into sp: the stored
-// codes decoded once — a sparse value made dense, the one place a relation
-// changes representation on the way in. A relation without a code space is
-// read through its Set.
-func denseAtom(sp *relation.Space, db *database.Database, name string, args []int) (*relation.Dense, error) {
-	codes, err := db.Codes(name)
-	if err != nil {
-		return nil, err
-	}
-	if codes != nil {
-		return sp.FromSparse(codes, args)
-	}
-	rel, err := db.Rel(name)
-	if err != nil {
-		return nil, err
-	}
-	return sp.FromAtom(rel, args)
-}
-
 // denseAlg is the dense algebra: node values are nᵏ-bit bitmaps over the
 // plan's full-width space, stages bitmaps over the run's narrower spaces, all
 // drawn from and released to the spaces' scratch pools. Word-parallel kernels
 // do the connectives; the delta rules use relation/delta.go's changed-word
-// kernels in place.
+// kernels in place. The formula walker (bottomup.go) evaluates over it too.
 type denseAlg struct {
 	db *database.Database
 	// sp is the full-width space; spaces[k] the k-ary one, each with its own
@@ -114,9 +86,45 @@ type denseAlg struct {
 	spaces []*relation.Space
 }
 
-// atom cylindrifies a database atom; the (hash-consed) node is its memo.
+// newDenseAlg builds the dense algebra of a width-ary evaluation over db: one
+// space per arity up to the full width, widest first so an infeasible query
+// fails naming its full-width space; the narrower stage and head spaces are
+// feasible whenever that one is. A node store interns them, and it is
+// returned as the store the run may share values through: nil once it has
+// refused a space — a run with a space of its own shares no values, which
+// would pin it.
+func newDenseAlg(db *database.Database, width int, store *NodeStore) (*denseAlg, *NodeStore, error) {
+	a := &denseAlg{db: db, spaces: make([]*relation.Space, width+1)}
+	for k := width; k >= 0; k-- {
+		sp, interned, err := store.space(k, db.Size())
+		if err != nil {
+			return nil, nil, err
+		}
+		if a.spaces[k] = sp; !interned {
+			store = nil
+		}
+	}
+	a.sp = a.spaces[width]
+	return a, store, nil
+}
+
+// atom cylindrifies the database atom name(args): the stored codes decoded
+// once — a sparse value made dense, the one place a relation changes
+// representation on the way in. A relation without a code space is read
+// through its Set. The (hash-consed) node is its memo.
 func (a *denseAlg) atom(name string, args []int) (*relation.Dense, error) {
-	return denseAtom(a.sp, a.db, name, args)
+	codes, err := a.db.Codes(name)
+	if err != nil {
+		return nil, err
+	}
+	if codes != nil {
+		return a.sp.FromSparse(codes, args)
+	}
+	rel, err := a.db.Rel(name)
+	if err != nil {
+		return nil, err
+	}
+	return a.sp.FromAtom(rel, args)
 }
 
 func (a *denseAlg) stageAtom(stage *relation.Dense, axes []int) (*relation.Dense, error) {

@@ -23,6 +23,11 @@
 //
 //   - Compiled — the plan executor (executor.go) over hash-consed DAG plans,
 //     on dense bitmaps or sorted sparse blocks: what bvqd serves with.
+//
+// The walker is a client of the executor's dense route: both evaluate over
+// one denseAlg (compiled.go) — its per-arity spaces and bitmap pools, its PFP
+// merge and cycle detectors — sweep a parametrized PFP with one function
+// (sweepPFP) and are admitted by one check (validateRun).
 package eval
 
 import (
@@ -410,23 +415,23 @@ func signatureOf(db *database.Database) logic.Signature {
 	return sig
 }
 
-// checkWidth enforces the Lᵏ membership restriction from Options.
-func checkWidth(q logic.Query, opts *Options) error {
-	if opts != nil && opts.MaxWidth > 0 {
-		if w := q.Width(); w > opts.MaxWidth {
-			return fmt.Errorf("eval: query width %d exceeds bound k=%d", w, opts.MaxWidth)
-		}
+// validateRun is the admission of every evaluation but eso's — the plan
+// executor's, the formula walker's, the naive oracle's: q fits db's
+// signature; the domain is nonempty (first-order semantics over an empty one
+// is degenerate — every existential false, every universal true, no variable
+// assignments at all — and the paper's databases are nonempty, so all
+// evaluators refuse uniformly rather than disagree); q is within the Lᵏ bound
+// of opts; and ctx has not already fired, which a body with no fixpoint stage
+// would never notice.
+func validateRun(ctx context.Context, q logic.Query, db *database.Database, opts *Options) error {
+	if err := q.Validate(signatureOf(db)); err != nil {
+		return err
 	}
-	return nil
-}
-
-// checkDomain rejects empty structures. First-order semantics over an empty
-// domain is degenerate (every existential is false, every universal true,
-// and there are no variable assignments at all), and the paper's databases
-// are nonempty; all evaluators refuse uniformly rather than disagree.
-func checkDomain(db *database.Database) error {
 	if db.Size() == 0 {
 		return fmt.Errorf("eval: empty domain")
 	}
-	return nil
+	if opts != nil && opts.MaxWidth > 0 && q.Width() > opts.MaxWidth {
+		return fmt.Errorf("eval: query width %d exceeds bound k=%d", q.Width(), opts.MaxWidth)
+	}
+	return checkCtx(ctx)
 }

@@ -371,9 +371,11 @@ func (r *run[V]) computeNode(n int) (v V, err error) {
 	return v, err
 }
 
-// fixEvent is the TraceEvent of one completed stage of fx.
-func fixEvent(fx *plan.FixInfo, stage, tuples, delta int, start time.Time) TraceEvent {
-	return TraceEvent{Engine: "compiled", Fixpoint: fx.Rel, Op: fx.Op.String(), Binder: fx.Binder,
+// fixEvent is the TraceEvent of the stage-th completed stage, started at
+// start, of the fixpoint that binds rel under op: plan binder binder of a
+// compiled run, -1 on the formula walker.
+func fixEvent(engine string, binder int, rel string, op logic.FixOp, stage, tuples, delta int, start time.Time) TraceEvent {
+	return TraceEvent{Engine: engine, Fixpoint: rel, Op: op.String(), Binder: binder,
 		Stage: stage, Tuples: tuples, Delta: delta, Elapsed: time.Since(start)}
 }
 
@@ -447,7 +449,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 		stage++
 		moves := watch && tuples != count && r.ho.due(b, r.sparse, tuples, tuples-count)
 		if tr != nil {
-			ev := fixEvent(fx, stage, tuples, tuples-count, start)
+			ev := fixEvent("compiled", b, fx.Rel, fx.Op, stage, tuples, tuples-count, start)
 			ev.HandOff = moves
 			tr(ev)
 		}
@@ -725,46 +727,58 @@ func (r *run[V]) fixResult(fx *plan.FixInfo, stage V) (V, error) {
 	return res, err
 }
 
-// evalPFP mirrors BottomUp's per-parameter-assignment sweep (same disjoint-
-// section merge, same cycle detection), with the plan's hoisted frontier
-// shared across all assignments and stages. The n^|ȳ| runs are independent,
-// so with Parallelism > 1 they are swept by forked runs. A parameterless PFP
-// is the sweep of its one (empty) assignment.
+// evalPFP mirrors BottomUp's per-parameter-assignment sweep (the same
+// sweepPFP, the same cycle detection), with the plan's hoisted frontier
+// shared across all assignments and stages; a sweep worker is a forked run.
 func (r *run[V]) evalPFP(fx *plan.FixInfo) (V, error) {
 	var zero V
 	out, err := r.alg.empty(fx.ExtArity)
 	if err != nil {
 		return zero, err
 	}
-	dn := r.db.Size()
-	nAssign := 1
-	for range fx.ParamAxes {
-		nAssign *= dn
-	}
-	runs := []*run[V]{r}
-	if workers := min(parallelism(r.opts), nAssign); workers > 1 {
-		runs = runs[:0]
-		for w := 0; w < workers; w++ {
-			runs = append(runs, r.fork())
-		}
-	}
-	var mu sync.Mutex
-	err = forEachParallel(nAssign, len(runs), func(w, a int) error {
-		assign := make([]int, len(fx.ParamAxes))
-		decodeAssign(a, dn, assign)
-		limit, err := runs[w].pfpRun(fx, assign)
-		if err == nil {
-			mu.Lock()
-			r.alg.mergeParams(out, limit, assign)
-			mu.Unlock()
-		}
-		return err
+	err = sweepPFP(r.alg, out, r, r.fork, r.db.Size(), len(fx.ParamAxes), r.opts, func(w *run[V], assign []int) (V, error) {
+		return w.pfpRun(fx, assign)
 	})
 	if err != nil {
 		r.alg.release(out)
 		return zero, err
 	}
 	return r.fixResult(fx, out)
+}
+
+// sweepPFP is the parametrized PFP sweep of both evaluators: for each of the
+// n^params parameter assignments it adds the limit limitOf(e, assign) to
+// out's section for the assignment (alg.mergeParams, under one lock). With
+// Parallelism > 1 forks of e, one per worker, take the assignments; the runs
+// are independent and their sections disjoint, so out and every Stats counter
+// are the serial sweep's whatever the schedule. A parameterless PFP is the
+// sweep of its one (empty) assignment.
+func sweepPFP[E any, V comparable](alg algebra[V], out V, e E, fork func() E, n, params int, opts *Options, limitOf func(E, []int) (V, error)) error {
+	nAssign := 1
+	for i := 0; i < params; i++ {
+		nAssign *= n
+	}
+	evals := []E{e}
+	if workers := min(parallelism(opts), nAssign); workers > 1 {
+		evals = evals[:0]
+		for w := 0; w < workers; w++ {
+			evals = append(evals, fork())
+		}
+	}
+	var mu sync.Mutex
+	return forEachParallel(nAssign, len(evals), func(w, a int) error {
+		assign := make([]int, params)
+		for j := params - 1; j >= 0; j-- { // row-major: the first parameter is the most significant digit
+			assign[j], a = a%n, a/n
+		}
+		limit, err := limitOf(evals[w], assign)
+		if err == nil {
+			mu.Lock()
+			alg.mergeParams(out, limit, assign)
+			mu.Unlock()
+		}
+		return err
+	})
 }
 
 // pfpRun runs the partial-fixpoint iteration for one parameter assignment
@@ -786,7 +800,7 @@ func (r *run[V]) pfpRun(fx *plan.FixInfo, assign []int) (V, error) {
 		if err == nil && tr != nil {
 			stage++
 			nc := r.alg.count(next)
-			tr(fixEvent(fx, stage, nc, nc-r.alg.count(s), stageStart))
+			tr(fixEvent("compiled", b, fx.Rel, fx.Op, stage, nc, nc-r.alg.count(s), stageStart))
 		}
 		return next, err
 	}

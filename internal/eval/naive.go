@@ -32,10 +32,7 @@ func Naive(q logic.Query, db *database.Database) (*relation.Set, error) {
 // natural work units — so a single deeply nested quantifier block still runs
 // to completion before the check fires.
 func NaiveContext(ctx context.Context, q logic.Query, db *database.Database) (*relation.Set, error) {
-	if err := q.Validate(signatureOf(db)); err != nil {
-		return nil, err
-	}
-	if err := checkDomain(db); err != nil {
+	if err := validateRun(ctx, q, db, nil); err != nil {
 		return nil, err
 	}
 	c := &naiveCtx{ctx: ctx, db: db, n: db.Size(), vars: make(map[logic.Var]int), env: newEnv()}

@@ -483,11 +483,10 @@ func TestRefusedValuesStayOwned(t *testing.T) {
 	}
 	store := NewNodeStore(1 << 20)
 	for pass, wantOwned := range []bool{true, false} {
-		spaces := make([]*relation.Space, len(p.Vars)+1)
-		for k := range spaces {
-			spaces[k] = relation.MustSpace(k, db.Size())
+		alg, _, err := newDenseAlg(db, len(p.Vars), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		alg := &denseAlg{db: db, sp: spaces[len(p.Vars)], spaces: spaces}
 		r := newRun[*relation.Dense](context.Background(), p, db, &Options{Parallelism: 1, Nodes: store}, alg, &Stats{}, p.DeltaOK, "d")
 		shared := 0
 		for n, c := range p.Closed {
@@ -510,11 +509,10 @@ func TestRefusedValuesStayOwned(t *testing.T) {
 // closedValues evaluates every shared node of p over db, densely, and returns
 // the values by key.
 func closedValues(t testing.TB, p *plan.Plan, db *database.Database) map[plan.NodeKey]*relation.Dense {
-	spaces := make([]*relation.Space, len(p.Vars)+1)
-	for k := range spaces {
-		spaces[k] = relation.MustSpace(k, db.Size())
+	alg, _, err := newDenseAlg(db, len(p.Vars), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	alg := &denseAlg{db: db, sp: spaces[len(p.Vars)], spaces: spaces}
 	r := newRun[*relation.Dense](context.Background(), p, db, &Options{Parallelism: 1}, alg, &Stats{}, p.DeltaOK, "d")
 	out := map[plan.NodeKey]*relation.Dense{}
 	for n, c := range p.Closed {

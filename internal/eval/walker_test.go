@@ -6,6 +6,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -16,10 +17,10 @@ import (
 	"repro/internal/relation"
 )
 
-// outstanding sums the scratch balance over every space the walker drew from.
-func outstanding(c *buCtx) int64 {
-	n := c.sp.ScratchOutstanding()
-	for _, sp := range c.spaces.m {
+// outstanding sums the scratch balance over every space of a dense algebra.
+func outstanding(alg *denseAlg) int64 {
+	var n int64
+	for _, sp := range alg.spaces {
 		n += sp.ScratchOutstanding()
 	}
 	return n
@@ -101,10 +102,50 @@ func TestWalkerPoolBalance(t *testing.T) {
 			if c.stats.FixIterations == 0 {
 				t.Fatal("the walk never reached a fixpoint stage")
 			}
-			if n := outstanding(c); n != 0 {
+			if n := outstanding(c.alg); n != 0 {
 				t.Fatalf("%d scratch bitmaps outstanding after the walk", n)
 			}
 		})
+	}
+}
+
+// TestFailedSweepPoolBalance: a parametrised PFP that overruns its stage
+// budget fails with ErrBudget and its sweep gives its output bitmap back — on
+// the walker, serially and in parallel, where a finished walk leaves nothing
+// out; and on the executor's dense route, where what is out afterwards is the
+// run's node cache and nothing else. (A parallel compiled sweep's forks leave
+// their last stage's node values to the collector, so only the serial run has
+// a balance to pin there.)
+func TestFailedSweepPoolBalance(t *testing.T) {
+	db := lineGraph(t, 6)
+	q := paramOscillatingPFP()
+	for _, par := range []int{1, 4} {
+		c, err := newWalker(context.Background(), q, db, &Options{PFPBudget: 1, Parallelism: par}, "bottomup", restart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.answer(q.Head, q.Body); !errors.Is(err, ErrBudget) {
+			t.Fatalf("walker, Parallelism %d: err = %v, want ErrBudget", par, err)
+		}
+		if n := outstanding(c.alg); n != 0 {
+			t.Fatalf("walker, Parallelism %d: %d scratch bitmaps outstanding after the walk", par, n)
+		}
+	}
+
+	p := mustCompile(t, q)
+	alg, _, err := newDenseAlg(db, len(p.Vars), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRun[*relation.Dense](context.Background(), p, db, &Options{PFPBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, "d")
+	if _, err := r.answer(r.start(nil, nil, false)); !errors.Is(err, ErrBudget) {
+		t.Fatalf("compiled: err = %v, want ErrBudget", err)
+	}
+	for n := range r.val {
+		r.invalidate(n)
+	}
+	if n := outstanding(alg); n != 0 {
+		t.Fatalf("compiled: %d scratch bitmaps outstanding beyond the node cache", n)
 	}
 }
 

@@ -537,49 +537,6 @@ func (d *Dense) thin() bool {
 	return d.bits.CountBelow((d.sp.size + per - 1) / per)
 }
 
-// Project returns the sparse set { (t_{cols[0]}, …, t_{cols[m−1]}) | t ∈ d },
-// deduplicated. It extracts a query answer from a full-width relation.
-//
-// When the axes are distinct it dedups densely first — fold the dropped
-// axes word-parallel (ProjectAt), then decode only the nᵐ-point result —
-// instead of decoding every one of up to nᵏ set bits into a hash set. For
-// a low-arity head over a well-populated relation (the typical fixpoint
-// answer) this turns answer extraction from the dominant cost of a run
-// into noise.
-func (d *Dense) Project(cols []int) *Set {
-	for _, c := range cols {
-		d.sp.checkAxis(c)
-	}
-	if distinct := func() bool {
-		seen := make([]bool, d.sp.k)
-		for _, c := range cols {
-			if seen[c] {
-				return false
-			}
-			seen[c] = true
-		}
-		return true
-	}(); distinct {
-		if esp, err := NewSpace(len(cols), d.sp.n); err == nil {
-			p := d.ProjectAt(esp, cols, nil, nil)
-			out := p.ToSet()
-			p.Release()
-			return out
-		}
-	}
-	out := NewSet(len(cols))
-	t := make(Tuple, d.sp.k)
-	row := make(Tuple, len(cols))
-	d.bits.ForEach(func(idx int) {
-		d.sp.Decode(idx, t)
-		for i, c := range cols {
-			row[i] = t[c]
-		}
-		out.Add(row.Clone())
-	})
-	return out
-}
-
 // ToSet converts the dense relation to a sparse tuple set of the same arity.
 func (d *Dense) ToSet() *Set {
 	out := NewSet(d.sp.k)

@@ -239,7 +239,7 @@ func TestProjectAndToSet(t *testing.T) {
 	d.Add(Tuple{0, 1, 0})
 	d.Add(Tuple{0, 1, 1})
 	d.Add(Tuple{1, 0, 0})
-	p := d.Project([]int{0, 1})
+	p := d.ProjectAt(MustSpace(2, 2), []int{0, 1}, nil, nil).ToSet()
 	want := SetOf(2, Tuple{0, 1}, Tuple{1, 0})
 	if !p.Equal(want) {
 		t.Fatalf("Project = %v, want %v", p, want)

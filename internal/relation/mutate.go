@@ -2,8 +2,8 @@ package relation
 
 // Tuple-level delta application, the relation substrate of mutable
 // databases: a database update is normalized into per-relation insert and
-// delete tuple lists (database.Delta), and each representation applies them
-// without rebuilding from scratch. Deletes apply before inserts, so a tuple
+// delete tuple lists (database.Delta), and the stored representations, Set
+// and Sparse, apply them without rebuilding from scratch. Deletes apply before inserts, so a tuple
 // appearing in both lists ends up present — the update semantics documented
 // on database.Database.Apply.
 
@@ -22,19 +22,6 @@ func (s *Set) ApplyDelta(ins, del []Tuple) *Set {
 		out.Add(t)
 	}
 	return out
-}
-
-// ApplyTuples applies a delta to a dense relation in place: del tuples are
-// cleared, then ins tuples set. Tuples are in the relation's own coordinate
-// space (domain indices); out-of-range components panic via Space.Encode,
-// matching Add/Remove.
-func (d *Dense) ApplyTuples(ins, del []Tuple) {
-	for _, t := range del {
-		d.Remove(t)
-	}
-	for _, t := range ins {
-		d.Add(t)
-	}
 }
 
 // ApplyDelta returns a new sparse relation equal to (s \ del) ∪ ins, built

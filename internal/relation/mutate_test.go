@@ -19,19 +19,6 @@ func TestSetApplyDelta(t *testing.T) {
 	}
 }
 
-func TestDenseApplyTuples(t *testing.T) {
-	sp := MustSpace(2, 4)
-	d := sp.Empty()
-	d.Add(Tuple{0, 1})
-	d.Add(Tuple{1, 2})
-	d.ApplyTuples([]Tuple{{2, 3}}, []Tuple{{0, 1}, {3, 3}})
-	want := SetOf(2, Tuple{1, 2}, Tuple{2, 3})
-	if !d.ToSet().Equal(want) {
-		t.Fatalf("ApplyTuples = %v, want %v", d.ToSet(), want)
-	}
-	d.Release()
-}
-
 func TestSparseApplyDelta(t *testing.T) {
 	s, err := SparseOf(2, 10, Tuple{0, 1}, Tuple{4, 5}, Tuple{9, 9})
 	if err != nil {

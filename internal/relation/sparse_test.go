@@ -88,7 +88,7 @@ func TestSparsePrimitivesMatchDenseOracle(t *testing.T) {
 		}
 		if k > 1 {
 			ex := da.ExistsAxis(axis)
-			sEx, err := SparseFromSet(ex.Project(rest), n)
+			sEx, err := SparseFromSet(ex.ToSet().Project(rest), n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestSparsePrimitivesMatchDenseOracle(t *testing.T) {
 				return d2
 			}())
 			fa := da.ForallAxis(axis)
-			sFa, err := SparseFromSet(fa.Project(rest), n)
+			sFa, err := SparseFromSet(fa.ToSet().Project(rest), n)
 			if err != nil {
 				t.Fatal(err)
 			}
