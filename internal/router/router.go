@@ -24,8 +24,8 @@ type Config struct {
 	// Vnodes is the number of ring points per replica (0: DefaultVnodes).
 	Vnodes int
 	// Retries is how many extra passes over the preference list a request
-	// makes when every candidate is cooling down after a shed (0: one
-	// extra pass).
+	// makes when a pass ends with every candidate shed or cooling down after
+	// a shed (0: one extra pass).
 	Retries int
 	// MaxRetryWait caps how long one request waits for the earliest
 	// cooldown to expire before giving up and relaying the shed response
@@ -445,13 +445,15 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 	}
 }
 
-// forward walks a key's preference list. A member out of the ring is
-// skipped, one cooling down after a shed is passed over (its cooldown bounds
-// the wait before the next pass), a transport error moves down the list. It
+// forward walks a key's preference list. A member out of the ring or cooling
+// down after a shed is passed over, a transport error moves down the list. It
 // returns the first answer that is not a 429 — replica errors are
 // authoritative: a 400 or 504 retried elsewhere would give the same answer —
 // or, if every pass shed, the last 429, read into memory, so the client sees
-// the fleet's own backpressure contract. A nil response means the client went
+// the fleet's own backpressure contract. Between passes it waits out the
+// earliest cooldown among the members still in the ring, those that shed in
+// the pass just made included, and gives up instead when that exceeds the cap;
+// it never waits after the last pass. A nil response means the client went
 // away or no replica could be reached. With hedge set an attempt races the
 // next available member after the hedge delay; a stream passes false, since
 // its first byte commits it to one replica.
@@ -459,17 +461,9 @@ func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge b
 	ctx := r.Context()
 	var shed *http.Response
 	var shedBy *member
-	for pass := 0; pass <= rt.retries; pass++ {
-		wait := time.Duration(-1)
-		shedThisPass := false
+	for pass := 0; ; pass++ {
 		for i, m := range cands {
-			if !m.healthy.Load() {
-				continue
-			}
-			if d := m.cooling(); d > 0 {
-				if wait < 0 || d < wait {
-					wait = d
-				}
+			if !m.healthy.Load() || m.cooling() > 0 {
 				continue
 			}
 			var backup *member
@@ -496,15 +490,16 @@ func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge b
 			captured, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			resp.Body = io.NopCloser(bytes.NewReader(captured))
-			shed, shedBy, shedThisPass = resp, served, true
+			shed, shedBy = resp, served
 		}
-		// Another pass is worth it only if something shed this pass or a
-		// cooldown is still ticking — and only if the wait fits the cap.
-		if !shedThisPass && wait < 0 {
-			break
+		wait := time.Duration(-1) // none: every member is out of the ring
+		for _, m := range cands {
+			if d := m.cooling(); m.healthy.Load() && (wait < 0 || d < wait) {
+				wait = d
+			}
 		}
-		if wait > 0 && (rt.maxRetryWait < 0 || wait > rt.maxRetryWait) {
-			break
+		if pass == rt.retries || wait < 0 || wait > max(rt.maxRetryWait, 0) {
+			return shedBy, shed
 		}
 		if wait > 0 {
 			select {
@@ -514,7 +509,6 @@ func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge b
 			}
 		}
 	}
-	return shedBy, shed
 }
 
 // writeHeader starts a relayed response: the upstream's status and the

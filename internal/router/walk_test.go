@@ -155,6 +155,67 @@ func TestStreamWaitsOutTickingCooldown(t *testing.T) {
 	}
 }
 
+// shedThen answers 429 with Retry-After 1 to its first shed calls and serves a
+// stream after that; calls counts every request.
+func shedThen(shed int32, calls *atomic.Int32) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= shed {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"error":"overloaded"}`)
+			return
+		}
+		serveStream(w)
+	}))
+}
+
+// TestRetryPassAfterEveryReplicaShed: under the router defaults (one extra
+// pass, a 3 s cap), a pass in which every replica shed is followed by a wait
+// for the earliest cooldown and a second pass, which is served.
+func TestRetryPassAfterEveryReplicaShed(t *testing.T) {
+	var c1, c2 atomic.Int32
+	r1, r2 := shedThen(1, &c1), shedThen(1, &c2)
+	defer r1.Close()
+	defer r2.Close()
+	_, ts := newTestRouter(t, Config{Replicas: []string{r1.URL, r2.URL}})
+
+	start := time.Now()
+	resp, body := postJSON(t, ts.URL+"/query", streamReq)
+	if resp.StatusCode != http.StatusOK || string(body) != streamBody {
+		t.Fatalf("status %d body %q, want the stream on the second pass", resp.StatusCode, body)
+	}
+	if elapsed := time.Since(start); elapsed < time.Second {
+		t.Fatalf("served after %v, inside the 1s cooldown", elapsed)
+	}
+	if got := c1.Load() + c2.Load(); got != 3 {
+		t.Fatalf("replicas saw %d calls, want 3 (two sheds, then the stream)", got)
+	}
+}
+
+// TestLastPassRelaysWithoutWaiting: when every replica keeps shedding, the
+// router waits once between its two passes and relays the last 429 as soon as
+// the second pass has shed too.
+func TestLastPassRelaysWithoutWaiting(t *testing.T) {
+	var c1, c2 atomic.Int32
+	r1, r2 := shedThen(1<<30, &c1), shedThen(1<<30, &c2)
+	defer r1.Close()
+	defer r2.Close()
+	_, ts := newTestRouter(t, Config{Replicas: []string{r1.URL, r2.URL}})
+
+	start := time.Now()
+	resp, _ := postJSON(t, ts.URL+"/query", streamReq)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want the relayed 429", resp.StatusCode)
+	}
+	if c1.Load() != 2 || c2.Load() != 2 {
+		t.Fatalf("replicas saw %d and %d calls, want 2 each (one per pass)", c1.Load(), c2.Load())
+	}
+	if elapsed < time.Second || elapsed >= 2*time.Second {
+		t.Fatalf("relayed after %v, want one 1s wait and no second", elapsed)
+	}
+}
+
 // fleetFixtures are three replicas' /metrics pages: series that only some
 // replicas have, families in different orders, an escaped label value and
 // help text, fractional sums. Every sum stays below 10⁶.
