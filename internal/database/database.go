@@ -45,8 +45,8 @@ type Database struct {
 // evaluators and the wire (the sorted relation is its own index). Only a
 // relation whose nᵃʳⁱᵗʸ has no code space (relation.MaxSparseCode) is kept as
 // the Set it was given as. Evaluations alias the block (eval's sparse atoms):
-// it is exactly as long as its codes, as relation.SparseOf and ApplyDelta
-// leave it, so that nothing that clips a block with room ever rewrites it.
+// it is exactly as long as its codes, as relation.SparseOf and apply's final
+// Union leave it, so that nothing that clips a block with room ever rewrites it.
 type stored struct {
 	codes *relation.Sparse
 	once  sync.Once     // guards set where codes is the stored form
@@ -56,7 +56,6 @@ type stored struct {
 // tuples is what reads a stored relation in either form.
 type tuples interface {
 	Arity() int
-	Contains(relation.Tuple) bool
 	ForEach(func(relation.Tuple))
 }
 
@@ -76,13 +75,40 @@ func newStored(arity, n int, ts []relation.Tuple) *stored {
 	return &stored{codes: codes}
 }
 
-// apply returns a new stored relation equal to (st \ del) ∪ ins.
-func (st *stored) apply(ins, del []relation.Tuple) (*stored, error) {
+// apply takes a batch of tuples over 0..n−1 to st's form and returns the stored
+// relation cur∖del ∪ ins with the effective change: del∖ins ∩ cur (deletes apply
+// first, so a tuple in both lists stays) and ins∖cur. It returns nil where
+// nothing changes.
+func (st *stored) apply(arity, n int, ins, del []relation.Tuple) (*stored, RelDelta) {
+	next, rd := &stored{}, RelDelta{}
 	if st.codes == nil {
-		return &stored{set: st.set.ApplyDelta(ins, del)}, nil
+		next.set, rd = diff(st.set, relation.SetOf(arity, ins...), relation.SetOf(arity, del...))
+	} else {
+		in, _ := relation.SparseOf(arity, n, ins...) // in range: Apply checked every value
+		out, _ := relation.SparseOf(arity, n, del...)
+		next.codes, rd = diff(st.codes, in, out)
 	}
-	codes, err := st.codes.ApplyDelta(ins, del)
-	return &stored{codes: codes}, err
+	if len(rd.Ins) == 0 && len(rd.Del) == 0 {
+		return nil, rd
+	}
+	return next, rd
+}
+
+// diff is stored.apply in one form. The final Union joins disjoint blocks, so a
+// code block comes out exactly as long as its codes.
+func diff[R interface {
+	Difference(R) R
+	Intersect(R) R
+	Union(R) R
+	Tuples() []relation.Tuple
+}](cur, ins, del R) (next R, rd RelDelta) {
+	del = del.Difference(ins).Intersect(cur)
+	ins = ins.Difference(cur)
+	rd = RelDelta{Ins: ins.Tuples(), Del: del.Tuples()}
+	if len(rd.Ins) > 0 || len(rd.Del) > 0 {
+		next = cur.Difference(del).Union(ins)
+	}
+	return next, rd
 }
 
 // Builder assembles a Database. Tuples are given in raw domain values; the

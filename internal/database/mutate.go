@@ -1,10 +1,12 @@
-// Tuple-level mutation. A Database value is immutable — every evaluator,
-// fingerprint and cache key relies on that — so mutation is expressed as
-// Apply: it returns a NEW snapshot sharing every unchanged relation with its
-// parent (copy-on-write at relation granularity), plus the effective Delta
-// that separates the two. Holders of the old snapshot are unaffected:
-// in-flight queries keep evaluating against byte-identical data, which is
-// the MVCC discipline the bvqd daemon serves updates under.
+// Mutation. A Database value is immutable — every evaluator, fingerprint and
+// cache key relies on that — so mutation is expressed as Apply: it returns a
+// NEW snapshot sharing every unchanged relation with its parent (copy-on-write
+// at relation granularity), plus the effective Delta that separates the two.
+// Each changed relation is diffed in its stored form (stored.apply): the batch
+// becomes sorted codes, the code operators take the effective change, and one
+// merge of disjoint blocks gives the new block. Holders of the old snapshot
+// are unaffected: in-flight queries keep evaluating against byte-identical
+// data, which is the MVCC discipline the bvqd daemon serves updates under.
 //
 // Snapshots form a lineage: Version counts effective updates since Build,
 // and the fingerprint of a mutated snapshot is a hash chain over
@@ -99,93 +101,35 @@ func (db *Database) Version() uint64 { return db.version }
 // changes nothing effectively returns the receiver itself with an empty
 // delta and no version bump.
 func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
-	// Accumulate deduplicated per-relation insert/delete sets in index space.
-	insSets := make(map[string]*relation.Set)
-	delSets := make(map[string]*relation.Set)
+	// Per relation, its deletes [0] and inserts [1] in index space, every
+	// tuple checked before any relation is touched.
+	batch := make(map[string][2][]relation.Tuple)
 	for _, up := range ups {
 		a, ok := db.arity[up.Relation]
 		if !ok {
 			return nil, nil, fmt.Errorf("database: update: unknown relation %q", up.Relation)
 		}
-		norm := func(t relation.Tuple, verb string) (relation.Tuple, error) {
-			if len(t) != a {
-				return nil, fmt.Errorf("database: update: relation %s has arity %d, cannot %s %d-tuple %v",
-					up.Relation, a, verb, len(t), t)
-			}
-			nt := make(relation.Tuple, len(t))
-			for i, v := range t {
-				x, ok := db.idx[v]
-				if !ok {
-					return nil, fmt.Errorf("database: update: relation %s %s tuple %v: value %d is not in the domain (domains are fixed per database)",
-						up.Relation, verb, t, v)
+		b := batch[up.Relation]
+		for i, ts := range [2][]relation.Tuple{up.Delete, up.Insert} {
+			verb := [2]string{"delete", "insert"}[i]
+			for _, t := range ts {
+				if len(t) != a {
+					return nil, nil, fmt.Errorf("database: update: relation %s has arity %d, cannot %s %d-tuple %v",
+						up.Relation, a, verb, len(t), t)
 				}
-				nt[i] = x
-			}
-			return nt, nil
-		}
-		for _, t := range up.Delete {
-			nt, err := norm(t, "delete")
-			if err != nil {
-				return nil, nil, err
-			}
-			if delSets[up.Relation] == nil {
-				delSets[up.Relation] = relation.NewSet(a)
-			}
-			delSets[up.Relation].Add(nt)
-		}
-		for _, t := range up.Insert {
-			nt, err := norm(t, "insert")
-			if err != nil {
-				return nil, nil, err
-			}
-			if insSets[up.Relation] == nil {
-				insSets[up.Relation] = relation.NewSet(a)
-			}
-			insSets[up.Relation].Add(nt)
-		}
-	}
-
-	// Effective delta: inserts that are genuinely new, deletes that hit an
-	// existing tuple and are not re-inserted in the same call (deletes apply
-	// first, so insert wins on overlap).
-	delta := &Delta{FromVersion: db.version, Version: db.version, Rels: make(map[string]RelDelta)}
-	names := make(map[string]bool, len(insSets)+len(delSets))
-	for name := range insSets {
-		names[name] = true
-	}
-	for name := range delSets {
-		names[name] = true
-	}
-	for name := range names {
-		cur := db.rels[name].tuples()
-		var rd RelDelta
-		if ins := insSets[name]; ins != nil {
-			ins.ForEach(func(t relation.Tuple) {
-				if !cur.Contains(t) {
-					rd.Ins = append(rd.Ins, t)
+				nt := make(relation.Tuple, a)
+				for j, v := range t {
+					x, ok := db.idx[v]
+					if !ok {
+						return nil, nil, fmt.Errorf("database: update: relation %s %s tuple %v: value %d is not in the domain (domains are fixed per database)",
+							up.Relation, verb, t, v)
+					}
+					nt[j] = x
 				}
-			})
+				b[i] = append(b[i], nt)
+			}
 		}
-		if del := delSets[name]; del != nil {
-			ins := insSets[name]
-			del.ForEach(func(t relation.Tuple) {
-				if ins != nil && ins.Contains(t) {
-					return
-				}
-				if cur.Contains(t) {
-					rd.Del = append(rd.Del, t)
-				}
-			})
-		}
-		if len(rd.Ins) == 0 && len(rd.Del) == 0 {
-			continue
-		}
-		relation.SortTuples(rd.Ins)
-		relation.SortTuples(rd.Del)
-		delta.Rels[name] = rd
-	}
-	if delta.Empty() {
-		return db, delta, nil
+		batch[up.Relation] = b
 	}
 
 	// Copy-on-write snapshot: new relation map, changed relations replaced,
@@ -199,12 +143,15 @@ func (db *Database) Apply(ups []Update) (*Database, *Delta, error) {
 		relIDs:  maps.Clone(db.relIDs),
 		version: db.version + 1,
 	}
-	for name, rd := range delta.Rels {
-		var err error
-		if next.rels[name], err = db.rels[name].apply(rd.Ins, rd.Del); err != nil {
-			return nil, nil, err
+	delta := &Delta{FromVersion: db.version, Version: db.version, Rels: make(map[string]RelDelta)}
+	for name, b := range batch {
+		if st, rd := db.rels[name].apply(db.arity[name], len(db.domain), b[1], b[0]); st != nil {
+			next.rels[name], next.relIDs[name] = st, db.relIDs[name].shift(rd.Ins, false).shift(rd.Del, true)
+			delta.Rels[name] = rd
 		}
-		next.relIDs[name] = db.relIDs[name].shift(rd.Ins, false).shift(rd.Del, true)
+	}
+	if delta.Empty() {
+		return db, delta, nil
 	}
 	delta.Version = next.version
 	next.fpOnce.Do(func() { next.fp = lineageFingerprint(db.Fingerprint(), next.version, delta) })

@@ -1,6 +1,7 @@
 package database
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -203,6 +204,11 @@ func FuzzDatabaseText(f *testing.F) {
 		}
 		f.Add(string(text), []byte{0, 0, 1, 2, 1, 1, 0})
 	}
+	// W/63 over {0, 1} has no code space (2⁶³ codes): Apply runs the diff over
+	// Sets. The ops insert the all-ones tuple and delete the stored all-zeros one.
+	ops := append([]byte{0, 0}, bytes.Repeat([]byte{1}, 63)...)
+	ops = append(append(ops, 0, 1), make([]byte, 63)...)
+	f.Add(NewBuilder().Relation("W", 63).Add("W", make([]int, 63)...).Domain(1).MustBuild().String(), ops)
 	r := rand.New(rand.NewSource(28))
 	for i := 0; i < 12; i++ {
 		ops := make([]byte, 4*r.Intn(6))

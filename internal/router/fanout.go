@@ -235,6 +235,10 @@ func (rt *Router) get(ctx context.Context, target string) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 }
 
+// notCounters are the /stats fields that describe a replica (its databases,
+// uptime and build): no fleet sum, they stay in each replica's own body.
+var notCounters = []string{"databases", "uptime_seconds", "build"}
+
 // handleStats scatter-gathers every healthy replica's /stats and sums the
 // numeric counters into a fleet aggregate, alongside each replica's raw
 // report and the router's own counters.
@@ -253,6 +257,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		replicas[f.m.url] = stats
 		sumInto(fleet, stats)
+	}
+	for _, k := range notCounters {
+		delete(fleet, k)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{

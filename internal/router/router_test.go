@@ -495,16 +495,17 @@ func TestHealthEvictionAndReadmission(t *testing.T) {
 }
 
 func TestStatsAggregate(t *testing.T) {
-	mk := func(queries, hits int) *httptest.Server {
+	mk := func(queries, hits, version int, fp string) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/stats" {
 				http.NotFound(w, r)
 				return
 			}
-			fmt.Fprintf(w, `{"queries":%d,"result_cache":{"hits":%d}}`, queries, hits)
+			fmt.Fprintf(w, `{"uptime_seconds":10,"build":{"go_version":"go1"},"databases":{"g":{"domain_size":4,"version":%d,"fingerprint":%q}},"queries":%d,"result_cache":{"hits":%d}}`,
+				version, fp, queries, hits)
 		}))
 	}
-	r1, r2 := mk(2, 3), mk(5, 1)
+	r1, r2 := mk(2, 3, 1, "aaaa"), mk(5, 1, 2, "bbbb")
 	defer r1.Close()
 	defer r2.Close()
 	_, ts := newTestRouter(t, Config{Replicas: []string{r1.URL, r2.URL}})
@@ -514,22 +515,25 @@ func TestStatsAggregate(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Fleet struct {
-			Queries     float64 `json:"queries"`
-			ResultCache struct {
-				Hits float64 `json:"hits"`
-			} `json:"result_cache"`
-		} `json:"fleet"`
-		Replicas map[string]any `json:"replicas"`
-		Router   map[string]any `json:"router"`
+		Fleet    map[string]any            `json:"fleet"`
+		Replicas map[string]map[string]any `json:"replicas"`
+		Router   map[string]any            `json:"router"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Fleet.Queries != 7 || out.Fleet.ResultCache.Hits != 4 {
-		t.Fatalf("fleet aggregate queries=%v hits=%v, want 7 and 4", out.Fleet.Queries, out.Fleet.ResultCache.Hits)
+	// Counters add up; what identifies a replica (its databases' sizes,
+	// versions and fingerprints, its uptime, its build) is no fleet sum and
+	// stays in each replica's body.
+	if hits, _ := out.Fleet["result_cache"].(map[string]any); out.Fleet["queries"] != float64(7) || hits["hits"] != float64(4) {
+		t.Fatalf("fleet aggregate %v, want queries 7 and result_cache.hits 4", out.Fleet)
 	}
-	if len(out.Replicas) != 2 || out.Router["members_healthy"] != float64(2) {
+	for _, k := range []string{"databases", "uptime_seconds", "build"} {
+		if v, ok := out.Fleet[k]; ok {
+			t.Fatalf("fleet aggregate carries %s = %v", k, v)
+		}
+	}
+	if len(out.Replicas) != 2 || out.Replicas[r2.URL]["databases"] == nil || out.Router["members_healthy"] != float64(2) {
 		t.Fatalf("replicas=%v router=%v", out.Replicas, out.Router)
 	}
 }

@@ -19,7 +19,7 @@
 # bvqload names no engine, so every load here — the capacity table included —
 # runs on bvqd's default, the compiled engine: the numbers are serving's.
 #
-# `make fleet-smoke` runs this; CI runs it after `make check`.
+# `make fleet-smoke` runs this, and so does `make check` (the CI gate).
 set -euo pipefail
 
 BASE_PORT="${BVQ_FLEET_PORT:-18400}"
