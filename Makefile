@@ -1,6 +1,9 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-LOC_CEILING = 27294
+# Last raised by 95 lines for the result cache's stored row text (cache.Text,
+# storedRows, drainText), which takes a hit's rendering off every hit after
+# the first.
+LOC_CEILING = 27389
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/logic"
@@ -72,9 +73,10 @@ func (c *PlanCache) Counters() (hits, misses, evictions int64) { return c.lru.Co
 
 // Result is a finished evaluation: the (immutable, shared) answer and the
 // work statistics of the run that produced it. bvqd stores answers compacted
-// (relation.Compact): a hit then opens a cursor without sorting. The fields
-// after Stats are what an update needs to decide the entry's fate; a Result
-// that names no DB is no update's to decide and leaves by eviction alone.
+// (relation.Compact): a hit then opens a cursor without sorting, or writes the
+// Text the first hit rendered. The fields after Stats are what an update needs
+// to decide the entry's fate; a Result that names no DB is no update's to
+// decide and leaves by eviction alone.
 type Result struct {
 	Answer relation.View
 	Stats  *eval.Stats // nil for engines that do not report statistics
@@ -87,6 +89,25 @@ type Result struct {
 	Footprint []string
 	// Baseline, set by compiled dense runs, enables delta-restart maintenance.
 	Baseline *Baseline
+	// Text holds the answer's wire rendering once a hit has asked for it; nil
+	// for an entry stored without a holder.
+	Text *Text
+}
+
+// Text is a cached answer's rendered rows beside its codes: filled by the
+// first Load and read-only after, so every later hit writes the same bytes.
+// A new answer needs a new Text; one whose answer and key stay keeps its own.
+type Text struct {
+	once   sync.Once
+	rows   []byte // nil: nothing rendered
+	domain []int  // the domain whose values rows spells
+}
+
+// Load returns the rows and the domain they were rendered over, calling render
+// for them on the first call only; concurrent first calls wait for it.
+func (t *Text) Load(render func() (rows []byte, domain []int)) ([]byte, []int) {
+	t.once.Do(func() { t.rows, t.domain = render() })
+	return t.rows, t.domain
 }
 
 // Baseline is what delta-restart maintenance resumes a cached answer from:

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/database"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -52,28 +54,118 @@ func benchmarkHit(b *testing.B, stream bool) {
 func BenchmarkHitJSON(b *testing.B)   { benchmarkHit(b, false) }
 func BenchmarkHitStream(b *testing.B) { benchmarkHit(b, true) }
 
-// TestHitAllocsIndependentOfAnswerSize pins the hit path's shape: a cached
-// answer is walked by a cursor and rendered into a pooled buffer, so a
-// 4,096-row hit allocates what a 16-row one does, up to the recorder growing
-// its body.
+// TestHitAllocsIndependentOfAnswerSize pins the hit path's shape, JSON and
+// NDJSON: the first hit renders the answer's rows once into its entry's text
+// (AllocsPerRun's warm-up call), and every later hit writes those bytes — as
+// the JSON array, or cut into lines in a pooled buffer — so a 4,096-row hit
+// allocates what a 16-row one does, up to the recorder growing its body.
 func TestHitAllocsIndependentOfAnswerSize(t *testing.T) {
-	allocs := func(n int) float64 {
-		s, _ := hitServer(t, n)
-		h := s.Handler()
-		body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges})
-		return testing.AllocsPerRun(50, func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", rec.Code, rec.Body)
-			}
-		})
+	for _, stream := range []bool{false, true} {
+		allocs := func(n int) float64 {
+			s, _ := hitServer(t, n)
+			h := s.Handler()
+			body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges, Stream: stream})
+			return testing.AllocsPerRun(50, func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			})
+		}
+		small, large := allocs(4), allocs(64)
+		t.Logf("stream=%v: allocations per cached hit: %.0f for 16 rows, %.0f for 4096", stream, small, large)
+		if large-small > 8 || large > 150 {
+			t.Errorf("stream=%v: a 4096-row hit allocates %.0f times, a 16-row one %.0f: want them within 8, and under 150", stream, large, small)
+		}
 	}
-	small, large := allocs(4), allocs(64)
-	t.Logf("allocations per cached JSON hit: %.0f for 16 rows, %.0f for 4096", small, large)
-	if large-small > 8 || large > 150 {
-		t.Fatalf("a 4096-row hit allocates %.0f times, a 16-row one %.0f: want them within 8, and under 150", large, small)
+}
+
+// TestHitRendersItsOwnDomain: two databases whose E is equal in index space,
+// over the domains {0…4} and {10…14}, share one result entry. Each must still
+// answer in its own values after both have hit it, though the entry's text
+// holds the values of whichever hit rendered it.
+func TestHitRendersItsOwnDomain(t *testing.T) {
+	dbs := map[string]*database.Database{}
+	for name, base := range map[string]int{"low": 0, "high": 10} {
+		b := database.NewBuilder().Relation("E", 2)
+		for i := 0; i < 5; i++ {
+			b.Domain(base + i)
+		}
+		for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 0}} {
+			b.Add("E", base+e[0], base+e[1])
+		}
+		db, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs[name] = db
 	}
+	s, ts := newTestServer(t, Config{Databases: dbs})
+	for i, name := range []string{"low", "high", "low", "high"} {
+		req := QueryRequest{Database: name, Query: allEdges}
+		fresh := req
+		fresh.NoCache = true
+		_, want, _ := postQuery(t, ts, fresh)
+		_, hit, _ := postQuery(t, ts, req)
+		req.Stream = true
+		hdr, rows, _ := postStream(t, ts, req)
+		if !reflect.DeepEqual(hit.Answer, want.Answer) || !reflect.DeepEqual(rows, want.Answer) {
+			t.Fatalf("%s: JSON %v, NDJSON %v, want the no_cache answer %v", name, hit.Answer, rows, want.Answer)
+		}
+		if !hdr.ResultCached || i > 0 && !hit.ResultCached {
+			t.Fatalf("%s: JSON cached=%v, NDJSON cached=%v: want the shared entry hit", name, hit.ResultCached, hdr.ResultCached)
+		}
+	}
+	if s.results.Len() != 1 {
+		t.Fatalf("%d entries: want the two databases to share one", s.results.Len())
+	}
+}
+
+// TestHitOverTextCapUsesCursor: an entry of more than maxTextRows rows keeps
+// no text, and its hits, JSON and NDJSON, render through the cursor.
+// No test database is worth such an answer, so it is stored by hand, through
+// the one store call.
+func TestHitOverTextCapUsesCursor(t *testing.T) {
+	const n, base = 257, 1000 // 257² > maxTextRows
+	b := database.NewBuilder().Relation("E", 2).Add("E", base, base+1)
+	for i := 0; i < n; i++ {
+		b.Domain(base + i)
+	}
+	db, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": db}})
+	postQuery(t, ts, QueryRequest{Database: "g", Query: allEdges})
+	want := make([][]int, maxTextRows+1)
+	tuples := make([]relation.Tuple, len(want))
+	for i := range want {
+		tuples[i] = relation.Tuple{i / n, i % n}
+		want[i] = []int{base + i/n, base + i%n}
+	}
+	big, err := relation.SparseOf(2, n, tuples...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.results.Each("g", func(key string, res cache.Result) {
+		res.Answer = big
+		s.store(key, res, n)
+	})
+	for range 2 {
+		_, hit, _ := postQuery(t, ts, QueryRequest{Database: "g", Query: allEdges})
+		hdr, rows, trailer := postStream(t, ts, QueryRequest{Database: "g", Query: allEdges, Stream: true})
+		if !hit.ResultCached || !hdr.ResultCached || hit.Count != len(want) || trailer.Streamed != int64(len(want)) ||
+			!reflect.DeepEqual(hit.Answer, want) || !reflect.DeepEqual(rows, want) {
+			t.Fatalf("over the cap: cached %v/%v, count %d, streamed %d, want %d rows from the entry",
+				hit.ResultCached, hdr.ResultCached, hit.Count, trailer.Streamed, len(want))
+		}
+	}
+	s.results.Each("g", func(_ string, res cache.Result) {
+		if text, _ := res.Text.Load(nil); text != nil {
+			t.Fatalf("an entry of %d rows keeps %d bytes of text", len(want), len(text))
+		}
+	})
 }
 
 const closure = "(x, y). [lfp T(x, y). E(x, y) | exists z. (E(x, z) & T(z, y))](x, y)"

@@ -62,9 +62,11 @@ type query struct {
 // coalesced requests — the partial statistics of a cancelled run included.
 // answer is the whole answer in the one form both writers window and the
 // cache keeps, whoever produced it: the executor's head as it stands, its
-// compacted form once kept, an exhibit engine's Set.
+// compacted form once kept, an exhibit engine's Set. text is a hit's stored
+// row text (storedRows); a miss has none.
 type evalOutcome struct {
 	answer relation.View
+	text   *cache.Text
 	stats  *eval.Stats
 	mstate *eval.MaintState // compiled runs of a maintainable plan: what delta-restart maintenance resumes from
 	err    error
@@ -239,7 +241,43 @@ func (s *Server) lookup(q *query) evalOutcome {
 	q.cached = ok
 	// The cached Stats are shared with other requests: the wire reports the
 	// original run's.
-	return evalOutcome{answer: hit.Answer, stats: hit.Stats}
+	return evalOutcome{answer: hit.Answer, stats: hit.Stats, text: hit.Text}
+}
+
+// maxTextRows is the largest answer whose rendered rows its entry keeps. A
+// larger one renders through its cursor on every hit, so neither the text's
+// memory nor the first hit's render, which no deadline cuts short, grows past
+// this bound.
+const maxTextRows = 1 << 16
+
+// storedRows returns the whole answer as the entry's row text, rendering it
+// on the first hit that asks: the rows appendRows writes with no window, in
+// domain values. It returns nil, and the request renders through the cursor,
+// for a miss, a window, indices, a Boolean query, an answer over maxTextRows,
+// and a hit from a snapshot of another domain: entries are shared by content
+// in index space, so the stored values are right only over the domain they
+// were rendered from.
+func (q *query) storedRows(out evalOutcome) []byte {
+	if out.text == nil || q.req.Offset > 0 || q.req.Limit > 0 || q.req.Indices || q.pl.Query.Arity() == 0 {
+		return nil
+	}
+	domain := q.snap.Domain()
+	rows, over := out.text.Load(func() ([]byte, []int) {
+		en := eval.NewEnumerator(context.Background(), out.answer, nil) // all or nothing: no deadline cuts the render
+		defer en.Close()
+		if n, _ := en.Count(); n > maxTextRows {
+			return nil, nil
+		}
+		bp := rowBufs.Get().(*[]byte)
+		defer rowBufs.Put(bp)
+		*bp = appendRows((*bp)[:0], en, 0, 0, q.snap.Value)
+		return append(make([]byte, 0, len(*bp)), *bp...), domain
+	})
+	// One lineage shares one domain slice (database.Domain).
+	if len(over) != len(domain) || len(domain) > 0 && &over[0] != &domain[0] {
+		return nil
+	}
+	return rows
 }
 
 // engineCall is the one engine call: the whole answer as a View. The compiled
@@ -323,8 +361,9 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 // store puts res, its answer compacted over a domain of n elements, in the
 // result cache under key, and returns the answer as kept: the one place an
 // answer takes its cached form, for a fresh run and a maintained entry alike.
+// The entry gets an empty Text: its first hit renders the rows.
 func (s *Server) store(key string, res cache.Result, n int) relation.View {
-	res.Answer = relation.Compact(res.Answer, n)
+	res.Answer, res.Text = relation.Compact(res.Answer, n), new(cache.Text)
 	s.results.Put(key, res)
 	return res.Answer
 }
@@ -403,6 +442,19 @@ func (wd *windowed) drain(en eval.Enumerator, offset, limit int, row func(relati
 	}
 }
 
+// drainText is drain over a whole answer's stored text (storedRows) instead of
+// a cursor: it hands each row's bytes to row until the text ends or row
+// reports false. It is the one place that text is cut into rows.
+func (wd *windowed) drainText(text []byte, row func([]byte) bool) {
+	for rest := text[1 : len(text)-1]; len(rest) > 0; wd.delivered++ {
+		end := bytes.IndexByte(rest, ']') + 1 // a row's values hold no ']'
+		if !row(rest[:end]) {
+			return
+		}
+		rest = rest[min(end+1, len(rest)):] // past the ',' between rows
+	}
+}
+
 // writeAnswer is the JSON writer: the windowed answer rendered into one
 // QueryResponse body.
 func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
@@ -431,12 +483,17 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 	resp.Count, _ = en.Count()
 	bp := rowBufs.Get().(*[]byte)
 	defer rowBufs.Put(bp)
-	if resp.Arity == 0 {
+	// A hit writes its stored text where it can; the pool never holds it.
+	rows := q.storedRows(out)
+	switch {
+	case resp.Arity == 0:
 		truth := resp.Count > 0
 		resp.Truth = &truth
 		*bp = append((*bp)[:0], "[]"...)
-	} else {
+		rows = *bp
+	case rows == nil:
 		*bp = appendRows((*bp)[:0], en, q.req.Offset, q.req.Limit, q.rowValue())
+		rows = *bp
 	}
 	xsp.End()
 	if err := en.Err(); err != nil {
@@ -468,7 +525,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 	w.WriteHeader(http.StatusOK)
 	// The client is gone if a write fails; nothing to do.
 	_, _ = w.Write(env.Bytes()[:cut])
-	_, _ = w.Write(*bp)
+	_, _ = w.Write(rows)
 	_, _ = w.Write(env.Bytes()[cut+len("[]"):])
 }
 

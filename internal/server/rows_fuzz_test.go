@@ -13,7 +13,10 @@ import (
 // for any arity, domain values (negative and 64-bit ones included), choice of
 // values or indices, and offset/limit window, the bytes appendRows renders
 // from a cursor over the answer — compact or not — are json.Marshal's of the
-// same window as [][]int. The seed corpus is testdata/fuzz/FuzzAppendRows.
+// same window as [][]int. It also checks the stream's cut of a hit's stored
+// text: the whole answer's rows, cut by drainText as writeStream cuts them,
+// are appendRow of each tuple, line by line. The seed corpus is
+// testdata/fuzz/FuzzAppendRows.
 func FuzzAppendRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, base, step int64, arity, size uint8, indices bool, offset, limit uint16) {
 		k, n := int(arity%4), 1+int(size%16)
@@ -61,6 +64,21 @@ func FuzzAppendRows(f *testing.F) {
 				t.Fatalf("%T, k=%d n=%d indices=%v window %d+%d:\n appendRows   %s\n encoding/json %s",
 					view, k, n, indices, offset, limit, got, wantJSON)
 			}
+		}
+
+		en := eval.NewEnumerator(context.Background(), set, nil)
+		whole := appendRows(nil, en, 0, 0, value)
+		en.Close()
+		tuples := set.Tuples()
+		var wd windowed
+		wd.drainText(whole, func(row []byte) bool {
+			if i := int(wd.delivered); i >= len(tuples) || string(row) != string(appendRow(nil, tuples[i], value)) {
+				t.Fatalf("k=%d n=%d indices=%v: line %d of %s is %q; want appendRow of tuple %d of %d", k, n, indices, i, whole, row, i, len(tuples))
+			}
+			return true
+		})
+		if wd.delivered != int64(len(tuples)) {
+			t.Fatalf("k=%d n=%d indices=%v: %s cut into %d lines, want %d", k, n, indices, whole, wd.delivered, len(tuples))
 		}
 	})
 }

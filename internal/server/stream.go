@@ -125,7 +125,8 @@ func (lb *lineBuffer) Write(p []byte) (int, error) {
 // disconnect (client gone, no trailer). The answer is whole before the header
 // is written — evaluated, settled and, unless the stream is windowed, kept —
 // so the drain only decodes: a window costs its window, whatever it reads
-// from (a hit's codes, a leader's head, the head a follower shares).
+// from (a hit's codes, a leader's head, the head a follower shares), and a
+// whole hit with stored text (storedRows) does not decode at all.
 func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
 	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
@@ -180,19 +181,31 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	var wd windowed
 	value := q.rowValue()
 	disconnected := false
+	// line delivers one row — its stored bytes, or t rendered when row is nil —
+	// under the contract, reporting false once the client is gone.
+	line := func(row []byte, t relation.Tuple) bool {
+		if s.testHookOnStreamRow != nil {
+			s.testHookOnStreamRow(int(wd.delivered))
+		}
+		if row != nil {
+			lb.buf = append(lb.buf, row...)
+		} else {
+			lb.buf = appendRow(lb.buf, t, value)
+		}
+		lb.buf = append(lb.buf, '\n')
+		if wd.delivered == 0 || len(lb.buf) >= streamFlushBytes || lb.aged.Load() {
+			disconnected = lb.flush() != nil
+		}
+		return !disconnected
+	}
 	var drainPanic error
 	func() {
 		defer s.containPanic(q.ctx, "stream drain panic", q.reqID, q.req.Query, &drainPanic)
-		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool {
-			if s.testHookOnStreamRow != nil {
-				s.testHookOnStreamRow(int(wd.delivered))
-			}
-			lb.buf = append(appendRow(lb.buf, t, value), '\n')
-			if wd.delivered == 0 || len(lb.buf) >= streamFlushBytes || lb.aged.Load() {
-				disconnected = lb.flush() != nil
-			}
-			return !disconnected
-		})
+		if text := q.storedRows(out); text != nil {
+			wd.drainText(text, func(row []byte) bool { return line(row, nil) })
+			return
+		}
+		wd.drain(en, q.req.Offset, q.req.Limit, func(t relation.Tuple) bool { return line(nil, t) })
 	}()
 	if disconnected {
 		s.metrics.streamDisconnects.Inc()
