@@ -24,16 +24,10 @@ type Plan struct {
 	// query lies outside the compilable fragment — the compiled engine then
 	// recompiles per request and surfaces the real error.
 	Prepared *plan.Plan
-}
-
-// Footprint returns the database relations the query reads, nil when it has
-// no compiled plan and the footprint is unknown: the argument of the
-// database.ContentID that result keys hold.
-func (p Plan) Footprint() []string {
-	if p.Prepared == nil {
-		return nil
-	}
-	return p.Prepared.Maint.Rels
+	// Footprint is logic.Footprint of the body, compiled or not: the database
+	// relations the query reads, the argument of the database.ContentID that
+	// result keys hold.
+	Footprint []string
 }
 
 // PlanCache memoizes parse + width computation, keyed by the exact query
@@ -57,7 +51,7 @@ func (c *PlanCache) Load(text string) (Plan, bool, error) {
 	if err != nil {
 		return Plan{}, false, err
 	}
-	p := Plan{Query: q, Width: q.Width()}
+	p := Plan{Query: q, Width: q.Width(), Footprint: logic.Footprint(q.Body)}
 	if compiled, err := plan.Compile(q); err == nil {
 		p.Prepared = compiled
 	}
@@ -84,8 +78,7 @@ type Result struct {
 	// updates are the ones that triage it.
 	DB string
 	// Footprint lists the database relations the answer depends on — the
-	// ones whose content the key names. nil means unknown (no compiled plan:
-	// the key names the whole database), and every delta overlaps it.
+	// ones whose content the key names (Plan.Footprint).
 	Footprint []string
 	// Baseline, set by compiled dense runs, enables delta-restart maintenance.
 	Baseline *Baseline
@@ -121,9 +114,8 @@ type Baseline struct {
 }
 
 // Overlaps reports whether the footprint holds one of the changed relations.
-// An unknown footprint overlaps everything.
 func (r *Result) Overlaps(changed []string) bool {
-	return r.Footprint == nil || slices.ContainsFunc(changed, func(rel string) bool {
+	return slices.ContainsFunc(changed, func(rel string) bool {
 		return slices.Contains(r.Footprint, rel)
 	})
 }

@@ -67,9 +67,8 @@ func TestResultOverlaps(t *testing.T) {
 		footprint, changed []string
 		want               bool
 	}{
-		{nil, []string{"E"}, true}, // unknown: everything overlaps
-		{nil, nil, true},
-		{[]string{}, []string{"E"}, false}, // known and empty: nothing does
+		{nil, []string{"E"}, false}, // reads nothing: nothing overlaps
+		{[]string{}, []string{"E"}, false},
 		{[]string{"E", "P"}, []string{"F"}, false},
 		{[]string{"E", "P"}, []string{"A", "P"}, true},
 		{[]string{"P"}, nil, false},
@@ -80,24 +79,25 @@ func TestResultOverlaps(t *testing.T) {
 	}
 }
 
-// TestPlanFootprint: a compiled query's footprint is the relations it names,
-// a query with none has the empty one, and only a query without a plan has
-// none at all.
+// TestPlanFootprint: a query's footprint is the free relations it names,
+// compiled or not: a second-order quantified one is not among them, and it is
+// the compiled plan's own footprint where there is one.
 func TestPlanFootprint(t *testing.T) {
 	pc := NewPlanCache(8)
 	for text, want := range map[string][]string{
 		"(x, y). exists z. E(x, z) & (P(z) | E(z, y))": {"E", "P"},
 		"(x, y). x = y": {},
+		"(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))": {"E"},
 	} {
 		p, _, err := pc.Load(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Footprint(); got == nil || !reflect.DeepEqual(got, want) {
+		if got := p.Footprint; len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: footprint %v, want %v", text, got, want)
 		}
-	}
-	if (Plan{}).Footprint() != nil {
-		t.Fatal("a query without a compiled plan has an unknown footprint")
+		if p.Prepared != nil && !reflect.DeepEqual(p.Prepared.Maint.Rels, p.Footprint) {
+			t.Errorf("%s: plan footprint %v, query footprint %v", text, p.Prepared.Maint.Rels, p.Footprint)
+		}
 	}
 }

@@ -31,8 +31,7 @@ type Database struct {
 	rels   map[string]*stored
 
 	// Snapshot lineage (mutate.go): version counts effective Apply steps
-	// since Build; fp is set once under fpOnce: by Apply to a mutated snapshot's
-	// chained fingerprint, by a built database's first Fingerprint call.
+	// since Build; fp is Fingerprint's, computed once under fpOnce.
 	version uint64
 	fp      uint64
 	fpOnce  sync.Once

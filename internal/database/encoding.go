@@ -2,8 +2,6 @@ package database
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"strconv"
 	"strings"
 
@@ -53,26 +51,6 @@ func (db *Database) Encode() string {
 
 // EncodedLen returns the length of the standard encoding.
 func (db *Database) EncodedLen() int { return len(db.Encode()) }
-
-// Fingerprint returns a stable 64-bit content hash of the database: relation
-// names and arities (the signature, which the positional standard encoding
-// omits) followed by the standard encoding itself. Database values are
-// immutable, so the fingerprint identifies the content for the lifetime of
-// the value; the bvqd result cache keys on it. Mutated snapshots carry a
-// precomputed lineage fingerprint instead (see mutate.go) — equal
-// fingerprints imply equal content either way.
-func (db *Database) Fingerprint() uint64 {
-	db.fpOnce.Do(func() {
-		h := fnv.New64a()
-		for _, name := range db.names {
-			a, _ := db.Arity(name)
-			fmt.Fprintf(h, "%s/%d;", name, a)
-		}
-		io.WriteString(h, db.Encode())
-		db.fp = h.Sum64()
-	})
-	return db.fp
-}
 
 // RelDecl names one positional relation of a standard encoding.
 type RelDecl struct {

@@ -66,8 +66,7 @@ func sameStored(a, b *Database, name string) bool {
 }
 
 // sameContent fails unless got is want read back: one signature, one domain,
-// every relation stored and identified equally. Both are built databases, so
-// their fingerprints are content hashes.
+// every relation stored and identified equally, one fingerprint.
 func sameContent(t *testing.T, what string, want, got *Database) {
 	t.Helper()
 	if got.Fingerprint() != want.Fingerprint() {
@@ -160,6 +159,9 @@ func checkText(t *testing.T, db *Database, ops []byte) {
 		if back.RelID(name) != db.RelID(name) || !sameStored(back, db, name) {
 			t.Fatalf("an update and its inverse moved %s:\n%s\nvs\n%s", name, db, back)
 		}
+	}
+	if rebuilt.Fingerprint() != next.Fingerprint() || back.Fingerprint() != db.Fingerprint() {
+		t.Fatalf("the fingerprint is not the content's:\n%s\nvs\n%s", db, back)
 	}
 }
 

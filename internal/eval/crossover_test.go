@@ -401,8 +401,8 @@ var pinnedRoutes = []routePin{
 
 // BenchmarkDenseFamilies prices miss-direct's dense texts as bvqd runs them, on
 // the shape of its dense databases (64 nodes, out-degree 4, a source set of
-// two) through a warm node store: what reads S0 is dropped from the store
-// before every run, as a text with a set of its own finds it, so the edge
+// two) through a warm node store: every run reads an S0 content no earlier run
+// read (eval.FreshContents), as a text with a set of its own finds it, so the edge
 // atoms (and hop4's unfiltered path) come from the store and every quantifier,
 // stage extraction and stage cylinder above them is computed. reach, the same
 // closure as reach-pfp on the route the cost model gives an LFP, is the line
@@ -430,12 +430,15 @@ func BenchmarkDenseFamilies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts, db := &eval.Options{}, c.db
+		opts, db, fresh, next := &eval.Options{}, c.db, func(int) *database.Database { return c.db }, 0
 		if db == deg4 {
-			opts.Nodes = eval.NewNodeStore(64 << 20)
+			opts.Nodes, fresh = eval.NewNodeStore(64<<20), eval.FreshContents(b, db, "S0")
 		}
 		run := func() *eval.Stats {
-			opts.Nodes.Invalidate(db, []string{"S0"})
+			b.StopTimer()
+			db := fresh(next)
+			next++
+			b.StartTimer()
 			_, st, _, err := eval.EvalPlan(context.Background(), p, db, opts, nil, false)
 			if err != nil {
 				b.Fatal(err)

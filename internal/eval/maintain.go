@@ -67,22 +67,17 @@ func (s *MaintState) Tuples() int {
 // CanMaintain reports whether a cached result for p, captured on the delta's
 // parent snapshot, may be maintained by delta-restart rather than recomputed:
 // the plan must have seedable binders, and every effectively changed relation
-// the plan reads must change in a direction that can only grow the seeded
-// stage operators (inserts into positively-read relations, deletes from
-// negatively-read ones — plan.MaintInfo's polarity analysis).
+// must change in a direction that can only grow the seeded stage operators
+// (inserts into positively-read relations, deletes from negatively-read ones —
+// plan.MaintInfo's polarity analysis, which marks only relations the seeded
+// cones read).
 func CanMaintain(p *plan.Plan, d *database.Delta) bool {
 	m := p.Maint
 	if m == nil || !m.OK || d == nil {
 		return false
 	}
 	for name, rd := range d.Rels {
-		if !m.References(name) {
-			continue
-		}
-		if len(rd.Ins) > 0 && !m.InsertSafe(name) {
-			return false
-		}
-		if len(rd.Del) > 0 && !m.DeleteSafe(name) {
+		if len(rd.Ins) > 0 && !m.InsertSafe(name) || len(rd.Del) > 0 && !m.DeleteSafe(name) {
 			return false
 		}
 	}

@@ -2,19 +2,19 @@ package eval
 
 import (
 	"container/list"
-	"slices"
-	"strings"
 	"sync"
 
-	"repro/internal/database"
 	"repro/internal/relation"
 )
 
 // NodeStore shares the values of closed plan nodes between evaluations
 // (DESIGN.md, "Shared sub-plan values"): an LRU list bounded in bytes, read
 // and filled by run.evalNode. A key determines its value (storeKey) and is
-// admitted on its second offer. Stored values are frozen: un-owned for every
-// run, never mutated or released. Safe for concurrent use, and when nil.
+// admitted on its second offer. Keys name the content a value read, so an
+// update retires nothing here: values of content no snapshot holds sink to the
+// tail and leave by eviction, and are hits again if the content returns.
+// Stored values are frozen: un-owned for every run, never mutated or released.
+// Safe for concurrent use, and when nil.
 type NodeStore struct {
 	mu     sync.Mutex
 	budget int64
@@ -28,13 +28,12 @@ type NodeStore struct {
 
 // NodeStoreStats: Entries and Bytes now, the other counters since the start.
 type NodeStoreStats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Admitted    int64 `json:"admitted"`
-	Evictions   int64 `json:"evictions"`
-	Invalidated int64 `json:"invalidated"`
-	Entries     int64 `json:"entries"`
-	Bytes       int64 `json:"bytes"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Admitted  int64 `json:"admitted"`
+	Evictions int64 `json:"evictions"`
+	Entries   int64 `json:"entries"`
+	Bytes     int64 `json:"bytes"`
 }
 
 type storeEntry struct {
@@ -102,29 +101,6 @@ func (s *NodeStore) remove(el *list.Element) {
 	e := s.ll.Remove(el).(*storeEntry)
 	delete(s.items, e.key)
 	s.st.Bytes -= e.bytes
-}
-
-// Invalidate drops the values that read one of the named relations of db
-// (their keys hold its identity), which a snapshot that changed it cannot ask for.
-func (s *NodeStore) Invalidate(db *database.Database, changed []string) {
-	if s == nil {
-		return
-	}
-	retired := make([]string, 0, len(changed))
-	for _, name := range changed {
-		id := db.RelID(name)
-		retired = append(retired, string(id[:]))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for el := s.ll.Front(); el != nil; {
-		key, next := el.Value.(*storeEntry).key, el.Next()
-		if slices.ContainsFunc(retired, func(id string) bool { return strings.Contains(key, id) }) {
-			s.remove(el)
-			s.st.Invalidated++
-		}
-		el = next
-	}
 }
 
 // Stats returns the store's counters, all zero for a nil store.

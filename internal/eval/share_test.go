@@ -118,9 +118,11 @@ func twoRelDB(t *testing.T) *database.Database {
 	return b.MustBuild()
 }
 
-// TestSharedStoreAcrossApply: after an update to A, a value that reads only B
-// is still hit, one that reads A is not — not even when a run on the old
-// snapshot finishes after the update and offers its values again.
+// TestSharedStoreAcrossApply: values are keyed by the content they read, and an
+// update retires nothing. After an update to A, a value that reads only B is
+// still hit and one that reads A is not; a reader of the old snapshot that
+// finishes late still finds all of its own; and after the inverse update A's
+// content, and with it every value, is back.
 func TestSharedStoreAcrossApply(t *testing.T) {
 	q, err := parser.ParseQuery("(x, y). (exists z. (A(x, z) & A(z, y))) | (exists z. (B(x, z) & B(z, y)))")
 	if err != nil {
@@ -159,23 +161,64 @@ func TestSharedStoreAcrossApply(t *testing.T) {
 	if next.RelID("B") != old.RelID("B") || next.RelID("A") == old.RelID("A") {
 		t.Fatal("Apply must carry B's identity over and mint a new one for A")
 	}
-	held := store.Stats().Entries // each side's atoms, join, projection
-	store.Invalidate(old, []string{"A"})
-	if st := store.Stats(); st.Invalidated != held/2 || st.Entries != held/2 {
-		t.Fatalf("the update dropped %d of %d values, want the half that read A", st.Invalidated, held)
-	}
-	// A reader of the old snapshot finishes late, twice: its A values are
-	// offered and admitted again, under the old identity.
-	run(old)
-	if st := run(old); st.NodesShared != all/2 {
-		t.Fatalf("old snapshot shared %d nodes after the invalidation, want the B side's %d", st.NodesShared, all/2)
-	}
 	if st := run(next); st.NodesShared != all/2 {
 		t.Fatalf("new snapshot shared %d nodes, want the B side's %d and nothing that read the old A", st.NodesShared, all/2)
 	}
-	run(next)
-	if st := run(next); st.NodesShared != all {
-		t.Fatalf("new snapshot shared %d nodes once its own A values were admitted, want %d", st.NodesShared, all)
+	if st := run(old); st.NodesShared != all {
+		t.Fatalf("old snapshot shared %d nodes after the update, want all %d", st.NodesShared, all)
+	}
+	back, _, err := next.Apply([]database.Update{{Relation: "A", Delete: []relation.Tuple{{5, 0}}}})
+	if err != nil || back.RelID("A") != old.RelID("A") {
+		t.Fatalf("the inverse update did not restore A's identity: %v", err)
+	}
+	if st := run(back); st.NodesShared != all {
+		t.Fatalf("the returned content shared %d nodes, want all %d", st.NodesShared, all)
+	}
+}
+
+// TestNodeStoreRetiredContentAgesOut: a stream of updates whose content never
+// returns leaves the values of every retired A behind, and the byte budget
+// evicts them least recently used first: the store never holds more than its
+// budget, and the B values read between the updates survive them all.
+func TestNodeStoreRetiredContentAgesOut(t *testing.T) {
+	q, err := parser.ParseQuery("(x, y). (exists z. (A(x, z) & A(z, y))) | (exists z. (B(x, z) & B(z, y)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, db := mustCompile(t, q), twoRelDB(t)
+	const budget = 4 << 10
+	store := NewNodeStore(budget)
+	run := func() int64 {
+		t.Helper()
+		_, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Nodes: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.NodesShared
+	}
+	run()
+	run()
+	bSide := run() / 2
+	for x := 0; x < 6; x++ {
+		for y := 0; y < 6; y++ {
+			next, delta, err := db.Apply([]database.Update{{Relation: "A", Insert: []relation.Tuple{{x, y}}}})
+			if err != nil {
+				t.Fatal(err)
+			} else if delta.Empty() {
+				continue
+			}
+			db = next
+			if got := run(); got != bSide {
+				t.Fatalf("A grew by (%d, %d): the first run shared %d nodes, want the B side's %d", x, y, got, bSide)
+			}
+			run() // the A side's second offer: admitted
+			if st := store.Stats(); st.Bytes > budget {
+				t.Fatalf("%d bytes held, budget %d", st.Bytes, budget)
+			}
+		}
+	}
+	if st := store.Stats(); st.Evictions == 0 {
+		t.Fatalf("the retired values never filled the store: %+v", st)
 	}
 }
 
@@ -364,7 +407,6 @@ func TestNodeStoreAccounting(t *testing.T) {
 		t.Fatal("a stage did not come back with its value")
 	}
 	check(NodeStoreStats{Hits: 2, Misses: 1, Admitted: 2, Entries: 2, Bytes: size("a", 800) + size("fix", 100+16)})
-	s.Invalidate(twoRelDB(t), nil)
 	// Eight more 800-byte values pass the budget: "fix" and then b, the
 	// least recently used once a was read again, go first.
 	for _, key := range []string{"b", "c", "d", "e", "f", "g", "h", "i"} {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -221,6 +222,17 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 	}
 	if p.MinimizedFrom != wantFrom {
 		t.Fatalf("%s: MinimizedFrom = %d, want %d", q, p.MinimizedFrom, wantFrom)
+	}
+	// The result key's footprint is the text's; the minimised plan must read
+	// exactly those relations.
+	var read []string
+	for _, nd := range p.Nodes {
+		if nd.Op == plan.OpAtom && nd.Binder < 0 && !slices.Contains(read, nd.Rel) {
+			read = append(read, nd.Rel)
+		}
+	}
+	if slices.Sort(read); !slices.Equal(read, logic.Footprint(q.Body)) || !slices.Equal(p.Maint.Rels, logic.Footprint(q.Body)) {
+		t.Fatalf("%s: the plan reads %v, footprint %v, Maint.Rels %v", q, read, logic.Footprint(q.Body), p.Maint.Rels)
 	}
 	want, err := Naive(q, db)
 	if err != nil {

@@ -141,6 +141,19 @@ func FreeRels(f Formula) (map[string]int, error) {
 	return out, err
 }
 
+// Footprint returns the names of f's free relation symbols, sorted: the
+// relations of the database a query over f reads, the part of D its value
+// depends on (§2.1–2.2). FreeRels' arity conflicts are not its concern.
+func Footprint(f Formula) []string {
+	rels, _ := FreeRels(f)
+	names := make([]string, 0, len(rels))
+	for name := range rels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func freeRels(f Formula, bound map[string]int, out map[string]int) error {
 	switch g := f.(type) {
 	case Atom:

@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"sort"
-
-	"repro/internal/logic"
-)
+import "repro/internal/logic"
 
 // Maintenance analysis: which database deltas a compiled plan's fixpoints can
 // absorb by restarting the stage loop from the previous fixpoint instead of
@@ -49,18 +45,14 @@ type MaintInfo struct {
 	// Seeded[b] marks the seedable binders: hoisted LFP/IFP with DeltaOK.
 	// The executor captures and re-seeds exactly these binders' stages.
 	Seeded []bool
-	// Rels is the sorted dependency footprint: every database relation the
-	// plan reads anywhere. A delta touching none of these cannot change the
-	// answer, so cached results survive it unchanged.
+	// Rels is the sorted dependency footprint, logic.Footprint of the query:
+	// every database relation the plan reads anywhere. A delta touching none of
+	// these cannot change the answer, so cached results survive it unchanged.
 	Rels []string
 
-	refs      map[string]bool
 	insUnsafe map[string]bool // negative (or PFP-poisoned) occurrence in a seeded cone
 	delUnsafe map[string]bool // positive (or PFP-poisoned) occurrence in a seeded cone
 }
-
-// References reports whether the plan reads the named database relation.
-func (m *MaintInfo) References(rel string) bool { return m.refs[rel] }
 
 // InsertSafe reports that inserting tuples into rel can only grow the seeded
 // stage operators (rel has no negative occurrence inside any seeded cone).
@@ -75,21 +67,10 @@ func (m *MaintInfo) DeleteSafe(rel string) bool { return !m.delUnsafe[rel] }
 func (p *Plan) maintInfo() *MaintInfo {
 	m := &MaintInfo{
 		Seeded:    make([]bool, p.NumBinders),
-		refs:      make(map[string]bool),
+		Rels:      logic.Footprint(p.Query.Body),
 		insUnsafe: make(map[string]bool),
 		delUnsafe: make(map[string]bool),
 	}
-	for n := range p.Nodes {
-		nd := &p.Nodes[n]
-		if nd.Op == OpAtom && nd.Binder < 0 {
-			m.refs[nd.Rel] = true
-		}
-	}
-	m.Rels = make([]string, 0, len(m.refs))
-	for rel := range m.refs {
-		m.Rels = append(m.Rels, rel)
-	}
-	sort.Strings(m.Rels)
 
 	for b := 0; b < p.NumBinders; b++ {
 		op := p.Nodes[p.FixOf[b]].Fix.Op

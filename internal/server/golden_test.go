@@ -95,7 +95,7 @@ var goldenScript = []goldenStep{
 		body: `{"updates":[{"relation":"E","delete":[[1,2]]}],"base_version":7}`},
 
 	// Three texts over one closed sub-plan: the node cache is offered it,
-	// admits it, serves it; the update then retires what reads E.
+	// admits it, serves it; the update then leaves what read the old E to age out.
 	queryStep("shared sub-plan, offered", q("chain", "(x, y). P(x) & (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
 	queryStep("shared sub-plan, admitted", q("chain", "(x, y). P(y) & (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
 	queryStep("shared sub-plan, hit", q("chain", "(x, y). E(x, y) | (exists z. E(x, z) & E(z, y))")+`,"engine":"compiled"`),
@@ -345,7 +345,6 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		"bvqd_node_cache_misses_total":      st.NodeCache.Misses,
 		"bvqd_node_cache_admitted_total":    st.NodeCache.Admitted,
 		"bvqd_node_cache_evictions_total":   st.NodeCache.Evictions,
-		"bvqd_node_cache_invalidated_total": st.NodeCache.Invalidated,
 		"bvqd_node_cache_entries":           st.NodeCache.Entries,
 		"bvqd_node_cache_bytes":             st.NodeCache.Bytes,
 	} {
@@ -358,7 +357,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if st.Queries == 0 || st.Errors == 0 || st.Streams == 0 || st.Churn.Updates == 0 ||
 		st.Churn.Carried == 0 || st.Churn.Maintained == 0 || st.Churn.Invalidated == 0 || st.Eval.FixIterations == 0 ||
-		st.NodeCache.Hits == 0 || st.NodeCache.Invalidated == 0 || st.NodeCache.Bytes == 0 {
+		st.NodeCache.Hits == 0 || st.NodeCache.Bytes == 0 {
 		t.Fatalf("the script left a compared counter at zero, so its agreement shows nothing: %+v", st)
 	}
 }

@@ -123,7 +123,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewCounterFunc("bvqd_node_cache_misses_total", "Node cache lookups that fell through to computing the node.", func() int64 { return s.nodes.Stats().Misses })
 	r.NewCounterFunc("bvqd_node_cache_admitted_total", "Values the node cache kept: offered a second time and small enough.", func() int64 { return s.nodes.Stats().Admitted })
 	r.NewCounterFunc("bvqd_node_cache_evictions_total", "Node cache entries displaced by the byte budget.", func() int64 { return s.nodes.Stats().Evictions })
-	r.NewCounterFunc("bvqd_node_cache_invalidated_total", "Node cache entries dropped because an update changed a relation they read.", func() int64 { return s.nodes.Stats().Invalidated })
 	r.NewGaugeFunc("bvqd_node_cache_entries", "Values currently in the node cache.", func() int64 { return s.nodes.Stats().Entries })
 	r.NewGaugeFunc("bvqd_node_cache_bytes", "Bytes the node cache currently charges against its budget.", func() int64 { return s.nodes.Stats().Bytes })
 

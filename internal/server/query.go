@@ -222,7 +222,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	// result key: traced and untraced runs share cache entries. The key names
 	// the content of the relations the query reads, so a snapshot that differs
 	// elsewhere mints the same key.
-	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint()), q.engineName, &q.opts, req.Query)
+	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint), q.engineName, &q.opts, req.Query)
 	if q.direct = req.NoCache || req.Trace || req.Explain; !q.direct {
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
 	}
@@ -381,7 +381,7 @@ func (s *Server) keep(q *query, out evalOutcome) relation.View {
 	if q.req.NoCache || q.req.Stream && (q.req.Limit > 0 || q.req.Offset > 0) {
 		return out.answer
 	}
-	res := cache.Result{Answer: out.answer, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint()}
+	res := cache.Result{Answer: out.answer, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint}
 	if out.mstate != nil {
 		res.Baseline = &cache.Baseline{Plan: q.pl.Prepared, State: out.mstate, Opts: eval.Options{
 			MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,

@@ -43,9 +43,8 @@ type UpdateResponse struct {
 	// equal (with Noop set) when the batch changed nothing effectively.
 	FromVersion uint64 `json:"from_version"`
 	Version     uint64 `json:"version"`
-	// Fingerprint is the new snapshot's lineage fingerprint: it identifies
-	// the snapshot (equal fingerprints, equal content). Result-cache keys are
-	// minted against the content of the relations a query reads instead.
+	// Fingerprint is the new snapshot's content identity (database.Fingerprint):
+	// equal content, equal fingerprint, however the snapshot was reached.
 	Fingerprint string `json:"fingerprint"`
 	Noop        bool   `json:"noop,omitempty"`
 	// Relations lists the effectively changed relations; Inserted/Deleted
@@ -76,7 +75,10 @@ type UpdateCacheJSON struct {
 // half-updated cache for the new content.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	reqID := fmt.Sprintf("%08x", s.reqSeq.Add(1))
+	reqID := clientRequestID(r)
+	if seq := s.reqSeq.Add(1); reqID == "" {
+		reqID = fmt.Sprintf("%08x", seq)
+	}
 	w.Header().Set("X-Request-Id", reqID)
 
 	name := r.PathValue("name")
@@ -145,7 +147,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.nodes.Invalidate(snap, resp.Relations)
 	resp.Cache = s.triageResults(r, nd, snap, next, delta)
 	// Swap last: the cache for the new content is fully populated before any
 	// query can mint a key against it — no cold-cache window.
@@ -237,8 +238,6 @@ func (s *Server) triageResults(r *http.Request, nd *namedDB, snap, next *databas
 		s.results.Remove(key)
 		base, reason := res.Baseline, ""
 		switch {
-		case res.Footprint == nil:
-			reason = "unknown_footprint"
 		case base == nil:
 			reason = "no_plan"
 		case !eval.CanMaintain(base.Plan, delta):

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/database"
+	"repro/internal/eval"
 )
 
 // chainDB is 1→2→3 with isolated nodes 4, 5 and P = {1} — small enough that
@@ -286,6 +287,117 @@ func TestUpdateCacheChurn(t *testing.T) {
 	st := getStats(t, ts)
 	if st.Churn.Updates != 2 || st.Churn.Carried < 1 || st.Churn.Maintained != 1 || st.Churn.Invalidated < 2 {
 		t.Fatalf("churn stats %+v", st.Churn)
+	}
+}
+
+// TestUpdateEchoesRequestID: an update keeps the client's X-Request-Id, as
+// /query does, so a fanned-out update can be joined across replica logs.
+func TestUpdateEchoesRequestID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/db/graph/update",
+		strings.NewReader(`{"updates":[{"relation":"E","insert":[[40,10]]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "upstream-7")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up UpdateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("X-Request-Id"); got != "upstream-7" || up.RequestID != "upstream-7" {
+		t.Fatalf("header %q, body %q: want the client's upstream-7", got, up.RequestID)
+	}
+}
+
+// TestUpdateCarriesPlanlessAnswer: a query outside the compilable fragment has
+// a footprint too, its free relations, so a cached eso answer rides out an
+// update to a relation it does not read and is dropped by one to a relation it
+// does.
+func TestUpdateCarriesPlanlessAnswer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const twoColor = "(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))"
+	ask := func() QueryResponse {
+		t.Helper()
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "graph", Query: twoColor, Engine: "eso"})
+		if code != http.StatusOK {
+			t.Fatalf("eso query: status %d err %q", code, bad.Error)
+		}
+		return q
+	}
+	ask()
+	for _, tc := range []struct {
+		rel  string
+		row  []int
+		want UpdateCacheJSON
+	}{{"P", []int{40}, UpdateCacheJSON{Carried: 1}}, {"E", []int{40, 10}, UpdateCacheJSON{Invalidated: 1}}} {
+		code, up, bad := postUpdate(t, ts, "graph", UpdateRequest{Updates: []UpdateEntry{{Relation: tc.rel, Insert: [][]int{tc.row}}}})
+		if code != http.StatusOK || up.Cache != tc.want {
+			t.Fatalf("update of %s: status %d, triage %+v, want %+v (%s)", tc.rel, code, up.Cache, tc.want, bad.Error)
+		}
+		if q := ask(); q.ResultCached != (tc.rel == "P") {
+			t.Fatalf("after the update of %s: result_cached %v", tc.rel, q.ResultCached)
+		}
+	}
+}
+
+// TestNodeStoreOutlivesUpdates: an update walks no node-store entry. The
+// values of the content an update and its inverse restore are hits again; a
+// stream of updates whose content never returns leaves its values to the byte
+// budget, which evicts them, and the P value read between the updates
+// survives them all.
+func TestNodeStoreOutlivesUpdates(t *testing.T) {
+	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}, ResultCacheSize: -1})
+	const budget = 4 << 10
+	s.nodes = eval.NewNodeStore(budget) // before the first request: no run has read the default one
+	ask := func() int64 {
+		t.Helper()
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "chain", Engine: "compiled", Backend: "dense",
+			Query: "(x, y). P(x) & (exists z. (E(x, z) & E(z, y)))"})
+		if code != http.StatusOK || q.Stats == nil {
+			t.Fatalf("query: status %d err %q", code, bad.Error)
+		}
+		return q.Stats.NodesShared
+	}
+	update := func(e UpdateEntry) {
+		t.Helper()
+		before := getStats(t, ts).NodeCache.Entries
+		if code, _, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{e}}); code != http.StatusOK {
+			t.Fatalf("update: status %d err %q", code, bad.Error)
+		}
+		if after := getStats(t, ts).NodeCache.Entries; after != before {
+			t.Fatalf("an update moved the node store from %d entries to %d", before, after)
+		}
+	}
+	ask()
+	ask()
+	all := ask()
+	update(UpdateEntry{Relation: "E", Insert: [][]int{{3, 4}}})
+	update(UpdateEntry{Relation: "E", Delete: [][]int{{3, 4}}})
+	if got := ask(); got != all || all == 0 {
+		t.Fatalf("after an update and its inverse the run shared %d nodes, want all %d", got, all)
+	}
+	for u := 1; u <= 5; u++ {
+		for v := 1; v <= 5; v++ {
+			if u == v || u+1 == v {
+				continue // present, or a loop
+			}
+			update(UpdateEntry{Relation: "E", Insert: [][]int{{u, v}}})
+			if got := ask(); got < 1 {
+				t.Fatalf("E grew by (%d, %d): the P value did not survive", u, v)
+			}
+			ask() // the E side's second offer: admitted
+			if st := getStats(t, ts).NodeCache; st.Bytes > budget {
+				t.Fatalf("%d bytes held, budget %d", st.Bytes, budget)
+			}
+		}
+	}
+	if st := getStats(t, ts).NodeCache; st.Evictions == 0 {
+		t.Fatalf("the retired values never filled the store: %+v", st)
 	}
 }
 
