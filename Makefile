@@ -3,9 +3,9 @@ GO ?= go
 # Last raised by 95 lines for the result cache's stored row text (cache.Text,
 # storedRows, drainText), which takes a hit's rendering off every hit after
 # the first.
-LOC_CEILING = 27389
+LOC_CEILING = 27330
 
-.PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep crossover examples cover clean check serve
+.PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
 all: vet test build
 

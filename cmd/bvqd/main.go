@@ -19,7 +19,8 @@
 //	     [-addr :8080] [-ordered] [-plan-cache 1024] [-result-cache 4096] \
 //	     [-default-timeout 10s] [-max-timeout 60s] \
 //	     [-max-concurrent 8] [-max-queue 16] [-retry-after 1s] \
-//	     [-slow-query 1s] [-pprof localhost:6060]
+//	     [-retry-after-jitter 0] [-slow-query 1s] [-pprof localhost:6060] \
+//	     [-trace-buffer 256] [-trace-keep 0] [-trace-sample 1]
 //
 // Endpoints (see OPERATIONS.md for the full request/response schema):
 //

@@ -34,8 +34,10 @@ type updateAggregate struct {
 	// receive the update: they serve stale data until restarted against
 	// fresh inputs (see OPERATIONS.md, "failure semantics").
 	Skipped []string `json:"skipped,omitempty"`
-	// Diverged is set when healthy replicas disagree on the resulting
-	// fingerprint — the fleet needs operator attention.
+	// Diverged is set when healthy replicas disagree on the resulting version
+	// or fingerprint. A fingerprint names content, so they hold different
+	// data (replicas that applied commuting updates in either order agree) —
+	// the fleet needs operator attention.
 	Diverged bool `json:"diverged,omitempty"`
 }
 

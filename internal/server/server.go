@@ -9,8 +9,9 @@
 //     DAG plan (internal/plan) — memoized in an LRU plan cache keyed by
 //     query text;
 //   - whole evaluations, memoized in an LRU result cache keyed by
-//     (database fingerprint, engine, options, query text) — sound because
-//     database snapshots are immutable values and engines deterministic;
+//     (content of the relations the query reads, engine, options, query
+//     text) — sound because a query's value is a function of that content
+//     and engines are deterministic;
 //   - concurrent identical requests, JSON and streamed alike, coalesced by
 //     single-flight dedup so a thundering herd costs one evaluation.
 //
@@ -36,10 +37,11 @@
 // Databases are served as MVCC snapshots: POST /db/{name}/update applies
 // tuple-level inserts and deletes (database.Apply), atomically swapping in a
 // new snapshot while in-flight queries finish against the old one. The
-// update path triages the result cache by dependency footprint — carrying
-// disjoint entries to the new fingerprint, re-deriving maintainable ones by
-// delta-restart (eval.EvalPlan from the entry's state), dropping the rest — and never
-// touches the plan cache, which is keyed by query text alone (update.go).
+// update path triages the result cache by dependency footprint — leaving
+// disjoint entries in place under keys that stay valid, re-deriving
+// maintainable ones by delta-restart (eval.EvalPlan from the entry's state),
+// dropping the rest — and touches neither the plan cache, keyed by query text
+// alone, nor the node store, keyed by content (update.go).
 //
 // Endpoints: POST /query (JSON in/out), POST /db/{name}/update (tuple-level
 // mutation), GET /stats (JSON counters), GET /metrics (Prometheus text),
