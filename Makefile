@@ -1,9 +1,10 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last raised by 95 lines for the result cache's stored row text (cache.Text,
-# storedRows, drainText), which takes a hit's rendering off every hit after
-# the first.
-LOC_CEILING = 27330
+# Last raised by 290 lines for the router's own upstream client
+# (internal/router/upstream.go: a synchronous round trip on kept connections)
+# and its block relays, which take net/http's client goroutines and the
+# per-line stream loop off every routed hop.
+LOC_CEILING = 27620
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -34,7 +35,9 @@ all: vet test build
 # quantifier, stage-extraction and cylinder operators under the second on 64³,
 # database's BenchmarkDatabaseParse and BenchmarkDatabaseApply a load into
 # stored form and a one-edge update of an 18,000-tuple graph;
-# the router's BenchmarkRingLookup fails if a ring lookup allocates), five seconds of the row
+# the router's BenchmarkRingLookup fails if a ring lookup allocates and
+# BenchmarkHop is a routed hop to a stub replica, an 8 KiB JSON answer and a
+# 1,026-line NDJSON drain), five seconds of the row
 # encoder's fuzz target against encoding/json, of the node-key target
 # (equal closed-node keys, equal values), of the minimisation target (a
 # conjunctive query through plan.Compile answers as the naive oracle does)

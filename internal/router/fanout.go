@@ -54,9 +54,8 @@ type updateAggregate struct {
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rt.metrics.updates.Inc()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		failJSON(w, http.StatusRequestEntityTooLarge, "reading request: %v", err)
+	body, hdr, ok := readRequest(w, r, maxUpdateBody)
+	if !ok {
 		return
 	}
 	var healthy []*member
@@ -79,7 +78,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			resp, err := rt.do(r.Context(), m, "/db/"+url.PathEscape(name)+"/update", body, r.Header)
+			resp, err := rt.do(r.Context(), m, "/db/"+url.PathEscape(name)+"/update", hdr, body)
 			if err != nil {
 				results[i] = fanResult{m: m, err: err}
 				return
@@ -216,7 +215,7 @@ func (rt *Router) getAll(ctx context.Context, path string) []fetched {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i].body, out[i].err = rt.get(ctx, m.url+path)
+			out[i].body, out[i].err = m.get(ctx, path)
 		}()
 	}
 	wg.Wait()
@@ -224,12 +223,8 @@ func (rt *Router) getAll(ctx context.Context, path string) []fetched {
 }
 
 // get reads the body of one GET, at most 8 MiB of it.
-func (rt *Router) get(ctx context.Context, target string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.client.Do(req)
+func (m *member) get(ctx context.Context, path string) ([]byte, error) {
+	resp, err := m.roundTrip(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return nil, err
 	}

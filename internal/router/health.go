@@ -47,11 +47,7 @@ const errProbeFailed = memberError("health probes failed")
 func (rt *Router) probe(m *member, timeout time.Duration) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := m.roundTrip(ctx, http.MethodGet, "/healthz", nil, nil)
 	if err != nil {
 		return false
 	}

@@ -9,6 +9,12 @@
 // the same query to the same replica, so each replica's result cache and
 // churn index warm on a stable slice of the workload instead of the whole
 // mix diluted N ways.
+//
+// A query's answer does not depend on where it runs, so the router only
+// moves bytes, and does so cheaply: upstream.go is its HTTP/1.1 client (one
+// synchronous round trip on a kept connection per hop, no net/http client),
+// relay forwards a JSON answer with its length, and relayStream writes each
+// read of a stream whole.
 package router
 
 import (

@@ -1,16 +1,15 @@
 package router
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,15 +41,20 @@ type Config struct {
 	// HealthFailures is the consecutive-probe-failure threshold for
 	// evicting a member from the ring (0: 2).
 	HealthFailures int
-	// Client is the upstream HTTP client (nil: a client with sensible
-	// timeouts for intra-fleet traffic).
-	Client *http.Client
-	Logger *slog.Logger
+	Logger         *slog.Logger
 }
 
-// member is one configured replica and its mutable routing state.
+// member is one configured replica: its address, the connections the
+// router keeps to it (upstream.go) and its mutable routing state.
 type member struct {
-	url     string
+	url    string // the name it is routed and reported by
+	addr   string // host:port
+	host   string // the Host header
+	prefix string // the URL's path, before every request path
+
+	mu   sync.Mutex
+	idle []*upConn // at most upstreamIdleConns, the last kept on top
+
 	healthy atomic.Bool
 	// coolUntil is the unix-nano deadline of the member's current
 	// Retry-After cooldown; 0 when serving.
@@ -84,7 +88,6 @@ type Router struct {
 	retries      int
 	maxRetryWait time.Duration
 	hedgeDelay   time.Duration
-	client       *http.Client
 	logger       *slog.Logger
 	metrics      *routerMetrics
 	reqSeq       atomic.Int64
@@ -92,11 +95,6 @@ type Router struct {
 	healthStop chan struct{}
 	healthDone chan struct{}
 }
-
-// upstreamIdleConns is how many idle connections the fallback client keeps
-// per replica: above the caller count of any sane deployment, so a steady
-// load re-dials nothing.
-const upstreamIdleConns = 256
 
 // New validates cfg and returns a running Router (its health loop started
 // when HealthInterval > 0). All replicas start healthy; the first failed
@@ -111,7 +109,6 @@ func New(cfg Config) (*Router, error) {
 		retries:      cfg.Retries,
 		maxRetryWait: cfg.MaxRetryWait,
 		hedgeDelay:   cfg.HedgeDelay,
-		client:       cfg.Client,
 		logger:       cfg.Logger,
 		healthStop:   make(chan struct{}),
 		healthDone:   make(chan struct{}),
@@ -122,32 +119,20 @@ func New(cfg Config) (*Router, error) {
 	if rt.maxRetryWait == 0 {
 		rt.maxRetryWait = 3 * time.Second
 	}
-	if rt.client == nil {
-		// The default transport keeps 2 idle connections per host: with more
-		// callers than that on one replica, hops keep re-dialling.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = upstreamIdleConns
-		tr.MaxIdleConns = 0 // no cap across replicas beyond the per-replica one
-		rt.client = &http.Client{Timeout: 5 * time.Minute, Transport: tr}
-	}
 	if rt.logger == nil {
 		rt.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	for _, raw := range cfg.Replicas {
-		u := strings.TrimRight(raw, "/")
-		if u == "" {
-			return nil, fmt.Errorf("router: empty replica URL")
+		m, err := parseReplica(raw)
+		if err != nil {
+			return nil, err
 		}
-		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-			u = "http://" + u
+		if _, dup := rt.byURL[m.url]; dup {
+			return nil, fmt.Errorf("router: duplicate replica %q", m.url)
 		}
-		if _, dup := rt.byURL[u]; dup {
-			return nil, fmt.Errorf("router: duplicate replica %q", u)
-		}
-		m := &member{url: u}
 		m.healthy.Store(true)
 		rt.members = append(rt.members, m)
-		rt.byURL[u] = m
+		rt.byURL[m.url] = m
 	}
 	rt.rebuild()
 	rt.metrics = newRouterMetrics(rt)
@@ -250,18 +235,32 @@ func failJSON(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// copyUpstreamHeaders forwards the client headers a replica cares about:
-// content negotiation and W3C trace context (so replica traces stitch into
-// the caller's), never hop-by-hop headers.
-func copyUpstreamHeaders(dst http.Header, src http.Header) {
-	for _, k := range []string{"Content-Type", "Accept", "Traceparent", "Tracestate", "X-Request-Id"} {
-		if v := src.Get(k); v != "" {
-			dst.Set(k, v)
+// Request body caps. A /query body over bvqd's own cap would cost a hop only
+// to be refused there.
+const (
+	maxQueryBody  = 1 << 20
+	maxUpdateBody = 8 << 20
+)
+
+// readRequest reads a routed request's body and renders its forwarded headers.
+// It answers 413 to a body over limit and 400 to any other read error or to a
+// header value no replica may see, and then reports false.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body, hdr []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
 		}
+		failJSON(w, code, "reading request: %v", err)
+		return nil, nil, false
 	}
-	if dst.Get("Content-Type") == "" {
-		dst.Set("Content-Type", "application/json")
+	if hdr, err = copyUpstreamHeaders(r.Header); err != nil {
+		failJSON(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
 	}
+	return body, hdr, true
 }
 
 // queryProbe is the slice of a /query body the router must understand to
@@ -274,9 +273,8 @@ type queryProbe struct {
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		failJSON(w, http.StatusRequestEntityTooLarge, "reading request: %v", err)
+	body, hdr, ok := readRequest(w, r, maxQueryBody)
+	if !ok {
 		return
 	}
 	var probe queryProbe
@@ -295,7 +293,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusServiceUnavailable, "no healthy replicas")
 		return
 	}
-	served, resp := rt.forward(r, body, cands, !probe.Stream)
+	served, resp := rt.forward(r.Context(), body, hdr, cands, !probe.Stream)
 	switch {
 	case resp == nil && r.Context().Err() != nil:
 		// The client is gone: nobody to answer.
@@ -314,13 +312,8 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // do issues one upstream POST. A transport error evicts the member.
-func (rt *Router) do(ctx context.Context, m *member, path string, body []byte, hdr http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	copyUpstreamHeaders(req.Header, hdr)
-	resp, err := rt.client.Do(req)
+func (rt *Router) do(ctx context.Context, m *member, path string, hdr, body []byte) (*http.Response, error) {
+	resp, err := m.roundTrip(ctx, http.MethodPost, path, hdr, body)
 	if err != nil {
 		if ctx.Err() == nil {
 			rt.markDown(m, err)
@@ -358,11 +351,11 @@ func (b *cancelBody) Close() error {
 // hedgedDo races prim against backup: backup launches only if prim has not
 // responded within the hedge delay (or died before it). The first
 // transport-level success wins, whatever its status code — a 429 is an
-// answer, handled by the caller — and the loser is cancelled mid-flight
-// and reaped in the background. backup == nil degrades to a plain do.
-func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path string, body []byte, hdr http.Header) (*member, *http.Response, error) {
+// answer, handled by the caller — and the loser is cancelled mid-flight,
+// its connection closed. backup == nil degrades to a plain do.
+func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path string, hdr, body []byte) (*member, *http.Response, error) {
 	if backup == nil || rt.hedgeDelay <= 0 {
-		resp, err := rt.do(ctx, prim, path, body, hdr)
+		resp, err := rt.do(ctx, prim, path, hdr, body)
 		return prim, resp, err
 	}
 	type outcome struct {
@@ -374,7 +367,7 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 	pctx, pcancel := context.WithCancel(ctx)
 	bctx, bcancel := context.WithCancel(ctx)
 	run := func(c context.Context, m *member) {
-		resp, err := rt.do(c, m, path, body, hdr)
+		resp, err := rt.do(c, m, path, hdr, body)
 		ch <- outcome{m: m, resp: resp, err: err}
 	}
 	go run(pctx, prim)
@@ -391,7 +384,6 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 			go func() {
 				for i := 0; i < n; i++ {
 					if o := <-ch; o.resp != nil {
-						_, _ = io.Copy(io.Discard, o.resp.Body)
 						o.resp.Body.Close()
 					}
 				}
@@ -457,8 +449,7 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 // away or no replica could be reached. With hedge set an attempt races the
 // next available member after the hedge delay; a stream passes false, since
 // its first byte commits it to one replica.
-func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge bool) (*member, *http.Response) {
-	ctx := r.Context()
+func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member, hedge bool) (*member, *http.Response) {
 	var shed *http.Response
 	var shedBy *member
 	for pass := 0; ; pass++ {
@@ -476,7 +467,7 @@ func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge b
 			if pass > 0 || i > 0 {
 				rt.metrics.retries.Inc()
 			}
-			served, resp, err := rt.hedgedDo(ctx, m, backup, "/query", body, r.Header)
+			served, resp, err := rt.hedgedDo(ctx, m, backup, "/query", hdr, body)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, nil
@@ -490,6 +481,7 @@ func (rt *Router) forward(r *http.Request, body []byte, cands []*member, hedge b
 			captured, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			resp.Body = io.NopCloser(bytes.NewReader(captured))
+			resp.ContentLength = int64(len(captured))
 			shed, shedBy = resp, served
 		}
 		wait := time.Duration(-1) // none: every member is out of the ring
@@ -523,63 +515,76 @@ func writeHeader(w http.ResponseWriter, resp *http.Response, m *member) {
 	w.WriteHeader(resp.StatusCode)
 }
 
+// relayBuf is a relay's pooled copy buffer and, for a stream, the trailer
+// check's state.
+type relayBuf struct {
+	buf  [32 << 10]byte
+	tail lineTail
+}
+
+var relayBufs = sync.Pool{New: func() any { return new(relayBuf) }}
+
 // relay copies an upstream response — an answer, a replica's error, a shed —
-// to the client as it came.
+// to the client as it came, with its length when the replica sent one.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, m *member) {
 	defer resp.Body.Close()
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	writeHeader(w, resp, m)
-	_, _ = io.Copy(w, resp.Body)
+	rb := relayBufs.Get().(*relayBuf)
+	defer relayBufs.Put(rb)
+	for {
+		n, err := resp.Body.Read(rb.buf[:])
+		if n > 0 {
+			if _, werr := w.Write(rb.buf[:n]); werr != nil {
+				return // downstream client gone
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // relayStream relays a 200 NDJSON stream byte-for-byte: the stream is
 // committed to its replica, and an upstream death mid-stream is repaired by
 // appending the error trailer the contract promises — the downstream client
-// must never have to distinguish truncation from completion on its own.
+// must never have to distinguish truncation from completion on its own. It
+// sends no length: it may have a trailer to add.
 func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, served *member) {
 	defer resp.Body.Close()
 	writeHeader(w, resp, served)
 	flusher, _ := w.(http.Flusher)
 
-	// Lines are relayed as they are read and flushed whenever the upstream
-	// has nothing more buffered: a replica that flushed a row sees it go
-	// straight out, and a burst of rows costs one downstream write, not one
-	// per line.
-	br := streamReaders.Get().(*bufio.Reader)
-	br.Reset(resp.Body)
-	defer func() {
-		br.Reset(nil) // a pooled reader must not pin the response it last read
-		streamReaders.Put(br)
-	}()
-	sawTrailer := false // the last complete line was a trailer
-	endedMidLine := false
+	// Each read is written whole and flushed: what the replica sent goes
+	// straight out, and a burst of rows costs one downstream write.
+	rb := relayBufs.Get().(*relayBuf)
+	defer relayBufs.Put(rb)
+	tail := &rb.tail
+	tail.reset()
 	var readErr error
 	for {
-		line, err := br.ReadSlice('\n')
-		if len(line) > 0 {
-			if _, werr := w.Write(line); werr != nil {
+		n, err := resp.Body.Read(rb.buf[:])
+		if n > 0 {
+			if _, werr := w.Write(rb.buf[:n]); werr != nil {
 				return // downstream client gone; nothing to repair
 			}
-			// A piece that continues an over-long line is no line of its own.
-			whole := !endedMidLine
-			endedMidLine = line[len(line)-1] != '\n'
-			if !endedMidLine {
-				trimmed := bytes.TrimSpace(line)
-				sawTrailer = whole && len(trimmed) > 0 && trimmed[0] == '{' &&
-					bytes.Contains(trimmed, []byte(`"trailer":true`))
+			tail.feed(rb.buf[:n])
+			if flusher != nil {
+				flusher.Flush()
 			}
 		}
-		if err != nil && err != bufio.ErrBufferFull {
+		if err != nil {
 			if err != io.EOF {
 				readErr = err
 			}
 			break
 		}
-		if flusher != nil && br.Buffered() == 0 {
-			flusher.Flush()
-		}
 	}
-	if readErr == nil && sawTrailer && !endedMidLine {
-		return // clean end (returning flushes): the replica's own trailer closed the stream
+	midLine := tail.midLine()
+	if readErr == nil && tail.trailer && !midLine {
+		return // clean end: the replica's own trailer closed the stream
 	}
 	// The upstream died mid-stream without its trailer (crash, connection
 	// cut). Repair the framing so the client still gets the promised
@@ -592,7 +597,7 @@ func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, served
 	if readErr != nil {
 		why = readErr.Error()
 	}
-	if endedMidLine {
+	if midLine {
 		_, _ = io.WriteString(w, "\n")
 	}
 	trailer := map[string]any{
@@ -606,6 +611,53 @@ func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, served
 	}
 }
 
-// streamReaders recycles relayStream's 64 KiB line buffers: one a stream
-// was the largest single allocation of a routed drain.
-var streamReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+// maxTrailerLine is the longest line taken for a trailer (bvqd's are under a
+// kilobyte).
+const maxTrailerLine = 64 << 10
+
+// lineTail follows a stream's lines without keeping them: whether the last
+// complete line was a trailer, and the unfinished line after it, kept while
+// it could still be one.
+type lineTail struct {
+	part    []byte // the unfinished line, while it is at most maxTrailerLine
+	long    bool   // the unfinished line outgrew maxTrailerLine
+	trailer bool   // the last complete line is a trailer
+}
+
+func (t *lineTail) reset() { *t = lineTail{part: t.part[:0]} }
+
+// midLine reports whether the stream so far ends inside a line.
+func (t *lineTail) midLine() bool { return len(t.part) > 0 || t.long }
+
+// feed takes the next bytes of the stream.
+func (t *lineTail) feed(p []byte) {
+	i := bytes.LastIndexByte(p, '\n')
+	if i < 0 {
+		t.extend(p)
+		return
+	}
+	if j := bytes.LastIndexByte(p[:i], '\n'); j >= 0 {
+		line := p[j+1 : i+1]
+		t.trailer = len(line) <= maxTrailerLine && isTrailer(line)
+	} else {
+		t.extend(p[:i+1])
+		t.trailer = !t.long && isTrailer(t.part)
+	}
+	t.part, t.long = t.part[:0], false
+	t.extend(p[i+1:])
+}
+
+func (t *lineTail) extend(p []byte) {
+	if t.long || len(t.part)+len(p) > maxTrailerLine {
+		t.long = true
+		return
+	}
+	t.part = append(t.part, p...)
+}
+
+// isTrailer reports whether a complete line is a stream trailer: a JSON object
+// carrying "trailer":true.
+func isTrailer(line []byte) bool {
+	t := bytes.TrimSpace(line)
+	return len(t) > 0 && t[0] == '{' && bytes.Contains(t, []byte(`"trailer":true`))
+}

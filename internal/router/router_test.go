@@ -162,10 +162,11 @@ func TestAllReplicasShedRelays429(t *testing.T) {
 	}
 }
 
-// TestUpstreamConnectionsReused pins the fallback client's transport. More
-// callers than net/http's default of two idle connections per host hop in
-// rounds — all in flight together, then all idle together — and must find
-// their connections again instead of re-dialling every round.
+// TestUpstreamConnectionsReused pins the router's idle connections per
+// member (upstreamIdleConns). More callers than net/http's default of two
+// idle connections per host hop in rounds — all in flight together, then all
+// idle together — and must find their connections again instead of
+// re-dialling every round.
 func TestUpstreamConnectionsReused(t *testing.T) {
 	const callers, rounds = 6, 20
 	var dials, hopsSeen atomic.Int32
@@ -611,5 +612,70 @@ func BenchmarkRingLookup(b *testing.B) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { ring.AppendLookup(buf[:0], keys[0], 0) }); allocs != 0 {
 		b.Fatalf("a ring lookup allocates %v times, want 0", allocs)
+	}
+}
+
+// hopWriter is a client-side ResponseWriter that keeps the status and counts
+// the body: what a hop costs without a recorder's copy of the answer.
+type hopWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *hopWriter) Header() http.Header         { return w.h }
+func (w *hopWriter) WriteHeader(code int)        { w.code = code }
+func (w *hopWriter) Flush()                      {}
+func (w *hopWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkHop is one routed /query, router handler to an in-process stub
+// replica over loopback and back: an 8 KiB JSON answer with its length, and a
+// 1,026-line NDJSON drain (a header, 1,024 rows and a trailer, a hot-* stream's
+// shape). The stub's own work is in the figure.
+func BenchmarkHop(b *testing.B) {
+	answer := []byte(`{"request_id":"r","answer":[`)
+	for i := 0; len(answer) < 8<<10-2; i++ {
+		answer = fmt.Appendf(answer, "[%d,%d],", i, i+1)
+	}
+	answer = append(answer[:8<<10-2], "]}"...)
+	stream := []byte(`{"request_id":"r","width":2}` + "\n")
+	for i := 0; i < 1024; i++ {
+		stream = fmt.Appendf(stream, "[%d,%d]\n", i, i+1)
+	}
+	stream = append(stream, `{"trailer":true,"count":1024}`+"\n"...)
+	for _, c := range []struct {
+		name, req, ct string
+		body          []byte
+	}{
+		{"json-8KiB", `{"database":"graph","query":"(x, y). E(x, y)"}`, "application/json", answer},
+		{"ndjson-1026-lines", streamReq, "application/x-ndjson", stream},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.Copy(io.Discard, r.Body)
+				w.Header().Set("Content-Type", c.ct)
+				if c.ct == "application/json" {
+					w.Header().Set("Content-Length", fmt.Sprint(len(c.body)))
+				}
+				_, _ = w.Write(c.body)
+			}))
+			defer replica.Close()
+			rt, err := New(Config{Replicas: []string{replica.URL}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Close()
+			h, w := rt.Handler(), &hopWriter{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(w.h)
+				w.code, w.n = 0, 0
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(c.req)))
+				if w.code != http.StatusOK || w.n != len(c.body) {
+					b.Fatalf("hop answered %d with %d bytes, want 200 with %d", w.code, w.n, len(c.body))
+				}
+			}
+		})
 	}
 }

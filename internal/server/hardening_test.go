@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -614,6 +615,36 @@ func TestRetryAfterValueDistribution(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if v := fixed.retryAfterValue(); v != "4" {
 			t.Fatalf("fixed retryAfterValue() = %q, want \"4\"", v)
+		}
+	}
+}
+
+// TestBodyOverCapAnswers413: a /query body over 1 MiB and an update body over
+// 8 MiB are refused with 413, as bvqrouter refuses them; a body that is
+// merely malformed stays a 400.
+func TestBodyOverCapAnswers413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := func(n int) []byte {
+		return []byte(`{"database":"graph","query":"` + strings.Repeat(" ", n) + `"}`)
+	}
+	for _, c := range []struct {
+		path string
+		body []byte
+		want int
+	}{
+		{"/query", huge(2 << 20), http.StatusRequestEntityTooLarge},
+		{"/db/graph/update", huge(9 << 20), http.StatusRequestEntityTooLarge},
+		{"/query", []byte(`{"database":`), http.StatusBadRequest},
+		{"/db/graph/update", []byte(`{"updates":`), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s with %d body bytes: status %d (%s), want %d", c.path, len(c.body), resp.StatusCode, raw, c.want)
 		}
 	}
 }

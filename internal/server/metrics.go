@@ -170,6 +170,8 @@ func statusLabel(code int) string {
 		return "404"
 	case 409:
 		return "409"
+	case 413:
+		return "413"
 	case 422:
 		return "422"
 	case 429:

@@ -140,7 +140,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+		return bodyErrorStatus(err), fmt.Errorf("decoding request: %w", err)
 	}
 	// Validate numeric wire fields up front: a negative value is always a
 	// client bug, and letting it through would select unintended semantics
@@ -522,6 +522,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 	const field = `"answer":`
 	cut := bytes.Index(env.Bytes(), []byte(field+"[]")) + len(field)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(env.Len()-len("[]")+len(rows)))
 	w.WriteHeader(http.StatusOK)
 	// The client is gone if a write fails; nothing to do.
 	_, _ = w.Write(env.Bytes()[:cut])

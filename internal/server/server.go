@@ -486,6 +486,16 @@ func (s *Server) evalErrorCode(w http.ResponseWriter, err error) int {
 	}
 }
 
+// bodyErrorStatus is the status of a request body that failed to decode:
+// 413 when it ran over its cap, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // fail writes an error response and counts it.
 func (s *Server) fail(w http.ResponseWriter, code int, err error, partial *StatsJSON, reqID string) {
 	s.metrics.errors.Inc()

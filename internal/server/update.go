@@ -97,7 +97,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		fail(bodyErrorStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if len(req.Updates) == 0 {
