@@ -266,6 +266,10 @@ func (db *Database) HasRelation(name string) bool {
 	return ok
 }
 
+// Arities returns the signature, relation name → arity: the database's own
+// map, shared by every snapshot of its lineage and never to be written.
+func (db *Database) Arities() map[string]int { return db.arity }
+
 // Arity returns the arity of the named relation, or an error if undeclared.
 func (db *Database) Arity(name string) (int, error) {
 	a, ok := db.arity[name]

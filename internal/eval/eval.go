@@ -405,16 +405,6 @@ func (e *env) bind(name string, r boundRel) (restore func()) {
 	}
 }
 
-// signatureOf extracts the database's relation signature for validation.
-func signatureOf(db *database.Database) logic.Signature {
-	sig := make(logic.Signature)
-	for _, name := range db.Names() {
-		a, _ := db.Arity(name)
-		sig[name] = a
-	}
-	return sig
-}
-
 // validateRun is the admission of every evaluation but eso's — the plan
 // executor's, the formula walker's, the naive oracle's: q fits db's
 // signature; the domain is nonempty (first-order semantics over an empty one
@@ -424,7 +414,7 @@ func signatureOf(db *database.Database) logic.Signature {
 // of opts; and ctx has not already fired, which a body with no fixpoint stage
 // would never notice.
 func validateRun(ctx context.Context, q logic.Query, db *database.Database, opts *Options) error {
-	if err := q.Validate(signatureOf(db)); err != nil {
+	if err := q.Validate(db.Arities()); err != nil {
 		return err
 	}
 	if db.Size() == 0 {

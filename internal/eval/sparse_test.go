@@ -300,7 +300,7 @@ func FuzzMinimizeWidth(f *testing.F) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		db := randomGraph(t, r, 2+r.Intn(2))
-		if q.Validate(signatureOf(db)) != nil {
+		if q.Validate(db.Arities()) != nil {
 			return
 		}
 		checkMinimizeRewrite(t, q, db)

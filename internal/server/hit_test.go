@@ -148,7 +148,7 @@ func TestHitOverTextCapUsesCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.results.Each("g", func(key string, res cache.Result) {
+	s.results.Each(ofDB("g"), func(key string, res cache.Result) {
 		res.Answer = big
 		s.store(key, res, n)
 	})
@@ -161,7 +161,7 @@ func TestHitOverTextCapUsesCursor(t *testing.T) {
 				hit.ResultCached, hdr.ResultCached, hit.Count, trailer.Streamed, len(want))
 		}
 	}
-	s.results.Each("g", func(_ string, res cache.Result) {
+	s.results.Each(ofDB("g"), func(_ string, res cache.Result) {
 		if text, _ := res.Text.Load(nil); text != nil {
 			t.Fatalf("an entry of %d rows keeps %d bytes of text", len(want), len(text))
 		}

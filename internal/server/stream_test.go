@@ -766,7 +766,7 @@ func oneFormDifferential(t *testing.T) {
 	req := QueryRequest{Database: "g", Query: "(x, y, z). E(x, y) & E(y, z)", Indices: true}
 	postQuery(t, ts, req)
 	stored := 0
-	s.results.Each("g", func(key string, res cache.Result) {
+	s.results.Each(ofDB("g"), func(key string, res cache.Result) {
 		if strings.HasSuffix(key, req.Query) {
 			res.Answer = wide
 			if kept := s.store(key, res, 1<<21); kept != relation.View(wide) {

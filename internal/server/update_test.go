@@ -290,6 +290,95 @@ func TestUpdateCacheChurn(t *testing.T) {
 	}
 }
 
+// TestReturningContentIsAHit: an update retires no entry. After an insert and
+// the delete that undoes it, the content the first read saw is back and so is
+// its answer, served without evaluating; the insert repeated finds the
+// answer for its content cached already and maintains nothing.
+func TestReturningContentIsAHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}})
+	const reach = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
+	ask := func() QueryResponse {
+		t.Helper()
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "chain", Engine: "compiled", Query: reach})
+		if code != http.StatusOK {
+			t.Fatalf("query: status %d err %q", code, bad.Error)
+		}
+		return q
+	}
+	update := func(e UpdateEntry) UpdateCacheJSON {
+		t.Helper()
+		code, up, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{e}})
+		if code != http.StatusOK || up.Noop {
+			t.Fatalf("update %+v: status %d noop %v err %q", e, code, up.Noop, bad.Error)
+		}
+		return up.Cache
+	}
+	insert := UpdateEntry{Relation: "E", Insert: [][]int{{3, 4}}}
+	if q := ask(); q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3]]" {
+		t.Fatalf("first read: cached=%v answer %v", q.ResultCached, q.Answer)
+	}
+	if c := update(insert); c != (UpdateCacheJSON{Maintained: 1}) {
+		t.Fatalf("insert: triage %+v, want the entry maintained", c)
+	}
+	if c := update(UpdateEntry{Relation: "E", Delete: [][]int{{3, 4}}}); c != (UpdateCacheJSON{Carried: 1}) {
+		t.Fatalf("delete: triage %+v, want the entry carried: the answer for the content it restores is cached", c)
+	}
+	evals := getStats(t, ts).Eval.SubformulaEvals
+	if q := ask(); !q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3]]" {
+		t.Fatalf("the content returned: cached=%v answer %v, want a hit on [[1] [2] [3]]", q.ResultCached, q.Answer)
+	}
+	if got := getStats(t, ts).Eval.SubformulaEvals; got != evals {
+		t.Fatalf("a returning content's read evaluated: %d subformula evaluations, then %d", evals, got)
+	}
+	if c := update(insert); c.Maintained != 0 || c.Carried != 1 {
+		t.Fatalf("the insert again: triage %+v, want maintained 0: its content's answer is cached", c)
+	}
+	if q := ask(); !q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3] [4]]" {
+		t.Fatalf("after the insert again: cached=%v answer %v", q.ResultCached, q.Answer)
+	}
+}
+
+// TestRetainedEntriesAgeOut: the entries updates leave under contents that
+// never return are bounded by the LRU alone. Twenty inserts, each to a new
+// content, file a maintained answer apiece in a cache of 8; the cache stays at
+// 8, evicts, and never evicts the entry read after every update.
+func TestRetainedEntriesAgeOut(t *testing.T) {
+	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}, ResultCacheSize: 8})
+	const reach = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
+	ask := func(query string) QueryResponse {
+		t.Helper()
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "chain", Engine: "compiled", Query: query})
+		if code != http.StatusOK {
+			t.Fatalf("query %q: status %d err %q", query, code, bad.Error)
+		}
+		return q
+	}
+	ask(reach)
+	ask("(x). P(x)")
+	updates := 0
+	for u := 1; u <= 5 && updates < 20; u++ {
+		for v := 1; v <= 5 && updates < 20; v++ {
+			if u+1 == v && v <= 3 {
+				continue // present in chainDB
+			}
+			code, up, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{u, v}}}}})
+			if code != http.StatusOK || up.Cache.Maintained != 1 {
+				t.Fatalf("insert E(%d, %d): status %d triage %+v err %q", u, v, code, up.Cache, bad.Error)
+			}
+			updates++
+			if q := ask("(x). P(x)"); !q.ResultCached {
+				t.Fatalf("after insert %d: the entry read after every update was evicted", updates)
+			}
+			if n := s.results.Len(); n > 8 {
+				t.Fatalf("after insert %d: %d entries in a cache of 8", updates, n)
+			}
+		}
+	}
+	if _, _, evictions := s.results.Counters(); evictions == 0 {
+		t.Fatalf("%d updates to new contents, %d entries, and no eviction", updates, s.results.Len())
+	}
+}
+
 // TestUpdateEchoesRequestID: an update keeps the client's X-Request-Id, as
 // /query does, so a fanned-out update can be joined across replica logs.
 func TestUpdateEchoesRequestID(t *testing.T) {
@@ -316,8 +405,8 @@ func TestUpdateEchoesRequestID(t *testing.T) {
 
 // TestUpdateCarriesPlanlessAnswer: a query outside the compilable fragment has
 // a footprint too, its free relations, so a cached eso answer rides out an
-// update to a relation it does not read and is dropped by one to a relation it
-// does.
+// update to a relation it does not read and is re-evaluated after one to a
+// relation it does.
 func TestUpdateCarriesPlanlessAnswer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const twoColor = "(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))"
@@ -458,5 +547,82 @@ func TestUpdateSnapshotIsolation(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// BenchmarkTriage is one insert/delete pair of churn-direct's writes against
+// a cache shaped like its steady state: 16 reachability texts over E, each
+// cached under the base content and under the 16 contents one inserted edge
+// gives it, and 16 texts over F that every update carries — 288 entries. Each
+// update walks them all and finds every answer for the content it leads to
+// cached already: the cost is the walk, the Has look-ups and the handler, not
+// maintenance.
+func BenchmarkTriage(b *testing.B) {
+	var src strings.Builder
+	src.WriteString("domain = {0")
+	for v := 1; v < 64; v++ {
+		fmt.Fprintf(&src, ", %d", v)
+	}
+	src.WriteString("}\n")
+	for _, rel := range []string{"E", "F"} {
+		fmt.Fprintf(&src, "%s/2 = {", rel)
+		for v := 0; v < 64; v++ {
+			if v%16 != 15 {
+				fmt.Fprintf(&src, "(%d, %d), ", v, v+1)
+			}
+		}
+		src.WriteString("}\n")
+	}
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&src, "S%d/1 = {(%d)}\n", i, 4*i)
+	}
+	db, err := database.Parse(strings.ReplaceAll(src.String(), ", }", "}"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Databases: map[string]*database.Database{"g": db}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for _, rel := range []string{"E", "F"} {
+		for i := 0; i < 16; i++ {
+			q := fmt.Sprintf("(u). [lfp R(x). S%d(x) | (exists z. (%s(z, x) & (exists x. (x = z & R(x)))))](u)", i, rel)
+			body, _ := json.Marshal(QueryRequest{Database: "g", Engine: "compiled", Query: q})
+			post("/query", body)
+		}
+	}
+	// Edge k leads from inside one path to the head of the next.
+	var pairs [16][2][]byte
+	for k := range pairs {
+		u := 4*k + 3
+		edge := [][]int{{u, (u/16 + 1) % 4 * 16}}
+		pairs[k][0], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: edge}}})
+		pairs[k][1], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Delete: edge}}})
+		post("/db/g/update", pairs[k][0])
+		post("/db/g/update", pairs[k][1])
+	}
+	var up UpdateResponse
+	if err := json.Unmarshal(post("/db/g/update", pairs[0][0]), &up); err != nil || up.Cache != (UpdateCacheJSON{Carried: 32}) {
+		b.Fatalf("warm triage %+v (%v), want all 32 entries of the outgoing content carried", up.Cache, err)
+	}
+	post("/db/g/update", pairs[0][1])
+	if n := s.results.Len(); n != 16*17+16 {
+		b.Fatalf("%d entries cached, want %d", n, 16*17+16)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair := &pairs[i%len(pairs)]
+		post("/db/g/update", pair[0])
+		post("/db/g/update", pair[1])
 	}
 }
