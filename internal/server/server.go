@@ -182,14 +182,17 @@ type Server struct {
 // lifetime — an update concurrently swapping the pointer never disturbs them
 // (MVCC snapshot isolation, database.Apply). mu serializes updates with each
 // other and nothing else. Storing a result takes no lock, because a result key
-// names the content the query read and an update removes or re-derives what
-// read the retired content: a result computed against a superseded snapshot
-// is filed under that snapshot's content, where it is right whenever that
-// content returns and out of reach until then.
+// names the content the query read and an update retires nothing: a result
+// computed against a superseded snapshot is filed under that snapshot's
+// content, where it is right whenever that content returns and out of reach
+// until then.
 type namedDB struct {
 	name string
 	mu   sync.Mutex
 	snap atomic.Pointer[database.Database]
+	// contents is what the last update's triage learnt of snap: the content
+	// of each footprint it walked (triageResults). Guarded by mu.
+	contents map[*string]*footprintContents
 }
 
 // New validates cfg and returns a Server.
