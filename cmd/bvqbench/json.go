@@ -391,8 +391,8 @@ func benchSparse(quick bool) []Record {
 // line graph, then a one-edge insert (a self-loop, whose effective TC delta
 // is a single tuple). "recompute" evaluates the updated database from
 // scratch; "maintain" restarts the fixpoint from the pre-update stage
-// relation (eval.EvalPlanMaintained) — the bvqd update path's eager
-// maintenance. Both modes must produce the same answer; the ratio of their
+// relation (eval.EvalPlanMaintained) — what bvqd runs on the first
+// result-cache miss after an update. Both modes must produce the same answer; the ratio of their
 // ns_per_op is the payoff of delta-restart on small deltas.
 func benchChurn(quick bool) []Record {
 	sizes := []int{64, 96, 128}

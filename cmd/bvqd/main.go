@@ -7,11 +7,12 @@
 //
 // Databases are mutable through POST /db/{name}/update: each update is an
 // atomic copy-on-write snapshot transition (queries in flight keep their
-// snapshot — MVCC isolation), and the result cache is triaged per entry
-// instead of flushed — results whose dependency footprint misses the
-// delta are carried across, cached fixpoint results are incrementally
-// maintained by restarting the fixpoint from the previous state when the
-// delta's polarity admits it, and only the rest is invalidated.
+// snapshot — MVCC isolation). An update does no result-cache work: a
+// result key names the content of the relations its query reads, so
+// answers whose footprint misses the delta stay valid under their keys, and
+// the first read that misses after an update touching its footprint
+// maintains the cached fixpoint by restarting it from the previous content's
+// state when the delta's polarity admits it, or evaluates it fresh.
 //
 // Usage:
 //
@@ -20,7 +21,7 @@
 //	     [-default-timeout 10s] [-max-timeout 60s] \
 //	     [-max-concurrent 8] [-max-queue 16] [-retry-after 1s] \
 //	     [-retry-after-jitter 0] [-slow-query 1s] [-pprof localhost:6060] \
-//	     [-trace-buffer 256] [-trace-keep 0] [-trace-sample 1]
+//	     [-trace-buffer 256] [-trace-sample 1]
 //
 // Endpoints (see OPERATIONS.md for the full request/response schema):
 //
@@ -95,7 +96,6 @@ func main() {
 		slowQuery      = flag.Duration("slow-query", time.Second, "log requests at least this slow as JSON on stderr (0: disable)")
 		pprofAddr      = flag.String("pprof", "", "serve /debug/pprof on this separate address (empty: disabled)")
 		traceBuffer    = flag.Int("trace-buffer", 256, "flight-recorder ring size: keep the last N request traces for GET /debug/traces (0: disable lifecycle tracing)")
-		traceKeep      = flag.Int("trace-keep", 0, "always-keep buffer for slow/error/shed traces (0: trace-buffer/4, min 8)")
 		traceSample    = flag.Int("trace-sample", 1, "record 1 in N requests into the flight recorder (1: every request)")
 	)
 	flag.Var(dbs, "db", "serve a database as name=path (repeatable); required")
@@ -112,7 +112,6 @@ func main() {
 		SlowQuery:          *slowQuery,
 		Logger:             slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		TraceBufferSize:    *traceBuffer,
-		TraceKeepSize:      *traceKeep,
 		TraceSample:        *traceSample,
 	}
 	if err := run(dbs, *addr, *pprofAddr, *ordered, cfg); err != nil {

@@ -322,7 +322,8 @@ func doQuery(client *http.Client, cfg *config, tl *tally, scenario string, strea
 
 // doUpdate toggles the churn edge: even toggles insert it, odd ones delete
 // it, so the database's content stays bounded while every update still
-// advances the version chain and invalidates result-cache entries.
+// advances the version chain and moves the reads of the toggled relation to
+// a content whose first read maintains its cached answers.
 func doUpdate(client *http.Client, cfg *config, tl *tally, toggle *atomic.Int64) {
 	op := "insert"
 	if toggle.Add(1)%2 == 0 {

@@ -10,13 +10,11 @@
 //     function of the domain and of the relations occurring in it
 //     (database.ContentID) and every engine is deterministic. The one rule
 //     under updates: a key names the content it read, so no update retires
-//     an entry. One whose footprint the update misses keeps its key and is
-//     carried by doing nothing; one it hits stays under the outgoing
-//     content's key, right whenever that content returns, and the update
-//     re-derives its answer for the new content unless that is cached
-//     already. Entries leave by LRU eviction alone — the "amortize
-//     preprocessing" rule again: keep what was computed for as long as the
-//     content it read can be asked for again;
+//     an entry or has to look at one. A miss after an update that touched
+//     the query's footprint resumes from the entry of the content before it
+//     where delta-restart maintenance applies; entries leave by LRU eviction
+//     alone — the "amortize preprocessing" rule again: keep what was
+//     computed for as long as the content it read can be asked for again;
 //   - Flight — single-flight deduplication, so concurrent identical
 //     requests share one evaluation instead of racing n copies.
 //
@@ -93,35 +91,20 @@ func (l *LRU[V]) Put(key string, val V) {
 	}
 }
 
-// Has reports whether key is cached. It counts nothing and moves nothing: a
-// question about the cache, not a read of it.
-func (l *LRU[V]) Has(key string) bool {
+// Peek returns the cached value for key. It counts nothing and moves nothing:
+// a question about the cache, not a read of it.
+func (l *LRU[V]) Peek(key string) (V, bool) {
+	var zero V
 	if l.max <= 0 {
-		return false
+		return zero, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.items[key]
-	return ok
-}
-
-// Each calls fn on every entry for which keep holds, most recently used first.
-// keep runs under the lock on the entry in place, so it must neither call back
-// into the cache nor write or keep the value, and what it rejects is never
-// copied; fn runs outside the lock on a copy of what it took, so fn may call
-// back into the cache. Nothing is counted and no entry changes place.
-func (l *LRU[V]) Each(keep func(key string, val *V) bool, fn func(key string, val V)) {
-	l.mu.Lock()
-	var picked []lruEntry[V]
-	for el := l.ll.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*lruEntry[V]); keep(e.key, &e.val) {
-			picked = append(picked, *e)
-		}
+	el, ok := l.items[key]
+	if !ok {
+		return zero, false
 	}
-	l.mu.Unlock()
-	for _, e := range picked {
-		fn(e.key, e.val)
-	}
+	return el.Value.(*lruEntry[V]).val, true
 }
 
 // Len returns the current number of entries.

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"slices"
 	"strconv"
 	"sync"
 
@@ -68,20 +67,14 @@ func (c *PlanCache) Counters() (hits, misses, evictions int64) { return c.lru.Co
 // Result is a finished evaluation: the (immutable, shared) answer and the
 // work statistics of the run that produced it. bvqd stores answers compacted
 // (relation.Compact): a hit then opens a cursor without sorting, or writes the
-// Text the first hit rendered. The fields after Stats are what an update needs
-// to decide the entry's fate; a Result that names no DB is no update's to
-// decide and leaves by eviction alone.
+// Text the first hit rendered.
 type Result struct {
 	Answer relation.View
 	Stats  *eval.Stats // nil for engines that do not report statistics
-	// DB names the served database whose evaluation stored the entry: its
-	// updates are the ones that triage it.
-	DB string
-	// Footprint lists the database relations the answer depends on — the
-	// ones whose content the key names (Plan.Footprint).
-	Footprint []string
-	// Baseline, set by compiled dense runs, enables delta-restart maintenance.
-	Baseline *Baseline
+	// State, set by compiled runs of a maintainable plan, is what
+	// delta-restart maintenance resumes from when the content after an
+	// update misses the cache.
+	State *eval.MaintState
 	// Text holds the answer's wire rendering once a hit has asked for it; nil
 	// for an entry stored without a holder.
 	Text *Text
@@ -103,23 +96,6 @@ func (t *Text) Load(render func() (rows []byte, domain []int)) ([]byte, []int) {
 	return t.rows, t.domain
 }
 
-// Baseline is what delta-restart maintenance resumes a cached answer from:
-// the compiled plan, the eval.MaintState its run captured, and the
-// answer-affecting options that went into the key (never a request's live
-// Options: a tracer must not outlive its run).
-type Baseline struct {
-	Plan  *plan.Plan
-	State *eval.MaintState
-	Opts  eval.Options
-}
-
-// Overlaps reports whether the footprint holds one of the changed relations.
-func (r *Result) Overlaps(changed []string) bool {
-	return slices.ContainsFunc(changed, func(rel string) bool {
-		return slices.Contains(r.Footprint, rel)
-	})
-}
-
 // ResultCache memoizes evaluation results keyed by ResultKey. Soundness
 // rests on two invariants: the key's content component identifies everything
 // of the database the query can read (database.ContentID, which no update
@@ -139,16 +115,9 @@ func (c *ResultCache) Get(key string) (Result, bool) { return c.lru.Get(key) }
 // Put stores a result under key.
 func (c *ResultCache) Put(key string, r Result) { c.lru.Put(key, r) }
 
-// Has reports whether a result is stored under key, counting nothing and
-// moving nothing (LRU.Has).
-func (c *ResultCache) Has(key string) bool { return c.lru.Has(key) }
-
-// Each calls fn on every live result keep accepts (LRU.Each: keep under the
-// lock on the entry in place, fn outside it on a copy, no counter and no
-// recency moves).
-func (c *ResultCache) Each(keep func(key string, r *Result) bool, fn func(key string, r Result)) {
-	c.lru.Each(keep, fn)
-}
+// Peek returns the result stored under key, counting nothing and moving
+// nothing (LRU.Peek).
+func (c *ResultCache) Peek(key string) (Result, bool) { return c.lru.Peek(key) }
 
 // Len returns the number of cached results.
 func (c *ResultCache) Len() int { return c.lru.Len() }
@@ -188,12 +157,6 @@ func ResultKey(content uint64, engine string, opts *eval.Options, queryText stri
 // same request mints against a snapshot whose footprint content is content.
 func WithContent(key string, content uint64) string {
 	return string(append(appendContent(make([]byte, 0, len(key)), content), key[16:]...))
-}
-
-// ContentPrefix is the head of every key ResultKey mints for content: a key
-// names content exactly when it starts with ContentPrefix(content).
-func ContentPrefix(content uint64) string {
-	return string(appendContent(make([]byte, 0, 16), content))
 }
 
 // appendContent appends "%016x" of content.

@@ -2,61 +2,46 @@ package cache
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/eval"
 )
 
-// TestResultCacheEach: the update path's walk sees exactly the live entries
-// its keep accepts, may store from inside it, and is invisible to the counters
-// and to the eviction order — a triage is not a read; neither is Has.
-func TestResultCacheEach(t *testing.T) {
-	c := NewResultCache(4)
-	c.Put("a1", Result{DB: "a"})
-	c.Put("b1", Result{DB: "b"})
-	c.Put("a2", Result{DB: "a"})
-	of := func(db string) func(string, *Result) bool {
-		return func(_ string, r *Result) bool { return r.DB == db }
+// TestResultCachePeek: a miss peeks at the entry it may resume from, and the
+// peek returns exactly what is stored while staying invisible to the counters
+// and to the eviction order — a question about the cache is not a read.
+func TestResultCachePeek(t *testing.T) {
+	c := NewResultCache(3)
+	stats := func(evals int64) *eval.Stats { return &eval.Stats{SubformulaEvals: evals} }
+	c.Put("a1", Result{Stats: stats(1)})
+	c.Put("b1", Result{Stats: stats(2)})
+	c.Put("a2", Result{Stats: stats(3)})
+	if r, ok := c.Peek("a1"); !ok || r.Stats.SubformulaEvals != 1 {
+		t.Fatalf("Peek(a1) = %+v, %v: want the entry stored under a1", r, ok)
 	}
-	var seen []string
-	c.Each(of("a"), func(key string, r Result) {
-		seen = append(seen, key)
-		if r.DB != "a" {
-			t.Errorf("%s: entry of database %q in a's walk", key, r.DB)
-		}
-		if key == "a2" { // the lock is not held: the walk may store
-			c.Put("a3", r)
-		}
-	})
-	if want := []string{"a2", "a1"}; !reflect.DeepEqual(seen, want) {
-		t.Fatalf("walk saw %v, want %v (most recent first, the entry stored meanwhile not among them)", seen, want)
-	}
-	if !c.Has("a1") || c.Has("a4") {
-		t.Fatal("Has must report exactly the stored keys")
+	if _, ok := c.Peek("a4"); ok {
+		t.Fatal("Peek found a key never stored")
 	}
 	if h, m, e := c.Counters(); h != 0 || m != 0 || e != 0 {
-		t.Fatalf("the walk or Has counted: hits %d misses %d evictions %d", h, m, e)
+		t.Fatalf("Peek counted: hits %d misses %d evictions %d", h, m, e)
 	}
-	// a1 is the oldest entry and neither the walk nor Has may have moved it:
-	// the next Put evicts it, not b1.
-	c.Put("b2", Result{DB: "b"})
+	// a1 is the oldest entry and Peek may not have moved it: the next Put
+	// evicts it, not b1.
+	c.Put("b2", Result{})
 	if _, ok := c.Get("a1"); ok {
-		t.Fatal("the walk or Has refreshed a1's recency")
+		t.Fatal("Peek refreshed a1's recency")
 	}
 	if _, ok := c.Get("b1"); !ok {
 		t.Fatal("b1 was evicted in a1's place")
 	}
-	c.Each(of("nobody"), func(string, Result) { t.Fatal("walk over a database that stored nothing") })
-	NewResultCache(0).Each(of("a"), func(string, Result) { t.Fatal("walk over a disabled cache") })
-	if NewResultCache(0).Has("a1") {
+	if _, ok := NewResultCache(0).Peek("a1"); ok {
 		t.Fatal("a disabled cache has nothing")
 	}
 }
 
 // TestWithContent: replacing the content component gives the key ResultKey
-// mints for that content, and comparing a key with itself re-minted, or its
-// head with ContentPrefix, says whether it names that content.
+// mints for that content, and comparing a key with itself re-minted says
+// whether it names that content.
 func TestWithContent(t *testing.T) {
 	opts := &eval.Options{MaxWidth: 3, Backend: eval.BackendSparse}
 	const text = "(x, y). E(x, y) | x = y"
@@ -65,29 +50,9 @@ func TestWithContent(t *testing.T) {
 		if got, want := WithContent(old, content), ResultKey(content, "compiled", opts, text); got != want {
 			t.Errorf("WithContent(%q, %#x) = %q, want %q", old, content, got, want)
 		}
-		if !strings.HasPrefix(WithContent(old, content), ContentPrefix(content)) || strings.HasPrefix(WithContent(old, content^1), ContentPrefix(content)) {
-			t.Errorf("ContentPrefix(%#x) does not say which content a key names", content)
-		}
 	}
 	if WithContent(old, 0xdeadbeef) != old || WithContent(old, 0xdeadbeee) == old {
 		t.Fatal("a key must equal itself re-minted for its own content and no other")
-	}
-}
-
-func TestResultOverlaps(t *testing.T) {
-	for _, tc := range []struct {
-		footprint, changed []string
-		want               bool
-	}{
-		{nil, []string{"E"}, false}, // reads nothing: nothing overlaps
-		{[]string{}, []string{"E"}, false},
-		{[]string{"E", "P"}, []string{"F"}, false},
-		{[]string{"E", "P"}, []string{"A", "P"}, true},
-		{[]string{"P"}, nil, false},
-	} {
-		if got := (&Result{Footprint: tc.footprint}).Overlaps(tc.changed); got != tc.want {
-			t.Errorf("footprint %v, changed %v: overlaps = %v, want %v", tc.footprint, tc.changed, got, tc.want)
-		}
 	}
 }
 

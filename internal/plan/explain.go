@@ -41,7 +41,7 @@ type Explain struct {
 	RootEst       float64 `json:"root_tuple_estimate,omitempty"`
 
 	// Maintainable mirrors Maint.OK; Footprint is the relation dependency
-	// set driving churn-aware cache triage.
+	// set whose content result-cache keys name.
 	Maintainable bool     `json:"maintainable"`
 	Footprint    []string `json:"footprint,omitempty"`
 

@@ -9,10 +9,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/database"
 )
 
@@ -22,9 +20,9 @@ import (
 // equal domain size and equal R, c with a's tuples over a larger domain — and
 // updates toggle tuples of a small pool, so earlier contents keep coming back.
 // After every update each cached answer equals the no_cache answer of the same
-// snapshot, the update's carried + maintained + invalidated is the number of
-// live entries its database had stored for the outgoing content, and on c
-// (which shares with nobody) an entry the delta missed is still served.
+// snapshot, whether the read hits, maintains the previous content's entry or
+// evaluates fresh, and on c (which shares with nobody) an entry the delta
+// missed is still served.
 func TestChurnWireDifferential(t *testing.T) {
 	texts := []struct {
 		text string
@@ -117,7 +115,6 @@ func TestChurnWireDifferential(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(21))
-	var total UpdateCacheJSON
 	for step := 0; step < 200; step++ {
 		db := names[rng.Intn(len(names))]
 		// Toggle one to three pool tuples of one or two relations.
@@ -148,21 +145,11 @@ func TestChurnWireDifferential(t *testing.T) {
 				req.Updates = append(req.Updates, *e)
 			}
 		}
-		stored, snap := 0, s.dbs[db].snap.Load()
-		s.results.Each(func(key string, r *cache.Result) bool {
-			return r.DB == db && strings.HasPrefix(key, cache.ContentPrefix(snap.ContentID(r.Footprint)))
-		}, func(string, cache.Result) { stored++ })
 		var up UpdateResponse
 		post("/db/"+db+"/update", req, &up)
 		if up.Noop {
 			t.Fatalf("step %d: %+v changed nothing", step, req)
 		}
-		if got := up.Cache.Carried + up.Cache.Maintained + up.Cache.Invalidated; got != stored {
-			t.Fatalf("step %d: %s had stored %d live entries of its outgoing content, triage %+v accounts for %d", step, db, stored, up.Cache, got)
-		}
-		total.Carried += up.Cache.Carried
-		total.Maintained += up.Cache.Maintained
-		total.Invalidated += up.Cache.Invalidated
 
 		for i, tx := range texts {
 			for _, engine := range engines {
@@ -179,9 +166,8 @@ func TestChurnWireDifferential(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("totals %+v", total)
-	if total.Carried == 0 || total.Maintained == 0 || total.Invalidated == 0 {
-		t.Fatalf("the run did not exercise all three outcomes: %+v", total)
+	if s.metrics.maintained.Value() == 0 {
+		t.Error("no read maintained an entry")
 	}
 	for _, reason := range []string{"no_plan", "delta_polarity"} {
 		if s.metrics.invalidations.With(reason).Value() == 0 {

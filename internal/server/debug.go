@@ -98,8 +98,9 @@ func clientRequestID(r *http.Request) string {
 
 // cacheOutcome labels how the request's answer was produced, for slow-query
 // logs: "hit" (result cache), "coalesced" (rode another request's
-// evaluation), "bypass" (trace/explain/no_cache forced a fresh run), "miss"
-// (evaluated and eligible for caching).
+// evaluation), "bypass" (trace/explain/no_cache forced a fresh run),
+// "maintained" (resumed from the previous content's entry), "miss" (evaluated
+// fresh and eligible for caching).
 func (q *query) cacheOutcome() string {
 	switch {
 	case q.cached:
@@ -108,6 +109,8 @@ func (q *query) cacheOutcome() string {
 		return "coalesced"
 	case q.direct:
 		return "bypass"
+	case q.maintained:
+		return "maintained"
 	default:
 		return "miss"
 	}

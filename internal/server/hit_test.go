@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/database"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -148,10 +147,13 @@ func TestHitOverTextCapUsesCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.results.Each(ofDB("g"), func(key string, res cache.Result) {
-		res.Answer = big
-		s.store(key, res, n)
-	})
+	key := resultKey(t, db, QueryRequest{Database: "g", Query: allEdges})
+	res, ok := s.results.Peek(key)
+	if !ok {
+		t.Fatal("the first read stored nothing")
+	}
+	res.Answer = big
+	s.store(key, res, n)
 	for range 2 {
 		_, hit, _ := postQuery(t, ts, QueryRequest{Database: "g", Query: allEdges})
 		hdr, rows, trailer := postStream(t, ts, QueryRequest{Database: "g", Query: allEdges, Stream: true})
@@ -161,11 +163,11 @@ func TestHitOverTextCapUsesCursor(t *testing.T) {
 				hit.ResultCached, hdr.ResultCached, hit.Count, trailer.Streamed, len(want))
 		}
 	}
-	s.results.Each(ofDB("g"), func(_ string, res cache.Result) {
+	if res, _ := s.results.Peek(key); res.Text != nil {
 		if text, _ := res.Text.Load(nil); text != nil {
 			t.Fatalf("an entry of %d rows keeps %d bytes of text", len(want), len(text))
 		}
-	})
+	}
 }
 
 const closure = "(x, y). [lfp T(x, y). E(x, y) | exists z. (E(x, z) & T(z, y))](x, y)"
@@ -290,10 +292,10 @@ func TestStreamDeliveryContract(t *testing.T) {
 	}
 }
 
-// TestChurnServesCompactAnswers checks the two ways an update puts a compact
-// answer into the cache — carrying an untouched entry over, maintaining a
-// touched one — against a recompute: JSON, a window of it, and the stream
-// agree row for row.
+// TestChurnServesCompactAnswers checks the two ways a cached answer survives
+// an update — an untouched entry served under its unchanged key, a touched one
+// maintained by the first read after it — against a recompute: JSON, a window
+// of it, and the stream agree row for row.
 func TestChurnServesCompactAnswers(t *testing.T) {
 	db, err := database.Parse(`
 domain = {1, 2, 3, 4, 5, 6, 7, 8, 9}
@@ -316,9 +318,17 @@ F/2 = {(9, 8), (8, 7), (7, 6), (6, 5), (8, 5), (5, 9)}
 	}
 	query(QueryRequest{Query: closure})
 	query(QueryRequest{Query: twoHopF})
-	code, up, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{6, 8}, {7, 1}}}}})
-	if code != http.StatusOK || up.Cache.Carried != 1 || up.Cache.Maintained != 1 {
-		t.Fatalf("update: status %d, triage %+v, err %q", code, up.Cache, bad.Error)
+	code, _, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{6, 8}, {7, 1}}}}})
+	if code != http.StatusOK {
+		t.Fatalf("update: status %d, err %q", code, bad.Error)
+	}
+	// The closure's first read maintains its entry; the F text's key is
+	// unchanged.
+	if q := query(QueryRequest{Query: closure}); q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+		t.Fatalf("closure after the update: cached=%v stats %+v, want a maintained miss", q.ResultCached, q.Stats)
+	}
+	if q := query(QueryRequest{Query: twoHopF}); !q.ResultCached {
+		t.Fatal("the F text's entry is not served after an update of E")
 	}
 	for _, text := range []string{closure, twoHopF} {
 		want := query(QueryRequest{Query: text, NoCache: true})

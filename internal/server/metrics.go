@@ -26,8 +26,8 @@ type serverMetrics struct {
 	// ones included (foldEvalStats).
 	subformulaEvals, fixIterations, tuplesTouched, repSwitches, acyclicFast *metrics.Counter
 
-	updates, carried, maintained *metrics.Counter
-	invalidations                *metrics.CounterVec // bvqd_cache_invalidations_total{reason}
+	updates, maintained *metrics.Counter
+	invalidations       *metrics.CounterVec // bvqd_cache_invalidations_total{reason}
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -81,12 +81,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 		updates: r.NewCounter("bvqd_updates_total",
 			"Effective database updates applied via /db/{name}/update."),
-		carried: r.NewCounter("bvqd_carried_results_total",
-			"Cached results left valid in place because their footprint missed the delta."),
 		maintained: r.NewCounter("bvqd_maintained_results_total",
-			"Cached results incrementally maintained from an update delta."),
+			"Result-cache misses answered by delta-restart maintenance from the entry of the content before the update that last touched the query's footprint."),
 		invalidations: r.NewCounterVec("bvqd_cache_invalidations_total",
-			"Cached results dropped during update triage, by reason.", "reason"),
+			"Result-cache misses evaluated fresh although the entry of the content before the update that last touched the query's footprint was cached, by reason.", "reason"),
+	}
+
+	// Both reasons are on /metrics from the start, at zero until a miss
+	// counts one.
+	for _, reason := range []string{"no_plan", "delta_polarity"} {
+		m.invalidations.With(reason)
 	}
 
 	r.NewGaugeFunc("bvqd_queue_depth",

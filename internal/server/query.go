@@ -51,11 +51,12 @@ type query struct {
 	// trace and profile, not someone else's (or none).
 	direct bool
 
-	fold      *eval.StageFold // the fresh run's stage observer, when anything reads it
-	status    int
-	cached    bool  // served from the result cache
-	coalesced bool  // served by another request's evaluation
-	shared    int64 // closed sub-plan values the fresh run took from the node cache
+	fold       *eval.StageFold // the fresh run's stage observer, when anything reads it
+	status     int
+	cached     bool  // served from the result cache
+	coalesced  bool  // served by another request's evaluation
+	maintained bool  // the run resumed from the previous content's entry (Server.resume)
+	shared     int64 // closed sub-plan values the fresh run took from the node cache
 }
 
 // evalOutcome is what lookup or one evaluation produces, shared between
@@ -281,14 +282,15 @@ func (q *query) storedRows(out evalOutcome) []byte {
 }
 
 // engineCall is the one engine call: the whole answer as a View. The compiled
-// engine reuses the DAG plan prepared when the query entered the plan cache, hands
-// back the executor's head as it stands and captures maintenance state beside
-// it; a nil Prepared (non-compilable fragment) takes the generic path, which
-// recompiles and surfaces the real error, and so do the exhibit engines, whose
-// answer is a Set.
-func engineCall(q *query) (out evalOutcome) {
+// engine reuses the DAG plan prepared when the query entered the plan cache,
+// restarts from prev when resume found one, hands back the executor's head as
+// it stands and captures maintenance state beside it; a nil Prepared
+// (non-compilable fragment) takes the generic path, which recompiles and
+// surfaces the real error, and so do the exhibit engines, whose answer is a
+// Set.
+func engineCall(q *query, prev *eval.MaintState) (out evalOutcome) {
 	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, nil, true)
+		out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, prev, true)
 		return out
 	}
 	var set *relation.Set
@@ -299,11 +301,12 @@ func engineCall(q *query) (out evalOutcome) {
 	return out
 }
 
-// evaluate is the one fresh evaluation, whatever will be written from it:
+// evaluate is the one evaluation, whatever will be written from it:
 // take an evaluation slot (or join the bounded wait queue — overload sheds
 // with errOverloaded → 429, a deadline firing while queued is the usual 504),
 // raise the in-flight gauge, open the eval span, attach the stage observer,
-// run the engine panic-contained, and settle: the work, complete or partial,
+// run the engine panic-contained — from the previous content's entry when
+// resume finds one, fresh otherwise — and settle: the work, complete or partial,
 // is folded into the aggregate counters and gauge and slot go back when the
 // engine returns — the answer is whole by then, so nobody's reading of it
 // holds either.
@@ -339,7 +342,13 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	if s.testHookBeforeEval != nil {
 		s.testHookBeforeEval()
 	}
-	out = engineCall(q)
+	prev := s.resume(q)
+	q.maintained = prev != nil
+	out = engineCall(q, prev)
+	if q.maintained && out.err == nil {
+		s.metrics.maintained.Inc()
+		esp.Annotate("cache", "maintained")
+	}
 	if out.stats != nil && out.stats.NodesShared > 0 {
 		q.shared = out.stats.NodesShared
 		esp.Annotate("nodes_shared", strconv.FormatInt(q.shared, 10))
@@ -358,36 +367,57 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	return out
 }
 
+// resume returns the state a miss maintains its answer from: that of the
+// entry stored for the content its footprint had before the update that last
+// touched it, when delta-restart admits that update's delta. Otherwise it
+// returns nil and the miss evaluates fresh, counting why when there was an
+// entry to resume from. The peek counts nothing: the request's own lookup
+// was its one read. A direct request always evaluates fresh.
+func (s *Server) resume(q *query) *eval.MaintState {
+	if q.direct {
+		return nil
+	}
+	st := q.nd.lastTouch(q.snap, q.pl.Footprint)
+	if st == nil {
+		return nil
+	}
+	prev, ok := s.results.Peek(cache.WithContent(q.key, st.from.ContentID(q.pl.Footprint)))
+	switch {
+	case !ok:
+		return nil
+	case prev.State == nil:
+		s.metrics.invalidations.With("no_plan").Inc()
+	case !eval.CanMaintain(q.pl.Prepared, st.delta):
+		s.metrics.invalidations.With("delta_polarity").Inc()
+	default:
+		return prev.State
+	}
+	return nil
+}
+
 // store puts res, its answer compacted over a domain of n elements, in the
 // result cache under key, and returns the answer as kept: the one place an
-// answer takes its cached form, for a fresh run and a maintained entry alike.
-// The entry gets an empty Text: its first hit renders the rows.
+// answer takes its cached form. The entry gets an empty Text: its first hit
+// renders the rows.
 func (s *Server) store(key string, res cache.Result, n int) relation.View {
 	res.Answer, res.Text = relation.Compact(res.Answer, n), new(cache.Text)
 	s.results.Put(key, res)
 	return res.Answer
 }
 
-// keep stores a fresh run's answer in the result cache with what an update of
-// its database needs to triage it, and returns the answer in its kept form. Two requests keep nothing: one that opted out of caching, and
-// a windowed stream, whose point is not to pay O(|answer|) — its cursor
-// decodes the window from the head as it stands. No lock and no check that
-// q.snap is still current: the key names the content the run read, so the
-// entry is right whenever that content is asked for again and unreachable
-// otherwise. The footprint is a property of the query, so results from ANY
-// engine ride out disjoint deltas; maintenance state is captured by compiled
-// runs of a prepared plan only.
+// keep stores a run's answer in the result cache with the state a later miss
+// resumes from, and returns the answer in its kept form. Two requests keep
+// nothing: one that opted out of caching, and a windowed stream, whose point
+// is not to pay O(|answer|) — its cursor decodes the window from the head as
+// it stands. No lock and no check that q.snap is still current: the key names
+// the content the run read, so the entry is right whenever that content is
+// asked for again and unreachable otherwise. Maintenance state is captured by
+// compiled runs of a prepared plan only.
 func (s *Server) keep(q *query, out evalOutcome) relation.View {
 	if q.req.NoCache || q.req.Stream && (q.req.Limit > 0 || q.req.Offset > 0) {
 		return out.answer
 	}
-	res := cache.Result{Answer: out.answer, Stats: out.stats, DB: q.nd.name, Footprint: q.pl.Footprint}
-	if out.mstate != nil {
-		res.Baseline = &cache.Baseline{Plan: q.pl.Prepared, State: out.mstate, Opts: eval.Options{
-			MaxWidth: q.opts.MaxWidth, Backend: q.opts.Backend,
-			PFPBudget: q.opts.PFPBudget, PFPCycle: q.opts.PFPCycle, SparseBudget: q.opts.SparseBudget}}
-	}
-	return s.store(q.key, res, q.snap.Size())
+	return s.store(q.key, cache.Result{Answer: out.answer, Stats: out.stats, State: out.mstate}, q.snap.Size())
 }
 
 // evaluateShared is a miss, JSON or NDJSON: evaluate, keep. Unless the request

@@ -36,12 +36,14 @@
 //
 // Databases are served as MVCC snapshots: POST /db/{name}/update applies
 // tuple-level inserts and deletes (database.Apply), atomically swapping in a
-// new snapshot while in-flight queries finish against the old one. The
-// update path triages the result cache by dependency footprint — leaving
-// disjoint entries in place under keys that stay valid, re-deriving
-// maintainable ones by delta-restart (eval.EvalPlan from the entry's state),
-// dropping the rest — and touches neither the plan cache, keyed by query text
-// alone, nor the node store, keyed by content (update.go).
+// new snapshot while in-flight queries finish against the old one. An update
+// does no cache work: a result key names the content of the relations the
+// query reads, so no update can make an entry wrong. The update records its
+// step, and the first miss that needs the new content's answer resumes from
+// the previous content's entry by delta-restart (eval.EvalPlan from the
+// entry's state) where it can, and evaluates fresh otherwise. Neither the
+// plan cache, keyed by query text alone, nor the node store, keyed by
+// content, is touched (update.go).
 //
 // Endpoints: POST /query (JSON in/out), POST /db/{name}/update (tuple-level
 // mutation), GET /stats (JSON counters), GET /metrics (Prometheus text),
@@ -113,12 +115,11 @@ type Config struct {
 	// nil means discard.
 	Logger *slog.Logger
 	// TraceBufferSize enables the flight recorder: the last N finished
-	// request traces are kept in memory and served on GET /debug/traces.
-	// 0 disables lifecycle tracing entirely (the zero-overhead default).
+	// request traces are kept in memory and served on GET /debug/traces,
+	// and slow, error and shed traces in an always-keep buffer of
+	// max(N/4, 8) beside them. 0 disables lifecycle tracing entirely (the
+	// zero-overhead default).
 	TraceBufferSize int
-	// TraceKeepSize bounds the always-keep buffer holding slow/error/shed
-	// traces regardless of ring churn. 0 means TraceBufferSize/4, min 8.
-	TraceKeepSize int
 	// TraceSample records 1 in N requests into the flight recorder (slow,
 	// error and shed requests are always candidates once traced — sampling
 	// decides whether a trace is built at all). 0 or 1 means every request.
@@ -190,9 +191,10 @@ type namedDB struct {
 	name string
 	mu   sync.Mutex
 	snap atomic.Pointer[database.Database]
-	// contents is what the last update's triage learnt of snap: the content
-	// of each footprint it walked (triageResults). Guarded by mu.
-	contents map[*string]*footprintContents
+	// chain holds the last chainLen steps that led to snap, oldest first. It
+	// is copied on write under mu, and a miss reads it to find the update
+	// that last touched its footprint (lastTouch).
+	chain atomic.Pointer[[]step]
 }
 
 // New validates cfg and returns a Server.
@@ -243,11 +245,7 @@ func New(cfg Config) (*Server, error) {
 		s.sample = int64(cfg.TraceSample)
 	}
 	if cfg.TraceBufferSize > 0 {
-		keep := cfg.TraceKeepSize
-		if keep <= 0 {
-			keep = max(cfg.TraceBufferSize/4, 8)
-		}
-		s.recorder = trace.NewRecorder(cfg.TraceBufferSize, keep)
+		s.recorder = trace.NewRecorder(cfg.TraceBufferSize, max(cfg.TraceBufferSize/4, 8))
 	}
 	for name, db := range cfg.Databases {
 		if name == "" || db == nil {
@@ -543,21 +541,20 @@ type StatsResponse struct {
 	Eval              AggregateEvalStats  `json:"eval"`
 }
 
-// ChurnStats reports how updates and the result cache interact: per cached
-// entry at each effective update, exactly one of carried / maintained /
-// invalidated is counted (entries already evicted by the LRU count nowhere).
+// ChurnStats reports updates and how the result-cache misses after them were
+// answered. A miss whose footprint an update in the chain touched, and whose
+// answer for the content before that update is still cached, is counted once:
+// maintained when delta-restart resumed from that entry, invalidated when it
+// could not and the miss evaluated fresh. Any other miss counts nowhere.
 type ChurnStats struct {
 	// Updates counts effective updates accepted on /db/{name}/update
 	// (no-ops excluded).
 	Updates int64 `json:"updates"`
-	// Carried counts results left in place, key and all, because their
-	// dependency footprint was disjoint from the delta.
-	Carried int64 `json:"carried"`
-	// Maintained counts results re-derived by delta-restart maintenance
-	// instead of being dropped.
+	// Maintained counts misses answered by delta-restart maintenance.
 	Maintained int64 `json:"maintained"`
-	// Invalidated counts results dropped; the per-reason split is on
-	// /metrics (bvqd_cache_invalidations_total).
+	// Invalidated counts misses whose previous entry could not be resumed
+	// from; the per-reason split is on /metrics
+	// (bvqd_cache_invalidations_total).
 	Invalidated int64 `json:"invalidated"`
 }
 
@@ -644,7 +641,6 @@ func (s *Server) Stats() StatsResponse {
 		NodeCache:   s.nodes.Stats(),
 		Churn: ChurnStats{
 			Updates:     m.updates.Value(),
-			Carried:     m.carried.Value(),
 			Maintained:  m.maintained.Value(),
 			Invalidated: m.invalidations.Sum(),
 		},

@@ -13,6 +13,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/database"
+	"repro/internal/eval"
+	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
@@ -69,9 +72,22 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// ofDB is a result-cache walk's keep for every entry db stored.
-func ofDB(db string) func(string, *cache.Result) bool {
-	return func(_ string, r *cache.Result) bool { return r.DB == db }
+// resultKey is the result-cache key resolve mints for req against db.
+func resultKey(t testing.TB, db *database.Database, req QueryRequest) string {
+	t.Helper()
+	q, err := parser.ParseQuery(req.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := eval.BackendByName(req.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := req.Engine
+	if engine == "" {
+		engine = "compiled"
+	}
+	return cache.ResultKey(db.ContentID(logic.Footprint(q.Body)), engine, &eval.Options{MaxWidth: req.MaxWidth, Backend: backend}, req.Query)
 }
 
 func postQuery(t testing.TB, ts *httptest.Server, req QueryRequest) (int, QueryResponse, ErrorResponse) {

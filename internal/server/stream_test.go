@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/database"
 	"repro/internal/logic"
 	"repro/internal/relation"
@@ -661,8 +660,8 @@ func randomFormula(r *rand.Rand, depth int, recs []string) logic.Formula {
 // oneFormDifferential holds every way bvqd comes by an answer to one
 // rendering. For random formulas over a random graph, on each backend, and a
 // random offset/limit: a fresh JSON answer, a fresh stream, a hit read as JSON
-// and as a stream, and — after an update that touches E — the entry the update
-// left (carried, maintained or recomputed) all deliver the window that the
+// and as a stream, and — after an update that touches E — the first read of
+// each entry (a hit, a maintained miss or a recompute) all deliver the window that the
 // naive engine's answer has at that place. The dense, sparse and hybrid routes
 // and the mid-loop hand-off are the eval layer's to force
 // (TestEnumStreamedMatchesMaterialized, TestAnswerViewEveryRoute); a coalesced
@@ -685,7 +684,7 @@ func oneFormDifferential(t *testing.T) {
 		}
 	}
 	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": b.MustBuild()}})
-	kept, maintained := 0, 0
+	kept := 0
 	for trial := 0; trial < 400 && kept < 40; trial++ {
 		f := randomFormula(r, 3, nil)
 		if logic.Validate(f, nil) != nil {
@@ -736,25 +735,24 @@ func oneFormDifferential(t *testing.T) {
 		if len(served) < 2 {
 			t.Fatalf("%s: served by %d backends, want dense and auto at least", text, len(served))
 		}
-		// Toggle an edge: every entry of this formula is carried, maintained or
-		// dropped, and is read again either way.
+		// Toggle an edge: every entry of this formula is read again, and the
+		// read hits, maintains or recomputes.
 		e := [2]int{r.Intn(n), r.Intn(n)}
 		up := UpdateEntry{Relation: "E", Insert: [][]int{e[:]}}
 		if edge[e] {
 			up = UpdateEntry{Relation: "E", Delete: [][]int{e[:]}}
 		}
 		edge[e] = !edge[e]
-		code, ur, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{up}})
+		code, _, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{up}})
 		if code != http.StatusOK {
 			t.Fatalf("update %+v: status %d: %s", up, code, bad.Error)
 		}
-		maintained += ur.Cache.Maintained
 		want = oracle()
 		for _, req := range served {
 			check("after the update", req, want)
 		}
 	}
-	if kept < 40 || maintained == 0 {
+	if maintained := s.metrics.maintained.Value(); kept < 40 || maintained == 0 {
 		t.Fatalf("kept %d formulas, %d entries maintained: the generator no longer covers the differential", kept, maintained)
 	}
 
@@ -765,18 +763,14 @@ func oneFormDifferential(t *testing.T) {
 	wide := relation.SetOf(3, relation.Tuple{1 << 20, 0, 5}, relation.Tuple{0, 1<<21 - 1, 2}, relation.Tuple{0, 1, 2})
 	req := QueryRequest{Database: "g", Query: "(x, y, z). E(x, y) & E(y, z)", Indices: true}
 	postQuery(t, ts, req)
-	stored := 0
-	s.results.Each(ofDB("g"), func(key string, res cache.Result) {
-		if strings.HasSuffix(key, req.Query) {
-			res.Answer = wide
-			if kept := s.store(key, res, 1<<21); kept != relation.View(wide) {
-				t.Fatalf("store compacted a shape without a code form into %T", kept)
-			}
-			stored++
-		}
-	})
-	if stored != 1 {
-		t.Fatalf("%d entries for %q, want 1", stored, req.Query)
+	key := resultKey(t, s.dbs["g"].snap.Load(), req)
+	res, ok := s.results.Peek(key)
+	if !ok {
+		t.Fatalf("no entry for %q", req.Query)
+	}
+	res.Answer = wide
+	if kept := s.store(key, res, 1<<21); kept != relation.View(wide) {
+		t.Fatalf("store compacted a shape without a code form into %T", kept)
 	}
 	for _, w := range [][2]int{{0, 0}, {1, 1}, {2, 5}} {
 		req.Offset, req.Limit = w[0], w[1]

@@ -6,12 +6,9 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/database"
-	"repro/internal/eval"
 	"repro/internal/relation"
 )
 
@@ -54,30 +51,47 @@ type UpdateResponse struct {
 	Relations []string `json:"relations"`
 	Inserted  int      `json:"inserted"`
 	Deleted   int      `json:"deleted"`
-	// Cache reports the result-cache triage this update performed.
-	Cache     UpdateCacheJSON `json:"cache"`
-	ElapsedMS float64         `json:"elapsed_ms"`
+	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
-// UpdateCacheJSON is the per-update result-cache triage of every live entry
-// the database stored for the outgoing content: carried (footprint disjoint
-// from the delta, or the answer for the new content cached already),
-// maintained (re-derived by delta-restart under the new content's key) or
-// invalidated (not re-derived). No entry is dropped: each stays under the
-// content it read until the LRU evicts it.
-type UpdateCacheJSON struct {
-	Carried     int `json:"carried"`
-	Maintained  int `json:"maintained"`
-	Invalidated int `json:"invalidated"`
+// chainLen is how many updates back a result-cache miss may look for the one
+// that last touched its footprint: one step serves churn that alternates an
+// insert with its delete, the rest updates of relations it does not read. A
+// step keeps its two snapshots alive; they share what the update left alone.
+const chainLen = 8
+
+// step is one effective update of a lineage: the snapshot it applied to, the
+// snapshot it made, and the delta between them.
+type step struct {
+	from, to *database.Database
+	delta    *database.Delta
+}
+
+// lastTouch returns the newest step up to snap whose delta changes one of
+// rels, or nil when the chain does not reach snap or no step on it does.
+// Between that step and snap the content of rels stays as the step left it.
+func (nd *namedDB) lastTouch(snap *database.Database, rels []string) *step {
+	chain := nd.chain.Load()
+	if chain == nil {
+		return nil
+	}
+	steps := *chain
+	for i := slices.IndexFunc(steps, func(st step) bool { return st.to == snap }); i >= 0; i-- {
+		if slices.ContainsFunc(rels, func(rel string) bool { _, ok := steps[i].delta.Rels[rel]; return ok }) {
+			return &steps[i]
+		}
+	}
+	return nil
 }
 
 // handleUpdate applies a tuple-level update batch to a served database:
 // validate the wire payload (400 naming the offending field), check the
 // optional base_version (409 on mismatch), build the new snapshot
-// (database.Apply), triage the result cache against the delta, and only then
-// swap the snapshot pointer — queries admitted before the swap finish on the
-// old snapshot, queries after it see the new one, and nobody ever observes a
-// half-updated cache for the new content.
+// (database.Apply), record the step in the lineage's chain, and swap the
+// snapshot pointer — queries admitted before the swap finish on the old
+// snapshot, queries after it see the new one. It does no result-cache work: a
+// key names the content its query read, so no entry goes wrong, and the first
+// miss that needs an answer for the new content maintains it (Server.resume).
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID := clientRequestID(r)
@@ -118,8 +132,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The snapshot lock serializes updates with each other: the triage below
-	// reasons about exactly one delta.
+	// The snapshot lock serializes updates with each other: each step of the
+	// chain starts where the one before it ended.
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	snap := nd.snap.Load()
@@ -152,9 +166,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp.Cache = s.triageResults(r, nd, snap, next, delta)
-	// Swap last: the cache for the new content is fully populated before any
-	// query can mint a key against it — no cold-cache window.
+	// The chain is copied on write, and the step goes in before the swap: a
+	// query that loads next finds how it was reached.
+	steps := make([]step, 0, chainLen)
+	if old := nd.chain.Load(); old != nil {
+		steps = append(steps, (*old)[max(len(*old)+1-chainLen, 0):]...)
+	}
+	steps = append(steps, step{from: snap, to: next, delta: delta})
+	nd.chain.Store(&steps)
 	nd.snap.Store(next)
 
 	s.metrics.updates.Inc()
@@ -166,10 +185,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		slog.String("database", name),
 		slog.Uint64("version", resp.Version),
 		slog.Int("inserted", resp.Inserted),
-		slog.Int("deleted", resp.Deleted),
-		slog.Int("carried", resp.Cache.Carried),
-		slog.Int("maintained", resp.Cache.Maintained),
-		slog.Int("invalidated", resp.Cache.Invalidated))
+		slog.Int("deleted", resp.Deleted))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -223,112 +239,4 @@ func convertUpdates(db *database.Database, entries []UpdateEntry, indices bool) 
 		out = append(out, up)
 	}
 	return out, nil
-}
-
-// triageResults decides under delta the fate of every live result nd stored
-// for the outgoing snapshot's content, populating the cache for the new
-// snapshot BEFORE it is swapped in. A result key names the content of the
-// query's footprint, so no entry is ever removed here: one the delta misses
-// keeps a valid key and is carried by being left alone; one it hits stays
-// under its old key (right whenever that content returns) and is carried too
-// when next's answer is already cached — a content coming back — or else
-// re-derived under next's key when delta-restart maintenance applies, or
-// counted invalidated. Entries of any other content are not this delta's to
-// decide: it does not lead from their content to next. Called with nd.mu held.
-func (s *Server) triageResults(r *http.Request, nd *namedDB, snap, next *database.Database, delta *database.Delta) UpdateCacheJSON {
-	var out UpdateCacheJSON
-	changed := delta.Relations()
-	// A footprint's content in snap (as the key prefix that names it) and in
-	// next is computed once an update, not once an entry, and snap's side is
-	// what the previous update computed for its next. Entries of one plan
-	// share its Footprint slice, so its first element identifies it; the
-	// comparison on a hit guards the rest.
-	seen := make(map[*string]*footprintContents, len(nd.contents))
-	contentsOf := func(rels []string) *footprintContents {
-		var id *string
-		if len(rels) > 0 {
-			id = &rels[0]
-		}
-		if c, ok := seen[id]; ok && slices.Equal(c.rels, rels) {
-			return c
-		}
-		c := &footprintContents{rels: rels}
-		if old, ok := nd.contents[id]; ok && slices.Equal(old.rels, rels) {
-			c.from = old.to
-		} else {
-			c.from = contentIn(snap, rels)
-		}
-		c.to = c.from
-		if slices.ContainsFunc(rels, func(rel string) bool { return slices.Contains(changed, rel) }) {
-			c.to = contentIn(next, rels)
-		}
-		seen[id] = c
-		return c
-	}
-	// keep runs under the cache lock: only the entries that need work are
-	// copied out of it.
-	s.results.Each(func(key string, res *cache.Result) bool {
-		if res.DB != nd.name || !strings.HasPrefix(key, contentsOf(res.Footprint).from.prefix) {
-			return false
-		}
-		if !res.Overlaps(changed) {
-			out.Carried++
-			return false
-		}
-		return true
-	}, func(key string, res cache.Result) {
-		nextKey := cache.WithContent(key, contentsOf(res.Footprint).to.id)
-		if s.results.Has(nextKey) {
-			out.Carried++
-			return
-		}
-		base, reason := res.Baseline, ""
-		switch {
-		case base == nil:
-			reason = "no_plan"
-		case !eval.CanMaintain(base.Plan, delta):
-			reason = "delta_polarity"
-		default:
-			// Eager delta-restart maintenance against the new snapshot, while
-			// queries still run on the old one: the maintained answer is in the
-			// cache before the swap, so the entry never goes cold.
-			opts := base.Opts
-			opts.Nodes = s.nodes
-			ans, st, state, err := eval.EvalPlan(r.Context(), base.Plan, next, &opts, base.State, true)
-			if err != nil {
-				reason = "maintenance_failed"
-				break
-			}
-			s.foldEvalStats(st)
-			res.Answer, res.Stats = ans, st
-			res.Baseline = &cache.Baseline{Plan: base.Plan, State: state, Opts: base.Opts}
-			s.store(nextKey, res, next.Size())
-			s.metrics.maintained.Inc()
-			out.Maintained++
-			return
-		}
-		s.metrics.invalidations.With(reason).Inc()
-		out.Invalidated++
-	})
-	s.metrics.carried.Add(int64(out.Carried))
-	nd.contents = seen
-	return out
-}
-
-// footprintContents is one footprint's content before and after an update.
-type footprintContents struct {
-	rels     []string
-	from, to content
-}
-
-// content is a footprint's database.ContentID and the result-key prefix that
-// names it.
-type content struct {
-	prefix string
-	id     uint64
-}
-
-func contentIn(db *database.Database, rels []string) content {
-	id := db.ContentID(rels)
-	return content{cache.ContentPrefix(id), id}
 }

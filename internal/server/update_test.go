@@ -211,11 +211,11 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestUpdateCacheChurn exercises the three triage outcomes on one update:
-// a result whose footprint misses the delta is carried, a compiled result
-// with maintenance state is maintained (and visibly reflects the delta), and
-// an uncompiled-engine result on a touched footprint is invalidated. The plan
-// cache must survive all of it.
+// TestUpdateCacheChurn exercises the three outcomes of the first read after
+// one update: a result whose footprint misses the delta is a hit under its
+// unchanged key, a compiled result with maintenance state is maintained by the
+// read (and visibly reflects the delta), and an uncompiled-engine result on a
+// touched footprint is evaluated fresh. The plan cache must survive all of it.
 func TestUpdateCacheChurn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}})
 
@@ -234,21 +234,18 @@ func TestUpdateCacheChurn(t *testing.T) {
 	mustQuery(pOnly, "compiled") // footprint {P}: disjoint from an E-only delta
 	mustQuery(reach, "bottomup") // overlapping footprint, no plan: invalidated
 
-	code, up, _ := postUpdate(t, ts, "chain", UpdateRequest{
+	code, _, _ := postUpdate(t, ts, "chain", UpdateRequest{
 		Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{3, 4}}}},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("update: status %d", code)
 	}
-	if up.Cache.Carried != 1 || up.Cache.Maintained != 1 || up.Cache.Invalidated != 1 {
-		t.Fatalf("triage %+v", up.Cache)
-	}
 
-	// The maintained entry serves from cache, reflects the inserted edge, and
-	// carries the maintenance run's statistics.
+	// The first read maintains the entry, reflects the inserted edge and
+	// reports the maintenance run's statistics; the next one is a hit.
 	q := mustQuery(reach, "compiled")
-	if !q.ResultCached {
-		t.Fatalf("maintained reach not served from cache: %+v", q)
+	if q.ResultCached {
+		t.Fatalf("reach served from cache before any read of the new content: %+v", q)
 	}
 	if fmt.Sprint(q.Answer) != "[[1] [2] [3] [4]]" {
 		t.Fatalf("maintained reach answer %v", q.Answer)
@@ -256,9 +253,13 @@ func TestUpdateCacheChurn(t *testing.T) {
 	if q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
 		t.Fatalf("maintained reach stats %+v", q.Stats)
 	}
+	if q := mustQuery(reach, "compiled"); !q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+		t.Fatalf("the maintained answer was not cached: %+v", q)
+	}
 
-	// The carried entry is a cache hit too; the invalidated one re-evaluates
-	// but still hits the plan cache (plans are keyed by text, not snapshot).
+	// The P entry's key is unchanged, so it is a hit; the bottomup entry has no
+	// state to resume from and re-evaluates, but still hits the plan cache
+	// (plans are keyed by text, not snapshot).
 	if q := mustQuery(pOnly, "compiled"); !q.ResultCached {
 		t.Fatalf("carried P query missed the cache: %+v", q)
 	}
@@ -268,32 +269,29 @@ func TestUpdateCacheChurn(t *testing.T) {
 	}
 
 	// A delete touches the reach plan's positive E occurrence: delta polarity
-	// forbids maintenance, so the (re-maintained) entry is invalidated and a
-	// fresh evaluation sees the shrunken answer.
-	code, up, _ = postUpdate(t, ts, "chain", UpdateRequest{
+	// forbids maintenance, so the read evaluates fresh and sees the shrunken
+	// answer.
+	code, up, _ := postUpdate(t, ts, "chain", UpdateRequest{
 		Updates: []UpdateEntry{{Relation: "E", Delete: [][]int{{1, 2}}}},
 	})
 	if code != http.StatusOK || up.Deleted != 1 {
 		t.Fatalf("delete update: status %d resp %+v", code, up)
 	}
-	if up.Cache.Maintained != 0 {
-		t.Fatalf("delete must not be maintained through a positive occurrence: %+v", up.Cache)
-	}
 	q = mustQuery(reach, "compiled")
-	if q.ResultCached || fmt.Sprint(q.Answer) != "[[1]]" {
-		t.Fatalf("post-delete reach: cached=%v answer %v", q.ResultCached, q.Answer)
+	if q.ResultCached || fmt.Sprint(q.Answer) != "[[1]]" || q.Stats == nil || q.Stats.MaintainedFromDelta != 0 {
+		t.Fatalf("post-delete reach: cached=%v answer %v stats %+v", q.ResultCached, q.Answer, q.Stats)
 	}
 
 	st := getStats(t, ts)
-	if st.Churn.Updates != 2 || st.Churn.Carried < 1 || st.Churn.Maintained != 1 || st.Churn.Invalidated < 2 {
+	if st.Churn.Updates != 2 || st.Churn.Maintained != 1 || st.Churn.Invalidated != 2 {
 		t.Fatalf("churn stats %+v", st.Churn)
 	}
 }
 
 // TestReturningContentIsAHit: an update retires no entry. After an insert and
 // the delete that undoes it, the content the first read saw is back and so is
-// its answer, served without evaluating; the insert repeated finds the
-// answer for its content cached already and maintains nothing.
+// its answer, served without evaluating; after the insert repeated, the
+// answer the read after the first insert maintained is served.
 func TestReturningContentIsAHit(t *testing.T) {
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}})
 	const reach = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
@@ -305,24 +303,22 @@ func TestReturningContentIsAHit(t *testing.T) {
 		}
 		return q
 	}
-	update := func(e UpdateEntry) UpdateCacheJSON {
+	update := func(e UpdateEntry) {
 		t.Helper()
 		code, up, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{e}})
 		if code != http.StatusOK || up.Noop {
 			t.Fatalf("update %+v: status %d noop %v err %q", e, code, up.Noop, bad.Error)
 		}
-		return up.Cache
 	}
 	insert := UpdateEntry{Relation: "E", Insert: [][]int{{3, 4}}}
 	if q := ask(); q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3]]" {
 		t.Fatalf("first read: cached=%v answer %v", q.ResultCached, q.Answer)
 	}
-	if c := update(insert); c != (UpdateCacheJSON{Maintained: 1}) {
-		t.Fatalf("insert: triage %+v, want the entry maintained", c)
+	update(insert)
+	if q := ask(); q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3] [4]]" || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+		t.Fatalf("after the insert: cached=%v answer %v stats %+v, want a maintained miss", q.ResultCached, q.Answer, q.Stats)
 	}
-	if c := update(UpdateEntry{Relation: "E", Delete: [][]int{{3, 4}}}); c != (UpdateCacheJSON{Carried: 1}) {
-		t.Fatalf("delete: triage %+v, want the entry carried: the answer for the content it restores is cached", c)
-	}
+	update(UpdateEntry{Relation: "E", Delete: [][]int{{3, 4}}})
 	evals := getStats(t, ts).Eval.SubformulaEvals
 	if q := ask(); !q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3]]" {
 		t.Fatalf("the content returned: cached=%v answer %v, want a hit on [[1] [2] [3]]", q.ResultCached, q.Answer)
@@ -330,18 +326,20 @@ func TestReturningContentIsAHit(t *testing.T) {
 	if got := getStats(t, ts).Eval.SubformulaEvals; got != evals {
 		t.Fatalf("a returning content's read evaluated: %d subformula evaluations, then %d", evals, got)
 	}
-	if c := update(insert); c.Maintained != 0 || c.Carried != 1 {
-		t.Fatalf("the insert again: triage %+v, want maintained 0: its content's answer is cached", c)
-	}
+	update(insert)
 	if q := ask(); !q.ResultCached || fmt.Sprint(q.Answer) != "[[1] [2] [3] [4]]" {
 		t.Fatalf("after the insert again: cached=%v answer %v", q.ResultCached, q.Answer)
 	}
+	if st := getStats(t, ts).Churn; st.Maintained != 1 || st.Invalidated != 0 {
+		t.Fatalf("churn %+v: one maintained read, and nothing else resumed or refused", st)
+	}
 }
 
-// TestRetainedEntriesAgeOut: the entries updates leave under contents that
-// never return are bounded by the LRU alone. Twenty inserts, each to a new
-// content, file a maintained answer apiece in a cache of 8; the cache stays at
-// 8, evicts, and never evicts the entry read after every update.
+// TestRetainedEntriesAgeOut: the entries left under contents that never
+// return are bounded by the LRU alone. Twenty inserts, each to a new content,
+// each followed by a read that maintains the answer for it, file an entry
+// apiece in a cache of 8; the cache stays at 8, evicts, and never evicts the
+// entry read after every update.
 func TestRetainedEntriesAgeOut(t *testing.T) {
 	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}, ResultCacheSize: 8})
 	const reach = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
@@ -361,11 +359,14 @@ func TestRetainedEntriesAgeOut(t *testing.T) {
 			if u+1 == v && v <= 3 {
 				continue // present in chainDB
 			}
-			code, up, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{u, v}}}}})
-			if code != http.StatusOK || up.Cache.Maintained != 1 {
-				t.Fatalf("insert E(%d, %d): status %d triage %+v err %q", u, v, code, up.Cache, bad.Error)
+			code, _, bad := postUpdate(t, ts, "chain", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{u, v}}}}})
+			if code != http.StatusOK {
+				t.Fatalf("insert E(%d, %d): status %d err %q", u, v, code, bad.Error)
 			}
 			updates++
+			if q := ask(reach); q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+				t.Fatalf("after insert %d: cached=%v stats %+v, want a maintained miss", updates, q.ResultCached, q.Stats)
+			}
 			if q := ask("(x). P(x)"); !q.ResultCached {
 				t.Fatalf("after insert %d: the entry read after every update was evicted", updates)
 			}
@@ -406,7 +407,7 @@ func TestUpdateEchoesRequestID(t *testing.T) {
 // TestUpdateCarriesPlanlessAnswer: a query outside the compilable fragment has
 // a footprint too, its free relations, so a cached eso answer rides out an
 // update to a relation it does not read and is re-evaluated after one to a
-// relation it does.
+// relation it does: a miss with no state to resume from (no_plan).
 func TestUpdateCarriesPlanlessAnswer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const twoColor = "(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))"
@@ -420,16 +421,19 @@ func TestUpdateCarriesPlanlessAnswer(t *testing.T) {
 	}
 	ask()
 	for _, tc := range []struct {
-		rel  string
-		row  []int
-		want UpdateCacheJSON
-	}{{"P", []int{40}, UpdateCacheJSON{Carried: 1}}, {"E", []int{40, 10}, UpdateCacheJSON{Invalidated: 1}}} {
-		code, up, bad := postUpdate(t, ts, "graph", UpdateRequest{Updates: []UpdateEntry{{Relation: tc.rel, Insert: [][]int{tc.row}}}})
-		if code != http.StatusOK || up.Cache != tc.want {
-			t.Fatalf("update of %s: status %d, triage %+v, want %+v (%s)", tc.rel, code, up.Cache, tc.want, bad.Error)
+		rel         string
+		row         []int
+		invalidated int64
+	}{{"P", []int{40}, 0}, {"E", []int{40, 10}, 1}} {
+		code, _, bad := postUpdate(t, ts, "graph", UpdateRequest{Updates: []UpdateEntry{{Relation: tc.rel, Insert: [][]int{tc.row}}}})
+		if code != http.StatusOK {
+			t.Fatalf("update of %s: status %d (%s)", tc.rel, code, bad.Error)
 		}
 		if q := ask(); q.ResultCached != (tc.rel == "P") {
 			t.Fatalf("after the update of %s: result_cached %v", tc.rel, q.ResultCached)
+		}
+		if got := getStats(t, ts).Churn.Invalidated; got != tc.invalidated {
+			t.Fatalf("after the update of %s: %d invalidated, want %d", tc.rel, got, tc.invalidated)
 		}
 	}
 }
@@ -550,14 +554,10 @@ func TestUpdateSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// BenchmarkTriage is one insert/delete pair of churn-direct's writes against
-// a cache shaped like its steady state: 16 reachability texts over E, each
-// cached under the base content and under the 16 contents one inserted edge
-// gives it, and 16 texts over F that every update carries — 288 entries. Each
-// update walks them all and finds every answer for the content it leads to
-// cached already: the cost is the walk, the Has look-ups and the handler, not
-// maintenance.
-func BenchmarkTriage(b *testing.B) {
+// churnDB is churn-direct's shape on 64 nodes: E and F are four 16-node paths
+// each, and S0…S15 one source node apiece.
+func churnDB(tb testing.TB) *database.Database {
+	tb.Helper()
 	var src strings.Builder
 	src.WriteString("domain = {0")
 	for v := 1; v < 64; v++ {
@@ -578,43 +578,140 @@ func BenchmarkTriage(b *testing.B) {
 	}
 	db, err := database.Parse(strings.ReplaceAll(src.String(), ", }", "}"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s, err := New(Config{Databases: map[string]*database.Database{"g": db}})
+	return db
+}
+
+// churnReach is reachability from S<i> along rel.
+func churnReach(i int, rel string) string {
+	return fmt.Sprintf("(u). [lfp R(x). S%d(x) | (exists z. (%s(z, x) & (exists x. (x = z & R(x)))))](u)", i, rel)
+}
+
+// churnEdge is edge k of churnDB's pool: from inside one path to the head of
+// the next.
+func churnEdge(k int) [][]int {
+	u := 4*k + 3
+	return [][]int{{u, (u/16 + 1) % 4 * 16}}
+}
+
+// TestUpdateDoesNoCacheWork: an update reads, writes and evaluates nothing of
+// the result cache. The first read of each text after it maintains the cached
+// fixpoint, and the second is a hit.
+func TestUpdateDoesNoCacheWork(t *testing.T) {
+	s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": churnDB(t)}})
+	read := func(i int) QueryResponse {
+		t.Helper()
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "g", Engine: "compiled", Query: churnReach(i, "E")})
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d err %q", i, code, bad.Error)
+		}
+		return q
+	}
+	for i := 0; i < 16; i++ {
+		read(i)
+	}
+	type cacheState struct {
+		size                    int
+		hits, misses, evictions int64
+		fixIterations           int64
+	}
+	state := func() cacheState {
+		h, m, e := s.results.Counters()
+		return cacheState{s.results.Len(), h, m, e, s.metrics.fixIterations.Value()}
+	}
+	before := state()
+	if code, _, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: churnEdge(0)}}}); code != http.StatusOK {
+		t.Fatalf("update: status %d err %q", code, bad.Error)
+	}
+	if after := state(); after != before {
+		t.Fatalf("the update moved the result cache from %+v to %+v", before, after)
+	}
+	for i := 0; i < 16; i++ {
+		if q := read(i); q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+			t.Fatalf("text %d, first read: cached=%v stats %+v, want a maintained miss", i, q.ResultCached, q.Stats)
+		}
+		if q := read(i); !q.ResultCached {
+			t.Fatalf("text %d, second read: not a hit", i)
+		}
+	}
+}
+
+// TestMissMaintainsPastDisjointUpdates: a miss resumes from the entry of the
+// content before the update that last touched its footprint, past updates
+// that did not. Two updates that both touch it leave no entry for the content
+// between them, and the read evaluates fresh. Either way the answer is the
+// no_cache one.
+func TestMissMaintainsPastDisjointUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		updates    []UpdateEntry
+		maintained int64
+	}{
+		{"E then F", []UpdateEntry{{Relation: "E", Insert: churnEdge(0)}, {Relation: "F", Insert: churnEdge(0)}}, 1},
+		{"E twice", []UpdateEntry{{Relation: "E", Insert: churnEdge(0)}, {Relation: "E", Insert: churnEdge(4)}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": churnDB(t)}})
+			read := func(noCache bool) QueryResponse {
+				t.Helper()
+				code, q, bad := postQuery(t, ts, QueryRequest{Database: "g", Engine: "compiled", Query: churnReach(0, "E"), NoCache: noCache})
+				if code != http.StatusOK || q.Stats == nil {
+					t.Fatalf("query: status %d err %q", code, bad.Error)
+				}
+				return q
+			}
+			read(false)
+			for _, e := range tc.updates {
+				if code, _, bad := postUpdate(t, ts, "g", UpdateRequest{Updates: []UpdateEntry{e}}); code != http.StatusOK {
+					t.Fatalf("update %+v: status %d err %q", e, code, bad.Error)
+				}
+			}
+			got, want := read(false), read(true)
+			if got.ResultCached || got.Stats.MaintainedFromDelta != tc.maintained || s.metrics.maintained.Value() != tc.maintained {
+				t.Fatalf("cached=%v maintained_from_delta=%d, want a miss with %d", got.ResultCached, got.Stats.MaintainedFromDelta, tc.maintained)
+			}
+			if !reflect.DeepEqual(got.Answer, want.Answer) || len(got.Answer) <= 16 {
+				t.Fatalf("answer %v, no_cache %v", got.Answer, want.Answer)
+			}
+		})
+	}
+}
+
+// BenchmarkUpdate is one insert/delete pair of churn-direct's writes through
+// the handler against a cache shaped like its steady state: 16 reachability
+// texts over E, each cached under the base content and under the 16 contents
+// one inserted edge gives it, and 16 texts over F — 288 entries. An update
+// reads none of them: the cost is the handler, Apply and the chain.
+func BenchmarkUpdate(b *testing.B) {
+	s, err := New(Config{Databases: map[string]*database.Database{"g": churnDB(b)}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	post := func(path string, body []byte) []byte {
+	post := func(path string, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("%s %s: status %d: %s", path, body, rec.Code, rec.Body)
 		}
-		return rec.Body.Bytes()
 	}
-	for _, rel := range []string{"E", "F"} {
+	read := func(rel string) {
 		for i := 0; i < 16; i++ {
-			q := fmt.Sprintf("(u). [lfp R(x). S%d(x) | (exists z. (%s(z, x) & (exists x. (x = z & R(x)))))](u)", i, rel)
-			body, _ := json.Marshal(QueryRequest{Database: "g", Engine: "compiled", Query: q})
+			body, _ := json.Marshal(QueryRequest{Database: "g", Engine: "compiled", Query: churnReach(i, rel)})
 			post("/query", body)
 		}
 	}
-	// Edge k leads from inside one path to the head of the next.
+	read("E")
+	read("F")
 	var pairs [16][2][]byte
 	for k := range pairs {
-		u := 4*k + 3
-		edge := [][]int{{u, (u/16 + 1) % 4 * 16}}
-		pairs[k][0], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: edge}}})
-		pairs[k][1], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Delete: edge}}})
+		pairs[k][0], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: churnEdge(k)}}})
+		pairs[k][1], _ = json.Marshal(UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Delete: churnEdge(k)}}})
 		post("/db/g/update", pairs[k][0])
+		read("E")
 		post("/db/g/update", pairs[k][1])
 	}
-	var up UpdateResponse
-	if err := json.Unmarshal(post("/db/g/update", pairs[0][0]), &up); err != nil || up.Cache != (UpdateCacheJSON{Carried: 32}) {
-		b.Fatalf("warm triage %+v (%v), want all 32 entries of the outgoing content carried", up.Cache, err)
-	}
-	post("/db/g/update", pairs[0][1])
 	if n := s.results.Len(); n != 16*17+16 {
 		b.Fatalf("%d entries cached, want %d", n, 16*17+16)
 	}
