@@ -1,9 +1,9 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last lowered by 113 lines when updates stopped doing result-cache work: the
-# update path's triage walk is gone, and a miss maintains from the previous
-# content's entry instead (internal/server/query.go, resume).
-LOC_CEILING = 27572
+# Last lowered by 630 lines when the side executors went: the Yannakakis
+# executor (with relation.Set.Join/Semijoin) and internal/datalog; the
+# compiled engine is the one CQ and fixpoint executor.
+LOC_CEILING = 26942
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -58,9 +58,13 @@ all: vet test build
 # stored codes, Apply stores what a build of the new content stores and an update
 # followed by its inverse restores both), of the exposition target (ParseText never
 # panics, what it accepts WriteText writes back to the same families, a registry
-# with any label values writes text that parses) and of the stream-relay target
+# with any label values writes text that parses), of the stream-relay target
 # (the router passes upstream NDJSON bytes through exactly and appends one
-# trailer exactly when the upstream did not close the stream with its own),
+# trailer exactly when the upstream did not close the stream with its own) and
+# of the stream-trailer target (bvqload counts a stream whole exactly when its
+# last non-blank line is a trailer with no error), the examples, which gate the
+# §1 cross-check (naive = compiled on the employees query) and the §2.2 one
+# (bottom-up chain ⊆ the compiled engine's LFP closure in reachability),
 # a curl-level NDJSON smoke against a live bvqd so
 # the streaming wire format cannot rot either, and a fleet smoke that
 # boots three bvqd replicas behind bvqrouter, checks routed answers stay
@@ -97,6 +101,8 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzDatabaseText -fuzztime=5s ./internal/database/
 	$(GO) test -run=NONE -fuzz=FuzzParseText -fuzztime=5s ./internal/metrics/
 	$(GO) test -run=NONE -fuzz=FuzzStreamRelay -fuzztime=5s ./internal/router/
+	$(GO) test -run=NONE -fuzz=FuzzStreamTrailer -fuzztime=5s ./cmd/bvqload/
+	$(MAKE) examples
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run repro/bench -selfcheck

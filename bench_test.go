@@ -479,13 +479,16 @@ func BenchmarkOptEmployees_Naive(b *testing.B) {
 	}
 }
 
-func BenchmarkOptEmployees_Yannakakis(b *testing.B) {
-	q := employeesCQ()
+func BenchmarkOptEmployees_Compiled(b *testing.B) {
+	text, err := employeesCQ().ToFO()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, ne := range []int{4, 8, 12, 48, 192} {
 		db := workload.Corporate(int64(ne), ne)
 		b.Run(fmt.Sprintf("ne=%d", ne), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := queryopt.EvalYannakakis(q, db); err != nil {
+				if _, err := eval.Compiled(text, db); err != nil {
 					b.Fatal(err)
 				}
 			}

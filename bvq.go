@@ -29,9 +29,10 @@
 // Subsystems with their own APIs live under internal/: the µ-calculus
 // model checker (internal/mucalc), the hardness reductions
 // (internal/pathsys, internal/qbf, internal/prop, internal/boolexpr), the
-// Lemma 4.2 parenthesis-grammar machinery (internal/grammar), the acyclic
-// join optimizer (internal/queryopt), the Datalog engine
-// (internal/datalog), and the SAT solver (internal/sat).
+// Lemma 4.2 parenthesis-grammar machinery (internal/grammar), the
+// conjunctive-query rewriter (internal/queryopt: GYO acyclicity, the §5
+// variable minimisation EngineCompiled applies, and the naive 10-ary
+// cross-product plan of §1), and the SAT solver (internal/sat).
 package bvq
 
 import (
@@ -325,12 +326,4 @@ type (
 // itself to every acyclic conjunctive query whose width it lowers.
 func MinimizeWidth(q *ConjunctiveQuery) (Query, int, error) {
 	return queryopt.MinimizeWidth(q)
-}
-
-// Yannakakis evaluates an acyclic conjunctive query with the semijoin
-// full-reducer algorithm, never materializing an intermediate wider than a
-// join-tree bag plus carried head variables.
-func Yannakakis(q *ConjunctiveQuery, db *Database) (*Relation, error) {
-	ans, _, err := queryopt.EvalYannakakis(q, db)
-	return ans, err
 }

@@ -23,7 +23,8 @@
 // without -stream (the window is cut after materialization there).
 //
 // With -explain, the query is compiled and executed on the compiled engine
-// and the annotated plan DAG is printed instead of the answer: per node the
+// (another -engine is refused) and the annotated plan DAG is printed instead
+// of the answer: per node the
 // operator, evaluation count and cumulative wall time; per fixpoint binder
 // the stages run and delta tuples; plus the density decision and the
 // backend route the evaluator picked (dense or sparse). An acyclic
@@ -61,7 +62,7 @@ func main() {
 	)
 	flag.Parse()
 	if *explain {
-		if err := runExplain(*dbPath, *query, *qFile, *k, *stream, os.Stdout, os.Stderr); err != nil {
+		if err := runExplain(*dbPath, *query, *qFile, *engine, *k, *stream, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "bvq:", err)
 			os.Exit(1)
 		}
@@ -74,8 +75,8 @@ func main() {
 }
 
 func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream bool, limit, offset int, stdout, stderr io.Writer) error {
-	if dbPath == "" {
-		return fmt.Errorf("missing -db")
+	if err := checkFlags(dbPath, k); err != nil {
+		return err
 	}
 	if limit < 0 || offset < 0 {
 		return fmt.Errorf("-limit and -offset must be ≥ 0")
@@ -137,6 +138,18 @@ func printWindow(en eval.Enumerator, db *bvq.Database, showIdx bool, limit, offs
 	return skipped, printed, nil
 }
 
+// checkFlags refuses what bvqd's /query refuses with a 400: no database,
+// and a negative width bound.
+func checkFlags(dbPath string, k int) error {
+	if dbPath == "" {
+		return fmt.Errorf("missing -db")
+	}
+	if k < 0 {
+		return fmt.Errorf("invalid -k %d: must be ≥ 0 (0 means unbounded)", k)
+	}
+	return nil
+}
+
 // loadInputs reads and parses the database file and the query text (inline
 // or from -query-file).
 func loadInputs(dbPath, query, qFile string) (*bvq.Database, bvq.Query, error) {
@@ -168,9 +181,19 @@ func loadInputs(dbPath, query, qFile string) (*bvq.Database, bvq.Query, error) {
 // runExplain compiles the query, executes it on the compiled engine with a
 // per-node profile and the stage fold attached, and prints the annotated
 // plan tree — the CLI twin of the server's "explain": true request mode.
-func runExplain(dbPath, query, qFile string, k int, stream bool, stdout, stderr io.Writer) error {
+func runExplain(dbPath, query, qFile, engineName string, k int, stream bool, stdout, stderr io.Writer) error {
+	if err := checkFlags(dbPath, k); err != nil {
+		return err
+	}
 	if stream {
 		return fmt.Errorf("-explain and -stream are mutually exclusive")
+	}
+	eng, err := bvq.EngineByName(engineName)
+	if err != nil {
+		return err
+	}
+	if eng != bvq.EngineCompiled {
+		return fmt.Errorf("explain requires the compiled engine (got %q): only compiled queries have a plan DAG", engineName)
 	}
 	db, q, err := loadInputs(dbPath, query, qFile)
 	if err != nil {

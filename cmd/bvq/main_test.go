@@ -91,35 +91,55 @@ func TestRunErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		fn   func() error
+		want string // a part of the message, where it is the server's
 	}{
 		{"missing db", func() error {
 			var o, e strings.Builder
 			return run("", "(x). P(x)", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
-		}},
+		}, "missing -db"},
 		{"missing query", func() error {
 			var o, e strings.Builder
 			return run(db, "", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
-		}},
+		}, ""},
 		{"bad engine", func() error {
 			var o, e strings.Builder
 			return run(db, "(x). P(x)", "", "warpdrive", 0, false, false, false, 0, 0, &o, &e)
-		}},
+		}, ""},
 		{"width bound", func() error {
 			var o, e strings.Builder
 			return run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 2, false, false, false, 0, 0, &o, &e)
-		}},
+		}, ""},
 		{"bad query", func() error {
 			var o, e strings.Builder
 			return run(db, "(x). Nope(", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
-		}},
+		}, ""},
 		{"nonexistent db file", func() error {
 			var o, e strings.Builder
 			return run("/nonexistent/x.db", "(x). P(x)", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
-		}},
+		}, ""},
+		{"negative width bound", func() error {
+			var o, e strings.Builder
+			return run(db, "(x). P(x)", "", "compiled", -1, false, false, false, 0, 0, &o, &e)
+		}, "invalid -k -1: must be ≥ 0"},
+		{"explain negative width bound", func() error {
+			var o, e strings.Builder
+			return runExplain(db, "(x). P(x)", "", "compiled", -1, false, &o, &e)
+		}, "invalid -k -1: must be ≥ 0"},
+		{"explain on another engine", func() error {
+			var o, e strings.Builder
+			return runExplain(db, "(x). P(x)", "", "naive", 0, false, &o, &e)
+		}, `explain requires the compiled engine (got "naive")`},
+		{"explain missing db", func() error {
+			var o, e strings.Builder
+			return runExplain("", "(x). P(x)", "", "compiled", 0, false, &o, &e)
+		}, "missing -db"},
 	}
 	for _, c := range cases {
-		if err := c.fn(); err == nil {
+		err := c.fn()
+		if err == nil {
 			t.Errorf("%s: no error", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
 		}
 	}
 }
@@ -167,7 +187,7 @@ func TestRunStream(t *testing.T) {
 // the route it took and the two modelled costs the route was chosen by.
 func TestRunExplain(t *testing.T) {
 	var out, errw strings.Builder
-	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", 0, false, &out, &errw)
+	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", "compiled", 0, false, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,9 +293,26 @@ func doQuery(client *http.Client, cfg *config, tl *tally, scenario string, strea
 		tl.queries.Add(1)
 		return
 	}
-	// Drain the NDJSON stream to its trailer; a trailer carrying an error
-	// (or a missing one) is a failed stream even though the status was 200.
-	sc := bufio.NewScanner(resp.Body)
+	// A trailer carrying an error (or a missing one) is a failed stream even
+	// though the status was 200.
+	ok, err := streamTrailer(resp.Body)
+	if err != nil {
+		tl.transport.Add(1)
+		return
+	}
+	if !ok {
+		tl.badStreams.Add(1)
+		return
+	}
+	tl.lat.Observe(time.Since(start))
+	tl.queries.Add(1)
+	tl.streams.Add(1)
+}
+
+// streamTrailer drains an NDJSON stream and reports whether its last
+// non-blank line is a trailer with no error; err is a read error.
+func streamTrailer(r io.Reader) (ok bool, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var last string
 	for sc.Scan() {
@@ -303,21 +320,14 @@ func doQuery(client *http.Client, cfg *config, tl *tally, scenario string, strea
 			last = line
 		}
 	}
-	if sc.Err() != nil {
-		tl.transport.Add(1)
-		return
+	if err := sc.Err(); err != nil {
+		return false, err
 	}
 	var trailer struct {
 		Trailer bool   `json:"trailer"`
 		Error   string `json:"error"`
 	}
-	if json.Unmarshal([]byte(last), &trailer) != nil || !trailer.Trailer || trailer.Error != "" {
-		tl.badStreams.Add(1)
-		return
-	}
-	tl.lat.Observe(time.Since(start))
-	tl.queries.Add(1)
-	tl.streams.Add(1)
+	return json.Unmarshal([]byte(last), &trailer) == nil && trailer.Trailer && trailer.Error == "", nil
 }
 
 // doUpdate toggles the churn edge: even toggles insert it, odd ones delete

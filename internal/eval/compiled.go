@@ -27,7 +27,7 @@ import (
 //     monotone operators, each stage pushes ΔS — the tuples added in the
 //     previous stage — through the dirty nodes with sparse changed-word
 //     kernels (relation.UnionSparse and friends), the tuple-level analogue of
-//     internal/datalog's semi-naive loop. Stats.DeltaTuples sums the |ΔS|.
+//     semi-naive Datalog evaluation. Stats.DeltaTuples sums the |ΔS|.
 //     GFP and PFP stages, and dirty sets containing negation or nested
 //     fixpoints, fall back to full dirty-node re-evaluation (still hoisting
 //     everything clean).

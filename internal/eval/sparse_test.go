@@ -1,7 +1,7 @@
 // Differential testing of the sparse backend: the dense engine is the
 // oracle, and every admitted query must come back byte-identical through
 // the sval executor and the hybrid frontier; conjunctive queries are checked
-// against Yannakakis and the naive oracle as well (checkMinimizeRewrite).
+// against the naive oracle as well (checkMinimizeRewrite).
 // The large-domain tests drive the whole point of the backend — a k=3 query
 // over n=10,000, whose dense space (10¹² bits) is two orders of magnitude
 // past relation.MaxDenseBits — under an explicit peak-memory ceiling.
@@ -204,8 +204,8 @@ func treeCQ(r *rand.Rand) logic.Query {
 // checkMinimizeRewrite is the differential of plan.Compile's §5 rewrite on
 // one conjunctive query: the plan is minimised exactly when
 // queryopt.MinimizeWidth finds a smaller width, and every backend of the one
-// executor returns what Yannakakis and the naive oracle return for the text
-// as written. It returns the plan.
+// executor returns what the naive oracle returns for the text as written. It
+// returns the plan.
 func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *plan.Plan {
 	t.Helper()
 	cq, ok := queryopt.FromQuery(q)
@@ -237,11 +237,6 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 	want, err := Naive(q, db)
 	if err != nil {
 		t.Fatalf("naive(%s): %v", q, err)
-	}
-	if yan, _, err := queryopt.EvalYannakakis(cq, db); err == nil && !yan.Equal(want) {
-		t.Fatalf("Yannakakis disagrees with naive on %s:\n%v\n%v\n%s", q, yan, want, db)
-	} else if err != nil && !errors.Is(err, queryopt.ErrCyclic) {
-		t.Fatalf("yannakakis(%s): %v", q, err)
 	}
 	for _, b := range []Backend{BackendAuto, BackendDense, BackendSparse} {
 		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1})
@@ -339,17 +334,32 @@ func TestFromQueryEqualities(t *testing.T) {
 // TestAcyclicBeyondSparseCodeLimit: a 7-hop chain written with eight
 // variables over 2,000 elements has no sparse code space (2000⁸ > 2⁶²) and no
 // dense one; its minimised width-3 plan has both a sparse route and an
-// answer, which must be Yannakakis's.
+// answer, which must be the pairs joined by a 7-step walk over E's tuples.
 func TestAcyclicBeyondSparseCodeLimit(t *testing.T) {
 	db := forestDB(2000, 10)
-	cq := queryopt.ChainCQ(7)
-	q, err := cq.ToFO()
+	q, err := queryopt.ChainCQ(7).ToFO()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := queryopt.EvalYannakakis(cq, db)
+	e, err := db.Rel("E")
 	if err != nil {
 		t.Fatal(err)
+	}
+	succ := make(map[int][]int)
+	e.ForEach(func(t relation.Tuple) { succ[t[0]] = append(succ[t[0]], t[1]) })
+	want := relation.NewSet(2)
+	for x := 0; x < db.Size(); x++ {
+		ends := []int{x}
+		for step := 0; step < 7; step++ {
+			var next []int
+			for _, u := range ends {
+				next = append(next, succ[u]...)
+			}
+			ends = next
+		}
+		for _, y := range ends {
+			want.Add(relation.Tuple{x, y})
+		}
 	}
 	if want.Len() != 600 { // 200 paths on 10 nodes: 3 pairs at distance 7 each
 		t.Fatalf("oracle found %d pairs, want 600", want.Len())

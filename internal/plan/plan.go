@@ -26,8 +26,8 @@
 //     monotone operators (recursion atoms, ∧, ∨, ∃, ∀) supports semi-naive
 //     evaluation: stage deltas can be pushed through the dirty nodes instead
 //     of recomputing them, the tuple-level reading of the paper's footnote-5
-//     l·nᵏ observation and the exact discipline of internal/datalog's
-//     semi-naive loop.
+//     l·nᵏ observation and the discipline of semi-naive Datalog
+//     evaluation.
 //
 // The package is purely symbolic (variables are resolved to axis numbers of
 // the query's full-width space); execution lives in internal/eval's Compiled

@@ -3,17 +3,17 @@
 // minimize the size — and in particular the arity — of intermediate results.
 //
 // It provides conjunctive queries, the GYO acyclicity test with join-tree
-// construction, the Yannakakis algorithm (acyclic joins evaluate without
-// large intermediates — the paper's explanation for why acyclic joins are
-// easy), a naive cross-product evaluator for contrast, and the rewriting of
-// conjunctive queries into bounded-variable first-order form.
+// construction, the rewriting of acyclic conjunctive queries into
+// bounded-variable first-order form (MinimizeWidth, which plan.Compile applies
+// to every acyclic ∃∧ query it narrows, so the compiled engine is the
+// evaluator that keeps intermediates small — the paper's explanation for why
+// acyclic joins are easy), and the naive cross-product evaluator it is
+// contrasted with.
 package queryopt
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/database"
 	"repro/internal/logic"
 	"repro/internal/relation"
 )
@@ -102,10 +102,9 @@ func (q *CQ) ToFO() (logic.Query, error) {
 
 // JoinTree is the output of the GYO reduction on an acyclic query: node i
 // is atom i; Parent[i] is the witness atom it was absorbed into (−1 for the
-// root); Order lists the atoms leaves-first.
+// root).
 type JoinTree struct {
 	Parent []int
-	Order  []int
 	Root   int
 }
 
@@ -167,7 +166,6 @@ func (q *CQ) BuildJoinTree() (*JoinTree, error) {
 				if covers {
 					alive[e] = false
 					jt.Parent[e] = w
-					jt.Order = append(jt.Order, e)
 					remaining--
 					removed = true
 					break
@@ -181,7 +179,6 @@ func (q *CQ) BuildJoinTree() (*JoinTree, error) {
 	for i := 0; i < n; i++ {
 		if alive[i] {
 			jt.Root = i
-			jt.Order = append(jt.Order, i)
 		}
 	}
 	return jt, nil
@@ -198,59 +195,13 @@ func (q *CQ) IsAcyclic() bool {
 type Stats struct {
 	MaxIntermediateArity  int
 	MaxIntermediateTuples int
-	Operations            int
 }
 
 func (s *Stats) observe(r *relation.Set) {
-	s.Operations++
 	if r.Arity() > s.MaxIntermediateArity {
 		s.MaxIntermediateArity = r.Arity()
 	}
 	if r.Len() > s.MaxIntermediateTuples {
 		s.MaxIntermediateTuples = r.Len()
 	}
-}
-
-// atomRel returns an atom's relation over its distinct variables: the database's own (read-only,
-// columns in atom order) when none repeats, else the atom's consistent rows over the sorted variables.
-func atomRel(db *database.Database, a Atom) ([]logic.Var, *relation.Set, error) {
-	rel, err := db.Rel(a.Rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rel.Arity() != len(a.Vars) {
-		return nil, nil, fmt.Errorf("queryopt: atom %s has %d variables, relation has arity %d", a.Rel, len(a.Vars), rel.Arity())
-	}
-	seen := make(map[logic.Var]bool)
-	var vars []logic.Var
-	for _, v := range a.Vars {
-		if !seen[v] {
-			seen[v] = true
-			vars = append(vars, v)
-		}
-	}
-	if len(vars) == len(a.Vars) {
-		return a.Vars, rel, nil
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	cur := rel
-	cols := make([]int, len(vars))
-	for pos, v := range a.Vars {
-		first := true
-		for p2 := 0; p2 < pos; p2++ {
-			if a.Vars[p2] == v {
-				first = false
-				cur = cur.SelectEq(p2, pos)
-				break
-			}
-		}
-		if first {
-			for vi, w := range vars {
-				if w == v {
-					cols[vi] = pos
-				}
-			}
-		}
-	}
-	return vars, cur.Project(cols), nil
 }

@@ -14,8 +14,8 @@ import (
 // The recognizer is deliberately conservative: ok=false never means "the
 // query has no CQ equivalent", only "this syntactic shape is not the ∃∧
 // fragment", and callers fall back to a general evaluator. On ok=true the
-// returned CQ has exactly the query's semantics, so the Yannakakis fast
-// path may substitute for full evaluation.
+// returned CQ has exactly the query's semantics, so its width-minimised
+// form (MinimizeWidth) may substitute for the text as written.
 func FromQuery(q logic.Query) (*CQ, bool) {
 	head := make(map[logic.Var]bool, len(q.Head))
 	for _, v := range q.Head {

@@ -37,7 +37,7 @@ func TestMinimizeWidthChain(t *testing.T) {
 		if h := minimized.Head; len(h) != 2 || h[0] != q.Head[0] || h[1] != q.Head[1] {
 			t.Fatalf("m=%d: head %v, want the written head %v", m, h, q.Head)
 		}
-		want, _, err := EvalYannakakis(q, db)
+		want, _, err := EvalNaive(q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestMinimizeWidthChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("m=%d: minimized %v != yannakakis %v\n%s", m, got, want, minimized)
+			t.Fatalf("m=%d: minimized %v != naive %v\n%s", m, got, want, minimized)
 		}
 	}
 }
@@ -71,7 +71,7 @@ func TestMinimizeWidthStar(t *testing.T) {
 	b := database.NewBuilder().Relation("R", 2)
 	b.Add("R", 0, 1).Add("R", 0, 2).Add("R", 1, 2).Add("R", 2, 0).Add("R", 3, 3)
 	db := b.MustBuild()
-	want, _, err := EvalYannakakis(q, db)
+	want, _, err := EvalNaive(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMinimizeWidthStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("star: minimized %v != yannakakis %v", got, want)
+		t.Fatalf("star: minimized %v != naive %v", got, want)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestMinimizeWidthRandomAcyclic(t *testing.T) {
 		if width > q.Width() {
 			t.Fatalf("minimization increased width: %d > %d for %+v", width, q.Width(), q)
 		}
-		want, _, err := EvalYannakakis(q, db)
+		want, _, err := EvalNaive(q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,14 +179,6 @@ func TestMinimizeWidthRandomAcyclic(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("minimized query wrong:\nCQ %+v\nrewritten %s\ngot %v want %v",
 				q, minimized, got, want)
-		}
-		// And against the naive plan for good measure.
-		naive, _, err := EvalNaive(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !naive.Equal(want) {
-			t.Fatalf("yannakakis and naive disagree on %+v", q)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/logic"
 	. "repro/internal/queryopt"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 func lineDB(t testing.TB, n int) *database.Database {
@@ -45,6 +46,21 @@ func corporateDB(t testing.TB, r *rand.Rand, ne int) *database.Database {
 	return b.MustBuild()
 }
 
+// employeesCQ is the §1 query answer(e, se, ss) ← EMP(e,d), MGR(d,m),
+// SCY(m,s), SAL(e,se), SAL2(s,ss).
+func employeesCQ() *CQ {
+	return &CQ{
+		Head: []logic.Var{"e", "se", "ss"},
+		Atoms: []Atom{
+			{Rel: "EMP", Vars: []logic.Var{"e", "d"}},
+			{Rel: "MGR", Vars: []logic.Var{"d", "m"}},
+			{Rel: "SCY", Vars: []logic.Var{"m", "s"}},
+			{Rel: "SAL", Vars: []logic.Var{"e", "se"}},
+			{Rel: "SAL2", Vars: []logic.Var{"s", "ss"}},
+		},
+	}
+}
+
 func TestValidateCQ(t *testing.T) {
 	bad := []*CQ{
 		{},
@@ -79,20 +95,28 @@ func TestAcyclicityChainAndTriangle(t *testing.T) {
 	}
 }
 
-func TestNaiveAndYannakakisAgree(t *testing.T) {
+// compiled runs the CQ's text as written on the compiled engine, which
+// lowers an acyclic ∃∧ query from its variable-minimised form.
+func compiled(t *testing.T, q *CQ, db *database.Database) (*relation.Set, *eval.Stats) {
+	t.Helper()
+	fo, err := q.ToFO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, st, err := eval.CompiledStats(fo, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans, st
+}
+
+func TestNaiveAndCompiledAgree(t *testing.T) {
 	db := lineDB(t, 7)
 	for m := 1; m <= 4; m++ {
 		q := ChainCQ(m)
 		naive, _, err := EvalNaive(q, db)
 		if err != nil {
 			t.Fatal(err)
-		}
-		yan, _, err := EvalYannakakis(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !naive.Equal(yan) {
-			t.Fatalf("m=%d: naive %v != yannakakis %v", m, naive, yan)
 		}
 		want := relation.NewSet(2)
 		for i := 0; i+m < 7; i++ {
@@ -101,25 +125,36 @@ func TestNaiveAndYannakakisAgree(t *testing.T) {
 		if !naive.Equal(want) {
 			t.Fatalf("m=%d: answer %v, want %v", m, naive, want)
 		}
+		if got, _ := compiled(t, q, db); !got.Equal(want) {
+			t.Fatalf("m=%d: compiled %v, want %v", m, got, want)
+		}
 	}
 }
 
+// TestYannakakisBoundedArity: the §1 observation on the engine that serves.
+// The naive plan of a 5-chain materialises a 10-ary product; the compiled
+// engine runs the chain and the employees query from their minimised forms
+// and never builds an intermediate wider than 4.
 func TestYannakakisBoundedArity(t *testing.T) {
 	db := lineDB(t, 6)
-	q := ChainCQ(5)
-	_, naiveStats, err := EvalNaive(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, yanStats, err := EvalYannakakis(q, db)
+	_, naiveStats, err := EvalNaive(ChainCQ(5), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if naiveStats.MaxIntermediateArity != 10 {
 		t.Fatalf("naive max arity = %d, want 10", naiveStats.MaxIntermediateArity)
 	}
-	if yanStats.MaxIntermediateArity > 4 {
-		t.Fatalf("yannakakis max arity = %d, want ≤ 4", yanStats.MaxIntermediateArity)
+	for name, c := range map[string]struct {
+		q  *CQ
+		db *database.Database
+	}{
+		"chain5":    {ChainCQ(5), db},
+		"employees": {employeesCQ(), workload.Corporate(1, 12)},
+	} {
+		if _, st := compiled(t, c.q, c.db); st.AcyclicFastPath != 1 || st.MaxIntermediateArity > 4 {
+			t.Fatalf("%s: compiled AcyclicFastPath = %d, max arity = %d; want 1 and ≤ 4",
+				name, st.AcyclicFastPath, st.MaxIntermediateArity)
+		}
 	}
 }
 
@@ -137,12 +172,12 @@ func TestToFOMatchesEvaluators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yan, _, err := EvalYannakakis(q, db)
+	naive, _, err := EvalNaive(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !foAns.Equal(yan) {
-		t.Fatalf("FO answer %v != yannakakis %v", foAns, yan)
+	if !foAns.Equal(naive) {
+		t.Fatalf("FO answer %v != naive %v", foAns, naive)
 	}
 }
 
@@ -160,12 +195,12 @@ func TestChainToFO3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yan, _, err := EvalYannakakis(ChainCQ(m), db)
+		naive, _, err := EvalNaive(ChainCQ(m), db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ans3.Equal(yan) {
-			t.Fatalf("m=%d: FO³ form %v != CQ answer %v", m, ans3, yan)
+		if !ans3.Equal(naive) {
+			t.Fatalf("m=%d: FO³ form %v != CQ answer %v", m, ans3, naive)
 		}
 	}
 	if _, err := ChainToFO3(0); err == nil {
@@ -182,16 +217,7 @@ func TestEmployeesQuery(t *testing.T) {
 		// answer(e) ← EMP(e,d), MGR(d,m), SCY(m,s), SAL(e,se), SAL(s,ss),
 		// with the comparison se < ss done outside the CQ (pure CQs have no
 		// arithmetic); here we just compute the join and compare plans.
-		q := &CQ{
-			Head: []logic.Var{"e", "se", "ss"},
-			Atoms: []Atom{
-				{Rel: "EMP", Vars: []logic.Var{"e", "d"}},
-				{Rel: "MGR", Vars: []logic.Var{"d", "m"}},
-				{Rel: "SCY", Vars: []logic.Var{"m", "s"}},
-				{Rel: "SAL", Vars: []logic.Var{"e", "se"}},
-				{Rel: "SAL2", Vars: []logic.Var{"s", "ss"}},
-			},
-		}
+		q := employeesCQ()
 		// SAL is used twice; give the second use its own relation name by
 		// duplicating it in the database view.
 		b := database.NewBuilder()
@@ -213,18 +239,15 @@ func TestEmployeesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yan, yanStats, err := EvalYannakakis(q, db2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !naive.Equal(yan) {
-			t.Fatalf("plans disagree: naive %v, yannakakis %v", naive, yan)
+		got, st := compiled(t, q, db2)
+		if !naive.Equal(got) {
+			t.Fatalf("plans disagree: naive %v, compiled %v", naive, got)
 		}
 		if naiveStats.MaxIntermediateArity != 10 {
 			t.Fatalf("naive arity = %d, want the paper's 10", naiveStats.MaxIntermediateArity)
 		}
-		if yanStats.MaxIntermediateArity > 5 {
-			t.Fatalf("yannakakis arity = %d, want small", yanStats.MaxIntermediateArity)
+		if st.MaxIntermediateArity > 4 {
+			t.Fatalf("compiled arity = %d, want ≤ 4", st.MaxIntermediateArity)
 		}
 	}
 }
@@ -238,13 +261,10 @@ func TestRepeatedVariablesInAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yan, _, err := EvalYannakakis(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := compiled(t, q, db)
 	want := relation.SetOf(1, relation.Tuple{0}, relation.Tuple{1})
-	if !naive.Equal(want) || !yan.Equal(want) {
-		t.Fatalf("loops: naive %v, yannakakis %v, want %v", naive, yan, want)
+	if !naive.Equal(want) || !got.Equal(want) {
+		t.Fatalf("loops: naive %v, compiled %v, want %v", naive, got, want)
 	}
 }
 
@@ -259,10 +279,7 @@ func TestRandomAcyclicCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yan, _, err := EvalYannakakis(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := compiled(t, q, db)
 		fo, err := q.ToFO()
 		if err != nil {
 			t.Fatal(err)
@@ -271,8 +288,8 @@ func TestRandomAcyclicCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !naive.Equal(yan) || !naive.Equal(bu) {
-			t.Fatalf("three-way disagreement: %v / %v / %v", naive, yan, bu)
+		if !naive.Equal(got) || !naive.Equal(bu) {
+			t.Fatalf("three-way disagreement: %v / %v / %v", naive, got, bu)
 		}
 	}
 }

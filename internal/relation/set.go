@@ -225,73 +225,6 @@ func (s *Set) SelectConst(i, v int) *Set {
 	return out
 }
 
-// JoinOn is one equality condition of an equijoin: left column = right column.
-type JoinOn struct {
-	Left, Right int
-}
-
-// Join returns the equijoin of s and o under the given conditions; result
-// tuples are the concatenation of the matching left and right tuples.
-// It hash-partitions the smaller operand on the join key.
-func (s *Set) Join(o *Set, on []JoinOn) *Set {
-	for _, c := range on {
-		if c.Left < 0 || c.Left >= s.arity || c.Right < 0 || c.Right >= o.arity {
-			panic(fmt.Sprintf("relation: join condition %+v out of arities (%d,%d)", c, s.arity, o.arity))
-		}
-	}
-	out := NewSet(s.arity + o.arity)
-	// Build a hash index of o keyed by its join columns.
-	idx := make(map[string][]Tuple)
-	key := make(Tuple, len(on))
-	for _, b := range o.m {
-		for i, c := range on {
-			key[i] = b[c.Right]
-		}
-		k := tupleKey(key)
-		idx[k] = append(idx[k], b)
-	}
-	row := make(Tuple, s.arity+o.arity)
-	for _, a := range s.m {
-		for i, c := range on {
-			key[i] = a[c.Left]
-		}
-		for _, b := range idx[tupleKey(key)] {
-			copy(row, a)
-			copy(row[s.arity:], b)
-			out.Add(row)
-		}
-	}
-	return out
-}
-
-// Semijoin returns { t ∈ s | ∃u ∈ o matching t under the conditions }.
-// It is the workhorse of the Yannakakis acyclic-join algorithm.
-func (s *Set) Semijoin(o *Set, on []JoinOn) *Set {
-	for _, c := range on {
-		if c.Left < 0 || c.Left >= s.arity || c.Right < 0 || c.Right >= o.arity {
-			panic(fmt.Sprintf("relation: semijoin condition %+v out of arities (%d,%d)", c, s.arity, o.arity))
-		}
-	}
-	keys := make(map[string]bool)
-	key := make(Tuple, len(on))
-	for _, b := range o.m {
-		for i, c := range on {
-			key[i] = b[c.Right]
-		}
-		keys[tupleKey(key)] = true
-	}
-	out := NewSet(s.arity)
-	for k, a := range s.m {
-		for i, c := range on {
-			key[i] = a[c.Left]
-		}
-		if keys[tupleKey(key)] {
-			out.m[k] = a
-		}
-	}
-	return out
-}
-
 // ToDense converts the set into the dense representation in the given space.
 // Every tuple must lie inside the space's domain.
 func (s *Set) ToDense(sp *Space) (*Dense, error) {

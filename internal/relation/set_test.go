@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSetAddContains(t *testing.T) {
 	s := NewSet(2)
@@ -94,72 +90,6 @@ func TestProjectProductSelect(t *testing.T) {
 	sc := s.SelectConst(0, 1)
 	if !sc.Equal(SetOf(2, Tuple{1, 2}, Tuple{1, 4})) {
 		t.Fatalf("SelectConst = %v", sc)
-	}
-}
-
-func TestJoin(t *testing.T) {
-	emp := SetOf(2, Tuple{10, 1}, Tuple{11, 1}, Tuple{12, 2}) // (emp, dept)
-	mgr := SetOf(2, Tuple{1, 20}, Tuple{2, 21})               // (dept, mgr)
-	j := emp.Join(mgr, []JoinOn{{Left: 1, Right: 0}})
-	if j.Arity() != 4 || j.Len() != 3 {
-		t.Fatalf("Join = %v", j)
-	}
-	if !j.Contains(Tuple{10, 1, 1, 20}) || !j.Contains(Tuple{12, 2, 2, 21}) {
-		t.Fatalf("Join missing rows: %v", j)
-	}
-}
-
-func TestJoinMultiCondition(t *testing.T) {
-	a := SetOf(2, Tuple{1, 2}, Tuple{3, 4})
-	b := SetOf(2, Tuple{1, 2}, Tuple{3, 9})
-	j := a.Join(b, []JoinOn{{0, 0}, {1, 1}})
-	if j.Len() != 1 || !j.Contains(Tuple{1, 2, 1, 2}) {
-		t.Fatalf("multi-condition Join = %v", j)
-	}
-}
-
-func TestSemijoin(t *testing.T) {
-	emp := SetOf(2, Tuple{10, 1}, Tuple{11, 1}, Tuple{12, 2})
-	mgr := SetOf(2, Tuple{1, 20})
-	sj := emp.Semijoin(mgr, []JoinOn{{Left: 1, Right: 0}})
-	if !sj.Equal(SetOf(2, Tuple{10, 1}, Tuple{11, 1})) {
-		t.Fatalf("Semijoin = %v", sj)
-	}
-}
-
-func TestQuickJoinAgreesWithProductSelect(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := NewSet(2)
-		b := NewSet(2)
-		for i := 0; i < 12; i++ {
-			a.Add(Tuple{r.Intn(4), r.Intn(4)})
-			b.Add(Tuple{r.Intn(4), r.Intn(4)})
-		}
-		on := []JoinOn{{Left: 1, Right: 0}}
-		viaJoin := a.Join(b, on)
-		viaProduct := a.Product(b).SelectEq(1, 2)
-		return viaJoin.Equal(viaProduct)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSemijoinIsJoinProjection(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := NewSet(2)
-		b := NewSet(1)
-		for i := 0; i < 10; i++ {
-			a.Add(Tuple{r.Intn(4), r.Intn(4)})
-			b.Add(Tuple{r.Intn(4)})
-		}
-		on := []JoinOn{{Left: 0, Right: 0}}
-		return a.Semijoin(b, on).Equal(a.Join(b, on).Project([]int{0, 1}))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }
 
