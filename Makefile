@@ -1,9 +1,10 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last lowered by 630 lines when the side executors went: the Yannakakis
-# executor (with relation.Set.Join/Semijoin) and internal/datalog; the
-# compiled engine is the one CQ and fixpoint executor.
-LOC_CEILING = 26942
+# Last raised by 400 lines for internal/serve, the HTTP/1.1 connection loop
+# under bvqd and bvqrouter that replaced net/http's server (what the lines
+# bought: hot-routed cpu_ms_per_op down by about a quarter; EXPERIMENTS.md
+# has the pairs).
+LOC_CEILING = 27342
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -60,9 +61,12 @@ all: vet test build
 # panics, what it accepts WriteText writes back to the same families, a registry
 # with any label values writes text that parses), of the stream-relay target
 # (the router passes upstream NDJSON bytes through exactly and appends one
-# trailer exactly when the upstream did not close the stream with its own) and
-# of the stream-trailer target (bvqload counts a stream whole exactly when its
-# last non-blank line is a trailer with no error), the examples, which gate the
+# trailer exactly when the upstream did not close the stream with its own), of
+# the stream-trailer target (bvqload counts a stream whole exactly when its
+# last non-blank line is a trailer with no error) and of the connection-loop
+# target (a raw client byte stream into internal/serve: no panic or hang, every
+# byte written parses as responses, every request handed on is the one
+# http.ReadRequest reads from the same bytes), the examples, which gate the
 # §1 cross-check (naive = compiled on the employees query) and the §2.2 one
 # (bottom-up chain ⊆ the compiled engine's LFP closure in reachability),
 # a curl-level NDJSON smoke against a live bvqd so
@@ -76,13 +80,14 @@ all: vet test build
 # must fail here, not in the next benchmark run; its -selfcheck boots the real
 # binaries twice per workload and fails unless the server counters repeat, so
 # anything that makes serving depend on more than the request sequence (an
-# address in a cache key, say) stops here. internal/trace is held to
-# a leaf of the import graph (any tier may record spans without linking the
-# evaluator), and the gate ends with the size report (loc), which fails above
+# address in a cache key, say) stops here. internal/trace and internal/serve
+# are held to leaves of the import graph (any tier may record spans or serve
+# HTTP without linking the evaluator), and the gate ends with the size report (loc), which fails above
 # LOC_CEILING: the non-test line count is a gate, not a figure in prose.
 check: docs
 	$(GO) vet ./...
 	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }
+	@! $(GO) list -deps ./internal/serve | grep -v '^repro/internal/serve$$' | grep '^repro/' || { echo "internal/serve must import no other package of this module"; exit 1; }
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/server/ ./internal/cache/ ./internal/metrics/
 	$(GO) test -race -count=1 -run 'TestDifferential|TestCompiled|TestChurn|TestMaintain|TestUpdate|TestEnum|TestStream' ./internal/eval/ ./internal/server/
@@ -102,6 +107,7 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzParseText -fuzztime=5s ./internal/metrics/
 	$(GO) test -run=NONE -fuzz=FuzzStreamRelay -fuzztime=5s ./internal/router/
 	$(GO) test -run=NONE -fuzz=FuzzStreamTrailer -fuzztime=5s ./cmd/bvqload/
+	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=5s ./internal/serve/
 	$(MAKE) examples
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -54,6 +53,7 @@ import (
 
 	"repro"
 	"repro/internal/database"
+	"repro/internal/serve"
 	"repro/internal/server"
 )
 
@@ -136,41 +136,26 @@ func run(dbs dbFlags, addr, pprofAddr string, ordered bool, cfg server.Config) e
 	for name, db := range loaded {
 		log.Printf("serving %q: domain %d, relations %v", name, db.Size(), db.Names())
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if pprofAddr != "" {
 		// The pprof handlers live on DefaultServeMux (blank import above);
 		// serving them on their own listener keeps profiling off the query
 		// port, so it can be bound to localhost while /query is public.
-		go func() {
+		if _, err := serve.Listen(pprofAddr, http.DefaultServeMux); err != nil {
+			log.Printf("pprof listener: %v", err)
+		} else {
 			log.Printf("pprof listening on %s", pprofAddr)
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				log.Printf("pprof listener: %v", err)
-			}
-		}()
+		}
 	}
-
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("bvqd listening on %s", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
+	ls, err := serve.Listen(addr, srv.Handler())
+	if err != nil {
 		return err
-	case <-ctx.Done():
 	}
+	log.Printf("bvqd listening on %s", addr)
+	<-ctx.Done()
 	log.Printf("shutting down, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return ls.Shutdown()
 }
 
 // loadDatabases reads every -db file in the textual bvq.ParseDatabase

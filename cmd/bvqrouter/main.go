@@ -25,18 +25,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/router"
+	"repro/internal/serve"
 )
 
 type replicaFlags []string
@@ -81,29 +80,18 @@ func main() {
 	}
 	defer rt.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("bvqrouter listening on %s, %d replicas", *addr, len(replicas))
-		errc <- httpSrv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
+	ls, err := serve.Listen(*addr, rt.Handler())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "bvqrouter:", err)
 		os.Exit(1)
-	case <-ctx.Done():
 	}
+	log.Printf("bvqrouter listening on %s, %d replicas", *addr, len(replicas))
+	<-ctx.Done()
 	log.Printf("shutting down, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+	if err := ls.Shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, "bvqrouter: shutdown:", err)
-		os.Exit(1)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "bvqrouter:", err)
 		os.Exit(1)
 	}
 }

@@ -17,12 +17,12 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"time"
 
 	"repro"
 	"repro/internal/database"
+	"repro/internal/serve"
 	"repro/internal/server"
 )
 
@@ -128,9 +128,12 @@ P/1 = {(10)}
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	fmt.Println("in-process server at", ts.URL)
-	return ts.URL[len("http://"):]
+	ls, err := serve.Listen("127.0.0.1:0", srv.Handler())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("in-process server at", ls.URL)
+	return ls.URL[len("http://"):]
 }
 
 func orderedDomain(n int) *database.Database {

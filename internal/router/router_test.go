@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/metrics"
+	"repro/internal/serve"
 	"repro/internal/server"
 )
 
@@ -81,16 +82,26 @@ func TestRingMinimalMovement(t *testing.T) {
 
 // --- forwarding ---
 
-func newTestRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
+// serveLoop serves h on a loopback port, on the connection loop the daemons
+// run, until the test ends.
+func serveLoop(t testing.TB, h http.Handler) *serve.Server {
+	t.Helper()
+	ls, err := serve.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ls.Close)
+	return ls
+}
+
+func newTestRouter(t *testing.T, cfg Config) (*Router, *serve.Server) {
 	t.Helper()
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	ts := httptest.NewServer(rt.Handler())
-	t.Cleanup(ts.Close)
-	return rt, ts
+	return rt, serveLoop(t, rt.Handler())
 }
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -239,8 +250,7 @@ func TestStreamPassThroughByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := httptest.NewServer(srv.Handler())
-	defer replica.Close()
+	replica := serveLoop(t, srv.Handler())
 	_, ts := newTestRouter(t, Config{Replicas: []string{replica.URL}})
 
 	req := `{"database":"graph","query":"` + twoHop + `","stream":true,"no_cache":true}`
@@ -677,5 +687,47 @@ func BenchmarkHop(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestClientHangUpCancelsUpstream: a client that hangs up while a replica
+// holds its answer closes the router's upstream connection, which cancels
+// the replica's request.
+func TestClientHangUpCancelsUpstream(t *testing.T) {
+	held := make(chan struct{})
+	cancelled := make(chan time.Time, 1)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/query" {
+			return
+		}
+		_, _ = io.ReadAll(r.Body) // net/http watches the client once the body is read
+		close(held)
+		select {
+		case <-r.Context().Done():
+			cancelled <- time.Now()
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	defer replica.Close()
+	_, ts := newTestRouter(t, Config{Replicas: []string{replica.URL}})
+
+	nc, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"database":"graph","query":"(x, y). E(x, y)"}`
+	if _, err := fmt.Fprintf(nc, "POST /query HTTP/1.1\r\nHost: router\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	nc.Close()
+	hungUp := time.Now()
+	select {
+	case at := <-cancelled:
+		if d := at.Sub(hungUp); d > 10*time.Millisecond+100*time.Millisecond {
+			t.Fatalf("the replica's request was cancelled %v after the hang-up", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replica's request was never cancelled")
 	}
 }

@@ -262,8 +262,7 @@ func TestAnswerHasLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := httptest.NewServer(srv.Handler())
-	defer replica.Close()
+	replica := serveLoop(t, srv.Handler())
 	_, ts := newTestRouter(t, Config{Replicas: []string{replica.URL}})
 	for _, base := range []string{replica.URL, ts.URL} {
 		for range 2 { // a miss, then a hit's stored text

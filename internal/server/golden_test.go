@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/metrics"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -146,13 +146,13 @@ func httpGet(t testing.TB, url string) []byte {
 
 // runGoldenScript plays goldenScript against a fresh server and returns the
 // normalized transcript of every response.
-func runGoldenScript(t testing.TB) (*httptest.Server, []byte) {
+func runGoldenScript(t testing.TB) (*serve.Server, []byte) {
 	return runGoldenScriptWith(t, true)
 }
 
 // runGoldenScriptWith plays the script with or without the node store; a
 // server without one is what the engine API gives every caller of eval.
-func runGoldenScriptWith(t testing.TB, share bool) (*httptest.Server, []byte) {
+func runGoldenScriptWith(t testing.TB, share bool) (*serve.Server, []byte) {
 	t.Helper()
 	s, ts := newTestServer(t, Config{
 		Databases:       map[string]*database.Database{"graph": graphDB(t), "chain": chainDB(t)},

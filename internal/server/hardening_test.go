@@ -3,10 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,11 +17,12 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 // hookedServer is newTestServer with the test hook installed before the
 // listener starts, so the hook write is race-free with handler reads.
-func hookedServer(t testing.TB, cfg Config, hook func()) (*Server, *httptest.Server) {
+func hookedServer(t testing.TB, cfg Config, hook func()) (*Server, *serve.Server) {
 	t.Helper()
 	if cfg.Databases == nil {
 		cfg.Databases = map[string]*database.Database{"graph": graphDB(t)}
@@ -30,13 +32,11 @@ func hookedServer(t testing.TB, cfg Config, hook func()) (*Server, *httptest.Ser
 		t.Fatal(err)
 	}
 	s.testHookBeforeEval = hook
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return s, serveLoop(t, s.Handler())
 }
 
 // postFull posts a query and returns the full response for header checks.
-func postFull(t testing.TB, ts *httptest.Server, req QueryRequest) *http.Response {
+func postFull(t testing.TB, ts *serve.Server, req QueryRequest) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -646,5 +646,41 @@ func TestBodyOverCapAnswers413(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Fatalf("%s with %d body bytes: status %d (%s), want %d", c.path, len(c.body), resp.StatusCode, raw, c.want)
 		}
+	}
+}
+
+// TestClientHangUpReleasesSlot: a client that closes its connection on a slow
+// JSON miss cancels the evaluation, so the one evaluation slot comes back long
+// before the request's own deadline.
+func TestClientHangUpReleasesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Databases:          map[string]*database.Database{"ord": orderedDB(t, 20)},
+		MaxConcurrentEvals: 1,
+	})
+	body, _ := json.Marshal(QueryRequest{Database: "ord", Query: counterText, TimeoutMS: 60_000})
+	nc, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := fmt.Fprintf(nc, "POST /query HTTP/1.1\r\nHost: bvqd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+	for s.Stats().InFlight.Evals == 0 {
+		if time.Since(sent) > 5*time.Second {
+			t.Fatal("the slow miss never started evaluating")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50*time.Millisecond - time.Since(sent))
+	nc.Close()
+
+	code, resp, bad := postQuery(t, ts, QueryRequest{Database: "ord", Query: "(x, y). Less(x, y)", NoCache: true, TimeoutMS: 60_000})
+	if code != http.StatusOK || resp.Count == 0 {
+		t.Fatalf("second miss after the hang-up: status %d (%s)", code, bad.Error)
+	}
+	if d := time.Since(sent); d > 10*time.Second {
+		t.Fatalf("the slot came back %v after the hang-up; the hung-up request's deadline is 60 s", d)
 	}
 }

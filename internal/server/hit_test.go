@@ -231,18 +231,25 @@ func TestMissAllocsIndependentOfAnswerSize(t *testing.T) {
 	}
 }
 
-// flushCounter is a recorder that counts Flush calls.
+// flushCounter is a recorder that counts Flush calls and keeps what the
+// first one sent.
 type flushCounter struct {
 	*httptest.ResponseRecorder
 	flushes int
+	first   string
 }
 
-func (f *flushCounter) Flush() { f.flushes++ }
+func (f *flushCounter) Flush() {
+	if f.flushes++; f.flushes == 1 {
+		f.first = f.Body.String()
+	}
+}
 
 // TestStreamDeliveryContract pins what the NDJSON writer flushes when: the
-// header and the first row at once — a client has both in hand while the
-// server is still held before row 2 — and the rest in a number of flushes
-// bounded by the answer's bytes and the drain's duration, not its rows.
+// header and the first row at once, in one flush — a client has both in hand
+// while the server is still held before row 2 — and the rest in a number of
+// flushes bounded by the answer's bytes and the drain's duration, not its
+// rows.
 func TestStreamDeliveryContract(t *testing.T) {
 	s, url := hitServer(t, 64)
 	body, _ := json.Marshal(QueryRequest{Database: "big", Query: allEdges, Stream: true})
@@ -285,10 +292,15 @@ func TestStreamDeliveryContract(t *testing.T) {
 	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
 	start := time.Now()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
-	// Header, first row, trailer; one per full buffer; one per age period.
-	bound := 3 + rec.Body.Len()/streamFlushBytes + int(time.Since(start)/streamFlushAge)
+	// Header with the first row, trailer; one per full buffer; one per age
+	// period.
+	bound := 2 + rec.Body.Len()/streamFlushBytes + int(time.Since(start)/streamFlushAge)
 	if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != 4098 || rec.flushes > bound {
 		t.Fatalf("a cached 4096-row drain wrote %d lines in %d flushes; want 4098 lines in at most %d", lines, rec.flushes, bound)
+	}
+	if lines := strings.SplitAfter(rec.first, "\n"); len(lines) != 3 || lines[2] != "" ||
+		!strings.HasPrefix(lines[0], `{"request_id":`) || lines[1] != "[0,0]\n" {
+		t.Fatalf("the first flush sent %q; want the header and row 1", rec.first)
 	}
 }
 

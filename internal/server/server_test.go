@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -58,7 +58,19 @@ const counterText = `(x). [pfp S(x). (!S(x) & forall y. (Less(y, x) -> (exists x
 
 const twoHop = "(x, y). exists z. E(x, z) & E(z, y)"
 
-func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
+// serveLoop serves h on a loopback port, on the connection loop the daemons
+// run, until the test ends.
+func serveLoop(t testing.TB, h http.Handler) *serve.Server {
+	t.Helper()
+	ls, err := serve.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ls.Close)
+	return ls
+}
+
+func newTestServer(t testing.TB, cfg Config) (*Server, *serve.Server) {
 	t.Helper()
 	if cfg.Databases == nil {
 		cfg.Databases = map[string]*database.Database{"graph": graphDB(t)}
@@ -67,9 +79,7 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return s, serveLoop(t, s.Handler())
 }
 
 // resultKey is the result-cache key resolve mints for req against db.
@@ -90,7 +100,7 @@ func resultKey(t testing.TB, db *database.Database, req QueryRequest) string {
 	return cache.ResultKey(db.ContentID(logic.Footprint(q.Body)), engine, &eval.Options{MaxWidth: req.MaxWidth, Backend: backend}, req.Query)
 }
 
-func postQuery(t testing.TB, ts *httptest.Server, req QueryRequest) (int, QueryResponse, ErrorResponse) {
+func postQuery(t testing.TB, ts *serve.Server, req QueryRequest) (int, QueryResponse, ErrorResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -109,7 +119,7 @@ func postQuery(t testing.TB, ts *httptest.Server, req QueryRequest) (int, QueryR
 	return code, ok, bad
 }
 
-func postRaw(t testing.TB, ts *httptest.Server, body []byte) (int, []byte) {
+func postRaw(t testing.TB, ts *serve.Server, body []byte) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -123,7 +133,7 @@ func postRaw(t testing.TB, ts *httptest.Server, body []byte) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-func getStats(t testing.TB, ts *httptest.Server) StatsResponse {
+func getStats(t testing.TB, ts *serve.Server) StatsResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {

@@ -79,9 +79,10 @@ func (q *query) rowValue() func(int) int {
 // rowBufs pools the buffers both writers render rows into.
 var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// The NDJSON delivery contract: the header line and the first row are each
-// flushed the moment they exist — the evaluation is over by then, so time to
-// first row is the engine's plus one decode; every
+// The NDJSON delivery contract: the header line and the first row go out in
+// one flush the moment row 1 exists — the evaluation is over before the
+// header is written, so time to first row is the engine's plus one decode,
+// and an empty answer sends its header with the trailer; every
 // later line waits until streamFlushBytes are pending or a row arrives more
 // than streamFlushAge after the last flush; the trailer flushes what is left.
 // A fast drain costs a write per 32 KiB instead of one per row, and a slow
@@ -159,11 +160,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
 	}
-	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail
-	if lb.flush() != nil {
-		s.metrics.streamDisconnects.Inc()
-		return
-	}
+	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail; sent with row 1
 
 	// The drain span covers seek, decode and delivery: extraction, the one
 	// part of answering that the window bounds. Ended by the deferred trace

@@ -20,13 +20,14 @@ import (
 	"repro/internal/database"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // postStream posts a streamed /query and splits the NDJSON response into
 // header, tuple rows and trailer. It fails the test on malformed framing.
-func postStream(t testing.TB, ts *httptest.Server, req QueryRequest) (StreamHeader, [][]int, StreamTrailer) {
+func postStream(t testing.TB, ts *serve.Server, req QueryRequest) (StreamHeader, [][]int, StreamTrailer) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/eval"
+	"repro/internal/serve"
 )
 
 // chainDB is 1→2→3 with isolated nodes 4, 5 and P = {1} — small enough that
@@ -31,7 +32,7 @@ P/1 = {(1)}
 	return db
 }
 
-func postUpdate(t testing.TB, ts *httptest.Server, db string, req UpdateRequest) (int, UpdateResponse, ErrorResponse) {
+func postUpdate(t testing.TB, ts *serve.Server, db string, req UpdateRequest) (int, UpdateResponse, ErrorResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -50,7 +51,7 @@ func postUpdate(t testing.TB, ts *httptest.Server, db string, req UpdateRequest)
 	return code, ok, bad
 }
 
-func postUpdateRaw(t testing.TB, ts *httptest.Server, db string, body []byte) (int, []byte) {
+func postUpdateRaw(t testing.TB, ts *serve.Server, db string, body []byte) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/db/"+db+"/update", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -7,7 +7,9 @@
 # full-count contract under limit/offset windowing (count is the FULL
 # cardinality, the window only selects which rows are sent, and a limit
 # stream's header already carries it), the cached re-serve of a stored
-# stream, and the bvqd_streams_total metric. The streams name no engine, so
+# stream, what only a connection loop handles (a 100-continue body, an
+# HTTP/1.0 request, a HEAD without a body, keep-alive across two queries) and
+# the bvqd_streams_total metric. The streams name no engine, so
 # they run on bvqd's default — the compiled engine, what serving uses.
 #
 # `make smoke-stream` runs this; `make check` runs it as part of the gate.
@@ -73,8 +75,37 @@ curl -fsS -H 'Content-Type: application/json' -d "$lreq" "$BASE/query" >"$TMP/li
 head -1 "$TMP/lim.ndjson" | grep -q '"result_cached":false' || fail "no_cache limit stream served from the result cache"
 head -1 "$TMP/lim.ndjson" | grep -q "\"count\":$full," || fail "limit stream header lacks the full count $full: $(head -1 "$TMP/lim.ndjson")"
 
+# What only a server's connection loop handles. A > 1 KiB body sent only
+# after the server's 100 Continue:
+pad=$(printf '%*s' 2048 '')
+creq="{\"database\":\"graph\",$pad\"query\":\"(x, y). exists z. E(x, z) & E(z, y)\"}"
+curl -fsS -v -H 'Content-Type: application/json' -H 'Expect: 100-continue' -d "$creq" "$BASE/query" \
+	>"$TMP/continue.json" 2>"$TMP/continue.log" || fail "100-continue request failed"
+grep -q '< HTTP/1.1 100 Continue' "$TMP/continue.log" || fail "no 100 Continue before the body"
+grep -q "\"count\":$full," "$TMP/continue.json" || fail "100-continue answer: $(cat "$TMP/continue.json")"
+# An HTTP/1.0 request: the answer is delimited by its length or the close.
+curl -fsS -0 -H 'Content-Type: application/json' -d "$req" "$BASE/query" >"$TMP/http10.ndjson" ||
+	fail "HTTP/1.0 request failed"
+cmp -s "$TMP/http10.ndjson" "$TMP/full.ndjson" ||
+	[ "$(sed -n '2,$p' "$TMP/http10.ndjson" | sed '$d')" = "$(sed -n '2,$p' "$TMP/full.ndjson" | sed '$d')" ] ||
+	fail "HTTP/1.0 stream rows differ from the HTTP/1.1 ones"
+# HEAD on /healthz: a head and no body (the raw bytes end at the blank line).
+curl -fsS -I "$BASE/healthz" | head -1 | grep -q '^HTTP/1.1 200' || fail "curl -I /healthz is not a 200"
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'HEAD /healthz HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' >&3
+head_bytes=$(od -An -c <&3 | tr -d ' \n')
+exec 3<&-
+case "$head_bytes" in
+*'\r\n\r\n') ;;
+*) fail "HEAD /healthz sent bytes after its head: $head_bytes" ;;
+esac
+# Keep-alive: the second of two queries in one curl call opens no connection.
+conns=$(curl -fsS -o /dev/null -o /dev/null -w '%{num_connects}\n' -H 'Content-Type: application/json' \
+	-d "$req" "$BASE/query" "$BASE/query" | tr '\n' ' ')
+[ "$conns" = "1 0 " ] || fail "connections opened per query: $conns, want 1 then 0"
+
 # Into a file first: grep -q leaving early would fail curl under pipefail.
 curl -fsS "$BASE/metrics" >"$TMP/metrics.txt"
 grep -q '^bvqd_streams_total' "$TMP/metrics.txt" || fail "bvqd_streams_total missing from /metrics"
 
-echo "stream smoke: ok ($rows rows, full count $full, windowed count matches, limit header counts, metrics exposed)"
+echo "stream smoke: ok ($rows rows, full count $full, windowed count matches, limit header counts, metrics exposed, 100-continue, HTTP/1.0, HEAD and keep-alive served)"
