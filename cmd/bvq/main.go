@@ -178,9 +178,9 @@ func loadInputs(dbPath, query, qFile string) (*bvq.Database, bvq.Query, error) {
 	return db, q, nil
 }
 
-// runExplain compiles the query, executes it on the compiled engine with a
-// per-node profile and the stage fold attached, and prints the annotated
-// plan tree — the CLI twin of the server's "explain": true request mode.
+// runExplain compiles the query, executes it on the compiled engine under an
+// observer that times nodes, and prints the annotated plan tree — the CLI
+// twin of the server's "explain": true request mode.
 func runExplain(dbPath, query, qFile, engineName string, k int, stream bool, stdout, stderr io.Writer) error {
 	if err := checkFlags(dbPath, k); err != nil {
 		return err
@@ -203,13 +203,12 @@ func runExplain(dbPath, query, qFile, engineName string, k int, stream bool, std
 	if err != nil {
 		return err
 	}
-	fold := eval.NewStageFold(0)
-	opts := &eval.Options{MaxWidth: k, Profile: eval.NewPlanProfile(p.NumNodes()), Tracer: fold.Observe}
+	opts := &eval.Options{MaxWidth: k, Observe: eval.NewObserver(0, true)}
 	ans, _, err := eval.EvalPlanContext(context.Background(), p, db, opts)
 	if err != nil {
 		return err
 	}
-	eval.Explain(p, db, opts, fold).Render(stdout)
+	eval.Explain(p, db, opts).Render(stdout)
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
 	return nil
 }

@@ -4,7 +4,7 @@
 // series, and checks that all engines agree on the answers. EXPERIMENTS.md
 // records a run of this tool next to the paper's claims.
 //
-// Usage: bvqbench [-quick] [-json] [-stream] [-scrape http://host:8080/metrics]
+// Usage: bvqbench [-quick] [-json] [-stream]
 //
 // With -json the tool skips the prose tables and instead emits one JSON
 // record per (workload, engine, size) cell — see Record in json.go — for
@@ -14,11 +14,6 @@
 // (see stream.go): time-to-first-tuple, LIMIT-k latency and peak heap for
 // the streamed sparse route next to the materialized baseline, on a
 // large-answer two-hop scenario up to n = 10,000.
-//
-// With -scrape the tool instead fetches a running bvqd's /metrics endpoint,
-// validates the Prometheus exposition format, and emits one JSON record per
-// sample (see ScrapeRecord in scrape.go) — so a load run's server-side view
-// lands in the same JSON-Lines stream as the benchmark records.
 package main
 
 import (
@@ -48,7 +43,6 @@ var (
 	quick      = flag.Bool("quick", false, "smaller sweeps")
 	jsonMode   = flag.Bool("json", false, "emit machine-readable engine-comparison records (JSON Lines)")
 	streamMode = flag.Bool("stream", false, "emit streaming-enumeration records (TTFT, LIMIT-k, peak heap; JSON Lines)")
-	scrapeURL  = flag.String("scrape", "", "scrape a bvqd /metrics endpoint into JSON Lines instead of benchmarking")
 )
 
 // writeErr records the first failed write to stdout. Sweep tables are the
@@ -70,10 +64,6 @@ func outln(a ...any) {
 
 func main() {
 	flag.Parse()
-	if *scrapeURL != "" {
-		runScrape(*scrapeURL)
-		return
-	}
 	if *streamMode {
 		runStreamBench(*quick)
 		return

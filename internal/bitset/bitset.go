@@ -206,28 +206,6 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// NextSet returns the index of the first set bit at or after i, and whether
-// one exists.
-func (s *Set) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return 0, false
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w), true
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi]), true
-		}
-	}
-	return 0, false
-}
-
 // ForEach calls fn for every set bit, in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {

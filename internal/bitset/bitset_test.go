@@ -153,29 +153,6 @@ func TestEqualAndSubset(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	s := New(200)
-	want := []int{3, 64, 65, 130, 199}
-	for _, i := range want {
-		s.Set(i)
-	}
-	var got []int
-	for i, ok := s.NextSet(0); ok; i, ok = s.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if _, ok := s.NextSet(200); ok {
-		t.Fatal("NextSet beyond capacity returned a bit")
-	}
-}
-
 func TestForEachOrder(t *testing.T) {
 	s := New(100)
 	for _, i := range []int{99, 0, 42, 63, 64} {

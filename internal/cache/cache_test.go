@@ -116,7 +116,7 @@ func TestResultKeyDistinguishesAnswersOnly(t *testing.T) {
 }
 
 // TestResultKeyFormat pins the hand-appended key byte for byte, against
-// literals and against the fmt.Sprintf it replaced.
+// literals and against the fmt.Sprintf of its format.
 func TestResultKeyFormat(t *testing.T) {
 	for _, tc := range []struct {
 		fp     uint64
@@ -125,13 +125,13 @@ func TestResultKeyFormat(t *testing.T) {
 		text   string
 		want   string
 	}{
-		{0, "bottomup", nil, "", "0000000000000000|bottomup|0|0|0|auto|0|"},
-		{0xdeadbeef, "compiled", &eval.Options{}, "(x). P(x)", "00000000deadbeef|compiled|0|0|0|auto|0|(x). P(x)"},
-		{^uint64(0), "naive", &eval.Options{MaxWidth: 3, PFPBudget: 1 << 20, PFPCycle: eval.CycleBrent,
-			Backend: eval.BackendSparse, SparseBudget: 5_000_000, Parallelism: 8},
-			"(x, y). E(x, y) | x = y", "ffffffffffffffff|naive|3|1048576|1|sparse|5000000|(x, y). E(x, y) | x = y"},
+		{0, "bottomup", nil, "", "0000000000000000|bottomup|0|0|auto|"},
+		{0xdeadbeef, "compiled", &eval.Options{}, "(x). P(x)", "00000000deadbeef|compiled|0|0|auto|(x). P(x)"},
+		{^uint64(0), "naive", &eval.Options{MaxWidth: 3, PFPCycle: eval.CycleBrent, Backend: eval.BackendSparse,
+			Parallelism: 8, Observe: eval.NewObserver(1, true)},
+			"(x, y). E(x, y) | x = y", "ffffffffffffffff|naive|3|1|sparse|(x, y). E(x, y) | x = y"},
 		{0x0123456789abcdef, "compiled", &eval.Options{MaxWidth: -1, Backend: eval.BackendDense}, "ünï|çode",
-			"0123456789abcdef|compiled|-1|0|0|dense|0|ünï|çode"},
+			"0123456789abcdef|compiled|-1|0|dense|ünï|çode"},
 	} {
 		got := ResultKey(tc.fp, tc.engine, tc.opts, tc.text)
 		if got != tc.want {
@@ -141,9 +141,9 @@ func TestResultKeyFormat(t *testing.T) {
 		if tc.opts != nil {
 			o = *tc.opts
 		}
-		if old := fmt.Sprintf("%016x|%s|%d|%d|%d|%s|%d|%s", tc.fp, tc.engine, o.MaxWidth, o.PFPBudget,
-			o.PFPCycle, o.Backend, o.SparseBudget, tc.text); got != old {
-			t.Errorf("ResultKey = %q, the old format gives %q", got, old)
+		if fmtKey := fmt.Sprintf("%016x|%s|%d|%d|%s|%s", tc.fp, tc.engine, o.MaxWidth,
+			o.PFPCycle, o.Backend, tc.text); got != fmtKey {
+			t.Errorf("ResultKey = %q, the format string gives %q", got, fmtKey)
 		}
 	}
 }

@@ -139,16 +139,14 @@ func ResultKey(content uint64, engine string, opts *eval.Options, queryText stri
 	if opts != nil {
 		o = *opts
 	}
-	// "%016x|%s|%d|%d|%d|%s|%d|%s", appended into one sized buffer: the key
-	// is built on every request, hits included.
+	// "%016x|%s|%d|%d|%s|%s", appended into one sized buffer: the key is
+	// built on every request, hits included.
 	bk := o.Backend.String()
 	b := make([]byte, 0, 16+len(engine)+len(bk)+len(queryText)+32)
 	b = append(append(appendContent(b, content), '|'), engine...)
-	for _, v := range [...]int{o.MaxWidth, o.PFPBudget, int(o.PFPCycle)} {
-		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
-	}
+	b = strconv.AppendInt(append(b, '|'), int64(o.MaxWidth), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(o.PFPCycle), 10)
 	b = append(append(b, '|'), bk...)
-	b = strconv.AppendInt(append(b, '|'), int64(o.SparseBudget), 10)
 	b = append(append(b, '|'), queryText...)
 	return string(b)
 }

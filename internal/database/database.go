@@ -240,9 +240,6 @@ func (b *Builder) MustBuild() *Database {
 // Size returns n, the number of domain elements.
 func (db *Database) Size() int { return len(db.domain) }
 
-// DomainValues returns the sorted domain as natural numbers.
-func (db *Database) DomainValues() []int { return append([]int(nil), db.domain...) }
-
 // Domain returns the sorted domain as natural numbers without copying it: one
 // slice for the whole lineage (Apply shares it), which callers must not modify.
 func (db *Database) Domain() []int { return db.domain }

@@ -26,9 +26,9 @@ func TestBuildNormalizes(t *testing.T) {
 		t.Fatalf("Size = %d, want 3", db.Size())
 	}
 	want := []int{3, 5, 7}
-	for i, v := range db.DomainValues() {
+	for i, v := range db.Domain() {
 		if v != want[i] {
-			t.Fatalf("domain = %v", db.DomainValues())
+			t.Fatalf("domain = %v", db.Domain())
 		}
 	}
 	e, err := db.Rel("E")

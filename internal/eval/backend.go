@@ -57,21 +57,21 @@ func BackendByName(name string) (Backend, error) {
 }
 
 // ErrSparseBudget is wrapped by errors reporting that a sparse evaluation
-// would materialize more tuples than Options.SparseBudget allows — the
+// would materialize more tuples than its budget allows — the
 // sparse analogue of the dense MaxDenseBits guard. Under BackendAuto with a
 // feasible dense space the engine continues on the dense route instead of
 // failing.
 var ErrSparseBudget = errors.New("sparse materialization budget exceeded")
 
-// DefaultSparseBudget bounds the tuple count of any single sparse
-// materialization when Options.SparseBudget is zero: 2²⁵ codes ≈ 256 MiB.
-const DefaultSparseBudget = 1 << 25
+// defaultSparseBudget bounds the tuple count of any single sparse
+// materialization when Options.sparseBudget is zero: 2²⁵ codes ≈ 256 MiB.
+const defaultSparseBudget = 1 << 25
 
 func sparseBudget(opts *Options) int {
-	if opts != nil && opts.SparseBudget > 0 {
-		return opts.SparseBudget
+	if opts != nil && opts.sparseBudget > 0 {
+		return opts.sparseBudget
 	}
-	return DefaultSparseBudget
+	return defaultSparseBudget
 }
 
 func backendOf(opts *Options) Backend {
@@ -289,15 +289,17 @@ func ExplainRoute(p *plan.Plan, db *database.Database, opts *Options) (*plan.Den
 
 // Explain is the annotated plan of one evaluation of p against db under opts:
 // the DAG with the density analysis, the route and the two modelled costs it
-// was chosen by and — after a run with opts.Profile and fold.Observe installed
+// was chosen by and — after a run observed by opts.Observe, built with nodes
 // — the per-node profile and the per-binder stage totals, hand-offs included.
-func Explain(p *plan.Plan, db *database.Database, opts *Options, fold *StageFold) *plan.Explain {
+func Explain(p *plan.Plan, db *database.Database, opts *Options) *plan.Explain {
 	den, route := ExplainRoute(p, db, opts)
 	ex := p.Explain(den)
 	ex.Route = route
-	ex.AttachProfile(opts.Profile.Evals, opts.Profile.NS)
-	for _, fx := range fold.Fix {
-		ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds(), fx.HandOff)
+	if o := observerOf(opts); o != nil {
+		ex.AttachProfile(o.Evals, o.NS)
+		for _, fx := range o.Fix {
+			ex.AttachBinderStages(fx.Binder, fx.Stages, fx.DeltaTuples, fx.Busy.Nanoseconds(), fx.HandOff)
+		}
 	}
 	return ex
 }

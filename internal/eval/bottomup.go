@@ -440,9 +440,9 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 	defer restore()
 	// Stage tracing state lives entirely behind the nil check: an untraced
 	// run takes no Count calls, no clock reads and no allocations here.
-	tr := tracerOf(c.opts)
+	obs := observerOf(c.opts)
 	var stage, prevCount int
-	if tr != nil {
+	if obs != nil {
 		prevCount = cur.Count()
 	}
 	for {
@@ -452,7 +452,7 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 		}
 		c.stats.addFixIterations(1)
 		var stageStart time.Time
-		if tr != nil {
+		if obs != nil {
 			stageStart = time.Now()
 		}
 		c.env.rels[g.Rel] = boundRel{dense: cur, params: params}
@@ -471,10 +471,10 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 			// kept increasing the same way.
 			next.UnionWith(cur)
 		}
-		if tr != nil {
+		if obs != nil {
 			stage++
 			n := next.Count()
-			tr(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-prevCount, stageStart))
+			obs.stage(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-prevCount, stageStart))
 			prevCount = n
 		}
 		if next.Equal(cur) {
@@ -505,7 +505,7 @@ func (c *buCtx) evalPFP(g logic.Fix, varAxes, paramAxes []int) (*relation.Dense,
 // and returns the limit as an m-ary dense relation (empty if the run is
 // periodic with period > 1, per §2.2).
 func (c *buCtx) pfpOne(g logic.Fix, varAxes, paramAxes, assign []int) (*relation.Dense, error) {
-	tr := tracerOf(c.opts)
+	obs := observerOf(c.opts)
 	var stage int
 	step := func(s *relation.Dense) (*relation.Dense, error) {
 		if err := checkCtx(c.ctx); err != nil {
@@ -513,7 +513,7 @@ func (c *buCtx) pfpOne(g logic.Fix, varAxes, paramAxes, assign []int) (*relation
 		}
 		c.stats.addFixIterations(1)
 		var stageStart time.Time
-		if tr != nil {
+		if obs != nil {
 			stageStart = time.Now()
 		}
 		restore := c.env.bind(g.Rel, boundRel{dense: s})
@@ -524,10 +524,10 @@ func (c *buCtx) pfpOne(g logic.Fix, varAxes, paramAxes, assign []int) (*relation
 		}
 		next, err := c.alg.project(body, varAxes, paramAxes, assign)
 		body.Release()
-		if err == nil && tr != nil {
+		if err == nil && obs != nil {
 			stage++
 			n := next.Count()
-			tr(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-s.Count(), stageStart))
+			obs.stage(fixEvent(c.engine, -1, g.Rel, g.Op, stage, n, n-s.Count(), stageStart))
 		}
 		return next, err
 	}

@@ -186,7 +186,7 @@ func TestCompiledContextDeadlineMidPFP(t *testing.T) {
 func TestCompiledPFPBudget(t *testing.T) {
 	q := counterQuery()
 	db := orderedDomain(t, 12) // 2^12 stages
-	_, _, err := CompiledStats(q, db, &Options{PFPBudget: 100})
+	_, _, err := CompiledStats(q, db, &Options{pfpBudget: 100})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

@@ -93,7 +93,7 @@ func TestPFPCounterBudget(t *testing.T) {
 	// n=16 would need 65536 stages; a budget of 1000 must trip.
 	q := counterQuery()
 	db := orderedDomain(t, 16)
-	if _, _, err := BottomUpStats(q, db, &Options{PFPBudget: 1000}); err == nil {
+	if _, _, err := BottomUpStats(q, db, &Options{pfpBudget: 1000}); err == nil {
 		t.Fatal("expected budget exhaustion")
 	}
 }

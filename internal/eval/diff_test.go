@@ -253,10 +253,10 @@ func TestDifferentialPFP(t *testing.T) {
 		q := logic.MustQuery(head, logic.Pfp("S", []logic.Var{"x"}, body, "u"))
 		for trial := 0; trial < 5; trial++ {
 			db := randomGraph(t, r, 2+r.Intn(4))
-			opts := &Options{PFPBudget: 64}
+			opts := &Options{pfpBudget: 64}
 			bu, _, buErr := BottomUpStats(q, db, opts)
 			for _, par := range []int{1, 4} {
-				co, _, coErr := CompiledStats(q, db, &Options{PFPBudget: 64, Parallelism: par})
+				co, _, coErr := CompiledStats(q, db, &Options{pfpBudget: 64, Parallelism: par})
 				if (buErr == nil) != (coErr == nil) {
 					t.Fatalf("body %d par %d: error mismatch: bottomup=%v compiled=%v", bi, par, buErr, coErr)
 				}

@@ -66,9 +66,6 @@ type Options struct {
 	// MaxWidth caps the query width (0 means no cap beyond the dense-space
 	// size limit). Callers enforcing a specific Lᵏ set this to k.
 	MaxWidth int
-	// PFPBudget caps the number of stages a single PFP computation may take
-	// before evaluation fails with ErrBudget. 0 means DefaultPFPBudget.
-	PFPBudget int
 	// PFPCycle selects the convergence detector.
 	PFPCycle CycleMode
 	// Backend selects the relation representation for the Compiled engine:
@@ -77,43 +74,29 @@ type Options struct {
 	// full-width dense. It participates in result cache keys (different
 	// backends may report different Stats).
 	Backend Backend
-	// SparseBudget caps the tuple count of any single sparse materialization
-	// (join result, widening, complement, stage). 0 means
-	// DefaultSparseBudget. Exceeding it fails with ErrSparseBudget, except
-	// under BackendAuto with a feasible dense space, where the engine
-	// continues on the dense route.
-	SparseBudget int
 	// Parallelism bounds the number of worker goroutines the PFP evaluator
 	// uses for its per-parameter-assignment sweep (the n^|ȳ| independent
 	// fixpoint runs of a parametrized PFP are embarrassingly parallel).
 	// 0 means GOMAXPROCS; 1 preserves fully serial evaluation. The answer
 	// and all Stats counters are identical at every setting.
 	Parallelism int
-	// Tracer, when non-nil, receives one TraceEvent per completed fixpoint
-	// stage from the BottomUp, Monotone and Compiled evaluators (including
-	// every PFP stage of every parameter assignment). A nil Tracer is
-	// zero-cost: the engines hoist the nil check out of the stage work, so
-	// no counting, timing or allocation happens on the hot path. The hook
-	// runs inline on the evaluating goroutine — keep it cheap — and MUST be
-	// safe for concurrent use: the parallel PFP sweep and the compiled wave
-	// scheduler fire it from several workers at once. Tracer never changes
-	// answers, so it is excluded from result-cache keys.
-	Tracer Tracer
-	// Profile, when non-nil, receives per-plan-node execution counters from
-	// the Compiled engine (the plan executor, over either algebra): evaluation
-	// counts and cumulative wall time per DAG node, the data behind the
-	// server's explain mode. A nil Profile is zero-cost — the executor
-	// hoists the nil check like it does for Tracer. Profile never changes
-	// answers, so it is excluded from result-cache keys. The formula walker
-	// has no plan nodes and ignores it.
-	Profile *PlanProfile
+	// Observe, when non-nil, receives the run's fixpoint stages from the
+	// BottomUp, Monotone and Compiled evaluators (every PFP stage of every
+	// parameter assignment included) and, if it was built to, the plan
+	// executor's per-node counts. See Observer.
+	Observe *Observer
 	// Nodes, when non-nil, shares closed node values between Compiled runs.
 	Nodes *NodeStore
-}
 
-// Tracer is the stage-boundary observation hook of Options. See
-// Options.Tracer for the concurrency and cost contract.
-type Tracer func(TraceEvent)
+	// pfpBudget caps the stages a single PFP computation may take before
+	// evaluation fails with ErrBudget; sparseBudget the tuple count of any
+	// single sparse materialization (join result, widening, complement,
+	// stage), past which it fails with ErrSparseBudget, except under
+	// BackendAuto with a feasible dense space, where the engine continues on
+	// the dense route. 0 means defaultPFPBudget and defaultSparseBudget;
+	// only this package's tests set them.
+	pfpBudget, sparseBudget int
+}
 
 // TraceEvent describes one completed fixpoint stage.
 type TraceEvent struct {
@@ -149,55 +132,6 @@ type TraceEvent struct {
 	HandOff bool
 }
 
-// tracerOf resolves the Options.Tracer hook (nil Options means no tracing).
-func tracerOf(opts *Options) Tracer {
-	if opts == nil {
-		return nil
-	}
-	return opts.Tracer
-}
-
-// profileOf resolves the Options.Profile hook (nil Options means no
-// profiling).
-func profileOf(opts *Options) *PlanProfile {
-	if opts == nil {
-		return nil
-	}
-	return opts.Profile
-}
-
-// PlanProfile accumulates per-plan-node execution counters for one (or
-// several pooled) Compiled evaluations: how many times each DAG node was
-// computed and the cumulative wall time those computations took. Counters
-// are atomic — the parallel wave scheduler and the PFP sweep compute nodes
-// from several goroutines at once — so the slices are safe to read only
-// after the evaluation returns.
-//
-// Time is INCLUSIVE: a node computed on demand inside another node's
-// computation (a cache miss during recursive descent) is charged to both.
-// Under the wave scheduler nodes are computed in topological order, so
-// children are cache hits and inclusive ≈ self for the per-stage dirty
-// work; the first evaluation of a hoisted chain is the main double-counted
-// case. Explain output labels the column accordingly.
-type PlanProfile struct {
-	// Evals[n] counts node n's computations (cache misses, not visits).
-	Evals []int64
-	// NS[n] is the cumulative wall time of node n's computations, in
-	// nanoseconds, inclusive of on-demand child computation.
-	NS []int64
-}
-
-// NewPlanProfile returns a profile sized for a plan of n nodes.
-func NewPlanProfile(n int) *PlanProfile {
-	return &PlanProfile{Evals: make([]int64, n), NS: make([]int64, n)}
-}
-
-// observe records one computation of node n.
-func (pp *PlanProfile) observe(n int, d time.Duration) {
-	atomic.AddInt64(&pp.Evals[n], 1)
-	atomic.AddInt64(&pp.NS[n], d.Nanoseconds())
-}
-
 // parallelism resolves the Options.Parallelism knob.
 func parallelism(opts *Options) int {
 	if opts != nil && opts.Parallelism > 0 {
@@ -206,16 +140,16 @@ func parallelism(opts *Options) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultPFPBudget bounds PFP stage counts when Options.PFPBudget is zero.
-const DefaultPFPBudget = 1 << 20
+// defaultPFPBudget bounds PFP stage counts when Options.pfpBudget is zero.
+const defaultPFPBudget = 1 << 20
 
 // pfpLimits resolves the PFP stage budget and cycle detector of opts.
 func pfpLimits(opts *Options) (budget int, mode CycleMode) {
-	budget = DefaultPFPBudget
+	budget = defaultPFPBudget
 	if opts != nil {
 		mode = opts.PFPCycle
-		if opts.PFPBudget > 0 {
-			budget = opts.PFPBudget
+		if opts.pfpBudget > 0 {
+			budget = opts.pfpBudget
 		}
 	}
 	return budget, mode

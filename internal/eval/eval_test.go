@@ -369,7 +369,7 @@ func TestPFPGrowingCounter(t *testing.T) {
 func TestPFPBudget(t *testing.T) {
 	db := lineGraph(t, 3)
 	div := logic.MustQuery([]logic.Var{"u"}, logic.Pfp("S", []logic.Var{"x"}, logic.Neg(logic.R("S", "x")), "u"))
-	_, _, err := BottomUpStats(div, db, &Options{PFPBudget: 1})
+	_, _, err := BottomUpStats(div, db, &Options{pfpBudget: 1})
 	if err == nil || !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected budget error, got %v", err)
 	}

@@ -146,11 +146,9 @@ type run[V comparable] struct {
 	// store, when non-nil, shares closed-node values across runs; prefix keys the algebra and domain.
 	store  *NodeStore
 	prefix string
-	// prof, when non-nil, accumulates per-node eval counts and wall time for
-	// explain mode. Timing is inclusive of on-demand child computation: the
-	// wave scheduler computes nodes in topological order, so for stage work
-	// inclusive ≈ self; only first-touch cold descents overlap.
-	prof *PlanProfile
+	// obs, when non-nil, observes the run's stages and, if it times nodes,
+	// its node computations.
+	obs *Observer
 }
 
 func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, alg algebra[V], stats *Stats, deltaOK []bool, kind string) *run[V] {
@@ -162,8 +160,9 @@ func newRun[V comparable](ctx context.Context, p *plan.Plan, db *database.Databa
 		valCnt:  make([]int, len(p.Nodes)),
 		deltas:  make([]V, len(p.Nodes)),
 		binding: make([]V, p.NumBinders),
-		prof:    profileOf(opts),
+		obs:     observerOf(opts),
 	}
+	r.obs.sizeNodes(len(p.Nodes))
 	if opts != nil && opts.Nodes != nil {
 		r.store, r.prefix = opts.Nodes, kind+strconv.Itoa(db.Size())+"|"
 		r.captured = make([]*relation.Sparse, p.NumBinders)
@@ -280,17 +279,17 @@ func (r *run[V]) storeKey(n int) string {
 }
 
 // profStart and profEnd time one computation of node n for explain mode;
-// both are free when no profile was asked for.
+// both are free unless the observer times nodes.
 func (r *run[V]) profStart() (t0 time.Time) {
-	if r.prof != nil {
+	if r.obs.timesNodes() {
 		t0 = time.Now()
 	}
 	return t0
 }
 
 func (r *run[V]) profEnd(n int, t0 time.Time) {
-	if r.prof != nil {
-		r.prof.observe(n, time.Since(t0))
+	if r.obs.timesNodes() {
+		r.obs.node(n, time.Since(t0))
 	}
 }
 
@@ -389,7 +388,7 @@ func (r *run[V]) beginStage(b int, stage V) (start time.Time, err error) {
 	r.stats.addFixIterations(1)
 	r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
 	r.binding[b] = stage
-	if tracerOf(r.opts) != nil {
+	if r.obs != nil {
 		start = time.Now()
 	}
 	return start, nil
@@ -438,9 +437,8 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 		r.binding[b] = zero
 		return zero, err
 	}
-	tr := tracerOf(r.opts)
 	var count int // cur's size, kept when someone looks
-	if tr != nil || watch {
+	if r.obs != nil || watch {
 		count = r.alg.count(cur)
 	}
 	// staged closes a stage that left the binding at tuples: it reports it, and
@@ -448,10 +446,10 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 	staged := func(start time.Time, tuples int) bool {
 		stage++
 		moves := watch && tuples != count && r.ho.due(b, r.sparse, tuples, tuples-count)
-		if tr != nil {
+		if r.obs != nil {
 			ev := fixEvent("compiled", b, fx.Rel, fx.Op, stage, tuples, tuples-count, start)
 			ev.HandOff = moves
-			tr(ev)
+			r.obs.stage(ev)
 		}
 		count = tuples
 		return moves
@@ -495,7 +493,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 			next = r.alg.union(next, cur)
 		}
 		nextCnt := count
-		if tr != nil || watch {
+		if r.obs != nil || watch {
 			nextCnt = r.alg.count(next)
 		}
 		moves := staged(stageStart, nextCnt)
@@ -786,7 +784,6 @@ func sweepPFP[E any, V comparable](alg algebra[V], out V, e E, fork func() E, n,
 func (r *run[V]) pfpRun(fx *plan.FixInfo, assign []int) (V, error) {
 	var zero V
 	b := fx.Binder
-	tr := tracerOf(r.opts)
 	var stage int
 	step := func(s V) (V, error) {
 		stageStart, err := r.beginStage(b, s)
@@ -797,10 +794,10 @@ func (r *run[V]) pfpRun(fx *plan.FixInfo, assign []int) (V, error) {
 			return zero, err
 		}
 		next, err := r.alg.project(r.val[fx.Body], fx.VarAxes, fx.ParamAxes, assign)
-		if err == nil && tr != nil {
+		if err == nil && r.obs != nil {
 			stage++
 			nc := r.alg.count(next)
-			tr(fixEvent("compiled", b, fx.Rel, fx.Op, stage, nc, nc-r.alg.count(s), stageStart))
+			r.obs.stage(fixEvent("compiled", b, fx.Rel, fx.Op, stage, nc, nc-r.alg.count(s), stageStart))
 		}
 		return next, err
 	}

@@ -72,14 +72,14 @@ func TestDifferentialHandOff(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.q)
-			want, sink := &traceSink{}, &traceSink{}
-			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Parallelism: 1, Tracer: want.record})
+			want, sink := newSink(), newSink()
+			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Parallelism: 1, Observe: want})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var res planResult
 			withHandOffScale(tc.scale, func() {
-				res, err = startOn(t, tc.start, p, tc.db, &Options{Parallelism: 1, Tracer: sink.record})
+				res, err = startOn(t, tc.start, p, tc.db, &Options{Parallelism: 1, Observe: sink})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -90,8 +90,8 @@ func TestDifferentialHandOff(t *testing.T) {
 			if res.stats.RepSwitches != 1 || res.stats.FixIterations != rst.FixIterations {
 				t.Fatalf("RepSwitches = %d, want 1; %d stages, dense took %d", res.stats.RepSwitches, res.stats.FixIterations, rst.FixIterations)
 			}
-			events := sink.snapshot()
-			if got, want := pinTrace(events), pinTrace(want.snapshot()); got != want {
+			events := sink.Log
+			if got, want := pinTrace(events), pinTrace(want.Log); got != want {
 				t.Fatalf("the stage sequence restarted or diverged:\n got %s\nwant %s", got, want)
 			}
 			moved := 0
@@ -130,7 +130,7 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := startOn(t, "sparse", p, db, &Options{Parallelism: 1, SparseBudget: tc.budget})
+			res, err := startOn(t, "sparse", p, db, &Options{Parallelism: 1, sparseBudget: tc.budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,8 +163,8 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	}
 	db := randomGraph(t, r, 2+r.Intn(5))
 	p := mustCompile(t, q)
-	dsink := &traceSink{}
-	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Tracer: dsink.record})
+	dsink := newSink()
+	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Observe: dsink})
 	if err != nil {
 		t.Fatalf("dense(%s): %v", q, err)
 	}
@@ -173,10 +173,10 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 		backends = append(backends, BackendSparse)
 	}
 	for _, b := range backends {
-		sink := &traceSink{}
+		sink := newSink()
 		var got interface{ String() string }
 		withHandOffScale(scale, func() {
-			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1, Tracer: sink.record})
+			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1, Observe: sink})
 		})
 		if err != nil {
 			t.Fatalf("%s(%s): %v", b, q, err)
@@ -184,7 +184,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 		if got.String() != dense.String() {
 			t.Fatalf("%s disagrees with dense on %s (scale %g):\n got %s\nwant %s\n%s", b, q, scale, got, dense, db)
 		}
-		want, have := finalStages(dsink.snapshot()), finalStages(sink.snapshot())
+		want, have := finalStages(dsink.Log), finalStages(sink.Log)
 		for binder, tuples := range want {
 			if have[binder] != tuples {
 				t.Fatalf("%s(%s): binder %d ends at %d tuples, dense at %d", b, q, binder, have[binder], tuples)

@@ -32,7 +32,7 @@ func Monotone(q logic.Query, db *database.Database) (*relation.Set, error) {
 }
 
 // MonotoneStats is Monotone with options and work statistics. Of Options it
-// honors the width bound and the Tracer; its fragment has no PFP.
+// honors the width bound and the observer; its fragment has no PFP.
 func MonotoneStats(q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	return MonotoneContext(context.Background(), q, db, opts)
 }

@@ -265,7 +265,7 @@ func (c *naiveCtx) holdsFix(g logic.Fix) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		cur, err = pfpHashSet(step, m, msp, DefaultPFPBudget)
+		cur, err = pfpHashSet(step, m, msp, defaultPFPBudget)
 		if err != nil {
 			return false, err
 		}

@@ -99,7 +99,7 @@ func pinMaintained(t *testing.T, opts *Options) *Stats {
 	db := lineGraph(t, 30)
 	p := mustCompile(t, tcLFP())
 	capOpts := *opts
-	capOpts.Tracer = nil
+	capOpts.Observe = nil
 	_, _, state, err := EvalPlanCapture(ctx, p, db, &capOpts)
 	if err != nil || state == nil {
 		t.Fatalf("capture: state=%v err=%v", state, err)
@@ -171,7 +171,7 @@ func pinCases(t *testing.T) []pinCase {
 		// stage loop, and the loop is handed to the dense algebra from its last
 		// whole stage.
 		{name: "tc-forest410/auto-budget-fallback", run: pinEval(tcQuery(), forestDB(410, 10)),
-			opts: Options{Parallelism: 1, SparseBudget: 100}},
+			opts: Options{Parallelism: 1, sparseBudget: 100}},
 	}
 }
 
@@ -185,12 +185,12 @@ func TestPinnedWork(t *testing.T) {
 			if testing.Short() && strings.HasPrefix(tc.name, "tc-forest410") {
 				t.Skip("69M-bit dense rerun; skipped in -short")
 			}
-			sink := &traceSink{}
+			sink := newSink()
 			opts := tc.opts
-			opts.Tracer = sink.record
+			opts.Observe = sink
 			st := tc.run(t, &opts)
 			gotStats := fmt.Sprintf("%+v", *st)
-			gotTrace := pinTrace(sink.snapshot())
+			gotTrace := pinTrace(sink.Log)
 			if *pinPrint {
 				fmt.Printf("PIN\t%q: {\n\t\t%q,\n\t\t%q},\n", tc.name, gotStats, gotTrace)
 				return

@@ -31,7 +31,7 @@ import (
 //	∀x pos     = all-axis                ∀x ¬a      = ¬(drop axis a)
 //
 // Widening (inserting a cylinder axis) and complementing multiply block
-// sizes, so both are guarded by Options.SparseBudget; exceeding it returns
+// sizes, so both are guarded by a tuple budget; exceeding it returns
 // ErrSparseBudget, which the auto backend treats as "the estimate was wrong —
 // continue dense" whenever the dense space is feasible.
 type sval struct {
@@ -337,7 +337,7 @@ func (sa *sparseAlg) check(n int, sv *sval) error {
 }
 
 func (sa *sparseAlg) overBudget(what string, need float64) error {
-	return fmt.Errorf("eval: %w: %s needs ~%.3g tuples, budget %d (raise Options.SparseBudget)",
+	return fmt.Errorf("eval: %w: %s needs ~%.3g tuples, budget %d",
 		ErrSparseBudget, what, need, sa.budget)
 }
 

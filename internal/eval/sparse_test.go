@@ -68,13 +68,13 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			continue
 		}
 		db := randomGraph(t, r, 2+r.Intn(4))
-		dsink, ssink := &traceSink{}, &traceSink{}
-		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1, Tracer: dsink.record})
+		dsink, ssink := newSink(), newSink()
+		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1, Observe: dsink})
 		if err != nil {
 			t.Fatalf("dense(%s): %v", q, err)
 		}
 
-		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1, Tracer: ssink.record})
+		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1, Observe: ssink})
 		if err != nil {
 			if strings.Contains(err.Error(), "sparse backend:") {
 				continue // outside the sparse fragment (GFP/PFP, negative fix body)
@@ -90,25 +90,25 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		if sst.FixIterations != dst.FixIterations {
 			t.Fatalf("%s: sparse took %d stages, dense %d", q, sst.FixIterations, dst.FixIterations)
 		}
-		if ds, ss := pinTrace(dsink.snapshot()), pinTrace(ssink.snapshot()); ds != ss {
+		if ds, ss := pinTrace(dsink.Log), pinTrace(ssink.Log); ds != ss {
 			t.Fatalf("%s: stage sequences differ\ndense  %s\nsparse %s", q, ds, ss)
 		}
 
-		asink := &traceSink{}
-		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1, Tracer: asink.record})
+		asink := newSink()
+		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1, Observe: asink})
 		if err != nil {
 			t.Fatalf("auto(%s): %v", q, err)
 		}
 		if !auto.Equal(dense) {
 			t.Fatalf("auto disagrees with dense on %s", q)
 		}
-		want, have := finalStages(dsink.snapshot()), finalStages(asink.snapshot())
+		want, have := finalStages(dsink.Log), finalStages(asink.Log)
 		for binder, tuples := range want {
 			if have[binder] != tuples {
 				t.Fatalf("%s: auto ends binder %d at %d tuples, dense at %d", q, binder, have[binder], tuples)
 			}
 		}
-		if as := pinTrace(asink.snapshot()); ast.RepSwitches == 0 && as != pinTrace(dsink.snapshot()) {
+		if as := pinTrace(asink.Log); ast.RepSwitches == 0 && as != pinTrace(dsink.Log) {
 			t.Fatalf("%s: auto never left its route, yet its stage sequence differs from dense's\nauto  %s", q, as)
 		}
 	}
@@ -531,12 +531,14 @@ func TestSparseCancellation(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		stages := 0
-		opts := &Options{Backend: BackendSparse, Tracer: func(TraceEvent) {
+		obs := NewObserver(0, false)
+		obs.onStage = func(TraceEvent) {
 			stages++
 			if stages == 2 {
 				cancel()
 			}
-		}}
+		}
+		opts := &Options{Backend: BackendSparse, Observe: obs}
 		_, _, err := EvalPlanContext(ctx, p, db, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -561,7 +563,7 @@ func TestSparseBudgetFallsBackToDense(t *testing.T) {
 	db := randomGraph(t, rand.New(rand.NewSource(5)), 6)
 	// ¬E forces a complement whose block exceeds a budget of 2 tuples.
 	q := logic.MustQuery([]logic.Var{"x", "y"}, logic.Neg(logic.R("E", "x", "y")))
-	_, _, err := CompiledStats(q, db, &Options{Backend: BackendSparse, SparseBudget: 2})
+	_, _, err := CompiledStats(q, db, &Options{Backend: BackendSparse, sparseBudget: 2})
 	if !errors.Is(err, ErrSparseBudget) {
 		t.Fatalf("err = %v, want ErrSparseBudget", err)
 	}
@@ -569,7 +571,7 @@ func TestSparseBudgetFallsBackToDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, _, err := CompiledStats(q, db, &Options{SparseBudget: 2})
+	auto, _, err := CompiledStats(q, db, &Options{sparseBudget: 2})
 	if err != nil {
 		t.Fatalf("auto with tiny budget must fall back to dense: %v", err)
 	}

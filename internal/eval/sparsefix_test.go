@@ -265,7 +265,7 @@ func TestSparsePassThroughsShare(t *testing.T) {
 	}
 	for name, op := range ops {
 		t.Run(name, func(t *testing.T) {
-			sa := &sparseAlg{db: db, n: db.Size(), budget: DefaultSparseBudget, den: den}
+			sa := &sparseAlg{db: db, n: db.Size(), budget: defaultSparseBudget, den: den}
 			sa.blocks.Poison()
 			x := sparseVal(t, sa, []int{0, 1}, relation.Tuple{0, 1}, relation.Tuple{2, 3}, relation.Tuple{4, 5})
 			more := sparseVal(t, sa, []int{0, 1}, relation.Tuple{1, 1}, relation.Tuple{5, 0})

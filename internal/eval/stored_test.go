@@ -182,7 +182,7 @@ func TestStoredCodesNeverWritten(t *testing.T) {
 
 	big := forestDB(410, 10)
 	hs = hold(big)
-	if _, st, _, err := EvalPlan(ctx, tc, big, &Options{Parallelism: 1, SparseBudget: 100}, nil, false); err != nil || st.RepSwitches != 1 {
+	if _, st, _, err := EvalPlan(ctx, tc, big, &Options{Parallelism: 1, sparseBudget: 100}, nil, false); err != nil || st.RepSwitches != 1 {
 		t.Fatalf("budget rerun: %v, %+v", err, st)
 	}
 	intact("a budget overrun rerun dense", hs)

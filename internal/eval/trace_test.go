@@ -1,30 +1,18 @@
 package eval
 
 import (
-	"sync"
+	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/database"
 	"repro/internal/logic"
+	"repro/internal/plan"
 )
 
-// traceSink is a concurrency-safe TraceEvent collector for tests.
-type traceSink struct {
-	mu     sync.Mutex
-	events []TraceEvent
-}
-
-func (s *traceSink) record(ev TraceEvent) {
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-}
-
-func (s *traceSink) snapshot() []TraceEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]TraceEvent(nil), s.events...)
-}
+// newSink returns an observer that logs every stage event.
+func newSink() *Observer { return NewObserver(math.MaxInt, false) }
 
 func traceDB(t *testing.T) *database.Database {
 	t.Helper()
@@ -63,12 +51,12 @@ func TestTracerLFPStages(t *testing.T) {
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			sink := &traceSink{}
-			st, err := r.run(&Options{Tracer: sink.record})
+			sink := newSink()
+			st, err := r.run(&Options{Observe: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := sink.snapshot()
+			events := sink.Log
 			if len(events) == 0 {
 				t.Fatal("tracer never fired")
 			}
@@ -112,8 +100,8 @@ func TestTracerPFP(t *testing.T) {
 					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
-			sink := &traceSink{}
-			opts := &Options{Tracer: sink.record}
+			sink := newSink()
+			opts := &Options{Observe: sink}
 			var st *Stats
 			var err error
 			if engine == "bottomup" {
@@ -124,7 +112,7 @@ func TestTracerPFP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := sink.snapshot()
+			events := sink.Log
 			if int64(len(events)) != st.FixIterations {
 				t.Fatalf("events = %d, FixIterations = %d", len(events), st.FixIterations)
 			}
@@ -138,7 +126,7 @@ func TestTracerPFP(t *testing.T) {
 }
 
 // TestTracerParallelPFPSweep runs a parametrized PFP with a worker pool and
-// a tracing hook: the event count must match the serial run (the sweep is
+// an observer: the event count must match the serial run (the sweep is
 // deterministic), and the concurrent calls are the -race fodder.
 func TestTracerParallelPFPSweep(t *testing.T) {
 	db := traceDB(t)
@@ -148,30 +136,30 @@ func TestTracerParallelPFPSweep(t *testing.T) {
 			logic.Or(logic.R("S", "x"), logic.Or(logic.R("E", "y", "x"),
 				logic.Exists(logic.And(logic.R("E", "z", "x"),
 					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
-	serial := &traceSink{}
-	_, stSerial, err := BottomUpStats(q, db, &Options{Parallelism: 1, Tracer: serial.record})
+	serial := newSink()
+	_, stSerial, err := BottomUpStats(q, db, &Options{Parallelism: 1, Observe: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := &traceSink{}
-	_, stPar, err := BottomUpStats(q, db, &Options{Parallelism: 4, Tracer: parallel.record})
+	parallel := newSink()
+	_, stPar, err := BottomUpStats(q, db, &Options{Parallelism: 4, Observe: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stSerial.FixIterations != stPar.FixIterations {
 		t.Fatalf("FixIterations diverge: serial %d, parallel %d", stSerial.FixIterations, stPar.FixIterations)
 	}
-	if len(serial.snapshot()) != len(parallel.snapshot()) {
-		t.Fatalf("event counts diverge: serial %d, parallel %d", len(serial.snapshot()), len(parallel.snapshot()))
+	if len(serial.Log) != len(parallel.Log) {
+		t.Fatalf("event counts diverge: serial %d, parallel %d", len(serial.Log), len(parallel.Log))
 	}
 }
 
-// TestTracerNilIsIgnored locks the zero-cost contract's functional half: a
-// nil hook changes nothing about answers or statistics.
+// TestTracerNilIsIgnored locks the zero-cost contract's functional half:
+// observing a run changes nothing about answers or statistics.
 func TestTracerNilIsIgnored(t *testing.T) {
 	db := traceDB(t)
 	q := traceReachQuery()
-	ansTraced, stTraced, err := BottomUpStats(q, db, &Options{Tracer: func(TraceEvent) {}})
+	ansTraced, stTraced, err := BottomUpStats(q, db, &Options{Observe: NewObserver(0, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +168,10 @@ func TestTracerNilIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ansTraced.Equal(ansPlain) {
-		t.Fatal("tracer changed the answer")
+		t.Fatal("the observer changed the answer")
 	}
 	if stTraced.FixIterations != stPlain.FixIterations || stTraced.SubformulaEvals != stPlain.SubformulaEvals {
-		t.Fatalf("tracer changed stats: %+v vs %+v", stTraced, stPlain)
+		t.Fatalf("the observer changed stats: %+v vs %+v", stTraced, stPlain)
 	}
 }
 
@@ -199,8 +187,8 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 		t.Run(engine, func(t *testing.T) {
 			run := func(parallelism int) (FixStages, *Stats) {
 				t.Helper()
-				fold := NewStageFold(0)
-				opts := &Options{Parallelism: parallelism, Tracer: fold.Observe}
+				fold := NewObserver(0, false)
+				opts := &Options{Parallelism: parallelism, Observe: fold}
 				var st *Stats
 				var err error
 				if engine == "bottomup" {
@@ -242,8 +230,8 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 // TestStageFoldLogCap checks the raw event log: in arrival order, cut at its
 // cap with the truncation flagged, while the totals keep counting.
 func TestStageFoldLogCap(t *testing.T) {
-	fold := NewStageFold(3)
-	if _, _, err := BottomUpStats(traceReachQuery(), traceDB(t), &Options{Tracer: fold.Observe}); err != nil {
+	fold := NewObserver(3, false)
+	if _, _, err := BottomUpStats(traceReachQuery(), traceDB(t), &Options{Observe: fold}); err != nil {
 		t.Fatal(err)
 	}
 	events, truncated := fold.Log, fold.Truncated
@@ -257,5 +245,40 @@ func TestStageFoldLogCap(t *testing.T) {
 	}
 	if fix := fold.Fix; len(fix) != 1 || fix[0].Stages <= 3 || fix[0].Tuples != 5 || fix[0].DeltaTuples != 5 {
 		t.Fatalf("totals = %+v, want every stage of the 5-element reach folded", fix)
+	}
+}
+
+// TestNodeCountsScheduleFree checks explain's per-node counts: every plan
+// node is computed as often under the wave scheduler and the parallel PFP
+// sweep as in a serial run, on either route.
+func TestNodeCountsScheduleFree(t *testing.T) {
+	db := traceDB(t)
+	paramPFP := logic.MustQuery([]logic.Var{"u", "y"},
+		logic.Pfp("S", []logic.Var{"x"},
+			logic.Or(logic.R("P", "x"), logic.Or(logic.R("E", "y", "x"),
+				logic.Exists(logic.And(logic.R("E", "z", "x"),
+					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
+	for name, q := range map[string]logic.Query{"reach": traceReachQuery(), "tc": tcLFP(), "pfp": paramPFP} {
+		p, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []Backend{BackendDense, BackendAuto} {
+			var serial []int64
+			for _, par := range []int{1, 2, 4} {
+				obs := NewObserver(0, true)
+				if _, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Parallelism: par, Observe: obs}); err != nil {
+					t.Fatal(err)
+				}
+				if len(obs.Evals) != len(p.Nodes) {
+					t.Fatalf("%s/%s: %d node counters for %d nodes", name, backend, len(obs.Evals), len(p.Nodes))
+				}
+				if par == 1 {
+					serial = obs.Evals
+				} else if !slices.Equal(obs.Evals, serial) {
+					t.Errorf("%s/%s: node evals at parallelism %d = %v, serial %v", name, backend, par, obs.Evals, serial)
+				}
+			}
+		}
 	}
 }

@@ -120,7 +120,7 @@ func TestFailedSweepPoolBalance(t *testing.T) {
 	db := lineGraph(t, 6)
 	q := paramOscillatingPFP()
 	for _, par := range []int{1, 4} {
-		c, err := newWalker(context.Background(), q, db, &Options{PFPBudget: 1, Parallelism: par}, "bottomup", restart)
+		c, err := newWalker(context.Background(), q, db, &Options{pfpBudget: 1, Parallelism: par}, "bottomup", restart)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestFailedSweepPoolBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRun[*relation.Dense](context.Background(), p, db, &Options{PFPBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, "d")
+	r := newRun[*relation.Dense](context.Background(), p, db, &Options{pfpBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, "d")
 	if _, err := r.answer(r.start(nil, nil, false)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("compiled: err = %v, want ErrBudget", err)
 	}

@@ -213,19 +213,6 @@ func (h *Histogram) samples(name string, base map[string]string) []Sample {
 	return out
 }
 
-// NewHistogram creates and registers a histogram with the given upper
-// bounds (nil means DefBuckets).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	h := newHistogram(buckets)
-	r.register(name, help, "histogram", func() []Sample {
-		return h.samples(name, nil)
-	})
-	return h
-}
-
 // CounterVec is a family of counters keyed by the value of one label.
 type CounterVec struct {
 	label string

@@ -40,7 +40,7 @@ func TestFuncMetricsReadAtScrapeTime(t *testing.T) {
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("test_latency_seconds", "latency", []float64{0.01, 0.1, 1})
+	h := r.NewHistogramVec("test_latency_seconds", "latency", "engine", []float64{0.01, 0.1, 1}).With("compiled")
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
@@ -164,7 +164,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_c_total", "c")
 	g := r.NewGauge("test_g", "g")
-	h := r.NewHistogram("test_h_seconds", "h", nil)
 	cv := r.NewCounterVec("test_cv_total", "cv", "k")
 	hv := r.NewHistogramVec("test_hv_seconds", "hv", "k", nil)
 	var wg sync.WaitGroup
@@ -175,7 +174,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i) / 100)
 				cv.With("a").Inc()
 				hv.With("b").Observe(0.01)
 				if i%100 == 0 {
@@ -189,8 +187,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Value() != 4000 || h.Count() != 4000 || cv.With("a").Value() != 4000 {
-		t.Fatalf("lost updates: c=%d h=%d cv=%d", c.Value(), h.Count(), cv.With("a").Value())
+	if h := hv.With("b"); c.Value() != 4000 || h.Count() != 4000 || cv.With("a").Value() != 4000 {
+		t.Fatalf("lost updates: c=%d hv=%d cv=%d", c.Value(), h.Count(), cv.With("a").Value())
 	}
 	if _, err := ParseText(strings.NewReader(render(t, r))); err != nil {
 		t.Fatalf("post-hammer exposition invalid: %v", err)

@@ -80,7 +80,7 @@ func TestCTLTranslationIsAlternationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := DependentAlternationDepth(mu); d > 1 {
+		if _, d := fp2Depths(t, mu); d > 1 {
 			t.Fatalf("CTL translation has dependent alternation depth %d: %s → %s", d, f, mu)
 		}
 	}
@@ -92,15 +92,12 @@ func TestDependentVsSyntacticAlternation(t *testing.T) {
 	closed := Nu{Var: "X", F: Conj{
 		L: Mu{Var: "Y", F: Disj{L: Prop{Name: "p"}, R: Diamond{F: VarRef{"Y"}}}},
 		R: Box{F: VarRef{"X"}}}}
-	if d := DependentAlternationDepth(closed); d != 1 {
-		t.Fatalf("closed nesting: dependent depth %d, want 1", d)
-	}
-	if d := AlternationDepth(closed); d != 2 {
-		t.Fatalf("closed nesting: syntactic depth %d, want 2", d)
+	if syn, dep := fp2Depths(t, closed); dep != 1 || syn != 2 {
+		t.Fatalf("closed nesting: dependent depth %d, syntactic %d, want 1 and 2", dep, syn)
 	}
 	// InfinitelyOften really alternates: both metrics say 2.
 	real2 := InfinitelyOften(Prop{Name: "p"})
-	if d := DependentAlternationDepth(real2); d != 2 {
+	if _, d := fp2Depths(t, real2); d != 2 {
 		t.Fatalf("νµ with dependency: dependent depth %d, want 2", d)
 	}
 }

@@ -269,153 +269,6 @@ func validateBinder(v string, body Formula, bound map[string]bool) error {
 	return err
 }
 
-// AlternationDepth returns the syntactic µ/ν alternation depth: nested
-// same-polarity fixpoints count once, each µ/ν polarity switch on a nesting
-// path adds one. A formula without fixpoints has depth 0.
-//
-// The syntactic count over-approximates the semantic (Emerson–Lei)
-// alternation depth: an inner fixpoint that does not use the outer
-// fixpoint's variable is independent of its iteration and does not truly
-// alternate. See DependentAlternationDepth.
-func AlternationDepth(f Formula) int {
-	return altDepth(f, 0, 0)
-}
-
-// DependentAlternationDepth returns the Emerson–Lei alternation depth:
-// an opposite-polarity fixpoint nested inside σX.φ adds a level only if X
-// occurs free in it. CTL translations, for example, have dependent depth
-// ≤ 1 however deeply their closed fixpoints nest.
-func DependentAlternationDepth(f Formula) int {
-	switch g := f.(type) {
-	case Prop, NegProp, Lit, VarRef:
-		return 0
-	case Conj:
-		return max2(DependentAlternationDepth(g.L), DependentAlternationDepth(g.R))
-	case Disj:
-		return max2(DependentAlternationDepth(g.L), DependentAlternationDepth(g.R))
-	case Diamond:
-		return DependentAlternationDepth(g.F)
-	case Box:
-		return DependentAlternationDepth(g.F)
-	case Mu:
-		return fixDepDepth(g.Var, true, g.F)
-	case Nu:
-		return fixDepDepth(g.Var, false, g.F)
-	default:
-		return 0
-	}
-}
-
-// fixDepDepth computes the dependent depth of a fixpoint binding v with the
-// given polarity (isMu) and body.
-func fixDepDepth(v string, isMu bool, body Formula) int {
-	d := 1
-	var walk func(f Formula)
-	walk = func(f Formula) {
-		switch g := f.(type) {
-		case Prop, NegProp, Lit, VarRef:
-		case Conj:
-			walk(g.L)
-			walk(g.R)
-		case Disj:
-			walk(g.L)
-			walk(g.R)
-		case Diamond:
-			walk(g.F)
-		case Box:
-			walk(g.F)
-		case Mu:
-			sub := fixDepDepth(g.Var, true, g.F)
-			if !isMu && varFreeIn(v, g) {
-				sub++
-			}
-			if sub > d {
-				d = sub
-			}
-		case Nu:
-			sub := fixDepDepth(g.Var, false, g.F)
-			if isMu && varFreeIn(v, g) {
-				sub++
-			}
-			if sub > d {
-				d = sub
-			}
-		}
-	}
-	walk(body)
-	return d
-}
-
-// varFreeIn reports whether the fixpoint variable v occurs free in f.
-func varFreeIn(v string, f Formula) bool {
-	switch g := f.(type) {
-	case VarRef:
-		return g.Name == v
-	case Prop, NegProp, Lit:
-		return false
-	case Conj:
-		return varFreeIn(v, g.L) || varFreeIn(v, g.R)
-	case Disj:
-		return varFreeIn(v, g.L) || varFreeIn(v, g.R)
-	case Diamond:
-		return varFreeIn(v, g.F)
-	case Box:
-		return varFreeIn(v, g.F)
-	case Mu:
-		return g.Var != v && varFreeIn(v, g.F)
-	case Nu:
-		return g.Var != v && varFreeIn(v, g.F)
-	default:
-		return false
-	}
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// altDepth computes the depth given the innermost enclosing fixpoint kind
-// (0 none, 1 µ, 2 ν) and the alternation count accumulated so far.
-func altDepth(f Formula, enclosing, depth int) int {
-	best := depth
-	upd := func(d int) {
-		if d > best {
-			best = d
-		}
-	}
-	switch g := f.(type) {
-	case Prop, NegProp, Lit, VarRef:
-	case Conj:
-		upd(altDepth(g.L, enclosing, depth))
-		upd(altDepth(g.R, enclosing, depth))
-	case Disj:
-		upd(altDepth(g.L, enclosing, depth))
-		upd(altDepth(g.R, enclosing, depth))
-	case Diamond:
-		upd(altDepth(g.F, enclosing, depth))
-	case Box:
-		upd(altDepth(g.F, enclosing, depth))
-	case Mu:
-		d := depth
-		if enclosing != 1 {
-			d++
-		}
-		upd(d)
-		upd(altDepth(g.F, 1, d))
-	case Nu:
-		d := depth
-		if enclosing != 2 {
-			d++
-		}
-		upd(d)
-		upd(altDepth(g.F, 2, d))
-	}
-	return best
-}
-
 // Strings for common specification patterns.
 
 // EF is "possibly φ": µX. φ ∨ ◇X.

@@ -127,10 +127,21 @@ func TestAlternationDepth(t *testing.T) {
 			F: Conj{L: VarRef{"A"}, R: Disj{L: VarRef{"B"}, R: VarRef{"C"}}}}}}, 3},
 	}
 	for _, c := range cases {
-		if got := AlternationDepth(c.f); got != c.want {
-			t.Errorf("AlternationDepth(%s) = %d, want %d", c.f, got, c.want)
+		if got, _ := fp2Depths(t, c.f); got != c.want {
+			t.Errorf("AlternationDepth(ToFP2(%s)) = %d, want %d", c.f, got, c.want)
 		}
 	}
+}
+
+// fp2Depths returns the syntactic and the dependent (Emerson–Lei)
+// alternation depth of f's FP² translation.
+func fp2Depths(t *testing.T, f Formula) (syntactic, dependent int) {
+	t.Helper()
+	g, err := ToFP2(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logic.AlternationDepth(g), logic.DependentAlternationDepth(g)
 }
 
 func TestToFP2WidthAndFragment(t *testing.T) {

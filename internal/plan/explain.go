@@ -5,15 +5,14 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
 // Explain is the JSON-ready annotated view of a compiled plan: the DAG with
 // per-node density decisions, the binder summaries with maintenance and
 // delta eligibility, and — when the query was actually executed with an
-// eval.PlanProfile — per-node eval counts and wall time plus per-binder
-// stage counts from the trace events. It is the payload of the server's
+// eval.Observer that times nodes — per-node eval counts and wall time plus
+// per-binder stage counts from the trace events. It is the payload of the server's
 // "explain": true mode and of bvq -explain.
 type Explain struct {
 	Query string `json:"query"`
@@ -262,7 +261,7 @@ func (p *Plan) Explain(den *Density) *Explain {
 }
 
 // AttachProfile folds an execution profile (per-node eval counts and
-// nanoseconds, indexed by node id — eval.PlanProfile's arrays) into the
+// nanoseconds, indexed by node id — eval.Observer's Evals and NS) into the
 // node annotations and marks the explain as executed.
 func (ex *Explain) AttachProfile(evals, ns []int64) {
 	for i := range ex.Nodes {
@@ -382,23 +381,4 @@ func (ex *Explain) nodeLine(id int) string {
 		line += "  [" + strings.Join(ann, " · ") + "]"
 	}
 	return line
-}
-
-// TopNodes returns up to k node ids ordered by descending wall time — the
-// hot list the server folds into slow-query logs. Zero-eval nodes are
-// skipped.
-func (ex *Explain) TopNodes(k int) []int {
-	ids := make([]int, 0, len(ex.Nodes))
-	for i := range ex.Nodes {
-		if ex.Nodes[i].Evals > 0 {
-			ids = append(ids, i)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return ex.Nodes[ids[a]].WallUS > ex.Nodes[ids[b]].WallUS
-	})
-	if len(ids) > k {
-		ids = ids[:k]
-	}
-	return ids
 }

@@ -101,7 +101,7 @@ type Node struct {
 type FixInfo struct {
 	Op logic.FixOp
 	// Rel is the recursion relation's name, kept for observability (the
-	// eval.Tracer stage events name the fixpoint they belong to).
+	// eval.Observer's stage events name the fixpoint they belong to).
 	Rel    string
 	Binder int
 	Body   int

@@ -211,20 +211,6 @@ func (s *Set) SelectEq(i, j int) *Set {
 	return out
 }
 
-// SelectConst returns { t ∈ s | t_i = v }.
-func (s *Set) SelectConst(i, v int) *Set {
-	if i < 0 || i >= s.arity {
-		panic(fmt.Sprintf("relation: selection column %d out of arity %d", i, s.arity))
-	}
-	out := NewSet(s.arity)
-	for k, t := range s.m {
-		if t[i] == v {
-			out.m[k] = t
-		}
-	}
-	return out
-}
-
 // ToDense converts the set into the dense representation in the given space.
 // Every tuple must lie inside the space's domain.
 func (s *Set) ToDense(sp *Space) (*Dense, error) {
@@ -241,20 +227,6 @@ func (s *Set) ToDense(sp *Space) (*Dense, error) {
 		d.Add(t)
 	}
 	return d, nil
-}
-
-// MaxElement returns the largest domain element mentioned in the set, or −1
-// if the set is empty or 0-ary.
-func (s *Set) MaxElement() int {
-	max := -1
-	for _, t := range s.m {
-		for _, v := range t {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }
 
 // String renders the set as a sorted tuple list, e.g. "{(0, 1), (2, 3)}".

@@ -87,10 +87,6 @@ func TestProjectProductSelect(t *testing.T) {
 	if !sel.Equal(SetOf(2, Tuple{1, 1})) {
 		t.Fatalf("SelectEq = %v", sel)
 	}
-	sc := s.SelectConst(0, 1)
-	if !sc.Equal(SetOf(2, Tuple{1, 2}, Tuple{1, 4})) {
-		t.Fatalf("SelectConst = %v", sc)
-	}
 }
 
 func TestTuplesSorted(t *testing.T) {
@@ -103,15 +99,6 @@ func TestTuplesSorted(t *testing.T) {
 	}
 	if s.String() != "{(0, 0), (0, 1), (2, 0)}" {
 		t.Fatalf("String = %q", s.String())
-	}
-}
-
-func TestMaxElement(t *testing.T) {
-	if NewSet(2).MaxElement() != -1 {
-		t.Fatal("empty set MaxElement should be -1")
-	}
-	if SetOf(2, Tuple{3, 9}, Tuple{1, 2}).MaxElement() != 9 {
-		t.Fatal("MaxElement wrong")
 	}
 }
 

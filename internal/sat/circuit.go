@@ -44,9 +44,6 @@ func (c *Circuit) Input() Gate {
 	return Gate(len(c.nodes) - 1)
 }
 
-// Inputs returns the number of input variables allocated so far.
-func (c *Circuit) Inputs() int { return c.inputs }
-
 // Const returns a constant gate.
 func (c *Circuit) Const(v bool) Gate {
 	c.nodes = append(c.nodes, node{kind: kindConst, val: v})
@@ -148,7 +145,7 @@ func (c *Circuit) Eval(g Gate, inputs []bool) (bool, error) {
 }
 
 // ToCNF converts the circuit to CNF by the Tseitin transformation and
-// asserts the root gate. Input gates keep variables 1..Inputs(); internal
+// asserts the root gate. Input gates keep variables 1..n, in allocation order; internal
 // gates get fresh definition variables, so the result is equisatisfiable
 // with the circuit and every model restricts to a satisfying input
 // assignment.

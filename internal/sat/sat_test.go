@@ -230,7 +230,7 @@ func TestCircuitEvalAndTseitin(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Brute-force the circuit.
-		n := c.Inputs()
+		n := len(inputs)
 		circuitSAT := false
 		assign := make([]bool, n+1)
 		for mask := 0; mask < 1<<n; mask++ {

@@ -148,7 +148,8 @@ func topSpans(v trace.View, k int) string {
 
 // buildExplain assembles the explain payload for one executed request: the
 // plan DAG with density annotations, the backend route and its two modelled
-// costs, the per-node profile and the per-binder stage totals of the run's fold.
+// costs, the per-node profile and the per-binder stage totals of the run's
+// observer.
 func buildExplain(q *query) *plan.Explain {
-	return eval.Explain(q.pl.Prepared, q.snap, &q.opts, q.fold)
+	return eval.Explain(q.pl.Prepared, q.snap, &q.opts)
 }

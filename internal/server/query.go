@@ -44,14 +44,13 @@ type query struct {
 	wireBackend string // backendName when the request named a backend: the responses' echo
 	pl          cache.Plan
 	planCached  bool
-	opts        eval.Options
+	opts        eval.Options // Observe: the fresh run's observer, when anything reads it
 	key         string
 	// direct: the request runs its own evaluation — no cache read, no
 	// coalescing. A traced or explained answer must come with this run's
 	// trace and profile, not someone else's (or none).
 	direct bool
 
-	fold       *eval.StageFold // the fresh run's stage observer, when anything reads it
 	status     int
 	cached     bool  // served from the result cache
 	coalesced  bool  // served by another request's evaluation
@@ -216,13 +215,10 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		q.ctx, q.cancel = context.WithTimeout(q.ctx, timeout)
 	}
 	q.opts = eval.Options{MaxWidth: req.MaxWidth, Parallelism: req.Parallelism, Backend: backend}
-	if req.Explain {
-		q.opts.Profile = eval.NewPlanProfile(q.pl.Prepared.NumNodes())
-	}
-	// Neither observer hook changes answers, so both are excluded from the
-	// result key: traced and untraced runs share cache entries. The key names
-	// the content of the relations the query reads, so a snapshot that differs
-	// elsewhere mints the same key.
+	// The observer, installed by evaluate, never changes answers, so it is
+	// excluded from the result key: traced and untraced runs share cache
+	// entries. The key names the content of the relations the query reads, so
+	// a snapshot that differs elsewhere mints the same key.
 	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint), q.engineName, &q.opts, req.Query)
 	if q.direct = req.NoCache || req.Trace || req.Explain; !q.direct {
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
@@ -326,15 +322,14 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 		s.limiter.release()
 	}()
 	// At most one observer per request, and only when something will read
-	// it: the response's trace, explain's binder totals, or a live span. An
-	// unobserved run keeps a nil Tracer and the engines skip the hook.
+	// it: the response's trace, explain's totals, or a live span. Only
+	// explain times nodes; an unobserved run has none and skips the hooks.
 	if q.req.Trace || q.req.Explain || esp != nil {
 		logCap := 0
 		if q.req.Trace {
 			logCap = maxTraceEvents
 		}
-		q.fold = eval.NewStageFold(logCap)
-		q.opts.Tracer = q.fold.Observe
+		q.opts.Observe = eval.NewObserver(logCap, q.req.Explain)
 	}
 	// A panic becomes an error — shared with coalesced followers, answered
 	// 500. Slot and gauge still go back.
@@ -356,10 +351,10 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	if esp == nil {
 		return out
 	}
-	// The call has returned, so its workers are done and the fold is
+	// The call has returned, so its workers are done and the observer is
 	// quiescent: one child span per fixpoint, busy time as duration — what
 	// feeds bvqd_stage_seconds{stage="fixpoint"}, partial runs included.
-	for _, fx := range q.fold.Fix {
+	for _, fx := range q.opts.Observe.Fix {
 		esp.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
 			[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
 			trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
@@ -532,12 +527,13 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		return
 	}
 	if q.req.Trace {
-		resp.Trace = make([]TraceStageJSON, len(q.fold.Log))
-		for i, ev := range q.fold.Log {
+		obs := q.opts.Observe
+		resp.Trace = make([]TraceStageJSON, len(obs.Log))
+		for i, ev := range obs.Log {
 			resp.Trace[i] = TraceStageJSON{Engine: ev.Engine, Fixpoint: ev.Fixpoint, Op: ev.Op, Stage: ev.Stage,
 				Tuples: ev.Tuples, Delta: ev.Delta, ElapsedUS: float64(ev.Elapsed.Nanoseconds()) / 1000}
 		}
-		resp.TraceTruncated = q.fold.Truncated
+		resp.TraceTruncated = obs.Truncated
 	}
 	resp.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
 

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/database"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 const reachLFP = "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
@@ -74,6 +76,43 @@ func TestLifecycleTraceRecorded(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/debug/traces/"+strings.Repeat("0", 32), &v); code != http.StatusNotFound {
 		t.Fatalf("unknown trace id: status %d, want 404", code)
+	}
+}
+
+// TestFixpointSpanInsideEval: a serial run's fixpoint span starts when its
+// first stage starts and lasts its stages' summed time, so it lies inside its
+// eval span. A span stamped when the first stage was reported started one
+// stage late and ran past the eval span's end.
+func TestFixpointSpanInsideEval(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceBufferSize: 16,
+		Databases: map[string]*database.Database{"g": workload.RandomGraph(7, 200, 4)}})
+	const triangles = "(x). [lfp S(x). (exists y. exists z. E(x, y) & E(y, z) & E(z, x)) | S(x)](x)"
+	for _, engine := range []string{"compiled", "bottomup"} {
+		code, resp, _ := postQuery(t, ts, QueryRequest{Database: "g", Query: triangles, Engine: engine, Parallelism: 1, NoCache: true})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", engine, code)
+		}
+		var v trace.View
+		if code := getJSON(t, ts.URL+"/debug/traces/"+resp.TraceID, &v); code != http.StatusOK {
+			t.Fatalf("%s: trace detail status %d", engine, code)
+		}
+		eval, fixes := -1, 0
+		for _, sp := range v.Spans {
+			switch {
+			case sp.Name == trace.SpanEval:
+				eval = sp.ID
+			case sp.Name == trace.SpanFixpoint && sp.Parent == eval:
+				fixes++
+				ev := v.Spans[eval]
+				if sp.StartUS < ev.StartUS || sp.StartUS+sp.DurUS > ev.StartUS+ev.DurUS {
+					t.Errorf("%s: fixpoint span [%.0f, %.0f] µs outside its eval span [%.0f, %.0f] µs", engine,
+						sp.StartUS, sp.StartUS+sp.DurUS, ev.StartUS, ev.StartUS+ev.DurUS)
+				}
+			}
+		}
+		if fixes != 1 {
+			t.Fatalf("%s: %d fixpoint spans under eval, want 1", engine, fixes)
+		}
 	}
 }
 

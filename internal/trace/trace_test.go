@@ -98,7 +98,7 @@ func pfpDB(t *testing.T, n int) *database.Database {
 }
 
 // TestSpanTreeUnderParallelEval drives the compiled engine's parallel paths
-// (the wave scheduler and the PFP parameter sweep) with the stage fold
+// (the wave scheduler and the PFP parameter sweep) with an observer
 // attached, adds the folded fixpoints as child spans the way bvqd does, and
 // asserts the finished span tree is well formed.
 func TestSpanTreeUnderParallelEval(t *testing.T) {
@@ -122,13 +122,13 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 			}
 			tr := trace.New(trace.NewTraceID(), time.Now())
 			ev := tr.Root().Start(trace.SpanEval)
-			fold := eval.NewStageFold(0)
-			opts := &eval.Options{Parallelism: 4, Tracer: fold.Observe}
+			obs := eval.NewObserver(0, false)
+			opts := &eval.Options{Parallelism: 4, Observe: obs}
 			if _, _, err := eval.EvalPlanContext(context.Background(), p, db, opts); err != nil {
 				t.Fatal(err)
 			}
 			ev.End()
-			for _, fx := range fold.Fix {
+			for _, fx := range obs.Fix {
 				ev.AddChild(trace.SpanFixpoint, fx.First, fx.Busy,
 					[]trace.Attr{{Key: "engine", Value: fx.Engine}, {Key: "fixpoint", Value: fx.Fixpoint}, {Key: "op", Value: fx.Op}},
 					trace.Counters{Stages: fx.Stages, Tuples: fx.Tuples, DeltaTuples: fx.DeltaTuples})
