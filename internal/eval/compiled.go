@@ -61,7 +61,7 @@ func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, 
 
 // runDense evaluates the (already validated) plan over the dense algebra.
 func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {
-	r := newRun[*relation.Dense](ctx, p, db, opts, nil, stats, p.DeltaOK, "d")
+	r := newRun[*relation.Dense](ctx, p, db, opts, nil, stats, p.DeltaOK, false)
 	alg, store, err := newDenseAlg(db, len(p.Vars), r.store)
 	if err != nil {
 		return planResult{stats: stats}, err
@@ -248,9 +248,9 @@ func (a *denseAlg) mergeParams(out, limit *relation.Dense, assign []int) {
 	limit.Release()
 }
 
-func (a *denseAlg) count(v *relation.Dense) int      { return v.Count() }
-func (a *denseAlg) arity(v *relation.Dense) int      { return v.Space().Arity() }
-func (a *denseAlg) touched(int) int64                { return 0 }
-func (a *denseAlg) freeze(v *relation.Dense) int64   { return int64(v.Space().Size()+7) / 8 }
-func (a *denseAlg) check(int, *relation.Dense) error { return nil }
-func (a *denseAlg) release(v *relation.Dense)        { v.Release() }
+func (a *denseAlg) count(v *relation.Dense) int              { return v.Count() }
+func (a *denseAlg) arity(v *relation.Dense) int              { return v.Space().Arity() }
+func (a *denseAlg) touched(int) int64                        { return 0 }
+func (a *denseAlg) freeze(v *relation.Dense, _ string) int64 { return int64(v.Space().Size()+7) / 8 }
+func (a *denseAlg) check(int, *relation.Dense) error         { return nil }
+func (a *denseAlg) release(v *relation.Dense)                { v.Release() }

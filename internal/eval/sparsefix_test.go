@@ -258,7 +258,7 @@ func TestSparsePassThroughsShare(t *testing.T) {
 		"stage-atom":   func(sa *sparseAlg, x *sval) (*sval, error) { return sa.stageAtom(x, []int{1, 3}) },
 		"project":      func(sa *sparseAlg, x *sval) (*sval, error) { return sa.project(x, []int{0, 1}, nil, nil) },
 		"delta-or":     func(sa *sparseAlg, x *sval) (*sval, error) { return sa.deltaOr(x, x, nil) },
-		"clone-frozen": func(sa *sparseAlg, x *sval) (*sval, error) { sa.freeze(x); return sa.clone(x), nil },
+		"clone-frozen": func(sa *sparseAlg, x *sval) (*sval, error) { sa.freeze(x, ""); return sa.clone(x), nil },
 		"from-stage": func(sa *sparseAlg, x *sval) (*sval, error) {
 			return sa.fromStage(sa.stageOf(x), 2)
 		},

@@ -137,7 +137,7 @@ func TestFailedSweepPoolBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRun[*relation.Dense](context.Background(), p, db, &Options{pfpBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, "d")
+	r := newRun[*relation.Dense](context.Background(), p, db, &Options{pfpBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, false)
 	if _, err := r.answer(r.start(nil, nil, false)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("compiled: err = %v, want ErrBudget", err)
 	}
