@@ -1,10 +1,10 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last raised by 100 lines for one node store for both routes: a stored
-# fixpoint's final stage serves either algebra, and stored sparse values keep
-# their probe layouts (what the lines bought: miss-direct cpu_ms_per_op down by
-# about a fifth, the layouts' share of it about 3 %; EXPERIMENTS.md has the pairs).
-LOC_CEILING = 27117
+# Last lowered by 448 lines, to what remained once the surface gate
+# (surface_test.go) had its list emptied: hedged reads, five daemon flags and
+# the exported names no non-test file referenced are deleted. The total counts
+# the gate's 38-line fixture module under testdata/surfacefix.
+LOC_CEILING = 26669
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -82,8 +82,15 @@ all: vet test build
 # anything that makes serving depend on more than the request sequence (an
 # address in a cache key, say) stops here. internal/trace and internal/serve
 # are held to leaves of the import graph (any tier may record spans or serve
-# HTTP without linking the evaluator), and the gate ends with the size report (loc), which fails above
-# LOC_CEILING: the non-test line count is a gate, not a figure in prose.
+# HTTP without linking the evaluator), the surface gate in the race run
+# (surface_test.go: an exported name of internal/ that no non-test file
+# references fails unless testdata/surface_allow.txt gives it an oracle, paper
+# or fixture reason, a bvqd or bvqrouter flag that no script, Makefile target,
+# example or bench/ sets fails unless testdata/flags_allow.txt names two
+# deployments, and every such flag has exactly one row in OPERATIONS.md) keeps
+# what no caller uses deleted, and the gate ends with the size report (loc),
+# which fails above LOC_CEILING: the non-test line count is a gate, not a figure
+# in prose.
 check: docs
 	$(GO) vet ./...
 	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }

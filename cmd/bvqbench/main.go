@@ -312,30 +312,6 @@ func shrinkingNuMu() logic.Query {
 	return logic.MustQuery([]logic.Var{"x"}, outer)
 }
 
-func alternating(d int) logic.Query {
-	step := func(rel string, inner logic.Formula) logic.Formula {
-		return logic.Or(inner,
-			logic.Exists(logic.And(logic.R("E", "z", "x"),
-				logic.Exists(logic.And(logic.Equal("x", "z"), logic.R(rel, "x")), "x")), "z"))
-	}
-	f := logic.Formula(logic.R("P", "x"))
-	op := logic.LFP
-	for i := 1; i <= d; i++ {
-		rel := fmt.Sprintf("S%d", i)
-		body := step(rel, f)
-		if op == logic.GFP {
-			body = logic.And(step(rel, f), logic.Or(logic.R(rel, "x"), logic.True))
-		}
-		f = logic.Fix{Op: op, Rel: rel, Vars: []logic.Var{"x"}, Body: body, Args: []logic.Var{"x"}}
-		if op == logic.LFP {
-			op = logic.GFP
-		} else {
-			op = logic.LFP
-		}
-	}
-	return logic.MustQuery([]logic.Var{"x"}, f)
-}
-
 // ---- §3.2 addendum: IFPᵏ ----
 
 func t2ifp() {

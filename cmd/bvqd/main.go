@@ -20,8 +20,7 @@
 //	     [-addr :8080] [-ordered] [-plan-cache 1024] [-result-cache 4096] \
 //	     [-default-timeout 10s] [-max-timeout 60s] \
 //	     [-max-concurrent 8] [-max-queue 16] [-retry-after 1s] \
-//	     [-retry-after-jitter 0] [-slow-query 1s] [-pprof localhost:6060] \
-//	     [-trace-buffer 256] [-trace-sample 1]
+//	     [-slow-query 1s] [-pprof localhost:6060] [-trace-buffer 256]
 //
 // Endpoints (see OPERATIONS.md for the full request/response schema):
 //
@@ -91,12 +90,10 @@ func main() {
 		maxTimeout     = flag.Duration("max-timeout", time.Minute, "upper clamp on per-request deadlines (0: none)")
 		maxConcurrent  = flag.Int("max-concurrent", 0, "max evaluations running at once (0: unlimited)")
 		maxQueue       = flag.Int("max-queue", 0, "max requests waiting for an evaluation slot before shedding 429 (0: 2×max-concurrent)")
-		retryAfter     = flag.Duration("retry-after", time.Second, "Retry-After floor on shed responses (429, and 504s that timed out while queued)")
-		retryJitter    = flag.Duration("retry-after-jitter", 0, "bounded random spread added to -retry-after per shed response (0: half of -retry-after; negative: fixed header)")
+		retryAfter     = flag.Duration("retry-after", time.Second, "Retry-After floor on shed responses (429, and 504s that timed out while queued); each adds a random spread of up to half the floor")
 		slowQuery      = flag.Duration("slow-query", time.Second, "log requests at least this slow as JSON on stderr (0: disable)")
 		pprofAddr      = flag.String("pprof", "", "serve /debug/pprof on this separate address (empty: disabled)")
 		traceBuffer    = flag.Int("trace-buffer", 256, "flight-recorder ring size: keep the last N request traces for GET /debug/traces (0: disable lifecycle tracing)")
-		traceSample    = flag.Int("trace-sample", 1, "record 1 in N requests into the flight recorder (1: every request)")
 	)
 	flag.Var(dbs, "db", "serve a database as name=path (repeatable); required")
 	flag.Parse()
@@ -108,11 +105,9 @@ func main() {
 		MaxConcurrentEvals: *maxConcurrent,
 		MaxEvalQueue:       *maxQueue,
 		RetryAfter:         *retryAfter,
-		RetryAfterJitter:   *retryJitter,
 		SlowQuery:          *slowQuery,
 		Logger:             slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		TraceBufferSize:    *traceBuffer,
-		TraceSample:        *traceSample,
 	}
 	if err := run(dbs, *addr, *pprofAddr, *ordered, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bvqd:", err)

@@ -36,9 +36,6 @@ func Full(n int) *Set {
 	return s
 }
 
-// Len returns the capacity of the set in bits.
-func (s *Set) Len() int { return s.n }
-
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {
 	if i < 0 || i >= s.n {
@@ -51,12 +48,6 @@ func (s *Set) Test(i int) bool {
 func (s *Set) Set(i int) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear clears bit i. It panics if i is out of range.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 func (s *Set) check(i int) {
@@ -154,14 +145,6 @@ func (s *Set) And(t *Set) {
 	s.mustMatch(t)
 	for i, w := range t.words {
 		s.words[i] &= w
-	}
-}
-
-// AndNot sets s to s \ t.
-func (s *Set) AndNot(t *Set) {
-	s.mustMatch(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
 	}
 }
 

@@ -48,7 +48,7 @@ func TestRangeKernelsAgainstBitLoop(t *testing.T) {
 					if v {
 						want.Set(dstOff + i)
 					} else {
-						want.Clear(dstOff + i)
+						want.words[(dstOff+i)/wordBits] &^= 1 << (uint(dstOff+i) % wordBits)
 					}
 				}
 				dst.rangeOp(src, dstOff, srcOff, length, map[string]int{"or": opOr, "and": opAnd, "copy": opCopy}[op])
@@ -100,7 +100,7 @@ func TestFoldAndBroadcastStride(t *testing.T) {
 			at := func(b, v, i int) int { return (b*sh.n+v)*sh.s + i }
 			for _, and := range []bool{false, true} {
 				narrow, tmp := randomDensitySet(r, sh.s*sh.blocks, 0.5), randomDensitySet(r, sh.s*sh.blocks, 0.5)
-				quant := randomDensitySet(r, wide.Len(), 0.5)
+				quant := randomDensitySet(r, wide.n, 0.5)
 				narrow.Fold(wide, sh.s, sh.n, and)
 				quant.Quantify(wide, tmp, sh.s, sh.n, and)
 				for b := 0; b < sh.blocks; b++ {
@@ -128,7 +128,7 @@ func TestFoldAndBroadcastStride(t *testing.T) {
 			narrow := randomDensitySet(r, sh.s*sh.blocks, 0.5)
 			v := r.Intn(sh.n)
 			narrow.Select(wide, sh.s, sh.n, v)
-			back := randomDensitySet(r, wide.Len(), 0.5)
+			back := randomDensitySet(r, wide.n, 0.5)
 			back.Broadcast(narrow, sh.s, sh.n)
 			for b := 0; b < sh.blocks; b++ {
 				for i := 0; i < sh.s; i++ {

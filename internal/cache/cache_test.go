@@ -193,7 +193,7 @@ func TestFlightCoalesces(t *testing.T) {
 	// Wait until the leader is inside fn and every worker has reached Do (a
 	// worker that arrived after the release would lead a flight of its own),
 	// with a grace period for the last ones to join the flight.
-	for f.InFlight() == 0 || started.Load() < workers {
+	for inFlight(f) == 0 || started.Load() < workers {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -205,8 +205,8 @@ func TestFlightCoalesces(t *testing.T) {
 	if got := leaders.Load(); got != 1 {
 		t.Fatalf("%d leaders", got)
 	}
-	if f.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after drain", f.InFlight())
+	if inFlight(f) != 0 {
+		t.Fatalf("in-flight = %d after drain", inFlight(f))
 	}
 }
 
@@ -217,7 +217,7 @@ func TestFlightFollowerHonorsContext(t *testing.T) {
 		<-block
 		return 1, nil
 	})
-	for f.InFlight() == 0 {
+	for inFlight(f) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)

@@ -82,10 +82,3 @@ func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v
 	}()
 	return c.val, false, c.err
 }
-
-// InFlight returns the number of keys currently being computed.
-func (f *Flight[V]) InFlight() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}

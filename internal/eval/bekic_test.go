@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestBekicMatchesSimultaneous(t *testing.T) {
 					which, got, want[which], db)
 			}
 			// Monotone accepts it (same-polarity nesting).
-			mo, err := Monotone(q, db)
+			mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 			if err != nil {
 				t.Fatalf("Monotone rejected Bekić output: %v", err)
 			}

@@ -235,7 +235,7 @@ func TestMonotoneMatchesBottomUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mo, err := Monotone(q, db)
+		mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestMonotoneNestedSamePolarity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mo, err := Monotone(q, db)
+		mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestMonotoneRejectsDependentAlternation(t *testing.T) {
 	q := logic.MustQuery([]logic.Var{"x"},
 		logic.Gfp("S", []logic.Var{"x"},
 			logic.And(hasSucc, logic.Lfp("T", []logic.Var{"x"}, innerBody, "x")), "x"))
-	if _, err := Monotone(q, db); err == nil {
+	if _, _, err := MonotoneContext(context.Background(), q, db, nil); err == nil {
 		t.Fatal("dependently alternating formula accepted by Monotone")
 	}
 }
@@ -304,7 +304,7 @@ func TestMonotoneAcceptsClosedOppositeNesting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mo, err := Monotone(q, db)
+			mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 			if err != nil {
 				t.Fatalf("Monotone rejected closed nesting at depth %d: %v", d, err)
 			}

@@ -7,6 +7,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -213,7 +214,7 @@ func TestDifferentialCompiledVsBottomUp(t *testing.T) {
 
 		// Monotone, when the fragment admits it, is a third independent
 		// implementation.
-		mo, err := Monotone(q, db)
+		mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 		if err != nil {
 			if strings.Contains(err.Error(), "alternation") || strings.Contains(err.Error(), "Monotone evaluates") {
 				continue

@@ -149,13 +149,13 @@ func TestIFPClassificationAndCertificates(t *testing.T) {
 	}
 	// A lone IFP is fine under Monotone; so is a *closed* IFP nested under
 	// an lfp (its environment never changes), but a dependent one is not.
-	if _, err := Monotone(q, db); err != nil {
+	if _, _, err := MonotoneContext(context.Background(), q, db, nil); err != nil {
 		t.Fatalf("Monotone rejected a lone ifp: %v", err)
 	}
 	closed := logic.MustQuery([]logic.Var{"u"},
 		logic.Lfp("T", []logic.Var{"x"},
 			logic.Or(logic.Ifp("S", []logic.Var{"x"}, logic.R("P", "x"), "x"), logic.R("T", "x")), "u"))
-	mo, err := Monotone(closed, db)
+	mo, _, err := MonotoneContext(context.Background(), closed, db, nil)
 	if err != nil {
 		t.Fatalf("Monotone rejected closed nested ifp: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestIFPClassificationAndCertificates(t *testing.T) {
 		logic.Ifp("T", []logic.Var{"x"},
 			logic.Lfp("S", []logic.Var{"x"},
 				logic.Or(logic.R("S", "x"), logic.R("T", "x")), "x"), "u"))
-	if _, err := Monotone(dependent, db); err == nil {
+	if _, _, err := MonotoneContext(context.Background(), dependent, db, nil); err == nil {
 		t.Fatal("Monotone accepted a dependent lfp nested under ifp")
 	}
 	illFormed := logic.Lfp("T", []logic.Var{"x"},

@@ -49,21 +49,6 @@ func (s *MaintState) from(b int) (*relation.Sparse, int) {
 	return s.stages[b], s.at[b]
 }
 
-// Tuples returns the total tuple count of the maintained state — the
-// footprint maintenance keeps alive per cached result.
-func (s *MaintState) Tuples() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, st := range s.stages {
-		if st != nil {
-			n += st.Count()
-		}
-	}
-	return n
-}
-
 // CanMaintain reports whether a cached result for p, captured on the delta's
 // parent snapshot, may be maintained by delta-restart rather than recomputed:
 // the plan must have seedable binders, and every effectively changed relation

@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-// Monotone evaluates a (dependently) alternation-free FP query with
+// MonotoneContext evaluates a (dependently) alternation-free FP query with
 // fixpoint memoization: when a fixpoint node is re-evaluated (because an
 // enclosing fixpoint iterated), it warm-starts from its previous value
 // instead of restarting from ∅ (lfp) or Dᵏ (gfp). Within a same-polarity
@@ -26,19 +26,10 @@ import (
 // Queries whose NNF truly alternates µ and ν are rejected; they need the
 // nondeterministic machinery of Theorem 3.5 (FindCertificate /
 // VerifyCertificate) or the naive BottomUp evaluator.
-func Monotone(q logic.Query, db *database.Database) (*relation.Set, error) {
-	ans, _, err := MonotoneStats(q, db, nil)
-	return ans, err
-}
-
-// MonotoneStats is Monotone with options and work statistics. Of Options it
-// honors the width bound and the observer; its fragment has no PFP.
-func MonotoneStats(q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	return MonotoneContext(context.Background(), q, db, opts)
-}
-
-// MonotoneContext is MonotoneStats honoring a context: cancellation is
-// checked once per fixpoint iteration, like BottomUpContext. On cancellation
+//
+// It returns the answer and the work statistics. Of Options it honors the
+// width bound and the observer; its fragment has no PFP. Cancellation is
+// checked once per fixpoint iteration, like BottomUpContext; on cancellation
 // the returned Stats hold the work completed so far.
 func MonotoneContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	c, err := newWalker(ctx, q, db, opts, "monotone", resume)

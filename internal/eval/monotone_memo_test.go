@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestMonotoneMemoNoCrossOccurrenceReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mo, err := Monotone(q, db)
+			mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestMonotonePropertyAgainstBottomUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := randomGraph(t, r, 2+r.Intn(3))
-		mo, err := Monotone(q, db)
+		mo, _, err := MonotoneContext(context.Background(), q, db, nil)
 		if err != nil {
 			// Dependent alternation can still arise (e.g. an outer µ
 			// referenced inside a closed ν's dependent µ chain); those are

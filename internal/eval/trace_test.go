@@ -47,7 +47,10 @@ func TestTracerLFPStages(t *testing.T) {
 	}{
 		{"bottomup", func(opts *Options) (*Stats, error) { _, st, err := BottomUpStats(q, db, opts); return st, err }},
 		{"compiled", func(opts *Options) (*Stats, error) { _, st, err := CompiledStats(q, db, opts); return st, err }},
-		{"monotone", func(opts *Options) (*Stats, error) { _, st, err := MonotoneStats(q, db, opts); return st, err }},
+		{"monotone", func(opts *Options) (*Stats, error) {
+			_, st, err := MonotoneContext(context.Background(), q, db, opts)
+			return st, err
+		}},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {

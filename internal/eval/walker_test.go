@@ -179,7 +179,7 @@ func TestFixRulesAgree(t *testing.T) {
 			t.Fatalf("Compiled on %s: %v, err %v; bottomup %v\n%s", q, co, err, want, db)
 		}
 
-		mo, mst, err := MonotoneStats(q, db, nil)
+		mo, mst, err := MonotoneContext(context.Background(), q, db, nil)
 		switch {
 		case err == nil:
 			resumed++

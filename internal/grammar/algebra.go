@@ -148,9 +148,6 @@ func NewWordEvaluator(db *database.Database, vars []logic.Var) (*WordEvaluator, 
 	return e, nil
 }
 
-// Space returns the evaluator's relation space.
-func (e *WordEvaluator) Space() *relation.Space { return e.sp }
-
 // AtomTokens returns the precomputed atom tokens (sorted order not
 // guaranteed); used by the grammar construction.
 func (e *WordEvaluator) AtomTokens() map[string]*relation.Dense { return e.atoms }

@@ -203,7 +203,7 @@ func TestBFVPThroughGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := alg.IndexOf(alg.eval.Space().Full())
+	full, err := alg.IndexOf(alg.eval.sp.Full())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ func NewAlgebra(db *database.Database, vars []logic.Var) (*Algebra, error) {
 // Len returns the number of relations in the algebra.
 func (a *Algebra) Len() int { return len(a.rels) }
 
-// Rel returns relation number i.
-func (a *Algebra) Rel(i int) *relation.Dense { return a.rels[i] }
-
 // IndexOf returns the algebra index of d.
 func (a *Algebra) IndexOf(d *relation.Dense) (int, error) {
 	if !d.Space().SameShape(a.sp) {

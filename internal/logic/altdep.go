@@ -9,7 +9,7 @@ package logic
 //
 // This refines AlternationDepth, which counts syntactic nesting; the
 // dependent notion is the right admission test for warm-start evaluation
-// (eval.Monotone): a closed inner fixpoint is re-evaluated under an
+// (eval.MonotoneContext): a closed inner fixpoint is re-evaluated under an
 // unchanged environment, so memoizing it is always sound.
 func DependentAlternationDepth(f Formula) int {
 	switch g := f.(type) {

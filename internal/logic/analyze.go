@@ -125,12 +125,6 @@ func Size(f Formula) int {
 	return n
 }
 
-// RelUse describes one use of a relation symbol.
-type RelUse struct {
-	Name  string
-	Arity int
-}
-
 // FreeRels returns the relation symbols of f that are not bound by an
 // enclosing fixpoint operator or second-order quantifier, with their arities.
 // These are the symbols that must be supplied by the database. An error is

@@ -19,7 +19,7 @@
 // construction time and panics on a duplicate family name — wiring bugs
 // should fail at startup, not at scrape time. WriteText is the one writer of
 // the format and ParseText (parse.go) the matching reader, used by the
-// exposition-format tests, bvqbench -scrape and bvqload; Merge sums parsed
+// exposition-format tests, bvqload and the benchmark; Merge sums parsed
 // expositions into the router's fleet page.
 package metrics
 
@@ -131,9 +131,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds d (negative to subtract).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
@@ -191,9 +188,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // samples renders the histogram in cumulative Prometheus form under name
 // with the given base labels.

@@ -14,7 +14,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.NewGauge("test_depth", "depth")
 	c.Inc()
 	c.Add(4)
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 	if c.Value() != 5 || g.Value() != 5 {
 		t.Fatalf("counter=%d gauge=%d, want 5 and 5", c.Value(), g.Value())
@@ -112,7 +112,7 @@ func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("app_ops_total", "operations with a \\ backslash and\nnewline in help")
 	g := r.NewGauge("app_queue_depth", "queue depth")
-	g.Set(3)
+	g.Add(3)
 	h := r.NewHistogramVec("app_latency_seconds", "latency", "engine", nil)
 	h.With("bottomup").Observe(0.002)
 	h.With("compiled").Observe(0.2)
@@ -187,8 +187,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h := hv.With("b"); c.Value() != 4000 || h.Count() != 4000 || cv.With("a").Value() != 4000 {
-		t.Fatalf("lost updates: c=%d hv=%d cv=%d", c.Value(), h.Count(), cv.With("a").Value())
+	if h := hv.With("b"); c.Value() != 4000 || h.count.Load() != 4000 || cv.With("a").Value() != 4000 {
+		t.Fatalf("lost updates: c=%d hv=%d cv=%d", c.Value(), h.count.Load(), cv.With("a").Value())
 	}
 	if _, err := ParseText(strings.NewReader(render(t, r))); err != nil {
 		t.Fatalf("post-hammer exposition invalid: %v", err)

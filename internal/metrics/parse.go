@@ -32,7 +32,7 @@ type Family struct {
 //     ending at +Inf) and agree with _count.
 //
 // It is the verifier behind the /metrics tests and the reader behind
-// bvqbench -scrape, bvqload and the router's fleet page.
+// bvqload, the benchmark and the router's fleet page.
 func ParseText(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -21,15 +21,6 @@ func Check(k *Kripke, f Formula) (*bitset.Set, error) {
 	return check(k, f, map[string]*bitset.Set{})
 }
 
-// Holds reports whether state s satisfies f.
-func Holds(k *Kripke, s int, f Formula) (bool, error) {
-	set, err := Check(k, f)
-	if err != nil {
-		return false, err
-	}
-	return set.Test(s), nil
-}
-
 func check(k *Kripke, f Formula, env map[string]*bitset.Set) (*bitset.Set, error) {
 	switch g := f.(type) {
 	case Prop:

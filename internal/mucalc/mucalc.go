@@ -66,15 +66,6 @@ func (k *Kripke) Label(s int, p string) error {
 	return nil
 }
 
-// Holds reports whether proposition p is true in state s.
-func (k *Kripke) Holds(s int, p string) bool {
-	set, ok := k.props[p]
-	return ok && set.Test(s)
-}
-
-// Succ returns the successors of s. The slice must not be mutated.
-func (k *Kripke) Succ(s int) []int { return k.succ[s] }
-
 // Props returns the proposition names in sorted order.
 func (k *Kripke) Props() []string {
 	out := make([]string, 0, len(k.props))
@@ -276,19 +267,6 @@ func EF(f Formula) Formula { return Mu{Var: "Xef", F: Disj{L: f, R: Diamond{F: V
 
 // AG is "invariantly φ": νX. φ ∧ □X.
 func AG(f Formula) Formula { return Nu{Var: "Xag", F: Conj{L: f, R: Box{F: VarRef{"Xag"}}}} }
-
-// EG is "some path forever φ": νX. φ ∧ ◇X.
-func EG(f Formula) Formula { return Nu{Var: "Xeg", F: Conj{L: f, R: Diamond{F: VarRef{"Xeg"}}}} }
-
-// AF is "inevitably φ": µX. φ ∨ □X... note □ on a deadlocked state is
-// vacuously true, matching the standard convention.
-func AF(f Formula) Formula { return Mu{Var: "Xaf", F: Disj{L: f, R: boxNonEmpty()}} }
-
-func boxNonEmpty() Formula {
-	// AF needs "all successors in X and at least one successor" to avoid
-	// deadlocked states satisfying AF vacuously.
-	return Conj{L: Diamond{F: Lit{true}}, R: Box{F: VarRef{"Xaf"}}}
-}
 
 // InfinitelyOften is "along some path, φ holds infinitely often":
 // νX. µY. ◇((φ ∧ X) ∨ Y) — the classic alternation-depth-2 property.

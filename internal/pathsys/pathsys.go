@@ -199,16 +199,6 @@ func Random(r *rand.Rand, n, rules int) *Instance {
 	return in
 }
 
-// Chain generates the worst-case deep derivation: element i+1 derivable
-// from (i, i), source {0}, target {n−1}. Solvable, and needs n rounds.
-func Chain(n int) *Instance {
-	in := &Instance{N: n, S: []int{0}, T: []int{n - 1}}
-	for i := 0; i+1 < n; i++ {
-		in.Q = append(in.Q, [3]int{i + 1, i, i})
-	}
-	return in
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -8,8 +8,18 @@ import (
 	"repro/internal/logic"
 )
 
+// chain is the deepest derivation: element i+1 derivable from (i, i), source
+// {0}, target {n−1}. Solvable, and needs n rounds.
+func chain(n int) *Instance {
+	in := &Instance{N: n, S: []int{0}, T: []int{n - 1}}
+	for i := 0; i+1 < n; i++ {
+		in.Q = append(in.Q, [3]int{i + 1, i, i})
+	}
+	return in
+}
+
 func TestReachableChain(t *testing.T) {
-	in := Chain(6)
+	in := chain(6)
 	reach := in.Reachable()
 	for v := 0; v < 6; v++ {
 		if !reach[v] {
@@ -70,7 +80,7 @@ func TestPhiWidthAndSize(t *testing.T) {
 
 func TestPhiMatchesRounds(t *testing.T) {
 	// φ_m(x) holds exactly of the elements derivable within m rounds.
-	in := Chain(5)
+	in := chain(5)
 	db, err := in.ToDatabase()
 	if err != nil {
 		t.Fatal(err)

@@ -72,12 +72,8 @@ func (q *CQ) Vars() []logic.Var {
 	return logic.SortedVars(seen)
 }
 
-// Width returns the number of distinct variables: the k for which the
-// query's natural first-order form lies in FOᵏ.
-func (q *CQ) Width() int { return len(q.Vars()) }
-
 // ToFO renders the query as (Head). ∃(other vars) ⋀ Atoms — the direct
-// first-order form, of width Width().
+// first-order form, of width len(Vars()).
 func (q *CQ) ToFO() (logic.Query, error) {
 	if err := q.Validate(); err != nil {
 		return logic.Query{}, err

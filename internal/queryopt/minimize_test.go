@@ -29,10 +29,10 @@ func TestMinimizeWidthChain(t *testing.T) {
 		}
 		if width > wantWidth {
 			t.Fatalf("m=%d: minimized width %d, want ≤ %d (direct FO width %d)",
-				m, width, wantWidth, direct.Width())
+				m, width, wantWidth, len(direct.Vars()))
 		}
-		if minimized.Width() != width {
-			t.Fatalf("reported width %d, actual %d", width, minimized.Width())
+		if len(minimized.Vars()) != width {
+			t.Fatalf("reported width %d, actual %d", width, len(minimized.Vars()))
 		}
 		if h := minimized.Head; len(h) != 2 || h[0] != q.Head[0] || h[1] != q.Head[1] {
 			t.Fatalf("m=%d: head %v, want the written head %v", m, h, q.Head)
@@ -165,8 +165,8 @@ func TestMinimizeWidthRandomAcyclic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MinimizeWidth(%+v): %v", q, err)
 		}
-		if width > q.Width() {
-			t.Fatalf("minimization increased width: %d > %d for %+v", width, q.Width(), q)
+		if width > len(q.Vars()) {
+			t.Fatalf("minimization increased width: %d > %d for %+v", width, len(q.Vars()), q)
 		}
 		want, _, err := EvalNaive(q, db)
 		if err != nil {

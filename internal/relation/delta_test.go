@@ -55,8 +55,7 @@ func TestDifferenceSparseMatchesDifference(t *testing.T) {
 	for _, density := range []float64{0, 0.05, 0.9} {
 		a := randomDenseDensity(rng, sp, density)
 		b := randomDenseDensity(rng, sp, 0.4)
-		want := a.Clone()
-		want.DifferenceWith(b)
+		want := minus(a, b)
 		got := a.Clone()
 		remaining := got.DifferenceSparse(b)
 		if !got.Equal(want) {

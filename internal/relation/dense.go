@@ -219,9 +219,6 @@ func (d *Dense) AddIndex(idx int) { d.bits.Set(idx) }
 // ForEachIndex calls fn with the space index of every tuple, ascending.
 func (d *Dense) ForEachIndex(fn func(int)) { d.bits.ForEach(fn) }
 
-// Remove deletes t.
-func (d *Dense) Remove(t Tuple) { d.bits.Clear(d.sp.Encode(t)) }
-
 // Count returns the number of tuples in the relation.
 func (d *Dense) Count() int { return d.bits.Count() }
 
@@ -257,12 +254,6 @@ func (d *Dense) UnionWith(o *Dense) {
 func (d *Dense) IntersectWith(o *Dense) {
 	d.mustMatch(o)
 	d.bits.And(o.bits)
-}
-
-// DifferenceWith sets d to d \ o.
-func (d *Dense) DifferenceWith(o *Dense) {
-	d.mustMatch(o)
-	d.bits.AndNot(o.bits)
 }
 
 // Complement complements d with respect to Dᵏ, in place.

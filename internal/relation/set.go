@@ -60,9 +60,6 @@ func (s *Set) Add(t Tuple) {
 	}
 }
 
-// Remove deletes t if present.
-func (s *Set) Remove(t Tuple) { delete(s.m, tupleKey(t)) }
-
 // Contains reports whether t is in the set.
 func (s *Set) Contains(t Tuple) bool {
 	if len(t) != s.arity {

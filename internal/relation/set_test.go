@@ -16,10 +16,6 @@ func TestSetAddContains(t *testing.T) {
 	if s.Contains(Tuple{1}) {
 		t.Fatal("wrong-arity membership should be false")
 	}
-	s.Remove(Tuple{1, 2})
-	if s.Contains(Tuple{1, 2}) || s.Len() != 1 {
-		t.Fatal("Remove failed")
-	}
 }
 
 func TestSetAddAliasing(t *testing.T) {

@@ -170,9 +170,6 @@ func (s *Sparse) Count() int { return len(s.codes) }
 // Cap returns the number of tuples s's block has room for: what it occupies.
 func (s *Sparse) Cap() int { return cap(s.codes) }
 
-// IsEmpty reports whether the relation has no tuples.
-func (s *Sparse) IsEmpty() bool { return len(s.codes) == 0 }
-
 // SpaceSize returns nᵏ, the number of points of the (virtual) full space.
 func (s *Sparse) SpaceSize() uint64 {
 	if s.k == 0 {
@@ -187,16 +184,6 @@ func (s *Sparse) SpaceSize() uint64 {
 // SameShape reports whether two sparse relations have identical arity and
 // domain.
 func (s *Sparse) SameShape(o *Sparse) bool { return s.k == o.k && s.n == o.n }
-
-// Encode maps a tuple to its code; it panics on shape errors (programmer
-// error), mirroring Space.Encode.
-func (s *Sparse) Encode(t Tuple) uint64 {
-	c, err := s.EncodeChecked(t)
-	if err != nil {
-		panic(err.Error())
-	}
-	return c
-}
 
 // EncodeChecked maps a tuple to its code, reporting out-of-domain components
 // as errors (possible for stored database tuples).
@@ -602,12 +589,9 @@ func (s *Sparse) Project(cols []int) *Sparse {
 	return sparseFromCodes(len(cols), s.n, stride, out)
 }
 
-// DropAxis existentially projects axis i away: the (k−1)-ary relation
-// { (t₀,…,t_{i−1},t_{i+1},…) | t ∈ s }. It is the per-axis projection the
-// sparse evaluator uses for ∃xᵢ.
-func (s *Sparse) DropAxis(i int) *Sparse { return (*Blocks)(nil).DropAxis(s, i) }
-
-// DropAxis is s.DropAxis(i) into a recycled block.
+// DropAxis existentially projects axis i of s away into a recycled block:
+// the (k−1)-ary relation { (t₀,…,t_{i−1},t_{i+1},…) | t ∈ s }. It is the
+// per-axis projection the sparse evaluator uses for ∃xᵢ.
 func (bl *Blocks) DropAxis(s *Sparse, i int) *Sparse {
 	if i < 0 || i >= s.k {
 		panic(fmt.Sprintf("relation: axis %d out of arity %d", i, s.k))
@@ -653,13 +637,11 @@ func (s *Sparse) AllAxis(i int) *Sparse {
 	return &Sparse{k: s.k - 1, n: s.n, stride: stride, codes: out}
 }
 
-// CrossAxis widens the relation by inserting a full axis at column position
-// pos (0 ≤ pos ≤ k): every tuple is replaced by its n extensions. This is the
-// cylinder materialization at sparse representation boundaries; the result
-// has n·Count() tuples, so callers budget-check before widening.
-func (s *Sparse) CrossAxis(pos int) (*Sparse, error) { return (*Blocks)(nil).CrossAxis(s, pos) }
-
-// CrossAxis is s.CrossAxis(pos) into a recycled block.
+// CrossAxis widens s by inserting a full axis at column position pos
+// (0 ≤ pos ≤ k), into a recycled block: every tuple is replaced by its n
+// extensions. This is the cylinder materialization at sparse representation
+// boundaries; the result has n·Count() tuples, so callers budget-check before
+// widening.
 func (bl *Blocks) CrossAxis(s *Sparse, pos int) (*Sparse, error) {
 	if pos < 0 || pos > s.k {
 		panic(fmt.Sprintf("relation: insert position %d out of arity %d", pos, s.k))

@@ -65,11 +65,7 @@ func TestSparsePrimitivesMatchDenseOracle(t *testing.T) {
 			out.UnionWith(db)
 			return out
 		}())
-		requireSame(t, "difference", sa.Difference(sb), func() *Dense {
-			out := da.Clone()
-			out.DifferenceWith(db)
-			return out
-		}())
+		requireSame(t, "difference", sa.Difference(sb), minus(da, db))
 		requireSame(t, "complement", sa.Complement(), func() *Dense {
 			out := da.Clone()
 			out.Complement()
@@ -92,7 +88,7 @@ func TestSparsePrimitivesMatchDenseOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSame(t, "exists-axis", sa.DropAxis(axis), func() *Dense {
+			requireSame(t, "exists-axis", (*Blocks)(nil).DropAxis(sa, axis), func() *Dense {
 				esp := MustSpace(k-1, n)
 				d2, err := sEx.ToDense(esp)
 				if err != nil {
@@ -124,7 +120,7 @@ func TestSparsePrimitivesMatchDenseOracle(t *testing.T) {
 		// Widening: CrossAxis at a random position is the cylinder over the
 		// new axis, i.e. FromSparse with the original axes as args.
 		pos := r.Intn(k + 1)
-		widened, err := sa.CrossAxis(pos)
+		widened, err := (*Blocks)(nil).CrossAxis(sa, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,9 +197,7 @@ func TestSparseGallopPaths(t *testing.T) {
 	requireSame(t, "gallop-intersect", sBig.Intersect(sSmall), wantInt)
 	requireSame(t, "gallop-intersect-sym", sSmall.Intersect(sBig), wantInt)
 
-	wantDiff := small.Clone()
-	wantDiff.DifferenceWith(big)
-	requireSame(t, "gallop-difference", sSmall.Difference(sBig), wantDiff)
+	requireSame(t, "gallop-difference", sSmall.Difference(sBig), minus(small, big))
 }
 
 // TestSparseShapeLimits checks the code-space guard: shapes beyond

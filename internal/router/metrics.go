@@ -15,8 +15,6 @@ type routerMetrics struct {
 	proxied        *metrics.CounterVec // by replica URL
 	updates        *metrics.Counter
 	retries        *metrics.Counter
-	hedges         *metrics.Counter
-	hedgeWins      *metrics.Counter
 	shedRelays     *metrics.Counter
 	streamRepairs  *metrics.Counter
 	unrouted       *metrics.Counter
@@ -33,17 +31,13 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 		requests: r.NewCounterVec("bvqrouter_requests_total",
 			"Routed /query requests by route (query: JSON, stream: NDJSON).", "route"),
 		latency: r.NewHistogramVec("bvqrouter_request_seconds",
-			"End-to-end routed request latency by route, including retries and hedges.", "route", nil),
+			"End-to-end routed request latency by route, including retries.", "route", nil),
 		proxied: r.NewCounterVec("bvqrouter_proxied_total",
 			"Upstream requests issued, by replica.", "replica"),
 		updates: r.NewCounter("bvqrouter_updates_total",
 			"Update fan-outs attempted."),
 		retries: r.NewCounter("bvqrouter_retries_total",
 			"Upstream attempts beyond each request's first-choice replica."),
-		hedges: r.NewCounter("bvqrouter_hedges_total",
-			"Hedged second requests launched for slow or failed primaries."),
-		hedgeWins: r.NewCounter("bvqrouter_hedge_wins_total",
-			"Hedged requests won by the backup replica."),
 		shedRelays: r.NewCounter("bvqrouter_shed_relayed_total",
 			"Requests answered 429 because every candidate replica shed."),
 		streamRepairs: r.NewCounter("bvqrouter_stream_repairs_total",
@@ -73,8 +67,6 @@ func (rt *Router) statsSnapshot() map[string]any {
 		"members_healthy":    rt.healthyCount(),
 		"updates":            rt.metrics.updates.Value(),
 		"retries":            rt.metrics.retries.Value(),
-		"hedges":             rt.metrics.hedges.Value(),
-		"hedge_wins":         rt.metrics.hedgeWins.Value(),
 		"shed_relayed":       rt.metrics.shedRelays.Value(),
 		"stream_repairs":     rt.metrics.streamRepairs.Value(),
 		"unrouted":           rt.metrics.unrouted.Value(),

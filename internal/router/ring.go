@@ -2,7 +2,7 @@
 // router that spreads /query load across a fleet of bvqd replicas, fans
 // /db/{name}/update out to every replica, scatter-gathers /stats and
 // /metrics into fleet aggregates, and turns the single-node admission
-// contract (429 + Retry-After) into fleet-level retry, backoff and hedging.
+// contract (429 + Retry-After) into fleet-level retry and backoff.
 //
 // Every replica serves full copies of every database — the ring shards
 // *queries*, not data. Routing on (database, query text) sends repeats of
@@ -100,15 +100,6 @@ func (r *Ring) AppendLookup(dst []string, key string, n int) []string {
 		}
 	}
 	return dst
-}
-
-// Owner returns the single preferred member for key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	own := r.Lookup(key, 1)
-	if len(own) == 0 {
-		return ""
-	}
-	return own[0]
 }
 
 // hash64 is FNV-1a (hash/fnv's New64a) over the string's bytes, in place.

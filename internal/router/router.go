@@ -20,8 +20,6 @@ type Config struct {
 	// Replicas lists the bvqd base URLs (e.g. http://127.0.0.1:8081). At
 	// least one is required; trailing slashes are trimmed.
 	Replicas []string
-	// Vnodes is the number of ring points per replica (0: DefaultVnodes).
-	Vnodes int
 	// Retries is how many extra passes over the preference list a request
 	// makes when a pass ends with every candidate shed or cooling down after
 	// a shed (0: one extra pass).
@@ -30,11 +28,6 @@ type Config struct {
 	// cooldown to expire before giving up and relaying the shed response
 	// (0: 3s; negative: never wait).
 	MaxRetryWait time.Duration
-	// HedgeDelay, when positive, arms hedged retries for idempotent JSON
-	// reads: if the preferred replica has not answered within this delay, a
-	// second identical request races to the next replica and the first
-	// response wins. Streams are never hedged — their first byte commits.
-	HedgeDelay time.Duration
 	// HealthInterval is the /healthz probe period (0: disables the health
 	// loop — forwarding errors still evict members).
 	HealthInterval time.Duration
@@ -84,10 +77,8 @@ type Router struct {
 	byURL        map[string]*member
 	ring         atomic.Pointer[Ring]
 	ringMu       sync.Mutex // serializes rebuilds
-	vnodes       int
 	retries      int
 	maxRetryWait time.Duration
-	hedgeDelay   time.Duration
 	logger       *slog.Logger
 	metrics      *routerMetrics
 	reqSeq       atomic.Int64
@@ -105,10 +96,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		byURL:        make(map[string]*member, len(cfg.Replicas)),
-		vnodes:       cfg.Vnodes,
 		retries:      cfg.Retries,
 		maxRetryWait: cfg.MaxRetryWait,
-		hedgeDelay:   cfg.HedgeDelay,
 		logger:       cfg.Logger,
 		healthStop:   make(chan struct{}),
 		healthDone:   make(chan struct{}),
@@ -169,7 +158,7 @@ func (rt *Router) rebuild() {
 			names = append(names, m.url)
 		}
 	}
-	rt.ring.Store(NewRing(rt.vnodes, names))
+	rt.ring.Store(NewRing(DefaultVnodes, names))
 }
 
 // markDown evicts a member (forwarding saw a transport error, or the
@@ -293,7 +282,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusServiceUnavailable, "no healthy replicas")
 		return
 	}
-	served, resp := rt.forward(r.Context(), body, hdr, cands, !probe.Stream)
+	served, resp := rt.forward(r.Context(), body, hdr, cands)
 	switch {
 	case resp == nil && r.Context().Err() != nil:
 		// The client is gone: nobody to answer.
@@ -334,109 +323,6 @@ func coolFromRetryAfter(m *member, resp *http.Response) {
 	m.coolUntil.Store(time.Now().Add(time.Duration(secs) * time.Second).UnixNano())
 }
 
-// cancelBody ties an upstream request context to its response body: the
-// context may only be cancelled once the caller is done streaming the body,
-// so Close carries the cancel.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// hedgedDo races prim against backup: backup launches only if prim has not
-// responded within the hedge delay (or died before it). The first
-// transport-level success wins, whatever its status code — a 429 is an
-// answer, handled by the caller — and the loser is cancelled mid-flight,
-// its connection closed. backup == nil degrades to a plain do.
-func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path string, hdr, body []byte) (*member, *http.Response, error) {
-	if backup == nil || rt.hedgeDelay <= 0 {
-		resp, err := rt.do(ctx, prim, path, hdr, body)
-		return prim, resp, err
-	}
-	type outcome struct {
-		m    *member
-		resp *http.Response
-		err  error
-	}
-	ch := make(chan outcome, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	bctx, bcancel := context.WithCancel(ctx)
-	run := func(c context.Context, m *member) {
-		resp, err := rt.do(c, m, path, hdr, body)
-		ch <- outcome{m: m, resp: resp, err: err}
-	}
-	go run(pctx, prim)
-	launched, outstanding := 1, 1
-	timer := time.NewTimer(rt.hedgeDelay)
-	defer timer.Stop()
-	hedge := func() {
-		rt.metrics.hedges.Inc()
-		go run(bctx, backup)
-		launched, outstanding = 2, outstanding+1
-	}
-	reap := func(n int) {
-		if n > 0 {
-			go func() {
-				for i := 0; i < n; i++ {
-					if o := <-ch; o.resp != nil {
-						o.resp.Body.Close()
-					}
-				}
-			}()
-		}
-	}
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if launched == 1 {
-				hedge()
-			}
-		case o := <-ch:
-			outstanding--
-			if o.err != nil {
-				if firstErr == nil {
-					firstErr = o.err
-				}
-				if launched == 1 {
-					hedge() // primary died before the hedge timer fired
-					continue
-				}
-				if outstanding == 0 {
-					pcancel()
-					bcancel()
-					return prim, nil, firstErr
-				}
-				continue
-			}
-			// Winner: cancel the loser mid-flight (its do sees a cancelled
-			// context, so it is not evicted for losing the race) and defer
-			// the winner's own cancel to its body Close.
-			winCancel := pcancel
-			if o.m == prim {
-				bcancel()
-			} else {
-				winCancel = bcancel
-				pcancel()
-				rt.metrics.hedgeWins.Inc()
-			}
-			reap(outstanding)
-			o.resp.Body = &cancelBody{ReadCloser: o.resp.Body, cancel: winCancel}
-			return o.m, o.resp, nil
-		case <-ctx.Done():
-			pcancel()
-			bcancel()
-			reap(outstanding)
-			return prim, nil, ctx.Err()
-		}
-	}
-}
-
 // forward walks a key's preference list. A member out of the ring or cooling
 // down after a shed is passed over, a transport error moves down the list. It
 // returns the first answer that is not a 429 — replica errors are
@@ -446,10 +332,8 @@ func (rt *Router) hedgedDo(ctx context.Context, prim, backup *member, path strin
 // earliest cooldown among the members still in the ring, those that shed in
 // the pass just made included, and gives up instead when that exceeds the cap;
 // it never waits after the last pass. A nil response means the client went
-// away or no replica could be reached. With hedge set an attempt races the
-// next available member after the hedge delay; a stream passes false, since
-// its first byte commits it to one replica.
-func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member, hedge bool) (*member, *http.Response) {
+// away or no replica could be reached.
+func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member) (*member, *http.Response) {
 	var shed *http.Response
 	var shedBy *member
 	for pass := 0; ; pass++ {
@@ -457,32 +341,25 @@ func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member
 			if !m.healthy.Load() || m.cooling() > 0 {
 				continue
 			}
-			var backup *member
-			for j := i + 1; hedge && j < len(cands); j++ {
-				if cands[j].healthy.Load() && cands[j].cooling() == 0 {
-					backup = cands[j]
-					break
-				}
-			}
 			if pass > 0 || i > 0 {
 				rt.metrics.retries.Inc()
 			}
-			served, resp, err := rt.hedgedDo(ctx, m, backup, "/query", hdr, body)
+			resp, err := rt.do(ctx, m, "/query", hdr, body)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, nil
 				}
-				continue // members already evicted; move down the list
+				continue // do evicted the member; move down the list
 			}
 			if resp.StatusCode != http.StatusTooManyRequests {
-				return served, resp
+				return m, resp
 			}
-			coolFromRetryAfter(served, resp)
+			coolFromRetryAfter(m, resp)
 			captured, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			resp.Body = io.NopCloser(bytes.NewReader(captured))
 			resp.ContentLength = int64(len(captured))
-			shed, shedBy = resp, served
+			shed, shedBy = resp, m
 		}
 		wait := time.Duration(-1) // none: every member is out of the ring
 		for _, m := range cands {

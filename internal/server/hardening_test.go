@@ -511,7 +511,7 @@ func (b *syncBuffer) String() string {
 // TestRetryAfterJitterRange pins the jittered Retry-After contract on both
 // shed paths: a queue-full 429 and a deadline that fires while queued (504)
 // must both carry a Retry-After header whose value lies in
-// [RetryAfter, RetryAfter+RetryAfterJitter] seconds. A synchronized wave of
+// [RetryAfter, RetryAfter+RetryAfter/2] seconds. A synchronized wave of
 // router retries depends on this spread to de-herd.
 func TestRetryAfterJitterRange(t *testing.T) {
 	gate := make(chan struct{})
@@ -526,16 +526,15 @@ func TestRetryAfterJitterRange(t *testing.T) {
 	s, ts := hookedServer(t, Config{
 		MaxConcurrentEvals: 1,
 		MaxEvalQueue:       1,
-		RetryAfter:         3 * time.Second,
-		RetryAfterJitter:   2 * time.Second,
+		RetryAfter:         4 * time.Second,
 	}, func() { entered <- struct{}{}; <-gate })
 
 	inRange := func(t *testing.T, resp *http.Response) {
 		t.Helper()
 		ra := resp.Header.Get("Retry-After")
 		v, err := strconv.Atoi(ra)
-		if err != nil || v < 3 || v > 5 {
-			t.Fatalf("Retry-After = %q, want an integer in [3, 5]", ra)
+		if err != nil || v < 4 || v > 6 {
+			t.Fatalf("Retry-After = %q, want an integer in [4, 6]", ra)
 		}
 	}
 
@@ -597,7 +596,7 @@ func waitForCondition(t *testing.T, fn func() bool) {
 // every draw stays within the configured bounds, and the jitter actually
 // spreads (more than one distinct value over many draws).
 func TestRetryAfterValueDistribution(t *testing.T) {
-	s, _ := newTestServer(t, Config{RetryAfter: 4 * time.Second, RetryAfterJitter: 2 * time.Second})
+	s, _ := newTestServer(t, Config{RetryAfter: 4 * time.Second})
 	seen := map[string]bool{}
 	for i := 0; i < 512; i++ {
 		v := s.retryAfterValue()
@@ -609,13 +608,6 @@ func TestRetryAfterValueDistribution(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("512 draws produced a single value %v: jitter is not spreading", seen)
-	}
-	// Negative jitter disables the spread entirely.
-	fixed, _ := newTestServer(t, Config{RetryAfter: 4 * time.Second, RetryAfterJitter: -1})
-	for i := 0; i < 16; i++ {
-		if v := fixed.retryAfterValue(); v != "4" {
-			t.Fatalf("fixed retryAfterValue() = %q, want \"4\"", v)
-		}
 	}
 }
 

@@ -96,17 +96,13 @@ type Config struct {
 	// slot; arrivals beyond it are shed with 429. 0 means
 	// 2×MaxConcurrentEvals. Ignored when MaxConcurrentEvals is 0.
 	MaxEvalQueue int
-	// RetryAfter is the Retry-After hint attached to shed responses (429,
-	// and 504s whose deadline fired while queued), rounded up to whole
-	// seconds. 0 means 1s.
+	// RetryAfter is the floor of the Retry-After hint attached to shed
+	// responses (429, and 504s whose deadline fired while queued), rounded
+	// up to whole seconds. 0 means 1s. Each header adds a uniform spread of
+	// up to half the floor (at least 1s), so a fleet of clients (or a
+	// router's worth of queued retries) shed at the same instant does not
+	// come back at the same instant.
 	RetryAfter time.Duration
-	// RetryAfterJitter bounds the random spread added to RetryAfter on each
-	// shed response: the header value is uniform in
-	// [RetryAfter, RetryAfter+RetryAfterJitter] seconds, so a fleet of
-	// clients (or a router's worth of queued retries) shed at the same
-	// instant does not come back at the same instant. 0 means half of
-	// RetryAfter, at least 1s; negative disables jitter (a fixed header).
-	RetryAfterJitter time.Duration
 	// SlowQuery is the slow-query logging threshold: requests taking at
 	// least this long are logged through Logger at warn level. 0 disables
 	// slow-query logging.
@@ -159,12 +155,11 @@ type Server struct {
 	recorder *trace.Recorder // nil: lifecycle tracing disabled
 	sample   int64           // record 1 in sample requests
 
-	defaultTimeout   time.Duration
-	maxTimeout       time.Duration
-	slowQuery        time.Duration
-	retryAfterBase   int64 // Retry-After floor, whole seconds
-	retryAfterJitter int64 // uniform spread above the floor, whole seconds
-	start            time.Time
+	defaultTimeout time.Duration
+	maxTimeout     time.Duration
+	slowQuery      time.Duration
+	retryAfterBase int64 // Retry-After floor, whole seconds
+	start          time.Time
 
 	reqSeq atomic.Int64 // request-ID sequence
 
@@ -214,32 +209,24 @@ func New(cfg Config) (*Server, error) {
 		retryAfter = time.Second
 	}
 	retryBase := int64((retryAfter + time.Second - 1) / time.Second)
-	var retryJitter int64
-	switch {
-	case cfg.RetryAfterJitter > 0:
-		retryJitter = int64((cfg.RetryAfterJitter + time.Second - 1) / time.Second)
-	case cfg.RetryAfterJitter == 0:
-		retryJitter = max(retryBase/2, 1)
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
 	s := &Server{
-		dbs:              make(map[string]*namedDB, len(cfg.Databases)),
-		plans:            cache.NewPlanCache(max(planSize, 0)),
-		results:          cache.NewResultCache(max(resultSize, 0)),
-		nodes:            eval.NewNodeStore(nodeCacheBytes),
-		flight:           cache.NewFlight[evalOutcome](),
-		limiter:          newLimiter(cfg.MaxConcurrentEvals, cfg.MaxEvalQueue),
-		logger:           logger,
-		defaultTimeout:   cfg.DefaultTimeout,
-		maxTimeout:       cfg.MaxTimeout,
-		slowQuery:        cfg.SlowQuery,
-		retryAfterBase:   retryBase,
-		retryAfterJitter: retryJitter,
-		start:            time.Now(),
-		sample:           1,
+		dbs:            make(map[string]*namedDB, len(cfg.Databases)),
+		plans:          cache.NewPlanCache(max(planSize, 0)),
+		results:        cache.NewResultCache(max(resultSize, 0)),
+		nodes:          eval.NewNodeStore(nodeCacheBytes),
+		flight:         cache.NewFlight[evalOutcome](),
+		limiter:        newLimiter(cfg.MaxConcurrentEvals, cfg.MaxEvalQueue),
+		logger:         logger,
+		defaultTimeout: cfg.DefaultTimeout,
+		maxTimeout:     cfg.MaxTimeout,
+		slowQuery:      cfg.SlowQuery,
+		retryAfterBase: retryBase,
+		start:          time.Now(),
+		sample:         1,
 	}
 	if cfg.TraceSample > 1 {
 		s.sample = int64(cfg.TraceSample)
@@ -452,15 +439,13 @@ func (s *Server) foldEvalStats(st *eval.Stats) {
 }
 
 // retryAfterValue renders one shed response's Retry-After header: the
-// configured floor plus bounded uniform jitter. A fixed value would have
-// every client a front tier shed at the same instant retry at the same
-// instant — the herd just moves one Retry-After into the future.
+// configured floor plus a uniform spread of up to half of it (at least 1s).
+// A fixed value would have every client a front tier shed at the same
+// instant retry at the same instant — the herd just moves one Retry-After
+// into the future.
 func (s *Server) retryAfterValue() string {
 	v := s.retryAfterBase
-	if s.retryAfterJitter > 0 {
-		v += rand.Int64N(s.retryAfterJitter + 1)
-	}
-	return strconv.FormatInt(v, 10)
+	return strconv.FormatInt(v+rand.Int64N(max(v/2, 1)+1), 10)
 }
 
 // evalErrorCode maps an evaluation error to its response status, applying

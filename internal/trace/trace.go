@@ -204,21 +204,6 @@ func (s *Span) Annotate(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// Duration returns the span's duration so far: its final duration once
-// ended, the running duration otherwise. Zero for a nil span.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	t := s.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}
-
 // AddChild records an already finished child span under s: work measured
 // outside the span model — a fixpoint's stages, folded by the evaluator —
 // with its start, its duration (busy time, where workers overlapped) and

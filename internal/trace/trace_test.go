@@ -30,9 +30,6 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 	kid.Annotate("k", "v")
 	kid.End()
-	if d := kid.Duration(); d != 0 {
-		t.Fatalf("nil span duration = %v", d)
-	}
 	kid.AddChild(trace.SpanFixpoint, time.Now(), time.Millisecond, nil, trace.Counters{Stages: 1})
 	tr.Keep("slow")
 	tr.Close(time.Now())

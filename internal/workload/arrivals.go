@@ -55,9 +55,6 @@ func NewArrivals(kind string, rate float64, seed uint64) (*Arrivals, error) {
 	}
 }
 
-// Kind returns the process name.
-func (a *Arrivals) Kind() string { return a.kind }
-
 // Closed reports whether the process is completion-driven (no clock).
 func (a *Arrivals) Closed() bool { return a.kind == ArrivalClosed }
 
@@ -145,13 +142,6 @@ func (r *LatencyRecorder) Observe(d time.Duration) {
 	r.mu.Lock()
 	r.samples = append(r.samples, d)
 	r.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
 }
 
 // sorted returns a sorted copy of the samples.

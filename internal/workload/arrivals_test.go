@@ -107,9 +107,6 @@ func TestLatencyRecorderPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		r.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if got := r.Count(); got != 100 {
-		t.Fatalf("Count = %d", got)
-	}
 	for _, c := range []struct {
 		p    float64
 		want time.Duration

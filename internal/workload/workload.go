@@ -39,32 +39,6 @@ func CycleGraph(n int) *database.Database {
 	return b.MustBuild()
 }
 
-// Lollipop is a line of ⌈n/2⌉ nodes feeding a cycle on the remaining
-// nodes, with P marking the line's start and one cycle node. Alternating
-// fixpoint queries on it make the outer gfp shrink for Θ(n) stages while
-// the inner lfp needs Θ(n) rounds per stage — the n^{kl} worst case of
-// naive nested evaluation.
-func Lollipop(n int) *database.Database {
-	b := database.NewBuilder().Relation("E", 2).Relation("P", 1)
-	half := n / 2
-	for i := 0; i < n; i++ {
-		b.Domain(i)
-	}
-	for i := 0; i+1 < n; i++ {
-		b.Add("E", i, i+1)
-	}
-	if n > half {
-		b.Add("E", n-1, half) // close the cycle
-	}
-	if n > 0 {
-		b.Add("P", 0)
-	}
-	if n > half {
-		b.Add("P", half)
-	}
-	return b.MustBuild()
-}
-
 // RandomGraph is a digraph on n nodes where each edge appears with
 // probability 1/edgeInv, and each node carries P with probability 1/2.
 func RandomGraph(seed int64, n, edgeInv int) *database.Database {
