@@ -1,22 +1,19 @@
 // Command bvqload drives a bvqd server or a bvqrouter fleet with a
-// configurable workload and reports client-side latency percentiles next
-// to server-side ones derived from the /metrics histogram delta.
+// closed-loop workload and reports client-side latency percentiles next to
+// server-side ones derived from the /metrics histogram delta.
 //
-// The traffic mix names bench scenarios over examples/data/graph.db
-// (twohop: the acyclic 2-hop join; tc: the k=3 transitive-closure LFP;
-// reach: single-source reachability as a width-3 LFP); -churn makes that
-// fraction of operations writes (a toggled E-edge insert/delete through
-// /db/{name}/update) and -stream makes that fraction of queries NDJSON
-// streams. Arrivals are closed (completion-driven: each worker fires the
-// next request when the previous returns), open (fixed-rate clock) or
-// poisson (exponential gaps, the memoryless open process).
+// Each worker fires its next request when the previous one returns. Queries
+// pick the bench scenarios over examples/data/graph.db 3:1:1 (twohop: the
+// acyclic 2-hop join; tc: the k=3 transitive-closure LFP; reach:
+// single-source reachability as a width-3 LFP), each with a 5 s deadline;
+// -churn makes that fraction of operations writes (the edge (60, 10)
+// toggled through /db/{name}/update) and -stream makes that fraction of
+// queries NDJSON streams.
 //
 // Usage:
 //
 //	bvqload -target http://127.0.0.1:8080 [-database graph] [-duration 10s]
-//	        [-workers 8] [-arrival closed|open|poisson] [-rate 100]
-//	        [-mix twohop=3,tc=1,reach=1] [-churn 0] [-stream 0]
-//	        [-timeout 5s] [-seed 1] [-slo 50ms] [-json]
+//	        [-workers 8] [-churn 0] [-stream 0] [-seed 1] [-json]
 //
 // The run report counts responses by status class (429 sheds and 409
 // update conflicts are expected backpressure, not failures; any 5xx is),
@@ -49,29 +46,39 @@ import (
 	"repro/internal/workload"
 )
 
-// scenarios maps mix names to wire query texts. All three run against
+// scenarios are the wire query texts a worker picks from, three times in five
+// the first and once each the others. All three run against
 // examples/data/graph.db (E for edges, P for reachability sources).
-var scenarios = map[string]string{
-	"twohop": "(x, y). exists z. E(x, z) & E(z, y)",
-	"tc":     "(x, y). [lfp T(x, y). E(x, y) | (exists z. E(x, z) & T(z, y))](x, y)",
-	"reach":  "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)",
+var scenarios = [...]string{
+	"(x, y). exists z. E(x, z) & E(z, y)",                                       // twohop
+	"(x, y). [lfp T(x, y). E(x, y) | (exists z. E(x, z) & T(z, y))](x, y)",      // tc
+	"(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)", // reach
 }
+
+// pick maps u ∈ [0,1) onto a scenario 3:1:1.
+func pick(u float64) string {
+	return scenarios[max(int(u*5)-2, 0)]
+}
+
+// Every query carries a 5 s deadline; the client waits 5 s longer, so the
+// server's 504 arrives before the client gives up.
+const (
+	queryTimeoutMS = 5000
+	clientTimeout  = 10 * time.Second
+)
+
+// churnEdge is the E tuple churn updates toggle, in graph.db's domain values.
+var churnEdge = []int{60, 10}
 
 type config struct {
 	target   string
 	database string
 	duration time.Duration
 	workers  int
-	arrival  string
-	rate     float64
-	mix      *workload.Mix
 	churn    float64
 	stream   float64
-	timeout  time.Duration
 	seed     uint64
-	slo      time.Duration
 	jsonOut  bool
-	churnRow [2]int
 }
 
 // tally is the shared run ledger.
@@ -87,7 +94,6 @@ type tally struct {
 	server5xx  atomic.Int64
 	transport  atomic.Int64 // connection/read errors
 	badStreams atomic.Int64 // streams whose trailer carried an error
-	dropped    atomic.Int64 // open-loop arrivals dropped because all workers were busy
 
 	lat workload.LatencyRecorder
 }
@@ -104,7 +110,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bvqload:", err)
 		os.Exit(2)
 	}
-	client := &http.Client{Timeout: cfg.timeout + 5*time.Second}
+	client := &http.Client{Timeout: clientTimeout}
 
 	before, scrapeErr := scrapeMetrics(client, cfg.target)
 	start := time.Now()
@@ -141,28 +147,13 @@ func parseFlags(args []string) (*config, error) {
 		database = fs.String("database", "graph", "database to query")
 		duration = fs.Duration("duration", 10*time.Second, "run length")
 		workers  = fs.Int("workers", 8, "concurrent workers")
-		arrival  = fs.String("arrival", workload.ArrivalClosed, "arrival process: closed, open or poisson")
-		rate     = fs.Float64("rate", 100, "target requests/second for open and poisson arrivals")
-		mixText  = fs.String("mix", "twohop=3,tc=1,reach=1", "traffic mix over scenarios: twohop, tc, reach")
 		churn    = fs.Float64("churn", 0, "fraction of operations that are updates (0..1)")
 		stream   = fs.Float64("stream", 0, "fraction of queries issued as NDJSON streams (0..1)")
-		timeout  = fs.Duration("timeout", 5*time.Second, "per-request evaluation deadline")
 		seed     = fs.Uint64("seed", 1, "workload RNG seed")
-		slo      = fs.Duration("slo", 0, "latency SLO to report attainment against (0: none)")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-		churnRow = fs.String("churn-edge", "60,10", "edge toggled by churn updates, as \"a,b\" domain values")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	mix, err := workload.ParseMix(*mixText)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range mix.Names() {
-		if _, ok := scenarios[name]; !ok {
-			return nil, fmt.Errorf("unknown scenario %q (have twohop, tc, reach)", name)
-		}
 	}
 	if *churn < 0 || *churn > 1 || *stream < 0 || *stream > 1 {
 		return nil, fmt.Errorf("-churn and -stream must be in [0,1]")
@@ -170,32 +161,16 @@ func parseFlags(args []string) (*config, error) {
 	if *workers < 1 {
 		return nil, fmt.Errorf("-workers must be positive")
 	}
-	cfg := &config{
+	return &config{
 		target:   strings.TrimRight(*target, "/"),
 		database: *database,
 		duration: *duration,
 		workers:  *workers,
-		arrival:  *arrival,
-		rate:     *rate,
-		mix:      mix,
 		churn:    *churn,
 		stream:   *stream,
-		timeout:  *timeout,
 		seed:     *seed,
-		slo:      *slo,
 		jsonOut:  *jsonOut,
-	}
-	a, b, ok := strings.Cut(*churnRow, ",")
-	if !ok {
-		return nil, fmt.Errorf("-churn-edge wants \"a,b\", got %q", *churnRow)
-	}
-	if cfg.churnRow[0], err = strconv.Atoi(strings.TrimSpace(a)); err != nil {
-		return nil, fmt.Errorf("-churn-edge: %v", err)
-	}
-	if cfg.churnRow[1], err = strconv.Atoi(strings.TrimSpace(b)); err != nil {
-		return nil, fmt.Errorf("-churn-edge: %v", err)
-	}
-	return cfg, nil
+	}, nil
 }
 
 // run drives the workload until the deadline and returns the ledger.
@@ -204,64 +179,32 @@ func run(client *http.Client, cfg *config) *tally {
 	deadline := time.Now().Add(cfg.duration)
 	var churnToggle atomic.Int64
 
-	worker := func(id int, launches <-chan struct{}) {
-		rng := rand.New(rand.NewPCG(cfg.seed, uint64(id)*0x9e3779b97f4a7c15+1))
-		for time.Now().Before(deadline) {
-			if launches != nil {
-				if _, ok := <-launches; !ok {
-					return
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.workers; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(cfg.seed, uint64(id)*0x9e3779b97f4a7c15+1))
+			for time.Now().Before(deadline) {
+				if cfg.churn > 0 && rng.Float64() < cfg.churn {
+					doUpdate(client, cfg, tl, &churnToggle)
+				} else {
+					text := pick(rng.Float64())
+					doQuery(client, cfg, tl, text, cfg.stream > 0 && rng.Float64() < cfg.stream)
 				}
 			}
-			if cfg.churn > 0 && rng.Float64() < cfg.churn {
-				doUpdate(client, cfg, tl, &churnToggle)
-			} else {
-				name := cfg.mix.Pick(rng.Float64())
-				doQuery(client, cfg, tl, name, cfg.stream > 0 && rng.Float64() < cfg.stream)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	arr, err := workload.NewArrivals(cfg.arrival, cfg.rate, cfg.seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bvqload:", err)
-		os.Exit(2)
-	}
-	if arr.Closed() {
-		for i := 0; i < cfg.workers; i++ {
-			wg.Add(1)
-			go func(id int) { defer wg.Done(); worker(id, nil) }(i)
-		}
-	} else {
-		// Open-loop: a clock goroutine emits launch tokens; workers drain
-		// them. A full channel means every worker is busy — dropping the
-		// token (rather than blocking) keeps the process honestly open and
-		// counts the overload instead of silently degrading to closed.
-		launches := make(chan struct{}, cfg.workers)
-		for i := 0; i < cfg.workers; i++ {
-			wg.Add(1)
-			go func(id int) { defer wg.Done(); worker(id, launches) }(i)
-		}
-		for time.Now().Before(deadline) {
-			time.Sleep(arr.Next())
-			select {
-			case launches <- struct{}{}:
-			default:
-				tl.dropped.Add(1)
-			}
-		}
-		close(launches)
+		}(i)
 	}
 	wg.Wait()
 	return tl
 }
 
-func doQuery(client *http.Client, cfg *config, tl *tally, scenario string, stream bool) {
+func doQuery(client *http.Client, cfg *config, tl *tally, text string, stream bool) {
 	body, _ := json.Marshal(map[string]any{
 		"database":   cfg.database,
-		"query":      scenarios[scenario],
+		"query":      text,
 		"stream":     stream,
-		"timeout_ms": cfg.timeout.Milliseconds(),
+		"timeout_ms": queryTimeoutMS,
 	})
 	start := time.Now()
 	resp, err := client.Post(cfg.target+"/query", "application/json", bytes.NewReader(body))
@@ -342,7 +285,7 @@ func doUpdate(client *http.Client, cfg *config, tl *tally, toggle *atomic.Int64)
 	body, _ := json.Marshal(map[string]any{
 		"updates": []map[string]any{{
 			"relation": "E",
-			op:         [][]int{{cfg.churnRow[0], cfg.churnRow[1]}},
+			op:         [][]int{churnEdge},
 		}},
 	})
 	resp, err := client.Post(cfg.target+"/db/"+cfg.database+"/update", "application/json", bytes.NewReader(body))
@@ -450,7 +393,6 @@ func serverDelta(before, after []metrics.Family) *serverReport {
 
 type report struct {
 	Target    string         `json:"target"`
-	Arrival   string         `json:"arrival"`
 	DurationS float64        `json:"duration_s"`
 	Workers   int            `json:"workers"`
 	Requests  int            `json:"requests"`
@@ -465,7 +407,6 @@ type report struct {
 	Server5xx int64          `json:"server_5xx"`
 	Transport int64          `json:"transport_errors"`
 	BadStream int64          `json:"bad_streams"`
-	Dropped   int64          `json:"dropped_arrivals"`
 	Latency   struct {
 		P50MS  float64 `json:"p50_ms"`
 		P90MS  float64 `json:"p90_ms"`
@@ -473,19 +414,12 @@ type report struct {
 		MaxMS  float64 `json:"max_ms"`
 		MeanMS float64 `json:"mean_ms"`
 	} `json:"latency"`
-	SLO    *sloReport    `json:"slo,omitempty"`
 	Server *serverReport `json:"server,omitempty"`
-}
-
-type sloReport struct {
-	TargetMS   float64 `json:"target_ms"`
-	Attainment float64 `json:"attainment"`
 }
 
 func buildReport(cfg *config, tl *tally, elapsed time.Duration, server *serverReport) *report {
 	rep := &report{
 		Target:    cfg.target,
-		Arrival:   cfg.arrival,
 		DurationS: elapsed.Seconds(),
 		Workers:   cfg.workers,
 		Codes:     make(map[string]int),
@@ -497,7 +431,6 @@ func buildReport(cfg *config, tl *tally, elapsed time.Duration, server *serverRe
 		Server5xx: tl.server5xx.Load(),
 		Transport: tl.transport.Load(),
 		BadStream: tl.badStreams.Load(),
-		Dropped:   tl.dropped.Load(),
 		Server:    server,
 	}
 	tl.mu.Lock()
@@ -517,14 +450,11 @@ func buildReport(cfg *config, tl *tally, elapsed time.Duration, server *serverRe
 	rep.Latency.P99MS = ms(tl.lat.Percentile(99))
 	rep.Latency.MaxMS = ms(tl.lat.Percentile(100))
 	rep.Latency.MeanMS = ms(tl.lat.Mean())
-	if cfg.slo > 0 {
-		rep.SLO = &sloReport{TargetMS: ms(cfg.slo), Attainment: tl.lat.Attainment(cfg.slo)}
-	}
 	return rep
 }
 
 func printReport(w io.Writer, r *report) {
-	fmt.Fprintf(w, "bvqload: %s, %s arrivals, %d workers, %.1fs\n", r.Target, r.Arrival, r.Workers, r.DurationS)
+	fmt.Fprintf(w, "bvqload: %s, %d workers, %.1fs\n", r.Target, r.Workers, r.DurationS)
 	fmt.Fprintf(w, "  requests  %d (%.1f req/s), succeeded %d\n", r.Requests, r.QPS, r.Succeeded)
 	codes := make([]string, 0, len(r.Codes))
 	for c := range r.Codes {
@@ -535,17 +465,10 @@ func printReport(w io.Writer, r *report) {
 		fmt.Fprintf(w, "    %s: %d\n", c, r.Codes[c])
 	}
 	fmt.Fprintf(w, "  queries   %d (%d streamed), updates %d\n", r.Queries, r.Streams, r.Updates)
-	fmt.Fprintf(w, "  shed %d, conflicts %d, 5xx %d, transport errors %d, bad streams %d",
+	fmt.Fprintf(w, "  shed %d, conflicts %d, 5xx %d, transport errors %d, bad streams %d\n",
 		r.Shed, r.Conflicts, r.Server5xx, r.Transport, r.BadStream)
-	if r.Dropped > 0 {
-		fmt.Fprintf(w, ", dropped arrivals %d", r.Dropped)
-	}
-	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  latency   p50 %.2fms  p90 %.2fms  p99 %.2fms  max %.2fms  mean %.2fms\n",
 		r.Latency.P50MS, r.Latency.P90MS, r.Latency.P99MS, r.Latency.MaxMS, r.Latency.MeanMS)
-	if r.SLO != nil {
-		fmt.Fprintf(w, "  slo       %.0fms attained %.2f%%\n", r.SLO.TargetMS, 100*r.SLO.Attainment)
-	}
 	if r.Server != nil {
 		fmt.Fprintf(w, "  server    queries %.0f, shed %.0f, timeouts %.0f, errors %.0f, p50 %.2fms, p99 %.2fms\n",
 			r.Server.Queries, r.Server.Shed, r.Server.Timeouts, r.Server.Errors, r.Server.P50MS, r.Server.P99MS)

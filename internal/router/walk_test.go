@@ -223,7 +223,7 @@ var fleetFixtures = []string{
 	`# HELP bvqd_queries_total Requests received on /query.
 # TYPE bvqd_queries_total counter
 bvqd_queries_total 40
-# HELP bvqd_responses_total Responses to /query by HTTP status code.
+# HELP bvqd_responses_total Responses to /query and /db/{name}/update by HTTP status code.
 # TYPE bvqd_responses_total counter
 bvqd_responses_total{code="200"} 30
 bvqd_responses_total{code="429"} 10
@@ -241,7 +241,7 @@ bvqd_queue_depth 2
 	`# HELP bvqd_queries_total Requests received on /query.
 # TYPE bvqd_queries_total counter
 bvqd_queries_total 13
-# HELP bvqd_responses_total Responses to /query by HTTP status code.
+# HELP bvqd_responses_total Responses to /query and /db/{name}/update by HTTP status code.
 # TYPE bvqd_responses_total counter
 bvqd_responses_total{code="200"} 12
 bvqd_responses_total{code="400"} 1

@@ -53,8 +53,8 @@ func TestBackendRouting(t *testing.T) {
 	}
 }
 
-// TestBackendValidation pins the 400s: unknown backend names, and non-auto
-// backends on engines that have no notion of one.
+// TestBackendValidation pins the 400 for an unknown backend name, and that
+// every known one is served.
 func TestBackendValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -67,26 +67,12 @@ func TestBackendValidation(t *testing.T) {
 		t.Fatalf("unknown backend error %q", bad.Error)
 	}
 
-	for _, engine := range []string{"bottomup", "naive"} {
-		code, _, bad := postQuery(t, ts, QueryRequest{
-			Database: "graph", Query: twoHop, Engine: engine, Backend: "sparse"})
-		if code != http.StatusBadRequest {
-			t.Fatalf("engine %q with sparse backend: status %d", engine, code)
-		}
-		if !strings.Contains(bad.Error, "requires the compiled engine") {
-			t.Fatalf("engine %q error %q", engine, bad.Error)
-		}
-	}
-
-	// backend=auto is the default and valid everywhere; a request that names
-	// no engine gets the compiled one, so it may name any backend.
-	for _, req := range []QueryRequest{
-		{Database: "graph", Query: twoHop, Engine: "bottomup", Backend: "auto"},
-		{Database: "graph", Query: twoHop, Backend: "sparse"},
-	} {
-		code, ok, bad := postQuery(t, ts, req)
-		if code != http.StatusOK || (req.Engine == "" && ok.Engine != "compiled") {
-			t.Fatalf("%+v: status %d, engine %q (%s)", req, code, ok.Engine, bad.Error)
+	// A request that names no engine gets the compiled one, whatever backend
+	// it names.
+	for _, backend := range []string{"auto", "dense", "sparse"} {
+		code, ok, bad := postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Backend: backend})
+		if code != http.StatusOK || ok.Engine != "compiled" {
+			t.Fatalf("backend %q: status %d, engine %q (%s)", backend, code, ok.Engine, bad.Error)
 		}
 	}
 }

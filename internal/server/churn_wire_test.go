@@ -41,7 +41,6 @@ func TestChurnWireDifferential(t *testing.T) {
 		{"(x). [gfp G(x). exists y. (R(x, y) & (exists x. x = y & G(x)))](x)", []string{"R"}},
 		{"(x). [pfp Q(x). T(x) | exists y. (S(y, x) & (exists x. x = y & Q(x)))](x)", []string{"S", "T"}},
 	}
-	engines := []string{"compiled", "bottomup"}
 	pool := map[string][][]int{
 		"R": {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 1}},
 		"S": {{0, 2}, {2, 4}, {1, 3}, {3, 1}, {4, 4}},
@@ -87,15 +86,15 @@ func TestChurnWireDifferential(t *testing.T) {
 		}
 	}
 	// ask sends the cached request, then the no_cache one, and compares.
-	ask := func(db string, text int, engine string) QueryResponse {
+	ask := func(db string, text int) QueryResponse {
 		t.Helper()
 		var got, want QueryResponse
-		req := QueryRequest{Database: db, Engine: engine, Query: texts[text].text}
+		req := QueryRequest{Database: db, Query: texts[text].text}
 		post("/query", req, &got)
 		req.NoCache = true
 		post("/query", req, &want)
 		if !reflect.DeepEqual(got.Answer, want.Answer) || got.Count != want.Count {
-			t.Fatalf("%s %s %q cached=%v:\n served     %v\n recomputed %v", db, engine, req.Query, got.ResultCached, got.Answer, want.Answer)
+			t.Fatalf("%s %q cached=%v:\n served     %v\n recomputed %v", db, req.Query, got.ResultCached, got.Answer, want.Answer)
 		}
 		return got
 	}
@@ -105,11 +104,9 @@ func TestChurnWireDifferential(t *testing.T) {
 	// tuples and another domain size, and is served nothing.
 	for _, db := range names {
 		for i, tx := range texts {
-			for _, engine := range engines {
-				shared := db == "b" && (len(tx.rels) == 0 || slices.Equal(tx.rels, []string{"R"}))
-				if q := ask(db, i, engine); q.ResultCached != shared {
-					t.Fatalf("%s %s %q: result_cached=%v, want %v", db, engine, tx.text, q.ResultCached, shared)
-				}
+			shared := db == "b" && (len(tx.rels) == 0 || slices.Equal(tx.rels, []string{"R"}))
+			if q := ask(db, i); q.ResultCached != shared {
+				t.Fatalf("%s %q: result_cached=%v, want %v", db, tx.text, q.ResultCached, shared)
 			}
 		}
 	}
@@ -152,17 +149,15 @@ func TestChurnWireDifferential(t *testing.T) {
 		}
 
 		for i, tx := range texts {
-			for _, engine := range engines {
-				q := ask(db, i, engine)
-				missed := !slices.ContainsFunc(tx.rels, func(r string) bool { return slices.Contains(up.Relations, r) })
-				if db == "c" && missed && !q.ResultCached {
-					t.Fatalf("step %d: c's %s %q reads %v, the update changed %v, and the entry is gone", step, engine, tx.text, tx.rels, up.Relations)
-				}
+			q := ask(db, i)
+			missed := !slices.ContainsFunc(tx.rels, func(r string) bool { return slices.Contains(up.Relations, r) })
+			if db == "c" && missed && !q.ResultCached {
+				t.Fatalf("step %d: c's %q reads %v, the update changed %v, and the entry is gone", step, tx.text, tx.rels, up.Relations)
 			}
 		}
 		for _, other := range names {
 			if other != db {
-				ask(other, rng.Intn(len(texts)), engines[rng.Intn(len(engines))])
+				ask(other, rng.Intn(len(texts)))
 			}
 		}
 	}

@@ -47,48 +47,48 @@ func q(db, query string) string {
 // pinned: each way a /query can be served, every rejection of the
 // validation ladder, and an update that carries, maintains and invalidates.
 var goldenScript = []goldenStep{
-	queryStep("json miss", q("graph", twoHop)+`,"engine":"bottomup"`),
-	queryStep("json hit", q("graph", twoHop)+`,"engine":"bottomup"`),
-	queryStep("json limit+offset on a hit", q("graph", twoHop)+`,"engine":"bottomup","limit":1,"offset":1`),
-	queryStep("json indices", q("graph", twoHop)+`,"engine":"bottomup","indices":true`),
-	queryStep("json offset past the end", q("graph", twoHop)+`,"engine":"bottomup","offset":99`),
-	queryStep("json boolean", q("graph", boolQuery)+`,"engine":"bottomup"`),
-	queryStep("json no_cache", q("graph", twoHop)+`,"engine":"bottomup","no_cache":true`),
-	queryStep("trace lfp bottomup", q("graph", reachLFP)+`,"engine":"bottomup","trace":true`),
-	queryStep("trace lfp compiled", q("graph", reachLFP)+`,"engine":"compiled","trace":true`),
+	queryStep("json miss", q("graph", twoHop)+`,"engine":"compiled"`),
+	queryStep("json hit", q("graph", twoHop)+`,"engine":"compiled"`),
+	queryStep("json limit+offset on a hit", q("graph", twoHop)+`,"engine":"compiled","limit":1,"offset":1`),
+	queryStep("json offset past the end", q("graph", twoHop)+`,"engine":"compiled","offset":99`),
+	queryStep("json boolean", q("graph", boolQuery)+`,"engine":"compiled"`),
+	queryStep("json no_cache", q("graph", twoHop)+`,"engine":"compiled","no_cache":true`),
+	queryStep("lfp compiled", q("graph", reachLFP)+`,"engine":"compiled"`),
 	queryStep("explain dense", q("graph", reachLFP)+`,"engine":"compiled","backend":"dense","explain":true`),
 	queryStep("explain sparse", q("graph", reachLFP)+`,"engine":"compiled","backend":"sparse","explain":true`),
 	queryStep("stream miss", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
 	queryStep("stream hit", q("graph", oneHop)+`,"engine":"compiled","stream":true`),
-	queryStep("stream window on a hit", q("graph", twoHop)+`,"engine":"bottomup","stream":true,"limit":1,"offset":1`),
+	queryStep("stream window on a hit", q("graph", twoHop)+`,"engine":"compiled","stream":true,"limit":1,"offset":1`),
 	queryStep("stream limit on the acyclic route", q("graph", twoHop)+`,"engine":"compiled","backend":"sparse","stream":true,"limit":1`),
 	queryStep("stream boolean", q("graph", boolQuery)+`,"engine":"compiled","stream":true`),
 	queryStep("stream no_cache", q("graph", oneHop)+`,"engine":"compiled","stream":true,"no_cache":true`),
 
 	{name: "400 malformed json", path: "/query", body: `{"database":`},
 	queryStep("400 unknown field", q("graph", twoHop)+`,"bogus":1`),
-	queryStep("400 negative parallelism", q("graph", twoHop)+`,"parallelism":-1`),
-	queryStep("400 negative max_width", q("graph", twoHop)+`,"max_width":-1`),
+	queryStep("400 parallelism", q("graph", twoHop)+`,"parallelism":-1`),
+	queryStep("400 max_width", q("graph", twoHop)+`,"max_width":-1`),
+	queryStep("400 trace", q("graph", reachLFP)+`,"engine":"compiled","trace":true`),
+	queryStep("400 indices", q("graph", twoHop)+`,"indices":true`),
 	queryStep("400 negative timeout_ms", q("graph", twoHop)+`,"timeout_ms":-1`),
 	queryStep("400 negative limit", q("graph", twoHop)+`,"limit":-1`),
 	queryStep("400 negative offset", q("graph", twoHop)+`,"offset":-1`),
-	queryStep("400 stream+trace", q("graph", twoHop)+`,"stream":true,"trace":true`),
 	queryStep("400 stream+explain", q("graph", twoHop)+`,"stream":true,"explain":true`),
 	queryStep("404 unknown database", q("nope", twoHop)),
 	queryStep("400 unknown engine", q("graph", twoHop)+`,"engine":"warp"`),
+	queryStep("400 engine bottomup", q("graph", twoHop)+`,"engine":"bottomup"`),
 	queryStep("400 unknown backend", q("graph", twoHop)+`,"engine":"compiled","backend":"columnar"`),
-	queryStep("400 backend without compiled", q("graph", twoHop)+`,"engine":"bottomup","backend":"sparse"`),
-	queryStep("400 explain without compiled", q("graph", twoHop)+`,"engine":"bottomup","explain":true`),
-	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")+`,"engine":"bottomup"`),
-	queryStep("400 width over bound", q("graph", twoHop)+`,"engine":"bottomup","max_width":2`),
-	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")+`,"engine":"bottomup"`),
+	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")+`,"engine":"compiled"`),
+	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")+`,"engine":"compiled"`),
+	queryStep("400 explain outside the compilable fragment", q("graph", "(). exists2 C/1. forall x. C(x)")+`,"explain":true`),
+	queryStep("422 outside the compilable fragment", q("graph", "(). exists2 C/1. forall x. C(x)")),
 
 	queryStep("chain reach compiled", q("chain", chainReach)+`,"engine":"compiled"`),
 	queryStep("chain P compiled", q("chain", "(x). P(x)")+`,"engine":"compiled"`),
-	queryStep("chain reach bottomup", q("chain", chainReach)+`,"engine":"bottomup"`),
+	queryStep("chain hop compiled", q("chain", oneHop)+`,"engine":"compiled"`),
 	{name: "update carries, maintains, invalidates", path: "/db/chain/update",
 		body: `{"updates":[{"relation":"E","insert":[[3,4]]}]}`},
 	queryStep("chain reach compiled, maintained hit", q("chain", chainReach)+`,"engine":"compiled"`),
+	queryStep("chain hop compiled, invalidated", q("chain", oneHop)+`,"engine":"compiled"`),
 	{name: "update noop", path: "/db/chain/update",
 		body: `{"updates":[{"relation":"E","insert":[[3,4]]}]}`},
 	{name: "update 409", path: "/db/chain/update",
@@ -186,10 +186,10 @@ func runGoldenScriptWith(t testing.TB, share bool) (*serve.Server, []byte) {
 	// The span tree of one LFP evaluation: shape and fixpoint counters, not
 	// times.
 	var v trace.View
-	if err := json.Unmarshal(httpGet(t, ts.URL+"/debug/traces/"+traceIDs["trace lfp compiled"]), &v); err != nil {
+	if err := json.Unmarshal(httpGet(t, ts.URL+"/debug/traces/"+traceIDs["lfp compiled"]), &v); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&out, "## span tree of \"trace lfp compiled\"\n")
+	fmt.Fprintf(&out, "## span tree of \"lfp compiled\"\n")
 	for _, sp := range v.Spans {
 		parent := "-"
 		if sp.Parent >= 0 {

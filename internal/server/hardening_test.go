@@ -59,8 +59,6 @@ func TestWireFieldValidation(t *testing.T) {
 		req   QueryRequest
 		field string
 	}{
-		{"negative parallelism", QueryRequest{Database: "graph", Query: twoHop, Parallelism: -1}, "parallelism"},
-		{"negative max_width", QueryRequest{Database: "graph", Query: twoHop, MaxWidth: -3}, "max_width"},
 		{"negative timeout_ms", QueryRequest{Database: "graph", Query: twoHop, TimeoutMS: -50}, "timeout_ms"},
 	}
 	for _, c := range cases {
@@ -112,9 +110,9 @@ func TestTimeoutCountsAsErrorAndTimeout(t *testing.T) {
 // the JSON /stats counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"})
-	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"}) // result-cache hit
-	postQuery(t, ts, QueryRequest{Database: "nope", Query: twoHop})                      // 404
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop})
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop}) // result-cache hit
+	postQuery(t, ts, QueryRequest{Database: "nope", Query: twoHop})  // 404
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -185,29 +183,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The latency histogram observes every /query request: the two served
 	// ones under their engine label, the 404 (rejected before engine
 	// resolution) under "unknown". Totals must add up across labels.
-	var count, bottomup float64
+	var count, compiled float64
 	for _, sm := range byName["bvqd_query_latency_seconds"].Samples {
 		if sm.Name == "bvqd_query_latency_seconds_count" {
 			count += sm.Value
-			if sm.Labels["engine"] == "bottomup" {
-				bottomup += sm.Value
+			if sm.Labels["engine"] == "compiled" {
+				compiled += sm.Value
 			}
 		}
 	}
 	if count != float64(st.Queries) {
 		t.Errorf("latency observations = %v, queries = %d", count, st.Queries)
 	}
-	if bottomup != 2 {
-		t.Errorf("bottomup observations = %v, want 2", bottomup)
+	if compiled != 2 {
+		t.Errorf("compiled observations = %v, want 2", compiled)
 	}
 }
 
 // TestBogusEnginesLabelledUnknown: engine names a client makes up do not
 // become label values. After 200 distinct ones the latency family holds the
-// engines that served and "unknown", nothing else.
+// engine that served and "unknown", nothing else.
 func TestBogusEnginesLabelledUnknown(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"})
+	postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "compiled"})
 	for i := 0; i < 200; i++ {
 		postQuery(t, ts, QueryRequest{Database: "graph", Query: twoHop, Engine: "warp" + strconv.Itoa(i)})
 	}
@@ -228,8 +226,8 @@ func TestBogusEnginesLabelledUnknown(t *testing.T) {
 			}
 		}
 	}
-	if len(counts) != 2 || counts["bottomup"] != 1 || counts["unknown"] != 200 {
-		t.Fatalf("latency observations by engine %v, want bottomup 1 and unknown 200", counts)
+	if len(counts) != 2 || counts["compiled"] != 1 || counts["unknown"] != 200 {
+		t.Fatalf("latency observations by engine %v, want compiled 1 and unknown 200", counts)
 	}
 }
 
@@ -364,74 +362,6 @@ func TestEvaluatorPanicIsContained(t *testing.T) {
 	}
 	if resp.Count != 2 {
 		t.Fatalf("post-panic answer wrong: %+v", resp)
-	}
-}
-
-// TestQueryTrace exercises the trace request flag end to end: stage events
-// arrive in order, a traced request never rides the cache or another run,
-// but its result still seeds the cache for untraced followers.
-func TestQueryTrace(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	reach := "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
-
-	code, traced, errResp := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup", Trace: true})
-	if code != http.StatusOK {
-		t.Fatalf("traced request: %d (%s)", code, errResp.Error)
-	}
-	if len(traced.Trace) == 0 {
-		t.Fatal("no trace events returned")
-	}
-	if traced.ResultCached || traced.Coalesced {
-		t.Fatalf("traced request rode someone else's run: %+v", traced)
-	}
-	for i, ev := range traced.Trace {
-		if ev.Engine != "bottomup" || ev.Op != "lfp" || ev.Fixpoint != "S" {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-		if ev.Stage != i+1 {
-			t.Fatalf("event %d: stage %d", i, ev.Stage)
-		}
-	}
-	if traced.TraceTruncated {
-		t.Fatalf("tiny trace reported truncated")
-	}
-	if traced.Stats == nil || int64(len(traced.Trace)) != traced.Stats.FixIterations {
-		t.Fatalf("trace length %d != fix_iterations %v", len(traced.Trace), traced.Stats)
-	}
-
-	// The traced run stored its result: an untraced repeat is a cache hit
-	// and carries no trace.
-	code, repeat, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup"})
-	if code != http.StatusOK || !repeat.ResultCached {
-		t.Fatalf("untraced repeat not served from cache: %d %+v", code, repeat)
-	}
-	if len(repeat.Trace) != 0 {
-		t.Fatalf("cache hit returned a trace: %+v", repeat.Trace)
-	}
-
-	// A second traced request evaluates fresh again — its trace must be its
-	// own, not the cached answer's absence of one.
-	code, retraced, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: reach, Engine: "bottomup", Trace: true})
-	if code != http.StatusOK || retraced.ResultCached || len(retraced.Trace) == 0 {
-		t.Fatalf("re-traced request: %d %+v", code, retraced)
-	}
-}
-
-// TestQueryTraceTruncation runs the 2^13-stage counter query traced: the
-// response must cap the trace at maxTraceEvents and flag the truncation.
-func TestQueryTraceTruncation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{
-		"ord": orderedDB(t, 13),
-	}})
-	code, resp, errResp := postQuery(t, ts, QueryRequest{Database: "ord", Query: counterText, Trace: true})
-	if code != http.StatusOK {
-		t.Fatalf("status = %d (%s)", code, errResp.Error)
-	}
-	if len(resp.Trace) != maxTraceEvents {
-		t.Fatalf("trace length = %d, want the %d cap", len(resp.Trace), maxTraceEvents)
-	}
-	if !resp.TraceTruncated {
-		t.Fatal("truncation not flagged")
 	}
 }
 

@@ -38,7 +38,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"End-to-end /query handling latency by evaluation engine.",
 			"engine", metrics.DefBuckets),
 		statuses: r.NewCounterVec("bvqd_responses_total",
-			"Responses to /query by HTTP status code.", "code"),
+			"Responses to /query and /db/{name}/update by HTTP status code.", "code"),
 		backends: r.NewCounterVec("bvqd_queries_by_backend_total",
 			"Requests by requested relation backend (auto, dense, sparse).", "backend"),
 		stages: r.NewHistogramVec("bvqd_stage_seconds",

@@ -10,13 +10,17 @@ import (
 	"strconv"
 	"time"
 
-	"repro"
 	"repro/internal/cache"
 	"repro/internal/database"
 	"repro/internal/eval"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/trace"
 )
+
+// engineCompiled is the one engine bvqd serves: the plan executor. The other
+// engines are in-process exhibits and oracles (bvq -engine, bvq.Eval).
+const engineCompiled = "compiled"
 
 // query is one /query request on its way through the pipeline. resolve fills
 // everything down to direct; the steps after it only read those fields and
@@ -38,7 +42,6 @@ type query struct {
 	// but never touch the snapshot value, so evaluation, cache key and answer
 	// rendering are consistent.
 	snap        *database.Database
-	engine      bvq.Engine
 	engineName  string // "" until the engine resolves
 	backendName string
 	wireBackend string // backendName when the request named a backend: the responses' echo
@@ -47,8 +50,8 @@ type query struct {
 	opts        eval.Options // Observe: the fresh run's observer, when anything reads it
 	key         string
 	// direct: the request runs its own evaluation — no cache read, no
-	// coalescing. A traced or explained answer must come with this run's
-	// trace and profile, not someone else's (or none).
+	// coalescing. An explained answer must come with this run's profile, not
+	// someone else's (or none).
 	direct bool
 
 	status     int
@@ -61,8 +64,8 @@ type query struct {
 // evalOutcome is what lookup or one evaluation produces, shared between
 // coalesced requests — the partial statistics of a cancelled run included.
 // answer is the whole answer in the one form both writers window and the
-// cache keeps, whoever produced it: the executor's head as it stands, its
-// compacted form once kept, an exhibit engine's Set. text is a hit's stored
+// cache keeps, whoever produced it: the executor's head as it stands or its
+// compacted form once kept. text is a hit's stored
 // row text (storedRows); a miss has none.
 type evalOutcome struct {
 	answer relation.View
@@ -132,7 +135,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
 }
 
 // resolve turns the request body into everything evaluation needs: decoded
-// and validated fields, the pinned snapshot, engine and backend, the plan
+// and validated fields, the pinned snapshot, the backend, the plan
 // (under the compile span), the deadline, the options and the cache key. Its
 // error is the 400 or 404 to answer.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int, error) {
@@ -143,21 +146,14 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		return bodyErrorStatus(err), fmt.Errorf("decoding request: %w", err)
 	}
 	// Validate numeric wire fields up front: a negative value is always a
-	// client bug, and letting it through would select unintended semantics
-	// (e.g. a negative width bound disabling the Lᵏ check).
+	// client bug, and letting it through would select unintended semantics.
 	switch {
-	case req.Parallelism < 0:
-		return http.StatusBadRequest, fmt.Errorf("invalid parallelism %d: must be ≥ 0 (0 means GOMAXPROCS)", req.Parallelism)
-	case req.MaxWidth < 0:
-		return http.StatusBadRequest, fmt.Errorf("invalid max_width %d: must be ≥ 0 (0 means unbounded)", req.MaxWidth)
 	case req.TimeoutMS < 0:
 		return http.StatusBadRequest, fmt.Errorf("invalid timeout_ms %d: must be ≥ 0 (0 means the server default)", req.TimeoutMS)
 	case req.Limit < 0:
 		return http.StatusBadRequest, fmt.Errorf("invalid limit %d: must be ≥ 0 (0 means all tuples)", req.Limit)
 	case req.Offset < 0:
 		return http.StatusBadRequest, fmt.Errorf("invalid offset %d: must be ≥ 0", req.Offset)
-	case req.Stream && req.Trace:
-		return http.StatusBadRequest, fmt.Errorf("trace is not supported with stream: the trace belongs to the JSON response body")
 	case req.Stream && req.Explain:
 		return http.StatusBadRequest, fmt.Errorf("explain is not supported with stream: the plan profile belongs to the JSON response body")
 	}
@@ -166,24 +162,13 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		return http.StatusNotFound, fmt.Errorf("unknown database %q", req.Database)
 	}
 	q.nd, q.snap = nd, nd.snap.Load()
-	name := req.Engine
-	if name == "" {
-		name = bvq.EngineCompiled.String()
+	if req.Engine != "" && req.Engine != engineCompiled {
+		return http.StatusBadRequest, fmt.Errorf("unknown engine %q: bvqd serves %q only (run the others in-process with bvq -engine)", req.Engine, engineCompiled)
 	}
-	var err error
-	if q.engine, err = bvq.EngineByName(name); err != nil {
-		return http.StatusBadRequest, err
-	}
-	q.engineName = name
+	q.engineName = engineCompiled
 	backend, err := eval.BackendByName(req.Backend)
 	if err != nil {
 		return http.StatusBadRequest, err
-	}
-	if backend != eval.BackendAuto && q.engine != bvq.EngineCompiled {
-		return http.StatusBadRequest, fmt.Errorf("backend %q requires the compiled engine (got %q)", backend, q.engineName)
-	}
-	if req.Explain && q.engine != bvq.EngineCompiled {
-		return http.StatusBadRequest, fmt.Errorf("explain requires the compiled engine (got %q): only compiled queries have a plan DAG", q.engineName)
 	}
 	q.backendName = backend.String()
 	if req.Backend != "" {
@@ -199,9 +184,6 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	if req.Explain && q.pl.Prepared == nil {
 		return http.StatusBadRequest, fmt.Errorf("explain: query is outside the compilable fragment (no plan DAG)")
 	}
-	if req.MaxWidth > 0 && q.pl.Width > req.MaxWidth {
-		return http.StatusBadRequest, fmt.Errorf("query width %d exceeds bound k=%d", q.pl.Width, req.MaxWidth)
-	}
 
 	q.ctx = r.Context()
 	timeout := s.defaultTimeout
@@ -214,13 +196,13 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	if timeout > 0 {
 		q.ctx, q.cancel = context.WithTimeout(q.ctx, timeout)
 	}
-	q.opts = eval.Options{MaxWidth: req.MaxWidth, Parallelism: req.Parallelism, Backend: backend}
+	q.opts = eval.Options{Backend: backend}
 	// The observer, installed by evaluate, never changes answers, so it is
-	// excluded from the result key: traced and untraced runs share cache
+	// excluded from the result key: observed and unobserved runs share cache
 	// entries. The key names the content of the relations the query reads, so
 	// a snapshot that differs elsewhere mints the same key.
 	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint), q.engineName, &q.opts, req.Query)
-	if q.direct = req.NoCache || req.Trace || req.Explain; !q.direct {
+	if q.direct = req.NoCache || req.Explain; !q.direct {
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
 	}
 	return 0, nil
@@ -250,12 +232,12 @@ const maxTextRows = 1 << 16
 // storedRows returns the whole answer as the entry's row text, rendering it
 // on the first hit that asks: the rows appendRows writes with no window, in
 // domain values. It returns nil, and the request renders through the cursor,
-// for a miss, a window, indices, a Boolean query, an answer over maxTextRows,
+// for a miss, a window, a Boolean query, an answer over maxTextRows,
 // and a hit from a snapshot of another domain: entries are shared by content
 // in index space, so the stored values are right only over the domain they
 // were rendered from.
 func (q *query) storedRows(out evalOutcome) []byte {
-	if out.text == nil || q.req.Offset > 0 || q.req.Limit > 0 || q.req.Indices || q.pl.Query.Arity() == 0 {
+	if out.text == nil || q.req.Offset > 0 || q.req.Limit > 0 || q.pl.Query.Arity() == 0 {
 		return nil
 	}
 	domain := q.snap.Domain()
@@ -277,23 +259,17 @@ func (q *query) storedRows(out evalOutcome) []byte {
 	return rows
 }
 
-// engineCall is the one engine call: the whole answer as a View. The compiled
-// engine reuses the DAG plan prepared when the query entered the plan cache,
-// restarts from prev when resume found one, hands back the executor's head as
-// it stands and captures maintenance state beside it; a nil Prepared
-// (non-compilable fragment) takes the generic path, which recompiles and
-// surfaces the real error, and so do the exhibit engines, whose answer is a
-// Set.
+// engineCall is the one engine call: the whole answer as a View. It reuses
+// the DAG plan prepared when the query entered the plan cache, restarts from
+// prev when resume found one, hands back the executor's head as it stands and
+// captures maintenance state beside it. A nil Prepared (a text outside the
+// compilable fragment) recompiles to surface the compiler's error.
 func engineCall(q *query, prev *eval.MaintState) (out evalOutcome) {
-	if q.engine == bvq.EngineCompiled && q.pl.Prepared != nil {
-		out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, prev, true)
+	if q.pl.Prepared == nil {
+		_, out.err = plan.Compile(q.pl.Query)
 		return out
 	}
-	var set *relation.Set
-	set, out.stats, out.err = bvq.EvalStatsContext(q.ctx, q.pl.Query, q.snap, q.engine, &q.opts)
-	if out.err == nil {
-		out.answer = set // not before: a nil *Set is not a nil View
-	}
+	out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, prev, true)
 	return out
 }
 
@@ -322,14 +298,10 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 		s.limiter.release()
 	}()
 	// At most one observer per request, and only when something will read
-	// it: the response's trace, explain's totals, or a live span. Only
-	// explain times nodes; an unobserved run has none and skips the hooks.
-	if q.req.Trace || q.req.Explain || esp != nil {
-		logCap := 0
-		if q.req.Trace {
-			logCap = maxTraceEvents
-		}
-		q.opts.Observe = eval.NewObserver(logCap, q.req.Explain)
+	// it: explain's totals or a live span. Only explain times nodes; an
+	// unobserved run has none and skips the hooks.
+	if q.req.Explain || esp != nil {
+		q.opts.Observe = eval.NewObserver(0, q.req.Explain)
 	}
 	// A panic becomes an error — shared with coalesced followers, answered
 	// 500. Slot and gauge still go back.
@@ -407,7 +379,7 @@ func (s *Server) store(key string, res cache.Result, n int) relation.View {
 // it stands. No lock and no check that q.snap is still current: the key names
 // the content the run read, so the entry is right whenever that content is
 // asked for again and unreachable otherwise. Maintenance state is captured by
-// compiled runs of a prepared plan only.
+// runs of a prepared plan only.
 func (s *Server) keep(q *query, out evalOutcome) relation.View {
 	if q.req.NoCache || q.req.Stream && (q.req.Limit > 0 || q.req.Offset > 0) {
 		return out.answer
@@ -517,7 +489,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		*bp = append((*bp)[:0], "[]"...)
 		rows = *bp
 	case rows == nil:
-		*bp = appendRows((*bp)[:0], en, q.req.Offset, q.req.Limit, q.rowValue())
+		*bp = appendRows((*bp)[:0], en, q.req.Offset, q.req.Limit, q.snap.Value)
 		rows = *bp
 	}
 	xsp.End()
@@ -525,15 +497,6 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		// The deadline fired while the answer was being rendered.
 		s.rejectEval(w, q, evalOutcome{stats: out.stats, err: err})
 		return
-	}
-	if q.req.Trace {
-		obs := q.opts.Observe
-		resp.Trace = make([]TraceStageJSON, len(obs.Log))
-		for i, ev := range obs.Log {
-			resp.Trace[i] = TraceStageJSON{Engine: ev.Engine, Fixpoint: ev.Fixpoint, Op: ev.Op, Stage: ev.Stage,
-				Tuples: ev.Tuples, Delta: ev.Delta, ElapsedUS: float64(ev.Elapsed.Nanoseconds()) / 1000}
-		}
-		resp.TraceTruncated = obs.Truncated
 	}
 	resp.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
 

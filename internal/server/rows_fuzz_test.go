@@ -34,7 +34,7 @@ func FuzzAppendRows(f *testing.F) {
 		}
 		value := func(i int) int { return values[i] }
 		if indices {
-			value = nil
+			value = func(i int) int { return i }
 		}
 
 		want := [][]int{}

@@ -5,9 +5,8 @@
 // (Durand–Grandjean) frames exactly this split: amortize preprocessing,
 // then answer many queries cheaply. The preprocessing amortized here:
 //
-//   - parse + width computation — and, for the compiled engine, the full
-//     DAG plan (internal/plan) — memoized in an LRU plan cache keyed by
-//     query text;
+//   - parse + width computation and the full DAG plan (internal/plan),
+//     memoized in an LRU plan cache keyed by query text;
 //   - whole evaluations, memoized in an LRU result cache keyed by
 //     (content of the relations the query reads, engine, options, query
 //     text) — sound because a query's value is a function of that content
@@ -15,12 +14,11 @@
 //   - concurrent identical requests, JSON and streamed alike, coalesced by
 //     single-flight dedup so a thundering herd costs one evaluation.
 //
-// Every request carries its own engine (the compiled one unless it says
-// otherwise), parallelism and deadline; deadlines are enforced by context
-// cancellation at fixpoint-stage boundaries — the plan executor's stage loop,
-// the formula walker's (eval.BottomUpContext) under each of its three rules —
-// so a timed-out request returns within one stage of its deadline with the
-// partial work statistics it accumulated.
+// Every request runs the compiled engine, the plan executor; the paper's
+// other algorithms are in-process exhibits and oracles (bvq -engine). Each
+// request carries its own deadline, enforced by context cancellation at the
+// executor's fixpoint-stage boundaries, so a timed-out request returns within
+// one stage of its deadline with the partial work statistics it accumulated.
 //
 // Sustained traffic gets three more layers (see OPERATIONS.md):
 //
@@ -28,8 +26,8 @@
 //     wait queue in front of evaluation; overload is answered 429 with a
 //     Retry-After header instead of queueing without bound;
 //   - observability: Prometheus text-format metrics on GET /metrics,
-//     per-stage fixpoint tracing via the request's trace flag, and
-//     structured slow-query logs (log/slog JSON) keyed by request ID;
+//     lifecycle traces with one span per fixpoint on GET /debug/traces,
+//     and structured slow-query logs (log/slog JSON) keyed by request ID;
 //   - panic containment: an evaluator panic is recovered, counted, and
 //     answered 500 — it never takes down the daemon or strands coalesced
 //     followers.
@@ -131,11 +129,6 @@ const (
 	DefaultResultCacheSize = 4096
 	nodeCacheBytes         = 64 << 20 // the server's one eval.NodeStore; no flag until two deployments need two budgets
 )
-
-// maxTraceEvents caps the per-request trace a traced evaluation may return:
-// a runaway PFP sweep can produce millions of stage events, and the trace
-// is a debugging aid, not a firehose. Truncation is flagged in the response.
-const maxTraceEvents = 4096
 
 // errEvalPanic wraps a recovered evaluator panic; the handler maps it to a
 // 500 response.
@@ -286,21 +279,13 @@ type QueryRequest struct {
 	Database string `json:"database"`
 	// Query is the query text, e.g. "(x, y). exists z. E(x, z) & E(z, y)".
 	Query string `json:"query"`
-	// Engine selects the evaluation algorithm (bottomup, naive, monotone,
-	// eso, certified, compiled). Empty means compiled.
+	// Engine is empty or compiled, the one engine bvqd serves; any other
+	// name is a 400.
 	Engine string `json:"engine,omitempty"`
-	// Backend selects the compiled engine's relation representation: auto
-	// (default — the cheaper route by plan.Density's cost model), dense (force
-	// the full-width nᵏ bitmap engine) or sparse (force sorted tuple blocks). Only the
-	// compiled engine understands backends; any other engine with a non-auto
-	// backend is a 400.
+	// Backend selects the relation representation: auto (default — the
+	// cheaper route by plan.Density's cost model), dense (force the
+	// full-width nᵏ bitmap engine) or sparse (force sorted tuple blocks).
 	Backend string `json:"backend,omitempty"`
-	// MaxWidth rejects queries of width > MaxWidth (the Lᵏ membership
-	// check). 0 means unbounded; negative is a 400.
-	MaxWidth int `json:"max_width,omitempty"`
-	// Parallelism bounds the PFP sweep's worker pool. 0 means GOMAXPROCS;
-	// negative is a 400. Does not affect answers, only latency.
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS is this request's evaluation deadline in milliseconds,
 	// clamped to the server's maximum. 0 means the server default;
 	// negative is a 400.
@@ -308,21 +293,12 @@ type QueryRequest struct {
 	// NoCache bypasses the result cache and single-flight dedup: the
 	// request always evaluates fresh and does not store its result.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Trace returns the evaluation's fixpoint-stage trace in the response.
-	// A traced request always evaluates fresh (no cache read, no
-	// coalescing — the trace must describe this run), but its result is
-	// still stored unless no_cache is also set.
-	Trace bool `json:"trace,omitempty"`
-	// Indices reports answer tuples as domain indices 0..n−1 instead of
-	// raw domain values.
-	Indices bool `json:"indices,omitempty"`
 	// Stream switches the response to NDJSON (application/x-ndjson): a
 	// header line, one line per answer tuple flushed as it decodes, and a
 	// trailer line with the final statistics. A stream is looked up,
 	// coalesced and evaluated exactly like a JSON request; only the
 	// extraction differs: a LIMIT-k stream decodes k tuples, and a windowed
-	// stream that had to evaluate keeps nothing in the result cache. Trace is
-	// not supported with stream.
+	// stream that had to evaluate keeps nothing in the result cache.
 	Stream bool `json:"stream,omitempty"`
 	// Limit caps how many answer tuples are returned (after Offset).
 	// 0 means all. The JSON response's count field (and the stream
@@ -335,10 +311,10 @@ type QueryRequest struct {
 	Offset int `json:"offset,omitempty"`
 	// Explain returns the compiled plan DAG annotated with the density
 	// decision, maintenance eligibility and backend route, plus per-node
-	// wall time and per-binder stage counts from this run. Requires the
-	// compiled engine; like trace, an explained request always evaluates
-	// fresh (the annotations must describe this run). Not supported with
-	// stream.
+	// wall time and per-binder stage counts from this run. An explained
+	// request always evaluates fresh (the annotations must describe this
+	// run), and still stores its result unless no_cache is also set. Not
+	// supported with stream.
 	Explain bool `json:"explain,omitempty"`
 }
 
@@ -369,30 +345,14 @@ type QueryResponse struct {
 	// ElapsedMS is the server-side handling time of this request.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Stats is the engine work of the evaluation that produced the answer
-	// (the original run's, when served from cache); nil for engines that
-	// do not report statistics.
+	// (the original run's, when served from cache).
 	Stats *StatsJSON `json:"stats,omitempty"`
-	// Trace is the fixpoint-stage trace when the request set trace;
-	// TraceTruncated reports that it was cut at the event cap.
-	Trace          []TraceStageJSON `json:"trace,omitempty"`
-	TraceTruncated bool             `json:"trace_truncated,omitempty"`
 	// TraceID is the W3C trace ID of this request's lifecycle trace when the
 	// flight recorder sampled it; the trace is retrievable at
 	// GET /debug/traces/{id} until it ages out of the ring.
 	TraceID string `json:"trace_id,omitempty"`
 	// Explain is the annotated plan DAG when the request set explain.
 	Explain *plan.Explain `json:"explain,omitempty"`
-}
-
-// TraceStageJSON is one fixpoint stage of a traced evaluation.
-type TraceStageJSON struct {
-	Engine    string  `json:"engine"`
-	Fixpoint  string  `json:"fixpoint"`
-	Op        string  `json:"op"`
-	Stage     int     `json:"stage"`
-	Tuples    int     `json:"tuples"`
-	Delta     int     `json:"delta"`
-	ElapsedUS float64 `json:"elapsed_us"`
 }
 
 // ErrorResponse is the /query error body.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // graphDB is the four-element path 10→20→30→40 with P = {10}.
@@ -97,7 +97,7 @@ func resultKey(t testing.TB, db *database.Database, req QueryRequest) string {
 	if engine == "" {
 		engine = "compiled"
 	}
-	return cache.ResultKey(db.ContentID(logic.Footprint(q.Body)), engine, &eval.Options{MaxWidth: req.MaxWidth, Backend: backend}, req.Query)
+	return cache.ResultKey(db.ContentID(logic.Footprint(q.Body)), engine, &eval.Options{Backend: backend}, req.Query)
 }
 
 func postQuery(t testing.TB, ts *serve.Server, req QueryRequest) (int, QueryResponse, ErrorResponse) {
@@ -170,11 +170,7 @@ func TestQueryBasic(t *testing.T) {
 
 func TestQueryIndicesAndBoolean(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, resp, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: "(x). P(x)", Indices: true})
-	if code != http.StatusOK || fmt.Sprint(resp.Answer) != "[[0]]" {
-		t.Fatalf("indices answer = %v (code %d)", resp.Answer, code)
-	}
-	code, resp, _ = postQuery(t, ts, QueryRequest{Database: "graph", Query: "(). exists x. P(x)"})
+	code, resp, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: "(). exists x. P(x)"})
 	if code != http.StatusOK || resp.Truth == nil || !*resp.Truth {
 		t.Fatalf("boolean resp = %+v (code %d)", resp, code)
 	}
@@ -275,32 +271,38 @@ func TestDeterministicAcrossCacheModes(t *testing.T) {
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
-		name string
-		req  QueryRequest
-		want int
+		name    string
+		req     QueryRequest
+		want    int
+		mention string // what the error message must name, if anything
 	}{
-		{"bad query text", QueryRequest{Database: "graph", Query: "(x). Nope("}, http.StatusBadRequest},
-		{"unknown database", QueryRequest{Database: "nope", Query: twoHop}, http.StatusNotFound},
-		{"unknown engine", QueryRequest{Database: "graph", Query: twoHop, Engine: "warpdrive"}, http.StatusBadRequest},
-		{"width bound", QueryRequest{Database: "graph", Query: twoHop, MaxWidth: 2}, http.StatusBadRequest},
-		{"unknown relation", QueryRequest{Database: "graph", Query: "(x). Zap(x)"}, http.StatusUnprocessableEntity},
+		{"bad query text", QueryRequest{Database: "graph", Query: "(x). Nope("}, http.StatusBadRequest, ""},
+		{"unknown database", QueryRequest{Database: "nope", Query: twoHop}, http.StatusNotFound, ""},
+		{"unknown engine", QueryRequest{Database: "graph", Query: twoHop, Engine: "bottomup"}, http.StatusBadRequest, "compiled"},
+		{"unknown relation", QueryRequest{Database: "graph", Query: "(x). Zap(x)"}, http.StatusUnprocessableEntity, ""},
+		{"outside the compilable fragment", QueryRequest{Database: "graph", Query: "(). exists2 C/1. forall x. C(x)"}, http.StatusUnprocessableEntity, "plan: "},
 	}
 	for _, c := range cases {
 		code, _, errResp := postQuery(t, ts, c.req)
 		if code != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, code, c.want)
 		}
-		if errResp.Error == "" {
-			t.Errorf("%s: empty error body", c.name)
+		if errResp.Error == "" || !strings.Contains(errResp.Error, c.mention) {
+			t.Errorf("%s: error %q does not name %q", c.name, errResp.Error, c.mention)
 		}
 	}
 	// Not JSON at all.
 	if code, _ := postRaw(t, ts, []byte("not json")); code != http.StatusBadRequest {
 		t.Errorf("non-JSON body: status = %d", code)
 	}
-	// Unknown fields are rejected (schema discipline).
-	if code, _ := postRaw(t, ts, []byte(`{"database":"graph","query":"(x). P(x)","frobnicate":1}`)); code != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d", code)
+	// Unknown fields are rejected (schema discipline), the fields bvqd no
+	// longer has among them, with a message naming the field.
+	for _, field := range []string{"trace", "parallelism", "indices", "max_width"} {
+		code, raw := postRaw(t, ts, []byte(`{"database":"graph","query":"(x). P(x)","`+field+`":1}`))
+		var bad ErrorResponse
+		if err := json.Unmarshal(raw, &bad); err != nil || code != http.StatusBadRequest || !strings.Contains(bad.Error, `"`+field+`"`) {
+			t.Errorf("unknown field %s: status %d, body %s", field, code, raw)
+		}
 	}
 	st := getStats(t, ts)
 	if st.Errors == 0 {
@@ -308,51 +310,37 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-// tcText is transitive closure at width 3: one stage per path length, each a
-// pass over n³ bits.
-const tcText = `(x, y). [lfp T(x, y). E(x, y) | (exists z. E(x, z) & (exists x. x = z & T(x, y)))](x, y)`
-
-// TestDeadlineReturns504 sends runs far longer than their deadline — the
-// 2^16-stage counter on the default engine, and transitive closure of a
-// 128-node line through the certified engine, whose prover used to run to
-// completion whatever the deadline said: the server must answer 504 well
-// before the full run would finish, carrying the partial iteration count the
-// engine had reached, with the evaluation slot given back.
+// TestDeadlineReturns504 sends a run far longer than its deadline, the
+// 2^16-stage counter: the server must answer 504 well before the full run
+// would finish, carrying the partial iteration count the engine had reached,
+// with the evaluation slot given back.
 func TestDeadlineReturns504(t *testing.T) {
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{
-		"ord":  orderedDB(t, 16),
-		"line": workload.LineGraph(128),
+		"ord": orderedDB(t, 16),
 	}})
-	for i, req := range []QueryRequest{
-		{Database: "ord", Query: counterText, TimeoutMS: 50},
-		{Database: "line", Query: tcText, Engine: "certified", TimeoutMS: 20},
-	} {
-		start := time.Now()
-		code, _, errResp := postQuery(t, ts, req)
-		elapsed := time.Since(start)
-		if code != http.StatusGatewayTimeout {
-			t.Fatalf("%s: status = %d (%s)", req.Engine, code, errResp.Error)
-		}
-		// The closure takes 128 stages: a run stopped at a stage boundary
-		// reports fewer.
-		if errResp.Stats == nil || errResp.Stats.FixIterations == 0 || (req.Engine == "certified" && errResp.Stats.FixIterations >= 128) {
-			t.Fatalf("%s: missing partial stats: %+v", req.Engine, errResp.Stats)
-		}
-		// The full runs take ~500ms; cancellation at a stage boundary must come
-		// back far sooner (generous bound for loaded CI machines).
-		if elapsed > 5*time.Second {
-			t.Fatalf("%s: 504 took %v", req.Engine, elapsed)
-		}
-		st := getStats(t, ts)
-		if st.Timeouts != int64(i+1) {
-			t.Fatalf("%s: timeout counter = %d", req.Engine, st.Timeouts)
-		}
-		if st.InFlight.Evals != 0 {
-			t.Fatalf("%s: %d evaluation slots still held after the 504", req.Engine, st.InFlight.Evals)
-		}
-		if st.Eval.FixIterations == 0 {
-			t.Fatal("partial work not folded into aggregate counters")
-		}
+	start := time.Now()
+	code, _, errResp := postQuery(t, ts, QueryRequest{Database: "ord", Query: counterText, TimeoutMS: 50})
+	elapsed := time.Since(start)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d (%s)", code, errResp.Error)
+	}
+	if errResp.Stats == nil || errResp.Stats.FixIterations == 0 {
+		t.Fatalf("missing partial stats: %+v", errResp.Stats)
+	}
+	// The full run takes ~500ms; cancellation at a stage boundary must come
+	// back far sooner (generous bound for loaded CI machines).
+	if elapsed > 5*time.Second {
+		t.Fatalf("504 took %v", elapsed)
+	}
+	st := getStats(t, ts)
+	if st.Timeouts != 1 {
+		t.Fatalf("timeout counter = %d", st.Timeouts)
+	}
+	if st.InFlight.Evals != 0 {
+		t.Fatalf("%d evaluation slots still held after the 504", st.InFlight.Evals)
+	}
+	if st.Eval.FixIterations == 0 {
+		t.Fatal("partial work not folded into aggregate counters")
 	}
 }
 

@@ -51,29 +51,17 @@ type StreamTrailer struct {
 }
 
 // appendRow appends one answer tuple as its wire row — the JSON array of its
-// components' values, or of the components themselves (domain indices) when
-// value is nil — byte for byte what encoding/json renders for the same []int.
+// components' values — byte for byte what encoding/json renders for the same
+// []int.
 func appendRow(b []byte, t relation.Tuple, value func(int) int) []byte {
 	b = append(b, '[')
 	for j, v := range t {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		if value != nil {
-			v = value(v)
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
+		b = strconv.AppendInt(b, int64(value(v)), 10)
 	}
 	return append(b, ']')
-}
-
-// rowValue is appendRow's value for this request: nil when it asked for
-// indices, else the snapshot's domain values.
-func (q *query) rowValue() func(int) int {
-	if q.req.Indices {
-		return nil
-	}
-	return q.snap.Value
 }
 
 // rowBufs pools the buffers both writers render rows into.
@@ -176,7 +164,6 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	dsp := q.root.Start(trace.SpanStreamDrain)
 	defer dsp.End()
 	var wd windowed
-	value := q.rowValue()
 	disconnected := false
 	// line delivers one row — its stored bytes, or t rendered when row is nil —
 	// under the contract, reporting false once the client is gone.
@@ -187,7 +174,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		if row != nil {
 			lb.buf = append(lb.buf, row...)
 		} else {
-			lb.buf = appendRow(lb.buf, t, value)
+			lb.buf = appendRow(lb.buf, t, q.snap.Value)
 		}
 		lb.buf = append(lb.buf, '\n')
 		if wd.delivered == 0 || len(lb.buf) >= streamFlushBytes || lb.aged.Load() {

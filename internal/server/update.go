@@ -18,9 +18,6 @@ type UpdateRequest struct {
 	// Updates lists per-relation changes. Within the whole batch, deletes
 	// apply before inserts, so a tuple in both lists ends up present.
 	Updates []UpdateEntry `json:"updates"`
-	// Indices interprets tuple components as domain indices 0..n−1 instead
-	// of raw domain values (the /query "indices" convention).
-	Indices bool `json:"indices,omitempty"`
 	// BaseVersion, when set, makes the update conditional: if the database's
 	// current version differs, nothing is applied and the response is 409
 	// (optimistic concurrency for read-modify-write clients).
@@ -126,7 +123,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Validate against the current snapshot. Signature, domain and index map
 	// are fixed per lineage, so a concurrent update cannot un-validate what
 	// passes here.
-	ups, err := convertUpdates(nd.snap.Load(), req.Updates, req.Indices)
+	ups, err := convertUpdates(nd.snap.Load(), req.Updates)
 	if err != nil {
 		fail(http.StatusBadRequest, err)
 		return
@@ -190,9 +187,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // convertUpdates validates the wire entries against db and converts them to
-// database.Update values (raw domain values). Errors name the offending wire
-// field, e.g. "updates[1].insert[0]: ...".
-func convertUpdates(db *database.Database, entries []UpdateEntry, indices bool) ([]database.Update, error) {
+// database.Update values. Errors name the offending wire field, e.g.
+// "updates[1].insert[0]: ...".
+func convertUpdates(db *database.Database, entries []UpdateEntry) ([]database.Update, error) {
 	out := make([]database.Update, 0, len(entries))
 	for i, e := range entries {
 		if e.Relation == "" {
@@ -211,14 +208,6 @@ func convertUpdates(db *database.Database, entries []UpdateEntry, indices bool) 
 				}
 				t := make(relation.Tuple, len(row))
 				for c, v := range row {
-					if indices {
-						if v < 0 || v >= db.Size() {
-							return nil, fmt.Errorf("updates[%d].%s[%d]: index %d out of range [0,%d)",
-								i, field, j, v, db.Size())
-						}
-						t[c] = db.Value(v)
-						continue
-					}
 					if _, ok := db.Index(v); !ok {
 						return nil, fmt.Errorf("updates[%d].%s[%d]: value %d is not in the domain (domains are fixed per database)",
 							i, field, j, v)

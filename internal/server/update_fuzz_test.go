@@ -65,13 +65,7 @@ func FuzzUpdateBody(f *testing.F) {
 		for _, e := range req.Updates {
 			conv := func(rows [][]int) (out []relation.Tuple) {
 				for _, row := range rows {
-					tp := relation.Tuple(slices.Clone(row))
-					for i, v := range tp {
-						if req.Indices {
-							tp[i] = model.Value(v)
-						}
-					}
-					out = append(out, tp)
+					out = append(out, relation.Tuple(slices.Clone(row)))
 				}
 				return out
 			}

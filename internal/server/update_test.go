@@ -110,23 +110,6 @@ func TestUpdateBasic(t *testing.T) {
 	}
 }
 
-func TestUpdateIndicesMode(t *testing.T) {
-	// graphDB's domain is {10,20,30,40}; in indices mode tuple components
-	// are positions 0..3, so inserting (3,0) means E(40,10).
-	_, ts := newTestServer(t, Config{})
-	code, up, _ := postUpdate(t, ts, "graph", UpdateRequest{
-		Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{3, 0}}}},
-		Indices: true,
-	})
-	if code != http.StatusOK || up.Inserted != 1 {
-		t.Fatalf("indices update: status %d resp %+v", code, up)
-	}
-	code, q, _ := postQuery(t, ts, QueryRequest{Database: "graph", Query: "(x, y). E(x, y)"})
-	if code != http.StatusOK || fmt.Sprint(q.Answer) != "[[10 20] [20 30] [30 40] [40 10]]" {
-		t.Fatalf("edges after indices insert: %v", q.Answer)
-	}
-}
-
 func TestUpdateValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -134,7 +117,7 @@ func TestUpdateValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		db   string
-		req  UpdateRequest
+		req  any // an UpdateRequest, or a raw body bvqd's schema does not have
 		code int
 		want string
 	}{
@@ -164,16 +147,24 @@ func TestUpdateValidation(t *testing.T) {
 				{Relation: "P", Delete: [][]int{{99}}},
 			}},
 			http.StatusBadRequest, "updates[1].delete[0]: value 99 is not in the domain"},
-		{"index out of range", "graph",
-			UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{0, 4}}}}, Indices: true},
-			http.StatusBadRequest, "updates[0].insert[0]: index 4 out of range [0,4)"},
+		{"index out of range", "graph", // an index-mode body: indices is not a field
+			json.RawMessage(`{"updates":[{"relation":"E","insert":[[0,4]]}],"indices":true}`),
+			http.StatusBadRequest, `unknown field "indices"`},
 		{"base_version mismatch", "graph",
 			UpdateRequest{Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{40, 10}}}}, BaseVersion: &v7},
 			http.StatusConflict, "base_version 7 does not match current version 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, bad := postUpdate(t, ts, tc.db, tc.req)
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, raw := postUpdateRaw(t, ts, tc.db, body)
+			var bad ErrorResponse
+			if err := json.Unmarshal(raw, &bad); err != nil {
+				t.Fatalf("decoding error body %q: %v", raw, err)
+			}
 			if code != tc.code {
 				t.Fatalf("status %d, want %d (error %q)", code, tc.code, bad.Error)
 			}
@@ -214,26 +205,28 @@ func TestUpdateValidation(t *testing.T) {
 
 // TestUpdateCacheChurn exercises the three outcomes of the first read after
 // one update: a result whose footprint misses the delta is a hit under its
-// unchanged key, a compiled result with maintenance state is maintained by the
-// read (and visibly reflects the delta), and an uncompiled-engine result on a
-// touched footprint is evaluated fresh. The plan cache must survive all of it.
+// unchanged key, a result with maintenance state is maintained by the read
+// (and visibly reflects the delta), and a result of a plan with no seedable
+// fixpoint on a touched footprint is evaluated fresh. The plan cache must
+// survive all of it.
 func TestUpdateCacheChurn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"chain": chainDB(t)}})
 
 	reach := "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
 	pOnly := "(x). P(x)"
+	hop := "(x). exists y. E(x, y)"
 
-	mustQuery := func(query, engine string) QueryResponse {
+	mustQuery := func(query string) QueryResponse {
 		t.Helper()
-		code, q, bad := postQuery(t, ts, QueryRequest{Database: "chain", Query: query, Engine: engine})
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "chain", Query: query})
 		if code != http.StatusOK {
-			t.Fatalf("query %q engine %q: status %d err %q", query, engine, code, bad.Error)
+			t.Fatalf("query %q: status %d err %q", query, code, bad.Error)
 		}
 		return q
 	}
-	mustQuery(reach, "compiled") // maintainable: compiled plan + captured state
-	mustQuery(pOnly, "compiled") // footprint {P}: disjoint from an E-only delta
-	mustQuery(reach, "bottomup") // overlapping footprint, no plan: invalidated
+	mustQuery(reach) // maintainable: a seedable fixpoint + captured state
+	mustQuery(pOnly) // footprint {P}: disjoint from an E-only delta
+	mustQuery(hop)   // overlapping footprint, no fixpoint to seed: invalidated
 
 	code, _, _ := postUpdate(t, ts, "chain", UpdateRequest{
 		Updates: []UpdateEntry{{Relation: "E", Insert: [][]int{{3, 4}}}},
@@ -244,7 +237,7 @@ func TestUpdateCacheChurn(t *testing.T) {
 
 	// The first read maintains the entry, reflects the inserted edge and
 	// reports the maintenance run's statistics; the next one is a hit.
-	q := mustQuery(reach, "compiled")
+	q := mustQuery(reach)
 	if q.ResultCached {
 		t.Fatalf("reach served from cache before any read of the new content: %+v", q)
 	}
@@ -254,19 +247,19 @@ func TestUpdateCacheChurn(t *testing.T) {
 	if q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
 		t.Fatalf("maintained reach stats %+v", q.Stats)
 	}
-	if q := mustQuery(reach, "compiled"); !q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
+	if q := mustQuery(reach); !q.ResultCached || q.Stats == nil || q.Stats.MaintainedFromDelta != 1 {
 		t.Fatalf("the maintained answer was not cached: %+v", q)
 	}
 
-	// The P entry's key is unchanged, so it is a hit; the bottomup entry has no
+	// The P entry's key is unchanged, so it is a hit; the hop entry has no
 	// state to resume from and re-evaluates, but still hits the plan cache
 	// (plans are keyed by text, not snapshot).
-	if q := mustQuery(pOnly, "compiled"); !q.ResultCached {
+	if q := mustQuery(pOnly); !q.ResultCached {
 		t.Fatalf("carried P query missed the cache: %+v", q)
 	}
-	q = mustQuery(reach, "bottomup")
+	q = mustQuery(hop)
 	if q.ResultCached || !q.PlanCached {
-		t.Fatalf("invalidated bottomup entry: result_cached=%v plan_cached=%v", q.ResultCached, q.PlanCached)
+		t.Fatalf("invalidated hop entry: result_cached=%v plan_cached=%v", q.ResultCached, q.PlanCached)
 	}
 
 	// A delete touches the reach plan's positive E occurrence: delta polarity
@@ -278,7 +271,7 @@ func TestUpdateCacheChurn(t *testing.T) {
 	if code != http.StatusOK || up.Deleted != 1 {
 		t.Fatalf("delete update: status %d resp %+v", code, up)
 	}
-	q = mustQuery(reach, "compiled")
+	q = mustQuery(reach)
 	if q.ResultCached || fmt.Sprint(q.Answer) != "[[1]]" || q.Stats == nil || q.Stats.MaintainedFromDelta != 0 {
 		t.Fatalf("post-delete reach: cached=%v answer %v stats %+v", q.ResultCached, q.Answer, q.Stats)
 	}
@@ -405,18 +398,18 @@ func TestUpdateEchoesRequestID(t *testing.T) {
 	}
 }
 
-// TestUpdateCarriesPlanlessAnswer: a query outside the compilable fragment has
-// a footprint too, its free relations, so a cached eso answer rides out an
-// update to a relation it does not read and is re-evaluated after one to a
-// relation it does: a miss with no state to resume from (no_plan).
+// TestUpdateCarriesPlanlessAnswer: an answer with no maintenance state (its
+// plan has no fixpoint to seed) rides out an update to a relation it does not
+// read and is re-evaluated after one to a relation it does: a miss with no
+// state to resume from (no_plan).
 func TestUpdateCarriesPlanlessAnswer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	const twoColor = "(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))"
+	const cycle = "(). exists x. exists y. E(x, y) & E(y, x)"
 	ask := func() QueryResponse {
 		t.Helper()
-		code, q, bad := postQuery(t, ts, QueryRequest{Database: "graph", Query: twoColor, Engine: "eso"})
+		code, q, bad := postQuery(t, ts, QueryRequest{Database: "graph", Query: cycle})
 		if code != http.StatusOK {
-			t.Fatalf("eso query: status %d err %q", code, bad.Error)
+			t.Fatalf("query: status %d err %q", code, bad.Error)
 		}
 		return q
 	}

@@ -2,7 +2,7 @@ package bvq
 
 // The surface gate: an exported name of internal/... that no non-test file
 // references is either deleted or listed in testdata/surface_allow.txt with
-// the reason a test keeps it, and a flag of bvqd or bvqrouter is either set
+// the reason a test keeps it, and a flag of bvqd, bvqrouter or bvqload is either set
 // by a script, the Makefile, an example or the benchmark, or listed in
 // testdata/flags_allow.txt with the two deployments that set it differently.
 // Both lists fail on a stale line, so neither grows past what the tree needs.
@@ -21,11 +21,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // TestSurface fails on an unreferenced exported name of internal/... that
@@ -389,17 +392,47 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// daemonFlags are the commands whose flags the flag gate covers.
-var daemonFlags = []string{"bvqd", "bvqrouter"}
+// gatedCommands are the commands whose flags the flag gate covers.
+var gatedCommands = []string{"bvqd", "bvqrouter", "bvqload"}
+
+// flagDefiners are the functions of the flag package, and the methods of
+// *flag.FlagSet, that define a flag. The name is their first argument, or
+// their second for the *Var forms, which take the destination first.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
 
 // definedFlags returns the names of the flags cmd/<command>/main.go defines
-// through the flag package.
+// through the flag package or a *flag.FlagSet it makes with flag.NewFlagSet.
 func definedFlags(command string) ([]string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filepath.Join("cmd", command, "main.go"), nil, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
+	isFlag := func(x ast.Expr, name string) bool {
+		sel, ok := x.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "flag" && sel.Sel.Name == name
+	}
+	sets := map[string]bool{"flag": true} // the package, then every name a FlagSet is assigned to
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				call, isCall := rhs.(*ast.CallExpr)
+				if id, isIdent := as.Lhs[i].(*ast.Ident); isCall && isIdent && isFlag(call.Fun, "NewFlagSet") {
+					sets[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
 	var flags []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -407,14 +440,14 @@ func definedFlags(command string) ([]string, error) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || len(call.Args) < 2 {
+		if !ok || len(call.Args) < 2 || !flagDefiners[sel.Sel.Name] {
 			return true
 		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+		if recv, ok := sel.X.(*ast.Ident); !ok || !sets[recv.Name] {
 			return true
 		}
 		arg := call.Args[0]
-		if sel.Sel.Name == "Var" {
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
 			arg = call.Args[1]
 		}
 		if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -426,7 +459,7 @@ func definedFlags(command string) ([]string, error) {
 	return flags, nil
 }
 
-// TestFlagsDeployed fails on a flag of bvqd or bvqrouter that no script, the
+// TestFlagsDeployed fails on a flag of bvqd, bvqrouter or bvqload that no script, the
 // Makefile, no example and not the benchmark sets, unless
 // testdata/flags_allow.txt names two deployments that need it; and on a line
 // of that file for a flag that is set there or is not defined.
@@ -459,7 +492,7 @@ func TestFlagsDeployed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cmd := range daemonFlags {
+	for _, cmd := range gatedCommands {
 		flags, err := definedFlags(cmd)
 		if err != nil {
 			t.Fatal(err)
@@ -511,7 +544,7 @@ func readFlagAllowlist(path string) (map[string]int, error) {
 	return out, sc.Err()
 }
 
-// TestFlagsDocumented fails unless every flag of bvqd and bvqrouter has
+// TestFlagsDocumented fails unless every flag of bvqd, bvqrouter and bvqload has
 // exactly one row in OPERATIONS.md's flag tables and every row names a
 // defined flag.
 func TestFlagsDocumented(t *testing.T) {
@@ -519,9 +552,9 @@ func TestFlagsDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]string{"bvqd": "### Flags", "bvqrouter": "### Router flags"}
+	tables := map[string]string{"bvqd": "### Flags", "bvqrouter": "### Router flags", "bvqload": "### Load generation (`bvqload`)"}
 	row := regexp.MustCompile("^\\| `(-[a-z-]+)[^`]*` \\|")
-	for _, cmd := range daemonFlags {
+	for _, cmd := range gatedCommands {
 		rows := map[string]int{}
 		_, rest, ok := strings.Cut(string(text), "\n"+tables[cmd]+"\n")
 		if !ok {
@@ -547,6 +580,56 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 		for _, flag := range sortedKeys(rows) {
 			t.Errorf("OPERATIONS.md's %q table has a row for %s, which %s does not define", tables[cmd], flag, cmd)
+		}
+	}
+}
+
+// TestRequestFieldsDocumented fails unless every top-level json field of the
+// /query and /db/{name}/update request bodies has exactly one row in its
+// endpoint's request table in OPERATIONS.md, and every row there names a
+// field: a field the server decodes is documented, and a documented field is
+// one the server decodes.
+func TestRequestFieldsDocumented(t *testing.T) {
+	text, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\| `([a-z_]+)` \\|")
+	for _, c := range []struct {
+		section string
+		body    any
+	}{
+		{"### `POST /query`", server.QueryRequest{}},
+		{"### `POST /db/{name}/update`", server.UpdateRequest{}},
+	} {
+		_, rest, ok := strings.Cut(string(text), "\n"+c.section+"\n")
+		if !ok {
+			t.Fatalf("OPERATIONS.md has no %q section", c.section)
+		}
+		// The request table is the section's first table with a Type column.
+		_, rest, ok = strings.Cut(rest, "\n| Field | Type | Meaning |\n")
+		if !ok {
+			t.Fatalf("OPERATIONS.md's %q section has no request table", c.section)
+		}
+		rows := map[string]int{}
+		for _, line := range strings.Split(rest, "\n") {
+			if !strings.HasPrefix(line, "|") {
+				break
+			}
+			if m := row.FindStringSubmatch(line); m != nil {
+				rows[m[1]]++
+			}
+		}
+		typ := reflect.TypeOf(c.body)
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if rows[name] != 1 {
+				t.Errorf("%s field %q has %d rows in OPERATIONS.md's %q request table, want 1", typ.Name(), name, rows[name], c.section)
+			}
+			delete(rows, name)
+		}
+		for _, name := range sortedKeys(rows) {
+			t.Errorf("OPERATIONS.md's %q request table has a row for %q, which %s does not have", c.section, name, typ.Name())
 		}
 	}
 }
