@@ -23,6 +23,17 @@ func paramReachPFP() logic.Query {
 	return logic.MustQuery([]logic.Var{"x", "y"}, logic.Pfp("S", []logic.Var{"x"}, body, "x"))
 }
 
+// paramReachPFPNeg is paramReachPFP with the disjunct S(x) ∧ ¬S(x), false
+// at every stage: its stages and limit are paramReachPFP's, but its body is
+// negative in S, so the compiled engine keeps the PFP and its per-assignment
+// sweep instead of lowering it to the LFP it equals.
+func paramReachPFPNeg() logic.Query {
+	q := paramReachPFP()
+	fx := q.Body.(logic.Fix)
+	fx.Body = logic.Or(fx.Body, logic.And(logic.R("S", "x"), logic.Neg(logic.R("S", "x"))))
+	return logic.MustQuery(q.Head, fx)
+}
+
 // paramOscillatingPFP builds a PFP query whose per-assignment run has period
 // 2 (stages ∅, {y}, ∅, …), so every per-assignment limit is empty:
 //

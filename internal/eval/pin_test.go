@@ -156,6 +156,8 @@ func pinCases(t *testing.T) []pinCase {
 		{name: "gfp-forest/dense", run: pinEval(gfp, forest), opts: dense},
 		{name: "nested-gfp-lfp-line8/auto", run: pinEval(nested, line8), opts: auto},
 		{name: "pfp-param-forest/dense", run: pinEval(pfpParam, forestDB(6, 3)), opts: dense},
+		// The same reachability with a body negative in S: the sweep stays.
+		{name: "pfp-neg-param-forest/dense", run: pinEval(paramReachPFPNeg(), forestDB(6, 3)), opts: dense},
 		{name: "pfp-counter-ordered6/auto", run: pinEval(counterQuery(), orderedDomain(t, 6)), opts: auto},
 		{name: "two-hop-forest/sparse", run: pinEval(twoHop, forest), opts: sparse},
 		{name: "fo-neg-forest/sparse", run: pinEval(foNeg, forest), opts: sparse},
@@ -247,9 +249,14 @@ var pinnedWork = map[string]pinned{
 	"nested-gfp-lfp-line8/auto": {
 		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:8+8 2:8+0 | S/gfp 1:8+0"},
+	// The body is positive in S: compiled as the LFP it equals, one stage
+	// over the extended arity instead of one sweep per parameter value.
 	"pfp-param-forest/dense": {
-		"{SubformulaEvals:46 FixIterations:6 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:18 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
-		"S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0 | S/pfp 1:0+0"},
+		"{SubformulaEvals:11 FixIterations:1 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:3 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"S/lfp 1:0+0"},
+	"pfp-neg-param-forest/dense": {
+		"{SubformulaEvals:166 FixIterations:18 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:54 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"S/pfp 1:1+1 2:2+1 3:3+1 4:3+0 | S/pfp 1:1+1 2:2+1 3:2+0 | S/pfp 1:1+1 2:1+0 | S/pfp 1:1+1 2:2+1 3:3+1 4:3+0 | S/pfp 1:1+1 2:2+1 3:2+0 | S/pfp 1:1+1 2:1+0"},
 	"pfp-counter-ordered6/auto": {
 		"{SubformulaEvals:837 FixIterations:64 MaxIntermediateArity:2 MaxIntermediateTuples:36 NodesReused:256 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/pfp 1:1+1 2:1+0 3:2+1 4:1-1 5:2+1 6:2+0 7:3+1 8:1-2 9:2+1 10:2+0 11:3+1 12:2-1 13:3+1 14:3+0 15:4+1 16:1-3 17:2+1 18:2+0 19:3+1 20:2-1 21:3+1 22:3+0 23:4+1 24:2-2 25:3+1 26:3+0 27:4+1 28:3-1 29:4+1 30:4+0 31:5+1 32:1-4 33:2+1 34:2+0 35:3+1 36:2-1 37:3+1 38:3+0 39:4+1 40:2-2 41:3+1 42:3+0 43:4+1 44:3-1 45:4+1 46:4+0 47:5+1 48:2-3 49:3+1 50:3+0 51:4+1 52:3-1 53:4+1 54:4+0 55:5+1 56:3-2 57:4+1 58:4+0 59:5+1 60:4-1 61:5+1 62:5+0 63:6+1 64:0-6"},

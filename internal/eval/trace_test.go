@@ -96,11 +96,14 @@ func TestTracerLFPStages(t *testing.T) {
 // with per-run restarting stage indices.
 func TestTracerPFP(t *testing.T) {
 	db := traceDB(t)
+	// The body reads S under a negation (∃z(E(z,x) ∧ ¬S(z)), with S(x) keeping
+	// the stages increasing), so the compiled engine runs it as a PFP; a body
+	// positive in S would run as the LFP it equals.
 	q := logic.MustQuery([]logic.Var{"u"},
 		logic.Pfp("S", []logic.Var{"x"},
 			logic.Or(logic.R("S", "x"), logic.Or(logic.R("P", "x"),
 				logic.Exists(logic.And(logic.R("E", "z", "x"),
-					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
+					logic.Neg(logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x"))), "z"))), "u"))
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
 			sink := newSink()
@@ -185,7 +188,7 @@ func TestTracerNilIsIgnored(t *testing.T) {
 // relation, op), and either way the sweep's events land in one entry.
 func TestStageFoldParallelMatchesSerial(t *testing.T) {
 	db := lineGraph(t, 7)
-	q := paramReachPFP()
+	q := paramReachPFPNeg()
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
 			run := func(parallelism int) (FixStages, *Stats) {

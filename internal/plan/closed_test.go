@@ -100,7 +100,10 @@ func TestClosedKeysDiffer(t *testing.T) {
 		"(x). [lfp S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)",
 		"(x). [gfp S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)",
 		"(x). [ifp S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)",
-		"(x). [pfp S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)",
+		// A PFP whose body is negative in its relation keeps its operator;
+		// so does an IFP over the same body.
+		"(x). [pfp S(x). P(x) | (exists y. (E(y, x) & !S(y)))](x)",
+		"(x). [ifp S(x). P(x) | (exists y. (E(y, x) & !S(y)))](x)",
 		"(x, y). [lfp S(x). P(x) | (exists y. (E(y, x) & S(y)))](y)", // other argument
 		// Which binder a recursion atom reads: the inner one, the outer one
 		// through the inner body, the outer one beside the inner fixpoint.
@@ -119,6 +122,15 @@ func TestClosedKeysDiffer(t *testing.T) {
 			t.Errorf("one key for two queries:\n%s\n%s", other, text)
 		}
 		seen[key] = text
+	}
+}
+
+// TestClosedKeysPositivePFPIsLFP: a PFP whose body is positive in its
+// relation compiles as the LFP it equals, so the two spellings share a key.
+func TestClosedKeysPositivePFPIsLFP(t *testing.T) {
+	body := " S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)"
+	if rootKey(t, "(x). [lfp"+body) != rootKey(t, "(x). [pfp"+body) {
+		t.Error("the lfp and positive-pfp spellings have different keys")
 	}
 }
 

@@ -118,8 +118,9 @@ func TestMaintInfoNestedDependentFixNotSeedable(t *testing.T) {
 func TestMaintInfoPFPPoisonsItsCone(t *testing.T) {
 	// A closed PFP inside a seeded LFP cone: the PFP value is not monotone
 	// in anything it reads, so Q becomes unsafe in both directions while E
-	// keeps its positive polarity.
-	pfp := logic.Pfp("P", []logic.Var{"u"}, logic.R("Q", "u"), "x")
+	// keeps its positive polarity. The body is negative in P, so the PFP is
+	// not lowered to an LFP.
+	pfp := logic.Pfp("P", []logic.Var{"u"}, logic.And(logic.R("Q", "u"), logic.Neg(logic.R("P", "u"))), "x")
 	body := logic.Lfp("T", []logic.Var{"x", "y"},
 		logic.Or(
 			logic.And(logic.R("E", "x", "y"), pfp),
