@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Query is the paper's (x̄)φ(x̄): a head tuple of free variables and a body
@@ -36,50 +37,59 @@ func MustQuery(head []Var, body Formula) Query {
 // free variable of the body listed in the head, and a valid body (see
 // Validate on formulas).
 func (q Query) Validate(sig Signature) error {
-	seen := make(map[Var]bool, len(q.Head))
-	for _, v := range q.Head {
+	for i, v := range q.Head {
 		if v == "" {
 			return fmt.Errorf("logic: empty head variable")
 		}
-		if seen[v] {
+		if slices.Contains(q.Head[:i], v) {
 			return fmt.Errorf("logic: head variable %s repeated", v)
 		}
-		seen[v] = true
 	}
 	for v := range FreeVars(q.Body) {
-		if !seen[v] {
+		if !slices.Contains(q.Head, v) {
 			return fmt.Errorf("logic: body variable %s not in query head", v)
 		}
 	}
 	return Validate(q.Body, sig)
 }
 
-// Width returns the number of distinct individual variables of the query:
-// the head variables plus every variable of the body.
-func (q Query) Width() int {
-	vars := AllVars(q.Body)
-	for _, v := range q.Head {
-		vars[v] = true
-	}
-	return len(vars)
-}
+// Width returns the number of distinct individual variables of a valid
+// query: the head variables plus every variable of the body.
+func (q Query) Width() int { return len(q.Vars()) }
 
 // Vars returns the query's variables in a canonical order: head variables
 // first (in head order), then the remaining body variables sorted by name.
 // The bounded-variable evaluators use this order to assign coordinate axes.
 func (q Query) Vars() []Var {
-	out := append([]Var(nil), q.Head...)
-	seen := make(map[Var]bool, len(out))
-	for _, v := range out {
-		seen[v] = true
-	}
-	for _, v := range SortedVars(AllVars(q.Body)) {
-		if !seen[v] {
-			out = append(out, v)
-			seen[v] = true
+	out := appendVars(slices.Clone(q.Head), q.Body)
+	slices.Sort(out[len(q.Head):])
+	return out
+}
+
+// appendVars appends to vs every individual variable occurring in f, free or
+// bound, that it does not hold yet.
+func appendVars(vs []Var, f Formula) []Var {
+	add := func(ws ...Var) {
+		for _, v := range ws {
+			if !slices.Contains(vs, v) {
+				vs = append(vs, v)
+			}
 		}
 	}
-	return out
+	Walk(f, func(g Formula) {
+		switch h := g.(type) {
+		case Atom:
+			add(h.Args...)
+		case Eq:
+			add(h.L, h.R)
+		case Quant:
+			add(h.V)
+		case Fix:
+			add(h.Vars...)
+			add(h.Args...)
+		}
+	})
+	return vs
 }
 
 // Arity returns the arity of the query's answer relation.

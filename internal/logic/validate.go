@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Fragment classifies a formula by the smallest of the paper's four
@@ -103,19 +104,20 @@ type Signature map[string]int
 //
 // It returns the first violation found.
 func Validate(f Formula, sig Signature) error {
-	free, err := FreeRels(f)
+	free, err := freeRels(f, make([]relArity, 0, 4), make([]relArity, 0, 4))
 	if err != nil {
 		return err
 	}
-	if sig != nil {
-		for name, a := range free {
-			want, ok := sig[name]
-			if !ok {
-				return fmt.Errorf("logic: relation %s not in database signature", name)
-			}
-			if want != a {
-				return fmt.Errorf("logic: relation %s used with arity %d, database has arity %d", name, a, want)
-			}
+	for _, r := range free {
+		if sig == nil {
+			break
+		}
+		want, ok := sig[r.name]
+		if !ok {
+			return fmt.Errorf("logic: relation %s not in database signature", r.name)
+		}
+		if want != r.arity {
+			return fmt.Errorf("logic: relation %s used with arity %d, database has arity %d", r.name, r.arity, want)
 		}
 	}
 	return validate(f)
@@ -144,15 +146,13 @@ func validate(f Formula) error {
 		if len(g.Args) != len(g.Vars) {
 			return fmt.Errorf("logic: fixpoint %s applied to %d arguments, arity %d", g.Rel, len(g.Args), len(g.Vars))
 		}
-		seen := make(map[Var]bool, len(g.Vars))
-		for _, v := range g.Vars {
+		for i, v := range g.Vars {
 			if v == "" {
 				return fmt.Errorf("logic: fixpoint %s binds empty variable", g.Rel)
 			}
-			if seen[v] {
+			if slices.Contains(g.Vars[:i], v) {
 				return fmt.Errorf("logic: fixpoint %s binds variable %s twice", g.Rel, v)
 			}
-			seen[v] = true
 		}
 		if g.Op == LFP || g.Op == GFP {
 			if _, neg := Polarity(g.Body, g.Rel); neg {

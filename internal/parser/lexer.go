@@ -31,7 +31,7 @@ import (
 	"unicode"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -91,90 +91,75 @@ func (k tokenKind) String() string {
 }
 
 type token struct {
-	kind tokenKind
 	text string
-	pos  int
+	pos  int32
+	kind tokenKind
 }
 
-// lex tokenizes the input. It returns a typed error on an unexpected rune.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
-	emit := func(k tokenKind, text string, pos int) {
-		toks = append(toks, token{kind: k, text: text, pos: pos})
+// scan reads the token that starts at or after p.at into p.tok. An
+// unexpected rune is a lexical error: p.err keeps it and p.tok is tokEOF.
+func (p *parser) scan() {
+	input, i := p.input, p.at
+	for i < len(input) && (input[i] == ' ' || input[i] == '\t' || input[i] == '\n' || input[i] == '\r') {
+		i++
 	}
-	for i < len(input) {
-		c := rune(input[i])
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			emit(tokLParen, "(", i)
-			i++
-		case c == ')':
-			emit(tokRParen, ")", i)
-			i++
-		case c == '[':
-			emit(tokLBracket, "[", i)
-			i++
-		case c == ']':
-			emit(tokRBracket, "]", i)
-			i++
-		case c == ',':
-			emit(tokComma, ",", i)
-			i++
-		case c == '.':
-			emit(tokDot, ".", i)
-			i++
-		case c == '/':
-			emit(tokSlash, "/", i)
-			i++
-		case c == '!':
-			emit(tokBang, "!", i)
-			i++
-		case c == '&':
-			emit(tokAmp, "&", i)
-			i++
-		case c == '|':
-			emit(tokPipe, "|", i)
-			i++
-		case c == '=':
-			emit(tokEquals, "=", i)
-			i++
-		case c == '-':
-			if strings.HasPrefix(input[i:], "->") {
-				emit(tokArrow, "->", i)
-				i += 2
-			} else {
-				return nil, fmt.Errorf("parser: unexpected '-' at offset %d", i)
-			}
-		case c == '<':
-			if strings.HasPrefix(input[i:], "<->") {
-				emit(tokIffOp, "<->", i)
-				i += 3
-			} else {
-				return nil, fmt.Errorf("parser: unexpected '<' at offset %d", i)
-			}
-		case unicode.IsDigit(c):
-			j := i
-			for j < len(input) && unicode.IsDigit(rune(input[j])) {
-				j++
-			}
-			emit(tokNumber, input[i:j], i)
-			i = j
-		case unicode.IsLetter(c) || c == '_':
-			j := i
-			for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_' || input[j] == '\'') {
-				j++
-			}
-			emit(tokName, input[i:j], i)
-			i = j
-		default:
-			return nil, fmt.Errorf("parser: unexpected character %q at offset %d", c, i)
+	emit := func(k tokenKind, n int) {
+		p.tok, p.at = token{kind: k, text: input[i : i+n], pos: int32(i)}, i+n
+	}
+	if i == len(input) {
+		emit(tokEOF, 0)
+		return
+	}
+	c := rune(input[i])
+	switch {
+	case c == '(':
+		emit(tokLParen, 1)
+	case c == ')':
+		emit(tokRParen, 1)
+	case c == '[':
+		emit(tokLBracket, 1)
+	case c == ']':
+		emit(tokRBracket, 1)
+	case c == ',':
+		emit(tokComma, 1)
+	case c == '.':
+		emit(tokDot, 1)
+	case c == '/':
+		emit(tokSlash, 1)
+	case c == '!':
+		emit(tokBang, 1)
+	case c == '&':
+		emit(tokAmp, 1)
+	case c == '|':
+		emit(tokPipe, 1)
+	case c == '=':
+		emit(tokEquals, 1)
+	case c == '-' && strings.HasPrefix(input[i:], "->"):
+		emit(tokArrow, 2)
+	case c == '-':
+		p.err = fmt.Errorf("parser: unexpected '-' at offset %d", i)
+	case c == '<' && strings.HasPrefix(input[i:], "<->"):
+		emit(tokIffOp, 3)
+	case c == '<':
+		p.err = fmt.Errorf("parser: unexpected '<' at offset %d", i)
+	case unicode.IsDigit(c):
+		j := i
+		for j < len(input) && unicode.IsDigit(rune(input[j])) {
+			j++
 		}
+		emit(tokNumber, j-i)
+	case unicode.IsLetter(c) || c == '_':
+		j := i
+		for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_' || input[j] == '\'') {
+			j++
+		}
+		emit(tokName, j-i)
+	default:
+		p.err = fmt.Errorf("parser: unexpected character %q at offset %d", c, i)
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(input)})
-	return toks, nil
+	if p.err != nil {
+		p.tok, p.at = token{kind: tokEOF, pos: int32(len(input))}, len(input)
+	}
 }
 
 func atoi(s string) int {
