@@ -21,21 +21,16 @@ func NNF(f Formula) (Formula, error) {
 
 func nnf(f Formula, negate bool) (Formula, error) {
 	switch g := f.(type) {
-	case Atom:
+	case Atom, Eq:
 		if negate {
-			return Not{F: g}, nil
+			return Not{F: f}, nil
 		}
-		return g, nil
-	case Eq:
-		if negate {
-			return Not{F: g}, nil
-		}
-		return g, nil
+		return f, nil
 	case Truth:
 		if negate {
 			return Truth{Value: !g.Value}, nil
 		}
-		return g, nil
+		return f, nil
 	case Not:
 		return nnf(g.F, !negate)
 	case Binary:
