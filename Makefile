@@ -1,10 +1,12 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last lowered by 93 lines, to what remained once plan.Compile lowered a
-# positive PFP to an LFP and compiled a first touch from logic.NNF's tree
-# without string keys or per-binder maps. The total counts the surface gate's
-# 38-line fixture module under testdata/surfacefix.
-LOC_CEILING = 26258
+# Last raised by 159 lines, for plan.Compile's filter pushdown (push.go, 151
+# lines: a filter written beside an ∃ runs before the join it filters, which
+# took miss-direct's rss_peak_mib from 168 to 125 MiB) and a join's probe of
+# a stored side's layout; queryopt's minimisation, which now learns the width
+# before it writes a formula, got 5 lines shorter. The total counts the
+# surface gate's 38-line fixture module under testdata/surfacefix.
+LOC_CEILING = 26417
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 

@@ -55,7 +55,7 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 	sub := func() logic.Formula { return g.formula(depth-1, recs) }
 	cases := 9
 	if g.filters {
-		cases = 11
+		cases = 12
 	}
 	switch g.r.Intn(cases) {
 	case 0:
@@ -75,6 +75,8 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 		return g.filtered(recs)
 	case 10:
 		return g.filteredClosure()
+	case 11:
+		return g.besideExists(recs)
 	default:
 		return logic.And(sub(), g.leaf(recs))
 	}
@@ -139,6 +141,47 @@ func (g *diffGen) filteredClosure() logic.Formula {
 		body = logic.And(filter, step)
 	}
 	return logic.Lfp(name, []logic.Var{x, y}, logic.Or(logic.R("E", x, y), logic.Exists(body, z)), x, y)
+}
+
+// besideExists emits a filter beside an ∃: the shape plan.Compile's filter
+// pushdown moves (a unary or binary filter beside a 2-hop join), in every
+// variant where the filter must stop or stay — a recursion atom in its place,
+// the ∃ or a nested one rebinding its variable, a binary filter's variables
+// split across the join's conjuncts, the variable only under a negation or in
+// a fixpoint application — and with a conjunct more.
+func (g *diffGen) besideExists(recs []string) logic.Formula {
+	v := g.r.Perm(3)
+	a, b, c := diffVars[v[0]], diffVars[v[1]], diffVars[v[2]]
+	filter := logic.Formula(logic.R("P", a))
+	switch pick := g.r.Intn(4); {
+	case pick == 0:
+		filter = logic.R("E", a, b) // E(a, c) ∧ E(c, b) splits it
+	case pick == 1 && len(recs) > 0:
+		filter = logic.R(recs[g.r.Intn(len(recs))], a)
+	}
+	parts := []logic.Formula{logic.R("E", a, c), logic.R("E", c, b)}
+	switch g.r.Intn(5) {
+	case 0:
+		parts[0] = logic.Neg(parts[0])
+	case 1:
+		name, x, y, z := g.fresh("C"), diffVars[0], diffVars[1], diffVars[2]
+		parts[0] = logic.Lfp(name, []logic.Var{x, y}, logic.Or(logic.R("E", x, y),
+			logic.Exists(logic.And(logic.R("E", x, z), logic.R(name, z, y)), z)), a, c)
+	case 2:
+		parts[1] = logic.Exists(logic.And(logic.R("E", c, a), logic.R("E", a, b)), a)
+	case 3:
+		parts = append(parts, g.leaf(recs))
+	}
+	g.r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+	bound := c
+	if g.r.Intn(4) == 0 {
+		bound = a
+	}
+	beside := logic.Exists(logic.And(parts...), bound)
+	if g.r.Intn(2) == 0 {
+		return logic.And(filter, beside)
+	}
+	return logic.And(beside, filter)
 }
 
 // fresh names a recursion relation no other binder of this generator has.
@@ -229,6 +272,51 @@ func TestDifferentialCompiledVsBottomUp(t *testing.T) {
 	}
 	if kept < trials/4 {
 		t.Fatalf("generator kept only %d/%d formulas; tighten it", kept, trials)
+	}
+}
+
+// TestDifferentialPushedFilters holds the plans of filters beside an ∃
+// (diffGen.besideExists), on their own and inside a fixpoint body beside its
+// recursion atoms, to BottomUp, which walks the formula as written: wherever
+// plan.Compile's pushdown put a filter, or left it, every route answers as the
+// text does.
+func TestDifferentialPushedFilters(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	g := &diffGen{r: r}
+	sparse := 0
+	for trial := 0; trial < 300; trial++ {
+		f := g.besideExists(nil)
+		if trial%3 == 0 {
+			name := g.fresh("S")
+			f = logic.Lfp(name, []logic.Var{"x"}, logic.Or(logic.R(name, "x"), g.besideExists([]string{name})), g.v())
+		}
+		q, err := logic.NewQuery(logic.SortedVars(logic.FreeVars(f)), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := randomGraph(t, r, 2+r.Intn(5))
+		want, _, err := BottomUpStats(q, db, nil)
+		if err != nil {
+			t.Fatalf("BottomUp(%s): %v", q, err)
+		}
+		for _, b := range []Backend{BackendDense, BackendSparse, BackendAuto} {
+			got, _, err := CompiledStats(q, db, &Options{Backend: b, Parallelism: 1})
+			if b == BackendSparse && err != nil && strings.Contains(err.Error(), "sparse backend:") {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s(%s): %v", b, q, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s disagrees with BottomUp on %s:\n got %v\nwant %v\n%s", b, q, got, want, db)
+			}
+			if b == BackendSparse {
+				sparse++
+			}
+		}
+	}
+	if sparse < 200 {
+		t.Fatalf("only %d of 300 texts ran sparse", sparse)
 	}
 }
 

@@ -367,61 +367,83 @@ func TestSharedStageAcrossRoutes(t *testing.T) {
 	}
 }
 
-// filteredPaths is a sparse run's filter of a stored path body on its second
-// axis: the join a stored layout serves (sparseAlg.filterSv).
-const filteredPaths = "(x, y). P(y) & (exists z. (E(x, z) & E(z, y)))"
+// The stored layouts' two users: filteredPaths is the 2-hop path filtered on
+// its source, which the compiler pushes into the join, so the small filtered
+// edges probe the stored edge atom E(z, y) laid out (sparseAlg.joinSv);
+// filteredWalks filters a stored body the rewrite cannot enter, a disjunction
+// (the walks of one or two edges from y to x), on its second axis, which
+// probes the body's layout (sparseAlg.filterSv).
+const (
+	filteredPaths = "(x, y). P(x) & (exists z. (E(x, z) & E(z, y)))"
+	filteredWalks = "(x, y). P(y) & (E(y, x) | (exists z. (E(y, z) & E(z, x))))"
+)
 
 // TestStoredLayoutBuiltOnce: across runs, a stored value is laid out for a
 // probing support once; the layout is charged to the store with its entry and
 // leaves with it, an entry that could not keep it is not laid out, and the
-// answers stay Naive's.
+// answers stay Naive's. Both users are covered: a join and a filter.
 func TestStoredLayoutBuiltOnce(t *testing.T) {
-	q, err := parser.ParseQuery(filteredPaths)
+	db := forestDB(400, 40) // 390 edges, 380 paths, P on the first of every 40 elements
+	for _, c := range []struct {
+		name, text string
+		sup        []int // the laid-out value: its support, its size
+		count      int
+		small      int64 // a budget that admits the value, but has no room for a layout
+	}{
+		{"join", filteredPaths, []int{1, 2}, 390, 32 << 10},
+		{"filter", filteredWalks, []int{0, 1}, 770, 64 << 10},
+	} {
+		t.Run(c.name, func(t *testing.T) { testStoredLayout(t, c.text, db, c.sup, c.count, c.small) })
+	}
+}
+
+func testStoredLayout(t *testing.T, text string, db *database.Database, sup []int, count int, small int64) {
+	q, err := parser.ParseQuery(text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := mustCompile(t, q)
-	db := forestDB(400, 40) // 390 edges, 380 paths, P on every 40th element
 	want, err := Naive(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := NewNodeStore(1 << 20)
-	built, before := 0, NodeStoreStats{}
-	store.onLayout = func() { built, before = built+1, store.st } // before the charge
+	built := 0
+	store.onLayout = func() { built++ }
 	for pass := 0; pass < 5; pass++ {
 		got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendSparse, Nodes: store})
 		if err != nil || !got.Equal(want) {
 			t.Fatalf("pass %d: %v, %d pairs, Naive %d", pass, err, got.Len(), want.Len())
 		}
-		if wantBuilt := min(pass, 1); built != wantBuilt { // pass 1 admits the body and then lays it out
-			t.Fatalf("after pass %d the body was laid out %d times, want %d", pass, built, wantBuilt)
+		if wantBuilt := min(pass, 1); built != wantBuilt { // pass 1 admits the value and then lays it out
+			t.Fatalf("after pass %d the value was laid out %d times, want %d", pass, built, wantBuilt)
 		}
 	}
 	var ix *joinIndex
-	var body *list.Element
+	var laid *list.Element
 	for el := store.ll.Front(); el != nil; el = el.Next() {
 		for _, l := range el.Value.(*storeEntry).layouts {
-			ix, body = l, el
+			ix, laid = l, el
 		}
 	}
-	after := store.Stats()
-	if ix == nil || after.Bytes-before.Bytes != ix.bytes() || after.Admitted != before.Admitted {
-		t.Fatalf("the layout is not charged as its own size %d: %+v, then %+v", ix.bytes(), before, after)
+	if sv, _ := laid.Value.(*storeEntry).vals[slot(true)].(*sval); ix == nil || !slices.Equal(sv.sup, sup) || sv.rel.Count() != count {
+		t.Fatalf("the layout is not of the %d-tuple value over %v", count, sup)
 	}
+	checkCharges(t, store) // the layout is charged with its entry
+	after := store.Stats()
 	store.mu.Lock()
-	store.remove(body)
+	store.remove(laid)
 	store.mu.Unlock()
 	held := store.pinned
 	for el := store.ll.Front(); el != nil; el = el.Next() {
 		held += el.Value.(*storeEntry).bytes
 	}
-	if st := store.Stats(); st.Bytes != after.Bytes-body.Value.(*storeEntry).bytes || st.Bytes != held || st.Entries != after.Entries-1 {
+	if st := store.Stats(); st.Bytes != after.Bytes-laid.Value.(*storeEntry).bytes || st.Bytes != held || st.Entries != after.Entries-1 {
 		t.Fatalf("evicting the laid-out value left %+v of %+v, entries holding %d bytes", st, after, held)
 	}
 	got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendSparse, Nodes: store})
-	if err != nil || !got.Equal(want) || built != 1 {
-		t.Fatalf("after the eviction: %v, %d layouts built", err, built)
+	if err != nil || !got.Equal(want) || built != 1 || want.Len() == 0 {
+		t.Fatalf("after the eviction: %v, %d layouts built, %d pairs", err, built, want.Len())
 	}
 
 	// Runs racing for one stored value install one layout between them, and
@@ -451,24 +473,24 @@ func TestStoredLayoutBuiltOnce(t *testing.T) {
 	}
 	checkCharges(t, store)
 
-	// Under a 32 KiB budget the body (380 paths) is admitted, but an entry of
-	// at most 8 KiB has no room for a layout that may take three words a
-	// path: the runs filter without one and build none.
-	store, built = NewNodeStore(32<<10), 0
+	// Under the small budget the value is admitted (at most an eighth of it),
+	// but an entry of at most a quarter has no room for a layout that may take
+	// three words a tuple: the runs probe without one and build none.
+	store, built = NewNodeStore(small), 0
 	store.onLayout = func() { built++ }
 	for pass := 0; pass < 3; pass++ {
 		if got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendSparse, Nodes: store}); err != nil || !got.Equal(want) {
 			t.Fatalf("under a small budget, pass %d: %v", pass, err)
 		}
 	}
-	bodies := 0
+	values := 0
 	for el := store.ll.Front(); el != nil; el = el.Next() {
-		if sv, ok := el.Value.(*storeEntry).vals[slot(true)].(*sval); ok && slices.Equal(sv.sup, []int{0, 1}) && sv.rel.Count() == 380 {
-			bodies++
+		if sv, ok := el.Value.(*storeEntry).vals[slot(true)].(*sval); ok && slices.Equal(sv.sup, sup) && sv.rel.Count() == count {
+			values++
 		}
 	}
-	if bodies != 1 || built != 0 {
-		t.Fatalf("under a small budget: %d path bodies stored, %d layouts built", bodies, built)
+	if values != 1 || built != 0 {
+		t.Fatalf("under a small budget: %d values stored, %d layouts built", values, built)
 	}
 	checkCharges(t, store)
 }
@@ -835,7 +857,7 @@ func FuzzNodeKey(f *testing.F) {
 	for i := 0; i+1 < len(qs); i += 2 {
 		f.Add(qs[i].String(), qs[i+1].String(), int64(i))
 	}
-	f.Add("(x, y). exists z. (E(x, z) & E(z, y))", "(x, y). P(x) & (exists z. (E(z, y) & E(x, z)))", int64(1))
+	f.Add("(x, y). exists z. (E(x, z) & E(z, y))", "(x, y). P(x) | (exists z. (E(z, y) & E(x, z)))", int64(1))
 	f.Add("(x). [lfp S(x). P(x) | (exists y. (E(y, x) & S(y)))](x)", "(x). [lfp T(x). (exists y. (T(y) & E(y, x))) | P(x)](x)", int64(2))
 	f.Add("(x). [lfp S(x). P(x) | [lfp S(x). S(x) | P(x)](x)](x)", "(x). [gfp S(x). P(x) | [lfp T(x). S(x) | P(x)](x)](x)", int64(3))
 	f.Fuzz(func(t *testing.T, a, b string, seed int64) {
@@ -883,7 +905,7 @@ func TestFuzzNodeKeySeedsShare(t *testing.T) {
 	}
 	common := 0
 	for key := range keys("(x, y). exists z. (E(x, z) & E(z, y))") {
-		if keys("(x, y). P(x) & (exists z. (E(z, y) & E(x, z)))")[key] {
+		if keys("(x, y). P(x) | (exists z. (E(z, y) & E(x, z)))")[key] {
 			common++
 		}
 	}

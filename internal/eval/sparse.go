@@ -506,9 +506,16 @@ func (sa *sparseAlg) joinSv(a, b *sval, bFixed bool) (*sval, error) {
 	case containsAxes(b.sup, a.sup):
 		return sa.filterSv(b, a, true)
 	}
-	// Incomparable supports: index the smaller side, probe with the larger.
+	// Incomparable supports: index the smaller side, probe with the larger —
+	// or, if the larger is stored and at least 16 times the smaller, probe its
+	// stored layout with the smaller (as filterSv does).
 	if a.rel.Count() < b.rel.Count() {
 		a, b = b, a
+	}
+	if a.rel.Count() >= 16*b.rel.Count() {
+		if ix := sa.store.layout(a, b.sup); ix != nil {
+			return sa.probe(b, ix)
+		}
 	}
 	return sa.probe(a, newIndex(b, a.sup))
 }
@@ -588,7 +595,13 @@ func newIndex(side *sval, probe []int) *joinIndex {
 	if !lead {
 		slices.Sort(ix.add)
 	}
-	ix.keys, ix.off = make([]uint64, 0, len(ix.add)), make([]int, 0, len(ix.add)+1)
+	keys := 0 // keys and off sized to the runs: the 18,000 2-hop paths have about 2,000
+	for i, c := range ix.add {
+		if i == 0 || c/below != ix.add[i-1]/below {
+			keys++
+		}
+	}
+	ix.keys, ix.off = make([]uint64, 0, keys), make([]int, 0, keys+1)
 	for i, c := range ix.add {
 		if key := c / below; i == 0 || key != ix.keys[len(ix.keys)-1] {
 			ix.keys, ix.off = append(ix.keys, key), append(ix.off, i)

@@ -246,7 +246,8 @@ type binding struct {
 // normal form (second-order quantifiers are rejected — like eval.BottomUp,
 // the compiled engine evaluates FO, FP, IFP and PFP only). An acyclic
 // ∃∧-conjunctive query is lowered from its variable-minimised form when that
-// is narrower than the text (minimize).
+// is narrower than the text (minimize), and a filter written beside an ∃ is
+// moved into the join it filters (pushFilters).
 func Compile(q logic.Query) (*Plan, error) {
 	if err := q.Validate(nil); err != nil {
 		return nil, err
@@ -276,6 +277,7 @@ func Compile(q logic.Query) (*Plan, error) {
 	if n > MaxBinders {
 		return nil, fmt.Errorf("plan: more than %d fixpoint binders", MaxBinders)
 	}
+	body, _ = pushFilters(body, nil)
 	c := &compiler{vars: vars, cons: make(map[uint64]int, size), nodes: make([]Node, 0, size), deps: make([]uint64, 0, size)}
 	root := c.lower(body)
 	p := &Plan{
@@ -300,13 +302,16 @@ func Compile(q logic.Query) (*Plan, error) {
 // with the fewest variables its join tree allows, head names and order kept.
 // The rewrite is taken only when it lowers the width — a width-minimal text
 // keeps the plan its author wrote, whose association the rewrite would
-// replace by join-tree order for no smaller space. It returns the query to
-// lower and, when that is the rewrite, the written width (Plan.MinimizedFrom),
-// len(vars) for vars = q.Vars().
+// replace by join-tree order for no smaller space; its width is known before
+// a formula is written (queryopt.Minimize). It returns the query to lower and,
+// when that is the rewrite, the written width (Plan.MinimizedFrom), len(vars)
+// for vars = q.Vars().
 func minimize(q logic.Query, vars []logic.Var) (logic.Query, int) {
 	if cq, ok := queryopt.FromQuery(q); ok {
-		if m, width, err := queryopt.MinimizeWidth(cq); err == nil && width < len(vars) {
-			return m, len(vars)
+		if m, err := queryopt.Minimize(cq); err == nil && m.Width < len(vars) {
+			if out, err := m.Query(); err == nil {
+				return out, len(vars)
+			}
 		}
 	}
 	return q, 0

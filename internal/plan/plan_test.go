@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/queryopt"
 )
 
@@ -277,6 +278,44 @@ func TestCompileMinimizesAcyclicCQ(t *testing.T) {
 		}
 		if p.MinimizedFrom != 0 || len(p.Vars) != q.Width() {
 			t.Errorf("%s: minimized from %d, %d axes for width %d", name, p.MinimizedFrom, len(p.Vars), q.Width())
+		}
+	}
+}
+
+// TestPushFilters pins where the selection-before-join rewrite puts a filter
+// and where it must leave one: "" wants the body as written.
+func TestPushFilters(t *testing.T) {
+	for _, c := range []struct{ text, want string }{
+		{"(x, y). S(x) & (exists z. (E(x, z) & E(z, y)))",
+			"(exists z. ((S(x) & E(x, z)) & E(z, y)))"},
+		{"(x, y). (exists z. (E(x, z) & E(z, y))) & S(x) & T(y)", // two filters, two landings
+			"(exists z. ((S(x) & E(x, z)) & (T(y) & E(z, y))))"},
+		{"(x, y). S(x) & (exists z. (E(x, z) & (exists x. (E(z, x) & E(x, y)))))", // not past ∃x
+			"(exists z. ((S(x) & E(x, z)) & (exists x. (E(z, x) & E(x, y)))))"},
+		{"(x, y). S(y) & (exists z. (E(x, z) & (exists x. (E(z, x) & E(x, y)))))", // the innermost conjunct
+			"(exists z. (E(x, z) & (exists x. (E(z, x) & (S(y) & E(x, y))))))"},
+		{"(x). [lfp R(x). P(x) & (exists z. (E(x, z) & R(z)))](x)", // within a fixpoint body
+			"[lfp R(x). (exists z. ((P(x) & E(x, z)) & R(z)))](x)"},
+		{"(x, y). S(x) & (exists x. (E(x, y) & E(y, x)))", ""},                   // the ∃ rebinds x
+		{"(x, y). F(x, y) & (exists z. (E(x, z) & E(z, y)))", ""},                // the join splits x, y
+		{"(x, y). S(x) & (exists z. (!E(x, z) & E(z, y)))", ""},                  // x only under ¬
+		{"(x). P(x) & (exists y. E(x, y))", ""},                                  // no join to filter
+		{"(x, y). S(x) & (exists z. (E(x, z) | E(z, y)))", ""},                   // nor an ∨
+		{"(x). [lfp R(x). P(x) | (R(x) & (exists z. (E(x, z) & P(z))))](x)", ""}, // a recursion atom
+		{"(x, y). P(x) & [lfp T(x, y). E(x, y) | (exists z. (E(x, z) & T(z, y)))](x, y)", ""},
+		{"(x, y). S(x) & (exists z. ([lfp T(x, z). E(x, z) | (exists y. (E(x, y) & T(y, z)))](x, z) & E(z, y)))", ""},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := logic.NNF(q.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, moved := pushFilters(body, nil)
+		if want := c.want; want == "" && (moved || got.String() != body.String()) || want != "" && got.String() != want {
+			t.Errorf("%s:\n got %s (moved %t)\nwant %s", c.text, got, moved, want)
 		}
 	}
 }

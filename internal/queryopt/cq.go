@@ -13,6 +13,7 @@ package queryopt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/relation"
@@ -36,25 +37,19 @@ func (q *CQ) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("queryopt: query with no atoms")
 	}
-	occurring := make(map[logic.Var]bool)
 	for _, a := range q.Atoms {
 		if a.Rel == "" {
 			return fmt.Errorf("queryopt: atom with empty relation name")
 		}
-		for _, v := range a.Vars {
-			if v == "" {
-				return fmt.Errorf("queryopt: empty variable in atom %s", a.Rel)
-			}
-			occurring[v] = true
+		if slices.Contains(a.Vars, "") {
+			return fmt.Errorf("queryopt: empty variable in atom %s", a.Rel)
 		}
 	}
-	seen := make(map[logic.Var]bool)
-	for _, v := range q.Head {
-		if seen[v] {
+	for i, v := range q.Head {
+		if slices.Contains(q.Head[:i], v) {
 			return fmt.Errorf("queryopt: repeated head variable %s", v)
 		}
-		seen[v] = true
-		if !occurring[v] {
+		if !slices.ContainsFunc(q.Atoms, func(a Atom) bool { return slices.Contains(a.Vars, v) }) {
 			return fmt.Errorf("queryopt: head variable %s not in any atom", v)
 		}
 	}
@@ -116,67 +111,56 @@ func (q *CQ) BuildJoinTree() (*JoinTree, error) {
 		return nil, err
 	}
 	n := len(q.Atoms)
+	jt := &JoinTree{Parent: make([]int, n), Root: -1}
+	// live[x]: how many live atoms hold q's x-th variable (numbered in order
+	// of first occurrence); ids[i]: atom i's variables, each once.
+	var names []logic.Var
+	var live []int
+	ids := make([][]int, n)
+	for i, a := range q.Atoms {
+		jt.Parent[i] = -1
+		for _, v := range a.Vars {
+			x := slices.Index(names, v)
+			if x < 0 {
+				x, names, live = len(names), append(names, v), append(live, 0)
+			}
+			if !slices.Contains(ids[i], x) {
+				ids[i] = append(ids[i], x)
+				live[x]++
+			}
+		}
+	}
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	varsOf := make([]map[logic.Var]bool, n)
-	for i, a := range q.Atoms {
-		varsOf[i] = make(map[logic.Var]bool)
-		for _, v := range a.Vars {
-			varsOf[i][v] = true
+	covers := func(w, e int) bool {
+		for _, x := range ids[e] {
+			if live[x] > 1 && !slices.Contains(ids[w], x) { // x is shared with another live atom
+				return false
+			}
 		}
+		return true
 	}
-	jt := &JoinTree{Parent: make([]int, n), Root: -1}
-	for i := range jt.Parent {
-		jt.Parent[i] = -1
-	}
-	remaining := n
-	for remaining > 1 {
-		removed := false
-		for e := 0; e < n && !removed; e++ {
-			if !alive[e] {
-				continue
-			}
-			// Shared variables of e: those occurring in another live atom.
-			shared := make([]logic.Var, 0, len(varsOf[e]))
-			for v := range varsOf[e] {
-				for w := 0; w < n; w++ {
-					if w != e && alive[w] && varsOf[w][v] {
-						shared = append(shared, v)
-						break
-					}
-				}
-			}
-			for w := 0; w < n; w++ {
-				if w == e || !alive[w] {
-					continue
-				}
-				covers := true
-				for _, v := range shared {
-					if !varsOf[w][v] {
-						covers = false
-						break
-					}
-				}
-				if covers {
-					alive[e] = false
-					jt.Parent[e] = w
-					remaining--
-					removed = true
+	for remaining := n; remaining > 1; remaining-- {
+		ear := -1
+		for e := 0; e < n && ear < 0; e++ {
+			for w := 0; w < n && alive[e]; w++ {
+				if w != e && alive[w] && covers(w, e) {
+					ear, jt.Parent[e] = e, w
 					break
 				}
 			}
 		}
-		if !removed {
+		if ear < 0 {
 			return nil, ErrCyclic
 		}
-	}
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			jt.Root = i
+		alive[ear] = false
+		for _, x := range ids[ear] {
+			live[x]--
 		}
 	}
+	jt.Root = slices.Index(alive, true)
 	return jt, nil
 }
 

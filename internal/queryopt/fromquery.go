@@ -1,6 +1,8 @@
 package queryopt
 
 import (
+	"slices"
+
 	"repro/internal/logic"
 )
 
@@ -17,11 +19,7 @@ import (
 // returned CQ has exactly the query's semantics, so its width-minimised
 // form (MinimizeWidth) may substitute for the text as written.
 func FromQuery(q logic.Query) (*CQ, bool) {
-	head := make(map[logic.Var]bool, len(q.Head))
-	for _, v := range q.Head {
-		head[v] = true
-	}
-	bound := make(map[logic.Var]bool)
+	var bound []logic.Var
 	var atoms []Atom
 	var eqs [][2]logic.Var
 	var walk func(f logic.Formula) bool
@@ -38,10 +36,10 @@ func FromQuery(q logic.Query) (*CQ, bool) {
 		case logic.Binary:
 			return g.Op == logic.AndOp && walk(g.L) && walk(g.R)
 		case logic.Quant:
-			if g.Kind != logic.ExistsQ || bound[g.V] || head[g.V] {
+			if g.Kind != logic.ExistsQ || slices.Contains(bound, g.V) || slices.Contains(q.Head, g.V) {
 				return false // ∀, or shadowing an outer binder / head variable
 			}
-			bound[g.V] = true
+			bound = append(bound, g.V)
 			return walk(g.F)
 		default:
 			return false
@@ -51,7 +49,21 @@ func FromQuery(q logic.Query) (*CQ, bool) {
 		return nil, false
 	}
 
-	// Unify equality classes, preferring head variables as representatives.
+	if len(eqs) > 0 && !unify(q.Head, atoms, eqs) {
+		return nil, false
+	}
+	cq := &CQ{Head: append([]logic.Var(nil), q.Head...), Atoms: atoms}
+	if cq.Validate() != nil {
+		// E.g. no atoms, or a head variable occurring only in equalities.
+		return nil, false
+	}
+	return cq, true
+}
+
+// unify renames the variables of atoms to their equality classes' head
+// variables, or to some one of them; false if eqs force two head variables
+// together.
+func unify(head []logic.Var, atoms []Atom, eqs [][2]logic.Var) bool {
 	parent := make(map[logic.Var]logic.Var)
 	var find func(v logic.Var) logic.Var
 	find = func(v logic.Var) logic.Var {
@@ -68,10 +80,10 @@ func FromQuery(q logic.Query) (*CQ, bool) {
 		if a == b {
 			continue
 		}
-		if head[a] && head[b] {
-			return nil, false // x = y between head variables: not a flat CQ
+		if slices.Contains(head, a) && slices.Contains(head, b) {
+			return false // x = y between head variables: not a flat CQ
 		}
-		if head[b] {
+		if slices.Contains(head, b) {
 			a, b = b, a
 		}
 		parent[b] = a
@@ -81,10 +93,5 @@ func FromQuery(q logic.Query) (*CQ, bool) {
 			atoms[i].Vars[j] = find(v)
 		}
 	}
-	cq := &CQ{Head: append([]logic.Var(nil), q.Head...), Atoms: atoms}
-	if cq.Validate() != nil {
-		// E.g. no atoms, or a head variable occurring only in equalities.
-		return nil, false
-	}
-	return cq, true
+	return true
 }

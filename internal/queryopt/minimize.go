@@ -2,6 +2,8 @@ package queryopt
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -27,167 +29,169 @@ import (
 // The rewritten query returns exactly the original answers; evaluating it
 // with eval.BottomUp keeps every intermediate at the minimized arity.
 func MinimizeWidth(q *CQ) (logic.Query, int, error) {
+	m, err := Minimize(q)
+	if err != nil {
+		return logic.Query{}, 0, err
+	}
+	out, err := m.Query()
+	return out, m.Width, err
+}
+
+// Minimized is MinimizeWidth's rewrite laid out but not written: every
+// join-tree node's names are chosen, so the width is known before a formula
+// exists. plan.Compile writes the formula (Query) only when the width is
+// smaller than the text's.
+type Minimized struct {
+	// Width is the number of distinct variables of the rewritten query.
+	Width int
+	q     *CQ
+	pool  []logic.Var // the names: the head, then q's other variables sorted
+	root  int
+	// Per atom: its join-tree children, the pool index of each argument's
+	// name, and the names its ∃ binds, in the order they were handed out.
+	children, args, fresh [][]int
+}
+
+// Minimize lays out MinimizeWidth's rewrite of the acyclic query q. A
+// variable's id is its own position in the pool, so that sets of variables
+// and of names are both 64-bit masks: q has at most 64 variables.
+func Minimize(q *CQ) (*Minimized, error) {
 	jt, err := q.BuildJoinTree()
 	if err != nil {
-		return logic.Query{}, 0, err
+		return nil, err
 	}
-	n := len(q.Atoms)
-	children := make([][]int, n)
+	pool := append(make([]logic.Var, 0, 8), q.Head...)
+	for _, a := range q.Atoms {
+		for _, x := range a.Vars {
+			if !slices.Contains(pool, x) {
+				pool = append(pool, x)
+			}
+		}
+	}
+	if len(pool) > 64 {
+		return nil, fmt.Errorf("queryopt: %d variables, at most 64 are minimised", len(pool))
+	}
+	slices.Sort(pool[len(q.Head):])
+	n, k := len(q.Atoms), len(pool)
+	lists := make([][]int, 3*n)
+	m := &Minimized{Width: len(q.Head), q: q, pool: pool, root: jt.Root,
+		children: lists[:n:n], args: lists[n : 2*n : 2*n], fresh: lists[2*n:]}
+	total := 0
+	for _, a := range q.Atoms {
+		total += len(a.Vars)
+	}
+	ints := make([]int, 2*total) // args and fresh, cut at the most an atom takes
+	for v, a := range q.Atoms {
+		l := len(a.Vars)
+		m.args[v], m.fresh[v], ints = ints[:0:l], ints[l:l:2*l], ints[2*l:]
+	}
 	for e, p := range jt.Parent {
 		if p >= 0 {
-			children[p] = append(children[p], e)
+			m.children[p] = append(m.children[p], e)
 		}
 	}
-	// subtreeVars and outside-vars per node.
-	subtree := make([]map[logic.Var]bool, n)
-	var collect func(v int) map[logic.Var]bool
-	collect = func(v int) map[logic.Var]bool {
-		if subtree[v] != nil {
-			return subtree[v]
+	// vars[v]: atom v's variables; sub[v]: its subtree's. A subtree variable
+	// is live — carried into the subtree under its name — if it is a head
+	// variable or occurs in an atom outside the subtree.
+	masks := make([]uint64, 2*n)
+	vars, sub := masks[:n], masks[n:]
+	for v, a := range q.Atoms {
+		for _, x := range a.Vars {
+			vars[v] |= 1 << slices.Index(pool, x)
 		}
-		out := make(map[logic.Var]bool)
-		for _, x := range q.Atoms[v].Vars {
-			out[x] = true
+	}
+	var collect func(v int) uint64
+	collect = func(v int) uint64 {
+		sub[v] = vars[v]
+		for _, c := range m.children[v] {
+			sub[v] |= collect(c)
 		}
-		for _, c := range children[v] {
-			for x := range collect(c) {
-				out[x] = true
-			}
-		}
-		subtree[v] = out
-		return out
+		return sub[v]
 	}
 	collect(jt.Root)
-	head := make(map[logic.Var]bool, len(q.Head))
-	for _, h := range q.Head {
-		head[h] = true
-	}
-	// occurrences per variable across all atoms, to derive "outside" vars.
-	occ := make(map[logic.Var]int)
-	for _, a := range q.Atoms {
-		seen := map[logic.Var]bool{}
-		for _, x := range a.Vars {
-			if !seen[x] {
-				seen[x] = true
-				occ[x]++
-			}
+	inside := make([]bool, n)
+	var mark func(v int, in bool)
+	mark = func(v int, in bool) {
+		inside[v] = in
+		for _, c := range m.children[v] {
+			mark(c, in)
 		}
 	}
-	occIn := func(v int) map[logic.Var]int {
-		out := make(map[logic.Var]int)
-		var rec func(u int)
-		rec = func(u int) {
-			seen := map[logic.Var]bool{}
-			for _, x := range q.Atoms[u].Vars {
-				if !seen[x] {
-					seen[x] = true
-					out[x]++
-				}
-			}
-			for _, c := range children[u] {
-				rec(c)
+	live := func(c int) uint64 {
+		mark(c, true)
+		out := uint64(1)<<len(q.Head) - 1
+		for e := range q.Atoms {
+			if !inside[e] {
+				out |= vars[e]
 			}
 		}
-		rec(v)
-		return out
-	}
-	// liveInterface(v): subtree vars that also occur outside the subtree or
-	// in the head.
-	liveInterface := func(v int) []logic.Var {
-		in := occIn(v)
-		var out []logic.Var
-		for x := range subtree[v] {
-			if head[x] || occ[x] > in[x] {
-				out = append(out, x)
-			}
-		}
-		return out
+		mark(c, false)
+		return sub[c] & out
 	}
 
-	// Pool allocation. A name is handed out only while every earlier one
-	// carries a distinct variable of q, so the pool never runs dry.
-	pool := append([]logic.Var(nil), q.Head...)
-	for _, x := range q.Vars() {
-		if !head[x] {
-			pool = append(pool, x)
-		}
+	// Names top-down: names[v*k+x] is variable x's name at atom v, -1 for none
+	// yet; the head's are its own. A fresh variable takes the first name no
+	// live variable holds (by deliberate shadowing of any other).
+	names := make([]int, n*k)
+	for i := range names {
+		names[i] = -1
 	}
-	width := 0
-	poolName := func(i int) logic.Var {
-		if i+1 > width {
-			width = i + 1
-		}
-		return pool[i]
-	}
-
-	var build func(v int, assign map[logic.Var]logic.Var) (logic.Formula, error)
-	build = func(v int, assign map[logic.Var]logic.Var) (logic.Formula, error) {
-		// Reserved names: everything in the incoming assignment.
-		reserved := make(map[logic.Var]bool, len(assign))
-		for _, name := range assign {
-			reserved[name] = true
-		}
-		local := make(map[logic.Var]logic.Var, len(assign))
-		for k, x := range assign {
-			local[k] = x
-		}
-		var fresh []logic.Var
-		allocate := func(x logic.Var) {
-			if _, ok := local[x]; ok {
-				return
-			}
-			for i := 0; ; i++ {
-				name := poolName(i)
-				if !reserved[name] {
-					local[x] = name
-					reserved[name] = true
-					fresh = append(fresh, name)
-					return
-				}
-			}
-		}
-		seen := map[logic.Var]bool{}
+	var place func(v int, held uint64) error
+	place = func(v int, held uint64) error {
+		own := names[v*k : (v+1)*k]
 		for _, x := range q.Atoms[v].Vars {
-			if !seen[x] {
-				seen[x] = true
-				allocate(x)
+			x := slices.Index(pool, x)
+			if own[x] < 0 {
+				name := bits.TrailingZeros64(^held)
+				own[x], held = name, held|1<<name
+				m.fresh[v] = append(m.fresh[v], name)
+				m.Width = max(m.Width, name+1)
 			}
+			m.args[v] = append(m.args[v], own[x])
 		}
-		args := make([]logic.Var, len(q.Atoms[v].Vars))
-		for i, x := range q.Atoms[v].Vars {
-			args[i] = local[x]
-		}
-		conj := []logic.Formula{logic.Atom{Rel: q.Atoms[v].Rel, Args: args}}
-		for _, c := range children[v] {
-			childAssign := make(map[logic.Var]logic.Var)
-			for _, x := range liveInterface(c) {
-				name, ok := local[x]
-				if !ok {
-					return nil, fmt.Errorf("queryopt: interface variable %s of child %d not assigned (join tree broken)", x, c)
+		for _, c := range m.children[v] {
+			var passed uint64
+			for l := live(c); l != 0; l &= l - 1 {
+				x := bits.TrailingZeros64(l)
+				if own[x] < 0 {
+					return fmt.Errorf("queryopt: interface variable %s of child %d not assigned (join tree broken)", pool[x], c)
 				}
-				childAssign[x] = name
+				names[c*k+x], passed = own[x], passed|1<<own[x]
 			}
-			sub, err := build(c, childAssign)
-			if err != nil {
-				return nil, err
+			if err := place(c, passed); err != nil {
+				return err
 			}
-			conj = append(conj, sub)
 		}
-		return logic.Exists(logic.And(conj...), fresh...), nil
+		return nil
 	}
+	for i := range q.Head {
+		names[jt.Root*k+i] = i
+	}
+	if err := place(jt.Root, uint64(1)<<len(q.Head)-1); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
-	// Head variables get the first pool names, fixed for the whole query.
-	topAssign := make(map[logic.Var]logic.Var, len(q.Head))
-	for i, h := range q.Head {
-		topAssign[h] = poolName(i)
+// Query writes the rewrite: at each join-tree node, ∃ over the names it hands
+// out, of its atom ∧ its children's subformulas.
+func (m *Minimized) Query() (logic.Query, error) {
+	var build func(v int) logic.Formula
+	build = func(v int) logic.Formula {
+		a := m.q.Atoms[v]
+		args := make([]logic.Var, len(a.Vars))
+		for i, name := range m.args[v] {
+			args[i] = m.pool[name]
+		}
+		conj := []logic.Formula{logic.Atom{Rel: a.Rel, Args: args}}
+		for _, c := range m.children[v] {
+			conj = append(conj, build(c))
+		}
+		fresh := make([]logic.Var, len(m.fresh[v]))
+		for i, name := range m.fresh[v] {
+			fresh[i] = m.pool[name]
+		}
+		return logic.Exists(logic.And(conj...), fresh...)
 	}
-	body, err := build(jt.Root, topAssign)
-	if err != nil {
-		return logic.Query{}, 0, err
-	}
-	out, err := logic.NewQuery(q.Head, body)
-	if err != nil {
-		return logic.Query{}, 0, err
-	}
-	return out, width, nil
+	return logic.NewQuery(m.q.Head, build(m.root))
 }
