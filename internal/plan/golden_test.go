@@ -45,8 +45,8 @@ func planDigest(p *Plan) string {
 		}
 	}
 	for k := 0; k < p.NumBinders; k++ {
-		fmt.Fprintf(&b, "binder %d: dirty %v sched %v preds %v levels %v pre %v delta %t\n",
-			k, p.Dirty[k], p.Sched[k], p.SchedPreds[k], p.SchedLevels[k], p.PreEval[k], p.DeltaOK[k])
+		fmt.Fprintf(&b, "binder %d: dirty %v sched %v pre %v delta %t\n",
+			k, p.Dirty[k], p.Sched[k], p.PreEval[k], p.DeltaOK[k])
 	}
 	m := p.Maint
 	fmt.Fprintf(&b, "maint %t seeded %v rels %v", m.OK, m.Seeded, m.Rels)
