@@ -620,33 +620,3 @@ func BenchmarkDenseForallAxis(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPFPParallel sweeps a parametrized PFP — one independent fixpoint
-// run per parameter value — serially and with the worker pool. On a single
-// core the two coincide; the benchmark exists to quantify the sweep overhead
-// there and the speedup on multi-core machines.
-func BenchmarkPFPParallel(b *testing.B) {
-	// [pfp S(x). x=y ∨ ∃z(E(z,x) ∧ S(z))](x): reachability-from-y, one run
-	// per value of the parameter y.
-	body := logic.Or(
-		logic.Equal("x", "y"),
-		logic.Exists(logic.And(logic.R("E", "z", "x"),
-			logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))
-	q := logic.MustQuery([]logic.Var{"x", "y"}, logic.Pfp("S", []logic.Var{"x"}, body, "x"))
-	for _, n := range []int{16, 32} {
-		db := workload.LineGraph(n)
-		for _, par := range []struct {
-			name string
-			p    int
-		}{{"serial", 1}, {"pool", 0}} {
-			opts := &eval.Options{Parallelism: par.p}
-			b.Run(fmt.Sprintf("%s/n=%d", par.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := eval.BottomUpStats(q, db, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

@@ -124,9 +124,9 @@ const (
 	EngineCertified
 	// EngineCompiled lowers the query to a hash-consed DAG plan
 	// (internal/plan) and evaluates it incrementally: recursion-free
-	// subtrees are computed once, LFP/IFP stages run semi-naive on stage
-	// deltas, and independent dirty nodes evaluate in parallel. Supports
-	// FO, FP, IFP and PFP with answers byte-identical to EngineBottomUp.
+	// subtrees are computed once and LFP/IFP stages run semi-naive on stage
+	// deltas, one stage at a time on the caller's goroutine. Supports FO,
+	// FP, IFP and PFP with answers byte-identical to EngineBottomUp.
 	EngineCompiled
 )
 

@@ -109,10 +109,6 @@ func TestResultKeyDistinguishesAnswersOnly(t *testing.T) {
 	if k2 := ResultKey(db1.Fingerprint(), "bottomup", &eval.Options{MaxWidth: 2}, q); k1 == k2 {
 		t.Fatal("different width bounds share a key")
 	}
-	// Parallelism does not affect answers; it must share the key.
-	if k2 := ResultKey(db1.Fingerprint(), "bottomup", &eval.Options{Parallelism: 8}, q); k1 != k2 {
-		t.Fatal("parallelism split the key")
-	}
 }
 
 // TestResultKeyFormat pins the hand-appended key byte for byte, against
@@ -128,7 +124,7 @@ func TestResultKeyFormat(t *testing.T) {
 		{0, "bottomup", nil, "", "0000000000000000|bottomup|0|0|auto|"},
 		{0xdeadbeef, "compiled", &eval.Options{}, "(x). P(x)", "00000000deadbeef|compiled|0|0|auto|(x). P(x)"},
 		{^uint64(0), "naive", &eval.Options{MaxWidth: 3, PFPCycle: eval.CycleBrent, Backend: eval.BackendSparse,
-			Parallelism: 8, Observe: eval.NewObserver(1, true)},
+			Observe: eval.NewObserver(1, true)},
 			"(x, y). E(x, y) | x = y", "ffffffffffffffff|naive|3|1|sparse|(x, y). E(x, y) | x = y"},
 		{0x0123456789abcdef, "compiled", &eval.Options{MaxWidth: -1, Backend: eval.BackendDense}, "ünï|çode",
 			"0123456789abcdef|compiled|-1|0|dense|ünï|çode"},

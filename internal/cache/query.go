@@ -130,9 +130,8 @@ func (c *ResultCache) Counters() (hits, misses, evictions int64) { return c.lru.
 // ResultKey builds the canonical result-cache key from everything that can
 // change an answer: the content the query reads (database.ContentID of its
 // footprint), the engine, the answer-affecting options, and the query text.
-// Options.Parallelism is deliberately excluded — the parallel PFP sweep's
-// merge is deterministic, so requests differing only in worker count share
-// one cache line. The relation backend IS included even though backends
+// Options.Observe and Options.Nodes are excluded: observing a run and sharing
+// node values change no answer. The relation backend IS included even though backends
 // agree on answers: the cached Stats describe one run's representation
 // choices, and serving a dense run's statistics to a backend=sparse request
 // would misreport.

@@ -274,7 +274,7 @@ func evalRoute(ctx context.Context, p *plan.Plan, db *database.Database, opts *O
 		default:
 			return res, err
 		}
-		stats.addRepSwitches(1)
+		stats.RepSwitches++
 	}
 }
 

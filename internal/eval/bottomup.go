@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/database"
@@ -43,37 +42,6 @@ func BottomUpContext(ctx context.Context, q logic.Query, db *database.Database, 
 	return ans, c.stats, err
 }
 
-// atomCache memoizes the cylindrified dense form of database atoms, keyed by
-// relation name and argument axes. Database relations are immutable during
-// one evaluation, so every re-visit of R(x̄) inside a fixpoint body is a
-// word-copy of the cached master instead of a per-tuple cylinder walk. The
-// cache is shared by all PFP sweep workers.
-type atomCache struct {
-	mu sync.Mutex
-	m  map[string]*relation.Dense
-}
-
-// master returns the shared cylindrified form of the database atom
-// name(args), building it through alg on first use. Masters are never
-// mutated: readers copy them.
-func (ac *atomCache) master(alg *denseAlg, name string, args []int) (*relation.Dense, error) {
-	key := atomKey(name, args)
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	if m, ok := ac.m[key]; ok {
-		return m, nil
-	}
-	m, err := alg.atom(name, args)
-	if err != nil {
-		return nil, err
-	}
-	if ac.m == nil {
-		ac.m = make(map[string]*relation.Dense)
-	}
-	ac.m[key] = m
-	return m, nil
-}
-
 // fixRule is what a fixpoint occurrence does when the walker reaches it
 // again because an enclosing fixpoint advanced a stage. It is the one thing
 // the paper's three upper bounds for FPᵏ differ in, and the one thing the
@@ -99,9 +67,7 @@ const (
 // Monotone, FindCertificate or VerifyCertificate run. It evaluates over the
 // executor's dense algebra — its spaces, its PFP merge and cycle detectors —
 // and keeps what is its own: the rules, the occurrence paths, the memo, the
-// atom masters and the certificate chains. The parallel PFP sweep forks one
-// context per worker: env and path are per-context, everything else is shared
-// (and either immutable or internally synchronized).
+// atom masters and the certificate chains.
 type buCtx struct {
 	ctx    context.Context
 	alg    *denseAlg // alg.sp is the full-width space every subformula denotes in
@@ -109,8 +75,8 @@ type buCtx struct {
 	env    *env
 	stats  *Stats
 	opts   *Options
-	atoms  *atomCache
-	engine string // TraceEvent.Engine of the entry point that built the walker
+	atoms  map[string]*relation.Dense // cylindrified database atoms by atomKey, never written: evalAtom copies them
+	engine string                     // TraceEvent.Engine of the entry point that built the walker
 	rule   fixRule
 	// path names the occurrence being evaluated: "r" extended by ".l"/".r"
 	// (binary), ".n" (negation), ".q" (quantifier) or ".b" (fixpoint body)
@@ -154,7 +120,7 @@ func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *
 		env:    newEnv(),
 		stats:  &Stats{},
 		opts:   opts,
-		atoms:  &atomCache{},
+		atoms:  make(map[string]*relation.Dense),
 		engine: engine,
 		rule:   rule,
 		path:   []byte("r"),
@@ -172,7 +138,7 @@ func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *
 // the pools: a finished walk leaves no scratch out.
 func (c *buCtx) answer(head []logic.Var, body logic.Formula) (*relation.Set, error) {
 	defer func() {
-		for _, d := range c.atoms.m {
+		for _, d := range c.atoms {
 			d.Release()
 		}
 		for _, d := range c.memo {
@@ -194,22 +160,6 @@ func (c *buCtx) answer(head []logic.Var, body logic.Formula) (*relation.Set, err
 	}
 	defer h.Release()
 	return h.ToSet(), nil
-}
-
-// fork returns a context for a PFP sweep worker: an independent environment
-// snapshot and path over the shared algebra, stats and caches.
-// Nested fixpoints inside a worker evaluate serially.
-func (c *buCtx) fork() *buCtx {
-	var o Options
-	if c.opts != nil {
-		o = *c.opts
-	}
-	o.Parallelism = 1
-	wc := *c
-	wc.env = c.env.clone()
-	wc.opts = &o
-	wc.path = append([]byte(nil), c.path...)
-	return &wc
 }
 
 func (c *buCtx) axis(v logic.Var) (int, error) {
@@ -235,7 +185,7 @@ func (c *buCtx) axesOf(vs []logic.Var) ([]int, error) {
 // eval returns the dense denotation of f over the full variable tuple. The
 // caller owns the result and may mutate or Release it.
 func (c *buCtx) eval(f logic.Formula) (*relation.Dense, error) {
-	c.stats.addSubformulaEvals(1)
+	c.stats.SubformulaEvals++
 	d, err := c.evalNode(f)
 	if err != nil {
 		return nil, err
@@ -342,9 +292,13 @@ func (c *buCtx) evalAtom(g logic.Atom) (*relation.Dense, error) {
 	}
 	// Database atoms are immutable for the whole evaluation: cylindrify once
 	// per (relation, argument-axes) and hand out pooled copies.
-	master, err := c.atoms.master(c.alg, g.Rel, args)
-	if err != nil {
-		return nil, err
+	key := atomKey(g.Rel, args)
+	master, ok := c.atoms[key]
+	if !ok {
+		if master, err = c.alg.atom(g.Rel, args); err != nil {
+			return nil, err
+		}
+		c.atoms[key] = master
 	}
 	return master.Clone(), nil
 }
@@ -450,7 +404,7 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 			cur.Release()
 			return nil, err
 		}
-		c.stats.addFixIterations(1)
+		c.stats.FixIterations++
 		var stageStart time.Time
 		if obs != nil {
 			stageStart = time.Now()
@@ -488,11 +442,11 @@ func (c *buCtx) stages(g logic.Fix, params []logic.Var, esp *relation.Space, ext
 
 // evalPFP computes the partial fixpoint per parameter assignment and returns
 // the union as an extended (|x̄|+|ȳ|)-ary dense relation: the executor's
-// sweep (sweepPFP), a sweep worker being a forked walker.
+// sweep (sweepPFP).
 func (c *buCtx) evalPFP(g logic.Fix, varAxes, paramAxes []int) (*relation.Dense, error) {
 	out := c.alg.spaces[len(varAxes)+len(paramAxes)].Empty()
-	err := sweepPFP(c.alg, out, c, c.fork, c.alg.db.Size(), len(paramAxes), c.opts, func(w *buCtx, assign []int) (*relation.Dense, error) {
-		return w.pfpOne(g, varAxes, paramAxes, assign)
+	err := sweepPFP(c.alg, out, c.alg.db.Size(), len(paramAxes), func(assign []int) (*relation.Dense, error) {
+		return c.pfpOne(g, varAxes, paramAxes, assign)
 	})
 	if err != nil {
 		out.Release()
@@ -511,7 +465,7 @@ func (c *buCtx) pfpOne(g logic.Fix, varAxes, paramAxes, assign []int) (*relation
 		if err := checkCtx(c.ctx); err != nil {
 			return nil, err
 		}
-		c.stats.addFixIterations(1)
+		c.stats.FixIterations++
 		var stageStart time.Time
 		if obs != nil {
 			stageStart = time.Now()

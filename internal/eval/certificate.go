@@ -194,7 +194,7 @@ func (c *buCtx) evalGfp(g logic.Fix, params []logic.Var, esp *relation.Space, ex
 	// Mirror check (Lemma 3.3): Q ⊆ f′(Q), evaluated with the certified
 	// under-approximations of everything inside the body.
 	restore := c.env.bind(g.Rel, boundRel{dense: q, params: params})
-	c.stats.addFixIterations(1)
+	c.stats.FixIterations++
 	body, err := c.child('b', g.Body)
 	restore()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // fixpoint iteration becomes incremental re-evaluation of that DAG by the
 // plan executor (executor.go) over the dense or the sparse algebra.
 //
-// Three mechanisms make it faster than BottomUp while returning byte-identical
+// Two mechanisms make it faster than BottomUp while returning byte-identical
 // answers on every admitted fragment (FO, FP, IFP, PFP):
 //
 //   - Hoisting. A node whose value cannot change while a fixpoint iterates
@@ -31,11 +31,6 @@ import (
 //     GFP and PFP stages, and dirty sets containing negation or nested
 //     fixpoints, fall back to full dirty-node re-evaluation (still hoisting
 //     everything clean).
-//
-//   - Parallel dirty nodes. Independent dirty nodes of one stage (the plan's
-//     topological waves) are evaluated concurrently under
-//     Options.Parallelism, as is the PFP parameter sweep. Answers and all
-//     Stats counters are identical at every parallelism setting.
 //
 // Cancellation is checked at stage boundaries exactly like BottomUpContext.
 func Compiled(q logic.Query, db *database.Database) (*relation.Set, error) {
@@ -67,9 +62,6 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 		return planResult{stats: stats}, err
 	}
 	r.alg, r.store = alg, store
-	if par := parallelism(opts); par > 1 {
-		r.sem = make(chan struct{}, par-1)
-	}
 	return r.answer(r.start(ho, seed, capture))
 }
 
@@ -81,7 +73,7 @@ func runDense(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 type denseAlg struct {
 	db *database.Database
 	// sp is the full-width space; spaces[k] the k-ary one, each with its own
-	// scratch pool shared by every fixpoint visit and sweep worker of the run.
+	// scratch pool shared by every fixpoint visit of the run.
 	sp     *relation.Space
 	spaces []*relation.Space
 }

@@ -69,8 +69,8 @@ func TestContextDeadlineMidPFP(t *testing.T) {
 	}
 }
 
-// TestContextParallelSweepCancels checks that the parallel PFP sweep's
-// workers all observe cancellation.
+// TestContextParallelSweepCancels checks that PFP sweeps running beside each
+// other all observe cancellation.
 func TestContextParallelSweepCancels(t *testing.T) {
 	// A parametrized PFP (free variable y in the body) forces the sweep.
 	body := logic.Or(
@@ -82,10 +82,11 @@ func TestContextParallelSweepCancels(t *testing.T) {
 	db := randomGraph(t, rand.New(rand.NewSource(7)), 24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := BottomUpContext(ctx, q, db, &Options{Parallelism: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel sweep: err = %v, want context.Canceled", err)
-	}
+	concurrently(4, func(i int) {
+		if _, _, err := BottomUpContext(ctx, q, db, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("sweep %d: err = %v, want context.Canceled", i, err)
+		}
+	})
 }
 
 // TestContextAnswerUnchanged verifies that evaluating under a live context

@@ -181,7 +181,7 @@ func TestCrossoverSweep(t *testing.T) {
 					var st *eval.Stats
 					runtime.GC() // the previous route's garbage is not this one's to collect
 					ns := medianRun(func() {
-						en, s, err := eval.EvalPlanEnum(ctx, p, db, &eval.Options{Backend: b, Parallelism: 1})
+						en, s, err := eval.EvalPlanEnum(ctx, p, db, &eval.Options{Backend: b})
 						if err != nil {
 							t.Fatalf("%s/%s/%d on %s: %v", fam.name, shape, n, b, err)
 						}
@@ -199,7 +199,7 @@ func TestCrossoverSweep(t *testing.T) {
 				cell.DenseNS, st = timed(eval.BackendDense)
 				cell.Stages = st.FixIterations
 				best := cell.DenseNS
-				den, route := eval.ExplainRoute(p, db, &eval.Options{Parallelism: 1})
+				den, route := eval.ExplainRoute(p, db, &eval.Options{})
 				cell.Route, cell.DenseFeat, cell.SparseFeat, cell.DenseCost = route, den.DenseFeat, den.SparseFeat, den.DenseCost
 				if len(den.Loop) > 0 {
 					cell.ModelStages = den.Loop[0].Stages

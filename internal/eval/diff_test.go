@@ -3,7 +3,7 @@
 // second opinion where it is admitted. Beyond answer equality the harness
 // checks the Stats invariants that make the compiled engine's counters
 // trustworthy: incremental evaluation never takes more fixpoint stages than
-// the tree-walking evaluator, and parallel schedules change nothing.
+// the tree-walking evaluator.
 package eval
 
 import (
@@ -235,7 +235,7 @@ func TestDifferentialCompiledVsBottomUp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BottomUp(%s): %v", q, err)
 		}
-		co, cst, err := CompiledStats(q, db, &Options{Parallelism: 1})
+		co, cst, err := CompiledStats(q, db, &Options{})
 		if err != nil {
 			t.Fatalf("Compiled(%s): %v", q, err)
 		}
@@ -246,15 +246,6 @@ func TestDifferentialCompiledVsBottomUp(t *testing.T) {
 		// hoisting closed inner fixpoints can only remove stages.
 		if cst.FixIterations > bst.FixIterations {
 			t.Fatalf("%s: compiled FixIterations %d > bottomup %d", q, cst.FixIterations, bst.FixIterations)
-		}
-
-		// A parallel schedule must be observationally identical.
-		cp, pst, err := CompiledStats(q, db, &Options{Parallelism: 4})
-		if err != nil {
-			t.Fatalf("Compiled parallel(%s): %v", q, err)
-		}
-		if !cp.Equal(co) || *pst != *cst {
-			t.Fatalf("%s: parallel evaluation diverged (stats %+v vs %+v)", q, pst, cst)
 		}
 
 		// Monotone, when the fragment admits it, is a third independent
@@ -300,7 +291,7 @@ func TestDifferentialPushedFilters(t *testing.T) {
 			t.Fatalf("BottomUp(%s): %v", q, err)
 		}
 		for _, b := range []Backend{BackendDense, BackendSparse, BackendAuto} {
-			got, _, err := CompiledStats(q, db, &Options{Backend: b, Parallelism: 1})
+			got, _, err := CompiledStats(q, db, &Options{Backend: b})
 			if b == BackendSparse && err != nil && strings.Contains(err.Error(), "sparse backend:") {
 				continue
 			}
@@ -320,9 +311,8 @@ func TestDifferentialPushedFilters(t *testing.T) {
 	}
 }
 
-// TestDifferentialPFP drives the three PFP-capable paths (serial compiled,
-// parallel compiled, BottomUp) over randomized parametrized PFP queries,
-// where each engine must either produce the identical answer or fail with
+// TestDifferentialPFP drives the two PFP-capable paths (compiled, BottomUp)
+// over randomized parametrized PFP queries, where each engine must either produce the identical answer or fail with
 // the identical budget error.
 func TestDifferentialPFP(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
@@ -346,14 +336,12 @@ func TestDifferentialPFP(t *testing.T) {
 			db := randomGraph(t, r, 2+r.Intn(4))
 			opts := &Options{pfpBudget: 64}
 			bu, _, buErr := BottomUpStats(q, db, opts)
-			for _, par := range []int{1, 4} {
-				co, _, coErr := CompiledStats(q, db, &Options{pfpBudget: 64, Parallelism: par})
-				if (buErr == nil) != (coErr == nil) {
-					t.Fatalf("body %d par %d: error mismatch: bottomup=%v compiled=%v", bi, par, buErr, coErr)
-				}
-				if buErr == nil && !co.Equal(bu) {
-					t.Fatalf("body %d par %d: %v vs %v on\n%s", bi, par, co, bu, db)
-				}
+			co, _, coErr := CompiledStats(q, db, opts)
+			if (buErr == nil) != (coErr == nil) {
+				t.Fatalf("body %d: error mismatch: bottomup=%v compiled=%v", bi, buErr, coErr)
+			}
+			if buErr == nil && !co.Equal(bu) {
+				t.Fatalf("body %d: %v vs %v on\n%s", bi, co, bu, db)
 			}
 		}
 	}
@@ -408,7 +396,7 @@ func TestDifferentialNegatedFixpoints(t *testing.T) {
 
 // naiveDifferential compiles text and checks its answers against naive on six
 // random graphs, on every backend (forced sparse may refuse a plan outside
-// its fragment) and two degrees of parallelism. It returns the plan.
+// its fragment). It returns the plan.
 func naiveDifferential(t *testing.T, r *rand.Rand, text string) *plan.Plan {
 	t.Helper()
 	q, err := parser.ParseQuery(text)
@@ -426,20 +414,18 @@ func naiveDifferential(t *testing.T, r *rand.Rand, text string) *plan.Plan {
 			t.Fatal(err)
 		}
 		for _, be := range []Backend{BackendAuto, BackendDense, BackendSparse} {
-			for _, par := range []int{1, 3} {
-				got, _, err := CompiledStats(q, db, &Options{Backend: be, Parallelism: par})
-				if be == BackendSparse && !p.Density(db.Size(), cardOf(db)).SparseOK {
-					if err == nil {
-						t.Fatalf("%s: forced sparse answered a plan outside its fragment", text)
-					}
-					continue
+			got, _, err := CompiledStats(q, db, &Options{Backend: be})
+			if be == BackendSparse && !p.Density(db.Size(), cardOf(db)).SparseOK {
+				if err == nil {
+					t.Fatalf("%s: forced sparse answered a plan outside its fragment", text)
 				}
-				if err != nil {
-					t.Fatalf("%s backend %v: %v", text, be, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s backend %v par %d: %v, naive %v on\n%s", text, be, par, got, want, db)
-				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s backend %v: %v", text, be, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s backend %v: %v, naive %v on\n%s", text, be, got, want, db)
 			}
 		}
 	}

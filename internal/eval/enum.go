@@ -71,7 +71,7 @@ func (e *cursorEnum) Next() (relation.Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	e.stats.addTuplesStreamed(1)
+	e.stats.TuplesStreamed++
 	return t, true
 }
 
@@ -80,7 +80,7 @@ func (e *cursorEnum) Skip(n int) int {
 		return 0
 	}
 	k := e.c.Skip(n)
-	e.stats.addTuplesSkipped(int64(k))
+	e.stats.TuplesSkipped += int64(k)
 	return k
 }
 
@@ -100,6 +100,9 @@ func (e *cursorEnum) Close() { e.closed = true }
 // (*relation.Sparse) and a head bitmap (*relation.Dense) open in O(1); a
 // *relation.Set sorts its tuples first. stats may be nil: nothing is metered.
 func NewEnumerator(ctx context.Context, v relation.View, stats *Stats) Enumerator {
+	if stats == nil {
+		stats = &Stats{}
+	}
 	return &cursorEnum{ctx: ctx, c: v.Cursor(), stats: stats}
 }
 

@@ -277,7 +277,7 @@ func TestAnswerViewEveryRoute(t *testing.T) {
 	ctx := context.Background()
 	reference := func(p *plan.Plan, db *database.Database) []relation.Tuple {
 		t.Helper()
-		ref, _, err := EvalPlanContext(ctx, p, db, &Options{Backend: BackendDense, Parallelism: 1})
+		ref, _, err := EvalPlanContext(ctx, p, db, &Options{Backend: BackendDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestAnswerViewEveryRoute(t *testing.T) {
 	if _, route := ExplainRoute(p, forest, nil); route != "dense" {
 		t.Fatalf("gfp over a two-hop on a 200-node forest routes %q, want dense", route)
 	}
-	v, st, _, err := EvalPlan(ctx, p, forest, &Options{Parallelism: 1}, nil, true)
+	v, st, _, err := EvalPlan(ctx, p, forest, &Options{}, nil, true)
 	if err != nil || st.RepSwitches != 0 {
 		t.Fatalf("auto run of a dense-only plan: err %v, stats %+v", err, st)
 	}
@@ -315,7 +315,7 @@ func TestAnswerViewEveryRoute(t *testing.T) {
 	}{{"sparse", tcQuery(), b.MustBuild()}, {"dense", reachQuery(), lineDB(24)}} {
 		p := mustCompile(t, tc.q)
 		var res planResult
-		withHandOffScale(0, func() { res, err = startOn(t, tc.start, p, tc.db, &Options{Parallelism: 1}) })
+		withHandOffScale(0, func() { res, err = startOn(t, tc.start, p, tc.db, &Options{}) })
 		if err != nil || res.stats.RepSwitches != 1 {
 			t.Fatalf("started %s: err %v, stats %+v, want one hand-off", tc.start, err, res.stats)
 		}
@@ -329,7 +329,7 @@ func TestAnswerViewEveryRoute(t *testing.T) {
 		t.Fatalf("apply: %v, maintainable %v", err, CanMaintain(p, delta))
 	}
 	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		opts := &Options{Backend: backend, Parallelism: 1}
+		opts := &Options{Backend: backend}
 		_, _, state, err := EvalPlan(ctx, p, line, opts, nil, true)
 		if err != nil || state == nil {
 			t.Fatalf("%s: capture: %v, state %v", backend, err, state)

@@ -34,8 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/database"
@@ -61,7 +59,9 @@ const (
 	CycleBrent
 )
 
-// Options configures evaluation.
+// Options configures evaluation. An evaluation runs on its caller's
+// goroutine, one fixpoint stage and one PFP parameter assignment at a time:
+// bvqd's admission control counts one core per evaluation.
 type Options struct {
 	// MaxWidth caps the query width (0 means no cap beyond the dense-space
 	// size limit). Callers enforcing a specific Lᵏ set this to k.
@@ -74,12 +74,6 @@ type Options struct {
 	// full-width dense. It participates in result cache keys (different
 	// backends may report different Stats).
 	Backend Backend
-	// Parallelism bounds the number of worker goroutines the PFP evaluator
-	// uses for its per-parameter-assignment sweep (the n^|ȳ| independent
-	// fixpoint runs of a parametrized PFP are embarrassingly parallel).
-	// 0 means GOMAXPROCS; 1 preserves fully serial evaluation. The answer
-	// and all Stats counters are identical at every setting.
-	Parallelism int
 	// Observe, when non-nil, receives the run's fixpoint stages from the
 	// BottomUp, Monotone and Compiled evaluators (every PFP stage of every
 	// parameter assignment included) and, if it was built to, the plan
@@ -132,14 +126,6 @@ type TraceEvent struct {
 	HandOff bool
 }
 
-// parallelism resolves the Options.Parallelism knob.
-func parallelism(opts *Options) int {
-	if opts != nil && opts.Parallelism > 0 {
-		return opts.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // defaultPFPBudget bounds PFP stage counts when Options.pfpBudget is zero.
 const defaultPFPBudget = 1 << 20
 
@@ -171,10 +157,8 @@ func checkCtx(ctx context.Context) error {
 	return nil
 }
 
-// Stats reports work done by an evaluation. Counters are updated through
-// atomic operations — the parallel PFP sweep increments them from several
-// worker goroutines at once — so the fields are plain int64s that are only
-// safe to read after the evaluation returns. The json tags are bvqd's wire
+// Stats reports work done by an evaluation, which updates it from its own
+// goroutine: read it after the evaluation returns. The json tags are bvqd's wire
 // form of the statistics (server.StatsJSON is this type).
 type Stats struct {
 	// SubformulaEvals counts dense-relation constructions (one per
@@ -193,8 +177,7 @@ type Stats struct {
 	// DAG cache instead of being recomputed: per fixpoint stage, the size of
 	// the hoisted frontier the stage read without re-evaluating (work the
 	// formula walker redoes every iteration). Zero for other
-	// engines. The counter is schedule-independent: it depends only on the
-	// plan and the iteration counts, never on Options.Parallelism.
+	// engines. It depends only on the plan and the iteration counts.
 	NodesReused int64 `json:"nodes_reused,omitempty"`
 	// DeltaTuples counts tuples pushed through recursion-relation deltas by
 	// the Compiled engine's semi-naive stages — the per-stage |ΔS| sum. A
@@ -231,72 +214,10 @@ type Stats struct {
 	NodesShared int64 `json:"nodes_shared,omitempty"`
 }
 
-func (s *Stats) addSubformulaEvals(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.SubformulaEvals, d)
-	}
-}
-
-func (s *Stats) addFixIterations(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.FixIterations, d)
-	}
-}
-
-func (s *Stats) addNodesReused(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.NodesReused, d)
-	}
-}
-
-func (s *Stats) addDeltaTuples(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.DeltaTuples, d)
-	}
-}
-
-func (s *Stats) addTuplesTouched(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.TuplesTouched, d)
-	}
-}
-
-func (s *Stats) addRepSwitches(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.RepSwitches, d)
-	}
-}
-
-func (s *Stats) addTuplesStreamed(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.TuplesStreamed, d)
-	}
-}
-
-func (s *Stats) addTuplesSkipped(d int64) {
-	if s != nil {
-		atomic.AddInt64(&s.TuplesSkipped, d)
-	}
-}
-
-// observe folds one intermediate relation's shape into the maxima. It may be
-// called concurrently once the PFP sweep is parallel, so the maxima are
-// maintained with compare-and-swap.
+// observe folds one intermediate relation's shape into the maxima.
 func (s *Stats) observe(arity, tuples int) {
-	if s == nil {
-		return
-	}
-	atomicMax(&s.MaxIntermediateArity, int64(arity))
-	atomicMax(&s.MaxIntermediateTuples, int64(tuples))
-}
-
-func atomicMax(p *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(p)
-		if v <= cur || atomic.CompareAndSwapInt64(p, cur, v) {
-			return
-		}
-	}
+	s.MaxIntermediateArity = max(s.MaxIntermediateArity, int64(arity))
+	s.MaxIntermediateTuples = max(s.MaxIntermediateTuples, int64(tuples))
 }
 
 // boundRel is an interpreted relation symbol: a database relation
@@ -316,16 +237,6 @@ type env struct {
 }
 
 func newEnv() *env { return &env{rels: make(map[string]boundRel)} }
-
-// clone returns an independent copy of the environment, so a PFP sweep
-// worker can bind its own recursion stages without racing its siblings.
-func (e *env) clone() *env {
-	c := newEnv()
-	for k, v := range e.rels {
-		c.rels[k] = v
-	}
-	return c
-}
 
 func (e *env) bind(name string, r boundRel) (restore func()) {
 	prev, had := e.rels[name]

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/database"
@@ -21,7 +19,7 @@ import (
 // one bottom-up stage loop: run is that loop, written once, and algebra is
 // the carrier it is parameterised by. Everything about the plan lives in run
 // (node cache, invalidation, op dispatch, stage loops, semi-naive regime,
-// maintenance seeding and capture, PFP sweep, waves, profiling, tracing,
+// maintenance seeding and capture, PFP sweep, profiling, tracing,
 // cancellation); everything about the representation lives in an algebra:
 // dense nᵏ-bit bitmaps over pooled Spaces (compiled.go) or sorted tuple
 // blocks over a node's support axes (sparse.go).
@@ -35,8 +33,8 @@ import (
 // caller, an op that consumes an argument may reuse its storage (the caller
 // continues with the result only), and release hands storage back — to a
 // Space's bitmap pool, to a sparse run's free list of blocks. What the run
-// does not own (owned[n] false: the node store has seen it, or a fork
-// inherited it) it neither consumes nor releases, and clones before writing.
+// does not own (owned[n] false: the node store has seen it) it neither
+// consumes nor releases.
 type algebra[V comparable] interface {
 	// atom is the database atom rel(args).
 	atom(rel string, args []int) (V, error)
@@ -103,9 +101,9 @@ type algebra[V comparable] interface {
 // GFP/PFP (plan.Density.SparseOK, the routing gate, keeps such plans away).
 var errStagesOnly = errors.New("eval: sparse backend cannot evaluate gfp/pfp fixpoints (bottom-up stages only)")
 
-// run is one evaluation of a compiled plan over one algebra. The PFP sweep
-// forks one run per worker: val/valid/binding are per-run, everything else
-// is shared (immutable or internally synchronized).
+// run is one evaluation of a compiled plan over one algebra, on its caller's
+// goroutine: only the node store and the spaces' pools are shared, and with
+// other evaluations.
 type run[V comparable] struct {
 	ctx   context.Context
 	p     *plan.Plan
@@ -115,12 +113,9 @@ type run[V comparable] struct {
 	opts  *Options
 	// deltaOK[b] admits binder b to the semi-naive regime under this algebra.
 	deltaOK []bool
-	// sem holds the extra-worker tokens for the wave scheduler; nil means
-	// fully serial (Parallelism 1, sparse runs, and inside PFP sweep workers).
-	sem chan struct{}
 	// Per-node DAG cache. val[n] is node n's value; valid[n] marks it current;
 	// owned[n] marks it releasable by this run (false for values the node
-	// store has seen and fork-inherited ones, never to be mutated or released).
+	// store has seen, never to be mutated or released).
 	// valCnt[n] is val[n]'s tuple count, maintained incrementally by delta
 	// passes.
 	val    []V
@@ -182,22 +177,6 @@ func (r *run[V]) start(ho *handOffs, seed *MaintState, capture bool) bool {
 	return capture
 }
 
-// fork returns a run for a PFP sweep worker: independent node cache and
-// bindings over the shared plan, database, stats and algebra. Inherited
-// values are not owned — the parent may still read them — and nested
-// evaluation inside a worker is serial.
-func (r *run[V]) fork() *run[V] {
-	w := *r
-	w.sem, w.seed, w.captured, w.store, w.ho = nil, nil, nil, nil, nil
-	w.val = append([]V(nil), r.val...)
-	w.valid = append([]bool(nil), r.valid...)
-	w.owned = make([]bool, len(r.owned))
-	w.valCnt = append([]int(nil), r.valCnt...)
-	w.deltas = make([]V, len(r.deltas))
-	w.binding = append([]V(nil), r.binding...)
-	return &w
-}
-
 // answer runs the plan to its head value — the root projected onto the
 // (distinct, by logic.Query.Validate) head columns — and hands it out as the
 // View every caller reads the answer from (Prop. 3.1: the answer is a
@@ -246,7 +225,7 @@ func (r *run[V]) evalNode(n int) (V, error) {
 			if fx != nil {
 				r.captured[fx.Binder] = stage
 			}
-			atomic.AddInt64(&r.stats.NodesShared, 1)
+			r.stats.NodesShared++
 			r.val[n], r.valid[n] = v, true // a closed node's count is never read
 			return v, nil
 		}
@@ -305,9 +284,9 @@ func (r *run[V]) profEnd(n int, t0 time.Time) {
 // observe charges one node construction to Stats: v now holds cnt tuples,
 // written of them new.
 func (r *run[V]) observe(v V, cnt, written int) {
-	r.stats.addSubformulaEvals(1)
+	r.stats.SubformulaEvals++
 	if t := r.alg.touched(written); t != 0 {
-		r.stats.addTuplesTouched(t)
+		r.stats.TuplesTouched += t
 	}
 	r.stats.observe(r.alg.arity(v), cnt)
 }
@@ -394,8 +373,8 @@ func (r *run[V]) beginStage(b int, stage V) (start time.Time, err error) {
 	if err := checkCtx(r.ctx); err != nil {
 		return start, err
 	}
-	r.stats.addFixIterations(1)
-	r.stats.addNodesReused(int64(len(r.p.PreEval[b])))
+	r.stats.FixIterations++
+	r.stats.NodesReused += int64(len(r.p.PreEval[b]))
 	r.binding[b] = stage
 	if r.obs != nil {
 		start = time.Now()
@@ -471,7 +450,7 @@ func (r *run[V]) evalFix(fx *plan.FixInfo) (V, error) {
 
 		if delta != zero {
 			// Semi-naive stage: push ΔS through the dirty nodes.
-			r.stats.addDeltaTuples(int64(deltaCnt))
+			r.stats.DeltaTuples += int64(deltaCnt)
 			nd, ndCnt, err := r.deltaStage(fx, delta)
 			if err != nil {
 				return fail(err)
@@ -615,11 +594,7 @@ func (r *run[V]) deltaStage(fx *plan.FixInfo, deltaExt V) (V, int, error) {
 		if added == 0 {
 			r.alg.release(dv)
 		} else {
-			if !r.owned[n] {
-				// Fork-inherited value: copy before the in-place union.
-				r.val[n], r.owned[n] = r.alg.clone(r.val[n]), true
-			}
-			r.val[n] = r.alg.union(r.val[n], dv)
+			r.val[n] = r.alg.union(r.val[n], dv) // a dirty node is never the store's
 			r.valCnt[n] += added
 			r.observe(r.val[n], r.valCnt[n], added)
 			r.deltas[n] = dv
@@ -639,89 +614,13 @@ func (r *run[V]) deltaStage(fx *plan.FixInfo, deltaExt V) (V, int, error) {
 }
 
 // evalStage fully re-evaluates binder b's dirty nodes against the current
-// binding, in parallel topological waves when the plan has concurrent work
-// and worker tokens are available, serially otherwise. Nodes within one wave
-// read only earlier waves or the (already current) hoisted frontier: every
-// node slot is written by exactly one task, and cross-task reads are ordered
-// by the wave barrier. Both paths compute exactly the same node set, so every
-// Stats counter is schedule-independent.
+// binding: invalidated, they are recomputed on demand from the body down.
 func (r *run[V]) evalStage(b int) error {
 	for _, d := range r.p.Dirty[b] {
 		r.invalidate(d)
 	}
-	concurrent := false
-	if r.sem != nil {
-		for _, level := range r.p.SchedLevels[b] {
-			concurrent = concurrent || len(level) > 1
-		}
-	}
-	if !concurrent {
-		_, err := r.evalNode(r.p.Nodes[r.p.FixOf[b]].Fix.Body)
-		return err
-	}
-	for _, level := range r.p.SchedLevels[b] {
-		extra := 0
-	acquire:
-		for extra < len(level)-1 {
-			select {
-			case r.sem <- struct{}{}:
-				extra++
-			default:
-				break acquire
-			}
-		}
-		err := forEachParallel(len(level), extra+1, func(_, i int) error {
-			_, err := r.evalNode(level[i])
-			return err
-		})
-		for ; extra > 0; extra-- {
-			<-r.sem
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forEachParallel calls fn(w, i) for every i in [0, n) from workers
-// goroutines (worker 0 is the caller's), stopping at the first error.
-func forEachParallel(n, workers int, fn func(w, i int) error) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		once     sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	work := func(w int) {
-		defer wg.Done()
-		for !stop.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(w, i); err != nil {
-				once.Do(func() { firstErr = err })
-				stop.Store(true)
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work(w)
-	}
-	work(0)
-	wg.Wait()
-	return firstErr
+	_, err := r.evalNode(r.p.Nodes[r.p.FixOf[b]].Fix.Body)
+	return err
 }
 
 // fixResult reads a finished fixpoint's final stage, consuming it, through
@@ -736,15 +635,15 @@ func (r *run[V]) fixResult(fx *plan.FixInfo, stage V) (V, error) {
 
 // evalPFP mirrors BottomUp's per-parameter-assignment sweep (the same
 // sweepPFP, the same cycle detection), with the plan's hoisted frontier
-// shared across all assignments and stages; a sweep worker is a forked run.
+// shared across all assignments and stages.
 func (r *run[V]) evalPFP(fx *plan.FixInfo) (V, error) {
 	var zero V
 	out, err := r.alg.empty(fx.ExtArity)
 	if err != nil {
 		return zero, err
 	}
-	err = sweepPFP(r.alg, out, r, r.fork, r.db.Size(), len(fx.ParamAxes), r.opts, func(w *run[V], assign []int) (V, error) {
-		return w.pfpRun(fx, assign)
+	err = sweepPFP(r.alg, out, r.db.Size(), len(fx.ParamAxes), func(assign []int) (V, error) {
+		return r.pfpRun(fx, assign)
 	})
 	if err != nil {
 		r.alg.release(out)
@@ -754,38 +653,20 @@ func (r *run[V]) evalPFP(fx *plan.FixInfo) (V, error) {
 }
 
 // sweepPFP is the parametrized PFP sweep of both evaluators: for each of the
-// n^params parameter assignments it adds the limit limitOf(e, assign) to
-// out's section for the assignment (alg.mergeParams, under one lock). With
-// Parallelism > 1 forks of e, one per worker, take the assignments; the runs
-// are independent and their sections disjoint, so out and every Stats counter
-// are the serial sweep's whatever the schedule. A parameterless PFP is the
-// sweep of its one (empty) assignment.
-func sweepPFP[E any, V comparable](alg algebra[V], out V, e E, fork func() E, n, params int, opts *Options, limitOf func(E, []int) (V, error)) error {
-	nAssign := 1
-	for i := 0; i < params; i++ {
-		nAssign *= n
-	}
-	evals := []E{e}
-	if workers := min(parallelism(opts), nAssign); workers > 1 {
-		evals = evals[:0]
-		for w := 0; w < workers; w++ {
-			evals = append(evals, fork())
-		}
-	}
-	var mu sync.Mutex
-	return forEachParallel(nAssign, len(evals), func(w, a int) error {
-		assign := make([]int, params)
-		for j := params - 1; j >= 0; j-- { // row-major: the first parameter is the most significant digit
-			assign[j], a = a%n, a/n
-		}
-		limit, err := limitOf(evals[w], assign)
-		if err == nil {
-			mu.Lock()
+// n^params parameter assignments in row-major order (forEachAssignment: the
+// first parameter is the most significant digit), one after the other, it
+// adds the limit limitOf(assign) to out's section for the assignment
+// (alg.mergeParams). A parameterless PFP is the sweep of its one (empty)
+// assignment.
+func sweepPFP[V comparable](alg algebra[V], out V, n, params int, limitOf func([]int) (V, error)) (err error) {
+	forEachAssignment(n, params, func(assign []int) bool {
+		var limit V
+		if limit, err = limitOf(assign); err == nil {
 			alg.mergeParams(out, limit, assign)
-			mu.Unlock()
 		}
-		return err
+		return err == nil
 	})
+	return err
 }
 
 // pfpRun runs the partial-fixpoint iteration for one parameter assignment

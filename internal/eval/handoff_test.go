@@ -73,13 +73,13 @@ func TestDifferentialHandOff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.q)
 			want, sink := newSink(), newSink()
-			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Parallelism: 1, Observe: want})
+			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Observe: want})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var res planResult
 			withHandOffScale(tc.scale, func() {
-				res, err = startOn(t, tc.start, p, tc.db, &Options{Parallelism: 1, Observe: sink})
+				res, err = startOn(t, tc.start, p, tc.db, &Options{Observe: sink})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -126,11 +126,11 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 	}{{"join", twoHop, 30}, {"tc-loop", tcQuery(), 40}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.q)
-			ref, dst, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1})
+			ref, dst, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := startOn(t, "sparse", p, db, &Options{Parallelism: 1, sparseBudget: tc.budget})
+			res, err := startOn(t, "sparse", p, db, &Options{sparseBudget: tc.budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	db := randomGraph(t, r, 2+r.Intn(5))
 	p := mustCompile(t, q)
 	dsink := newSink()
-	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Observe: dsink})
+	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Observe: dsink})
 	if err != nil {
 		t.Fatalf("dense(%s): %v", q, err)
 	}
@@ -181,7 +181,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 		sink := newSink()
 		var got interface{ String() string }
 		withHandOffScale(scale, func() {
-			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1, Observe: sink})
+			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Observe: sink})
 		})
 		if err != nil {
 			t.Fatalf("%s(%s): %v", b, q, err)

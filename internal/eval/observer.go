@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // FixStages is one fixpoint's stage totals, folded from its TraceEvents.
 type FixStages struct {
@@ -14,8 +10,7 @@ type FixStages struct {
 	Tuples               int   // the last stage's size
 	DeltaTuples          int64 // Σ|Δ| over the stages
 	HandOff              int   // the last stage a hand-off followed; 0 for none
-	// Busy is the summed stage Elapsed, not wall time: concurrent sweep
-	// workers overlap. First is when the first stage started.
+	// Busy is the summed stage Elapsed. First is when the first stage started.
 	Busy  time.Duration
 	First time.Time
 }
@@ -26,10 +21,8 @@ type FixStages struct {
 // logCap stage events in Log; and, when built with nodes, counts the plan
 // executor's node computations in Evals and NS, sized by the run from its
 // plan. Stage traces, explain's node and binder totals and fixpoint spans are
-// all read from it. The engines report from several workers at once (the
-// parallel PFP sweep, the wave scheduler), so it is safe for concurrent use;
-// like Stats, its exported fields are safe to read only after the evaluation
-// returns. A nil Observer costs nothing: the engines hoist the nil check out
+// all read from it. The evaluation reports from its own goroutine;
+// like Stats, its exported fields are safe to read only after it returns. A nil Observer costs nothing: the engines hoist the nil check out
 // of the stage work. Observing never changes answers, so it is excluded from
 // result-cache keys.
 type Observer struct {
@@ -39,12 +32,9 @@ type Observer struct {
 	// Evals[n] counts plan node n's computations (cache misses, not visits);
 	// NS[n] is their wall time in nanoseconds. Time is INCLUSIVE: a node
 	// computed on demand inside another node's computation is charged to
-	// both. The wave scheduler computes nodes in topological order, so for
-	// stage work inclusive ≈ self; the first evaluation of a hoisted chain is
-	// the main double-counted case. The formula walker has no plan nodes.
+	// both. The formula walker has no plan nodes.
 	Evals, NS []int64
 
-	mu       sync.Mutex
 	byBinder []int // binder → index into Fix, plus one
 	logCap   int
 	nodes    bool
@@ -81,14 +71,12 @@ func (o *Observer) sizeNodes(n int) {
 
 // node records one computation of plan node n that took d.
 func (o *Observer) node(n int, d time.Duration) {
-	atomic.AddInt64(&o.Evals[n], 1)
-	atomic.AddInt64(&o.NS[n], d.Nanoseconds())
+	o.Evals[n]++
+	o.NS[n] += d.Nanoseconds()
 }
 
 // stage folds one completed stage.
 func (o *Observer) stage(ev TraceEvent) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if len(o.Log) < o.logCap {
 		o.Log = append(o.Log, ev)
 	} else if o.logCap > 0 {

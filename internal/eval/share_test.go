@@ -53,7 +53,7 @@ func TestDifferentialSharedStore(t *testing.T) {
 		}
 		for o, order := range orders {
 			for _, backend := range order {
-				plain, pst, err := CompiledStats(q, db, &Options{Backend: backend, Parallelism: 1})
+				plain, pst, err := CompiledStats(q, db, &Options{Backend: backend})
 				if err != nil {
 					if strings.Contains(err.Error(), "sparse backend:") {
 						continue
@@ -64,7 +64,7 @@ func TestDifferentialSharedStore(t *testing.T) {
 					t.Fatalf("%s disagrees with Naive on %s", backend, q)
 				}
 				for pass := 0; pass < 3; pass++ {
-					got, st, err := CompiledStats(q, db, &Options{Backend: backend, Parallelism: 1, Nodes: stores[o]})
+					got, st, err := CompiledStats(q, db, &Options{Backend: backend, Nodes: stores[o]})
 					if err != nil {
 						t.Fatalf("%s %s, pass %d through the store: %v", backend, q, pass, err)
 					}
@@ -104,7 +104,7 @@ func TestSharedStoreDenseOnly(t *testing.T) {
 	}
 	store := NewNodeStore(64 << 20)
 	for pass := 0; pass < 3; pass++ {
-		got, st, err := CompiledStats(q, db, &Options{Parallelism: 1, Nodes: store})
+		got, st, err := CompiledStats(q, db, &Options{Nodes: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +145,11 @@ func TestSharedStoreAcrossApply(t *testing.T) {
 	// the inserted tuple would move auto from one to the other.
 	run := func(db *database.Database) *Stats {
 		t.Helper()
-		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Nodes: store})
+		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Nodes: store})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := EvalPlanContext(context.Background(), p, db, &Options{Parallelism: 1})
+		want, _, err := EvalPlanContext(context.Background(), p, db, &Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestNodeStoreRetiredContentAgesOut(t *testing.T) {
 	store := NewNodeStore(budget)
 	run := func() int64 {
 		t.Helper()
-		_, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Parallelism: 1, Nodes: store})
+		_, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Nodes: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestSharedStoreMaintained(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	_, _, plain, err := EvalPlanCapture(ctx, p, db, &Options{Parallelism: 1})
+	_, _, plain, err := EvalPlanCapture(ctx, p, db, &Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSharedStoreMaintained(t *testing.T) {
 	var viaStore *MaintState
 	var st *Stats
 	for pass := 0; pass < 3; pass++ {
-		if _, st, viaStore, err = EvalPlanCapture(ctx, p, db, &Options{Parallelism: 1, Nodes: store}); err != nil {
+		if _, st, viaStore, err = EvalPlanCapture(ctx, p, db, &Options{Nodes: store}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,11 +269,11 @@ func TestSharedStoreMaintained(t *testing.T) {
 	if err != nil || !CanMaintain(p, delta) {
 		t.Fatalf("update not maintainable: %v", err)
 	}
-	want, wst, _, err := EvalPlanMaintained(ctx, p, next, &Options{Parallelism: 1}, plain)
+	want, wst, _, err := EvalPlanMaintained(ctx, p, next, &Options{}, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gst, _, err := EvalPlanMaintained(ctx, p, next, &Options{Parallelism: 1}, viaStore)
+	got, gst, _, err := EvalPlanMaintained(ctx, p, next, &Options{}, viaStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,18 +329,18 @@ func TestSharedStageAcrossRoutes(t *testing.T) {
 		if admit == BackendDense {
 			other = BackendSparse
 		}
-		_, _, own, err := EvalPlanCapture(ctx, p, db, &Options{Backend: other, Parallelism: 1})
+		_, _, own, err := EvalPlanCapture(ctx, p, db, &Options{Backend: other})
 		if err != nil {
 			t.Fatal(err)
 		}
 		store := NewNodeStore(1 << 20)
 		for pass := 0; pass < 2; pass++ {
-			if _, _, _, err := EvalPlanCapture(ctx, p, db, &Options{Backend: admit, Parallelism: 1, Nodes: store}); err != nil {
+			if _, _, _, err := EvalPlanCapture(ctx, p, db, &Options{Backend: admit, Nodes: store}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, b := range []Backend{other, BackendAuto} {
-			got, st, state, err := EvalPlanCapture(ctx, p, db, &Options{Backend: b, Parallelism: 1, Nodes: store})
+			got, st, state, err := EvalPlanCapture(ctx, p, db, &Options{Backend: b, Nodes: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +358,7 @@ func TestSharedStageAcrossRoutes(t *testing.T) {
 					t.Fatalf("%s after %s admitted: binder %d's captured stage is not the route's own", b, admit, i)
 				}
 			}
-			got, st, _, err = EvalPlanMaintained(ctx, p, next, &Options{Backend: b, Parallelism: 1}, state)
+			got, st, _, err = EvalPlanMaintained(ctx, p, next, &Options{Backend: b}, state)
 			if err != nil || !got.Equal(wantNext) || st.MaintainedFromDelta != 1 {
 				t.Fatalf("%s maintained from an adopted stage: %v, %+v", b, err, st)
 			}
@@ -504,7 +504,7 @@ func TestSharedStoreConcurrent(t *testing.T) {
 	want := make([]*relation.Set, len(qs))
 	for i, q := range qs {
 		var err error
-		if want[i], _, err = CompiledStats(q, db, &Options{Parallelism: 1}); err != nil {
+		if want[i], _, err = CompiledStats(q, db, &Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -517,7 +517,7 @@ func TestSharedStoreConcurrent(t *testing.T) {
 			for pass := 0; pass < 4; pass++ {
 				for i := range qs {
 					i = (i + 5*w) % len(qs)
-					got, _, err := CompiledStats(qs[i], db, &Options{Parallelism: 2, Nodes: store})
+					got, _, err := CompiledStats(qs[i], db, &Options{Nodes: store})
 					if err != nil || !got.Equal(want[i]) {
 						t.Errorf("worker %d: %s through the shared store: %v, err %v", w, qs[i], got, err)
 						return
@@ -569,7 +569,7 @@ func TestSharedStoreConcurrent(t *testing.T) {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
-			want, _, err := EvalPlanContext(ctx, p, next, &Options{Backend: BackendDense, Parallelism: 1})
+			want, _, err := EvalPlanContext(ctx, p, next, &Options{Backend: BackendDense})
 			for i := 0; i < 20 && err == nil; i++ {
 				var got *relation.Set
 				if got, _, _, err = EvalPlanMaintained(ctx, p, next, &Options{Backend: BackendSparse, Nodes: big}, state); err == nil && !got.Equal(want) {
@@ -806,7 +806,7 @@ func TestRefusedValuesStayOwned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newRun[*relation.Dense](context.Background(), p, db, &Options{Parallelism: 1, Nodes: store}, alg, &Stats{}, p.DeltaOK, false)
+		r := newRun[*relation.Dense](context.Background(), p, db, &Options{Nodes: store}, alg, &Stats{}, p.DeltaOK, false)
 		shared := 0
 		for n, c := range p.Closed {
 			if c == nil || n == p.Root {
@@ -832,7 +832,7 @@ func closedValues(t testing.TB, p *plan.Plan, db *database.Database) map[plan.No
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRun[*relation.Dense](context.Background(), p, db, &Options{Parallelism: 1}, alg, &Stats{}, p.DeltaOK, false)
+	r := newRun[*relation.Dense](context.Background(), p, db, &Options{}, alg, &Stats{}, p.DeltaOK, false)
 	out := map[plan.NodeKey]*relation.Dense{}
 	for n, c := range p.Closed {
 		if c == nil {

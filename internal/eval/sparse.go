@@ -77,9 +77,7 @@ type sparseAlg struct {
 // (relation.Blocks.Poison); the package's tests run with it set.
 var poisonReleased = false
 
-// runSparse is runDense's twin: the whole plan over the sparse algebra. The
-// run gets no worker tokens — sparse stage work is tuple-bound, not
-// word-bound, so the wave scheduler's speedup does not carry over — and its
+// runSparse is runDense's twin: the whole plan over the sparse algebra. Its
 // semi-naive regime additionally needs an all-positive dirty region
 // (Density.DeltaSparse).
 func runSparse(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options, den *plan.Density, stats *Stats, ho *handOffs, seed *MaintState, capture bool) (planResult, error) {

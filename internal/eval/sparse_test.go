@@ -69,12 +69,12 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		}
 		db := randomGraph(t, r, 2+r.Intn(4))
 		dsink, ssink := newSink(), newSink()
-		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1, Observe: dsink})
+		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Observe: dsink})
 		if err != nil {
 			t.Fatalf("dense(%s): %v", q, err)
 		}
 
-		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Parallelism: 1, Observe: ssink})
+		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Observe: ssink})
 		if err != nil {
 			if strings.Contains(err.Error(), "sparse backend:") {
 				continue // outside the sparse fragment (GFP/PFP, negative fix body)
@@ -95,7 +95,7 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		}
 
 		asink := newSink()
-		auto, ast, err := CompiledStats(q, db, &Options{Parallelism: 1, Observe: asink})
+		auto, ast, err := CompiledStats(q, db, &Options{Observe: asink})
 		if err != nil {
 			t.Fatalf("auto(%s): %v", q, err)
 		}
@@ -160,7 +160,7 @@ func TestFilteredShapesVsNaive(t *testing.T) {
 		for _, backend := range []Backend{BackendSparse, BackendAuto, BackendDense} {
 			store := NewNodeStore(1 << 20)
 			for pass, nodes := range []*NodeStore{nil, store, store, store} {
-				got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Parallelism: 1, Nodes: nodes})
+				got, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Nodes: nodes})
 				if err != nil {
 					t.Fatalf("%s, %s, pass %d: %v", c.name, backend, pass, err)
 				}
@@ -239,7 +239,7 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 		t.Fatalf("naive(%s): %v", q, err)
 	}
 	for _, b := range []Backend{BackendAuto, BackendDense, BackendSparse} {
-		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Parallelism: 1})
+		got, st, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: b})
 		if err != nil {
 			t.Fatalf("%s(%s): %v", b, q, err)
 		}
@@ -503,7 +503,7 @@ func TestGfpTwoHopDenseMatchesBottomUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, backend := range []Backend{BackendDense, BackendAuto} {
-		got, st, err := CompiledStats(q, db, &Options{Backend: backend, Parallelism: 1})
+		got, st, err := CompiledStats(q, db, &Options{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -368,7 +368,7 @@ func TestSparseVacuousExistsOverDirtyNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Parallelism: 1})
+			_, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense})
 			if err != nil {
 				t.Fatal(err)
 			}

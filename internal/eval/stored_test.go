@@ -43,7 +43,7 @@ func TestWideRelationWithoutCodeSpace(t *testing.T) {
 			t.Fatalf("naive: %v, %d tuples, want %d", err, want.Len(), count)
 		}
 		for _, backend := range []Backend{BackendSparse, BackendDense, BackendAuto} {
-			got, _, err := CompiledStats(q, db, &Options{Backend: backend, Parallelism: 1})
+			got, _, err := CompiledStats(q, db, &Options{Backend: backend})
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("%s: %v, %v\nnaive %v", backend, err, got, want)
 			}
@@ -130,7 +130,7 @@ func TestStoredCodesNeverWritten(t *testing.T) {
 	hs := hold(forest)
 	store := NewNodeStore(64 << 20)
 	for pass := 0; pass < 3; pass++ { // offered, admitted (frozen: clipped), hit
-		if _, st, _, err := EvalPlan(ctx, tc, forest, &Options{Parallelism: 1, Nodes: store}, nil, false); err != nil || st.TuplesTouched == 0 && st.NodesShared == 0 {
+		if _, st, _, err := EvalPlan(ctx, tc, forest, &Options{Nodes: store}, nil, false); err != nil || st.TuplesTouched == 0 && st.NodesShared == 0 {
 			t.Fatalf("tc on the forest, pass %d: %v, %+v: want the sparse route", pass, err, st)
 		}
 	}
@@ -143,7 +143,7 @@ func TestStoredCodesNeverWritten(t *testing.T) {
 	}
 	hs = hold(line, next)
 	for _, backend := range []Backend{BackendSparse, BackendDense} {
-		opts := &Options{Backend: backend, Parallelism: 1}
+		opts := &Options{Backend: backend}
 		_, _, state, err := EvalPlan(ctx, tc, line, opts, nil, true)
 		if err != nil || state == nil {
 			t.Fatalf("%s: capture: %v, state %v", backend, err, state)
@@ -173,7 +173,7 @@ func TestStoredCodesNeverWritten(t *testing.T) {
 			if start == "dense" {
 				p, db = reach, path
 			}
-			if res, err := startOn(t, start, p, db, &Options{Parallelism: 1}); err != nil || res.stats.RepSwitches != 1 {
+			if res, err := startOn(t, start, p, db, &Options{}); err != nil || res.stats.RepSwitches != 1 {
 				t.Fatalf("started %s: %v, %+v: want one hand-off", start, err, res.stats)
 			}
 		}
@@ -182,7 +182,7 @@ func TestStoredCodesNeverWritten(t *testing.T) {
 
 	big := forestDB(410, 10)
 	hs = hold(big)
-	if _, st, _, err := EvalPlan(ctx, tc, big, &Options{Parallelism: 1, sparseBudget: 100}, nil, false); err != nil || st.RepSwitches != 1 {
+	if _, st, _, err := EvalPlan(ctx, tc, big, &Options{sparseBudget: 100}, nil, false); err != nil || st.RepSwitches != 1 {
 		t.Fatalf("budget rerun: %v, %+v", err, st)
 	}
 	intact("a budget overrun rerun dense", hs)

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -131,9 +132,10 @@ func TestTracerPFP(t *testing.T) {
 	}
 }
 
-// TestTracerParallelPFPSweep runs a parametrized PFP with a worker pool and
-// an observer: the event count must match the serial run (the sweep is
-// deterministic), and the concurrent calls are the -race fodder.
+// TestTracerParallelPFPSweep runs traced parametrized PFPs in several
+// evaluations at once, each with its own observer: each one's events are a
+// lone run's (the sweep is deterministic), and the concurrent evaluations are
+// the -race fodder.
 func TestTracerParallelPFPSweep(t *testing.T) {
 	db := traceDB(t)
 	// One parameter variable y makes the sweep n parameter assignments wide.
@@ -142,22 +144,27 @@ func TestTracerParallelPFPSweep(t *testing.T) {
 			logic.Or(logic.R("S", "x"), logic.Or(logic.R("E", "y", "x"),
 				logic.Exists(logic.And(logic.R("E", "z", "x"),
 					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
-	serial := newSink()
-	_, stSerial, err := BottomUpStats(q, db, &Options{Parallelism: 1, Observe: serial})
+	lone := newSink()
+	_, stLone, err := BottomUpStats(q, db, &Options{Observe: lone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := newSink()
-	_, stPar, err := BottomUpStats(q, db, &Options{Parallelism: 4, Observe: parallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stSerial.FixIterations != stPar.FixIterations {
-		t.Fatalf("FixIterations diverge: serial %d, parallel %d", stSerial.FixIterations, stPar.FixIterations)
-	}
-	if len(serial.Log) != len(parallel.Log) {
-		t.Fatalf("event counts diverge: serial %d, parallel %d", len(serial.Log), len(parallel.Log))
-	}
+	concurrently(4, func(i int) {
+		sink := newSink()
+		_, st, err := BottomUpStats(q, db, &Options{Observe: sink})
+		if err != nil {
+			t.Error(err)
+		} else if st.FixIterations != stLone.FixIterations || !slices.EqualFunc(sink.Log, lone.Log, sameStage) {
+			t.Errorf("evaluation %d: %d stages in %d events, a lone run %d in %d",
+				i, st.FixIterations, len(sink.Log), stLone.FixIterations, len(lone.Log))
+		}
+	})
+}
+
+// sameStage compares two stage events but for their timing.
+func sameStage(a, b TraceEvent) bool {
+	a.Elapsed, b.Elapsed = 0, 0
+	return a == b
 }
 
 // TestTracerNilIsIgnored locks the zero-cost contract's functional half:
@@ -181,20 +188,20 @@ func TestTracerNilIsIgnored(t *testing.T) {
 	}
 }
 
-// TestStageFoldParallelMatchesSerial feeds the fold from the parallel PFP
-// sweep — four workers reporting stages of one fixpoint at once, the -race
-// fodder — and checks its totals are the serial run's: the fold keys the
-// compiled engine's events by binder and the plan-less engines' by (engine,
-// relation, op), and either way the sweep's events land in one entry.
+// TestStageFoldParallelMatchesSerial folds the stages of a PFP sweep — every
+// parameter assignment's run of one fixpoint — and checks the totals: the
+// fold keys the compiled engine's events by binder and the plan-less engines'
+// by (engine, relation, op), and either way the sweep's events land in one
+// entry. Four evaluations at once, each with its own fold, the -race fodder,
+// fold what a lone one does.
 func TestStageFoldParallelMatchesSerial(t *testing.T) {
 	db := lineGraph(t, 7)
 	q := paramReachPFPNeg()
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
-			run := func(parallelism int) (FixStages, *Stats) {
-				t.Helper()
+			run := func() (FixStages, *Stats, error) {
 				fold := NewObserver(0, false)
-				opts := &Options{Parallelism: parallelism, Observe: fold}
+				opts := &Options{Observe: fold}
 				var st *Stats
 				var err error
 				if engine == "bottomup" {
@@ -203,18 +210,20 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 					_, st, err = CompiledStats(q, db, opts)
 				}
 				if err != nil {
-					t.Fatal(err)
+					return FixStages{}, nil, err
 				}
-				fix := fold.Fix
-				if len(fix) != 1 {
-					t.Fatalf("Parallelism=%d: %d fixpoints folded, want the one PFP: %+v", parallelism, len(fix), fix)
+				if fix := fold.Fix; len(fix) != 1 {
+					return FixStages{}, nil, fmt.Errorf("%d fixpoints folded, want the one PFP: %+v", len(fix), fix)
 				}
 				if len(fold.Log) != 0 || fold.Truncated {
-					t.Fatalf("a fold without a log kept %d events (truncated=%v)", len(fold.Log), fold.Truncated)
+					return FixStages{}, nil, fmt.Errorf("a fold without a log kept %d events (truncated=%v)", len(fold.Log), fold.Truncated)
 				}
-				return fix[0], st
+				return fold.Fix[0], st, nil
 			}
-			serial, st := run(1)
+			serial, st, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if serial.Engine != engine || serial.Fixpoint != "S" || serial.Op != "pfp" || serial.First.IsZero() {
 				t.Fatalf("fixpoint identity = %+v", serial)
 			}
@@ -224,11 +233,15 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 			if serial.Stages == 0 || serial.Stages != st.FixIterations {
 				t.Fatalf("stages = %d, FixIterations = %d", serial.Stages, st.FixIterations)
 			}
-			par, _ := run(4)
-			if par.Stages != serial.Stages || par.DeltaTuples != serial.DeltaTuples {
-				t.Fatalf("parallel totals stages=%d Σ|Δ|=%d, serial stages=%d Σ|Δ|=%d",
-					par.Stages, par.DeltaTuples, serial.Stages, serial.DeltaTuples)
-			}
+			concurrently(4, func(i int) {
+				par, _, err := run()
+				if err != nil {
+					t.Error(err)
+				} else if par.Stages != serial.Stages || par.DeltaTuples != serial.DeltaTuples {
+					t.Errorf("evaluation %d totals stages=%d Σ|Δ|=%d, a lone run's stages=%d Σ|Δ|=%d",
+						i, par.Stages, par.DeltaTuples, serial.Stages, serial.DeltaTuples)
+				}
+			})
 		})
 	}
 }
@@ -254,9 +267,9 @@ func TestStageFoldLogCap(t *testing.T) {
 	}
 }
 
-// TestNodeCountsScheduleFree checks explain's per-node counts: every plan
-// node is computed as often under the wave scheduler and the parallel PFP
-// sweep as in a serial run, on either route.
+// TestNodeCountsScheduleFree checks explain's per-node counts: a counter per
+// plan node, and every node computed as often in evaluations running beside
+// each other as in a lone one, on either route.
 func TestNodeCountsScheduleFree(t *testing.T) {
 	db := traceDB(t)
 	paramPFP := logic.MustQuery([]logic.Var{"u", "y"},
@@ -270,21 +283,25 @@ func TestNodeCountsScheduleFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, backend := range []Backend{BackendDense, BackendAuto} {
-			var serial []int64
-			for _, par := range []int{1, 2, 4} {
+			counts := func() ([]int64, error) {
 				obs := NewObserver(0, true)
-				if _, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Parallelism: par, Observe: obs}); err != nil {
-					t.Fatal(err)
-				}
-				if len(obs.Evals) != len(p.Nodes) {
-					t.Fatalf("%s/%s: %d node counters for %d nodes", name, backend, len(obs.Evals), len(p.Nodes))
-				}
-				if par == 1 {
-					serial = obs.Evals
-				} else if !slices.Equal(obs.Evals, serial) {
-					t.Errorf("%s/%s: node evals at parallelism %d = %v, serial %v", name, backend, par, obs.Evals, serial)
-				}
+				_, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Observe: obs})
+				return obs.Evals, err
 			}
+			lone, err := counts()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lone) != len(p.Nodes) {
+				t.Fatalf("%s/%s: %d node counters for %d nodes", name, backend, len(lone), len(p.Nodes))
+			}
+			concurrently(3, func(i int) {
+				if got, err := counts(); err != nil {
+					t.Error(err)
+				} else if !slices.Equal(got, lone) {
+					t.Errorf("%s/%s: evaluation %d computed nodes %v times, a lone run %v", name, backend, i, got, lone)
+				}
+			})
 		}
 	}
 }

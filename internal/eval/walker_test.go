@@ -111,25 +111,21 @@ func TestWalkerPoolBalance(t *testing.T) {
 
 // TestFailedSweepPoolBalance: a parametrised PFP that overruns its stage
 // budget fails with ErrBudget and its sweep gives its output bitmap back — on
-// the walker, serially and in parallel, where a finished walk leaves nothing
-// out; and on the executor's dense route, where what is out afterwards is the
-// run's node cache and nothing else. (A parallel compiled sweep's forks leave
-// their last stage's node values to the collector, so only the serial run has
-// a balance to pin there.)
+// the walker, where a finished walk leaves nothing out; and on the executor's
+// dense route, where what is out afterwards is the run's node cache and
+// nothing else.
 func TestFailedSweepPoolBalance(t *testing.T) {
 	db := lineGraph(t, 6)
 	q := paramOscillatingPFP()
-	for _, par := range []int{1, 4} {
-		c, err := newWalker(context.Background(), q, db, &Options{pfpBudget: 1, Parallelism: par}, "bottomup", restart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.answer(q.Head, q.Body); !errors.Is(err, ErrBudget) {
-			t.Fatalf("walker, Parallelism %d: err = %v, want ErrBudget", par, err)
-		}
-		if n := outstanding(c.alg); n != 0 {
-			t.Fatalf("walker, Parallelism %d: %d scratch bitmaps outstanding after the walk", par, n)
-		}
+	c, err := newWalker(context.Background(), q, db, &Options{pfpBudget: 1}, "bottomup", restart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.answer(q.Head, q.Body); !errors.Is(err, ErrBudget) {
+		t.Fatalf("walker: err = %v, want ErrBudget", err)
+	}
+	if n := outstanding(c.alg); n != 0 {
+		t.Fatalf("walker: %d scratch bitmaps outstanding after the walk", n)
 	}
 
 	p := mustCompile(t, q)
@@ -137,7 +133,7 @@ func TestFailedSweepPoolBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRun[*relation.Dense](context.Background(), p, db, &Options{pfpBudget: 1, Parallelism: 1}, alg, &Stats{}, p.DeltaOK, false)
+	r := newRun[*relation.Dense](context.Background(), p, db, &Options{pfpBudget: 1}, alg, &Stats{}, p.DeltaOK, false)
 	if _, err := r.answer(r.start(nil, nil, false)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("compiled: err = %v, want ErrBudget", err)
 	}

@@ -62,10 +62,8 @@ type ExplainBinder struct {
 	// is restartable from a cached stage under incremental maintenance.
 	DeltaOK bool `json:"delta_ok"`
 	Seeded  bool `json:"seeded"`
-	// SchedNodes/SchedLevels size the per-stage recompute task list and its
-	// parallel wave schedule.
-	SchedNodes  int `json:"sched_nodes"`
-	SchedLevels int `json:"sched_levels"`
+	// SchedNodes sizes the per-stage recompute task list.
+	SchedNodes int `json:"sched_nodes"`
 	// Execution annotations (Executed=true): fixpoint stages run, summed
 	// |delta| over semi-naive passes, busy time inside stage work.
 	Stages      int64 `json:"stages,omitempty"`
@@ -249,9 +247,6 @@ func (p *Plan) Explain(den *Density) *Explain {
 			DeltaOK:    p.DeltaOK[b],
 			SchedNodes: len(p.Sched[b]),
 		}
-		if p.SchedLevels != nil {
-			eb.SchedLevels = len(p.SchedLevels[b])
-		}
 		if p.Maint != nil && b < len(p.Maint.Seeded) {
 			eb.Seeded = p.Maint.Seeded[b]
 		}
@@ -322,7 +317,7 @@ func (ex *Explain) Render(w io.Writer) {
 		fmt.Fprintf(w, "sparse blocked: %s\n", ex.Blocker)
 	}
 	for _, b := range ex.Binders {
-		fmt.Fprintf(w, "binder %d: %s %s · %d sched nodes / %d waves", b.Binder, b.Op, b.Rel, b.SchedNodes, b.SchedLevels)
+		fmt.Fprintf(w, "binder %d: %s %s · %d sched nodes", b.Binder, b.Op, b.Rel, b.SchedNodes)
 		if b.DeltaOK {
 			fmt.Fprintf(w, " · semi-naive")
 		}

@@ -158,20 +158,8 @@ type Plan struct {
 
 	// Sched[b] is Dirty[b] minus the nodes covered by a nested fixpoint that
 	// is itself dirty for b (those are recomputed inside that fixpoint's own
-	// stage loop). It is the task list for the parallel dirty-node scheduler
-	// and for the semi-naive delta pass.
+	// stage loop). It is the task list of the semi-naive delta pass.
 	Sched [][]int
-
-	// SchedPreds[b][i] lists, for Sched[b][i], the node ids in Sched[b] whose
-	// values it reads: the dependency edges of the parallel scheduler.
-	SchedPreds [][][]int
-
-	// SchedLevels[b] groups Sched[b] into topological waves: every node in
-	// level ℓ reads only nodes in levels < ℓ (or the hoisted frontier), so the
-	// nodes of one level are independent and may be evaluated concurrently.
-	// Levels are ascending and each level lists node ids in ascending order,
-	// making the wave schedule deterministic.
-	SchedLevels [][][]int
 
 	// PreEval[b] lists the nodes binder b's stage loop reads but never
 	// recomputes: the hoisted frontier, guaranteed valid before the loop
@@ -472,12 +460,11 @@ func (c *compiler) lowerFix(g logic.Fix) int {
 }
 
 // analyze derives the per-binder evaluation structures: dirty lists, hoisted
-// frontiers, scheduler edges, and delta admissibility.
+// frontiers, delta task lists, and delta admissibility.
 func (p *Plan) analyze() {
 	nb := p.NumBinders
-	lists, nested := make([][]int, 3*nb), make([][][]int, 2*nb)
+	lists := make([][]int, 3*nb)
 	p.Dirty, p.Sched, p.PreEval = lists[:nb:nb], lists[nb:2*nb:2*nb], lists[2*nb:]
-	p.SchedPreds, p.SchedLevels = nested[:nb:nb], nested[nb:]
 	p.DeltaOK = make([]bool, nb)
 	// cut returns an empty list with room for n, from a shared chunk.
 	var ints []int
@@ -510,11 +497,9 @@ func (p *Plan) analyze() {
 	// depending on a binder nested inside the body means it only has a value
 	// inside that nested loop — neither may be hoisted. Fix nodes are created
 	// after their bodies, so ascending id order processes inner fixpoints
-	// first. mark[m] is 1 + the fix node m was last listed for; at[m], while
-	// a binder is analysed, 1 + m's position in its Sched.
+	// first. mark[m] is 1 + the fix node m was last listed for.
 	reads := make([][]int, len(p.Nodes))
-	mark := make([]int, 2*len(p.Nodes))
-	mark, at := mark[:len(p.Nodes)], mark[len(p.Nodes):]
+	mark := make([]int, len(p.Nodes))
 	for f := range p.Nodes {
 		fx := p.Nodes[f].Fix
 		if fx == nil {
@@ -557,39 +542,9 @@ func (p *Plan) analyze() {
 		for _, n := range p.Dirty[b] {
 			if p.Deps[n]&covered == 0 {
 				sched = append(sched, n)
-				at[n] = len(sched)
 			}
 		}
-		// Topological waves. Sched is in ascending node-id order and every
-		// predecessor has a smaller id, so one forward pass suffices.
-		preds, level := make([][]int, len(sched)), make([]int, len(sched))
-		maxLevel := -1
-		for i, n := range sched {
-			direct := p.Nodes[n].Kids
-			if p.Nodes[n].Op == OpFix {
-				direct = reads[n]
-			}
-			preds[i] = cut(len(direct))
-			for _, m := range direct {
-				if j := at[m]; j > 0 {
-					preds[i] = append(preds[i], m)
-					level[i] = max(level[i], level[j-1]+1)
-				}
-			}
-			maxLevel = max(maxLevel, level[i])
-		}
-		levels, sizes := make([][]int, maxLevel+1), make([]int, maxLevel+1)
-		for _, l := range level {
-			sizes[l]++
-		}
-		for l, w := range sizes {
-			levels[l] = cut(w)
-		}
-		for i, n := range sched {
-			levels[level[i]] = append(levels[level[i]], n)
-			at[n] = 0
-		}
-		p.Sched[b], p.SchedPreds[b], p.SchedLevels[b] = sched, preds, levels
+		p.Sched[b] = sched
 
 		op := p.Nodes[fixNode].Fix.Op
 		p.DeltaOK[b] = op == logic.LFP || op == logic.IFP

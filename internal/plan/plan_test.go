@@ -104,32 +104,21 @@ func TestCompileTCAnalysis(t *testing.T) {
 	if len(p.Sched[0]) != len(p.Dirty[0]) {
 		t.Fatalf("Sched=%v Dirty=%v, want equal", p.Sched[0], p.Dirty[0])
 	}
-	checkLevels(t, p, 0)
+	checkSched(t, p, 0)
 }
 
-// checkLevels asserts SchedLevels is a partition of Sched where every
-// predecessor sits in a strictly earlier level.
-func checkLevels(t *testing.T, p *Plan, b int) {
+// checkSched asserts Sched is in topological order, the order the delta pass
+// walks it in: every child of a node that is in Sched sits before it.
+func checkSched(t *testing.T, p *Plan, b int) {
 	t.Helper()
-	levelOf := map[int]int{}
-	total := 0
-	for lv, nodes := range p.SchedLevels[b] {
-		for _, n := range nodes {
-			if _, dup := levelOf[n]; dup {
-				t.Fatalf("node %d in two levels", n)
-			}
-			levelOf[n] = lv
-			total++
-		}
-	}
-	if total != len(p.Sched[b]) {
-		t.Fatalf("levels cover %d nodes, Sched has %d", total, len(p.Sched[b]))
+	at := map[int]int{}
+	for i, n := range p.Sched[b] {
+		at[n] = i
 	}
 	for i, n := range p.Sched[b] {
-		for _, m := range p.SchedPreds[b][i] {
-			if levelOf[m] >= levelOf[n] {
-				t.Fatalf("pred %d (level %d) not before node %d (level %d)",
-					m, levelOf[m], n, levelOf[n])
+		for _, m := range p.Nodes[n].Kids {
+			if j, ok := at[m]; ok && j >= i {
+				t.Fatalf("child %d (position %d) not before node %d (position %d)", m, j, n, i)
 			}
 		}
 	}
@@ -187,8 +176,8 @@ func TestCompileNestedFixCoverage(t *testing.T) {
 			t.Fatalf("inner dirty node %d leaked into outer Sched", n)
 		}
 	}
-	checkLevels(t, p, 0)
-	checkLevels(t, p, 1)
+	checkSched(t, p, 0)
+	checkSched(t, p, 1)
 }
 
 func TestCompileSiblingBindersNotShared(t *testing.T) {

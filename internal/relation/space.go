@@ -37,7 +37,7 @@ type Space struct {
 	outstanding int64
 
 	// mu guards the lazily built per-space caches below. A Space may be
-	// shared by concurrent evaluation workers (the parallel PFP sweep).
+	// shared by concurrent evaluations (a node store interns spaces).
 	mu sync.Mutex
 	// diag caches the bitmap of each Diagonal(i, j) so repeated equality
 	// subformulas inside fixpoint bodies cost a word-copy, not a decode of

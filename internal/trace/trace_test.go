@@ -75,8 +75,7 @@ func TestCloseDropsLateMutation(t *testing.T) {
 	}
 }
 
-// pfpDB builds a small digraph whose PFP parameter sweep gives the parallel
-// workers real work.
+// pfpDB builds a small digraph whose PFP parameter sweep has real work.
 func pfpDB(t *testing.T, n int) *database.Database {
 	t.Helper()
 	b := database.NewBuilder().Relation("E", 2)
@@ -94,10 +93,10 @@ func pfpDB(t *testing.T, n int) *database.Database {
 	return db
 }
 
-// TestSpanTreeUnderParallelEval drives the compiled engine's parallel paths
-// (the wave scheduler and the PFP parameter sweep) with an observer
-// attached, adds the folded fixpoints as child spans the way bvqd does, and
-// asserts the finished span tree is well formed.
+// TestSpanTreeUnderParallelEval drives the compiled engine's stage loops (an
+// LFP and a PFP parameter sweep), the two running beside each other, with an
+// observer attached, adds the folded fixpoints as child spans the way bvqd
+// does, and asserts the finished span tree is well formed.
 func TestSpanTreeUnderParallelEval(t *testing.T) {
 	db := pfpDB(t, 24)
 	queries := map[string]logic.Query{
@@ -113,6 +112,7 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 	}
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			p, err := plan.Compile(q)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +120,7 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 			tr := trace.New(trace.NewTraceID(), time.Now())
 			ev := tr.Root().Start(trace.SpanEval)
 			obs := eval.NewObserver(0, false)
-			opts := &eval.Options{Parallelism: 4, Observe: obs}
+			opts := &eval.Options{Observe: obs}
 			if _, _, err := eval.EvalPlanContext(context.Background(), p, db, opts); err != nil {
 				t.Fatal(err)
 			}

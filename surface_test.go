@@ -72,6 +72,41 @@ func TestSurfaceScanner(t *testing.T) {
 	}
 }
 
+// TestOneGoroutinePerEvaluation fails on a go statement, and on an import of
+// sync or sync/atomic, in a non-test file of internal/eval or internal/plan:
+// an evaluation runs on its caller's goroutine, so nothing inside one run is
+// shared between goroutines. nodestore.go is exempt, for the node store is
+// shared across evaluations; internal/eval/eso is a package of its own.
+func TestOneGoroutinePerEvaluation(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/eval", "internal/plan"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") || path == filepath.Join("internal", "eval", "nodestore.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+					t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
 // readAllowlist reads testdata/surface_allow.txt: one name a line, then the
 // kind of reason (oracle: a reference a test compares against; paper: a
 // construction of the paper a test checks, with its section; fixture: a test
