@@ -41,23 +41,30 @@ func (db *Database) WithOrder() (*Database, error) {
 		rels:   maps.Clone(db.rels),
 		relIDs: maps.Clone(db.relIDs),
 	}
+	// The order's codes over domain indices, i·n + j for i < j in Less, come
+	// out ascending: no Tuple per pair and no sort.
 	n := len(db.domain)
-	var less, succ, first, last []relation.Tuple
+	less, succ := make([]uint64, 0, n*max(n-1, 0)/2), make([]uint64, 0, max(n-1, 0))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			less = append(less, relation.Tuple{i, j})
+			less = append(less, uint64(i*n+j))
 		}
 		if i+1 < n {
-			succ = append(succ, relation.Tuple{i, i + 1})
+			succ = append(succ, uint64(i*n+i+1))
 		}
 	}
+	var first, last []uint64
 	if n > 0 {
-		first, last = []relation.Tuple{{0}}, []relation.Tuple{{n - 1}}
+		first, last = []uint64{0}, []uint64{uint64(n - 1)}
 	}
-	for i, ts := range [][]relation.Tuple{less, succ, first, last} {
+	for i, codes := range [][]uint64{less, succ, first, last} {
 		a := 2 - i/2
+		s, err := relation.SparseOfCodes(a, n, codes)
+		if err != nil {
+			return nil, err
+		}
 		next.arity[order[i]] = a
-		next.put(order[i], newStored(a, n, ts))
+		next.put(order[i], &stored{codes: s})
 	}
 	return next, nil
 }

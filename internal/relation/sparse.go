@@ -97,6 +97,22 @@ func SparseOf(k, n int, tuples ...Tuple) (*Sparse, error) {
 	return s, nil
 }
 
+// SparseOfCodes builds a sparse relation from row-major tuple codes, taking
+// the slice as its block, clipped: the way to a large relation whose codes are
+// known without a Tuple per row. Codes past the code space are rejected.
+func SparseOfCodes(k, n int, codes []uint64) (*Sparse, error) {
+	stride, err := sparseShape(k, n)
+	if err != nil {
+		return nil, err
+	}
+	s := sparseFromCodes(k, n, stride, codes)
+	if c := s.codes; len(c) > 0 && c[len(c)-1] >= s.SpaceSize() {
+		return nil, fmt.Errorf("relation: code %d outside the %d^%d code space", c[len(c)-1], n, k)
+	}
+	s.codes = slices.Clip(s.codes)
+	return s, nil
+}
+
 // SparseFromSet converts a map-backed Set into the sparse layout over a
 // domain of n elements. Components outside [0, n) are rejected.
 func SparseFromSet(set *Set, n int) (*Sparse, error) {
