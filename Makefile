@@ -6,9 +6,11 @@ GO ?= go
 # a stored side's layout; queryopt's minimisation, which now learns the width
 # before it writes a formula, got 5 lines shorter. Lowered by 301 lines when
 # every evaluation moved onto its caller's goroutine (the wave scheduler, the
-# parallel PFP sweep and Options.Parallelism deleted). The total counts the
+# parallel PFP sweep and Options.Parallelism deleted), and by 235 when the
+# plan cache came to hold compiled plans only, bvq to read every answer
+# through its enumerator and bvqbench to lose -stream. The total counts the
 # surface gate's 38-line fixture module under testdata/surfacefix.
-LOC_CEILING = 26116
+LOC_CEILING = 25881
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -35,8 +37,9 @@ all: vet test build
 # no_cache 15,000-row closure, each read as JSON and drained as NDJSON over
 # loopback; eval's BenchmarkSparseFix is the sparse stage loop whose allocations
 # TestSparseFixAllocs holds down, BenchmarkPlanAnswer the engine half of a miss,
-# BenchmarkFilteredHop miss-direct's sparse texts over a warm node store and
-# BenchmarkDenseFamilies its dense ones, relation's BenchmarkSemijoin the kernel
+# BenchmarkFilteredHop miss-direct's sparse texts over a warm node store,
+# BenchmarkDenseFamilies its dense ones and BenchmarkTwoHopStream the first
+# tuple of a stream over an unfiltered two-hop beside its materialised answer, relation's BenchmarkSemijoin the kernel
 # under the first beside the loop it replaced and BenchmarkAxisKernels the
 # quantifier, stage-extraction and cylinder operators under the second on 64³,
 # database's BenchmarkDatabaseParse and BenchmarkDatabaseApply a load into
@@ -184,12 +187,12 @@ bench-json:
 bench-sparse:
 	$(GO) run ./cmd/bvqbench -json -quick | grep '"bench":"sparse-'
 
-# bench-stream emits the streaming-enumeration records (JSON Lines):
-# time-to-first-tuple, LIMIT-k latency and peak heap for the streamed
-# sparse route next to the materialized baseline, on the large-answer
-# two-hop scenario up to n = 10,000. EXPERIMENTS.md quotes a run.
+# bench-stream prices the first tuple, a LIMIT 64 and a drain of a stream
+# over the unfiltered two-hop join against materialising its answer, on the
+# sparse route at n = 2,000 and 10,000, with allocations (eval's
+# BenchmarkTwoHopStream; ROADMAP 7(f) reads its first-tuple line).
 bench-stream:
-	$(GO) run ./cmd/bvqbench -stream
+	$(GO) test -run=NONE -bench=BenchmarkTwoHopStream -benchmem ./internal/eval/
 
 # bench-smoke runs every benchmark exactly once — a compile-and-run
 # existence check, not a measurement.

@@ -4,7 +4,7 @@
 //
 //	bvq -db employees.db -query '(x, y). exists z. E(x, z) & E(z, y)' \
 //	    [-engine bottomup|naive|monotone|eso|certified|compiled] [-k 3] [-stats] \
-//	    [-stream] [-limit N] [-offset N]
+//	    [-limit N] [-offset N]
 //
 // The database file uses the textual format of bvq.ParseDatabase:
 //
@@ -16,11 +16,12 @@
 // iterations) are printed to stderr. With -k, the query is rejected unless
 // its width is at most k — the Lᵏ membership check.
 //
-// With -stream, the answer is produced through the streaming enumeration
-// API: the query is evaluated to its compact head value, tuples print as they
-// decode, and with -limit the decoding stops after the window instead of
-// materializing the full answer. -limit/-offset also window the answer
-// without -stream (the window is cut after materialization there).
+// Every answer is read through the enumeration API (bvq.EvalEnumContext):
+// the compiled engine evaluates to its compact head value and tuples print
+// as they decode, so -offset skips without decoding and -limit stops the
+// decoding after the window; the other engines' answers are enumerated from
+// their materialised sets. stderr reports the answer's tuples and how many
+// were printed and skipped.
 //
 // With -explain, the query is compiled and executed on the compiled engine
 // (another -engine is refused) and the annotated plan DAG is printed instead
@@ -55,26 +56,28 @@ func main() {
 		k       = flag.Int("k", 0, "reject queries of width > k (0: no bound)")
 		stats   = flag.Bool("stats", false, "print evaluation statistics to stderr")
 		showIdx = flag.Bool("indices", false, "print domain indices instead of raw values")
-		stream  = flag.Bool("stream", false, "stream tuples through the enumeration API (limit stops extraction early)")
 		limit   = flag.Int("limit", 0, "print at most N answer tuples (0: all)")
 		offset  = flag.Int("offset", 0, "skip the first N answer tuples")
 		explain = flag.Bool("explain", false, "run on the compiled engine and print the annotated plan tree instead of the answer")
 	)
 	flag.Parse()
 	if *explain {
-		if err := runExplain(*dbPath, *query, *qFile, *engine, *k, *stream, os.Stdout, os.Stderr); err != nil {
+		if err := runExplain(*dbPath, *query, *qFile, *engine, *k, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "bvq:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*dbPath, *query, *qFile, *engine, *k, *stats, *showIdx, *stream, *limit, *offset, os.Stdout, os.Stderr); err != nil {
+	if err := run(*dbPath, *query, *qFile, *engine, *k, *stats, *showIdx, *limit, *offset, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "bvq:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream bool, limit, offset int, stdout, stderr io.Writer) error {
+// run evaluates the query and prints its OFFSET/LIMIT window through the
+// answer's enumerator: tuples printed as they decode, LIMIT stopping the
+// extraction early.
+func run(dbPath, query, qFile, engineName string, k int, stats, showIdx bool, limit, offset int, stdout, stderr io.Writer) error {
 	if err := checkFlags(dbPath, k); err != nil {
 		return err
 	}
@@ -93,29 +96,30 @@ func run(dbPath, query, qFile, engineName string, k int, stats, showIdx, stream 
 	if k > 0 {
 		opts = &bvq.Options{MaxWidth: k}
 	}
-	if stream {
-		return runStream(q, db, eng, opts, stats, showIdx, limit, offset, stdout, stderr)
-	}
-	ans, st, err := bvq.EvalStats(q, db, eng, opts)
+	en, st, err := bvq.EvalEnumContext(context.Background(), q, db, eng, opts)
 	if err != nil {
 		return err
 	}
+	defer en.Close()
 	if stats {
 		printStats(stderr, eng, q, db, st)
 	}
 	if q.Arity() == 0 {
 		verdict := "false"
-		if ans.Len() > 0 {
+		if _, ok := en.Next(); ok {
 			verdict = "true"
+		}
+		if err := en.Err(); err != nil {
+			return err
 		}
 		return emit(stdout, verdict)
 	}
-	en := eval.NewEnumerator(context.Background(), ans, nil)
-	defer en.Close()
-	if _, _, err := printWindow(en, db, showIdx, limit, offset, stdout); err != nil {
+	cnt, _ := en.Count()
+	skipped, printed, err := printWindow(en, db, showIdx, limit, offset, stdout)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
+	fmt.Fprintf(stderr, "%d tuple(s), %d streamed, %d skipped\n", cnt, printed, skipped)
 	return nil
 }
 
@@ -181,12 +185,9 @@ func loadInputs(dbPath, query, qFile string) (*bvq.Database, bvq.Query, error) {
 // runExplain compiles the query, executes it on the compiled engine under an
 // observer that times nodes, and prints the annotated plan tree — the CLI
 // twin of the server's "explain": true request mode.
-func runExplain(dbPath, query, qFile, engineName string, k int, stream bool, stdout, stderr io.Writer) error {
+func runExplain(dbPath, query, qFile, engineName string, k int, stdout, stderr io.Writer) error {
 	if err := checkFlags(dbPath, k); err != nil {
 		return err
-	}
-	if stream {
-		return fmt.Errorf("-explain and -stream are mutually exclusive")
 	}
 	eng, err := bvq.EngineByName(engineName)
 	if err != nil {
@@ -203,44 +204,13 @@ func runExplain(dbPath, query, qFile, engineName string, k int, stream bool, std
 	if err != nil {
 		return err
 	}
-	opts := &eval.Options{MaxWidth: k, Observe: eval.NewObserver(0, true)}
+	opts := &eval.Options{MaxWidth: k, Observe: eval.NewObserver(true)}
 	ans, _, err := eval.EvalPlanContext(context.Background(), p, db, opts)
 	if err != nil {
 		return err
 	}
 	eval.Explain(p, db, opts).Render(stdout)
 	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
-	return nil
-}
-
-// runStream prints the answer through the enumeration API: tuples printed as
-// they decode from the compact head value, and LIMIT stopping the extraction
-// early.
-func runStream(q bvq.Query, db *bvq.Database, eng bvq.Engine, opts *bvq.Options, stats, showIdx bool, limit, offset int, stdout, stderr io.Writer) error {
-	en, st, err := bvq.EvalEnumContext(context.Background(), q, db, eng, opts)
-	if err != nil {
-		return err
-	}
-	defer en.Close()
-	if q.Arity() == 0 {
-		verdict := "false"
-		if _, ok := en.Next(); ok {
-			verdict = "true"
-		}
-		if err := en.Err(); err != nil {
-			return err
-		}
-		return emit(stdout, verdict)
-	}
-	cnt, _ := en.Count()
-	skipped, printed, err := printWindow(en, db, showIdx, limit, offset, stdout)
-	if err != nil {
-		return err
-	}
-	if stats {
-		printStats(stderr, eng, q, db, st)
-	}
-	fmt.Fprintf(stderr, "%d tuple(s), %d streamed, %d skipped\n", cnt, printed, skipped)
 	return nil
 }
 

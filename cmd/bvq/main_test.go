@@ -25,7 +25,7 @@ P/1 = {(10)}
 func TestRunBasicQuery(t *testing.T) {
 	db := writeDB(t)
 	var out, errw strings.Builder
-	err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 0, true, false, false, 0, 0, &out, &errw)
+	err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 0, true, false, 0, 0, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,14 @@ func TestRunBasicQuery(t *testing.T) {
 func TestRunBooleanAndIndices(t *testing.T) {
 	db := writeDB(t)
 	var out, errw strings.Builder
-	if err := run(db, "(). exists x. P(x)", "", "naive", 0, false, false, false, 0, 0, &out, &errw); err != nil {
+	if err := run(db, "(). exists x. P(x)", "", "naive", 0, false, false, 0, 0, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(out.String()) != "true" {
 		t.Fatalf("Boolean output = %q", out.String())
 	}
 	out.Reset()
-	if err := run(db, "(x). P(x)", "", "bottomup", 0, false, true, false, 0, 0, &out, &errw); err != nil {
+	if err := run(db, "(x). P(x)", "", "bottomup", 0, false, true, 0, 0, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(out.String()) != "(0)" { // index of value 10
@@ -66,7 +66,7 @@ func TestRunQueryFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errw strings.Builder
-	if err := run(db, "", qf, "bottomup", 0, false, false, false, 0, 0, &out, &errw); err != nil {
+	if err := run(db, "", qf, "bottomup", 0, false, false, 0, 0, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "(10)") {
@@ -78,7 +78,7 @@ func TestRunCertifiedEngine(t *testing.T) {
 	db := writeDB(t)
 	var out, errw strings.Builder
 	q := "(u). [lfp S(x). P(x) | (exists z. E(z, x) & (exists x. x = z & S(x)))](u)"
-	if err := run(db, q, "", "certified", 0, false, false, false, 0, 0, &out, &errw); err != nil {
+	if err := run(db, q, "", "certified", 0, false, false, 0, 0, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errw.String(), "4 tuple(s)") {
@@ -95,43 +95,43 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"missing db", func() error {
 			var o, e strings.Builder
-			return run("", "(x). P(x)", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
+			return run("", "(x). P(x)", "", "bottomup", 0, false, false, 0, 0, &o, &e)
 		}, "missing -db"},
 		{"missing query", func() error {
 			var o, e strings.Builder
-			return run(db, "", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
+			return run(db, "", "", "bottomup", 0, false, false, 0, 0, &o, &e)
 		}, ""},
 		{"bad engine", func() error {
 			var o, e strings.Builder
-			return run(db, "(x). P(x)", "", "warpdrive", 0, false, false, false, 0, 0, &o, &e)
+			return run(db, "(x). P(x)", "", "warpdrive", 0, false, false, 0, 0, &o, &e)
 		}, ""},
 		{"width bound", func() error {
 			var o, e strings.Builder
-			return run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 2, false, false, false, 0, 0, &o, &e)
+			return run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 2, false, false, 0, 0, &o, &e)
 		}, ""},
 		{"bad query", func() error {
 			var o, e strings.Builder
-			return run(db, "(x). Nope(", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
+			return run(db, "(x). Nope(", "", "bottomup", 0, false, false, 0, 0, &o, &e)
 		}, ""},
 		{"nonexistent db file", func() error {
 			var o, e strings.Builder
-			return run("/nonexistent/x.db", "(x). P(x)", "", "bottomup", 0, false, false, false, 0, 0, &o, &e)
+			return run("/nonexistent/x.db", "(x). P(x)", "", "bottomup", 0, false, false, 0, 0, &o, &e)
 		}, ""},
 		{"negative width bound", func() error {
 			var o, e strings.Builder
-			return run(db, "(x). P(x)", "", "compiled", -1, false, false, false, 0, 0, &o, &e)
+			return run(db, "(x). P(x)", "", "compiled", -1, false, false, 0, 0, &o, &e)
 		}, "invalid -k -1: must be ≥ 0"},
 		{"explain negative width bound", func() error {
 			var o, e strings.Builder
-			return runExplain(db, "(x). P(x)", "", "compiled", -1, false, &o, &e)
+			return runExplain(db, "(x). P(x)", "", "compiled", -1, &o, &e)
 		}, "invalid -k -1: must be ≥ 0"},
 		{"explain on another engine", func() error {
 			var o, e strings.Builder
-			return runExplain(db, "(x). P(x)", "", "naive", 0, false, &o, &e)
+			return runExplain(db, "(x). P(x)", "", "naive", 0, &o, &e)
 		}, `explain requires the compiled engine (got "naive")`},
 		{"explain missing db", func() error {
 			var o, e strings.Builder
-			return runExplain("", "(x). P(x)", "", "compiled", 0, false, &o, &e)
+			return runExplain("", "(x). P(x)", "", "compiled", 0, &o, &e)
 		}, "missing -db"},
 	}
 	for _, c := range cases {
@@ -144,41 +144,41 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunStream pins the -stream path: same tuples and order as the
-// materialized path, -limit/-offset windowing, and the streamed tuple
-// accounting on stderr.
-func TestRunStream(t *testing.T) {
+// TestRunWindow pins the enumeration path: the tuples a materialised
+// answer holds, in its order, on either engine; -limit/-offset windowing; and
+// the printed and skipped tuple accounting on stderr.
+func TestRunWindow(t *testing.T) {
 	db := writeDB(t)
 	for _, engine := range []string{"bottomup", "compiled"} {
 		var out, errw strings.Builder
-		if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", engine, 0, false, false, true, 0, 0, &out, &errw); err != nil {
+		if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", engine, 0, false, false, 0, 0, &out, &errw); err != nil {
 			t.Fatal(err)
 		}
 		if got := out.String(); !strings.Contains(got, "(10, 30)") || !strings.Contains(got, "(20, 40)") {
-			t.Fatalf("%s stream stdout = %q", engine, got)
+			t.Fatalf("%s stdout = %q", engine, got)
 		}
 		if !strings.Contains(errw.String(), "2 tuple(s), 2 streamed, 0 skipped") {
-			t.Fatalf("%s stream stderr = %q", engine, errw.String())
+			t.Fatalf("%s stderr = %q", engine, errw.String())
 		}
 	}
 	// Window: skip the first tuple, take one.
 	var out, errw strings.Builder
-	if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "compiled", 0, false, false, true, 1, 1, &out, &errw); err != nil {
+	if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "compiled", 0, false, false, 1, 1, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.TrimSpace(out.String()); got != "(20, 40)" {
-		t.Fatalf("windowed stream stdout = %q", got)
+		t.Fatalf("windowed stdout = %q", got)
 	}
 	if !strings.Contains(errw.String(), "2 tuple(s), 1 streamed, 1 skipped") {
-		t.Fatalf("windowed stream stderr = %q", errw.String())
+		t.Fatalf("windowed stderr = %q", errw.String())
 	}
-	// Boolean stream.
+	// Boolean.
 	out.Reset()
-	if err := run(db, "(). exists x. P(x)", "", "compiled", 0, false, false, true, 0, 0, &out, &errw); err != nil {
+	if err := run(db, "(). exists x. P(x)", "", "compiled", 0, false, false, 0, 0, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(out.String()) != "true" {
-		t.Fatalf("boolean stream = %q", out.String())
+		t.Fatalf("boolean = %q", out.String())
 	}
 }
 
@@ -187,7 +187,7 @@ func TestRunStream(t *testing.T) {
 // the route it took and the two modelled costs the route was chosen by.
 func TestRunExplain(t *testing.T) {
 	var out, errw strings.Builder
-	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", "compiled", 0, false, &out, &errw)
+	err := runExplain(writeDB(t), "(x, y). exists u. exists v. E(x, u) & E(u, v) & E(v, y)", "", "compiled", 0, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRunPropagatesWriteErrors(t *testing.T) {
 		{"boolean answer", "(). exists x. P(x)"},
 	}
 	for _, c := range cases {
-		err := run(db, c.query, "", "bottomup", 0, false, false, false, 0, 0, &failWriter{}, &errw)
+		err := run(db, c.query, "", "bottomup", 0, false, false, 0, 0, &failWriter{}, &errw)
 		if err == nil {
 			t.Errorf("%s: write failure not propagated", c.name)
 		} else if !strings.Contains(err.Error(), "simulated write failure") {
@@ -235,7 +235,7 @@ func TestRunPropagatesWriteErrors(t *testing.T) {
 		}
 	}
 	// Failure mid-answer (first tuple written, second fails) must also fail.
-	if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 0, false, false, false, 0, 0, &failWriter{n: 1}, &errw); err == nil {
+	if err := run(db, "(x, y). exists z. E(x, z) & E(z, y)", "", "bottomup", 0, false, false, 0, 0, &failWriter{n: 1}, &errw); err == nil {
 		t.Error("mid-answer write failure not propagated")
 	}
 }

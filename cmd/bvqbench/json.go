@@ -25,14 +25,13 @@ import (
 // JSON object per line (JSON Lines), so downstream tooling can stream-filter
 // with jq without loading the whole run.
 type Record struct {
-	Bench   string  `json:"bench"`             // workload id: tc-lfp, reach-lfp, mu-fp2, pfp-grow, sparse-*, churn-tc, stream-2hop
+	Bench   string  `json:"bench"`             // workload id: tc-lfp, reach-lfp, mu-fp2, pfp-grow, sparse-*, churn-tc
 	Engine  string  `json:"engine"`            // bottomup, compiled, monotone
 	Backend string  `json:"backend,omitempty"` // compiled-engine relation backend (dense, sparse, auto)
-	Mode    string  `json:"mode,omitempty"`    // churn benches: recompute or maintain; stream benches: materialize, stream-*
+	Mode    string  `json:"mode,omitempty"`    // churn benches: recompute or maintain
 	Query   string  `json:"query"`             // concrete query text
 	DB      string  `json:"db"`                // database family
 	N       int     `json:"n"`                 // domain size
-	Limit   int     `json:"limit,omitempty"`   // stream-limit benches: the LIMIT-k window
 	Reps    int     `json:"reps"`              // timed repetitions averaged over
 	NsPerOp float64 `json:"ns_per_op"`
 	Answer  int     `json:"answer_tuples"`

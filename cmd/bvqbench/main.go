@@ -4,16 +4,13 @@
 // series, and checks that all engines agree on the answers. EXPERIMENTS.md
 // records a run of this tool next to the paper's claims.
 //
-// Usage: bvqbench [-quick] [-json] [-stream]
+// Usage: bvqbench [-quick] [-json]
 //
 // With -json the tool skips the prose tables and instead emits one JSON
 // record per (workload, engine, size) cell — see Record in json.go — for
 // the engine-comparison workloads (tc-lfp, reach-lfp, mu-fp2, pfp-grow).
-//
-// With -stream the tool emits the streaming-enumeration records instead
-// (see stream.go): time-to-first-tuple, LIMIT-k latency and peak heap for
-// the streamed sparse route next to the materialized baseline, on a
-// large-answer two-hop scenario up to n = 10,000.
+// The serving stack is measured by bench/, and the streaming route's first
+// tuple by internal/eval's BenchmarkTwoHopStream (`make bench-stream`).
 package main
 
 import (
@@ -40,9 +37,8 @@ import (
 )
 
 var (
-	quick      = flag.Bool("quick", false, "smaller sweeps")
-	jsonMode   = flag.Bool("json", false, "emit machine-readable engine-comparison records (JSON Lines)")
-	streamMode = flag.Bool("stream", false, "emit streaming-enumeration records (TTFT, LIMIT-k, peak heap; JSON Lines)")
+	quick    = flag.Bool("quick", false, "smaller sweeps")
+	jsonMode = flag.Bool("json", false, "emit machine-readable engine-comparison records (JSON Lines)")
 )
 
 // writeErr records the first failed write to stdout. Sweep tables are the
@@ -64,10 +60,6 @@ func outln(a ...any) {
 
 func main() {
 	flag.Parse()
-	if *streamMode {
-		runStreamBench(*quick)
-		return
-	}
 	if *jsonMode {
 		runJSON(*quick)
 		return

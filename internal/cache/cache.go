@@ -2,9 +2,9 @@
 //
 //   - LRU — a mutex-guarded least-recently-used map with hit/miss/eviction
 //     counters, the substrate for both caches below;
-//   - PlanCache — parsed, width-computed query ASTs keyed by query text, so
-//     a repeated query never pays parse+width cost twice (the "amortize
-//     preprocessing" discipline of the constant-delay line of work);
+//   - PlanCache — compiled plans keyed by query text, so a repeated query
+//     never pays parse+compile twice (the "amortize preprocessing"
+//     discipline of the constant-delay line of work);
 //   - ResultCache — evaluation answers keyed by (the content the query
 //     read, engine, options, query text); sound because a query's value is a
 //     function of the domain and of the relations occurring in it

@@ -5,56 +5,44 @@ import (
 	"sync"
 
 	"repro/internal/eval"
-	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
-// Plan is a parsed query with its width precomputed — everything the server
-// needs before dispatching to an engine. Plans are immutable and shared
-// between requests.
-type Plan struct {
-	Query logic.Query
-	Width int
-	// Prepared is the compiled DAG plan for the query, built once per cache
-	// entry and reused by every request running the compiled engine (the
-	// plan is immutable; all evaluation state is per-run). It is nil when the
-	// query lies outside the compilable fragment — the compiled engine then
-	// recompiles per request and surfaces the real error.
-	Prepared *plan.Plan
-	// Footprint is logic.Footprint of the body, compiled or not: the database
-	// relations the query reads, the argument of the database.ContentID that
-	// result keys hold.
-	Footprint []string
-}
-
-// PlanCache memoizes parse + width computation, keyed by the exact query
-// text. A hit skips the parser entirely.
+// PlanCache memoizes parse + compile, keyed by the exact query text: a hit
+// hands back the compiled plan, immutable and shared between requests, with
+// nothing parsed or lowered again.
 type PlanCache struct {
-	lru *LRU[Plan]
+	lru *LRU[*plan.Plan]
 }
 
 // NewPlanCache returns a plan cache holding at most max plans.
-func NewPlanCache(max int) *PlanCache { return &PlanCache{lru: NewLRU[Plan](max)} }
+func NewPlanCache(max int) *PlanCache { return &PlanCache{lru: NewLRU[*plan.Plan](max)} }
 
-// Load returns the plan for text, parsing and caching on a miss. The second
-// result reports whether the plan came from the cache. Parse errors are not
-// cached: a failing query re-parses on every attempt, which keeps the cache
-// free of negative entries at the cost of re-tokenizing garbage.
-func (c *PlanCache) Load(text string) (Plan, bool, error) {
+// NotCompiled is the error of a text that parses but that plan.Compile
+// rejects (a second-order quantifier, say): Err is the compiler's own.
+type NotCompiled struct{ Err error }
+
+func (e *NotCompiled) Error() string { return e.Err.Error() }
+
+// Load returns the compiled plan for text, parsing, compiling and caching on
+// a miss. The second result reports whether the plan came from the cache.
+// Errors are not cached — a parse error as it is, a rejected text as a
+// *NotCompiled — so a failing text is parsed again on every attempt, which
+// keeps the cache free of negative entries at the cost of re-tokenizing
+// garbage.
+func (c *PlanCache) Load(text string) (*plan.Plan, bool, error) {
 	if p, ok := c.lru.Get(text); ok {
 		return p, true, nil
 	}
 	q, err := parser.ParseQuery(text)
 	if err != nil {
-		return Plan{}, false, err
+		return nil, false, err
 	}
-	p := Plan{Query: q}
-	if compiled, err := plan.Compile(q); err == nil { // it holds the footprint and the width too
-		p.Prepared, p.Footprint, p.Width = compiled, compiled.Maint.Rels, max(compiled.MinimizedFrom, len(compiled.Vars))
-	} else {
-		p.Width, p.Footprint = q.Width(), logic.Footprint(q.Body)
+	p, err := plan.Compile(q)
+	if err != nil {
+		return nil, false, &NotCompiled{Err: err}
 	}
 	c.lru.Put(text, p)
 	return p, false, nil
@@ -72,7 +60,7 @@ func (c *PlanCache) Counters() (hits, misses, evictions int64) { return c.lru.Co
 // Text the first hit rendered.
 type Result struct {
 	Answer relation.View
-	Stats  *eval.Stats // nil for engines that do not report statistics
+	Stats  *eval.Stats // the work of the compiled run that stored it, which every hit reports
 	// State, set by compiled runs of a maintainable plan, is what
 	// delta-restart maintenance resumes from when the content after an
 	// update misses the cache.

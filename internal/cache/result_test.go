@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -56,25 +58,32 @@ func TestWithContent(t *testing.T) {
 	}
 }
 
-// TestPlanFootprint: a query's footprint is the free relations it names,
-// compiled or not: a second-order quantified one is not among them, and it is
-// the compiled plan's own footprint where there is one.
+// TestPlanFootprint: a plan's footprint is the free relations its query
+// names, and a text the compiler rejects (a second-order quantifier) is a
+// NotCompiled error carrying the compiler's message that leaves nothing cached.
 func TestPlanFootprint(t *testing.T) {
 	pc := NewPlanCache(8)
 	for text, want := range map[string][]string{
 		"(x, y). exists z. E(x, z) & (P(z) | E(z, y))": {"E", "P"},
 		"(x, y). x = y": {},
-		"(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))": {"E"},
 	} {
 		p, _, err := pc.Load(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Footprint; len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+		if got := p.Maint.Rels; len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: footprint %v, want %v", text, got, want)
 		}
-		if p.Prepared != nil && !reflect.DeepEqual(p.Prepared.Maint.Rels, p.Footprint) {
-			t.Errorf("%s: plan footprint %v, query footprint %v", text, p.Prepared.Maint.Rels, p.Footprint)
+	}
+	const eso = "(). exists2 C/1. forall x. forall y. E(x, y) -> !(C(x) <-> C(y))"
+	for range 2 {
+		_, cached, err := pc.Load(eso)
+		var nc *NotCompiled
+		if !errors.As(err, &nc) || cached || !strings.Contains(err.Error(), "second-order quantifier C is not compilable") {
+			t.Fatalf("%s: cached=%v err=%v, want a NotCompiled error", eso, cached, err)
 		}
+	}
+	if hits, misses, _ := pc.Counters(); pc.Len() != 2 || hits != 0 || misses != 4 {
+		t.Fatalf("len %d, hits %d, misses %d: a rejected text was cached", pc.Len(), hits, misses)
 	}
 }

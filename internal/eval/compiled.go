@@ -45,7 +45,7 @@ func CompiledStats(q logic.Query, db *database.Database, opts *Options) (*relati
 
 // CompiledContext is CompiledStats honoring a context. It compiles the plan
 // and evaluates it; callers that evaluate the same query repeatedly (the bvqd
-// daemon) compile once and call EvalPlanContext directly.
+// daemon) compile once, keep the plan, and call EvalPlan directly.
 func CompiledContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
 	p, err := plan.Compile(q)
 	if err != nil {

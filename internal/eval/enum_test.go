@@ -178,7 +178,7 @@ func completeGraph(t *testing.T, n int) *database.Database {
 	return db
 }
 
-func twoHop(t *testing.T) logic.Query {
+func twoHop(t testing.TB) logic.Query {
 	t.Helper()
 	f := logic.Exists(logic.And(logic.R("E", "x", "z"), logic.R("E", "z", "y")), "z")
 	return logic.MustQuery([]logic.Var{"x", "y"}, f)
@@ -381,5 +381,54 @@ func TestPlanAnswerAllocsIndependentOfAnswerSize(t *testing.T) {
 	t.Logf("allocations per evaluation: %.0f for 480 tuples, %.0f for 15000", small, large)
 	if large > 1000+small {
 		t.Fatalf("15000 answer tuples cost %.0f allocations, 480 cost %.0f: want them within 1000", large, small)
+	}
+}
+
+// BenchmarkTwoHopStream prices the first tuple of a LIMIT stream over the
+// unfiltered two-hop join against materialising its answer, on the sparse
+// backend over sparseDigraph(n, n, 10): out-degree 10 on n nodes, so about
+// n·100 answer tuples over n·10 edges. materialise is the Set EvalPlanContext
+// builds, whose time is also its time to the first tuple; first-tuple,
+// limit-64 and drain are EvalPlanEnum followed by one Next, by 64 and by every
+// tuple. TestPlanAnswerAllocsIndependentOfAnswerSize gates the memory side.
+func BenchmarkTwoHopStream(b *testing.B) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = false // TestMain's: time spent overwriting is not the engine's
+	p := mustCompile(b, twoHop(b))
+	ctx, opts := context.Background(), &Options{Backend: BackendSparse}
+	for _, n := range []int{2000, 10000} {
+		db := sparseDigraph(int64(n), n, 10)
+		b.Run(strconv.Itoa(n)+"/materialise", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := EvalPlanContext(ctx, p, db, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, c := range []struct {
+			name  string
+			limit int // 0: drain
+		}{{"first-tuple", 1}, {"limit-64", 64}, {"drain", 0}} {
+			b.Run(strconv.Itoa(n)+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					en, _, err := EvalPlanEnum(ctx, p, db, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					got := 0
+					for ; c.limit == 0 || got < c.limit; got++ {
+						if _, ok := en.Next(); !ok {
+							break
+						}
+					}
+					en.Close()
+					if got < c.limit {
+						b.Fatalf("the stream ended after %d tuples, short of %d", got, c.limit)
+					}
+				}
+			})
+		}
 	}
 }

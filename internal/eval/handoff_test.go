@@ -73,13 +73,13 @@ func TestDifferentialHandOff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.q)
 			want, sink := newSink(), newSink()
-			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Observe: want})
+			ref, rst, err := EvalPlanContext(context.Background(), p, tc.db, &Options{Backend: BackendDense, Observe: want.Observer})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var res planResult
 			withHandOffScale(tc.scale, func() {
-				res, err = startOn(t, tc.start, p, tc.db, &Options{Observe: sink})
+				res, err = startOn(t, tc.start, p, tc.db, &Options{Observe: sink.Observer})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -166,7 +166,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	db := randomGraph(t, r, 2+r.Intn(5))
 	p := mustCompile(t, q)
 	dsink := newSink()
-	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Observe: dsink})
+	dense, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: BackendDense, Observe: dsink.Observer})
 	if err != nil {
 		t.Fatalf("dense(%s): %v", q, err)
 	}
@@ -181,7 +181,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 		sink := newSink()
 		var got interface{ String() string }
 		withHandOffScale(scale, func() {
-			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Observe: sink})
+			got, _, err = EvalPlanContext(context.Background(), p, db, &Options{Backend: b, Observe: sink.Observer})
 		})
 		if err != nil {
 			t.Fatalf("%s(%s): %v", b, q, err)

@@ -17,18 +17,16 @@ type FixStages struct {
 
 // Observer is the one instrument of a run, installed as Options.Observe. It
 // folds the run's stages per fixpoint into Fix, keyed by Binder, or by
-// (engine, relation, op) for the plan-less engines' Binder -1; logs the first
-// logCap stage events in Log; and, when built with nodes, counts the plan
-// executor's node computations in Evals and NS, sized by the run from its
-// plan. Stage traces, explain's node and binder totals and fixpoint spans are
-// all read from it. The evaluation reports from its own goroutine;
-// like Stats, its exported fields are safe to read only after it returns. A nil Observer costs nothing: the engines hoist the nil check out
+// (engine, relation, op) for the plan-less engines' Binder -1, and, when
+// built with nodes, counts the plan executor's node computations in Evals and
+// NS, sized by the run from its plan. Explain's node and binder totals and
+// fixpoint spans are read from it. The evaluation reports from its own
+// goroutine; like Stats, its exported fields are safe to read only after it
+// returns. A nil Observer costs nothing: the engines hoist the nil check out
 // of the stage work. Observing never changes answers, so it is excluded from
 // result-cache keys.
 type Observer struct {
-	Fix       []FixStages  // per-fixpoint totals, in first-event order
-	Log       []TraceEvent // the first logCap events
-	Truncated bool         // more events arrived than Log holds
+	Fix []FixStages // per-fixpoint totals, in first-event order
 	// Evals[n] counts plan node n's computations (cache misses, not visits);
 	// NS[n] is their wall time in nanoseconds. Time is INCLUSIVE: a node
 	// computed on demand inside another node's computation is charged to
@@ -36,18 +34,14 @@ type Observer struct {
 	Evals, NS []int64
 
 	byBinder []int // binder → index into Fix, plus one
-	logCap   int
 	nodes    bool
 	onStage  func(TraceEvent) // a test's hook, run after each stage is folded
 }
 
-// NewObserver returns an observer logging at most logCap stage events (0:
-// totals only) that times plan nodes only when nodes is set: explain's
-// per-node profile costs two clock reads per node computation. An observer
-// serves one evaluation.
-func NewObserver(logCap int, nodes bool) *Observer {
-	return &Observer{logCap: logCap, nodes: nodes}
-}
+// NewObserver returns an observer that times plan nodes only when nodes is
+// set: explain's per-node profile costs two clock reads per node computation.
+// An observer serves one evaluation.
+func NewObserver(nodes bool) *Observer { return &Observer{nodes: nodes} }
 
 // observerOf resolves Options.Observe (nil Options means no observer).
 func observerOf(opts *Options) *Observer {
@@ -77,11 +71,6 @@ func (o *Observer) node(n int, d time.Duration) {
 
 // stage folds one completed stage.
 func (o *Observer) stage(ev TraceEvent) {
-	if len(o.Log) < o.logCap {
-		o.Log = append(o.Log, ev)
-	} else if o.logCap > 0 {
-		o.Truncated = true
-	}
 	i := -1
 	if b := ev.Binder; b < 0 {
 		for j := range o.Fix {

@@ -209,7 +209,7 @@ func TestPinnedWork(t *testing.T) {
 			}
 			sink := newSink()
 			opts := tc.opts
-			opts.Observe = sink
+			opts.Observe = sink.Observer
 			st := tc.run(t, &opts)
 			gotStats := fmt.Sprintf("%+v", *st)
 			gotTrace := pinTrace(sink.Log)

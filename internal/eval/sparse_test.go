@@ -69,12 +69,12 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		}
 		db := randomGraph(t, r, 2+r.Intn(4))
 		dsink, ssink := newSink(), newSink()
-		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Observe: dsink})
+		dense, dst, err := CompiledStats(q, db, &Options{Backend: BackendDense, Observe: dsink.Observer})
 		if err != nil {
 			t.Fatalf("dense(%s): %v", q, err)
 		}
 
-		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Observe: ssink})
+		sparse, sst, err := CompiledStats(q, db, &Options{Backend: BackendSparse, Observe: ssink.Observer})
 		if err != nil {
 			if strings.Contains(err.Error(), "sparse backend:") {
 				continue // outside the sparse fragment (GFP/PFP, negative fix body)
@@ -95,7 +95,7 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		}
 
 		asink := newSink()
-		auto, ast, err := CompiledStats(q, db, &Options{Observe: asink})
+		auto, ast, err := CompiledStats(q, db, &Options{Observe: asink.Observer})
 		if err != nil {
 			t.Fatalf("auto(%s): %v", q, err)
 		}
@@ -531,7 +531,7 @@ func TestSparseCancellation(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		stages := 0
-		obs := NewObserver(0, false)
+		obs := NewObserver(false)
 		obs.onStage = func(TraceEvent) {
 			stages++
 			if stages == 2 {

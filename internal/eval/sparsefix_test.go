@@ -94,7 +94,7 @@ func BenchmarkSparseFix(b *testing.B) {
 func BenchmarkFilteredHop(b *testing.B) {
 	defer func(was bool) { poisonReleased = was }(poisonReleased)
 	poisonReleased = false // TestMain's: time spent overwriting is not the engine's
-	db := sparseDigraph()
+	db := sparseDigraph(1, 2000, 3)
 	for _, c := range []struct{ name, text string }{
 		{"hop2+src", "(x, y). P(x) & (exists z. (E(x, z) & E(z, y)))"},
 		{"hop2+dst", "(x, y). P(y) & (exists z. (E(x, z) & E(z, y)))"},
@@ -132,31 +132,32 @@ func BenchmarkFilteredHop(b *testing.B) {
 	}
 }
 
-// sparseDigraph is workload.SparseDigraph(1, 2000, 3), which this package
-// cannot import: 2,000 elements, 6,000 edges, P on every 97th element.
-func sparseDigraph() *database.Database {
-	r := rand.New(rand.NewSource(1))
+// sparseDigraph is workload.SparseDigraph, which this package cannot import
+// (a cycle through mucalc): ⌊n·deg⌋ directed edges drawn uniformly, self-loops
+// dropped, P on every 97th element.
+func sparseDigraph(seed int64, n int, deg float64) *database.Database {
+	r := rand.New(rand.NewSource(seed))
 	bld := database.NewBuilder().Relation("E", 2).Relation("P", 1)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < n; i++ {
 		bld.Domain(i)
 	}
-	for e := 0; e < 6000; e++ {
-		if u, v := r.Intn(2000), r.Intn(2000); u != v {
+	for e := 0; e < int(float64(n)*deg); e++ {
+		if u, v := r.Intn(n), r.Intn(n); u != v {
 			bld.Add("E", u, v)
 		}
 	}
-	for i := 0; i < 2000; i += 97 {
+	for i := 0; i < n; i += 97 {
 		bld.Add("P", i)
 	}
 	return bld.MustBuild()
 }
 
 // TestFilterBeforeJoin is the work counter of the filter pushdown: store-less,
-// P(x) ∧ ∃z(E(x,z) ∧ E(z,y)) on sparseDigraph writes its two edge atoms and a
+// P(x) ∧ ∃z(E(x,z) ∧ E(z,y)) on sparseDigraph(1, 2000, 3) writes its two edge atoms and a
 // few hundred tuples more (442); joining before filtering writes the 18,000
 // 2-hop paths first (35,741 more).
 func TestFilterBeforeJoin(t *testing.T) {
-	db := sparseDigraph()
+	db := sparseDigraph(1, 2000, 3)
 	q, err := parser.ParseQuery("(x, y). P(x) & (exists z. (E(x, z) & E(z, y)))")
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -12,8 +11,19 @@ import (
 	"repro/internal/plan"
 )
 
+// stageLog is an observer that keeps every stage event in Log, in arrival
+// order, through the observer's onStage hook.
+type stageLog struct {
+	*Observer
+	Log []TraceEvent
+}
+
 // newSink returns an observer that logs every stage event.
-func newSink() *Observer { return NewObserver(math.MaxInt, false) }
+func newSink() *stageLog {
+	s := &stageLog{Observer: NewObserver(false)}
+	s.onStage = func(ev TraceEvent) { s.Log = append(s.Log, ev) }
+	return s
+}
 
 func traceDB(t *testing.T) *database.Database {
 	t.Helper()
@@ -56,7 +66,7 @@ func TestTracerLFPStages(t *testing.T) {
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			sink := newSink()
-			st, err := r.run(&Options{Observe: sink})
+			st, err := r.run(&Options{Observe: sink.Observer})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +118,7 @@ func TestTracerPFP(t *testing.T) {
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
 			sink := newSink()
-			opts := &Options{Observe: sink}
+			opts := &Options{Observe: sink.Observer}
 			var st *Stats
 			var err error
 			if engine == "bottomup" {
@@ -145,13 +155,13 @@ func TestTracerParallelPFPSweep(t *testing.T) {
 				logic.Exists(logic.And(logic.R("E", "z", "x"),
 					logic.Exists(logic.And(logic.Equal("x", "z"), logic.R("S", "x")), "x")), "z"))), "u"))
 	lone := newSink()
-	_, stLone, err := BottomUpStats(q, db, &Options{Observe: lone})
+	_, stLone, err := BottomUpStats(q, db, &Options{Observe: lone.Observer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	concurrently(4, func(i int) {
 		sink := newSink()
-		_, st, err := BottomUpStats(q, db, &Options{Observe: sink})
+		_, st, err := BottomUpStats(q, db, &Options{Observe: sink.Observer})
 		if err != nil {
 			t.Error(err)
 		} else if st.FixIterations != stLone.FixIterations || !slices.EqualFunc(sink.Log, lone.Log, sameStage) {
@@ -172,7 +182,7 @@ func sameStage(a, b TraceEvent) bool {
 func TestTracerNilIsIgnored(t *testing.T) {
 	db := traceDB(t)
 	q := traceReachQuery()
-	ansTraced, stTraced, err := BottomUpStats(q, db, &Options{Observe: NewObserver(0, true)})
+	ansTraced, stTraced, err := BottomUpStats(q, db, &Options{Observe: NewObserver(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 	for _, engine := range []string{"bottomup", "compiled"} {
 		t.Run(engine, func(t *testing.T) {
 			run := func() (FixStages, *Stats, error) {
-				fold := NewObserver(0, false)
+				fold := NewObserver(false)
 				opts := &Options{Observe: fold}
 				var st *Stats
 				var err error
@@ -214,9 +224,6 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 				}
 				if fix := fold.Fix; len(fix) != 1 {
 					return FixStages{}, nil, fmt.Errorf("%d fixpoints folded, want the one PFP: %+v", len(fix), fix)
-				}
-				if len(fold.Log) != 0 || fold.Truncated {
-					return FixStages{}, nil, fmt.Errorf("a fold without a log kept %d events (truncated=%v)", len(fold.Log), fold.Truncated)
 				}
 				return fold.Fix[0], st, nil
 			}
@@ -246,27 +253,6 @@ func TestStageFoldParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStageFoldLogCap checks the raw event log: in arrival order, cut at its
-// cap with the truncation flagged, while the totals keep counting.
-func TestStageFoldLogCap(t *testing.T) {
-	fold := NewObserver(3, false)
-	if _, _, err := BottomUpStats(traceReachQuery(), traceDB(t), &Options{Observe: fold}); err != nil {
-		t.Fatal(err)
-	}
-	events, truncated := fold.Log, fold.Truncated
-	if len(events) != 3 || !truncated {
-		t.Fatalf("log holds %d events (truncated=%v), want 3 and the flag", len(events), truncated)
-	}
-	for i, ev := range events {
-		if ev.Stage != i+1 {
-			t.Fatalf("event %d is stage %d", i, ev.Stage)
-		}
-	}
-	if fix := fold.Fix; len(fix) != 1 || fix[0].Stages <= 3 || fix[0].Tuples != 5 || fix[0].DeltaTuples != 5 {
-		t.Fatalf("totals = %+v, want every stage of the 5-element reach folded", fix)
-	}
-}
-
 // TestNodeCountsScheduleFree checks explain's per-node counts: a counter per
 // plan node, and every node computed as often in evaluations running beside
 // each other as in a lone one, on either route.
@@ -284,7 +270,7 @@ func TestNodeCountsScheduleFree(t *testing.T) {
 		}
 		for _, backend := range []Backend{BackendDense, BackendAuto} {
 			counts := func() ([]int64, error) {
-				obs := NewObserver(0, true)
+				obs := NewObserver(true)
 				_, _, err := EvalPlanContext(context.Background(), p, db, &Options{Backend: backend, Observe: obs})
 				return obs.Evals, err
 			}

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/eval"
-	"repro/internal/plan"
 	"repro/internal/trace"
 )
 
@@ -144,12 +142,4 @@ func topSpans(v trace.View, k int) string {
 		parts[i] = fmt.Sprintf("%s=%.0fus", name, sp.DurUS)
 	}
 	return strings.Join(parts, ",")
-}
-
-// buildExplain assembles the explain payload for one executed request: the
-// plan DAG with density annotations, the backend route and its two modelled
-// costs, the per-node profile and the per-binder stage totals of the run's
-// observer.
-func buildExplain(q *query) *plan.Explain {
-	return eval.Explain(q.pl.Prepared, q.snap, &q.opts)
 }

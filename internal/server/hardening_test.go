@@ -305,6 +305,44 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 }
 
+// TestRejectedTextSkipsAdmission: a text the compiler rejects is answered 422
+// with the compiler's own message from the plan cache, at once, while the only
+// evaluation slot is held: it reads no result cache and waits for no slot.
+func TestRejectedTextSkipsAdmission(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	s, ts := hookedServer(t, Config{MaxConcurrentEvals: 1}, func() {
+		entered <- struct{}{}
+		<-gate
+	})
+	holder := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(`{"database":"graph","query":"`+twoHop+`","no_cache":true}`))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("slot holder: status %d", resp.StatusCode)
+			}
+		}
+		holder <- err
+	}()
+	<-entered
+	before := s.Stats()
+	code, _, errResp := postQuery(t, ts, QueryRequest{Database: "graph", Query: "(). exists2 C/1. forall x. C(x)", TimeoutMS: 2000})
+	after := s.Stats()
+	close(gate)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if want := "plan: second-order quantifier C is not compilable; use the eso package"; code != http.StatusUnprocessableEntity || errResp.Error != want {
+		t.Fatalf("status %d, error %q; want 422 and %q", code, errResp.Error, want)
+	}
+	if after.ResultCache.Misses != before.ResultCache.Misses || after.InFlight.Evals != before.InFlight.Evals {
+		t.Fatalf("result-cache misses %d → %d, evals in flight %d → %d: the rejected text went past the plan cache",
+			before.ResultCache.Misses, after.ResultCache.Misses, before.InFlight.Evals, after.InFlight.Evals)
+	}
+}
+
 // TestEvaluatorPanicIsContained injects a panic at the evaluation boundary
 // and checks both paths: a direct (no_cache) request and a coalesced pair
 // all answer 500 with the panic surfaced in the error, the panic counter

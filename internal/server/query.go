@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -44,8 +45,8 @@ type query struct {
 	snap        *database.Database
 	engineName  string // "" until the engine resolves
 	backendName string
-	wireBackend string // backendName when the request named a backend: the responses' echo
-	pl          cache.Plan
+	wireBackend string     // backendName when the request named a backend: the responses' echo
+	p           *plan.Plan // the cached plan, shared by every request for the same text
 	planCached  bool
 	opts        eval.Options // Observe: the fresh run's observer, when anything reads it
 	key         string
@@ -135,9 +136,10 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
 }
 
 // resolve turns the request body into everything evaluation needs: decoded
-// and validated fields, the pinned snapshot, the backend, the plan
+// and validated fields, the pinned snapshot, the backend, the compiled plan
 // (under the compile span), the deadline, the options and the cache key. Its
-// error is the 400 or 404 to answer.
+// error is the 400, 404 or 422 to answer: a text the compiler rejects is
+// answered here, before any cache read, coalescing or admission.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int, error) {
 	req := &q.req
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -176,13 +178,14 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	}
 	s.metrics.backends.With(q.backendName).Inc()
 	csp := q.root.Start(trace.SpanCompile)
-	q.pl, q.planCached, err = s.plans.Load(req.Query)
+	q.p, q.planCached, err = s.plans.Load(req.Query)
 	csp.End()
 	if err != nil {
+		var nc *cache.NotCompiled
+		if errors.As(err, &nc) {
+			return http.StatusUnprocessableEntity, err
+		}
 		return http.StatusBadRequest, err
-	}
-	if req.Explain && q.pl.Prepared == nil {
-		return http.StatusBadRequest, fmt.Errorf("explain: query is outside the compilable fragment (no plan DAG)")
 	}
 
 	q.ctx = r.Context()
@@ -201,7 +204,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 	// excluded from the result key: observed and unobserved runs share cache
 	// entries. The key names the content of the relations the query reads, so
 	// a snapshot that differs elsewhere mints the same key.
-	q.key = cache.ResultKey(q.snap.ContentID(q.pl.Footprint), q.engineName, &q.opts, req.Query)
+	q.key = cache.ResultKey(q.snap.ContentID(q.p.Maint.Rels), q.engineName, &q.opts, req.Query)
 	if q.direct = req.NoCache || req.Explain; !q.direct {
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
 	}
@@ -237,7 +240,7 @@ const maxTextRows = 1 << 16
 // in index space, so the stored values are right only over the domain they
 // were rendered from.
 func (q *query) storedRows(out evalOutcome) []byte {
-	if out.text == nil || q.req.Offset > 0 || q.req.Limit > 0 || q.pl.Query.Arity() == 0 {
+	if out.text == nil || q.req.Offset > 0 || q.req.Limit > 0 || q.p.Query.Arity() == 0 {
 		return nil
 	}
 	domain := q.snap.Domain()
@@ -259,29 +262,20 @@ func (q *query) storedRows(out evalOutcome) []byte {
 	return rows
 }
 
-// engineCall is the one engine call: the whole answer as a View. It reuses
-// the DAG plan prepared when the query entered the plan cache, restarts from
-// prev when resume found one, hands back the executor's head as it stands and
-// captures maintenance state beside it. A nil Prepared (a text outside the
-// compilable fragment) recompiles to surface the compiler's error.
-func engineCall(q *query, prev *eval.MaintState) (out evalOutcome) {
-	if q.pl.Prepared == nil {
-		_, out.err = plan.Compile(q.pl.Query)
-		return out
-	}
-	out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.pl.Prepared, q.snap, &q.opts, prev, true)
-	return out
-}
+// width is the wire width: the written query's, which a minimised plan's own
+// axes undercut (plan.Plan.MinimizedFrom).
+func (q *query) width() int { return max(q.p.MinimizedFrom, len(q.p.Vars)) }
 
 // evaluate is the one evaluation, whatever will be written from it:
 // take an evaluation slot (or join the bounded wait queue — overload sheds
 // with errOverloaded → 429, a deadline firing while queued is the usual 504),
 // raise the in-flight gauge, open the eval span, attach the stage observer,
-// run the engine panic-contained — from the previous content's entry when
-// resume finds one, fresh otherwise — and settle: the work, complete or partial,
-// is folded into the aggregate counters and gauge and slot go back when the
-// engine returns — the answer is whole by then, so nobody's reading of it
-// holds either.
+// run the cached plan panic-contained — from the previous content's entry
+// when resume finds one, fresh otherwise, handing back the executor's head as
+// it stands with maintenance state beside it — and settle: the work, complete
+// or partial, is folded into the aggregate counters and gauge and slot go
+// back when the engine returns — the answer is whole by then, so nobody's
+// reading of it holds either.
 func (s *Server) evaluate(q *query) (out evalOutcome) {
 	asp := q.root.Start(trace.SpanAdmission)
 	err := s.limiter.acquire(q.ctx)
@@ -301,7 +295,7 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	// it: explain's totals or a live span. Only explain times nodes; an
 	// unobserved run has none and skips the hooks.
 	if q.req.Explain || esp != nil {
-		q.opts.Observe = eval.NewObserver(0, q.req.Explain)
+		q.opts.Observe = eval.NewObserver(q.req.Explain)
 	}
 	// A panic becomes an error — shared with coalesced followers, answered
 	// 500. Slot and gauge still go back.
@@ -311,7 +305,7 @@ func (s *Server) evaluate(q *query) (out evalOutcome) {
 	}
 	prev := s.resume(q)
 	q.maintained = prev != nil
-	out = engineCall(q, prev)
+	out.answer, out.stats, out.mstate, out.err = eval.EvalPlan(q.ctx, q.p, q.snap, &q.opts, prev, true)
 	if q.maintained && out.err == nil {
 		s.metrics.maintained.Inc()
 		esp.Annotate("cache", "maintained")
@@ -344,17 +338,17 @@ func (s *Server) resume(q *query) *eval.MaintState {
 	if q.direct {
 		return nil
 	}
-	st := q.nd.lastTouch(q.snap, q.pl.Footprint)
+	st := q.nd.lastTouch(q.snap, q.p.Maint.Rels)
 	if st == nil {
 		return nil
 	}
-	prev, ok := s.results.Peek(cache.WithContent(q.key, st.from.ContentID(q.pl.Footprint)))
+	prev, ok := s.results.Peek(cache.WithContent(q.key, st.from.ContentID(q.p.Maint.Rels)))
 	switch {
 	case !ok:
 		return nil
 	case prev.State == nil:
 		s.metrics.invalidations.With("no_plan").Inc()
-	case !eval.CanMaintain(q.pl.Prepared, st.delta):
+	case !eval.CanMaintain(q.p, st.delta):
 		s.metrics.invalidations.With("delta_polarity").Inc()
 	default:
 		return prev.State
@@ -460,8 +454,8 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		Database:     q.req.Database,
 		Engine:       q.engineName,
 		Backend:      q.wireBackend,
-		Width:        q.pl.Width,
-		Arity:        q.pl.Query.Arity(),
+		Width:        q.width(),
+		Arity:        q.p.Query.Arity(),
 		Answer:       [][]int{}, // the rows are rendered apart and spliced in
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
@@ -470,7 +464,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		TraceID:      q.lt.ID(),
 	}
 	if q.req.Explain {
-		resp.Explain = buildExplain(q)
+		resp.Explain = eval.Explain(q.p, q.snap, &q.opts)
 	}
 	xsp := q.root.Start(trace.SpanExtract)
 	en := eval.NewEnumerator(q.ctx, out.answer, nil)

@@ -120,10 +120,10 @@ type Config struct {
 	TraceSample int
 }
 
-// Cache sizing defaults. Plans are small (an AST per distinct query text);
-// results hold a relation each, so the default is sized for k ≤ 3 answers
-// over domains of a few hundred elements — override per deployment, see
-// OPERATIONS.md.
+// Cache sizing defaults. Plans are small (a compiled plan of a few kilobytes
+// per distinct query text); results hold a relation each, so the default is
+// sized for k ≤ 3 answers over domains of a few hundred elements — override
+// per deployment, see OPERATIONS.md.
 const (
 	DefaultPlanCacheSize   = 1024
 	DefaultResultCacheSize = 4096
@@ -337,8 +337,8 @@ type QueryResponse struct {
 	Answer [][]int `json:"answer"`
 	Count  int     `json:"count"`
 	// PlanCached / ResultCached / Coalesced report how the request was
-	// served: parse skipped, evaluation skipped, or evaluation shared with
-	// a concurrent identical request.
+	// served: parse and compile skipped, evaluation skipped, or evaluation
+	// shared with a concurrent identical request.
 	PlanCached   bool `json:"plan_cached"`
 	ResultCached bool `json:"result_cached"`
 	Coalesced    bool `json:"coalesced"`

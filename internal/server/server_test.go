@@ -564,8 +564,8 @@ func TestCompiledEngineEndToEnd(t *testing.T) {
 		t.Fatalf("no_cache compiled run diverged: %+v vs %+v", again, comp)
 	}
 
-	// Outside the compilable fragment (second-order quantifier): Prepared is
-	// nil, the generic path recompiles and reports the compiler's error.
+	// Outside the compilable fragment (second-order quantifier): the plan
+	// cache reports the compiler's error, and the request never runs.
 	code, _, errResp = postQuery(t, ts, QueryRequest{
 		Database: "graph", Query: "(). exists2 A/1. exists x. A(x)", Engine: "compiled"})
 	if code == http.StatusOK {

@@ -119,7 +119,7 @@ func (lb *lineBuffer) Write(p []byte) (int, error) {
 func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
 	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
-	arity := q.pl.Query.Arity()
+	arity := q.p.Query.Arity()
 	fullCount, _ := en.Count()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -140,7 +140,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		Database:     q.req.Database,
 		Engine:       q.engineName,
 		Backend:      q.wireBackend,
-		Width:        q.pl.Width,
+		Width:        q.width(),
 		Arity:        arity,
 		Count:        fullCount,
 		Limit:        q.req.Limit,

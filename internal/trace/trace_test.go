@@ -119,7 +119,7 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 			}
 			tr := trace.New(trace.NewTraceID(), time.Now())
 			ev := tr.Root().Start(trace.SpanEval)
-			obs := eval.NewObserver(0, false)
+			obs := eval.NewObserver(false)
 			opts := &eval.Options{Observe: obs}
 			if _, _, err := eval.EvalPlanContext(context.Background(), p, db, opts); err != nil {
 				t.Fatal(err)

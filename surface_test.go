@@ -497,21 +497,19 @@ func definedFlags(command string) ([]string, error) {
 // TestFlagsDeployed fails on a flag of bvqd, bvqrouter or bvqload that no script, the
 // Makefile, no example and not the benchmark sets, unless
 // testdata/flags_allow.txt names two deployments that need it; and on a line
-// of that file for a flag that is set there or is not defined.
+// of that file for a flag that is set there or is not defined. It reads the
+// non-test .go and .sh sources and the Makefile only: what a build or a
+// benchmark run leaves beside them (bench/bench, bench/out) holds the
+// servers' own strings.
 func TestFlagsDeployed(t *testing.T) {
 	var callers bytes.Buffer
 	for _, root := range []string{"scripts", "examples", "bench", "Makefile"} {
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
+			if err != nil || d.IsDir() {
 				return err
 			}
-			if d.IsDir() {
-				if path == filepath.Join("bench", "out") { // what a benchmark run builds and writes
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(path, "_test.go") || strings.HasSuffix(path, ".db") {
+			source := strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") || strings.HasSuffix(path, ".sh")
+			if !source && path != "Makefile" {
 				return nil
 			}
 			text, err := os.ReadFile(path)
