@@ -79,7 +79,7 @@ var goldenScript = []goldenStep{
 	queryStep("400 unknown backend", q("graph", twoHop)+`,"engine":"compiled","backend":"columnar"`),
 	queryStep("400 parse error", q("graph", "(x). exists y E(x, y)")+`,"engine":"compiled"`),
 	queryStep("422 evaluation error", q("graph", "(x). Nope(x)")+`,"engine":"compiled"`),
-	queryStep("400 explain outside the compilable fragment", q("graph", "(). exists2 C/1. forall x. C(x)")+`,"explain":true`),
+	queryStep("422 explain outside the compilable fragment", q("graph", "(). exists2 C/1. forall x. C(x)")+`,"explain":true`),
 	queryStep("422 outside the compilable fragment", q("graph", "(). exists2 C/1. forall x. C(x)")),
 
 	queryStep("chain reach compiled", q("chain", chainReach)+`,"engine":"compiled"`),
