@@ -205,12 +205,14 @@ func runExplain(dbPath, query, qFile, engineName string, k int, stdout, stderr i
 		return err
 	}
 	opts := &eval.Options{MaxWidth: k, Observe: eval.NewObserver(true)}
-	ans, _, err := eval.EvalPlanContext(context.Background(), p, db, opts)
+	en, _, err := eval.EvalPlanEnum(context.Background(), p, db, opts)
 	if err != nil {
 		return err
 	}
+	defer en.Close()
 	eval.Explain(p, db, opts).Render(stdout)
-	fmt.Fprintf(stderr, "%d tuple(s)\n", ans.Len())
+	cnt, _ := en.Count()
+	fmt.Fprintf(stderr, "%d tuple(s)\n", cnt)
 	return nil
 }
 

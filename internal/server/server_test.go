@@ -568,10 +568,7 @@ func TestCompiledEngineEndToEnd(t *testing.T) {
 	// cache reports the compiler's error, and the request never runs.
 	code, _, errResp = postQuery(t, ts, QueryRequest{
 		Database: "graph", Query: "(). exists2 A/1. exists x. A(x)", Engine: "compiled"})
-	if code == http.StatusOK {
-		t.Fatal("second-order query accepted by compiled engine")
-	}
-	if errResp.Error == "" {
-		t.Fatal("empty error for non-compilable query")
+	if code != http.StatusUnprocessableEntity || errResp.Error == "" {
+		t.Fatalf("second-order query: status %d, error %q; want 422 with the compiler's message", code, errResp.Error)
 	}
 }
