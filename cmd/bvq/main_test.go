@@ -144,10 +144,10 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunWindow pins the enumeration path: the tuples a materialised
+// TestRunStream pins the enumeration path: the tuples a materialised
 // answer holds, in its order, on either engine; -limit/-offset windowing; and
 // the printed and skipped tuple accounting on stderr.
-func TestRunWindow(t *testing.T) {
+func TestRunStream(t *testing.T) {
 	db := writeDB(t)
 	for _, engine := range []string{"bottomup", "compiled"} {
 		var out, errw strings.Builder
