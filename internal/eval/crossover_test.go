@@ -366,7 +366,7 @@ var pinnedRoutes = []routePin{
 	{"fo-neg", "forest64", "sparse"},
 	{"fo-neg-alt", "forest64", "sparse"},
 	{"gfp-live", "forest64", "dense"},
-	{"reach", "deg3-64", "sparse"},
+	{"reach", "deg3-64", "dense"},
 	{"tc", "deg3-64", "sparse"},
 	{"hop2", "deg3-64", "sparse"},
 	{"hop3", "deg3-64", "sparse"},
@@ -376,7 +376,7 @@ var pinnedRoutes = []routePin{
 	{"fo-neg", "deg3-64", "dense"},
 	{"fo-neg-alt", "deg3-64", "sparse"},
 	{"gfp-live", "deg3-64", "dense"},
-	{"reach", "deg4-64", "sparse"},
+	{"reach", "deg4-64", "dense"},
 	{"tc", "deg4-64", "sparse"},
 	{"hop2", "deg4-64", "sparse"},
 	{"hop3", "deg4-64", "dense"},

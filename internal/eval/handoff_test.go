@@ -6,7 +6,9 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/database"
@@ -68,7 +70,7 @@ func TestDifferentialHandOff(t *testing.T) {
 	}{
 		{"tc-near-complete", "sparse", tcQuery(), nearComplete, 0, 0},
 		{"reach-path", "dense", reachQuery(), lineDB(24), 0, 0},
-		{"reach-path-late", "dense", reachQuery(), lineDB(24), 8, 1},
+		{"reach-path-late", "dense", reachQuery(), lineDB(24), 1.5, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustCompile(t, tc.q)
@@ -196,6 +198,139 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 			}
 		}
 	}
+	// Renamed to fresh names in a seeded order, the text answers the same, and
+	// either spelling compiles at its least width — the text's own where its
+	// names are never fewer than the variables live at once.
+	sigma := map[logic.Var]logic.Var{}
+	for i, v := range r.Perm(len(diffVars)) {
+		sigma[diffVars[i]] = logic.Var(fmt.Sprintf("w%d", v))
+	}
+	rq, err := logic.NewQuery(renameVars(q.Head, sigma), renameAll(q.Body, sigma))
+	if err != nil {
+		t.Fatalf("renaming %s: %v", q, err)
+	}
+	rp := mustCompile(t, rq)
+	if got, _, err := EvalPlanContext(context.Background(), rp, db, &Options{Backend: BackendDense}); err != nil || !got.Equal(dense) {
+		t.Fatalf("%s renamed %s (%v):\n got %s\nwant %s", q, rq, err, got, dense)
+	}
+	want := min(leastWidth(q), q.Width())
+	for _, p := range []*plan.Plan{p, rp} {
+		if got := len(p.Vars); got != want && !(p.Acyclic && got < want) {
+			t.Fatalf("%s: width %d, want the least width %d (written %d)", p.Query, got, want, q.Width())
+		}
+	}
+}
+
+// renameVars renames every variable of vs by sigma.
+func renameVars(vs []logic.Var, sigma map[logic.Var]logic.Var) []logic.Var {
+	out := make([]logic.Var, len(vs))
+	for i, v := range vs {
+		out[i] = sigma[v]
+	}
+	return out
+}
+
+// renameAll renames every variable of f, bound or free, by sigma.
+func renameAll(f logic.Formula, sigma map[logic.Var]logic.Var) logic.Formula {
+	switch g := f.(type) {
+	case logic.Atom:
+		return logic.Atom{Rel: g.Rel, Args: renameVars(g.Args, sigma)}
+	case logic.Eq:
+		return logic.Eq{L: sigma[g.L], R: sigma[g.R]}
+	case logic.Not:
+		return logic.Not{F: renameAll(g.F, sigma)}
+	case logic.Binary:
+		return logic.Binary{Op: g.Op, L: renameAll(g.L, sigma), R: renameAll(g.R, sigma)}
+	case logic.Quant:
+		return logic.Quant{Kind: g.Kind, V: sigma[g.V], F: renameAll(g.F, sigma)}
+	case logic.Fix:
+		return logic.Fix{Op: g.Op, Rel: g.Rel, Vars: renameVars(g.Vars, sigma), Body: renameAll(g.Body, sigma), Args: renameVars(g.Args, sigma)}
+	}
+	return f
+}
+
+// leastWidth is the width a plan of q needs when variables share an axis
+// only if they are never live together: the head's, or at a binder the
+// variables it binds plus those live there — the binder's free ones and,
+// through an atom of a recursion relation in scope, the parameters the atom
+// reads that relation's stage with. Variables are told apart by the binder
+// that introduces them, never by name.
+func leastWidth(q logic.Query) int {
+	type rec struct {
+		rel    string
+		params []int
+	}
+	width, next := len(q.Head), 0
+	fresh := func(env map[logic.Var]int, v logic.Var) map[logic.Var]int {
+		out := map[logic.Var]int{v: next}
+		for w, id := range env {
+			if w != v {
+				out[w] = id
+			}
+		}
+		next++
+		return out
+	}
+	env := map[logic.Var]int{}
+	for _, v := range q.Head {
+		env = fresh(env, v)
+	}
+	// live returns the variables f reads from around it.
+	var live func(f logic.Formula, env map[logic.Var]int, recs []rec) map[int]bool
+	live = func(f logic.Formula, env map[logic.Var]int, recs []rec) map[int]bool {
+		out := map[int]bool{}
+		add := func(vs ...logic.Var) {
+			for _, v := range vs {
+				out[env[v]] = true
+			}
+		}
+		switch g := f.(type) {
+		case logic.Atom:
+			add(g.Args...)
+			for i := len(recs) - 1; i >= 0; i-- {
+				if recs[i].rel == g.Rel {
+					for _, id := range recs[i].params {
+						out[id] = true
+					}
+					break
+				}
+			}
+		case logic.Eq:
+			add(g.L, g.R)
+		case logic.Not:
+			return live(g.F, env, recs)
+		case logic.Binary:
+			out = live(g.L, env, recs)
+			for id := range live(g.R, env, recs) {
+				out[id] = true
+			}
+		case logic.Quant:
+			inner := fresh(env, g.V)
+			out = live(g.F, inner, recs)
+			delete(out, inner[g.V])
+			width = max(width, len(out)+1)
+		case logic.Fix:
+			var params []int
+			for v := range logic.FreeVars(g.Body) {
+				if !slices.Contains(g.Vars, v) {
+					params = append(params, env[v])
+				}
+			}
+			inner := env
+			for _, v := range g.Vars {
+				inner = fresh(inner, v)
+			}
+			out = live(g.Body, inner, append(slices.Clip(recs), rec{g.Rel, params}))
+			for _, v := range g.Vars {
+				delete(out, inner[v])
+			}
+			width = max(width, len(out)+len(g.Vars))
+			add(g.Args...)
+		}
+		return out
+	}
+	live(q.Body, env, nil)
+	return width
 }
 
 // FuzzAutoRoute: whatever route auto takes and wherever its loops change

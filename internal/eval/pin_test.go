@@ -246,7 +246,7 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:58 FixIterations:14 MaxIntermediateArity:3 MaxIntermediateTuples:15780 NodesReused:28 DeltaTuples:91 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:1 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:448+13 2:460+12 3:471+11 4:481+10 5:490+9 6:498+8 7:505+7 8:511+6 9:516+5 10:520+4 11:523+3 12:525+2 13:526+1 14:526+0"},
 	"reach-line8/dense": {
-		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:3 MaxIntermediateTuples:512 NodesReused:27 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:2 MaxIntermediateTuples:64 NodesReused:27 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/lfp 1:1+1 2:2+1 3:3+1 4:4+1 5:5+1 6:6+1 7:7+1 8:8+1 9:8+0"},
 	"reach-line8/sparse": {
 		"{SubformulaEvals:55 FixIterations:9 MaxIntermediateArity:2 MaxIntermediateTuples:8 NodesReused:27 DeltaTuples:8 TuplesTouched:70 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
@@ -258,7 +258,7 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:16 FixIterations:4 MaxIntermediateArity:3 MaxIntermediateTuples:18 NodesReused:8 DeltaTuples:18 TuplesTouched:90 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/ifp 1:9+9 2:15+6 3:18+3 4:18+0"},
 	"ifp-neg-forest/dense": {
-		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:2 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:1 MaxIntermediateTuples:12 NodesReused:2 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/ifp 1:3+3 2:3+0"},
 	"ifp-neg-forest/sparse": {
 		"{SubformulaEvals:8 FixIterations:2 MaxIntermediateArity:1 MaxIntermediateTuples:3 NodesReused:2 DeltaTuples:0 TuplesTouched:15 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
@@ -267,15 +267,15 @@ var pinnedWork = map[string]pinned{
 		"{SubformulaEvals:25 FixIterations:5 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:10 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/gfp 1:9-3 2:6-3 3:3-3 4:0-3 5:0+0"},
 	"nested-gfp-lfp-line8/auto": {
-		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:4 MaxIntermediateTuples:4096 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:13 FixIterations:3 MaxIntermediateArity:2 MaxIntermediateTuples:64 NodesReused:8 DeltaTuples:8 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:8+8 2:8+0 | S/gfp 1:8+0"},
 	"two-branch-lfp/dense": {
-		"{SubformulaEvals:62 FixIterations:13 MaxIntermediateArity:3 MaxIntermediateTuples:1728 NodesReused:39 DeltaTuples:12 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:62 FixIterations:13 MaxIntermediateArity:2 MaxIntermediateTuples:144 NodesReused:39 DeltaTuples:12 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"T/lfp 1:1+1 2:2+1 3:3+1 4:4+1 5:5+1 6:6+1 7:7+1 8:8+1 9:9+1 10:10+1 11:11+1 12:12+1 13:12+0"},
 	// The body is positive in S: compiled as the LFP it equals, one stage
 	// over the extended arity instead of one sweep per parameter value.
 	"pfp-param-forest/dense": {
-		"{SubformulaEvals:11 FixIterations:1 MaxIntermediateArity:4 MaxIntermediateTuples:216 NodesReused:3 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
+		"{SubformulaEvals:11 FixIterations:1 MaxIntermediateArity:3 MaxIntermediateTuples:36 NodesReused:3 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",
 		"S/lfp 1:0+0"},
 	"pfp-neg-param-forest/dense": {
 		"{SubformulaEvals:166 FixIterations:18 MaxIntermediateArity:3 MaxIntermediateTuples:216 NodesReused:54 DeltaTuples:0 TuplesTouched:0 RepSwitches:0 AcyclicFastPath:0 MaintainedFromDelta:0 TuplesStreamed:0 TuplesSkipped:0 NodesShared:0}",

@@ -6,11 +6,14 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/parser"
 )
 
@@ -79,12 +82,14 @@ func compileDigest(text string) string {
 // that keeps every plan keeps every line; one that moves a plan names its
 // text. Lines are "digest<TAB>text"; an error outcome is recorded in full.
 // Re-record with -update only when a plan is meant to change.
+// Every text that compiles is compiled again renamed (renameVars).
 func TestCompileGolden(t *testing.T) {
 	entries := goldenEntries(t)
 	if len(entries) < 300 {
 		t.Fatalf("golden corpus has %d texts, want at least 300", len(entries))
 	}
 	var out strings.Builder
+	r := rand.New(rand.NewSource(1))
 	for _, e := range entries {
 		got := compileDigest(e.text)
 		if *updateGolden {
@@ -92,12 +97,88 @@ func TestCompileGolden(t *testing.T) {
 		} else if got != e.digest {
 			t.Errorf("%s:\n got  %s\n want %s", e.text, got, e.digest)
 		}
+		if strings.Contains(got, " error: ") {
+			continue
+		}
+		// A plan does not depend on what its variables are called: under a
+		// renaming that keeps the names' order, every plan is the same but for
+		// its axes' display names; a plan whose axes go by liveness is the same
+		// under any renaming.
+		q, _ := parser.ParseQuery(e.text)
+		p, _ := Compile(q)
+		renamings := []func([]string) map[string]string{orderKept}
+		if p.MinimizedFrom > 0 && !p.Acyclic {
+			renamings = append(renamings, func(names []string) map[string]string { return shuffled(names, r) })
+		}
+		for _, rename := range renamings {
+			text, sigma := renameVars(e.text, rename)
+			rq, err := parser.ParseQuery(text)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			rp, err := Compile(rq)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			for i, v := range p.Vars {
+				if rp.Vars[i] != logic.Var(sigma[string(v)]) {
+					t.Fatalf("%s: axis %d named %s, want %s", text, i, rp.Vars[i], sigma[string(v)])
+				}
+			}
+			rp.Vars = p.Vars
+			if d := planDigest(rp); d != got {
+				t.Errorf("%s, renamed %s:\n got  %s\n want %s", e.text, text, d, got)
+			}
+		}
 	}
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// varToken is an identifier, with the '(' that makes it a relation's name.
+var varToken = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*\(?`)
+
+// renameVars renames every variable of a query text — an identifier that is
+// not a keyword and does not open an argument list — by the bijection rename
+// makes of the text's variable names, which it returns beside the text.
+func renameVars(text string, rename func(names []string) map[string]string) (string, map[string]string) {
+	isVar := func(tok string) bool {
+		return !strings.HasSuffix(tok, "(") && !slices.Contains([]string{"exists", "forall", "exists2", "lfp", "gfp", "ifp", "pfp", "true", "false"}, tok)
+	}
+	var names []string
+	for _, tok := range varToken.FindAllString(text, -1) {
+		if isVar(tok) && !slices.Contains(names, tok) {
+			names = append(names, tok)
+		}
+	}
+	sigma := rename(names)
+	return varToken.ReplaceAllStringFunc(text, func(tok string) string {
+		if isVar(tok) {
+			return sigma[tok]
+		}
+		return tok
+	}), sigma
+}
+
+// orderKept renames each name to a fresh one in the same order.
+func orderKept(names []string) map[string]string {
+	sigma := map[string]string{}
+	for _, v := range names {
+		sigma[v] = "q_" + v
+	}
+	return sigma
+}
+
+// shuffled renames the names to fresh ones in a random order.
+func shuffled(names []string, r *rand.Rand) map[string]string {
+	sigma := map[string]string{}
+	for i, j := range r.Perm(len(names)) {
+		sigma[names[i]] = fmt.Sprintf("w%d", j)
+	}
+	return sigma
 }
 
 type goldenEntry struct{ digest, text string }

@@ -279,7 +279,7 @@ func TestWireWithoutNodeCache(t *testing.T) {
 		}
 		t.Fatalf("transcripts differ in length: %d lines off, %d on", len(gl), len(wl))
 	}
-	if bytes.Contains(off, []byte("nodes_shared")) || !bytes.Contains(on, []byte(`"nodes_shared":1`)) {
+	if bytes.Contains(off, []byte("nodes_shared")) || !bytes.Contains(on, []byte(`"nodes_shared":`)) {
 		t.Fatal("nodes_shared must appear exactly when a run took a node from the cache")
 	}
 	var st StatsResponse
