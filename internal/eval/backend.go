@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/database"
+	"repro/internal/logic"
 	"repro/internal/plan"
 	"repro/internal/relation"
 )
@@ -113,7 +114,7 @@ func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 			return nil, nil, nil, fmt.Errorf("eval: maintenance state has %d binders, plan has %d", len(prev.stages), p.NumBinders)
 		}
 	}
-	if err := validateRun(ctx, p.Query, db, opts); err != nil {
+	if err := validatePlan(ctx, p, db, opts); err != nil {
 		return nil, nil, nil, err
 	}
 	res, err := evalRoute(ctx, p, db, opts, routePlan(p, db, opts), prev, capture)
@@ -121,6 +122,22 @@ func EvalPlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Op
 		res.stats.MaintainedFromDelta = 1
 	}
 	return res.head, res.stats, res.state, err
+}
+
+// validatePlan is the plan executor's admission. Compile validated p's text,
+// so what is left of q.Validate is each database atom's arity against db's
+// signature: checked over the plan's atom nodes (the first misfit in node
+// order is the one named), not by another walk of the formula.
+func validatePlan(ctx context.Context, p *plan.Plan, db *database.Database, opts *Options) error {
+	sig := logic.Signature(db.Arities())
+	for i := range p.Nodes {
+		if nd := &p.Nodes[i]; nd.Op == plan.OpAtom && nd.Binder < 0 {
+			if err := sig.Admit(nd.Rel, len(nd.Args)); err != nil {
+				return err
+			}
+		}
+	}
+	return admit(ctx, p.Query, db, opts)
 }
 
 // setOf is the View → Set conversion at the boundary of the materializing

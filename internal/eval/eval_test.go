@@ -1,12 +1,15 @@
 package eval
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/database"
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/relation"
 )
 
@@ -192,6 +195,31 @@ func TestBottomUpRejectsUnknownRelation(t *testing.T) {
 	q := logic.MustQuery([]logic.Var{"x"}, logic.R("Nope", "x"))
 	if _, err := BottomUp(q, db); err == nil {
 		t.Fatal("unknown relation accepted")
+	}
+}
+
+// TestPlanAdmissionMatchesValidate: the plan executor's admission, made over
+// the plan's atom nodes, refuses what the formula walk refuses with the same
+// error, and a recursion relation that shares a stored relation's name is
+// not read as the stored one.
+func TestPlanAdmissionMatchesValidate(t *testing.T) {
+	db := lineGraph(t, 3)
+	for _, text := range []string{
+		"(x). Nope(x)",
+		"(x, y). P(x) & E(x, y, y)",
+		"(u). [lfp S(x). P(x) | (exists z. (E(z) & S(z)))](u)",
+		"(u). [lfp E(x). P(x) | (exists z. (E(z) & z = x))](u)",
+		"(x, y). E(x, y) & P(y)",
+	} {
+		q, err := parser.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := q.Validate(db.Arities())
+		_, _, _, got := EvalPlan(context.Background(), mustCompile(t, q), db, nil, nil, false)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: admitted with %v, Validate says %v", text, got, want)
+		}
 	}
 }
 

@@ -112,15 +112,24 @@ func Validate(f Formula, sig Signature) error {
 		if sig == nil {
 			break
 		}
-		want, ok := sig[r.name]
-		if !ok {
-			return fmt.Errorf("logic: relation %s not in database signature", r.name)
-		}
-		if want != r.arity {
-			return fmt.Errorf("logic: relation %s used with arity %d, database has arity %d", r.name, r.arity, want)
+		if err := sig.Admit(r.name, r.arity); err != nil {
+			return err
 		}
 	}
 	return validate(f)
+}
+
+// Admit checks that sig has relation rel at the given arity, with
+// Validate's error when it does not.
+func (sig Signature) Admit(rel string, arity int) error {
+	want, ok := sig[rel]
+	if !ok {
+		return fmt.Errorf("logic: relation %s not in database signature", rel)
+	}
+	if want != arity {
+		return fmt.Errorf("logic: relation %s used with arity %d, database has arity %d", rel, arity, want)
+	}
+	return nil
 }
 
 func validate(f Formula) error {

@@ -194,10 +194,19 @@ func (sp *Space) diagonalMask(i, j int) *bitset.Set {
 	if m, ok := sp.diag[key]; ok {
 		return m
 	}
+	// An index is hi + t_b·s_b + mid + t_a·s_a + low for the outer axis b and
+	// the inner a of the pair: the diagonal is t_a = t_b = v, the nᵏ⁻¹ points
+	// hi + mid + v·(s_a+s_b) + low, set by strides without decoding one.
 	m := bitset.New(sp.size)
-	for idx := 0; idx < sp.size; idx++ {
-		if sp.Coord(idx, i) == sp.Coord(idx, j) {
-			m.Set(idx)
+	a, b := max(i, j), min(i, j)
+	sa, sb, n := sp.stride[a], sp.stride[b], sp.n
+	for hi := 0; hi < sp.size; hi += n * sb {
+		for mid := hi; mid < hi+sb; mid += n * sa {
+			for at := mid; at < mid+n*(sa+sb); at += sa + sb {
+				for low := at; low < at+sa; low++ {
+					m.Set(low)
+				}
+			}
 		}
 	}
 	sp.diag[key] = m
