@@ -639,40 +639,47 @@ func weights(axes, within []int, n uint64) []uint64 {
 	return out
 }
 
-// probe joins a with the side ix lays out.
+// probe joins a with the side ix lays out. It counts the matches first and
+// fills one block of that size: no regrowth, and a block the head or the
+// store keeps as it is. Where a's axes lead the output support, probe order
+// is code order, and Build finds the block sorted.
 func (sa *sparseAlg) probe(a *sval, ix *joinIndex) (*sval, error) {
+	n, total := uint64(sa.n), 0
+	a.rel.ForEachCode(func(c uint64) {
+		if i, _, ok := ix.find(c, n); ok {
+			total += ix.off[i+1] - ix.off[i]
+		}
+	})
+	if total > sa.budget {
+		return nil, sa.overBudget("join", float64(total))
+	}
 	bld, err := sa.blocks.Builder(len(ix.sup), sa.n)
 	if err != nil {
 		return nil, err
 	}
-	n := uint64(sa.n)
-	var ferr error
+	bld.Grow(total)
 	a.rel.ForEachCode(func(c uint64) {
-		if ferr != nil {
-			return
-		}
-		var key, base uint64
-		for col := len(ix.pKey) - 1; col >= 0; col-- {
-			d := c % n
-			c /= n
-			key += d * ix.pKey[col]
-			base += d * ix.pOut[col]
-		}
-		i, ok := slices.BinarySearch(ix.keys, key)
-		if !ok {
-			return
-		}
-		for _, add := range ix.add[ix.off[i]:ix.off[i+1]] {
-			bld.AddCode(base + add)
-		}
-		if bld.Len() > sa.budget {
-			ferr = sa.overBudget("join", float64(bld.Len()))
+		if i, base, ok := ix.find(c, n); ok {
+			for _, add := range ix.add[ix.off[i]:ix.off[i+1]] {
+				bld.AddCode(base + add)
+			}
 		}
 	})
-	if ferr != nil {
-		return nil, ferr
-	}
 	return &sval{sup: ix.sup, rel: bld.Build()}, nil
+}
+
+// find splits a prober code c into its key and its share of the output code,
+// base, and looks the key up: i is its run when ok.
+func (ix *joinIndex) find(c, n uint64) (i int, base uint64, ok bool) {
+	var key uint64
+	for col := len(ix.pKey) - 1; col >= 0; col-- {
+		d := c % n
+		c /= n
+		key += d * ix.pKey[col]
+		base += d * ix.pOut[col]
+	}
+	i, ok = slices.BinarySearch(ix.keys, key)
+	return i, base, ok
 }
 
 // quantSv applies ∃ or ∀ on one axis. An axis outside the support is a

@@ -793,6 +793,17 @@ func (b *SparseBuilder) AddCode(c uint64) {
 	b.s.codes = append(b.s.codes, c)
 }
 
+// Grow makes room for n more codes in one block, so that adding them never
+// regrows it.
+func (b *SparseBuilder) Grow(n int) {
+	if old := b.s.codes; cap(old)-len(old) < n {
+		b.s.codes = append(b.bl.get(len(old)+n), old...)
+		if b.bl != nil {
+			b.bl.put(old)
+		}
+	}
+}
+
 // Len returns the number of codes added so far (before deduplication).
 func (b *SparseBuilder) Len() int { return len(b.s.codes) }
 
