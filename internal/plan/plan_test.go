@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -268,6 +269,60 @@ func TestCompileMinimizesAcyclicCQ(t *testing.T) {
 		if p.MinimizedFrom != 0 || len(p.Vars) != q.Width() {
 			t.Errorf("%s: minimized from %d, %d axes for width %d", name, p.MinimizedFrom, len(p.Vars), q.Width())
 		}
+	}
+}
+
+// TestCompileAllocatesByLiveness: a text that names more variables than are
+// live at once compiles narrower, its axes going to variables by liveness,
+// and under any names; a text whose names are all live at one binder keeps
+// one axis per name.
+func TestCompileAllocatesByLiveness(t *testing.T) {
+	for _, c := range []struct {
+		text, vars string // vars: Plan.Vars
+		from       int    // Plan.MinimizedFrom
+	}{
+		// The FPᵏ renaming idiom: the tuple's x takes the head's axis (no
+		// parameter is live), z the next, and the inner x the tuple's again.
+		{"(u). [lfp R(x). S(x) | (exists z. (E(z, x) & (exists x. (x = z & R(x)))))](u)", "[u z]", 3},
+		// A parameter is live wherever an atom of its relation reads the
+		// stage: z cannot take y's axis, though y is not free under ∃z.
+		{"(u, y). [lfp S(x). x = y | (exists z. (E(z, x) & (exists x. (x = z & S(x)))))](u)", "[u y z]", 4},
+		// Nested binders whose variables are never live together.
+		{"(x). exists z. (exists y. !(P(x)))", "[x z]", 3},
+		// Every name is live at ∃z: one axis per name, in name order.
+		{"(y, x). exists z. (E(x, z) & E(z, y))", "[y x z]", 0},
+		{"(x, y). exists z. (E(x, z) & (exists x. (E(z, x) & E(x, y))))", "[x y z]", 0},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(p.Vars); got != c.vars || p.MinimizedFrom != c.from || p.Acyclic {
+			t.Errorf("%s: axes %s, minimized from %d (acyclic %v); want %s from %d", c.text, got, p.MinimizedFrom, p.Acyclic, c.vars, c.from)
+		}
+	}
+	// The reach text written with the head x, which names only the variables
+	// live at once, is the plan the head u gets, but for the names and
+	// MinimizedFrom.
+	digest := func(text string) string {
+		q, err := parser.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Vars, p.MinimizedFrom = nil, 0
+		return planDigest(p)
+	}
+	u := digest("(u). [lfp R(x). S(x) | (exists z. (E(z, x) & (exists x. (x = z & R(x)))))](u)")
+	if x := digest("(x). [lfp R(x). S(x) | (exists z. (E(z, x) & (exists x. (x = z & R(x)))))](x)"); x != u {
+		t.Errorf("head u and head x compile apart: %s, %s", u, x)
 	}
 }
 
