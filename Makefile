@@ -1,16 +1,18 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last raised by 159 lines, for plan.Compile's filter pushdown (push.go, 151
-# lines: a filter written beside an ∃ runs before the join it filters, which
-# took miss-direct's rss_peak_mib from 168 to 125 MiB) and a join's probe of
-# a stored side's layout; queryopt's minimisation, which now learns the width
-# before it writes a formula, got 5 lines shorter. Lowered by 301 lines when
+# Last raised by 267 lines: 203 for plan.Compile's allocation of axes by
+# liveness (a plan is as wide as its widest binder keeps variables live,
+# which took miss-direct's cpu_ms_per_op 6.7 % and its rss_peak_mib from 124
+# to 113 MiB), the rest for the plan admission over atom nodes, the strided
+# diagonal and the sized probe. Before that, by 159 lines, for
+# plan.Compile's filter pushdown (push.go) and a join's probe of a stored
+# side's layout. Lowered by 301 lines when
 # every evaluation moved onto its caller's goroutine (the wave scheduler, the
 # parallel PFP sweep and Options.Parallelism deleted), and by 233 when the
 # plan cache came to hold compiled plans only, bvq to read every answer
 # through its enumerator and bvqbench to lose -stream. The total counts the
 # surface gate's 38-line fixture module under testdata/surfacefix.
-LOC_CEILING = 25883
+LOC_CEILING = 26150
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 

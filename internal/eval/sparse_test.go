@@ -202,10 +202,12 @@ func treeCQ(r *rand.Rand) logic.Query {
 }
 
 // checkMinimizeRewrite is the differential of plan.Compile's §5 rewrite on
-// one conjunctive query: the plan is minimised exactly when
-// queryopt.MinimizeWidth finds a smaller width, and every backend of the one
-// executor returns what the naive oracle returns for the text as written. It
-// returns the plan.
+// one conjunctive query: the plan is lowered from the minimised form
+// (Plan.Acyclic) exactly when queryopt.MinimizeWidth finds a smaller width,
+// MinimizedFrom is the text's width exactly when the plan is narrower (by
+// that rewrite or by the allocation of axes to live variables), and every
+// backend of the one executor returns what the naive oracle returns for the
+// text as written. It returns the plan.
 func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *plan.Plan {
 	t.Helper()
 	cq, ok := queryopt.FromQuery(q)
@@ -216,12 +218,13 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 	if err != nil {
 		t.Fatalf("compile(%s): %v", q, err)
 	}
-	wantFrom := 0
-	if _, width, err := queryopt.MinimizeWidth(cq); err == nil && width < q.Width() {
+	_, width, err := queryopt.MinimizeWidth(cq)
+	rewritten, narrower, wantFrom := err == nil && width < q.Width(), len(p.Vars) < q.Width(), 0
+	if narrower {
 		wantFrom = q.Width()
 	}
-	if p.MinimizedFrom != wantFrom {
-		t.Fatalf("%s: MinimizedFrom = %d, want %d", q, p.MinimizedFrom, wantFrom)
+	if p.Acyclic != rewritten || rewritten && !narrower || p.MinimizedFrom != wantFrom {
+		t.Fatalf("%s: Acyclic = %v (want %v), MinimizedFrom = %d with %d axes", q, p.Acyclic, rewritten, p.MinimizedFrom, len(p.Vars))
 	}
 	// The result key's footprint is the text's; the minimised plan must read
 	// exactly those relations.
@@ -246,8 +249,8 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 		if !got.Equal(want) {
 			t.Fatalf("%s disagrees with naive on %s (minimized from %d):\ngot  %v\nwant %v\n%s", b, q, p.MinimizedFrom, got, want, db)
 		}
-		if (st.AcyclicFastPath == 1) != (wantFrom > 0) {
-			t.Fatalf("%s(%s): AcyclicFastPath = %d, MinimizedFrom = %d", b, q, st.AcyclicFastPath, wantFrom)
+		if (st.AcyclicFastPath == 1) != rewritten {
+			t.Fatalf("%s(%s): AcyclicFastPath = %d, Acyclic = %v", b, q, st.AcyclicFastPath, p.Acyclic)
 		}
 	}
 	return p
@@ -265,7 +268,7 @@ func TestAcyclicFastPathDifferential(t *testing.T) {
 		if q.Width() > 5 {
 			n = 2 + r.Intn(2)
 		}
-		if checkMinimizeRewrite(t, q, randomGraph(t, r, n)).MinimizedFrom > 0 {
+		if checkMinimizeRewrite(t, q, randomGraph(t, r, n)).Acyclic {
 			minimized++
 		}
 	}
