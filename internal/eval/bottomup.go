@@ -325,7 +325,7 @@ func atomKey(rel string, args []int) string {
 // sets. Where the stage loop of an LFP/GFP/IFP occurrence starts is the
 // walker's rule.
 func (c *buCtx) evalFix(g logic.Fix) (*relation.Dense, error) {
-	params := fixParams(g)
+	params := c.fixParams(g)
 	varAxes, err := c.axesOf(g.Vars)
 	if err != nil {
 		return nil, err
@@ -570,10 +570,19 @@ func pfpBrent(step func(*relation.Dense) (*relation.Dense, error), msp *relation
 	return msp.Empty(), nil
 }
 
-// fixParams returns the fixpoint's parameter variables: free individual
-// variables of the body not bound by the recursion tuple, sorted by name.
-func fixParams(g logic.Fix) []logic.Var {
+// fixParams returns the fixpoint's parameter variables, sorted by name: the
+// free individual variables of the body and the parameters of each enclosing
+// recursion relation the body reads (its atoms read that relation's stage
+// through them), less the recursion tuple.
+func (c *buCtx) fixParams(g logic.Fix) []logic.Var {
 	free := logic.FreeVars(g.Body)
+	for _, rel := range logic.Footprint(g.Body) {
+		if br, ok := c.env.rels[rel]; ok && rel != g.Rel {
+			for _, v := range br.params {
+				free[v] = true
+			}
+		}
+	}
 	for _, v := range g.Vars {
 		delete(free, v)
 	}

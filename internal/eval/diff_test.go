@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/database"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/plan"
@@ -26,6 +27,9 @@ type diffGen struct {
 	next int // fresh recursion-relation counter
 	// filters adds the (anti-)semijoin shapes of filtered to formula's draw.
 	filters bool
+	// aliases lets half of the closures filters draws be aliased's shapes,
+	// whose answers only Naive gives.
+	aliases bool
 }
 
 var diffVars = []logic.Var{"x", "y", "z"}
@@ -74,6 +78,9 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 	case 9:
 		return g.filtered(recs)
 	case 10:
+		if g.aliases && g.r.Intn(2) == 0 {
+			return g.aliased(depth-1, recs)
+		}
 		return g.filteredClosure()
 	case 11:
 		return g.besideExists(recs)
@@ -141,6 +148,31 @@ func (g *diffGen) filteredClosure() logic.Formula {
 		body = logic.And(filter, step)
 	}
 	return logic.Lfp(name, []logic.Var{x, y}, logic.Or(logic.R("E", x, y), logic.Exists(body, z)), x, y)
+}
+
+// aliased emits a fixpoint R(a) with a parameter b that is read where b does
+// not name it: a quantifier rebinds b below an atom of R, or a fixpoint T
+// nested in R's body reads R, so that b is T's parameter too, rebound below
+// T's atom or not. The formula walker's environment goes by name and aliases
+// a rebound parameter with the variable that rebinds it.
+func (g *diffGen) aliased(depth int, recs []string) logic.Formula {
+	v := g.r.Perm(3)
+	a, b, c := diffVars[v[0]], diffVars[v[1]], diffVars[v[2]]
+	name := g.fresh("R")
+	step := logic.Formula(logic.Exists(logic.And(logic.R("E", a, b), logic.R(name, b)), b))
+	if g.r.Intn(2) == 0 {
+		nested, w := g.fresh("T"), []logic.Var{a, b}[g.r.Intn(2)]
+		step = logic.Lfp(nested, []logic.Var{c}, logic.Or(logic.R(name, c),
+			logic.Exists(logic.And(logic.R("E", c, w), logic.R(nested, w)), w)), a)
+	}
+	body := logic.Or(logic.And(logic.R("P", a), logic.R("E", a, b)), step)
+	if g.r.Intn(2) == 0 {
+		body = logic.Or(body, g.formula(depth, append(append([]string(nil), recs...), name)))
+	}
+	if g.r.Intn(3) == 0 {
+		return logic.Gfp(name, []logic.Var{a}, logic.And(logic.R(name, a), body), g.v())
+	}
+	return logic.Lfp(name, []logic.Var{a}, body, g.v())
 }
 
 // besideExists emits a filter beside an ∃: the shape plan.Compile's filter
@@ -391,6 +423,58 @@ func TestDifferentialNegatedFixpoints(t *testing.T) {
 		"(x). !(exists y. (E(x, y) & ![lfp S(x). P(x) | (exists z. (E(z, x) & (exists x. (x = z & S(x)))))](y)))",
 	} {
 		naiveDifferential(t, r, text)
+	}
+}
+
+// TestRecursionParameters: a recursion relation's parameters are values, not
+// names. A fixpoint nested in another's body that reads the outer relation
+// takes the outer parameters as its own, and a quantifier that rebinds a
+// parameter's name below a recursion atom binds a second value beside it.
+// Both texts answer as Naive on every route of the compiled engine; the
+// nested one also on the formula walker, whose environment goes by name and
+// still aliases the rebound one.
+func TestRecursionParameters(t *testing.T) {
+	db, err := database.Parse(`
+domain = {0, 1, 2, 3}
+E/2 = {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)}
+P/1 = {(0), (2)}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		text    string
+		walkers bool
+	}{
+		{"(z, p). [lfp R(x). (P(x) & E(x, p)) | [lfp T(y). R(y) | exists w. (E(y, w) & T(w))](x)](z)", true},
+		{"(z, p). [lfp R(x). (P(x) & E(x, p)) | exists p. (E(x, p) & R(p))](z)", false},
+	} {
+		q, err := parser.ParseQuery(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Naive(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() != 8 {
+			t.Fatalf("%s: naive answers %v, want 8 tuples", c.text, want)
+		}
+		for _, b := range []Backend{BackendDense, BackendSparse, BackendAuto} {
+			if got, _, err := CompiledStats(q, db, &Options{Backend: b}); err != nil || !got.Equal(want) {
+				t.Errorf("%s on %s (%v): %v, naive %v", c.text, b, err, got, want)
+			}
+		}
+		if !c.walkers {
+			continue
+		}
+		got, _, err := BottomUpStats(q, db, nil)
+		if err != nil || !got.Equal(want) {
+			t.Errorf("%s on bottomup (%v): %v, naive %v", c.text, err, got, want)
+		}
+		if got, _, err = MonotoneContext(context.Background(), q, db, nil); err != nil || !got.Equal(want) {
+			t.Errorf("%s on monotone (%v): %v, naive %v", c.text, err, got, want)
+		}
 	}
 }
 

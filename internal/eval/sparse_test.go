@@ -223,8 +223,8 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 	if narrower {
 		wantFrom = q.Width()
 	}
-	if p.Acyclic != rewritten || rewritten && !narrower || p.MinimizedFrom != wantFrom {
-		t.Fatalf("%s: Acyclic = %v (want %v), MinimizedFrom = %d with %d axes", q, p.Acyclic, rewritten, p.MinimizedFrom, len(p.Vars))
+	if p.Acyclic != rewritten || rewritten && !narrower || p.MinimizedFrom() != wantFrom {
+		t.Fatalf("%s: Acyclic = %v (want %v), MinimizedFrom = %d with %d axes", q, p.Acyclic, rewritten, p.MinimizedFrom(), len(p.Vars))
 	}
 	// The result key's footprint is the text's; the minimised plan must read
 	// exactly those relations.
@@ -247,7 +247,7 @@ func checkMinimizeRewrite(t *testing.T, q logic.Query, db *database.Database) *p
 			t.Fatalf("%s(%s): %v", b, q, err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("%s disagrees with naive on %s (minimized from %d):\ngot  %v\nwant %v\n%s", b, q, p.MinimizedFrom, got, want, db)
+			t.Fatalf("%s disagrees with naive on %s (minimized from %d):\ngot  %v\nwant %v\n%s", b, q, p.MinimizedFrom(), got, want, db)
 		}
 		if (st.AcyclicFastPath == 1) != rewritten {
 			t.Fatalf("%s(%s): AcyclicFastPath = %d, Acyclic = %v", b, q, st.AcyclicFastPath, p.Acyclic)
@@ -315,8 +315,8 @@ func TestFromQueryEqualities(t *testing.T) {
 		logic.Exists(logic.And(logic.R("E", "x", "z"), logic.Equal("z", "y")), "z"))
 	rejected := logic.MustQuery([]logic.Var{"x", "y"},
 		logic.And(logic.Equal("x", "y"), logic.R("E", "x", "x")))
-	if p := checkMinimizeRewrite(t, unified, db); p.MinimizedFrom != 3 || len(p.Vars) != 2 {
-		t.Fatalf("%s: minimized from %d to %d, want 3 to 2", unified, p.MinimizedFrom, len(p.Vars))
+	if p := checkMinimizeRewrite(t, unified, db); p.MinimizedFrom() != 3 || len(p.Vars) != 2 {
+		t.Fatalf("%s: minimized from %d to %d, want 3 to 2", unified, p.MinimizedFrom(), len(p.Vars))
 	}
 	if _, ok := queryopt.FromQuery(rejected); ok {
 		t.Fatalf("%s: recognised as a flat conjunctive query", rejected)

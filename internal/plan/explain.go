@@ -192,7 +192,7 @@ func (p *Plan) Explain(den *Density) *Explain {
 	ex := &Explain{
 		Query:         p.Query.String(),
 		Width:         len(p.Vars),
-		MinimizedFrom: p.MinimizedFrom,
+		MinimizedFrom: p.MinimizedFrom(),
 		NumNodes:      p.NumNodes(),
 		Hoisted:       p.HoistedNodes(),
 		CSEHits:       p.CSEHits,

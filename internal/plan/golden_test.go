@@ -30,7 +30,7 @@ const goldenPath = "testdata/compile_golden.txt"
 func planDigest(p *Plan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vars %v head %v root %d minimized %d binders %d fixof %v cse %d\n",
-		p.Vars, p.HeadAxes, p.Root, p.MinimizedFrom, p.NumBinders, p.FixOf, p.CSEHits)
+		p.Vars, p.HeadAxes, p.Root, p.MinimizedFrom(), p.NumBinders, p.FixOf, p.CSEHits)
 	var rels []string
 	for n, nd := range p.Nodes {
 		fmt.Fprintf(&b, "%d: op %d kids %v rel %q args %v binder %d eq %d,%d truth %t axis %d deps %x",
@@ -102,12 +102,12 @@ func TestCompileGolden(t *testing.T) {
 		}
 		// A plan does not depend on what its variables are called: under a
 		// renaming that keeps the names' order, every plan is the same but for
-		// its axes' display names; a plan whose axes go by liveness is the same
-		// under any renaming.
+		// its axes' display names, and so under any renaming but of an acyclic
+		// CQ, whose minimised form the names order.
 		q, _ := parser.ParseQuery(e.text)
 		p, _ := Compile(q)
 		renamings := []func([]string) map[string]string{orderKept}
-		if p.MinimizedFrom > 0 && !p.Acyclic {
+		if !p.Acyclic {
 			renamings = append(renamings, func(names []string) map[string]string { return shuffled(names, r) })
 		}
 		for _, rename := range renamings {

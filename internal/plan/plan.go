@@ -132,11 +132,9 @@ type FixInfo struct {
 type Plan struct {
 	// Query is the source query (validated against the database at run time).
 	Query logic.Query
-	// MinimizedFrom, when non-zero, is Query's width, which the plan's
-	// len(Vars) undercuts: by the liveness allocation of axes (allocate), by
-	// lowering an acyclic ∃∧-conjunctive query from its variable-minimised
-	// form (minimize), or both.
-	MinimizedFrom int
+	// WrittenWidth is Query's width, the number of names it writes: what
+	// the wire reports, whatever the plan's own width, len(Vars).
+	WrittenWidth int
 	// Acyclic reports that the plan is lowered from the minimised form.
 	Acyclic bool
 	// Vars names the axes for display: a head variable its own, another axis
@@ -188,6 +186,17 @@ type Plan struct {
 	CSEHits int
 }
 
+// MinimizedFrom is WrittenWidth when the plan's len(Vars) undercuts it, by
+// the liveness allocation of axes (allocate), by lowering an acyclic
+// ∃∧-conjunctive query from its variable-minimised form (minimize), or both;
+// else 0.
+func (p *Plan) MinimizedFrom() int {
+	if len(p.Vars) < p.WrittenWidth {
+		return p.WrittenWidth
+	}
+	return 0
+}
+
 // ExtArity returns the stage arity binder b is bound at: the extended arity
 // for LFP/GFP/IFP, the recursion-tuple arity for PFP.
 func (p *Plan) ExtArity(b int) int {
@@ -229,22 +238,20 @@ type compiler struct {
 	// enclosing scope recorded into each FixInfo.
 	scopeMask uint64
 
-	// The axis allocation (allocate): byName gives a bound variable its
-	// index in vars; otherwise binds holds every bound variable's axis in the
-	// pre-order lower meets binders in, next is lower's place in it, and
-	// width the number of axes. params[b] are binder b's parameters, sorted
-	// by name. used marks axes: live at the binder allocate is at, named in
-	// lower.
-	byName      bool
+	// The axis allocation (allocate): binds holds every bound variable's
+	// axis in the pre-order lower meets binders in, next is lower's place in
+	// it, and width the number of axes. params[b] are binder b's parameter
+	// axes, in axis order. used marks axes: live at the binder allocate is
+	// at, named in lower.
 	binds       []int
 	next, width int
-	params      [][]logic.Var
+	params      [][]int
 	used        []bool
 	buf         struct { // first backing arrays: a small text allocates none of these
 		env    [8]scoped
 		scope  [2]binding
 		binds  [8]int
-		params [2][]logic.Var
+		params [2][]int
 		used   [8]bool
 	}
 }
@@ -270,17 +277,13 @@ type binding struct {
 // ∃∧-conjunctive query is lowered from its variable-minimised form when that
 // is narrower than the text (minimize), a filter written beside an ∃ is
 // moved into the join it filters (pushFilters), and axes go to variables by
-// liveness when that is narrower than one axis per name (allocate).
+// liveness (allocate).
 func Compile(q logic.Query) (*Plan, error) {
 	if err := q.Validate(nil); err != nil {
 		return nil, err
 	}
-	written, vars := q, q.Vars()
-	width := len(vars)
-	q, acyclic := minimize(q, vars)
-	if acyclic {
-		vars = q.Vars()
-	}
+	written, width := q, q.Width()
+	q, acyclic := minimize(q, width)
 	body, err := logic.NNF(q.Body)
 	if err != nil {
 		return nil, err
@@ -303,22 +306,20 @@ func Compile(q logic.Query) (*Plan, error) {
 	}
 	body, _ = pushFilters(body, nil)
 	c := &compiler{cons: make(map[uint64]int, size), nodes: make([]Node, 0, size), deps: make([]uint64, 0, size)}
-	c.allocate(q.Head, body, vars)
+	c.allocate(q.Head, body)
 	root := c.lower(body)
 	p := &Plan{
-		Query:      written,
-		Acyclic:    acyclic,
-		Vars:       c.vars,
-		HeadAxes:   c.axesOf(q.Head, nil),
-		Nodes:      c.nodes,
-		Root:       root,
-		NumBinders: len(c.fixOf),
-		FixOf:      c.fixOf,
-		Deps:       c.deps,
-		CSEHits:    c.hits,
-	}
-	if len(c.vars) < width {
-		p.MinimizedFrom = width
+		Query:        written,
+		WrittenWidth: width,
+		Acyclic:      acyclic,
+		Vars:         c.vars,
+		HeadAxes:     c.axesOf(q.Head, nil),
+		Nodes:        c.nodes,
+		Root:         root,
+		NumBinders:   len(c.fixOf),
+		FixOf:        c.fixOf,
+		Deps:         c.deps,
+		CSEHits:      c.hits,
 	}
 	p.analyze()
 	return p, nil
@@ -332,10 +333,10 @@ func Compile(q logic.Query) (*Plan, error) {
 // keeps the plan its author wrote, whose association the rewrite would
 // replace by join-tree order for no smaller space; its width is known before
 // a formula is written (queryopt.Minimize). It returns the query to lower and
-// whether that is the rewrite; vars is q.Vars().
-func minimize(q logic.Query, vars []logic.Var) (logic.Query, bool) {
+// whether that is the rewrite; width is q.Width().
+func minimize(q logic.Query, width int) (logic.Query, bool) {
 	if cq, ok := queryopt.FromQuery(q); ok {
-		if m, err := queryopt.Minimize(cq); err == nil && m.Width < len(vars) {
+		if m, err := queryopt.Minimize(cq); err == nil && m.Width < width {
 			if out, err := m.Query(); err == nil {
 				return out, true
 			}
@@ -345,34 +346,33 @@ func minimize(q logic.Query, vars []logic.Var) (logic.Query, bool) {
 }
 
 // allocate chooses the axis of every variable of body (NNF, the query to
-// lower's, whose Vars() is vars): the head's take 0, 1, … in head order, and
-// a variable bound by ∃, ∀ or a fixpoint tuple takes the lowest axis that no
-// variable live at its binder holds (live): Prop 3.1 prices a plan by its
-// width, not by its names. That is taken when narrower than one axis per
-// name; else the text keeps the axes its names give it (byName), as minimize
-// keeps a width-minimal text: reordering gains no space, and the sparse
-// algebra's sorted supports make axis order a cost of its own.
-func (c *compiler) allocate(head []logic.Var, body logic.Formula, vars []logic.Var) {
+// lower's): the head's take 0, 1, … in head order, and a variable bound by
+// ∃, ∀ or a fixpoint tuple takes the lowest axis that no variable live at its
+// binder holds (live). Prop 3.1 prices a plan by its width, not by its names,
+// and no axis depends on what a variable is called. The plan is never wider
+// than the text's names but where a binder under an atom of a recursion
+// relation rebinds the name of one of its parameters: both values are live
+// there, and the rebound name takes an axis of its own.
+func (c *compiler) allocate(head []logic.Var, body logic.Formula) {
 	c.env, c.scope, c.binds, c.params = c.buf.env[:0], c.buf.scope[:0], c.buf.binds[:0], c.buf.params[:0]
 	c.used, c.width = c.buf.used[:0], len(head)
 	for i, v := range head {
 		c.env = append(c.env, scoped{v, i})
 	}
 	c.assign(body)
-	c.env, c.vars = c.env[:len(head)], vars
-	if c.byName = c.width >= len(vars); !c.byName {
-		// vars is Compile's own and starts with the head: lower names the
-		// other axes in it (binderAxis).
-		c.vars, c.used = vars[:c.width], append(c.used[:0], make([]bool, c.width)...)
-		for i := range head {
-			c.used[i] = true
-		}
+	// lower names the other axes (binderAxis).
+	c.env, c.vars = c.env[:len(head)], make([]logic.Var, c.width)
+	c.used = append(c.used[:0], make([]bool, c.width)...)
+	for i, v := range head {
+		c.vars[i], c.used[i] = v, true
 	}
 }
 
 // assign is allocate's walk: it meets binders in lower's order, binds each
 // variable to the lowest axis not live at its binder, and records each
-// fixpoint's parameters.
+// fixpoint's parameters: the axes live at its binder, those its body reads
+// from around it. An enclosing recursion relation's atom in the body reads
+// that relation's parameters, so a nested fixpoint takes them as its own.
 func (c *compiler) assign(f logic.Formula) {
 	switch g := f.(type) {
 	case logic.Not:
@@ -387,15 +387,18 @@ func (c *compiler) assign(f logic.Formula) {
 		c.assign(g.F)
 		c.env = c.env[:len(c.env)-1]
 	case logic.Fix:
-		free := logic.FreeVars(g.Body)
-		for _, v := range g.Vars {
-			delete(free, v)
-		}
-		params := logic.SortedVars(free)
-		c.params = append(c.params, params)
 		c.used = append(c.used[:0], make([]bool, c.width)...)
 		c.liveBody(g)
-		c.scope = append(c.scope, binding{rel: g.Rel, params: c.sortedAxes(params)})
+		var buf [8]int
+		params := buf[:0]
+		for a, live := range c.used {
+			if live {
+				params = append(params, a)
+			}
+		}
+		params = c.keep(params)
+		c.params = append(c.params, params)
+		c.scope = append(c.scope, binding{rel: g.Rel, params: params})
 		n := len(c.env)
 		for _, v := range g.Vars {
 			c.bindLowest(v)
@@ -473,9 +476,6 @@ func (c *compiler) bindLowest(v logic.Var) {
 // binderAxis returns the axis lower binds v to at its next binder; v names
 // an axis no head variable holds if it is the first bound to it.
 func (c *compiler) binderAxis(v logic.Var) int {
-	if c.byName {
-		return slices.Index(c.vars, v)
-	}
 	a := c.binds[c.next]
 	if c.next++; !c.used[a] {
 		c.vars[a], c.used[a] = v, true
@@ -500,15 +500,6 @@ func (c *compiler) axesOf(vs []logic.Var, dst []int) []int {
 		dst = append(dst, c.axis(v))
 	}
 	return dst
-}
-
-// sortedAxes returns the axes of vs in ascending order: a fixpoint's
-// parameter axes, which do not depend on what the parameters are called.
-func (c *compiler) sortedAxes(vs []logic.Var) []int {
-	var buf [8]int
-	axes := c.keep(c.axesOf(vs, buf[:0]))
-	slices.Sort(axes)
-	return axes
 }
 
 // keep copies s into the arena: a plan's index slices share a few backing
@@ -622,9 +613,7 @@ func (c *compiler) lowerFix(g logic.Fix) int {
 	for _, v := range g.Vars {
 		extCols = append(extCols, c.binderAxis(v))
 	}
-	extCols = c.axesOf(c.params[binder], extCols)
-	slices.Sort(extCols[len(g.Vars):])
-	extCols = c.keep(extCols)
+	extCols = c.keep(append(extCols, c.params[binder]...))
 	varAxes, paramAxes := extCols[:len(g.Vars):len(g.Vars)], extCols[len(g.Vars):]
 	n := len(c.env)
 	for i, v := range g.Vars {

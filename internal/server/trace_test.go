@@ -368,6 +368,38 @@ func TestExplainConjunctiveQuery(t *testing.T) {
 	}
 }
 
+// TestWireWidthIsWritten: the response's width is the written query's, also
+// where the plan takes an axis more than the text has names — a parameter's
+// name rebound below an atom that reads the parameter holds two values — and
+// the answer is naive's (8 and 4 tuples), not the aliased one.
+func TestWireWidthIsWritten(t *testing.T) {
+	db, err := database.Parse(`
+domain = {0, 1, 2, 3}
+E/2 = {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)}
+P/1 = {(0), (2)}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Databases: map[string]*database.Database{"g": db}})
+	for _, tc := range []struct {
+		query                   string
+		width, planWidth, count int
+	}{
+		{"(z, p). [lfp R(x). (P(x) & E(x, p)) | exists p. (E(x, p) & R(p))](z)", 3, 3, 8},
+		{"(p). [lfp R(x). E(x, p) | exists p. (E(x, p) & R(p))](p)", 2, 3, 4},
+	} {
+		code, resp, eresp := postQuery(t, ts, QueryRequest{Database: "g", Query: tc.query, Explain: true})
+		if code != http.StatusOK || resp.Explain == nil {
+			t.Fatalf("%s: status %d error %q", tc.query, code, eresp.Error)
+		}
+		if ex := resp.Explain; resp.Width != tc.width || ex.Width != tc.planWidth || ex.MinimizedFrom != 0 || resp.Count != tc.count {
+			t.Errorf("%s: width %d, plan width %d minimized_from %d, %d tuples; want %d, %d, 0, %d",
+				tc.query, resp.Width, ex.Width, ex.MinimizedFrom, resp.Count, tc.width, tc.planWidth, tc.count)
+		}
+	}
+}
+
 func TestExplainRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, _, eresp := postQuery(t, ts, QueryRequest{
