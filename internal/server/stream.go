@@ -140,7 +140,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		Database:     q.req.Database,
 		Engine:       q.engineName,
 		Backend:      q.wireBackend,
-		Width:        q.width(),
+		Width:        q.p.WrittenWidth,
 		Arity:        arity,
 		Count:        fullCount,
 		Limit:        q.req.Limit,
