@@ -1,6 +1,12 @@
 GO ?= go
 # The size the tree is held to (scripts/loc.sh): lower it when a PR deletes.
-# Last raised by 267 lines: 203 for plan.Compile's allocation of axes by
+# Last raised by 649 lines for a /query answered without reflection or a
+# per-request timer (hot-direct cpu_ms_per_op −23 %): 275 for the body scanner
+# (internal/querybody), 264 in internal/server for the wire appenders and
+# the body read, 43 for the trace's inline spans, one-read traceparent and
+# Durations, 19 for internal/serve's Close, and 51 for the walkers'
+# renaming of a binder that shadows a recursion parameter (FOUND 105). Before
+# that by 267 lines: 203 for plan.Compile's allocation of axes by
 # liveness (a plan is as wide as its widest binder keeps variables live,
 # which took miss-direct's cpu_ms_per_op 6.7 % and its rss_peak_mib from 124
 # to 113 MiB), the rest for the plan admission over atom nodes, the strided
@@ -14,7 +20,7 @@ GO ?= go
 # plan cache came to hold compiled plans only, bvq to read every answer
 # through its enumerator and bvqbench to lose -stream. The total counts the
 # surface gate's 38-line fixture module under testdata/surfacefix.
-LOC_CEILING = 26144
+LOC_CEILING = 26793
 
 .PHONY: all build test vet docs race loc bench bench-json bench-sparse bench-stream bench-smoke smoke-stream fleet-smoke sweep sweep-quick crossover examples cover clean check serve
 
@@ -57,6 +63,10 @@ all: vet test build
 # of the /update body target (a rejection names a field, an accepted
 # body lands where database.Apply takes a model), of the /query body target (a
 # rejection names a field, an accepted body's JSON rows are its NDJSON rows),
+# of the body-scanner target (what querybody.Scan accepts encoding/json decodes
+# to the same request, and what json.Marshal writes Scan accepts), of the
+# wire-appender target (the JSON envelope, stream header and trailer are
+# encoding/json's bytes),
 # of the auto-route target
 # (dense ≡ auto ≡ sparse whatever route the cost model takes and wherever a
 # stage loop is handed from one backend to the other), of the parser target
@@ -92,9 +102,10 @@ all: vet test build
 # must fail here, not in the next benchmark run; its -selfcheck boots the real
 # binaries twice per workload and fails unless the server counters repeat, so
 # anything that makes serving depend on more than the request sequence (an
-# address in a cache key, say) stops here. internal/trace and internal/serve
-# are held to leaves of the import graph (any tier may record spans or serve
-# HTTP without linking the evaluator), internal/server may not import the root
+# address in a cache key, say) stops here. internal/trace, internal/serve and
+# internal/querybody are held to leaves of the import graph (any tier may
+# record spans, serve HTTP or read a /query body without linking the
+# evaluator), internal/server may not import the root
 # package (bvqd serves the compiled engine, not the public API's other
 # engines), the surface gate in the race run
 # (surface_test.go: an exported name of internal/ that no non-test file
@@ -113,6 +124,7 @@ check: docs
 	$(GO) vet ./...
 	@! $(GO) list -deps ./internal/trace | grep -v '^repro/internal/trace$$' | grep '^repro/' || { echo "internal/trace must import no other package of this module"; exit 1; }
 	@! $(GO) list -deps ./internal/serve | grep -v '^repro/internal/serve$$' | grep '^repro/' || { echo "internal/serve must import no other package of this module"; exit 1; }
+	@! $(GO) list -deps ./internal/querybody | grep -v '^repro/internal/querybody$$' | grep '^repro/' || { echo "internal/querybody must import no other package of this module"; exit 1; }
 	@! $(GO) list -deps ./internal/server | grep -x 'repro' || { echo "internal/server must not import the root package repro"; exit 1; }
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/server/ ./internal/cache/ ./internal/metrics/
@@ -125,6 +137,8 @@ check: docs
 	$(GO) test -run=NONE -fuzz=FuzzMinimizeWidth -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateBody -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=5s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzWireAppenders -fuzztime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzAutoRoute -fuzztime=5s ./internal/eval/
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5s ./internal/parser/
 	$(GO) test -run=NONE -fuzz=FuzzSemijoin -fuzztime=5s ./internal/relation/

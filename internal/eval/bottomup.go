@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -34,7 +35,7 @@ func BottomUpStats(q logic.Query, db *database.Database, opts *Options) (*relati
 // Stats hold the work completed so far (a partial reading; the answer is
 // nil).
 func BottomUpContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	c, err := newWalker(ctx, q, db, opts, "bottomup", restart)
+	c, err := newWalker(ctx, &q, db, opts, "bottomup", restart)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,12 +103,14 @@ type buCtx struct {
 	cursor map[string]int
 }
 
-// newWalker admits q against db (validateRun) and returns the walker that
-// evaluates bodies over q's variables under rule, on spaces of its own.
-func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *Options, engine string, rule fixRule) (*buCtx, error) {
-	if err := validateRun(ctx, q, db, opts); err != nil {
+// newWalker admits *q against db (validateRun), renames the binders of its
+// body that shadow a recursion parameter (unshadow) and returns the walker
+// that evaluates bodies over *q's variables under rule, on spaces of its own.
+func newWalker(ctx context.Context, q *logic.Query, db *database.Database, opts *Options, engine string, rule fixRule) (*buCtx, error) {
+	if err := validateRun(ctx, *q, db, opts); err != nil {
 		return nil, err
 	}
+	q.Body = unshadow(q.Body, nil, logic.AllVars(q.Body))
 	vars := q.Vars()
 	alg, _, err := newDenseAlg(db, len(vars), nil)
 	if err != nil {
@@ -130,6 +133,54 @@ func newWalker(ctx context.Context, q logic.Query, db *database.Database, opts *
 		c.axes[v] = i
 	}
 	return c, nil
+}
+
+// unshadow α-renames every binder of f — a quantifier or a fixpoint tuple —
+// whose variable is a parameter of an enclosing recursion relation (one of
+// params) to a name no variable in taken has, adding it there. The walker
+// reads a recursion atom's parameters from the environment by name, so a
+// binder that rebound one would hand the atom its own value instead: the
+// renamed variable takes an axis of its own, as plan.Compile's does.
+func unshadow(f logic.Formula, params []logic.Var, taken map[logic.Var]bool) logic.Formula {
+	fresh := func(v logic.Var) logic.Var {
+		for i := 1; ; i++ {
+			if w := logic.Var(fmt.Sprintf("%s_%d", v, i)); !taken[w] {
+				taken[w] = true
+				return w
+			}
+		}
+	}
+	switch g := f.(type) {
+	case logic.Not:
+		return logic.Not{F: unshadow(g.F, params, taken)}
+	case logic.Binary:
+		return logic.Binary{Op: g.Op, L: unshadow(g.L, params, taken), R: unshadow(g.R, params, taken)}
+	case logic.Quant:
+		if slices.Contains(params, g.V) {
+			w := fresh(g.V)
+			g = logic.Quant{Kind: g.Kind, V: w, F: logic.RenameFree(g.F, map[logic.Var]logic.Var{g.V: w})}
+		}
+		return logic.Quant{Kind: g.Kind, V: g.V, F: unshadow(g.F, params, taken)}
+	case logic.Fix:
+		vars, body := slices.Clone(g.Vars), g.Body
+		for i, v := range vars {
+			if slices.Contains(params, v) {
+				vars[i] = fresh(v)
+				body = logic.RenameFree(body, map[logic.Var]logic.Var{v: vars[i]})
+			}
+		}
+		inner := slices.Clone(params)
+		for v := range logic.FreeVars(body) {
+			if !slices.Contains(vars, v) && !slices.Contains(inner, v) {
+				inner = append(inner, v)
+			}
+		}
+		return logic.Fix{Op: g.Op, Rel: g.Rel, Vars: vars, Body: unshadow(body, inner, taken), Args: g.Args}
+	case logic.SOQuant:
+		return logic.SOQuant{Rel: g.Rel, Arity: g.Arity, F: unshadow(g.F, params, taken)}
+	default:
+		return f
+	}
 }
 
 // answer evaluates body and projects its denotation onto the (distinct, by

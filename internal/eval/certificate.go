@@ -103,7 +103,7 @@ func VerifyCertificate(ctx context.Context, q logic.Query, db *database.Database
 // certified runs the walker under the certify rule, recording ν chains into
 // cert (prove) or replaying them from it.
 func certified(ctx context.Context, q logic.Query, db *database.Database, cert *Certificate, prove bool) (*CertResult, error) {
-	c, err := newWalker(ctx, q, db, nil, "certified", certify)
+	c, err := newWalker(ctx, &q, db, nil, "certified", certify)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ import (
 // checked once per fixpoint iteration, like BottomUpContext; on cancellation
 // the returned Stats hold the work completed so far.
 func MonotoneContext(ctx context.Context, q logic.Query, db *database.Database, opts *Options) (*relation.Set, *Stats, error) {
-	c, err := newWalker(ctx, q, db, opts, "monotone", resume)
+	c, err := newWalker(ctx, &q, db, opts, "monotone", resume)
 	if err != nil {
 		return nil, nil, err
 	}

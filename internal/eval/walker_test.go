@@ -83,7 +83,7 @@ func TestWalkerPoolBalance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// The entry points' own sequence, keeping the walker.
-			c, err := newWalker(tc.ctx, tc.q, db, nil, "", tc.rule)
+			c, err := newWalker(tc.ctx, &tc.q, db, nil, "", tc.rule)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestWalkerPoolBalance(t *testing.T) {
 func TestFailedSweepPoolBalance(t *testing.T) {
 	db := lineGraph(t, 6)
 	q := paramOscillatingPFP()
-	c, err := newWalker(context.Background(), q, db, &Options{pfpBudget: 1}, "bottomup", restart)
+	c, err := newWalker(context.Background(), &q, db, &Options{pfpBudget: 1}, "bottomup", restart)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,12 +308,13 @@ func Compile(q logic.Query) (*Plan, error) {
 	c := &compiler{cons: make(map[uint64]int, size), nodes: make([]Node, 0, size), deps: make([]uint64, 0, size)}
 	c.allocate(q.Head, body)
 	root := c.lower(body)
+	var head [8]int
 	p := &Plan{
 		Query:        written,
 		WrittenWidth: width,
 		Acyclic:      acyclic,
 		Vars:         c.vars,
-		HeadAxes:     c.axesOf(q.Head, nil),
+		HeadAxes:     c.keep(c.axesOf(q.Head, head[:0])),
 		Nodes:        c.nodes,
 		Root:         root,
 		NumBinders:   len(c.fixOf),

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/querybody"
 )
 
 // Config configures a Router.
@@ -252,22 +254,16 @@ func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body, hdr
 	return body, hdr, true
 }
 
-// queryProbe is the slice of a /query body the router must understand to
-// route it; everything else passes through opaquely.
-type queryProbe struct {
-	Database string `json:"database"`
-	Query    string `json:"query"`
-	Stream   bool   `json:"stream"`
-}
-
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body, hdr, ok := readRequest(w, r, maxQueryBody)
 	if !ok {
 		return
 	}
-	var probe queryProbe
-	if err := json.Unmarshal(body, &probe); err != nil {
+	// The router reads the body's database, query and stream to route it;
+	// everything else passes through opaquely.
+	probe, err := querybody.Probe(body)
+	if err != nil {
 		failJSON(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

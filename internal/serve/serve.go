@@ -247,7 +247,7 @@ func (c *conn) serveRequest(req *http.Request) (keep bool) {
 		_ = c.rwc.SetReadDeadline(time.Time{})
 	}
 
-	err := w.finish()
+	err := w.Close()
 	c.bw.Reset(nil)
 	writers.Put(c.bw)
 	c.bw = nil
@@ -307,8 +307,13 @@ type response struct {
 	keep    bool // the connection can carry another request
 	sent    bool // the head is written
 	chunked bool
-	noBody  bool // HEAD, 1xx, 204 and 304: writes are dropped
+	noBody  bool  // HEAD, 1xx, 204 and 304: writes are dropped
+	closed  bool  // Close has run
+	err     error // Close's
 }
+
+// errClosed is a write after the response was closed.
+var errClosed = errors.New("serve: write after Close")
 
 func (w *response) Header() http.Header { return w.header }
 
@@ -324,6 +329,9 @@ func (w *response) WriteHeader(code int) {
 }
 
 func (w *response) Write(p []byte) (int, error) {
+	if w.closed {
+		return 0, errClosed
+	}
 	if !w.sent {
 		w.commit(false, p)
 	}
@@ -348,15 +356,25 @@ func (w *response) Write(p []byte) (int, error) {
 
 // Flush sends the head and everything written so far.
 func (w *response) Flush() {
+	if w.closed {
+		return
+	}
 	if !w.sent {
 		w.commit(false, nil)
 	}
 	_ = w.c.bw.Flush()
 }
 
-// finish completes the response after the handler returned; its error is
-// the client's going away.
-func (w *response) finish() error {
+// Close completes the response: the head if it is not out yet, what is
+// buffered and the terminating chunk leave in one write. The loop closes
+// every response once its handler returns; a handler that closes it first
+// learns whether the client took the whole of it: the error is the client's
+// going away. Writes after Close fail.
+func (w *response) Close() error {
+	if w.closed {
+		return w.err
+	}
+	w.closed = true
 	if !w.sent {
 		w.commit(true, nil)
 	}
@@ -366,7 +384,8 @@ func (w *response) finish() error {
 	if w.cl >= 0 && w.written < w.cl && !w.noBody {
 		w.keep = false // a short body leaves the client waiting for the rest
 	}
-	return w.c.bw.Flush()
+	w.err = w.c.bw.Flush()
+	return w.err
 }
 
 // commit writes the head. final says the handler returned without writing;

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -66,13 +67,9 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 // Stage histograms are sampled at the trace sample rate, which OPERATIONS.md
 // documents next to the family.
 func (s *Server) recordTrace(t *trace.Trace) {
-	v := t.View()
-	for _, sp := range v.Spans {
-		if sp.Parent < 0 {
-			continue
-		}
-		s.metrics.stages.With(sp.Name).Observe(sp.DurUS / 1e6)
-	}
+	t.Durations(func(name string, dur time.Duration) {
+		s.metrics.stages.With(name).Observe(dur.Seconds())
+	})
 	s.recorder.Record(t)
 }
 

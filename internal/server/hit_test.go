@@ -80,6 +80,41 @@ func TestHitAllocsIndependentOfAnswerSize(t *testing.T) {
 	}
 }
 
+// TestHitAllocs pins what a hit costs the handler in allocations, JSON and
+// NDJSON, under bvqd's default flags (deadlines, the flight recorder tracing
+// every request), request and recorder included: the body is scanned, not
+// decoded by reflection; the envelope, header and trailer are appended; no
+// deadline timer starts for an answer written from its stored text; and the
+// trace lives in one allocation. The bounds are the counts under -race, how
+// `make check` runs it, plus about 10 %.
+func TestHitAllocs(t *testing.T) {
+	for _, c := range []struct {
+		stream bool
+		max    float64
+	}{{false, 50}, {true, 47}} {
+		s, err := New(Config{
+			Databases:      map[string]*database.Database{"big": streamBench(t, 4)},
+			DefaultTimeout: 10 * time.Second, MaxTimeout: time.Minute, SlowQuery: time.Second, TraceBufferSize: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		body, _ := json.Marshal(QueryRequest{Database: "big", Query: "(x, y). E(x, y) & E(y, x)", Stream: c.stream})
+		got := testing.AllocsPerRun(100, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		})
+		t.Logf("stream=%v: %.0f allocations per hit", c.stream, got)
+		if got > c.max {
+			t.Errorf("stream=%v: a hit allocates %.0f times, want at most %.0f", c.stream, got, c.max)
+		}
+	}
+}
+
 // TestHitRendersItsOwnDomain: two databases whose E is equal in index space,
 // over the domains {0…4} and {10…14}, share one result entry. Each must still
 // answer in its own values after both have hit it, though the entry's text

@@ -3,9 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -36,9 +36,12 @@ type query struct {
 	lt   *trace.Trace
 	root *trace.Span
 
-	ctx    context.Context // the request's context under its deadline
-	cancel context.CancelFunc
-	nd     *namedDB
+	// ctx is the request's context, under its deadline once arm has started
+	// the timer; cancel stops it (nil until then).
+	ctx     context.Context
+	cancel  context.CancelFunc
+	timeout time.Duration // the deadline arm starts; 0: none
+	nd      *namedDB
 	// snap is pinned by one atomic load: concurrent updates swap the pointer
 	// but never touch the snapshot value, so evaluation, cache key and answer
 	// rendering are consistent.
@@ -56,10 +59,11 @@ type query struct {
 	direct bool
 
 	status     int
-	cached     bool  // served from the result cache
-	coalesced  bool  // served by another request's evaluation
-	maintained bool  // the run resumed from the previous content's entry (Server.resume)
-	shared     int64 // closed sub-plan values the fresh run took from the node cache
+	end        io.Closer // a stream's response, to close after finish (lineBuffer.end)
+	cached     bool      // served from the result cache
+	coalesced  bool      // served by another request's evaluation
+	maintained bool      // the run resumed from the previous content's entry (Server.resume)
+	shared     int64     // closed sub-plan values the fresh run took from the node cache
 }
 
 // evalOutcome is what lookup or one evaluation produces, shared between
@@ -78,23 +82,29 @@ type evalOutcome struct {
 
 // handleQuery is the /query pipeline: resolve the request, look the answer
 // up, evaluate it if that missed, write it, and (deferred) finish with the
-// metrics, trace and slow-log epilogue. JSON and NDJSON requests differ in the
-// last step alone: how the writer renders the cursor it opens on the answer.
+// metrics, trace and slow-log epilogue, then end a stream's response
+// (lineBuffer.end). JSON and NDJSON requests differ in the write alone: how
+// the writer renders the cursor it opens on the answer.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := s.begin(w, r)
+	defer func() {
+		if q.end != nil && q.end.Close() != nil {
+			s.metrics.streamDisconnects.Inc()
+		}
+	}()
 	defer s.finish(r, q)
 	if code, err := s.resolve(w, r, q); err != nil {
 		q.status = code
 		s.fail(w, code, err, nil, q.reqID)
 		return
 	}
-	defer q.cancel()
 	if q.req.Stream {
 		s.metrics.streams.Inc()
 	}
 
 	out := s.lookup(q)
 	if !q.cached {
+		q.arm()
 		out = s.evaluateShared(q)
 	}
 	if out.err != nil {
@@ -112,7 +122,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // continuing the client's W3C trace when it sent a traceparent header (so a
 // front tier can stitch fleet-wide traces).
 func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
-	q := &query{start: time.Now(), status: http.StatusOK, cancel: func() {}}
+	q := &query{start: time.Now(), status: http.StatusOK}
 	s.metrics.queries.Inc()
 	s.metrics.requestsInFlight.Add(1)
 	seq := s.reqSeq.Add(1)
@@ -123,28 +133,24 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) *query {
 	}
 	w.Header().Set("X-Request-Id", q.reqID)
 	if s.recorder != nil && seq%s.sample == 0 {
-		traceID, _, ok := trace.ParseTraceparent(r.Header.Get("traceparent"))
-		if !ok {
-			traceID = trace.NewTraceID()
-		}
+		traceID, _, _ := trace.ParseTraceparent(r.Header.Get("Traceparent")) // "" when absent or malformed
+		header, traceID := trace.NewTraceparent(traceID)
 		q.lt = trace.New(traceID, q.start)
 		q.root = q.lt.Root()
 		q.root.Annotate("request_id", q.reqID)
-		w.Header().Set("traceparent", trace.FormatTraceparent(traceID, trace.NewSpanID()))
+		w.Header().Set("Traceparent", header)
 	}
 	return q
 }
 
 // resolve turns the request body into everything evaluation needs: decoded
 // and validated fields, the pinned snapshot, the backend, the compiled plan
-// (under the compile span), the deadline, the options and the cache key. Its
+// (under the compile span), the timeout, the options and the cache key. Its
 // error is the 400, 404 or 422 to answer: a text the compiler rejects is
 // answered here, before any cache read, coalescing or admission.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int, error) {
 	req := &q.req
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	if err := decodeQuery(w, r, req); err != nil {
 		return bodyErrorStatus(err), fmt.Errorf("decoding request: %w", err)
 	}
 	// Validate numeric wire fields up front: a negative value is always a
@@ -188,16 +194,12 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		return http.StatusBadRequest, err
 	}
 
-	q.ctx = r.Context()
-	timeout := s.defaultTimeout
+	q.ctx, q.timeout = r.Context(), s.defaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		q.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if s.maxTimeout > 0 && (timeout == 0 || timeout > s.maxTimeout) {
-		timeout = s.maxTimeout
-	}
-	if timeout > 0 {
-		q.ctx, q.cancel = context.WithTimeout(q.ctx, timeout)
+	if s.maxTimeout > 0 && (q.timeout == 0 || q.timeout > s.maxTimeout) {
+		q.timeout = s.maxTimeout
 	}
 	q.opts = eval.Options{Backend: backend}
 	// The observer, installed by evaluate, never changes answers, so it is
@@ -209,6 +211,14 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, q *query) (int,
 		q.opts.Nodes = s.nodes // a direct request reports its own run, every node computed
 	}
 	return 0, nil
+}
+
+// arm starts the request's deadline, once: before it evaluates or drains an
+// answer through a cursor. A hit that writes its stored text runs under none.
+func (q *query) arm() {
+	if q.timeout > 0 && q.cancel == nil {
+		q.ctx, q.cancel = context.WithTimeout(q.ctx, q.timeout)
+	}
 }
 
 // lookup is the one result-cache read; q.cached reports a hit. Streams read
@@ -443,7 +453,7 @@ func (wd *windowed) drainText(text []byte, row func([]byte) bool) {
 }
 
 // writeAnswer is the JSON writer: the windowed answer rendered into one
-// QueryResponse body.
+// QueryResponse body, its envelope appended around the rows.
 func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 	resp := QueryResponse{
 		RequestID:    q.reqID,
@@ -452,7 +462,6 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		Backend:      q.wireBackend,
 		Width:        q.p.WrittenWidth,
 		Arity:        q.p.Query.Arity(),
-		Answer:       [][]int{}, // the rows are rendered apart and spliced in
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
 		Coalesced:    q.coalesced,
@@ -463,50 +472,47 @@ func (s *Server) writeAnswer(w http.ResponseWriter, q *query, out evalOutcome) {
 		resp.Explain = eval.Explain(q.p, q.snap, &q.opts)
 	}
 	xsp := q.root.Start(trace.SpanExtract)
+	// A hit writes its stored text where it can; the pool never holds it.
+	rows := q.storedRows(out)
+	if rows == nil && resp.Arity > 0 {
+		q.arm()
+	}
 	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
 	// Count is always the FULL answer cardinality — limit/offset window the
 	// answer field only, so a paging client never loses the total.
 	resp.Count, _ = en.Count()
-	bp := rowBufs.Get().(*[]byte)
-	defer rowBufs.Put(bp)
-	// A hit writes its stored text where it can; the pool never holds it.
-	rows := q.storedRows(out)
-	switch {
-	case resp.Arity == 0:
+	if resp.Arity == 0 {
 		truth := resp.Count > 0
 		resp.Truth = &truth
-		*bp = append((*bp)[:0], "[]"...)
-		rows = *bp
+	}
+	bp := rowBufs.Get().(*[]byte)
+	defer rowBufs.Put(bp)
+	b := appendAnswerHead((*bp)[:0], &resp)
+	switch {
+	case resp.Arity == 0:
+		b = append(b, "[]"...)
 	case rows == nil:
-		*bp = appendRows((*bp)[:0], en, q.req.Offset, q.req.Limit, q.snap.Value)
-		rows = *bp
+		b = appendRows(b, en, q.req.Offset, q.req.Limit, q.snap.Value)
 	}
 	xsp.End()
 	if err := en.Err(); err != nil {
 		// The deadline fired while the answer was being rendered.
+		*bp = b
 		s.rejectEval(w, q, evalOutcome{stats: out.stats, err: err})
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
-
-	// The envelope goes through encoding/json with an empty answer array, and
-	// the rendered rows take that array's place: `"answer":[]` is the field's
-	// only unescaped spelling, and a string value before it (request ID,
-	// database name) can only hold it with its quotes escaped.
-	var env bytes.Buffer
-	enc := json.NewEncoder(&env)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(resp) // wire structs into memory: cannot fail
-	const field = `"answer":`
-	cut := bytes.Index(env.Bytes(), []byte(field+"[]")) + len(field)
+	cut := len(b)
+	b = appendAnswerTail(b, &resp)
+	*bp = b
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(env.Len()-len("[]")+len(rows)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)+len(rows)))
 	w.WriteHeader(http.StatusOK)
 	// The client is gone if a write fails; nothing to do.
-	_, _ = w.Write(env.Bytes()[:cut])
+	_, _ = w.Write(b[:cut])
 	_, _ = w.Write(rows)
-	_, _ = w.Write(env.Bytes()[cut+len("[]"):])
+	_, _ = w.Write(b[cut:])
 }
 
 // appendRows appends the offset/limit window of en as a JSON array of rows,
@@ -541,6 +547,9 @@ func (s *Server) rejectEval(w http.ResponseWriter, q *query, out evalOutcome) {
 // the slow-query log line.
 func (s *Server) finish(r *http.Request, q *query) {
 	defer s.metrics.requestsInFlight.Add(-1)
+	if q.cancel != nil {
+		q.cancel()
+	}
 	elapsed := time.Since(q.start)
 	s.metrics.observe(q.engineName, q.status, elapsed)
 	slow := s.slowQuery > 0 && elapsed >= s.slowQuery

@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -72,9 +72,11 @@ var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
 // header is written, so time to first row is the engine's plus one decode,
 // and an empty answer sends its header with the trailer; every
 // later line waits until streamFlushBytes are pending or a row arrives more
-// than streamFlushAge after the last flush; the trailer flushes what is left.
-// A fast drain costs a write per 32 KiB instead of one per row, and a slow
-// one still delivers each row as it is found.
+// than streamFlushAge after the last flush (a hit's stored text, all there
+// at once, waits for the bytes alone); the trailer leaves with what is left,
+// in the write that ends the response (lineBuffer.end). A fast drain costs
+// a write per 32 KiB instead of one per row, and a slow one still delivers
+// each row as it is found.
 const (
 	streamFlushBytes = 32 << 10
 	streamFlushAge   = 5 * time.Millisecond
@@ -85,7 +87,7 @@ type lineBuffer struct {
 	w     http.ResponseWriter
 	buf   []byte
 	aged  atomic.Bool // streamFlushAge has passed since the last flush
-	timer *time.Timer // sets aged; armed by every flush
+	timer *time.Timer // sets aged; armed by every flush; nil: rows never wait
 }
 
 // flush sends the pending lines to the client; it fails when the client is gone.
@@ -95,15 +97,27 @@ func (lb *lineBuffer) flush() error {
 	if f, ok := lb.w.(http.Flusher); ok && err == nil {
 		f.Flush()
 	}
-	lb.aged.Store(false)
-	lb.timer.Reset(streamFlushAge)
+	if lb.timer != nil {
+		lb.aged.Store(false)
+		lb.timer.Reset(streamFlushAge)
+	}
 	return err
 }
 
-// Write appends to the pending output: the header and trailer encoder's sink.
-func (lb *lineBuffer) Write(p []byte) (int, error) {
-	lb.buf = append(lb.buf, p...)
-	return len(p), nil
+// end hands the pending lines, the trailer last, to the writer. Where the
+// writer can end its body itself (internal/serve's can), end returns it
+// unflushed, for handleQuery to close once finish has accounted for the
+// request: the lines then leave in one write with the terminating chunk, and
+// a client that has the whole response sees its metrics and log line.
+// Elsewhere the lines are flushed. It fails when the client is gone.
+func (lb *lineBuffer) end() (io.Closer, error) {
+	c, ok := lb.w.(io.Closer)
+	if !ok {
+		return nil, lb.flush()
+	}
+	_, err := lb.w.Write(lb.buf)
+	lb.buf = lb.buf[:0]
+	return c, err
 }
 
 // writeStream is the NDJSON writer: header line, one line per answer tuple,
@@ -117,6 +131,10 @@ func (lb *lineBuffer) Write(p []byte) (int, error) {
 // from (a hit's codes, a leader's head, the head a follower shares), and a
 // whole hit with stored text (storedRows) does not decode at all.
 func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, out evalOutcome) {
+	text := q.storedRows(out)
+	if text == nil {
+		q.arm()
+	}
 	en := eval.NewEnumerator(q.ctx, out.answer, nil)
 	defer en.Close()
 	arity := q.p.Query.Arity()
@@ -126,11 +144,15 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	w.WriteHeader(http.StatusOK)
 	bp := rowBufs.Get().(*[]byte)
 	lb := &lineBuffer{w: w, buf: (*bp)[:0]}
-	lb.timer = time.AfterFunc(streamFlushAge, func() { lb.aged.Store(true) })
-	enc := json.NewEncoder(lb)
-	enc.SetEscapeHTML(false)
+	if text == nil {
+		// A cursor's rows may come slowly; stored text is all there, so its
+		// lines wait for the buffer alone.
+		lb.timer = time.AfterFunc(streamFlushAge, func() { lb.aged.Store(true) })
+	}
 	defer func() {
-		lb.timer.Stop()
+		if lb.timer != nil {
+			lb.timer.Stop()
+		}
 		*bp = lb.buf
 		rowBufs.Put(bp)
 	}()
@@ -148,7 +170,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		PlanCached:   q.planCached,
 		ResultCached: q.cached,
 	}
-	_ = enc.Encode(hdr) // a struct of strings and numbers into memory: cannot fail; sent with row 1
+	lb.buf = appendHeader(lb.buf, &hdr) // sent with row 1
 
 	// The drain span covers seek, decode and delivery: extraction, the one
 	// part of answering that the window bounds. Ended by the deferred trace
@@ -185,7 +207,7 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 	var drainPanic error
 	func() {
 		defer s.containPanic(q.ctx, "stream drain panic", q.reqID, q.req.Query, &drainPanic)
-		if text := q.storedRows(out); text != nil {
+		if text != nil {
 			wd.drainText(text, func(row []byte) bool { return line(row, nil) })
 			return
 		}
@@ -229,8 +251,8 @@ func (s *Server) writeStream(w http.ResponseWriter, r *http.Request, q *query, o
 		}
 	}
 	trailer.ElapsedMS = float64(time.Since(q.start).Microseconds()) / 1000
-	_ = enc.Encode(trailer)
-	if lb.flush() != nil {
+	lb.buf = appendTrailer(lb.buf, &trailer)
+	if q.end, err = lb.end(); err != nil {
 		s.metrics.streamDisconnects.Inc()
 	}
 }

@@ -30,9 +30,9 @@
 //     (Span.AddChild).
 //
 // Trace IDs follow the W3C trace-context format (32 lowercase hex chars)
-// so a future bvqrouter can stitch fleet-wide traces: ParseTraceparent and
-// FormatTraceparent read and write the `traceparent` header, and NewTraceID
-// generates fresh IDs.
+// so a future bvqrouter can stitch fleet-wide traces: ParseTraceparent reads
+// the `traceparent` header, and NewTraceparent writes one, under a fresh
+// trace ID or the one read.
 package trace
 
 import (
@@ -66,6 +66,11 @@ type Trace struct {
 	closed bool
 	end    time.Time
 	keep   string // non-empty: why the flight recorder must retain this trace
+	// The first spans, their pointers and the root's annotations live in the
+	// trace itself: a request's usual trace is one allocation.
+	first     [6]Span
+	firstPtrs [6]*Span
+	rootAttrs [4]Attr
 }
 
 // Span is one timed section of a trace. Spans are created by Trace.Root and
@@ -101,8 +106,24 @@ type Attr struct {
 // span named SpanRequest.
 func New(id string, start time.Time) *Trace {
 	t := &Trace{id: id, start: start}
-	t.spans = []*Span{{t: t, id: 0, parent: -1, name: SpanRequest, start: start}}
+	t.spans = t.firstPtrs[:0]
+	t.add(Span{parent: -1, name: SpanRequest, start: start, attrs: t.rootAttrs[:0]})
 	return t
+}
+
+// add appends s as the trace's next span, in the trace's own storage while
+// it lasts; the caller holds t.mu (or owns t).
+func (t *Trace) add(s Span) *Span {
+	s.t, s.id = t, len(t.spans)
+	var sp *Span
+	if s.id < len(t.first) {
+		sp = &t.first[s.id]
+	} else {
+		sp = new(Span)
+	}
+	*sp = s
+	t.spans = append(t.spans, sp)
+	return sp
 }
 
 // ID returns the trace ID ("" for a nil trace).
@@ -169,9 +190,7 @@ func (s *Span) Start(name string) *Span {
 	if t.closed {
 		return nil
 	}
-	kid := &Span{t: t, id: len(t.spans), parent: s.id, name: name, start: time.Now()}
-	t.spans = append(t.spans, kid)
-	return kid
+	return t.add(Span{parent: s.id, name: name, start: time.Now()})
 }
 
 // End finishes the span. Ending twice, or after the trace closed, is a
@@ -218,8 +237,29 @@ func (s *Span) AddChild(name string, start time.Time, dur time.Duration, attrs [
 	if t.closed {
 		return
 	}
-	t.spans = append(t.spans, &Span{t: t, id: len(t.spans), parent: s.id, name: name,
-		start: start, ended: true, dur: dur, attrs: attrs, counters: c})
+	t.add(Span{parent: s.id, name: name, start: start, ended: true, dur: dur, attrs: attrs, counters: c})
+}
+
+// Durations calls f with the name and duration of every span under the root,
+// in start order: what a closed trace feeds per-stage histograms with,
+// without snapshotting it.
+func (t *Trace) Durations(f func(name string, dur time.Duration)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	end := t.end
+	if !t.closed {
+		end = time.Now()
+	}
+	for _, s := range t.spans[1:] {
+		dur := s.dur
+		if !s.ended {
+			dur = end.Sub(s.start)
+		}
+		f(s.name, dur)
+	}
 }
 
 // SpanView is the immutable JSON form of one span, snapshotted by
@@ -280,25 +320,33 @@ func (t *Trace) View() View {
 	return v
 }
 
-// NewTraceID returns a fresh W3C trace ID: 16 random bytes, lowercase hex.
-func NewTraceID() string { return randomHex(16) }
-
-// NewSpanID returns a fresh W3C parent/span ID: 8 random bytes, hex.
-func NewSpanID() string { return randomHex(8) }
-
-// randomHex returns n ≤ 16 random bytes as hex.
-func randomHex(n int) string {
-	var buf [16]byte
-	b := buf[:n]
-	if _, err := rand.Read(b); err != nil {
+// NewTraceparent returns a version-00 sampled traceparent header value under
+// a fresh span ID, and the trace ID it carries: traceID (32 lowercase hex
+// chars, as ParseTraceparent returns it), or a fresh one when traceID is "".
+// It reads the random source once and builds one string, the ID a substring
+// of it.
+func NewTraceparent(traceID string) (header, id string) {
+	var rnd [24]byte // the span ID's 8 bytes, then a fresh trace ID's 16
+	if _, err := rand.Read(rnd[:]); err != nil {
 		// crypto/rand never fails on supported platforms; degrade to a
 		// time-derived ID rather than panicking in a serving path.
 		now := time.Now().UnixNano()
-		for i := 0; i < 8; i++ {
-			b[i] = byte(now >> (8 * i))
+		for i := range rnd {
+			rnd[i] = byte(now>>(8*(i%8))) ^ byte(i)
 		}
 	}
-	return hex.EncodeToString(b)
+	var b [55]byte
+	copy(b[:], "00-")
+	if traceID == "" {
+		hex.Encode(b[3:35], rnd[8:])
+	} else {
+		copy(b[3:35], traceID)
+	}
+	b[35] = '-'
+	hex.Encode(b[36:52], rnd[:8])
+	copy(b[52:], "-01")
+	header = string(b[:])
+	return header, header[3:35]
 }
 
 // ParseTraceparent extracts the trace ID and parent span ID from a W3C
@@ -332,9 +380,4 @@ func ParseTraceparent(h string) (traceID, parentID string, ok bool) {
 		return "", "", false
 	}
 	return traceID, parentID, true
-}
-
-// FormatTraceparent renders a version-00 sampled traceparent header value.
-func FormatTraceparent(traceID, spanID string) string {
-	return "00-" + traceID + "-" + spanID + "-01"
 }

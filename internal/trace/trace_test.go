@@ -39,7 +39,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 }
 
 func TestCloseDropsLateMutation(t *testing.T) {
-	tr := trace.New(trace.NewTraceID(), time.Now())
+	tr := trace.New(strings.Repeat("ab", 16), time.Now())
 	root := tr.Root()
 	ev := root.Start(trace.SpanEval)
 	tr.Close(time.Now())
@@ -117,7 +117,7 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := trace.New(trace.NewTraceID(), time.Now())
+			tr := trace.New(strings.Repeat("ab", 16), time.Now())
 			ev := tr.Root().Start(trace.SpanEval)
 			obs := eval.NewObserver(false)
 			opts := &eval.Options{Observe: obs}
@@ -178,7 +178,7 @@ func TestSpanTreeUnderParallelEval(t *testing.T) {
 // TestStageEventsConcurrent adds child spans to one span from many
 // goroutines at once. Only meaningful under -race.
 func TestStageEventsConcurrent(t *testing.T) {
-	tr := trace.New(trace.NewTraceID(), time.Now())
+	tr := trace.New(strings.Repeat("ab", 16), time.Now())
 	ev := tr.Root().Start(trace.SpanEval)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -256,14 +256,14 @@ func TestRecorderRingAndKeep(t *testing.T) {
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	id, span := trace.NewTraceID(), trace.NewSpanID()
-	if len(id) != 32 || len(span) != 16 {
-		t.Fatalf("id lengths = %d/%d, want 32/16", len(id), len(span))
+	h, id := trace.NewTraceparent("")
+	gotID, span, ok := trace.ParseTraceparent(h)
+	if !ok || gotID != id || len(id) != 32 || len(span) != 16 {
+		t.Fatalf("round trip failed: %q -> %q %q %v, want trace ID %q", h, gotID, span, ok, id)
 	}
-	h := trace.FormatTraceparent(id, span)
-	gotID, gotSpan, ok := trace.ParseTraceparent(h)
-	if !ok || gotID != id || gotSpan != span {
-		t.Fatalf("round trip failed: %q -> %q %q %v", h, gotID, gotSpan, ok)
+	// Under a trace ID read from a client: the same ID, a span of its own.
+	if h2, id2 := trace.NewTraceparent(id); id2 != id || h2[:36] != h[:36] || h2 == h {
+		t.Fatalf("continuing %q: %q (ID %q)", id, h2, id2)
 	}
 	bad := []string{
 		"",
