@@ -318,12 +318,19 @@ type (
 	CQAtom = queryopt.Atom
 )
 
-// MinimizeWidth rewrites an acyclic conjunctive query into bounded-variable
-// first-order form — the paper's §5 "variable minimization" methodology.
-// The returned width is the number of distinct variables of the rewritten
-// query, which keeps the head's names and order; evaluating it keeps every
-// intermediate result at that arity. EngineCompiled applies the rewrite
-// itself to every acyclic conjunctive query whose width it lowers.
+// MinimizeWidth returns a conjunctive query's direct first-order form
+// (ConjunctiveQuery.ToFO) as EngineCompiled scopes it — each ∃ over exactly
+// the conjuncts that need it, the paper's §5 "variable minimization" — and
+// the width of its plan, the most variables live at once, which bounds every
+// intermediate's arity (names are kept: the query's Width is the text's).
 func MinimizeWidth(q *ConjunctiveQuery) (Query, int, error) {
-	return queryopt.MinimizeWidth(q)
+	fo, err := q.ToFO()
+	if err != nil {
+		return Query{}, 0, err
+	}
+	p, err := plan.Compile(fo)
+	if err != nil {
+		return Query{}, 0, err
+	}
+	return logic.Query{Head: fo.Head, Body: p.Body}, len(p.Vars), nil
 }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/mucalc"
 	"repro/internal/pathsys"
+	"repro/internal/plan"
 	"repro/internal/prop"
 	"repro/internal/qbf"
 	"repro/internal/queryopt"
@@ -827,16 +828,17 @@ func optJoins() {
 		},
 	}
 	// compiled runs the text as written; plan.Compile lowers it from its
-	// variable-minimised form (§5).
+	// scoped form (§5), whose width the plan reads.
 	direct, err := q.ToFO()
 	die(err)
-	_, width, err := queryopt.MinimizeWidth(q)
+	p, err := plan.Compile(direct)
 	die(err)
+	width := len(p.Vars)
 	sizes := []int{4, 8, 16}
 	if *quick {
 		sizes = []int{4, 8}
 	}
-	outf("   %-4s %12s %10s %12s %10s %8s\n", "ne", "naive", "max-arity", "compiled", "max-arity", "acyclic")
+	outf("   %-4s %12s %10s %12s %10s %8s\n", "ne", "naive", "max-arity", "compiled", "max-arity", "narrowed")
 	for _, ne := range sizes {
 		db := workload.Corporate(int64(ne), ne)
 		var naive, comp *relation.Set
@@ -854,7 +856,7 @@ func optJoins() {
 			die(fmt.Errorf("OPT: naive and compiled answers differ at ne=%d", ne))
 		}
 		if cst.AcyclicFastPath != 1 {
-			die(fmt.Errorf("OPT: compiled did not run the minimised plan at ne=%d", ne))
+			die(fmt.Errorf("OPT: compiled did not run the scoped plan at ne=%d", ne))
 		}
 		outf("   %-4d %12s %10d %12s %10d %8d\n", ne,
 			tn.Round(time.Microsecond), nst.MaxIntermediateArity,

@@ -30,6 +30,8 @@ type diffGen struct {
 	// aliases lets half of the closures filters draws be aliased's shapes,
 	// whose answers only Naive gives.
 	aliases bool
+	// wide adds wideJoin's ∃∧ bodies to formula's draw.
+	wide bool
 }
 
 var diffVars = []logic.Var{"x", "y", "z"}
@@ -61,6 +63,9 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 	if g.filters {
 		cases = 12
 	}
+	if g.wide {
+		cases = 14
+	}
 	switch g.r.Intn(cases) {
 	case 0:
 		return logic.And(sub(), sub())
@@ -84,6 +89,8 @@ func (g *diffGen) formula(depth int, recs []string) logic.Formula {
 		return g.filteredClosure()
 	case 11:
 		return g.besideExists(recs)
+	case 12, 13:
+		return g.wideJoin(recs)
 	default:
 		return logic.And(sub(), g.leaf(recs))
 	}
@@ -214,6 +221,40 @@ func (g *diffGen) besideExists(recs []string) logic.Formula {
 		return logic.And(filter, beside)
 	}
 	return logic.And(beside, filter)
+}
+
+// wideJoin emits an ∃∧ body over two to five fresh bound variables hung off a
+// free one: a tree of edges, half the time with a chord that closes a cycle,
+// an edge on to another free variable, an equality the one-point rule takes,
+// an atom of a recursion relation in scope, and a filter beside it — the
+// regions the miniscoping pass narrows.
+func (g *diffGen) wideJoin(recs []string) logic.Formula {
+	nodes := []logic.Var{g.v()}
+	var conj []logic.Formula
+	for k := 2 + g.r.Intn(4); len(nodes) <= k; {
+		v := logic.Var(g.fresh("w"))
+		conj = append(conj, logic.R("E", nodes[g.r.Intn(len(nodes))], v))
+		nodes = append(nodes, v)
+	}
+	pick := func() logic.Var { return nodes[g.r.Intn(len(nodes))] }
+	if g.r.Intn(2) == 0 {
+		conj = append(conj, logic.R("E", pick(), pick()))
+	}
+	if g.r.Intn(2) == 0 {
+		conj = append(conj, logic.R("E", pick(), g.v()))
+	}
+	if g.r.Intn(3) == 0 {
+		conj = append(conj, logic.Equal(nodes[1+g.r.Intn(len(nodes)-1)], g.v()))
+	}
+	if len(recs) > 0 && g.r.Intn(2) == 0 {
+		conj = append(conj, logic.R(recs[g.r.Intn(len(recs))], pick()))
+	}
+	g.r.Shuffle(len(conj), func(i, j int) { conj[i], conj[j] = conj[j], conj[i] })
+	body := logic.Exists(logic.And(conj...), nodes[1:]...)
+	if g.r.Intn(2) == 0 {
+		return logic.And(logic.R("P", nodes[0]), body)
+	}
+	return body
 }
 
 // fresh names a recursion relation no other binder of this generator has.

@@ -224,7 +224,7 @@ func TestEnumCancellationMidStream(t *testing.T) {
 // TestEnumAcyclicFastPath: every open enumerator reports its Count — there
 // is no route left that streams without knowing the answer's size — on a
 // width-minimal 2-hop CQ and on a 4-hop chain written with five variables,
-// which compiles to its minimised width-3 plan (Stats.AcyclicFastPath).
+// which compiles to its scoped width-3 plan (Stats.AcyclicFastPath).
 func TestEnumAcyclicFastPath(t *testing.T) {
 	db := completeGraph(t, 12)
 	chain, err := queryopt.ChainCQ(4).ToFO()
@@ -254,8 +254,8 @@ func TestEnumAcyclicFastPath(t *testing.T) {
 			if _, ok := en.Count(); ok {
 				t.Fatalf("%s backend %s: closed enumerator reported a Count", q, b)
 			}
-			if (st.AcyclicFastPath == 1) != p.Acyclic {
-				t.Fatalf("%s backend %s: AcyclicFastPath = %d, plan minimized: %v", q, b, st.AcyclicFastPath, p.Acyclic)
+			if (st.AcyclicFastPath == 1) != p.Narrowed {
+				t.Fatalf("%s backend %s: AcyclicFastPath = %d, plan narrowed: %v", q, b, st.AcyclicFastPath, p.Narrowed)
 			}
 			if st.TuplesStreamed != int64(len(got)) || st.TuplesSkipped != 5 {
 				t.Fatalf("streamed %d skipped %d, want %d and 5", st.TuplesStreamed, st.TuplesSkipped, len(got))

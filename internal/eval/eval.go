@@ -193,9 +193,9 @@ type Stats struct {
 	// evaluation: a fixpoint's stage loop handed to the other backend at a
 	// stage boundary, and a sparse attempt rerun dense after a budget overrun.
 	RepSwitches int64 `json:"rep_switches,omitempty"`
-	// AcyclicFastPath is 1 when the plan that ran is an acyclic conjunctive
-	// query lowered from its variable-minimised form (plan.Plan.Acyclic),
-	// 0 otherwise. The name is the wire's.
+	// AcyclicFastPath is 1 when the plan that ran is lowered from an ∃∧
+	// region the miniscoping pass narrowed (plan.Plan.Narrowed), 0 otherwise:
+	// the wire's name from when only acyclic conjunctive queries were.
 	AcyclicFastPath int64 `json:"acyclic_fast_path,omitempty"`
 	// MaintainedFromDelta is 1 when this evaluation restarted its fixpoint
 	// stage loops from a previous snapshot's fixpoints (EvalPlanMaintained)

@@ -194,7 +194,7 @@ func (r *run[V]) answer(capture bool) (planResult, error) {
 	if capture {
 		res.state = &MaintState{stages: r.captured}
 	}
-	if r.p.Acyclic {
+	if r.p.Narrowed {
 		r.stats.AcyclicFastPath = 1
 	}
 	res.head = r.alg.head(h)

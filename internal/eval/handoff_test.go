@@ -154,8 +154,8 @@ func TestDifferentialAbandonedRunStats(t *testing.T) {
 // hand-off price scaled — and, where the fragment admits it, sparse: equal
 // answers and, fixpoint by fixpoint, equal final stages. Dense answers as
 // Naive, which reads the text by its semantics, does: whatever the compiler
-// rewrote (filters pushed into joins, a minimised CQ, axes shared by
-// variables never live together) denotes the text.
+// rewrote (filters landed in joins, regions scoped, axes shared by variables
+// never live together) denotes the text.
 func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	r := rand.New(rand.NewSource(seed))
 	f := (&diffGen{r: r, filters: true, aliases: true}).formula(3, nil)
@@ -201,7 +201,8 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	}
 	// Renamed to fresh names in a seeded order, the text answers the same, and
 	// either spelling compiles at its least width, which exceeds the text's
-	// names where a parameter's name is rebound below an atom reading it.
+	// names where a parameter's name is rebound below an atom reading it,
+	// or below it where the miniscoping pass narrowed a region.
 	sigma := map[logic.Var]logic.Var{}
 	for i, v := range r.Perm(len(diffVars)) {
 		sigma[diffVars[i]] = logic.Var(fmt.Sprintf("w%d", v))
@@ -216,7 +217,7 @@ func autoRouteCheck(t *testing.T, seed int64, scale float64) {
 	}
 	want := leastWidth(q)
 	for _, p := range []*plan.Plan{p, rp} {
-		if got := len(p.Vars); got != want && !(p.Acyclic && got < want) {
+		if got := len(p.Vars); got != want && !(p.Narrowed && got < want) {
 			t.Fatalf("%s: width %d, want the least width %d (written %d)", p.Query, got, want, q.Width())
 		}
 	}

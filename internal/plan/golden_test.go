@@ -24,7 +24,7 @@ const goldenPath = "testdata/compile_golden.txt"
 // planDigest renders every field of p a run reads — the nodes with their
 // fixpoint details, dependency masks, per-binder schedules, frontiers and
 // delta admissibility, the maintenance profile, the closed-node keys, the
-// head and the minimisation — and hashes the rendering. The maintenance
+// head and the narrowing — and hashes the rendering. The maintenance
 // profile enters through InsertSafe/DeleteSafe over every relation the
 // nodes name, not through its representation.
 func planDigest(p *Plan) string {
@@ -100,17 +100,14 @@ func TestCompileGolden(t *testing.T) {
 		if strings.Contains(got, " error: ") {
 			continue
 		}
-		// A plan does not depend on what its variables are called: under a
-		// renaming that keeps the names' order, every plan is the same but for
-		// its axes' display names, and so under any renaming but of an acyclic
-		// CQ, whose minimised form the names order.
+		// A plan does not depend on what its variables are called: under any
+		// renaming, every plan is the same but for its axes' display names.
 		q, _ := parser.ParseQuery(e.text)
 		p, _ := Compile(q)
-		renamings := []func([]string) map[string]string{orderKept}
-		if !p.Acyclic {
-			renamings = append(renamings, func(names []string) map[string]string { return shuffled(names, r) })
-		}
-		for _, rename := range renamings {
+		for _, rename := range []func([]string) map[string]string{
+			orderKept,
+			func(names []string) map[string]string { return shuffled(names, r) },
+		} {
 			text, sigma := renameVars(e.text, rename)
 			rq, err := parser.ParseQuery(text)
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/database"
 	"repro/internal/eval"
 	"repro/internal/logic"
+	"repro/internal/plan"
 	. "repro/internal/queryopt"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -75,9 +76,12 @@ func TestValidateCQ(t *testing.T) {
 	}
 }
 
+// TestAcyclicityChainAndTriangle: the compiled engine narrows an acyclic
+// chain written with a variable per node to three, and leaves a triangle,
+// whose three variables are live together at its last ∃, as written.
 func TestAcyclicityChainAndTriangle(t *testing.T) {
-	if !ChainCQ(4).IsAcyclic() {
-		t.Fatal("chain query reported cyclic")
+	if _, width := minimizeWidth(t, ChainCQ(4)); width != 3 {
+		t.Fatalf("4-chain: width %d, want 3", width)
 	}
 	triangle := &CQ{
 		Head: []logic.Var{"x"},
@@ -87,16 +91,32 @@ func TestAcyclicityChainAndTriangle(t *testing.T) {
 			{Rel: "E", Vars: []logic.Var{"z", "x"}},
 		},
 	}
-	if triangle.IsAcyclic() {
-		t.Fatal("triangle query reported acyclic")
+	fo, err := triangle.ToFO()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := triangle.BuildJoinTree(); err != ErrCyclic {
-		t.Fatalf("expected ErrCyclic, got %v", err)
+	if scoped, width := minimizeWidth(t, triangle); width != 3 || scoped.Body.String() != fo.Body.String() {
+		t.Fatalf("triangle: width %d, lowered from %s", width, scoped.Body)
 	}
 }
 
+// minimizeWidth is bvq.MinimizeWidth: the body the compiled engine lowers
+// the query's direct first-order form from, with that plan's width.
+func minimizeWidth(t testing.TB, q *CQ) (logic.Query, int) {
+	t.Helper()
+	fo, err := q.ToFO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Compile(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logic.Query{Head: fo.Head, Body: p.Body}, len(p.Vars)
+}
+
 // compiled runs the CQ's text as written on the compiled engine, which
-// lowers an acyclic ∃∧ query from its variable-minimised form.
+// lowers it from its scoped form.
 func compiled(t *testing.T, q *CQ, db *database.Database) (*relation.Set, *eval.Stats) {
 	t.Helper()
 	fo, err := q.ToFO()
@@ -133,7 +153,7 @@ func TestNaiveAndCompiledAgree(t *testing.T) {
 
 // TestYannakakisBoundedArity: the §1 observation on the engine that serves.
 // The naive plan of a 5-chain materialises a 10-ary product; the compiled
-// engine runs the chain and the employees query from their minimised forms
+// engine runs the chain and the employees query from their scoped forms
 // and never builds an intermediate wider than 4.
 func TestYannakakisBoundedArity(t *testing.T) {
 	db := lineDB(t, 6)
@@ -232,9 +252,6 @@ func TestEmployeesQuery(t *testing.T) {
 		sal.ForEach(func(tp relation.Tuple) { b.Add("SAL2", tp...) })
 		db2 := b.MustBuild()
 
-		if !q.IsAcyclic() {
-			t.Fatal("employees query should be acyclic")
-		}
 		naive, naiveStats, err := EvalNaive(q, db2)
 		if err != nil {
 			t.Fatal(err)

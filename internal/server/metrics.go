@@ -77,7 +77,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		repSwitches: r.NewCounter("bvqd_eval_rep_switches_total",
 			"Changes of representation inside auto-backend runs: stage loops handed to the other backend at a stage boundary, sparse attempts continued dense after a budget overrun."),
 		acyclicFast: r.NewCounter("bvqd_eval_acyclic_fastpath_total",
-			"Evaluations whose plan is an acyclic conjunctive query compiled from its variable-minimised form."),
+			"Evaluations whose plan is lowered from a conjunctive region the compiler scoped narrower than written."),
 
 		updates: r.NewCounter("bvqd_updates_total",
 			"Effective database updates applied via /db/{name}/update."),

@@ -535,8 +535,8 @@ type CacheStats struct {
 // AggregateEvalStats accumulates engine work across all evaluations,
 // including the partial work of cancelled runs. The last three fields are
 // tuples written by sparse operations, evaluations moved to the other backend
-// (hand-offs, budget reruns), and runs of variable-minimised acyclic conjunctive queries
-// (eval.Stats.AcyclicFastPath).
+// (hand-offs, budget reruns), and runs of plans lowered from a region the
+// compiler scoped narrower than written (eval.Stats.AcyclicFastPath).
 type AggregateEvalStats struct {
 	SubformulaEvals int64 `json:"subformula_evals"`
 	FixIterations   int64 `json:"fix_iterations"`
