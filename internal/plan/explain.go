@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -122,11 +123,16 @@ func opName(op Op) string {
 	}
 }
 
+// varName names an axis by its variable, qualified by the axis (p@2) when an
+// earlier axis carries the same name, so that a tree reads back to its plan.
 func (p *Plan) varName(axis int) string {
-	if axis >= 0 && axis < len(p.Vars) {
-		return string(p.Vars[axis])
+	if axis < 0 || axis >= len(p.Vars) {
+		return fmt.Sprintf("#%d", axis)
 	}
-	return fmt.Sprintf("#%d", axis)
+	if v := p.Vars[axis]; slices.Index(p.Vars, v) < axis {
+		return fmt.Sprintf("%s@%d", v, axis)
+	}
+	return string(p.Vars[axis])
 }
 
 func (p *Plan) axisList(axes []int) string {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/parser"
 )
 
 func tcExplain(t *testing.T) *Explain {
@@ -69,6 +71,24 @@ func TestExplainShape(t *testing.T) {
 	}
 	if !sawHoistedAtom || !sawRecAtom {
 		t.Fatalf("hoistedAtom=%v recAtom=%v, want both", sawHoistedAtom, sawRecAtom)
+	}
+
+	// A rebound parameter takes an axis of its own, and explain names it by
+	// its axis: the two E atoms and the ∃ read back to the plan.
+	q, err := parser.ParseQuery("(p). [lfp R(x). E(x, p) | exists p. (E(x, p) & R(p))](p)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, n := range p.Explain(nil).Nodes {
+		labels = append(labels, n.Label)
+	}
+	if got, want := strings.Join(labels, " "), "E(x,p) E(x,p@2) R·b0(p@2) ∧ ∃p@2 ∨ [lfp R(x)](p)"; got != want {
+		t.Fatalf("labels %q, want %q", got, want)
 	}
 }
 

@@ -310,13 +310,13 @@ func (rt *Router) do(ctx context.Context, m *member, path string, hdr, body []by
 }
 
 // coolFromRetryAfter parks a member for the duration the replica asked for
-// (its Retry-After is already jittered server-side; 1s when unparseable).
-func coolFromRetryAfter(m *member, resp *http.Response) {
+// from now (its Retry-After is already jittered server-side; 1s when unparseable).
+func coolFromRetryAfter(m *member, resp *http.Response, now time.Time) {
 	secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64)
 	if err != nil || secs < 0 {
 		secs = 1
 	}
-	m.coolUntil.Store(time.Now().Add(time.Duration(secs) * time.Second).UnixNano())
+	m.coolUntil.Store(now.Add(time.Duration(secs) * time.Second).UnixNano())
 }
 
 // forward walks a key's preference list. A member out of the ring or cooling
@@ -327,12 +327,14 @@ func coolFromRetryAfter(m *member, resp *http.Response) {
 // the fleet's own backpressure contract. Between passes it waits out the
 // earliest cooldown among the members still in the ring, those that shed in
 // the pass just made included, and gives up instead when that exceeds the cap;
-// it never waits after the last pass. A nil response means the client went
-// away or no replica could be reached.
+// it never waits after the last pass. A pass's cooldowns all count from its
+// start, so members that shed in it with one Retry-After serve again together.
+// A nil response means the client went away or no replica could be reached.
 func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member) (*member, *http.Response) {
 	var shed *http.Response
 	var shedBy *member
 	for pass := 0; ; pass++ {
+		start := time.Now()
 		for i, m := range cands {
 			if !m.healthy.Load() || m.cooling() > 0 {
 				continue
@@ -350,7 +352,7 @@ func (rt *Router) forward(ctx context.Context, body, hdr []byte, cands []*member
 			if resp.StatusCode != http.StatusTooManyRequests {
 				return m, resp
 			}
-			coolFromRetryAfter(m, resp)
+			coolFromRetryAfter(m, resp, start)
 			captured, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			resp.Body = io.NopCloser(bytes.NewReader(captured))
